@@ -1,11 +1,12 @@
 """Core-DP and histogram-kernel speedup benchmark (bitmask vs. seed).
 
-Runs the :mod:`repro.bench.perf` suite — legacy (frozenset DP + loop
-kernels, the seed configuration) against the bitmask DP + vectorized
-kernels — and regenerates the repo-root ``BENCH_core.json`` artifact.
-The assertions are deliberately conservative (well under the measured
-speedups) so the benchmark is robust to noisy machines; the acceptance
-numbers live in ``BENCH_core.json``.
+Runs the runner's ``core`` suite (:mod:`repro.bench.suites.core`) —
+legacy (frozenset DP + loop kernels, the seed configuration) against
+the bitmask DP + vectorized kernels — and asserts on the blocks it
+returns.  The assertions are deliberately conservative (well under the
+measured speedups) so the benchmark is robust to noisy machines; the
+acceptance numbers live in ``BENCH_core.json``, which only
+``python -m repro.bench core`` writes.
 
 Run with::
 
@@ -14,14 +15,9 @@ Run with::
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 import pytest
 
-from repro.bench import perf
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+from repro.bench.suites import core as perf
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +31,8 @@ def test_dp_steady_state_speedup(perf_result, write_result):
     rows = perf_result["get_selectivity"]
     for key, row in rows.items():
         assert row["steady_speedup"] >= 2.0, (key, row["steady_speedup"])
-    assert rows["n7"]["steady_speedup"] >= 3.0
+    gates = perf_result["gates"]
+    assert gates["n7_steady_speedup"] >= gates["n7_steady_target"]
     write_result("core_dp", perf.render(perf_result))
 
 
@@ -97,11 +94,3 @@ def test_fault_guard_overhead_and_parity(perf_result):
     steady = perf_result["get_selectivity"]["n7"]["bitmask"]["steady_ms"]
     assert guards["disarmed_ms"] <= steady * 1.5
     assert guards["armed_zero_fault_ms"] <= guards["disarmed_ms"] * 1.5
-
-
-def test_write_bench_core_json(perf_result):
-    """Regenerate the repo-root artifact so CI keeps it fresh."""
-    payload = json.dumps(perf_result, indent=2) + "\n"
-    (REPO_ROOT / "BENCH_core.json").write_text(payload)
-    reread = json.loads(payload)
-    assert reread["gates"]["n7_steady_speedup"] >= 3.0

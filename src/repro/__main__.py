@@ -204,51 +204,36 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 def _cmd_catalog(args: argparse.Namespace) -> int:
     import json
 
-    from repro.catalog import RefreshPolicy, StatisticsCatalog
-    from repro.workload.queries import WorkloadConfig, WorkloadGenerator
-    from repro.workload.snowflake import SnowflakeConfig, generate_snowflake
+    from repro.catalog import RefreshPolicy
+    from repro.workload.fixture import snowflake_fixture
 
-    database = generate_snowflake(
-        SnowflakeConfig(scale=args.scale, seed=args.seed)
-    )
-    generator = WorkloadGenerator(
-        database, WorkloadConfig(join_count=2, filter_count=2, seed=args.seed)
-    )
-    queries = generator.generate(args.queries)
-
-    def built() -> StatisticsCatalog:
+    action = args.action
+    if args.path is None and action in ("load", "save"):
+        raise SystemExit(f"catalog {action} requires --path")
+    # every action but `save` serves a saved catalog when given --path
+    path = args.path if action != "save" else None
+    if path is None:
         print(
             f"building J{args.max_joins} catalog over {args.queries} queries "
             f"(scale={args.scale}) ...",
             file=sys.stderr,
         )
-        return StatisticsCatalog.build(
-            database, queries, max_joins=args.max_joins
-        )
+    database, queries, catalog, _ = snowflake_fixture(
+        args.scale,
+        args.seed,
+        args.queries,
+        max_joins=args.max_joins,
+        path=path,
+    )
 
-    def loaded() -> StatisticsCatalog:
-        if args.path is None:
-            raise SystemExit("catalog load/status from file requires --path")
-        return StatisticsCatalog.load(args.path, database=database)
-
-    action = args.action
-    if action == "build":
-        catalog = built()
+    if action in ("build", "load"):
         print(json.dumps(catalog.status(), indent=2, sort_keys=True))
         return 0
     if action == "save":
-        if args.path is None:
-            raise SystemExit("catalog save requires --path")
-        catalog = built()
         catalog.save(args.path)
         print(f"saved {len(catalog)} SITs (v2) to {args.path}")
         return 0
-    if action == "load":
-        catalog = loaded()
-        print(json.dumps(catalog.status(), indent=2, sort_keys=True))
-        return 0
     if action == "status":
-        catalog = loaded() if args.path is not None else built()
         if args.storm:
             from repro.ingest import IngestConfig, IngestPipeline
             from repro.obs import StalenessTracker
@@ -273,7 +258,6 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         from repro.catalog.refresh import _advisor_scores
         from repro.catalog.catalog import sit_key
 
-        catalog = loaded() if args.path is not None else built()
         scores = _advisor_scores(list(catalog), queries)
         ranked = sorted(
             (sit for sit in catalog if not sit.is_base),
@@ -287,7 +271,6 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             )
         return 0
     if action == "refresh":
-        catalog = loaded() if args.path is not None else built()
         for table in args.update_table or []:
             version = catalog.notify_table_update(table)
             print(f"table {table} -> version {version}", file=sys.stderr)
@@ -305,7 +288,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import dataclasses
     import json
 
-    from repro.catalog import StatisticsCatalog
     from repro.resilience import FaultPlan, arm, disarm
     from repro.service import (
         ClusterConfig,
@@ -313,8 +295,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServiceConfig,
         run_server,
     )
-    from repro.workload.queries import WorkloadConfig, WorkloadGenerator
-    from repro.workload.snowflake import SnowflakeConfig, generate_snowflake
+    from repro.workload.fixture import snowflake_fixture
 
     fault_plan = None
     if getattr(args, "fault_plan", None):
@@ -325,33 +306,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    database = generate_snowflake(
-        SnowflakeConfig(scale=args.scale, seed=args.seed)
-    )
-    if args.path is not None:
-        catalog = StatisticsCatalog.load(args.path, database=database)
-    else:
-        generator = WorkloadGenerator(
-            database,
-            WorkloadConfig(join_count=2, filter_count=2, seed=args.seed),
-        )
-        queries = generator.generate(args.queries)
+    if args.path is None:
         print(
             f"building J{args.max_joins} catalog over {args.queries} queries "
             f"(scale={args.scale}) ...",
             file=sys.stderr,
         )
-        catalog = StatisticsCatalog.build(
-            database, queries, max_joins=args.max_joins
-        )
+    catalog = snowflake_fixture(
+        args.scale,
+        args.seed,
+        args.queries,
+        max_joins=args.max_joins,
+        path=args.path,
+    ).catalog
     # ad-hoc SQL needs base histograms for *every* attribute, not just
     # the build workload's
-    assert catalog.builder is not None
-    present = {sit.attribute for sit in catalog if sit.is_base}
-    for table in database.schema.tables.values():
-        for attribute in table.attributes:
-            if attribute not in present:
-                catalog.add(catalog.builder.build_base(attribute))
+    catalog.add_missing_base_histograms()
     if args.config is not None:
         # one JSON file describes the whole deployment (nested healing
         # and cluster blocks included); address flags still win so one
@@ -432,26 +402,16 @@ def _cmd_advisor(args: argparse.Namespace) -> int:
 
     from repro.advisor import AdvisorConfig, SelfTuningAdvisor
     from repro.advisor.search import sit_space_bytes
-    from repro.catalog import StatisticsCatalog
     from repro.catalog.session import EstimationSession
-    from repro.workload.queries import WorkloadConfig, WorkloadGenerator
-    from repro.workload.snowflake import SnowflakeConfig, generate_snowflake
+    from repro.workload.fixture import snowflake_fixture
 
-    database = generate_snowflake(
-        SnowflakeConfig(scale=args.scale, seed=args.seed)
-    )
-    generator = WorkloadGenerator(
-        database,
-        WorkloadConfig(join_count=2, filter_count=2, seed=args.seed),
-    )
-    queries = generator.generate(args.queries)
     print(
         f"building J{args.max_joins} catalog over {args.queries} queries "
         f"(scale={args.scale}) ...",
         file=sys.stderr,
     )
-    catalog = StatisticsCatalog.build(
-        database, queries, max_joins=args.max_joins
+    _, queries, catalog, _ = snowflake_fixture(
+        args.scale, args.seed, args.queries, max_joins=args.max_joins
     )
     budget = None
     if args.budget_fraction is not None:

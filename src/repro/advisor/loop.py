@@ -366,13 +366,6 @@ class SelfTuningAdvisor:
             )
 
         self.metrics.counter("advisor.accepts").inc()
-        self.metrics.gauge("advisor.safety_q_error").set(decision.worst_q_error)
-        self.metrics.gauge("advisor.safety_space_bytes").set(
-            decision.space_bytes
-        )
-        self.metrics.gauge("advisor.safety_refresh_seconds").set(
-            decision.refresh_seconds
-        )
         current = {str(sit) for sit in snapshot.pool if not sit.is_base}
         applied = False
         if chosen != current:
@@ -431,7 +424,6 @@ class SelfTuningAdvisor:
         for key, value in self.log.counters().items():
             registry.gauge(f"advisor.{key}").set(value)
         registry.gauge("advisor.universe_size").set(float(len(self._universe)))
-        registry.gauge("advisor.history_length").set(float(len(self.history)))
         registry.gauge("advisor.drift_ratio").set(self.drift_ratio())
         return registry
 

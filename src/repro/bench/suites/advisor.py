@@ -1,4 +1,5 @@
-"""Self-tuning advisor vs the static ``diff_H`` advisor, under budget.
+"""The ``advisor`` suite: self-tuning vs the static ``diff_H`` advisor,
+under budget.
 
 The experiment behind :mod:`repro.advisor`: on a skewed snowflake
 workload, impose a space budget that excludes at least half of the
@@ -15,30 +16,22 @@ queries unseen during feedback):
   accepts after observing the feedback workload, with the safety gate's
   three constraints verified on its held-out safety split.
 
-The gate: the tuned configuration's median q-error on the holdout
-workload must not exceed the static advisor's.  The block merges into
-``BENCH_core.json`` read-modify-write (every other block untouched)::
+The gate (it decides the runner's exit code): the tuned configuration's
+median q-error on the holdout workload must not exceed the static
+advisor's.  Run with::
 
-    PYTHONPATH=src python -m repro.bench.advisor [output.json]
+    PYTHONPATH=src python -m repro.bench advisor [output.json]
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
-import time
-
 from repro.advisor import AdvisorConfig, SelfTuningAdvisor
-from repro.advisor.search import q_error, sit_space_bytes
-from repro.bench.perf import DEFAULT_OUTPUT
-from repro.catalog import EstimationSession, StatisticsCatalog
-from repro.core.predicates import attributes_of
+from repro.advisor.search import median, q_error, sit_space_bytes
+from repro.catalog import EstimationSession
 from repro.engine.executor import Executor
 from repro.estimators.sit import SITEstimator
 from repro.stats.pool import SITPool
-from repro.workload.queries import WorkloadConfig, WorkloadGenerator
-from repro.workload.snowflake import SnowflakeConfig, generate_snowflake
+from repro.workload.fixture import snowflake_fixture
 
 SNOWFLAKE_SCALE = 0.15
 FEEDBACK_SEED = 42
@@ -50,40 +43,6 @@ MAX_JOINS = 2
 #: computed from the candidate pool; see :func:`run`)
 MAX_Q_ERROR = 1000.0
 REFRESH_BUDGET_S = 60.0
-
-
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-def build_setup():
-    """Database, feedback/holdout workloads, and a J2 catalog whose base
-    histograms cover *both* workloads (so every configuration under test
-    can answer every holdout query)."""
-    database = generate_snowflake(
-        SnowflakeConfig(scale=SNOWFLAKE_SCALE, seed=FEEDBACK_SEED)
-    )
-    stream = WorkloadGenerator(
-        database,
-        WorkloadConfig(join_count=2, filter_count=2, seed=FEEDBACK_SEED),
-    ).generate(FEEDBACK_QUERIES + HOLDOUT_QUERIES)
-    # one workload distribution, disjoint query split: the holdout
-    # queries are unseen by both advisors but share the feedback
-    # stream's join/filter mix (the regime self-tuning targets)
-    feedback = stream[:FEEDBACK_QUERIES]
-    holdout = stream[FEEDBACK_QUERIES:]
-    catalog = StatisticsCatalog.build(database, feedback, max_joins=MAX_JOINS)
-    present = {sit.attribute for sit in catalog.pool if sit.is_base}
-    needed = set()
-    for query in (*feedback, *holdout):
-        needed |= attributes_of(query.predicates)
-    for attribute in sorted(needed - present):
-        catalog.add(catalog.builder.build_base(attribute))
-    return database, catalog, feedback, holdout
 
 
 def static_selection(conditioned, feedback, budget: float) -> set[str]:
@@ -128,13 +87,24 @@ def holdout_q_errors(database, base, conditioned, chosen, holdout, executor):
             for sit in conditioned
             if str(sit) in chosen
         ),
-        "median_q_error": _median(errors),
+        "median_q_error": median(errors),
         "max_q_error": max(errors),
     }
 
 
-def run() -> dict:
-    database, catalog, feedback, holdout = build_setup()
+def run(recorded: dict | None = None) -> dict:
+    # one workload distribution, disjoint query split: the holdout
+    # queries are unseen by both advisors but share the feedback
+    # stream's join/filter mix (the regime self-tuning targets); base
+    # histograms cover both, so every configuration answers every query
+    database, feedback, catalog, holdout = snowflake_fixture(
+        SNOWFLAKE_SCALE,
+        FEEDBACK_SEED,
+        FEEDBACK_QUERIES,
+        max_joins=MAX_JOINS,
+        holdout=HOLDOUT_QUERIES,
+    )
+    catalog.add_missing_base_histograms()
     base = [sit for sit in catalog.pool if sit.is_base]
     conditioned = [sit for sit in catalog.pool if not sit.is_base]
     spaces = sorted(sit_space_bytes(sit) for sit in conditioned)
@@ -171,7 +141,7 @@ def run() -> dict:
     }
     tuned_median = configurations["tuned"]["median_q_error"]
     static_median = configurations["static"]["median_q_error"]
-    return {
+    block = {
         "workload": {
             "database": "snowflake",
             "scale": SNOWFLAKE_SCALE,
@@ -194,9 +164,15 @@ def run() -> dict:
             ),
         },
     }
+    return {"advisor": block}
 
 
-def render(block: dict) -> str:
+def passed(blocks: dict) -> bool:
+    return blocks["advisor"]["gate"]["within_gate"]
+
+
+def render(blocks: dict) -> str:
+    block = blocks["advisor"]
     work = block["workload"]
     lines = [
         f"advisor bench (snowflake scale {work['scale']}, "
@@ -230,25 +206,3 @@ def render(block: dict) -> str:
         f"({'pass' if gate['within_gate'] else 'FAIL'})"
     )
     return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    output = pathlib.Path(argv[0]) if argv else DEFAULT_OUTPUT
-    existing: dict = {}
-    if output.exists():
-        existing = json.loads(output.read_text())
-    started = time.perf_counter()
-    block = run()
-    elapsed = time.perf_counter() - started
-    existing["advisor"] = block
-    output.write_text(json.dumps(existing, indent=2) + "\n")
-    print(render(block))
-    print(f"wrote {output} ({elapsed:.1f}s)")
-    if not block["gate"]["within_gate"]:
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

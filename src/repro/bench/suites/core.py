@@ -1,11 +1,16 @@
-"""Core-DP and histogram-algebra performance benchmarks.
+"""The ``core`` suite: core-DP and histogram-algebra performance.
 
 Measures the bitmask ``GetSelectivity`` rewrite against the preserved
-``LegacyGetSelectivity`` baseline, and the vectorized histogram algebra
-against the pure-Python reference kernels, then writes a machine-readable
-``BENCH_core.json`` at the repository root.  Run with::
+``LegacyGetSelectivity`` baseline (the seed's frozenset DP on the seed's
+loop kernels, timed on this machine), the vectorized histogram algebra
+against the pure-Python reference kernels, the cost of the tracing and
+fault-injection guards on the steady DP, and incremental catalog
+refresh against a cold build.  Run with::
 
-    PYTHONPATH=src python -m repro.bench.perf [output.json]
+    PYTHONPATH=src python -m repro.bench core [output.json]
+
+All timers are ``perf_counter``; cold figures are medians, steady and
+micro figures best-of.
 
 Two regimes are timed for the DP:
 
@@ -27,19 +32,16 @@ histograms — the paper's SIT format — through both kernel generations.
 from __future__ import annotations
 
 import contextlib
-import json
-import pathlib
-import platform
 import random
-import statistics
-import sys
 import time
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 import repro.core.matching as _matching
 
+from repro.advisor.search import median
+from repro.bench.suites import best_of, time_once
 from repro.core.errors import NIndError
 from repro.core.get_selectivity import GetSelectivity
 from repro.core.predicates import (
@@ -58,8 +60,6 @@ from repro.histograms.operations import (
 )
 from repro.stats.pool import SITPool
 from repro.stats.sit import SIT
-
-DEFAULT_OUTPUT = pathlib.Path(__file__).resolve().parents[3] / "BENCH_core.json"
 
 #: predicate counts benchmarked (the acceptance gate reads ``n7``)
 PREDICATE_COUNTS = (5, 7, 9)
@@ -122,24 +122,6 @@ def build_scenario(size: int, seed: int = 0) -> tuple[frozenset, SITPool]:
     return frozen, pool
 
 
-# ----------------------------------------------------------------------
-# Timing helpers
-# ----------------------------------------------------------------------
-def _time_once(function: Callable[[], object]) -> float:
-    started = time.perf_counter()
-    function()
-    return time.perf_counter() - started
-
-
-def _best_of(function: Callable[[], object], repeats: int) -> float:
-    """Minimum wall-clock seconds over ``repeats`` runs (noise floor)."""
-    return min(_time_once(function) for _ in range(repeats))
-
-
-def _median_of(function: Callable[[], object], repeats: int) -> float:
-    return statistics.median(_time_once(function) for _ in range(repeats))
-
-
 @contextlib.contextmanager
 def seed_kernels() -> Iterator[None]:
     """Run the factor-estimation pipeline on the seed's loop kernels.
@@ -168,8 +150,11 @@ def bench_get_selectivity(size: int, repeats: int) -> dict:
         is_legacy = name == "legacy"
         context = seed_kernels() if is_legacy else contextlib.nullcontext()
         with context:
-            cold = _median_of(
-                lambda: fresh(name)(predicates), max(3, repeats // 2)
+            cold = median(
+                [
+                    time_once(lambda: fresh(name)(predicates))
+                    for _ in range(max(3, repeats // 2))
+                ]
             )
             algorithm = fresh(name)
             algorithm(predicates)  # warm the pool-pure caches
@@ -178,7 +163,7 @@ def bench_get_selectivity(size: int, repeats: int) -> dict:
                 algorithm.reset()
                 algorithm(predicates)
 
-            steady = _best_of(steady_run, repeats)
+            steady = best_of(steady_run, repeats)
         snapshot = algorithm.stats_snapshot()
         out[name] = {
             "cold_ms": cold * 1000.0,
@@ -196,118 +181,21 @@ def bench_get_selectivity(size: int, repeats: int) -> dict:
     return out
 
 
-def _constant_variants(
-    rng: random.Random, predicates: frozenset, count: int
-) -> list[frozenset]:
-    """Fresh filter constants for the scenario shape, rejection-sampled so
-    the str-sort order (and therefore the shape fingerprint) is preserved
-    — the templated-workload regime the plan cache is built for."""
-    from repro.core.plancache import shape_fingerprint
+def warm_steady_dp(size: int):
+    """The ``size``-predicate scenario on a warm bitmask DP.
 
-    joins = {p for p in predicates if p.is_join}
-    filters = [p for p in predicates if not p.is_join]
-    base = shape_fingerprint(predicates)[0]
-    variants: list[frozenset] = []
-    while len(variants) < count:
-        for attempt in range(64):
-            scale = 0.6 * (0.7**attempt)
-            fresh: set = set(joins)
-            for old in filters:
-                span = max(1.0, old.high - old.low)
-                low = round(old.low + rng.uniform(-scale, scale) * span, 3)
-                if old.low == old.high:
-                    high = low  # point filters render attribute-first
-                else:
-                    high = round(low + span * rng.uniform(0.6, 1.4), 3)
-                fresh.add(FilterPredicate(old.attribute, low, high))
-            variant = frozenset(fresh)
-            if (
-                len(variant) == len(predicates)
-                and shape_fingerprint(variant)[0] == base
-            ):
-                variants.append(variant)
-                break
-        else:
-            raise RuntimeError("could not re-instantiate the scenario shape")
-    return variants
-
-
-def bench_plan_cache(size: int, repeats: int, variants: int = 64) -> dict:
-    """Compiled-plan cache: miss (compile) latency, template-hit steady
-    latency, batched replay, and the hit rate over a templated workload.
-
-    ``steady_hit_ms`` is the headline number — one template-hit
-    estimation through :meth:`PlanCache.estimate` (probe + vectorized
-    replay + result construction) — gated at <= 0.17 ms and >= 5x the
-    same machine's full-DP steady figure.  ``replay_bit_identical``
-    asserts the replayed result equals the cold DP on fresh constants
-    (the parity suite pins this across 400 pairs; the bench re-checks
-    the exact workload it timed).
-    """
-    from repro.core.plancache import PlanCache, shape_fingerprint
-
+    Returns ``(algorithm, predicates, first_result, steady_run)``:
+    ``steady_run`` is one reset-per-query call — the optimizer regime,
+    with the pool-pure caches already populated by ``first_result``."""
     predicates, pool = build_scenario(size)
-    rng = random.Random(20260807 + size)
-    workload = _constant_variants(rng, predicates, variants)
-
     algorithm = GetSelectivity.create(pool, NIndError(), engine="bitmask")
-    cold_result = algorithm(predicates)  # warm pool-pure caches + memo
+    first_result = algorithm(predicates)
 
-    def dp_steady_run() -> None:
+    def steady_run() -> None:
         algorithm.reset()
         algorithm(predicates)
 
-    dp_steady = _best_of(dp_steady_run, repeats)
-    algorithm.reset()
-    cold_result = algorithm(predicates)  # leave the memo matching the query
-
-    # miss path: compiling the DP's winning decomposition into a plan
-    def compile_once() -> None:
-        scratch = PlanCache(pool)
-        if scratch.compile(predicates, algorithm, cold_result) is None:
-            raise RuntimeError("scenario shape refused compilation")
-
-    compile_s = _best_of(compile_once, max(3, repeats // 2))
-
-    # steady path: template hits with fresh constants
-    cache = PlanCache(pool)
-    cache.compile(predicates, algorithm, cold_result)
-    probe = workload[0]
-    hit_s = _best_of(lambda: cache.estimate(probe), repeats * 4)
-
-    # batched replay: the whole workload as stacked numpy ops
-    plan, _ = cache.plan_for(predicates)
-    assert plan is not None
-    ordered_batch = [shape_fingerprint(v)[1] for v in workload]
-    batch_s = _best_of(lambda: plan.replay_batch(ordered_batch), repeats)
-
-    # hit rate + bit-identity over the templated workload (estimator flow:
-    # shape miss -> full DP + compile, template hit -> replay)
-    served = PlanCache(pool)
-    identical = True
-    for variant in workload:
-        replayed = served.estimate(variant)
-        algorithm.reset()
-        reference = algorithm(variant)
-        if replayed is None:
-            served.compile(variant, algorithm, reference)
-        elif replayed != reference:
-            identical = False
-    status = served.status()
-    return {
-        "predicates": size,
-        "workload_variants": len(workload),
-        "compile_ms": compile_s * 1000.0,
-        "steady_hit_ms": hit_s * 1000.0,
-        "dp_steady_ms": dp_steady * 1000.0,
-        "speedup_vs_dp_steady": dp_steady / hit_s,
-        "batch_replay_per_query_ms": batch_s / len(workload) * 1000.0,
-        "replay_bit_identical": identical,
-        "workload_hit_rate": status["hit_rate"],
-        "plans": status["plans"],
-        "compiles": status["compiles"],
-        "plan_bytes": status["bytes"],
-    }
+    return algorithm, predicates, first_result, steady_run
 
 
 def bench_tracing_overhead(size: int, repeats: int) -> dict:
@@ -319,17 +207,10 @@ def bench_tracing_overhead(size: int, repeats: int) -> dict:
     The disabled figure is the one the <=5% acceptance gate tracks against
     the pre-observability baseline recorded in ``BENCH_core.json``.
     """
-    predicates, pool = build_scenario(size)
-    algorithm = GetSelectivity.create(pool, NIndError(), engine="bitmask")
-    algorithm(predicates)  # warm pool-pure caches
-
-    def steady_run() -> None:
-        algorithm.reset()
-        algorithm(predicates)
-
-    disabled = _best_of(steady_run, repeats)
+    algorithm, _, _, steady_run = warm_steady_dp(size)
+    disabled = best_of(steady_run, repeats)
     trace = algorithm.enable_tracing()
-    enabled = _best_of(steady_run, repeats)
+    enabled = best_of(steady_run, repeats)
     stages = {
         stage: seconds * 1000.0 for stage, seconds, _ in trace.stages()
     }
@@ -360,21 +241,14 @@ def bench_fault_overhead(size: int, repeats: int) -> dict:
     """
     from repro.resilience.faults import FaultPlan, FaultRule, armed
 
-    predicates, pool = build_scenario(size)
-    algorithm = GetSelectivity.create(pool, NIndError(), engine="bitmask")
-    baseline = algorithm(predicates)  # warm pool-pure caches
-
-    def steady_run() -> None:
-        algorithm.reset()
-        algorithm(predicates)
-
-    disarmed = _best_of(steady_run, repeats)
+    algorithm, predicates, baseline, steady_run = warm_steady_dp(size)
+    disarmed = best_of(steady_run, repeats)
     plan = FaultPlan(
         [FaultRule(point="sit_match", after=10**9, max_fires=None)],
         seed=0,
     )
     with armed(plan):
-        armed_zero = _best_of(steady_run, repeats)
+        armed_zero = best_of(steady_run, repeats)
         algorithm.reset()
         under_plan = algorithm(predicates)
     algorithm.reset()
@@ -401,20 +275,15 @@ def bench_catalog_refresh(repeats: int) -> dict:
     fresh SITs that survive as the *same objects* — so the measured cost
     is the incremental maintenance path, not a cold build.
     """
-    from repro.catalog import RefreshPolicy, StatisticsCatalog
-    from repro.workload.queries import WorkloadConfig, WorkloadGenerator
-    from repro.workload.snowflake import SnowflakeConfig, generate_snowflake
+    from repro.catalog import RefreshPolicy
+    from repro.workload.fixture import snowflake_fixture
 
     scale = 8.0
-    database = generate_snowflake(SnowflakeConfig(scale=scale, seed=42))
-    generator = WorkloadGenerator(
-        database, WorkloadConfig(join_count=2, filter_count=2, seed=42)
+    catalog = snowflake_fixture(scale, 42, 3).catalog
+    # the build's own record of what the cold build cost
+    build_seconds = sum(
+        catalog.metadata_for(sit).build_seconds for sit in catalog
     )
-    queries = generator.generate(3)
-
-    build_started = time.perf_counter()
-    catalog = StatisticsCatalog.build(database, queries, max_joins=1)
-    build_seconds = time.perf_counter() - build_started
     table = "customer"
 
     out: dict = {
@@ -478,8 +347,8 @@ def bench_histogram_ops(repeats: int) -> dict:
         "buckets": (left.bucket_count, right.bucket_count),
     }
     for name, (reference, vectorized) in cases.items():
-        reference_s = _best_of(reference, max(3, repeats // 3))
-        vectorized_s = _best_of(vectorized, repeats)
+        reference_s = best_of(reference, max(3, repeats // 3))
+        vectorized_s = best_of(vectorized, repeats)
         out[name] = {
             "reference_ms": reference_s * 1000.0,
             "vectorized_ms": vectorized_s * 1000.0,
@@ -489,26 +358,14 @@ def bench_histogram_ops(repeats: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-def run(repeats: int = 9) -> dict:
-    """Run every benchmark and return the ``BENCH_core.json`` payload."""
+def run(recorded: dict | None = None, repeats: int = 9) -> dict:
+    """Run every core benchmark; returns the blocks and their gates."""
     result = {
-        "meta": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "numpy": np.__version__,
-            "repeats": repeats,
-            "timer": "perf_counter; cold=median, steady/micro=best-of",
-            "baseline": (
-                "legacy = seed frozenset implementation "
-                "(LegacyGetSelectivity / *_reference kernels), "
-                "preserved in-tree and timed on this machine"
-            ),
-        },
+        "meta": {"repeats": repeats},
         "get_selectivity": {
             f"n{size}": bench_get_selectivity(size, repeats)
             for size in PREDICATE_COUNTS
         },
-        "plan_cache": bench_plan_cache(7, repeats),
         "histograms": bench_histogram_ops(repeats),
         "observability": {
             "n7_tracing": bench_tracing_overhead(7, repeats),
@@ -518,24 +375,19 @@ def run(repeats: int = 9) -> dict:
         },
         "catalog": bench_catalog_refresh(repeats),
     }
-    result["gates"] = {
+    result["gates"] = gates(result)
+    return result
+
+
+def gates(result: dict) -> dict:
+    """The acceptance numbers, read off the measured blocks."""
+    return {
         # The rewrite targets the optimizer inner loop: an end-to-end
         # getSelectivity call per query in the harness's reset-per-query
         # regime (cold calls are matching-layer bound, which both paths
         # share; cold speedups are reported above for transparency).
         "n7_steady_speedup": result["get_selectivity"]["n7"]["steady_speedup"],
         "n7_steady_target": 3.0,
-        # Plan-cache acceptance: a template hit must answer in
-        # microseconds — <= 0.17 ms and >= 5x the same-run full-DP steady
-        # figure — and the replay must be bit-identical to the cold DP on
-        # the exact workload the bench timed.
-        "n7_plan_cache_steady_ms": result["plan_cache"]["steady_hit_ms"],
-        "n7_plan_cache_steady_target_ms": 0.17,
-        "n7_plan_cache_speedup": result["plan_cache"]["speedup_vs_dp_steady"],
-        "n7_plan_cache_speedup_target": 5.0,
-        "n7_plan_cache_replay_bit_identical": result["plan_cache"][
-            "replay_bit_identical"
-        ],
         "histogram_join_speedup": result["histograms"]["histogram_join"][
             "speedup"
         ],
@@ -570,7 +422,6 @@ def run(repeats: int = 9) -> dict:
         ],
         "catalog_sampled_speedup": result["catalog"]["sampled_speedup"],
     }
-    return result
 
 
 def render(result: dict) -> str:
@@ -582,18 +433,6 @@ def render(result: dict) -> str:
             f"steady {row['legacy']['steady_ms']:8.2f} -> "
             f"{row['bitmask']['steady_ms']:8.2f} ms ({row['steady_speedup']:5.1f}x)"
         )
-    plan = result["plan_cache"]
-    lines.append(
-        f"plan cache (n{plan['predicates']}, "
-        f"{plan['workload_variants']} constant variants): "
-        f"compile {plan['compile_ms']:.3f} ms, "
-        f"hit {plan['steady_hit_ms']:.4f} ms "
-        f"({plan['speedup_vs_dp_steady']:.0f}x vs DP steady "
-        f"{plan['dp_steady_ms']:.3f} ms), "
-        f"batched {plan['batch_replay_per_query_ms']:.4f} ms/query, "
-        f"hit-rate {plan['workload_hit_rate']:.3f}, "
-        f"bit-identical={plan['replay_bit_identical']}"
-    )
     lines.append("histogram algebra, reference vs vectorized:")
     for name in ("histogram_join", "variation_distance"):
         row = result["histograms"][name]
@@ -628,17 +467,3 @@ def render(result: dict) -> str:
         f"{catalog['refresh_vs_build_pct']:.0f}% of a cold build"
     )
     return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    output = pathlib.Path(argv[0]) if argv else DEFAULT_OUTPUT
-    result = run()
-    output.write_text(json.dumps(result, indent=2) + "\n")
-    print(render(result))
-    print(f"wrote {output}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,13 +1,12 @@
-"""The estimator-backend shootout: accuracy vs latency vs space.
+"""The ``estimators`` suite: the backend shootout, accuracy vs latency
+vs space.
 
 Races the three :mod:`repro.estimators` backends — the paper's SIT/DP
 path, the per-table Bayesian-network estimator and the guaranteed-sample
 estimator — over the synthetic snowflake workload plus the TPC-H
-motivating query, and merges an ``estimators`` block into the existing
-``BENCH_core.json`` (read-modify-write: every other block, including the
-acceptance gates, is left byte-for-byte untouched).  Run with::
+motivating query.  Run with::
 
-    PYTHONPATH=src python -m repro.bench.estimators [output.json]
+    PYTHONPATH=src python -m repro.bench estimators [output.json]
 
 Per backend, over the snowflake workload:
 
@@ -34,22 +33,13 @@ must not regress the gate by more than ``SIT_REGRESSION_PCT_MAX``.
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
-import time
-
-from repro.bench.perf import DEFAULT_OUTPUT, _best_of, build_scenario
-from repro.core.errors import NIndError
-from repro.core.get_selectivity import GetSelectivity
+from repro.advisor.search import median, q_error
+from repro.bench.suites import best_of
+from repro.bench.suites.core import warm_steady_dp
 from repro.engine.executor import Executor
 from repro.estimators import BACKENDS, create_estimator
-from repro.workload.queries import WorkloadConfig, WorkloadGenerator
-from repro.workload.snowflake import SnowflakeConfig, generate_snowflake
+from repro.workload.fixture import snowflake_fixture
 from repro.workload.tpch import TPCHConfig, generate_tpch, motivating_query
-
-#: additive floor keeping q-errors finite on empty-result queries
-EPSILON = 1e-9
 
 #: the acceptance bar on SIT n7 steady drift vs the recorded gate run
 SIT_REGRESSION_PCT_MAX = 5.0
@@ -59,41 +49,9 @@ SNOWFLAKE_SEED = 42
 WORKLOAD_QUERIES = 12
 
 
-def q_error(estimate: float, truth: float) -> float:
-    high = max(estimate, truth) + EPSILON
-    low = min(estimate, truth) + EPSILON
-    return high / low
-
-
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
 # ----------------------------------------------------------------------
 # Workloads
 # ----------------------------------------------------------------------
-def snowflake_workload():
-    """The Section 5 synthetic database with a mixed SPJ workload and a
-    J2 SIT pool (the configuration the paper's Figure 7 sweep uses)."""
-    from repro.stats.builder import SITBuilder
-    from repro.stats.pool import build_workload_pool
-
-    database = generate_snowflake(
-        SnowflakeConfig(scale=SNOWFLAKE_SCALE, seed=SNOWFLAKE_SEED)
-    )
-    generator = WorkloadGenerator(
-        database,
-        WorkloadConfig(join_count=2, filter_count=2, seed=SNOWFLAKE_SEED),
-    )
-    queries = generator.generate(WORKLOAD_QUERIES)
-    pool = build_workload_pool(SITBuilder(database), queries, max_joins=2)
-    return database, pool, queries
-
-
 def tpch_motivating():
     """The Figure 1 motivating query on the skewed mini TPC-H database."""
     from repro.stats.builder import SITBuilder
@@ -118,13 +76,13 @@ def bench_backend(name, database, pool, queries, truths, repeats: int) -> dict:
             estimator.reset()
             estimator.estimate(query)
 
-    per_pass = _best_of(steady_pass, repeats)
+    per_pass = best_of(steady_pass, repeats)
     errors = [
         q_error(result.selectivity, truth)
         for result, truth in zip(results, truths)
     ]
     out = {
-        "median_q_error": _median(errors),
+        "median_q_error": median(errors),
         "max_q_error": max(errors),
         "latency_per_query_ms": per_pass * 1000.0 / len(queries),
         "space_bytes": float(estimator.space_bytes()),
@@ -140,23 +98,21 @@ def bench_backend(name, database, pool, queries, truths, repeats: int) -> dict:
     return out
 
 
-def bench_sit_n7_steady(repeats: int) -> float:
-    """Re-time the ``get_selectivity`` gate's n7 steady scenario through
-    the current code (milliseconds, best-of)."""
-    predicates, pool = build_scenario(7)
-    algorithm = GetSelectivity.create(pool, NIndError(), engine="bitmask")
-    algorithm(predicates)  # warm the pool-pure caches
-
-    def steady_run() -> None:
-        algorithm.reset()
-        algorithm(predicates)
-
-    return _best_of(steady_run, repeats) * 1000.0
-
-
 # ----------------------------------------------------------------------
-def run(repeats: int = 7, recorded_n7_steady_ms: float | None = None) -> dict:
-    database, pool, queries = snowflake_workload()
+def run(recorded: dict | None = None, repeats: int = 7) -> dict:
+    recorded_n7_steady_ms = (
+        (recorded or {})
+        .get("get_selectivity", {})
+        .get("n7", {})
+        .get("bitmask", {})
+        .get("steady_ms")
+    )
+    # the Section 5 synthetic database with a mixed SPJ workload and a
+    # J2 SIT pool (the configuration the paper's Figure 7 sweep uses)
+    database, queries, catalog, _ = snowflake_fixture(
+        SNOWFLAKE_SCALE, SNOWFLAKE_SEED, WORKLOAD_QUERIES, max_joins=2
+    )
+    pool = catalog.pool
     executor = Executor(database)
     truths = [executor.selectivity(query.predicates) for query in queries]
 
@@ -189,7 +145,8 @@ def run(repeats: int = 7, recorded_n7_steady_ms: float | None = None) -> dict:
 
     # a microsecond-scale measurement needs a deeper best-of to reach
     # the noise floor the recorded gate run was taken at
-    steady_ms = bench_sit_n7_steady(max(repeats, 15))
+    *_, steady_run = warm_steady_dp(7)
+    steady_ms = best_of(steady_run, max(repeats, 15)) * 1000.0
     gate: dict = {
         "sit_n7_steady_ms": steady_ms,
         "regression_pct_max": SIT_REGRESSION_PCT_MAX,
@@ -200,10 +157,11 @@ def run(repeats: int = 7, recorded_n7_steady_ms: float | None = None) -> dict:
         gate["drift_pct"] = drift
         gate["within_gate"] = drift <= SIT_REGRESSION_PCT_MAX
     block["sit_gate"] = gate
-    return block
+    return {"estimators": block}
 
 
-def render(block: dict) -> str:
+def render(blocks: dict) -> str:
+    block = blocks["estimators"]
     work = block["workload"]
     lines = [
         f"estimator shootout (snowflake scale {work['scale']}, "
@@ -243,29 +201,3 @@ def render(block: dict) -> str:
         )
     lines.append(line)
     return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    output = pathlib.Path(argv[0]) if argv else DEFAULT_OUTPUT
-    existing: dict = {}
-    if output.exists():
-        existing = json.loads(output.read_text())
-    recorded = (
-        existing.get("get_selectivity", {})
-        .get("n7", {})
-        .get("bitmask", {})
-        .get("steady_ms")
-    )
-    started = time.perf_counter()
-    block = run(recorded_n7_steady_ms=recorded)
-    elapsed = time.perf_counter() - started
-    existing["estimators"] = block
-    output.write_text(json.dumps(existing, indent=2) + "\n")
-    print(render(block))
-    print(f"wrote {output} ({elapsed:.1f}s)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -438,6 +438,27 @@ class StatisticsCatalog:
             self._publish(sits)
             self.metrics.counter("catalog.sits_built").inc()
 
+    def add_missing_base_histograms(self) -> int:
+        """Build a base histogram for every schema attribute without one.
+
+        A workload-built catalog only covers the attributes its build
+        queries touched; ad-hoc SQL needs a base histogram on *every*
+        attribute or unrelated filters raise
+        :class:`~repro.core.get_selectivity.NoApplicableStatisticsError`.
+        Returns how many were added (each :meth:`add` publishes a new
+        version).
+        """
+        if self.builder is None or self.database is None:
+            raise ValueError("adding base histograms requires a database")
+        present = {sit.attribute for sit in self._pool if sit.is_base}
+        added = 0
+        for table in self.database.schema.tables.values():
+            for attribute in table.attributes:
+                if attribute not in present:
+                    self.add(self.builder.build_base(attribute))
+                    added += 1
+        return added
+
     def remove(self, sit: SIT) -> bool:
         """Drop one SIT by key; returns whether anything was removed."""
         with self._lock:

@@ -51,7 +51,7 @@ from repro.engine.database import Database
 from repro.engine.expressions import Query
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import StatsSnapshot
-from repro.estimators import Estimator, create_estimator
+from repro.estimators import Estimator, create_estimator, resolve_statistics
 from repro.resilience.faults import (
     POINT_SNAPSHOT_PIN,
     active as _fault_plan,
@@ -59,30 +59,6 @@ from repro.resilience.faults import (
 from repro.stats.pool import SITPool
 
 from repro.catalog.catalog import CatalogSnapshot, StatisticsCatalog
-
-
-def _pin_snapshot(statistics) -> tuple[SITPool, CatalogSnapshot | None]:
-    """Resolve a catalog / snapshot / bare pool into (pool, snapshot)."""
-    if isinstance(statistics, StatisticsCatalog):
-        snapshot = statistics.snapshot()
-    elif isinstance(statistics, CatalogSnapshot):
-        snapshot = statistics
-    elif isinstance(statistics, SITPool):
-        plan = _fault_plan()
-        if plan is not None:
-            plan.check(POINT_SNAPSHOT_PIN, detail="version=0")
-        return statistics, None
-    else:
-        raise TypeError(
-            "statistics must be a StatisticsCatalog, CatalogSnapshot or "
-            f"SITPool, got {type(statistics).__name__}"
-        )
-    plan = _fault_plan()
-    if plan is not None:
-        # snapshot-pin injection point: the snapshot's backing state is
-        # unavailable right as a session/worker tries to pin it
-        plan.check(POINT_SNAPSHOT_PIN, detail=f"version={snapshot.version}")
-    return snapshot.pool, snapshot
 
 
 class EstimationSession:
@@ -102,7 +78,13 @@ class EstimationSession:
         strict: bool = False,
         plan_cache: bool = True,
     ):
-        pool, snapshot = _pin_snapshot(statistics)
+        pool, snapshot = resolve_statistics(statistics)
+        plan = _fault_plan()
+        if plan is not None:
+            # snapshot-pin injection point: the snapshot's backing state
+            # is unavailable right as a session/worker tries to pin it
+            version = snapshot.version if snapshot is not None else 0
+            plan.check(POINT_SNAPSHOT_PIN, detail=f"version={version}")
         self.snapshot = snapshot
         if database is None and snapshot is not None:
             database = snapshot.database

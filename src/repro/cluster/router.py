@@ -600,12 +600,9 @@ class EstimationCluster:
             return cluster.hedge_delay_s
         with self._metrics_lock:
             p95_ms = self.metrics.histogram("cluster.latency_ms").quantile(0.95)
-        delay = max(
+        return max(
             cluster.min_hedge_delay_s, (p95_ms / 1000.0) * cluster.hedge_factor
         )
-        with self._metrics_lock:
-            self.metrics.gauge("cluster.hedge_delay_ms").set(delay * 1000.0)
-        return delay
 
     def _schedule_hedge(self, entry: _Request) -> None:
         fire_at = time.monotonic() + self._hedge_delay_s()

@@ -587,7 +587,7 @@ class LegacyGetSelectivity(GetSelectivity):
     """The original frozenset-based ``getSelectivity`` implementation.
 
     Kept verbatim as the oracle for the bitmask parity suite and as the
-    baseline the ``repro.bench.perf`` benchmarks measure speedups against.
+    baseline ``python -m repro.bench core`` measures speedups against.
     Construct via :meth:`GetSelectivity.create` with ``engine="legacy"``
     (or directly).
     """

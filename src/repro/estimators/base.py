@@ -124,7 +124,10 @@ class Estimator(abc.ABC):
         return self.estimate_predicates(frozenset(query.predicates))
 
     def explain(self, query: "Query | str") -> "ExplainResult":
-        """``EXPLAIN ESTIMATE``: the structured explanation view."""
+        """``EXPLAIN ESTIMATE``: the structured explanation view of a
+        bound :class:`Query` or SQL text.  The SIT backend explains from
+        the DP's memo, so ``explain(q).selectivity`` equals
+        ``estimate(q).selectivity`` exactly."""
         from repro.obs.explain import build_explain
 
         if isinstance(query, str):

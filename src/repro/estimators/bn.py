@@ -417,7 +417,6 @@ class BayesianNetworkEstimator(Estimator):
         registry.gauge("caches.join_cache_entries").set(
             float(len(self._join_cache))
         )
-        registry.gauge("caches.model_bytes").set(self.space_bytes())
         meta = {
             "estimator": self.name,
             "backend": self.backend,

@@ -201,10 +201,6 @@ class GuaranteedSampleEstimator(Estimator):
         registry.counter("counters.estimates").inc(self._estimates)
         registry.counter("counters.samples_built").inc(self._samples_built)
         registry.gauge("caches.sampled_tables").set(float(len(self._samples)))
-        registry.gauge("caches.sample_rows").set(
-            float(sum(s.row_count for _, s in self._samples.values()))
-        )
-        registry.gauge("caches.sample_bytes").set(self.space_bytes())
         meta = {
             "estimator": self.name,
             "backend": self.backend,

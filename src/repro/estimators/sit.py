@@ -30,7 +30,6 @@ when no fallback is configured or the fallback itself fails.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING
 
 from repro.core.errors import DiffError, ErrorFunction, NIndError, OptError
 from repro.core.get_selectivity import (
@@ -53,9 +52,6 @@ from repro.resilience.ladder import (
     LEVEL_REPLAN,
     magic_result,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.explain import ExplainResult
 
 
 class SITEstimator(Estimator):
@@ -266,19 +262,6 @@ class SITEstimator(Estimator):
             )
             self._base_algorithm = algorithm
         return algorithm
-
-    def parse_sql(self, sql: str) -> Query:
-        """Parse + bind SQL against this estimator's schema (traced as the
-        ``parse_bind`` stage when tracing is enabled)."""
-        return super().parse_sql(sql)
-
-    def explain(self, query: Query | str) -> "ExplainResult":
-        """``EXPLAIN ESTIMATE``: the winning decomposition, factor by factor.
-
-        Accepts a bound :class:`Query` or SQL text.  Reuses the DP's memo,
-        so ``explain(q).selectivity == estimate(q).selectivity`` exactly.
-        """
-        return super().explain(query)
 
     def subquery_selectivity(self, query: Query, predicates: PredicateSet) -> float:
         """Selectivity of one sub-query; free after :meth:`estimate` thanks

@@ -28,7 +28,7 @@ at ``edges[k]``, segment ``2k + 1`` the open span to ``edges[k + 1]``),
 no Python-level bucket × edge loop.  The original loop implementation is
 kept (``join_histograms_reference`` / ``variation_distance_reference``) as
 the oracle for the equivalence tests and the baseline for the
-``repro.bench.perf`` microbenchmarks.
+``python -m repro.bench core`` microbenchmarks.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ its numeric behaviour:
 """
 
 from repro.obs.metrics import Counter, Gauge, HistogramMetric, MetricsRegistry
-from repro.obs.snapshot import StatsSnapshot, deprecated
+from repro.obs.snapshot import StatsSnapshot
 from repro.obs.staleness import StalenessTracker
 from repro.obs.trace import Span, Trace
 
@@ -71,5 +71,4 @@ __all__ = [
     "StatsSnapshot",
     "Trace",
     "build_explain",
-    "deprecated",
 ]

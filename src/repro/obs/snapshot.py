@@ -47,18 +47,18 @@ namespaces:
     multi-process tier state (:mod:`repro.cluster`): ring membership
     (``shards``, ``replicas``, ``ejected``), routing counters
     (``routed``, ``spilled``, per-shard ``shard.<id>.routed``), hedging
-    (``hedges``, ``hedge_wins``, ``hedge_cancelled``, ``hedge_delay_ms``)
-    and swap coherence (``holds``, ``held_requests``, ``swaps``) — empty
-    below the cluster router;
+    (``hedges``, ``hedge_wins``, ``hedge_cancelled``) and swap coherence
+    (``holds``, ``holding``, ``held_requests``, ``swaps``) — empty below
+    the cluster router;
 ``advisor``
     self-tuning loop state (:mod:`repro.advisor`): ``ticks``,
     ``proposals``, ``accepts``, per-constraint rejects
     (``rejects_q_error`` / ``rejects_space`` / ``rejects_refresh_cost``),
     ``no_solution`` outcomes, ``skipped_ticks`` (safety evaluation
-    unavailable), feedback-log fill (``feedback_records``,
-    ``feedback_dropped``) and the last accepted proposal's safety
-    margins (``safety_q_error``, ``safety_space_bytes``,
-    ``safety_refresh_seconds``) — empty when no advisor runs;
+    unavailable) and feedback-log fill (``feedback_records``,
+    ``feedback_dropped``); the last accepted proposal's safety margins
+    are on its tuning report's ``decision`` — empty when no advisor
+    runs;
 ``ingest``
     streaming-ingestion state (:mod:`repro.ingest` +
     :class:`repro.obs.staleness.StalenessTracker`): admission counters
@@ -79,7 +79,6 @@ data: build one from a :class:`repro.obs.metrics.MetricsRegistry` with
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -99,11 +98,6 @@ NAMESPACES = (
     "advisor",
     "ingest",
 )
-
-
-def deprecated(message: str) -> None:
-    """Emit a :class:`DeprecationWarning` attributed to the caller's caller."""
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
 
 
 def _freeze(mapping: Mapping[str, object] | None) -> Mapping[str, object]:

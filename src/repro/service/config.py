@@ -20,26 +20,15 @@ composable frozen dataclasses:
 Every layer validates in ``__post_init__`` and round-trips through
 ``from_dict`` / ``to_dict`` so a whole deployment fits in one JSON file
 (``python -m repro serve --config cluster.json``).
-
-The old flat spelling (``ServiceConfig(breaker_threshold=5, ...)``) is
-accepted for one release through a :class:`DeprecationWarning` shim that
-folds the healing knobs into a nested :class:`HealingConfig`; the flat
-attribute reads (``config.breaker_threshold``) keep working the same
-way.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 from repro.advisor.config import AdvisorConfig
-
-
-def _deprecated(message: str) -> None:
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -150,16 +139,6 @@ class ClusterConfig:
         return cls(**_known_fields(cls, data))
 
 
-#: flat ServiceConfig kwargs that moved into the nested HealingConfig
-#: (accepted one release through the DeprecationWarning shim)
-_LEGACY_HEALING_KWARGS = (
-    "breaker_threshold",
-    "breaker_window_s",
-    "requeue_limit",
-    "max_worker_restarts",
-)
-
-
 def _known_fields(cls, data: Mapping[str, Any]) -> dict:
     names = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - names)
@@ -266,41 +245,6 @@ class ServiceConfig:
             )
 
     # ------------------------------------------------------------------
-    # Deprecated flat views of the nested healing knobs (one release)
-    # ------------------------------------------------------------------
-    @property
-    def breaker_threshold(self) -> int:
-        _deprecated(
-            "ServiceConfig.breaker_threshold is deprecated; read "
-            "config.healing.breaker_threshold"
-        )
-        return self.healing.breaker_threshold
-
-    @property
-    def breaker_window_s(self) -> float:
-        _deprecated(
-            "ServiceConfig.breaker_window_s is deprecated; read "
-            "config.healing.breaker_window_s"
-        )
-        return self.healing.breaker_window_s
-
-    @property
-    def requeue_limit(self) -> int:
-        _deprecated(
-            "ServiceConfig.requeue_limit is deprecated; read "
-            "config.healing.requeue_limit"
-        )
-        return self.healing.requeue_limit
-
-    @property
-    def max_worker_restarts(self) -> int:
-        _deprecated(
-            "ServiceConfig.max_worker_restarts is deprecated; read "
-            "config.healing.max_worker_restarts"
-        )
-        return self.healing.max_worker_restarts
-
-    # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -318,11 +262,7 @@ class ServiceConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ServiceConfig":
-        """Build a config from its nested-dict form.
-
-        Flat healing keys (the pre-layering spelling) are accepted with
-        a :class:`DeprecationWarning`, exactly like the kwarg shim.
-        """
+        """Build a config from its nested-dict form."""
         data = dict(data)
         healing = data.pop("healing", None)
         if isinstance(healing, Mapping):
@@ -333,21 +273,6 @@ class ServiceConfig:
         advisor = data.pop("advisor", None)
         if isinstance(advisor, Mapping):
             advisor = AdvisorConfig.from_dict(advisor)
-        legacy = {
-            key: data.pop(key)
-            for key in _LEGACY_HEALING_KWARGS
-            if key in data
-        }
-        if legacy:
-            _deprecated(
-                "flat healing keys in ServiceConfig.from_dict are "
-                "deprecated; nest them under 'healing'"
-            )
-            if healing is not None:
-                raise ValueError(
-                    "both nested 'healing' and flat healing keys given"
-                )
-            healing = HealingConfig(**legacy)
         kwargs = _known_fields(cls, data)
         if healing is not None:
             kwargs["healing"] = healing
@@ -356,40 +281,6 @@ class ServiceConfig:
         if advisor is not None:
             kwargs["advisor"] = advisor
         return cls(**kwargs)
-
-
-# ----------------------------------------------------------------------
-# Legacy flat-kwarg shim: ServiceConfig(breaker_threshold=..., ...) keeps
-# constructing (with a DeprecationWarning) for one release by folding
-# the flat knobs into the nested HealingConfig.
-# ----------------------------------------------------------------------
-_dataclass_init = ServiceConfig.__init__
-
-
-def _shimmed_init(self, *args, **kwargs) -> None:
-    legacy = {
-        key: kwargs.pop(key)
-        for key in _LEGACY_HEALING_KWARGS
-        if key in kwargs
-    }
-    if legacy:
-        warnings.warn(
-            "flat ServiceConfig healing kwargs "
-            f"({', '.join(sorted(legacy))}) are deprecated; pass "
-            "healing=HealingConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if "healing" in kwargs:
-            raise TypeError(
-                "pass either healing=HealingConfig(...) or the flat "
-                "legacy kwargs, not both"
-            )
-        kwargs["healing"] = HealingConfig(**legacy)
-    _dataclass_init(self, *args, **kwargs)
-
-
-ServiceConfig.__init__ = _shimmed_init  # type: ignore[method-assign]
 
 
 __all__ = ["ClusterConfig", "HealingConfig", "ServiceConfig"]

@@ -222,6 +222,7 @@ class ServerHandle:
         self._loop = asyncio.new_event_loop()
         self._server = EstimationServer(service, host, port)
         self._started = threading.Event()
+        self._stop = asyncio.Event()
         self._thread = threading.Thread(
             target=self._run, name="repro-serve", daemon=True
         )
@@ -232,13 +233,16 @@ class ServerHandle:
     def _run(self) -> None:
         asyncio.set_event_loop(self._loop)
 
-        async def _start() -> None:
+        async def _serve() -> None:
             await self._server.start()
             self._started.set()
+            # an event, not loop.stop(): a stop requested while start-up
+            # is still unwinding would be swallowed by that run and the
+            # next run_forever() would never return
+            await self._stop.wait()
 
-        self._loop.run_until_complete(_start())
         try:
-            self._loop.run_forever()
+            self._loop.run_until_complete(_serve())
         finally:
             self._loop.run_until_complete(self._server.aclose())
             # connection handlers may still be parked on a half-closed
@@ -264,7 +268,7 @@ class ServerHandle:
     def close(self, drain: bool = True) -> bool:
         """Stop the listener, then drain and close the service."""
         if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._loop.call_soon_threadsafe(self._stop.set)
             self._thread.join(timeout=30.0)
         return self.service.close(drain=drain)
 

@@ -220,6 +220,7 @@ class TestScheduling:
         report = advisor.tick()
         assert report.status == DEFERRED
         assert "min_feedback" in report.reason
+        assert advisor.metrics.counter("advisor.deferred_ticks").value == 1
 
     def test_ready_gates_on_feedback_then_interval(
         self, advisor_catalog, feedback_queries

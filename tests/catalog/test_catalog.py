@@ -87,6 +87,7 @@ class TestRegistry:
         assert len(catalog) == 6  # replaced, not appended
         assert catalog.metadata_for(replacement).diff == 0.9
         assert catalog.version == version + 1
+        assert catalog.stats_snapshot().catalog["sits_built"] == 1.0
 
     def test_remove(self, catalog):
         target = next(s for s in catalog if not s.is_base)
@@ -95,6 +96,7 @@ class TestRegistry:
         assert not catalog.remove(target)
         with pytest.raises(KeyError):
             catalog.metadata_for(target)
+        assert catalog.stats_snapshot().catalog["sits_dropped"] == 1.0
 
     def test_status_summary(self, catalog):
         status = catalog.status()
@@ -174,6 +176,7 @@ class TestInvalidationEventPath:
         snapshot = catalog.stats_snapshot()
         assert snapshot.catalog["invalidations"] == 1.0
         assert snapshot.catalog["stale_sits"] == 4.0
+        assert snapshot.catalog["sit_count"] == float(len(catalog))
         assert snapshot.meta["subsystem"] == "catalog"
 
 

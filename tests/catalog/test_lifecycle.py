@@ -18,6 +18,7 @@ from repro.catalog import (
     StatisticsCatalog,
     sit_key,
 )
+from repro.catalog.catalog import RefreshConflict
 from repro.core.predicates import Attribute, FilterPredicate, JoinPredicate
 from repro.engine.database import Database, Table
 from repro.engine.expressions import Query
@@ -180,6 +181,55 @@ class TestServingIsolation:
         snapshot = session.stats_snapshot()
         assert snapshot.catalog["match_cache_hit_rate"] > 0.0
         assert snapshot.meta["queries"] == len(workload) * 2
+
+
+class TestRefreshRollback:
+    def test_fault_mid_rebuild_publishes_nothing(self, catalog):
+        from repro.resilience.faults import (
+            EstimationFault,
+            FaultPlan,
+            FaultRule,
+            armed,
+        )
+
+        catalog.notify_table_update("S")
+        version = catalog.version
+        stale = len(catalog.stale_sits())
+        plan = FaultPlan(
+            [
+                FaultRule(
+                    point="refresh_during_storm",
+                    probability=1.0,
+                    max_fires=1,
+                )
+            ],
+            seed=1,
+        )
+        with armed(plan), pytest.raises(EstimationFault):
+            catalog.refresh()
+        assert catalog.version == version
+        assert len(catalog.stale_sits()) == stale
+        assert catalog.stats_snapshot().catalog["refresh_aborts"] == 1.0
+        catalog.refresh()  # the next round goes through
+        assert catalog.stale_sits() == []
+
+    def test_membership_change_mid_refresh_is_a_conflict(
+        self, catalog, monkeypatch
+    ):
+        catalog.notify_table_update("S")
+        victim = next(sit for sit in catalog if not sit.is_base)
+        build_many = catalog.builder.build_many
+
+        def racing_writer_wins(expression, attributes):
+            catalog.remove(victim)
+            return build_many(expression, attributes)
+
+        monkeypatch.setattr(catalog.builder, "build_many", racing_writer_wins)
+        with pytest.raises(RefreshConflict):
+            catalog.refresh()
+        # the racing writer's catalog stands; the refresh merged nothing
+        assert sit_key(victim) not in {sit_key(sit) for sit in catalog}
+        assert catalog.stats_snapshot().catalog["refresh_conflicts"] == 1.0
 
 
 class TestRefreshReport:

@@ -88,13 +88,25 @@ class FakeLink:
             ]
 
 
-def make_cluster(catalog, links, *, shards=None, replicas=0, **cluster_kwargs):
+def make_cluster(
+    catalog,
+    links,
+    *,
+    shards=None,
+    replicas=0,
+    drain_timeout_s=0.25,
+    **cluster_kwargs,
+):
+    """A router over fake links.  ``close()`` waits out ``drain_timeout_s``
+    for requests a manual link never answers, so the fixture keeps it
+    short (the production default is 30 s)."""
     shards = shards if shards is not None else len(links) - replicas
     cluster_kwargs.setdefault("hedge_delay_s", 30.0)  # effectively off
     config = ServiceConfig(
+        drain_timeout_s=drain_timeout_s,
         cluster=ClusterConfig(
             shards=shards, replicas=replicas, **cluster_kwargs
-        )
+        ),
     )
     return EstimationCluster(catalog, config=config, _links=links)
 
@@ -352,6 +364,23 @@ class TestBreakerEjection:
             assert all(answer.shard == 1 for answer in answers)
 
 
+class TestRevival:
+    def test_failed_revival_is_counted_and_can_be_retried(
+        self, cluster_catalog, monkeypatch
+    ):
+        links = [FakeLink(0), FakeLink(1)]
+        with make_cluster(cluster_catalog, links) as cluster:
+
+            def no_process(shard):
+                raise OSError("cannot spawn")
+
+            monkeypatch.setattr(cluster, "_spawn_shard", no_process)
+            cluster._reviving.add(0)
+            cluster._revive(0)
+            assert cluster.stats_snapshot().cluster["revive_failures"] == 1.0
+            assert 0 not in cluster._reviving  # a later ejection retries
+
+
 class TestSwapCoherence:
     def test_requests_hold_until_the_shard_acks(
         self, cluster_catalog, cluster_queries
@@ -374,6 +403,7 @@ class TestSwapCoherence:
             held = cluster.stats_snapshot().cluster
             assert held["held_requests"] == 1.0
             assert held["holds"] == 2.0
+            assert held["holding"] == 1.0
 
             # ack the invalidates (shard adopts the new version)
             for link in links:
@@ -530,6 +560,21 @@ class TestLifecycle:
         cluster.estimate(cluster_queries[0], timeout=5.0)
         assert cluster.close() is True
         assert cluster.close() is True
+        assert all(link.closed for link in links)
+
+    def test_drain_gives_up_at_the_drain_timeout(
+        self, cluster_catalog, cluster_queries
+    ):
+        """``close(drain=True)`` waits for in-flight requests, but only
+        for ``drain_timeout_s``: then it reports an unclean drain and
+        tears the links down anyway."""
+        links = [FakeLink(0, auto=False), FakeLink(1, auto=False)]
+        cluster = make_cluster(cluster_catalog, links, drain_timeout_s=0.05)
+        cluster.submit(cluster_queries[0])
+        started = time.monotonic()
+        assert cluster.close() is False
+        elapsed = time.monotonic() - started
+        assert 0.05 <= elapsed < 1.0
         assert all(link.closed for link in links)
 
     def test_seam_requires_matching_link_count(self, cluster_catalog):

@@ -177,6 +177,9 @@ class TestMemoBank:
         # a different shape sharing the join core hits the bank
         algorithm(shapes[2])  # join + S.b filter
         assert algorithm.memo_bank_hits > 0
+        caches = algorithm.stats_snapshot().caches
+        assert caches["memo_bank_entries"] == algorithm.memo_bank_size()
+        assert caches["memo_bank_hits"] == algorithm.memo_bank_hits
 
     def test_banked_answers_are_bit_identical(self, two_table_pool, shapes):
         banked = GetSelectivity(two_table_pool, NIndError())

@@ -137,8 +137,10 @@ class TestInvalidation:
         built = estimator.stats_snapshot().counters["samples_built"]
         estimator.notify_table_update("R")
         estimator.estimate_predicates(parity_queries[3])
-        rebuilt = estimator.stats_snapshot().counters["samples_built"]
+        snapshot = estimator.stats_snapshot()
+        rebuilt = snapshot.counters["samples_built"]
         assert rebuilt == built + 1  # only R re-sampled, S kept
+        assert snapshot.caches["sampled_tables"] == 2.0
 
     def test_bn_model_rebuilds_after_invalidate(
         self, two_table_db, two_table_pool, parity_queries
@@ -148,8 +150,14 @@ class TestInvalidation:
         built = estimator.stats_snapshot().counters["models_built"]
         estimator.notify_table_update("R")
         estimator.estimate_predicates(parity_queries[3])
-        rebuilt = estimator.stats_snapshot().counters["models_built"]
+        snapshot = estimator.stats_snapshot()
+        rebuilt = snapshot.counters["models_built"]
         assert rebuilt == built + 1
+        # only the filtered table needs a model; the join factor is a
+        # value overlap
+        assert snapshot.caches["table_models"] == 1.0
+        # the join factor is cached per (tables, table versions)
+        assert snapshot.caches["join_cache_entries"] >= 1.0
 
     def test_catalog_backed_peer_sees_catalog_invalidation(
         self, two_table_db, two_table_pool, parity_queries

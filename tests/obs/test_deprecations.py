@@ -10,7 +10,10 @@ silently resurrects an old shim fails loudly.  Pinned here:
   pool query quartet;
 * the ``repro.core.estimator`` module (``CardinalityEstimator`` →
   :class:`repro.estimators.SITEstimator`);
-* the pre-``connect()`` client names (``Client``, ``TCPClient``).
+* the pre-``connect()`` client names (``Client``, ``TCPClient``);
+* the flat healing spelling of ``ServiceConfig`` (kwargs, attributes,
+  ``from_dict`` keys) and the ``repro.obs.deprecated`` warning helper
+  that no shim is left to call.
 """
 
 from __future__ import annotations
@@ -199,3 +202,55 @@ class TestClientShimsRemoved:
         assert not hasattr(InProcessClient, "in_process")
         with connect(two_table_pool, database=two_table_db) as client:
             assert isinstance(client, InProcessClient)
+
+
+class TestFlatHealingConfigRemoved:
+    """The flat healing knobs had their release of grace; they live in
+    ``ServiceConfig.healing`` only."""
+
+    FLAT = (
+        "breaker_threshold",
+        "breaker_window_s",
+        "requeue_limit",
+        "max_worker_restarts",
+    )
+
+    def test_flat_kwargs_are_rejected(self):
+        from repro.service import ServiceConfig
+
+        for name in self.FLAT:
+            with pytest.raises(TypeError, match=name):
+                ServiceConfig(**{name: 1})
+
+    def test_flat_attributes_are_gone(self):
+        from repro.service import HealingConfig, ServiceConfig
+
+        config = ServiceConfig(healing=HealingConfig(breaker_threshold=9))
+        for name in self.FLAT:
+            assert not hasattr(config, name)
+        assert config.healing.breaker_threshold == 9
+
+    def test_flat_dict_keys_are_unknown(self):
+        from repro.service import ServiceConfig
+
+        with pytest.raises(ValueError, match="unknown ServiceConfig"):
+            ServiceConfig.from_dict({"breaker_threshold": 4})
+        nested = ServiceConfig.from_dict(
+            {"healing": {"breaker_threshold": 4}}
+        )
+        assert nested.healing.breaker_threshold == 4
+
+    def test_no_init_monkey_patch_left(self):
+        import repro.service.config as config
+
+        for name in ("_LEGACY_HEALING_KWARGS", "_shimmed_init", "_deprecated"):
+            assert not hasattr(config, name)
+
+
+class TestDeprecatedHelperRemoved:
+    def test_helper_is_gone(self):
+        import repro.obs
+        import repro.obs.snapshot
+
+        assert not hasattr(repro.obs, "deprecated")
+        assert not hasattr(repro.obs.snapshot, "deprecated")

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.snapshot import NAMESPACES, StatsSnapshot, deprecated
+from repro.obs.snapshot import NAMESPACES, StatsSnapshot
 
 
 def _sample_registry() -> MetricsRegistry:
@@ -122,13 +122,3 @@ class TestStatsSnapshot:
         assert snapshot.service == {"queue_depth": 3.0, "served": 10.0}
         assert snapshot.namespace("service")["served"] == 10.0
         assert snapshot.to_dict()["service"]["queue_depth"] == 3.0
-
-
-class TestDeprecatedHelper:
-    def test_emits_deprecation_warning(self):
-        with pytest.deprecated_call(match="old thing"):
-            _caller_of_deprecated()
-
-
-def _caller_of_deprecated() -> None:
-    deprecated("old thing is deprecated")

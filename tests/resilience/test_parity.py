@@ -128,7 +128,7 @@ class TestDeterminism:
 
 class TestOverheadGate:
     def test_bench_reports_parity_and_overhead(self):
-        from repro.bench.perf import bench_fault_overhead
+        from repro.bench.suites.core import bench_fault_overhead
 
         report = bench_fault_overhead(5, 3)
         assert report["zero_fault_bit_identical"] is True
@@ -138,11 +138,17 @@ class TestOverheadGate:
 
     def test_gate_keys_present_in_bench_payload(self):
         """The BENCH_core gates must carry the resilience entries (the
-        CI job reads these keys; renaming them silently un-gates)."""
-        import inspect
+        CI job reads these keys; renaming them silently un-gates) — and
+        the committed gate file must hold exactly the gates the ``core``
+        suite derives from its own recorded blocks."""
+        import json
+        import pathlib
 
-        from repro.bench import perf
+        from repro.bench.suites.core import gates
 
-        source = inspect.getsource(perf.run)
-        assert "n7_fault_guards_armed_overhead_pct" in source
-        assert "n7_fault_guards_zero_fault_bit_identical" in source
+        gate_file = pathlib.Path(__file__).parents[2] / "BENCH_core.json"
+        recorded = json.loads(gate_file.read_text())
+        gate = gates(recorded)
+        assert "n7_fault_guards_armed_overhead_pct" in gate
+        assert gate["n7_fault_guards_zero_fault_bit_identical"] is True
+        assert gate == recorded["gates"]

@@ -87,6 +87,26 @@ class TestServiceIntegration:
             assert "advisor" in snapshot
             assert snapshot["advisor"]["ticks"] >= 1.0
 
+    def test_failing_background_tick_is_counted_not_raised(
+        self, service_catalog, join_query, monkeypatch
+    ):
+        """A broken advisor degrades to a no-op: serving continues and
+        the failure shows up as ``advisor.failed_ticks``."""
+        with EstimationService(service_catalog, config=TUNED) as service:
+            advisor = service.advisor
+            monkeypatch.setattr(advisor, "ready", lambda: True)
+
+            def broken_tick():
+                raise RuntimeError("advisor bug")
+
+            monkeypatch.setattr(advisor, "tick", broken_tick)
+            service.estimate(join_query)  # a served batch kicks a tick
+            service._tuning_thread.join(timeout=5.0)
+            assert not service._tuning_thread.is_alive()
+            assert service.estimate(join_query).selectivity >= 0.0
+            snapshot = service.metrics_registry().snapshot()
+            assert snapshot["advisor"]["failed_ticks"] >= 1.0
+
     def test_clean_close_with_advisor(self, service_catalog, join_query):
         service = EstimationService(service_catalog, config=TUNED)
         service.estimate(join_query)

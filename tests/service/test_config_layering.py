@@ -1,6 +1,6 @@
 """Layered configuration: per-layer validation (the bugfix — the old
 flat config silently accepted nonsense knobs), from_dict/to_dict round
-trips, and the one-release legacy shims."""
+trips."""
 
 from __future__ import annotations
 
@@ -124,46 +124,6 @@ class TestRoundTrip:
 
 
 class TestLegacyShims:
-    def test_flat_kwargs_fold_into_healing(self):
-        with pytest.deprecated_call(match="deprecated"):
-            config = ServiceConfig(breaker_threshold=7, requeue_limit=1)
-        assert config.healing.breaker_threshold == 7
-        assert config.healing.requeue_limit == 1
-        # untouched healing knobs keep their defaults
-        assert config.healing.max_worker_restarts == 8
-
-    def test_flat_kwargs_conflict_with_nested(self):
-        with pytest.raises(TypeError, match="not both"), pytest.warns(
-            DeprecationWarning
-        ):
-            ServiceConfig(
-                breaker_threshold=7, healing=HealingConfig()
-            )
-
-    def test_flat_attribute_reads_warn_but_work(self):
-        config = ServiceConfig(healing=HealingConfig(breaker_threshold=9))
-        with pytest.deprecated_call(match="healing.breaker_threshold"):
-            assert config.breaker_threshold == 9
-        with pytest.deprecated_call():
-            assert config.breaker_window_s == 30.0
-        with pytest.deprecated_call():
-            assert config.requeue_limit == 2
-        with pytest.deprecated_call():
-            assert config.max_worker_restarts == 8
-
-    def test_flat_dict_keys_fold_into_healing(self):
-        with pytest.deprecated_call(match="nest them under 'healing'"):
-            config = ServiceConfig.from_dict({"breaker_threshold": 4})
-        assert config.healing.breaker_threshold == 4
-
-    def test_flat_dict_keys_conflict_with_nested(self):
-        with pytest.raises(ValueError, match="both"), pytest.warns(
-            DeprecationWarning
-        ):
-            ServiceConfig.from_dict(
-                {"breaker_threshold": 4, "healing": {"breaker_threshold": 4}}
-            )
-
     def test_modern_spelling_is_warning_free(self, recwarn):
         config = ServiceConfig(
             healing=HealingConfig(breaker_threshold=5),

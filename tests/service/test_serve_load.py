@@ -1,51 +1,33 @@
-"""End-to-end load-generator smoke (slow: builds a snowflake catalog and
-drives all three regimes)."""
+"""End-to-end run of the runner's ``service`` suite (slow: builds a
+snowflake catalog, overloads a service, spawns shard processes)."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.bench import serve_load
+from repro.bench.suites import service
 
 pytestmark = pytest.mark.slow
 
 
-def test_load_generator_end_to_end(tmp_path):
-    output = tmp_path / "BENCH_service.json"
-    assert (
-        serve_load.main(
-            [
-                str(output),
-                "--scale",
-                "0.05",
-                "--seed",
-                "7",
-                "--distinct",
-                "3",
-                "--requests",
-                "60",
-                "--clients",
-                "4",
-                "--workers",
-                "1",
-            ]
-        )
-        == 0
+@pytest.fixture(scope="module")
+def block():
+    blocks = service.run(
+        scale=0.05,
+        seed=7,
+        distinct=3,
+        requests=60,
+        clients=4,
+        workers=1,
+        shards=2,
     )
-    report = json.loads(output.read_text())
+    assert service.render(blocks)
+    return blocks["service"]
 
-    baseline = report["baseline"]
-    assert baseline["requests"] == 60
-    assert baseline["qps"] > 0
 
-    closed = report["closed_loop"]
-    assert closed["requests"] == 60
-    assert closed["speedup_vs_baseline"] > 0
-    assert closed["deduplicated"] > 0  # the shared-factor point
-
-    open_loop = report["open_loop"]
+def test_open_loop_sheds_and_conserves(block):
+    open_loop = block["open_loop"]
+    assert open_loop["offered"] == 60
     assert open_loop["conservation_ok"] is True
     assert open_loop["served"] + open_loop["shed"] == open_loop["offered"]
     assert open_loop["clean_shutdown"] is True
@@ -53,35 +35,12 @@ def test_load_generator_end_to_end(tmp_path):
         assert open_loop[key] >= 0.0
 
 
-def test_cluster_block_reports_honest_cores(tmp_path):
-    output = tmp_path / "BENCH_service.json"
-    assert (
-        serve_load.main(
-            [
-                str(output),
-                "--scale",
-                "0.05",
-                "--seed",
-                "7",
-                "--distinct",
-                "3",
-                "--requests",
-                "40",
-                "--clients",
-                "4",
-                "--cluster",
-                "--shards",
-                "2",
-            ]
-        )
-        == 0
-    )
-    report = json.loads(output.read_text())
-    cluster = report["cluster"]
+def test_cluster_block_reports_honest_cores(block):
+    cluster = block["cluster"]
     assert cluster["cores"] >= 1
     assert cluster["single_shard"]["shards"] == 1
     assert cluster["sharded"]["shards"] == 2
-    assert cluster["sharded"]["requests"] == 40
+    assert cluster["sharded"]["requests"] == 60
     assert cluster["speedup_vs_single_shard"] > 0
     # honest reporting: the flag is derived, not asserted — on a 1-core
     # host the speedup is expected to hover near 1x and core_limited

@@ -124,3 +124,25 @@ class TestPipelining:
         assert any(
             response["batch_size"] > 1 for response in responses
         )
+
+
+class TestBackgroundHandle:
+    def test_close_right_after_start_up_returns_promptly(
+        self, service_catalog
+    ):
+        """A close that races the end of start-up used to have its stop
+        swallowed and wait out the 30 s thread join (about one run in
+        two with a connect/close in between)."""
+        import time
+
+        for _ in range(40):
+            handle = start_in_thread(
+                EstimationService(
+                    service_catalog, config=ServiceConfig(workers=1)
+                ),
+                port=0,
+            )
+            connect(handle.address).close()
+            started = time.monotonic()
+            assert handle.close() is True
+            assert time.monotonic() - started < 5.0

@@ -218,6 +218,7 @@ class TestObservability:
         assert stats["batches"] >= 1.0
         assert stats["queue_depth"] == 0.0
         assert stats["workers"] == 1.0
+        assert stats["active_sessions"] == 1.0
         latency = stats["latency_ms"]
         assert latency["count"] == float(len(factor_sharing_queries))
         assert set(latency) >= {"p50", "p95", "p99"}
