@@ -58,6 +58,7 @@ from repro.obs.snapshot import StatsSnapshot
 from repro.obs.trace import Trace
 from repro.core.matching import (
     FactorMatch,
+    JoinMemo,
     ViewMatcher,
     enumerate_matches,
     estimate_factor,
@@ -215,6 +216,10 @@ class GetSelectivity:
         # estimated before (fast path only — the legacy baseline keeps the
         # seed behaviour of re-estimating per query).
         self._estimate_cache: dict = {}
+        #: derived histograms by operand identity, shared by the DP's
+        #: line 16 and the plan compiler so each pair is joined once
+        #: (fast path only; the legacy oracle joins directly)
+        self._join_memo = JoinMemo(pool)
         #: accumulated seconds in search + SIT selection (Figure 8's
         #: "decomposition analysis") and in numeric estimation ("histogram
         #: manipulation").
@@ -242,13 +247,13 @@ class GetSelectivity:
     def enable_tracing(self, trace: Trace | None = None) -> Trace:
         """Attach a :class:`Trace` (shared with the matcher) and return it."""
         self.trace = trace if trace is not None else Trace()
-        self.matcher.trace = self.trace
+        self.matcher.trace = self._join_memo.trace = self.trace
         return self.trace
 
     def disable_tracing(self) -> None:
         """Detach tracing; instrumented sites fall back to one branch."""
         self.trace = None
-        self.matcher.trace = None
+        self.matcher.trace = self._join_memo.trace = None
 
     # ------------------------------------------------------------------
     def enable_memo_bank(self, limit: int = 8192) -> None:
@@ -334,6 +339,9 @@ class GetSelectivity:
         gauge("caches.estimate_cache_entries").set(len(self._estimate_cache))
         counter("caches.match_cache_hits").inc(self.match_cache_hits)
         counter("caches.match_cache_misses").inc(self.match_cache_misses)
+        gauge("caches.join_memo_entries").set(len(self._join_memo))
+        counter("caches.join_memo_hits").inc(self._join_memo.hits)
+        counter("caches.join_memo_misses").inc(self._join_memo.misses)
         if self._memo_bank is not None:
             gauge("caches.memo_bank_entries").set(float(len(self._memo_bank)))
             counter("caches.memo_bank_hits").inc(self.memo_bank_hits)
@@ -352,7 +360,8 @@ class GetSelectivity:
 
         Cache sizes are current; hits/misses, matcher calls, explored and
         pruned decomposition counts and the two Figure 8 timing
-        accumulators are per-query (cleared by :meth:`reset`).
+        accumulators are per-query (cleared by :meth:`reset`); the join
+        memo's hits/misses are totals over the instance's life.
         """
         return StatsSnapshot.from_registry(
             self.metrics_registry(),
@@ -498,12 +507,10 @@ class GetSelectivity:
         factor_selectivity = self._estimate_cache.get(estimate_key)
         if factor_selectivity is None:
             started = time.perf_counter()
-            factor_selectivity = estimate_factor(best_match)  # line 16
-            elapsed = time.perf_counter() - started
-            self.estimation_seconds += elapsed
-            trace = self.trace
-            if trace is not None:
-                trace.add_time("histogram_join", elapsed)
+            # line 16; the memo times the joins it really performs into
+            # the trace's ``histogram_join`` stage
+            factor_selectivity = estimate_factor(best_match, memo=self._join_memo)
+            self.estimation_seconds += time.perf_counter() - started
             self._estimate_cache[estimate_key] = factor_selectivity
         elif self.trace is not None:
             self.trace.count("estimate_cache_hits")

@@ -47,6 +47,7 @@ from repro.stats.sit import SIT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.errors import ErrorFunction
+    from repro.histograms.base import Histogram
 
 
 @dataclass(frozen=True)
@@ -484,18 +485,91 @@ def implicit_terms(match: FactorMatch) -> list[ImplicitTerm]:
     return terms
 
 
+class JoinMemo:
+    """The derived histograms of one bitmask ``GetSelectivity`` instance:
+    every operand pair is joined once, whichever factor — or the plan
+    compiler — asks.
+
+    Keyed on operand *identity*: a pool's SIT histograms are immutable
+    and pinned for the pool's life (a refresh publishes new SIT objects,
+    never mutates one), and every entry holds its operands, so an id
+    cannot be recycled while an entry naming it lives.  Like the memo
+    bank, no entry outlives the ``pool.version`` it was computed under.
+    """
+
+    def __init__(self, pool: SITPool):
+        self.pool = pool
+        self.hits = 0
+        self.misses = 0
+        #: the owning ``GetSelectivity``'s trace (``None`` == disabled)
+        self.trace = None
+        self._version = -1
+        self._entries: dict[tuple, tuple] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def join(self, left, right, max_buckets: int | None):
+        """``join_histograms(left, right, max_buckets)``, computed once."""
+        version = self.pool.version
+        if version != self._version:
+            self._entries.clear()
+            self._version = version
+        key = (id(left), id(right), max_buckets)
+        entry = self._entries.get(key)
+        trace = self.trace
+        if entry is not None:
+            self.hits += 1
+            if trace is not None:
+                trace.count("join_memo_hits")
+            return entry[0]
+        self.misses += 1
+        if trace is None:
+            result = join_histograms(left, right, max_buckets=max_buckets)
+        else:
+            with trace.span("histogram_join"):
+                result = join_histograms(left, right, max_buckets=max_buckets)
+        self._entries[key] = (result, left, right)
+        return result
+
+
+def join_factor(
+    match: FactorMatch,
+    max_buckets: int = DEFAULT_MAX_BUCKETS,
+    memo: JoinMemo | None = None,
+) -> tuple[float, dict[Attribute, "Histogram"]]:
+    """The join half of :func:`estimate_factor` — the one place that joins.
+
+    Joins run in a deterministic order; each replaces both operands'
+    histograms with the derived joined histogram so later predicates on
+    the same attribute see the refined distribution (Example 3).  Returns
+    the left-fold product of the join selectivities (stopping at the
+    first exact zero) and the histogram each attribute maps to afterwards.
+    """
+    join = join_histograms if memo is None else memo.join
+    histograms = {am.attribute: am.sit.histogram for am in match.attribute_matches}
+    selectivity = 1.0
+    for predicate in sorted((p for p in match.factor.p if p.is_join), key=str):
+        left, right = histograms[predicate.left], histograms[predicate.right]
+        result = join(left, right, max_buckets)
+        selectivity *= result.selectivity
+        histograms[predicate.left] = histograms[predicate.right] = result.histogram
+        if selectivity == 0.0:
+            break
+    return selectivity, histograms
+
+
 def estimate_factor(
-    match: FactorMatch, max_buckets: int = DEFAULT_MAX_BUCKETS
+    match: FactorMatch,
+    max_buckets: int = DEFAULT_MAX_BUCKETS,
+    memo: JoinMemo | None = None,
 ) -> float:
     """Numerically approximate ``Sel_R(P|Q)`` with the matched SITs.
 
-    Joins are estimated by histogram joins in a deterministic order; each
-    join replaces both operands' histograms with the derived joined
-    histogram so later predicates on the same attribute see the refined
-    distribution (Example 3).  Filters are then estimated from whatever
-    histogram their attribute currently maps to.  The factor multiplies
-    all of these — any residual independence is exactly what the error
-    functions charge for.
+    Joins are estimated by histogram joins (:func:`join_factor`); filters
+    are then estimated from whatever histogram their attribute currently
+    maps to.  The factor multiplies all of these — any residual
+    independence is exactly what the error functions charge for.
     """
     plan = _fault_plan()
     if plan is not None:
@@ -505,22 +579,10 @@ def estimate_factor(
             POINT_HISTOGRAM_JOIN,
             sits=[am.sit for am in match.attribute_matches],
         )
-    histograms = {
-        attribute_match.attribute: attribute_match.sit.histogram
-        for attribute_match in match.attribute_matches
-    }
-    selectivity = 1.0
-    joins = sorted((p for p in match.factor.p if p.is_join), key=str)
+    selectivity, histograms = join_factor(match, max_buckets, memo)
+    if selectivity == 0.0:
+        return 0.0
     filters = sorted((p for p in match.factor.p if not p.is_join), key=str)
-    for join in joins:
-        left = histograms[join.left]
-        right = histograms[join.right]
-        result = join_histograms(left, right, max_buckets=max_buckets)
-        selectivity *= result.selectivity
-        histograms[join.left] = result.histogram
-        histograms[join.right] = result.histogram
-        if selectivity == 0.0:
-            return 0.0
     # Filters on the same attribute are intersected (their conjunction is
     # one range), not multiplied under independence.
     ranges: dict[Attribute, tuple[float, float]] = {}

@@ -74,12 +74,10 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.matching import AttributeMatch, FactorMatch
+from repro.core.matching import AttributeMatch, FactorMatch, JoinMemo, join_factor
 from repro.core.predicates import Attribute, Predicate, PredicateSet
 from repro.core.selectivity import Decomposition, Factor
 from repro.histograms.base import Histogram
-from repro.histograms.maxdiff import DEFAULT_MAX_BUCKETS
-from repro.histograms.operations import join_histograms
 from repro.stats.pool import SITPool
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
@@ -362,7 +360,7 @@ def _rebuild_match(
 # Compilation: memo walk -> CompiledPlan
 # ----------------------------------------------------------------------
 def _compile_factor(
-    match: FactorMatch, position_of: dict[Predicate, int]
+    match: FactorMatch, position_of: dict[Predicate, int], memo: JoinMemo
 ) -> _FactorTemplate:
     factor = match.factor
     attribute_templates = tuple(
@@ -379,27 +377,12 @@ def _compile_factor(
         )
         for am in match.attribute_matches
     )
-    # Replay estimate_factor's join loop once to freeze the constant-free
-    # join product and the post-join histogram each filter attribute
-    # reads (Example 3's derived-histogram chaining).
-    histograms = {
-        am.attribute: am.sit.histogram for am in match.attribute_matches
-    }
-    selectivity = 1.0
-    zero = False
-    joins = sorted((p for p in factor.p if p.is_join), key=str)
-    for join in joins:
-        joined = join_histograms(
-            histograms[join.left],
-            histograms[join.right],
-            max_buckets=DEFAULT_MAX_BUCKETS,
-        )
-        selectivity *= joined.selectivity
-        histograms[join.left] = joined.histogram
-        histograms[join.right] = joined.histogram
-        if selectivity == 0.0:
-            zero = True
-            break
+    # estimate_factor's join half freezes the constant-free join product
+    # and the post-join histogram each filter attribute reads (Example
+    # 3's derived-histogram chaining); through the DP's memo these are
+    # the very joins line 16 ran, not a second round of them.
+    selectivity, histograms = join_factor(match, memo=memo)
+    zero = selectivity == 0.0
     filter_slots: tuple[_FilterSlot, ...] = ()
     if not zero:
         positions_by_attribute: dict[Attribute, list[int]] = {}
@@ -427,10 +410,13 @@ def _compile_factor(
 
 
 def _plan_weight(templates: tuple[_FactorTemplate, ...]) -> int:
-    """A documented *estimate* of a plan's resident bytes: fixed overhead
-    per template plus the bucket arrays of join-derived histograms the
-    plan keeps alive (SIT histograms are shared with the pool and not
-    charged)."""
+    """A documented *upper bound* on a plan's resident bytes: fixed
+    overhead per template plus the bucket arrays of the join-derived
+    histograms its filter slots read (SIT histograms are shared with the
+    pool and not charged).  A derived histogram is charged in full to
+    every plan that reads it, although plans compiled by one estimator
+    share it through the join memo — so ``PlanCache.bytes`` overstates
+    what a set of plans over common join cores really keeps alive."""
     weight = 512
     for template in templates:
         weight += 256
@@ -443,6 +429,34 @@ def _plan_weight(templates: tuple[_FactorTemplate, ...]) -> int:
             if id(slot.histogram) not in shared:
                 weight += 40 * slot.histogram.bucket_count
     return weight
+
+
+def _build_tree(mask: int, walk: tuple) -> tuple | None:
+    """The multiplication tree under ``mask``, walked off the DP memo;
+    each conditional node's compiled factor is appended to ``templates``.
+
+    A module-level function on purpose: a closure recursing through its
+    own cell is a reference cycle, and everything it captured would wait
+    for a full collection.
+    """
+    universe, memo, join_memo, position_of, templates = walk
+    if not mask:
+        return None
+    node_result = memo.get(mask)
+    if node_result is None:
+        raise PlanCompileError("memo entry missing")
+    components = universe.components(mask)
+    if len(components) > 1:
+        return ("s", tuple(_build_tree(component, walk) for component in components))
+    if not node_result.matches:
+        raise PlanCompileError("non-separable node without a match")
+    head = node_result.matches[0]
+    p_mask = universe.intern(head.factor.p)
+    if p_mask & mask != p_mask:
+        raise PlanCompileError("head factor escapes its mask")
+    index = len(templates)
+    templates.append(_compile_factor(head, position_of, join_memo))
+    return ("c", index, _build_tree(mask ^ p_mask, walk))
 
 
 def compile_plan(
@@ -466,31 +480,10 @@ def compile_plan(
     fingerprint, ordered = shape_fingerprint(predicates)
     position_of = {p: i for i, p in enumerate(ordered)}
     universe = algorithm.universe
-    memo = algorithm._memo
     templates: list[_FactorTemplate] = []
-
-    def build(mask: int) -> tuple | None:
-        if not mask:
-            return None
-        node_result = memo.get(mask)
-        if node_result is None:
-            raise PlanCompileError("memo entry missing")
-        components = universe.components(mask)
-        if len(components) > 1:
-            return ("s", tuple(build(component) for component in components))
-        if not node_result.matches:
-            raise PlanCompileError("non-separable node without a match")
-        head = node_result.matches[0]
-        p_mask = universe.intern(head.factor.p)
-        if p_mask & mask != p_mask:
-            raise PlanCompileError("head factor escapes its mask")
-        index = len(templates)
-        templates.append(_compile_factor(head, position_of))
-        return ("c", index, build(mask ^ p_mask))
-
+    walk = (universe, algorithm._memo, algorithm._join_memo, position_of, templates)
     try:
-        mask = universe.intern(predicates)
-        tree = build(mask)
+        tree = _build_tree(universe.intern(predicates), walk)
     except (PlanCompileError, KeyError):
         return None
     plan = CompiledPlan(

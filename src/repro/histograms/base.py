@@ -153,9 +153,11 @@ class Histogram:
         return self._lows, self._highs, self._freqs, self._dists
 
     # ------------------------------------------------------------------
+    # Counts, bounds and emptiness answer from the bucket arrays, so asking
+    # never materializes a ``from_arrays`` histogram's ``Bucket`` objects.
     @property
     def bucket_count(self) -> int:
-        return len(self.buckets)
+        return len(self._lows)
 
     @property
     def frequency(self) -> float:
@@ -164,22 +166,22 @@ class Histogram:
 
     @property
     def distinct(self) -> float:
-        return float(sum(b.distinct for b in self.buckets))
+        return float(sum(self._dists.tolist()))
 
     @property
     def low(self) -> float:
-        if not self.buckets:
+        if not len(self._lows):
             raise ValueError("empty histogram has no domain")
-        return self.buckets[0].low
+        return float(self._lows[0])
 
     @property
     def high(self) -> float:
-        if not self.buckets:
+        if not len(self._highs):
             raise ValueError("empty histogram has no domain")
-        return self.buckets[-1].high
+        return float(self._highs[-1])
 
     def is_empty(self) -> bool:
-        return not self.buckets or self._frequency == 0.0
+        return self._frequency == 0.0  # no buckets sum to 0.0 too
 
     # ------------------------------------------------------------------
     def estimate_range_count(self, low: float, high: float) -> float:

@@ -33,11 +33,12 @@ the oracle for the equivalence tests and the baseline for the
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.histograms.base import Bucket, Histogram
+from repro.histograms.base import Histogram
 
 
 @dataclass(frozen=True)
@@ -204,12 +205,11 @@ def _assign_mass_arrays(
     return frequencies, distincts
 
 
-def _segment_bounds(index: int, edges: np.ndarray) -> tuple[float, float]:
-    """(low, high) of implicit segment ``index`` over ``edges``."""
-    half, odd = divmod(index, 2)
-    if odd:
-        return float(edges[half]), float(edges[half + 1])
-    return float(edges[half]), float(edges[half])
+def _segment_bounds(indices, edges: np.ndarray):
+    """``(lows, highs)`` of the implicit segments ``indices`` (an index
+    or an index array) over ``edges``."""
+    half = indices >> 1
+    return edges[half], edges[half + (indices & 1)]
 
 
 @dataclass(frozen=True)
@@ -249,18 +249,13 @@ def join_histograms(
     total_pairs = float(pairs[keep].sum())
     min_distinct = np.minimum(left_distinct, right_distinct)
 
-    buckets: list[Bucket] = []
-    for index in np.flatnonzero(keep):
-        low, high = _segment_bounds(int(index), edges)
-        buckets.append(
-            Bucket(low, high, float(pairs[index]), float(min_distinct[index]))
-        )
-
+    indices = np.flatnonzero(keep)
+    rows = np.column_stack(
+        (*_segment_bounds(indices, edges), pairs[indices], min_distinct[indices])
+    )
+    joined = _derived_histogram(rows.tolist(), max_buckets)
     denominator = left.total * right.total
     selectivity = total_pairs / denominator if denominator > 0 else 0.0
-    joined = Histogram(_merge_touching(buckets))
-    if max_buckets is not None and joined.bucket_count > max_buckets:
-        joined = compact(joined, max_buckets)
     return HistogramJoinResult(total_pairs, selectivity, joined)
 
 
@@ -274,7 +269,7 @@ def join_histograms_reference(
     left_freq, left_distinct = _assign_mass(left, segments)
     right_freq, right_distinct = _assign_mass(right, segments)
 
-    buckets: list[Bucket] = []
+    rows: list[list[float]] = []
     total_pairs = 0.0
     for index, segment in enumerate(segments):
         d1, d2 = left_distinct[index], right_distinct[index]
@@ -284,62 +279,111 @@ def join_histograms_reference(
         if pairs <= 0.0:
             continue
         total_pairs += pairs
-        buckets.append(Bucket(segment.low, segment.high, pairs, min(d1, d2)))
+        rows.append([segment.low, segment.high, float(pairs), float(min(d1, d2))])
 
     denominator = left.total * right.total
     selectivity = total_pairs / denominator if denominator > 0 else 0.0
-    joined = Histogram(_merge_touching(buckets))
-    if max_buckets is not None and joined.bucket_count > max_buckets:
-        joined = compact(joined, max_buckets)
+    joined = _derived_histogram(rows, max_buckets)
     return HistogramJoinResult(total_pairs, selectivity, joined)
 
 
-def _merge_touching(buckets: list[Bucket]) -> list[Bucket]:
+def _derived_histogram(rows: list[list[float]], max_buckets: int | None) -> Histogram:
+    """A join's derived histogram from its kept segments, as mutable
+    ``[low, high, frequency, distinct]`` rows in domain order: touching
+    buckets merged, compacted to ``max_buckets``, adopted by
+    :meth:`Histogram.from_arrays` — four arrays and no :class:`Bucket`
+    unless somebody later reads ``.buckets``."""
+    rows = _merge_touching(rows)
+    if max_buckets is not None:
+        rows = _compact_rows(rows, max_buckets)
+    return _from_rows(rows)
+
+
+def _from_rows(rows: list[list[float]], null_count: float = 0.0) -> Histogram:
+    columns = np.array(rows, dtype=np.float64).reshape(-1, 4).T.copy()
+    return Histogram.from_arrays(*columns, null_count=null_count)
+
+
+def _merge_touching(rows: list[list[float]]) -> list[list[float]]:
     """Merge a degenerate bucket into an adjacent span sharing its edge.
 
     Join output alternates point and span buckets over the same dense
     region; folding points into neighbouring spans halves the bucket count
     without changing range estimates materially.
     """
-    merged: list[Bucket] = []
-    for bucket in buckets:
+    merged: list[list[float]] = []
+    for row in rows:
         if merged:
             previous = merged[-1]
-            if previous.high == bucket.low and (
-                previous.low == previous.high or bucket.low == bucket.high
+            if previous[1] == row[0] and (
+                previous[0] == previous[1] or row[0] == row[1]
             ):
-                merged[-1] = Bucket(
-                    previous.low,
-                    bucket.high,
-                    previous.frequency + bucket.frequency,
-                    previous.distinct + bucket.distinct,
-                )
+                previous[1] = row[1]
+                previous[2] += row[2]
+                previous[3] += row[3]
                 continue
-        merged.append(bucket)
+        merged.append(row)
     return merged
 
 
 def compact(histogram: Histogram, max_buckets: int) -> Histogram:
     """Reduce ``histogram`` to at most ``max_buckets`` buckets by greedily
-    merging the adjacent pair with the smallest combined frequency."""
+    merging the adjacent pair with the smallest combined frequency.
+
+    Tie-break contract: among pairs of equal combined frequency the one
+    at the lowest position merges first, and a merged bucket's frequency
+    and distinct count are ``left + right`` in that order — the result
+    is a deterministic function of the input, bit for bit.
+    """
     if max_buckets < 1:
         raise ValueError("max_buckets must be >= 1")
-    buckets = list(histogram.buckets)
-    while len(buckets) > max_buckets:
-        best = min(
-            range(len(buckets) - 1),
-            key=lambda i: buckets[i].frequency + buckets[i + 1].frequency,
-        )
-        first, second = buckets[best], buckets[best + 1]
-        buckets[best : best + 2] = [
-            Bucket(
-                first.low,
-                second.high,
-                first.frequency + second.frequency,
-                first.distinct + second.distinct,
-            )
-        ]
-    return Histogram(buckets, null_count=histogram.null_count)
+    rows = np.column_stack(histogram.bucket_arrays()).tolist()
+    return _from_rows(_compact_rows(rows, max_buckets), histogram.null_count)
+
+
+def _compact_rows(rows: list[list[float]], max_buckets: int) -> list[list[float]]:
+    """:func:`compact` on bucket rows (mutated), in O(n log n).
+
+    The greedy rule rescans every adjacent pair per merge.  Here the pair
+    sums sit in a heap keyed ``(sum, left position)`` — ties pop lowest
+    position first — over a linked list of live buckets; a merged bucket
+    keeps its left part's position, so position order stays domain order.
+    A merge changes only the two pairs around it, which are pushed
+    afresh; the entries they supersede are dropped when popped: an entry
+    is current iff its left bucket is alive and still sums with its right
+    neighbour to the recorded value (a superseded entry that passes says
+    exactly what the current one says).
+    """
+    count = len(rows)
+    if count <= max_buckets:
+        return rows
+    following = list(range(1, count + 1))  # ``count`` == no right neighbour
+    previous = list(range(-1, count - 1))
+    heap = [(rows[i][2] + rows[i + 1][2], i) for i in range(count - 1)]
+    heapq.heapify(heap)
+    for _ in range(count - max_buckets):
+        while True:
+            combined, at = heapq.heappop(heap)
+            left, right_at = rows[at], following[at]
+            if (
+                left is not None
+                and right_at != count
+                and left[2] + rows[right_at][2] == combined
+            ):
+                break
+        right = rows[right_at]
+        left[1] = right[1]
+        left[2] = combined
+        left[3] += right[3]
+        rows[right_at] = None
+        after = following[at] = following[right_at]
+        if after != count:
+            previous[after] = at
+            heapq.heappush(heap, (combined + rows[after][2], at))
+        before = previous[at]
+        if before >= 0:
+            heapq.heappush(heap, (rows[before][2] + combined, before))
+    return [row for row in rows if row is not None]
 
 
 def variation_distance(first: Histogram, second: Histogram) -> float:

@@ -26,7 +26,7 @@ stage                 meaning
 ``parse_bind``        SQL text → bound :class:`repro.engine.Query`
 ``dp_enumeration``    the Figure 3 search itself (memo + submask loop)
 ``factor_matching``   Section 3.3 view matching of ``Sel(P|Q)`` factors
-``histogram_join``    numeric factor estimation (histogram manipulation)
+``histogram_join``    histogram joins of numeric factor estimation
 ``error_scoring``     error-function evaluation of candidate matches
 ====================  ====================================================
 """

@@ -102,6 +102,33 @@ class TestHistogram:
         assert histogram.estimate_range_selectivity(-1, 1) <= 1.0
 
 
+class TestAnswersFromArrays:
+    """Shape questions never materialize a ``from_arrays`` histogram's
+    ``Bucket`` objects (cluster shared memory, join / compact output)."""
+
+    def lazy_and_eager(self) -> tuple[Histogram, Histogram]:
+        rows = [(0.0, 9.0, 50.0, 0.1), (10.0, 10.0, 30.0, 0.2), (11.0, 20.0, 20.0, 0.3)]
+        lazy = Histogram.from_arrays(*(np.array(column) for column in zip(*rows)))
+        return lazy, Histogram([Bucket(*row) for row in rows])
+
+    def test_same_answers_without_buckets(self):
+        lazy, eager = self.lazy_and_eager()
+        assert lazy.bucket_count == eager.bucket_count == 3
+        assert lazy.is_empty() is eager.is_empty() is False
+        assert (lazy.low, lazy.high) == (eager.low, eager.high) == (0.0, 20.0)
+        # the same left fold as summing over Bucket objects, to the bit
+        assert lazy.distinct == eager.distinct == 0.1 + 0.2 + 0.3
+        assert "buckets" not in vars(lazy)
+        assert lazy.buckets == eager.buckets  # still there when asked for
+
+    def test_empty(self):
+        empty = Histogram.from_arrays(*(np.empty(0) for _ in range(4)), null_count=2.0)
+        assert empty.is_empty() and empty.bucket_count == 0 and empty.distinct == 0.0
+        with pytest.raises(ValueError):
+            _ = empty.high
+        assert "buckets" not in vars(empty)
+
+
 class TestValuesAndFrequencies:
     def test_counts_and_nulls(self):
         values = np.array([1.0, 2.0, 2.0, np.nan, 3.0, np.nan])
