@@ -13,7 +13,8 @@ left behind: no child process, no ``/dev/shm/psm_*`` segment.
 
 ``service``       50 queries over TCP; a burst against a depth-1 queue sheds
 ``estimators``    every backend (sit / bn / sample) over TCP, with provenance
-``plan_cache``    templated workload: hit rate, replay determinism, coherence
+``plan_cache``    templated workload: hit rate, replay determinism, coherence,
+                  and a query's sub-plans each replaying on their second ask
 ``chaos``         seeded mixed fault plan: 100 typed answers, zero-fault parity
 ``cluster``       3 shards + replica: routed parity, hot swap, crash / revive
 ``chaos_ingest``  write storm + faults under TCP load; faulted cluster swap
@@ -39,6 +40,7 @@ from repro.advisor.search import q_error, sit_space_bytes
 from repro.catalog import EstimationSession
 from repro.catalog.catalog import RefreshConflict
 from repro.cluster import EstimationCluster
+from repro.core.plancache import shape_fingerprint
 from repro.engine.executor import Executor
 from repro.estimators import BACKENDS
 from repro.ingest import (
@@ -60,7 +62,9 @@ from repro.service import (
 )
 from repro.service.protocol import ServedEstimate
 from repro.service.server import start_in_thread
+from repro.sql import parse_query
 from repro.workload.fixture import SnowflakeFixture, snowflake_fixture
+from repro.workload.queries import connected_subqueries
 
 SCALE = 0.05
 SEED = 11
@@ -219,7 +223,8 @@ def smoke_plan_cache() -> None:
     ``notify_table_update`` mid-stream forces a recompile instead of a
     stale hit, and a clean drain with the cache enabled."""
     variants, hit_rate_bar = 40, 0.80
-    catalog = serving_fixture().catalog
+    fixture = serving_fixture()
+    catalog = fixture.catalog
     workload = [
         template.format(low=5 + 3 * i, high=5 + 3 * i + 25)
         for i in range(variants)
@@ -289,6 +294,41 @@ def smoke_plan_cache() -> None:
             f"recompiles (pool_version "
             f"{after.get('pool_version', 0):.0f}), steady state resumed"
         )
+    optimizer_pattern(fixture)
+
+
+def optimizer_pattern(fixture: SnowflakeFixture) -> None:
+    """Section 4 over TCP: an optimizer asks for a join query, then for
+    each of its connected sub-plans.  Every sub-plan is solved from the
+    memo the query left — so it compiles on its first ask — and replays
+    on its second.  One worker: one session sees the whole pattern."""
+    sql = (
+        "SELECT * FROM sales, customer, product "
+        "WHERE sales.customer_id = customer.customer_id "
+        "AND sales.product_id = product.product_id "
+        "AND customer.age BETWEEN 20 AND 45 "
+        "AND product.weight BETWEEN 5 AND 30"
+    )
+    query = parse_query(sql, fixture.database.schema)
+    sub_plans = [
+        sub for sub in connected_subqueries(query) if sub != query.predicates
+    ]
+    shapes = {shape_fingerprint(sub)[0] for sub in sub_plans}
+    config = ServiceConfig(workers=1, queue_depth=64, batch_window_s=0.0)
+    service = EstimationService(fixture.catalog, config=config)
+    with served(service, timeout_s=60.0) as client:
+        assert not client.estimate(sql).plan_cache_hit
+        plans = client.stats()["plan_cache"]["plans"]
+        for sub in sub_plans:
+            first, second = client.estimate(sub), client.estimate(sub)
+            assert second.plan_cache_hit, sorted(map(str, sub))
+            assert second.selectivity == first.selectivity
+        grown = client.stats()["plan_cache"]["plans"] - plans
+        assert grown == len(shapes), (grown, len(shapes))
+    print(
+        f"optimizer pattern: {len(sub_plans)} sub-plans of one query, "
+        f"{len(shapes)} shapes compiled, every second ask replayed"
+    )
 
 
 # ----------------------------------------------------------------------

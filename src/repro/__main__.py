@@ -150,15 +150,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             NIndError() if args.error == "nind" else DiffError(pool)
         )
         estimator = create_estimator(
-            "sit",
-            database,
-            pool,
-            error_function=error_function,
-            engine=args.engine,
+            "sit", database, pool, error_function=error_function
         )
     else:
-        # --error / --engine are SIT decomposition knobs; the peer
-        # backends build their models straight from the pool's base SITs
+        # --error is a SIT decomposition knob; the peer backends build
+        # their models straight from the pool's base SITs
         estimator = create_estimator(args.backend, database, pool)
     result = estimator.explain(query)
     if args.json:
@@ -484,12 +480,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=("nind", "diff"),
         default="diff",
         help="error function ranking candidate decompositions (default: diff)",
-    )
-    explain.add_argument(
-        "--engine",
-        choices=("bitmask", "legacy"),
-        default="bitmask",
-        help="getSelectivity DP engine (default: bitmask)",
     )
     explain.add_argument(
         "--json", action="store_true", help="emit the machine-readable structure"

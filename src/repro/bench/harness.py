@@ -17,10 +17,15 @@ Workloads run through :class:`repro.catalog.EstimationSession`: each
 technique's estimator is wrapped in a session pinned to the statistics
 source (a bare :class:`~repro.stats.pool.SITPool`, a
 :class:`~repro.catalog.StatisticsCatalog` or a
-:class:`~repro.catalog.CatalogSnapshot`), so per-query accounting windows
-open via ``begin_query()`` while the pool-pure factor-match and estimate
-caches are shared across the whole workload — the cross-query hit rates
-land in :attr:`WorkloadEvaluation.session_snapshots`.
+:class:`~repro.catalog.CatalogSnapshot`).  The paper's figures are per
+query, so this harness — the one caller that wants accounting windows —
+opens them itself: ``estimator.reset()`` before each workload query is
+the cold start (empty memo, zero counters; the pool-pure factor-match
+and estimate caches stay shared across the workload).  Workload totals
+are the :meth:`TechniqueReport.aggregate_snapshot` roll-up of the
+per-query snapshots; :attr:`WorkloadEvaluation.session_snapshots` carry
+the session identity (``catalog`` block, ``queries``) and the last
+query's window.
 """
 
 from __future__ import annotations
@@ -111,23 +116,8 @@ class TechniqueReport:
         """
         registry = MetricsRegistry()
         for metrics in self.per_query:
-            snapshot = metrics.snapshot
-            if snapshot is None:
-                continue
-            for name, value in snapshot.timings.items():
-                registry.gauge(f"timings.{name}").add(float(value))
-            for name, value in snapshot.counters.items():
-                if not isinstance(value, (int, float)):
-                    continue
-                if name == "universe_size":  # a size, not an event count
-                    registry.gauge(f"counters.{name}").set(float(value))
-                else:
-                    registry.counter(f"counters.{name}").inc(float(value))
-            for name, value in snapshot.caches.items():
-                if name.endswith(("_hits", "_misses")):
-                    registry.counter(f"caches.{name}").inc(float(value))
-                else:
-                    registry.gauge(f"caches.{name}").set(float(value))
+            if metrics.snapshot is not None:
+                metrics.snapshot.accumulate_into(registry)
         return registry
 
     def aggregate_snapshot(self) -> StatsSnapshot:
@@ -144,9 +134,9 @@ class WorkloadEvaluation:
 
     reports: dict[str, TechniqueReport]
     true_cardinalities: dict[PredicateSet, int]
-    #: per-technique session-lifetime snapshots (cross-query cache hit
-    #: rates, pinned snapshot/catalog versions); absent for GVM, which
-    #: runs sessionless.
+    #: per-technique session snapshots (pinned snapshot/catalog versions,
+    #: query count, the last query's window); absent for GVM, which runs
+    #: sessionless.
     session_snapshots: dict[str, StatsSnapshot] = field(default_factory=dict)
 
     def report(self, name: str) -> TechniqueReport:
@@ -251,11 +241,11 @@ class Harness:
         subqueries: list[PredicateSet],
         truth: dict[PredicateSet, int],
     ) -> QueryMetrics:
-        # Per-query accounting window, as in the paper; the session's
+        # Per-query accounting window, as in the paper; the estimator's
         # pool-pure factor-match/estimate caches survive across queries.
-        session.begin_query()
-        session.queries += 1
         estimator = session.estimator
+        estimator.reset()
+        session.queries += 1
         estimates: dict[PredicateSet, float] = {}
         for predicates in subqueries:
             result = session.estimate_predicates(predicates)

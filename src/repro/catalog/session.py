@@ -1,17 +1,18 @@
-"""Snapshot-pinned estimation sessions with cross-query cache sharing.
+"""Snapshot-pinned estimation sessions: many requests, one estimator.
 
 An :class:`EstimationSession` is the unit of *serving*: it pins one
 :class:`~repro.catalog.catalog.CatalogSnapshot` and answers any number of
-estimation requests off it.  Because the underlying
-:class:`~repro.core.get_selectivity.GetSelectivity` keeps its
-factor-match and factor-estimate caches *pool-pure* (they survive
-``reset()``), queries within a session share the
-:class:`~repro.core.matching.ViewMatcher` work: the second query that
-needs ``Sel(P'|Q)`` for a factor the first query already matched pays a
-dictionary lookup instead of a matching pass.  The session accumulates
-the cross-query hit/miss accounting and surfaces it — together with the
-snapshot/catalog versions it is keyed on — in the ``catalog`` block of
-its :class:`~repro.obs.snapshot.StatsSnapshot`.
+estimation requests off it.  The underlying
+:class:`~repro.core.get_selectivity.GetSelectivity` keeps its memo and
+its factor-match and factor-estimate caches for as long as the session
+lives, so requests share work the way Section 4 describes: a sub-plan
+of an earlier query is a memo lookup, and a new query that needs
+``Sel(P'|Q)`` for a factor an earlier one matched pays a dictionary
+lookup instead of a matching pass.  The session keeps no accounting of
+its own beyond the request count: its
+:class:`~repro.obs.snapshot.StatsSnapshot` is the estimator's ledger
+(never reset underneath it) plus ``counters.queries`` and the
+``catalog`` block with the snapshot/catalog versions it is keyed on.
 
 Snapshot isolation: a catalog refresh or table update never touches a
 running session's statistics (the catalog publishes new pool objects
@@ -32,7 +33,7 @@ Threading contract (the serving layer relies on this):
 * **Hand-off, not sharing** — a session may be *handed between threads*
   for read-only estimation (worker A finishes a batch, worker B picks
   the session up), but must never be driven by two threads at once: the
-  DP memo, accounting windows and shared caches are mutated per query.
+  DP memo, its counters and the shared caches are mutated per query.
   This is *enforced*: estimation entry points take a non-blocking owner
   lock and raise :class:`RuntimeError` on concurrent use instead of
   corrupting state silently.
@@ -61,8 +62,14 @@ from repro.stats.pool import SITPool
 from repro.catalog.catalog import CatalogSnapshot, StatisticsCatalog
 
 
+def _match_cache_hit_rate(caches: Mapping[str, float]) -> float:
+    hits = caches.get("match_cache_hits", 0.0)
+    total = hits + caches.get("match_cache_misses", 0.0)
+    return hits / total if total else 0.0
+
+
 class EstimationSession:
-    """Many queries, one snapshot, shared matcher/estimate caches."""
+    """Many queries, one snapshot, one memo and shared caches."""
 
     def __init__(
         self,
@@ -71,7 +78,6 @@ class EstimationSession:
         *,
         database: Database | None = None,
         backend: str = "sit",
-        engine: str = "bitmask",
         sit_driven_pruning: bool = False,
         estimator: Estimator | None = None,
         name: str | None = None,
@@ -101,7 +107,6 @@ class EstimationSession:
                 kwargs = dict(
                     error_function=error_function,
                     sit_driven_pruning=sit_driven_pruning,
-                    engine=engine,
                     strict=strict,
                     plan_cache=plan_cache,
                 )
@@ -123,13 +128,6 @@ class EstimationSession:
         # single-owner guard: estimation is hand-off safe across threads
         # but never concurrency-safe (see the module docstring)
         self._owner_lock = threading.Lock()
-        # -- cross-query accumulators (per-query counters roll in here on
-        #    every begin_query) ------------------------------------------
-        self._match_cache_hits = 0
-        self._match_cache_misses = 0
-        self._matcher_calls = 0
-        self._analysis_seconds = 0.0
-        self._estimation_seconds = 0.0
         #: optional ``(predicates, result) -> None`` hook invoked after
         #: every answered query — the self-tuning advisor's observation
         #: point (:mod:`repro.advisor`).  Sink errors are swallowed:
@@ -175,26 +173,6 @@ class EstimationSession:
         return self.snapshot is None or self.snapshot.is_current
 
     # ------------------------------------------------------------------
-    def _absorb(self) -> None:
-        """Fold the estimator's per-query counters into session totals."""
-        estimator = self.estimator
-        self._match_cache_hits += estimator.match_cache_hits
-        self._match_cache_misses += estimator.match_cache_misses
-        self._matcher_calls += estimator.view_matching_calls
-        self._analysis_seconds += estimator.analysis_seconds
-        self._estimation_seconds += estimator.estimation_seconds
-
-    def begin_query(self) -> None:
-        """Start a new per-query accounting window.
-
-        Clears the DP memo and counters; the pool-pure factor-match and
-        estimate caches survive — that survival is the session's whole
-        point.
-        """
-        self._absorb()
-        self.estimator.reset()
-
-    # ------------------------------------------------------------------
     def assert_pinned(self) -> None:
         """Check the pinned-snapshot invariant (cheap; raises on breach).
 
@@ -233,6 +211,13 @@ class EstimationSession:
         except Exception:
             pass
 
+    def _clear_trace(self) -> None:
+        """A request's trace starts empty: stage times are read, and
+        summed, per request."""
+        trace = self.estimator.trace
+        if trace is not None:
+            trace.clear()
+
     def _acquire_owner(self):
         if not self._owner_lock.acquire(blocking=False):
             raise RuntimeError(
@@ -244,10 +229,10 @@ class EstimationSession:
 
     # ------------------------------------------------------------------
     def estimate(self, query: Query | PredicateSet) -> EstimationResult:
-        """Answer one workload query (opens a fresh accounting window)."""
+        """Answer one workload query (its trace, when on, starts empty)."""
         lock = self._acquire_owner()
         try:
-            self.begin_query()
+            self._clear_trace()
             self.queries += 1
             predicates = (
                 query.predicates
@@ -261,7 +246,7 @@ class EstimationSession:
             lock.release()
 
     def estimate_predicates(self, predicates: PredicateSet) -> EstimationResult:
-        """A sub-query of the current query (same accounting window)."""
+        """A sub-query of the current query (not counted as a request)."""
         lock = self._acquire_owner()
         try:
             return self.estimator.estimate_predicates(frozenset(predicates))
@@ -271,7 +256,7 @@ class EstimationSession:
     def estimate_batch(
         self, predicate_sets
     ) -> list[EstimationResult]:
-        """Answer a group of queries in one accounting window.
+        """Answer a group of queries under one owner-lock hold.
 
         With the plan cache enabled, members are probed by *shape*:
         template hits are grouped per compiled plan and replayed as one
@@ -283,16 +268,14 @@ class EstimationSession:
         """
         lock = self._acquire_owner()
         try:
+            self._clear_trace()
             sets = [frozenset(ps) for ps in predicate_sets]
             self.queries += len(sets)
             results: list[EstimationResult | None] = [None] * len(sets)
             cache = self.plan_cache
             if cache is None:
-                # one accounting window per member, exactly like N
-                # :meth:`estimate` calls (the shared match/estimate
-                # caches still do the cross-member work)
+                # exactly like N :meth:`estimate` calls
                 for i, ps in enumerate(sets):
-                    self.begin_query()
                     results[i] = self.estimator.estimate_predicates(ps)
                     self._emit_feedback(ps, results[i])
                     results[i] = self._stamp_staleness(ps, results[i])
@@ -302,7 +285,6 @@ class EstimationSession:
             for i, ps in enumerate(sets):
                 plan, ordered = cache.plan_for(ps)
                 if plan is None:
-                    self.begin_query()
                     results[i] = self.estimator.estimate_predicates(
                         ps, use_plan_cache=False
                     )
@@ -345,45 +327,20 @@ class EstimationSession:
 
     # ------------------------------------------------------------------
     @property
-    def match_cache_hits(self) -> int:
-        """Cross-query factor-match cache hits (in-flight window included)."""
-        return self._match_cache_hits + self.estimator.match_cache_hits
-
-    @property
-    def match_cache_misses(self) -> int:
-        return self._match_cache_misses + self.estimator.match_cache_misses
-
-    @property
     def match_cache_hit_rate(self) -> float:
         """Session-lifetime hit rate of the shared factor-match cache."""
-        hits = self.match_cache_hits
-        total = hits + self.match_cache_misses
-        return hits / total if total else 0.0
+        return _match_cache_hit_rate(self.estimator.stats_snapshot().caches)
 
     # ------------------------------------------------------------------
     def metrics_registry(self) -> MetricsRegistry:
-        """Session-lifetime metrics: shared-cache accounting under the
-        usual namespaces plus the ``catalog`` identity block."""
-        estimator = self.estimator
+        """The estimator's own ledger, plus ``counters.queries`` and the
+        ``catalog`` identity block."""
+        ledger = self.estimator.stats_snapshot()
         registry = MetricsRegistry()
+        ledger.accumulate_into(registry)
         gauge = registry.gauge
         counter = registry.counter
-        gauge("timings.analysis_seconds").set(
-            self._analysis_seconds + estimator.analysis_seconds
-        )
-        gauge("timings.estimation_seconds").set(
-            self._estimation_seconds + estimator.estimation_seconds
-        )
-        counter("counters.matcher_calls").inc(
-            self._matcher_calls + estimator.view_matching_calls
-        )
         counter("counters.queries").inc(self.queries)
-        counter("caches.match_cache_hits").inc(self.match_cache_hits)
-        counter("caches.match_cache_misses").inc(self.match_cache_misses)
-        gauge("caches.match_cache_entries").set(estimator.match_cache_entries)
-        gauge("caches.estimate_cache_entries").set(
-            estimator.estimate_cache_entries
-        )
         gauge("catalog.snapshot_version").set(float(self.snapshot_version))
         if self.snapshot is not None and self.snapshot.catalog is not None:
             gauge("catalog.catalog_version").set(
@@ -393,21 +350,19 @@ class EstimationSession:
         gauge("catalog.sit_count").set(
             float(len(self.pool)) if self.pool is not None else 0.0
         )
-        gauge("catalog.match_cache_hit_rate").set(self.match_cache_hit_rate)
-        resilience = self.estimator.resilience
-        if resilience:
-            for key, value in resilience.as_dict().items():
-                counter(f"resilience.{key}").inc(value)
-        cache = self.plan_cache
-        if cache is not None:
-            for key, value in cache.stats_namespace().items():
-                gauge(f"plan_cache.{key}").set(float(value))
+        gauge("catalog.match_cache_hit_rate").set(
+            _match_cache_hit_rate(ledger.caches)
+        )
+        for key, value in ledger.resilience.items():
+            counter(f"resilience.{key}").inc(value)
+        for key, value in ledger.plan_cache.items():
+            gauge(f"plan_cache.{key}").set(float(value))
         return registry
 
     def stats_snapshot(self) -> StatsSnapshot:
-        """The session's ``StatsSnapshot``: cross-query cache efficiency in
-        ``caches``, snapshot/catalog versions and the session-lifetime
-        match-cache hit rate in the ``catalog`` namespace."""
+        """The session's ``StatsSnapshot``: the estimator's ledger, with
+        snapshot/catalog versions and the session-lifetime match-cache
+        hit rate in the ``catalog`` namespace."""
         meta: Mapping[str, object] = {
             "session": self.name,
             "engine": self.estimator.engine,

@@ -49,9 +49,7 @@ from dataclasses import dataclass, field
 
 from repro.catalog.catalog import CatalogSnapshot, StatisticsCatalog
 from repro.core.plancache import fingerprint_digest, shape_fingerprint
-from repro.core.predicates import tables_of
 from repro.engine.database import Database
-from repro.engine.expressions import Query
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import StatsSnapshot
 from repro.resilience.breaker import CircuitBreaker
@@ -59,7 +57,6 @@ from repro.resilience.faults import POINT_SWAP_UNDER_WRITE, inject
 from repro.service.client import TransportError
 from repro.service.config import ClusterConfig, ServiceConfig
 from repro.service.protocol import (
-    InvalidRequest,
     Overloaded,
     ServiceClosed,
     decode_line,
@@ -67,6 +64,7 @@ from repro.service.protocol import (
     encode_predicates,
     result_from_wire,
 )
+from repro.service.service import coerce_query
 
 from repro.cluster.ring import HashRing
 from repro.cluster.shard import shard_main
@@ -177,6 +175,13 @@ class _ShardLink:
 
 #: bound on transparent re-dispatches of one request after shard faults
 _MAX_REROUTES = 3
+#: multiplier on the live p95 latency when deriving the hedge delay
+_HEDGE_FACTOR = 1.5
+#: floor of the derived hedge delay (seconds); also the delay used
+#: before any latency has been observed
+_MIN_HEDGE_DELAY_S = 0.010
+#: seconds the router waits for a shard to come up / ack a swap
+_STARTUP_TIMEOUT_S = 60.0
 
 
 def _fold_shard_stats(prior: dict, live: dict) -> dict:
@@ -356,7 +361,6 @@ class EstimationCluster:
     def _spawn_shard(self, member: int):
         """Start one child process and dial its bootstrap-reported port."""
         assert self._mp is not None and self._export is not None
-        cluster = self.config.cluster
         parent_conn, child_conn = self._mp.Pipe(duplex=False)
         process = self._mp.Process(
             target=shard_main,
@@ -371,11 +375,11 @@ class EstimationCluster:
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(cluster.startup_timeout_s):
+        if not parent_conn.poll(_STARTUP_TIMEOUT_S):
             process.terminate()
             raise TimeoutError(
                 f"shard {member} did not report ready within "
-                f"{cluster.startup_timeout_s}s"
+                f"{_STARTUP_TIMEOUT_S}s"
             )
         kind, detail = parent_conn.recv()
         parent_conn.close()
@@ -388,29 +392,6 @@ class EstimationCluster:
     # ------------------------------------------------------------------
     # Admission + routing
     # ------------------------------------------------------------------
-    def _coerce_predicates(self, query) -> tuple[frozenset, frozenset[str]]:
-        if isinstance(query, str):
-            from repro.sql import parse_query
-
-            try:
-                query = parse_query(query, self.database.schema)
-            except Exception as exc:
-                raise InvalidRequest(str(exc)) from exc
-        if isinstance(query, Query):
-            predicates = query.predicates
-            tables = query.tables
-        else:
-            try:
-                predicates = frozenset(query)
-                tables = tables_of(predicates)
-            except TypeError as exc:
-                raise InvalidRequest(
-                    f"unsupported query type {type(query).__name__}"
-                ) from exc
-        if not predicates:
-            raise InvalidRequest("query has no predicates")
-        return predicates, frozenset(tables)
-
     def submit(self, query, timeout: float | None = None) -> "Future[object]":
         """Admit one request; returns its future (a
         :class:`~repro.service.protocol.ServedEstimate` on success).
@@ -421,7 +402,7 @@ class EstimationCluster:
         """
         if self._closed.is_set():
             raise ServiceClosed(f"{self.name} is shutting down")
-        predicates, tables = self._coerce_predicates(query)
+        predicates, tables = coerce_query(query, self.database.schema)
         if timeout is None:
             timeout = self.config.default_timeout_s
         fingerprint, _ = shape_fingerprint(predicates)
@@ -600,9 +581,7 @@ class EstimationCluster:
             return cluster.hedge_delay_s
         with self._metrics_lock:
             p95_ms = self.metrics.histogram("cluster.latency_ms").quantile(0.95)
-        return max(
-            cluster.min_hedge_delay_s, (p95_ms / 1000.0) * cluster.hedge_factor
-        )
+        return max(_MIN_HEDGE_DELAY_S, (p95_ms / 1000.0) * _HEDGE_FACTOR)
 
     def _schedule_hedge(self, entry: _Request) -> None:
         fire_at = time.monotonic() + self._hedge_delay_s()
@@ -761,9 +740,8 @@ class EstimationCluster:
             )
             for table in stale
         ]
-        deadline = self.config.cluster.startup_timeout_s
         for ack in acks:
-            response = ack.result(timeout=deadline)
+            response = ack.result(timeout=_STARTUP_TIMEOUT_S)
             if not response.get("ok"):
                 raise RuntimeError(f"catch-up invalidate failed: {response}")
 

@@ -8,7 +8,9 @@ enumeration (Lemma 1).
 
 Structure follows the paper's pseudo-code:
 
-* memoization table keyed by the predicate set (lines 1-2);
+* one memoization table keyed by the predicate set (lines 1-2), kept
+  for the life of the instance so a later request for a sub-plan is a
+  lookup (Section 4);
 * separable selectivities are split into their standard decomposition and
   solved independently (lines 3-7, Lemma 2);
 * non-separable ones try every atomic decomposition
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterator
 
 from repro.core.errors import INFINITE_ERROR, ErrorFunction, merge
@@ -134,16 +136,25 @@ def _match_coverage(match: FactorMatch) -> float:
 
 _EMPTY_RESULT = EstimationResult(1.0, 0.0, Decomposition(()), ())
 
+#: memo entries a request may start with.  Past it the memo is emptied
+#: before the next request solves — never during one, and always whole:
+#: the plan compiler walks a result's sub-masks through the memo, so an
+#: entry must not outlive the entries it was built from.
+MEMO_LIMIT = 8192
+
 
 class GetSelectivity:
     """A reusable ``getSelectivity`` instance (bitmask fast path).
 
-    The memoization table persists across calls, so during the optimization
-    of one query every selectivity request for a sub-plan after the first
-    is a table lookup — the reuse property Section 4 builds on.  Create a
-    fresh instance (or call :meth:`reset`) when the SIT pool changes.
+    The memoization table lives as long as the instance, so every
+    selectivity request for a sub-plan after the first is a table lookup
+    — the reuse property Section 4 builds on.  A move of ``pool.version``
+    (``notify_table_update``, membership change) empties it, together
+    with the derived-histogram memo, at the next request; :meth:`reset`
+    is the explicit cold start.
 
-    Engine selection goes through the explicit factory::
+    Engine selection goes through the explicit factory, the one place
+    the reference implementation can be asked for by name::
 
         GetSelectivity.create(pool, error_fn, engine="bitmask")   # default
         GetSelectivity.create(pool, error_fn, engine="legacy")    # oracle
@@ -203,10 +214,14 @@ class GetSelectivity:
         #: bit-interning of every predicate this instance has seen; must
         #: outlive reset() because the factor-match cache keys on its bits.
         self.universe = PredicateUniverse(pool)
-        #: memo keyed by predicate mask (legacy subclass: by frozenset)
+        #: memo keyed by predicate mask (legacy subclass: by frozenset,
+        #: and never gated — the oracle is built per use)
         self._memo: dict = {}
+        #: the ``pool.version`` the memo and the join memo were filled
+        #: under — the one invalidation gate, checked per request
+        self._version = pool.version
         # Pure function of (P', Q) for a fixed pool and error function, so
-        # it survives reset() (which only clears per-query accounting).
+        # it survives reset() (which empties the memo and the counters).
         # Fast path values are (match, error, coverage) triples; the legacy
         # subclass stores (match, error) pairs, as the seed did.
         self._match_cache: dict = {}
@@ -219,27 +234,18 @@ class GetSelectivity:
         #: derived histograms by operand identity, shared by the DP's
         #: line 16 and the plan compiler so each pair is joined once
         #: (fast path only; the legacy oracle joins directly)
-        self._join_memo = JoinMemo(pool)
+        self._join_memo = JoinMemo()
         #: accumulated seconds in search + SIT selection (Figure 8's
         #: "decomposition analysis") and in numeric estimation ("histogram
         #: manipulation").
         self.analysis_seconds = 0.0
         self.estimation_seconds = 0.0
-        #: per-query observability counters (see :meth:`stats_snapshot`)
+        #: observability counters since construction or the last
+        #: :meth:`reset` (see :meth:`stats_snapshot`)
         self.match_cache_hits = 0
         self.match_cache_misses = 0
         self.pruned_decompositions = 0
         self.explored_decompositions = 0
-        #: opt-in cross-query memo bank (see :meth:`enable_memo_bank`);
-        #: ``None`` == disabled, costing nothing on the memo-miss path.
-        self._memo_bank: dict | None = None
-        self._memo_bank_limit = 0
-        #: pool derived-state version the bank was filled under; a
-        #: mismatch (``notify_table_update``, membership change) clears
-        #: the bank at the next query — the same single invalidation
-        #: path the plan cache rides
-        self._memo_bank_version = -1
-        self.memo_bank_hits = 0
         #: opt-in tracing; ``None`` == disabled (one branch per call site)
         self.trace: Trace | None = None
 
@@ -256,54 +262,11 @@ class GetSelectivity:
         self.matcher.trace = self._join_memo.trace = None
 
     # ------------------------------------------------------------------
-    def enable_memo_bank(self, limit: int = 8192) -> None:
-        """Opt into cross-query DP-memo seeding (the plan cache's
-        shape-miss accelerator).
-
-        After each successful query the caller banks the memo
-        (:meth:`bank_memo`); on a later query, ``_solve`` consults the
-        bank on a memo miss, so the largest subproblems *shared* with
-        previously compiled shapes — concretely recurring submasks, which
-        for template workloads are the constant-free join cores — are
-        answered without re-enumeration.  Sound because a memo entry is a
-        deterministic, pool-pure function of its predicate set: re-solving
-        the same mask can only reproduce the banked result bit for bit.
-
-        Off by default so the production DP benchmarks keep measuring the
-        pure enumeration; :class:`~repro.estimators.sit.
-        SITEstimator` enables it alongside its plan cache.
-        """
-        if self._memo_bank is None:
-            self._memo_bank = {}
-            self._memo_bank_version = (
-                self.pool.version if self.pool is not None else 0
-            )
-        self._memo_bank_limit = limit
-
-    def disable_memo_bank(self) -> None:
-        self._memo_bank = None
-        self._memo_bank_limit = 0
-
-    def bank_memo(self) -> None:
-        """Fold the current memo into the bank (bounded, oldest-first
-        eviction); call after a successful level-0 query."""
-        bank = self._memo_bank
-        if bank is None:
-            return
-        bank.update(self._memo)
-        limit = self._memo_bank_limit
-        if limit and len(bank) > limit:
-            drop = len(bank) - (limit * 3) // 4
-            for key in list(islice(iter(bank), drop)):
-                del bank[key]
-
-    def memo_bank_size(self) -> int:
-        return len(self._memo_bank) if self._memo_bank is not None else 0
-
-    # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Clear per-query state: memo, call counter, timing accumulators
-        (the factor-match cache and universe are pool-pure and survive)."""
+        """The explicit cold start: empty the memo and zero the call
+        counter and timing accumulators (the factor-match and estimate
+        caches and the universe are pool-pure and survive) — what the
+        per-query figures of :mod:`repro.bench.harness` measure from."""
         self._memo.clear()
         self.matcher.reset_counter()
         self.analysis_seconds = 0.0
@@ -312,7 +275,6 @@ class GetSelectivity:
         self.match_cache_misses = 0
         self.pruned_decompositions = 0
         self.explored_decompositions = 0
-        self.memo_bank_hits = 0
         if self.trace is not None:
             self.trace.clear()
 
@@ -342,9 +304,6 @@ class GetSelectivity:
         gauge("caches.join_memo_entries").set(len(self._join_memo))
         counter("caches.join_memo_hits").inc(self._join_memo.hits)
         counter("caches.join_memo_misses").inc(self._join_memo.misses)
-        if self._memo_bank is not None:
-            gauge("caches.memo_bank_entries").set(float(len(self._memo_bank)))
-            counter("caches.memo_bank_hits").inc(self.memo_bank_hits)
         trace = self.trace
         if trace is not None:
             for stage, seconds, calls in trace.stages():
@@ -360,8 +319,8 @@ class GetSelectivity:
 
         Cache sizes are current; hits/misses, matcher calls, explored and
         pruned decomposition counts and the two Figure 8 timing
-        accumulators are per-query (cleared by :meth:`reset`); the join
-        memo's hits/misses are totals over the instance's life.
+        accumulators run since construction or the last :meth:`reset`;
+        the join memo's hits/misses are totals over the instance's life.
         """
         return StatsSnapshot.from_registry(
             self.metrics_registry(),
@@ -371,12 +330,15 @@ class GetSelectivity:
     def __call__(self, predicates: PredicateSet) -> EstimationResult:
         """Most accurate estimation of ``Sel_R(P)`` with ``R = tables(P)``."""
         predicates = frozenset(predicates)
-        bank = self._memo_bank
-        if bank is not None:
-            version = self.pool.version if self.pool is not None else 0
-            if version != self._memo_bank_version:
-                bank.clear()
-                self._memo_bank_version = version
+        version = self.pool.version
+        if version != self._version:
+            # the catalog's single invalidation path: nothing solved or
+            # joined under an older version is served again
+            self._memo.clear()
+            self._join_memo.clear()
+            self._version = version
+        elif len(self._memo) > MEMO_LIMIT:
+            self._memo.clear()
         started = time.perf_counter()
         mask = self.universe.intern(predicates)
         trace = self.trace
@@ -405,18 +367,6 @@ class GetSelectivity:
             return cached
         if trace is not None:
             trace.count("memo_misses")
-        bank = self._memo_bank
-        if bank is not None:
-            banked = bank.get(mask)
-            if banked is not None:
-                # Cross-query seeding: this subproblem was solved for a
-                # previously compiled shape (memo entries are pool-pure
-                # and deterministic, so reuse is bit-identical).
-                self._memo[mask] = banked
-                self.memo_bank_hits += 1
-                if trace is not None:
-                    trace.count("memo_bank_hits")
-                return banked
         components = self.universe.components(mask)
         if len(components) > 1:  # lines 3-7
             result = self._solve_separable(components)
@@ -425,7 +375,7 @@ class GetSelectivity:
         self._memo[mask] = result  # line 18
         return result
 
-    def _solve_separable(self, components: list[int]) -> EstimationResult:
+    def _solve_separable(self, components: list) -> EstimationResult:
         selectivity = 1.0
         error = 0.0
         coverage = 0.0
@@ -635,23 +585,6 @@ class LegacyGetSelectivity(GetSelectivity):
             result = self._solve_non_separable(predicates)
         self._memo[predicates] = result  # line 18
         return result
-
-    def _solve_separable(
-        self, components: list[PredicateSet]
-    ) -> EstimationResult:
-        selectivity = 1.0
-        error = 0.0
-        coverage = 0.0
-        decomposition = Decomposition(())
-        matches: tuple[FactorMatch, ...] = ()
-        for component in components:
-            partial = self._solve(component)
-            selectivity *= partial.selectivity
-            error = merge(error, partial.error)
-            coverage += partial.coverage
-            decomposition = decomposition.merged(partial.decomposition)
-            matches = matches + partial.matches
-        return EstimationResult(selectivity, error, decomposition, matches, coverage)
 
     def _solve_non_separable(self, predicates: PredicateSet) -> EstimationResult:
         best_key = (INFINITE_ERROR, 0.0)

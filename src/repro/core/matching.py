@@ -493,28 +493,26 @@ class JoinMemo:
     Keyed on operand *identity*: a pool's SIT histograms are immutable
     and pinned for the pool's life (a refresh publishes new SIT objects,
     never mutates one), and every entry holds its operands, so an id
-    cannot be recycled while an entry naming it lives.  Like the memo
-    bank, no entry outlives the ``pool.version`` it was computed under.
+    cannot be recycled while an entry naming it lives.  The owning
+    ``GetSelectivity`` empties it with the DP memo when ``pool.version``
+    moves, so no entry outlives the version it was computed under.
     """
 
-    def __init__(self, pool: SITPool):
-        self.pool = pool
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         #: the owning ``GetSelectivity``'s trace (``None`` == disabled)
         self.trace = None
-        self._version = -1
         self._entries: dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
+    def clear(self) -> None:
+        self._entries.clear()
+
     def join(self, left, right, max_buckets: int | None):
         """``join_histograms(left, right, max_buckets)``, computed once."""
-        version = self.pool.version
-        if version != self._version:
-            self._entries.clear()
-            self._version = version
         key = (id(left), id(right), max_buckets)
         entry = self._entries.get(key)
         trace = self.trace

@@ -40,7 +40,6 @@ BACKENDS = ("sit", "bn", "sample")
 _SIT_ONLY = frozenset(
     {
         "error_function",
-        "engine",
         "strict",
         "plan_cache",
         "sit_driven_pruning",
@@ -60,9 +59,9 @@ def create_estimator(
     For the SIT backend a :class:`GuaranteedSampleEstimator` over the
     same database is wired in as the degradation ladder's level-3
     fallback (pass ``fallback_estimator=None`` explicitly to keep the
-    classical magic constants).  SIT-specific kwargs (``engine``,
-    ``strict``, ``plan_cache``, ``sit_driven_pruning``,
-    ``error_function``, ``fallback_estimator``) are rejected for the
+    classical magic constants).  SIT-specific kwargs (``strict``,
+    ``plan_cache``, ``sit_driven_pruning``, ``error_function``,
+    ``fallback_estimator``) are rejected for the
     peer backends, which accept their own tuning knobs
     (``sample_size``/``delta`` for sampling, ``max_bins``/``build_rows``
     for the BN) plus the shared ``name``/``seed``.

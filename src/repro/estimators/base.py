@@ -24,9 +24,8 @@ coupling and the CLI can dispatch through one interface:
   service, or fanned out by the cluster router) is observed lazily on
   the next estimate.
 
-Metric accessors (``analysis_seconds``, ``match_cache_hits``, ...) have
-protocol-level defaults of zero so sessions and services can absorb any
-backend's counters without reaching into implementation internals.
+Sessions and services read a backend's counters through its
+:meth:`Estimator.stats_snapshot` only.
 """
 
 from __future__ import annotations
@@ -199,13 +198,14 @@ class Estimator(abc.ABC):
         return parse_query(sql, self.database.schema)
 
     def reset(self) -> None:
-        """Clear per-query memoization and counters (default no-op)."""
+        """The explicit cold start: clear memoization and zero the
+        counters (default no-op).  Nothing in the serving path calls it."""
 
     def space_bytes(self) -> float:
         """Approximate bytes of statistics/models this backend holds."""
         return 0.0
 
-    # -- protocol-level metric accessors (defaults) ----------------------
+    # -- protocol-level identity (defaults) -------------------------------
     @property
     def engine(self) -> str:
         """The execution engine label (backends default to their name)."""
@@ -219,34 +219,6 @@ class Estimator(abc.ABC):
     #: the compiled-plan cache, for backends that support one (a plain
     #: class attribute so implementations can assign an instance cache)
     plan_cache: "PlanCache | None" = None
-
-    @property
-    def view_matching_calls(self) -> int:
-        return 0
-
-    @property
-    def match_cache_hits(self) -> int:
-        return 0
-
-    @property
-    def match_cache_misses(self) -> int:
-        return 0
-
-    @property
-    def match_cache_entries(self) -> int:
-        return 0
-
-    @property
-    def estimate_cache_entries(self) -> int:
-        return 0
-
-    @property
-    def analysis_seconds(self) -> float:
-        return 0.0
-
-    @property
-    def estimation_seconds(self) -> float:
-        return 0.0
 
     # -- tracing (optional capability) -----------------------------------
     @property

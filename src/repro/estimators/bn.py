@@ -396,13 +396,9 @@ class BayesianNetworkEstimator(Estimator):
         )
 
     # -- observability ----------------------------------------------------
-    @property
-    def estimation_seconds(self) -> float:
-        return self._estimation_seconds
-
     def reset(self) -> None:
-        """Open a new accounting window (sessions absorb timings per
-        window); models and the join cache survive."""
+        """Zero the timing accumulator (the explicit cold start);
+        models and the join cache survive."""
         self._estimation_seconds = 0.0
 
     def space_bytes(self) -> float:

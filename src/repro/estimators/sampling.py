@@ -175,13 +175,9 @@ class GuaranteedSampleEstimator(Estimator):
         )
 
     # -- observability ----------------------------------------------------
-    @property
-    def estimation_seconds(self) -> float:
-        return self._estimation_seconds
-
     def reset(self) -> None:
-        """Open a new accounting window (sessions absorb timings per
-        window); the reservoirs themselves survive."""
+        """Zero the timing accumulator (the explicit cold start);
+        the reservoirs themselves survive."""
         self._estimation_seconds = 0.0
 
     def space_bytes(self) -> float:

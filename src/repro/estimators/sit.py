@@ -66,7 +66,6 @@ class SITEstimator(Estimator):
         error_function: ErrorFunction | None = None,
         sit_driven_pruning: bool = False,
         name: str | None = None,
-        engine: str = "bitmask",
         strict: bool = False,
         plan_cache: bool = False,
         fallback_estimator: Estimator | None = None,
@@ -78,7 +77,6 @@ class SITEstimator(Estimator):
         self.algorithm = GetSelectivity.create(
             pool,
             self.error_function,
-            engine=engine,
             sit_driven_pruning=sit_driven_pruning,
         )
         if name is None:
@@ -90,7 +88,6 @@ class SITEstimator(Estimator):
         #: the level-3 peer estimator (usually the guaranteed-sampling
         #: backend); ``None`` keeps the classical magic constants
         self.fallback_estimator = fallback_estimator
-        self._engine_kind = engine
         self._sit_driven_pruning = sit_driven_pruning
         #: level-1 re-plan DPs, keyed by the frozenset of excluded SIT
         #: names (rebuilt pools are deterministic, so caching is safe and
@@ -99,20 +96,13 @@ class SITEstimator(Estimator):
         self._base_algorithm: GetSelectivity | None = None
         #: compiled-plan cache (:mod:`repro.core.plancache`), or ``None``.
         #: Opt-in, and only constructed when it is provably safe: the
-        #: error function declares ``plan_stable`` and the bitmask engine
-        #: is in use (the compiler walks its memo).  With the cache on,
-        #: the DP also keeps a cross-query memo bank so shape *misses*
-        #: start from the largest previously-solved submasks.
+        #: error function declares ``plan_stable`` (the compiler itself
+        #: refuses any algorithm but the bitmask DP, whose memo it walks).
         self.plan_cache: PlanCache | None = None
-        if (
-            plan_cache
-            and engine == "bitmask"
-            and getattr(self.error_function, "plan_stable", False)
-        ):
+        if plan_cache and getattr(self.error_function, "plan_stable", False):
             self.plan_cache = PlanCache(
                 pool, snapshot_version=self.snapshot_version
             )
-            self.algorithm.enable_memo_bank()
 
     # ------------------------------------------------------------------
     def estimate(self, query: Query) -> EstimationResult:
@@ -162,7 +152,6 @@ class SITEstimator(Estimator):
         cache = self.plan_cache
         if cache is not None:
             cache.compile(predicates, self.algorithm, result)
-            self.algorithm.bank_memo()
         return result
 
     def _degrade(
@@ -245,7 +234,6 @@ class SITEstimator(Estimator):
             algorithm = GetSelectivity.create(
                 pool,
                 error_function,
-                engine=self._engine_kind,
                 sit_driven_pruning=self._sit_driven_pruning,
             )
             self._fallback_cache[excluded] = algorithm
@@ -256,9 +244,7 @@ class SITEstimator(Estimator):
         algorithm = self._base_algorithm
         if algorithm is None:
             algorithm = GetSelectivity.create(
-                self.pool.base_only(),
-                NIndError(),
-                engine=self._engine_kind,
+                self.pool.base_only(), NIndError()
             )
             self._base_algorithm = algorithm
         return algorithm
@@ -282,12 +268,12 @@ class SITEstimator(Estimator):
         With an owning catalog the forwarded ``notify_table_update``
         already invalidates the published pool's prune masks and bumps
         the versions every cache above keys on; this hook covers the
-        bare-pool configuration.
+        bare-pool configuration (the version move empties the DP's memo
+        and join memo at its next request).
         """
         self.pool.invalidate_derived()
         self._fallback_cache.clear()
         self._base_algorithm = None
-        self.algorithm.reset()
         fallback = self.fallback_estimator
         if fallback is not None and fallback.snapshot is None:
             fallback.notify_table_update(table)
@@ -301,22 +287,6 @@ class SITEstimator(Estimator):
     @property
     def view_matching_calls(self) -> int:
         return self.algorithm.matcher.calls
-
-    @property
-    def match_cache_hits(self) -> int:
-        return self.algorithm.match_cache_hits
-
-    @property
-    def match_cache_misses(self) -> int:
-        return self.algorithm.match_cache_misses
-
-    @property
-    def match_cache_entries(self) -> int:
-        return len(self.algorithm._match_cache)
-
-    @property
-    def estimate_cache_entries(self) -> int:
-        return len(self.algorithm._estimate_cache)
 
     @property
     def analysis_seconds(self) -> float:
@@ -381,8 +351,8 @@ class SITEstimator(Estimator):
         )
 
     def reset(self) -> None:
-        """Clear memoization and counters (e.g. between workload queries
-        when measuring per-query costs)."""
+        """The explicit cold start: clear memoization and counters (e.g.
+        between workload queries when measuring per-query costs)."""
         self.algorithm.reset()
 
 

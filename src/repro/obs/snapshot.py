@@ -8,13 +8,15 @@ namespaces:
     ``estimation_seconds``, plus per-stage trace timings when tracing is
     enabled — see :mod:`repro.obs.trace`);
 ``counters``
-    monotone event counts for the current accounting window
-    (``matcher_calls``, ``pruned_decompositions``,
-    ``explored_decompositions``, ``universe_size``, ...);
+    monotone event counts since the producer was built — or since its
+    explicit ``reset()``, which only the per-query figure harness and
+    the bench gates call (``matcher_calls``, ``pruned_decompositions``,
+    ``explored_decompositions``, ``universe_size``, ...; a session adds
+    ``queries``);
 ``caches``
     cache sizes and hit/miss counts (``memo_entries``,
     ``match_cache_entries``, ``estimate_cache_entries``,
-    ``match_cache_hits``, ``match_cache_misses``);
+    ``match_cache_hits``, ``match_cache_misses``, ``join_memo_*``);
 ``catalog``
     statistics-lifecycle state (``snapshot_version``,
     ``catalog_version``, ``current``, ``sit_count``, ``stale_sits``,
@@ -155,6 +157,26 @@ class StatsSnapshot:
             ingest=nested.get("ingest", {}),
             meta=meta or {},
         )
+
+    def accumulate_into(self, registry: MetricsRegistry) -> None:
+        """Add this snapshot's ledger (``timings``, ``counters``,
+        ``caches``) to ``registry``: timings and event counts sum, sizes
+        keep the latest value.  One snapshot into an empty registry
+        reproduces it; many roll up a workload."""
+        for name, value in self.timings.items():
+            registry.gauge(f"timings.{name}").add(float(value))
+        for name, value in self.counters.items():
+            if not isinstance(value, (int, float)):
+                continue
+            if name == "universe_size":  # a size, not an event count
+                registry.gauge(f"counters.{name}").set(float(value))
+            else:
+                registry.counter(f"counters.{name}").inc(float(value))
+        for name, value in self.caches.items():
+            if name.endswith(("_hits", "_misses")):
+                registry.counter(f"caches.{name}").inc(float(value))
+            else:
+                registry.gauge(f"caches.{name}").set(float(value))
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:

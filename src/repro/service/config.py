@@ -74,9 +74,9 @@ class ClusterConfig:
     :class:`~repro.service.EstimationService` over the shared-memory
     catalog snapshot; ``replicas`` additional processes serve only
     hedged (tail-latency) requests.  ``hedge_delay_s=None`` derives the
-    hedge trigger from the observed p95 latency
-    (``p95 * hedge_factor``, floored at ``min_hedge_delay_s``); a fixed
-    value pins it.
+    hedge trigger from the observed p95 latency (scaled and floored by
+    the constants in :mod:`repro.cluster.router`); a fixed value pins
+    it.
     """
 
     #: primary shard processes on the consistent-hash ring
@@ -86,11 +86,6 @@ class ClusterConfig:
     replicas: int = 0
     #: fixed hedge trigger in seconds; ``None`` derives it from p95
     hedge_delay_s: float | None = None
-    #: multiplier on the live p95 latency when deriving the hedge delay
-    hedge_factor: float = 1.5
-    #: floor of the derived hedge delay (seconds); also the delay used
-    #: before any latency has been observed
-    min_hedge_delay_s: float = 0.010
     #: virtual nodes per shard on the consistent-hash ring
     ring_points: int = 64
     #: worker threads inside each shard process
@@ -100,8 +95,6 @@ class ClusterConfig:
     breaker_threshold: int = 3
     #: sliding fault window of the per-shard breaker (seconds)
     breaker_window_s: float = 30.0
-    #: seconds the router waits for a shard to come up / ack a swap
-    startup_timeout_s: float = 60.0
     #: per-shard cap on requests parked behind an in-flight hot swap;
     #: the excess is shed with a typed ``Overloaded`` instead of
     #: accumulating without bound during a write storm
@@ -114,10 +107,6 @@ class ClusterConfig:
             raise ValueError("replicas must be >= 0")
         if self.hedge_delay_s is not None and self.hedge_delay_s < 0:
             raise ValueError("hedge_delay_s must be >= 0 (or None)")
-        if self.hedge_factor <= 0:
-            raise ValueError("hedge_factor must be > 0")
-        if self.min_hedge_delay_s < 0:
-            raise ValueError("min_hedge_delay_s must be >= 0")
         if self.ring_points < 1:
             raise ValueError("ring_points must be >= 1")
         if self.shard_workers < 1:
@@ -126,8 +115,6 @@ class ClusterConfig:
             raise ValueError("breaker_threshold must be >= 1")
         if self.breaker_window_s <= 0:
             raise ValueError("breaker_window_s must be > 0")
-        if self.startup_timeout_s <= 0:
-            raise ValueError("startup_timeout_s must be > 0")
         if self.max_held_requests < 1:
             raise ValueError("max_held_requests must be >= 1")
 

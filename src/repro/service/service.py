@@ -67,6 +67,36 @@ from repro.service.protocol import (
 )
 
 
+def coerce_query(
+    query: "Query | PredicateSet | str", schema
+) -> tuple[frozenset, frozenset[str]]:
+    """Any in-process request spelling — SQL text, a bound
+    :class:`Query`, a bare predicate set — as ``(predicates, tables)``;
+    :class:`InvalidRequest` for anything else.  Shared by the service
+    and the cluster router, which both admit all three."""
+    if isinstance(query, str):
+        from repro.sql import parse_query
+
+        try:
+            query = parse_query(query, schema)
+        except Exception as exc:
+            raise InvalidRequest(str(exc)) from exc
+    if isinstance(query, Query):
+        predicates = query.predicates
+        tables = query.tables
+    else:
+        try:
+            predicates = frozenset(query)
+            tables = tables_of(predicates)
+        except TypeError as exc:
+            raise InvalidRequest(
+                f"unsupported query type {type(query).__name__}"
+            ) from exc
+    if not predicates:
+        raise InvalidRequest("query has no predicates")
+    return predicates, frozenset(tables)
+
+
 @dataclass(eq=False)
 class _Pending:
     """One admitted request travelling queue -> worker -> future."""
@@ -102,7 +132,6 @@ class EstimationService:
         database: Database | None = None,
         config: ServiceConfig | None = None,
         error_function: ErrorFunction | None = None,
-        engine: str = "bitmask",
         backend: str | None = None,
         name: str = "repro.service",
     ):
@@ -118,7 +147,6 @@ class EstimationService:
             statistics if isinstance(statistics, StatisticsCatalog) else None
         )
         self._error_function = error_function
-        self._engine = engine
         self.name = name
         self.database = self._resolve_database(statistics, database)
         self._queue: AdmissionQueue[_Pending] = AdmissionQueue(
@@ -212,7 +240,6 @@ class EstimationService:
             self._error_function,
             database=self.database,
             backend=self.config.backend,
-            engine=self._engine,
             plan_cache=self.config.plan_cache,
         )
         if self.advisor is not None:
@@ -260,31 +287,6 @@ class EstimationService:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def _coerce_predicates(
-        self, query: "Query | PredicateSet | str"
-    ) -> tuple[frozenset, frozenset[str]]:
-        if isinstance(query, str):
-            from repro.sql import parse_query
-
-            try:
-                query = parse_query(query, self.database.schema)
-            except Exception as exc:
-                raise InvalidRequest(str(exc)) from exc
-        if isinstance(query, Query):
-            predicates = query.predicates
-            tables = query.tables
-        else:
-            try:
-                predicates = frozenset(query)
-                tables = tables_of(predicates)
-            except TypeError as exc:
-                raise InvalidRequest(
-                    f"unsupported query type {type(query).__name__}"
-                ) from exc
-        if not predicates:
-            raise InvalidRequest("query has no predicates")
-        return predicates, frozenset(tables)
-
     def submit(
         self,
         query: "Query | PredicateSet | str",
@@ -299,7 +301,7 @@ class EstimationService:
         """
         if self._closed.is_set() or self._draining.is_set():
             raise ServiceClosed(f"{self.name} is shutting down")
-        predicates, tables = self._coerce_predicates(query)
+        predicates, tables = coerce_query(query, self.database.schema)
         now = time.monotonic()
         if timeout is None:
             timeout = self.config.default_timeout_s
@@ -794,9 +796,8 @@ class EstimationService:
                 "workers": len(self._workers),
                 "queue_depth_limit": self.config.queue_depth,
                 "max_batch": self.config.max_batch,
-                "engine": self._engine,
             },
         )
 
 
-__all__ = ["EstimationService"]
+__all__ = ["EstimationService", "coerce_query"]

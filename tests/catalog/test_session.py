@@ -1,4 +1,5 @@
-"""EstimationSession: snapshot pinning and cross-query cache sharing."""
+"""EstimationSession: snapshot pinning, the memo and caches requests
+share, and the one ledger (the estimator's) the session reports."""
 
 import pytest
 
@@ -65,34 +66,44 @@ class TestEstimates:
 
 
 class TestCrossQueryCaching:
-    # plan_cache=False: these tests exercise the shared factor-match
-    # cache, which a compiled-plan replay intentionally never touches
+    # plan_cache=False: these tests exercise the DP's memo and the shared
+    # factor-match cache, which a compiled-plan replay never touches
     def test_second_query_hits_shared_match_cache(self, catalog, query):
+        """The memo outlives the request: asking again is a lookup, not
+        one more matcher call — and after an explicit cold start the
+        factor-match cache still spares the matching passes."""
         session = EstimationSession(catalog, plan_cache=False)
-        session.selectivity(query)
-        first_hits = session.match_cache_hits
-        session.selectivity(query)
-        assert session.match_cache_hits > first_hits
-        assert session.match_cache_hit_rate > 0.0
+        first = session.estimate(query)
+        cold = session.stats_snapshot()
+        assert session.estimate(query) == first
+        again = session.stats_snapshot()
+        assert again.counters["matcher_calls"] == cold.counters["matcher_calls"]
+        assert again.caches["memo_entries"] == cold.caches["memo_entries"]
+        session.estimator.reset()
+        assert session.estimate(query) == first
+        caches = session.stats_snapshot().caches
+        assert caches["match_cache_misses"] == 0
+        assert caches["match_cache_hits"] > 0
+        assert session.match_cache_hit_rate == 1.0
 
     def test_distinct_queries_share_factor_work(
         self, catalog, two_table_join, two_table_attrs
     ):
+        small = Query.of(
+            two_table_join, FilterPredicate(two_table_attrs["Ra"], 0, 20)
+        )
+        large = Query.of(
+            *small.predicates, FilterPredicate(two_table_attrs["Sb"], 0, 50)
+        )
         session = EstimationSession(catalog, plan_cache=False)
-        session.selectivity(
-            Query.of(
-                two_table_join,
-                FilterPredicate(two_table_attrs["Ra"], 0, 20),
-            )
-        )
-        session.selectivity(
-            Query.of(
-                two_table_join,
-                FilterPredicate(two_table_attrs["Ra"], 0, 20),
-                FilterPredicate(two_table_attrs["Sb"], 0, 50),
-            )
-        )
-        assert session.match_cache_hit_rate > 0.0
+        session.selectivity(small)
+        session.selectivity(large)
+        shared = session.stats_snapshot().counters["matcher_calls"]
+        alone = EstimationSession(catalog, plan_cache=False)
+        alone.selectivity(large)
+        # every sub-plan of the small query was a memo lookup for the
+        # large one: together they cost what the large one costs alone
+        assert shared == alone.stats_snapshot().counters["matcher_calls"]
 
 
 class TestSnapshotPinning:
@@ -123,8 +134,39 @@ class TestObservability:
         assert snapshot.meta["queries"] == 2
         assert snapshot.meta["snapshot_version"] == catalog.version
         assert snapshot.counters["queries"] == 2.0
-        assert snapshot.catalog["match_cache_hit_rate"] > 0.0
+        assert 0.0 <= snapshot.catalog["match_cache_hit_rate"] <= 1.0
         assert snapshot.catalog["current"] == 1.0
+
+    def test_ledger_is_the_estimators_and_monotone(
+        self, catalog, query, two_table_join, two_table_attrs
+    ):
+        """No window is opened per request: every event count only
+        grows, and the session reports what its estimator reports."""
+        session = EstimationSession(catalog, plan_cache=False)
+        requests = [
+            query,
+            Query.of(two_table_join),
+            Query.of(
+                *query.predicates,
+                FilterPredicate(two_table_attrs["Sb"], 0, 50),
+            ),
+            query,
+        ]
+        events = ("matcher_calls", "explored_decompositions", "queries")
+        last = dict.fromkeys(events, 0.0)
+        for count, request in enumerate(requests, start=1):
+            session.estimate(request)
+            snapshot = session.stats_snapshot()
+            assert snapshot.counters["queries"] == count
+            for name in events:
+                assert snapshot.counters[name] >= last[name]
+                last[name] = snapshot.counters[name]
+            own = session.estimator.stats_snapshot()
+            assert dict(snapshot.caches) == dict(own.caches)
+            assert {
+                k: v for k, v in snapshot.counters.items() if k != "queries"
+            } == dict(own.counters)
+            assert set(snapshot.timings) == set(own.timings)
 
     def test_plan_cache_namespace(self, catalog, query):
         session = EstimationSession(catalog, name="serving")

@@ -120,14 +120,14 @@ class TestHandOff:
         entered = threading.Event()
         release = threading.Event()
 
-        original_begin = session.begin_query
+        original = session.estimator.estimate_predicates
 
-        def slow_begin() -> None:
-            original_begin()
+        def slow_estimate(predicates, **kwargs):
             entered.set()
             release.wait(timeout=10.0)
+            return original(predicates, **kwargs)
 
-        session.begin_query = slow_begin  # type: ignore[method-assign]
+        session.estimator.estimate_predicates = slow_estimate  # type: ignore[method-assign]
         holder_error: list[BaseException] = []
 
         def holder() -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.get_selectivity import GetSelectivity
 from repro.core.predicates import Attribute, FilterPredicate, JoinPredicate
 from repro.engine.database import Database, Table
 from repro.engine.executor import Executor
@@ -98,3 +99,20 @@ def tpch_db() -> Database:
 
 def make_filter(attribute: Attribute, low: float, high: float) -> FilterPredicate:
     return FilterPredicate(attribute, low, high)
+
+
+def with_reference_engine(estimator):
+    """Swap a ``SITEstimator``'s DP for the reference implementation.
+
+    ``GetSelectivity.create(..., engine="legacy")`` is the only place the
+    oracle can be asked for by name; tests that want it under an
+    estimator or a session (``with_reference_engine(session.estimator)``)
+    put it there through this helper.
+    """
+    estimator.algorithm = GetSelectivity.create(
+        estimator.pool,
+        estimator.error_function,
+        engine="legacy",
+        sit_driven_pruning=estimator.algorithm.sit_driven_pruning,
+    )
+    return estimator

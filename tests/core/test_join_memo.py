@@ -21,6 +21,7 @@ from repro.core.get_selectivity import GetSelectivity
 from repro.core.plancache import PlanCache
 from repro.core.predicates import FilterPredicate
 from repro.workload.fixture import snowflake_fixture
+from tests.conftest import with_reference_engine
 
 
 @pytest.fixture()
@@ -107,10 +108,15 @@ class TestEveryPairJoinedOnce:
         joined = len(kernel_calls)
         assert joined == distinct_pairs(kernel_calls)
         assert joined == memo_metrics(session)["misses"]
-        # the legacy oracle joins directly — per factor, every time — and
-        # shares nothing with the memo, yet answers the same
-        twin = EstimationSession(fixture.catalog, engine="legacy", plan_cache=False)
-        assert [twin.estimate(query) for query in fixture.queries] == results
+        # the legacy oracle, cold per query, joins directly — per factor,
+        # every time — and shares nothing with the memo, yet answers the same
+        twin = EstimationSession(fixture.catalog, plan_cache=False)
+        with_reference_engine(twin.estimator)
+        answers = []
+        for query in fixture.queries:
+            twin.estimator.reset()
+            answers.append(twin.estimate(query))
+        assert answers == results
         assert memo_metrics(twin) == {"entries": 0, "hits": 0, "misses": 0}
         assert len(kernel_calls) - joined > joined
 
@@ -130,7 +136,8 @@ class TestVersionGate:
         session = EstimationSession(fixture.catalog)
         for query in fixture.queries:
             session.estimate(query)
-        memo = session.estimator.algorithm._join_memo
+        algorithm = session.estimator.algorithm
+        memo = algorithm._join_memo
         filled = len(memo)
         for table in ["sales", "customer"] * 10:
             fixture.catalog.notify_table_update(table)
@@ -139,7 +146,7 @@ class TestVersionGate:
                 assert not session.estimate(query).plan_cache_hit
             # refilled from empty under the new version: what is held is
             # exactly what was joined since, and never more than before
-            assert memo._version == session.pool.version
+            assert algorithm._version == session.pool.version
             assert len(memo) == len(kernel_calls) - joined <= filled
 
     def test_refresh_replacing_sits_leaves_nothing_behind(self, fixture):
@@ -155,7 +162,7 @@ class TestVersionGate:
                 for query in fixture.queries:
                     session.estimate(query)
                 memo = session.estimator.algorithm._join_memo
-                assert memo._version == session.pool.version
+                assert session.estimator.algorithm._version == session.pool.version
                 # every operand is a histogram of *this* pool or derived
                 # from them: nothing of an older pool is kept alive
                 known = {id(sit.histogram) for sit in session.pool}

@@ -1,6 +1,6 @@
 """Unit tests of :mod:`repro.core.plancache` internals: shape
 fingerprints, the compile safety gates, bounded eviction, and the DP
-memo bank that accelerates shape misses.
+memo that outlives requests so sub-plans and shape misses start from it.
 
 End-to-end bit-identity lives in ``test_plan_cache_parity.py``;
 catalog-driven invalidation in ``tests/catalog/
@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.catalog import EstimationSession
 from repro.core.errors import NIndError
 from repro.estimators import SITEstimator
+from repro.core import get_selectivity
 from repro.core.get_selectivity import GetSelectivity
 from repro.core.plancache import (
     PlanCache,
@@ -22,6 +24,9 @@ from repro.core.plancache import (
 from repro.core.predicates import FilterPredicate
 from repro.stats.pool import SITPool
 from repro.stats.sit import SIT
+from repro.workload.fixture import snowflake_fixture
+from repro.workload.queries import connected_subqueries
+from tests.conftest import with_reference_engine
 
 
 @pytest.fixture()
@@ -87,16 +92,18 @@ class TestCompileGates:
         assert estimator.plan_cache is None
 
     def test_legacy_engine_disables_the_cache(
-        self, two_table_db, two_table_pool
+        self, two_table_db, two_table_pool, shapes
     ):
-        estimator = SITEstimator(
-            two_table_db,
-            two_table_pool,
-            NIndError(),
-            engine="legacy",
-            plan_cache=True,
+        estimator = with_reference_engine(
+            SITEstimator(
+                two_table_db, two_table_pool, NIndError(), plan_cache=True
+            )
         )
-        assert estimator.plan_cache is None
+        for _ in range(2):
+            assert not estimator.estimate_predicates(shapes[1]).plan_cache_hit
+        status = estimator.plan_cache.status()
+        assert status["compiles"] == 0
+        assert status["hits"] == 0
 
     def test_plan_unstable_compile_refused_at_the_cache_too(
         self, two_table_pool, shapes
@@ -166,70 +173,115 @@ class TestEviction:
         assert sizes[-1] < sum(sizes[:4])  # not accumulating unboundedly
 
 
-class TestMemoBank:
-    def test_bank_seeds_a_later_query(self, two_table_pool, shapes):
+class TestPersistentMemo:
+    def test_memo_survives_requests(self, two_table_pool, shapes):
         algorithm = GetSelectivity(two_table_pool, NIndError())
-        algorithm.enable_memo_bank()
+        trace = algorithm.enable_tracing()
         algorithm(shapes[1])  # join + R.a filter
-        algorithm.bank_memo()
-        assert algorithm.memo_bank_size() > 0
-        algorithm.reset()
-        # a different shape sharing the join core hits the bank
+        held = set(algorithm._memo)
+        trace.clear()
+        # a different shape sharing the join core finds it in the memo
         algorithm(shapes[2])  # join + S.b filter
-        assert algorithm.memo_bank_hits > 0
+        assert trace.counters["memo_hits"] > 0
+        assert held < set(algorithm._memo)
         caches = algorithm.stats_snapshot().caches
-        assert caches["memo_bank_entries"] == algorithm.memo_bank_size()
-        assert caches["memo_bank_hits"] == algorithm.memo_bank_hits
+        assert caches["memo_entries"] == len(algorithm._memo)
 
-    def test_banked_answers_are_bit_identical(self, two_table_pool, shapes):
-        banked = GetSelectivity(two_table_pool, NIndError())
-        banked.enable_memo_bank()
-        banked(shapes[1])
-        banked.bank_memo()
-        banked.reset()
+    def test_surviving_memo_equals_a_fresh_instance(
+        self, two_table_pool, shapes
+    ):
+        kept = GetSelectivity(two_table_pool, NIndError())
+        kept(shapes[1])
         fresh = GetSelectivity(two_table_pool, NIndError())
-        left, right = banked(shapes[2]), fresh(shapes[2])
+        left, right = kept(shapes[2]), fresh(shapes[2])
         assert left.selectivity == right.selectivity
         assert left.error == right.error
         assert left.decomposition == right.decomposition
         assert left.matches == right.matches
 
-    def test_bank_is_bounded(self, two_table_pool, shapes):
+    def test_memo_is_bounded_and_emptied_whole(
+        self, two_table_pool, two_table_attrs, two_table_join, monkeypatch
+    ):
+        """Past the bound the memo is emptied before the next request
+        solves — whole, so no entry outlives the sub-entries the plan
+        compiler would walk from it — and never during a request."""
+        monkeypatch.setattr(get_selectivity, "MEMO_LIMIT", 32)
+        ra = two_table_attrs["Ra"]
         algorithm = GetSelectivity(two_table_pool, NIndError())
-        algorithm.enable_memo_bank(limit=2)
-        for shape in shapes:
-            algorithm.reset()
-            algorithm(shape)
-            algorithm.bank_memo()
-            assert algorithm.memo_bank_size() <= 2
+        cache = PlanCache(two_table_pool, max_plans=1)
+        emptied = 0
+        for low in range(60):  # every constant is a new predicate
+            shape = frozenset(
+                {two_table_join, FilterPredicate(ra, float(low), low + 20.0)}
+            )
+            before = len(algorithm._memo)
+            result = algorithm(shape)
+            # 3 masks per request: the bound plus one request at most
+            assert len(algorithm._memo) <= 32 + 3
+            if len(algorithm._memo) < before:
+                emptied += 1
+                assert len(algorithm._memo) == 3  # this request's, only
+            # whatever the memo holds compiles: its sub-masks are there
+            cache._plans.clear()
+            assert cache.compile(shape, algorithm, result) is not None
+        assert emptied >= 2
 
-    def test_pool_version_change_clears_the_bank(
+    def test_version_move_empties_memo_and_join_memo_once(
         self, two_table_pool, shapes
     ):
-        """The bank rides the same invalidation path as the plan cache:
-        a derived-state version bump (``notify_table_update``) empties it
-        at the next query, so stale subproblems are never served — and
-        the full memo is rebuilt, keeping results compilable."""
+        """The memo rides the same invalidation path as the plan cache:
+        a derived-state version bump (``notify_table_update``) empties
+        it, with the join memo, at the next request — once per move."""
         pool = SITPool(list(two_table_pool))  # private: version is mutated
         algorithm = GetSelectivity(pool, NIndError())
-        algorithm.enable_memo_bank()
         algorithm(shapes[1])
-        algorithm.bank_memo()
-        assert algorithm.memo_bank_size() > 0
+        algorithm(shapes[2])
+        joins = algorithm._join_memo._entries
+        assert joins
+        stale, stale_joins = dict(algorithm._memo), dict(joins)
         pool.invalidate_derived()
-        algorithm.reset()
         algorithm(shapes[1])
-        assert algorithm.memo_bank_hits == 0
-        # the post-bump run re-solved every submask itself
-        assert len(algorithm._memo) >= 3
+        # nothing solved or joined under the old version is left: the
+        # request re-solved its own sub-masks (the pool-pure estimate
+        # cache may spare it the joins)
+        assert len(algorithm._memo) == 3 < len(stale)
+        assert all(algorithm._memo[mask] is not stale[mask] for mask in algorithm._memo)
+        assert all(joins[key] is not stale_joins[key] for key in joins)
+        # same version, next request: nothing is emptied again
+        held = dict(algorithm._memo)
+        algorithm(shapes[2])
+        assert all(algorithm._memo[mask] is result for mask, result in held.items())
 
-    def test_disable_drops_the_bank(self, two_table_pool, shapes):
+    def test_reset_still_empties_the_memo(self, two_table_pool, shapes):
         algorithm = GetSelectivity(two_table_pool, NIndError())
-        algorithm.enable_memo_bank()
-        algorithm(shapes[0])
-        algorithm.bank_memo()
-        algorithm.disable_memo_bank()
-        assert algorithm.memo_bank_size() == 0
+        algorithm(shapes[3])
+        assert algorithm._memo and algorithm.matcher.calls > 0
+        algorithm.reset()
+        assert not algorithm._memo
+        assert algorithm.matcher.calls == 0
+        assert algorithm.analysis_seconds == 0.0
+
+
+class TestSubPlanPattern:
+    def test_every_sub_plan_asked_after_its_query_replays(self):
+        """Section 4: an optimizer asks for every sub-plan of a query.
+        Each is solved from the query's memo on its first ask — and so
+        compiles — replays on its second, and equals a cold twin."""
+        fixture = snowflake_fixture(0.05, 7, 6)
+        fixture.catalog.add_missing_base_histograms()
+        session = EstimationSession(fixture.catalog)
+        twin = EstimationSession(fixture.catalog, plan_cache=False)
+        asked = 0
+        for query in fixture.queries:
+            session.estimate(query)
+            for sub in connected_subqueries(query):
+                if sub == query.predicates:
+                    continue
+                first, second = session.estimate(sub), session.estimate(sub)
+                assert second.plan_cache_hit
+                assert first == second == twin.estimate(sub)
+                asked += 1
+        assert asked > 50
 
 
 class TestReplayFlag:

@@ -43,7 +43,7 @@ class TestRegistry:
         for name in ("bn", "sample"):
             with pytest.raises(TypeError, match="does not accept"):
                 create_estimator(
-                    name, two_table_db, two_table_pool, engine="bitmask"
+                    name, two_table_db, two_table_pool, strict=True
                 )
 
     def test_factory_types_and_tags(self, two_table_db, two_table_pool):

@@ -6,8 +6,8 @@ spellings raise ``ImportError``/``TypeError``/``AttributeError``) and
 exercise the replacement surfaces side by side, so a regression that
 silently resurrects an old shim fails loudly.  Pinned here:
 
-* PR2-era: flat ``stats`` dicts, the ``legacy=`` engine kwarg and the
-  pool query quartet;
+* PR2-era: flat ``stats`` dicts, the ``legacy=`` engine kwarg (and the
+  estimator's ``engine=`` that replaced it) and the pool query quartet;
 * the ``repro.core.estimator`` module (``CardinalityEstimator`` →
   :class:`repro.estimators.SITEstimator`);
 * the pre-``connect()`` client names (``Client``, ``TCPClient``);
@@ -70,16 +70,13 @@ class TestEngineFactory:
             w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
         ]
 
-    def test_estimator_engine_kwarg_is_silent(
-        self, two_table_db, two_table_pool, recwarn
+    def test_estimator_engine_kwarg_is_removed(
+        self, two_table_db, two_table_pool
     ):
-        estimator = SITEstimator(
-            two_table_db, two_table_pool, NIndError(), engine="legacy"
-        )
-        assert estimator.engine == "legacy"
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
+        with pytest.raises(TypeError, match="engine"):
+            SITEstimator(
+                two_table_db, two_table_pool, NIndError(), engine="legacy"
+            )
 
 
 class TestFlatStatsRemoved:

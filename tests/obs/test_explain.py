@@ -25,6 +25,7 @@ from repro.obs.explain import (
 from repro.sql import parse_query
 from repro.stats.builder import SITBuilder
 from repro.stats.pool import build_workload_pool
+from tests.conftest import with_reference_engine
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -99,9 +100,9 @@ class TestExplainParity:
     @pytest.mark.parametrize("engine", ["bitmask", "legacy"])
     def test_explain_equals_estimate_exactly(self, golden_setup, engine):
         database, pool, query = golden_setup
-        estimator = SITEstimator(
-            database, pool, DiffError(pool), engine=engine
-        )
+        estimator = SITEstimator(database, pool, DiffError(pool))
+        if engine == "legacy":
+            with_reference_engine(estimator)
         expected = estimator.estimate(query).selectivity
         result = estimator.explain(query)
         assert result.selectivity == expected  # exact, not approx
@@ -109,13 +110,10 @@ class TestExplainParity:
 
     def test_engines_agree_factor_by_factor(self, golden_setup):
         database, pool, query = golden_setup
-        results = {}
-        for engine in ("bitmask", "legacy"):
-            estimator = SITEstimator(
-                database, pool, NIndError(), engine=engine
-            )
-            results[engine] = estimator.explain(query)
-        bitmask, legacy = results["bitmask"], results["legacy"]
+        bitmask = SITEstimator(database, pool, NIndError()).explain(query)
+        legacy = with_reference_engine(
+            SITEstimator(database, pool, NIndError())
+        ).explain(query)
         assert bitmask.selectivity == pytest.approx(legacy.selectivity)
         assert [f.factor for f in bitmask.factors] == [
             f.factor for f in legacy.factors

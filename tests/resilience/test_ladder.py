@@ -26,7 +26,7 @@ from repro.resilience.ladder import (
 
 
 def estimator_for(db, pool, **kwargs) -> SITEstimator:
-    return SITEstimator(db, pool, engine="bitmask", **kwargs)
+    return SITEstimator(db, pool, **kwargs)
 
 
 def storm(point=POINT_SIT_MATCH, **kwargs) -> FaultPlan:

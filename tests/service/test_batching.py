@@ -36,9 +36,8 @@ class TestFactorSharing:
 
         # K isolated sessions: every factor match is computed from
         # scratch (``matcher_calls`` counts *logical* invocations — the
-        # paper's Figure 6 metric — and is cache-invariant by design;
-        # ``match_cache_misses`` counts the matching passes actually
-        # executed, which is what sharing saves).
+        # paper's Figure 6 metric; ``match_cache_misses`` counts the
+        # matching passes actually executed, which is what sharing saves).
         isolated_match_passes = 0.0
         isolated_hits = 0.0
         for query in queries:
@@ -56,8 +55,9 @@ class TestFactorSharing:
             answers = [future.result(timeout=30.0) for future in futures]
             stats = service.stats_snapshot()
 
+        # the shared join core is solved once and is a memo lookup for
+        # every later member
         assert stats.caches["match_cache_misses"] < isolated_match_passes
-        assert stats.caches["match_cache_hits"] > 0.0
         assert stats.service["served"] == float(len(queries))
         assert stats.service["batches"] == 1.0
         assert all(answer.batch_size == len(queries) for answer in answers)
@@ -67,6 +67,11 @@ class TestFactorSharing:
     def test_shared_cache_hits_accumulate_across_the_batch(
         self, service_catalog, factor_sharing_queries
     ):
+        alone = EstimationSession(
+            service_catalog.snapshot(), plan_cache=False
+        )
+        alone.estimate(factor_sharing_queries[0])
+        one = alone.stats_snapshot().counters["matcher_calls"]
         with EstimationService(
             service_catalog, config=COALESCING_NO_PLAN_CACHE
         ) as service:
@@ -76,8 +81,11 @@ class TestFactorSharing:
             for future in futures:
                 future.result(timeout=30.0)
             stats = service.stats_snapshot()
-        # later batch members hit the factor caches the first one filled
-        assert stats.caches["match_cache_hits"] > 0
+        # later batch members find the join core the first one solved in
+        # the worker session's memo: K same-shape members cost less than
+        # K times one
+        assert stats.service["batches"] == 1.0
+        assert stats.counters["matcher_calls"] < one * len(factor_sharing_queries)
 
 
 class TestDeduplication:

@@ -50,9 +50,7 @@ class TestRoundTrips:
         snapshot = service_catalog.snapshot()
         served = client.estimate(SQL)
         query = parse_query(SQL, two_table_db.schema)
-        direct = SITEstimator(
-            two_table_db, snapshot, engine="bitmask"
-        ).estimate(query)
+        direct = SITEstimator(two_table_db, snapshot).estimate(query)
         assert served.snapshot_version == snapshot.version
         assert served.selectivity == direct.selectivity
         assert served.cardinality == direct.selectivity * (

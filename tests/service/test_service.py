@@ -27,7 +27,7 @@ FAST = ServiceConfig(workers=1, queue_depth=64, batch_window_s=0.001)
 
 def direct_answer(database, snapshot, query: Query):
     """The single-threaded ground truth on one pinned snapshot."""
-    estimator = SITEstimator(database, snapshot, engine="bitmask")
+    estimator = SITEstimator(database, snapshot)
     result = estimator.estimate(query)
     cross = database.cross_product_size(query.tables)
     return (

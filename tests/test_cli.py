@@ -54,17 +54,21 @@ class TestCLI:
         for factor in payload["factors"]:
             assert {"factor", "selectivity", "error_contribution"} <= set(factor)
 
-    def test_explain_legacy_engine_and_nind(self, capsys):
+    def test_explain_nind_error_function(self, capsys):
         sql = (
             "SELECT * FROM sales, customer "
             "WHERE sales.customer_id = customer.customer_id"
         )
-        command = ["explain", sql, "--scale", "0.05"]
-        command += ["--engine", "legacy", "--error", "nind"]
+        command = ["explain", sql, "--scale", "0.05", "--error", "nind"]
         assert main(command) == 0
         out = capsys.readouterr().out
-        assert "engine=legacy" in out
+        assert "engine=bitmask" in out
         assert "error=nInd" in out
+
+    def test_explain_has_no_engine_switch(self):
+        sql = "SELECT * FROM sales WHERE sales.quantity < 5"
+        with pytest.raises(SystemExit):
+            main(["explain", sql, "--engine", "legacy"])
 
     def test_explain_sql_flag_spelling(self, capsys):
         sql = (
