@@ -141,7 +141,7 @@ def smoke_service() -> None:
     sqls = age_ranges(50, spread=10, width=25)
     service = EstimationService(
         catalog,
-        config=ServiceConfig(workers=2, queue_depth=256, batch_window_s=0.002),
+        config=ServiceConfig(workers=2, queue_depth=256),
     )
     with served(service) as client:
         assert client.ping(), "server did not answer ping"
@@ -157,7 +157,7 @@ def smoke_service() -> None:
 
     # a burst against a depth-1 queue must shed with typed Overloaded —
     # and everything admitted must still be answered
-    config = ServiceConfig(workers=1, queue_depth=1, batch_window_s=0.0)
+    config = ServiceConfig(workers=1, queue_depth=1)
     query = SQL_TEMPLATE.format(low=20, high=40)
     with EstimationService(catalog, config=config) as service:
         shed = 0
@@ -191,7 +191,6 @@ def smoke_estimators() -> None:
             config=ServiceConfig(
                 workers=2,
                 queue_depth=256,
-                batch_window_s=0.002,
                 backend=backend,
             ),
         )
@@ -230,7 +229,7 @@ def smoke_plan_cache() -> None:
         for i in range(variants)
         for template in TEMPLATES
     ]
-    config = ServiceConfig(workers=2, queue_depth=64, batch_window_s=0.002)
+    config = ServiceConfig(workers=2, queue_depth=64)
     service = EstimationService(catalog, config=config)
     with served(service, timeout_s=60.0) as client:
         answers: dict[str, ServedEstimate] = {}
@@ -314,7 +313,7 @@ def optimizer_pattern(fixture: SnowflakeFixture) -> None:
         sub for sub in connected_subqueries(query) if sub != query.predicates
     ]
     shapes = {shape_fingerprint(sub)[0] for sub in sub_plans}
-    config = ServiceConfig(workers=1, queue_depth=64, batch_window_s=0.0)
+    config = ServiceConfig(workers=1, queue_depth=64)
     service = EstimationService(fixture.catalog, config=config)
     with served(service, timeout_s=60.0) as client:
         assert not client.estimate(sql).plan_cache_hit
@@ -345,7 +344,6 @@ def smoke_chaos() -> None:
     config = ServiceConfig(
         workers=2,
         queue_depth=32,
-        batch_window_s=0.002,
         healing=HealingConfig(
             requeue_limit=2,
             breaker_threshold=1_000,  # crashes are version-independent here
@@ -419,7 +417,7 @@ def smoke_chaos() -> None:
 
     # an armed-but-silent plan must not perturb a single bit (the
     # overhead half of that gate is `python -m repro.bench core`)
-    config = ServiceConfig(workers=1, queue_depth=64, batch_window_s=0.002)
+    config = ServiceConfig(workers=1, queue_depth=64)
     sample = sqls[:10]
     with EstimationService(catalog, config=config) as service:
         baseline = [service.estimate(sql, timeout=None) for sql in sample]
@@ -529,7 +527,7 @@ def ingest_storm(fixture: SnowflakeFixture) -> None:
     staleness reported, clean quiesce, bit-identical once settled."""
     catalog = fixture.catalog
     storm_events = 400
-    config = ServiceConfig(workers=2, queue_depth=64, batch_window_s=0.002)
+    config = ServiceConfig(workers=2, queue_depth=64)
     sqls = age_ranges(100, spread=23, width=20)
     sample = sqls[:10]
 
@@ -737,7 +735,6 @@ def tuned_service(database, catalog, feedback, holdout) -> None:
     config = ServiceConfig(
         workers=2,
         queue_depth=256,
-        batch_window_s=0.002,
         advisor=AdvisorConfig(
             max_q_error=max_q_error,
             space_budget_bytes=budget,

@@ -329,7 +329,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = ServiceConfig(
             workers=args.workers,
             queue_depth=args.queue_depth,
-            batch_window_s=args.batch_window_ms / 1000.0,
             max_batch=args.max_batch,
             host=args.host,
             port=args.port,
@@ -376,8 +375,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(
                 f"serving {len(catalog)} SITs on {host}:{port} "
                 f"({tier}, queue {config.queue_depth}, "
-                f"batch window {config.batch_window_s * 1000.0}ms) "
-                "— Ctrl-C to drain",
+                f"max batch {config.max_batch}) — Ctrl-C to drain",
                 file=sys.stderr,
                 flush=True,
             )
@@ -553,14 +551,11 @@ def main(argv: list[str] | None = None) -> int:
         help="admission-queue bound; beyond it requests are shed",
     )
     serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        dest="batch_window_ms",
-        help="micro-batch coalescing window",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=32, dest="max_batch"
+        "--max-batch",
+        type=int,
+        default=32,
+        dest="max_batch",
+        help="most queued requests a free worker takes as one micro-batch",
     )
     serve.add_argument(
         "--backend",

@@ -85,7 +85,6 @@ def run_open_loop(
     config = ServiceConfig(
         workers=workers,
         queue_depth=queue_depth,
-        batch_window_s=0.001,
         max_batch=64,
     )
     interval = 1.0 / rate_qps if rate_qps > 0 else 0.0

@@ -59,6 +59,7 @@ from repro.service.config import ClusterConfig, ServiceConfig
 from repro.service.protocol import (
     Overloaded,
     ServiceClosed,
+    ServiceError,
     decode_line,
     encode_line,
     encode_predicates,
@@ -423,6 +424,19 @@ class EstimationCluster:
         )
         self._dispatch(entry)
         return entry.future
+
+    def submit_many(self, requests) -> "list[Future[object] | ServiceError]":
+        """The service's group admission, as a loop over :meth:`submit`
+        (members fan out to different shards, so there is no one queue
+        to admit them to): per member its future or its typed failure.
+        This is what lets ``EstimationServer(router)`` front a cluster."""
+        outcomes: "list[Future | ServiceError]" = []
+        for query, timeout in requests:
+            try:
+                outcomes.append(self.submit(query, timeout=timeout))
+            except ServiceError as exc:
+                outcomes.append(exc)
+        return outcomes
 
     def estimate(self, query, timeout: float | None = None):
         future = self.submit(query, timeout=timeout)

@@ -24,9 +24,10 @@ same :class:`~repro.service.protocol.ServedEstimate`, so callers are
 transport-agnostic by construction.
 
 ``estimate_batch`` submits every query *before* waiting on any answer:
-in-process that lands the burst in one micro-batch window; over TCP the
-requests are pipelined on one connection and correlated by id.  Answers
-come back in input order either way.
+in-process the burst is admitted as one group (``submit_many``: one
+lock, one worker wake-up); over TCP the requests are pipelined on one
+connection, which the server reads and admits as one group too, and
+correlated by id.  Answers come back in input order either way.
 
 Self-healing (:mod:`repro.resilience`):
 
@@ -55,7 +56,6 @@ import random
 import socket
 import threading
 import time
-from concurrent.futures import Future
 
 from repro.engine.database import Database
 from repro.resilience.retry import (
@@ -224,23 +224,21 @@ class InProcessClient(EstimationClient):
         wait = None
         if timeout is not None:
             wait = timeout + self.service.config.drain_timeout_s
-        # submit-all-first so the burst coalesces into one micro-batch
-        # window; a shed submit falls back to the per-item retry path
-        # (and re-raises right away under NO_RETRIES)
-        pending: list[Future | None] = []
-        for query in queries:
-            try:
-                pending.append(self.service.submit(query, timeout=timeout))
-            except Overloaded:
-                if self._retry.max_attempts <= 1:
-                    raise
-                pending.append(None)
+        # one group admission, so the burst reaches the worker as one
+        # unit; a shed member falls back to the per-item retry path (and
+        # re-raises right away under NO_RETRIES)
+        outcomes = self.service.submit_many(
+            [(query, timeout) for query in queries]
+        )
+        retrying = self._retry.max_attempts > 1
         answers: list[ServedEstimate] = []
-        for query, future in zip(queries, pending):
-            if future is None:
+        for query, outcome in zip(queries, outcomes):
+            if retrying and isinstance(outcome, Overloaded):
                 answers.append(self.estimate(query, timeout=timeout))
+            elif isinstance(outcome, ServiceError):
+                raise outcome
             else:
-                answers.append(future.result(timeout=wait))
+                answers.append(outcome.result(timeout=wait))
         return answers
 
     def stats(self) -> dict:

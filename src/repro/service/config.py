@@ -138,9 +138,10 @@ def _known_fields(cls, data: Mapping[str, Any]) -> dict:
 class ServiceConfig:
     """Knobs of one :class:`repro.service.EstimationService`.
 
-    The defaults target an interactive optimizer inner loop: small
-    batching window (latency bound), a queue deep enough to ride out
-    bursts, and explicit load shedding rather than unbounded buffering.
+    The defaults target an interactive optimizer inner loop: no timer
+    on the request path (a free worker serves what is queued at once), a
+    queue deep enough to ride out bursts, and explicit load shedding
+    rather than unbounded buffering.
     Self-healing knobs live in :attr:`healing`; the multi-process tier
     (when enabled) in :attr:`cluster`.
     """
@@ -151,10 +152,8 @@ class ServiceConfig:
     #: admission-queue depth; a submit beyond this is shed with
     #: :class:`~repro.service.protocol.Overloaded`
     queue_depth: int = 256
-    #: how long a worker lingers after the first dequeued request to
-    #: coalesce more of the queue into one micro-batch (seconds)
-    batch_window_s: float = 0.002
-    #: the most requests one micro-batch may carry
+    #: the most requests one micro-batch may carry (a batch is whatever
+    #: is queued when a worker becomes free, never waited for)
     max_batch: int = 32
     #: default per-request deadline (seconds; ``None`` = no deadline)
     default_timeout_s: float | None = None
@@ -196,8 +195,6 @@ class ServiceConfig:
             raise ValueError("queue_depth must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.batch_window_s < 0:
-            raise ValueError("batch_window_s must be >= 0")
         if self.default_timeout_s is not None and self.default_timeout_s <= 0:
             raise ValueError("default_timeout_s must be > 0 (or None)")
         if self.drain_timeout_s < 0:
@@ -230,6 +227,13 @@ class ServiceConfig:
                 f"builds its models from rows — serve it single-process "
                 f"(workers=N) instead"
             )
+
+    @property
+    def batch_window_s(self) -> float:
+        """Seconds a lone request waits on a timer: ``0.0``, and not a
+        knob — batches form from the backlog (DESIGN.md §9).  Read-only,
+        for callers that subtract timer idle time from a measurement."""
+        return 0.0
 
     # ------------------------------------------------------------------
     # Serialization

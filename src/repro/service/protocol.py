@@ -33,6 +33,14 @@ Responses::
 ``status`` is the machine-readable discriminator; ``ok`` is redundant
 convenience for one-line clients.
 
+Pipelining: a client may write any number of request lines before
+reading.  The server handles the lines one socket read delivers as a
+*group*: the group's answers are written together, in request order,
+once its slowest member is resolved — each line under its own ``id`` and
+``status``, so one shed or malformed member costs the others nothing.
+Groups of one connection may overlap and complete out of order; clients
+correlate on ``id``.
+
 ``degradation_level`` reports how the estimate was produced when
 statistics fault mid-request (see :mod:`repro.resilience.ladder` and
 DESIGN.md §10): ``0`` = the normal path, ``1`` = re-planned without the

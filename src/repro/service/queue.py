@@ -7,10 +7,14 @@ a small condition-variable queue purpose-built for them:
 * :meth:`offer` is non-blocking admission control: it returns ``False``
   the instant the queue is at depth (the caller sheds with a typed
   ``Overloaded``), never buffering beyond the bound;
-* :meth:`take_batch` blocks until at least one item arrives, then
-  lingers up to the micro-batch window to coalesce whatever else the
-  queue holds (bounded by ``max_batch``), which is what makes
-  cross-request factor sharing pay.
+  :meth:`offer_many` admits a whole group under one lock with one
+  wake-up — the prefix that fits, never beyond depth;
+* :meth:`take_batch` blocks until at least one item arrives and returns
+  everything queued (bounded by ``max_batch``).  The estimation service
+  calls it exactly so: its worker never waits on a timer while it is
+  free, and a micro-batch is whatever backed up while the previous one
+  was being served.  The optional ``window_s`` linger is for the ingest
+  pipeline, whose coalesce window exists *to* wait.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Generic, TypeVar
+from itertools import islice
+from typing import Generic, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -53,27 +58,39 @@ class AdmissionQueue(Generic[T]):
         Raises ``RuntimeError`` when closed — producers should have
         stopped already.
         """
+        return self.offer_many((item,)) == 1
+
+    def offer_many(self, items: Sequence[T]) -> int:
+        """Admit the prefix of ``items`` that fits; returns its length.
+
+        One lock acquisition and one wake-up for the whole group: the
+        consumer that wakes finds all of it (and wakes the next one if
+        it leaves any behind, see :meth:`take_batch`).  ``items[n:]``
+        are *shed now*, as :meth:`offer` would have shed each of them.
+        Raises ``RuntimeError`` when closed, admitting nothing.
+        """
         with self._lock:
             if self._closed:
                 raise RuntimeError("queue is closed")
-            if len(self._items) >= self.depth:
-                return False
-            self._items.append(item)
-            self._not_empty.notify()
-            return True
+            admitted = min(len(items), self.depth - len(self._items))
+            if admitted:
+                self._items.extend(islice(items, admitted))
+                self._not_empty.notify()
+            return admitted
 
     def take_batch(
         self,
         max_batch: int,
-        window_s: float,
+        window_s: float = 0.0,
         poll_s: float = 0.05,
     ) -> list[T]:
         """Dequeue one micro-batch.
 
         Blocks (in ``poll_s`` slices, so closing wakes us promptly)
-        until at least one item is available, then keeps coalescing
-        arrivals for up to ``window_s`` or until ``max_batch`` items.
-        Returns ``[]`` only when the queue is closed *and* drained.
+        until at least one item is available and takes what is queued,
+        up to ``max_batch`` items; with a ``window_s`` it then keeps
+        coalescing arrivals for that long.  Returns ``[]`` only when
+        the queue is closed *and* drained.
         """
         batch: list[T] = []
         with self._not_empty:
@@ -83,6 +100,10 @@ class AdmissionQueue(Generic[T]):
                 self._not_empty.wait(timeout=poll_s)
             while self._items and len(batch) < max_batch:
                 batch.append(self._items.popleft())
+            if self._items:
+                # a group larger than one batch was admitted with one
+                # wake-up: pass it on to the next free consumer
+                self._not_empty.notify()
         if window_s <= 0 or len(batch) >= max_batch:
             return batch
         # linger: coalesce stragglers into the same batch

@@ -2,9 +2,17 @@
 
 One TCP connection, one JSON object per line (see
 :mod:`repro.service.protocol`).  The event loop never estimates — it
-decodes, admits into the thread-pooled service and awaits the wrapped
-future, so slow DP work on one connection does not stall another's
-admission (and a shed request is answered in microseconds).
+decodes, admits into the thread-pooled service and parks until the
+answers exist, so slow DP work on one connection does not stall
+another's admission (and a shed request is answered in microseconds).
+
+The wire is handled a *group* at a time: whatever complete lines one
+socket read delivers — a client's pipelined burst — are decoded
+together, admitted with one ``submit_many``, awaited with one wake-up
+(the last member to resolve wakes the loop) and answered with one
+write, response lines in request order.  A burst therefore costs one
+task, one cross-thread wake-up and one ``write`` + ``drain`` — not one
+of each per request — and reaches the worker as one unit.
 
 Three ways to run it:
 
@@ -21,7 +29,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import threading
-from typing import Callable
+from concurrent.futures import Future
+from typing import Callable, Sequence
 
 from repro.service.protocol import (
     InvalidRequest,
@@ -32,6 +41,50 @@ from repro.service.protocol import (
     failure_to_wire,
 )
 from repro.service.service import EstimationService
+
+
+#: bytes asked of the socket per read, and the longest request line
+#: accepted: a peer that sends more than this without a newline is cut
+#: off (``StreamReader.readline``'s own default bound)
+_MAX_LINE_BYTES = 2**16
+
+
+def _failure(exc: Exception, request_id: object) -> dict:
+    """A typed failure as it is; anything else is a bug, which must not
+    kill the loop: it is answered as an internal error."""
+    if not isinstance(exc, ServiceError):
+        exc = ServiceError(f"internal error: {exc}")
+    return failure_to_wire(exc, request_id)
+
+
+async def _all_done(futures: "Sequence[Future]") -> None:
+    """Park until every future is resolved.  The worker threads count
+    the group down and only the last resolution crosses into the loop
+    (one ``call_soon_threadsafe``), however many members there are."""
+    if not futures:
+        return
+    loop = asyncio.get_running_loop()
+    waiter = loop.create_future()
+    lock = threading.Lock()
+    remaining = len(futures)
+
+    def wake() -> None:
+        if not waiter.done():  # the group's task may have been cancelled
+            waiter.set_result(None)
+
+    def one_done(_future: Future) -> None:
+        nonlocal remaining
+        with lock:
+            remaining -= 1
+            last = remaining == 0
+        if last:
+            # RuntimeError: the loop closed under a late answer
+            with contextlib.suppress(RuntimeError):
+                loop.call_soon_threadsafe(wake)
+
+    for future in futures:
+        future.add_done_callback(one_done)
+    await waiter
 
 
 class EstimationServer:
@@ -87,26 +140,37 @@ class EstimationServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Pipelined: every request line becomes a task, responses are
-        written as they complete (clients correlate on ``id``).  This is
-        what lets one connection's burst coalesce into one micro-batch."""
+        """Pipelined, a group at a time: the complete lines of one
+        socket read become one task (a partial last line is carried to
+        the next read), and the loop goes straight back to reading, so
+        groups on one connection overlap and are answered as each
+        completes (clients correlate on ``id``)."""
         write_lock = asyncio.Lock()
         inflight: set[asyncio.Task] = set()
 
-        async def respond(line: bytes) -> None:
-            response = await self._dispatch(line)
+        async def respond(lines: list[bytes]) -> None:
+            blob = await self._serve_group(lines)
             async with write_lock:
-                writer.write(encode_line(response))
+                writer.write(blob)
                 await writer.drain()
 
+        def spawn(lines: list[bytes]) -> None:
+            task = asyncio.create_task(respond(lines))
+            inflight.add(task)
+            task.add_done_callback(inflight.discard)
+
+        tail = b""
         try:
-            while True:
-                line = await reader.readline()
-                if not line:
+            while len(tail) <= _MAX_LINE_BYTES:
+                data = await reader.read(_MAX_LINE_BYTES)
+                if not data:
+                    if tail:
+                        # a last line the peer did not terminate
+                        spawn([tail])
                     break
-                task = asyncio.create_task(respond(line))
-                inflight.add(task)
-                task.add_done_callback(inflight.discard)
+                *lines, tail = (tail + data).split(b"\n")
+                if lines:
+                    spawn(lines)
             if inflight:
                 await asyncio.gather(*list(inflight), return_exceptions=True)
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
@@ -121,45 +185,83 @@ class EstimationServer:
             # would park this handler task past server shutdown (and a
             # cancelled handler trips asyncio.streams' done-callback)
 
-    async def _dispatch(self, line: bytes) -> dict:
-        request_id: object = None
-        try:
-            payload = decode_line(line)
-            request_id = payload.get("id")
-            op = payload.get("op", "estimate")
-            if op == "ping":
-                return {"id": request_id, "ok": True, "status": "ok", "pong": True}
-            if op == "stats":
-                return {
-                    "id": request_id,
-                    "ok": True,
-                    "status": "ok",
-                    "stats": self.service.stats_snapshot().to_dict(),
-                }
-            if op != "estimate":
-                extra = await self._dispatch_extra(op, payload, request_id)
-                if extra is not None:
-                    return extra
-                raise InvalidRequest(f"unknown op {op!r}")
-            query = self._decode_query(payload)
-            timeout_ms = payload.get("timeout_ms")
-            timeout = None if timeout_ms is None else float(timeout_ms) / 1000.0
-            future = self.service.submit(query, timeout=timeout)
-            result = await asyncio.wrap_future(future)
-            response = result.to_wire(request_id)
-            if self.shard is not None:
-                response["shard"] = self.shard
-            if payload.get("hedge"):
-                # a hedged duplicate: echo the flag so the winning
-                # answer is attributable (repro.cluster observability)
-                response["hedged"] = True
-            return response
-        except ServiceError as exc:
-            return failure_to_wire(exc, request_id)
-        except Exception as exc:  # defensive: a bug must not kill the loop
-            return failure_to_wire(
-                ServiceError(f"internal error: {exc}"), request_id
+    async def _serve_group(self, lines: Sequence[bytes]) -> bytes:
+        """One group of request lines to its response lines, in request
+        order.  Estimates are admitted together and awaited once;
+        everything else — ``ping``, ``stats``, subclass ops, a line that
+        does not decode — is answered in place."""
+        responses: "list[dict | None]" = []
+        estimates: list[tuple[int, dict]] = []  # (response slot, payload)
+        requests: list[tuple[object, float | None]] = []
+        for line in lines:
+            request_id: object = None
+            try:
+                payload = decode_line(line)
+                request_id = payload.get("id")
+                op = payload.get("op", "estimate")
+                if op == "estimate":
+                    query = self._decode_query(payload)
+                    timeout_ms = payload.get("timeout_ms")
+                    timeout = (
+                        None if timeout_ms is None else float(timeout_ms) / 1000.0
+                    )
+                    requests.append((query, timeout))
+                    estimates.append((len(responses), payload))
+                    response = None  # filled in once it is served
+                else:
+                    response = await self._answer_in_place(
+                        op, payload, request_id
+                    )
+            except Exception as exc:
+                response = _failure(exc, request_id)
+            responses.append(response)
+        if requests:
+            try:
+                outcomes = self.service.submit_many(requests)
+            except Exception as exc:  # a bug must not lose the group
+                outcomes = [exc] * len(requests)
+            await _all_done(
+                [outcome for outcome in outcomes if isinstance(outcome, Future)]
             )
+            for (slot, payload), outcome in zip(estimates, outcomes):
+                responses[slot] = self._estimate_response(payload, outcome)
+        return b"".join(map(encode_line, responses))
+
+    async def _answer_in_place(
+        self, op: str, payload: dict, request_id: object
+    ) -> dict:
+        if op == "ping":
+            return {"id": request_id, "ok": True, "status": "ok", "pong": True}
+        if op == "stats":
+            return {
+                "id": request_id,
+                "ok": True,
+                "status": "ok",
+                "stats": self.service.stats_snapshot().to_dict(),
+            }
+        extra = await self._dispatch_extra(op, payload, request_id)
+        if extra is None:
+            raise InvalidRequest(f"unknown op {op!r}")
+        return extra
+
+    def _estimate_response(
+        self, payload: dict, outcome: "Future | Exception"
+    ) -> dict:
+        """The response line of one admitted (or refused) estimate."""
+        request_id = payload.get("id")
+        try:
+            if not isinstance(outcome, Future):
+                raise outcome
+            response = outcome.result(timeout=0).to_wire(request_id)
+        except Exception as exc:
+            return _failure(exc, request_id)
+        if self.shard is not None:
+            response["shard"] = self.shard
+        if payload.get("hedge"):
+            # a hedged duplicate: echo the flag so the winning
+            # answer is attributable (repro.cluster observability)
+            response["hedged"] = True
+        return response
 
     @staticmethod
     def _decode_query(payload: dict):

@@ -7,10 +7,15 @@
   in front of a **worker-thread pool**; every worker owns one
   snapshot-pinned session, so the session single-owner contract holds by
   construction;
-* **micro-batching** — a worker coalesces up to ``max_batch`` queued
-  requests per tick.  Within a batch, requests with the *same* predicate
-  set are answered by one DP run (dedup), and requests that merely
-  *share decomposition factors* reuse the session's pool-pure
+* **micro-batching from the backlog** — a free worker takes whatever is
+  queued, up to ``max_batch``, the moment it is free and never waits on
+  a timer: a lone request is a batch of one, and under pipelining a
+  batch is everything that arrived while the previous one was being
+  served.  :meth:`~EstimationService.submit_many` admits a burst as one
+  unit (one lock, one wake-up), so a group stays together from the
+  socket to the session.  Within a batch, requests with the *same*
+  predicate set are answered by one DP run (dedup), and requests that
+  merely *share decomposition factors* reuse the session's pool-pure
   match/estimate caches, so a batch of similar queries costs far less
   than N isolated calls;
 * **admission control** — a full queue sheds immediately with the typed
@@ -39,6 +44,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace as _replace
+from typing import Iterable
 
 from repro.catalog.catalog import CatalogSnapshot, StatisticsCatalog
 from repro.catalog.session import EstimationSession
@@ -299,32 +305,74 @@ class EstimationService:
         load-shedding path — :class:`Overloaded` the moment the bounded
         queue is at depth.  Never blocks the caller on a full queue.
         """
+        (outcome,) = self.submit_many(((query, timeout),))
+        if isinstance(outcome, ServiceError):
+            raise outcome
+        return outcome
+
+    def submit_many(
+        self,
+        requests: "Iterable[tuple[Query | PredicateSet | str, float | None]]",
+    ) -> "list[Future[ServedEstimate] | ServiceError]":
+        """Admit a group of ``(query, timeout)`` requests as one unit.
+
+        Returns, per member and in order, its future — or the typed
+        failure :meth:`submit` would have raised for it
+        (:class:`InvalidRequest`, :class:`Overloaded`,
+        :class:`ServiceClosed`), so one bad member costs the others
+        nothing.  The admissible members enter the queue under one lock
+        with one worker wake-up; when the queue cannot hold them all,
+        the prefix that fits is admitted and the rest are shed.
+        """
         if self._closed.is_set() or self._draining.is_set():
-            raise ServiceClosed(f"{self.name} is shutting down")
-        predicates, tables = coerce_query(query, self.database.schema)
-        now = time.monotonic()
-        if timeout is None:
-            timeout = self.config.default_timeout_s
-        pending = _Pending(
-            predicates=predicates,
-            tables=tables,
-            future=Future(),
-            submitted_at=now,
-            deadline=None if timeout is None else now + timeout,
-        )
+            return [
+                ServiceClosed(f"{self.name} is shutting down")
+                for _ in requests
+            ]
+        schema = self.database.schema
+        default_timeout = self.config.default_timeout_s
+        outcomes: "list[Future | ServiceError]" = []
+        admissible: list[_Pending] = []
+        #: ``outcomes`` index of every admissible member
+        slots: list[int] = []
+        for query, timeout in requests:
+            try:
+                predicates, tables = coerce_query(query, schema)
+            except InvalidRequest as exc:
+                outcomes.append(exc)
+                continue
+            now = time.monotonic()
+            if timeout is None:
+                timeout = default_timeout
+            pending = _Pending(
+                predicates=predicates,
+                tables=tables,
+                future=Future(),
+                submitted_at=now,
+                deadline=None if timeout is None else now + timeout,
+            )
+            slots.append(len(outcomes))
+            admissible.append(pending)
+            outcomes.append(pending.future)
         try:
-            admitted = self._queue.offer(pending)
-        except RuntimeError as exc:
-            raise ServiceClosed(f"{self.name} is shutting down") from exc
-        if not admitted:
-            with self._metrics_lock:
-                self.metrics.counter("service.shed_overload").inc()
-            raise Overloaded(
+            admitted = self._queue.offer_many(admissible)
+        except RuntimeError:
+            for slot in slots:
+                outcomes[slot] = ServiceClosed(
+                    f"{self.name} is shutting down"
+                )
+            return outcomes
+        shed = len(admissible) - admitted
+        with self._metrics_lock:
+            if admitted:
+                self.metrics.counter("service.submitted").inc(admitted)
+            if shed:
+                self.metrics.counter("service.shed_overload").inc(shed)
+        for slot in slots[admitted:]:
+            outcomes[slot] = Overloaded(
                 f"queue at depth {self.config.queue_depth}; request shed"
             )
-        with self._metrics_lock:
-            self.metrics.counter("service.submitted").inc()
-        return pending.future
+        return outcomes
 
     def estimate(
         self,
@@ -357,9 +405,9 @@ class EstimationService:
             return
         config = self.config
         while True:
-            batch = self._queue.take_batch(
-                config.max_batch, config.batch_window_s
-            )
+            # whatever backed up while the last batch was being served
+            # (a lone request is a batch of one): no timer, see DESIGN §9
+            batch = self._queue.take_batch(config.max_batch)
             if not batch:
                 if self._queue.closed:
                     self._retire_session(session)
@@ -424,8 +472,11 @@ class EstimationService:
         thread = threading.Thread(
             target=run, name=f"{self.name}-advisor", daemon=True
         )
-        self._tuning_thread = thread
+        # start, then publish: ``close`` joins what it finds here, and a
+        # published-but-unstarted thread is neither alive nor joinable
+        # (a tick that ends first is published finished, which is fine)
         thread.start()
+        self._tuning_thread = thread
 
     def attach_staleness(self, tracker) -> None:
         """Join a :class:`repro.obs.StalenessTracker` (fed by the ingest

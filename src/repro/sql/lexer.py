@@ -5,11 +5,16 @@ exactly what those need: identifiers (optionally qualified), numeric
 literals, comparison operators, parentheses, commas, ``*`` and the
 keyword set of SELECT/FROM/WHERE/AND/BETWEEN/AS.  Errors carry the
 offending position for readable messages.
+
+One compiled scanner does the work (SQL parsing runs on the server's
+event-loop thread, where it is the largest single cost of a request).
+``tests/sql/test_lexer_parity.py`` holds the character-at-a-time loop it
+replaced and checks the two agree token for token and error for error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
 
 
@@ -30,18 +35,45 @@ KEYWORDS = frozenset(
     ("select", "from", "where", "and", "between", "as", "on", "statistics", "create")
 )
 
-OPERATOR_CHARS = frozenset("=<>!")
+OPERATORS = frozenset(("=", "<", "<=", ">", ">=", "<>", "!="))
+
+_PUNCTUATION = {
+    ",": TokenType.COMMA,
+    ".": TokenType.DOT,
+    "*": TokenType.STAR,
+    "(": TokenType.LPAREN,
+    ")": TokenType.RPAREN,
+}
 
 
-@dataclass(frozen=True)
 class Token:
-    type: TokenType
-    text: str
-    position: int
+    """One lexeme: its type, its source text and where it starts."""
+
+    __slots__ = ("type", "text", "position")
+
+    def __init__(self, type: TokenType, text: str, position: int):
+        self.type = type
+        self.text = text
+        self.position = position
 
     @property
     def lowered(self) -> str:
         return self.text.lower()
+
+    def _key(self) -> tuple:
+        return (self.type, self.text, self.position)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Token) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Token(type={self.type!r}, text={self.text!r}, "
+            f"position={self.position!r})"
+        )
 
     def __str__(self) -> str:
         return f"{self.text!r}@{self.position}"
@@ -56,80 +88,71 @@ class SQLSyntaxError(ValueError):
         self.position = position
 
 
+#: numeric characters that are neither letters nor decimal digits (``½``,
+#: ``Ⅷ``) may continue an identifier but not start one; :func:`_folded`
+#: maps them all to this one so the scanner can say so
+_NUMERIC = "\u00bd"
+
+#: one token per match, leading whitespace skipped; the group that
+#: matched (``lastindex``) says which kind.  A number is digits, at most
+#: one ``.`` and at most one exponent marker (``e`` and a sign or digit),
+#: in that order — whether the result is a number is ``float``'s call.
+_SCANNER = re.compile(
+    r"\s*(?:"
+    rf"([^\W\d{_NUMERIC}]\w*)"  # 1: identifier or keyword
+    r"|([+-]?\d+(?:\.\d*)?(?:[eE][+\-\d]\d*)?)"  # 2: number
+    r"|([=<>!]+)"  # 3: operator
+    r"|([,.*()])"  # 4: punctuation
+    r"|(\S)"  # 5: nothing the grammar has
+    r"|\Z)"
+)
+
+
+def _folded(source: str) -> str:
+    """``source`` with every digit ``re`` does not call one (``²``:
+    ``str.isdigit`` but not decimal) as ``0`` and every other non-letter
+    numeric as :data:`_NUMERIC`, character for character — after which
+    ``\\d`` and ``\\w`` draw the lines ``str.isdigit``, ``str.isalpha`` and
+    ``str.isalnum`` draw.  Only non-ASCII sources need it."""
+    return "".join(
+        char
+        if char.isalpha() or char.isdecimal() or not char.isnumeric()
+        else ("0" if char.isdigit() else _NUMERIC)
+        for char in source
+    )
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize ``source``; always ends with an END token."""
     tokens: list[Token] = []
-    index = 0
-    length = len(source)
-    while index < length:
-        char = source[index]
-        if char.isspace():
-            index += 1
-            continue
-        if char == ",":
-            tokens.append(Token(TokenType.COMMA, char, index))
-            index += 1
-        elif char == ".":
-            tokens.append(Token(TokenType.DOT, char, index))
-            index += 1
-        elif char == "*":
-            tokens.append(Token(TokenType.STAR, char, index))
-            index += 1
-        elif char == "(":
-            tokens.append(Token(TokenType.LPAREN, char, index))
-            index += 1
-        elif char == ")":
-            tokens.append(Token(TokenType.RPAREN, char, index))
-            index += 1
-        elif char in OPERATOR_CHARS:
-            stop = index + 1
-            while stop < length and source[stop] in OPERATOR_CHARS:
-                stop += 1
-            text = source[index:stop]
-            if text not in ("=", "<", "<=", ">", ">=", "<>", "!="):
-                raise SQLSyntaxError(f"unknown operator {text!r}", index, source)
-            tokens.append(Token(TokenType.OPERATOR, text, index))
-            index = stop
-        elif char.isdigit() or (
-            char in "+-" and index + 1 < length and source[index + 1].isdigit()
-        ):
-            stop = index + 1
-            seen_dot = False
-            seen_exponent = False
-            while stop < length:
-                nxt = source[stop]
-                if nxt.isdigit():
-                    stop += 1
-                elif nxt == "." and not seen_dot and not seen_exponent:
-                    seen_dot = True
-                    stop += 1
-                elif nxt in "eE" and not seen_exponent and stop + 1 < length:
-                    follow = source[stop + 1]
-                    if follow.isdigit() or follow in "+-":
-                        seen_exponent = True
-                        stop += 2
-                    else:
-                        break
-                else:
-                    break
-            text = source[index:stop]
-            try:
-                float(text)
-            except ValueError:
-                raise SQLSyntaxError(f"bad numeric literal {text!r}", index, source)
-            tokens.append(Token(TokenType.NUMBER, text, index))
-            index = stop
-        elif char.isalpha() or char == "_":
-            stop = index + 1
-            while stop < length and (source[stop].isalnum() or source[stop] == "_"):
-                stop += 1
-            text = source[index:stop]
+    append = tokens.append
+    folded = not source.isascii()
+    for match in _SCANNER.finditer(_folded(source) if folded else source):
+        kind = match.lastindex
+        if kind is None:  # the end of the source
+            break
+        start = match.start(kind)
+        text = match[kind]
+        if folded:
+            text = source[start : start + len(text)]
+        if kind == 1:
             token_type = (
                 TokenType.KEYWORD if text.lower() in KEYWORDS else TokenType.IDENTIFIER
             )
-            tokens.append(Token(token_type, text, index))
-            index = stop
+            append(Token(token_type, text, start))
+        elif kind == 2:
+            try:
+                float(text)
+            except ValueError:
+                raise SQLSyntaxError(f"bad numeric literal {text!r}", start, source)
+            append(Token(TokenType.NUMBER, text, start))
+        elif kind == 3:
+            if text not in OPERATORS:
+                raise SQLSyntaxError(f"unknown operator {text!r}", start, source)
+            append(Token(TokenType.OPERATOR, text, start))
+        elif kind == 4:
+            append(Token(_PUNCTUATION[text], text, start))
         else:
-            raise SQLSyntaxError(f"unexpected character {char!r}", index, source)
-    tokens.append(Token(TokenType.END, "", length))
+            raise SQLSyntaxError(f"unexpected character {text!r}", start, source)
+    append(Token(TokenType.END, "", len(source)))
     return tokens

@@ -33,7 +33,7 @@ def free_port() -> int:
 
 @pytest.fixture()
 def config() -> ServiceConfig:
-    return ServiceConfig(workers=1, batch_window_s=0.005)
+    return ServiceConfig(workers=1)
 
 
 class TestTransparentReconnect:

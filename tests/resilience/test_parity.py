@@ -49,7 +49,7 @@ class TestZeroFaultBitIdentity:
         assert under_plan.excluded_sits == ()
 
     def test_service_estimates_are_bit_identical(self, catalog):
-        config = ServiceConfig(workers=1, batch_window_s=0.005)
+        config = ServiceConfig(workers=1)
         with EstimationService(catalog, config=config) as service:
             baseline = service.estimate(SQL, timeout=None)
             with armed(zero_fault_plan()):

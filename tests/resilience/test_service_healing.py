@@ -37,7 +37,6 @@ def config() -> ServiceConfig:
     return ServiceConfig(
         workers=1,
         queue_depth=64,
-        batch_window_s=0.01,
         healing=HealingConfig(
             breaker_threshold=2,
             breaker_window_s=30.0,
@@ -65,7 +64,6 @@ class TestWorkerResurrection:
     def test_requeue_budget_bounds_a_crash_loop(self, catalog):
         config = ServiceConfig(
             workers=1,
-            batch_window_s=0.005,
             healing=HealingConfig(
                 requeue_limit=1,
                 breaker_threshold=100,  # keep the breaker out of this test
@@ -81,7 +79,6 @@ class TestWorkerResurrection:
     def test_restart_budget_bounds_resurrections(self, catalog):
         config = ServiceConfig(
             workers=1,
-            batch_window_s=0.005,
             healing=HealingConfig(
                 requeue_limit=0,
                 breaker_threshold=100,
@@ -166,7 +163,7 @@ class TestFaultPathLeaks:
     def test_hot_swap_releases_retired_sessions(self, catalog):
         """The hot-swap leak regression: a retired session (and through
         it the pinned pool) must be garbage, not accumulate forever."""
-        config = ServiceConfig(workers=1, batch_window_s=0.005)
+        config = ServiceConfig(workers=1)
         service = EstimationService(catalog, config=config)
         try:
             service.estimate(SQL, timeout=None)
@@ -191,6 +188,9 @@ class TestFaultPathLeaks:
                 wait_until(lambda: len(service._sessions) == 1)
                 doomed_ref = weakref.ref(service._sessions[0])
                 service.estimate(SQL, timeout=None)
+                # the respawned worker can answer before the crashed
+                # thread has unwound the frame that still names its session
+                wait_until(lambda: doomed_ref() is None or gc.collect() is None)
                 gc.collect()
                 assert doomed_ref() is None, "crashed session leaked"
             finally:
@@ -199,9 +199,7 @@ class TestFaultPathLeaks:
     def test_queue_depth_returns_to_zero_after_shed_storm(self, catalog):
         from repro.service import Overloaded
 
-        config = ServiceConfig(
-            workers=1, queue_depth=2, batch_window_s=0.005
-        )
+        config = ServiceConfig(workers=1, queue_depth=2)
         service = EstimationService(catalog, config=config)
         try:
             shed = 0
@@ -224,7 +222,6 @@ class TestFaultPathLeaks:
     def test_close_drain_flushes_everything_after_faults(self, catalog):
         config = ServiceConfig(
             workers=2,
-            batch_window_s=0.005,
             healing=HealingConfig(requeue_limit=1, max_worker_restarts=4),
         )
         with armed(crash_plan(max_fires=2, probability=1.0)):
@@ -252,7 +249,7 @@ class TestDegradationOverTheService:
             ],
             seed=0,
         )
-        config = ServiceConfig(workers=1, batch_window_s=0.005)
+        config = ServiceConfig(workers=1)
         with armed(plan):
             with EstimationService(catalog, config=config) as service:
                 answer = service.estimate(SQL, timeout=None)

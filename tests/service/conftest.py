@@ -3,9 +3,11 @@ database plus a family of factor-sharing queries."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from repro.catalog import StatisticsCatalog
+from repro.catalog import EstimationSession, StatisticsCatalog
 from repro.core.predicates import FilterPredicate
 from repro.engine.expressions import Query
 from repro.stats.builder import SITBuilder
@@ -37,3 +39,36 @@ def factor_sharing_queries(two_table_attrs, two_table_join) -> list[Query]:
         Query.of(two_table_join, FilterPredicate(attribute, low, low + 25.0))
         for low in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
     ]
+
+
+class SessionGate:
+    """Holds every worker that reaches its session until :meth:`open`."""
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self._opened = threading.Event()
+
+    def wait_entered(self, timeout: float = 10.0) -> None:
+        """Block until a worker is inside a batch (and so not dequeuing)."""
+        assert self.entered.wait(timeout), "no worker reached its session"
+
+    def open(self) -> None:
+        self._opened.set()
+
+
+@pytest.fixture()
+def session_gate(monkeypatch) -> SessionGate:
+    """Workers block at ``EstimationSession.estimate_batch`` — the one
+    call a service worker makes into its session — until the test opens
+    the gate: a held batch without a sleep."""
+    gate = SessionGate()
+    real_estimate_batch = EstimationSession.estimate_batch
+
+    def gated(self, predicate_sets):
+        gate.entered.set()
+        gate._opened.wait(timeout=30.0)
+        return real_estimate_batch(self, predicate_sets)
+
+    monkeypatch.setattr(EstimationSession, "estimate_batch", gated)
+    yield gate
+    gate.open()

@@ -3,6 +3,9 @@ synchronous tuning, and the no-advisor default."""
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.advisor import AdvisorConfig, SelfTuningAdvisor
@@ -12,7 +15,6 @@ from repro.service import EstimationService, ServiceConfig
 TUNED = ServiceConfig(
     workers=1,
     queue_depth=64,
-    batch_window_s=0.001,
     advisor=AdvisorConfig(min_feedback=4, min_interval_s=3600.0),
 )
 
@@ -101,11 +103,40 @@ class TestServiceIntegration:
 
             monkeypatch.setattr(advisor, "tick", broken_tick)
             service.estimate(join_query)  # a served batch kicks a tick
-            service._tuning_thread.join(timeout=5.0)
-            assert not service._tuning_thread.is_alive()
+            # the answer does not wait for the tick (nor for the worker
+            # to publish its thread): wait on what the tick leaves
+            def failed_ticks() -> float:
+                snapshot = service.metrics_registry().snapshot()
+                return snapshot.get("advisor", {}).get("failed_ticks", 0.0)
+
+            deadline = time.monotonic() + 5.0
+            while failed_ticks() < 1.0 and time.monotonic() < deadline:
+                time.sleep(0.001)
             assert service.estimate(join_query).selectivity >= 0.0
-            snapshot = service.metrics_registry().snapshot()
-            assert snapshot["advisor"]["failed_ticks"] >= 1.0
+            assert failed_ticks() >= 1.0
+
+    def test_close_right_after_an_answer_joins_the_tick(
+        self, service_catalog, join_query, monkeypatch
+    ):
+        """``close`` returns only once a tick kicked by the last batch
+        has finished — also when it is called the instant the answer
+        arrives, while the worker is still starting the tick thread."""
+        for _ in range(10):
+            service = EstimationService(service_catalog, config=TUNED)
+            started, finished = threading.Event(), threading.Event()
+
+            def slow_tick():
+                started.set()
+                time.sleep(0.02)
+                finished.set()
+
+            monkeypatch.setattr(service.advisor, "ready", lambda: True)
+            monkeypatch.setattr(service.advisor, "tick", slow_tick)
+            service.estimate(join_query)
+            assert service.close() is True
+            assert finished.is_set() or not started.is_set()
+            tick_thread = service._tuning_thread
+            assert tick_thread is None or not tick_thread.is_alive()
 
     def test_clean_close_with_advisor(self, service_catalog, join_query):
         service = EstimationService(service_catalog, config=TUNED)

@@ -18,7 +18,6 @@ class TestServiceValidation:
             ("workers", 0),
             ("queue_depth", 0),
             ("max_batch", 0),
-            ("batch_window_s", -0.001),
             ("default_timeout_s", 0.0),
             ("drain_timeout_s", -1.0),
             ("host", ""),
@@ -30,11 +29,24 @@ class TestServiceValidation:
         with pytest.raises(ValueError, match=field):
             ServiceConfig(**{field: value})
 
-    def test_zero_batch_window_is_legal(self):
-        # 0 disables coalescing; the old validator wrongly conflated it
-        # with the negative case
-        assert ServiceConfig(batch_window_s=0.0).batch_window_s == 0.0
+    def test_zero_drain_timeout_is_legal(self):
         assert ServiceConfig(drain_timeout_s=0.0).drain_timeout_s == 0.0
+
+    def test_batch_window_is_a_read_only_zero(self, capsys):
+        """No timer on the request path, so no knob for one: the name
+        stays readable (measurement code subtracts it as timer idle
+        time) and says 0.0; every way of setting it is an error."""
+        from repro.__main__ import main
+
+        assert ServiceConfig().batch_window_s == 0.0
+        with pytest.raises(TypeError, match="batch_window_s"):
+            ServiceConfig(batch_window_s=0.002)
+        with pytest.raises(ValueError, match="batch_window_s"):
+            ServiceConfig.from_dict({"batch_window_s": 0.002})
+        assert "batch_window_s" not in ServiceConfig().to_dict()
+        with pytest.raises(SystemExit):
+            main(["serve", "--batch-window-ms", "2"])
+        assert "--batch-window-ms" in capsys.readouterr().err
 
     def test_nested_layers_are_type_checked(self):
         with pytest.raises(TypeError, match="healing"):
@@ -98,7 +110,6 @@ class TestRoundTrip:
     def test_full_cluster_deployment_fits_in_one_json_file(self):
         config = ServiceConfig(
             workers=4,
-            batch_window_s=0.0,
             healing=HealingConfig(breaker_threshold=5, requeue_limit=0),
             cluster=ClusterConfig(
                 shards=4, replicas=2, hedge_delay_s=0.25, ring_points=128

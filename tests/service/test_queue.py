@@ -1,4 +1,5 @@
-"""AdmissionQueue: shed-on-full, coalescing batch pops, close semantics."""
+"""AdmissionQueue: shed-on-full, group admission, batch pops (with and
+without the linger), close semantics."""
 
 from __future__ import annotations
 
@@ -28,7 +29,72 @@ class TestAdmission:
             queue.offer(1)
 
 
+class TestGroupAdmission:
+    def test_whole_group_is_admitted_in_order(self):
+        queue: AdmissionQueue[int] = AdmissionQueue(8)
+        assert queue.offer_many([1, 2, 3]) == 3
+        assert queue.take_batch(max_batch=8) == [1, 2, 3]
+
+    def test_prefix_is_admitted_at_depth_and_nothing_beyond(self):
+        queue: AdmissionQueue[int] = AdmissionQueue(4)
+        queue.offer(0)
+        assert queue.offer_many([1, 2, 3, 4, 5]) == 3
+        assert len(queue) == 4
+        assert queue.offer_many([6, 7]) == 0  # full: the whole group is shed
+        assert queue.offer_many([]) == 0
+        assert queue.take_batch(max_batch=8) == [0, 1, 2, 3]
+
+    def test_closed_queue_raises_and_admits_nothing(self):
+        queue: AdmissionQueue[int] = AdmissionQueue(4)
+        queue.close()
+        with pytest.raises(RuntimeError):
+            queue.offer_many([1, 2])
+        assert len(queue) == 0
+
+    def test_a_group_is_one_wake_up(self, monkeypatch):
+        queue: AdmissionQueue[int] = AdmissionQueue(8)
+        wakes: list[int] = []
+        real_notify = queue._not_empty.notify
+        monkeypatch.setattr(
+            queue._not_empty,
+            "notify",
+            lambda n=1: (wakes.append(n), real_notify(n))[1],
+        )
+        queue.offer_many([1, 2, 3, 4, 5])
+        assert wakes == [1]
+        queue.offer_many([])  # nothing admitted, nobody woken
+        assert wakes == [1]
+
+    def test_consumer_that_leaves_items_behind_wakes_the_next(self):
+        """One wake-up per group is enough for any number of consumers:
+        whoever cannot take it all passes the wake-up on."""
+        queue: AdmissionQueue[int] = AdmissionQueue(8)
+        taken: list[list[int]] = []
+        lock = threading.Lock()
+
+        def consumer():
+            batch = queue.take_batch(max_batch=2, poll_s=30.0)
+            with lock:
+                taken.append(batch)
+
+        consumers = [threading.Thread(target=consumer) for _ in range(3)]
+        for thread in consumers:
+            thread.start()
+        queue.offer_many([1, 2, 3, 4, 5, 6])
+        for thread in consumers:
+            thread.join(timeout=5.0)  # far below poll_s: woken, not polled
+            assert not thread.is_alive()
+        assert sorted(taken) == [[1, 2], [3, 4], [5, 6]]
+
+
 class TestTakeBatch:
+    def test_no_window_takes_what_is_there_without_waiting(self):
+        queue: AdmissionQueue[int] = AdmissionQueue(16)
+        queue.offer(0)
+        started = time.monotonic()
+        assert queue.take_batch(max_batch=8) == [0]
+        assert time.monotonic() - started < 0.5
+
     def test_batch_respects_max_batch(self):
         queue: AdmissionQueue[int] = AdmissionQueue(16)
         for i in range(10):

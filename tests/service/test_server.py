@@ -1,9 +1,12 @@
 """The JSON-lines TCP front-end: round trips, typed failures over the
-wire, pipelining, stats."""
+wire, pipelining, group handling of the wire, stats."""
 
 from __future__ import annotations
 
 import socket
+import sys
+import threading
+import time
 
 import pytest
 
@@ -24,7 +27,7 @@ SQL = "SELECT * FROM R, S WHERE R.x = S.y AND R.a BETWEEN 10 AND 40"
 def server(service_catalog):
     service = EstimationService(
         service_catalog,
-        config=ServiceConfig(workers=1, queue_depth=64, batch_window_s=0.05),
+        config=ServiceConfig(workers=1, queue_depth=64),
     )
     handle = start_in_thread(service, port=0)  # ephemeral port
     try:
@@ -124,6 +127,160 @@ class TestPipelining:
         )
 
 
+class TestGroups:
+    """What one socket read delivers is decoded, admitted, awaited and
+    answered as one unit."""
+
+    @staticmethod
+    def exchange(sock, reader, payloads) -> list[dict]:
+        sock.sendall(b"".join(encode_line(payload) for payload in payloads))
+        return [decode_line(reader.readline()) for _ in payloads]
+
+    def test_one_sendall_is_one_batch_answered_in_request_order(self, server):
+        host, port = server.address
+        n = 8
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            reader = sock.makefile("rb")
+            self.exchange(sock, reader, [{"id": "warm", "sql": SQL}])
+            before = server.service.stats_snapshot().service["batches"]
+            responses = self.exchange(
+                sock,
+                reader,
+                [{"id": str(index), "sql": SQL} for index in range(n)],
+            )
+        after = server.service.stats_snapshot().service["batches"]
+        assert [response["id"] for response in responses] == [
+            str(index) for index in range(n)
+        ]
+        assert all(response["batch_size"] == n for response in responses)
+        assert after - before == 1.0
+
+    def test_line_split_across_segments_is_reassembled(self, server, client):
+        host, port = server.address
+        line = encode_line({"id": "split", "sql": SQL})
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(encode_line({"id": "whole", "op": "ping"}) + line[:25])
+            assert decode_line(reader.readline())["id"] == "whole"
+            # the loop has been round since: the first part was read alone
+            assert client.ping() is True
+            sock.sendall(line[25:])
+            response = decode_line(reader.readline())
+        assert response["id"] == "split"
+        assert response["ok"] is True
+
+    def test_unterminated_last_line_is_answered_at_eof(self, server):
+        host, port = server.address
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(
+                encode_line({"id": "1", "op": "ping"})
+                + encode_line({"id": "2", "sql": SQL}).rstrip(b"\n")
+            )
+            sock.shutdown(socket.SHUT_WR)
+            responses = [decode_line(line) for line in reader.readlines()]
+        assert [response["id"] for response in responses] == ["1", "2"]
+        assert responses[1]["ok"] is True
+
+    def test_every_member_is_answered_under_its_own_id_and_status(
+        self, service_catalog, session_gate
+    ):
+        """A malformed line, a ping, an unknown op and a shed estimate
+        ride in one group with two estimates that are served."""
+        service = EstimationService(
+            service_catalog, config=ServiceConfig(workers=1, queue_depth=2)
+        )
+        with start_in_thread(service, port=0) as handle, (
+            socket.create_connection(handle.address, timeout=30.0)
+        ) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(encode_line({"id": "held", "sql": SQL}))
+            session_gate.wait_entered()  # the worker is busy: depth 2 left
+            sock.sendall(
+                encode_line({"id": "a", "sql": SQL})
+                + b"this is not json\n"
+                + encode_line({"id": "p", "op": "ping"})
+                + encode_line({"id": "b", "sql": SQL})
+                + encode_line({"id": "c", "sql": SQL})
+                + encode_line({"id": "t", "op": "teleport"})
+            )
+            deadline = time.monotonic() + 10.0
+            while service.queue_depth < 2:  # the group has been admitted
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            session_gate.open()
+            responses = [decode_line(reader.readline()) for _ in range(7)]
+        assert [
+            (response.get("id"), response["status"]) for response in responses
+        ] == [
+            ("held", "ok"),
+            ("a", "ok"),
+            (None, "invalid"),
+            ("p", "ok"),
+            ("b", "ok"),
+            ("c", "overloaded"),
+            ("t", "invalid"),
+        ]
+        assert responses[3]["pong"] is True
+        assert responses[1]["batch_size"] == responses[4]["batch_size"] == 2
+
+
+    def test_groups_race_on_three_workers_and_lose_no_answer(
+        self, service_catalog
+    ):
+        """Members of one group resolve on different worker threads, which
+        count the group down together: under a shortened switch interval
+        and more threads than cores, every group is still woken (exactly
+        once — a lost count would leave its connection waiting) and
+        answered whole and in order."""
+        connections, rounds, size = 4, 15, 8
+        service = EstimationService(
+            service_catalog,
+            # batches of 2 spread every group of 8 over all the workers
+            config=ServiceConfig(workers=3, queue_depth=256, max_batch=2),
+        )
+        answered: dict[int, list[list[dict]]] = {}
+
+        def pipeline(index: int, address) -> None:
+            with socket.create_connection(address, timeout=60.0) as sock:
+                reader = sock.makefile("rb")
+                answered[index] = [
+                    self.exchange(
+                        sock,
+                        reader,
+                        [
+                            {"id": f"{index}.{turn}.{member}", "sql": SQL}
+                            for member in range(size)
+                        ],
+                    )
+                    for turn in range(rounds)
+                ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with start_in_thread(service, port=0) as handle:
+                threads = [
+                    threading.Thread(target=pipeline, args=(i, handle.address))
+                    for i in range(connections)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                    assert not thread.is_alive()
+                served = service.stats_snapshot().service["served"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert served == float(connections * rounds * size)
+        for index in range(connections):
+            for turn, responses in enumerate(answered[index]):
+                assert [response["id"] for response in responses] == [
+                    f"{index}.{turn}.{member}" for member in range(size)
+                ]
+                assert all(response["ok"] for response in responses)
+
+
 class TestBackgroundHandle:
     def test_close_right_after_start_up_returns_promptly(
         self, service_catalog
@@ -131,8 +288,6 @@ class TestBackgroundHandle:
         """A close that races the end of start-up used to have its stop
         swallowed and wait out the 30 s thread join (about one run in
         two with a connect/close in between)."""
-        import time
-
         for _ in range(40):
             handle = start_in_thread(
                 EstimationService(

@@ -3,12 +3,10 @@ a mid-load snapshot swap), admission control, deadlines and lifecycle."""
 
 from __future__ import annotations
 
-import threading
 import time
 
 import pytest
 
-from repro.catalog import EstimationSession
 from repro.estimators import SITEstimator
 from repro.engine.expressions import Query
 from repro.service import (
@@ -22,7 +20,7 @@ from repro.service.protocol import (
     ServiceClosed,
 )
 
-FAST = ServiceConfig(workers=1, queue_depth=64, batch_window_s=0.001)
+FAST = ServiceConfig(workers=1, queue_depth=64)
 
 
 def direct_answer(database, snapshot, query: Query):
@@ -99,38 +97,25 @@ class TestParity:
 
 class TestAdmissionControl:
     def test_overload_sheds_with_typed_response(
-        self, service_catalog, join_query, monkeypatch
+        self, service_catalog, join_query, session_gate
     ):
         """A full queue answers Overloaded immediately — no blocking, no
         hang — and everything admitted is still served."""
-        gate = threading.Event()
-        real_estimate = EstimationSession.estimate
-
-        def gated(self, query):
-            gate.wait(timeout=30.0)
-            return real_estimate(self, query)
-
-        monkeypatch.setattr(EstimationSession, "estimate", gated)
-        config = ServiceConfig(
-            workers=1, queue_depth=1, batch_window_s=0.0, max_batch=1
-        )
+        config = ServiceConfig(workers=1, queue_depth=1, max_batch=1)
         service = EstimationService(service_catalog, config=config)
         try:
             stalled = service.submit(join_query)
-            deadline = time.monotonic() + 10.0
-            while service.queue_depth > 0:  # worker picked the request up
-                assert time.monotonic() < deadline
-                time.sleep(0.001)
+            session_gate.wait_entered()  # the worker picked the request up
             queued = service.submit(join_query)  # fills the depth-1 queue
             with pytest.raises(Overloaded):
                 service.submit(join_query)
             stats = service.stats_snapshot().service
             assert stats["shed_overload"] == 1.0
-            gate.set()
+            session_gate.open()
             assert stalled.result(timeout=30.0).selectivity > 0.0
             assert queued.result(timeout=30.0).selectivity > 0.0
         finally:
-            gate.set()
+            session_gate.open()
             service.close()
 
     def test_expired_deadline_is_shed_at_dequeue(
@@ -177,30 +162,17 @@ class TestLifecycle:
         assert service.close() is True  # idempotent
 
     def test_hard_close_flushes_backlog_typed(
-        self, service_catalog, join_query, monkeypatch
+        self, service_catalog, join_query, session_gate
     ):
-        gate = threading.Event()
-        real_estimate = EstimationSession.estimate
-
-        def gated(self, query):
-            gate.wait(timeout=30.0)
-            return real_estimate(self, query)
-
-        monkeypatch.setattr(EstimationSession, "estimate", gated)
-        config = ServiceConfig(
-            workers=1, queue_depth=8, batch_window_s=0.0, max_batch=1
-        )
+        config = ServiceConfig(workers=1, queue_depth=8, max_batch=1)
         service = EstimationService(service_catalog, config=config)
         stalled = service.submit(join_query)
-        deadline = time.monotonic() + 10.0
-        while service.queue_depth > 0:
-            assert time.monotonic() < deadline
-            time.sleep(0.001)
+        session_gate.wait_entered()
         backlogged = service.submit(join_query)
         service.close(drain=False, timeout=0.2)
         with pytest.raises(ServiceClosed):
             backlogged.result(timeout=5.0)
-        gate.set()
+        session_gate.open()
         stalled.result(timeout=30.0)  # in-flight work still completes
 
 
@@ -227,32 +199,19 @@ class TestObservability:
         assert snapshot.to_dict()["service"] == stats
 
     def test_queue_depth_gauge_tracks_backlog(
-        self, service_catalog, join_query, monkeypatch
+        self, service_catalog, join_query, session_gate
     ):
-        gate = threading.Event()
-        real_estimate = EstimationSession.estimate
-
-        def gated(self, query):
-            gate.wait(timeout=30.0)
-            return real_estimate(self, query)
-
-        monkeypatch.setattr(EstimationSession, "estimate", gated)
-        config = ServiceConfig(
-            workers=1, queue_depth=8, batch_window_s=0.0, max_batch=1
-        )
+        config = ServiceConfig(workers=1, queue_depth=8, max_batch=1)
         service = EstimationService(service_catalog, config=config)
         try:
             first = service.submit(join_query)
-            deadline = time.monotonic() + 10.0
-            while service.queue_depth > 0:
-                assert time.monotonic() < deadline
-                time.sleep(0.001)
+            session_gate.wait_entered()
             backlog = [service.submit(join_query) for _ in range(3)]
             stats = service.stats_snapshot().service
             assert stats["queue_depth"] == 3.0
-            gate.set()
+            session_gate.open()
             for future in [first, *backlog]:
                 future.result(timeout=30.0)
         finally:
-            gate.set()
+            session_gate.open()
             service.close()
