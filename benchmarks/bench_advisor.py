@@ -1,28 +1,29 @@
-"""SIT-selection ablation: advisor-chosen pools versus arbitrary pools.
+"""SIT-selection ablation: ranker-chosen pools versus arbitrary pools.
 
-The paper shows 1-2-join SITs deliver most of the accuracy; the advisor
-(``repro.stats.advisor``) turns that finding into a selection policy:
-rank candidates by ``diff_H x applicability / cost``.  This ablation
-compares, at equal SIT budgets, the advisor's pool against a pool of the
-same size chosen arbitrarily (first-come) and against the full ``J_2``
-pool, measured by GS-Diff accuracy on the 3-way join workload.
+The paper shows 1-2-join SITs deliver most of the accuracy; static
+selection — the catalog's budgeted refresh, in the order of
+``repro.stats.pool.rank_sits`` (``diff_H`` x applicability / cost) —
+turns that finding into a policy.  This ablation compares, at equal SIT
+budgets, the selected pool against a pool of the same size chosen
+arbitrarily (first-come) and against the full ``J_2`` pool, measured by
+GS-Diff accuracy on the 3-way join workload.
 """
 
 from repro.bench.reporting import render_table
+from repro.catalog import RefreshPolicy, StatisticsCatalog
 from repro.estimators import make_gs_diff
-from repro.stats.advisor import AdvisorConfig, SITAdvisor
-from repro.stats.builder import SITBuilder
-from repro.stats.pool import SITPool, build_workload_pool
+from repro.stats.pool import SITPool
 
 BUDGETS = (4, 8, 16)
+#: below this a SIT gives no benefit over the base histogram (Example 4)
+MIN_DIFF = 0.01
 
 
 def test_advisor_ablation(benchmark, database, harness, workloads, write_result):
     queries = workloads[3][:6]
 
     def run():
-        builder = SITBuilder(database)
-        full_pool = build_workload_pool(builder, queries, max_joins=2)
+        full_pool = StatisticsCatalog.build(database, queries, 2).pool
         base_sits = [sit for sit in full_pool if sit.is_base]
         conditioned = [sit for sit in full_pool if not sit.is_base]
 
@@ -38,8 +39,11 @@ def test_advisor_ablation(benchmark, database, harness, workloads, write_result)
 
         rows = [("base only (J0)", len(base_sits), evaluate(SITPool(list(base_sits))))]
         for budget in BUDGETS:
-            advisor = SITAdvisor(builder, AdvisorConfig(max_sits=budget, max_joins=2))
-            advisor_pool = advisor.build_pool(queries)
+            catalog = StatisticsCatalog.from_pool(full_pool, database)
+            catalog.refresh(
+                RefreshPolicy(max_sits=budget, min_diff=MIN_DIFF), queries
+            )
+            advisor_pool = catalog.pool
             arbitrary = SITPool(
                 list(base_sits) + sorted(conditioned, key=str)[:budget]
             )

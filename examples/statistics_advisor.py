@@ -1,19 +1,20 @@
-"""Choosing which SITs to build: the workload-driven advisor.
+"""Choosing which SITs to keep: static selection through the catalog.
 
 The paper assumes a pool of SITs exists; this example shows the companion
 decision — given a workload and a budget, which statistics on query
-expressions are worth materializing?  The advisor ranks candidates by
-``diff_H x applicability / cost`` and the example verifies the chosen few
-capture most of the full pool's accuracy.
+expressions are worth materializing?  The catalog builds the ``J_2``
+candidates and a budgeted refresh keeps the best of them in the order of
+the one ranker (``repro.stats.pool.rank_sits``: ``diff_H`` x
+applicability / cost); the example verifies the chosen few capture most
+of the full pool's accuracy.
 
 Run:  python examples/statistics_advisor.py
 """
 
 from repro.bench.harness import Harness
+from repro.catalog import RefreshPolicy, StatisticsCatalog
 from repro.estimators import make_gs_diff
-from repro.stats.advisor import AdvisorConfig, SITAdvisor
-from repro.stats.builder import SITBuilder
-from repro.stats.pool import build_workload_pool
+from repro.stats.pool import rank_sits
 from repro.workload.queries import WorkloadConfig, WorkloadGenerator
 from repro.workload.snowflake import SnowflakeConfig, generate_snowflake
 
@@ -24,14 +25,15 @@ def main() -> None:
         db, WorkloadConfig(join_count=3, filter_count=3, seed=2)
     )
     queries = generator.generate(6)
-    builder = SITBuilder(db)
     harness = Harness(db)
 
-    advisor = SITAdvisor(builder, AdvisorConfig(max_sits=8, max_joins=2))
-    recommendations = advisor.recommend(queries)
-    print("top recommended SITs for the workload:")
-    for recommendation in recommendations:
-        print(f"  {recommendation}")
+    catalog = StatisticsCatalog.build(db, queries, max_joins=2)
+    full_pool = catalog.pool
+    catalog.refresh(RefreshPolicy(max_sits=8, min_diff=0.01), queries)
+    kept = rank_sits(catalog, (query.joins for query in queries))
+    print("top SITs for the workload:")
+    for sit, score, applicability in kept:
+        print(f"  {sit} (score={score:.3f}, queries={applicability})")
 
     def mean_error(pool):
         evaluation = harness.evaluate(
@@ -44,13 +46,10 @@ def main() -> None:
         return evaluation.report("GS-Diff").mean_absolute_error
 
     print("\nGS-Diff mean absolute error over all sub-queries (paper metric):")
-    base_pool = build_workload_pool(builder, queries, max_joins=0)
-    print(f"  base histograms only:   {mean_error(base_pool):>8.1f}")
-    advisor_pool = advisor.build_pool(queries)
+    print(f"  base histograms only:   {mean_error(full_pool.base_only()):>8.1f}")
     print(
-        f"  advisor pool ({len(recommendations):>2} SITs): {mean_error(advisor_pool):>8.1f}"
+        f"  budgeted pool ({len(kept):>2} SITs): {mean_error(catalog.pool):>8.1f}"
     )
-    full_pool = build_workload_pool(builder, queries, max_joins=2)
     conditioned = sum(1 for s in full_pool if not s.is_base)
     print(f"  full J2 pool ({conditioned:>3} SITs): {mean_error(full_pool):>8.1f}")
 

@@ -36,7 +36,7 @@ import time
 from repro.advisor import AdvisorConfig, SelfTuningAdvisor
 from repro.advisor.loop import ACCEPTED
 from repro.advisor.safety import NO_SOLUTION_FOUND
-from repro.advisor.search import q_error, sit_space_bytes
+from repro.advisor.search import q_error
 from repro.catalog import EstimationSession
 from repro.catalog.catalog import RefreshConflict
 from repro.cluster import EstimationCluster
@@ -728,7 +728,7 @@ def smoke_advisor() -> None:
 def tuned_service(database, catalog, feedback, holdout) -> None:
     max_q_error, refresh_budget_s = 1000.0, 60.0
     spaces = sorted(
-        sit_space_bytes(sit) for sit in catalog.pool if not sit.is_base
+        sit.space_bytes for sit in catalog.pool if not sit.is_base
     )
     budget = sum(spaces[: len(spaces) // 2])
     assert budget < sum(spaces), "budget must exclude part of the pool"
@@ -751,7 +751,7 @@ def tuned_service(database, catalog, feedback, holdout) -> None:
     for query in feedback:
         answer = service.estimate(query)
         assert 0.0 <= answer.selectivity <= 1.0, answer
-    appended = advisor.log.counters()["feedback_appended"]
+    appended = advisor.feedback.counters()["feedback_appended"]
     assert appended >= len(feedback), (
         f"feedback did not flow: {appended} < {len(feedback)}"
     )
@@ -763,6 +763,10 @@ def tuned_service(database, catalog, feedback, holdout) -> None:
     assert report.status == ACCEPTED, f"tuning not accepted: {report.reason}"
     accepts = advisor.metrics.counter("advisor.accepts").value
     assert accepts >= 1, "no accepted proposal recorded"
+    counters = advisor.feedback.counters()
+    assert counters["truth_entries"] == counters["truth_misses"] >= 1, (
+        f"truth was not resolved once per predicate set: {counters}"
+    )
     decision = report.decision
     assert decision.worst_q_error <= max_q_error, decision
     assert decision.space_bytes <= budget, decision
@@ -772,7 +776,7 @@ def tuned_service(database, catalog, feedback, holdout) -> None:
     # the catalog itself, not just on the gate's bookkeeping
     installed = [sit for sit in catalog.pool if not sit.is_base]
     assert {str(sit) for sit in installed} == set(report.chosen)
-    assert sum(sit_space_bytes(sit) for sit in installed) <= budget
+    assert sum(sit.space_bytes for sit in installed) <= budget
 
     # serving keeps working on the tuned catalog, and the q-error bound
     # generalizes to a fresh holdout workload the tuning never saw

@@ -19,9 +19,9 @@ Commands
 ``catalog <build|save|load|advise|refresh|status>``
     Drive the statistics lifecycle end to end on the synthetic snowflake
     database: build a workload catalog, persist/restore it (v2 format,
-    v1 migrates), print advisor scores, simulate table updates
-    (``--update-table``) and run an incremental refresh (``--method
-    full|sampled``, ``--budget N``), or print the lifecycle status block.
+    v1 migrates), print the ranked SITs (``advise``), simulate table
+    updates (``--update-table``) and run an incremental refresh
+    (``--budget N``), or print the lifecycle status block.
 ``serve``
     Start the concurrent estimation server (``repro.service``): a
     worker pool with micro-batching, admission control and hot snapshot
@@ -251,26 +251,18 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         print(json.dumps(catalog.status(), indent=2, sort_keys=True))
         return 0
     if action == "advise":
-        from repro.catalog.refresh import _advisor_scores
-        from repro.catalog.catalog import sit_key
+        from repro.stats.pool import rank_sits
 
-        scores = _advisor_scores(list(catalog), queries)
-        ranked = sorted(
-            (sit for sit in catalog if not sit.is_base),
-            key=lambda sit: -scores.get(sit_key(sit), 0.0),
-        )
+        ranked = rank_sits(catalog, (query.joins for query in queries))
         print(f"{'score':>10}  {'diff':>7}  SIT")
-        for sit in ranked[: args.budget if args.budget else len(ranked)]:
-            print(
-                f"{scores.get(sit_key(sit), 0.0):>10.4f}  "
-                f"{sit.diff:>7.4f}  {sit}"
-            )
+        for sit, score, _ in ranked[: args.budget or None]:
+            print(f"{score:>10.4f}  {sit.diff:>7.4f}  {sit}")
         return 0
     if action == "refresh":
         for table in args.update_table or []:
             version = catalog.notify_table_update(table)
             print(f"table {table} -> version {version}", file=sys.stderr)
-        policy = RefreshPolicy(method=args.method, max_sits=args.budget)
+        policy = RefreshPolicy(max_sits=args.budget)
         report = catalog.refresh(policy, queries)
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         if args.path is not None:
@@ -395,7 +387,6 @@ def _cmd_advisor(args: argparse.Namespace) -> int:
     import json
 
     from repro.advisor import AdvisorConfig, SelfTuningAdvisor
-    from repro.advisor.search import sit_space_bytes
     from repro.catalog.session import EstimationSession
     from repro.workload.fixture import snowflake_fixture
 
@@ -409,9 +400,7 @@ def _cmd_advisor(args: argparse.Namespace) -> int:
     )
     budget = None
     if args.budget_fraction is not None:
-        total = sum(
-            sit_space_bytes(sit) for sit in catalog if not sit.is_base
-        )
+        total = sum(sit.space_bytes for sit in catalog if not sit.is_base)
         budget = args.budget_fraction * total
         print(
             f"space budget: {budget:,.0f} of {total:,.0f} conditioned "
@@ -504,12 +493,6 @@ def main(argv: list[str] | None = None) -> int:
     catalog.add_argument("--seed", type=int, default=42)
     catalog.add_argument("--queries", type=int, default=3)
     catalog.add_argument("--max-joins", type=int, default=1, dest="max_joins")
-    catalog.add_argument(
-        "--method",
-        choices=("full", "sampled"),
-        default="full",
-        help="refresh rebuild method (default: full)",
-    )
     catalog.add_argument(
         "--budget",
         type=int,

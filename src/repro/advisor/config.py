@@ -51,7 +51,9 @@ class AdvisorConfig:
     split_seed: int = 7
     #: greedy-search move budget (configuration evaluations per tick)
     max_moves: int = 24
-    #: bound on retained feedback records (oldest dropped past it)
+    #: capacity of the feedback store: served records kept (oldest
+    #: dropped past it) and truth entries kept (least recently used
+    #: evicted past it)
     log_capacity: int = 1024
     #: seconds between background tuning ticks (the service-side rate
     #: limit; 0 ticks as often as batches allow)

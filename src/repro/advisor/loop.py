@@ -1,10 +1,9 @@
 """The self-tuning loop: observe -> split -> search -> gate -> apply.
 
-:class:`SelfTuningAdvisor` closes the loop the static advisor
-(:mod:`repro.stats.advisor`) leaves open.  It watches served estimates
-(:class:`~repro.advisor.feedback.FeedbackLog`), resolves engine-exact
-truth through the LEO-style
-:class:`~repro.stats.feedback.FeedbackRepository` (attached to the
+:class:`SelfTuningAdvisor` closes the loop static selection (the
+catalog's budgeted refresh, :func:`repro.stats.pool.rank_sits`) leaves
+open.  It watches served estimates and resolves engine-exact truth in
+one :class:`~repro.advisor.feedback.FeedbackStore` (attached to the
 catalog, so table updates invalidate stale truth), and on every *tick*:
 
 1. deterministically splits the feedback into candidate/safety sets
@@ -36,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.advisor.config import AdvisorConfig
-from repro.advisor.feedback import FeedbackLog
+from repro.advisor.feedback import FeedbackStore
 from repro.advisor.safety import (
     NO_SOLUTION_FOUND,
     SafetyDecision,
@@ -45,7 +44,8 @@ from repro.advisor.safety import (
 from repro.advisor.search import (
     ConfigurationSearch,
     MeasuredRecord,
-    sit_space_bytes,
+    q_error,
+    replay_q_errors,
 )
 from repro.advisor.split import split_records
 from repro.catalog.catalog import (
@@ -58,7 +58,6 @@ from repro.core.predicates import PredicateSet, tables_of
 from repro.engine.executor import Executor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import StatsSnapshot
-from repro.stats.feedback import FeedbackRepository
 from repro.stats.sit import SIT
 
 #: bound on retained tuning-tick reports
@@ -124,11 +123,10 @@ class SelfTuningAdvisor:
     def __post_init__(self) -> None:
         if self.executor is None and self.catalog.database is not None:
             self.executor = Executor(self.catalog.database)
-        self.log = FeedbackLog(self.config.log_capacity)
-        #: engine-exact truth, LRU-bounded, table-invalidated through the
-        #: catalog's one event path
-        self.truth = self.catalog.attach_feedback(
-            FeedbackRepository(max_entries=self.config.log_capacity)
+        #: served observations + engine-exact truth; the truth is
+        #: table-invalidated through the catalog's one event path
+        self.feedback = self.catalog.attach_feedback(
+            FeedbackStore(self.config.log_capacity)
         )
         self.metrics = MetricsRegistry()
         self.history: list[TuningReport] = []
@@ -151,7 +149,7 @@ class SelfTuningAdvisor:
         matched_sits: tuple[str, ...] = (),
     ) -> None:
         """Record one served estimation."""
-        self.log.append(predicates, estimated_cardinality, matched_sits)
+        self.feedback.observe(predicates, estimated_cardinality, matched_sits)
 
     def record_result(self, predicates: PredicateSet, result) -> None:
         """Feedback-sink adapter for estimation sessions: derives the
@@ -193,7 +191,7 @@ class SelfTuningAdvisor:
         storm that moves the workload's cardinality profile re-tunes as
         soon as the shift is visible in feedback.
         """
-        if len(self.log) < self.config.min_feedback:
+        if len(self.feedback) < self.config.min_feedback:
             return False
         if self._last_tick is None:
             return True
@@ -212,15 +210,12 @@ class SelfTuningAdvisor:
         current = self._rolling_median()
         if current is None:
             return 1.0
-        eps = 1e-9
-        high = max(current, baseline) + eps
-        low = min(current, baseline) + eps
-        return high / low
+        return q_error(current, baseline)
 
     def _rolling_median(self) -> float | None:
         """Median estimated cardinality over the most recent
         ``min_feedback`` records (the drift trigger's rolling window)."""
-        records = self.log.records()
+        records = self.feedback.records()
         if not records:
             return None
         window = records[-self.config.min_feedback :]
@@ -248,7 +243,7 @@ class SelfTuningAdvisor:
 
     def _tick_locked(self) -> TuningReport:
         version_before = self.catalog.version
-        records = self.log.records()
+        records = self.feedback.records()
         if len(records) < self.config.min_feedback:
             self.metrics.counter("advisor.deferred_ticks").inc()
             return TuningReport(
@@ -326,18 +321,16 @@ class SelfTuningAdvisor:
         self.metrics.counter("advisor.proposals").inc()
 
         # Safety evaluation on the held-out split the search never saw.
-        evaluator = ConfigurationSearch(
-            database=self.catalog.database,
-            base_sits=base_sits,
-            candidates=candidates,
-            records=safety,
-            space_budget_bytes=None,
-            max_moves=1,
+        safety_errors = replay_q_errors(
+            self.catalog.database,
+            base_sits,
+            [sit for sit in candidates if str(sit) in chosen],
+            safety,
         )
-        safety_errors = evaluator.evaluate(chosen) if safety else []
-        worst = max(safety_errors) if safety_errors else float("inf")
+        evaluations = search.evaluations + (1 if safety else 0)
+        worst = max(safety_errors, default=float("inf"))
         by_name = dict(self._universe)
-        space = sum(sit_space_bytes(by_name[name][0]) for name in chosen)
+        space = sum(by_name[name][0].space_bytes for name in chosen)
         refresh_cost = sum(
             by_name[name][1].build_seconds for name in chosen
         )
@@ -348,31 +341,19 @@ class SelfTuningAdvisor:
             safety_records=len(safety),
         )
 
-        if not decision.accepted:
+        applied = False
+        if decision.accepted:
+            self.metrics.counter("advisor.accepts").inc()
+            current = {str(sit) for sit in snapshot.pool if not sit.is_base}
+            if chosen != current:
+                self._apply(chosen, by_name)
+                applied = True
+        else:
             self.metrics.counter("advisor.no_solution").inc()
             for violation in decision.violations:
                 self.metrics.counter(f"advisor.rejects_{violation}").inc()
-            return TuningReport(
-                status=NO_SOLUTION_FOUND,
-                reason=decision.reason,
-                chosen=tuple(sorted(chosen)),
-                candidate_records=len(candidate),
-                safety_records=len(safety),
-                candidate_median_q_error=candidate_median,
-                decision=decision,
-                evaluations=search.evaluations + evaluator.evaluations,
-                catalog_version_before=version_before,
-                catalog_version_after=self.catalog.version,
-            )
-
-        self.metrics.counter("advisor.accepts").inc()
-        current = {str(sit) for sit in snapshot.pool if not sit.is_base}
-        applied = False
-        if chosen != current:
-            self._apply(chosen, by_name)
-            applied = True
         return TuningReport(
-            status=ACCEPTED,
+            status=ACCEPTED if decision.accepted else NO_SOLUTION_FOUND,
             reason=decision.reason,
             chosen=tuple(sorted(chosen)),
             applied=applied,
@@ -380,18 +361,19 @@ class SelfTuningAdvisor:
             safety_records=len(safety),
             candidate_median_q_error=candidate_median,
             decision=decision,
-            evaluations=search.evaluations + evaluator.evaluations,
+            evaluations=evaluations,
             catalog_version_before=version_before,
             catalog_version_after=self.catalog.version,
         )
 
     def _resolve_truth(self, predicates: PredicateSet) -> int:
-        """Exact cardinality for a predicate set, cached in :attr:`truth`."""
-        cached = self.truth.lookup(predicates)
+        """Exact cardinality for a predicate set, executed at most once
+        while :attr:`feedback` holds it."""
+        cached = self.feedback.lookup_truth(predicates)
         if cached is not None:
             return cached
         assert self.executor is not None
-        return self.truth.record_from_execution(self.executor, predicates)
+        return self.feedback.observe_truth(self.executor, predicates)
 
     def _apply(
         self,
@@ -421,7 +403,7 @@ class SelfTuningAdvisor:
         """Tuning counters + feedback fill under ``advisor.*``."""
         registry = MetricsRegistry()
         registry.merge(self.metrics)
-        for key, value in self.log.counters().items():
+        for key, value in self.feedback.counters().items():
             registry.gauge(f"advisor.{key}").set(value)
         registry.gauge("advisor.universe_size").set(float(len(self._universe)))
         registry.gauge("advisor.drift_ratio").set(self.drift_ratio())
@@ -438,7 +420,7 @@ class SelfTuningAdvisor:
         last = self.history[-1] if self.history else None
         return {
             "config": self.config.to_dict(),
-            "feedback": self.log.counters(),
+            "feedback": self.feedback.counters(),
             "universe_size": len(self._universe),
             "current_conditioned_sits": sorted(
                 str(sit) for sit in self.catalog.pool if not sit.is_base

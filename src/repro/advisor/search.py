@@ -1,20 +1,22 @@
 """Configuration search over conditioned SITs, scored by *measured* q-error.
 
-The static advisor (:mod:`repro.stats.advisor`) ranks candidates by the
-build-time heuristic ``diff_H * applicability / (1 + joins)``.  That
-ranking is the right prior, but it knows nothing about how the deployed
-estimator actually performs on live traffic.  This module closes the
-loop: a *configuration* is a subset of conditioned SIT names, and it is
-evaluated by replaying the candidate-split feedback records against an
-estimator built from exactly that subset (plus the always-kept base
-histograms), scoring the median q-error against engine-exact truth.
+Static selection (:func:`repro.stats.pool.rank_sits`, applied by the
+catalog's budgeted refresh) ranks candidates by a build-time score.
+That ranking is the right prior, but it knows nothing about how the
+deployed estimator actually performs on live traffic.  This module
+closes the loop: a *configuration* is a subset of conditioned SIT
+names, and it is evaluated by replaying the candidate-split feedback
+records against an estimator built from exactly that subset (plus the
+always-kept base histograms), scoring the median q-error against
+engine-exact truth (:func:`replay_q_errors`).
 
-The search is a bounded greedy: walk the candidates in static-score
-order, trial-adding each (kept only if the measured median improves and
-the space budget still holds), then one drop pass removing anything
-whose absence doesn't hurt.  Every step is deterministic — tie-breaks
-by static rank then name — so the same records and candidates always
-produce the same configuration.
+The search is a bounded greedy: walk the candidates in ranker order —
+applicability measured against the feedback records' join sets —
+trial-adding each (kept only if the measured median improves and the
+space budget still holds), then one drop pass removing anything whose
+absence doesn't hurt.  Every step is deterministic — tie-breaks by
+rank then name — so the same records and candidates always produce the
+same configuration.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.advisor.feedback import FeedbackRecord
 from repro.core.predicates import join_predicates, tables_of
 from repro.engine.database import Database
 from repro.estimators.sit import SITEstimator
-from repro.stats.pool import SITPool
+from repro.stats.pool import SITPool, rank_sits
 from repro.stats.sit import SIT
 
 #: guard against exact zeros in the q-error ratio
@@ -53,29 +55,33 @@ def median(values: Sequence[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def sit_space_bytes(sit: SIT) -> float:
-    """Histogram footprint of one SIT (its bucket arrays)."""
-    return float(sum(array.nbytes for array in sit.histogram.bucket_arrays()))
-
-
-def static_score(sit: SIT, records: Sequence[FeedbackRecord]) -> float:
-    """The static advisor's prior, with applicability measured against
-    the feedback records instead of a synthetic workload: the number of
-    records whose join set makes ``sit`` a match candidate."""
-    applicability = sum(
-        1
-        for record in records
-        if sit.expression <= join_predicates(record.predicates)
-    )
-    return sit.diff * applicability / (1.0 + sit.join_count)
-
-
 @dataclass(frozen=True)
 class MeasuredRecord:
     """A feedback record with its engine-exact truth resolved."""
 
     record: FeedbackRecord
     true_cardinality: int
+
+
+def replay_q_errors(
+    database: Database,
+    base_sits: Sequence[SIT],
+    chosen_sits: Sequence[SIT],
+    records: Sequence[MeasuredRecord],
+) -> list[float]:
+    """Per-record q-errors of an estimator over ``base + chosen``: what
+    the search scores a configuration by on the candidate split and the
+    safety gate checks on the held-out split."""
+    estimator = SITEstimator(database, SITPool([*base_sits, *chosen_sits]))
+    errors = []
+    for measured in records:
+        predicates = measured.record.predicates
+        result = estimator.estimate_predicates(predicates)
+        estimated = result.selectivity * database.cross_product_size(
+            tables_of(predicates)
+        )
+        errors.append(q_error(estimated, float(measured.true_cardinality)))
+    return errors
 
 
 @dataclass
@@ -97,34 +103,28 @@ class ConfigurationSearch:
     def evaluate(self, chosen: frozenset[str]) -> list[float]:
         """Replay the records against ``base + chosen``; per-record q-errors."""
         self.evaluations += 1
-        pool = SITPool(list(self.base_sits))
-        for sit in self.candidates:
-            if str(sit) in chosen:
-                pool.add(sit)
-        estimator = SITEstimator(self.database, pool)
-        errors = []
-        for measured in self.records:
-            predicates = measured.record.predicates
-            result = estimator.estimate_predicates(predicates)
-            estimated = result.selectivity * self.database.cross_product_size(
-                tables_of(predicates)
-            )
-            errors.append(q_error(estimated, float(measured.true_cardinality)))
-        return errors
+        return replay_q_errors(
+            self.database,
+            self.base_sits,
+            [sit for sit in self.candidates if str(sit) in chosen],
+            self.records,
+        )
 
     def ranked_candidates(self) -> list[SIT]:
-        """Candidates by descending static prior, name-tie-broken."""
-        plain = [r.record for r in self.records]
-        return sorted(
+        """Candidates in ranker order, applicability measured against
+        the records: how many of their join sets make the SIT a match
+        candidate."""
+        ranked = rank_sits(
             self.candidates,
-            key=lambda sit: (-static_score(sit, plain), str(sit)),
+            (join_predicates(m.record.predicates) for m in self.records),
         )
+        return [sit for sit, _, _ in ranked]
 
     def greedy(self) -> tuple[frozenset[str], float]:
         """The search; returns ``(chosen names, candidate-split median)``."""
         if not self.records:
             return frozenset(), float("inf")
-        spaces = {str(sit): sit_space_bytes(sit) for sit in self.candidates}
+        spaces = {str(sit): sit.space_bytes for sit in self.candidates}
         chosen: set[str] = set()
         used_space = 0.0
         best = median(self.evaluate(frozenset()))
@@ -161,6 +161,5 @@ __all__ = [
     "MeasuredRecord",
     "median",
     "q_error",
-    "sit_space_bytes",
-    "static_score",
+    "replay_q_errors",
 ]

@@ -1,4 +1,4 @@
-"""The ``advisor`` suite: self-tuning vs the static ``diff_H`` advisor,
+"""The ``advisor`` suite: self-tuning vs static ``diff_H`` selection,
 under budget.
 
 The experiment behind :mod:`repro.advisor`: on a skewed snowflake
@@ -9,16 +9,16 @@ footprints), then compare three configurations on a *held-out* workload
 queries unseen during feedback):
 
 * **base-only** — base histograms, no conditioned SITs;
-* **static** — the static advisor's ranking
-  (``diff_H * applicability / (1 + joins)``), greedily packed into the
-  budget — the best one can do without looking at live traffic;
+* **static** — the ranker's order (:func:`repro.stats.pool.rank_sits`
+  over the feedback workload), greedily packed into the budget — the
+  best one can do without looking at live traffic;
 * **tuned** — what :class:`~repro.advisor.loop.SelfTuningAdvisor`
   accepts after observing the feedback workload, with the safety gate's
   three constraints verified on its held-out safety split.
 
 The gate (it decides the runner's exit code): the tuned configuration's
 median q-error on the holdout workload must not exceed the static
-advisor's.  Run with::
+selection's.  Run with::
 
     PYTHONPATH=src python -m repro.bench advisor [output.json]
 """
@@ -26,11 +26,11 @@ advisor's.  Run with::
 from __future__ import annotations
 
 from repro.advisor import AdvisorConfig, SelfTuningAdvisor
-from repro.advisor.search import median, q_error, sit_space_bytes
+from repro.advisor.search import median, q_error
 from repro.catalog import EstimationSession
 from repro.engine.executor import Executor
 from repro.estimators.sit import SITEstimator
-from repro.stats.pool import SITPool
+from repro.stats.pool import SITPool, rank_sits
 from repro.workload.fixture import snowflake_fixture
 
 SNOWFLAKE_SCALE = 0.15
@@ -46,20 +46,12 @@ REFRESH_BUDGET_S = 60.0
 
 
 def static_selection(conditioned, feedback, budget: float) -> set[str]:
-    """The static advisor's pick: rank by
-    ``diff_H * applicability / (1 + joins)`` and greedily pack the
+    """The static pick: ranker order, greedily packed into the byte
     budget (best score first, skipping what no longer fits)."""
-
-    def score(sit) -> float:
-        applicability = sum(
-            1 for query in feedback if sit.expression <= query.joins
-        )
-        return sit.diff * applicability / (1.0 + sit.join_count)
-
     chosen: set[str] = set()
     used = 0.0
-    for sit in sorted(conditioned, key=lambda s: (-score(s), str(s))):
-        space = sit_space_bytes(sit)
+    for sit, _, _ in rank_sits(conditioned, (q.joins for q in feedback)):
+        space = sit.space_bytes
         if used + space <= budget:
             chosen.add(str(sit))
             used += space
@@ -83,9 +75,7 @@ def holdout_q_errors(database, base, conditioned, chosen, holdout, executor):
     return {
         "sits": len(chosen),
         "space_bytes": sum(
-            sit_space_bytes(sit)
-            for sit in conditioned
-            if str(sit) in chosen
+            sit.space_bytes for sit in conditioned if str(sit) in chosen
         ),
         "median_q_error": median(errors),
         "max_q_error": max(errors),
@@ -107,7 +97,7 @@ def run(recorded: dict | None = None) -> dict:
     catalog.add_missing_base_histograms()
     base = [sit for sit in catalog.pool if sit.is_base]
     conditioned = [sit for sit in catalog.pool if not sit.is_base]
-    spaces = sorted(sit_space_bytes(sit) for sit in conditioned)
+    spaces = sorted(sit.space_bytes for sit in conditioned)
     budget = sum(spaces[: len(spaces) // 2])
 
     advisor = SelfTuningAdvisor(

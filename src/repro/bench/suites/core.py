@@ -266,16 +266,15 @@ def bench_fault_overhead(size: int, repeats: int) -> dict:
 
 
 def bench_catalog_refresh(repeats: int) -> dict:
-    """Incremental catalog refresh: full rebuild vs Chao1-sampled rebuild.
+    """Incremental catalog refresh against a cold build.
 
     Builds a ``J1`` workload catalog over the snowflake database, then
     repeatedly invalidates the ``customer`` dimension (the table most
-    conditioned SITs depend on) and times ``refresh()`` under both
-    policies.  Only the stale SITs are rebuilt — ``kept`` counts the
+    conditioned SITs depend on) and times ``refresh()``.  Only the
+    stale SITs are rebuilt — ``kept`` counts the
     fresh SITs that survive as the *same objects* — so the measured cost
     is the incremental maintenance path, not a cold build.
     """
-    from repro.catalog import RefreshPolicy
     from repro.workload.fixture import snowflake_fixture
 
     scale = 8.0
@@ -293,28 +292,18 @@ def bench_catalog_refresh(repeats: int) -> dict:
         "invalidated_table": table,
     }
     runs = max(3, repeats // 3)
-    policies = {
-        "full": RefreshPolicy(),
-        "sampled": RefreshPolicy(method="sampled", sample_fraction=0.05),
+    best = float("inf")
+    for _ in range(runs):
+        catalog.notify_table_update(table)
+        started = time.perf_counter()
+        report = catalog.refresh()
+        best = min(best, time.perf_counter() - started)
+    out["full"] = {
+        "refresh_ms": best * 1000.0,
+        "rebuilt": len(report.rebuilt),
+        "kept": len(report.kept),
+        "dropped": len(report.dropped),
     }
-    for method, policy in policies.items():
-        best = float("inf")
-        report = None
-        for _ in range(runs):
-            catalog.notify_table_update(table)
-            started = time.perf_counter()
-            report = catalog.refresh(policy)
-            best = min(best, time.perf_counter() - started)
-        assert report is not None
-        out[method] = {
-            "refresh_ms": best * 1000.0,
-            "rebuilt": len(report.rebuilt),
-            "kept": len(report.kept),
-            "dropped": len(report.dropped),
-        }
-    out["sampled_speedup"] = (
-        out["full"]["refresh_ms"] / out["sampled"]["refresh_ms"]
-    )
     out["refresh_vs_build_pct"] = (
         out["full"]["refresh_ms"] / (build_seconds * 1000.0) * 100.0
     )
@@ -413,14 +402,10 @@ def gates(result: dict) -> dict:
         ]["zero_fault_bit_identical"],
         # Lifecycle acceptance: an incremental refresh after one table
         # update must be strictly cheaper than rebuilding the catalog
-        # (only the stale SITs are re-executed).  The sampled-policy
-        # ratio is recorded for transparency; expression execution, not
-        # histogram construction, dominates at benchmark scale, so the
-        # Chao1 path wins only modestly here.
+        # (only the stale SITs are re-executed).
         "catalog_refresh_vs_build_pct": result["catalog"][
             "refresh_vs_build_pct"
         ],
-        "catalog_sampled_speedup": result["catalog"]["sampled_speedup"],
     }
 
 
@@ -461,9 +446,7 @@ def render(result: dict) -> str:
         f"stale table {catalog['invalidated_table']!r}): "
         f"full {catalog['full']['refresh_ms']:.1f} ms "
         f"(rebuilt {catalog['full']['rebuilt']}, "
-        f"kept {catalog['full']['kept']}), "
-        f"sampled {catalog['sampled']['refresh_ms']:.1f} ms "
-        f"({catalog['sampled_speedup']:.1f}x); "
+        f"kept {catalog['full']['kept']}); "
         f"{catalog['refresh_vs_build_pct']:.0f}% of a cold build"
     )
     return "\n".join(lines)

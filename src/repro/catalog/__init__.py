@@ -9,8 +9,9 @@ Layering:
   ``notify_table_update`` invalidation event path) and the immutable
   :class:`CatalogSnapshot` it publishes;
 * :mod:`repro.catalog.refresh` — :class:`RefreshPolicy` /
-  :func:`execute_refresh`: incremental rebuild of exactly the stale SITs
-  (full-scan or sampled) plus the advisor's space-budget re-ranking;
+  :func:`execute_refresh`: incremental full-scan rebuild of exactly the
+  stale SITs, plus static SIT selection — ``max_sits`` / ``min_diff``
+  keep the best of the pool in :func:`repro.stats.pool.rank_sits` order;
 * :mod:`repro.catalog.session` — :class:`EstimationSession`: many
   queries against one pinned snapshot, sharing the pool-pure
   factor-match and estimate caches across queries.

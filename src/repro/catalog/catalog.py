@@ -14,15 +14,15 @@ companion lifecycle.  :class:`StatisticsCatalog` is that subsystem:
   an in-flight session keeps answering off exactly the statistics it
   started with;
 * **one invalidation event path**: :meth:`notify_table_update` bumps the
-  table version, drops stale execution-feedback records
-  (:class:`repro.stats.feedback.FeedbackRepository`), invalidates the
+  table version, drops stale execution-feedback truth
+  (:class:`repro.advisor.feedback.FeedbackStore`), invalidates the
   derived bitmask-universe prune masks (through the published pool's
   version counter) and bumps the catalog version so version-keyed caches
   above cannot be reused;
 * an **incremental refresh** (:meth:`refresh`, see
-  :mod:`repro.catalog.refresh`) that rebuilds only stale SITs — full
-  scan or Chao1-backed sampling — and optionally re-ranks the pool under
-  a space budget with the advisor's scoring.
+  :mod:`repro.catalog.refresh`) that rebuilds only stale SITs and
+  optionally keeps the best of the pool under a space budget, in
+  :func:`~repro.stats.pool.rank_sits` order.
 
 The catalog is **safe under concurrent writers**: every mutation
 (:meth:`notify_table_update`, :meth:`add`, :meth:`remove`, the refresh
@@ -51,7 +51,6 @@ from repro.engine.expressions import Query
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import StatsSnapshot
 from repro.stats.builder import SITBuilder
-from repro.stats.feedback import FeedbackRepository
 from repro.stats.io import (
     CatalogDocument,
     load_document,
@@ -61,6 +60,7 @@ from repro.stats.pool import SITPool, build_workload_pool
 from repro.stats.sit import SIT
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
+    from repro.advisor.feedback import FeedbackStore
     from repro.catalog.refresh import RefreshPolicy, RefreshReport
 
 #: the identity of a SIT inside the catalog (``SIT`` itself hashes on its
@@ -220,7 +220,7 @@ class StatisticsCatalog:
         self._table_versions: dict[str, int] = {}
         self._metadata: dict[SITKey, SITMetadata] = {}
         self._pool = SITPool()
-        self._feedback: list[FeedbackRepository] = []
+        self._feedback: list[FeedbackStore] = []
         #: live compiled-plan caches of sessions serving this catalog
         #: (weakly held; see :meth:`attach_plan_cache`)
         self._plan_caches: "weakref.WeakSet" = weakref.WeakSet()
@@ -243,13 +243,12 @@ class StatisticsCatalog:
         pool: SITPool,
         database: Database | None = None,
         builder: SITBuilder | None = None,
-        build_method: str = BUILD_FULL,
     ) -> "StatisticsCatalog":
         """Wrap an existing pool (serve-only unless a database is given).
 
         Metadata is synthesized: every SIT is recorded as built *now*
-        against the current (all-zero) table versions with the given
-        method, so nothing starts stale.
+        against the current (all-zero) table versions, so nothing starts
+        stale.
         """
         catalog = cls(database, builder)
         now = time.time()
@@ -258,7 +257,6 @@ class StatisticsCatalog:
                 sit,
                 SITMetadata(
                     built_at=now,
-                    build_method=build_method,
                     source_versions=catalog._source_versions_of(sit),
                     diff=sit.diff,
                 ),
@@ -277,12 +275,8 @@ class StatisticsCatalog:
         """Build the paper's ``J_{max_joins}`` workload pool into a catalog."""
         catalog = cls(database, builder)
         assert catalog.builder is not None
-        method = (
-            BUILD_SAMPLED
-            if type(catalog.builder).__name__ == "SamplingSITBuilder"
-            or hasattr(catalog.builder, "sample_fraction")
-            else BUILD_FULL
-        )
+        sampling = hasattr(catalog.builder, "sample_fraction")
+        method = BUILD_SAMPLED if sampling else BUILD_FULL
         started = time.time()
         pool = build_workload_pool(catalog.builder, queries, max_joins)
         elapsed = time.time() - started
@@ -474,16 +468,16 @@ class StatisticsCatalog:
     # ------------------------------------------------------------------
     # Feedback + invalidation: the one event path
     # ------------------------------------------------------------------
-    def attach_feedback(self, repository: FeedbackRepository) -> FeedbackRepository:
-        """Join a feedback repository to the invalidation event path.
+    def attach_feedback(self, store: FeedbackStore) -> FeedbackStore:
+        """Join a feedback store to the invalidation event path.
 
         Once attached, every :meth:`notify_table_update` drops the
-        repository's records touching the updated table — execution
-        feedback is exact only for the data it was observed on.
+        store's truth touching the updated table — execution feedback is
+        exact only for the data it was observed on.
         """
-        if repository not in self._feedback:
-            self._feedback.append(repository)
-        return repository
+        if store not in self._feedback:
+            self._feedback.append(store)
+        return store
 
     def attach_plan_cache(self, cache) -> None:
         """Register a session's compiled-plan cache for status reporting.
@@ -512,7 +506,7 @@ class StatisticsCatalog:
         One call flows through the whole invalidation path:
 
         1. the table version is bumped (making dependent SITs *stale*);
-        2. attached feedback repositories drop records touching the table;
+        2. attached feedback stores drop truth touching the table;
         3. the builder evicts its memoized base histograms / counts for
            the table, so a later refresh reads current data;
         4. the published pool's derived-state version is bumped so bitmask
@@ -524,8 +518,8 @@ class StatisticsCatalog:
             version = self._table_versions.get(table, 0) + 1
             self._table_versions[table] = version
             dropped = 0
-            for repository in self._feedback:
-                dropped += repository.invalidate_table(table)
+            for store in self._feedback:
+                dropped += store.invalidate_table(table)
             if self.builder is not None:
                 self.builder.invalidate_table(table)
             self._pool.invalidate_derived()
@@ -624,7 +618,7 @@ class StatisticsCatalog:
                 "stale_sits": len(stale),
                 "table_versions": dict(self._table_versions),
                 "build_methods": by_method,
-                "feedback_repositories": len(self._feedback),
+                "feedback_stores": len(self._feedback),
                 "plan_cache": plan_cache,
             }
         if self._staleness is not None:
@@ -638,13 +632,6 @@ class StatisticsCatalog:
         registry.gauge("catalog.version").set(float(self.version))
         registry.gauge("catalog.sit_count").set(float(len(self._pool)))
         registry.gauge("catalog.stale_sits").set(float(len(self.stale_sits())))
-        if self._feedback:
-            totals: dict[str, float] = {}
-            for repository in self._feedback:
-                for key, value in repository.counters().items():
-                    totals[key] = totals.get(key, 0.0) + value
-            for key, value in totals.items():
-                registry.gauge(f"catalog.{key}").set(value)
         caches = list(self._plan_caches)
         if caches:
             gauge = registry.gauge
@@ -677,26 +664,21 @@ class StatisticsCatalog:
 
 
 def refreshed_metadata(
-    catalog: StatisticsCatalog,
     sit: SIT,
-    build_method: str,
     build_seconds: float,
-    table_versions: Mapping[str, int] | None = None,
+    table_versions: Mapping[str, int],
 ) -> SITMetadata:
-    """Fresh provenance for a just-rebuilt SIT.
+    """Fresh provenance for a just-rebuilt SIT (a refresh rebuilds by
+    full scan).
 
-    ``table_versions`` should be the versions the refresh *read at
-    entry*: recording the versions current at rebuild time would mark a
-    SIT fresh against an update that arrived mid-rebuild — a lost
-    invalidation under a write storm.  Falls back to the catalog's
-    current versions for single-writer callers.
+    ``table_versions`` are the versions the refresh *read at entry*:
+    recording the versions current at rebuild time would mark a SIT
+    fresh against an update that arrived mid-rebuild — a lost
+    invalidation under a write storm.
     """
-    if table_versions is None:
-        table_versions = catalog.table_versions
     return SITMetadata(
         built_at=time.time(),
         build_seconds=build_seconds,
-        build_method=build_method,
         source_versions={
             table: table_versions.get(table, 0) for table in sit.tables
         },

@@ -6,18 +6,14 @@ have moved past some SITs' recorded source versions, ``execute_refresh``
 
 1. partitions the registered SITs into *fresh* (kept as-is, same objects)
    and *stale* (source table updated since build);
-2. rebuilds the stale ones, grouped by generating expression so each
-   expression executes exactly once — with the catalog's full-scan
-   :class:`~repro.stats.builder.SITBuilder` or, under
-   ``RefreshPolicy(method="sampled")``, a
-   :class:`~repro.stats.sampling.SamplingSITBuilder` whose Chao1-scaled
-   histograms trade accuracy for a fraction of the scan cost (Shin's
-   sample-backed refresh argument);
-3. optionally re-runs the advisor's scoring over the *rebuilt* pool under
-   a space budget (``max_sits``), dropping the lowest-value conditioned
-   SITs — ``score = diff_H * applicability / (1 + joins)``, the
-   Section 3.5 policy, with applicability taken from the optional
-   workload;
+2. rebuilds the stale ones by full scan, grouped by generating
+   expression so each expression executes exactly once;
+3. optionally keeps only the best of the *rebuilt* pool under a space
+   budget (``max_sits``) and a benefit floor (``min_diff``), in the
+   order of :func:`~repro.stats.pool.rank_sits` with applicability
+   taken from the optional workload — this is static SIT selection:
+   ``StatisticsCatalog.build(...)`` then
+   ``refresh(RefreshPolicy(max_sits=, min_diff=), queries)``;
 4. atomically publishes the new pool (snapshot isolation: sessions pinned
    to older snapshots are untouched) and returns a
    :class:`RefreshReport`.
@@ -47,11 +43,10 @@ from repro.core.predicates import PredicateSet
 from repro.engine.expressions import Query
 from repro.resilience.faults import POINT_REFRESH_DURING_STORM, inject
 from repro.stats.builder import SITBuilder
+from repro.stats.pool import rank_sits
 from repro.stats.sit import SIT
 
 from repro.catalog.catalog import (
-    BUILD_FULL,
-    BUILD_SAMPLED,
     SITKey,
     SITMetadata,
     StatisticsCatalog,
@@ -62,19 +57,13 @@ from repro.catalog.catalog import (
 
 @dataclass(frozen=True)
 class RefreshPolicy:
-    """How a refresh rebuilds and what it keeps.
+    """What a refresh keeps (it always rebuilds by full scan).
 
-    ``method``
-        ``"full"`` re-executes each stale generating expression exactly
-        (the build-time default); ``"sampled"`` rebuilds from a uniform
-        sample with Chao1 distinct-count scaling.
-    ``sample_fraction`` / ``min_sample_rows`` / ``sampling_seed``
-        forwarded to :class:`~repro.stats.sampling.SamplingSITBuilder`
-        when ``method="sampled"``.
     ``max_sits``
         space budget: after rebuilding, keep at most this many
-        *conditioned* SITs (base histograms are always kept), re-ranked
-        with the advisor's score.  ``None`` keeps everything.
+        *conditioned* SITs (base histograms are always kept), best
+        first by :func:`~repro.stats.pool.rank_sits`.  ``None`` keeps
+        everything.
     ``min_diff``
         conditioned SITs whose rebuilt ``diff_H`` fell below this provide
         no benefit over the base histogram (Section 3.5 / Example 4) and
@@ -88,20 +77,11 @@ class RefreshPolicy:
         disables the filter.
     """
 
-    method: str = BUILD_FULL
-    sample_fraction: float = 0.1
-    min_sample_rows: int = 200
-    sampling_seed: int = 0
     max_sits: int | None = None
     min_diff: float = 0.0
     keep_keys: frozenset | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in (BUILD_FULL, BUILD_SAMPLED):
-            raise ValueError(
-                f"method must be {BUILD_FULL!r} or {BUILD_SAMPLED!r}, "
-                f"got {self.method!r}"
-            )
         if self.max_sits is not None and self.max_sits < 0:
             raise ValueError("max_sits must be non-negative")
         if self.keep_keys is not None:
@@ -131,7 +111,6 @@ class RefreshReport:
 
     def to_dict(self) -> dict:
         return {
-            "method": self.policy.method,
             "version_before": self.version_before,
             "version_after": self.version_after,
             "rebuilt": len(self.rebuilt),
@@ -141,58 +120,19 @@ class RefreshReport:
         }
 
 
-def _refresh_builder(
-    catalog: StatisticsCatalog, policy: RefreshPolicy
-) -> SITBuilder:
-    """The builder the policy prescribes, bound to the catalog's database."""
+def _refresh_builder(catalog: StatisticsCatalog) -> SITBuilder:
+    """A full-scan builder bound to the catalog's database (the
+    catalog's own, unless that one samples)."""
     if catalog.database is None:
         raise RuntimeError(
             "catalog has no database attached; refresh requires one "
             "(construct the catalog with a Database or SITBuilder)"
         )
-    if policy.method == BUILD_SAMPLED:
-        from repro.stats.sampling import SamplingSITBuilder
-
-        base = catalog.builder
-        kwargs = dict(
-            sample_fraction=policy.sample_fraction,
-            min_sample_rows=policy.min_sample_rows,
-            sampling_seed=policy.sampling_seed,
-        )
-        if base is not None:
-            kwargs.update(
-                histogram_builder=base.histogram_builder,
-                max_buckets=base.max_buckets,
-                exact_diffs=base.exact_diffs,
-            )
-        return SamplingSITBuilder(catalog.database, **kwargs)
     if catalog.builder is not None and not hasattr(
         catalog.builder, "sample_fraction"
     ):
         return catalog.builder
     return SITBuilder(catalog.database)
-
-
-def _advisor_scores(
-    sits: Iterable[SIT], queries: Iterable[Query] | None
-) -> dict[SITKey, float]:
-    """Advisor scores for conditioned SITs: ``diff * applicability /
-    (1 + joins)``; applicability defaults to 1 without a workload."""
-    query_list = list(queries) if queries is not None else []
-    scores: dict[SITKey, float] = {}
-    for sit in sits:
-        if sit.is_base:
-            continue
-        if query_list:
-            applicability = sum(
-                1 for query in query_list if sit.expression <= query.joins
-            )
-        else:
-            applicability = 1
-        scores[sit_key(sit)] = (
-            sit.diff * applicability / (1.0 + sit.join_count)
-        )
-    return scores
 
 
 def execute_refresh(
@@ -227,8 +167,7 @@ def execute_refresh(
 
     rebuilt_sits: list[SIT] = []
     if stale:
-        builder = _refresh_builder(catalog, policy)
-        method = policy.method
+        builder = _refresh_builder(catalog)
         # One execution per distinct generating expression (the builder's
         # build_many contract), exactly like the initial pool build.
         by_expression: dict[PredicateSet, list[SIT]] = {}
@@ -256,12 +195,7 @@ def execute_refresh(
                 for sit in fresh:
                     rebuilt_sits.append(sit)
                     metadata[sit_key(sit)] = refreshed_metadata(
-                        catalog,
-                        sit,
-                        # base histograms are whole-column scans either way
-                        BUILD_FULL if sit.is_base else method,
-                        per_sit,
-                        table_versions=entry_versions,
+                        sit, per_sit, entry_versions
                     )
                     report.rebuilt.append(sit_key(sit))
         except Exception:
@@ -274,27 +208,22 @@ def execute_refresh(
     sits = kept_sits + rebuilt_sits
 
     # ------------------------------------------------------------------
-    # Space budget / benefit filter (advisor re-run)
+    # Space budget / benefit filter (static SIT selection)
     # ------------------------------------------------------------------
     if (
         policy.max_sits is not None
         or policy.min_diff > 0.0
         or policy.keep_keys is not None
     ):
-        scores = _advisor_scores(sits, queries)
-        conditioned = [sit for sit in sits if not sit.is_base]
-        survivors = {
-            sit_key(sit)
-            for sit in conditioned
+        keep = policy.keep_keys
+        eligible = [
+            sit
+            for sit in sits
             if sit.diff >= policy.min_diff
-            and (policy.keep_keys is None or sit_key(sit) in policy.keep_keys)
-        }
-        if policy.max_sits is not None and len(survivors) > policy.max_sits:
-            ranked = sorted(
-                (sit for sit in conditioned if sit_key(sit) in survivors),
-                key=lambda sit: (-scores[sit_key(sit)], str(sit)),
-            )
-            survivors = {sit_key(sit) for sit in ranked[: policy.max_sits]}
+            and (keep is None or sit_key(sit) in keep)
+        ]
+        ranked = rank_sits(eligible, (query.joins for query in queries or ()))
+        survivors = {sit_key(sit) for sit, _, _ in ranked[: policy.max_sits]}
         filtered: list[SIT] = []
         for sit in sits:
             key = sit_key(sit)

@@ -298,11 +298,7 @@ class SITEstimator(Estimator):
 
     def space_bytes(self) -> float:
         """Bytes held by the pool's histograms (the SIT footprint)."""
-        total = 0.0
-        for sit in self.pool:
-            for array in sit.histogram.bucket_arrays():
-                total += float(array.nbytes)
-        return total
+        return sum(sit.space_bytes for sit in self.pool)
 
     # -- observability --------------------------------------------------
     @property

@@ -57,8 +57,9 @@ namespaces:
     ``proposals``, ``accepts``, per-constraint rejects
     (``rejects_q_error`` / ``rejects_space`` / ``rejects_refresh_cost``),
     ``no_solution`` outcomes, ``skipped_ticks`` (safety evaluation
-    unavailable) and feedback-log fill (``feedback_records``,
-    ``feedback_dropped``); the last accepted proposal's safety margins
+    unavailable) and the feedback store's counters (``feedback_records``,
+    ``feedback_dropped``, ``truth_entries``, ``truth_hits``, ...); the
+    last accepted proposal's safety margins
     are on its tuning report's ``decision`` — empty when no advisor
     runs;
 ``ingest``

@@ -1,10 +1,11 @@
 """Statistics on query expressions (SITs): definitions, construction from a
-database, ``diff_H`` computation and workload-driven pool generation."""
+database, ``diff_H`` computation, workload-driven pool generation and the
+one ``diff_H`` ranking (:func:`rank_sits`) every SIT selection uses.  The
+SIT lifecycle (budgeted selection, refresh) is :mod:`repro.catalog`;
+execution feedback is :mod:`repro.advisor.feedback`."""
 
-from repro.stats.advisor import AdvisorConfig, SITAdvisor, SITRecommendation
 from repro.stats.builder import SITBuilder
 from repro.stats.diff import approximate_diff, exact_diff
-from repro.stats.feedback import FeedbackEstimator, FeedbackRepository
 from repro.stats.io import (
     CatalogDocument,
     PoolFormatError,
@@ -20,19 +21,15 @@ from repro.stats.pool import (
     SITPool,
     build_workload_pool,
     connected_join_subsets,
+    rank_sits,
     workload_sit_requests,
 )
 from repro.stats.sit import SIT
 
 __all__ = [
-    "AdvisorConfig",
     "CatalogDocument",
-    "FeedbackEstimator",
-    "FeedbackRepository",
     "SIT",
-    "SITAdvisor",
     "SITBuilder",
-    "SITRecommendation",
     "SITPool",
     "SamplingSITBuilder",
     "approximate_diff",
@@ -44,6 +41,7 @@ __all__ = [
     "load_document",
     "load_pool",
     "migrate_v1_to_v2",
+    "rank_sits",
     "save_document",
     "save_pool",
     "workload_sit_requests",

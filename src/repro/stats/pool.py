@@ -208,6 +208,39 @@ def workload_sit_requests(
     return requests
 
 
+def rank_sits(
+    sits: Iterable[SIT], join_sets: Iterable[PredicateSet] = ()
+) -> list[tuple[SIT, float, int]]:
+    """The one ranking of conditioned SITs by expected benefit.
+
+    The score is ``diff_H`` times applicability over one plus the join
+    count: a SIT matters only as far as its expression reshapes the
+    attribute's distribution (Section 3.5; at ``diff = 0`` it "provides
+    no benefit over the base histogram", Example 4), matters more the
+    more of the workload can apply it, and small expressions deliver
+    most of the accuracy (Section 5.2).  ``join_sets`` holds one
+    join-predicate set per workload query or served record;
+    applicability is how many of them subsume the SIT's expression, and
+    1 for every SIT when the workload is empty.  Base histograms are
+    always kept and never ranked.  Returns ``(sit, score,
+    applicability)`` rows in ``(-score, str(sit))`` order.
+    """
+    join_sets = list(join_sets)
+    rows = []
+    for sit in sits:
+        if sit.is_base:
+            continue
+        applicability = (
+            sum(1 for joins in join_sets if sit.expression <= joins)
+            if join_sets
+            else 1
+        )
+        score = sit.diff * applicability / (1.0 + sit.join_count)
+        rows.append((sit, score, applicability))
+    rows.sort(key=lambda row: (-row[1], str(row[0])))
+    return rows
+
+
 def build_workload_pool(
     builder: SITBuilder, queries: Iterable[Query], max_joins: int
 ) -> SITPool:

@@ -48,6 +48,12 @@ class SIT:
     def join_count(self) -> int:
         return sum(1 for p in self.expression if p.is_join)
 
+    @property
+    def space_bytes(self) -> float:
+        """Histogram footprint (the bucket arrays) — what a space budget
+        counts."""
+        return float(sum(a.nbytes for a in self.histogram.bucket_arrays()))
+
     def __str__(self) -> str:
         # str(sit) is a deterministic tie-breaker inside candidate ranking,
         # so it runs in the matching hot path; cache it on first use.

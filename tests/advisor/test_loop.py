@@ -18,7 +18,6 @@ from repro.advisor import (
     SelfTuningAdvisor,
 )
 from repro.advisor.loop import ACCEPTED, DEFERRED, HISTORY_LIMIT, SKIPPED
-from repro.advisor.search import sit_space_bytes
 
 from .conftest import drive_feedback
 
@@ -57,7 +56,7 @@ class TestAcceptPath:
         self, advisor_catalog, feedback_queries
     ):
         budget = 1.0 + min(
-            sit_space_bytes(sit)
+            sit.space_bytes
             for sit in advisor_catalog.pool
             if not sit.is_base
         )
@@ -69,7 +68,7 @@ class TestAcceptPath:
         report = advisor.tick()
         assert report.status == ACCEPTED
         installed = sum(
-            sit_space_bytes(sit)
+            sit.space_bytes
             for sit in advisor_catalog.pool
             if not sit.is_base
         )

@@ -4,17 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.advisor.feedback import FeedbackLog
+from repro.advisor.feedback import FeedbackStore
 from repro.advisor.search import (
     ConfigurationSearch,
     MeasuredRecord,
     median,
     q_error,
-    sit_space_bytes,
-    static_score,
 )
-from repro.core.predicates import FilterPredicate
+from repro.core.predicates import FilterPredicate, join_predicates
 from repro.engine.executor import Executor
+from repro.stats.pool import rank_sits
 
 
 class TestQError:
@@ -48,7 +47,7 @@ def measured_records(
     """Feedback filtering ``S.b`` (reshaped by the skewed join), truth
     from the engine."""
     executor = Executor(two_table_db)
-    log = FeedbackLog(capacity=64)
+    log = FeedbackStore(capacity=64)
     measured = []
     for low in range(0, 70, 5):
         predicates = frozenset(
@@ -57,7 +56,7 @@ def measured_records(
                 FilterPredicate(two_table_attrs["Sb"], float(low), low + 25.0),
             }
         )
-        record = log.append(predicates, 0.0)
+        record = log.observe(predicates, 0.0)
         measured.append(
             MeasuredRecord(record, executor.cardinality(predicates))
         )
@@ -74,15 +73,26 @@ def search_parts(two_table_pool):
 
 class TestConfigurationSearch:
     def test_static_score_uses_measured_applicability(
-        self, measured_records, search_parts
+        self, two_table_db, measured_records, search_parts
     ):
-        _, conditioned = search_parts
-        plain = [m.record for m in measured_records]
-        for sit in conditioned:
-            # every record's join set subsumes the single-join expression
-            assert static_score(sit, plain) == pytest.approx(
-                sit.diff * len(plain) / (1.0 + sit.join_count)
+        base, conditioned = search_parts
+        count = len(measured_records)
+        joins = [join_predicates(m.record.predicates) for m in measured_records]
+        # every record's join set subsumes the single-join expression; a
+        # filter-only record would make no candidate applicable
+        ranked = rank_sits(conditioned, joins + [frozenset()])
+        for sit, score, applicability in ranked:
+            assert applicability == count
+            assert score == pytest.approx(
+                sit.diff * count / (1.0 + sit.join_count)
             )
+        search = ConfigurationSearch(
+            database=two_table_db,
+            base_sits=base,
+            candidates=conditioned,
+            records=measured_records,
+        )
+        assert search.ranked_candidates() == [sit for sit, _, _ in ranked]
 
     def test_evaluate_counts_and_scores(
         self, two_table_db, measured_records, search_parts
@@ -136,7 +146,7 @@ class TestConfigurationSearch:
         self, two_table_db, measured_records, search_parts
     ):
         base, conditioned = search_parts
-        spaces = {str(sit): sit_space_bytes(sit) for sit in conditioned}
+        spaces = {str(sit): sit.space_bytes for sit in conditioned}
         budget = min(spaces.values())  # room for at most the smallest
         search = ConfigurationSearch(
             database=two_table_db,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.advisor.feedback import FeedbackLog
+from repro.advisor.feedback import FeedbackStore
 from repro.advisor.split import (
     CANDIDATE,
     SAFETY,
@@ -57,11 +57,11 @@ class TestAssignSplit:
 
 
 class TestSplitRecords:
-    def _log(self, two_table_attrs, repeats: int = 2) -> FeedbackLog:
-        log = FeedbackLog(capacity=256)
+    def _log(self, two_table_attrs, repeats: int = 2) -> FeedbackStore:
+        log = FeedbackStore(capacity=256)
         for _ in range(repeats):
             for low in range(40):
-                log.append(
+                log.observe(
                     predicate_set(two_table_attrs, float(low)), float(low)
                 )
         return log

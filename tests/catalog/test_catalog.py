@@ -3,6 +3,7 @@ invalidation event path."""
 
 import pytest
 
+from repro.advisor.feedback import FeedbackStore
 from repro.catalog import (
     BUILD_FULL,
     BUILD_SAMPLED,
@@ -14,7 +15,6 @@ from repro.core.errors import NIndError
 from repro.core.predicates import Attribute, FilterPredicate, JoinPredicate
 from repro.core.universe import PredicateUniverse
 from repro.histograms.base import Bucket, Histogram
-from repro.stats.feedback import FeedbackRepository
 from repro.stats.pool import SITPool
 from repro.stats.sit import SIT
 
@@ -140,12 +140,14 @@ class TestInvalidationEventPath:
         }
 
     def test_feedback_dropped_on_table_update(self, catalog):
-        repository = catalog.attach_feedback(FeedbackRepository())
-        repository.record(frozenset({FilterPredicate(SB, 0, 5)}), 12)
-        repository.record(frozenset({FilterPredicate(RA, 0, 5)}), 7)
+        store = catalog.attach_feedback(FeedbackStore())
+        store.record_truth(frozenset({FilterPredicate(SB, 0, 5)}), 12)
+        store.record_truth(frozenset({FilterPredicate(RA, 0, 5)}), 7)
         catalog.notify_table_update("S")
-        assert len(repository) == 1  # only the R record survives
-        assert repository.lookup(frozenset({FilterPredicate(SB, 0, 5)})) is None
+        # only the R truth survives
+        assert store.counters()["truth_entries"] == 1.0
+        assert store.lookup_truth(frozenset({FilterPredicate(SB, 0, 5)})) is None
+        assert catalog.stats_snapshot().catalog["feedback_dropped"] == 1.0
 
     def test_table_update_bumps_catalog_and_pool_versions(self, catalog):
         catalog_version = catalog.version
@@ -171,7 +173,7 @@ class TestInvalidationEventPath:
         assert universe._prune_pool_version == catalog.pool.version
 
     def test_lifecycle_metrics_flow(self, catalog):
-        catalog.attach_feedback(FeedbackRepository())
+        catalog.attach_feedback(FeedbackStore())
         catalog.notify_table_update("S")
         snapshot = catalog.stats_snapshot()
         assert snapshot.catalog["invalidations"] == 1.0

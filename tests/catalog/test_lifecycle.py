@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.catalog import (
+    BUILD_FULL,
     BUILD_SAMPLED,
     EstimationSession,
     RefreshPolicy,
@@ -23,6 +24,7 @@ from repro.core.predicates import Attribute, FilterPredicate, JoinPredicate
 from repro.engine.database import Database, Table
 from repro.engine.expressions import Query
 from repro.engine.schema import ForeignKey, Schema, TableSchema
+from repro.stats.sampling import SamplingSITBuilder
 
 RX = Attribute("R", "x")
 RA = Attribute("R", "a")
@@ -127,17 +129,37 @@ class TestIncrementalRefresh:
                 old = stale_before[str(sit)]
                 assert sit.histogram.buckets != old.histogram.buckets
 
-    def test_sampled_refresh_records_method(self, database, catalog):
-        catalog.notify_table_update("S")
-        catalog.refresh(
-            RefreshPolicy(method="sampled", sample_fraction=0.5)
+    def test_sampled_refresh_records_method(self, database, workload):
+        """A refresh rebuilds by full scan — also in a catalog whose
+        first build sampled — and the provenance says so."""
+        catalog = StatisticsCatalog.build(
+            database,
+            workload,
+            max_joins=1,
+            builder=SamplingSITBuilder(database, sample_fraction=0.5),
         )
-        methods = {
-            catalog.metadata_for(sit).build_method
-            for sit in catalog
-            if not sit.is_base and "S" in sit.tables
+
+        def methods() -> set[str]:
+            return {catalog.metadata_for(sit).build_method for sit in catalog}
+
+        assert methods() == {BUILD_SAMPLED}
+        for table in ("R", "S"):
+            catalog.notify_table_update(table)
+        exact = StatisticsCatalog.build(database, workload, max_joins=1)
+        assert len(catalog.refresh().rebuilt) == len(catalog)
+        assert methods() == {BUILD_FULL}
+        assert {str(s): s.histogram.buckets for s in catalog} == {
+            str(s): s.histogram.buckets for s in exact
         }
-        assert methods == {BUILD_SAMPLED}
+
+    @pytest.mark.parametrize(
+        "field",
+        ["method", "sample_fraction", "min_sample_rows", "sampling_seed"],
+    )
+    def test_sampled_refresh_options_are_gone(self, field):
+        # 1.08x faster for 14x the error (DESIGN.md): one rebuild path
+        with pytest.raises(TypeError, match=field):
+            RefreshPolicy(**{field: 1})
 
     def test_space_budget_drops_lowest_value_sits(self, catalog, workload):
         conditioned = [s for s in catalog if not s.is_base]
@@ -246,7 +268,7 @@ class TestRefreshReport:
         catalog.notify_table_update("S")
         report = catalog.refresh()
         payload = report.to_dict()
-        assert payload["method"] == "full"
+        assert "method" not in payload
         assert payload["rebuilt"] == report.rebuilt_count
         assert payload["version_after"] > payload["version_before"]
         assert payload["build_seconds"] >= 0.0

@@ -1,12 +1,14 @@
 """One end-to-end journey through every layer of the library.
 
-SQL text -> canonical query -> SIT pool (advisor-selected) -> DP
+SQL text -> canonical query -> SIT pool (budgeted catalog refresh) -> DP
 estimation -> optimizer exploration -> costed plan -> physical execution
 -> feedback.  If this test passes, every public seam composes.
 """
 
 import pytest
 
+from repro.advisor.feedback import FeedbackEstimator
+from repro.catalog import RefreshPolicy, StatisticsCatalog
 from repro.core.errors import DiffError
 from repro.estimators import make_gs_diff
 from repro.engine.executor import Executor
@@ -15,9 +17,6 @@ from repro.optimizer.execution import execute_plan
 from repro.optimizer.explorer import explore
 from repro.optimizer.integration import MemoCoupledEstimator
 from repro.sql.binder import parse_query
-from repro.stats.advisor import AdvisorConfig, SITAdvisor
-from repro.stats.builder import SITBuilder
-from repro.stats.feedback import FeedbackEstimator
 from repro.stats.io import dumps_pool, loads_pool
 from repro.workload.snowflake import SnowflakeConfig, generate_snowflake
 
@@ -33,9 +32,9 @@ SQL = (
 def pipeline():
     database = generate_snowflake(SnowflakeConfig(scale=0.1, seed=21))
     query = parse_query(SQL, database.schema)
-    builder = SITBuilder(database)
-    advisor = SITAdvisor(builder, AdvisorConfig(max_sits=6, max_joins=1))
-    pool = advisor.build_pool([query])
+    catalog = StatisticsCatalog.build(database, [query], max_joins=1)
+    catalog.refresh(RefreshPolicy(max_sits=6, min_diff=0.01), [query])
+    pool = catalog.pool
     executor = Executor(database)
     return database, query, pool, executor
 

@@ -3,13 +3,16 @@ synchronous tuning, and the no-advisor default."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.advisor import AdvisorConfig, SelfTuningAdvisor
-from repro.advisor.loop import ACCEPTED
+from repro.advisor.loop import ACCEPTED, SKIPPED
+from repro.core.predicates import FilterPredicate
+from repro.engine.expressions import Query
 from repro.service import EstimationService, ServiceConfig
 
 TUNED = ServiceConfig(
@@ -60,7 +63,7 @@ class TestServiceIntegration:
             assert isinstance(service.advisor, SelfTuningAdvisor)
             for query in factor_sharing_queries:
                 service.estimate(query)
-            counters = service.advisor.log.counters()
+            counters = service.advisor.feedback.counters()
             assert counters["feedback_appended"] >= len(
                 factor_sharing_queries
             )
@@ -137,6 +140,58 @@ class TestServiceIntegration:
             assert finished.is_set() or not started.is_set()
             tick_thread = service._tuning_thread
             assert tick_thread is None or not tick_thread.is_alive()
+
+    def test_table_update_storm_during_tune(
+        self, service_catalog, two_table_attrs, two_table_join
+    ):
+        """A writer's ``notify_table_update`` drops truth from the
+        feedback store on its own thread while the tuning tick looks
+        truth up and records it: no notify raises and no tick is
+        skipped or fails, because the store's one lock covers both."""
+        # truth over R alone outlives the storm on S and keeps every
+        # invalidation scanning; truth over the join is dropped and
+        # recorded again while it scans
+        r_filters = [
+            FilterPredicate(two_table_attrs["Ra"], float(low), low + 25.0)
+            for low in range(150)
+        ]
+        queries = [Query.of(predicate) for predicate in r_filters] + [
+            Query.of(two_table_join, predicate) for predicate in r_filters
+        ]
+        with EstimationService(service_catalog, config=TUNED) as service:
+            for query in queries:
+                service.estimate(query)
+            start = threading.Barrier(2)
+            tuned = threading.Event()
+            errors: list[Exception] = []
+
+            def storm() -> None:
+                try:
+                    start.wait(timeout=30.0)
+                    while not tuned.is_set():
+                        service_catalog.notify_table_update("S")
+                except Exception as error:  # reported by the assert below
+                    errors.append(error)
+
+            writer = threading.Thread(target=storm, daemon=True)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                writer.start()
+                try:
+                    start.wait(timeout=30.0)
+                    reports = [service.tune() for _ in range(3)]
+                finally:
+                    tuned.set()
+                writer.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not writer.is_alive()
+            assert errors == []
+            assert SKIPPED not in {report.status for report in reports}
+            advisor = service.metrics_registry().snapshot()["advisor"]
+            assert advisor.get("skipped_ticks", 0.0) == 0.0
+            assert advisor.get("failed_ticks", 0.0) == 0.0
 
     def test_clean_close_with_advisor(self, service_catalog, join_query):
         service = EstimationService(service_catalog, config=TUNED)
