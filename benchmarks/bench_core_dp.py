@@ -36,11 +36,10 @@ def test_dp_steady_state_speedup(perf_result, write_result):
     write_result("core_dp", perf.render(perf_result))
 
 
-def test_dp_cold_not_regressed(perf_result):
-    """A fresh-instance call is matching-layer bound (shared by both
-    paths); the bitmask machinery must not make it materially slower."""
-    for key, row in perf_result["get_selectivity"].items():
-        assert row["cold_speedup"] >= 0.6, (key, row["cold_speedup"])
+def test_dp_cold_speedup(perf_result):
+    """A fresh-instance call: the bitmask DP prices every (P', Q) on
+    masks and builds a match only for a winner, the oracle one per pair."""
+    assert perf.passed(perf_result), perf_result["gates"]
 
 
 def test_histogram_kernel_speedups(perf_result):

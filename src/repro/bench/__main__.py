@@ -7,7 +7,7 @@ at the repository root, unless the last argument is a path (it has a
 Blocks of suites not named in this run stay exactly as recorded; there
 is one ``meta``, with one entry per suite saying where and when its
 blocks were last measured.  The exit code is 1 when a suite that gates
-(``advisor``, ``ingest``) fails its gate.
+(``core``'s cold speedups, ``advisor``, ``ingest``) fails its gate.
 
 What the repository benchmark (``BENCHMARK.json``, ``python -m bench``)
 reports — request latency and throughput in-process, over TCP and under

@@ -371,12 +371,19 @@ def run(recorded: dict | None = None, repeats: int = 9) -> dict:
 def gates(result: dict) -> dict:
     """The acceptance numbers, read off the measured blocks."""
     return {
-        # The rewrite targets the optimizer inner loop: an end-to-end
-        # getSelectivity call per query in the harness's reset-per-query
-        # regime (cold calls are matching-layer bound, which both paths
-        # share; cold speedups are reported above for transparency).
+        # The optimizer inner loop: an end-to-end getSelectivity call per
+        # query in the harness's reset-per-query regime.
         "n7_steady_speedup": result["get_selectivity"]["n7"]["steady_speedup"],
         "n7_steady_target": 3.0,
+        # A fresh instance answering once: the bitmask engine prices every
+        # (P', Q) on masks and builds a match only for a winner, the
+        # oracle builds one per pair.  A same-run ratio, so host speed
+        # cancels.
+        **{
+            f"{key}_cold_speedup": row["cold_speedup"]
+            for key, row in result["get_selectivity"].items()
+        },
+        "cold_target": 1.5,
         "histogram_join_speedup": result["histograms"]["histogram_join"][
             "speedup"
         ],
@@ -407,6 +414,17 @@ def gates(result: dict) -> dict:
             "refresh_vs_build_pct"
         ],
     }
+
+
+def passed(result: dict) -> bool:
+    """The gate the runner's exit code carries: every cold speedup at or
+    over ``cold_target`` (the other gates are read off the file)."""
+    found = result["gates"]
+    return all(
+        value >= found["cold_target"]
+        for name, value in found.items()
+        if name.endswith("_cold_speedup")
+    )
 
 
 def render(result: dict) -> str:

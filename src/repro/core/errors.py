@@ -54,6 +54,13 @@ class ErrorFunction(Protocol):
     #: default to unstable (the cache probes with ``getattr(..., False)``).
     plan_stable: bool
 
+    #: Optional: ``assumption_price(predicate, assumed) -> float``, for a
+    #: function whose factor error is :func:`priced_factor_error` of it.
+    #: The bitmask DP prices such a function on masks; one without it (or
+    #: with ``requires_combinations``) is handed materialised matches.
+    #: Optional too: ``clear_caches()``, called when the DP starts its
+    #: universe over, for a function that caches per predicate.
+
     def rank_candidate(self, entry: AttributeCandidates) -> SIT:
         """Pick the best candidate SIT for one attribute."""
         ...
@@ -61,6 +68,28 @@ class ErrorFunction(Protocol):
     def factor_error(self, match: FactorMatch) -> float:
         """The (estimated) error of approximating the factor with ``match``."""
         ...
+
+
+def priced_factor_error(match: FactorMatch, price) -> float:
+    """The factor error of a function that charges per independence
+    assumption: ``price(predicate, assumed)`` summed over every term of
+    the implicit expansion and every predicate the term assumes
+    independence from.
+
+    A function of this form exposes the price as ``assumption_price``,
+    and the bitmask DP adds the same prices up on masks without building
+    a match (:class:`repro.core.matching.FactorScorer`).  The summation
+    order is fixed — terms in expansion order, assumptions in ``str``
+    order, one flat left-to-right sum — because float addition is not
+    associative and frozenset iteration order is hash-seed dependent:
+    the same logical match must yield the bit-identical error no matter
+    how its predicate sets were constructed, or which path priced it.
+    """
+    total = 0.0
+    for term in implicit_terms(match):
+        for assumed in sorted(term.assumed, key=str):
+            total += price(term.predicate, assumed)
+    return total
 
 
 def merge(first: float, second: float) -> float:
@@ -82,10 +111,14 @@ class NIndError:
             key=lambda sit: (len(entry.conditioning - sit.expression), str(sit)),
         )
 
+    def assumption_price(self, predicate, assumed) -> float:
+        """Every independence assumption counts once."""
+        return 1.0
+
     def factor_error(self, match: FactorMatch) -> float:
         # Each implicit term corresponds to one predicate of the factor's P
         # (so |P_i| is accounted for), and ``assumed`` is its Q_i - Q'_i.
-        return float(sum(len(term.assumed) for term in implicit_terms(match)))
+        return priced_factor_error(match, self.assumption_price)
 
 
 class DiffError:
@@ -126,9 +159,15 @@ class DiffError:
         self._unknown_cost = unknown_cost
         self._dependence_cache: dict[tuple, float] = {}
         #: pure function of (attribute, predicate) for a fixed pool —
-        #: cached like ``_pair_dependence`` (the cold-start profile shows
+        #: cached like ``assumption_price`` (the cold-start profile shows
         #: candidate ranking re-probing the same pairs hundreds of times)
         self._attribute_cache: dict[tuple, float] = {}
+
+    def clear_caches(self) -> None:
+        """Forget the dependence probes (pure functions of the pool; their
+        keys hold predicates with their constants)."""
+        self._dependence_cache.clear()
+        self._attribute_cache.clear()
 
     # -- candidate selection -------------------------------------------
     def rank_candidate(self, entry: AttributeCandidates) -> SIT:
@@ -148,18 +187,12 @@ class DiffError:
 
     # -- factor error ---------------------------------------------------
     def factor_error(self, match: FactorMatch) -> float:
-        total = 0.0
-        for term in implicit_terms(match):
-            # Deterministic summation order (see rank_candidate): the same
-            # logical match must yield the bit-identical error no matter
-            # how its predicate sets were constructed.
-            for assumed in sorted(term.assumed, key=str):
-                total += self._pair_dependence(term.predicate, assumed)
-        return total
+        return priced_factor_error(match, self.assumption_price)
 
     # -- dependence estimation ------------------------------------------
-    def _pair_dependence(self, predicate, other) -> float:
-        """Known strength of the dependence between two predicates."""
+    def assumption_price(self, predicate, other) -> float:
+        """Known strength of the dependence between two predicates — what
+        assuming them independent is charged."""
         key = (predicate, other) if str(predicate) <= str(other) else (other, predicate)
         cached = self._dependence_cache.get(key)
         if cached is not None:

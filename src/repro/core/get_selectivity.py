@@ -32,9 +32,13 @@ runs the whole DP on an interned **bitmask representation**
 ``int`` masks, submask enumeration is ``sub = (sub - 1) & mask``,
 connected components are a bitwise BFS over a precomputed adjacency table,
 and Section 3.4 pruning is a single ``expr & ~q == 0`` test per candidate
-SIT expression.  ``frozenset`` objects are materialized only at the public
-API boundary and on factor-match cache misses, so ``EstimationResult``,
-``Decomposition`` and every caller are unchanged.
+SIT expression.  Line 12 is priced on masks too
+(:class:`repro.core.matching.FactorScorer`): the DP asks what the best SIT
+assignment for ``Sel(P'|Q)`` costs and keeps ``(error, coverage, picks)``;
+a ``FactorMatch`` — and with it every ``frozenset`` — is materialized only
+for the ``(P', Q)`` that wins a node, at line 16, and at the public API
+boundary, so ``EstimationResult``, ``Decomposition`` and every caller are
+unchanged.
 
 :class:`LegacyGetSelectivity` (reachable as
 ``GetSelectivity.create(..., engine="legacy")``) preserves the original
@@ -60,6 +64,7 @@ from repro.obs.snapshot import StatsSnapshot
 from repro.obs.trace import Trace
 from repro.core.matching import (
     FactorMatch,
+    FactorScorer,
     JoinMemo,
     ViewMatcher,
     enumerate_matches,
@@ -136,11 +141,22 @@ def _match_coverage(match: FactorMatch) -> float:
 
 _EMPTY_RESULT = EstimationResult(1.0, 0.0, Decomposition(()), ())
 
+#: what a factor no SIT assignment exists for scores
+_NO_MATCH = (INFINITE_ERROR, 0.0, None)
+
 #: memo entries a request may start with.  Past it the memo is emptied
 #: before the next request solves — never during one, and always whole:
 #: the plan compiler walks a result's sub-masks through the memo, so an
 #: entry must not outlive the entries it was built from.
 MEMO_LIMIT = 8192
+
+#: interned predicates a request may start with.  Every mask is as wide
+#: as the universe, and everything keyed by one — the memo, the
+#: factor-match and estimate caches, the scorer's tables — grows with it
+#: when misses keep bringing fresh constants (plan cache off, ``OptError``,
+#: shape-miss traffic).  Past it they all start over together, between
+#: requests like the memo.
+UNIVERSE_LIMIT = 2048
 
 
 class GetSelectivity:
@@ -214,6 +230,13 @@ class GetSelectivity:
         #: bit-interning of every predicate this instance has seen; must
         #: outlive reset() because the factor-match cache keys on its bits.
         self.universe = PredicateUniverse(pool)
+        #: line 12 on masks (holds the universe: replaced with it)
+        self._scorer = FactorScorer(self.universe, self.matcher, error_function)
+        #: False for GS-Opt and for a function without a per-assumption
+        #: price: those are handed materialised matches
+        self._priced = not error_function.requires_combinations and hasattr(
+            error_function, "assumption_price"
+        )
         #: memo keyed by predicate mask (legacy subclass: by frozenset,
         #: and never gated — the oracle is built per use)
         self._memo: dict = {}
@@ -222,14 +245,17 @@ class GetSelectivity:
         self._version = pool.version
         # Pure function of (P', Q) for a fixed pool and error function, so
         # it survives reset() (which empties the memo and the counters).
-        # Fast path values are (match, error, coverage) triples; the legacy
-        # subclass stores (match, error) pairs, as the seed did.
+        # Fast path values are (error, coverage, picks) triples — picks
+        # being what the scorer needs to build the match, should the pair
+        # win; the legacy subclass stores (match, error) pairs, as the
+        # seed did.
         self._match_cache: dict = {}
-        # estimate_factor(match) is a pure histogram computation per
-        # (P', Q); caching it across reset() means a steady-state optimizer
-        # only pays histogram manipulation for factors it has never
-        # estimated before (fast path only — the legacy baseline keeps the
-        # seed behaviour of re-estimating per query).
+        # The winners: per (P', Q) that won a node, its materialised match
+        # and estimate_factor(match), a pure histogram computation.
+        # Caching them across reset() means a steady-state optimizer only
+        # pays histogram manipulation for factors it has never estimated
+        # before (fast path only — the legacy baseline keeps the seed
+        # behaviour of re-estimating per query).
         self._estimate_cache: dict = {}
         #: derived histograms by operand identity, shared by the DP's
         #: line 16 and the plan compiler so each pair is joined once
@@ -339,6 +365,8 @@ class GetSelectivity:
             self._version = version
         elif len(self._memo) > MEMO_LIMIT:
             self._memo.clear()
+        if self.universe.size > UNIVERSE_LIMIT:
+            self._forget_masks()
         started = time.perf_counter()
         mask = self.universe.intern(predicates)
         trace = self.trace
@@ -349,6 +377,20 @@ class GetSelectivity:
             result = self._solve(mask)
         self.analysis_seconds += time.perf_counter() - started
         return result
+
+    def _forget_masks(self) -> None:
+        """Start a fresh universe, and with it everything keyed by the
+        old one's masks or by the predicates behind them (the join memo
+        keys on histogram identity and stays; the counters run on)."""
+        self.universe = PredicateUniverse(self.pool)
+        self._scorer = FactorScorer(self.universe, self.matcher, self.error_function)
+        self._memo.clear()
+        self._match_cache.clear()
+        self._estimate_cache.clear()
+        self.matcher.clear_caches()
+        clear_caches = getattr(self.error_function, "clear_caches", None)
+        if clear_caches is not None:
+            clear_caches()
 
     def cached_results(self) -> dict[PredicateSet, EstimationResult]:
         """The memo table: free estimates for every solved sub-query."""
@@ -396,7 +438,7 @@ class GetSelectivity:
         pruning = self.sit_driven_pruning
         best_error = INFINITE_ERROR
         best_coverage = 0.0
-        best_match: FactorMatch | None = None
+        best_picks: tuple | None = None
         best_tail: EstimationResult | None = None
         best_p_mask = 0
         best_tie: tuple[int, int] | None = None
@@ -418,10 +460,10 @@ class GetSelectivity:
             tail = solve(q_mask)  # line 11
             if tail.error > best_error:
                 continue  # monotonicity: this decomposition cannot win
-            match, factor_error, match_coverage = self._best_factor_match(
+            factor_error, match_coverage, picks = self._best_factor_match(
                 p_mask, q_mask
             )  # line 12
-            if match is None:
+            if picks is None:
                 continue
             total = merge(factor_error, tail.error)
             if total > best_error:
@@ -431,7 +473,7 @@ class GetSelectivity:
                 # Exact tie on (error, -coverage): break it with the
                 # canonical (size, str-lex) order the legacy enumeration
                 # used implicitly — lines 13-15's determinism contract.
-                if best_match is None:
+                if best_picks is None:
                     continue  # ties against the (inf, 0) sentinel lose
                 if best_tie is None:
                     best_tie = universe.tie_break(best_p_mask)
@@ -445,25 +487,30 @@ class GetSelectivity:
                 best_tie = None
             best_error = total
             best_coverage = coverage
-            best_match = match
+            best_picks = picks
             best_tail = tail
             best_p_mask = p_mask
         self.explored_decompositions += explored
-        if best_match is None or best_tail is None:
+        if best_picks is None or best_tail is None:
             # No SITs at all for some attribute: surface it explicitly
             # rather than inventing a number.
             raise NoApplicableStatisticsError(universe.set_of(mask))
-        estimate_key = (best_p_mask, mask ^ best_p_mask)
-        factor_selectivity = self._estimate_cache.get(estimate_key)
-        if factor_selectivity is None:
+        winner_key = (best_p_mask, mask ^ best_p_mask)
+        winner = self._estimate_cache.get(winner_key)
+        if winner is None:
+            # only a winner is ever built: the match is all line 16, the
+            # plan compiler and ``EstimationResult.matches`` read
+            best_match = self._scorer.materialise(*winner_key, best_picks)
             started = time.perf_counter()
             # line 16; the memo times the joins it really performs into
             # the trace's ``histogram_join`` stage
             factor_selectivity = estimate_factor(best_match, memo=self._join_memo)
             self.estimation_seconds += time.perf_counter() - started
-            self._estimate_cache[estimate_key] = factor_selectivity
-        elif self.trace is not None:
-            self.trace.count("estimate_cache_hits")
+            self._estimate_cache[winner_key] = (best_match, factor_selectivity)
+        else:
+            best_match, factor_selectivity = winner
+            if self.trace is not None:
+                self.trace.count("estimate_cache_hits")
         selectivity = factor_selectivity * best_tail.selectivity  # line 17
         decomposition = best_tail.decomposition.extended(best_match.factor)
         matches = (best_match, *best_tail.matches)
@@ -474,7 +521,9 @@ class GetSelectivity:
     # ------------------------------------------------------------------
     def _best_factor_match(
         self, p_mask: int, q_mask: int
-    ) -> tuple[FactorMatch | None, float, float]:
+    ) -> tuple[float, float, tuple | None]:
+        """``(error, coverage, picks)`` of the best SIT assignment for
+        ``Sel(P'|Q)``; ``picks`` is ``None`` when there is none."""
         key = (p_mask, q_mask)
         # One logical view-matching invocation (Figure 6 metric), counted
         # exactly once whether or not the result is cached.
@@ -484,14 +533,28 @@ class GetSelectivity:
             self.match_cache_hits += 1
             return cached
         self.match_cache_misses += 1
-        universe = self.universe
-        match, error = self._compute_factor_match(
-            universe.set_of(p_mask), universe.set_of(q_mask)
-        )
-        coverage = _match_coverage(match) if match is not None else 0.0
-        result = (match, error, coverage)
+        result = self._score(p_mask, q_mask)
         self._match_cache[key] = result
         return result
+
+    def _score(self, p_mask: int, q_mask: int) -> tuple[float, float, tuple | None]:
+        scorer = self._scorer
+        if not self._priced:
+            set_of = self.universe.set_of
+            match, error = self._compute_factor_match(set_of(p_mask), set_of(q_mask))
+            if match is None:
+                return _NO_MATCH
+            return error, _match_coverage(match), scorer.picks_of(match)
+        trace = self.trace
+        if trace is None:
+            candidates = scorer.candidates(p_mask, q_mask)
+            return _NO_MATCH if candidates is None else scorer.price(*candidates)
+        with trace.span("factor_matching"):
+            candidates = scorer.candidates(p_mask, q_mask)
+        if candidates is None:
+            return _NO_MATCH
+        with trace.span("error_scoring"):
+            return scorer.price(*candidates)
 
     def _compute_factor_match(
         self, p_part: PredicateSet, q_part: PredicateSet

@@ -126,6 +126,14 @@ class ViewMatcher:
         """Zero the view-matching call counter (caches are kept)."""
         self.calls = 0
 
+    def clear_caches(self) -> None:
+        """Forget every cached candidate list (pure functions of the
+        pool: refilled on demand).  Their keys hold predicates with their
+        constants, so a caller whose traffic keeps bringing fresh ones
+        calls this when it starts its own tables over."""
+        self._attribute_cache.clear()
+        self._factor_cache.clear()
+
     def count_invocation(self) -> None:
         """Record one logical view-matching invocation (Figure 6 metric).
 
@@ -483,6 +491,198 @@ def implicit_terms(match: FactorMatch) -> list[ImplicitTerm]:
         extra.add(predicate)
         processed.append(predicate)
     return terms
+
+
+class AttributePick:
+    """One row of :class:`FactorScorer`'s per-attribute table: the
+    maximal candidates of ``attribute`` under the conditioning
+    ``cond_mask`` and (once ranked) the SIT the error function picks
+    among them, with its expression as a mask."""
+
+    __slots__ = ("attribute", "weight", "cond_mask", "candidates", "sit", "expr_mask")
+
+    def __init__(self, attribute, weight, cond_mask, candidates, sit=None):
+        self.attribute = attribute
+        self.weight = weight
+        self.cond_mask = cond_mask
+        self.candidates = candidates
+        self.sit = sit
+        self.expr_mask = 0
+
+
+class FactorScorer:
+    """Section 3.3 on masks, for the bitmask DP: what the best SIT
+    assignment for ``Sel(P'|Q)`` costs, without building it.
+
+    :meth:`candidates` is steps 1-3 (``candidates_for_factor``) and
+    :meth:`price` the ranking and the implicit expansion
+    (``select_match`` + ``implicit_terms`` + the error function's
+    ``assumption_price``) — the frozenset routines stay the reference
+    definition, and every float here is added in their order, so the two
+    agree to the bit.  The DP asks for ``(error, coverage, picks)`` per
+    ``(P', Q)`` and calls :meth:`materialise` on the picks of a winner
+    only.
+
+    Three tables, all keyed by masks of ``universe`` and so alive exactly
+    as long as it is: per ``P'`` the weighted attributes and the
+    predicates in expansion order, per ``Q`` the component each table is
+    conditioned on, per ``(attribute, weight, conditioning)`` the
+    candidates and the pick.  Holds the universe, the matcher and the
+    error function — never the DP that owns it (a retired DP must go
+    without the cycle collector).
+    """
+
+    def __init__(self, universe: "PredicateUniverse", matcher: ViewMatcher, error_function):
+        self.universe = universe
+        self.matcher = matcher
+        self.error_function = error_function
+        self._plans: dict[int, tuple] = {}
+        self._components: dict[int, dict[str, int]] = {}
+        self._picks: dict[tuple, AttributePick] = {}
+
+    # ------------------------------------------------------------------
+    def candidates(self, p_mask: int, q_mask: int) -> tuple | None:
+        """Steps 1-3 of Section 3.3; ``None`` when some attribute has no
+        candidate SIT at all."""
+        plan = self._plans.get(p_mask)
+        if plan is None:
+            plan = self._plans[p_mask] = self._plan(p_mask)
+        component_of = self._components.get(q_mask)
+        if component_of is None:
+            component_of = self._components[q_mask] = (
+                self.universe.components_by_table(q_mask)
+            )
+        table = self._picks
+        fault_plan = _fault_plan()
+        picks = []
+        for attribute, weight in plan[0]:
+            key = (attribute, weight, component_of.get(attribute.table, 0))
+            pick = table.get(key)
+            if pick is None:
+                # (the matcher runs the SIT-match injection point itself)
+                maximal = self.matcher.maximal_candidates(
+                    attribute, self.universe.set_of(key[2])
+                )
+                pick = table[key] = AttributePick(*key, maximal)
+            elif fault_plan is not None and pick.candidates:
+                fault_plan.check(
+                    POINT_SIT_MATCH, detail=str(attribute), sits=pick.candidates
+                )
+            if not pick.candidates:
+                return None
+            picks.append(pick)
+        return plan, tuple(picks)
+
+    def _plan(self, p_mask: int) -> tuple:
+        """What ``P'`` alone decides: its attributes with their weights
+        (step 1, in attribute order) and its joins, then its filters, in
+        ``str`` order — each with its bit and the positions of its
+        attributes in the first list."""
+        universe = self.universe
+        ordered = [
+            (bit, universe.attributes(bit)) for bit in universe.sorted_bits(p_mask)
+        ]
+        weights: dict[Attribute, float] = {}
+        for _, attributes in ordered:
+            share = 0.5 if len(attributes) == 2 else 1.0  # a join's two operands
+            for attribute in attributes:
+                weights[attribute] = weights.get(attribute, 0.0) + share
+        by_attribute = sorted(weights.items())
+        position = {attribute: i for i, (attribute, _) in enumerate(by_attribute)}
+        joins, filters = [], []
+        for bit, attributes in ordered:
+            entry = (1 << bit, universe.predicate(bit), *map(position.get, attributes))
+            (joins if len(attributes) == 2 else filters).append(entry)
+        return tuple(by_attribute), tuple(joins), tuple(filters)
+
+    # ------------------------------------------------------------------
+    def price(self, plan: tuple, picks: tuple) -> tuple[float, float, tuple]:
+        """``(error, coverage, picks)`` of the error function's choice
+        among ``picks``' candidates: :func:`implicit_terms` on masks,
+        with every assumption charged ``assumption_price``."""
+        universe = self.universe
+        for pick in picks:
+            if pick.sit is None:
+                self._rank(pick)
+        price = self.error_function.assumption_price
+        predicate_at = universe.predicate
+        sorted_bits = universe.sorted_bits
+        # Attributes share a component when Q links their tables (they
+        # are then conditioned on the same component of Q) or they sit on
+        # one table; a component is named by its first attribute and
+        # carries what its terms are conditioned on: its share of Q, then
+        # every processed predicate of P' that touches it.
+        first: dict = {}
+        component = [
+            first.setdefault(pick.cond_mask or pick.attribute.table, i)
+            for i, pick in enumerate(picks)
+        ]
+        context = [pick.cond_mask for pick in picks]
+        covered = [pick.expr_mask for pick in picks]
+        total = 0.0
+        for bit, join, left, right in plan[1]:
+            into, from_ = component[left], component[right]
+            conditioned_on = context[into] | context[from_]
+            joint = covered[left] | covered[right]
+            assumed = conditioned_on & ~joint
+            if assumed:
+                for other in sorted_bits(assumed):
+                    total += price(join, predicate_at(other))
+            # the derived histogram covers both sides and the join itself
+            covered[left] = covered[right] = joint | bit
+            if into != from_:
+                component = [into if c == from_ else c for c in component]
+            context[into] = conditioned_on | bit
+        for bit, predicate, attribute in plan[2]:
+            home = component[attribute]
+            # filters on one attribute are one intersected range: the
+            # earlier ones (folded into ``covered``) are exact, not assumed
+            assumed = context[home] & ~covered[attribute]
+            if assumed:
+                for other in sorted_bits(assumed):
+                    total += price(predicate, predicate_at(other))
+            covered[attribute] |= bit
+            context[home] |= bit
+        coverage = sum(len(pick.sit.expression) for pick in picks)
+        return total, float(coverage), picks
+
+    def _rank(self, pick: AttributePick) -> None:
+        pick.sit = self.error_function.rank_candidate(
+            AttributeCandidates(
+                pick.attribute,
+                pick.weight,
+                self.universe.set_of(pick.cond_mask),
+                pick.candidates,
+            )
+        )
+        # a candidate's expression lies within the conditioning: interned
+        pick.expr_mask = self.universe.intern(pick.sit.expression)
+
+    # ------------------------------------------------------------------
+    def materialise(self, p_mask: int, q_mask: int, picks: tuple) -> FactorMatch:
+        """The :class:`FactorMatch` ``select_match`` would have built."""
+        set_of = self.universe.set_of
+        matches = []
+        for pick in picks:
+            conditioning = set_of(pick.cond_mask)
+            matches.append(
+                AttributeMatch(
+                    pick.attribute,
+                    pick.weight,
+                    pick.sit,
+                    conditioning,
+                    conditioning - pick.sit.expression,
+                )
+            )
+        return FactorMatch(Factor(set_of(p_mask), set_of(q_mask)), tuple(matches))
+
+    def picks_of(self, match: FactorMatch) -> tuple:
+        """A match an unpriced error function chose, as picks."""
+        intern = self.universe.intern
+        return tuple(
+            AttributePick(am.attribute, am.weight, intern(am.conditioning), (), am.sit)
+            for am in match.attribute_matches
+        )
 
 
 class JoinMemo:

@@ -12,11 +12,14 @@ query into consecutive bit indices so the whole hot path runs on plain
 * ``intern`` maps a predicate set to a mask (growing the universe on first
   sight of a predicate; existing masks stay valid forever);
 * ``set_of`` converts a mask back to the canonical ``frozenset`` — only
-  needed at the public API boundary and on factor-match cache misses;
+  needed at the public API boundary and for the factor that wins a node;
 * ``components`` computes table-connected components with a bitwise BFS
   over a precomputed bit-adjacency table (replacing per-call union-find);
 * ``prune_masks`` precomputes, per predicate, the SIT-expression masks
   that Section 3.4's pruning tests with a single ``expr & ~q == 0``;
+* ``attributes`` / ``components_by_table`` are the per-bit and per-``Q``
+  facts Section 3.3's matching needs, so a factor can be
+  scored without leaving masks (:class:`repro.core.matching.FactorScorer`);
 * ``tie_break`` linearizes the legacy deterministic enumeration order
   (subset size, then lexicographic over ``str``-sorted predicates) so the
   DP can break exact ties identically to the reference implementation no
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.core.predicates import Predicate, PredicateSet
+from repro.core.predicates import Attribute, Predicate, PredicateSet
 from repro.stats.pool import SITPool
 
 
@@ -63,13 +66,16 @@ class PredicateUniverse:
 
     A universe is tied to one :class:`SITPool` (which may be ``None`` for
     pool-independent uses, e.g. tests); it persists across the DP's
-    ``reset()`` because factor-match cache keys reference its bit layout.
+    ``reset()`` because factor-match cache keys reference its bit layout,
+    and is replaced — with everything keyed by its masks — once it has
+    outgrown ``get_selectivity.UNIVERSE_LIMIT``.
     """
 
     __slots__ = (
         "pool",
         "_predicates",
         "_bit_of",
+        "_attributes",
         "_table_masks",
         "_adjacency",
         "_str_rank",
@@ -84,6 +90,9 @@ class PredicateUniverse:
         self.pool = pool
         self._predicates: list[Predicate] = []
         self._bit_of: dict[Predicate, int] = {}
+        #: per-bit attributes: ``(left, right)`` of a join, ``(attribute,)``
+        #: of a filter
+        self._attributes: list[tuple[Attribute, ...]] = []
         self._table_masks: dict[str, int] = {}
         #: per-bit mask of predicates sharing a table (includes the bit)
         self._adjacency: list[int] = []
@@ -106,6 +115,11 @@ class PredicateUniverse:
 
     def bit(self, predicate: Predicate) -> int:
         return self._bit_of[predicate]
+
+    def attributes(self, bit: int) -> tuple[Attribute, ...]:
+        """``(left, right)`` of the join at ``bit``, ``(attribute,)`` of a
+        filter."""
+        return self._attributes[bit]
 
     def __contains__(self, predicate: Predicate) -> bool:
         return predicate in self._bit_of
@@ -132,6 +146,11 @@ class PredicateUniverse:
                 bit = len(self._predicates)
                 bit_of[predicate] = bit
                 self._predicates.append(predicate)
+                self._attributes.append(
+                    (predicate.left, predicate.right)
+                    if predicate.is_join
+                    else (predicate.attribute,)
+                )
                 mask |= 1 << bit
             self._rebuild()
         return mask
@@ -221,6 +240,22 @@ class PredicateUniverse:
             rank = self._str_rank
             out.sort(key=lambda m: min(rank[b] for b in iter_bits(m)))
         self._components_cache[mask] = out
+        return out
+
+    def components_by_table(self, mask: int) -> dict[str, int]:
+        """Every table ``mask`` touches -> the component of ``mask`` that
+        touches it (predicates sharing a table are adjacent, so there is
+        exactly one).  This is step 2 of Section 3.3 for ``Q = mask``: an
+        attribute is conditioned on its table's component, and on nothing
+        when its table is absent."""
+        components = self.components(mask)
+        out: dict[str, int] = {}
+        for table, table_mask in self._table_masks.items():
+            if table_mask & mask:
+                for component in components:
+                    if component & table_mask:
+                        out[table] = component
+                        break
         return out
 
     def is_connected(self, mask: int) -> bool:
