@@ -14,7 +14,8 @@ left behind: no child process, no ``/dev/shm/psm_*`` segment.
 ``service``       50 queries over TCP; a burst against a depth-1 queue sheds
 ``estimators``    every backend (sit / bn / sample) over TCP, with provenance
 ``plan_cache``    templated workload: hit rate, replay determinism, coherence,
-                  and a query's sub-plans each replaying on their second ask
+                  a query's sub-plans each replaying on their second ask, and
+                  EXPLAIN of a hit equal to a plan-cache-off EXPLAIN
 ``chaos``         seeded mixed fault plan: 100 typed answers, zero-fault parity
 ``cluster``       3 shards + replica: routed parity, hot swap, crash / revive
 ``chaos_ingest``  write storm + faults under TCP load; faulted cluster swap
@@ -294,6 +295,34 @@ def smoke_plan_cache() -> None:
             f"{after.get('pool_version', 0):.0f}), steady state resumed"
         )
     optimizer_pattern(fixture)
+    explain_of_a_hit(fixture)
+
+
+def explain_of_a_hit(fixture: SnowflakeFixture) -> None:
+    """EXPLAIN of a query whose shape is already compiled: the estimate
+    inside it is a plan-cache hit, so the factors it renders are built
+    from the replay when EXPLAIN reads them — and must be the factors,
+    SITs and error contributions a plan-cache-off session explains."""
+    schema = fixture.database.schema
+    warm = EstimationSession(fixture.catalog)
+    cold = EstimationSession(fixture.catalog, plan_cache=False)
+    factors = 0
+    for template in TEMPLATES:
+        warm.estimate(parse_query(template.format(low=8, high=33), schema))
+        query = parse_query(template.format(low=12, high=41), schema)
+        hit, reference = warm.explain(query), cold.explain(query)
+        assert hit.plan_cache_hit and not reference.plan_cache_hit
+        assert hit.factors == reference.factors, (hit.factors, reference.factors)
+        assert hit.selectivity == reference.selectivity
+        assert hit.error == reference.error
+        lines = hit.render_text().splitlines()
+        lines.remove("plan cache:  hit (replayed compiled plan)")
+        assert lines == reference.render_text().splitlines()
+        factors += len(hit.factors)
+    print(
+        f"explain of a hit: {len(TEMPLATES)} compiled shapes, {factors} "
+        f"factors rendered as a plan-cache-off session renders them"
+    )
 
 
 def optimizer_pattern(fixture: SnowflakeFixture) -> None:

@@ -164,17 +164,7 @@ class SelfTuningAdvisor:
         estimated = result.selectivity * database.cross_product_size(
             tables_of(predicates)
         )
-        matched = tuple(
-            sorted(
-                {
-                    str(match.sit)
-                    for factor_match in result.matches
-                    for match in factor_match.attribute_matches
-                    if not match.sit.is_base
-                }
-            )
-        )
-        self.observe(predicates, estimated, matched)
+        self.observe(predicates, estimated, result.matched_sits)
 
     # ------------------------------------------------------------------
     # Tick scheduling

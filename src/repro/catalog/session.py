@@ -41,7 +41,6 @@ Threading contract (the serving layer relies on this):
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from typing import Mapping
 
@@ -136,9 +135,10 @@ class EstimationSession:
         #: optional :class:`repro.obs.StalenessTracker` — when set, every
         #: answer is stamped with the worst-case serving-snapshot
         #: staleness over the tables it touched (``staleness_s``
-        #: provenance; see :mod:`repro.ingest`).  Stamping uses
-        #: ``dataclasses.replace`` on a ``compare=False`` field, so
-        #: parity comparisons are unaffected.
+        #: provenance; see :mod:`repro.ingest`).  The stamp is a
+        #: ``compare=False`` field set by
+        #: :meth:`EstimationResult.with_staleness`, so parity comparisons
+        #: are unaffected and a replayed answer's provenance stays unbuilt.
         self.staleness_tracker = None
         # register the compiled-plan cache with the owning catalog so
         # `catalog.status()` can aggregate live caches (weakly held — a
@@ -200,7 +200,7 @@ class EstimationSession:
             staleness = tracker.staleness_for(tables_of(predicates))
         except Exception:
             return result
-        return dataclasses.replace(result, staleness_s=staleness)
+        return result.with_staleness(staleness)
 
     def _emit_feedback(self, predicates, result) -> None:
         sink = self.feedback_sink

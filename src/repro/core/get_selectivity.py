@@ -54,7 +54,7 @@ order, the bitmask path from :meth:`PredicateUniverse.tie_break`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import combinations
 from typing import Iterator
 
@@ -67,6 +67,7 @@ from repro.core.matching import (
     FactorScorer,
     JoinMemo,
     ViewMatcher,
+    conditioned_sit_names,
     enumerate_matches,
     estimate_factor,
     select_match,
@@ -75,6 +76,37 @@ from repro.core.predicates import PredicateSet, connected_components
 from repro.core.selectivity import Decomposition, Factor
 from repro.core.universe import PredicateUniverse, iter_bits
 from repro.stats.pool import SITPool
+
+
+class _Provenance:
+    """``decomposition`` / ``matches`` of an :class:`EstimationResult`.
+
+    A non-data descriptor: a value in the instance ``__dict__`` — every
+    result the DP builds, and a replayed one once it has been read — is
+    found first, so this runs only on the first read of a replayed
+    result.  It builds both fields (:meth:`CompiledPlan.provenance`),
+    stores them and lets the plan go; two threads reading at once may
+    both build, and store equal values.  (Not ``__getattr__`` on the
+    class: that puts every attribute read of every result on the slow
+    lookup path, and the DP loop reads ``error`` / ``coverage`` per
+    ``(P', Q)``.)  Class access raises ``AttributeError``, which is how
+    ``dataclass`` is told the field has no default.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, result, owner=None):
+        if result is not None:
+            state = result.__dict__
+            source = state.get("_replayed_from")
+            if source is not None:
+                plan, ordered = source
+                state["decomposition"], state["matches"] = plan.provenance(ordered)
+                state.pop("_replayed_from", None)
+            if self.name in state:
+                return state[self.name]
+        raise AttributeError(f"EstimationResult has no attribute {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +122,8 @@ class EstimationResult:
 
     selectivity: float
     error: float
-    decomposition: Decomposition
-    matches: tuple[FactorMatch, ...]
+    decomposition: Decomposition = _Provenance()
+    matches: tuple[FactorMatch, ...] = _Provenance()
     coverage: float = 0.0
     #: graceful-degradation ladder level that produced this estimate
     #: (0 = normal path; see :mod:`repro.resilience.ladder`).  Defaulted
@@ -123,6 +155,52 @@ class EstimationResult:
     #: not part of its value.
     staleness_s: float | None = field(default=None, compare=False)
 
+    @classmethod
+    def replayed(cls, plan, ordered, selectivity: float) -> "EstimationResult":
+        """The answer of a compiled-plan replay (``plan`` is the
+        :class:`~repro.core.plancache.CompiledPlan`, ``ordered`` the
+        request's ``str``-ordered predicates).
+
+        The number and the scalar fields are set here; ``decomposition``
+        and ``matches`` — the explanation of the number, which EXPLAIN
+        reads and the request path does not — are built from ``plan`` and
+        ``ordered`` the first time either is read.
+        """
+        result = object.__new__(cls)
+        state = result.__dict__
+        state.update(_FIELD_DEFAULTS)
+        state["selectivity"] = selectivity
+        state["error"] = plan.error
+        state["coverage"] = plan.coverage
+        state["plan_cache_hit"] = True
+        state["_replayed_from"] = (plan, ordered)
+        return result
+
+    def __getstate__(self) -> dict:
+        # a copy or a pickle carries the built provenance, not the plan
+        self.matches  # the read builds
+        return self.__dict__
+
+    def with_staleness(self, staleness_s: float | None) -> "EstimationResult":
+        """This result stamped with ``staleness_s``.  Unlike
+        ``dataclasses.replace`` it reads no field, so stamping a replayed
+        result does not build its provenance."""
+        stamped = object.__new__(type(self))
+        stamped.__dict__.update(self.__dict__, staleness_s=staleness_s)
+        return stamped
+
+    @property
+    def matched_sits(self) -> tuple[str, ...]:
+        """Sorted names of the conditioned (non-base) SITs the
+        decomposition reads — a constant of the compiled plan, so a
+        replayed result answers without building its matches."""
+        source = self.__dict__.get("_replayed_from")
+        if source is not None:
+            return source[0].matched_sits
+        return conditioned_sit_names(
+            am.sit for match in self.matches for am in match.attribute_matches
+        )
+
     @property
     def factor_count(self) -> int:
         return len(self.decomposition)
@@ -138,6 +216,11 @@ def _match_coverage(match: FactorMatch) -> float:
         sum(len(am.sit.expression) for am in match.attribute_matches)
     )
 
+
+#: what :meth:`EstimationResult.replayed` starts from
+_FIELD_DEFAULTS = {
+    f.name: f.default for f in fields(EstimationResult) if f.default is not MISSING
+}
 
 _EMPTY_RESULT = EstimationResult(1.0, 0.0, Decomposition(()), ())
 

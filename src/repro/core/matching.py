@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.predicates import (
     Attribute,
@@ -81,6 +81,12 @@ class FactorMatch:
             if match.attribute == attribute:
                 return match.sit
         raise KeyError(f"no match for attribute {attribute}")
+
+
+def conditioned_sit_names(sits: Iterable[SIT]) -> tuple[str, ...]:
+    """Sorted, de-duplicated names of the non-base SITs among ``sits``
+    (what the advisor's feedback records per served answer)."""
+    return tuple(sorted({str(sit) for sit in sits if not sit.is_base}))
 
 
 @dataclass(frozen=True)

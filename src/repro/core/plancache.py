@@ -39,7 +39,11 @@ filter constants.  This module exploits that invariance:
   whole group of same-shape requests through the vectorized
   :meth:`~repro.histograms.base.Histogram.estimate_range_selectivity_batch`
   kernel (one stacked numpy op per filter slot), with the same
-  guarantee.
+  guarantee.  A replay computes the *number*: the result it returns has
+  every scalar field set, and builds ``decomposition`` and ``matches``
+  (:meth:`CompiledPlan.provenance`) the first time either is read —
+  EXPLAIN and the compile-time self-check read them, the request path
+  (the advisor's feedback sink included) does not.
 
 * :class:`PlanCache` keys plans by (fingerprint, pinned pool version,
   snapshot version) and rides the catalog's single invalidation path:
@@ -70,18 +74,22 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.matching import AttributeMatch, FactorMatch, JoinMemo, join_factor
+from repro.core.get_selectivity import EstimationResult, GetSelectivity
+from repro.core.matching import (
+    AttributeMatch,
+    FactorMatch,
+    JoinMemo,
+    conditioned_sit_names,
+    join_factor,
+)
 from repro.core.predicates import Attribute, Predicate, PredicateSet
 from repro.core.selectivity import Decomposition, Factor
 from repro.histograms.base import Histogram
 from repro.stats.pool import SITPool
-
-if TYPE_CHECKING:  # pragma: no cover - cycle guard
-    from repro.core.get_selectivity import EstimationResult, GetSelectivity
 
 
 # ----------------------------------------------------------------------
@@ -188,20 +196,21 @@ class CompiledPlan:
     error: float
     coverage: float
     weight_bytes: int
+    matched_sits: tuple[str, ...]
 
     # ------------------------------------------------------------------
-    def replay(self, ordered: Sequence[Predicate]) -> "EstimationResult":
+    def replay(self, ordered: Sequence[Predicate]) -> EstimationResult:
         """Re-estimate with new constants; bit-identical to the cold DP."""
-        templates = self.templates
         values = [
-            _replay_factor_scalar(template, ordered) for template in templates
+            _replay_factor_scalar(template, ordered) for template in self.templates
         ]
-        selectivity = _eval_tree(self.tree, values)
-        return self._build_result(selectivity, ordered)
+        return EstimationResult.replayed(
+            self, ordered, _eval_tree(self.tree, values)
+        )
 
     def replay_batch(
         self, ordered_batch: Sequence[Sequence[Predicate]]
-    ) -> list["EstimationResult"]:
+    ) -> list[EstimationResult]:
         """Replay a group of same-shape instantiations as stacked numpy ops.
 
         Each filter slot of each factor becomes *one* vectorized
@@ -218,30 +227,25 @@ class CompiledPlan:
             _replay_factor_batch(template, ordered_batch)
             for template in self.templates
         ]
-        selectivities = _eval_tree_batch(self.tree, values, count)
+        selectivities = _eval_tree_batch(self.tree, values, count).tolist()
         return [
-            self._build_result(float(selectivities[i]), ordered_batch[i])
-            for i in range(count)
+            EstimationResult.replayed(self, ordered, selectivity)
+            for ordered, selectivity in zip(ordered_batch, selectivities)
         ]
 
     # ------------------------------------------------------------------
-    def _build_result(
-        self, selectivity: float, ordered: Sequence[Predicate]
-    ) -> "EstimationResult":
-        from repro.core.get_selectivity import EstimationResult
-
+    def provenance(
+        self, ordered: Sequence[Predicate]
+    ) -> tuple[Decomposition, tuple[FactorMatch, ...]]:
+        """The decomposition and SIT matches behind a replay of
+        ``ordered`` — what the cold DP would have reported.  Built when a
+        replayed result's ``decomposition`` or ``matches`` is first read
+        (the fields' descriptor in :mod:`repro.core.get_selectivity`), not
+        on the request path."""
         matches = tuple(
             _rebuild_match(template, ordered) for template in self.templates
         )
-        decomposition = Decomposition(tuple(m.factor for m in matches))
-        return EstimationResult(
-            selectivity,
-            self.error,
-            decomposition,
-            matches,
-            self.coverage,
-            plan_cache_hit=True,
-        )
+        return Decomposition(tuple(m.factor for m in matches)), matches
 
 
 # ----------------------------------------------------------------------
@@ -460,9 +464,9 @@ def _build_tree(mask: int, walk: tuple) -> tuple | None:
 
 
 def compile_plan(
-    algorithm: "GetSelectivity",
+    algorithm: GetSelectivity,
     predicates: PredicateSet,
-    result: "EstimationResult",
+    result: EstimationResult,
     *,
     pool_version: int,
     snapshot_version: int,
@@ -495,6 +499,9 @@ def compile_plan(
         error=result.error,
         coverage=result.coverage,
         weight_bytes=_plan_weight(tuple(templates)),
+        matched_sits=conditioned_sit_names(
+            at.sit for template in templates for at in template.attribute_templates
+        ),
     )
     # One-time self-verification against the compiling instance: the
     # replay must reproduce the cold result exactly (selectivity to the
@@ -602,7 +609,7 @@ class PlanCache:
         stat[1] += 1
         return None, ordered
 
-    def estimate(self, predicates: PredicateSet) -> "EstimationResult | None":
+    def estimate(self, predicates: PredicateSet) -> EstimationResult | None:
         """Template-hit fast path: replay, or ``None`` on a shape miss."""
         plan, ordered = self.plan_for(predicates)
         if plan is None:
@@ -613,8 +620,8 @@ class PlanCache:
     def compile(
         self,
         predicates: PredicateSet,
-        algorithm: "GetSelectivity",
-        result: "EstimationResult",
+        algorithm: GetSelectivity,
+        result: EstimationResult,
     ) -> CompiledPlan | None:
         """Compile and cache a fresh level-0 result (all gates applied)."""
         self._validate()

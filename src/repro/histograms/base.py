@@ -14,6 +14,7 @@ predicates use the ``frequency / distinct`` uniform-spread assumption.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,8 +126,13 @@ class Histogram:
         return histogram
 
     def __getattr__(self, name: str):
-        # only ``buckets`` is lazily materialized (instances built by
-        # ``from_arrays`` skip it); everything else is a genuine miss
+        # only ``buckets`` (instances built by ``from_arrays`` skip it)
+        # and ``_high_list`` (bucket upper bounds as a plain list, for
+        # ``bisect``) are lazily materialized; everything else is a
+        # genuine miss
+        if name == "_high_list":
+            self._high_list = self._highs.tolist()
+            return self._high_list
         if name == "buckets":
             buckets = tuple(
                 Bucket(low, high, frequency, distinct)
@@ -188,8 +194,12 @@ class Histogram:
         """Estimated number of tuples with value in the closed [low, high]."""
         if low > high or self.is_empty():
             return 0.0
+        # A bucket ending below ``low`` overlaps nothing and would add
+        # exactly ``+ 0.0`` to a non-negative count, so the fold starts at
+        # the first bucket with ``high >= low`` and is bit-identical to
+        # the walk over every bucket.
         count = 0.0
-        for bucket in self.buckets:
+        for bucket in self.buckets[bisect_left(self._high_list, low):]:
             if bucket.low > high:
                 break
             count += bucket.frequency * bucket.overlap_fraction(low, high)

@@ -13,18 +13,34 @@ has the cache disabled.
 It also pins the resilience contract: degraded (ladder level > 0)
 results are never compiled or served from the cache, and ``strict=True``
 raises through the cache path without poisoning it.
+
+And it pins what a replay returns: the number at once, ``decomposition``
+and ``matches`` when first read — equal to the eager construction kept
+here as the reference, and never built on the request path.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import json
+import pickle
 import random
+import threading
 
 import pytest
 
+from repro.advisor import SelfTuningAdvisor
+from repro.catalog import EstimationSession, StatisticsCatalog
+from repro.core import plancache
 from repro.core.errors import DiffError, NIndError
-from repro.estimators import SITEstimator
+from repro.core.get_selectivity import EstimationResult
+from repro.core.matching import AttributeMatch, FactorMatch
 from repro.core.plancache import shape_fingerprint
 from repro.core.predicates import FilterPredicate
+from repro.core.selectivity import Decomposition, Factor
+from repro.estimators import SITEstimator, make_gs_diff
+from repro.obs import StalenessTracker
 from repro.resilience.faults import (
     POINT_SIT_MATCH,
     EstimationFault,
@@ -32,9 +48,11 @@ from repro.resilience.faults import (
     FaultRule,
     armed,
 )
+from repro.sql import parse_query
 from repro.stats.builder import SITBuilder
 from repro.stats.pool import build_workload_pool
 from repro.workload.queries import WorkloadConfig, WorkloadGenerator
+from tests.obs.test_explain import GOLDEN_DIR, GOLDEN_SQL, _approx_equal
 
 #: templates per (database, error function) and constant instantiations
 #: per template — 10 x 10 x 2 error functions x 2 databases = 400 pairs
@@ -262,3 +280,230 @@ class TestLadderBypass:
                 strict.estimate(templates[0])
         assert strict.plan_cache.status()["compiles"] == 0
         assert len(strict.plan_cache) == 0
+
+
+# ----------------------------------------------------------------------
+# What a replay returns: the number now, its provenance when read
+# ----------------------------------------------------------------------
+def eager_result(plan, ordered, selectivity) -> EstimationResult:
+    """A replayed result with its provenance built up front — the
+    construction every hit used to pay for, kept as the reference."""
+    matches = tuple(
+        FactorMatch(
+            Factor(
+                frozenset(ordered[i] for i in template.p_positions),
+                frozenset(ordered[i] for i in template.q_positions),
+            ),
+            tuple(
+                AttributeMatch(
+                    attribute=at.attribute,
+                    weight=at.weight,
+                    sit=at.sit,
+                    conditioning=frozenset(
+                        ordered[i] for i in at.conditioning_positions
+                    ),
+                    assumed=frozenset(ordered[i] for i in at.assumed_positions),
+                )
+                for at in template.attribute_templates
+            ),
+        )
+        for template in plan.templates
+    )
+    return EstimationResult(
+        selectivity,
+        plan.error,
+        Decomposition(tuple(m.factor for m in matches)),
+        matches,
+        plan.coverage,
+        plan_cache_hit=True,
+    )
+
+
+def parent_matched_sits(result) -> tuple[str, ...]:
+    """The advisor sink's walk over ``result.matches``, as it was written
+    before the plan carried the names."""
+    return tuple(
+        sorted(
+            {
+                str(match.sit)
+                for factor_match in result.matches
+                for match in factor_match.attribute_matches
+                if not match.sit.is_base
+            }
+        )
+    )
+
+
+@pytest.fixture()
+def rebuilds(monkeypatch):
+    """Counts ``_rebuild_match`` calls (one per factor of a built result)."""
+    calls = []
+    real = plancache._rebuild_match
+
+    def spy(template, ordered):
+        calls.append(template)
+        return real(template, ordered)
+
+    monkeypatch.setattr(plancache, "_rebuild_match", spy)
+    return calls
+
+
+def hot_requests(templates, per_template: int) -> list[frozenset]:
+    rng = random.Random(20261003)
+    requests = []
+    for template in templates:
+        base = frozenset(template.predicates)
+        requests += [base, *constant_variants(rng, base, per_template - 1)]
+    return requests
+
+
+class TestDeferredProvenance:
+    @pytest.mark.parametrize("tracked", [False, True], ids=["", "tracker"])
+    @pytest.mark.parametrize("advised", [False, True], ids=["", "advisor"])
+    def test_hot_answers_build_nothing(
+        self, snowflake_setup, rebuilds, tracked, advised
+    ):
+        database, templates, pool = snowflake_setup
+        catalog = StatisticsCatalog.from_pool(pool, database=database)
+        session = EstimationSession(catalog, NIndError())
+        cold = EstimationSession(catalog, NIndError(), plan_cache=False)
+        if tracked:
+            session.staleness_tracker = StalenessTracker()
+        advisor = SelfTuningAdvisor(catalog) if advised else None
+        if advised:
+            session.feedback_sink = advisor.record_result
+        requests = hot_requests(templates, 10)
+        for request in requests:  # every shape compiles
+            session.estimate(request)
+        del rebuilds[:]
+
+        answers = []
+        for _ in range(5):
+            answers += [session.estimate(request) for request in requests]
+            answers += session.estimate_batch(requests)
+        assert len(answers) == 1000
+        assert all(answer.plan_cache_hit for answer in answers)
+        assert rebuilds == []
+        if tracked:
+            assert all(answer.staleness_s == 0.0 for answer in answers)
+        if advised:
+            # what the sink recorded without reading a match is what
+            # walking the cold answer's matches gives, in order
+            records = advisor.feedback.records()[-len(requests):]
+            for request, record in zip(requests, records):
+                assert record.predicates == request
+                assert record.matched_sits == parent_matched_sits(
+                    cold.estimate(request)
+                )
+
+        # one build on the first read of either field, none after
+        first, second = answers[0], answers[1]
+        assert len(first.matches) == len(rebuilds) > 0
+        built = len(rebuilds)
+        assert first.decomposition == cold.estimate(requests[0]).decomposition
+        assert first.matches is first.matches
+        assert len(rebuilds) == built
+        assert second.factor_count == len(rebuilds) - built
+        built = len(rebuilds)
+        assert second.matches == cold.estimate(requests[1]).matches
+        assert len(rebuilds) == built
+
+    def test_deferred_equals_eager(self, snowflake_setup):
+        database, templates, pool = snowflake_setup
+        warm = SITEstimator(database, pool, DiffError(pool), plan_cache=True)
+        for template in templates:
+            predicates = frozenset(template.predicates)
+            cold = warm.estimate_predicates(predicates)
+            plan, ordered = warm.plan_cache.plan_for(predicates)
+            eager = eager_result(plan, ordered, cold.selectivity)
+            assert eager == cold
+            # a fresh replay per check: each one is the first to read
+            assert plan.replay(ordered) == eager
+            assert eager == plan.replay(ordered)
+            assert repr(plan.replay(ordered)) == repr(eager)
+            assert hash(plan.replay(ordered)) == hash(eager)
+            assert plan.replay(ordered).matched_sits == eager.matched_sits
+            batch = plan.replay_batch([ordered, ordered])
+            assert batch == [eager, eager]
+            assert isinstance(batch[0], EstimationResult)
+
+            replaced = dataclasses.replace(plan.replay(ordered), staleness_s=1.5)
+            assert replaced == eager and repr(replaced) == repr(
+                dataclasses.replace(eager, staleness_s=1.5)
+            )
+            assert copy.copy(plan.replay(ordered)) == eager
+            # (an unpickled SIT is a new SIT: compare what has value equality)
+            thawed = pickle.loads(pickle.dumps(plan.replay(ordered)))
+            assert repr(thawed) == repr(pickle.loads(pickle.dumps(eager)))
+            assert thawed.decomposition == eager.decomposition
+            assert thawed.selectivity == eager.selectivity
+            stamped = plan.replay(ordered).with_staleness(2.5)
+            assert stamped.staleness_s == 2.5 and stamped.plan_cache_hit
+            assert stamped == eager
+            assert hash(stamped) == hash(eager)
+            # stamping a result that was already read keeps what was built
+            read = plan.replay(ordered)
+            assert read.matches == eager.matches
+            assert read.with_staleness(0.0).matches is read.matches
+
+    def test_result_outlives_its_evicted_plan(self, snowflake_setup):
+        database, templates, pool = snowflake_setup
+        catalog = StatisticsCatalog.from_pool(pool, database=database)
+        session = EstimationSession(catalog, NIndError())
+        cold = EstimationSession(catalog, NIndError(), plan_cache=False)
+        query = templates[0]
+        session.estimate(query)
+        held = session.estimate(query)
+        assert held.plan_cache_hit
+        expected = cold.estimate(query)
+        table = sorted(query.tables)[0]
+        catalog.notify_table_update(table)
+        assert not session.estimate(query).plan_cache_hit  # the plan is gone
+        assert session.plan_cache.status()["evictions"] >= 1
+        assert held.matches == expected.matches
+        assert held.decomposition == expected.decomposition
+        assert held == expected
+
+    def test_two_readers_get_equal_matches(self, snowflake_setup):
+        database, templates, pool = snowflake_setup
+        warm = SITEstimator(database, pool, NIndError(), plan_cache=True)
+        cold = SITEstimator(database, pool, NIndError())
+        for template in templates:
+            warm.estimate(template)
+            result = warm.estimate(template)
+            assert result.plan_cache_hit
+            barrier = threading.Barrier(2)
+            seen = []
+
+            def read():
+                barrier.wait(timeout=10.0)
+                seen.append((result.matches, result.decomposition))
+
+            threads = [threading.Thread(target=read) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            assert not any(thread.is_alive() for thread in threads)
+            expected = cold.estimate(template)
+            assert seen == [(expected.matches, expected.decomposition)] * 2
+            assert result.matches == expected.matches
+
+    def test_explain_of_a_hit_matches_the_goldens(self, tiny_snowflake):
+        query = parse_query(GOLDEN_SQL, tiny_snowflake.schema)
+        pool = build_workload_pool(
+            SITBuilder(tiny_snowflake), [query], max_joins=2
+        )
+        estimator = make_gs_diff(tiny_snowflake, pool, plan_cache=True)
+        estimator.estimate(query)  # compiles; the EXPLAIN below is a hit
+        explained = estimator.explain(query)
+        assert explained.plan_cache_hit
+        text = explained.render_text().splitlines()
+        text.remove("plan cache:  hit (replayed compiled plan)")
+        golden_text = (GOLDEN_DIR / "explain_snowflake.txt").read_text()
+        assert "\n".join(text) + "\n" == golden_text
+        payload = json.loads(explained.to_json(include_stats=False))
+        assert payload.pop("plan_cache_hit") is True
+        golden = json.loads((GOLDEN_DIR / "explain_snowflake.json").read_text())
+        assert golden.pop("plan_cache_hit") is False
+        assert _approx_equal(payload, golden)

@@ -5,6 +5,10 @@ sums contributions in the scalar loop's association order.  This file
 pins ``==`` (not approx) equality across random histograms and
 adversarial ranges: inverted, point, zero-width buckets, edge-exact,
 fully-outside, and empty/zero-total histograms.
+
+The scalar method itself is held to the plain walk over every bucket
+(:func:`full_walk_count`): it enters the fold by ``bisect`` at the first
+bucket the range can touch, which must not move a single bit.
 """
 
 from __future__ import annotations
@@ -107,3 +111,54 @@ class TestBatchScalarParity:
                 np.array([low]), np.array([high])
             )
             assert batch[0] == histogram.estimate_range_selectivity(low, high)
+
+
+def full_walk_count(histogram: Histogram, low: float, high: float) -> float:
+    """``estimate_range_count`` folding over every bucket from the first
+    — the reference the bisected start must equal bit for bit."""
+    if low > high or histogram.is_empty():
+        return 0.0
+    count = 0.0
+    for bucket in histogram.buckets:
+        if bucket.low > high:
+            break
+        count += bucket.frequency * bucket.overlap_fraction(low, high)
+    return count
+
+
+def fractional_histogram(rng: random.Random, count: int) -> Histogram:
+    """Non-integer frequencies, so a changed summation order would show."""
+    edges = sorted(rng.sample(range(0, 801), 2 * count))
+    buckets = []
+    for i in range(count):
+        low, high = float(edges[2 * i]), float(edges[2 * i + 1])
+        if rng.random() < 0.2:
+            high = low
+        frequency = rng.uniform(0.0, 1000.0) if rng.random() < 0.9 else 0.0
+        buckets.append(Bucket(low, high, frequency, rng.uniform(0.0, 50.0)))
+    return Histogram(buckets, null_count=float(rng.choice([0, 0, 7])))
+
+
+class TestRangeCountStartsAtTheRange:
+    def test_bisected_start_equals_the_full_walk(self):
+        rng = random.Random(20261003)
+        cases = 0
+        for round_ in range(80):
+            count = 1 if round_ % 8 == 0 else rng.randint(2, 40)
+            built = fractional_histogram(rng, count)
+            attached = Histogram.from_arrays(
+                *built.bucket_arrays(), null_count=built.null_count
+            )
+            lows, highs = random_ranges(rng, built, 30)
+            extremes = [
+                (-np.inf, np.inf),
+                (-np.inf, built.low),
+                (built.high, np.inf),
+                (built.high + 1.0, np.inf),
+            ]
+            for low, high in [*zip(lows.tolist(), highs.tolist()), *extremes]:
+                expected = full_walk_count(built, low, high)
+                for histogram in (built, attached):
+                    assert histogram.estimate_range_count(low, high) == expected
+                    cases += 1
+        assert cases >= 1000
