@@ -136,10 +136,14 @@ def wait_until(predicate, timeout_s: float = 60.0) -> bool:
 # service
 # ----------------------------------------------------------------------
 def smoke_service() -> None:
-    catalog = serving_fixture().catalog
+    fixture = serving_fixture()
+    catalog = fixture.catalog
 
-    # 50 queries through the TCP front-end; every answer well-formed
-    sqls = age_ranges(50, spread=10, width=25)
+    # one shape with 50 constant sets through the TCP front-end: every
+    # answer is the in-process one, and the shape was parsed once
+    sqls = age_ranges(50, spread=50, width=25)
+    session = EstimationSession(catalog)
+    schema = fixture.database.schema
     service = EstimationService(
         catalog,
         config=ServiceConfig(workers=2, queue_depth=256),
@@ -149,12 +153,19 @@ def smoke_service() -> None:
         versions = set()
         for sql in sqls:
             answer = client.estimate(sql)
-            assert 0.0 <= answer.selectivity <= 1.0, answer
+            expected = session.estimate(parse_query(sql, schema)).selectivity
+            assert answer.selectivity == expected, (sql, answer, expected)
             assert answer.cardinality >= 0.0, answer
             versions.add(answer.snapshot_version)
-        served_count = client.stats()["service"]["served"]
-        assert served_count >= len(sqls), f"served {served_count} < {len(sqls)}"
-    print(f"tcp: {len(sqls)} queries ok, versions={sorted(versions)}")
+        stats = client.stats()["service"]
+        assert stats["served"] >= len(sqls), f"served {stats['served']} < {len(sqls)}"
+        hits, misses = stats["sql_template_hits"], stats["sql_template_misses"]
+        assert hits >= len(sqls) - 1, f"template hits {hits}, misses {misses}"
+        assert hits + misses == len(sqls), (hits, misses)
+    print(
+        f"tcp: {len(sqls)} queries ok, versions={sorted(versions)}, "
+        f"sql templates {hits:g} hits / {misses:g} misses"
+    )
 
     # a burst against a depth-1 queue must shed with typed Overloaded —
     # and everything admitted must still be answered

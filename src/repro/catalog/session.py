@@ -258,12 +258,11 @@ class EstimationSession:
     ) -> list[EstimationResult]:
         """Answer a group of queries under one owner-lock hold.
 
-        With the plan cache enabled, members are probed by *shape*:
-        template hits are grouped per compiled plan and replayed as one
-        stacked numpy op per plan
-        (:meth:`~repro.core.plancache.CompiledPlan.replay_batch`); misses
-        take the full path and compile, so later same-shape members of
-        the same batch already hit.  Results are positional and each is
+        With the plan cache enabled, members are probed by *shape*: a
+        template hit is one
+        :meth:`~repro.core.plancache.CompiledPlan.replay`; a miss takes
+        the full path and compiles, so later same-shape members of the
+        same batch already hit.  Results are positional and each is
         identical to what :meth:`estimate` would have returned.
         """
         lock = self._acquire_owner()
@@ -280,8 +279,6 @@ class EstimationSession:
                     self._emit_feedback(ps, results[i])
                     results[i] = self._stamp_staleness(ps, results[i])
                 return results
-            # plan id -> (plan, [(member index, str-ordered predicates)])
-            groups: dict = {}
             for i, ps in enumerate(sets):
                 plan, ordered = cache.plan_for(ps)
                 if plan is None:
@@ -289,15 +286,7 @@ class EstimationSession:
                         ps, use_plan_cache=False
                     )
                 else:
-                    groups.setdefault(id(plan), (plan, []))[1].append(
-                        (i, ordered)
-                    )
-            for plan, members in groups.values():
-                replayed = plan.replay_batch(
-                    [ordered for _, ordered in members]
-                )
-                for (i, _), result in zip(members, replayed):
-                    results[i] = result
+                    results[i] = plan.replay(ordered)
             for ps, result in zip(sets, results):
                 self._emit_feedback(ps, result)
             if self.staleness_tracker is not None:

@@ -66,6 +66,7 @@ from repro.service.protocol import (
     result_from_wire,
 )
 from repro.service.service import coerce_query
+from repro.sql.template import TemplateFrontEnd
 
 from repro.cluster.ring import HashRing
 from repro.cluster.shard import shard_main
@@ -277,6 +278,7 @@ class EstimationCluster:
                 "a database is required (pass one explicitly, or serve "
                 "from a catalog built with a database)"
             )
+        self._sql = TemplateFrontEnd(self.database.schema)
         cluster = config.cluster
         self._closed = threading.Event()
         self.metrics = MetricsRegistry()
@@ -403,7 +405,7 @@ class EstimationCluster:
         """
         if self._closed.is_set():
             raise ServiceClosed(f"{self.name} is shutting down")
-        predicates, tables = coerce_query(query, self.database.schema)
+        predicates, tables = coerce_query(query, self._sql)
         if timeout is None:
             timeout = self.config.default_timeout_s
         fingerprint, _ = shape_fingerprint(predicates)

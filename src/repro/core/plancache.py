@@ -35,11 +35,10 @@ filter constants.  This module exploits that invariance:
   microseconds instead of the full ``O(3^n)`` enumeration — and is
   *bit-identical* to the cold DP because every floating-point operation
   of ``estimate_factor`` and the DP's multiplication tree is replayed
-  in the exact same order.  :meth:`CompiledPlan.replay_batch` serves a
-  whole group of same-shape requests through the vectorized
-  :meth:`~repro.histograms.base.Histogram.estimate_range_selectivity_batch`
-  kernel (one stacked numpy op per filter slot), with the same
-  guarantee.  A replay computes the *number*: the result it returns has
+  in the exact same order.  :meth:`CompiledPlan.replay_batch` is that
+  replay once per member of a same-shape group: at 7–8 µs a replay,
+  stacking a group into numpy ops only pays from ~28 members up, and
+  served groups are a handful.  A replay computes the *number*: the result it returns has
   every scalar field set, and builds ``decomposition`` and ``matches``
   (:meth:`CompiledPlan.provenance`) the first time either is read —
   EXPLAIN and the compile-time self-check read them, the request path
@@ -75,8 +74,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.core.get_selectivity import EstimationResult, GetSelectivity
 from repro.core.matching import (
@@ -202,7 +199,7 @@ class CompiledPlan:
     def replay(self, ordered: Sequence[Predicate]) -> EstimationResult:
         """Re-estimate with new constants; bit-identical to the cold DP."""
         values = [
-            _replay_factor_scalar(template, ordered) for template in self.templates
+            _replay_factor(template, ordered) for template in self.templates
         ]
         return EstimationResult.replayed(
             self, ordered, _eval_tree(self.tree, values)
@@ -211,27 +208,8 @@ class CompiledPlan:
     def replay_batch(
         self, ordered_batch: Sequence[Sequence[Predicate]]
     ) -> list[EstimationResult]:
-        """Replay a group of same-shape instantiations as stacked numpy ops.
-
-        Each filter slot of each factor becomes *one* vectorized
-        histogram lookup over the whole group
-        (:meth:`Histogram.estimate_range_selectivity_batch`); per-element
-        results are bit-identical to :meth:`replay`.
-        """
-        count = len(ordered_batch)
-        if count == 0:
-            return []
-        if count == 1:
-            return [self.replay(ordered_batch[0])]
-        values = [
-            _replay_factor_batch(template, ordered_batch)
-            for template in self.templates
-        ]
-        selectivities = _eval_tree_batch(self.tree, values, count).tolist()
-        return [
-            EstimationResult.replayed(self, ordered, selectivity)
-            for ordered, selectivity in zip(ordered_batch, selectivities)
-        ]
+        """:meth:`replay` of every member of a same-shape group."""
+        return [self.replay(ordered) for ordered in ordered_batch]
 
     # ------------------------------------------------------------------
     def provenance(
@@ -249,9 +227,9 @@ class CompiledPlan:
 
 
 # ----------------------------------------------------------------------
-# Factor replay (scalar and batched)
+# Factor replay
 # ----------------------------------------------------------------------
-def _replay_factor_scalar(
+def _replay_factor(
     template: _FactorTemplate, ordered: Sequence[Predicate]
 ) -> float:
     """``estimate_factor`` with the joins pre-multiplied: same float ops,
@@ -276,42 +254,6 @@ def _replay_factor_scalar(
     return selectivity
 
 
-def _replay_factor_batch(
-    template: _FactorTemplate, ordered_batch: Sequence[Sequence[Predicate]]
-) -> np.ndarray:
-    """Vectorized :func:`_replay_factor_scalar` over a same-shape group.
-
-    Early exits are replaced by multiplications with exact zeros
-    (``0.0 * x == 0.0`` for the finite non-negative selectivities the
-    histogram algebra produces), so each element equals the scalar path
-    bit-for-bit.
-    """
-    count = len(ordered_batch)
-    if template.zero:
-        return np.zeros(count)
-    selectivity = np.full(count, template.join_selectivity)
-    for slot in template.filter_slots:
-        lows = np.empty(count)
-        highs = np.empty(count)
-        for i, ordered in enumerate(ordered_batch):
-            low = -math.inf
-            high = math.inf
-            for position in slot.positions:
-                predicate = ordered[position]
-                if predicate.low > low:
-                    low = predicate.low
-                if predicate.high < high:
-                    high = predicate.high
-            lows[i] = low
-            highs[i] = high
-        # estimate_range_selectivity_batch returns exactly 0.0 for
-        # inverted (low > high) ranges, matching the scalar early exit.
-        selectivity = selectivity * slot.histogram.estimate_range_selectivity_batch(
-            lows, highs
-        )
-    return selectivity
-
-
 def _eval_tree(node: tuple | None, values: list[float]) -> float:
     """The DP's multiplication tree, same association order as `_solve`."""
     if node is None:
@@ -324,19 +266,6 @@ def _eval_tree(node: tuple | None, values: list[float]) -> float:
     selectivity = 1.0
     for child in node[1]:
         selectivity *= _eval_tree(child, values)
-    return selectivity
-
-
-def _eval_tree_batch(
-    node: tuple | None, values: list[np.ndarray], count: int
-) -> np.ndarray:
-    if node is None:
-        return np.ones(count)
-    if node[0] == "c":
-        return values[node[1]] * _eval_tree_batch(node[2], values, count)
-    selectivity = np.ones(count)
-    for child in node[1]:
-        selectivity = selectivity * _eval_tree_batch(child, values, count)
     return selectivity
 
 

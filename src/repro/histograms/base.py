@@ -211,46 +211,6 @@ class Histogram:
             return 0.0
         return min(1.0, self.estimate_range_count(low, high) / self.total)
 
-    def estimate_range_selectivity_batch(
-        self, lows: np.ndarray, highs: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`estimate_range_selectivity` over range batches.
-
-        Bit-identical per element to the scalar method (the plan-cache
-        batched replay depends on this; ``tests/histograms`` pins it):
-        per-bucket overlap fractions replicate :meth:`Bucket.
-        overlap_fraction` branch for branch, and the per-row bucket sum
-        uses ``cumsum`` — a sequential left fold, the same association
-        order as the scalar loop (the scalar early ``break`` only skips
-        exact-zero contributions, and ``x + 0.0 == x``).  Inverted
-        (``low > high``) ranges yield exactly ``0.0``.
-        """
-        lows = np.asarray(lows, dtype=np.float64)
-        highs = np.asarray(highs, dtype=np.float64)
-        if self.total == 0.0 or self.is_empty():
-            return np.zeros(lows.shape)
-        query_low = lows[:, None]
-        query_high = highs[:, None]
-        bucket_low = self._lows[None, :]
-        bucket_high = self._highs[None, :]
-        width = bucket_high - bucket_low
-        lo = np.maximum(query_low, bucket_low)
-        hi = np.minimum(query_high, bucket_high)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fraction = (hi - lo) / width
-        floor = 1.0 / np.maximum(self._dists, 1.0)
-        fraction = np.minimum(np.maximum(fraction, floor[None, :]), 1.0)
-        fraction = np.where(width == 0.0, 1.0, fraction)
-        fraction = np.where(lo > hi, 0.0, fraction)
-        fraction = np.where(
-            (query_high < bucket_low) | (query_low > bucket_high),
-            0.0,
-            fraction,
-        )
-        contributions = self._freqs[None, :] * fraction
-        counts = np.cumsum(contributions, axis=1)[:, -1]
-        return np.minimum(1.0, counts / self.total)
-
     def estimate_range_distinct(self, low: float, high: float) -> float:
         """Estimated number of distinct values in the closed [low, high]."""
         if low > high or self.is_empty():

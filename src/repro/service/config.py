@@ -172,8 +172,7 @@ class ServiceConfig:
     #: ``cluster`` + a non-SIT backend is rejected at validation
     backend: str = "sit"
     #: compiled-plan cache (:mod:`repro.core.plancache`) in worker
-    #: sessions: template hits replay in microseconds and same-shape
-    #: batch members are served by one stacked numpy op.  Replay is
+    #: sessions: template hits replay in microseconds.  Replay is
     #: bit-identical, so disabling this only trades latency for nothing —
     #: the knob exists for measurement and for custom error functions
     #: that are not plan-stable (those bypass the cache anyway)

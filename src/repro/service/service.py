@@ -60,6 +60,7 @@ from repro.resilience.faults import (
     POINT_WORKER_BATCH,
     active as _fault_plan,
 )
+from repro.sql.template import TemplateFrontEnd
 from repro.stats.pool import SITPool
 
 from repro.service.config import ServiceConfig
@@ -74,17 +75,16 @@ from repro.service.protocol import (
 
 
 def coerce_query(
-    query: "Query | PredicateSet | str", schema
+    query: "Query | PredicateSet | str", sql: TemplateFrontEnd
 ) -> tuple[frozenset, frozenset[str]]:
     """Any in-process request spelling — SQL text, a bound
     :class:`Query`, a bare predicate set — as ``(predicates, tables)``;
     :class:`InvalidRequest` for anything else.  Shared by the service
-    and the cluster router, which both admit all three."""
+    and the cluster router, which both admit all three and each own the
+    ``sql`` front end their statements are parsed by."""
     if isinstance(query, str):
-        from repro.sql import parse_query
-
         try:
-            query = parse_query(query, schema)
+            query = sql.parse(query)
         except Exception as exc:
             raise InvalidRequest(str(exc)) from exc
     if isinstance(query, Query):
@@ -155,6 +155,9 @@ class EstimationService:
         self._error_function = error_function
         self.name = name
         self.database = self._resolve_database(statistics, database)
+        #: SQL requests are parsed where they are submitted (the server's
+        #: loop thread, or any caller's), a shape once: DESIGN §9
+        self._sql = TemplateFrontEnd(self.database.schema)
         self._queue: AdmissionQueue[_Pending] = AdmissionQueue(
             self.config.queue_depth
         )
@@ -329,7 +332,7 @@ class EstimationService:
                 ServiceClosed(f"{self.name} is shutting down")
                 for _ in requests
             ]
-        schema = self.database.schema
+        sql = self._sql
         default_timeout = self.config.default_timeout_s
         outcomes: "list[Future | ServiceError]" = []
         admissible: list[_Pending] = []
@@ -337,7 +340,7 @@ class EstimationService:
         slots: list[int] = []
         for query, timeout in requests:
             try:
-                predicates, tables = coerce_query(query, schema)
+                predicates, tables = coerce_query(query, sql)
             except InvalidRequest as exc:
                 outcomes.append(exc)
                 continue
@@ -656,9 +659,9 @@ class EstimationService:
         batch_size = len(batch)
 
         # dedup identical predicate sets (one answer serves them all),
-        # then hand the distinct sets to the session's batched path: it
-        # groups them by *shape* and replays every compiled-plan template
-        # group as one stacked numpy op (repro.core.plancache)
+        # then hand the distinct sets to the session's batched path: one
+        # owner-lock hold, each probed by *shape* and replayed from its
+        # compiled plan on a hit (repro.core.plancache)
         served = 0
         shed_deadline = 0
         deduplicated = 0
@@ -809,6 +812,8 @@ class EstimationService:
             alive = sum(1 for worker in self._workers if worker.is_alive())
         registry.gauge("service.workers").set(float(alive))
         registry.gauge("service.closed").set(1.0 if self.closed else 0.0)
+        registry.counter("service.sql_template_hits").inc(self._sql.hits)
+        registry.counter("service.sql_template_misses").inc(self._sql.misses)
         with self._sessions_lock:
             sessions = list(self._sessions)
             registry.merge(self._retired_registry)

@@ -10,7 +10,8 @@ cannot express (self-joins, non-equi joins).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core.predicates import (
     Attribute,
@@ -40,6 +41,8 @@ class BoundQuery:
 
     query: Query
     projection: tuple[Attribute, ...] | None  # None means SELECT *
+    #: what binding resolved, for the next statement of the same shape
+    template: "BoundTemplate" = field(compare=False, repr=False)
 
 
 class _Scope:
@@ -85,53 +88,112 @@ class _Scope:
         return Attribute(owners[0], column.column)
 
 
-def _range_of(comparison: Comparison) -> tuple[float, float]:
-    value = comparison.value
-    if comparison.operator == "=":
+def _range_of(operator: str, value: float) -> tuple[float, float]:
+    if operator == "=":
         return value, value
-    if comparison.operator == "<=":
+    if operator == "<=":
         return -math.inf, value
-    if comparison.operator == ">=":
+    if operator == ">=":
         return value, math.inf
-    if comparison.operator == "<":
+    if operator == "<":
         return -math.inf, math.nextafter(value, -math.inf)
-    if comparison.operator == ">":
+    if operator == ">":
         return math.nextafter(value, math.inf), math.inf
-    raise AssertionError(f"unexpected operator {comparison.operator!r}")
+    raise AssertionError(f"unexpected operator {operator!r}")
 
 
-def bind(statement: SelectStatement, schema: Schema) -> BoundQuery:
-    """Resolve ``statement`` against ``schema``."""
-    scope = _Scope(statement, schema)
+#: the operator of a BETWEEN slot: it reads two literals, the others one
+BETWEEN = "between"
 
-    # Accumulate filter ranges per attribute so `a > 5 AND a < 10` becomes
-    # one predicate; keep genuinely empty intersections as two predicates
-    # (the query is unsatisfiable, and the executor evaluates that exactly).
-    ranges: dict[Attribute, tuple[float, float]] = {}
-    unsatisfiable: list[Predicate] = []
-    joins: set[JoinPredicate] = set()
 
-    def add_range(attribute: Attribute, low: float, high: float) -> None:
+class _Assembly:
+    """The value-dependent half of binding: filter ranges accumulated per
+    attribute, so ``a > 5 AND a < 10`` becomes one predicate; a genuinely
+    empty intersection stays two predicates (the query is unsatisfiable,
+    and the executor evaluates that exactly).  :func:`bind` feeds it a
+    predicate at a time as names resolve; a :class:`BoundTemplate` feeds
+    it the names resolved once and a statement's literals."""
+
+    __slots__ = ("ranges", "unsatisfiable")
+
+    def __init__(self) -> None:
+        self.ranges: dict[Attribute, tuple[float, float]] = {}
+        self.unsatisfiable: list[Predicate] = []
+
+    def add(self, attribute: Attribute, low: float, high: float) -> None:
         if low > high:
             raise BindingError(
                 f"empty range for {attribute}: [{low:g}, {high:g}]"
             )
+        ranges = self.ranges
         if attribute in ranges:
             old_low, old_high = ranges[attribute]
             merged_low, merged_high = max(old_low, low), min(old_high, high)
             if merged_low > merged_high:
-                unsatisfiable.append(FilterPredicate(attribute, low, high))
+                self.unsatisfiable.append(FilterPredicate(attribute, low, high))
                 return
             ranges[attribute] = (merged_low, merged_high)
         else:
             ranges[attribute] = (low, high)
 
+    def query(self, joins: frozenset[JoinPredicate], tables: frozenset[str]) -> Query:
+        predicates: set[Predicate] = set(joins)
+        predicates.update(self.unsatisfiable)
+        for attribute, (low, high) in self.ranges.items():
+            predicates.add(FilterPredicate(attribute, low, high))
+        return Query(frozenset(predicates), tables=tables)
+
+
+@dataclass(frozen=True)
+class BoundTemplate:
+    """Everything :func:`bind` resolved that does not depend on a literal:
+    per filter predicate, in source order, its attribute and operator
+    (``slots``), the join set and the FROM tables.  :meth:`assemble` is
+    the rest of :func:`bind` for another statement of the same shape."""
+
+    slots: tuple[tuple[Attribute, str], ...]
+    joins: frozenset[JoinPredicate]
+    tables: frozenset[str]
+    #: literals a statement of this shape carries (two per BETWEEN)
+    literals: int
+
+    def assemble(self, literals: Sequence[float]) -> Query:
+        """The :class:`Query` of this shape with ``literals`` (source
+        order, ``len == self.literals``); raises what :func:`bind` raises
+        for them."""
+        assembly = _Assembly()
+        at = 0
+        for attribute, operator in self.slots:
+            if operator == BETWEEN:
+                assembly.add(attribute, literals[at], literals[at + 1])
+                at += 2
+            else:
+                assembly.add(attribute, *_range_of(operator, literals[at]))
+                at += 1
+        return assembly.query(self.joins, self.tables)
+
+
+def bind(statement: SelectStatement, schema: Schema) -> BoundQuery:
+    """Resolve ``statement`` against ``schema``.
+
+    Names resolve and ranges assemble a predicate at a time, so of two
+    faults the one earlier in the WHERE clause is the one reported."""
+    scope = _Scope(statement, schema)
+    assembly = _Assembly()
+    slots: list[tuple[Attribute, str]] = []
+    joins: set[JoinPredicate] = set()
+
     for predicate in statement.predicates:
         if isinstance(predicate, Comparison):
-            low, high = _range_of(predicate)
-            add_range(scope.resolve(predicate.column), low, high)
+            attribute = scope.resolve(predicate.column)
+            slots.append((attribute, predicate.operator))
+            assembly.add(
+                attribute, *_range_of(predicate.operator, predicate.value)
+            )
         elif isinstance(predicate, BetweenPredicate):
-            add_range(scope.resolve(predicate.column), predicate.low, predicate.high)
+            attribute = scope.resolve(predicate.column)
+            slots.append((attribute, BETWEEN))
+            assembly.add(attribute, predicate.low, predicate.high)
         elif isinstance(predicate, JoinComparison):
             left = scope.resolve(predicate.left)
             right = scope.resolve(predicate.right)
@@ -143,15 +205,18 @@ def bind(statement: SelectStatement, schema: Schema) -> BoundQuery:
         else:  # pragma: no cover - parser produces only the three kinds
             raise AssertionError(f"unexpected predicate AST {predicate!r}")
 
-    predicates: set[Predicate] = set(joins) | set(unsatisfiable)
-    for attribute, (low, high) in ranges.items():
-        predicates.add(FilterPredicate(attribute, low, high))
-
-    tables = frozenset(scope.tables.values())
+    template = BoundTemplate(
+        tuple(slots),
+        frozenset(joins),
+        frozenset(scope.tables.values()),
+        sum(2 if operator == BETWEEN else 1 for _, operator in slots),
+    )
     projection: tuple[Attribute, ...] | None = None
     if statement.projection is not None:
         projection = tuple(scope.resolve(column) for column in statement.projection)
-    return BoundQuery(Query(frozenset(predicates), tables=tables), projection)
+    return BoundQuery(
+        assembly.query(template.joins, template.tables), projection, template
+    )
 
 
 def parse_query(sql: str, schema: Schema) -> Query:

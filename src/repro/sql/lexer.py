@@ -6,10 +6,12 @@ literals, comparison operators, parentheses, commas, ``*`` and the
 keyword set of SELECT/FROM/WHERE/AND/BETWEEN/AS.  Errors carry the
 offending position for readable messages.
 
-One compiled scanner does the work (SQL parsing runs on the server's
-event-loop thread, where it is the largest single cost of a request).
-``tests/sql/test_lexer_parity.py`` holds the character-at-a-time loop it
-replaced and checks the two agree token for token and error for error.
+One compiled scanner does the work.  ``tests/sql/test_lexer_parity.py``
+holds the character-at-a-time loop it replaced and checks the two agree
+token for token and error for error.  A served statement of a shape seen
+before never gets here: :mod:`repro.sql.template` splits it with a regex
+built from the token patterns below and binds it from a cached template,
+so on the server's event-loop thread the lexer runs once per shape.
 """
 
 from __future__ import annotations
@@ -93,16 +95,23 @@ class SQLSyntaxError(ValueError):
 #: maps them all to this one so the scanner can say so
 _NUMERIC = "\u00bd"
 
+#: the grammar's four token kinds, as ``re`` source.  A number is digits,
+#: at most one ``.`` and at most one exponent marker (``e`` and a sign or
+#: digit), in that order — whether the result is a number is ``float``'s
+#: call.  :mod:`repro.sql.template` builds its splitter from the same four.
+IDENTIFIER_RE = rf"[^\W\d{_NUMERIC}]\w*"  # or a keyword
+NUMBER_RE = r"[+-]?\d+(?:\.\d*)?(?:[eE][+\-\d]\d*)?"
+OPERATOR_RE = r"[=<>!]+"
+PUNCTUATION_RE = r"[,.*()]"
+
 #: one token per match, leading whitespace skipped; the group that
-#: matched (``lastindex``) says which kind.  A number is digits, at most
-#: one ``.`` and at most one exponent marker (``e`` and a sign or digit),
-#: in that order — whether the result is a number is ``float``'s call.
+#: matched (``lastindex``) says which kind.
 _SCANNER = re.compile(
     r"\s*(?:"
-    rf"([^\W\d{_NUMERIC}]\w*)"  # 1: identifier or keyword
-    r"|([+-]?\d+(?:\.\d*)?(?:[eE][+\-\d]\d*)?)"  # 2: number
-    r"|([=<>!]+)"  # 3: operator
-    r"|([,.*()])"  # 4: punctuation
+    rf"({IDENTIFIER_RE})"  # 1
+    rf"|({NUMBER_RE})"  # 2
+    rf"|({OPERATOR_RE})"  # 3
+    rf"|({PUNCTUATION_RE})"  # 4
     r"|(\S)"  # 5: nothing the grammar has
     r"|\Z)"
 )

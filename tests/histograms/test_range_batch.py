@@ -1,14 +1,8 @@
-"""``estimate_range_selectivity_batch`` vs the scalar method: the
-plan-cache batched replay is only bit-identical if the vectorized
-kernel reproduces :meth:`Bucket.overlap_fraction` branch for branch and
-sums contributions in the scalar loop's association order.  This file
-pins ``==`` (not approx) equality across random histograms and
-adversarial ranges: inverted, point, zero-width buckets, edge-exact,
-fully-outside, and empty/zero-total histograms.
-
-The scalar method itself is held to the plain walk over every bucket
+"""``estimate_range_count`` is held to the plain walk over every bucket
 (:func:`full_walk_count`): it enters the fold by ``bisect`` at the first
-bucket the range can touch, which must not move a single bit.
+bucket the range can touch, which must not move a single bit.  ``==``
+(not approx) across random histograms and adversarial ranges: inverted,
+point, zero-width buckets, edge-exact, fully-outside.
 """
 
 from __future__ import annotations
@@ -16,7 +10,6 @@ from __future__ import annotations
 import random
 
 import numpy as np
-import pytest
 
 from repro.histograms.base import Bucket, Histogram
 
@@ -63,54 +56,6 @@ def random_ranges(rng: random.Random, histogram: Histogram, count: int):
         lows.append(low)
         highs.append(high)
     return np.array(lows), np.array(highs)
-
-
-class TestBatchScalarParity:
-    def test_random_histograms_and_ranges_bit_identical(self):
-        rng = random.Random(20260807)
-        for _ in range(60):
-            histogram = random_histogram(rng)
-            lows, highs = random_ranges(rng, histogram, 40)
-            batch = histogram.estimate_range_selectivity_batch(lows, highs)
-            scalar = [
-                histogram.estimate_range_selectivity(low, high)
-                for low, high in zip(lows, highs)
-            ]
-            assert batch.shape == lows.shape
-            assert batch.tolist() == scalar  # exact, not approx
-
-    def test_inverted_ranges_are_exactly_zero(self):
-        histogram = random_histogram(random.Random(3))
-        lows = np.array([10.0, 500.0])
-        highs = np.array([5.0, 499.0])
-        assert histogram.estimate_range_selectivity_batch(
-            lows, highs
-        ).tolist() == [0.0, 0.0]
-
-    def test_empty_histogram_yields_zeros(self):
-        histogram = Histogram([])
-        out = histogram.estimate_range_selectivity_batch(
-            np.array([0.0, 1.0]), np.array([10.0, 2.0])
-        )
-        assert out.tolist() == [0.0, 0.0]
-
-    def test_zero_total_yields_zeros(self):
-        histogram = Histogram([Bucket(0.0, 10.0, 0.0, 0.0)])
-        out = histogram.estimate_range_selectivity_batch(
-            np.array([0.0]), np.array([10.0])
-        )
-        assert out.tolist() == [0.0]
-
-    def test_batch_of_one_matches_scalar(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            histogram = random_histogram(rng)
-            low = float(rng.randint(-10, 800))
-            high = low + float(rng.randint(0, 300))
-            batch = histogram.estimate_range_selectivity_batch(
-                np.array([low]), np.array([high])
-            )
-            assert batch[0] == histogram.estimate_range_selectivity(low, high)
 
 
 def full_walk_count(histogram: Histogram, low: float, high: float) -> float:
