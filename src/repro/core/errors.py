@@ -84,6 +84,11 @@ def priced_factor_error(match: FactorMatch, price) -> float:
     associative and frozenset iteration order is hash-seed dependent:
     the same logical match must yield the bit-identical error no matter
     how its predicate sets were constructed, or which path priced it.
+    The scorer keeps that sum by storing, per term and assumed mask, the
+    prices in ``str`` order of the assumed predicates, and adding them
+    one at a time into its running total — never summing a row apart
+    and adding the subtotal, which would group the additions
+    differently.
     """
     total = 0.0
     for term in implicit_terms(match):

@@ -63,6 +63,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import StatsSnapshot
 from repro.obs.trace import Trace
 from repro.core.matching import (
+    NO_MATCH,
     FactorMatch,
     FactorScorer,
     JoinMemo,
@@ -223,9 +224,6 @@ _FIELD_DEFAULTS = {
 }
 
 _EMPTY_RESULT = EstimationResult(1.0, 0.0, Decomposition(()), ())
-
-#: what a factor no SIT assignment exists for scores
-_NO_MATCH = (INFINITE_ERROR, 0.0, None)
 
 #: memo entries a request may start with.  Past it the memo is emptied
 #: before the next request solves — never during one, and always whole:
@@ -621,23 +619,13 @@ class GetSelectivity:
         return result
 
     def _score(self, p_mask: int, q_mask: int) -> tuple[float, float, tuple | None]:
-        scorer = self._scorer
-        if not self._priced:
-            set_of = self.universe.set_of
-            match, error = self._compute_factor_match(set_of(p_mask), set_of(q_mask))
-            if match is None:
-                return _NO_MATCH
-            return error, _match_coverage(match), scorer.picks_of(match)
-        trace = self.trace
-        if trace is None:
-            candidates = scorer.candidates(p_mask, q_mask)
-            return _NO_MATCH if candidates is None else scorer.price(*candidates)
-        with trace.span("factor_matching"):
-            candidates = scorer.candidates(p_mask, q_mask)
-        if candidates is None:
-            return _NO_MATCH
-        with trace.span("error_scoring"):
-            return scorer.price(*candidates)
+        if self._priced:
+            return self._scorer.score(p_mask, q_mask, self.trace)
+        set_of = self.universe.set_of
+        match, error = self._compute_factor_match(set_of(p_mask), set_of(q_mask))
+        if match is None:
+            return NO_MATCH
+        return error, _match_coverage(match), self._scorer.picks_of(match)
 
     def _compute_factor_match(
         self, p_part: PredicateSet, q_part: PredicateSet

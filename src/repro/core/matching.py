@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.predicates import (
@@ -499,43 +500,67 @@ def implicit_terms(match: FactorMatch) -> list[ImplicitTerm]:
     return terms
 
 
+#: what a factor no SIT assignment exists for scores
+NO_MATCH = (math.inf, 0.0, None)
+
+
 class AttributePick:
     """One row of :class:`FactorScorer`'s per-attribute table: the
     maximal candidates of ``attribute`` under the conditioning
-    ``cond_mask`` and (once ranked) the SIT the error function picks
-    among them, with its expression as a mask."""
+    ``cond_mask`` and the SIT the error function picks among them
+    (``None`` when there is no candidate), with its expression as a mask
+    and its size (what the pick adds to a factor's coverage)."""
 
-    __slots__ = ("attribute", "weight", "cond_mask", "candidates", "sit", "expr_mask")
+    __slots__ = (
+        "attribute", "weight", "cond_mask", "candidates", "sit", "expr_mask", "size"
+    )
 
-    def __init__(self, attribute, weight, cond_mask, candidates, sit=None):
+    def __init__(self, attribute, weight, cond_mask, candidates, sit, expr_mask=0):
         self.attribute = attribute
         self.weight = weight
         self.cond_mask = cond_mask
         self.candidates = candidates
         self.sit = sit
-        self.expr_mask = 0
+        self.expr_mask = expr_mask
+        self.size = 0 if sit is None else len(sit.expression)
 
 
 class FactorScorer:
     """Section 3.3 on masks, for the bitmask DP: what the best SIT
     assignment for ``Sel(P'|Q)`` costs, without building it.
 
-    :meth:`candidates` is steps 1-3 (``candidates_for_factor``) and
-    :meth:`price` the ranking and the implicit expansion
-    (``select_match`` + ``implicit_terms`` + the error function's
-    ``assumption_price``) — the frozenset routines stay the reference
-    definition, and every float here is added in their order, so the two
-    agree to the bit.  The DP asks for ``(error, coverage, picks)`` per
-    ``(P', Q)`` and calls :meth:`materialise` on the picks of a winner
-    only.
+    :meth:`score` is steps 1-3 (``candidates_for_factor``), the ranking
+    (``select_match``) and the implicit expansion priced per assumption
+    (``implicit_terms`` + ``priced_factor_error``) in one pass — the
+    frozenset routines stay the reference definition, and every float
+    here is added in their order, so the two agree to the bit.  The DP
+    asks for ``(error, coverage, picks)`` per ``(P', Q)`` and calls
+    :meth:`materialise` on the picks of a winner only.
 
-    Three tables, all keyed by masks of ``universe`` and so alive exactly
-    as long as it is: per ``P'`` the weighted attributes and the
-    predicates in expansion order, per ``Q`` the component each table is
-    conditioned on, per ``(attribute, weight, conditioning)`` the
-    candidates and the pick.  Holds the universe, the matcher and the
-    error function — never the DP that owns it (a retired DP must go
-    without the cycle collector).
+    Every table is keyed by masks or bits of ``universe`` and so lives
+    exactly as long as it does:
+
+    * per ``P'``: its weighted attributes and its predicates in expansion
+      order (``_plans``);
+    * per ``Q``: the component each table is conditioned on
+      (``_components``);
+    * per ``(attribute, weight)`` and conditioning: the pick
+      (``_picks``) — ranking reads the whole conditioning;
+    * per attribute and the part of the conditioning a SIT can match —
+      its predicates that occur in some SIT expression of the pool, whose
+      membership is pinned for the DP's life (``_members``): the maximal
+      candidates (``_maximal``).  A SIT expression lies within ``C`` iff
+      it lies within ``C & members``, so conditionings that differ only
+      in predicates no SIT mentions (filters, for a join-only pool)
+      share one matcher call;
+    * per ``(term bit, other bit)``: ``assumption_price`` (``_prices``),
+      and per term bit and assumed mask: those prices in ``str`` order of
+      the assumed bits (``_rows``) — a term adds its row value by value
+      into the running total, ``priced_factor_error``'s flat sum, with no
+      predicate, ``str()`` or sort per pair.
+
+    Holds the universe, the matcher and the error function — never the
+    DP that owns it (a retired DP must go without the cycle collector).
     """
 
     def __init__(self, universe: "PredicateUniverse", matcher: ViewMatcher, error_function):
@@ -544,12 +569,24 @@ class FactorScorer:
         self.error_function = error_function
         self._plans: dict[int, tuple] = {}
         self._components: dict[int, dict[str, int]] = {}
-        self._picks: dict[tuple, AttributePick] = {}
+        self._picks: dict[tuple[Attribute, float], dict[int, AttributePick]] = {}
+        self._maximal: dict[Attribute, dict[int, tuple[SIT, ...]]] = {}
+        #: universe mask of the predicates some SIT expression holds, over
+        #: the first ``_member_bits`` bits
+        self._members = 0
+        self._member_bits = 0
+        self._prices: dict[tuple[int, int], float] = {}
+        self._rows: dict[int, dict[int, tuple[float, ...]]] = {}
 
     # ------------------------------------------------------------------
-    def candidates(self, p_mask: int, q_mask: int) -> tuple | None:
-        """Steps 1-3 of Section 3.3; ``None`` when some attribute has no
-        candidate SIT at all."""
+    def score(
+        self, p_mask: int, q_mask: int, trace=None
+    ) -> tuple[float, float, tuple | None]:
+        """``(error, coverage, picks)`` of the error function's choice for
+        ``Sel(P'|Q)``; :data:`NO_MATCH` when some attribute of ``P'`` has
+        no candidate SIT.  With a ``trace`` the picking is timed as
+        ``factor_matching`` and the pricing as ``error_scoring``."""
+        started = None if trace is None else perf_counter()
         plan = self._plans.get(p_mask)
         if plan is None:
             plan = self._plans[p_mask] = self._plan(p_mask)
@@ -558,32 +595,83 @@ class FactorScorer:
             component_of = self._components[q_mask] = (
                 self.universe.components_by_table(q_mask)
             )
-        table = self._picks
         fault_plan = _fault_plan()
+        # Steps 2-3 per attribute.  Attributes share a component when Q
+        # links their tables (they are then conditioned on the same
+        # component of Q) or they sit on one table; a component is named
+        # by its first attribute and carries what its terms are
+        # conditioned on: its share of Q, then every processed predicate
+        # of P' that touches it.
         picks = []
-        for attribute, weight in plan[0]:
-            key = (attribute, weight, component_of.get(attribute.table, 0))
-            pick = table.get(key)
+        first: dict = {}
+        component = []
+        context = []
+        covered = []
+        coverage = 0
+        for attribute, weight, table, by_cond, by_member in plan[0]:
+            cond = component_of.get(table, 0)
+            pick = by_cond.get(cond)
             if pick is None:
-                # (the matcher runs the SIT-match injection point itself)
-                maximal = self.matcher.maximal_candidates(
-                    attribute, self.universe.set_of(key[2])
-                )
-                pick = table[key] = AttributePick(*key, maximal)
+                pick = self._pick(attribute, weight, cond, by_cond, by_member, trace)
             elif fault_plan is not None and pick.candidates:
                 fault_plan.check(
                     POINT_SIT_MATCH, detail=str(attribute), sits=pick.candidates
                 )
-            if not pick.candidates:
-                return None
+            if pick.sit is None:
+                if started is not None:
+                    trace.add_time("factor_matching", perf_counter() - started)
+                return NO_MATCH
+            component.append(first.setdefault(cond or table, len(picks)))
+            context.append(cond)
+            covered.append(pick.expr_mask)
+            coverage += pick.size
             picks.append(pick)
-        return plan, tuple(picks)
+        if started is not None:
+            split = perf_counter()
+            trace.add_time("factor_matching", split - started)
+            started = split
+        # The implicit expansion: joins, then filters, each term charged
+        # its row of prices for what it assumes.
+        total = 0.0
+        for term, bit, rows, left, right in plan[1]:
+            into, from_ = component[left], component[right]
+            conditioned_on = context[into] | context[from_]
+            joint = covered[left] | covered[right]
+            assumed = conditioned_on & ~joint
+            if assumed:
+                row = rows.get(assumed)
+                if row is None:
+                    row = self._row(term, assumed, rows)
+                for value in row:
+                    total += value
+            # the derived histogram covers both sides and the join itself
+            covered[left] = covered[right] = joint | bit
+            if into != from_:
+                component = [into if c == from_ else c for c in component]
+            context[into] = conditioned_on | bit
+        for term, bit, rows, attribute in plan[2]:
+            home = component[attribute]
+            # filters on one attribute are one intersected range: the
+            # earlier ones (folded into ``covered``) are exact, not assumed
+            assumed = context[home] & ~covered[attribute]
+            if assumed:
+                row = rows.get(assumed)
+                if row is None:
+                    row = self._row(term, assumed, rows)
+                for value in row:
+                    total += value
+            covered[attribute] |= bit
+            context[home] |= bit
+        if started is not None:
+            trace.add_time("error_scoring", perf_counter() - started)
+        return total, float(coverage), tuple(picks)
 
     def _plan(self, p_mask: int) -> tuple:
         """What ``P'`` alone decides: its attributes with their weights
-        (step 1, in attribute order) and its joins, then its filters, in
-        ``str`` order — each with its bit and the positions of its
-        attributes in the first list."""
+        (step 1, in attribute order, each with its table and its rows of
+        the pick and candidate tables) and its joins, then its filters,
+        in ``str`` order — each with its bit, its mask, its row of price
+        rows and the positions of its attributes in the first list."""
         universe = self.universe
         ordered = [
             (bit, universe.attributes(bit)) for bit in universe.sorted_bits(p_mask)
@@ -593,76 +681,98 @@ class FactorScorer:
             share = 0.5 if len(attributes) == 2 else 1.0  # a join's two operands
             for attribute in attributes:
                 weights[attribute] = weights.get(attribute, 0.0) + share
-        by_attribute = sorted(weights.items())
-        position = {attribute: i for i, (attribute, _) in enumerate(by_attribute)}
+        # ``Attribute``'s own order, without its generated comparisons
+        by_attribute = sorted(weights, key=lambda a: (a.table, a.column))
+        position = {attribute: i for i, attribute in enumerate(by_attribute)}
+        picks, maximal = self._picks, self._maximal
+        attribute_rows = []
+        for attribute in by_attribute:
+            weight = weights[attribute]
+            by_cond = picks.get((attribute, weight))
+            if by_cond is None:
+                by_cond = picks[attribute, weight] = {}
+            by_member = maximal.get(attribute)
+            if by_member is None:
+                by_member = maximal[attribute] = {}
+            attribute_rows.append(
+                (attribute, weight, attribute.table, by_cond, by_member)
+            )
+        rows = self._rows
         joins, filters = [], []
         for bit, attributes in ordered:
-            entry = (1 << bit, universe.predicate(bit), *map(position.get, attributes))
+            term_rows = rows.get(bit)
+            if term_rows is None:
+                term_rows = rows[bit] = {}
+            entry = (bit, 1 << bit, term_rows, *map(position.get, attributes))
             (joins if len(attributes) == 2 else filters).append(entry)
-        return tuple(by_attribute), tuple(joins), tuple(filters)
+        return tuple(attribute_rows), tuple(joins), tuple(filters)
 
-    # ------------------------------------------------------------------
-    def price(self, plan: tuple, picks: tuple) -> tuple[float, float, tuple]:
-        """``(error, coverage, picks)`` of the error function's choice
-        among ``picks``' candidates: :func:`implicit_terms` on masks,
-        with every assumption charged ``assumption_price``."""
+    def _pick(
+        self, attribute, weight, cond, by_cond, by_member, trace
+    ) -> AttributePick:
+        """A new row of ``_picks``: the maximal candidates — from
+        ``_maximal`` when some conditioning with the same members asked
+        before, else from the matcher — and the error function's pick
+        among them.  The SIT-match injection point is checked either way
+        (the matcher checks it itself).  Traced, every new conditioning
+        goes to the matcher, whose candidate-funnel counters then count
+        what the frozenset path counts."""
         universe = self.universe
-        for pick in picks:
-            if pick.sit is None:
-                self._rank(pick)
-        price = self.error_function.assumption_price
-        predicate_at = universe.predicate
-        sorted_bits = universe.sorted_bits
-        # Attributes share a component when Q links their tables (they
-        # are then conditioned on the same component of Q) or they sit on
-        # one table; a component is named by its first attribute and
-        # carries what its terms are conditioned on: its share of Q, then
-        # every processed predicate of P' that touches it.
-        first: dict = {}
-        component = [
-            first.setdefault(pick.cond_mask or pick.attribute.table, i)
-            for i, pick in enumerate(picks)
-        ]
-        context = [pick.cond_mask for pick in picks]
-        covered = [pick.expr_mask for pick in picks]
-        total = 0.0
-        for bit, join, left, right in plan[1]:
-            into, from_ = component[left], component[right]
-            conditioned_on = context[into] | context[from_]
-            joint = covered[left] | covered[right]
-            assumed = conditioned_on & ~joint
-            if assumed:
-                for other in sorted_bits(assumed):
-                    total += price(join, predicate_at(other))
-            # the derived histogram covers both sides and the join itself
-            covered[left] = covered[right] = joint | bit
-            if into != from_:
-                component = [into if c == from_ else c for c in component]
-            context[into] = conditioned_on | bit
-        for bit, predicate, attribute in plan[2]:
-            home = component[attribute]
-            # filters on one attribute are one intersected range: the
-            # earlier ones (folded into ``covered``) are exact, not assumed
-            assumed = context[home] & ~covered[attribute]
-            if assumed:
-                for other in sorted_bits(assumed):
-                    total += price(predicate, predicate_at(other))
-            covered[attribute] |= bit
-            context[home] |= bit
-        coverage = sum(len(pick.sit.expression) for pick in picks)
-        return total, float(coverage), picks
-
-    def _rank(self, pick: AttributePick) -> None:
-        pick.sit = self.error_function.rank_candidate(
-            AttributeCandidates(
-                pick.attribute,
-                pick.weight,
-                self.universe.set_of(pick.cond_mask),
-                pick.candidates,
+        if self._member_bits < universe.size:
+            self._learn_members()
+        key = cond & self._members
+        candidates = by_member.get(key) if trace is None else None
+        if candidates is None:
+            candidates = by_member[key] = self.matcher.maximal_candidates(
+                attribute, universe.set_of(cond)
             )
-        )
-        # a candidate's expression lies within the conditioning: interned
-        pick.expr_mask = self.universe.intern(pick.sit.expression)
+        elif candidates:
+            fault_plan = _fault_plan()
+            if fault_plan is not None:
+                fault_plan.check(
+                    POINT_SIT_MATCH, detail=str(attribute), sits=candidates
+                )
+        if not candidates:
+            pick = AttributePick(attribute, weight, cond, candidates, None)
+        else:
+            sit = self.error_function.rank_candidate(
+                AttributeCandidates(
+                    attribute, weight, universe.set_of(cond), candidates
+                )
+            )
+            # a candidate's expression lies within the conditioning: interned
+            expr_mask = universe.intern(sit.expression)
+            pick = AttributePick(attribute, weight, cond, candidates, sit, expr_mask)
+        by_cond[cond] = pick
+        return pick
+
+    def _learn_members(self) -> None:
+        """Extend ``_members`` over the bits interned since the last call."""
+        universe = self.universe
+        find = self.matcher.pool.find
+        members = self._members
+        for bit in range(self._member_bits, universe.size):
+            if find(expression_member=universe.predicate(bit)):
+                members |= 1 << bit
+        self._members = members
+        self._member_bits = universe.size
+
+    def _row(self, term: int, assumed: int, rows: dict) -> tuple[float, ...]:
+        """The prices ``term`` pays for assuming ``assumed``, in ``str``
+        order of the assumed bits (stored in ``rows``, the term's row of
+        ``_rows``)."""
+        universe = self.universe
+        prices = self._prices
+        values = []
+        for other in universe.sorted_bits(assumed):
+            value = prices.get((term, other))
+            if value is None:
+                value = prices[term, other] = self.error_function.assumption_price(
+                    universe.predicate(term), universe.predicate(other)
+                )
+            values.append(value)
+        row = rows[assumed] = tuple(values)
+        return row
 
     # ------------------------------------------------------------------
     def materialise(self, p_mask: int, q_mask: int, picks: tuple) -> FactorMatch:

@@ -6,11 +6,12 @@ only for the pair that wins a node.  The frozenset routines —
 ``candidates_for_factor`` + ``select_match`` + ``factor_error`` — remain
 the definition; this suite holds the scorer to them *pair by pair*, for
 every ``(p_mask, q_mask)`` the DP scores over seeded snowflake and TPC-H
-workloads, and checks what rides on the scoring path: GS-Opt still gets
-real matches, the SIT-match injection point is still visited once per
-attribute per scored pair, tracing keeps its two stages, and everything
-keyed by a mask starts over together once the universe has outgrown
-``UNIVERSE_LIMIT``.
+workloads (traced and untraced, and over a pool whose SIT expressions
+hold filters), and checks what rides on the scoring path: GS-Opt still
+gets real matches, the SIT-match injection point is still visited once
+per attribute per scored pair, tracing keeps its two stages, and
+everything keyed by a mask starts over together once the universe has
+outgrown ``UNIVERSE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ from repro.core.get_selectivity import (
     GetSelectivity,
     NoApplicableStatisticsError,
 )
-from repro.core.matching import ViewMatcher, select_match
+from repro.core.matching import FactorScorer, ViewMatcher, select_match
 from repro.core.predicates import Attribute, FilterPredicate, attributes_of
 from repro.core.selectivity import Factor
 from repro.engine.executor import Executor
 from repro.resilience.faults import POINT_SIT_MATCH, FaultPlan, FaultRule, armed
+from repro.stats.pool import SITPool
+from repro.stats.sit import SIT
 from repro.workload.queries import WorkloadConfig, WorkloadGenerator
 
 ERROR_FACTORIES = {
@@ -75,17 +78,17 @@ def tpch_setup(tpch_db):
     return build_setup(tpch_db, TPCH_CLASSES, seed=29)
 
 
-class CheckedGetSelectivity(GetSelectivity):
-    """Compares every pair the DP scores with the reference routines."""
+class CheckedScorer(FactorScorer):
+    """Compares every pair it scores with the reference routines."""
 
-    def __init__(self, pool, error_function, **kwargs):
-        super().__init__(pool, error_function, **kwargs)
-        self.reference = ViewMatcher(pool)
+    def __init__(self, universe, matcher, error_function):
+        super().__init__(universe, matcher, error_function)
+        self.reference = ViewMatcher(matcher.pool)
         self.scored = 0
         self.unmatched = 0
 
-    def _score(self, p_mask, q_mask):
-        scored = super()._score(p_mask, q_mask)
+    def score(self, p_mask, q_mask, trace=None):
+        scored = super().score(p_mask, q_mask, trace)
         set_of = self.universe.set_of
         factor = Factor(set_of(p_mask), set_of(q_mask))
         candidates = self.reference.candidates_for_factor(factor, count=False)
@@ -99,14 +102,69 @@ class CheckedGetSelectivity(GetSelectivity):
         assert error == self.error_function.factor_error(match)
         assert coverage == sum(len(am.sit.expression) for am in match.attribute_matches)
         assert type(coverage) is float
-        assert self._scorer.materialise(p_mask, q_mask, picks) == match
+        assert self.materialise(p_mask, q_mask, picks) == match
         return scored
+
+
+class CheckedGetSelectivity(GetSelectivity):
+    """A bitmask DP whose every priced pair goes through
+    :class:`CheckedScorer` (the scorer's one routine, ``score``)."""
+
+    def __init__(self, pool, error_function, **kwargs):
+        super().__init__(pool, error_function, **kwargs)
+        self._scorer = CheckedScorer(self.universe, self.matcher, error_function)
+
+    @property
+    def scored(self) -> int:
+        # a start-over would replace the checked scorer with a plain one
+        assert isinstance(self._scorer, CheckedScorer)
+        return self._scorer.scored
+
+    @property
+    def unmatched(self) -> int:
+        return self._scorer.unmatched
 
 
 def unknown_filter(pool) -> FilterPredicate:
     """A filter on a column of a known table that no SIT covers."""
     table = next(iter(pool)).attribute.table
     return FilterPredicate(Attribute(table, "no_such_column"), 0.0, 1.0)
+
+
+def with_filter_sits(pool, workload, seed: int) -> SITPool:
+    """``pool`` plus SITs whose expressions hold a workload filter: per
+    query, on every other attribute of it, ``SIT(a | f)`` for its first
+    filter ``f``, and ``SIT(a | f, j)`` for a join ``j`` of the query
+    (built on ``a``'s base histogram, as the plan cache's filter-bearing
+    test builds its one)."""
+    rng = random.Random(seed)
+    base = {sit.attribute: sit for sit in pool if sit.is_base}
+    extended = SITPool(list(pool))
+    for predicates in workload:
+        filters = sorted((p for p in predicates if not p.is_join), key=str)
+        joins = sorted((p for p in predicates if p.is_join), key=str)
+        if not filters:
+            continue
+        first = filters[0]
+        for attribute in sorted(attributes_of(predicates) - {first.attribute}):
+            expressions = [frozenset({first})]
+            if joins:
+                expressions.append(frozenset({first, rng.choice(joins)}))
+            for expression in expressions:
+                extended.add(
+                    SIT(
+                        attribute,
+                        expression,
+                        base[attribute].histogram,
+                        diff=round(rng.random(), 3),
+                    )
+                )
+    return extended
+
+
+def entries(table: dict) -> int:
+    """Rows of one of the scorer's two-level tables."""
+    return sum(map(len, table.values()))
 
 
 # ----------------------------------------------------------------------
@@ -116,9 +174,26 @@ class TestPairByPair:
     def test_every_scored_pair_equals_the_reference(
         self, request, setup_name, error_name
     ):
+        self.check_every_pair(request, setup_name, error_name)
+
+    @pytest.mark.parametrize("error_name", sorted(ERROR_FACTORIES))
+    @pytest.mark.parametrize("setup_name", ["snowflake_setup", "tpch_setup"])
+    def test_every_scored_pair_equals_the_reference_when_traced(
+        self, request, setup_name, error_name
+    ):
+        checked = self.check_every_pair(request, setup_name, error_name, traced=True)
+        # both stages of every scored pair were timed inside ``score``;
+        # a pair without a match stops after the first
+        trace = checked.trace
+        assert trace.calls["factor_matching"] == checked.scored
+        assert trace.calls["error_scoring"] == checked.scored - checked.unmatched
+
+    def check_every_pair(self, request, setup_name, error_name, traced=False):
         workload, pool, _ = request.getfixturevalue(setup_name)
         assert len(workload) >= 100
         checked = CheckedGetSelectivity(pool, ERROR_FACTORIES[error_name](pool))
+        if traced:
+            checked.enable_tracing()
         oracle = GetSelectivity.create(
             pool, ERROR_FACTORIES[error_name](pool), engine="legacy"
         )
@@ -136,6 +211,7 @@ class TestPairByPair:
         universe = checked.universe
         everything = (1 << universe.size) - 1
         assert universe.sorted_bits(everything) != list(range(universe.size))
+        return checked
 
     def test_a_winner_is_materialised_once(self, snowflake_setup):
         workload, pool, _ = snowflake_setup
@@ -157,6 +233,41 @@ class TestPairByPair:
         assert len(built) == len(algorithm._estimate_cache)
         assert algorithm.match_cache_misses == 0
         assert not algorithm.matcher._factor_cache  # nothing went the frozenset way
+
+
+class TestFilterBearingSITExpressions:
+    """Candidates are looked up by the part of the conditioning some SIT
+    expression mentions; when expressions hold filters, that part must
+    keep them, or two conditionings that differ in a filter would share
+    one candidate list."""
+
+    @pytest.mark.parametrize("error_name", sorted(ERROR_FACTORIES))
+    def test_bitmask_equals_legacy_result_for_result(
+        self, snowflake_setup, error_name
+    ):
+        workload, pool, _ = snowflake_setup
+        requests = workload[:60]
+        filtered = with_filter_sits(pool, requests[::2], seed=31)
+        make_error = ERROR_FACTORIES[error_name]
+        checked = CheckedGetSelectivity(filtered, make_error(filtered))
+        oracle = GetSelectivity.create(filtered, make_error(filtered), engine="legacy")
+        results = []
+        for predicates in requests:
+            result = checked(predicates)
+            assert result == oracle(predicates)
+            results.append(result)
+        assert checked.scored == checked.match_cache_misses > 1000
+        scorer = checked._scorer
+        members = scorer.universe.set_of(scorer._members)
+        assert any(not p.is_join for p in members)
+        # the filter-bearing SITs are really used, not just present
+        assert any(
+            not p.is_join
+            for result in results
+            for match in result.matches
+            for am in match.attribute_matches
+            for p in am.sit.expression
+        )
 
 
 class TestUnpricedFunctions:
@@ -308,7 +419,11 @@ class TestOneLifetimeForEverythingKeyedByMask:
                 assert caches["match_cache_entries"] == len(fresh._match_cache)
                 assert caches["memo_entries"] == len(fresh._memo)
                 assert caches["estimate_cache_entries"] == len(fresh._estimate_cache)
-                assert len(algorithm._scorer._picks) == len(fresh._scorer._picks)
+                scorer, fresh_scorer = algorithm._scorer, fresh._scorer
+                assert entries(scorer._picks) == entries(fresh_scorer._picks)
+                assert entries(scorer._maximal) == entries(fresh_scorer._maximal)
+                assert len(scorer._prices) == len(fresh_scorer._prices)
+                assert entries(scorer._rows) == entries(fresh_scorer._rows)
                 # and what is keyed by the predicates behind them
                 assert len(algorithm.matcher._attribute_cache) == len(
                     fresh.matcher._attribute_cache
