@@ -278,7 +278,10 @@ def smoke_plan_cache() -> None:
         # coherence mid-stream: an update must force a recompile, not
         # serve the stale plan — then steady state resumes.  Every
         # worker owns a session (and cache), so each needs one miss
-        # to recompile before the probe is guaranteed to hit.
+        # to recompile before the probe is guaranteed to hit.  A notify
+        # changes no histogram: the recompiles read the pool's derived
+        # joins and run the join kernel 0 times.
+        joins_before = client.stats()["caches"]["join_memo_misses"]
         catalog.notify_table_update("customer")
         probe = TEMPLATES[0].format(low=5, high=30)
         first = client.estimate(probe)
@@ -300,10 +303,16 @@ def smoke_plan_cache() -> None:
         after = client.stats().get("plan_cache", {})
         assert after.get("misses", 0) >= 1, after
         assert after.get("compiles", 0) >= 1, after
+        joins_after = client.stats()["caches"]["join_memo_misses"]
+        assert joins_after == joins_before, (
+            f"recompiles after a notify joined {joins_after - joins_before:.0f} "
+            "histogram pairs again"
+        )
         print(
             f"coherence: update forced {recompiles} per-worker "
             f"recompiles (pool_version "
-            f"{after.get('pool_version', 0):.0f}), steady state resumed"
+            f"{after.get('pool_version', 0):.0f}, 0 new joins), "
+            "steady state resumed"
         )
     optimizer_pattern(fixture)
     explain_of_a_hit(fixture)

@@ -239,6 +239,13 @@ MEMO_LIMIT = 8192
 #: requests like the memo.
 UNIVERSE_LIMIT = 2048
 
+#: derived histograms a pool's join store may hold when a request
+#: starts.  The store is shared by every DP over the pool and kept
+#: across version moves, so only this bounds it; past it the store is
+#: emptied whole, between requests like the memo — an emptied join is
+#: recomputed bit-identically on its next ask.
+JOIN_LIMIT = 1024
+
 
 class GetSelectivity:
     """A reusable ``getSelectivity`` instance (bitmask fast path).
@@ -321,8 +328,8 @@ class GetSelectivity:
         #: memo keyed by predicate mask (legacy subclass: by frozenset,
         #: and never gated — the oracle is built per use)
         self._memo: dict = {}
-        #: the ``pool.version`` the memo and the join memo were filled
-        #: under — the one invalidation gate, checked per request
+        #: the ``pool.version`` the memo was filled under — the one
+        #: invalidation gate, checked per request
         self._version = pool.version
         # Pure function of (P', Q) for a fixed pool and error function, so
         # it survives reset() (which empties the memo and the counters).
@@ -338,10 +345,10 @@ class GetSelectivity:
         # before (fast path only — the legacy baseline keeps the seed
         # behaviour of re-estimating per query).
         self._estimate_cache: dict = {}
-        #: derived histograms by operand identity, shared by the DP's
-        #: line 16 and the plan compiler so each pair is joined once
+        #: this DP's view of the pool's derived histograms, read by line
+        #: 16 and the plan compiler so each pair is joined once per pool
         #: (fast path only; the legacy oracle joins directly)
-        self._join_memo = JoinMemo()
+        self._join_memo = JoinMemo(pool.derived_joins)
         #: accumulated seconds in search + SIT selection (Figure 8's
         #: "decomposition analysis") and in numeric estimation ("histogram
         #: manipulation").
@@ -427,7 +434,8 @@ class GetSelectivity:
         Cache sizes are current; hits/misses, matcher calls, explored and
         pruned decomposition counts and the two Figure 8 timing
         accumulators run since construction or the last :meth:`reset`;
-        the join memo's hits/misses are totals over the instance's life.
+        the join memo's hits/misses are this instance's lookups over its
+        life, and its entry count is the pool's, shared by every DP.
         """
         return StatsSnapshot.from_registry(
             self.metrics_registry(),
@@ -439,13 +447,15 @@ class GetSelectivity:
         predicates = frozenset(predicates)
         version = self.pool.version
         if version != self._version:
-            # the catalog's single invalidation path: nothing solved or
-            # joined under an older version is served again
+            # the catalog's single invalidation path: nothing solved
+            # under an older version is served again (the pool's joins
+            # and the winners read only histograms, and stay)
             self._memo.clear()
-            self._join_memo.clear()
             self._version = version
         elif len(self._memo) > MEMO_LIMIT:
             self._memo.clear()
+        if len(self.pool.derived_joins) > JOIN_LIMIT:
+            self.pool.derived_joins.clear()
         if self.universe.size > UNIVERSE_LIMIT:
             self._forget_masks()
         started = time.perf_counter()

@@ -802,30 +802,30 @@ class FactorScorer:
 
 
 class JoinMemo:
-    """The derived histograms of one bitmask ``GetSelectivity`` instance:
-    every operand pair is joined once, whichever factor — or the plan
-    compiler — asks.
+    """One DP's view of its pool's derived histograms: every operand pair
+    is joined once per pool, whichever factor, plan compiler or session
+    over that pool asks.
 
-    Keyed on operand *identity*: a pool's SIT histograms are immutable
-    and pinned for the pool's life (a refresh publishes new SIT objects,
-    never mutates one), and every entry holds its operands, so an id
-    cannot be recycled while an entry naming it lives.  The owning
-    ``GetSelectivity`` empties it with the DP memo when ``pool.version``
-    moves, so no entry outlives the version it was computed under.
+    The entries live on the pool (``SITPool.derived_joins``), keyed on
+    operand *identity*: a pool's SIT histograms are immutable and pinned
+    for the pool's life (a refresh publishes a new pool with new SIT
+    objects, never mutates one), a joined histogram is a pure function
+    of its operands, and every entry holds its operands, so an id cannot
+    be recycled while an entry naming it lives.  A ``pool.version`` move
+    changes no histogram, so it keeps every entry.  The view owns only
+    what is per DP: its ``hits``, ``misses`` and ``trace``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, entries: dict) -> None:
         self.hits = 0
         self.misses = 0
         #: the owning ``GetSelectivity``'s trace (``None`` == disabled)
         self.trace = None
-        self._entries: dict[tuple, tuple] = {}
+        #: the pool's store, shared with every other view over the pool
+        self._entries = entries
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
 
     def join(self, left, right, max_buckets: int | None):
         """``join_histograms(left, right, max_buckets)``, computed once."""
@@ -843,8 +843,9 @@ class JoinMemo:
         else:
             with trace.span("histogram_join"):
                 result = join_histograms(left, right, max_buckets=max_buckets)
-        self._entries[key] = (result, left, right)
-        return result
+        # two workers racing on one pair keep the first result, so every
+        # later join over a derived histogram is keyed by one object
+        return self._entries.setdefault(key, (result, left, right))[0]
 
 
 def join_factor(

@@ -347,9 +347,10 @@ def _plan_weight(templates: tuple[_FactorTemplate, ...]) -> int:
     overhead per template plus the bucket arrays of the join-derived
     histograms its filter slots read (SIT histograms are shared with the
     pool and not charged).  A derived histogram is charged in full to
-    every plan that reads it, although plans compiled by one estimator
-    share it through the join memo — so ``PlanCache.bytes`` overstates
-    what a set of plans over common join cores really keeps alive."""
+    every plan that reads it, although plans compiled over one pool
+    share it through the pool's join store — so ``PlanCache.bytes``
+    overstates what a set of plans over common join cores really keeps
+    alive."""
     weight = 512
     for template in templates:
         weight += 256

@@ -269,7 +269,7 @@ class SITEstimator(Estimator):
         already invalidates the published pool's prune masks and bumps
         the versions every cache above keys on; this hook covers the
         bare-pool configuration (the version move empties the DP's memo
-        and join memo at its next request).
+        at its next request; the pool's derived joins stay).
         """
         self.pool.invalidate_derived()
         self._fallback_cache.clear()

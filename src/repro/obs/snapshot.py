@@ -16,7 +16,10 @@ namespaces:
 ``caches``
     cache sizes and hit/miss counts (``memo_entries``,
     ``match_cache_entries``, ``estimate_cache_entries``,
-    ``match_cache_hits``, ``match_cache_misses``, ``join_memo_*``);
+    ``match_cache_hits``, ``match_cache_misses``; ``join_memo_entries``
+    is the pool's derived-histogram count, shared by every DP over the
+    pool, while ``join_memo_hits`` / ``join_memo_misses`` count only
+    this DP's own lookups);
 ``catalog``
     statistics-lifecycle state (``snapshot_version``,
     ``catalog_version``, ``current``, ``sit_count``, ``stale_sits``,

@@ -47,6 +47,14 @@ class SITPool:
     #: SIT-expression mask index on this so a pool mutation invalidates the
     #: derived masks without the pool knowing about bit layouts.
     version: int = field(init=False, default=0, repr=False)
+    #: derived histograms by operand identity — ``(id(left), id(right),
+    #: max_buckets) -> (result, left, right)`` — filled through every
+    #: :class:`~repro.core.matching.JoinMemo` over this pool.  A join is
+    #: a pure function of two histograms that never change, so the store
+    #: lives exactly as long as the pool, across version moves.
+    derived_joins: dict = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         sits, self.sits = self.sits, []
@@ -137,6 +145,7 @@ class SITPool:
         masks, most importantly) is rebuilt before its next use, even though
         the set of SITs is unchanged.  Rebuilding from identical contents is
         deterministic, so in-flight estimations stay consistent.
+        :attr:`derived_joins` is kept: a version move changes no histogram.
         """
         self.version += 1
 

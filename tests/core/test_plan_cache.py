@@ -226,27 +226,31 @@ class TestPersistentMemo:
             assert cache.compile(shape, algorithm, result) is not None
         assert emptied >= 2
 
-    def test_version_move_empties_memo_and_join_memo_once(
+    def test_version_move_empties_memo_once_and_keeps_join_memo(
         self, two_table_pool, shapes
     ):
         """The memo rides the same invalidation path as the plan cache:
         a derived-state version bump (``notify_table_update``) empties
-        it, with the join memo, at the next request — once per move."""
+        it at the next request — once per move.  The pool's derived
+        histograms read only histograms a version move leaves as they
+        are, so every one of them stays, the very same object."""
         pool = SITPool(list(two_table_pool))  # private: version is mutated
         algorithm = GetSelectivity(pool, NIndError())
         algorithm(shapes[1])
         algorithm(shapes[2])
         joins = algorithm._join_memo._entries
-        assert joins
+        assert joins is pool.derived_joins and joins
         stale, stale_joins = dict(algorithm._memo), dict(joins)
+        misses = algorithm._join_memo.misses
         pool.invalidate_derived()
         algorithm(shapes[1])
-        # nothing solved or joined under the old version is left: the
-        # request re-solved its own sub-masks (the pool-pure estimate
-        # cache may spare it the joins)
+        # nothing solved under the old version is left: the request
+        # re-solved its own sub-masks
         assert len(algorithm._memo) == 3 < len(stale)
         assert all(algorithm._memo[mask] is not stale[mask] for mask in algorithm._memo)
-        assert all(joins[key] is not stale_joins[key] for key in joins)
+        # ... and joined nothing: every entry is the one stored before
+        assert algorithm._join_memo.misses == misses
+        assert all(joins[key] is entry for key, entry in stale_joins.items())
         # same version, next request: nothing is emptied again
         held = dict(algorithm._memo)
         algorithm(shapes[2])

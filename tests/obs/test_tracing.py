@@ -10,6 +10,7 @@ from repro.estimators import make_gs_diff
 from repro.core.get_selectivity import GetSelectivity
 from repro.obs.trace import Trace
 from repro.optimizer.integration import MemoCoupledEstimator
+from repro.stats.pool import SITPool
 
 
 @pytest.fixture
@@ -71,9 +72,10 @@ class TestDisabledByDefault:
 class TestEnabledTrace:
     @pytest.mark.parametrize("engine", ["bitmask", "legacy"])
     def test_stages_populated(self, two_table_pool, predicates, engine):
-        algorithm = GetSelectivity.create(
-            two_table_pool, NIndError(), engine=engine
-        )
+        # a private pool: its join store starts empty, so the bitmask
+        # DP's join is a real (timed) one, not a hit on another test's
+        pool = SITPool(list(two_table_pool))
+        algorithm = GetSelectivity.create(pool, NIndError(), engine=engine)
         trace = algorithm.enable_tracing()
         algorithm(predicates)
         assert trace.timings["dp_enumeration"] > 0.0
