@@ -14,8 +14,9 @@ left behind: no child process, no ``/dev/shm/psm_*`` segment.
 ``service``       50 queries over TCP; a burst against a depth-1 queue sheds
 ``estimators``    every backend (sit / bn / sample) over TCP, with provenance
 ``plan_cache``    templated workload: hit rate, replay determinism, coherence,
-                  a query's sub-plans each replaying on their second ask, and
-                  EXPLAIN of a hit equal to a plan-cache-off EXPLAIN
+                  a query's sub-plans each replaying on their second ask,
+                  EXPLAIN of a hit equal to a plan-cache-off EXPLAIN, and hot
+                  answers over a loaded catalog building no ``Bucket`` object
 ``chaos``         seeded mixed fault plan: 100 typed answers, zero-fault parity
 ``cluster``       3 shards + replica: routed parity, hot swap, crash / revive
 ``chaos_ingest``  write storm + faults under TCP load; faulted cluster swap
@@ -30,7 +31,9 @@ from __future__ import annotations
 import contextlib
 import glob
 import multiprocessing
+import pathlib
 import sys
+import tempfile
 import threading
 import time
 
@@ -38,7 +41,7 @@ from repro.advisor import AdvisorConfig, SelfTuningAdvisor
 from repro.advisor.loop import ACCEPTED
 from repro.advisor.safety import NO_SOLUTION_FOUND
 from repro.advisor.search import q_error
-from repro.catalog import EstimationSession
+from repro.catalog import EstimationSession, StatisticsCatalog
 from repro.catalog.catalog import RefreshConflict
 from repro.cluster import EstimationCluster
 from repro.core.plancache import shape_fingerprint
@@ -316,6 +319,51 @@ def smoke_plan_cache() -> None:
         )
     optimizer_pattern(fixture)
     explain_of_a_hit(fixture)
+    hot_answers_over_a_loaded_catalog(fixture)
+
+
+def hot_answers_over_a_loaded_catalog(fixture: SnowflakeFixture) -> None:
+    """200 plan-cache hits through a service over a saved-and-loaded
+    catalog: each answer ``==`` a plan-cache-off session's, and no
+    histogram the answers read — a SIT's, or a join derived from SITs —
+    has built its ``Bucket`` objects (the scalar estimators walk float
+    rows; ``.buckets`` is for encoding and the reference kernels)."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = pathlib.Path(directory) / "catalog.json"
+        fixture.catalog.save(path)
+        catalog = StatisticsCatalog.load(
+            path, database=fixture.database, quarantine=False
+        )
+    schema = fixture.database.schema
+    warm_up = [template.format(low=8, high=33) for template in TEMPLATES]
+    hot = [
+        TEMPLATES[i % len(TEMPLATES)].format(
+            low=5 + i % 40, high=15 + i % 40 + i % 25
+        )
+        for i in range(200)
+    ]
+    service = EstimationService(
+        catalog, config=ServiceConfig(workers=1, queue_depth=64)
+    )
+    with served(service, timeout_s=60.0) as client:
+        for sql in warm_up:
+            client.estimate(sql)
+        answers = [client.estimate(sql) for sql in hot]
+    twin = EstimationSession(catalog, plan_cache=False)
+    for sql, answer in zip(hot, answers):
+        assert answer.plan_cache_hit, sql
+        expected = twin.estimate(parse_query(sql, schema)).selectivity
+        assert answer.selectivity == expected, (sql, answer.selectivity, expected)
+    pool = catalog.pool
+    histograms = [sit.histogram for sit in pool] + [
+        result.histogram for result, _, _ in pool.derived_joins.values()
+    ]
+    built = sum("buckets" in vars(histogram) for histogram in histograms)
+    assert built == 0, f"{built} of {len(histograms)} served histograms built Buckets"
+    print(
+        f"loaded catalog: {len(hot)} hot answers == plan-cache-off, "
+        f"0 of {len(histograms)} histograms built Bucket objects"
+    )
 
 
 def explain_of_a_hit(fixture: SnowflakeFixture) -> None:

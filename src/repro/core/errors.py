@@ -31,6 +31,7 @@ from repro.core.matching import (
     estimate_factor,
     implicit_terms,
 )
+from repro.core.predicates import by_str
 from repro.engine.executor import Executor
 from repro.stats.pool import SITPool
 from repro.stats.sit import SIT
@@ -184,7 +185,7 @@ class DiffError:
             # differently), so an unsorted sum is not reproducible.
             total = sum(
                 self._attribute_dependence(entry.attribute, q)
-                for q in sorted(assumed, key=str)
+                for q in sorted(assumed, key=by_str)
             )
             return (total, str(sit))
 

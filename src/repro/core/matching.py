@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from repro.core.predicates import (
     Attribute,
     PredicateSet,
+    by_str,
 )
 from repro.core.selectivity import Factor
 from repro.histograms.maxdiff import DEFAULT_MAX_BUCKETS
@@ -864,7 +865,7 @@ def join_factor(
     join = join_histograms if memo is None else memo.join
     histograms = {am.attribute: am.sit.histogram for am in match.attribute_matches}
     selectivity = 1.0
-    for predicate in sorted((p for p in match.factor.p if p.is_join), key=str):
+    for predicate in sorted((p for p in match.factor.p if p.is_join), key=by_str):
         left, right = histograms[predicate.left], histograms[predicate.right]
         result = join(left, right, max_buckets)
         selectivity *= result.selectivity
@@ -897,7 +898,7 @@ def estimate_factor(
     selectivity, histograms = join_factor(match, max_buckets, memo)
     if selectivity == 0.0:
         return 0.0
-    filters = sorted((p for p in match.factor.p if not p.is_join), key=str)
+    filters = sorted((p for p in match.factor.p if not p.is_join), key=by_str)
     # Filters on the same attribute are intersected (their conjunction is
     # one range), not multiplied under independence.
     ranges: dict[Attribute, tuple[float, float]] = {}

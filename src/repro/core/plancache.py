@@ -21,6 +21,8 @@ filter constants.  This module exploits that invariance:
   whose constants permute the filter sort order land in different
   fingerprints — a deliberate trade of hit rate for bit-identity; the
   variants are bounded and the cache simply warms once per ordering.
+  Each predicate builds its ``str`` text and its token when it is
+  constructed, so a fingerprint is a sort and a gather, no formatting.
 
 * :func:`compile_plan` walks the DP memo after a successful level-0
   estimation and freezes the winning multiplication tree into an
@@ -35,10 +37,13 @@ filter constants.  This module exploits that invariance:
   microseconds instead of the full ``O(3^n)`` enumeration — and is
   *bit-identical* to the cold DP because every floating-point operation
   of ``estimate_factor`` and the DP's multiplication tree is replayed
-  in the exact same order.  :meth:`CompiledPlan.replay_batch` is that
-  replay once per member of a same-shape group: at 7–8 µs a replay,
-  stacking a group into numpy ops only pays from ~28 members up, and
-  served groups are a handful.  A replay computes the *number*: the result it returns has
+  in the exact same order, in one loop over the factors whose range
+  lookups walk each histogram's float rows.
+  :meth:`CompiledPlan.replay_batch` is that replay once per member of a
+  same-shape group: stacking a group into numpy ops only paid from ~28
+  members up even against a 7–8 µs replay, and served groups are a
+  handful.  A
+  replay computes the *number*: the result it returns has
   every scalar field set, and builds ``decomposition`` and ``matches``
   (:meth:`CompiledPlan.provenance`) the first time either is read —
   EXPLAIN and the compile-time self-check read them, the request path
@@ -73,6 +78,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from repro.core.get_selectivity import EstimationResult, GetSelectivity
@@ -83,7 +89,7 @@ from repro.core.matching import (
     conditioned_sit_names,
     join_factor,
 )
-from repro.core.predicates import Attribute, Predicate, PredicateSet
+from repro.core.predicates import Attribute, Predicate, PredicateSet, by_str
 from repro.core.selectivity import Decomposition, Factor
 from repro.histograms.base import Histogram
 from repro.stats.pool import SITPool
@@ -92,6 +98,9 @@ from repro.stats.pool import SITPool
 # ----------------------------------------------------------------------
 # Shape fingerprinting
 # ----------------------------------------------------------------------
+_token = attrgetter("_token")
+
+
 def shape_fingerprint(
     predicates: Iterable[Predicate],
 ) -> tuple[tuple, tuple[Predicate, ...]]:
@@ -101,14 +110,11 @@ def shape_fingerprint(
     predicates in their concrete ``str``-sorted order (the order every
     position index of a compiled plan refers to) and ``fingerprint`` is
     the per-position token tuple: joins keep their full (constant-free)
-    identity, filters keep only their attribute.
+    identity, filters keep only their attribute.  Both the sort key and
+    each position's token were built with the predicate.
     """
-    ordered = tuple(sorted(predicates, key=str))
-    fingerprint = tuple(
-        ("J", p.left, p.right) if p.is_join else ("F", p.attribute)
-        for p in ordered
-    )
-    return fingerprint, ordered
+    ordered = tuple(sorted(predicates, key=by_str))
+    return tuple(map(_token, ordered)), ordered
 
 
 def fingerprint_digest(fingerprint: tuple) -> str:
@@ -197,10 +203,36 @@ class CompiledPlan:
 
     # ------------------------------------------------------------------
     def replay(self, ordered: Sequence[Predicate]) -> EstimationResult:
-        """Re-estimate with new constants; bit-identical to the cold DP."""
-        values = [
-            _replay_factor(template, ordered) for template in self.templates
-        ]
+        """Re-estimate with new constants; bit-identical to the cold DP.
+
+        Per factor this is ``estimate_factor`` with the joins
+        pre-multiplied — same float ops, same order, same early exits to
+        ``0.0``, new filter constants — then the DP's multiplication tree.
+        """
+        inf = math.inf
+        values = []
+        for template in self.templates:
+            if template.zero:
+                values.append(0.0)
+                continue
+            selectivity = template.join_selectivity
+            for slot in template.filter_slots:
+                low = -inf
+                high = inf
+                for position in slot.positions:
+                    predicate = ordered[position]
+                    if predicate.low > low:
+                        low = predicate.low
+                    if predicate.high < high:
+                        high = predicate.high
+                if low > high:
+                    selectivity = 0.0
+                    break
+                selectivity *= slot.histogram.estimate_range_selectivity(low, high)
+                if selectivity == 0.0:
+                    selectivity = 0.0
+                    break
+            values.append(selectivity)
         return EstimationResult.replayed(
             self, ordered, _eval_tree(self.tree, values)
         )
@@ -227,33 +259,8 @@ class CompiledPlan:
 
 
 # ----------------------------------------------------------------------
-# Factor replay
+# Replay: the multiplication tree, and provenance when it is read
 # ----------------------------------------------------------------------
-def _replay_factor(
-    template: _FactorTemplate, ordered: Sequence[Predicate]
-) -> float:
-    """``estimate_factor`` with the joins pre-multiplied: same float ops,
-    same order, new filter constants."""
-    if template.zero:
-        return 0.0
-    selectivity = template.join_selectivity
-    for slot in template.filter_slots:
-        low = -math.inf
-        high = math.inf
-        for position in slot.positions:
-            predicate = ordered[position]
-            if predicate.low > low:
-                low = predicate.low
-            if predicate.high < high:
-                high = predicate.high
-        if low > high:
-            return 0.0
-        selectivity *= slot.histogram.estimate_range_selectivity(low, high)
-        if selectivity == 0.0:
-            return 0.0
-    return selectivity
-
-
 def _eval_tree(node: tuple | None, values: list[float]) -> float:
     """The DP's multiplication tree, same association order as `_solve`."""
     if node is None:
@@ -472,7 +479,9 @@ class PlanCache:
         self.snapshot_version = snapshot_version
         self.max_plans = max_plans
         self._pool_version = pool.version if pool is not None else 0
-        self._plans: dict[tuple, CompiledPlan] = {}
+        #: fingerprint -> (plan, its shape's counters), in compile order
+        #: (the eviction order): a hit is this one probe
+        self._plans: dict[tuple, tuple[CompiledPlan, list[int]]] = {}
         #: fingerprint -> [hits, misses]; bounded alongside the plans
         self._shape_stats: dict[tuple, list[int]] = {}
         self._pool_safe: bool | None = None
@@ -487,7 +496,7 @@ class PlanCache:
 
     @property
     def bytes(self) -> int:
-        return sum(plan.weight_bytes for plan in self._plans.values())
+        return sum(plan.weight_bytes for plan, _ in self._plans.values())
 
     # ------------------------------------------------------------------
     def _validate(self) -> None:
@@ -529,14 +538,13 @@ class PlanCache:
         ``None``) and the str-ordered predicates replay will consume."""
         self._validate()
         fingerprint, ordered = shape_fingerprint(predicates)
-        plan = self._plans.get(fingerprint)
-        stat = self._shape_stat(fingerprint)
-        if plan is not None:
+        entry = self._plans.get(fingerprint)
+        if entry is not None:
             self.hits += 1
-            stat[0] += 1
-            return plan, ordered
+            entry[1][0] += 1
+            return entry[0], ordered
         self.misses += 1
-        stat[1] += 1
+        self._shape_stat(fingerprint)[1] += 1
         return None, ordered
 
     def estimate(self, predicates: PredicateSet) -> EstimationResult | None:
@@ -576,7 +584,8 @@ class PlanCache:
                 del self._plans[key]
                 self._shape_stats.pop(key, None)
             self.evictions += drop
-        self._plans[plan.fingerprint] = plan
+        fingerprint = plan.fingerprint
+        self._plans[fingerprint] = (plan, self._shape_stat(fingerprint))
         self.compiles += 1
         return plan
 

@@ -22,6 +22,7 @@ tables), and therefore the separability test of Definition 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Union
 
 
@@ -71,6 +72,14 @@ class FilterPredicate:
         )
         object.__setattr__(self, "_tables", frozenset((self.attribute.table,)))
         object.__setattr__(self, "_attributes", frozenset((self.attribute,)))
+        # The canonical sort key and the plan cache's shape token are read
+        # on every request; built here, a hot answer never formats a float.
+        if self.low == self.high:
+            text = f"{self.attribute}={self.low:g}"
+        else:
+            text = f"{self.low:g}<={self.attribute}<={self.high:g}"
+        object.__setattr__(self, "_str", text)
+        object.__setattr__(self, "_token", ("F", self.attribute))
 
     def __hash__(self) -> int:
         return self._hash
@@ -88,14 +97,7 @@ class FilterPredicate:
         return False
 
     def __str__(self) -> str:
-        cached = self.__dict__.get("_str")
-        if cached is None:
-            if self.low == self.high:
-                cached = f"{self.attribute}={self.low:g}"
-            else:
-                cached = f"{self.low:g}<={self.attribute}<={self.high:g}"
-            object.__setattr__(self, "_str", cached)
-        return cached
+        return self._str
 
 
 @dataclass(frozen=True, order=True)
@@ -123,6 +125,8 @@ class JoinPredicate:
             self, "_tables", frozenset((self.left.table, self.right.table))
         )
         object.__setattr__(self, "_attributes", frozenset((self.left, self.right)))
+        object.__setattr__(self, "_str", f"{self.left}={self.right}")
+        object.__setattr__(self, "_token", ("J", self.left, self.right))
 
     def __hash__(self) -> int:
         return self._hash
@@ -148,17 +152,18 @@ class JoinPredicate:
         raise ValueError(f"{attribute} is not an operand of {self}")
 
     def __str__(self) -> str:
-        cached = self.__dict__.get("_str")
-        if cached is None:
-            cached = f"{self.left}={self.right}"
-            object.__setattr__(self, "_str", cached)
-        return cached
+        return self._str
 
 
 Predicate = Union[FilterPredicate, JoinPredicate]
 
 #: The canonical representation of a set of predicates.
 PredicateSet = frozenset
+
+#: ``sorted(predicates, key=by_str)`` orders as ``key=str`` does, reading
+#: the text each predicate built at construction instead of calling
+#: ``__str__`` once per predicate.
+by_str = attrgetter("_str")
 
 
 def predicate_set(predicates: Iterable[Predicate]) -> PredicateSet:
@@ -229,7 +234,7 @@ def connected_components(predicates: Iterable[Predicate]) -> list[PredicateSet]:
         root = find(next(iter(predicate.tables)))
         groups.setdefault(root, set()).add(predicate)
     components = [frozenset(group) for group in groups.values()]
-    components.sort(key=lambda component: min(str(p) for p in component))
+    components.sort(key=lambda component: min(map(by_str, component)))
     return components
 
 

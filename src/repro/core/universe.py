@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.core.predicates import Attribute, Predicate, PredicateSet
+from repro.core.predicates import Attribute, Predicate, PredicateSet, by_str
 from repro.stats.pool import SITPool
 
 
@@ -142,7 +142,7 @@ class PredicateUniverse:
             else:
                 mask |= 1 << bit
         if missing:
-            for predicate in sorted(set(missing), key=str):
+            for predicate in sorted(set(missing), key=by_str):
                 bit = len(self._predicates)
                 bit_of[predicate] = bit
                 self._predicates.append(predicate)

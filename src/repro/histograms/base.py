@@ -9,6 +9,13 @@ generating query expression).
 Buckets carry ``(low, high, frequency, distinct)``.  Ranges are estimated
 with the standard continuous-uniformity assumption inside buckets; equality
 predicates use the ``frequency / distinct`` uniform-spread assumption.
+
+A histogram keeps its buckets as four float64 arrays, for the vectorized
+algebra of :mod:`repro.histograms.operations`, and builds the same four
+columns as plain float lists (``_rows``) the first time a scalar
+estimator walks them.  :class:`Bucket` objects are the definition of the
+per-bucket arithmetic and what encoding, ``scale`` and the reference
+kernels read; no estimate needs one.
 """
 
 from __future__ import annotations
@@ -100,7 +107,8 @@ class Histogram:
         included; :mod:`repro.cluster.shm` is the consumer), so N
         processes can serve from one snapshot's bucket memory.
         :class:`Bucket` objects are materialized lazily on first
-        ``.buckets`` access; the vectorized paths never need them.
+        ``.buckets`` access; neither the vectorized paths nor the scalar
+        estimators (which walk ``_rows``) need them.
 
         ``_frequency`` is summed element-by-element in bucket order —
         the same left fold ``__init__`` performs over ``Bucket``
@@ -126,23 +134,34 @@ class Histogram:
         return histogram
 
     def __getattr__(self, name: str):
-        # only ``buckets`` (instances built by ``from_arrays`` skip it)
-        # and ``_high_list`` (bucket upper bounds as a plain list, for
-        # ``bisect``) are lazily materialized; everything else is a
-        # genuine miss
-        if name == "_high_list":
-            self._high_list = self._highs.tolist()
-            return self._high_list
-        if name == "buckets":
-            buckets = tuple(
-                Bucket(low, high, frequency, distinct)
-                for low, high, frequency, distinct in zip(
+        # only ``_rows`` and ``buckets`` (instances built by
+        # ``from_arrays`` skip it) are lazily materialized; everything
+        # else is a genuine miss
+        if name == "_rows":
+            # (lows, highs, frequencies, distincts) as plain float lists:
+            # what the scalar estimators walk.  Over Bucket objects they
+            # hold the very floats the buckets hold, not copies: rows by
+            # ``tolist()`` alone give the same bits but raised
+            # ``replay_hot``'s peak RSS 71.3 → 72.4 MB (4 runs a side).
+            buckets = self.__dict__.get("buckets")
+            if buckets is None:
+                rows = (
                     self._lows.tolist(),
                     self._highs.tolist(),
                     self._freqs.tolist(),
                     self._dists.tolist(),
                 )
-            )
+            else:
+                rows = (
+                    [b.low for b in buckets],
+                    [b.high for b in buckets],
+                    [b.frequency for b in buckets],
+                    [b.distinct for b in buckets],
+                )
+            self._rows = rows
+            return rows
+        if name == "buckets":
+            buckets = tuple(map(Bucket, *self._rows))
             self.buckets = buckets
             return buckets
         raise AttributeError(
@@ -192,43 +211,37 @@ class Histogram:
     # ------------------------------------------------------------------
     def estimate_range_count(self, low: float, high: float) -> float:
         """Estimated number of tuples with value in the closed [low, high]."""
-        if low > high or self.is_empty():
+        if low > high or self._frequency == 0.0:
             return 0.0
         # A bucket ending below ``low`` overlaps nothing and would add
         # exactly ``+ 0.0`` to a non-negative count, so the fold starts at
         # the first bucket with ``high >= low`` and is bit-identical to
         # the walk over every bucket.
-        count = 0.0
-        for bucket in self.buckets[bisect_left(self._high_list, low):]:
-            if bucket.low > high:
-                break
-            count += bucket.frequency * bucket.overlap_fraction(low, high)
-        return count
+        rows = self._rows
+        return _overlap_fold(rows, rows[2], bisect_left(rows[1], low), low, high)
 
     def estimate_range_selectivity(self, low: float, high: float) -> float:
         """Estimated ``Sel(low <= a <= high)`` as a fraction of ``total``."""
-        if self.total == 0.0:
+        total = self.total
+        if total == 0.0:
             return 0.0
-        return min(1.0, self.estimate_range_count(low, high) / self.total)
+        selectivity = self.estimate_range_count(low, high) / total
+        return selectivity if selectivity < 1.0 else 1.0  # min(1.0, ·)
 
     def estimate_range_distinct(self, low: float, high: float) -> float:
         """Estimated number of distinct values in the closed [low, high]."""
-        if low > high or self.is_empty():
+        if low > high or self._frequency == 0.0:
             return 0.0
-        distinct = 0.0
-        for bucket in self.buckets:
-            if bucket.low > high:
-                break
-            distinct += bucket.distinct * bucket.overlap_fraction(low, high)
-        return distinct
+        rows = self._rows
+        return _overlap_fold(rows, rows[3], 0, low, high)
 
     def estimate_equality_count(self, value: float) -> float:
         """Estimated number of tuples equal to ``value``."""
-        for bucket in self.buckets:
-            if bucket.low <= value <= bucket.high:
-                if bucket.distinct <= 0:
+        for low, high, frequency, distinct in zip(*self._rows):
+            if low <= value <= high:
+                if distinct <= 0:
                     return 0.0
-                return bucket.frequency / bucket.distinct
+                return frequency / distinct
         return 0.0
 
     # ------------------------------------------------------------------
@@ -247,6 +260,62 @@ class Histogram:
             f"Histogram(buckets={self.bucket_count}, total={self.total:g}, "
             f"nulls={self.null_count:g})"
         )
+
+
+_INF = math.inf
+
+
+def _overlap_fold(
+    rows: tuple[list, list, list, list],
+    weights: list,
+    start: int,
+    low: float,
+    high: float,
+) -> float:
+    """The sum of each bucket's weight times the fraction of it inside
+    ``[low, high]``, over the buckets from ``start`` on, stopping at the
+    first bucket that begins above ``high``.
+
+    The overlap arithmetic is :meth:`Bucket.overlap_fraction` written
+    inline — the same float operations in the same order, ``max`` / ``min``
+    spelled as the comparisons they make — so the sum is bit-identical
+    to the fold over ``Bucket`` objects.  A bucket wholly inside the
+    range adds its weight directly: its fraction is ``(hi - lo) / width
+    == width / width``, exactly ``1.0``, as long as the width is finite
+    (an infinite width makes it ``inf / inf``, NaN, as it always has).
+    """
+    lows, highs, _, distincts = rows
+    total = 0.0
+    for i in range(start, len(lows)):
+        bucket_low = lows[i]
+        if bucket_low > high:
+            break
+        bucket_high = highs[i]
+        width = bucket_high - bucket_low
+        if low <= bucket_low and bucket_high <= high and width < _INF:
+            total += weights[i]
+            continue
+        # overlap_fraction; ``high < bucket_low`` is the break above
+        if low > bucket_high:
+            total += weights[i] * 0.0
+            continue
+        if width == 0.0:
+            total += weights[i]  # · 1.0
+            continue
+        lo = bucket_low if bucket_low > low else low  # max(low, bucket_low)
+        hi = bucket_high if bucket_high < high else high  # min(high, bucket_high)
+        if lo > hi:
+            total += weights[i] * 0.0
+            continue
+        fraction = (hi - lo) / width
+        distinct = distincts[i]
+        floor = 1.0 / (1.0 if 1.0 > distinct else distinct)  # max(distinct, 1.0)
+        if floor > fraction:  # max(fraction, floor)
+            fraction = floor
+        if 1.0 < fraction:  # min(·, 1.0)
+            fraction = 1.0
+        total += weights[i] * fraction
+    return total
 
 
 def values_and_frequencies(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

@@ -59,6 +59,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.resilience.faults import (
     POINT_CATALOG_LOAD,
     POINT_CATALOG_SAVE,
@@ -71,7 +73,7 @@ from repro.core.predicates import (
     JoinPredicate,
     Predicate,
 )
-from repro.histograms.base import Bucket, Histogram
+from repro.histograms.base import Histogram
 from repro.stats.pool import SITPool
 from repro.stats.sit import SIT
 
@@ -158,19 +160,41 @@ def _encode_histogram(histogram: Histogram) -> dict:
     }
 
 
+def _bucket_columns(buckets: Any) -> np.ndarray:
+    """``[[low, high, frequency, distinct], ...]`` as a ``(4, n)`` float
+    array, each value read as ``float()`` reads it (``"inf"`` included),
+    so a malformed table raises exactly where ``float()`` and tuple
+    unpacking do."""
+    table = np.array(
+        [
+            [float(low), float(high), float(frequency), float(distinct)]
+            for low, high, frequency, distinct in buckets
+        ],
+        dtype=np.float64,
+    )
+    return np.ascontiguousarray(table.reshape(-1, 4).T)
+
+
 def _decode_histogram(data: dict) -> Histogram:
+    """A histogram over the payload's bucket columns, with no ``Bucket``
+    object built: the checks ``Bucket`` and ``Histogram`` make run on
+    whole columns."""
     try:
-        buckets = [
-            Bucket(
-                _decode_float(low),
-                _decode_float(high),
-                float(frequency),
-                float(distinct),
-            )
-            for low, high, frequency, distinct in data["buckets"]
-        ]
-        return Histogram(buckets, null_count=float(data.get("null_count", 0.0)))
-    except (KeyError, TypeError, ValueError) as error:
+        lows, highs, frequencies, distincts = _bucket_columns(data["buckets"])
+        null_count = float(data.get("null_count", 0.0))
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
+        raise PoolFormatError(f"bad histogram payload: {error}") from error
+    if np.any(lows > highs):
+        raise PoolFormatError("bad histogram payload: bucket with low > high")
+    if np.any(frequencies < 0) or np.any(distincts < 0):
+        raise PoolFormatError(
+            "bad histogram payload: bucket frequency/distinct must be non-negative"
+        )
+    try:
+        return Histogram.from_arrays(
+            lows, highs, frequencies, distincts, null_count=null_count
+        )
+    except ValueError as error:
         raise PoolFormatError(f"bad histogram payload: {error}") from error
 
 

@@ -21,7 +21,7 @@ from repro.core.plancache import (
     fingerprint_digest,
     shape_fingerprint,
 )
-from repro.core.predicates import FilterPredicate
+from repro.core.predicates import Attribute, FilterPredicate
 from repro.stats.pool import SITPool
 from repro.stats.sit import SIT
 from repro.workload.fixture import snowflake_fixture
@@ -171,6 +171,63 @@ class TestEviction:
             sizes.append(cache.bytes)
         assert all(size > 0 for size in sizes)
         assert sizes[-1] < sum(sizes[:4])  # not accumulating unboundedly
+
+
+class TestOneProbe:
+    """A hit reads one table, so it hashes its fingerprint once (a miss
+    also counts its shape, and goes on to a cold solve); eviction and the
+    per-shape counters behave as with a plan table and a counter table
+    side by side."""
+
+    def test_a_hit_hashes_its_fingerprint_once(
+        self, two_table_pool, shapes, monkeypatch
+    ):
+        algorithm = GetSelectivity(two_table_pool, NIndError())
+        cache = PlanCache(two_table_pool)
+        shape, uncompiled = shapes[3], shapes[4]
+        for predicates in (shape, uncompiled):
+            cache.plan_for(predicates)
+        cache.compile(shape, algorithm, algorithm(shape))
+        calls = []
+        real = Attribute.__hash__
+
+        def counting(attribute):
+            calls.append(attribute)
+            return real(attribute)
+
+        monkeypatch.setattr(Attribute, "__hash__", counting)
+        for predicates, hit, probes in ((shape, True, 1), (uncompiled, False, 2)):
+            del calls[:]
+            plan, _ = cache.plan_for(predicates)
+            assert (plan is not None) is hit
+            # a fingerprint hash is one call per attribute of its tokens
+            tokens = shape_fingerprint(predicates)[0]
+            assert len(calls) == probes * sum(len(token) - 1 for token in tokens)
+
+    def test_counters_past_the_shape_bound(self, two_table_pool, shapes):
+        """Shapes past ``4 * max_plans`` are not counted per shape, yet a
+        plan compiled for one is still found, and an evicted plan's
+        counters go with it."""
+        algorithm = GetSelectivity(two_table_pool, NIndError())
+        cache = PlanCache(two_table_pool, max_plans=1)
+        for shape in shapes:  # 5 shapes, room to count 4
+            assert cache.plan_for(shape)[0] is None
+        late = shapes[-1]
+        cache.compile(late, algorithm, algorithm(late))
+        assert cache.plan_for(late)[0] is not None
+        status = cache.status()
+        assert (status["hits"], status["misses"]) == (1, 5)
+        counted = cache.shape_stats(limit=10)
+        assert len(counted) == 2 * 4
+        assert f"shape.{fingerprint_digest(shape_fingerprint(late)[0])}.hits" not in counted
+        # a counted shape's compile evicts the late plan (max_plans=1)
+        first = shapes[0]
+        cache.compile(first, algorithm, algorithm(first))
+        assert cache.plan_for(first)[0] is not None
+        assert cache.plan_for(late)[0] is None
+        digest = fingerprint_digest(shape_fingerprint(first)[0])
+        assert cache.shape_stats(limit=10)[f"shape.{digest}.hits"] == 1.0
+        assert cache.status()["evictions"] == 1
 
 
 class TestPersistentMemo:

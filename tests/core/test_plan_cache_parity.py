@@ -52,6 +52,7 @@ from repro.sql import parse_query
 from repro.stats.builder import SITBuilder
 from repro.stats.pool import build_workload_pool
 from repro.workload.queries import WorkloadConfig, WorkloadGenerator
+from tests.core.test_predicate_keys import legacy_fingerprint
 from tests.obs.test_explain import GOLDEN_DIR, GOLDEN_SQL, _approx_equal
 
 #: templates per (database, error function) and constant instantiations
@@ -184,12 +185,9 @@ class TestReplayParity:
         assert TEMPLATES * VARIANTS * len(ERROR_FACTORIES) * 2 >= 200
 
 
-def test_order_permuting_constants_change_shape(snowflake_setup):
-    """The deliberate hit-rate-for-bit-identity trade: constants that
-    permute the positional ``str`` order land in a *different*
-    fingerprint, and the second ordering compiles its own plan — both
-    still bit-identical to the cold DP."""
-    database, templates, pool = snowflake_setup
+def order_permuted(templates) -> tuple[frozenset, frozenset]:
+    """A two-filter template, and it with the two filters' constant
+    blocks swapped: the ``str`` order permutes."""
     template = next(
         t
         for t in templates
@@ -198,7 +196,6 @@ def test_order_permuting_constants_change_shape(snowflake_setup):
     base = frozenset(template.predicates)
     joins = {p for p in base if p.is_join}
     filters = sorted((p for p in base if not p.is_join), key=str)
-    # swap the two filters' constant blocks: the str order permutes
     first, second = filters[0], filters[1]
     swapped = frozenset(
         joins
@@ -207,6 +204,16 @@ def test_order_permuting_constants_change_shape(snowflake_setup):
             FilterPredicate(second.attribute, first.low, first.high),
         }
     )
+    return base, swapped
+
+
+def test_order_permuting_constants_change_shape(snowflake_setup):
+    """The deliberate hit-rate-for-bit-identity trade: constants that
+    permute the positional ``str`` order land in a *different*
+    fingerprint, and the second ordering compiles its own plan — both
+    still bit-identical to the cold DP."""
+    database, templates, pool = snowflake_setup
+    base, swapped = order_permuted(templates)
     assert shape_fingerprint(base)[0] != shape_fingerprint(swapped)[0]
 
     warm = SITEstimator(database, pool, NIndError(), plan_cache=True)
@@ -219,6 +226,15 @@ def test_order_permuting_constants_change_shape(snowflake_setup):
     # and each ordering replays behind its own plan from here on
     assert warm.estimate_predicates(base).plan_cache_hit
     assert warm.estimate_predicates(swapped).plan_cache_hit
+
+
+def test_order_permuting_fingerprints_are_the_str_formatted_ones(snowflake_setup):
+    """Keys and tokens built with the predicate leave both orderings'
+    fingerprints — and the permutation between them — exactly as the
+    ``str``-formatting fingerprint had them."""
+    _, templates, _ = snowflake_setup
+    for predicates in order_permuted(templates):
+        assert shape_fingerprint(predicates) == legacy_fingerprint(predicates)
 
 
 # ----------------------------------------------------------------------

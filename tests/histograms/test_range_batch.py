@@ -1,13 +1,23 @@
-"""``estimate_range_count`` is held to the plain walk over every bucket
-(:func:`full_walk_count`): it enters the fold by ``bisect`` at the first
-bucket the range can touch, which must not move a single bit.  ``==``
-(not approx) across random histograms and adversarial ranges: inverted,
-point, zero-width buckets, edge-exact, fully-outside.
+"""``estimate_range_count`` is held to the plain walk over every
+``Bucket`` object (:func:`full_walk_count`, which calls
+``Bucket.overlap_fraction``): it walks the histogram's float rows with
+that arithmetic written inline, enters the fold by ``bisect`` at the
+first bucket the range can touch, and adds a wholly-covered bucket's
+frequency directly — none of which may move a single bit.  ``==`` (not
+approx) across random histograms and adversarial ranges: inverted,
+point, zero-width buckets, edge-exact, fully-outside; and, bit for bit
+(NaN and signed zeros included), over hand-built edge cases: runs of
+covered buckets, point buckets at either range end, ranges equal to
+bucket bounds, infinite query bounds, signed zeros, infinite or
+overflowing bucket widths, and read-only bucket arrays.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+import struct
 
 import numpy as np
 
@@ -107,3 +117,153 @@ class TestRangeCountStartsAtTheRange:
                     assert histogram.estimate_range_count(low, high) == expected
                     cases += 1
         assert cases >= 1000
+
+    def test_edge_cases_are_the_bucket_walk_bit_for_bit(self):
+        """The hand-built cases of :data:`EDGE_HISTOGRAMS`, every pair of
+        bounds, on built, attached and read-only forms."""
+        cases = 0
+        for buckets in EDGE_HISTOGRAMS.values():
+            built, forms = edge_forms(buckets)
+            bounds = query_bounds(buckets)
+            for low, high in itertools.product(bounds, repeat=2):
+                expected = bits(full_walk_count(built, low, high))
+                for histogram in forms:
+                    assert bits(histogram.estimate_range_count(low, high)) == expected
+                    cases += 1
+        assert cases >= 5000
+
+
+# ----------------------------------------------------------------------
+# Edge cases, bit for bit
+# ----------------------------------------------------------------------
+INF = math.inf
+
+#: bucket lists that reach every branch of ``overlap_fraction`` and the
+#: covered-bucket shortcut, each as ``(low, high, frequency, distinct)``
+EDGE_HISTOGRAMS = {
+    # a run of touching buckets: any wide range covers most of them
+    "covered run": [(float(10 * i), float(10 * i + 10), 3.1 * i + 0.7, 4.0) for i in range(8)],
+    # point buckets between and at the ends of wide ones
+    "point buckets": [(0.0, 0.0, 5.5, 1.0), (1.0, 9.0, 40.3, 7.0), (9.0, 9.0, 2.2, 1.0),
+                      (12.0, 30.0, 17.9, 0.4), (30.0, 30.0, 8.0, 1.0)],
+    # signed zeros on bucket bounds
+    "signed zeros": [(-5.0, -0.0, 10.0, 3.0), (0.0, 0.0, 4.0, 1.0), (0.0, 6.0, 9.5, 2.0)],
+    "negative zero point": [(-3.0, -1.0, 1.5, 2.0), (-0.0, -0.0, 7.0, 1.0), (2.0, 4.0, 3.0, 3.0)],
+    # infinite widths: open-ended buckets, and a width that overflows
+    "infinite ends": [(-INF, -10.0, 12.0, 5.0), (-10.0, 10.0, 30.0, 9.0), (10.0, INF, 8.0, 2.0)],
+    "overflowing width": [(-1e308, 1e308, 100.0, 50.0)],
+    "point at infinity": [(0.0, 1.0, 2.0, 1.0), (INF, INF, 3.0, 1.0)],
+    # zero and sub-one mass
+    "empty buckets": [(0.0, 5.0, 0.0, 0.0), (5.0, 10.0, 1e-300, 0.25), (10.0, 10.0, 0.0, 0.0)],
+}
+
+
+def bits(value: float) -> bytes:
+    """A float's bit pattern: tells NaN from NaN-free and -0.0 from 0.0."""
+    return struct.pack("<d", value)
+
+
+def query_bounds(buckets) -> list[float]:
+    """Every bucket edge and its neighbours, midpoints, both zeros and
+    both infinities."""
+    bounds = {-INF, INF, 0.0, -0.0, 1e308, -1e308}
+    for low, high, _, _ in buckets:
+        for edge in (low, high):
+            bounds.add(edge)
+            if math.isfinite(edge):
+                bounds.update({edge - 0.5, edge + 0.5, math.nextafter(edge, INF)})
+        if math.isfinite(low) and math.isfinite(high):
+            bounds.add((low + high) / 2.0)
+    # -0.0 and 0.0 are one set member; keep both spellings
+    return sorted(bounds) + [-0.0, 0.0]
+
+
+def full_walk_distinct(histogram: Histogram, low: float, high: float) -> float:
+    if low > high or histogram.is_empty():
+        return 0.0
+    distinct = 0.0
+    for bucket in histogram.buckets:
+        if bucket.low > high:
+            break
+        distinct += bucket.distinct * bucket.overlap_fraction(low, high)
+    return distinct
+
+
+def bucket_equality(histogram: Histogram, value: float) -> float:
+    for bucket in histogram.buckets:
+        if bucket.low <= value <= bucket.high:
+            if bucket.distinct <= 0:
+                return 0.0
+            return bucket.frequency / bucket.distinct
+    return 0.0
+
+
+def read_only_views(built: Histogram) -> Histogram:
+    """The histogram over read-only views into one buffer, as a cluster
+    shard attaches a shared-memory snapshot."""
+    buffer = np.concatenate(built.bucket_arrays())
+    buffer.setflags(write=False)
+    views = np.split(buffer, 4)
+    assert not any(view.flags.writeable for view in views)
+    return Histogram.from_arrays(*views, null_count=built.null_count)
+
+
+def edge_forms(buckets) -> tuple[Histogram, list[Histogram]]:
+    """The Bucket-built histogram, and it with its arrays adopted
+    directly and as read-only views."""
+    built = Histogram([Bucket(*bucket) for bucket in buckets], null_count=1.0)
+    attached = Histogram.from_arrays(*built.bucket_arrays(), null_count=1.0)
+    return built, [built, attached, read_only_views(built)]
+
+
+class TestRowWalkEdgeCases:
+    def test_selectivity_is_the_capped_count_bit_for_bit(self):
+        for buckets in EDGE_HISTOGRAMS.values():
+            built, forms = edge_forms(buckets)
+            for low, high in itertools.product(query_bounds(buckets), repeat=2):
+                expected = min(1.0, full_walk_count(built, low, high) / built.total)
+                for histogram in forms:
+                    got = histogram.estimate_range_selectivity(low, high)
+                    assert bits(got) == bits(expected)
+
+    def test_distinct_and_equality_are_the_bucket_walks_bit_for_bit(self):
+        for buckets in EDGE_HISTOGRAMS.values():
+            built, forms = edge_forms(buckets)
+            bounds = query_bounds(buckets)
+            for low, high in itertools.product(bounds, repeat=2):
+                expected = bits(full_walk_distinct(built, low, high))
+                for histogram in forms:
+                    assert bits(histogram.estimate_range_distinct(low, high)) == expected
+            for value in bounds:
+                expected = bits(bucket_equality(built, value))
+                for histogram in forms:
+                    assert bits(histogram.estimate_equality_count(value)) == expected
+
+    def test_a_covered_run_needs_no_division(self):
+        """The shortcut's premise: a wholly covered bucket of finite width
+        has fraction exactly 1.0; an infinite width makes it NaN."""
+        for low, high, _, _ in itertools.chain(*EDGE_HISTOGRAMS.values()):
+            fraction = Bucket(low, high, 1.0, 1.0).overlap_fraction(low, high)
+            if math.isfinite(high - low):
+                assert fraction == 1.0
+            else:
+                assert math.isnan(fraction)
+
+    def test_the_walks_build_no_bucket_objects(self):
+        _, (_, attached, shared) = edge_forms(EDGE_HISTOGRAMS["covered run"])
+        for histogram in (attached, shared):
+            histogram.estimate_range_count(5.0, 55.0)
+            histogram.estimate_range_distinct(5.0, 55.0)
+            histogram.estimate_equality_count(20.0)
+            assert "buckets" not in vars(histogram)
+
+    def test_rows_over_buckets_hold_the_buckets_floats(self):
+        """Rows beside ``Bucket`` objects reuse their floats: no second
+        copy of every bound and count."""
+        built, _ = edge_forms(EDGE_HISTOGRAMS["point buckets"])
+        built.estimate_range_count(0.0, 10.0)
+        for row, field in zip(built._rows, ("low", "high", "frequency", "distinct")):
+            assert all(
+                value is getattr(bucket, field)
+                for value, bucket in zip(row, built.buckets)
+            )

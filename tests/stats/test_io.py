@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.estimators import make_gs_diff
@@ -225,3 +226,119 @@ class TestFormatErrors:
                     "histogram": {"buckets": [[1, 2]]},
                 }
             )
+
+
+# ----------------------------------------------------------------------
+# Bucket columns: loaded without Bucket objects, checked on whole columns
+# ----------------------------------------------------------------------
+def bucket_decode(data: dict) -> Histogram:
+    """The loader as it was written over ``Bucket`` objects: the
+    reference for what loads, what fails and which floats come out."""
+    buckets = [
+        Bucket(
+            math.inf if low == "inf" else -math.inf if low == "-inf" else float(low),
+            math.inf if high == "inf" else -math.inf if high == "-inf" else float(high),
+            float(frequency),
+            float(distinct),
+        )
+        for low, high, frequency, distinct in data["buckets"]
+    ]
+    return Histogram(buckets, null_count=float(data.get("null_count", 0.0)))
+
+
+#: payloads every loader must refuse, one per defect
+MALFORMED_BUCKETS = {
+    "low above high": [[0, 4, 10, 2], [9, 5, 10, 2]],
+    "negative frequency": [[0, 4, -1, 2]],
+    "negative distinct": [[0, 4, 10, -2]],
+    "unordered": [[5, 9, 10, 2], [0, 4, 10, 2]],
+    "overlapping": [[0, 5, 1, 1], [3, 8, 1, 1]],
+    "three values": [[0, 4, 10]],
+    "five values": [[0, 4, 10, 2, 7]],
+    "ragged": [[0, 4, 10, 2], [5, 9, 10]],
+    "a word": [["zero", 4, 10, 2]],
+    "null": [[0, None, 10, 2]],
+    "an object": [[0, 4, {"n": 10}, 2]],
+    "a nested list": [[0, 4, 10, [2]]],
+    "not a list": 7,
+    "an integer no float holds": [[0, 4, 10**400, 2]],
+}
+
+#: payloads every loader must accept, with the same floats
+WELL_FORMED_BUCKETS = {
+    "empty": [],
+    "infinite ends": [["-inf", -1, 3, 1], [0, 0, 2, 1], [1, "inf", 4.5, 2]],
+    "touching": [[0, 5, 1.25, 2], [5, 5, 3, 1], [5, 9, 0, 0]],
+    "numeric strings and booleans": [["1.5", "2", 3, True]],
+    "negative zero": [[-0.0, 0.0, 1, 1]],
+}
+
+
+def payload_with_buckets(buckets) -> dict:
+    """A SIT record whose histogram holds ``buckets`` (no checksum, so
+    the histogram decode is what judges it)."""
+    record = encode_sit(sample_sit())
+    del record["checksum"]
+    record["histogram"] = {"null_count": 2.0, "buckets": buckets}
+    return record
+
+
+class TestBucketColumns:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BUCKETS))
+    def test_malformed_buckets_fail_typed(self, case):
+        record = payload_with_buckets(MALFORMED_BUCKETS[case])
+        with pytest.raises(PoolFormatError, match="bad histogram payload"):
+            decode_sit(record)
+        with pytest.raises((ValueError, TypeError, OverflowError)):
+            bucket_decode(record["histogram"])  # refused before, too
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BUCKETS))
+    def test_malformed_buckets_are_quarantined(self, case):
+        good = encode_sit(sample_sit())
+        payload = {
+            "version": 2,
+            "catalog": {"catalog_version": 0, "table_versions": {}},
+            "sits": [good, payload_with_buckets(MALFORMED_BUCKETS[case]), good],
+        }
+        document = loads_document(json.dumps(payload), quarantine=True)
+        assert len(document.sits) == 2
+        assert [note["index"] for note in document.quarantined] == [1]
+        assert "bad histogram payload" in document.quarantined[0]["reason"]
+        with pytest.raises(PoolFormatError):
+            loads_document(json.dumps(payload))
+
+    @pytest.mark.parametrize("case", sorted(WELL_FORMED_BUCKETS))
+    def test_well_formed_buckets_load_the_same_floats(self, case):
+        record = payload_with_buckets(WELL_FORMED_BUCKETS[case])
+        loaded = decode_sit(json.loads(json.dumps(record))).histogram
+        reference = bucket_decode(record["histogram"])
+        assert "buckets" not in vars(loaded)
+        for got, expected in zip(loaded.bucket_arrays(), reference.bucket_arrays()):
+            assert got.tobytes() == expected.tobytes()
+        assert loaded.frequency == reference.frequency
+        assert loaded.total == reference.total
+        assert loaded.buckets == reference.buckets
+
+    def test_loaded_estimates_are_bit_identical(self, two_table_pool):
+        """Over a whole pool: every range, distinct and equality estimate
+        of a loaded histogram is the Bucket-built original's, to the bit."""
+        restored = loads_pool(dumps_pool(two_table_pool))
+        for original, loaded in zip(two_table_pool, restored):
+            before, after = original.histogram, loaded.histogram
+            edges = sorted({*before.bucket_arrays()[0].tolist(), *before.bucket_arrays()[1].tolist()})
+            probes = [-math.inf, *edges, *(e + 0.5 for e in edges), math.inf]
+            for low in probes:
+                for high in probes:
+                    assert after.estimate_range_selectivity(low, high) == (
+                        before.estimate_range_selectivity(low, high)
+                    )
+                    assert after.estimate_range_distinct(low, high) == (
+                        before.estimate_range_distinct(low, high)
+                    )
+                assert after.estimate_equality_count(low) == before.estimate_equality_count(low)
+            assert "buckets" not in vars(after)
+
+    def test_columns_are_contiguous_float64(self):
+        loaded = decode_sit(encode_sit(sample_sit())).histogram
+        for column in loaded.bucket_arrays():
+            assert column.dtype == np.float64 and column.flags.c_contiguous
