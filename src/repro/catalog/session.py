@@ -3,13 +3,14 @@
 An :class:`EstimationSession` is the unit of *serving*: it pins one
 :class:`~repro.catalog.catalog.CatalogSnapshot` and answers any number of
 estimation requests off it.  The underlying
-:class:`~repro.core.get_selectivity.GetSelectivity` keeps its memo and
-its factor-match and factor-estimate caches for as long as the session
-lives, so requests share work the way Section 4 describes: a sub-plan
-of an earlier query is a memo lookup, and a new query that needs
-``Sel(P'|Q)`` for a factor an earlier one matched pays a dictionary
-lookup instead of a matching pass.  The session keeps no accounting of
-its own beyond the request count: its
+:class:`~repro.core.get_selectivity.GetSelectivity` keeps its memo for
+as long as the session lives, so requests share work the way Section 4
+describes: a sub-plan of an earlier query is a memo lookup.  (Its
+factor-match and estimate caches are keyed by the ``(P', Q)`` pairs a
+memo node is solved from, so they answer only after the memo has been
+emptied — a version move, ``MEMO_LIMIT`` or ``reset()``; their hit
+rate is 0 on every workload of the repository benchmark.)  The session
+keeps no accounting of its own beyond the request count: its
 :class:`~repro.obs.snapshot.StatsSnapshot` is the estimator's ledger
 (never reset underneath it) plus ``counters.queries`` and the
 ``catalog`` block with the snapshot/catalog versions it is keyed on.

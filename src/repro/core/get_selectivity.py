@@ -253,9 +253,11 @@ class GetSelectivity:
     The memoization table lives as long as the instance, so every
     selectivity request for a sub-plan after the first is a table lookup
     — the reuse property Section 4 builds on.  A move of ``pool.version``
-    (``notify_table_update``, membership change) empties it, together
-    with the derived-histogram memo, at the next request; :meth:`reset`
-    is the explicit cold start.
+    (``notify_table_update``, membership change) empties it at the next
+    request; the pool's derived histograms and the factor-match and
+    estimate caches stay, being pure functions of the pool's SITs (a
+    catalog refresh publishes a new pool, served by a new instance).
+    :meth:`reset` is the explicit cold start.
 
     Engine selection goes through the explicit factory, the one place
     the reference implementation can be asked for by name::
@@ -586,28 +588,52 @@ class GetSelectivity:
             # No SITs at all for some attribute: surface it explicitly
             # rather than inventing a number.
             raise NoApplicableStatisticsError(universe.set_of(mask))
-        winner_key = (best_p_mask, mask ^ best_p_mask)
-        winner = self._estimate_cache.get(winner_key)
-        if winner is None:
-            # only a winner is ever built: the match is all line 16, the
-            # plan compiler and ``EstimationResult.matches`` read
-            best_match = self._scorer.materialise(*winner_key, best_picks)
-            started = time.perf_counter()
-            # line 16; the memo times the joins it really performs into
-            # the trace's ``histogram_join`` stage
-            factor_selectivity = estimate_factor(best_match, memo=self._join_memo)
-            self.estimation_seconds += time.perf_counter() - started
-            self._estimate_cache[winner_key] = (best_match, factor_selectivity)
-        else:
-            best_match, factor_selectivity = winner
-            if self.trace is not None:
-                self.trace.count("estimate_cache_hits")
+        best_match, factor_selectivity = self.estimate_winner(
+            best_p_mask, mask ^ best_p_mask, best_picks
+        )  # line 16
         selectivity = factor_selectivity * best_tail.selectivity  # line 17
         decomposition = best_tail.decomposition.extended(best_match.factor)
         matches = (best_match, *best_tail.matches)
         return EstimationResult(
             selectivity, best_error, decomposition, matches, best_coverage
         )
+
+    def estimate_winner(
+        self, p_mask: int, q_mask: int, picks: tuple
+    ) -> tuple[FactorMatch, float]:
+        """Line 16 for the ``(P', Q)`` that won a node: its match and
+        ``estimate_factor(match)``, cached per pair.  Only a winner is
+        ever built — the match is all line 16, the plan compiler and
+        ``EstimationResult.matches`` read — and its joins go through the
+        pool's join store, which times the ones it really performs into
+        the trace's ``histogram_join`` stage."""
+        key = (p_mask, q_mask)
+        winner = self._estimate_cache.get(key)
+        if winner is None:
+            match = self._scorer.materialise(p_mask, q_mask, picks)
+            started = time.perf_counter()
+            selectivity = estimate_factor(match, memo=self._join_memo)
+            self.estimation_seconds += time.perf_counter() - started
+            winner = self._estimate_cache[key] = (match, selectivity)
+        elif self.trace is not None:
+            self.trace.count("estimate_cache_hits")
+        return winner
+
+    def price_factor(
+        self, p: PredicateSet, q: PredicateSet
+    ) -> tuple[float, tuple | None]:
+        """Line 12 for a caller that names its own decompositions (the
+        memo-coupled pass of Section 4.2): the error of the best SIT
+        assignment for ``Sel(p|Q)`` and the ``(p_mask, q_mask, picks)``
+        to hand :meth:`estimate_winner` should it win — ``None`` when
+        some attribute has no SIT.  One view-matching invocation, priced
+        like the DP's own pairs (factor-match cache, then the scorer or
+        the unpriced route)."""
+        intern = self.universe.intern
+        q_mask = intern(q)
+        p_mask = intern(p)
+        error, _, picks = self._best_factor_match(p_mask, q_mask)
+        return error, None if picks is None else (p_mask, q_mask, picks)
 
     # ------------------------------------------------------------------
     def _best_factor_match(

@@ -145,9 +145,10 @@ class ViewMatcher:
     def count_invocation(self) -> None:
         """Record one logical view-matching invocation (Figure 6 metric).
 
-        Callers that cache match results themselves (``getSelectivity``'s
-        factor-match cache, the memo-coupled estimator) count here exactly
-        once per logical request and look candidates up with
+        A caller that caches match results itself (``getSelectivity``'s
+        factor-match cache, which the memo-coupled estimator prices
+        through too) counts here exactly once per logical request and
+        looks candidates up with
         ``candidates_for_factor(..., count=False)`` — otherwise a cold
         request would be double-counted (once by the caller, once by the
         lookup).

@@ -38,12 +38,8 @@ filter constants.  This module exploits that invariance:
   *bit-identical* to the cold DP because every floating-point operation
   of ``estimate_factor`` and the DP's multiplication tree is replayed
   in the exact same order, in one loop over the factors whose range
-  lookups walk each histogram's float rows.
-  :meth:`CompiledPlan.replay_batch` is that replay once per member of a
-  same-shape group: stacking a group into numpy ops only paid from ~28
-  members up even against a 7–8 µs replay, and served groups are a
-  handful.  A
-  replay computes the *number*: the result it returns has
+  lookups walk each histogram's float rows.  A replay computes the
+  *number*: the result it returns has
   every scalar field set, and builds ``decomposition`` and ``matches``
   (:meth:`CompiledPlan.provenance`) the first time either is read —
   EXPLAIN and the compile-time self-check read them, the request path
@@ -236,12 +232,6 @@ class CompiledPlan:
         return EstimationResult.replayed(
             self, ordered, _eval_tree(self.tree, values)
         )
-
-    def replay_batch(
-        self, ordered_batch: Sequence[Sequence[Predicate]]
-    ) -> list[EstimationResult]:
-        """:meth:`replay` of every member of a same-shape group."""
-        return [self.replay(ordered) for ordered in ordered_batch]
 
     # ------------------------------------------------------------------
     def provenance(

@@ -11,29 +11,30 @@ already been estimated — groups are processed inputs-first).  Instead of
 the full ``O(3^n)`` enumeration, only these memo-induced decompositions
 are scored; the paper notes this may miss the globally most accurate
 decomposition but imposes almost no overhead on the optimizer.
+
+The pass is a group loop over one :class:`GetSelectivity`: each entry's
+``Sel(p_E | Q_E)`` is priced by the DP's own line 12
+(:meth:`~GetSelectivity.price_factor` — its universe, factor-match cache
+and scorer), entries are compared by error, and only a group's winner
+is materialised and estimated, by the DP's line 16
+(:meth:`~GetSelectivity.estimate_winner` — its estimate cache and the
+pool's join store).  Matcher calls, cache sizes, timings and the trace
+are the DP's.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.core.errors import INFINITE_ERROR, ErrorFunction, merge
-from repro.core.matching import (
-    FactorMatch,
-    ViewMatcher,
-    estimate_factor,
-    select_match,
-)
-from repro.core.predicates import PredicateSet
-from repro.core.selectivity import Factor
+from repro.core.get_selectivity import GetSelectivity
+from repro.core.matching import ViewMatcher
 from repro.engine.database import Database
 from repro.engine.expressions import Query
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import StatsSnapshot
 from repro.obs.trace import Trace
 from repro.optimizer.explorer import ExplorationResult, explore
-from repro.optimizer.memo import Entry, GroupKey, Operator
+from repro.optimizer.memo import Entry, GroupKey
 from repro.stats.pool import SITPool
 
 
@@ -63,60 +64,36 @@ class MemoCoupledEstimator:
     database: Database
     pool: SITPool
     error_function: ErrorFunction
-    matcher: ViewMatcher = field(default=None)  # type: ignore[assignment]
     #: the pinned catalog snapshot (``None`` when built from a bare pool)
     snapshot: object = field(default=None, repr=False)
-    #: (P, Q) -> (match, factor_error); memo entries across groups (and
-    #: queries over the same pool) repeat factors, so matching each logical
-    #: factor once mirrors getSelectivity's factor-match cache.
-    _match_cache: dict = field(default_factory=dict, repr=False)
-    #: opt-in tracing; ``None`` == disabled (one branch per call site)
-    trace: Trace | None = field(default=None, repr=False)
-    #: per-instance observability counters (see :meth:`stats_snapshot`)
-    match_cache_hits: int = field(default=0, repr=False)
-    match_cache_misses: int = field(default=0, repr=False)
+    #: the DP whose line 12 and line 16 score every entry
+    algorithm: GetSelectivity = field(init=False, repr=False)
     entries_scored: int = field(default=0, repr=False)
-    estimation_seconds: float = field(default=0.0, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.pool, SITPool):
             from repro.estimators import resolve_statistics
 
             self.pool, self.snapshot = resolve_statistics(self.pool)
-        if self.matcher is None:
-            self.matcher = ViewMatcher(self.pool)
+        self.algorithm = GetSelectivity(self.pool, self.error_function)
+
+    @property
+    def matcher(self) -> ViewMatcher:
+        return self.algorithm.matcher
+
+    @property
+    def trace(self) -> Trace | None:
+        return self.algorithm.trace
 
     # ------------------------------------------------------------------
     def enable_tracing(self, trace: Trace | None = None) -> Trace:
-        """Attach a :class:`Trace` (shared with the matcher) and return it."""
-        self.trace = trace if trace is not None else Trace()
-        self.matcher.trace = self.trace
-        return self.trace
-
-    def disable_tracing(self) -> None:
-        self.trace = None
-        self.matcher.trace = None
-
-    def metrics_registry(self) -> MetricsRegistry:
-        """This estimator's state as a :class:`MetricsRegistry`."""
-        registry = MetricsRegistry()
-        registry.counter("counters.matcher_calls").inc(self.matcher.calls)
-        registry.counter("counters.entries_scored").inc(self.entries_scored)
-        registry.gauge("timings.estimation_seconds").set(self.estimation_seconds)
-        registry.gauge("caches.match_cache_entries").set(len(self._match_cache))
-        registry.counter("caches.match_cache_hits").inc(self.match_cache_hits)
-        registry.counter("caches.match_cache_misses").inc(self.match_cache_misses)
-        trace = self.trace
-        if trace is not None:
-            for stage, seconds, calls in trace.stages():
-                registry.gauge(f"timings.{stage}_seconds").set(seconds)
-                registry.counter(f"counters.{stage}_calls").inc(calls)
-            for name, value in sorted(trace.counters.items()):
-                registry.counter(f"counters.{name}").inc(value)
-        return registry
+        """Attach a :class:`Trace` to the DP and return it."""
+        return self.algorithm.enable_tracing(trace)
 
     def stats_snapshot(self) -> StatsSnapshot:
-        """The unified observability snapshot (``StatsSnapshot`` schema)."""
+        """The DP's ledger plus ``counters.entries_scored``."""
+        registry = self.algorithm.metrics_registry()
+        registry.counter("counters.entries_scored").inc(self.entries_scored)
         meta = {
             "estimator": "MemoCoupled",
             "error_function": self.error_function.name,
@@ -124,7 +101,7 @@ class MemoCoupledEstimator:
         }
         if self.snapshot is not None:
             meta["snapshot_version"] = self.snapshot.version
-        return StatsSnapshot.from_registry(self.metrics_registry(), meta=meta)
+        return StatsSnapshot.from_registry(registry, meta=meta)
 
     # ------------------------------------------------------------------
     def estimate(self, query: Query) -> dict[GroupKey, GroupEstimate]:
@@ -140,26 +117,23 @@ class MemoCoupledEstimator:
         # Inputs always have strictly fewer predicates, so ordering groups
         # by |predicates| processes every entry after its inputs.
         for key in sorted(memo.groups, key=lambda k: (len(k.predicates), str(k))):
-            group = memo.groups[key]
-            best_selectivity = 1.0
-            best_error = INFINITE_ERROR
-            best_entry: Entry | None = None
-            if not key.predicates:
+            if not key.predicates:  # a GET leaf
                 estimates[key] = GroupEstimate(key, 1.0, 0.0, None)
                 continue
-            for entry in group.entries:
-                outcome = self._entry_estimate(entry, key, estimates)
-                if outcome is None:
-                    continue
-                selectivity, error = outcome
-                if error < best_error:
-                    best_selectivity, best_error, best_entry = (
-                        selectivity,
-                        error,
-                        entry,
-                    )
+            best_error = INFINITE_ERROR
+            best = None
+            for entry in memo.groups[key].entries:
+                priced = self._price_entry(entry, estimates)
+                if priced is not None and priced[0] < best_error:
+                    best_error = priced[0]
+                    best = entry, priced
+            if best is None:
+                estimates[key] = GroupEstimate(key, 1.0, INFINITE_ERROR, None)
+                continue
+            entry, (error, pair, input_selectivity) = best
+            _, factor_selectivity = self.algorithm.estimate_winner(*pair)
             estimates[key] = GroupEstimate(
-                key, best_selectivity, best_error, best_entry
+                key, factor_selectivity * input_selectivity, error, entry
             )
         return estimates
 
@@ -176,16 +150,14 @@ class MemoCoupledEstimator:
         )
 
     # ------------------------------------------------------------------
-    def _entry_estimate(
-        self,
-        entry: Entry,
-        key: GroupKey,
-        estimates: dict[GroupKey, GroupEstimate],
-    ) -> tuple[float, float] | None:
-        if entry.operator is Operator.GET:
-            return 1.0, 0.0
+    def _price_entry(
+        self, entry: Entry, estimates: dict[GroupKey, GroupEstimate]
+    ) -> tuple[float, tuple, float] | None:
+        """``(error, pair, Sel(Q_E))`` of ``entry``'s decomposition, with
+        ``pair`` what line 16 needs should it win; ``None`` when an input
+        has no estimate or ``p_E`` no SIT."""
         self.entries_scored += 1
-        q_predicates: PredicateSet = frozenset()
+        q_predicates = frozenset()
         input_selectivity = 1.0
         input_error = 0.0
         for input_key in entry.inputs:
@@ -195,50 +167,9 @@ class MemoCoupledEstimator:
             q_predicates |= input_key.predicates
             input_selectivity *= estimate.selectivity
             input_error = merge(input_error, estimate.error)
-        factor = Factor(frozenset((entry.parameter,)), q_predicates)
-        match, factor_error = self._match(factor)
-        if match is None:
+        factor_error, pair = self.algorithm.price_factor(
+            frozenset((entry.parameter,)), q_predicates
+        )
+        if pair is None:
             return None
-        trace = self.trace
-        if trace is not None:
-            started = time.perf_counter()
-            factor_selectivity = estimate_factor(match)
-            elapsed = time.perf_counter() - started
-            self.estimation_seconds += elapsed
-            trace.add_time("histogram_join", elapsed)
-        else:
-            started = time.perf_counter()
-            factor_selectivity = estimate_factor(match)
-            self.estimation_seconds += time.perf_counter() - started
-        selectivity = factor_selectivity * input_selectivity
-        return selectivity, merge(factor_error, input_error)
-
-    def _match(self, factor: Factor) -> tuple[FactorMatch | None, float]:
-        """Match one factor, caching per (P, Q) and counting each logical
-        view-matching invocation exactly once (Figure 6 accounting)."""
-        key = (factor.p, factor.q)
-        self.matcher.count_invocation()
-        cached = self._match_cache.get(key)
-        if cached is not None:
-            self.match_cache_hits += 1
-            return cached
-        self.match_cache_misses += 1
-        trace = self.trace
-        if trace is not None:
-            with trace.span("factor_matching"):
-                candidates = self.matcher.candidates_for_factor(
-                    factor, count=False
-                )
-        else:
-            candidates = self.matcher.candidates_for_factor(factor, count=False)
-        if candidates is None:
-            result: tuple[FactorMatch | None, float] = (None, INFINITE_ERROR)
-        elif trace is not None:
-            with trace.span("error_scoring"):
-                match = select_match(candidates, self.error_function)
-                result = (match, self.error_function.factor_error(match))
-        else:
-            match = select_match(candidates, self.error_function)
-            result = (match, self.error_function.factor_error(match))
-        self._match_cache[key] = result
-        return result
+        return merge(factor_error, input_error), pair, input_selectivity

@@ -14,10 +14,9 @@
   served.  :meth:`~EstimationService.submit_many` admits a burst as one
   unit (one lock, one wake-up), so a group stays together from the
   socket to the session.  Within a batch, requests with the *same*
-  predicate set are answered by one DP run (dedup), and requests that
-  merely *share decomposition factors* reuse the session's pool-pure
-  match/estimate caches, so a batch of similar queries costs far less
-  than N isolated calls;
+  predicate set are answered by one DP run (dedup); across batches a
+  request replays the plan its shape compiled to, and a sub-plan an
+  earlier request solved is a lookup in the session's DP memo;
 * **admission control** — a full queue sheds immediately with the typed
   :class:`~repro.service.protocol.Overloaded`; per-request deadlines are
   enforced at dequeue (:class:`~repro.service.protocol.DeadlineExceeded`)

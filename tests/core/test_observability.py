@@ -6,7 +6,8 @@ query.  Historically the counter was split between ``_best_factor_match``
 on cold lookups), which double-counted whenever both paths fired.  The
 counter is now single-sourced through ``ViewMatcher.count_invocation``;
 these tests pin the exactly-once contract on both DP implementations and
-on the memo-coupled estimator, and cover the ``stats_snapshot()`` view.
+on the pricing method the memo-coupled estimator calls, and cover the
+``stats_snapshot()`` view.
 """
 
 from __future__ import annotations
@@ -92,23 +93,21 @@ class TestMatcherCounting:
         assert fast.matcher.calls == oracle.matcher.calls
 
     def test_memo_coupled_counts_once_per_logical_factor(self, workload):
-        from repro.core.errors import INFINITE_ERROR
-        from repro.optimizer.integration import MemoCoupledEstimator
-
+        """The memo-coupled pass prices through ``price_factor``: one
+        logical invocation per call, cached or not."""
         predicates, pool = workload
-        estimator = MemoCoupledEstimator.__new__(MemoCoupledEstimator)
-        estimator.pool = pool
-        estimator.error_function = NIndError()
-        estimator.matcher = ViewMatcher(pool)
-        estimator._match_cache = {}
+        algorithm = GetSelectivity(pool, NIndError())
         p = frozenset([next(iter(sorted(predicates, key=str)))])
-        factor = Factor(p, predicates - p)
-        match, error = estimator._match(factor)
-        assert estimator.matcher.calls == 1
-        again = estimator._match(factor)
-        assert estimator.matcher.calls == 2  # counted, answered from cache
-        assert again == (match, error)
-        assert error < INFINITE_ERROR or match is None
+        error, pair = algorithm.price_factor(p, predicates - p)
+        assert algorithm.matcher.calls == 1
+        assert pair is not None
+        again = algorithm.price_factor(p, predicates - p)
+        assert algorithm.matcher.calls == 2  # counted, answered from cache
+        assert algorithm.match_cache_hits == 1
+        assert again == (error, pair)
+        match, _ = algorithm.estimate_winner(*pair)
+        assert match.factor == Factor(p, predicates - p)
+        assert algorithm.matcher.calls == 2  # line 16 matches nothing
 
 
 class TestStats:

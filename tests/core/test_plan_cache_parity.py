@@ -439,9 +439,6 @@ class TestDeferredProvenance:
             assert repr(plan.replay(ordered)) == repr(eager)
             assert hash(plan.replay(ordered)) == hash(eager)
             assert plan.replay(ordered).matched_sits == eager.matched_sits
-            batch = plan.replay_batch([ordered, ordered])
-            assert batch == [eager, eager]
-            assert isinstance(batch[0], EstimationResult)
 
             replaced = dataclasses.replace(plan.replay(ordered), staleness_s=1.5)
             assert replaced == eager and repr(replaced) == repr(
