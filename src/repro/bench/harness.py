@@ -20,8 +20,8 @@ source (a bare :class:`~repro.stats.pool.SITPool`, a
 :class:`~repro.catalog.CatalogSnapshot`).  The paper's figures are per
 query, so this harness — the one caller that wants accounting windows —
 opens them itself: ``estimator.reset()`` before each workload query is
-the cold start (empty memo, zero counters; the pool-pure factor-match
-and estimate caches stay shared across the workload).  Workload totals
+the cold start (empty memo, zero counters; the pool-pure estimate
+cache and scorer tables stay shared across the workload).  Workload totals
 are the :meth:`TechniqueReport.aggregate_snapshot` roll-up of the
 per-query snapshots; :attr:`WorkloadEvaluation.session_snapshots` carry
 the session identity (``catalog`` block, ``queries``) and the last
@@ -242,7 +242,7 @@ class Harness:
         truth: dict[PredicateSet, int],
     ) -> QueryMetrics:
         # Per-query accounting window, as in the paper; the estimator's
-        # pool-pure factor-match/estimate caches survive across queries.
+        # pool-pure estimate cache and scorer tables survive across queries.
         estimator = session.estimator
         estimator.reset()
         session.queries += 1

@@ -13,8 +13,8 @@ Layering:
   stale SITs, plus static SIT selection — ``max_sits`` / ``min_diff``
   keep the best of the pool in :func:`repro.stats.pool.rank_sits` order;
 * :mod:`repro.catalog.session` — :class:`EstimationSession`: many
-  queries against one pinned snapshot, sharing the pool-pure
-  factor-match and estimate caches across queries.
+  queries against one pinned snapshot, sharing the memo and the
+  pool-pure estimate cache across queries.
 
 The underlying statistics structures (pools, builders, SITs, the v2
 persistence format) stay in :mod:`repro.stats`; this package owns their

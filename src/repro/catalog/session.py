@@ -6,10 +6,9 @@ estimation requests off it.  The underlying
 :class:`~repro.core.get_selectivity.GetSelectivity` keeps its memo for
 as long as the session lives, so requests share work the way Section 4
 describes: a sub-plan of an earlier query is a memo lookup.  (Its
-factor-match and estimate caches are keyed by the ``(P', Q)`` pairs a
-memo node is solved from, so they answer only after the memo has been
-emptied — a version move, ``MEMO_LIMIT`` or ``reset()``; their hit
-rate is 0 on every workload of the repository benchmark.)  The session
+estimate cache is keyed by the ``(P', Q)`` pairs that won a memo node,
+so it answers only after the memo has been emptied — a version move,
+``MEMO_LIMIT`` or ``reset()``.)  The session
 keeps no accounting of its own beyond the request count: its
 :class:`~repro.obs.snapshot.StatsSnapshot` is the estimator's ledger
 (never reset underneath it) plus ``counters.queries`` and the
@@ -60,12 +59,6 @@ from repro.resilience.faults import (
 from repro.stats.pool import SITPool
 
 from repro.catalog.catalog import CatalogSnapshot, StatisticsCatalog
-
-
-def _match_cache_hit_rate(caches: Mapping[str, float]) -> float:
-    hits = caches.get("match_cache_hits", 0.0)
-    total = hits + caches.get("match_cache_misses", 0.0)
-    return hits / total if total else 0.0
 
 
 class EstimationSession:
@@ -318,8 +311,12 @@ class EstimationSession:
     # ------------------------------------------------------------------
     @property
     def match_cache_hit_rate(self) -> float:
-        """Session-lifetime hit rate of the shared factor-match cache."""
-        return _match_cache_hit_rate(self.estimator.stats_snapshot().caches)
+        """Always 0.0: the DP keeps no factor-match cache (its hit rate
+        was 0.0 on every benchmark workload when it went).  The property
+        and the ``catalog.match_cache_hit_rate`` gauge stay only because
+        the repository benchmark's ``session.match_cache_hit_rate``
+        metric reads them; ROADMAP item 1 retires all three."""
+        return 0.0
 
     # ------------------------------------------------------------------
     def metrics_registry(self) -> MetricsRegistry:
@@ -340,9 +337,9 @@ class EstimationSession:
         gauge("catalog.sit_count").set(
             float(len(self.pool)) if self.pool is not None else 0.0
         )
-        gauge("catalog.match_cache_hit_rate").set(
-            _match_cache_hit_rate(ledger.caches)
-        )
+        # kept, reading 0.0, for the repository benchmark (see
+        # ``match_cache_hit_rate``)
+        gauge("catalog.match_cache_hit_rate").set(self.match_cache_hit_rate)
         for key, value in ledger.resilience.items():
             counter(f"resilience.{key}").inc(value)
         for key, value in ledger.plan_cache.items():
@@ -351,8 +348,7 @@ class EstimationSession:
 
     def stats_snapshot(self) -> StatsSnapshot:
         """The session's ``StatsSnapshot``: the estimator's ledger, with
-        snapshot/catalog versions and the session-lifetime match-cache
-        hit rate in the ``catalog`` namespace."""
+        snapshot/catalog versions in the ``catalog`` namespace."""
         meta: Mapping[str, object] = {
             "session": self.name,
             "engine": self.estimator.engine,

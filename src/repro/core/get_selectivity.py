@@ -28,7 +28,7 @@ Performance architecture
 Because ``getSelectivity`` runs inside the optimizer's cardinality-request
 loop, per-call latency is the budget.  :class:`GetSelectivity` therefore
 runs the whole DP on an interned **bitmask representation**
-(:mod:`repro.core.universe`): the memo and factor-match cache key on plain
+(:mod:`repro.core.universe`): the memo and the winners' cache key on plain
 ``int`` masks, submask enumeration is ``sub = (sub - 1) & mask``,
 connected components are a bitwise BFS over a precomputed adjacency table,
 and Section 3.4 pruning is a single ``expr & ~q == 0`` test per candidate
@@ -233,7 +233,7 @@ MEMO_LIMIT = 8192
 
 #: interned predicates a request may start with.  Every mask is as wide
 #: as the universe, and everything keyed by one — the memo, the
-#: factor-match and estimate caches, the scorer's tables — grows with it
+#: winners' estimate cache, the scorer's tables — grows with it
 #: when misses keep bringing fresh constants (plan cache off, ``OptError``,
 #: shape-miss traffic).  Past it they all start over together, between
 #: requests like the memo.
@@ -254,9 +254,9 @@ class GetSelectivity:
     selectivity request for a sub-plan after the first is a table lookup
     — the reuse property Section 4 builds on.  A move of ``pool.version``
     (``notify_table_update``, membership change) empties it at the next
-    request; the pool's derived histograms and the factor-match and
-    estimate caches stay, being pure functions of the pool's SITs (a
-    catalog refresh publishes a new pool, served by a new instance).
+    request; the pool's derived histograms and the winners' estimate
+    cache stay, being pure functions of the pool's SITs (a catalog
+    refresh publishes a new pool, served by a new instance).
     :meth:`reset` is the explicit cold start.
 
     Engine selection goes through the explicit factory, the one place
@@ -318,7 +318,7 @@ class GetSelectivity:
         self.sit_driven_pruning = sit_driven_pruning
         self.matcher = matcher if matcher is not None else ViewMatcher(pool)
         #: bit-interning of every predicate this instance has seen; must
-        #: outlive reset() because the factor-match cache keys on its bits.
+        #: outlive reset() because the winners' cache keys on its bits.
         self.universe = PredicateUniverse(pool)
         #: line 12 on masks (holds the universe: replaced with it)
         self._scorer = FactorScorer(self.universe, self.matcher, error_function)
@@ -333,13 +333,6 @@ class GetSelectivity:
         #: the ``pool.version`` the memo was filled under — the one
         #: invalidation gate, checked per request
         self._version = pool.version
-        # Pure function of (P', Q) for a fixed pool and error function, so
-        # it survives reset() (which empties the memo and the counters).
-        # Fast path values are (error, coverage, picks) triples — picks
-        # being what the scorer needs to build the match, should the pair
-        # win; the legacy subclass stores (match, error) pairs, as the
-        # seed did.
-        self._match_cache: dict = {}
         # The winners: per (P', Q) that won a node, its materialised match
         # and estimate_factor(match), a pure histogram computation.
         # Caching them across reset() means a steady-state optimizer only
@@ -358,8 +351,6 @@ class GetSelectivity:
         self.estimation_seconds = 0.0
         #: observability counters since construction or the last
         #: :meth:`reset` (see :meth:`stats_snapshot`)
-        self.match_cache_hits = 0
-        self.match_cache_misses = 0
         self.pruned_decompositions = 0
         self.explored_decompositions = 0
         #: opt-in tracing; ``None`` == disabled (one branch per call site)
@@ -380,15 +371,13 @@ class GetSelectivity:
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """The explicit cold start: empty the memo and zero the call
-        counter and timing accumulators (the factor-match and estimate
-        caches and the universe are pool-pure and survive) — what the
+        counter and timing accumulators (the winners' cache, the scorer's
+        tables and the universe are pool-pure and survive) — what the
         per-query figures of :mod:`repro.bench.harness` measure from."""
         self._memo.clear()
         self.matcher.reset_counter()
         self.analysis_seconds = 0.0
         self.estimation_seconds = 0.0
-        self.match_cache_hits = 0
-        self.match_cache_misses = 0
         self.pruned_decompositions = 0
         self.explored_decompositions = 0
         if self.trace is not None:
@@ -413,10 +402,7 @@ class GetSelectivity:
         )
         gauge("counters.universe_size").set(self.universe.size)
         gauge("caches.memo_entries").set(len(self._memo))
-        gauge("caches.match_cache_entries").set(len(self._match_cache))
         gauge("caches.estimate_cache_entries").set(len(self._estimate_cache))
-        counter("caches.match_cache_hits").inc(self.match_cache_hits)
-        counter("caches.match_cache_misses").inc(self.match_cache_misses)
         gauge("caches.join_memo_entries").set(len(self._join_memo))
         counter("caches.join_memo_hits").inc(self._join_memo.hits)
         counter("caches.join_memo_misses").inc(self._join_memo.misses)
@@ -433,8 +419,8 @@ class GetSelectivity:
         """The documented observability snapshot (see
         :class:`repro.obs.snapshot.StatsSnapshot`).
 
-        Cache sizes are current; hits/misses, matcher calls, explored and
-        pruned decomposition counts and the two Figure 8 timing
+        Cache sizes are current; matcher calls, explored and pruned
+        decomposition counts and the two Figure 8 timing
         accumulators run since construction or the last :meth:`reset`;
         the join memo's hits/misses are this instance's lookups over its
         life, and its entry count is the pool's, shared by every DP.
@@ -478,7 +464,6 @@ class GetSelectivity:
         self.universe = PredicateUniverse(self.pool)
         self._scorer = FactorScorer(self.universe, self.matcher, self.error_function)
         self._memo.clear()
-        self._match_cache.clear()
         self._estimate_cache.clear()
         self.matcher.clear_caches()
         clear_caches = getattr(self.error_function, "clear_caches", None)
@@ -627,8 +612,7 @@ class GetSelectivity:
         assignment for ``Sel(p|Q)`` and the ``(p_mask, q_mask, picks)``
         to hand :meth:`estimate_winner` should it win — ``None`` when
         some attribute has no SIT.  One view-matching invocation, priced
-        like the DP's own pairs (factor-match cache, then the scorer or
-        the unpriced route)."""
+        like the DP's own pairs (the scorer, or the unpriced route)."""
         intern = self.universe.intern
         q_mask = intern(q)
         p_mask = intern(p)
@@ -640,19 +624,15 @@ class GetSelectivity:
         self, p_mask: int, q_mask: int
     ) -> tuple[float, float, tuple | None]:
         """``(error, coverage, picks)`` of the best SIT assignment for
-        ``Sel(P'|Q)``; ``picks`` is ``None`` when there is none."""
-        key = (p_mask, q_mask)
-        # One logical view-matching invocation (Figure 6 metric), counted
-        # exactly once whether or not the result is cached.
+        ``Sel(P'|Q)``; ``picks`` is ``None`` when there is none.
+
+        One logical view-matching invocation (Figure 6 metric), and one
+        scoring: within a solve the memo asks for each pair once, and a
+        later request replays a plan or finds its sub-plans in the memo
+        before a pair is scored again, so a cache of scored pairs would
+        only hold entries (DESIGN.md §6 measured its hit rate at 0)."""
         self.matcher.count_invocation()
-        cached = self._match_cache.get(key)
-        if cached is not None:
-            self.match_cache_hits += 1
-            return cached
-        self.match_cache_misses += 1
-        result = self._score(p_mask, q_mask)
-        self._match_cache[key] = result
-        return result
+        return self._score(p_mask, q_mask)
 
     def _score(self, p_mask: int, q_mask: int) -> tuple[float, float, tuple | None]:
         if self._priced:
@@ -720,6 +700,12 @@ class LegacyGetSelectivity(GetSelectivity):
     """
 
     engine = "legacy"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: (P', Q) → (match, error), as the seed kept it: a pure function
+        #: of the pair for a fixed pool, so it survives reset()
+        self._match_cache: dict = {}
 
     def __call__(self, predicates: PredicateSet) -> EstimationResult:
         predicates = frozenset(predicates)
@@ -820,13 +806,11 @@ class LegacyGetSelectivity(GetSelectivity):
         # exactly once whether or not the result is cached.
         self.matcher.count_invocation()
         cached = self._match_cache.get(key)
-        if cached is not None:
-            self.match_cache_hits += 1
-            return cached
-        self.match_cache_misses += 1
-        result = self._compute_factor_match(p_part, q_part)
-        self._match_cache[key] = result
-        return result
+        if cached is None:
+            cached = self._match_cache[key] = self._compute_factor_match(
+                p_part, q_part
+            )
+        return cached
 
     def _worth_exploring(self, p_part: PredicateSet, q_part: PredicateSet) -> bool:
         """Section 3.4's pruning: keep ``Q = {}`` (the fallback every query

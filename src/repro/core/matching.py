@@ -145,10 +145,10 @@ class ViewMatcher:
     def count_invocation(self) -> None:
         """Record one logical view-matching invocation (Figure 6 metric).
 
-        A caller that caches match results itself (``getSelectivity``'s
-        factor-match cache, which the memo-coupled estimator prices
-        through too) counts here exactly once per logical request and
-        looks candidates up with
+        A caller that prices or caches matches itself (``getSelectivity``'s
+        scorer, which the memo-coupled estimator prices through too, and
+        the legacy oracle's factor-match cache) counts here exactly once
+        per logical request and looks candidates up with
         ``candidates_for_factor(..., count=False)`` — otherwise a cold
         request would be double-counted (once by the caller, once by the
         lookup).

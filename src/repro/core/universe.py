@@ -2,7 +2,7 @@
 
 The ``getSelectivity`` DP (Figure 3) spends its time manipulating *sets of
 predicates*: memo lookups, submask enumeration, separability tests,
-Section 3.4 pruning and factor-match cache keys.  The seed implementation
+Section 3.4 pruning and the scorer's table keys.  The seed implementation
 used Python ``frozenset`` objects for all of these, which makes every DP
 node pay hashing, allocation and string-sorting costs that dwarf the
 actual algorithm.  :class:`PredicateUniverse` interns the predicates of a
@@ -66,7 +66,8 @@ class PredicateUniverse:
 
     A universe is tied to one :class:`SITPool` (which may be ``None`` for
     pool-independent uses, e.g. tests); it persists across the DP's
-    ``reset()`` because factor-match cache keys reference its bit layout,
+    ``reset()`` because the scorer's and the winners' keys reference its
+    bit layout,
     and is replaced — with everything keyed by its masks — once it has
     outgrown ``get_selectivity.UNIVERSE_LIMIT``.
     """

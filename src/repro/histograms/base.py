@@ -10,12 +10,12 @@ Buckets carry ``(low, high, frequency, distinct)``.  Ranges are estimated
 with the standard continuous-uniformity assumption inside buckets; equality
 predicates use the ``frequency / distinct`` uniform-spread assumption.
 
-A histogram keeps its buckets as four float64 arrays, for the vectorized
-algebra of :mod:`repro.histograms.operations`, and builds the same four
-columns as plain float lists (``_rows``) the first time a scalar
-estimator walks them.  :class:`Bucket` objects are the definition of the
-per-bucket arithmetic and what encoding, ``scale`` and the reference
-kernels read; no estimate needs one.
+A histogram *is* its four bucket columns: float64 arrays, for the
+vectorized algebra of :mod:`repro.histograms.operations`, and the same
+columns as plain float lists (``_rows``), built the first time a scalar
+estimator walks them.  :class:`Bucket` is the definition of the
+per-bucket arithmetic and what builders hand :class:`Histogram`; no
+histogram keeps one, and only the reference kernels read ``.buckets``.
 """
 
 from __future__ import annotations
@@ -75,22 +75,30 @@ class Histogram:
     NULLs; ``null_count`` of them fall outside every bucket.  Selectivities
     are fractions of ``total`` (NULL never satisfies a predicate), matching
     SQL semantics.
+
+    The state is the four bucket columns and three numbers, in slots: a
+    histogram keeps no :class:`Bucket` object and no ``__dict__``.
     """
 
+    __slots__ = (
+        "null_count",
+        "_lows",
+        "_highs",
+        "_freqs",
+        "_dists",
+        "_frequency",
+        "total",
+        "_rows",
+    )
+
     def __init__(self, buckets: list[Bucket], null_count: float = 0.0):
-        previous_high = -math.inf
-        for bucket in buckets:
-            if bucket.low < previous_high:
-                raise ValueError("buckets must be ordered and non-overlapping")
-            previous_high = bucket.high
-        self.buckets: tuple[Bucket, ...] = tuple(buckets)
-        self.null_count = float(null_count)
-        self._frequency = float(sum(b.frequency for b in buckets))
-        self.total = self._frequency + self.null_count
-        self._lows = np.array([b.low for b in buckets], dtype=np.float64)
-        self._highs = np.array([b.high for b in buckets], dtype=np.float64)
-        self._freqs = np.array([b.frequency for b in buckets], dtype=np.float64)
-        self._dists = np.array([b.distinct for b in buckets], dtype=np.float64)
+        # each Bucket checked its own bounds and mass when it was built;
+        # the order check is the one ``from_arrays`` makes
+        columns = np.array(
+            [(b.low, b.high, b.frequency, b.distinct) for b in buckets],
+            dtype=np.float64,
+        )
+        self._adopt(*columns.reshape(-1, 4).T.copy(), null_count)
 
     @classmethod
     def from_arrays(
@@ -106,14 +114,17 @@ class Histogram:
         The arrays are adopted as-is (read-only shared-memory views
         included; :mod:`repro.cluster.shm` is the consumer), so N
         processes can serve from one snapshot's bucket memory.
-        :class:`Bucket` objects are materialized lazily on first
-        ``.buckets`` access; neither the vectorized paths nor the scalar
-        estimators (which walk ``_rows``) need them.
+        """
+        histogram = object.__new__(cls)
+        histogram._adopt(lows, highs, frequencies, distincts, null_count)
+        return histogram
 
-        ``_frequency`` is summed element-by-element in bucket order —
-        the same left fold ``__init__`` performs over ``Bucket``
-        objects — so estimates from an attached histogram stay
-        bit-identical to the original.
+    def _adopt(self, lows, highs, frequencies, distincts, null_count) -> None:
+        """Check and take the four columns: the one construction path.
+
+        ``_frequency`` is summed element-by-element in bucket order, a
+        left fold over the column's floats, so a histogram over the same
+        columns — built, loaded or attached — estimates bit-identically.
         """
         lows = np.asarray(lows, dtype=np.float64)
         highs = np.asarray(highs, dtype=np.float64)
@@ -123,63 +134,49 @@ class Histogram:
             raise ValueError("bucket arrays must have identical shapes")
         if lows.size and bool(np.any(lows[1:] < highs[:-1])):
             raise ValueError("buckets must be ordered and non-overlapping")
-        histogram = object.__new__(cls)
-        histogram.null_count = float(null_count)
-        histogram._lows = lows
-        histogram._highs = highs
-        histogram._freqs = frequencies
-        histogram._dists = distincts
-        histogram._frequency = float(sum(frequencies.tolist()))
-        histogram.total = histogram._frequency + histogram.null_count
-        return histogram
+        self.null_count = float(null_count)
+        self._lows = lows
+        self._highs = highs
+        self._freqs = frequencies
+        self._dists = distincts
+        self._frequency = float(sum(frequencies.tolist()))
+        self.total = self._frequency + self.null_count
 
     def __getattr__(self, name: str):
-        # only ``_rows`` and ``buckets`` (instances built by
-        # ``from_arrays`` skip it) are lazily materialized; everything
-        # else is a genuine miss
+        # only an unset ``_rows`` slot lands here; everything else is a
+        # genuine miss
         if name == "_rows":
             # (lows, highs, frequencies, distincts) as plain float lists:
-            # what the scalar estimators walk.  Over Bucket objects they
-            # hold the very floats the buckets hold, not copies: rows by
-            # ``tolist()`` alone give the same bits but raised
-            # ``replay_hot``'s peak RSS 71.3 → 72.4 MB (4 runs a side).
-            buckets = self.__dict__.get("buckets")
-            if buckets is None:
-                rows = (
-                    self._lows.tolist(),
-                    self._highs.tolist(),
-                    self._freqs.tolist(),
-                    self._dists.tolist(),
-                )
-            else:
-                rows = (
-                    [b.low for b in buckets],
-                    [b.high for b in buckets],
-                    [b.frequency for b in buckets],
-                    [b.distinct for b in buckets],
-                )
+            # what the scalar estimators walk, built on their first walk
+            rows = (
+                self._lows.tolist(),
+                self._highs.tolist(),
+                self._freqs.tolist(),
+                self._dists.tolist(),
+            )
             self._rows = rows
             return rows
-        if name == "buckets":
-            buckets = tuple(map(Bucket, *self._rows))
-            self.buckets = buckets
-            return buckets
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )
 
+    @property
+    def buckets(self) -> tuple[Bucket, ...]:
+        """The buckets as :class:`Bucket` objects, built afresh on every
+        read and never kept — for the reference kernels and tests; no
+        estimate, encoding or kernel on a serving path reads them."""
+        return tuple(map(Bucket, *self._rows))
+
     def bucket_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(lows, highs, frequencies, distincts)`` as float64 arrays.
 
-        Cached at construction; the vectorized histogram algebra in
-        :mod:`repro.histograms.operations` consumes these instead of
-        looping over :class:`Bucket` objects.
+        The histogram's own columns, not copies; the vectorized
+        histogram algebra in :mod:`repro.histograms.operations` consumes
+        these.
         """
         return self._lows, self._highs, self._freqs, self._dists
 
     # ------------------------------------------------------------------
-    # Counts, bounds and emptiness answer from the bucket arrays, so asking
-    # never materializes a ``from_arrays`` histogram's ``Bucket`` objects.
     @property
     def bucket_count(self) -> int:
         return len(self._lows)
@@ -249,11 +246,14 @@ class Histogram:
         """A copy with all frequencies (and null count) multiplied."""
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
-        buckets = [
-            Bucket(b.low, b.high, b.frequency * factor, b.distinct)
-            for b in self.buckets
-        ]
-        return Histogram(buckets, null_count=self.null_count * factor)
+        # the same float product per bucket as ``b.frequency * factor``
+        return Histogram.from_arrays(
+            self._lows,
+            self._highs,
+            self._freqs * factor,
+            self._dists,
+            null_count=self.null_count * factor,
+        )
 
     def __repr__(self) -> str:
         return (

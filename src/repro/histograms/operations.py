@@ -291,8 +291,7 @@ def _derived_histogram(rows: list[list[float]], max_buckets: int | None) -> Hist
     """A join's derived histogram from its kept segments, as mutable
     ``[low, high, frequency, distinct]`` rows in domain order: touching
     buckets merged, compacted to ``max_buckets``, adopted by
-    :meth:`Histogram.from_arrays` — four arrays and no :class:`Bucket`
-    unless somebody later reads ``.buckets``."""
+    :meth:`Histogram.from_arrays` — four arrays and no :class:`Bucket`."""
     rows = _merge_touching(rows)
     if max_buckets is not None:
         rows = _compact_rows(rows, max_buckets)

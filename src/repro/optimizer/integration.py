@@ -14,8 +14,7 @@ decomposition but imposes almost no overhead on the optimizer.
 
 The pass is a group loop over one :class:`GetSelectivity`: each entry's
 ``Sel(p_E | Q_E)`` is priced by the DP's own line 12
-(:meth:`~GetSelectivity.price_factor` — its universe, factor-match cache
-and scorer), entries are compared by error, and only a group's winner
+(:meth:`~GetSelectivity.price_factor` — its universe and scorer), entries are compared by error, and only a group's winner
 is materialised and estimated, by the DP's line 16
 (:meth:`~GetSelectivity.estimate_winner` — its estimate cache and the
 pool's join store).  Matcher calls, cache sizes, timings and the trace

@@ -146,16 +146,17 @@ decode_predicate = _decode_predicate
 
 
 def _encode_histogram(histogram: Histogram) -> dict:
+    """The payload, read off the bucket columns (no ``Bucket`` built)."""
+    lows, highs, frequencies, distincts = (
+        column.tolist() for column in histogram.bucket_arrays()
+    )
     return {
         "null_count": histogram.null_count,
         "buckets": [
-            [
-                _encode_float(b.low),
-                _encode_float(b.high),
-                b.frequency,
-                b.distinct,
-            ]
-            for b in histogram.buckets
+            [_encode_float(low), _encode_float(high), frequency, distinct]
+            for low, high, frequency, distinct in zip(
+                lows, highs, frequencies, distincts
+            )
         ],
     }
 

@@ -83,9 +83,10 @@ class TestHarness:
                 else:
                     snapshot = query_metrics.snapshot
                     assert snapshot.caches["memo_entries"] > 0
-                    assert snapshot.counters["matcher_calls"] == (
-                        snapshot.caches["match_cache_hits"]
-                        + snapshot.caches["match_cache_misses"]
+                    # one invocation per pair scored: never more than the
+                    # pairs explored
+                    assert 0 < snapshot.counters["matcher_calls"] <= (
+                        snapshot.counters["explored_decompositions"]
                     )
 
     def test_session_snapshots_surfaced(self, evaluation):
@@ -94,7 +95,7 @@ class TestHarness:
             name for name in evaluation.reports if name != "GVM"
         }
         for snapshot in snapshots.values():
-            assert snapshot.catalog["match_cache_hit_rate"] >= 0.0
+            assert snapshot.catalog["match_cache_hit_rate"] == 0.0
             assert snapshot.meta["queries"] == len(
                 next(iter(evaluation.reports.values())).per_query
             )

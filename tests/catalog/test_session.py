@@ -66,12 +66,12 @@ class TestEstimates:
 
 
 class TestCrossQueryCaching:
-    # plan_cache=False: these tests exercise the DP's memo and the shared
-    # factor-match cache, which a compiled-plan replay never touches
-    def test_second_query_hits_shared_match_cache(self, catalog, query):
+    # plan_cache=False: these tests exercise the DP's memo, which a
+    # compiled-plan replay never touches
+    def test_second_query_is_a_memo_lookup(self, catalog, query):
         """The memo outlives the request: asking again is a lookup, not
-        one more matcher call — and after an explicit cold start the
-        factor-match cache still spares the matching passes."""
+        one more matcher call — and after an explicit cold start every
+        pair is matched again while the winners' estimates are reused."""
         session = EstimationSession(catalog, plan_cache=False)
         first = session.estimate(query)
         cold = session.stats_snapshot()
@@ -81,10 +81,14 @@ class TestCrossQueryCaching:
         assert again.caches["memo_entries"] == cold.caches["memo_entries"]
         session.estimator.reset()
         assert session.estimate(query) == first
-        caches = session.stats_snapshot().caches
-        assert caches["match_cache_misses"] == 0
-        assert caches["match_cache_hits"] > 0
-        assert session.match_cache_hit_rate == 1.0
+        after = session.stats_snapshot()
+        assert after.counters["matcher_calls"] == cold.counters["matcher_calls"]
+        assert (
+            after.caches["estimate_cache_entries"]
+            == cold.caches["estimate_cache_entries"]
+            > 0
+        )
+        assert session.match_cache_hit_rate == 0.0
 
     def test_distinct_queries_share_factor_work(
         self, catalog, two_table_join, two_table_attrs
@@ -134,7 +138,7 @@ class TestObservability:
         assert snapshot.meta["queries"] == 2
         assert snapshot.meta["snapshot_version"] == catalog.version
         assert snapshot.counters["queries"] == 2.0
-        assert 0.0 <= snapshot.catalog["match_cache_hit_rate"] <= 1.0
+        assert snapshot.catalog["match_cache_hit_rate"] == 0.0
         assert snapshot.catalog["current"] == 1.0
 
     def test_ledger_is_the_estimators_and_monotone(

@@ -10,6 +10,7 @@ from repro.core.predicates import Attribute, FilterPredicate, JoinPredicate
 from repro.engine.database import Database, Table
 from repro.engine.executor import Executor
 from repro.engine.schema import ForeignKey, Schema, TableSchema
+from repro.histograms.base import Bucket
 from repro.stats.builder import SITBuilder
 from repro.stats.pool import SITPool
 from repro.workload.snowflake import SnowflakeConfig, generate_snowflake
@@ -116,3 +117,22 @@ def with_reference_engine(estimator):
         sit_driven_pruning=estimator.algorithm.sit_driven_pruning,
     )
     return estimator
+
+
+@pytest.fixture()
+def bucket_births(monkeypatch) -> list:
+    """One entry per :class:`Bucket` built while the test runs.
+
+    A :class:`~repro.histograms.base.Histogram` is slotted and has no
+    ``__dict__`` a ``Bucket`` tuple could be left in, so "no bucket" is a
+    question about construction: this counts every ``Bucket.__init__``
+    (through the ``__post_init__`` it calls)."""
+    births: list = []
+    post_init = Bucket.__post_init__
+
+    def counted(bucket) -> None:
+        births.append(bucket)
+        post_init(bucket)
+
+    monkeypatch.setattr(Bucket, "__post_init__", counted)
+    return births

@@ -199,7 +199,7 @@ class TestPairByPair:
         )
         for predicates in workload:
             assert checked(predicates) == oracle(predicates)
-        assert checked.scored == checked.match_cache_misses > 1000
+        assert checked.scored == checked.matcher.calls > 1000
         # the "some attribute has no SIT" case: every pair with the
         # uncovered attribute in P' scores (inf, 0, None), the rest as usual
         uncovered = workload[0] | {unknown_filter(pool)}
@@ -223,15 +223,17 @@ class TestPairByPair:
         )
         results = [algorithm(predicates) for predicates in workload[:40]]
         assert len(built) == len(set(built)) == len(algorithm._estimate_cache)
-        assert len(built) < algorithm.match_cache_misses / 4
+        scored = algorithm.matcher.calls
+        assert len(built) < scored / 4
         # what was built is what the results carry
         winners = {match for match, _ in algorithm._estimate_cache.values()}
         assert all(match in winners for r in results for match in r.matches)
-        # steady regime: the memo is gone, the winners are not rebuilt
+        # steady regime: the memo is gone, so every pair is scored again,
+        # and the winners are not rebuilt
         algorithm.reset()
         assert [algorithm(predicates) for predicates in workload[:40]] == results
+        assert algorithm.matcher.calls == scored
         assert len(built) == len(algorithm._estimate_cache)
-        assert algorithm.match_cache_misses == 0
         assert not algorithm.matcher._factor_cache  # nothing went the frozenset way
 
 
@@ -256,7 +258,7 @@ class TestFilterBearingSITExpressions:
             result = checked(predicates)
             assert result == oracle(predicates)
             results.append(result)
-        assert checked.scored == checked.match_cache_misses > 1000
+        assert checked.scored == checked.matcher.calls > 1000
         scorer = checked._scorer
         members = scorer.universe.set_of(scorer._members)
         assert any(not p.is_join for p in members)
@@ -289,9 +291,9 @@ class TestUnpricedFunctions:
         predicates = next(p for p in workload if len(p) == 4)
         result = fast(predicates)
         scored = len(enumerated)
-        assert scored == fast.match_cache_misses > 0
+        assert scored == fast.matcher.calls > 0
         assert result == oracle(predicates)
-        assert len(enumerated) - scored == oracle.match_cache_misses
+        assert len(enumerated) - scored == oracle.matcher.calls
 
     def test_a_function_without_a_price_is_handed_matches(self, snowflake_setup):
         workload, pool, _ = snowflake_setup
@@ -317,7 +319,7 @@ class TestUnpricedFunctions:
         expected = GetSelectivity.create(pool, DiffError(pool))
         for predicates in workload[:10]:
             assert algorithm(predicates) == expected(predicates)
-        assert error_function.priced_matches == algorithm.match_cache_misses > 0
+        assert error_function.priced_matches == algorithm.matcher.calls > 0
 
 
 class TestFaultInjectionPoint:
@@ -345,7 +347,7 @@ class TestFaultInjectionPoint:
                 # already: a table hit is checked like a table miss
                 algorithm(predicates)
                 assert plan.rules[0].evaluations == expected
-            # a warm factor-match cache scores nothing, so checks nothing
+            # after a cold start every pair is scored, and checked, again
             algorithm.reset()
             for predicates in workload[:30]:
                 algorithm(predicates)
@@ -367,7 +369,7 @@ class TestTracingKeepsItsStages:
         assert (
             trace.calls["factor_matching"]
             == trace.calls["error_scoring"]
-            == traced.match_cache_misses
+            == traced.matcher.calls
             == reference_trace.calls["factor_matching"]
         )
         assert trace.timings["factor_matching"] > 0.0
@@ -379,11 +381,13 @@ class TestTracingKeepsItsStages:
             "memo_misses",
         ):
             assert trace.counters[counter] == reference_trace.counters[counter] > 0
-        # the steady regime answers line 16 from the winners
+        # the steady regime scores every pair again and answers line 16
+        # from the winners: no histogram is joined
         traced.reset()
         assert traced(predicates) == plain(predicates)
         assert trace.counters["estimate_cache_hits"] == len(traced._estimate_cache)
-        assert "factor_matching" not in trace.calls
+        assert trace.calls["factor_matching"] == traced.matcher.calls
+        assert "histogram_join" not in trace.calls
 
 
 class TestOneLifetimeForEverythingKeyedByMask:
@@ -411,12 +415,11 @@ class TestOneLifetimeForEverythingKeyedByMask:
             caches = algorithm.stats_snapshot().caches
             assert algorithm.universe.size <= UNIVERSE_LIMIT + largest
             if algorithm.universe is before:
-                lifetimes[-1] = caches["match_cache_entries"]
+                lifetimes[-1] = entries(algorithm._scorer._picks)
             else:
                 # everything keyed by the old masks went with them: what
                 # is held is what this one request put there
                 lifetimes.append(0)
-                assert caches["match_cache_entries"] == len(fresh._match_cache)
                 assert caches["memo_entries"] == len(fresh._memo)
                 assert caches["estimate_cache_entries"] == len(fresh._estimate_cache)
                 scorer, fresh_scorer = algorithm._scorer, fresh._scorer

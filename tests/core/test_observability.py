@@ -63,26 +63,28 @@ class TestMatcherCounting:
         assert matcher.calls == 1  # explicit opt-out: no bump
 
     def test_exactly_once_whether_cached_or_not(self, workload):
-        """Warm factor-match caches must not change Figure 6 counts."""
+        """Warm caches must not change Figure 6 counts: the bitmask DP
+        scores every pair it asks for, the legacy oracle answers a
+        re-solve from its factor-match cache, and both count the same."""
         predicates, pool = workload
         algorithm = GetSelectivity(pool, NIndError())
+        oracle = GetSelectivity.create(pool, NIndError(), engine="legacy")
         algorithm(predicates)
+        oracle(predicates)
         cold_calls = algorithm.matcher.calls
-        assert cold_calls > 0
-        assert (
-            algorithm.match_cache_hits + algorithm.match_cache_misses
-            == cold_calls
-        )
+        assert cold_calls == oracle.matcher.calls > 0
         # Memoized full query: zero further logical invocations.
         algorithm(predicates)
         assert algorithm.matcher.calls == cold_calls
-        # Per-query reset with warm match cache: every invocation is a
-        # cache hit, yet the logical count is identical to the cold run.
-        algorithm.reset()
-        algorithm(predicates)
-        assert algorithm.matcher.calls == cold_calls
-        assert algorithm.match_cache_misses == 0
-        assert algorithm.match_cache_hits == cold_calls
+        # Per-query reset: the oracle's cache holds every pair, the DP
+        # holds none, and the logical count is the cold run's for both.
+        cached = dict(oracle._match_cache)
+        for dp in (algorithm, oracle):
+            dp.reset()
+            dp(predicates)
+            assert dp.matcher.calls == cold_calls
+        assert oracle._match_cache == cached
+        assert not hasattr(algorithm, "_match_cache")
 
     def test_legacy_and_bitmask_count_identically(self, workload):
         predicates, pool = workload
@@ -102,8 +104,7 @@ class TestMatcherCounting:
         assert algorithm.matcher.calls == 1
         assert pair is not None
         again = algorithm.price_factor(p, predicates - p)
-        assert algorithm.matcher.calls == 2  # counted, answered from cache
-        assert algorithm.match_cache_hits == 1
+        assert algorithm.matcher.calls == 2  # counted, and scored again
         assert again == (error, pair)
         match, _ = algorithm.estimate_winner(*pair)
         assert match.factor == Factor(p, predicates - p)
@@ -113,11 +114,9 @@ class TestMatcherCounting:
 class TestStats:
     KEY_PATHS = {
         "memo_entries": "caches.memo_entries",
-        "match_cache_entries": "caches.match_cache_entries",
         "estimate_cache_entries": "caches.estimate_cache_entries",
-        "match_cache_hits": "caches.match_cache_hits",
-        "match_cache_misses": "caches.match_cache_misses",
         "matcher_calls": "counters.matcher_calls",
+        "explored_decompositions": "counters.explored_decompositions",
         "pruned_decompositions": "counters.pruned_decompositions",
         "universe_size": "counters.universe_size",
         "analysis_seconds": "timings.analysis_seconds",
@@ -134,10 +133,12 @@ class TestStats:
         stats = self._flat(algorithm)
         assert set(stats) == set(self.KEY_PATHS)
         assert stats["memo_entries"] >= 1
-        assert stats["match_cache_entries"] >= 1
-        assert stats["matcher_calls"] == (
-            stats["match_cache_hits"] + stats["match_cache_misses"]
-        )
+        assert stats["estimate_cache_entries"] >= 1
+        # one counted invocation per explored pair the monotonicity cut
+        # did not skip
+        assert 0 < stats["matcher_calls"] <= stats["explored_decompositions"]
+        caches = algorithm.stats_snapshot().caches
+        assert not any(key.startswith("match_cache") for key in caches)
         assert stats["universe_size"] == len(predicates)
         assert stats["analysis_seconds"] > 0.0
         assert stats["analysis_seconds"] >= stats["estimation_seconds"] >= 0.0
@@ -146,18 +147,16 @@ class TestStats:
         predicates, pool = workload
         algorithm = GetSelectivity(pool, NIndError())
         algorithm(predicates)
-        warm_cache = self._flat(algorithm)["match_cache_entries"]
+        warm_cache = self._flat(algorithm)["estimate_cache_entries"]
         algorithm.reset()
         stats = self._flat(algorithm)
         assert stats["memo_entries"] == 0
         assert stats["matcher_calls"] == 0
-        assert stats["match_cache_hits"] == 0
-        assert stats["match_cache_misses"] == 0
+        assert stats["explored_decompositions"] == 0
         assert stats["analysis_seconds"] == 0.0
         assert stats["estimation_seconds"] == 0.0
         # Pool-pure structures survive reset (Section 4 reuse).
-        assert stats["match_cache_entries"] == warm_cache
-        assert stats["estimate_cache_entries"] >= 1
+        assert stats["estimate_cache_entries"] == warm_cache >= 1
         assert stats["universe_size"] == len(predicates)
 
     def test_legacy_reports_zero_universe(self, workload):

@@ -1,8 +1,14 @@
 """Unit tests for histogram buckets and range estimation."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core.errors import NIndError
+from repro.core.get_selectivity import GetSelectivity
+from repro.core.predicates import FilterPredicate
 from repro.histograms.base import Bucket, Histogram, values_and_frequencies
 
 
@@ -103,30 +109,101 @@ class TestHistogram:
 
 
 class TestAnswersFromArrays:
-    """Shape questions never materialize a ``from_arrays`` histogram's
-    ``Bucket`` objects (cluster shared memory, join / compact output)."""
+    """Shape questions answer from the columns and build no ``Bucket``
+    (cluster shared memory, join / compact output); a histogram has no
+    ``__dict__`` to keep one in."""
 
     def lazy_and_eager(self) -> tuple[Histogram, Histogram]:
         rows = [(0.0, 9.0, 50.0, 0.1), (10.0, 10.0, 30.0, 0.2), (11.0, 20.0, 20.0, 0.3)]
         lazy = Histogram.from_arrays(*(np.array(column) for column in zip(*rows)))
         return lazy, Histogram([Bucket(*row) for row in rows])
 
-    def test_same_answers_without_buckets(self):
+    def test_same_answers_without_buckets(self, bucket_births):
         lazy, eager = self.lazy_and_eager()
+        built = len(bucket_births)
         assert lazy.bucket_count == eager.bucket_count == 3
         assert lazy.is_empty() is eager.is_empty() is False
         assert (lazy.low, lazy.high) == (eager.low, eager.high) == (0.0, 20.0)
         # the same left fold as summing over Bucket objects, to the bit
         assert lazy.distinct == eager.distinct == 0.1 + 0.2 + 0.3
-        assert "buckets" not in vars(lazy)
+        assert len(bucket_births) == built
+        assert not hasattr(lazy, "__dict__") and not hasattr(eager, "__dict__")
         assert lazy.buckets == eager.buckets  # still there when asked for
+        assert lazy.buckets is not lazy.buckets  # built per read, never kept
 
-    def test_empty(self):
+    def test_empty(self, bucket_births):
         empty = Histogram.from_arrays(*(np.empty(0) for _ in range(4)), null_count=2.0)
         assert empty.is_empty() and empty.bucket_count == 0 and empty.distinct == 0.0
         with pytest.raises(ValueError):
             _ = empty.high
-        assert "buckets" not in vars(empty)
+        assert not hasattr(empty, "__dict__") and not bucket_births
+
+
+def same_histogram(got: Histogram, expected: Histogram) -> bool:
+    """Equal columns and numbers, bit for bit, in a slotted histogram."""
+    return (
+        type(got) is Histogram
+        and not hasattr(got, "__dict__")
+        and all(
+            a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            for a, b in zip(got.bucket_arrays(), expected.bucket_arrays())
+        )
+        and (got.null_count, got.frequency, got.total)
+        == (expected.null_count, expected.frequency, expected.total)
+    )
+
+
+COPIES = {
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestCopies:
+    """A slotted histogram survives ``pickle`` / ``copy`` / ``deepcopy``,
+    walked or not, and so does a result whose matches carry one."""
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_histogram(self, how):
+        fresh = TestHistogram().make()
+        walked = TestHistogram().make()
+        walked.estimate_range_count(0, 12)  # builds the row cache
+        for histogram in (fresh, walked):
+            copied = COPIES[how](histogram)
+            assert same_histogram(copied, histogram)
+            for low, high in ((0, 4.5), (10, 10), (-1, 25), (12, 3)):
+                assert copied.estimate_range_selectivity(low, high) == (
+                    histogram.estimate_range_selectivity(low, high)
+                )
+            assert copied.estimate_equality_count(15) == 4.0
+            assert copied.buckets == histogram.buckets
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_result_carrying_a_histogram(
+        self, how, two_table_pool, two_table_join, two_table_attrs
+    ):
+        predicates = frozenset(
+            {two_table_join, FilterPredicate(two_table_attrs["Ra"], 0, 20)}
+        )
+        result = GetSelectivity(two_table_pool, NIndError())(predicates)
+        copied = COPIES[how](result)
+        assert (copied.selectivity, copied.error, copied.coverage) == (
+            result.selectivity,
+            result.error,
+            result.coverage,
+        )
+        assert copied.decomposition == result.decomposition
+        pairs = [
+            (got.sit.histogram, expected.sit.histogram)
+            for got_match, match in zip(copied.matches, result.matches)
+            for got, expected in zip(
+                got_match.attribute_matches, match.attribute_matches
+            )
+        ]
+        assert pairs
+        for got, expected in pairs:
+            assert same_histogram(got, expected)
 
 
 class TestValuesAndFrequencies:

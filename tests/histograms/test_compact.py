@@ -109,6 +109,9 @@ class TestCompactEqualsGreedy:
             (b.low, b.high, b.frequency) for b in compact(histogram, 4).buckets
         ] == [(0.0, 1.0, 2.0), (2.0, 3.0, 2.0), (4.0, 4.0, 1.0), (5.0, 5.0, 1.0)]
 
-    def test_result_does_not_materialize_buckets(self):
+    def test_result_does_not_materialize_buckets(self, bucket_births):
         histogram = Histogram([Bucket(float(i), float(i), 1.0, 1.0) for i in range(9)])
-        assert "buckets" not in vars(compact(histogram, 3))
+        del bucket_births[:]
+        compacted = compact(histogram, 3)
+        assert compacted.bucket_count == 3
+        assert not bucket_births and not hasattr(compacted, "__dict__")

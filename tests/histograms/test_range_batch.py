@@ -249,17 +249,19 @@ class TestRowWalkEdgeCases:
             else:
                 assert math.isnan(fraction)
 
-    def test_the_walks_build_no_bucket_objects(self):
-        _, (_, attached, shared) = edge_forms(EDGE_HISTOGRAMS["covered run"])
-        for histogram in (attached, shared):
+    def test_the_walks_build_no_bucket_objects(self, bucket_births):
+        forms = edge_forms(EDGE_HISTOGRAMS["covered run"])[1]
+        del bucket_births[:]
+        for histogram in forms:
             histogram.estimate_range_count(5.0, 55.0)
             histogram.estimate_range_distinct(5.0, 55.0)
             histogram.estimate_equality_count(20.0)
-            assert "buckets" not in vars(histogram)
+            assert not hasattr(histogram, "__dict__")
+        assert not bucket_births
 
     def test_rows_over_buckets_hold_the_buckets_floats(self):
-        """Rows beside ``Bucket`` objects reuse their floats: no second
-        copy of every bound and count."""
+        """``.buckets`` is built over the rows' own floats: one copy of
+        every bound and count, whichever view is read."""
         built, _ = edge_forms(EDGE_HISTOGRAMS["point buckets"])
         built.estimate_range_count(0.0, 10.0)
         for row, field in zip(built._rows, ("low", "high", "frequency", "distinct")):

@@ -85,7 +85,7 @@ class TestFlatStatsRemoved:
         algorithm(predicates)
         assert not hasattr(algorithm, "stats")
         snapshot = algorithm.stats_snapshot()
-        assert "match_cache_entries" in snapshot.caches
+        assert "memo_entries" in snapshot.caches
         assert "matcher_calls" in snapshot.counters
 
     def test_estimator_has_no_stats(

@@ -47,18 +47,15 @@ class TestFactorSharing:
         snapshot = service_catalog.snapshot()
 
         # K isolated sessions: every factor match is computed from
-        # scratch (``matcher_calls`` counts *logical* invocations — the
-        # paper's Figure 6 metric; ``match_cache_misses`` counts the
-        # matching passes actually executed, which is what sharing saves).
+        # scratch (``matcher_calls`` counts the paper's Figure 6
+        # invocations, each one a pair priced — what sharing saves).
         isolated_match_passes = 0.0
-        isolated_hits = 0.0
         for query in queries:
             session = EstimationSession(snapshot, plan_cache=False)
             session.estimate(query)
-            caches = session.stats_snapshot().caches
-            isolated_match_passes += caches["match_cache_misses"]
-            isolated_hits += caches["match_cache_hits"]
-        assert isolated_hits == 0.0  # nothing shared across sessions
+            isolated_match_passes += session.stats_snapshot().counters[
+                "matcher_calls"
+            ]
 
         with EstimationService(
             service_catalog, config=COALESCING_NO_PLAN_CACHE
@@ -68,7 +65,7 @@ class TestFactorSharing:
 
         # the shared join core is solved once and is a memo lookup for
         # every later member
-        assert stats.caches["match_cache_misses"] < isolated_match_passes
+        assert stats.counters["matcher_calls"] < isolated_match_passes
         assert stats.service["served"] == float(len(queries))
         assert stats.service["batches"] == 1.0
         assert all(answer.batch_size == len(queries) for answer in answers)
