@@ -31,7 +31,8 @@ The public API is re-exported here; the subpackages are:
   :func:`~repro.service.connect`;
 * :mod:`repro.cluster` — the multi-process estimation tier: shard
   processes over one shared-memory snapshot behind a consistent-hash
-  router with hedged requests (``python -m repro serve --shards N``);
+  router that holds a swapping or faulted shard's requests until it
+  serves at the cluster's version (``python -m repro serve --shards N``);
 * :mod:`repro.bench` — the experiment harness regenerating every figure.
 """
 

@@ -336,7 +336,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shards:
         config = dataclasses.replace(
             config,
-            cluster=ClusterConfig(shards=args.shards, replicas=args.replicas),
+            cluster=ClusterConfig(shards=args.shards),
         )
     # arm the chaos plan before the workers spin up so every injection
     # point on the serving path (snapshot pin, SIT match, histogram
@@ -348,8 +348,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             from repro.cluster import EstimationCluster
 
             print(
-                f"spawning {config.cluster.shards} shard(s) + "
-                f"{config.cluster.replicas} replica(s) over one "
+                f"spawning {config.cluster.shards} shard(s) over one "
                 "shared-memory snapshot ...",
                 file=sys.stderr,
             )
@@ -568,12 +567,6 @@ def main(argv: list[str] | None = None) -> int:
             "serve through the multi-process cluster tier with this many "
             "shard processes (0 = single-process service)"
         ),
-    )
-    serve.add_argument(
-        "--replicas",
-        type=int,
-        default=0,
-        help="hedge-only replica processes (requires --shards)",
     )
     serve.add_argument(
         "--fault-plan",

@@ -1,25 +1,26 @@
-"""The ``service`` suite: overload shedding and the multi-process tier.
-
-Two regimes on a *shared-factor* workload (a request stream sampled from
-a small set of distinct queries, the optimizer-inner-loop pattern where
-many concurrent estimations share decomposition factors):
+"""The ``service`` suite: overload shedding, and where the cluster wins.
 
 ``open_loop``
-    requests arrive at a fixed rate — 4x what one sequential
+    a *shared-factor* stream (requests sampled from a small set of
+    distinct queries, the optimizer-inner-loop pattern) arriving at a
+    fixed rate — 4x what one sequential
     :class:`~repro.catalog.EstimationSession` sustains on this host,
     measured first — against a deliberately small queue: the overload
     regime.  Admission control must shed with typed ``Overloaded``
     responses, and everything admitted must still be answered
     (``served + shed == offered``, clean drain).
 ``cluster``
-    the same stream, closed loop, through an
-    :class:`~repro.cluster.EstimationCluster` at 1 shard and at
-    ``shards`` shards, so the report carries the process-parallel
-    speedup *measured on this host*.  The block records ``cores``
-    (``os.cpu_count()``) because the scaling claim only materialises
-    with >= ``shards`` physical cores — on a 1-core container the
-    expected honest result is <1x (IPC overhead), and the numbers are
-    reported as observed, never projected.
+    the question the multi-process tier has to answer: does a
+    ``SHARDS``-shard :class:`~repro.cluster.EstimationCluster` beat a
+    ``WORKERS``-worker :class:`~repro.service.EstimationService` on the
+    same host?  Two regimes, on the template classes of the repository
+    benchmark's ``cold_shapes`` and ``replay_hot`` workloads over a J2
+    catalog: the *cold mix* (every template a plan-cache miss, so DP,
+    matching and histogram joins decide) and the *hot stream* (every
+    answer a compiled-plan replay, so the hop decides).  Each reports
+    estimates/s as q1 / median / q3 over alternating pairs, with the
+    host's ``cores``: process parallelism only pays with >= ``SHARDS``
+    cores, and the numbers are reported as measured, never projected.
 
 Closed-loop throughput and latency of the single-process service are the
 repository benchmark's ``replay_hot`` / ``serve_tcp`` workloads
@@ -33,11 +34,11 @@ from __future__ import annotations
 import os
 import random
 import sys
-import threading
 import time
 
 from repro.bench.suites import percentile
 from repro.catalog import EstimationSession, StatisticsCatalog
+from repro.core.plancache import shape_fingerprint
 from repro.engine.expressions import Query
 from repro.service import (
     ClusterConfig,
@@ -46,6 +47,23 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.workload.fixture import snowflake_fixture
+from repro.workload.queries import WorkloadConfig, WorkloadGenerator
+from repro.workload.snowflake import SnowflakeConfig, generate_snowflake
+
+#: the cluster block compares this many service worker threads with this
+#: many shard processes: one per core of the 2-core host it was decided on
+WORKERS = SHARDS = 2
+#: seed of the cluster block's database and templates (the repository
+#: benchmark's fixed seed)
+CLUSTER_SEED = 20040613
+#: (joins, filters, templates) per class: the catalog is built over the
+#: hot classes and the cold mix is drawn apart from it, as in the
+#: benchmark's ``replay_hot`` / ``cold_shapes`` workloads
+HOT_CLASSES = (
+    (1, 2, 4), (1, 3, 3), (2, 2, 3), (2, 3, 3),
+    (2, 4, 3), (3, 3, 3), (3, 4, 3), (4, 3, 3),
+)  # fmt: skip
+COLD_CLASSES = ((2, 2, 15), (2, 3, 16), (3, 3, 12), (3, 4, 4))
 
 
 def request_stream(
@@ -129,119 +147,126 @@ def run_open_loop(
     }
 
 
-def _drive_cluster(
-    catalog,
-    stream: list[Query],
-    shards: int,
-    clients: int,
-    pipeline: int = 8,
-) -> dict:
-    """Closed loop through an :class:`~repro.cluster.EstimationCluster`
-    of ``shards`` single-worker shard processes: ``clients`` threads,
-    each keeping up to ``pipeline`` requests in flight (submit ahead,
-    then wait for the oldest); latency is per request, submit to
-    completion."""
-    from repro.cluster import EstimationCluster
+def draw_templates(
+    database, classes: tuple[tuple[int, int, int], ...], seed: int
+) -> list[Query]:
+    """Up to ``count`` distinct query templates per ``(joins, filters,
+    count)`` class, distinct on the plan-cache shape fingerprint, so each
+    is its own plan-cache entry and shard placement."""
+    templates: list[Query] = []
+    for joins, filters, count in classes:
+        generator = WorkloadGenerator(
+            database,
+            WorkloadConfig(
+                join_count=joins,
+                filter_count=filters,
+                seed=seed + 1000 * joins + filters,
+            ),
+        )
+        seen: set = set()
+        for _attempt in range(50 * count):
+            query = generator.generate_one()
+            fingerprint = shape_fingerprint(query.predicates)[0]
+            # the generator may drop filters on an empty result
+            if len(query.predicates) == joins + filters and fingerprint not in seen:
+                seen.add(fingerprint)
+                templates.append(query)
+                if len(seen) == count:
+                    break
+    return templates
 
-    config = ServiceConfig(
-        queue_depth=max(256, len(stream)),
-        cluster=ClusterConfig(
-            shards=shards,
-            shard_workers=1,
-            # hedging off for the throughput measurement: a hedge doubles
-            # the work of the slowest tail, which is honest for latency
-            # but noise when comparing shard counts
-            hedge_delay_s=60.0,
-        ),
-    )
-    shards_of_work = [stream[i::clients] for i in range(clients)]
-    latencies_by_client: list[list[float]] = [[] for _ in range(clients)]
-    errors: list[BaseException] = []
 
-    cluster = EstimationCluster(catalog, config=config)
-    try:
-        for query in _distinct(stream):  # warm every shard's template
-            cluster.estimate(query)
+def _rate(target, groups: list[list[Query]]) -> float:
+    """Estimates per second answering ``groups`` in turn, each admitted
+    as one group (``submit_many``), the way an optimizer asks for a
+    plan's sub-plans."""
+    started = time.perf_counter()
+    for group in groups:
+        for outcome in target.submit_many([(query, None) for query in group]):
+            if isinstance(outcome, Exception):
+                raise outcome
+            outcome.result(timeout=120.0)
+    return sum(map(len, groups)) / (time.perf_counter() - started)
 
-        def client_loop(index: int) -> None:
-            try:
-                window: list[tuple[float, object]] = []
-                record = latencies_by_client[index].append
 
-                def reap() -> None:
-                    t0, future = window.pop(0)
-                    future.result(timeout=120.0)
-                    record((time.perf_counter() - t0) * 1000.0)
-
-                for query in shards_of_work[index]:
-                    if len(window) >= pipeline:
-                        reap()
-                    window.append(
-                        (time.perf_counter(), cluster.submit(query))
-                    )
-                while window:
-                    reap()
-            except BaseException as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=client_loop, args=(index,))
-            for index in range(clients)
-        ]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - started
-        snapshot = cluster.stats_snapshot()
-    finally:
-        cluster.close()
-    if errors:
-        raise RuntimeError(f"cluster client failed: {errors[0]!r}")
-    latencies = [value for client in latencies_by_client for value in client]
-    cluster_ns = dict(snapshot.cluster)
-    return {
-        "shards": shards,
-        "clients": clients,
-        "pipeline": pipeline,
-        "requests": len(latencies),
-        "seconds": elapsed,
-        "qps": len(latencies) / elapsed if elapsed > 0 else 0.0,
-        "mean_ms": sum(latencies) / len(latencies),
-        "p50_ms": percentile(latencies, 0.50),
-        "p95_ms": percentile(latencies, 0.95),
-        "p99_ms": percentile(latencies, 0.99),
-        "routed": cluster_ns.get("routed", 0.0),
-        "spilled": cluster_ns.get("spilled", 0.0),
-        "ejections": cluster_ns.get("ejections", 0.0),
+def _pairs(measure: dict, pairs: int) -> dict:
+    """``pairs`` runs of each side of ``measure`` (``"service"`` and
+    ``"cluster"``, each a zero-argument rate), alternating which runs
+    first: each side's q1 / median / q3 and the ratio of medians."""
+    sides = list(measure)
+    runs: dict[str, list[float]] = {side: [] for side in sides}
+    for index in range(pairs):
+        for side in sides if index % 2 == 0 else sides[::-1]:
+            runs[side].append(measure[side]())
+    block = {
+        side: {
+            "q1": percentile(values, 0.25),
+            "median": percentile(values, 0.50),
+            "q3": percentile(values, 0.75),
+            "runs": values,
+        }
+        for side, values in runs.items()
     }
+    block["cluster_vs_service"] = (
+        block["cluster"]["median"] / block["service"]["median"]
+    )
+    return block
 
 
 def run_cluster(
-    catalog,
-    stream: list[Query],
-    shards: int,
-    clients: int,
+    catalog: StatisticsCatalog,
+    cold: list[Query],
+    hot: list[Query],
+    pairs: int,
+    rounds: int,
 ) -> dict:
-    """The ``cluster`` block: 1 shard vs ``shards`` shards.
+    """The ``cluster`` block: a ``WORKERS``-worker service against a
+    ``SHARDS``-shard cluster over the same catalog.
 
-    ``cores`` is recorded so the reader can judge the speedup honestly:
-    shard processes beat one process only when they run on distinct
-    cores.  The numbers are measured, never projected.
+    ``cold_mix`` sends every ``cold`` template once, as one group, to a
+    fresh service or cluster per pass; the service's pool joins are
+    cleared first, since fresh shard processes start without any.
+    ``hot_stream`` sends ``hot`` as ``rounds`` groups through one warmed
+    instance per side, so every answer is a compiled-plan replay.
     """
-    single = _drive_cluster(catalog, stream, shards=1, clients=clients)
-    print(f"cluster 1x:  {single['qps']:8.1f} qps", file=sys.stderr)
-    sharded = _drive_cluster(catalog, stream, shards=shards, clients=clients)
-    cores = os.cpu_count() or 1
+    from repro.cluster import EstimationCluster
+
+    service_config = ServiceConfig(workers=WORKERS)
+    cluster_config = ServiceConfig(cluster=ClusterConfig(shards=SHARDS))
+
+    def cold_service() -> float:
+        catalog.pool.derived_joins.clear()
+        with EstimationService(catalog, config=service_config) as service:
+            return _rate(service, [cold])
+
+    def cold_cluster() -> float:
+        with EstimationCluster(catalog, config=cluster_config) as cluster:
+            return _rate(cluster, [cold])
+
+    cold_mix = _pairs({"service": cold_service, "cluster": cold_cluster}, pairs)
+    with EstimationService(catalog, config=service_config) as service, \
+            EstimationCluster(catalog, config=cluster_config) as cluster:
+        # every worker / shard session compiles every shape
+        _rate(service, [hot] * 4)
+        _rate(cluster, [hot] * 4)
+        hot_stream = _pairs(
+            {
+                "service": lambda: _rate(service, [hot] * rounds),
+                "cluster": lambda: _rate(cluster, [hot] * rounds),
+            },
+            pairs,
+        )
     return {
-        "cores": cores,
-        "single_shard": single,
-        "sharded": sharded,
-        "speedup_vs_single_shard": (
-            sharded["qps"] / single["qps"] if single["qps"] else 0.0
+        "cores": os.cpu_count() or 1,
+        "service_workers": WORKERS,
+        "shards": SHARDS,
+        "pairs": pairs,
+        "unit": "estimates/s",
+        "cold_mix": dict(cold_mix, requests_per_pass=len(cold)),
+        "hot_stream": dict(hot_stream, requests_per_pass=len(hot) * rounds),
+        "cluster_wins_cold_mix": (
+            cold_mix["cluster"]["median"] >= cold_mix["service"]["median"]
         ),
-        "core_limited": cores < shards,
     }
 
 
@@ -251,10 +276,11 @@ def run(
     seed: int = 42,
     distinct: int = 4,
     requests: int = 400,
-    clients: int = 16,
     workers: int = 1,
     overload_queue_depth: int = 8,
-    shards: int = 4,
+    cluster_scale: float = 1.0,
+    pairs: int = 7,
+    rounds: int = 20,
 ) -> dict:
     fixture = snowflake_fixture(
         scale, seed, distinct, join_count=4, filter_count=4, max_joins=2
@@ -264,6 +290,19 @@ def run(
     print(
         f"workload: {distinct} distinct queries, {requests} requests, "
         f"{len(catalog)} SITs",
+        file=sys.stderr,
+    )
+
+    database = generate_snowflake(
+        SnowflakeConfig(scale=cluster_scale, seed=CLUSTER_SEED)
+    )
+    hot = draw_templates(database, HOT_CLASSES, CLUSTER_SEED)
+    cold = draw_templates(database, COLD_CLASSES, CLUSTER_SEED)
+    cluster_catalog = StatisticsCatalog.build(database, hot, max_joins=2)
+    cluster_catalog.add_missing_base_histograms()
+    print(
+        f"cluster: {len(cold)} cold / {len(hot)} hot templates, "
+        f"{len(cluster_catalog)} SITs, {pairs} pairs",
         file=sys.stderr,
     )
 
@@ -280,7 +319,7 @@ def run(
             workers=workers,
             queue_depth=overload_queue_depth,
         )
-        cluster = run_cluster(catalog, stream, shards=shards, clients=clients)
+        cluster = run_cluster(cluster_catalog, cold, hot, pairs, rounds)
     finally:
         sys.setswitchinterval(previous_switch_interval)
     return {
@@ -289,6 +328,9 @@ def run(
             "seed": seed,
             "distinct_queries": distinct,
             "requests": requests,
+            "cluster_scale": cluster_scale,
+            "cluster_seed": CLUSTER_SEED,
+            "rounds": rounds,
         },
         "service": {"open_loop": open_loop, "cluster": cluster},
     }
@@ -297,21 +339,28 @@ def run(
 def render(blocks: dict) -> str:
     open_loop = blocks["service"]["open_loop"]
     cluster = blocks["service"]["cluster"]
-    return "\n".join(
-        [
-            (
-                f"open loop:   shed {open_loop['shed']}/{open_loop['offered']} "
-                f"({open_loop['shed_rate']:.0%}) at "
-                f"{open_loop['offered_qps']:.0f} qps offered, "
-                f"clean={open_loop['clean_shutdown']}, "
-                f"conserved={open_loop['conservation_ok']}"
-            ),
-            (
-                f"cluster:     {cluster['single_shard']['qps']:.1f} qps at 1 "
-                f"shard, {cluster['sharded']['qps']:.1f} qps at "
-                f"{cluster['sharded']['shards']} "
-                f"({cluster['speedup_vs_single_shard']:.2f}x on "
-                f"{cluster['cores']} core(s))"
-            ),
-        ]
-    )
+    lines = [
+        (
+            f"open loop:   shed {open_loop['shed']}/{open_loop['offered']} "
+            f"({open_loop['shed_rate']:.0%}) at "
+            f"{open_loop['offered_qps']:.0f} qps offered, "
+            f"clean={open_loop['clean_shutdown']}, "
+            f"conserved={open_loop['conservation_ok']}"
+        ),
+        (
+            f"cluster:     workers={cluster['service_workers']} service vs "
+            f"shards={cluster['shards']} cluster, {cluster['pairs']} pairs "
+            f"on {cluster['cores']} core(s), est/s q1 / median / q3"
+        ),
+    ]
+    for name in ("cold_mix", "hot_stream"):
+        regime = cluster[name]
+        sides = ", ".join(
+            f"{side} {regime[side]['q1']:.0f} / {regime[side]['median']:.0f} "
+            f"/ {regime[side]['q3']:.0f}"
+            for side in ("service", "cluster")
+        )
+        lines.append(
+            f"  {name:<11}{sides} ({regime['cluster_vs_service']:.2f}x)"
+        )
+    return "\n".join(lines)

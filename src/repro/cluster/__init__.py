@@ -12,12 +12,13 @@ per-process copy of the statistics:
 * :mod:`repro.cluster.shard` — the child-process entrypoint: a full
   :class:`~repro.service.EstimationService` behind a TCP front-end
   that adds the cluster control ops (``invalidate``, ``crash``);
-* :mod:`repro.cluster.ring` — consistent hashing of query-template
-  fingerprints onto shards, with eject / spill-to-successor / rejoin;
+* :mod:`repro.cluster.ring` — static consistent hashing of
+  query-template fingerprints onto shards;
 * :mod:`repro.cluster.router` — :class:`EstimationCluster`, the one
   public entry: spawns the shards, routes by template so per-shard
-  caches stay hot, hedges tail requests, ejects and revives tripped
-  shards, and fans table updates out coherently.
+  caches stay hot, and keeps every answer at the cluster's version
+  through one per-shard hold — installed while a table update fans out
+  and while a faulted shard is respawned in place and caught up.
 
 The router duck-types :class:`~repro.service.EstimationService`, so the
 redesigned client API needs no cluster-specific spelling::

@@ -1,4 +1,4 @@
-"""Consistent-hash ring over shard ids, with ejection and rejoin.
+"""Consistent-hash ring over shard ids.
 
 The router hashes each request's plan-cache shape fingerprint digest
 (:func:`repro.core.plancache.fingerprint_digest`) onto the ring, so all
@@ -7,10 +7,9 @@ estimate / compiled-plan caches stay hot.  Virtual nodes (``points`` per
 shard) smooth the keyspace split; blake2b keeps placement stable across
 processes and runs (``hash()`` is salted per process and useless here).
 
-Health handling is structural: :meth:`eject` removes a tripped shard's
-points, so its keyspace *spills to the ring successors* with no routing
-table to rebuild, and :meth:`rejoin` restores exactly the old placement
-— templates return to their original shard and re-warm its caches.
+Membership is static: a faulted shard is held and respawned in place by
+the router (:mod:`repro.cluster.router`), never taken off the ring, so
+its templates always come back to the caches they warmed.
 """
 
 from __future__ import annotations
@@ -31,88 +30,23 @@ class HashRing:
     def __init__(self, shards, points: int = 64):
         if points < 1:
             raise ValueError("points must be >= 1")
-        self._points = points
-        self._members: set[int] = set()
-        self._ejected: set[int] = set()
-        #: sorted virtual-node positions and their parallel owners,
-        #: rebuilt on membership change (lookups are pure bisect)
-        self._ring: list[int] = []
-        self._owners: list[int] = []
-        for shard in shards:
-            self._members.add(int(shard))
-        if not self._members:
+        pairs = sorted(
+            (_point(f"shard-{shard}#{index}"), shard)
+            for shard in sorted({int(shard) for shard in shards})
+            for index in range(points)
+        )
+        if not pairs:
             raise ValueError("ring requires at least one shard")
-        self._rebuild()
-
-    # ------------------------------------------------------------------
-    def _rebuild(self) -> None:
-        pairs: list[tuple[int, int]] = []
-        for shard in sorted(self._members - self._ejected):
-            for index in range(self._points):
-                pairs.append((_point(f"shard-{shard}#{index}"), shard))
-        pairs.sort()
+        #: sorted virtual-node positions and their parallel owners
         self._ring = [position for position, _ in pairs]
         self._owners = [owner for _, owner in pairs]
 
-    # ------------------------------------------------------------------
-    @property
-    def members(self) -> frozenset[int]:
-        """All shards, ejected included."""
-        return frozenset(self._members)
-
-    @property
-    def active(self) -> frozenset[int]:
-        return frozenset(self._members - self._ejected)
-
-    @property
-    def ejected(self) -> frozenset[int]:
-        return frozenset(self._ejected)
-
-    # ------------------------------------------------------------------
     def lookup(self, key: str) -> int:
-        """The active shard owning ``key`` (first point clockwise)."""
-        if not self._ring:
-            raise LookupError("every shard is ejected; nothing to route to")
+        """The shard owning ``key`` (first point clockwise)."""
         index = bisect.bisect_right(self._ring, _point(key))
         if index == len(self._ring):
             index = 0
         return self._owners[index]
-
-    def successor(self, key: str, after: int) -> int:
-        """The first active shard clockwise of ``key`` that is not
-        ``after`` — the hedge target when no dedicated replica exists,
-        and where an ejected shard's keys spill."""
-        if not self._ring:
-            raise LookupError("every shard is ejected; nothing to route to")
-        start = bisect.bisect_right(self._ring, _point(key))
-        size = len(self._ring)
-        for step in range(size):
-            owner = self._owners[(start + step) % size]
-            if owner != after:
-                return owner
-        return after  # single active shard: it is its own successor
-
-    # ------------------------------------------------------------------
-    def eject(self, shard: int) -> bool:
-        """Remove a shard's points (keyspace spills to successors).
-        Returns False when already ejected / unknown."""
-        shard = int(shard)
-        if shard not in self._members or shard in self._ejected:
-            return False
-        if len(self._members - self._ejected) == 1:
-            raise RuntimeError("cannot eject the last active shard")
-        self._ejected.add(shard)
-        self._rebuild()
-        return True
-
-    def rejoin(self, shard: int) -> bool:
-        """Restore an ejected shard's exact previous placement."""
-        shard = int(shard)
-        if shard not in self._ejected:
-            return False
-        self._ejected.discard(shard)
-        self._rebuild()
-        return True
 
 
 __all__ = ["HashRing"]

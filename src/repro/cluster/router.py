@@ -7,7 +7,7 @@ or wraps a service — :func:`repro.service.connect`,
 :func:`repro.service.start_in_thread`, the CLI — works over a cluster
 unchanged.  Underneath:
 
-* **spawn** — ``shards + replicas`` child processes
+* **spawn** — ``shards`` child processes
   (:func:`repro.cluster.shard.shard_main`, ``spawn`` start method) all
   attach the router's one shared-memory snapshot export
   (:mod:`repro.cluster.shm`): N processes, one copy of the histograms;
@@ -15,44 +15,41 @@ unchanged.  Underneath:
   fingerprint (:func:`repro.core.plancache.shape_fingerprint`), so
   every query template lands on one shard and that shard's match /
   estimate / compiled-plan caches stay hot across the keyspace split;
-* **hedge** — a request still unanswered after a p95-derived delay is
-  duplicated to a replica (or the ring successor when ``replicas=0``);
-  the first answer wins, the loser is counted, never double-completed;
-* **heal** — per-shard faults feed a
-  :class:`~repro.resilience.breaker.CircuitBreaker` keyed by shard id;
-  a tripped shard is ejected from the ring (its keyspace spills to the
-  ring successors), respawned in the background and rejoined at its
-  exact old placement;
-* **stay coherent** — :meth:`notify_table_update` bumps the primary
-  catalog, then *holds* new requests per shard while fanning out an
-  ``invalidate`` op; each shard's held requests flush only after that
-  shard acks at the new version, so no request routed after the update
-  is ever served from a stale shard snapshot.
+* **hold** — a shard that must not serve parks the requests routed to
+  it in a bounded per-shard hold, released by one step
+  (:meth:`EstimationCluster._release`) once the shard is at the
+  cluster's version.  Two things install a hold:
+
+  - a swap: :meth:`notify_table_update` holds every shard, bumps the
+    primary catalog and fans an ``invalidate`` out; each shard's ack
+    releases its hold, so no request routed after the update is served
+    from a stale shard snapshot;
+  - a fault (a transport error on the shard's link, a failed or
+    ``ok: false`` swap ack, a fault during the fan-out): the link is
+    closed, the process is respawned in place, caught up by replaying
+    every post-export invalidation, and its hold released.
 
 Telemetry lives under the ``cluster`` namespace of
-:meth:`stats_snapshot` (routed / spilled / hedges / hedge_wins /
-hedge_cancelled / holds / swaps / ...; see
-:mod:`repro.obs.snapshot`).
+:meth:`stats_snapshot` (routed / holds / held_requests / swaps /
+shard_faults / rejoins / ...; see :mod:`repro.obs.snapshot`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import itertools
 import multiprocessing
 import socket
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.catalog.catalog import CatalogSnapshot, StatisticsCatalog
 from repro.core.plancache import fingerprint_digest, shape_fingerprint
 from repro.engine.database import Database
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import StatsSnapshot
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import POINT_SWAP_UNDER_WRITE, inject
 from repro.service.client import TransportError
 from repro.service.config import ClusterConfig, ServiceConfig
@@ -78,8 +75,9 @@ class _ShardLink:
 
     A single background reader correlates responses to request futures
     by id, so any number of router threads can have requests in flight
-    on one socket.  When the connection dies every pending future fails
-    with :class:`TransportError` — the router's fault signal.
+    on one socket.  When the connection dies every pending future — and
+    every later request — fails with :class:`TransportError`, the
+    router's fault signal.
     """
 
     def __init__(self, shard_id: int, host: str, port: int, timeout_s: float = 30.0):
@@ -152,6 +150,9 @@ class _ShardLink:
 
     def _fail_pending(self, exc: Exception) -> None:
         with self._pending_lock:
+            # nobody reads this socket any more: a later request would
+            # wait forever, so it fails at once instead
+            self._closed = True
             pending = list(self._pending.values())
             self._pending.clear()
         for future in pending:
@@ -175,14 +176,10 @@ class _ShardLink:
             pass
 
 
-#: bound on transparent re-dispatches of one request after shard faults
+#: bound on the shard incarnations one request may try: each transport
+#: fault it meets re-dispatches it, into the faulted shard's hold
 _MAX_REROUTES = 3
-#: multiplier on the live p95 latency when deriving the hedge delay
-_HEDGE_FACTOR = 1.5
-#: floor of the derived hedge delay (seconds); also the delay used
-#: before any latency has been observed
-_MIN_HEDGE_DELAY_S = 0.010
-#: seconds the router waits for a shard to come up / ack a swap
+#: seconds the router waits for a shard to come up / ack its catch-up
 _STARTUP_TIMEOUT_S = 60.0
 
 
@@ -220,22 +217,26 @@ def _fold_shard_stats(prior: dict, live: dict) -> dict:
 
 @dataclass(eq=False)
 class _Request:
-    """One client request travelling router -> shard(s) -> future."""
+    """One client request travelling router -> shard -> future."""
 
-    predicates: frozenset
     tables: frozenset[str]
     digest: str
     payload: dict
     future: Future
     submitted_at: float
-    timeout: float | None = None
-    #: the ring owner the primary attempt was sent to
-    shard: int | None = None
-    #: attempts still in flight (primary + hedges); the last error loses
-    outstanding: int = 0
     reroutes: int = 0
-    hedged: bool = False
-    lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+def _settle(entry: _Request, answer=None, error: Exception | None = None) -> None:
+    """Complete a request's future, unless its caller already cancelled
+    it."""
+    try:
+        if error is None:
+            entry.future.set_result(answer)
+        else:
+            entry.future.set_exception(error)
+    except InvalidStateError:
+        pass
 
 
 class EstimationCluster:
@@ -248,12 +249,13 @@ class EstimationCluster:
     cluster shape comes from ``config.cluster``
     (:class:`~repro.service.ClusterConfig`; defaulted when absent).
 
-    ``_links`` is a test seam: a prebuilt list of link-like objects
-    (``request(payload) -> Future[dict]``, ``close()``,
-    ``pending_count``) that replaces process spawning — the first
-    ``cluster.shards`` entries become ring shards, the rest replicas.
-    Hedging, holds and routing are then unit-testable without a single
-    child process.
+    ``_links`` and ``_respawn`` are a test seam that replaces process
+    spawning: ``_links`` is a prebuilt list of ``cluster.shards``
+    link-like objects (``request(payload) -> Future[dict]``,
+    ``close()``, ``pending_count``), and ``_respawn(shard)`` returns a
+    fresh link for a faulted shard (or raises, as a failed spawn does).
+    Routing, holds and hold → respawn → catch-up → flush are then
+    unit-testable without a single child process.
     """
 
     def __init__(
@@ -264,6 +266,7 @@ class EstimationCluster:
         config: ServiceConfig | None = None,
         name: str = "repro.cluster",
         _links: "list | None" = None,
+        _respawn=None,
     ):
         if config is None:
             config = ServiceConfig(cluster=ClusterConfig())
@@ -283,26 +286,23 @@ class EstimationCluster:
         self._closed = threading.Event()
         self.metrics = MetricsRegistry()
         self._metrics_lock = threading.Lock()
-        #: shard-id-keyed breaker: repeated faults eject the shard
-        self._breaker = CircuitBreaker(
-            threshold=cluster.breaker_threshold,
-            window_s=cluster.breaker_window_s,
-        )
-        self._shard_ids = list(range(cluster.shards))
-        self._replica_ids = list(
-            range(cluster.shards, cluster.shards + cluster.replicas)
-        )
-        self._ring = HashRing(self._shard_ids, points=cluster.ring_points)
-        #: everything below the ring is guarded by _route_lock
+        self._ring = HashRing(range(cluster.shards), points=cluster.ring_points)
+        #: what every shard starts from: the exported table versions, and
+        #: the catalog version the shards are pinned to (moved by swaps)
+        self._exported_tables = dict(self._catalog.table_versions)
+        self._version = self._catalog.version
+        #: everything below is guarded by _route_lock.  A shard with a
+        #: link and no hold serves; one with a hold parks its requests (a
+        #: swap awaits its ack, or its link is gone and a respawn runs);
+        #: one with neither is down after a failed respawn, and the next
+        #: request routed to it starts another
         self._route_lock = threading.Lock()
         self._links: dict[int, object] = {}
         self._held: dict[int, list[_Request]] = {}
-        self._reviving: set[int] = set()
-        #: per-member shard stats: the latest polled snapshot of the live
+        #: per-shard stats: the latest polled snapshot of the live
         #: process, and the counter totals folded from dead incarnations
         self._shard_stats_last: dict[int, dict] = {}
         self._shard_stats_prior: dict[int, dict] = {}
-        self._replica_cursor = 0
         #: optional StalenessTracker stamping answers with bounded-
         #: staleness provenance (see :meth:`attach_staleness`)
         self._staleness = None
@@ -310,32 +310,24 @@ class EstimationCluster:
         self._export = None
         self._mp = None
         if _links is not None:
-            expected = cluster.shards + cluster.replicas
-            if len(_links) != expected:
+            if len(_links) != cluster.shards:
                 raise ValueError(
-                    f"_links must carry shards+replicas={expected} entries"
+                    f"_links must carry shards={cluster.shards} entries"
                 )
-            for member, link in enumerate(_links):
-                self._links[member] = link
+            self._links.update(enumerate(_links))
+            self._new_link = _respawn
         else:
             self._mp = multiprocessing.get_context("spawn")
             self._export = export_snapshot(self._catalog.snapshot(), self.database)
+            self._new_link = self._respawn_process
             try:
-                for member in self._shard_ids + self._replica_ids:
-                    process, link = self._spawn_shard(member)
-                    self._processes[member] = process
-                    self._links[member] = link
+                for shard in range(cluster.shards):
+                    process, link = self._spawn_shard(shard)
+                    self._processes[shard] = process
+                    self._links[shard] = link
             except Exception:
                 self._shutdown_processes()
                 raise
-        # hedge scheduler: fires duplicate requests after the delay
-        self._hedge_cv = threading.Condition()
-        self._hedge_heap: list[tuple[float, int, _Request]] = []
-        self._hedge_seq = itertools.count()
-        self._hedge_thread = threading.Thread(
-            target=self._hedge_loop, name=f"{name}-hedger", daemon=True
-        )
-        self._hedge_thread.start()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -361,19 +353,18 @@ class EstimationCluster:
             port=0,
         )
 
-    def _spawn_shard(self, member: int):
+    def _spawn_shard(self, shard: int):
         """Start one child process and dial its bootstrap-reported port."""
-        assert self._mp is not None and self._export is not None
         parent_conn, child_conn = self._mp.Pipe(duplex=False)
         process = self._mp.Process(
             target=shard_main,
             args=(
                 self._export.descriptor,
-                member,
+                shard,
                 self._shard_config().to_dict(),
                 child_conn,
             ),
-            name=f"{self.name}-shard-{member}",
+            name=f"{self.name}-shard-{shard}",
             daemon=True,
         )
         process.start()
@@ -381,16 +372,33 @@ class EstimationCluster:
         if not parent_conn.poll(_STARTUP_TIMEOUT_S):
             process.terminate()
             raise TimeoutError(
-                f"shard {member} did not report ready within "
+                f"shard {shard} did not report ready within "
                 f"{_STARTUP_TIMEOUT_S}s"
             )
         kind, detail = parent_conn.recv()
         parent_conn.close()
         if kind != "ready":
             process.join(timeout=5.0)
-            raise RuntimeError(f"shard {member} failed to start: {detail}")
-        link = _ShardLink(member, self.config.host, int(detail))
+            raise RuntimeError(f"shard {shard} failed to start: {detail}")
+        link = _ShardLink(shard, self.config.host, int(detail))
         return process, link
+
+    def _respawn_process(self, shard: int):
+        """Replace a faulted shard's process in place; returns its link."""
+        with self._route_lock:
+            old = self._processes.pop(shard, None)
+        if old is not None:
+            old.terminate()
+            old.join(timeout=5.0)
+        process, link = self._spawn_shard(shard)
+        with self._route_lock:
+            if not self._closed.is_set():
+                self._processes[shard] = process
+                return link
+        link.close()
+        process.terminate()
+        process.join(timeout=5.0)
+        raise ServiceClosed(f"{self.name} closed during a respawn")
 
     # ------------------------------------------------------------------
     # Admission + routing
@@ -416,13 +424,11 @@ class EstimationCluster:
         if timeout is not None:
             payload["timeout_ms"] = timeout * 1000.0
         entry = _Request(
-            predicates=predicates,
             tables=tables,
             digest=fingerprint_digest(fingerprint),
             payload=payload,
             future=Future(),
             submitted_at=time.monotonic(),
-            timeout=timeout,
         )
         self._dispatch(entry)
         return entry.future
@@ -454,13 +460,15 @@ class EstimationCluster:
         return self.estimate(query, timeout=timeout).cardinality
 
     # ------------------------------------------------------------------
-    def _dispatch(self, entry: _Request, *, spilled: bool = False) -> None:
-        """Route to the ring owner, honoring per-shard swap holds.
+    def _dispatch(self, entry: _Request) -> None:
+        """Send to the ring owner, or park in the owner's hold.
 
-        Hold queues are bounded (``cluster.max_held_requests`` per
-        shard): during a write storm the swap fan-out can outpace the
-        ack rate, and an unbounded park would turn every client timeout
-        into queued dead weight.  The excess is shed with a typed
+        A request routed to a shard that is down with no respawn running
+        (the last one failed) installs the hold and starts a respawn.
+        Holds are bounded (``cluster.max_held_requests`` per shard):
+        during a write storm the swap fan-out can outpace the ack rate,
+        and an unbounded park would turn every client timeout into
+        queued dead weight.  The excess is shed with a typed
         :class:`~repro.service.protocol.Overloaded` the moment it
         arrives, so callers get immediate backpressure instead of a
         stale queue position.
@@ -468,210 +476,80 @@ class EstimationCluster:
         cap = self.config.cluster.max_held_requests
         with self._route_lock:
             shard = self._ring.lookup(entry.digest)
-            held = self._held.get(shard)
-            if held is not None:
-                if len(held) >= cap:
-                    self._count("cluster.holds_shed")
-                    shed = Overloaded(
-                        f"shard {shard} holds {len(held)} requests behind "
-                        f"an in-flight swap (max_held_requests={cap})"
-                    )
-                else:
-                    held.append(entry)
-                    self._count("cluster.held_requests")
-                    return
-            else:
-                shed = None
             link = self._links.get(shard)
-        if shed is not None:
-            self._maybe_fail(entry, shed, force=True)
+            held = self._held.get(shard)
+            respawn = (
+                link is None and held is None and not self._closed.is_set()
+            )
+            if respawn:
+                held = self._held[shard] = []
+            if held is None:
+                error = None if link is not None else ServiceClosed(
+                    "cluster closed before serving"
+                )
+            elif len(held) < cap:
+                held.append(entry)
+                self._count("cluster.held_requests")
+                error = None
+            else:
+                self._count("cluster.holds_shed")
+                error = Overloaded(
+                    f"shard {shard} holds {len(held)} requests while it "
+                    f"swaps or respawns (max_held_requests={cap})"
+                )
+        if respawn:
+            self._start_respawn(shard)
+        if error is not None:
+            _settle(entry, error=error)
+        if held is not None or error is not None:
             return
-        if link is None:
-            # ejected between lookup and send (rare race): try again;
-            # the rebuilt ring resolves to a live owner
-            self._fault_or_reroute(entry, shard)
-            return
-        entry.shard = shard
-        with entry.lock:
-            entry.outstanding += 1
         with self._metrics_lock:
             self.metrics.counter("cluster.routed").inc()
             self.metrics.counter(f"cluster.shard.{shard}.routed").inc()
-            if spilled:
-                self.metrics.counter("cluster.spilled").inc()
         raw = link.request(entry.payload)
         raw.add_done_callback(
-            lambda f, s=shard: self._on_response(entry, s, f, hedge=False)
-        )
-        self._schedule_hedge(entry)
-
-    def _send_hedge(self, entry: _Request, shard: int, link) -> None:
-        with entry.lock:
-            entry.outstanding += 1
-            entry.hedged = True
-        with self._metrics_lock:
-            self.metrics.counter("cluster.hedges").inc()
-        raw = link.request(dict(entry.payload, hedge=True))
-        raw.add_done_callback(
-            lambda f, s=shard: self._on_response(entry, s, f, hedge=True)
+            lambda f, s=shard, l=link: self._on_response(entry, s, l, f)
         )
 
-    def _on_response(
-        self, entry: _Request, shard: int, raw: Future, hedge: bool
-    ) -> None:
+    def _on_response(self, entry: _Request, shard: int, link, raw: Future) -> None:
         exc = raw.exception()
         if isinstance(exc, TransportError):
-            self._note_shard_fault(shard)
-            with entry.lock:
-                entry.outstanding -= 1
-            if entry.future.done():
-                return
-            if hedge:
-                # the hedge died; the primary attempt is still the owner
-                self._maybe_fail(entry, exc)
-                return
+            self._on_fault(shard, link)
             entry.reroutes += 1
             if entry.reroutes > _MAX_REROUTES:
-                self._maybe_fail(entry, exc, force=True)
-                return
-            self._dispatch(entry, spilled=True)
+                _settle(entry, error=exc)
+            else:
+                self._dispatch(entry)
             return
         if exc is not None:
-            with entry.lock:
-                entry.outstanding -= 1
-            self._maybe_fail(entry, exc)
+            _settle(entry, error=exc)
             return
         try:
             answer = result_from_wire(raw.result())
         except Exception as error:
-            with entry.lock:
-                entry.outstanding -= 1
-            self._maybe_fail(entry, error)
+            _settle(entry, error=error)
             return
-        answer = self._stamp_staleness(entry, answer)
-        with entry.lock:
-            entry.outstanding -= 1
-        try:
-            entry.future.set_result(answer)
-        except InvalidStateError:
-            # the other attempt already won; this one is the loser
-            self._count("cluster.hedge_cancelled")
-            return
+        _settle(entry, self._stamp_staleness(entry, answer))
         latency_ms = (time.monotonic() - entry.submitted_at) * 1000.0
         with self._metrics_lock:
             self.metrics.histogram("cluster.latency_ms").observe(latency_ms)
-            if hedge:
-                self.metrics.counter("cluster.hedge_wins").inc()
-
-    def _maybe_fail(
-        self, entry: _Request, error: Exception, *, force: bool = False
-    ) -> None:
-        """Fail the client future only once no attempt is still in
-        flight (an outstanding hedge may yet win)."""
-        with entry.lock:
-            outstanding = entry.outstanding
-        if outstanding > 0 and not force:
-            return
-        try:
-            entry.future.set_exception(error)
-        except InvalidStateError:  # pragma: no cover - race with winner
-            pass
-
-    def _fault_or_reroute(self, entry: _Request, shard: int) -> None:
-        entry.reroutes += 1
-        if entry.reroutes > _MAX_REROUTES:
-            self._maybe_fail(
-                entry,
-                TransportError(f"shard {shard} unavailable"),
-                force=True,
-            )
-            return
-        self._dispatch(entry, spilled=True)
 
     # ------------------------------------------------------------------
-    # Hedging
+    # Health: fault -> hold -> respawn in place -> catch up -> release
     # ------------------------------------------------------------------
-    def _hedge_delay_s(self) -> float:
-        cluster = self.config.cluster
-        if cluster.hedge_delay_s is not None:
-            return cluster.hedge_delay_s
-        with self._metrics_lock:
-            p95_ms = self.metrics.histogram("cluster.latency_ms").quantile(0.95)
-        return max(_MIN_HEDGE_DELAY_S, (p95_ms / 1000.0) * _HEDGE_FACTOR)
+    def _on_fault(self, shard: int, link) -> None:
+        """Take a faulted incarnation out of service, once.
 
-    def _schedule_hedge(self, entry: _Request) -> None:
-        fire_at = time.monotonic() + self._hedge_delay_s()
-        with self._hedge_cv:
-            heapq.heappush(
-                self._hedge_heap, (fire_at, next(self._hedge_seq), entry)
-            )
-            self._hedge_cv.notify()
-
-    def _hedge_loop(self) -> None:
-        while True:
-            with self._hedge_cv:
-                while not self._closed.is_set():
-                    now = time.monotonic()
-                    if self._hedge_heap and self._hedge_heap[0][0] <= now:
-                        break
-                    wait = (
-                        self._hedge_heap[0][0] - now
-                        if self._hedge_heap
-                        else None
-                    )
-                    self._hedge_cv.wait(timeout=wait)
-                if self._closed.is_set():
-                    return
-                _, _, entry = heapq.heappop(self._hedge_heap)
-            self._issue_hedge(entry)
-
-    def _issue_hedge(self, entry: _Request) -> None:
-        if entry.future.done():
-            return
+        The link is closed (its in-flight requests fail over into the
+        hold), a hold is installed — or a swap's hold kept — and the
+        process is respawned in place.  A fault reported by an
+        incarnation already replaced is ignored.
+        """
         with self._route_lock:
-            target, link = self._hedge_target_locked(entry)
-        if link is None:
-            return
-        self._send_hedge(entry, target, link)
-
-    def _hedge_target_locked(self, entry: _Request):
-        """The duplicate's destination: a live, unheld replica
-        (round-robin), else the ring successor of the primary shard."""
-        for _ in range(max(1, len(self._replica_ids))):
-            if not self._replica_ids:
-                break
-            replica = self._replica_ids[
-                self._replica_cursor % len(self._replica_ids)
-            ]
-            self._replica_cursor += 1
-            link = self._links.get(replica)
-            if link is not None and replica not in self._held:
-                return replica, link
-        primary = entry.shard
-        if primary is None:
-            return None, None
-        try:
-            successor = self._ring.successor(entry.digest, primary)
-        except LookupError:  # pragma: no cover - fully ejected ring
-            return None, None
-        if successor == primary or successor in self._held:
-            return None, None
-        return successor, self._links.get(successor)
-
-    # ------------------------------------------------------------------
-    # Health: per-shard breaker -> eject -> respawn -> rejoin
-    # ------------------------------------------------------------------
-    def _note_shard_fault(self, shard: int) -> None:
-        self._count("cluster.shard_faults")
-        if self._breaker.record_fault(shard):
-            self._eject(shard)
-
-    def _eject(self, shard: int) -> None:
-        """Take a tripped shard out of service and start its revival."""
-        held: list[_Request] = []
-        with self._route_lock:
-            link = self._links.pop(shard, None)
-            held = self._held.pop(shard, None) or []
+            if self._links.get(shard) is not link:
+                return
+            del self._links[shard]
+            self._held.setdefault(shard, [])
             # the incarnation is gone: bank its last polled counters so
             # shard_stats keeps reporting them after the respawn
             last = self._shard_stats_last.pop(shard, None)
@@ -679,76 +557,62 @@ class EstimationCluster:
                 self._shard_stats_prior[shard] = _fold_shard_stats(
                     self._shard_stats_prior.get(shard, {}), last
                 )
-            if shard in self._shard_ids:
-                try:
-                    self._ring.eject(shard)
-                except RuntimeError:
-                    # last active shard: keep it on the ring; the revival
-                    # below still replaces the dead process
-                    pass
-            revive = (
-                self._export is not None and shard not in self._reviving
-            )
-            if revive:
-                self._reviving.add(shard)
-        self._count("cluster.ejections")
-        if link is not None:
-            link.close()
-        for entry in held:
-            self._fault_or_reroute(entry, shard)
-        if revive:
-            threading.Thread(
-                target=self._revive,
-                args=(shard,),
-                name=f"{self.name}-revive-{shard}",
-                daemon=True,
-            ).start()
+        self._count("cluster.shard_faults")
+        link.close()
+        self._start_respawn(shard)
 
-    def _revive(self, shard: int) -> None:
-        old = self._processes.get(shard)
-        if old is not None:
-            old.terminate()
-            old.join(timeout=5.0)
+    def _start_respawn(self, shard: int) -> None:
+        threading.Thread(
+            target=self._respawn,
+            args=(shard,),
+            name=f"{self.name}-respawn-{shard}",
+            daemon=True,
+        ).start()
+
+    def _respawn(self, shard: int) -> None:
+        """A new incarnation of ``shard``, caught up to the cluster's
+        version, then its hold released.  A failed respawn fails the
+        held requests with :class:`TransportError`."""
         link = None
         try:
-            process, link = self._spawn_shard(shard)
-            self._catch_up(link)
-        except Exception:
+            if self._new_link is None:
+                raise RuntimeError("no respawn hook")
+            link = self._new_link(shard)
+            # a swap landing during the catch-up moves the version on:
+            # catch up again rather than serve behind it
+            while not self._release(
+                shard, link, self._catch_up(link), respawned=True
+            ):
+                if self._closed.is_set():
+                    raise ServiceClosed(f"{self.name} is shutting down")
+        except Exception as exc:
             if link is not None:
                 link.close()
             with self._route_lock:
-                self._reviving.discard(shard)
+                held = self._held.pop(shard, None) or []
+            if self._closed.is_set():
+                return
             self._count("cluster.revive_failures")
+            error = TransportError(f"shard {shard} could not be respawned: {exc}")
+            for entry in held:
+                _settle(entry, error=error)
             return
-        if self._closed.is_set():
-            link.close()
-            process.terminate()
-            return
-        with self._route_lock:
-            self._processes[shard] = process
-            self._links[shard] = link
-            self._breaker.reset(shard)
-            if shard in self._shard_ids:
-                self._ring.rejoin(shard)
-            self._reviving.discard(shard)
         self._count("cluster.rejoins")
 
-    def _catch_up(self, link) -> None:
+    def _catch_up(self, link) -> int:
         """Replay post-export table updates into a freshly spawned shard.
 
-        A revived shard attaches the *original* snapshot export, so any
-        ``notify_table_update`` applied since must be re-sent (pinning
-        the shard to the primary's current version) before the shard
-        takes traffic — otherwise a rejoin after a hot swap would serve
-        from a stale snapshot version.
+        A respawned shard attaches the *original* snapshot export, so
+        every ``notify_table_update`` applied since must be re-sent, each
+        pinning the shard to the cluster's version, before the shard
+        takes traffic.  Returns that version.
         """
-        assert self._export is not None
-        exported = self._export.descriptor["table_versions"]
-        version = self._catalog.version
+        with self._route_lock:
+            version = self._version
         stale = [
             table
             for table, current in self._catalog.table_versions.items()
-            if current > int(exported.get(table, 0))
+            if current > self._exported_tables.get(table, 0)
         ]
         acks = [
             link.request(
@@ -760,11 +624,35 @@ class EstimationCluster:
             response = ack.result(timeout=_STARTUP_TIMEOUT_S)
             if not response.get("ok"):
                 raise RuntimeError(f"catch-up invalidate failed: {response}")
+        return version
+
+    def _release(
+        self, shard: int, link, version: int, *, respawned: bool = False
+    ) -> bool:
+        """The one step that ends a hold, for a swap ack and a caught-up
+        respawn alike: ``link`` serves ``shard`` at ``version``, and the
+        held requests are dispatched.
+
+        Refused (False, hold kept) when ``version`` is behind the
+        cluster's — a later swap's ack, or another catch-up, releases
+        instead — or when a swap-acked ``link`` was faulted in the
+        meantime (a respawned one is installed: its shard has no link).
+        """
+        with self._route_lock:
+            if self._closed.is_set() or version != self._version:
+                return False
+            if self._links.get(shard) is not (None if respawned else link):
+                return False
+            self._links[shard] = link
+            held = self._held.pop(shard, None) or []
+        for entry in held:
+            self._dispatch(entry)
+        return True
 
     def inject_crash(self, shard: int) -> None:
         """Chaos hook: hard-kill one shard process mid-serve (the shard's
-        ``crash`` op).  The next requests routed to it fault, trip the
-        breaker, and exercise eject -> respawn -> rejoin."""
+        ``crash`` op).  The next requests routed to it fault, and
+        exercise hold -> respawn -> catch-up -> release."""
         with self._route_lock:
             link = self._links.get(shard)
         if link is None:
@@ -801,24 +689,23 @@ class EstimationCluster:
     def notify_table_update(self, table: str) -> int:
         """Propagate a base-table change through the whole cluster.
 
-        Order matters: holds are installed *before* the primary version
-        bump, so any request admitted after the bump is either held (and
-        flushed post-ack at the new version) or routed to an
-        already-acked shard — never served from a stale shard snapshot.
+        Holds are installed and the primary version bumped under one
+        lock, so any request admitted after the bump is held (and
+        flushed once its shard is at the new version) — never served
+        from a stale shard snapshot.  A shard that is down already holds;
+        its respawn's catch-up replays this update.
         """
         if self._closed.is_set():
             raise ServiceClosed(f"{self.name} is shutting down")
         with self._route_lock:
-            members = [
-                (member, link) for member, link in self._links.items()
-            ]
+            members = list(self._links.items())
             for member, _ in members:
                 self._held.setdefault(member, [])
+            table_version = self._catalog.notify_table_update(table)
+            version = self._version = self._catalog.version
         with self._metrics_lock:
             self.metrics.counter("cluster.swaps").inc()
             self.metrics.counter("cluster.holds").inc(len(members))
-        table_version = self._catalog.notify_table_update(table)
-        version = self._catalog.version
         for member, link in members:
             try:
                 inject(
@@ -826,41 +713,28 @@ class EstimationCluster:
                     detail=f"member={member} table={table} version={version}",
                 )
             except Exception:
-                # The fan-out failed at this member before its invalidate
-                # went out.  A shard that missed the swap must never serve
-                # again at the old version, so eject it outright: its held
-                # requests spill to ring successors (flushed at the new
-                # version once those ack) and the revival's catch-up
-                # replays the invalidate before the shard rejoins.
+                # the fan-out failed at this member before its invalidate
+                # went out: a fault like any other, so the member stays
+                # held until a respawned incarnation has caught up
                 self._count("cluster.swap_faults")
-                self._eject(member)
+                self._on_fault(member, link)
                 continue
             raw = link.request(
                 {"op": "invalidate", "table": table, "version": version}
             )
             raw.add_done_callback(
-                lambda f, m=member: self._on_swap_ack(m, f)
+                lambda f, m=member, l=link: self._on_swap_ack(m, l, version, f)
             )
         return table_version
 
-    def _on_swap_ack(self, member: int, raw: Future) -> None:
-        """One shard acked (or failed) its invalidate: release its hold.
-
-        Held requests re-enter the normal dispatch path — on a failed
-        ack the shard's next faults trip the breaker and the requests
-        spill to its successors, so a swap never wedges admission.
-        """
-        exc = raw.exception()
-        failed = isinstance(exc, Exception)
-        if not failed:
-            response = raw.result()
-            failed = not response.get("ok")
-        with self._route_lock:
-            held = self._held.pop(member, None) or []
-        if failed:
-            self._note_shard_fault(member)
-        for entry in held:
-            self._dispatch(entry)
+    def _on_swap_ack(self, member: int, link, version: int, raw: Future) -> None:
+        """One shard acked its invalidate: release its hold.  A failed
+        or ``ok: false`` ack is a fault: the hold stays until a respawned
+        incarnation has caught up."""
+        if raw.exception() is None and raw.result().get("ok"):
+            self._release(member, link, version)
+        else:
+            self._on_fault(member, link)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -873,9 +747,10 @@ class EstimationCluster:
         """Stop admission, drain in-flight work, stop every shard.
 
         With ``drain=True`` the router waits (bounded by ``timeout`` /
-        ``drain_timeout_s``) for in-flight requests to finish before
-        tearing the links down; held and unanswered requests fail with
-        :class:`TransportError` once their links close.  Idempotent.
+        ``drain_timeout_s``) for in-flight and held requests to finish
+        before tearing the links down; held and unanswered requests then
+        fail with :class:`~repro.service.protocol.ServiceClosed`.
+        Idempotent.
         """
         if self._closed.is_set():
             return True
@@ -896,10 +771,8 @@ class EstimationCluster:
                 time.sleep(0.005)
             else:
                 clean = False
-        self._closed.set()
-        with self._hedge_cv:
-            self._hedge_cv.notify_all()
         with self._route_lock:
+            self._closed.set()
             links = list(self._links.values())
             self._links.clear()
             held = [
@@ -909,9 +782,7 @@ class EstimationCluster:
             ]
             self._held.clear()
         for entry in held:
-            self._maybe_fail(
-                entry, ServiceClosed("cluster closed before serving"), force=True
-            )
+            _settle(entry, error=ServiceClosed("cluster closed before serving"))
         for link in links:
             link.close()
         self._shutdown_processes()
@@ -919,16 +790,17 @@ class EstimationCluster:
             self._export.close()
             self._export.unlink()
             self._export = None
-        self._hedge_thread.join(timeout=5.0)
         return clean
 
     def _shutdown_processes(self) -> None:
-        for process in self._processes.values():
+        with self._route_lock:
+            processes = list(self._processes.values())
+            self._processes.clear()
+        for process in processes:
             if process.is_alive():
                 process.terminate()
-        for process in self._processes.values():
+        for process in processes:
             process.join(timeout=5.0)
-        self._processes.clear()
 
     def __enter__(self) -> "EstimationCluster":
         return self
@@ -948,15 +820,9 @@ class EstimationCluster:
         with self._metrics_lock:
             registry.merge(self.metrics)
         with self._route_lock:
-            active = len(self._ring.active)
-            ejected = len(self._ring.ejected)
+            serving = len(self._links)
             held = sum(len(entries) for entries in self._held.values())
-            replicas = sum(
-                1 for member in self._replica_ids if member in self._links
-            )
-        registry.gauge("cluster.shards").set(float(active))
-        registry.gauge("cluster.replicas").set(float(replicas))
-        registry.gauge("cluster.ejected").set(float(ejected))
+        registry.gauge("cluster.shards").set(float(serving))
         registry.gauge("cluster.holding").set(float(held))
         registry.gauge("cluster.closed").set(1.0 if self.closed else 0.0)
         registry.merge(self._catalog.metrics_registry())
@@ -973,32 +839,30 @@ class EstimationCluster:
                 "subsystem": "cluster",
                 "name": self.name,
                 "shards": cluster.shards,
-                "replicas": cluster.replicas,
                 "ring_points": cluster.ring_points,
                 "shard_workers": cluster.shard_workers,
             },
         )
 
     def shard_stats(self, timeout_s: float = 10.0) -> dict[int, dict]:
-        """Per-member ``stats`` snapshots, accumulated across restarts.
+        """Per-shard ``stats`` snapshots, accumulated across restarts.
 
-        Each poll remembers the member's latest live snapshot; when a
-        shard is ejected that snapshot is folded into a per-member prior,
-        and a revived shard's fresh numbers are merged on top
+        Each poll remembers the shard's latest live snapshot; when the
+        shard faults that snapshot is folded into a per-shard prior, and
+        a respawned shard's fresh numbers are merged on top
         (:func:`_fold_shard_stats`) — so per-shard ``counters`` survive
-        eject → respawn → rejoin instead of resetting with the process.
-        Members currently without a live link report their folded prior
-        alone.
+        fault → respawn instead of resetting with the process.  Shards
+        currently without a live link report their folded prior alone.
         """
         with self._route_lock:
             links = dict(self._links)
             prior = dict(self._shard_stats_prior)
         futures = {
-            member: link.request({"op": "stats"})
-            for member, link in links.items()
+            shard: link.request({"op": "stats"})
+            for shard, link in links.items()
         }
         out: dict[int, dict] = {}
-        for member, future in futures.items():
+        for shard, future in futures.items():
             try:
                 response = future.result(timeout=timeout_s)
             except Exception:
@@ -1007,15 +871,15 @@ class EstimationCluster:
                 continue
             live = response.get("stats", {})
             with self._route_lock:
-                self._shard_stats_last[member] = live
-            out[member] = (
-                _fold_shard_stats(prior[member], live)
-                if member in prior
+                self._shard_stats_last[shard] = live
+            out[shard] = (
+                _fold_shard_stats(prior[shard], live)
+                if shard in prior
                 else live
             )
-        for member, banked in prior.items():
-            if member not in out and member not in links:
-                out[member] = banked
+        for shard, banked in prior.items():
+            if shard not in out and shard not in links:
+                out[shard] = banked
         return out
 
 

@@ -16,7 +16,7 @@ adds the cluster control ops:
     until this ack — the coherent-routing half of a hot swap.
 ``{"op": "crash"}``
     test/chaos hook: hard-exits the process mid-serve, exercising the
-    per-shard breaker → eject → respawn → rejoin path.
+    router's fault path: hold → respawn in place → catch-up → release.
 
 The bootstrap handshake: the parent passes a one-shot pipe; the child
 sends ``("ready", port)`` once listening (or ``("error", message)``), so

@@ -48,12 +48,12 @@ namespaces:
     ``shape.<digest>.hits`` / ``shape.<digest>.hit_rate`` — empty for
     producers that run without the cache;
 ``cluster``
-    multi-process tier state (:mod:`repro.cluster`): ring membership
-    (``shards``, ``replicas``, ``ejected``), routing counters
-    (``routed``, ``spilled``, per-shard ``shard.<id>.routed``), hedging
-    (``hedges``, ``hedge_wins``, ``hedge_cancelled``) and swap coherence
-    (``holds``, ``holding``, ``held_requests``, ``swaps``) — empty below
-    the cluster router;
+    multi-process tier state (:mod:`repro.cluster`): serving
+    ``shards``, routing counters (``routed``, per-shard
+    ``shard.<id>.routed``), the per-shard holds (``holds``,
+    ``holding``, ``held_requests``, ``holds_shed``, ``swaps``) and
+    fault recovery (``shard_faults``, ``swap_faults``, ``rejoins``,
+    ``revive_failures``) — empty below the cluster router;
 ``advisor``
     self-tuning loop state (:mod:`repro.advisor`): ``ticks``,
     ``proposals``, ``accepts``, per-constraint rejects

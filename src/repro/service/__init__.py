@@ -5,7 +5,7 @@ Layering (queue → batch → worker → snapshot swap; DESIGN.md §9):
 * :mod:`repro.service.config` — layered tunables:
   :class:`ServiceConfig` with a nested :class:`HealingConfig`
   (resilience knobs) and optional :class:`ClusterConfig`
-  (shards/replicas/hedging), ``from_dict``/``to_dict`` round-trip for
+  (shards, ring, hold bound), ``from_dict``/``to_dict`` round-trip for
   ``python -m repro serve --config file.json``;
 * :mod:`repro.service.protocol` — typed requests/responses
   (:class:`ServedEstimate`, :class:`Overloaded`, ...) and the JSON-lines

@@ -10,9 +10,9 @@ composable frozen dataclasses:
   :mod:`repro.resilience` (circuit breaker, requeue and restart
   budgets), nested as ``ServiceConfig.healing``;
 * :class:`ClusterConfig` — the multi-process tier
-  (:mod:`repro.cluster`): shard/replica counts, hedging policy and the
-  consistent-hash ring, nested as ``ServiceConfig.cluster`` (``None``
-  for a single-process service);
+  (:mod:`repro.cluster`): shard count, the consistent-hash ring and the
+  hold bound, nested as ``ServiceConfig.cluster`` (``None`` for a
+  single-process service);
 * :class:`repro.advisor.AdvisorConfig` — the self-tuning loop
   (:mod:`repro.advisor`), nested as ``ServiceConfig.advisor`` (``None``
   disables tuning).
@@ -72,49 +72,29 @@ class ClusterConfig:
 
     ``shards`` worker processes each host a full
     :class:`~repro.service.EstimationService` over the shared-memory
-    catalog snapshot; ``replicas`` additional processes serve only
-    hedged (tail-latency) requests.  ``hedge_delay_s=None`` derives the
-    hedge trigger from the observed p95 latency (scaled and floored by
-    the constants in :mod:`repro.cluster.router`); a fixed value pins
-    it.
+    catalog snapshot.  A shard that swaps or faults holds its requests
+    (at most ``max_held_requests``) until it serves at the cluster's
+    version again.
     """
 
-    #: primary shard processes on the consistent-hash ring
+    #: shard processes on the consistent-hash ring
     shards: int = 2
-    #: replica processes answering hedged requests (0 = hedge to the
-    #: ring successor shard instead)
-    replicas: int = 0
-    #: fixed hedge trigger in seconds; ``None`` derives it from p95
-    hedge_delay_s: float | None = None
     #: virtual nodes per shard on the consistent-hash ring
     ring_points: int = 64
     #: worker threads inside each shard process
     shard_workers: int = 1
-    #: shard faults inside ``breaker_window_s`` before the router ejects
-    #: the shard from the ring (its keyspace spills to ring neighbors)
-    breaker_threshold: int = 3
-    #: sliding fault window of the per-shard breaker (seconds)
-    breaker_window_s: float = 30.0
-    #: per-shard cap on requests parked behind an in-flight hot swap;
-    #: the excess is shed with a typed ``Overloaded`` instead of
-    #: accumulating without bound during a write storm
+    #: per-shard cap on requests parked while the shard swaps or is
+    #: respawned; the excess is shed with a typed ``Overloaded`` instead
+    #: of accumulating without bound during a write storm
     max_held_requests: int = 256
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.replicas < 0:
-            raise ValueError("replicas must be >= 0")
-        if self.hedge_delay_s is not None and self.hedge_delay_s < 0:
-            raise ValueError("hedge_delay_s must be >= 0 (or None)")
         if self.ring_points < 1:
             raise ValueError("ring_points must be >= 1")
         if self.shard_workers < 1:
             raise ValueError("shard_workers must be >= 1")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if self.breaker_window_s <= 0:
-            raise ValueError("breaker_window_s must be > 0")
         if self.max_held_requests < 1:
             raise ValueError("max_held_requests must be >= 1")
 

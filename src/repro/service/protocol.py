@@ -17,8 +17,6 @@ predicate objects in the same JSON spelling the catalog files use
 (:mod:`repro.stats.io`; infinities as ``"inf"``/``"-inf"``).  The
 cluster router forwards requests this way so shards skip SQL parsing;
 :func:`encode_predicates` / :func:`decode_predicates` are the codec.
-A request carrying ``hedge: true`` is a hedged duplicate — the server
-answers it normally, the flag only rides back for observability.
 
 Responses::
 
@@ -49,11 +47,10 @@ histograms under independence, ``3`` = magic constants.  A degraded
 answer is still ``status: ok`` — the ladder's contract is that a
 labelled estimate beats a failure.
 
-Cluster deployments (:mod:`repro.cluster`) add two optional response
-fields: ``shard`` (the integer shard id that produced the answer) and
-``hedged`` (``true`` when the answer came from a hedged duplicate, i.e.
-the replica beat the primary).  Both are absent outside a cluster, so
-single-process responses are byte-identical to earlier releases.
+Cluster deployments (:mod:`repro.cluster`) add one optional response
+field: ``shard``, the integer shard id that produced the answer.  It is
+absent outside a cluster, so single-process responses are
+byte-identical to earlier releases.
 
 Backend provenance (two more optional fields): ``backend`` names the
 estimator implementation that produced the answer (``"sit"``, ``"bn"``,
@@ -204,9 +201,6 @@ class ServedEstimate:
     #: cluster only: id of the shard that produced this answer
     #: (``None`` outside :mod:`repro.cluster`)
     shard: int | None = None
-    #: cluster only: True when a hedged duplicate won the race and this
-    #: answer came from the replica rather than the primary shard
-    hedged: bool = False
     #: estimator backend that produced this answer (``"sit"``, ``"bn"``,
     #: ``"sample"``; ``"magic"`` marks a level-3 constant answer)
     backend: str = "sit"
@@ -242,8 +236,6 @@ class ServedEstimate:
             payload["excluded_sits"] = list(self.excluded_sits)
         if self.shard is not None:
             payload["shard"] = self.shard
-        if self.hedged:
-            payload["hedged"] = True
         if self.backend != "sit":
             payload["backend"] = self.backend
         if self.error_bound is not None:
@@ -268,7 +260,6 @@ class ServedEstimate:
             excluded_sits=tuple(payload.get("excluded_sits", ())),
             plan_cache_hit=bool(payload.get("plan_cache_hit", False)),
             shard=(None if payload.get("shard") is None else int(payload["shard"])),
-            hedged=bool(payload.get("hedged", False)),
             backend=str(payload.get("backend", "sit")),
             error_bound=(
                 None

@@ -257,10 +257,6 @@ class EstimationServer:
             return _failure(exc, request_id)
         if self.shard is not None:
             response["shard"] = self.shard
-        if payload.get("hedge"):
-            # a hedged duplicate: echo the flag so the winning
-            # answer is attributable (repro.cluster observability)
-            response["hedged"] = True
         return response
 
     @staticmethod

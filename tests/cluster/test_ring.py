@@ -1,4 +1,4 @@
-"""Consistent-hash ring: stability, eject/spill, exact rejoin."""
+"""Consistent-hash ring: stable, spread placement."""
 
 from __future__ import annotations
 
@@ -30,54 +30,3 @@ class TestLookup:
     def test_points_validation(self):
         with pytest.raises(ValueError):
             HashRing([0], points=0)
-
-
-class TestEjectRejoin:
-    def test_eject_spills_only_the_ejected_keyspace(self):
-        ring = HashRing(range(4))
-        keys = [f"key-{i}" for i in range(400)]
-        before = {k: ring.lookup(k) for k in keys}
-        assert ring.eject(2)
-        after = {k: ring.lookup(k) for k in keys}
-        for key in keys:
-            if before[key] != 2:
-                # unaffected keys keep their owner: consistent hashing
-                assert after[key] == before[key]
-            else:
-                assert after[key] != 2
-        assert ring.active == frozenset({0, 1, 3})
-        assert ring.ejected == frozenset({2})
-        assert ring.members == frozenset({0, 1, 2, 3})
-
-    def test_rejoin_restores_exact_placement(self):
-        ring = HashRing(range(4))
-        keys = [f"key-{i}" for i in range(400)]
-        before = {k: ring.lookup(k) for k in keys}
-        ring.eject(1)
-        assert ring.rejoin(1)
-        assert {k: ring.lookup(k) for k in keys} == before
-
-    def test_eject_is_idempotent_and_bounded(self):
-        ring = HashRing(range(2))
-        assert ring.eject(0)
-        assert not ring.eject(0)  # already out
-        assert not ring.eject(99)  # unknown
-        with pytest.raises(RuntimeError):
-            ring.eject(1)  # never eject the last active shard
-
-    def test_rejoin_unknown_is_a_noop(self):
-        ring = HashRing(range(2))
-        assert not ring.rejoin(0)  # not ejected
-
-
-class TestSuccessor:
-    def test_successor_differs_from_primary(self):
-        ring = HashRing(range(3))
-        for i in range(100):
-            key = f"key-{i}"
-            primary = ring.lookup(key)
-            assert ring.successor(key, primary) != primary
-
-    def test_successor_with_single_shard_is_itself(self):
-        ring = HashRing([0])
-        assert ring.successor("k", 0) == 0

@@ -1,7 +1,6 @@
-"""Router semantics over fake links: template routing, hedged requests
-(winner-takes-all, observable loser cancellation, no double
-completion), per-shard breaker ejection, and coherent swap holds —
-all without spawning a single process."""
+"""Router semantics over fake links: template routing, coherent swap
+holds, and the one fault path — hold, respawn in place, catch up,
+release — all without spawning a single process."""
 
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ class FakeLink:
         future: Future = Future()
         with self._lock:
             self.log.append((payload, future))
-        if self.fail_transport:
+        if self.fail_transport or self.closed:
             future.set_exception(
                 TransportError(f"fake shard {self.shard_id} down")
             )
@@ -48,7 +47,15 @@ class FakeLink:
             return sum(1 for _, future in self.log if not future.done())
 
     def close(self) -> None:
+        """Like the real link: whatever is still in flight fails."""
         self.closed = True
+        with self._lock:
+            pending = [future for _, future in self.log if not future.done()]
+        for future in pending:
+            if not future.done():  # a callback may have closed us again
+                future.set_exception(
+                    TransportError(f"fake shard {self.shard_id} closed")
+                )
 
     # -- test controls --------------------------------------------------
     def _answer(self, payload: dict, future: Future) -> None:
@@ -65,7 +72,7 @@ class FakeLink:
             future.set_result({"ok": True, "status": "ok"})
 
     def ok_response(self, payload: dict, selectivity: float = 0.25) -> dict:
-        response = {
+        return {
             "ok": True,
             "status": "ok",
             "selectivity": selectivity,
@@ -75,9 +82,6 @@ class FakeLink:
             "latency_ms": 1.0,
             "shard": self.shard_id,
         }
-        if payload.get("hedge"):
-            response["hedged"] = True
-        return response
 
     def requests(self, op: str = "estimate") -> list[tuple[dict, Future]]:
         with self._lock:
@@ -88,27 +92,52 @@ class FakeLink:
             ]
 
 
+class Respawner:
+    """The seam's respawn hook: each call hands out the next queued
+    outcome — a link, or an exception to raise as a failed spawn would
+    — and a fresh auto :class:`FakeLink` once the queue is empty.
+    Clearing ``gate`` keeps a respawn in flight until it is set."""
+
+    def __init__(self, *outcomes):
+        self.outcomes = list(outcomes)
+        self.links: list = []
+        self.gate = threading.Event()
+        self.gate.set()
+
+    def __call__(self, shard: int):
+        assert self.gate.wait(timeout=5.0)
+        outcome = self.outcomes.pop(0) if self.outcomes else FakeLink(shard)
+        if isinstance(outcome, Exception):
+            raise outcome
+        self.links.append(outcome)
+        return outcome
+
+
 def make_cluster(
     catalog,
     links,
     *,
     shards=None,
-    replicas=0,
+    respawn=None,
     drain_timeout_s=0.25,
     **cluster_kwargs,
 ):
     """A router over fake links.  ``close()`` waits out ``drain_timeout_s``
     for requests a manual link never answers, so the fixture keeps it
     short (the production default is 30 s)."""
-    shards = shards if shards is not None else len(links) - replicas
-    cluster_kwargs.setdefault("hedge_delay_s", 30.0)  # effectively off
     config = ServiceConfig(
         drain_timeout_s=drain_timeout_s,
         cluster=ClusterConfig(
-            shards=shards, replicas=replicas, **cluster_kwargs
+            shards=shards if shards is not None else len(links),
+            **cluster_kwargs,
         ),
     )
-    return EstimationCluster(catalog, config=config, _links=links)
+    return EstimationCluster(
+        catalog,
+        config=config,
+        _links=links,
+        _respawn=respawn if respawn is not None else Respawner(),
+    )
 
 
 def wait_until(predicate, timeout_s: float = 5.0) -> bool:
@@ -118,6 +147,41 @@ def wait_until(predicate, timeout_s: float = 5.0) -> bool:
             return True
         time.sleep(0.002)
     return predicate()
+
+
+def counter(cluster, name: str) -> float:
+    return cluster.stats_snapshot().cluster.get(name, 0.0)
+
+
+def parked_on(cluster, queries, link):
+    """Submit queries until one is in flight on the manual ``link``;
+    returns that query and its future."""
+    for query in queries:
+        future = cluster.submit(query)
+        if link.requests():
+            return query, future
+    raise AssertionError("no template routed to the link")
+
+
+def fail_held_respawn(cluster, respawner, link, query) -> None:
+    """Fault ``link`` and let its respawn fail only once ``query`` is
+    waiting in the hold: it fails with the respawn."""
+    respawner.gate.clear()
+    link.fail_transport = True
+    future = cluster.submit(query)
+    assert wait_until(lambda: counter(cluster, "holding") == 1.0)
+    respawner.gate.set()
+    with pytest.raises(TransportError, match="could not be respawned"):
+        future.result(timeout=5.0)
+
+
+def owned_by(cluster, queries, shard: int):
+    """A query whose template the ring places on ``shard``."""
+    return next(
+        query
+        for query in queries
+        if cluster.estimate(query, timeout=5.0).shard == shard
+    )
 
 
 class TestRouting:
@@ -158,6 +222,23 @@ class TestRouting:
             payloads = [p for p, _ in links[answer.shard].requests()]
             assert "predicates" in payloads[0]
 
+    def test_a_typed_shard_error_reaches_the_caller(
+        self, cluster_catalog, cluster_queries
+    ):
+        """A shard's typed failure is the request's answer: no retry, no
+        second attempt anywhere, and not a fault."""
+        links = [FakeLink(0, auto=False), FakeLink(1, auto=False)]
+        with make_cluster(cluster_catalog, links) as cluster:
+            future = cluster.submit(cluster_queries[0])
+            [(_, raw)] = links[0].requests() + links[1].requests()
+            raw.set_result(
+                {"ok": False, "status": "overloaded", "detail": "shed"}
+            )
+            with pytest.raises(Overloaded):
+                future.result(timeout=5.0)
+            assert sum(len(link.requests()) for link in links) == 1
+            assert counter(cluster, "shard_faults") == 0.0
+
     def test_closed_cluster_rejects(self, cluster_catalog, cluster_queries):
         links = [FakeLink(0), FakeLink(1)]
         cluster = make_cluster(cluster_catalog, links)
@@ -168,217 +249,128 @@ class TestRouting:
             cluster.submit(cluster_queries[0])
 
 
-class TestHedging:
-    def hedged_cluster(self, catalog):
-        """Two manual ring shards plus one manual replica; instant hedge."""
-        links = [
-            FakeLink(0, auto=False),
-            FakeLink(1, auto=False),
-            FakeLink(2, auto=False),
-        ]
-        cluster = make_cluster(
-            catalog, links, replicas=1, hedge_delay_s=0.005
-        )
-        return cluster, links
-
-    def test_hedge_winner_takes_all(self, cluster_catalog, cluster_queries):
-        cluster, links = self.hedged_cluster(cluster_catalog)
-        with cluster:
-            future = cluster.submit(cluster_queries[0])
-            primary = next(
-                link for link in links[:2] if link.requests()
-            )
-            replica = links[2]
-            assert wait_until(lambda: replica.requests())
-            hedge_payload, hedge_future = replica.requests()[0]
-            assert hedge_payload["hedge"] is True
-            # the hedge answers first: it wins
-            hedge_future.set_result(
-                replica.ok_response(hedge_payload, selectivity=0.5)
-            )
-            answer = future.result(timeout=5.0)
-            assert answer.hedged is True
-            assert answer.shard == 2
-            assert answer.selectivity == 0.5
-            # the primary straggles in second: observable loser, and the
-            # future's value must not change (no double completion)
-            payload, primary_future = primary.requests()[0]
-            primary_future.set_result(
-                primary.ok_response(payload, selectivity=0.125)
-            )
-            assert wait_until(
-                lambda: cluster.stats_snapshot().cluster.get(
-                    "hedge_cancelled"
-                ) == 1.0
-            )
-            assert future.result().selectivity == 0.5
-            stats = cluster.stats_snapshot().cluster
-            assert stats["hedges"] == 1.0
-            assert stats["hedge_wins"] == 1.0
-
-    def test_primary_win_cancels_hedge(self, cluster_catalog, cluster_queries):
-        cluster, links = self.hedged_cluster(cluster_catalog)
-        with cluster:
-            future = cluster.submit(cluster_queries[0])
-            primary = next(link for link in links[:2] if link.requests())
-            replica = links[2]
-            assert wait_until(lambda: replica.requests())
-            payload, primary_future = primary.requests()[0]
-            primary_future.set_result(
-                primary.ok_response(payload, selectivity=0.75)
-            )
-            answer = future.result(timeout=5.0)
-            assert answer.hedged is False
-            assert answer.shard == primary.shard_id
-            hedge_payload, hedge_future = replica.requests()[0]
-            hedge_future.set_result(
-                replica.ok_response(hedge_payload, selectivity=0.1)
-            )
-            assert wait_until(
-                lambda: cluster.stats_snapshot().cluster.get(
-                    "hedge_cancelled"
-                ) == 1.0
-            )
-            assert future.result().selectivity == 0.75
-            assert (
-                cluster.stats_snapshot().cluster.get("hedge_wins", 0.0) == 0.0
-            )
-
-    def test_no_hedge_before_delay(self, cluster_catalog, cluster_queries):
-        links = [FakeLink(0, auto=False), FakeLink(1, auto=False)]
-        with make_cluster(
-            cluster_catalog, links, hedge_delay_s=30.0
-        ) as cluster:
-            cluster.submit(cluster_queries[0])
-            time.sleep(0.05)
-            total = sum(len(link.requests()) for link in links)
-            assert total == 1  # the primary only
-
-    def test_hedge_to_ring_successor_without_replicas(
+class TestFaultHold:
+    def test_fault_holds_respawns_and_serves(
         self, cluster_catalog, cluster_queries
     ):
-        links = [FakeLink(0, auto=False), FakeLink(1, auto=False)]
-        with make_cluster(
-            cluster_catalog, links, hedge_delay_s=0.005
-        ) as cluster:
-            cluster.submit(cluster_queries[0])
-            assert wait_until(
-                lambda: sum(len(link.requests()) for link in links) == 2
-            )
-            hedged = [
-                (link, payload)
-                for link in links
-                for payload, _ in link.requests()
-                if payload.get("hedge")
-            ]
-            assert len(hedged) == 1
-            primary = next(
-                link
-                for link in links
-                for payload, _ in link.requests()
-                if not payload.get("hedge")
-            )
-            assert hedged[0][0].shard_id != primary.shard_id
-
-    def test_typed_error_waits_for_inflight_hedge(
-        self, cluster_catalog, cluster_queries
-    ):
-        """A shed primary must not fail the request while a hedge can
-        still win."""
-        cluster, links = self.hedged_cluster(cluster_catalog)
-        with cluster:
-            future = cluster.submit(cluster_queries[0])
-            primary = next(link for link in links[:2] if link.requests())
-            replica = links[2]
-            assert wait_until(lambda: replica.requests())
-            _, primary_future = primary.requests()[0]
-            primary_future.set_result(
-                {"ok": False, "status": "overloaded", "detail": "shed"}
-            )
-            time.sleep(0.02)
-            assert not future.done()  # hedge still in flight
-            hedge_payload, hedge_future = replica.requests()[0]
-            hedge_future.set_result(
-                replica.ok_response(hedge_payload, selectivity=0.3)
-            )
-            assert future.result(timeout=5.0).selectivity == 0.3
-
-    def test_all_attempts_failing_raises_the_error(
-        self, cluster_catalog, cluster_queries
-    ):
-        cluster, links = self.hedged_cluster(cluster_catalog)
-        with cluster:
-            future = cluster.submit(cluster_queries[0])
-            primary = next(link for link in links[:2] if link.requests())
-            replica = links[2]
-            assert wait_until(lambda: replica.requests())
-            _, primary_future = primary.requests()[0]
-            primary_future.set_result(
-                {"ok": False, "status": "overloaded", "detail": "shed"}
-            )
-            _, hedge_future = replica.requests()[0]
-            hedge_future.set_result(
-                {"ok": False, "status": "overloaded", "detail": "shed"}
-            )
-            with pytest.raises(Overloaded):
-                future.result(timeout=5.0)
-
-
-class TestBreakerEjection:
-    def test_fault_trips_ejects_and_spills(
-        self, cluster_catalog, cluster_queries
-    ):
+        """A transport fault closes the link, holds the shard, respawns
+        it in place and serves the request from the new incarnation."""
         links = [FakeLink(0), FakeLink(1)]
-        with make_cluster(
-            cluster_catalog, links, breaker_threshold=1
-        ) as cluster:
-            # find a query owned by shard 0, then kill shard 0
-            owner0 = next(
-                query
-                for query in cluster_queries
-                if cluster.estimate(query, timeout=5.0).shard == 0
-            )
+        respawner = Respawner()
+        with make_cluster(cluster_catalog, links, respawn=respawner) as cluster:
+            owner0 = owned_by(cluster, cluster_queries, 0)
             links[0].fail_transport = True
             answer = cluster.estimate(owner0, timeout=5.0)
-            # transparently rerouted to the survivor
-            assert answer.shard == 1
-            stats = cluster.stats_snapshot()
-            assert stats.cluster["ejections"] == 1.0
-            assert stats.cluster["spilled"] >= 1.0
-            assert stats.cluster["shard_faults"] >= 1.0
-            assert stats.cluster["ejected"] == 1.0
+            assert answer.shard == 0
+            assert len(respawner.links) == 1
+            assert respawner.links[0].requests()  # the new incarnation
             assert links[0].closed
+            assert wait_until(lambda: counter(cluster, "rejoins") == 1.0)
+            stats = cluster.stats_snapshot().cluster
+            assert stats["shard_faults"] == 1.0
+            assert stats["shards"] == 2.0
 
-    def test_every_template_spills_after_ejection(
+    def test_every_template_returns_to_its_shard_after_respawn(
         self, cluster_catalog, cluster_queries
     ):
         links = [FakeLink(0), FakeLink(1)]
-        with make_cluster(
-            cluster_catalog, links, breaker_threshold=1
-        ) as cluster:
-            links[0].fail_transport = True
-            answers = [
-                cluster.estimate(query, timeout=5.0)
+        with make_cluster(cluster_catalog, links) as cluster:
+            before = [
+                cluster.estimate(query, timeout=5.0).shard
                 for query in cluster_queries
             ]
-            assert all(answer.shard == 1 for answer in answers)
+            links[0].fail_transport = True
+            after = [
+                cluster.estimate(query, timeout=5.0).shard
+                for query in cluster_queries
+            ]
+            assert after == before
+            assert set(after) == {0, 1}
+
+    def test_in_flight_requests_wait_in_the_hold(
+        self, cluster_catalog, cluster_queries
+    ):
+        links = [FakeLink(0, auto=False), FakeLink(1)]
+        respawner = Respawner()
+        respawner.gate.clear()
+        with make_cluster(cluster_catalog, links, respawn=respawner) as cluster:
+            owner0, first = parked_on(cluster, cluster_queries, links[0])
+            second = cluster.submit(owner0)
+            _, raw = links[0].requests()[-1]
+            raw.set_exception(TransportError("shard 0 lost"))
+            # both of shard 0's requests wait in its hold for the respawn
+            assert wait_until(lambda: counter(cluster, "holding") == 2.0)
+            assert not first.done() and not second.done()
+            respawner.gate.set()
+            assert first.result(timeout=5.0).shard == 0
+            assert second.result(timeout=5.0).shard == 0
+            assert len(respawner.links[0].requests()) == 2
+
+    def test_an_incarnation_fault_is_handled_once(
+        self, cluster_catalog, cluster_queries
+    ):
+        links = [FakeLink(0, auto=False), FakeLink(1)]
+        with make_cluster(cluster_catalog, links) as cluster:
+            owner0, first = parked_on(cluster, cluster_queries, links[0])
+            futures = [first] + [cluster.submit(owner0) for _ in range(2)]
+            links[0].close()  # every in-flight request reports the fault
+            for future in futures:
+                assert future.result(timeout=5.0).shard == 0
+            assert counter(cluster, "shard_faults") == 1.0
+
+    def test_reroutes_are_bounded(self, cluster_catalog, cluster_queries):
+        """A request tries at most ``_MAX_REROUTES + 1`` incarnations."""
+
+        def dead(shard):
+            link = FakeLink(shard)
+            link.fail_transport = True
+            return link
+
+        links = [FakeLink(0), FakeLink(1)]
+        respawner = Respawner(*(dead(0) for _ in range(8)))
+        with make_cluster(cluster_catalog, links, respawn=respawner) as cluster:
+            owner0 = owned_by(cluster, cluster_queries, 0)
+            links[0].fail_transport = True
+            with pytest.raises(TransportError):
+                cluster.estimate(owner0, timeout=5.0)
+            assert counter(cluster, "shard_faults") == 4.0
+
+    def test_holds_stay_bounded_while_respawning(
+        self, cluster_catalog, cluster_queries
+    ):
+        links = [FakeLink(0), FakeLink(1)]
+        respawner = Respawner()
+        with make_cluster(
+            cluster_catalog, links, respawn=respawner, max_held_requests=2
+        ) as cluster:
+            owner0 = owned_by(cluster, cluster_queries, 0)
+            respawner.gate.clear()
+            links[0].fail_transport = True
+            kept = [cluster.submit(owner0) for _ in range(2)]
+            with pytest.raises(Overloaded, match="max_held_requests"):
+                cluster.submit(owner0).result(timeout=5.0)
+            respawner.gate.set()
+            assert all(f.result(timeout=5.0).shard == 0 for f in kept)
+            assert counter(cluster, "holds_shed") == 1.0
 
 
 class TestRevival:
     def test_failed_revival_is_counted_and_can_be_retried(
-        self, cluster_catalog, monkeypatch
+        self, cluster_catalog, cluster_queries
     ):
+        """A failed respawn fails the held requests with TransportError;
+        the next request routed to the shard starts another."""
         links = [FakeLink(0), FakeLink(1)]
-        with make_cluster(cluster_catalog, links) as cluster:
-
-            def no_process(shard):
-                raise OSError("cannot spawn")
-
-            monkeypatch.setattr(cluster, "_spawn_shard", no_process)
-            cluster._reviving.add(0)
-            cluster._revive(0)
-            assert cluster.stats_snapshot().cluster["revive_failures"] == 1.0
-            assert 0 not in cluster._reviving  # a later ejection retries
+        respawner = Respawner(OSError("cannot spawn"))
+        with make_cluster(cluster_catalog, links, respawn=respawner) as cluster:
+            owner0 = owned_by(cluster, cluster_queries, 0)
+            fail_held_respawn(cluster, respawner, links[0], owner0)
+            assert counter(cluster, "revive_failures") == 1.0
+            assert counter(cluster, "shards") == 1.0
+            answer = cluster.estimate(owner0, timeout=5.0)
+            assert answer.shard == 0
+            assert answer.shard == respawner.links[0].shard_id
+            assert wait_until(lambda: counter(cluster, "rejoins") == 1.0)
 
 
 class TestSwapCoherence:
@@ -451,14 +443,75 @@ class TestSwapCoherence:
             assert {a.snapshot_version for a in after} == {new_version}
             assert cluster.stats_snapshot().cluster["swaps"] == 1.0
 
-    def test_replicas_swap_too(self, cluster_catalog, cluster_queries):
-        links = [FakeLink(0), FakeLink(1), FakeLink(2)]
-        with make_cluster(cluster_catalog, links, replicas=1) as cluster:
+    @pytest.mark.parametrize("ack", ["ok_false", "transport_error"])
+    def test_a_failed_ack_never_serves_the_old_version(
+        self, cluster_catalog, cluster_queries, ack
+    ):
+        """Shards that refuse (or lose) their invalidate never moved
+        version: their hold must not be released onto them.  Every
+        request admitted after the bump is answered at the new version,
+        by a respawned incarnation that caught up."""
+        links = [RefusingLink(0, ack), RefusingLink(1, ack)]
+        with make_cluster(cluster_catalog, links) as cluster:
+            old_version = cluster_catalog.version
             cluster.notify_table_update("R")
-            assert wait_until(
-                lambda: all(
-                    link.version == cluster_catalog.version for link in links
-                )
+            new_version = cluster_catalog.version
+            answers = [
+                cluster.estimate(query, timeout=5.0)
+                for query in cluster_queries[:8]
+            ]
+            stale = [a for a in answers if a.snapshot_version == old_version]
+            assert not stale, (
+                f"{len(stale)} of {len(answers)} answered at the old version"
+            )
+            assert {a.snapshot_version for a in answers} == {new_version}
+            assert {a.shard for a in answers} == {0, 1}
+            assert all(link.closed for link in links)
+            assert not any(link.requests("estimate") for link in links)
+            assert wait_until(lambda: counter(cluster, "rejoins") == 2.0)
+            assert counter(cluster, "shard_faults") == 2.0
+
+    def test_a_swap_during_a_respawn_is_caught_up(
+        self, cluster_catalog, cluster_queries
+    ):
+        """A shard that is down when a table update fans out misses the
+        invalidate; its respawn's catch-up replays it before release."""
+        links = [FakeLink(0), FakeLink(1)]
+        respawner = Respawner()
+        with make_cluster(cluster_catalog, links, respawn=respawner) as cluster:
+            owner0 = owned_by(cluster, cluster_queries, 0)
+            respawner.gate.clear()
+            links[0].fail_transport = True
+            held = cluster.submit(owner0)
+            assert wait_until(lambda: counter(cluster, "shard_faults") == 1.0)
+            cluster.notify_table_update("S")
+            new_version = cluster_catalog.version
+            assert not links[0].requests("invalidate")
+            respawner.gate.set()
+            answer = held.result(timeout=5.0)
+            assert answer.shard == 0
+            assert answer.snapshot_version == new_version
+            [(payload, _)] = respawner.links[0].requests("invalidate")
+            assert payload["table"] == "S"
+            assert payload["version"] == new_version
+
+
+class RefusingLink(FakeLink):
+    """A FakeLink whose invalidate fails: answered ``ok: false``, or
+    lost with a :class:`TransportError`."""
+
+    def __init__(self, shard_id: int, ack: str, **kwargs):
+        super().__init__(shard_id, **kwargs)
+        self.ack = ack
+
+    def _answer(self, payload: dict, future: Future) -> None:
+        if payload.get("op") != "invalidate":
+            super()._answer(payload, future)
+        elif self.ack == "transport_error":
+            future.set_exception(TransportError("invalidate lost"))
+        else:
+            future.set_result(
+                {"ok": False, "status": "invalid", "detail": "refused"}
             )
 
 
@@ -492,61 +545,50 @@ class TestShardStatsAggregation:
         self, cluster_catalog, cluster_queries
     ):
         links = [StatsLink(0, estimates=7.0), StatsLink(1, estimates=3.0)]
-        with make_cluster(
-            cluster_catalog, links, breaker_threshold=1
-        ) as cluster:
+        revived = StatsLink(0, estimates=2.0)
+        respawner = Respawner(revived, OSError("cannot spawn"))
+        with make_cluster(cluster_catalog, links, respawn=respawner) as cluster:
             stats = cluster.shard_stats(timeout_s=5.0)
             assert stats[0]["counters"]["estimates"] == 7.0
             assert stats[1]["counters"]["estimates"] == 3.0
 
-            # kill shard 0: the breaker ejects it on the next fault
-            owner0 = next(
-                query
-                for query in cluster_queries
-                if cluster.estimate(query, timeout=5.0).shard == 0
-            )
+            # kill shard 0 with its respawn held back
+            owner0 = owned_by(cluster, cluster_queries, 0)
+            respawner.gate.clear()
             links[0].fail_transport = True
-            assert cluster.estimate(owner0, timeout=5.0).shard == 1
-            assert cluster.stats_snapshot().cluster["ejections"] == 1.0
+            held = cluster.submit(owner0)
+            assert wait_until(lambda: counter(cluster, "shard_faults") == 1.0)
 
-            # down: member 0 still reports its banked counters
+            # down: shard 0 still reports its banked counters
             stats = cluster.shard_stats(timeout_s=5.0)
             assert stats[0]["counters"]["estimates"] == 7.0
             assert stats[1]["counters"]["estimates"] == 3.0
 
-            # rejoin a fresh incarnation (counters restart from 2): the
+            # the fresh incarnation (counters restart from 2) serves: the
             # banked prior folds in, live gauges/meta win
-            revived = StatsLink(0, estimates=2.0)
-            with cluster._route_lock:
-                cluster._links[0] = revived
-                cluster._ring.rejoin(0)
-            cluster._breaker.reset(0)
+            respawner.gate.set()
+            assert held.result(timeout=5.0).shard == 0
             stats = cluster.shard_stats(timeout_s=5.0)
             assert stats[0]["counters"]["estimates"] == 9.0
             assert stats[0]["gauges"]["queue_depth"] == 0.0
             assert stats[0]["meta"]["shard"] == 0
 
-            # a second eject banks the folded total, not just the delta
-            revived.fail_transport = True
-            assert cluster.estimate(owner0, timeout=5.0).shard == 1
+            # a second fault (its respawn fails) banks the folded total,
+            # not just the delta
+            fail_held_respawn(cluster, respawner, revived, owner0)
             stats = cluster.shard_stats(timeout_s=5.0)
             assert stats[0]["counters"]["estimates"] == 9.0
 
     def test_unpolled_member_reports_nothing_after_eject(
         self, cluster_catalog, cluster_queries
     ):
-        """No poll before the crash means nothing to bank — the member
-        simply disappears from shard_stats until it rejoins."""
+        """No poll before the crash means nothing to bank — a shard whose
+        respawn failed simply disappears from shard_stats."""
         links = [StatsLink(0, estimates=5.0), StatsLink(1, estimates=1.0)]
-        with make_cluster(
-            cluster_catalog, links, breaker_threshold=1
-        ) as cluster:
-            links[0].fail_transport = True
-            answers = [
-                cluster.estimate(query, timeout=5.0)
-                for query in cluster_queries
-            ]
-            assert all(answer.shard == 1 for answer in answers)
+        respawner = Respawner(OSError("cannot spawn"))
+        with make_cluster(cluster_catalog, links, respawn=respawner) as cluster:
+            owner0 = owned_by(cluster, cluster_queries, 0)
+            fail_held_respawn(cluster, respawner, links[0], owner0)
             stats = cluster.shard_stats(timeout_s=5.0)
             assert set(stats) == {1}
 
@@ -642,13 +684,13 @@ class TestBoundedHolds:
 
 
 class TestSwapUnderWrite:
-    def test_injected_fault_ejects_the_member_never_wedges(
+    def test_injected_fault_respawns_the_member_never_wedges(
         self, cluster_catalog, cluster_queries
     ):
         """A seeded ``swap_under_write`` fault at one member must not
         leave it serving the old version or wedge admission: the member
-        is ejected outright and every answer accepted after the bump
-        carries the new version from the surviving shard."""
+        is held, respawned and caught up, and every answer accepted
+        after the bump carries the new version — shard 0's included."""
         from repro.resilience.faults import (
             POINT_SWAP_UNDER_WRITE,
             FaultPlan,
@@ -657,11 +699,12 @@ class TestSwapUnderWrite:
         )
 
         links = [FakeLink(0), FakeLink(1)]
+        respawner = Respawner()
         plan = FaultPlan(
             [FaultRule(point=POINT_SWAP_UNDER_WRITE, match="member=0")],
             seed=3,
         )
-        with make_cluster(cluster_catalog, links) as cluster:
+        with make_cluster(cluster_catalog, links, respawn=respawner) as cluster:
             with armed(plan):
                 cluster.notify_table_update("R")
             assert plan.total_fires == 1
@@ -673,10 +716,11 @@ class TestSwapUnderWrite:
                 for query in cluster_queries
             ]
             assert {a.snapshot_version for a in answers} == {new_version}
-            assert all(a.shard == 1 for a in answers)
+            assert {a.shard for a in answers} == {0, 1}
+            assert respawner.links[0].version == new_version
             stats = cluster.stats_snapshot().cluster
             assert stats["swap_faults"] == 1.0
-            assert stats["ejections"] == 1.0
+            assert stats["shard_faults"] == 1.0
 
 
 class TestClusterStaleness:

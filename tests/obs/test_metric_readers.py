@@ -13,7 +13,7 @@ router's ``_count(...)``).  Families registered through an f-string
 through that structure's own tests.
 
 *Read*: the dotted name, or its key as a quoted string
-(``snapshot.cluster["ejections"]``), appears in ``tests/``, ``scripts/``,
+(``snapshot.cluster["rejoins"]``), appears in ``tests/``, ``scripts/``,
 ``bench/``, ``benchmarks/``, ``examples/``, the CLI (``repro/__main__.py``)
 or the bench runner (``repro/bench/``).
 """
@@ -68,7 +68,7 @@ def test_the_scan_sees_the_registry():
     assert len(names) > 100
     assert {
         "service.served",
-        "cluster.ejections",
+        "cluster.rejoins",
         "catalog.version",
         "ingest.events_applied",
     } <= names

@@ -75,21 +75,13 @@ class TestClusterValidation:
         ("field", "value"),
         [
             ("shards", 0),
-            ("replicas", -1),
-            ("hedge_delay_s", -0.5),
             ("ring_points", 0),
             ("shard_workers", 0),
-            ("breaker_threshold", 0),
-            ("breaker_window_s", 0.0),
         ],
     )
     def test_rejects_bad_knob(self, field, value):
         with pytest.raises(ValueError, match=field):
             ClusterConfig(**{field: value})
-
-    def test_none_hedge_delay_means_derived(self):
-        assert ClusterConfig(hedge_delay_s=None).hedge_delay_s is None
-        assert ClusterConfig(hedge_delay_s=0.0).hedge_delay_s == 0.0
 
 
 @pytest.mark.parametrize(
@@ -102,6 +94,17 @@ def test_router_constants_are_no_config_keys(field):
         ClusterConfig.from_dict({field: 1.0})
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["replicas", "hedge_delay_s", "breaker_threshold", "breaker_window_s"],
+)
+def test_removed_cluster_keys_are_unknown(field):
+    """Hedging, replicas and the per-shard breaker are gone: a
+    deployment file still naming one fails loudly."""
+    with pytest.raises(ValueError, match="unknown ClusterConfig keys"):
+        ServiceConfig.from_dict({"cluster": {"shards": 2, field: 1}})
+
+
 class TestRoundTrip:
     def test_defaults_round_trip(self):
         config = ServiceConfig()
@@ -112,7 +115,7 @@ class TestRoundTrip:
             workers=4,
             healing=HealingConfig(breaker_threshold=5, requeue_limit=0),
             cluster=ClusterConfig(
-                shards=4, replicas=2, hedge_delay_s=0.25, ring_points=128
+                shards=4, ring_points=128, max_held_requests=64
             ),
         )
         # through actual JSON, not just dicts: the serve --config path
@@ -120,7 +123,7 @@ class TestRoundTrip:
             json.loads(json.dumps(config.to_dict()))
         )
         assert restored == config
-        assert restored.cluster.replicas == 2
+        assert restored.cluster.max_held_requests == 64
         assert restored.healing.breaker_threshold == 5
 
     def test_null_cluster_round_trips_to_none(self):

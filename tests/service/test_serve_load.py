@@ -1,5 +1,5 @@
-"""End-to-end run of the runner's ``service`` suite (slow: builds a
-snowflake catalog, overloads a service, spawns shard processes)."""
+"""End-to-end run of the runner's ``service`` suite (slow: builds two
+snowflake catalogs, overloads a service, spawns shard processes)."""
 
 from __future__ import annotations
 
@@ -17,9 +17,10 @@ def block():
         seed=7,
         distinct=3,
         requests=60,
-        clients=4,
         workers=1,
-        shards=2,
+        cluster_scale=0.1,
+        pairs=2,
+        rounds=2,
     )
     assert service.render(blocks)
     return blocks["service"]
@@ -35,14 +36,23 @@ def test_open_loop_sheds_and_conserves(block):
         assert open_loop[key] >= 0.0
 
 
-def test_cluster_block_reports_honest_cores(block):
+def test_cluster_block_compares_service_and_cluster(block):
     cluster = block["cluster"]
     assert cluster["cores"] >= 1
-    assert cluster["single_shard"]["shards"] == 1
-    assert cluster["sharded"]["shards"] == 2
-    assert cluster["sharded"]["requests"] == 60
-    assert cluster["speedup_vs_single_shard"] > 0
-    # honest reporting: the flag is derived, not asserted — on a 1-core
-    # host the speedup is expected to hover near 1x and core_limited
-    # tells the reader why
-    assert cluster["core_limited"] == (cluster["cores"] < 2)
+    assert cluster["service_workers"] == cluster["shards"] == 2
+    assert cluster["pairs"] == 2
+    for name in ("cold_mix", "hot_stream"):
+        regime = cluster[name]
+        assert regime["requests_per_pass"] > 0
+        for side in ("service", "cluster"):
+            runs = regime[side]["runs"]
+            assert len(runs) == 2 and min(runs) > 0
+            assert regime[side]["q1"] <= regime[side]["median"] <= regime[side]["q3"]
+        assert regime["cluster_vs_service"] == (
+            regime["cluster"]["median"] / regime["service"]["median"]
+        )
+    # the decision is derived from the medians, never asserted
+    assert cluster["cluster_wins_cold_mix"] == (
+        cluster["cold_mix"]["cluster"]["median"]
+        >= cluster["cold_mix"]["service"]["median"]
+    )
