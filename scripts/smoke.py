@@ -281,26 +281,33 @@ def smoke_plan_cache() -> None:
         )
 
         # coherence mid-stream: an update must force a recompile, not
-        # serve the stale plan — then steady state resumes.  Every
-        # worker owns a session (and cache), so each needs one miss
-        # to recompile before the probe is guaranteed to hit.  A notify
-        # changes no histogram: the recompiles read the pool's derived
-        # joins and run the join kernel 0 times.
+        # serve the stale plan — then steady state resumes.  The worker
+        # that recompiles publishes the plan before it answers, so the
+        # next ask is a hit answered on arrival whichever worker would
+        # have taken it: one recompile, not one per worker.  A notify
+        # changes no histogram: the recompile reads the pool's derived
+        # joins and runs the join kernel 0 times.
         joins_before = client.stats()["caches"]["join_memo_misses"]
+        stale = catalog.version
         catalog.notify_table_update("customer")
         probe = TEMPLATES[0].format(low=5, high=30)
         first = client.estimate(probe)
         assert not first.plan_cache_hit, "stale plan served after update"
+        after_notify = [first]
         recompiles = 1
         for _ in range(4 * config.workers):
-            if client.estimate(probe).plan_cache_hit:
+            after_notify.append(client.estimate(probe))
+            if after_notify[-1].plan_cache_hit:
                 break
             recompiles += 1
         else:
             raise AssertionError("cache never refilled after the update")
-        assert recompiles <= config.workers, (
+        after_notify += [client.estimate(sql) for sql in workload[: len(TEMPLATES)]]
+        assert recompiles == 1, (
             f"{recompiles} recompiles for {config.workers} workers"
         )
+        old = [a for a in after_notify if a.snapshot_version == stale]
+        assert not old, f"{len(old)} answers at v{stale} after the notify"
         # post-update telemetry: the namespace reflects the recompile
         # (workers either evict in place or retire the whole session,
         # so the observable invariant is a fresh miss + compile, never
@@ -314,10 +321,10 @@ def smoke_plan_cache() -> None:
             "histogram pairs again"
         )
         print(
-            f"coherence: update forced {recompiles} per-worker "
-            f"recompiles (pool_version "
-            f"{after.get('pool_version', 0):.0f}, 0 new joins), "
-            "steady state resumed"
+            f"coherence: update forced {recompiles} recompile for "
+            f"{config.workers} workers (pool_version "
+            f"{after.get('pool_version', 0):.0f}, 0 new joins), no answer "
+            f"at v{stale} after it, steady state resumed"
         )
     optimizer_pattern(fixture)
     explain_of_a_hit(fixture)

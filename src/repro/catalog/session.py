@@ -61,6 +61,33 @@ from repro.stats.pool import SITPool
 from repro.catalog.catalog import CatalogSnapshot, StatisticsCatalog
 
 
+def stamp_staleness(tracker, predicates, result):
+    """``result`` with ``staleness_s`` provenance when a tracker is wired.
+
+    One of the two steps every served answer takes after it is computed
+    (the other is :func:`emit_feedback`); a session runs both on its
+    worker, and the service runs the same two on an answer it replays
+    where the request arrived."""
+    if tracker is None or result is None:
+        return result
+    try:
+        staleness = tracker.staleness_for(tables_of(predicates))
+    except Exception:
+        return result
+    return result.with_staleness(staleness)
+
+
+def emit_feedback(sink, predicates, result) -> None:
+    """Hand an answer to the advisor's feedback sink; sink errors are
+    swallowed, since feedback is advisory and must never fail serving."""
+    if sink is None or result is None:
+        return
+    try:
+        sink(predicates, result)
+    except Exception:
+        pass
+
+
 class EstimationSession:
     """Many queries, one snapshot, one memo and shared caches."""
 
@@ -185,26 +212,6 @@ class EstimationSession:
                 "was replaced after pinning"
             )
 
-    def _stamp_staleness(self, predicates, result):
-        """Attach ``staleness_s`` provenance when a tracker is wired."""
-        tracker = self.staleness_tracker
-        if tracker is None or result is None:
-            return result
-        try:
-            staleness = tracker.staleness_for(tables_of(predicates))
-        except Exception:
-            return result
-        return result.with_staleness(staleness)
-
-    def _emit_feedback(self, predicates, result) -> None:
-        sink = self.feedback_sink
-        if sink is None or result is None:
-            return
-        try:
-            sink(predicates, result)
-        except Exception:
-            pass
-
     def _clear_trace(self) -> None:
         """A request's trace starts empty: stage times are read, and
         summed, per request."""
@@ -234,8 +241,8 @@ class EstimationSession:
                 else frozenset(query)
             )
             result = self.estimator.estimate_predicates(predicates)
-            self._emit_feedback(predicates, result)
-            return self._stamp_staleness(predicates, result)
+            emit_feedback(self.feedback_sink, predicates, result)
+            return stamp_staleness(self.staleness_tracker, predicates, result)
         finally:
             lock.release()
 
@@ -266,12 +273,13 @@ class EstimationSession:
             self.queries += len(sets)
             results: list[EstimationResult | None] = [None] * len(sets)
             cache = self.plan_cache
+            sink, tracker = self.feedback_sink, self.staleness_tracker
             if cache is None:
                 # exactly like N :meth:`estimate` calls
                 for i, ps in enumerate(sets):
                     results[i] = self.estimator.estimate_predicates(ps)
-                    self._emit_feedback(ps, results[i])
-                    results[i] = self._stamp_staleness(ps, results[i])
+                    emit_feedback(sink, ps, results[i])
+                    results[i] = stamp_staleness(tracker, ps, results[i])
                 return results
             for i, ps in enumerate(sets):
                 plan, ordered = cache.plan_for(ps)
@@ -282,10 +290,10 @@ class EstimationSession:
                 else:
                     results[i] = plan.replay(ordered)
             for ps, result in zip(sets, results):
-                self._emit_feedback(ps, result)
-            if self.staleness_tracker is not None:
+                emit_feedback(sink, ps, result)
+            if tracker is not None:
                 results = [
-                    self._stamp_staleness(ps, result)
+                    stamp_staleness(tracker, ps, result)
                     for ps, result in zip(sets, results)
                 ]
             return results
@@ -360,4 +368,4 @@ class EstimationSession:
         return StatsSnapshot.from_registry(self.metrics_registry(), meta=meta)
 
 
-__all__ = ["EstimationSession"]
+__all__ = ["EstimationSession", "emit_feedback", "stamp_staleness"]

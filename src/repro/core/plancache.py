@@ -74,6 +74,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -487,6 +488,20 @@ class PlanCache:
     @property
     def bytes(self) -> int:
         return sum(plan.weight_bytes for plan, _ in self._plans.values())
+
+    @property
+    def pool_version(self) -> int:
+        """The pool version every plan held was compiled at."""
+        return self._pool_version
+
+    def plans(self, last: int | None = None) -> dict[tuple, CompiledPlan]:
+        """``{fingerprint: plan}`` in compile order — every plan held, or
+        the ``last`` compiled: a copy, for a serving layer to publish
+        beyond the owning session."""
+        items = self._plans.items()
+        if last is not None and last < len(self._plans):
+            items = reversed(list(islice(reversed(items), last)))
+        return {fingerprint: entry[0] for fingerprint, entry in items}
 
     # ------------------------------------------------------------------
     def _validate(self) -> None:

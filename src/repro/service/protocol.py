@@ -79,6 +79,11 @@ whether the answer was replayed from a compiled template plan
 bit-identical to the full path, so the field is diagnostic only —
 clients use it to audit steady-state latency, never correctness.
 
+``batch_size`` and ``deduplicated`` describe the micro-batch a worker
+answered the request in.  A hit whose plan the workers have published
+is answered on arrival instead, without a worker or a batch: it
+reports ``batch_size`` 1 and ``deduplicated`` false.
+
 Transport loss is *client-side*
 (:class:`repro.service.client.TransportError`) and never appears as a
 wire status; the vocabulary above is closed.
@@ -182,7 +187,8 @@ class ServedEstimate:
     error: float
     snapshot_version: int
     latency_ms: float
-    #: requests the answering micro-batch carried (1 = no coalescing)
+    #: requests the answering micro-batch carried (1 = no coalescing,
+    #: and for an answer served on arrival, which had no batch)
     batch_size: int = 1
     #: True when this answer was deduplicated off another request's DP
     #: run within the same micro-batch

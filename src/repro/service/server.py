@@ -1,10 +1,12 @@
 """The asyncio JSON-lines front-end over :class:`EstimationService`.
 
 One TCP connection, one JSON object per line (see
-:mod:`repro.service.protocol`).  The event loop never estimates — it
-decodes, admits into the thread-pooled service and parks until the
-answers exist, so slow DP work on one connection does not stall
-another's admission (and a shed request is answered in microseconds).
+:mod:`repro.service.protocol`).  The event loop never solves — it
+decodes and admits into the thread-pooled service; a request whose
+shape has a published plan is replayed during admission, on the loop
+thread, and every other one is parked on until a worker answers it, so
+slow DP work on one connection does not stall another's admission (and
+a shed request is answered in microseconds).
 
 The wire is handled a *group* at a time: whatever complete lines one
 socket read delivers — a client's pipelined burst — are decoded
@@ -12,7 +14,9 @@ together, admitted with one ``submit_many``, awaited with one wake-up
 (the last member to resolve wakes the loop) and answered with one
 write, response lines in request order.  A burst therefore costs one
 task, one cross-thread wake-up and one ``write`` + ``drain`` — not one
-of each per request — and reaches the worker as one unit.
+of each per request — and reaches the worker as one unit.  A group
+whose members were all answered on arrival is written without
+suspending at all.
 
 Three ways to run it:
 
@@ -60,7 +64,9 @@ def _failure(exc: Exception, request_id: object) -> dict:
 async def _all_done(futures: "Sequence[Future]") -> None:
     """Park until every future is resolved.  The worker threads count
     the group down and only the last resolution crosses into the loop
-    (one ``call_soon_threadsafe``), however many members there are."""
+    (one ``call_soon_threadsafe``), however many members there are.
+    Pass only unresolved futures: one already resolved would still
+    cost a wake-up through the loop's self-pipe."""
     if not futures:
         return
     loop = asyncio.get_running_loop()
@@ -220,8 +226,14 @@ class EstimationServer:
                 outcomes = self.service.submit_many(requests)
             except Exception as exc:  # a bug must not lose the group
                 outcomes = [exc] * len(requests)
+            # a group answered on arrival has nothing to wait for, and
+            # awaiting nothing does not suspend the task
             await _all_done(
-                [outcome for outcome in outcomes if isinstance(outcome, Future)]
+                [
+                    outcome
+                    for outcome in outcomes
+                    if isinstance(outcome, Future) and not outcome.done()
+                ]
             )
             for (slot, payload), outcome in zip(estimates, outcomes):
                 responses[slot] = self._estimate_response(payload, outcome)

@@ -3,6 +3,15 @@
 :class:`EstimationService` turns the single-threaded
 :class:`~repro.catalog.EstimationSession` into a request path:
 
+* **hits answered on arrival** — after each batch that compiled (or
+  rolled to a new snapshot) a worker publishes its session's compiled
+  plans on the service as one immutable table, stamped with the
+  snapshot version, the pool object and the pool's version.  While that
+  stamp is current, :meth:`~EstimationService.submit_many` answers a
+  request whose shape is in the table on the submitting thread: one
+  fingerprint, one dict probe, one
+  :meth:`~repro.core.plancache.CompiledPlan.replay`, and an already
+  resolved future.  Only misses cross to a worker;
 * a **bounded admission queue** (:class:`~repro.service.queue.AdmissionQueue`)
   in front of a **worker-thread pool**; every worker owns one
   snapshot-pinned session, so the session single-owner contract holds by
@@ -17,7 +26,9 @@
   predicate set are answered by one DP run (dedup); across batches a
   request replays the plan its shape compiled to, and a sub-plan an
   earlier request solved is a lookup in the session's DP memo;
-* **admission control** — a full queue sheds immediately with the typed
+* **admission control** — the queue bounds DP work, not hits: a hit is
+  never queued, so it is never shed.  A full queue sheds immediately
+  with the typed
   :class:`~repro.service.protocol.Overloaded`; per-request deadlines are
   enforced at dequeue (:class:`~repro.service.protocol.DeadlineExceeded`)
   so a backlogged worker never burns DP time on answers nobody is
@@ -34,7 +45,12 @@
 Observability: queue-depth gauge, served/shed counters, batch and
 snapshot-swap counters, and a p50/p95/p99-capable latency histogram —
 all under the ``service`` namespace of :meth:`stats_snapshot`, with the
-workers' session telemetry merged in under the usual namespaces.
+workers' session telemetry merged in under the usual namespaces.  An
+answer served on arrival counts in ``submitted``, ``served``,
+``latency_ms``, ``answered_on_arrival`` and ``plan_cache.hits``;
+``batches`` and ``batch_size`` count queued work only.  The
+``plan_cache`` counts run for the service's life: a retired session's
+are banked, not dropped.
 """
 
 from __future__ import annotations
@@ -43,11 +59,18 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace as _replace
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Mapping
 
 from repro.catalog.catalog import CatalogSnapshot, StatisticsCatalog
-from repro.catalog.session import EstimationSession
+from repro.catalog.session import (
+    EstimationSession,
+    emit_feedback,
+    stamp_staleness,
+)
 from repro.core.errors import ErrorFunction
+from repro.core.get_selectivity import EstimationResult
+from repro.core.plancache import CompiledPlan, PlanCache, shape_fingerprint
 from repro.core.predicates import PredicateSet, tables_of
 from repro.engine.database import Database
 from repro.engine.expressions import Query
@@ -121,6 +144,31 @@ class _Pending:
         return self.deadline is not None and now > self.deadline
 
 
+#: the :class:`PlanCache` counters the service reports as lifetime totals
+_PLAN_EVENTS = ("hits", "misses", "compiles", "evictions")
+
+
+@dataclass(frozen=True, eq=False)
+class _PlanTable:
+    """The workers' compiled plans at one stamp — the snapshot version,
+    the pool object and the pool version they were compiled against.
+    Never mutated: a publish builds a new table and swaps the reference."""
+
+    snapshot_version: int
+    pool: SITPool
+    pool_version: int
+    plans: Mapping[tuple, CompiledPlan]
+
+    def stamped(
+        self, snapshot_version: int, pool: SITPool, pool_version: int
+    ) -> bool:
+        return (
+            self.pool is pool
+            and self.snapshot_version == snapshot_version
+            and self.pool_version == pool_version
+        )
+
+
 class EstimationService:
     """A thread-pooled, micro-batching front end over ``getSelectivity``.
 
@@ -181,6 +229,14 @@ class EstimationService:
         #: sessions roll back to it while the current version is bad
         self._last_good: CatalogSnapshot | None = None
         self._restarts = 0
+        # -- plans published for answering on arrival ------------------
+        #: replaced whole under ``_table_lock``, read without a lock
+        self._plan_table: _PlanTable | None = None
+        self._table_lock = threading.Lock()
+        #: plan-cache event counts of retired sessions (``_sessions_lock``),
+        #: so the service's ``plan_cache`` counts run for its whole life;
+        #: ``None`` until a session with a plan cache retires
+        self._retired_plan_events: dict[str, int] | None = None
         # -- self-tuning loop (repro.advisor) ---------------------------
         #: constructed only when configured *and* serving from a catalog
         #: with a database (the loop needs the refresh path and an
@@ -204,6 +260,10 @@ class EstimationService:
                 config=self.config.advisor,
                 name=f"{name}-advisor",
             )
+        #: every answer's feedback goes here, from a session or on arrival
+        self._feedback_sink = (
+            self.advisor.record_result if self.advisor is not None else None
+        )
         self._workers_lock = threading.Lock()
         self._workers = [
             threading.Thread(
@@ -250,10 +310,8 @@ class EstimationService:
             backend=self.config.backend,
             plan_cache=self.config.plan_cache,
         )
-        if self.advisor is not None:
-            session.feedback_sink = self.advisor.record_result
-        if self.staleness_tracker is not None:
-            session.staleness_tracker = self.staleness_tracker
+        session.feedback_sink = self._feedback_sink
+        session.staleness_tracker = self.staleness_tracker
         with self._sessions_lock:
             self._sessions.append(session)
         return session
@@ -287,9 +345,17 @@ class EstimationService:
         had ever served.)
         """
         registry = session.metrics_registry()
+        cache = session.plan_cache
         with self._sessions_lock:
             if session in self._sessions:
                 self._sessions.remove(session)
+                if cache is not None:
+                    banked = self._retired_plan_events or dict.fromkeys(
+                        _PLAN_EVENTS, 0
+                    )
+                    for key in _PLAN_EVENTS:
+                        banked[key] += getattr(cache, key)
+                    self._retired_plan_events = banked
             self._retired_registry.merge(registry)
 
     # ------------------------------------------------------------------
@@ -322,9 +388,13 @@ class EstimationService:
         failure :meth:`submit` would have raised for it
         (:class:`InvalidRequest`, :class:`Overloaded`,
         :class:`ServiceClosed`), so one bad member costs the others
-        nothing.  The admissible members enter the queue under one lock
-        with one worker wake-up; when the queue cannot hold them all,
-        the prefix that fits is admitted and the rest are shed.
+        nothing.  A member whose shape is in the published plan table
+        is answered here, on the calling thread, and its future is
+        returned already resolved (``batch_size`` 1, never
+        deduplicated, never shed).  The other admissible members enter
+        the queue under one lock with one worker wake-up; when the
+        queue cannot hold them all, the prefix that fits is admitted and
+        the rest are shed.
         """
         if self._closed.is_set() or self._draining.is_set():
             return [
@@ -333,10 +403,13 @@ class EstimationService:
             ]
         sql = self._sql
         default_timeout = self.config.default_timeout_s
+        table = self._live_table()
         outcomes: "list[Future | ServiceError]" = []
         admissible: list[_Pending] = []
         #: ``outcomes`` index of every admissible member
         slots: list[int] = []
+        #: latencies of the members answered on arrival
+        arrived: list[float] = []
         for query, timeout in requests:
             try:
                 predicates, tables = coerce_query(query, sql)
@@ -344,6 +417,18 @@ class EstimationService:
                 outcomes.append(exc)
                 continue
             now = time.monotonic()
+            if table is not None:
+                fingerprint, ordered = shape_fingerprint(predicates)
+                plan = table.plans.get(fingerprint)
+                if plan is not None:
+                    answer = self._answer_on_arrival(
+                        plan, ordered, predicates, tables, table, now
+                    )
+                    future = Future()
+                    future.set_result(answer)
+                    outcomes.append(future)
+                    arrived.append(answer.latency_ms)
+                    continue
             if timeout is None:
                 timeout = default_timeout
             pending = _Pending(
@@ -356,6 +441,10 @@ class EstimationService:
             slots.append(len(outcomes))
             admissible.append(pending)
             outcomes.append(pending.future)
+        if arrived:
+            self._count_arrivals(arrived)
+        if not admissible:
+            return outcomes
         try:
             admitted = self._queue.offer_many(admissible)
         except RuntimeError:
@@ -375,6 +464,92 @@ class EstimationService:
                 f"queue at depth {self.config.queue_depth}; request shed"
             )
         return outcomes
+
+    def _live_table(self) -> _PlanTable | None:
+        """The published plans, when a hit may be answered from them now:
+        no fault plan is armed (so firing stays a function of seed and
+        call order) and the table's stamp is current."""
+        table = self._plan_table
+        if (
+            table is None
+            or _fault_plan() is not None
+            or not self._current(
+                table.snapshot_version, table.pool, table.pool_version
+            )
+        ):
+            return None
+        return table
+
+    def _current(
+        self, snapshot_version: int, pool: SITPool, pool_version: int
+    ) -> bool:
+        """Whether plans stamped so answer for the service now: their
+        snapshot is the one a worker should be pinned to (so a breaker
+        rollback is honoured) and their pool has not been invalidated
+        since they were compiled."""
+        expected = self._expected_version()
+        return (
+            expected is None or expected == snapshot_version
+        ) and pool.version == pool_version
+
+    def _answer_on_arrival(
+        self,
+        plan: CompiledPlan,
+        ordered,
+        predicates: frozenset,
+        tables: frozenset[str],
+        table: _PlanTable,
+        submitted_at: float,
+    ) -> ServedEstimate:
+        """A hit replayed on the submitting thread, through the feedback
+        sink and staleness stamp a session gives its own replay."""
+        result = plan.replay(ordered)
+        emit_feedback(self._feedback_sink, predicates, result)
+        result = stamp_staleness(self.staleness_tracker, predicates, result)
+        return self._served(
+            result,
+            self.database.cross_product_size(tables),
+            table.snapshot_version,
+            (time.monotonic() - submitted_at) * 1000.0,
+        )
+
+    def _count_arrivals(self, latencies: list[float]) -> None:
+        count = len(latencies)
+        with self._metrics_lock:
+            metrics = self.metrics
+            metrics.counter("service.submitted").inc(count)
+            metrics.counter("service.served").inc(count)
+            metrics.counter("service.answered_on_arrival").inc(count)
+            histogram = metrics.histogram("service.latency_ms")
+            for latency_ms in latencies:
+                histogram.observe(latency_ms)
+        self._maybe_tune()
+
+    @staticmethod
+    def _served(
+        result: EstimationResult,
+        cross: float,
+        snapshot_version: int,
+        latency_ms: float,
+        batch_size: int = 1,
+        deduplicated: bool = False,
+    ) -> ServedEstimate:
+        """The answer to one request, whichever thread computed it."""
+        return ServedEstimate(
+            selectivity=result.selectivity,
+            cardinality=result.selectivity * cross,
+            error=result.error,
+            snapshot_version=snapshot_version,
+            latency_ms=latency_ms,
+            batch_size=batch_size,
+            deduplicated=deduplicated,
+            degradation_level=result.degradation_level,
+            excluded_sits=result.excluded_sits,
+            plan_cache_hit=result.plan_cache_hit,
+            backend=result.backend,
+            error_bound=result.error_bound,
+            staleness_s=result.staleness_s,
+        )
 
     def estimate(
         self,
@@ -558,6 +733,44 @@ class EstimationService:
             if snapshot.version not in self._bad_versions:
                 self._last_good = snapshot
 
+    def _publish_plans(
+        self, session: EstimationSession, cache: PlanCache, compiled: int
+    ) -> None:
+        """After a batch that compiled, or one whose session the table
+        is not stamped for (it rolled): publish, copy-on-write.  At the
+        table's own stamp the ``compiled`` plans this batch added are
+        merged in — a plan is a pure function of the pinned pool, so
+        every worker's plan for a shape is the same plan and one compile
+        per snapshot serves them all; at another stamp the session's
+        plans replace the table.  A session the catalog has moved past
+        publishes nothing, so a worker about to roll never displaces a
+        current table."""
+        version, pool, pool_version = (
+            session.snapshot_version,
+            cache.pool,
+            cache.pool_version,
+        )
+        table = self._plan_table
+        if (
+            not compiled
+            and table is not None
+            and table.stamped(version, pool, pool_version)
+        ):
+            return  # nothing new to publish
+        if pool is None or not self._current(version, pool, pool_version):
+            return
+        with self._table_lock:
+            table = self._plan_table
+            if table is not None and table.stamped(version, pool, pool_version):
+                plans = {**table.plans, **cache.plans(last=compiled)}
+                if len(plans) > cache.max_plans:  # oldest first
+                    plans = dict(
+                        islice(plans.items(), len(plans) - cache.max_plans, None)
+                    )
+            else:
+                plans = cache.plans()
+            self._plan_table = _PlanTable(version, pool, pool_version, plans)
+
     def _handle_worker_crash(
         self,
         session: EstimationSession,
@@ -685,6 +898,8 @@ class EstimationService:
             else:
                 members.append(pending)
         results: "list | None" = None
+        cache = session.plan_cache
+        compiles = cache.compiles if cache is not None else 0
         if order:
             try:
                 results = session.estimate_batch(order)
@@ -706,20 +921,13 @@ class EstimationService:
             done = time.monotonic()
             for index, pending in enumerate(live):
                 latency_ms = (done - pending.submitted_at) * 1000.0
-                answer = ServedEstimate(
-                    selectivity=result.selectivity,
-                    cardinality=result.selectivity * cross,
-                    error=result.error,
-                    snapshot_version=snapshot_version,
-                    latency_ms=latency_ms,
-                    batch_size=batch_size,
+                answer = self._served(
+                    result,
+                    cross,
+                    snapshot_version,
+                    latency_ms,
+                    batch_size,
                     deduplicated=index > 0,
-                    degradation_level=result.degradation_level,
-                    excluded_sits=result.excluded_sits,
-                    plan_cache_hit=result.plan_cache_hit,
-                    backend=result.backend,
-                    error_bound=result.error_bound,
-                    staleness_s=result.staleness_s,
                 )
                 if index > 0:
                     deduplicated += 1
@@ -727,8 +935,12 @@ class EstimationService:
                 latencies.append(latency_ms)
                 answers.append((pending, answer))
 
-        # counters first, then futures: a client that reads stats right
-        # after its answer arrives must see that answer counted
+        # plans, then counters, then futures: a caller's next request of
+        # a shape this batch compiled is answered on arrival, and a
+        # client that reads stats right after its answer arrives must
+        # see that answer counted
+        if cache is not None:
+            self._publish_plans(session, cache, cache.compiles - compiles)
         with self._metrics_lock:
             metrics = self.metrics
             latency_histogram = metrics.histogram("service.latency_ms")
@@ -816,11 +1028,15 @@ class EstimationService:
         with self._sessions_lock:
             sessions = list(self._sessions)
             registry.merge(self._retired_registry)
+            retired = self._retired_plan_events
             registry.gauge("service.active_sessions").set(
                 float(len(sessions))
             )
         for session in sessions:
             registry.merge(session.metrics_registry())
+        caches = [s.plan_cache for s in sessions if s.plan_cache is not None]
+        if caches or retired is not None:
+            self._fold_plan_cache(registry, caches, retired)
         breaker = self._breaker.as_dict()
         registry.counter("resilience.breaker_trips").inc(
             breaker.get("breaker_trips", 0.0)
@@ -838,6 +1054,37 @@ class EstimationService:
             for name, value in self.staleness_tracker.metrics().items():
                 registry.gauge(f"ingest.{name}").set(float(value))
         return registry
+
+    def _fold_plan_cache(
+        self,
+        registry: MetricsRegistry,
+        caches: list[PlanCache],
+        retired: dict[str, int] | None,
+    ) -> None:
+        """The service's ``plan_cache`` block.  Sessions report theirs
+        as gauges, which a merge overwrites, so the event counts are the
+        live sessions' summed with the retired ones' — lifetime totals
+        that never drop when a worker rolls — and a hit answered on
+        arrival (``service.answered_on_arrival``) is one no session saw.
+        The plans are the published table's, whichever worker compiled
+        each."""
+        totals = dict(retired) if retired is not None else dict.fromkeys(
+            _PLAN_EVENTS, 0
+        )
+        for cache in caches:
+            for key in _PLAN_EVENTS:
+                totals[key] += getattr(cache, key)
+        totals["hits"] += registry.counter("service.answered_on_arrival").value
+        lookups = totals["hits"] + totals["misses"]
+        totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
+        table = self._plan_table
+        if table is not None:
+            totals["plans"] = len(table.plans)
+            totals["bytes"] = sum(
+                plan.weight_bytes for plan in table.plans.values()
+            )
+        for key, value in totals.items():
+            registry.gauge(f"plan_cache.{key}").set(value)
 
     def stats_snapshot(self) -> StatsSnapshot:
         """The unified snapshot: request-path state under ``service``,

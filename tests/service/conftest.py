@@ -41,6 +41,19 @@ def factor_sharing_queries(two_table_attrs, two_table_join) -> list[Query]:
     ]
 
 
+@pytest.fixture()
+def cold_queries(two_table_attrs, two_table_join) -> list[Query]:
+    """Three queries of three different shapes: on a fresh service each
+    is a plan-cache miss, so each goes to a worker."""
+    ra = FilterPredicate(two_table_attrs["Ra"], 10.0, 40.0)
+    sb = FilterPredicate(two_table_attrs["Sb"], 20.0, 70.0)
+    return [
+        Query.of(two_table_join, ra),
+        Query.of(two_table_join, sb),
+        Query.of(two_table_join, ra, sb),
+    ]
+
+
 class SessionGate:
     """Holds every worker that reaches its session until :meth:`open`."""
 

@@ -185,10 +185,12 @@ class TestBatchLimits:
 
 class TestBatchFormation:
     def test_lone_request_is_a_batch_of_one_and_no_window_is_asked_for(
-        self, service_catalog, join_query, monkeypatch
+        self, service_catalog, cold_queries, monkeypatch
     ):
         """No timer on the request path: the worker asks the queue for
-        what is there, never for a linger."""
+        what is there, never for a linger.  Every request is a new
+        shape, so every one reaches a worker (a compiled shape would be
+        answered on arrival, in no batch at all)."""
         windows: list[tuple] = []
         real_take_batch = AdmissionQueue.take_batch
 
@@ -198,10 +200,12 @@ class TestBatchFormation:
 
         monkeypatch.setattr(AdmissionQueue, "take_batch", spy)
         with EstimationService(service_catalog, config=COALESCING) as service:
-            answers = [service.estimate(join_query) for _ in range(3)]
+            answers = [service.estimate(query) for query in cold_queries]
             stats = service.stats_snapshot()
         assert [answer.batch_size for answer in answers] == [1, 1, 1]
+        assert not any(answer.plan_cache_hit for answer in answers)
         assert stats.service["batches"] == 3.0
+        assert stats.service.get("answered_on_arrival", 0.0) == 0.0
         assert windows and all(call == ((), {}) for call in windows)
 
     def test_backlog_behind_a_busy_worker_is_the_next_batch(

@@ -21,6 +21,7 @@ from repro.service.server import start_in_thread
 from repro.sql import parse_query
 
 SQL = "SELECT * FROM R, S WHERE R.x = S.y AND R.a BETWEEN 10 AND 40"
+OTHER_SHAPE = "SELECT * FROM R, S WHERE R.x = S.y AND S.b BETWEEN 20 AND 70"
 
 
 @pytest.fixture()
@@ -137,6 +138,8 @@ class TestGroups:
         return [decode_line(reader.readline()) for _ in payloads]
 
     def test_one_sendall_is_one_batch_answered_in_request_order(self, server):
+        """The group is of a shape the warm-up did not compile, so none
+        of it is answered on arrival: all of it reaches the worker."""
         host, port = server.address
         n = 8
         with socket.create_connection((host, port), timeout=30.0) as sock:
@@ -146,14 +149,43 @@ class TestGroups:
             responses = self.exchange(
                 sock,
                 reader,
-                [{"id": str(index), "sql": SQL} for index in range(n)],
+                [{"id": str(index), "sql": OTHER_SHAPE} for index in range(n)],
             )
-        after = server.service.stats_snapshot().service["batches"]
+        stats = server.service.stats_snapshot().service
         assert [response["id"] for response in responses] == [
             str(index) for index in range(n)
         ]
         assert all(response["batch_size"] == n for response in responses)
-        assert after - before == 1.0
+        assert stats["batches"] - before == 1.0
+        assert stats.get("answered_on_arrival", 0.0) == 0.0
+
+    def test_group_of_compiled_shapes_is_answered_on_arrival(self, server):
+        """Once its shape is compiled, a group is answered as the loop
+        admits it: no batch, each member ``batch_size`` 1."""
+        host, port = server.address
+        n = 8
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            reader = sock.makefile("rb")
+            self.exchange(sock, reader, [{"id": "warm", "sql": SQL}])
+            before = server.service.stats_snapshot().service
+            responses = self.exchange(
+                sock,
+                reader,
+                [{"id": str(index), "sql": SQL} for index in range(n)],
+            )
+        after = server.service.stats_snapshot().service
+        assert [response["id"] for response in responses] == [
+            str(index) for index in range(n)
+        ]
+        assert all(
+            response["plan_cache_hit"]
+            and response["batch_size"] == 1
+            and not response["deduplicated"]
+            for response in responses
+        )
+        assert after["batches"] == before["batches"]
+        assert after["answered_on_arrival"] == float(n)
+        assert after["served"] - before["served"] == float(n)
 
     def test_line_split_across_segments_is_reassembled(self, server, client):
         host, port = server.address
@@ -232,12 +264,15 @@ class TestGroups:
         count the group down together: under a shortened switch interval
         and more threads than cores, every group is still woken (exactly
         once — a lost count would leave its connection waiting) and
-        answered whole and in order."""
+        answered whole and in order.  With the plan cache off nothing is
+        answered on arrival: every member crosses to a worker."""
         connections, rounds, size = 4, 15, 8
         service = EstimationService(
             service_catalog,
             # batches of 2 spread every group of 8 over all the workers
-            config=ServiceConfig(workers=3, queue_depth=256, max_batch=2),
+            config=ServiceConfig(
+                workers=3, queue_depth=256, max_batch=2, plan_cache=False
+            ),
         )
         answered: dict[int, list[list[dict]]] = {}
 
@@ -269,10 +304,12 @@ class TestGroups:
                 for thread in threads:
                     thread.join(timeout=60.0)
                     assert not thread.is_alive()
-                served = service.stats_snapshot().service["served"]
+                stats = service.stats_snapshot().service
         finally:
             sys.setswitchinterval(interval)
-        assert served == float(connections * rounds * size)
+        assert stats["served"] == float(connections * rounds * size)
+        assert stats["batched_requests"] == stats["served"]
+        assert stats.get("answered_on_arrival", 0.0) == 0.0
         for index in range(connections):
             for turn, responses in enumerate(answered[index]):
                 assert [response["id"] for response in responses] == [

@@ -3,6 +3,7 @@ a mid-load snapshot swap), admission control, deadlines and lifecycle."""
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -52,25 +53,37 @@ class TestParity:
                 assert served.error == error
 
     def test_parity_holds_across_mid_load_refresh(
-        self, two_table_db, service_catalog, join_query
+        self, two_table_db, service_catalog, join_query, session_gate
     ):
         """The acceptance gate: answers stay bit-identical to a direct
         estimator *on the snapshot they report*, even when the catalog
         is invalidated and refreshed while requests are in flight."""
         catalog = service_catalog
-        snapshots = {catalog.version: catalog.snapshot()}
+        first = catalog.version
+        snapshots = {first: catalog.snapshot()}
         answers = []
         with EstimationService(catalog, config=FAST) as service:
-            answers.append(service.estimate(join_query))
+            # the worker holds the first request inside its session, so
+            # no plan is published yet and the other eight stay queued
+            futures = [service.submit(join_query)]
+            session_gate.wait_entered()
+            futures += [service.submit(join_query) for _ in range(8)]
 
-            # put requests in flight, then move the catalog under them
-            futures = [service.submit(join_query) for _ in range(8)]
+            # move the catalog under the requests in flight
+            assert not any(future.done() for future in futures)
             catalog.notify_table_update("R")
             snapshots[catalog.version] = catalog.snapshot()
             report = catalog.refresh()
             assert report.rebuilt  # the update really dirtied SITs
             snapshots[catalog.version] = catalog.snapshot()
+            assert not any(future.done() for future in futures)
+            session_gate.open()
             answers.extend(future.result(timeout=30.0) for future in futures)
+            # the held batch answers on the snapshot it was pinned to, the
+            # queued one on the snapshot its worker rolled to
+            assert [served.snapshot_version for served in answers] == [
+                first
+            ] + [catalog.version] * 8
 
             # keep serving until a worker has rolled to the new snapshot
             deadline = time.monotonic() + 30.0
@@ -93,6 +106,63 @@ class TestParity:
             assert served.selectivity == selectivity
             assert served.cardinality == cardinality
             assert served.error == error
+
+    def test_answers_on_arrival_racing_refreshes_stay_bit_identical(
+        self, two_table_db, service_catalog, join_query
+    ):
+        """A reader thread asks a compiled shape — answered on arrival —
+        while the main thread notifies and refreshes.  Every answer
+        equals a direct estimator's on the snapshot it reports, and none
+        reports a version older than the catalog's when it was asked."""
+        catalog = service_catalog
+        snapshots = {catalog.version: catalog.snapshot()}
+        asked: list[tuple[int, object]] = []
+        stop = threading.Event()
+
+        def read() -> None:
+            while not stop.is_set():
+                version = catalog.version
+                asked.append((version, service.estimate(join_query)))
+
+        def wait_for(count: int) -> None:
+            deadline = time.monotonic() + 30.0
+            while len(asked) < count:
+                assert time.monotonic() < deadline, "the reader stalled"
+                time.sleep(0.001)
+
+        with EstimationService(catalog, config=FAST) as service:
+            service.estimate(join_query)  # compiled, and published
+            reader = threading.Thread(target=read, daemon=True)
+            reader.start()
+            try:
+                wait_for(20)
+                for table in ("R", "S", "R"):
+                    catalog.notify_table_update(table)
+                    snapshots[catalog.version] = catalog.snapshot()
+                    catalog.refresh()
+                    snapshots[catalog.version] = catalog.snapshot()
+                wait_for(len(asked) + 20)
+            finally:
+                stop.set()
+                reader.join(timeout=30.0)
+            assert not reader.is_alive()
+            stats = service.stats_snapshot().service
+
+        # at the least, every ask before the first notify
+        assert stats["answered_on_arrival"] >= 20.0
+        assert asked[0][1].snapshot_version < catalog.version
+        assert asked[-1][1].snapshot_version == catalog.version
+        expected = {
+            version: direct_answer(two_table_db, snapshot, join_query)
+            for version, snapshot in snapshots.items()
+        }
+        for version, served in asked:
+            assert served.snapshot_version >= version
+            assert (
+                served.selectivity,
+                served.cardinality,
+                served.error,
+            ) == expected[served.snapshot_version]
 
 
 class TestAdmissionControl:
@@ -180,22 +250,32 @@ class TestObservability:
     def test_service_namespace_in_stats_snapshot(
         self, service_catalog, factor_sharing_queries
     ):
+        """One shape, six requests: the first compiles on the worker and
+        the other five are answered on arrival — counted as submitted,
+        served, timed and plan-cache hits, but in no batch and not in
+        the session's ``queries``."""
+        count = len(factor_sharing_queries)
         with EstimationService(service_catalog, config=FAST) as service:
             for query in factor_sharing_queries:
                 service.estimate(query)
             snapshot = service.stats_snapshot()
         stats = snapshot.service
-        assert stats["submitted"] == float(len(factor_sharing_queries))
-        assert stats["served"] == float(len(factor_sharing_queries))
-        assert stats["batches"] >= 1.0
+        assert stats["submitted"] == float(count)
+        assert stats["served"] == float(count)
+        assert stats["answered_on_arrival"] == float(count - 1)
+        assert stats["batches"] == 1.0
+        assert stats["batched_requests"] == 1.0
         assert stats["queue_depth"] == 0.0
         assert stats["workers"] == 1.0
         assert stats["active_sessions"] == 1.0
         latency = stats["latency_ms"]
-        assert latency["count"] == float(len(factor_sharing_queries))
+        assert latency["count"] == float(count)
         assert set(latency) >= {"p50", "p95", "p99"}
         # the worker sessions' telemetry rides along in the usual places
-        assert snapshot.counters["queries"] >= len(factor_sharing_queries)
+        assert snapshot.counters["queries"] == 1.0
+        assert snapshot.plan_cache["hits"] == float(count - 1)
+        assert snapshot.plan_cache["misses"] == 1.0
+        assert snapshot.plan_cache["hit_rate"] == (count - 1) / count
         assert snapshot.to_dict()["service"] == stats
 
     def test_queue_depth_gauge_tracks_backlog(
