@@ -11,7 +11,8 @@ violation.  The driver bounds each smoke's wall clock (a hang is a
 failure, not a timeout someone else notices) and audits that nothing is
 left behind: no child process, no ``/dev/shm/psm_*`` segment.
 
-``service``       50 queries over TCP; a burst against a depth-1 queue sheds
+``service``       50 queries over TCP; one raw pipelined group of mixed
+                  members; a burst against a depth-1 queue sheds
 ``estimators``    every backend (sit / bn / sample) over TCP, with provenance
 ``plan_cache``    templated workload: hit rate, replay determinism, coherence,
                   a query's sub-plans each replaying on their second ask,
@@ -29,10 +30,12 @@ The ``__main__`` guard is load-bearing: shard processes start via the
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 import glob
 import multiprocessing
 import pathlib
+import socket
 import sys
 import tempfile
 import threading
@@ -66,7 +69,12 @@ from repro.service import (
     ServiceError,
     connect,
 )
-from repro.service.protocol import ServedEstimate
+from repro.service.protocol import (
+    STATUSES,
+    ServedEstimate,
+    decode_line,
+    encode_line,
+)
 from repro.service.server import start_in_thread
 from repro.sql import parse_query
 from repro.workload.fixture import SnowflakeFixture, snowflake_fixture
@@ -140,6 +148,35 @@ def wait_until(predicate, timeout_s: float = 60.0) -> bool:
 # ----------------------------------------------------------------------
 # service
 # ----------------------------------------------------------------------
+def raw_group(service: EstimationService, address) -> None:
+    """One pipelined group written raw: a compiled shape, a cold shape,
+    unparsable SQL, a malformed ``timeout_ms`` and a ping come back in
+    request order, with wire statuses only, and the hit's line is the
+    bytes of the in-process answer's ``to_wire`` (latency masked)."""
+    hit = SQL_TEMPLATE.format(low=30, high=55)
+    group = [
+        {"id": "hit", "sql": hit},
+        {"id": "cold", "sql": TEMPLATES[2].format(low=1, high=5)},
+        {"id": "unparsable", "sql": "SELECT * FROM nowhere WHERE"},
+        {"id": "timeout", "sql": hit, "timeout_ms": "soon"},
+        {"id": "ping", "op": "ping"},
+    ]
+    with socket.create_connection(address, timeout=60.0) as sock:
+        reader = sock.makefile("rb")
+        sock.sendall(b"".join(map(encode_line, group)))
+        lines = [reader.readline() for _ in group]
+    responses = [decode_line(line) for line in lines]
+    assert [r.get("id") for r in responses] == [m["id"] for m in group], responses
+    assert all(r["status"] in STATUSES for r in responses), responses
+    statuses = [r["status"] for r in responses]
+    assert statuses == ["ok", "ok", "invalid", "invalid", "ok"], responses
+    assert responses[0]["plan_cache_hit"] and not responses[1]["plan_cache_hit"]
+    local = service.estimate(hit)
+    masked = dataclasses.replace(local, latency_ms=responses[0]["latency_ms"])
+    assert lines[0] == encode_line(masked.to_wire("hit")), (lines[0], masked)
+    print(f"tcp: raw group of {len(group)} answered in order, hit line == to_wire")
+
+
 def smoke_service() -> None:
     fixture = serving_fixture()
     catalog = fixture.catalog
@@ -167,6 +204,7 @@ def smoke_service() -> None:
         hits, misses = stats["sql_template_hits"], stats["sql_template_misses"]
         assert hits >= len(sqls) - 1, f"template hits {hits}, misses {misses}"
         assert hits + misses == len(sqls), (hits, misses)
+        raw_group(service, (client.host, client.port))
     print(
         f"tcp: {len(sqls)} queries ok, versions={sorted(versions)}, "
         f"sql templates {hits:g} hits / {misses:g} misses"

@@ -446,6 +446,10 @@ class EstimationCluster:
                 outcomes.append(exc)
         return outcomes
 
+    #: the service's value-returning admission, which the server calls:
+    #: a router answers nothing on arrival, so it is ``submit_many``
+    admit = submit_many
+
     def estimate(self, query, timeout: float | None = None):
         future = self.submit(query, timeout=timeout)
         wait = None

@@ -46,8 +46,28 @@ class Attribute:
     def __str__(self) -> str:
         return f"{self.table}.{self.column}"
 
+    def __reduce__(self):
+        # copies and pickles are rebuilt from the two fields: the cached
+        # hash is this process's, and the filter pieces hold the
+        # attribute itself (a set of it, which cannot be rebuilt before
+        # the attribute can hash)
+        return Attribute, (self.table, self.column)
 
-@dataclass(frozen=True, order=True)
+    def _filter_pieces(self) -> tuple:
+        """What every filter on this attribute shares — its table set,
+        attribute set, shape token and text — built on the first filter
+        and kept, so a filter's construction only formats its bounds."""
+        pieces = (
+            frozenset((self.table,)),
+            frozenset((self,)),
+            ("F", self),
+            f"{self.table}.{self.column}",
+        )
+        object.__setattr__(self, "_pieces", pieces)
+        return pieces
+
+
+@dataclass(frozen=True, order=True, init=False)
 class FilterPredicate:
     """Range restriction ``low <= attribute <= high`` (closed interval).
 
@@ -60,26 +80,36 @@ class FilterPredicate:
     low: float
     high: float
 
-    def __post_init__(self) -> None:
-        if self.low > self.high:
-            raise ValueError(
-                f"empty range for {self.attribute}: [{self.low}, {self.high}]"
-            )
-        # Predicates live in frozensets throughout the library; caching the
-        # hash is a measurable win in the getSelectivity inner loop.
-        object.__setattr__(
-            self, "_hash", hash((self.attribute, self.low, self.high))
-        )
-        object.__setattr__(self, "_tables", frozenset((self.attribute.table,)))
-        object.__setattr__(self, "_attributes", frozenset((self.attribute,)))
+    def __init__(self, attribute: Attribute, low: float, high: float) -> None:
+        # Written out rather than generated: a served SQL statement builds
+        # its filters on every request, and one ``__dict__`` update costs
+        # less than the generated init plus a ``__post_init__`` of
+        # ``object.__setattr__`` calls.  The instance is the same either
+        # way (tests/properties/test_property_filter_init.py).
+        if low > high:
+            raise ValueError(f"empty range for {attribute}: [{low}, {high}]")
+        try:
+            tables, attributes, token, name = attribute._pieces
+        except AttributeError:
+            tables, attributes, token, name = attribute._filter_pieces()
         # The canonical sort key and the plan cache's shape token are read
         # on every request; built here, a hot answer never formats a float.
-        if self.low == self.high:
-            text = f"{self.attribute}={self.low:g}"
+        if low == high:
+            text = f"{name}={low:g}"
         else:
-            text = f"{self.low:g}<={self.attribute}<={self.high:g}"
-        object.__setattr__(self, "_str", text)
-        object.__setattr__(self, "_token", ("F", self.attribute))
+            text = f"{low:g}<={name}<={high:g}"
+        self.__dict__.update(
+            attribute=attribute,
+            low=low,
+            high=high,
+            # Predicates live in frozensets throughout the library; caching
+            # the hash is a measurable win in the getSelectivity inner loop.
+            _hash=hash((attribute, low, high)),
+            _tables=tables,
+            _attributes=attributes,
+            _str=text,
+            _token=token,
+        )
 
     def __hash__(self) -> int:
         return self._hash

@@ -12,6 +12,9 @@ Requests::
     {"id": "8", "op": "stats"}
     {"id": "9", "op": "ping"}
 
+``timeout_ms`` is optional; when present it must be a JSON number (not a
+boolean, not NaN), or the request is answered ``invalid``.
+
 ``predicates`` is the pre-parsed alternative to ``sql``: a list of
 predicate objects in the same JSON spelling the catalog files use
 (:mod:`repro.stats.io`; infinities as ``"inf"``/``"-inf"``).  The
@@ -92,7 +95,9 @@ wire status; the vocabulary above is closed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping
 
 # ----------------------------------------------------------------------
@@ -323,6 +328,78 @@ def encode_line(payload: Mapping) -> bytes:
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
 
 
+_INF = math.inf
+
+
+def encode_served(
+    answer: ServedEstimate, request_id: object = None, shard: int | None = None
+) -> bytes:
+    """The server's ok line for ``answer``: ``encode_line`` of
+    ``answer.to_wire(request_id)`` with, when ``shard`` is given, the
+    answering shard's id set on it — byte for byte.
+
+    Written directly rather than through ``json.dumps``, whose encoder
+    calls back into Python for every float: on a hot answer that was
+    most of the line's cost.  The direct spelling covers the answer the
+    default deployment serves — finite ``float`` numbers, ``int``
+    counters, ``bool`` flags, no optional field — under a ``str``,
+    ``int`` or no id; any other answer (a non-finite float, a backend,
+    bound, staleness, shard or excluded SIT to report, an id of another
+    type) is handed to ``encode_line`` instead, so the bytes are json's
+    whatever the answer holds (``tests/service/test_wire_bytes.py``)."""
+    selectivity = answer.selectivity
+    cardinality = answer.cardinality
+    error = answer.error
+    latency_ms = answer.latency_ms
+    if request_id is None:
+        tail = ""
+    elif type(request_id) is str:
+        tail = ',"id":' + _quote(request_id)
+    elif type(request_id) is int:
+        tail = f',"id":{request_id}'
+    else:
+        tail = None
+    if shard is not None and tail is not None:
+        tail = f'{tail},"shard":{shard}' if type(shard) is int else None
+    if (
+        tail is None
+        or not (
+            type(selectivity) is type(cardinality) is type(error)
+            is type(latency_ms) is float
+            and -_INF < selectivity < _INF
+            and -_INF < cardinality < _INF
+            and -_INF < error < _INF
+            and -_INF < latency_ms < _INF
+        )
+        or not (
+            type(answer.snapshot_version) is type(answer.batch_size)
+            is type(answer.degradation_level) is int
+        )
+        or not (
+            type(answer.deduplicated) is type(answer.plan_cache_hit) is bool
+        )
+        or answer.backend != "sit"
+        or answer.error_bound is not None
+        or answer.staleness_s is not None
+        or answer.shard is not None
+        or answer.excluded_sits
+    ):
+        payload = answer.to_wire(request_id)
+        if shard is not None:
+            payload["shard"] = shard
+        return encode_line(payload)
+    return (
+        f'{{"ok":true,"status":"ok","selectivity":{selectivity!r},'
+        f'"cardinality":{cardinality!r},"error":{error!r},'
+        f'"snapshot_version":{answer.snapshot_version},'
+        f'"latency_ms":{latency_ms!r},"batch_size":{answer.batch_size},'
+        f'"deduplicated":{"true" if answer.deduplicated else "false"},'
+        f'"degradation_level":{answer.degradation_level},'
+        f'"plan_cache_hit":{"true" if answer.plan_cache_hit else "false"}'
+        f"{tail}}}\n"
+    ).encode()
+
+
 def decode_line(line: bytes | str) -> dict:
     """Parse one wire line; raises :class:`InvalidRequest` on garbage."""
     if isinstance(line, bytes):
@@ -332,7 +409,7 @@ def decode_line(line: bytes | str) -> dict:
         raise InvalidRequest("empty request line")
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long
         raise InvalidRequest(f"request is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise InvalidRequest("request must be a JSON object")
@@ -366,6 +443,7 @@ __all__ = [
     "decode_predicates",
     "encode_line",
     "encode_predicates",
+    "encode_served",
     "error_from_status",
     "failure_to_wire",
     "result_from_wire",

@@ -10,13 +10,15 @@ a shed request is answered in microseconds).
 
 The wire is handled a *group* at a time: whatever complete lines one
 socket read delivers — a client's pipelined burst — are decoded
-together, admitted with one ``submit_many``, awaited with one wake-up
-(the last member to resolve wakes the loop) and answered with one
-write, response lines in request order.  A burst therefore costs one
-task, one cross-thread wake-up and one ``write`` + ``drain`` — not one
-of each per request — and reaches the worker as one unit.  A group
-whose members were all answered on arrival is written without
-suspending at all.
+together, admitted with one ``admit`` (``submit_many``'s admission),
+awaited with one wake-up (the last member to resolve wakes the loop)
+and answered with one write, response lines in request order.  A burst
+therefore costs one task, one cross-thread wake-up and one ``write`` +
+``drain`` — not one of each per request — and reaches the worker as one
+unit.  A member answered on arrival comes back as its answer, not a
+future, and its line is written directly
+(:func:`~repro.service.protocol.encode_served`); a group whose members
+were all answered on arrival is written without suspending at all.
 
 Three ways to run it:
 
@@ -32,15 +34,18 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import threading
 from concurrent.futures import Future
 from typing import Callable, Sequence
 
 from repro.service.protocol import (
     InvalidRequest,
+    ServedEstimate,
     ServiceError,
     decode_predicates,
     encode_line,
+    encode_served,
     decode_line,
     failure_to_wire,
 )
@@ -59,6 +64,25 @@ def _failure(exc: Exception, request_id: object) -> dict:
     if not isinstance(exc, ServiceError):
         exc = ServiceError(f"internal error: {exc}")
     return failure_to_wire(exc, request_id)
+
+
+def _timeout_s(payload: dict) -> float | None:
+    """The request's ``timeout_ms`` in seconds (``None`` when absent).
+    Anything but a JSON number — a boolean, a string, a list — and NaN,
+    which would never expire, are :class:`InvalidRequest`."""
+    timeout_ms = payload.get("timeout_ms")
+    if timeout_ms is None:
+        return None
+    if type(timeout_ms) is int or type(timeout_ms) is float:
+        try:
+            seconds = timeout_ms / 1000.0
+        except OverflowError:  # an integer past float range
+            seconds = math.nan
+        if seconds == seconds:
+            return seconds
+    raise InvalidRequest(
+        f"timeout_ms must be a number of milliseconds, not {timeout_ms!r}"
+    )
 
 
 async def _all_done(futures: "Sequence[Future]") -> None:
@@ -196,8 +220,8 @@ class EstimationServer:
         order.  Estimates are admitted together and awaited once;
         everything else — ``ping``, ``stats``, subclass ops, a line that
         does not decode — is answered in place."""
-        responses: "list[dict | None]" = []
-        estimates: list[tuple[int, dict]] = []  # (response slot, payload)
+        responses: "list[bytes | None]" = []
+        estimates: list[tuple[int, object]] = []  # (response slot, id)
         requests: list[tuple[object, float | None]] = []
         for line in lines:
             request_id: object = None
@@ -206,28 +230,26 @@ class EstimationServer:
                 request_id = payload.get("id")
                 op = payload.get("op", "estimate")
                 if op == "estimate":
-                    query = self._decode_query(payload)
-                    timeout_ms = payload.get("timeout_ms")
-                    timeout = (
-                        None if timeout_ms is None else float(timeout_ms) / 1000.0
+                    requests.append(
+                        (self._decode_query(payload), _timeout_s(payload))
                     )
-                    requests.append((query, timeout))
-                    estimates.append((len(responses), payload))
+                    estimates.append((len(responses), request_id))
                     response = None  # filled in once it is served
                 else:
-                    response = await self._answer_in_place(
-                        op, payload, request_id
+                    response = encode_line(
+                        await self._answer_in_place(op, payload, request_id)
                     )
             except Exception as exc:
-                response = _failure(exc, request_id)
+                response = encode_line(_failure(exc, request_id))
             responses.append(response)
         if requests:
             try:
-                outcomes = self.service.submit_many(requests)
+                outcomes = self.service.admit(requests)
             except Exception as exc:  # a bug must not lose the group
                 outcomes = [exc] * len(requests)
-            # a group answered on arrival has nothing to wait for, and
-            # awaiting nothing does not suspend the task
+            # a hit comes back as its answer, not a future; a group
+            # answered on arrival has nothing to wait for, and awaiting
+            # nothing does not suspend the task
             await _all_done(
                 [
                     outcome
@@ -235,9 +257,9 @@ class EstimationServer:
                     if isinstance(outcome, Future) and not outcome.done()
                 ]
             )
-            for (slot, payload), outcome in zip(estimates, outcomes):
-                responses[slot] = self._estimate_response(payload, outcome)
-        return b"".join(map(encode_line, responses))
+            for (slot, request_id), outcome in zip(estimates, outcomes):
+                responses[slot] = self._estimate_line(request_id, outcome)
+        return b"".join(responses)
 
     async def _answer_in_place(
         self, op: str, payload: dict, request_id: object
@@ -256,20 +278,20 @@ class EstimationServer:
             raise InvalidRequest(f"unknown op {op!r}")
         return extra
 
-    def _estimate_response(
-        self, payload: dict, outcome: "Future | Exception"
-    ) -> dict:
+    def _estimate_line(
+        self,
+        request_id: object,
+        outcome: "ServedEstimate | Future | Exception",
+    ) -> bytes:
         """The response line of one admitted (or refused) estimate."""
-        request_id = payload.get("id")
         try:
-            if not isinstance(outcome, Future):
-                raise outcome
-            response = outcome.result(timeout=0).to_wire(request_id)
+            if type(outcome) is not ServedEstimate:
+                if not isinstance(outcome, Future):
+                    raise outcome
+                outcome = outcome.result(timeout=0)
+            return encode_served(outcome, request_id, self.shard)
         except Exception as exc:
-            return _failure(exc, request_id)
-        if self.shard is not None:
-            response["shard"] = self.shard
-        return response
+            return encode_line(_failure(exc, request_id))
 
     @staticmethod
     def _decode_query(payload: dict):

@@ -10,8 +10,9 @@
   stamp is current, :meth:`~EstimationService.submit_many` answers a
   request whose shape is in the table on the submitting thread: one
   fingerprint, one dict probe, one
-  :meth:`~repro.core.plancache.CompiledPlan.replay`, and an already
-  resolved future.  Only misses cross to a worker;
+  :meth:`~repro.core.plancache.CompiledPlan.replay`, and the answer as
+  a value (:meth:`~EstimationService.admit`, which the TCP server uses)
+  or an already resolved future.  Only misses cross to a worker;
 * a **bounded admission queue** (:class:`~repro.service.queue.AdmissionQueue`)
   in front of a **worker-thread pool**; every worker owns one
   snapshot-pinned session, so the session single-owner contract holds by
@@ -103,13 +104,14 @@ def coerce_query(
     :class:`Query`, a bare predicate set — as ``(predicates, tables)``;
     :class:`InvalidRequest` for anything else.  Shared by the service
     and the cluster router, which both admit all three and each own the
-    ``sql`` front end their statements are parsed by."""
+    ``sql`` front end their statements are parsed by.  SQL text builds
+    no :class:`Query`: the front end hands over the pair."""
     if isinstance(query, str):
         try:
-            query = sql.parse(query)
+            predicates, tables = sql.parse_predicates(query)
         except Exception as exc:
             raise InvalidRequest(str(exc)) from exc
-    if isinstance(query, Query):
+    elif isinstance(query, Query):
         predicates = query.predicates
         tables = query.tables
     else:
@@ -158,6 +160,10 @@ class _PlanTable:
     pool: SITPool
     pool_version: int
     plans: Mapping[tuple, CompiledPlan]
+    #: ``cross_product_size`` per table set, filled by the hits that ask
+    #: (the only entries the table ever gains): once per template, not
+    #: once per answer
+    crosses: dict = field(default_factory=dict)
 
     def stamped(
         self, snapshot_version: int, pool: SITPool, pool_version: int
@@ -396,6 +402,22 @@ class EstimationService:
         queue cannot hold them all, the prefix that fits is admitted and
         the rest are shed.
         """
+        outcomes: list = self.admit(requests)
+        for index, outcome in enumerate(outcomes):
+            if type(outcome) is ServedEstimate:
+                future = Future()
+                future.set_result(outcome)
+                outcomes[index] = future
+        return outcomes
+
+    def admit(
+        self,
+        requests: "Iterable[tuple[Query | PredicateSet | str, float | None]]",
+    ) -> "list[ServedEstimate | Future[ServedEstimate] | ServiceError]":
+        """:meth:`submit_many` without the wrapping: a member answered
+        on arrival comes back as its :class:`ServedEstimate` itself, not
+        as a resolved future.  The TCP server's loop thread admits here
+        and writes such a member's line at once (DESIGN §9)."""
         if self._closed.is_set() or self._draining.is_set():
             return [
                 ServiceClosed(f"{self.name} is shutting down")
@@ -404,7 +426,7 @@ class EstimationService:
         sql = self._sql
         default_timeout = self.config.default_timeout_s
         table = self._live_table()
-        outcomes: "list[Future | ServiceError]" = []
+        outcomes: "list[ServedEstimate | Future | ServiceError]" = []
         admissible: list[_Pending] = []
         #: ``outcomes`` index of every admissible member
         slots: list[int] = []
@@ -424,9 +446,7 @@ class EstimationService:
                     answer = self._answer_on_arrival(
                         plan, ordered, predicates, tables, table, now
                     )
-                    future = Future()
-                    future.set_result(answer)
-                    outcomes.append(future)
+                    outcomes.append(answer)
                     arrived.append(answer.latency_ms)
                     continue
             if timeout is None:
@@ -506,9 +526,13 @@ class EstimationService:
         result = plan.replay(ordered)
         emit_feedback(self._feedback_sink, predicates, result)
         result = stamp_staleness(self.staleness_tracker, predicates, result)
+        crosses = table.crosses
+        cross = crosses.get(tables)
+        if cross is None:
+            cross = crosses[tables] = self.database.cross_product_size(tables)
         return self._served(
             result,
-            self.database.cross_product_size(tables),
+            cross,
             table.snapshot_version,
             (time.monotonic() - submitted_at) * 1000.0,
         )

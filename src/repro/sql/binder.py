@@ -136,29 +136,31 @@ class _Assembly:
         else:
             ranges[attribute] = (low, high)
 
-    def query(self, joins: frozenset[JoinPredicate], tables: frozenset[str]) -> Query:
+    def predicates(self, joins: frozenset[JoinPredicate]) -> frozenset:
         predicates: set[Predicate] = set(joins)
         predicates.update(self.unsatisfiable)
         for attribute, (low, high) in self.ranges.items():
             predicates.add(FilterPredicate(attribute, low, high))
-        return Query(frozenset(predicates), tables=tables)
+        return frozenset(predicates)
 
 
 @dataclass(frozen=True)
 class BoundTemplate:
     """Everything :func:`bind` resolved that does not depend on a literal:
     per filter predicate, in source order, its attribute and operator
-    (``slots``), the join set and the FROM tables.  :meth:`assemble` is
+    (``slots``), the join set and the FROM tables.  :meth:`predicates` is
     the rest of :func:`bind` for another statement of the same shape."""
 
     slots: tuple[tuple[Attribute, str], ...]
     joins: frozenset[JoinPredicate]
+    #: the FROM tables, which cover every predicate's: with
+    #: :meth:`predicates`, the statement's ``Query`` unbuilt
     tables: frozenset[str]
     #: literals a statement of this shape carries (two per BETWEEN)
     literals: int
 
-    def assemble(self, literals: Sequence[float]) -> Query:
-        """The :class:`Query` of this shape with ``literals`` (source
+    def predicates(self, literals: Sequence[float]) -> frozenset:
+        """The predicate set of this shape with ``literals`` (source
         order, ``len == self.literals``); raises what :func:`bind` raises
         for them."""
         assembly = _Assembly()
@@ -170,7 +172,7 @@ class BoundTemplate:
             else:
                 assembly.add(attribute, *_range_of(operator, literals[at]))
                 at += 1
-        return assembly.query(self.joins, self.tables)
+        return assembly.predicates(self.joins)
 
 
 def bind(statement: SelectStatement, schema: Schema) -> BoundQuery:
@@ -215,7 +217,9 @@ def bind(statement: SelectStatement, schema: Schema) -> BoundQuery:
     if statement.projection is not None:
         projection = tuple(scope.resolve(column) for column in statement.projection)
     return BoundQuery(
-        assembly.query(template.joins, template.tables), projection, template
+        Query(assembly.predicates(template.joins), tables=template.tables),
+        projection,
+        template,
     )
 
 

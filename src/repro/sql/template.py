@@ -88,6 +88,14 @@ class TemplateFrontEnd:
     def parse(self, sql: str) -> Query:
         """The :class:`Query` ``parse_query(sql, self.schema)`` returns,
         or the exception it raises."""
+        predicates, tables = self.parse_predicates(sql)
+        return Query(predicates, tables=tables)
+
+    def parse_predicates(self, sql: str) -> tuple[frozenset, frozenset[str]]:
+        """:meth:`parse`'s ``(query.predicates, query.tables)`` without
+        the :class:`Query`: a hit's tables are its template's FROM
+        tables, which cover every predicate, so the serving path
+        (``coerce_query``) builds no ``Query`` and walks no tables."""
         skeleton, literals = _skeleton_and_literals(sql)
         with self._lock:
             template = self._templates.get(skeleton)
@@ -97,11 +105,11 @@ class TemplateFrontEnd:
                 template = None
                 self.misses += 1
         if template is not None:
-            return template.assemble(literals)
+            return template.predicates(literals), template.tables
         bound = bind(parse_select(sql), self.schema)
         if skeleton is not None and bound.template.literals == len(literals):
             self._store(skeleton, bound.template)
-        return bound.query
+        return bound.query.predicates, bound.query.tables
 
     def _store(self, skeleton: tuple[str, ...], template: BoundTemplate) -> None:
         size = sum(map(len, skeleton))

@@ -1,9 +1,9 @@
 """A predicate's sort key and shape token are built with the predicate.
 
-``FilterPredicate`` and ``JoinPredicate`` compute ``_str`` (what ``str()``
-returns, and what every canonical ``str`` order sorts on) and ``_token``
-(the predicate's position token in a plan-cache shape fingerprint) in
-``__post_init__``, beside ``_hash``.  A hot answer then never formats a
+``FilterPredicate`` (in its constructor) and ``JoinPredicate`` (in
+``__post_init__``) compute ``_str`` (what ``str()`` returns, and what
+every canonical ``str`` order sorts on) and ``_token`` (the predicate's
+position token in a plan-cache shape fingerprint) beside ``_hash``.  A hot answer then never formats a
 float.  Held here, for a predicate from every construction path, against
 the formatting they replaced: :func:`legacy_text`, :func:`legacy_token`
 and :func:`legacy_fingerprint`.

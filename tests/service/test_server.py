@@ -3,6 +3,7 @@ wire, pipelining, group handling of the wire, stats."""
 
 from __future__ import annotations
 
+import json
 import socket
 import sys
 import threading
@@ -13,6 +14,7 @@ import pytest
 from repro.estimators import SITEstimator
 from repro.service import EstimationService, ServiceConfig, connect
 from repro.service.protocol import (
+    STATUSES,
     InvalidRequest,
     decode_line,
     encode_line,
@@ -93,6 +95,41 @@ class TestWireFailures:
             # the connection survives protocol errors
             sock.sendall(encode_line({"id": "2", "op": "ping"}))
             assert decode_line(reader.readline())["pong"] is True
+
+    def test_malformed_timeout_is_invalid_and_named(self, server):
+        """A ``timeout_ms`` that is no JSON number, or is NaN, is an
+        ``invalid`` member of its group, not an internal error; the
+        group's hits around it are answered, in request order."""
+        host, port = server.address
+        bad = [
+            (b'"soon"', "'soon'"),
+            (b"[1]", "[1]"),
+            (b"true", "True"),
+            (b"NaN", "nan"),
+            (b"{}", "{}"),
+            (b"1" * 400, "1" * 400),  # past float range
+        ]
+        sql = json.dumps(SQL).encode()
+        lines = [b'{"id":"hit0","sql":%s}\n' % sql]
+        for index, (value, _) in enumerate(bad):
+            lines.append(b'{"id":"bad%d","sql":%s,"timeout_ms":%s}\n' % (index, sql, value))
+        lines.append(b'{"id":"hit1","sql":%s,"timeout_ms":250}\n' % sql)
+        lines.append(b'{"id":"hit2","sql":%s,"timeout_ms":1e400}\n' % sql)
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(encode_line({"id": "warm", "sql": SQL}))
+            decode_line(reader.readline())
+            sock.sendall(b"".join(lines))
+            responses = [decode_line(reader.readline()) for _ in lines]
+        assert [response["id"] for response in responses] == (
+            ["hit0"] + [f"bad{index}" for index in range(len(bad))] + ["hit1", "hit2"]
+        )
+        assert all(response["status"] in STATUSES for response in responses)
+        hits = [responses[0]] + responses[-2:]
+        assert all(response["ok"] and response["plan_cache_hit"] for response in hits)
+        for response, (_, named) in zip(responses[1:-2], bad):
+            assert response["status"] == "invalid"
+            assert named in response["detail"] and "timeout_ms" in response["detail"]
 
     def test_garbage_line_answers_invalid(self, server):
         host, port = server.address

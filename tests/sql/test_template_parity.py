@@ -38,16 +38,26 @@ def outcome(parse, sql: str):
 
 
 def assert_same_outcome(schema, shared: TemplateFrontEnd, sql: str) -> None:
+    """Both spellings — ``parse``'s ``Query`` and ``parse_predicates``'
+    ``(predicates, tables)``, which the service admits without building
+    the ``Query`` — cold, cached and long-lived."""
     expected = outcome(lambda s: parse_query(s, schema), sql)
+    failed = isinstance(expected, tuple)
+    pair = expected if failed else (expected.predicates, expected.tables)
+    assert outcome(TemplateFrontEnd(schema).parse_predicates, sql) == pair, (
+        "unbuilt, cold"
+    )
     fresh = TemplateFrontEnd(schema)
     assert outcome(fresh.parse, sql) == expected, "cold"
     assert outcome(fresh.parse, sql) == expected, "same statement again"
+    assert outcome(fresh.parse_predicates, sql) == pair, "unbuilt, cached"
     # a front end that has seen every earlier statement of the test
     assert outcome(shared.parse, sql) == expected, "long-lived"
-    if not isinstance(expected, tuple) and sql.isascii():
-        assert (fresh.hits, fresh.misses) == (1, 1)
+    assert outcome(shared.parse_predicates, sql) == pair, "unbuilt, long-lived"
+    if not failed and sql.isascii():
+        assert (fresh.hits, fresh.misses) == (2, 1)
     else:  # an error is never cached, non-ASCII never split
-        assert (fresh.hits, fresh.misses, len(fresh)) == (0, 2, 0)
+        assert (fresh.hits, fresh.misses, len(fresh)) == (0, 3, 0)
 
 
 # ----------------------------------------------------------------------
