@@ -482,12 +482,13 @@ class StatisticsCatalog:
     def attach_plan_cache(self, cache) -> None:
         """Register a session's compiled-plan cache for status reporting.
 
-        Caches are weakly held: a retired session's cache disappears from
-        the aggregate on garbage collection.  Coherence does *not* depend
-        on this registration — each :class:`~repro.core.plancache
-        .PlanCache` revalidates its pinned pool's version on every
-        lookup, so :meth:`notify_table_update` invalidates plans through
-        the existing path whether or not the cache is attached.
+        Caches are weakly held, and a set: a cache shared by several
+        sessions counts once, and disappears from the aggregate on
+        garbage collection once no session holds it.  Coherence does
+        *not* depend on this registration — each :class:`~repro.core
+        .plancache.PlanCache` revalidates its pinned pool's version on
+        every lookup, so :meth:`notify_table_update` invalidates plans
+        through the existing path whether or not the cache is attached.
         """
         self._plan_caches.add(cache)
 
@@ -596,18 +597,7 @@ class StatisticsCatalog:
                 by_method[metadata.build_method] = (
                     by_method.get(metadata.build_method, 0) + 1
                 )
-        caches = list(self._plan_caches)
-        plan_cache = {
-            "caches": len(caches),
-            "plans": sum(len(c) for c in caches),
-            "hits": sum(c.hits for c in caches),
-            "misses": sum(c.misses for c in caches),
-            "compiles": sum(c.compiles for c in caches),
-            "evictions": sum(c.evictions for c in caches),
-            "bytes": sum(c.bytes for c in caches),
-        }
-        total = plan_cache["hits"] + plan_cache["misses"]
-        plan_cache["hit_rate"] = plan_cache["hits"] / total if total else 0.0
+        plan_cache = self._plan_cache_totals()
         with self._lock:
             pool = self._pool
             out = {
@@ -632,26 +622,32 @@ class StatisticsCatalog:
         registry.gauge("catalog.version").set(float(self.version))
         registry.gauge("catalog.sit_count").set(float(len(self._pool)))
         registry.gauge("catalog.stale_sits").set(float(len(self.stale_sits())))
-        caches = list(self._plan_caches)
-        if caches:
-            gauge = registry.gauge
-            gauge("plan_cache.caches").set(float(len(caches)))
-            gauge("plan_cache.plans").set(float(sum(len(c) for c in caches)))
-            gauge("plan_cache.hits").set(float(sum(c.hits for c in caches)))
-            gauge("plan_cache.misses").set(
-                float(sum(c.misses for c in caches))
-            )
-            gauge("plan_cache.compiles").set(
-                float(sum(c.compiles for c in caches))
-            )
-            gauge("plan_cache.evictions").set(
-                float(sum(c.evictions for c in caches))
-            )
-            gauge("plan_cache.bytes").set(float(sum(c.bytes for c in caches)))
+        plan_cache = self._plan_cache_totals()
+        if plan_cache["caches"]:
+            for key, value in plan_cache.items():
+                registry.gauge(f"plan_cache.{key}").set(float(value))
         if self._staleness is not None:
             for name, value in self._staleness.metrics().items():
                 registry.gauge(f"ingest.{name}").set(float(value))
         return registry
+
+    def _plan_cache_totals(self) -> dict:
+        """The live plan caches summed: ``caches`` counts distinct cache
+        objects, so the worker sessions of a service that share one cache
+        count it once."""
+        caches = list(self._plan_caches)
+        totals = {
+            "caches": len(caches),
+            "plans": sum(len(c) for c in caches),
+            "hits": sum(c.hits for c in caches),
+            "misses": sum(c.misses for c in caches),
+            "compiles": sum(c.compiles for c in caches),
+            "evictions": sum(c.evictions for c in caches),
+            "bytes": sum(c.bytes for c in caches),
+        }
+        lookups = totals["hits"] + totals["misses"]
+        totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
+        return totals
 
     def stats_snapshot(self) -> StatsSnapshot:
         """The catalog's lifecycle state as a ``StatsSnapshot`` (the

@@ -46,6 +46,7 @@ from typing import Mapping
 
 from repro.core.errors import ErrorFunction
 from repro.core.get_selectivity import EstimationResult
+from repro.core.plancache import PlanCache
 from repro.core.predicates import PredicateSet, tables_of
 from repro.engine.database import Database
 from repro.engine.expressions import Query
@@ -102,7 +103,7 @@ class EstimationSession:
         estimator: Estimator | None = None,
         name: str | None = None,
         strict: bool = False,
-        plan_cache: bool = True,
+        plan_cache: "bool | PlanCache" = True,
     ):
         pool, snapshot = resolve_statistics(statistics)
         plan = _fault_plan()
@@ -163,7 +164,7 @@ class EstimationSession:
         self.staleness_tracker = None
         # register the compiled-plan cache with the owning catalog so
         # `catalog.status()` can aggregate live caches (weakly held — a
-        # retired session's cache unregisters itself)
+        # cache no live session holds unregisters itself)
         if (
             self.plan_cache is not None
             and self.snapshot is not None
@@ -177,9 +178,10 @@ class EstimationSession:
         return self.estimator.pool
 
     @property
-    def plan_cache(self):
-        """The estimator's compiled-plan cache, or ``None`` (shared by
-        every query the session answers)."""
+    def plan_cache(self) -> PlanCache | None:
+        """The estimator's compiled-plan cache, or ``None``: private
+        unless the session was handed one (a service hands one cache to
+        every worker session pinned to its snapshot)."""
         return self.estimator.plan_cache
 
     @property
@@ -235,16 +237,19 @@ class EstimationSession:
         try:
             self._clear_trace()
             self.queries += 1
-            predicates = (
+            return self._answer(
                 query.predicates
                 if isinstance(query, Query)
                 else frozenset(query)
             )
-            result = self.estimator.estimate_predicates(predicates)
-            emit_feedback(self.feedback_sink, predicates, result)
-            return stamp_staleness(self.staleness_tracker, predicates, result)
         finally:
             lock.release()
+
+    def _answer(self, predicates: frozenset) -> EstimationResult:
+        """One answered request: the estimate, its feedback, its stamp."""
+        result = self.estimator.estimate_predicates(predicates)
+        emit_feedback(self.feedback_sink, predicates, result)
+        return stamp_staleness(self.staleness_tracker, predicates, result)
 
     def estimate_predicates(self, predicates: PredicateSet) -> EstimationResult:
         """A sub-query of the current query (not counted as a request)."""
@@ -254,49 +259,18 @@ class EstimationSession:
         finally:
             lock.release()
 
-    def estimate_batch(
-        self, predicate_sets
-    ) -> list[EstimationResult]:
-        """Answer a group of queries under one owner-lock hold.
-
-        With the plan cache enabled, members are probed by *shape*: a
-        template hit is one
-        :meth:`~repro.core.plancache.CompiledPlan.replay`; a miss takes
-        the full path and compiles, so later same-shape members of the
-        same batch already hit.  Results are positional and each is
-        identical to what :meth:`estimate` would have returned.
-        """
+    def estimate_batch(self, predicate_sets) -> list[EstimationResult]:
+        """Answer a group of queries under one owner-lock hold: exactly
+        like N :meth:`estimate` calls, so a template hit is one
+        :meth:`~repro.core.plancache.CompiledPlan.replay` and a miss
+        compiles, after which later same-shape members of the batch hit.
+        Results are positional."""
         lock = self._acquire_owner()
         try:
             self._clear_trace()
             sets = [frozenset(ps) for ps in predicate_sets]
             self.queries += len(sets)
-            results: list[EstimationResult | None] = [None] * len(sets)
-            cache = self.plan_cache
-            sink, tracker = self.feedback_sink, self.staleness_tracker
-            if cache is None:
-                # exactly like N :meth:`estimate` calls
-                for i, ps in enumerate(sets):
-                    results[i] = self.estimator.estimate_predicates(ps)
-                    emit_feedback(sink, ps, results[i])
-                    results[i] = stamp_staleness(tracker, ps, results[i])
-                return results
-            for i, ps in enumerate(sets):
-                plan, ordered = cache.plan_for(ps)
-                if plan is None:
-                    results[i] = self.estimator.estimate_predicates(
-                        ps, use_plan_cache=False
-                    )
-                else:
-                    results[i] = plan.replay(ordered)
-            for ps, result in zip(sets, results):
-                emit_feedback(sink, ps, result)
-            if tracker is not None:
-                results = [
-                    stamp_staleness(tracker, ps, result)
-                    for ps, result in zip(sets, results)
-                ]
-            return results
+            return [self._answer(ps) for ps in sets]
         finally:
             lock.release()
 

@@ -49,8 +49,10 @@ filter constants.  This module exploits that invariance:
   snapshot version) and rides the catalog's single invalidation path:
   every lookup revalidates the pool's derived-state ``version`` counter
   (bumped by ``notify_table_update`` / membership changes), evicting
-  all plans on mismatch.  A hot snapshot swap retires the owning
-  session — and its cache — wholesale.
+  all plans on mismatch.  A hot snapshot swap retires the cache
+  wholesale: the next sessions pin a fresh one.  One cache may be
+  shared by every session pinned to its snapshot, and read by threads
+  that own none: a probe takes no lock, writes take one.
 
 Compile safety gates (all checked before a plan is cached):
 
@@ -73,8 +75,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from dataclasses import dataclass
-from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -115,7 +117,8 @@ def shape_fingerprint(
 
 
 def fingerprint_digest(fingerprint: tuple) -> str:
-    """A short stable hex digest of a fingerprint (metrics label)."""
+    """A short stable hex digest of a fingerprint (the cluster router's
+    ring key)."""
     return hashlib.blake2b(
         repr(fingerprint).encode("utf-8"), digest_size=4
     ).hexdigest()
@@ -457,7 +460,15 @@ class PlanCache:
     ``StatisticsCatalog.notify_table_update`` bumps through
     ``SITPool.invalidate_derived`` — and drops *all* plans on mismatch
     (counted under ``evictions``).  A snapshot hot-swap retires the
-    owning session and therefore the whole cache object.
+    whole cache object.
+
+    Sharing contract: every session pinned to the cache's snapshot may
+    hold it, and a thread that owns no session may read it.
+    :meth:`probe` takes no lock — one version compare, one dict get —
+    and every write takes one: the clear on a version move, an insert
+    with its eviction, and the counters.  Every plan held was compiled
+    at :attr:`pool_version`: a compile inserts only while the pool
+    version its DP solved at is still the pool's and the cache's.
     """
 
     def __init__(
@@ -470,11 +481,13 @@ class PlanCache:
         self.snapshot_version = snapshot_version
         self.max_plans = max_plans
         self._pool_version = pool.version if pool is not None else 0
-        #: fingerprint -> (plan, its shape's counters), in compile order
-        #: (the eviction order): a hit is this one probe
-        self._plans: dict[tuple, tuple[CompiledPlan, list[int]]] = {}
-        #: fingerprint -> [hits, misses]; bounded alongside the plans
-        self._shape_stats: dict[tuple, list[int]] = {}
+        #: fingerprint -> plan, in compile order (the eviction order)
+        self._plans: dict[tuple, CompiledPlan] = {}
+        #: ``cross_product_size`` per table set, filled by a serving
+        #: layer that answers from the cache: once per template and pool
+        #: version, not once per answer
+        self.crosses: dict = {}
+        self._lock = threading.Lock()
         self._pool_safe: bool | None = None
         self.hits = 0
         self.misses = 0
@@ -487,35 +500,29 @@ class PlanCache:
 
     @property
     def bytes(self) -> int:
-        return sum(plan.weight_bytes for plan, _ in self._plans.values())
+        return sum(plan.weight_bytes for plan in list(self._plans.values()))
 
     @property
     def pool_version(self) -> int:
         """The pool version every plan held was compiled at."""
         return self._pool_version
 
-    def plans(self, last: int | None = None) -> dict[tuple, CompiledPlan]:
-        """``{fingerprint: plan}`` in compile order — every plan held, or
-        the ``last`` compiled: a copy, for a serving layer to publish
-        beyond the owning session."""
-        items = self._plans.items()
-        if last is not None and last < len(self._plans):
-            items = reversed(list(islice(reversed(items), last)))
-        return {fingerprint: entry[0] for fingerprint, entry in items}
-
     # ------------------------------------------------------------------
-    def _validate(self) -> None:
-        """Evict everything if the pinned pool's version moved (the
-        catalog's single invalidation path)."""
+    def _moved(self) -> bool:
         pool = self.pool
-        version = pool.version if pool is not None else 0
-        if version != self._pool_version:
-            dropped = len(self._plans)
-            self._plans.clear()
-            self._shape_stats.clear()
-            self.evictions += dropped
-            self._pool_version = version
-            self._pool_safe = None
+        return pool is not None and pool.version != self._pool_version
+
+    def _evict_all(self) -> None:
+        """The pinned pool's version moved: drop every plan (the
+        catalog's single invalidation path)."""
+        with self._lock:
+            version = self.pool.version
+            if version != self._pool_version:
+                self.evictions += len(self._plans)
+                self._plans.clear()
+                self.crosses.clear()
+                self._pool_version = version
+                self._pool_safe = None
 
     def _safe_pool(self) -> bool:
         """Compile gate 2: every SIT expression must be join-only, or SIT
@@ -527,30 +534,28 @@ class PlanCache:
             )
         return self._pool_safe
 
-    def _shape_stat(self, fingerprint: tuple) -> list[int]:
-        stat = self._shape_stats.get(fingerprint)
-        if stat is None:
-            stat = [0, 0]
-            if len(self._shape_stats) < 4 * self.max_plans:
-                self._shape_stats[fingerprint] = stat
-        return stat
-
     # ------------------------------------------------------------------
+    def probe(self, fingerprint: tuple) -> CompiledPlan | None:
+        """The plan compiled for a shape at the pool's current version,
+        or ``None``.  Counts nothing: a serving layer that answers from
+        the cache counts its own hits."""
+        if self._moved():
+            self._evict_all()
+        return self._plans.get(fingerprint)
+
     def plan_for(
         self, predicates: PredicateSet
     ) -> tuple[CompiledPlan | None, tuple[Predicate, ...]]:
         """Probe the cache; counts one hit or miss.  Returns the plan (or
         ``None``) and the str-ordered predicates replay will consume."""
-        self._validate()
         fingerprint, ordered = shape_fingerprint(predicates)
-        entry = self._plans.get(fingerprint)
-        if entry is not None:
-            self.hits += 1
-            entry[1][0] += 1
-            return entry[0], ordered
-        self.misses += 1
-        self._shape_stat(fingerprint)[1] += 1
-        return None, ordered
+        plan = self.probe(fingerprint)
+        with self._lock:
+            if plan is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return plan, ordered
 
     def estimate(self, predicates: PredicateSet) -> EstimationResult | None:
         """Template-hit fast path: replay, or ``None`` on a shape miss."""
@@ -566,32 +571,38 @@ class PlanCache:
         algorithm: GetSelectivity,
         result: EstimationResult,
     ) -> CompiledPlan | None:
-        """Compile and cache a fresh level-0 result (all gates applied)."""
-        self._validate()
-        if result.degradation_level != 0:
+        """Compile and cache a fresh level-0 result (all gates applied).
+        A compile that straddles a version move (``notify_table_update``,
+        ``SITPool.add``) files nothing: its DP solved the older pool."""
+        if self._moved():
+            self._evict_all()
+        if (
+            result.degradation_level != 0
+            or not getattr(algorithm.error_function, "plan_stable", False)
+            or not self._safe_pool()
+        ):
             return None
-        if not getattr(algorithm.error_function, "plan_stable", False):
-            return None
-        if not self._safe_pool():
-            return None
+        solved_at = algorithm._version
         plan = compile_plan(
             algorithm,
             predicates,
             result,
-            pool_version=self._pool_version,
+            pool_version=solved_at,
             snapshot_version=self.snapshot_version,
         )
         if plan is None:
             return None
-        if len(self._plans) >= self.max_plans:
-            drop = max(1, self.max_plans // 4)
-            for key in list(self._plans)[:drop]:
-                del self._plans[key]
-                self._shape_stats.pop(key, None)
-            self.evictions += drop
-        fingerprint = plan.fingerprint
-        self._plans[fingerprint] = (plan, self._shape_stat(fingerprint))
-        self.compiles += 1
+        with self._lock:
+            if solved_at != self._pool_version or self._moved():
+                return None
+            plans = self._plans
+            if len(plans) >= self.max_plans:
+                drop = max(1, self.max_plans // 4)
+                for key in list(plans)[:drop]:
+                    del plans[key]
+                self.evictions += drop
+            plans[plan.fingerprint] = plan
+            self.compiles += 1
         return plan
 
     # ------------------------------------------------------------------
@@ -609,30 +620,6 @@ class PlanCache:
             "snapshot_version": self.snapshot_version,
             "pool_version": self._pool_version,
         }
-
-    def stats_namespace(self, shape_limit: int = 8) -> dict[str, float]:
-        """The ``plan_cache`` :class:`~repro.obs.snapshot.StatsSnapshot`
-        namespace: :meth:`status` (all-numeric) plus the busiest per-shape
-        hit rates."""
-        out = {key: float(value) for key, value in self.status().items()}
-        out.update(self.shape_stats(limit=shape_limit))
-        return out
-
-    def shape_stats(self, limit: int = 8) -> dict[str, float]:
-        """Per-shape hit rates for the busiest shapes, keyed by digest."""
-        ranked = sorted(
-            self._shape_stats.items(),
-            key=lambda item: -(item[1][0] + item[1][1]),
-        )[:limit]
-        out: dict[str, float] = {}
-        for fingerprint, (hits, misses) in ranked:
-            total = hits + misses
-            digest = fingerprint_digest(fingerprint)
-            out[f"shape.{digest}.hits"] = float(hits)
-            out[f"shape.{digest}.hit_rate"] = (
-                (hits / total) if total else 0.0
-            )
-        return out
 
 
 __all__ = [

@@ -113,9 +113,7 @@ class Estimator(abc.ABC):
 
     # -- the estimation contract ----------------------------------------
     @abc.abstractmethod
-    def estimate_predicates(
-        self, predicates, *, use_plan_cache: bool = True
-    ) -> "EstimationResult":
+    def estimate_predicates(self, predicates) -> "EstimationResult":
         """Estimate ``Sel(P)`` for a bare predicate set."""
 
     def estimate(self, query: "Query") -> "EstimationResult":

@@ -360,9 +360,7 @@ class BayesianNetworkEstimator(Estimator):
         return selectivity
 
     # -- estimation --------------------------------------------------------
-    def estimate_predicates(
-        self, predicates: PredicateSet, *, use_plan_cache: bool = True
-    ) -> EstimationResult:
+    def estimate_predicates(self, predicates: PredicateSet) -> EstimationResult:
         predicates = frozenset(predicates)
         self._estimates += 1
         if not predicates:

@@ -67,7 +67,7 @@ class SITEstimator(Estimator):
         sit_driven_pruning: bool = False,
         name: str | None = None,
         strict: bool = False,
-        plan_cache: bool = False,
+        plan_cache: "bool | PlanCache" = False,
         fallback_estimator: Estimator | None = None,
     ):
         super().__init__(database, statistics, error_function, name)
@@ -95,40 +95,37 @@ class SITEstimator(Estimator):
         self._fallback_cache: dict[frozenset, GetSelectivity] = {}
         self._base_algorithm: GetSelectivity | None = None
         #: compiled-plan cache (:mod:`repro.core.plancache`), or ``None``.
-        #: Opt-in, and only constructed when it is provably safe: the
-        #: error function declares ``plan_stable`` (the compiler itself
-        #: refuses any algorithm but the bitmask DP, whose memo it walks).
+        #: Opt-in, and only used when it is provably safe: the error
+        #: function declares ``plan_stable`` (the compiler itself refuses
+        #: any algorithm but the bitmask DP, whose memo it walks).
+        #: ``plan_cache=True`` builds a private cache; a :class:`PlanCache`
+        #: over this pool is shared with whoever else holds it.
         self.plan_cache: PlanCache | None = None
-        if plan_cache and getattr(self.error_function, "plan_stable", False):
-            self.plan_cache = PlanCache(
-                pool, snapshot_version=self.snapshot_version
-            )
+        if plan_cache is True:
+            plan_cache = PlanCache(pool, snapshot_version=self.snapshot_version)
+        elif isinstance(plan_cache, PlanCache) and plan_cache.pool is not pool:
+            raise ValueError("a shared plan cache must pin this pool")
+        # (``isinstance``, not truth: an empty cache has length 0)
+        if isinstance(plan_cache, PlanCache) and getattr(
+            self.error_function, "plan_stable", False
+        ):
+            self.plan_cache = plan_cache
 
     # ------------------------------------------------------------------
     def estimate(self, query: Query) -> EstimationResult:
         """Full ``getSelectivity`` result (selectivity, error, decomposition)."""
         return self._run(query.predicates)
 
-    def estimate_predicates(
-        self, predicates: PredicateSet, *, use_plan_cache: bool = True
-    ) -> EstimationResult:
+    def estimate_predicates(self, predicates: PredicateSet) -> EstimationResult:
         """``getSelectivity`` over a bare predicate set, ladder-protected
-        like :meth:`estimate` (the sessions' entry point).
-
-        ``use_plan_cache=False`` skips the compiled-plan probe (the
-        result is still compiled on success) — callers that already
-        probed, like the session's batched path, use it to avoid a
-        double lookup.
-        """
-        return self._run(frozenset(predicates), use_plan_cache=use_plan_cache)
+        like :meth:`estimate` (the sessions' entry point)."""
+        return self._run(frozenset(predicates))
 
     # -- the graceful-degradation ladder (repro.resilience) -------------
-    def _run(
-        self, predicates: PredicateSet, use_plan_cache: bool = True
-    ) -> EstimationResult:
+    def _run(self, predicates: PredicateSet) -> EstimationResult:
         """Compiled-plan replay on a template hit, else the full path."""
         cache = self.plan_cache
-        if cache is not None and use_plan_cache:
+        if cache is not None:
             result = cache.estimate(predicates)
             if result is not None:
                 return result
@@ -334,7 +331,8 @@ class SITEstimator(Estimator):
         resilience.update(self.resilience.as_dict())
         plan_cache = dict(snapshot.plan_cache)
         if self.plan_cache is not None:
-            plan_cache.update(self.plan_cache.stats_namespace())
+            for key, value in self.plan_cache.status().items():
+                plan_cache[key] = float(value)
         return StatsSnapshot(
             timings=snapshot.timings,
             counters=snapshot.counters,

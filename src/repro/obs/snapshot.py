@@ -44,9 +44,8 @@ namespaces:
 ``plan_cache``
     compiled-plan cache state (:mod:`repro.core.plancache`): ``plans``,
     ``hits``, ``misses``, ``compiles``, ``evictions``, ``bytes``,
-    ``hit_rate``, plus per-shape hit rates as
-    ``shape.<digest>.hits`` / ``shape.<digest>.hit_rate`` — empty for
-    producers that run without the cache;
+    ``hit_rate``, and the pinned ``snapshot_version`` /
+    ``pool_version`` — empty for producers that run without the cache;
 ``cluster``
     multi-process tier state (:mod:`repro.cluster`): serving
     ``shards``, routing counters (``routed``, per-shard

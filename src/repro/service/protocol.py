@@ -83,9 +83,10 @@ bit-identical to the full path, so the field is diagnostic only —
 clients use it to audit steady-state latency, never correctness.
 
 ``batch_size`` and ``deduplicated`` describe the micro-batch a worker
-answered the request in.  A hit whose plan the workers have published
-is answered on arrival instead, without a worker or a batch: it
-reports ``batch_size`` 1 and ``deduplicated`` false.
+answered the request in.  A hit whose plan is in the plan cache the
+workers of the serving snapshot share is answered on arrival instead,
+without a worker or a batch: it reports ``batch_size`` 1 and
+``deduplicated`` false.
 
 Transport loss is *client-side*
 (:class:`repro.service.client.TransportError`) and never appears as a

@@ -3,8 +3,9 @@
 One TCP connection, one JSON object per line (see
 :mod:`repro.service.protocol`).  The event loop never solves — it
 decodes and admits into the thread-pooled service; a request whose
-shape has a published plan is replayed during admission, on the loop
-thread, and every other one is parked on until a worker answers it, so
+shape is in the serving snapshot's plan cache is replayed during
+admission, on the loop thread, and every other one is parked on until a
+worker answers it, so
 slow DP work on one connection does not stall another's admission (and
 a shed request is answered in microseconds).
 

@@ -3,16 +3,16 @@
 :class:`EstimationService` turns the single-threaded
 :class:`~repro.catalog.EstimationSession` into a request path:
 
-* **hits answered on arrival** — after each batch that compiled (or
-  rolled to a new snapshot) a worker publishes its session's compiled
-  plans on the service as one immutable table, stamped with the
-  snapshot version, the pool object and the pool's version.  While that
-  stamp is current, :meth:`~EstimationService.submit_many` answers a
-  request whose shape is in the table on the submitting thread: one
-  fingerprint, one dict probe, one
-  :meth:`~repro.core.plancache.CompiledPlan.replay`, and the answer as
-  a value (:meth:`~EstimationService.admit`, which the TCP server uses)
-  or an already resolved future.  Only misses cross to a worker;
+* **hits answered on arrival** — the service keeps one
+  :class:`~repro.core.plancache.PlanCache` per served snapshot: every
+  worker session pinned to that snapshot compiles into it, and while it
+  is the snapshot a worker should be on,
+  :meth:`~EstimationService.submit_many` answers a request whose shape
+  is in it on the submitting thread: one fingerprint, one lock-free
+  probe, one :meth:`~repro.core.plancache.CompiledPlan.replay`, and the
+  answer as a value (:meth:`~EstimationService.admit`, which the TCP
+  server uses) or an already resolved future.  Only misses cross to a
+  worker;
 * a **bounded admission queue** (:class:`~repro.service.queue.AdmissionQueue`)
   in front of a **worker-thread pool**; every worker owns one
   snapshot-pinned session, so the session single-owner contract holds by
@@ -50,8 +50,8 @@ workers' session telemetry merged in under the usual namespaces.  An
 answer served on arrival counts in ``submitted``, ``served``,
 ``latency_ms``, ``answered_on_arrival`` and ``plan_cache.hits``;
 ``batches`` and ``batch_size`` count queued work only.  The
-``plan_cache`` counts run for the service's life: a retired session's
-are banked, not dropped.
+``plan_cache`` counts run for the service's life: a cache nothing holds
+any more is banked, not dropped.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace as _replace
-from itertools import islice
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.catalog.catalog import CatalogSnapshot, StatisticsCatalog
 from repro.catalog.session import (
@@ -75,6 +74,7 @@ from repro.core.plancache import CompiledPlan, PlanCache, shape_fingerprint
 from repro.core.predicates import PredicateSet, tables_of
 from repro.engine.database import Database
 from repro.engine.expressions import Query
+from repro.estimators import resolve_statistics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import StatsSnapshot
 from repro.resilience.breaker import CircuitBreaker
@@ -150,31 +150,6 @@ class _Pending:
 _PLAN_EVENTS = ("hits", "misses", "compiles", "evictions")
 
 
-@dataclass(frozen=True, eq=False)
-class _PlanTable:
-    """The workers' compiled plans at one stamp — the snapshot version,
-    the pool object and the pool version they were compiled against.
-    Never mutated: a publish builds a new table and swaps the reference."""
-
-    snapshot_version: int
-    pool: SITPool
-    pool_version: int
-    plans: Mapping[tuple, CompiledPlan]
-    #: ``cross_product_size`` per table set, filled by the hits that ask
-    #: (the only entries the table ever gains): once per template, not
-    #: once per answer
-    crosses: dict = field(default_factory=dict)
-
-    def stamped(
-        self, snapshot_version: int, pool: SITPool, pool_version: int
-    ) -> bool:
-        return (
-            self.pool is pool
-            and self.snapshot_version == snapshot_version
-            and self.pool_version == pool_version
-        )
-
-
 class EstimationService:
     """A thread-pooled, micro-batching front end over ``getSelectivity``.
 
@@ -235,14 +210,11 @@ class EstimationService:
         #: sessions roll back to it while the current version is bad
         self._last_good: CatalogSnapshot | None = None
         self._restarts = 0
-        # -- plans published for answering on arrival ------------------
-        #: replaced whole under ``_table_lock``, read without a lock
-        self._plan_table: _PlanTable | None = None
-        self._table_lock = threading.Lock()
-        #: plan-cache event counts of retired sessions (``_sessions_lock``),
-        #: so the service's ``plan_cache`` counts run for its whole life;
-        #: ``None`` until a session with a plan cache retires
-        self._retired_plan_events: dict[str, int] | None = None
+        #: the plan cache of the snapshot sessions were last made for:
+        #: replaced under ``_sessions_lock``, read without a lock
+        self._plan_cache: PlanCache | None = None
+        #: counts of the caches nothing holds any more (``_sessions_lock``)
+        self._banked_plan_events = dict.fromkeys(_PLAN_EVENTS, 0)
         # -- self-tuning loop (repro.advisor) ---------------------------
         #: constructed only when configured *and* serving from a catalog
         #: with a database (the loop needs the refresh path and an
@@ -308,19 +280,53 @@ class EstimationService:
         return self._statistics
 
     def _make_session(self) -> EstimationSession:
-        """A fresh session pinned to the target snapshot."""
-        session = EstimationSession(
-            self._target_statistics(),
-            self._error_function,
-            database=self.database,
-            backend=self.config.backend,
-            plan_cache=self.config.plan_cache,
-        )
-        session.feedback_sink = self._feedback_sink
-        session.staleness_tracker = self.staleness_tracker
+        """A fresh session pinned to the target snapshot.  It holds the
+        current plan cache when that cache pins the same (snapshot
+        version, pool); otherwise a fresh cache, which becomes current.
+        While a fault plan is armed nothing is answered on arrival and a
+        session compiles into a private cache: every worker solves each
+        shape itself, so a chaos run drives every worker's DP through
+        the plan's faults."""
+        pool, snapshot = resolve_statistics(self._target_statistics())
+        version = snapshot.version if snapshot is not None else 0
         with self._sessions_lock:
+            current = cache = self._plan_cache
+            if _fault_plan() is not None:
+                cache = True
+            elif (
+                cache is None
+                or cache.pool is not pool
+                or cache.snapshot_version != version
+            ):
+                cache = PlanCache(pool, snapshot_version=version)
+            session = EstimationSession(
+                snapshot if snapshot is not None else pool,
+                self._error_function,
+                database=self.database,
+                backend=self.config.backend,
+                plan_cache=self.config.plan_cache and cache,
+            )
+            session.feedback_sink = self._feedback_sink
+            session.staleness_tracker = self.staleness_tracker
             self._sessions.append(session)
+            if session.plan_cache is cache and cache is not current:
+                self._plan_cache = cache
+                self._bank_if_released(current)
         return session
+
+    def _bank_if_released(self, cache: PlanCache | None) -> None:
+        """Bank a cache's counts once nothing holds it: no live session,
+        and it is not current (so no session will be handed it again).
+        Called under ``_sessions_lock``."""
+        if (
+            cache is None
+            or cache is self._plan_cache
+            or any(session.plan_cache is cache for session in self._sessions)
+        ):
+            return
+        banked = self._banked_plan_events
+        for key in _PLAN_EVENTS:
+            banked[key] += getattr(cache, key)
 
     def _acquire_session(self) -> EstimationSession | None:
         """:meth:`_make_session` with snapshot-pin fault fallback.
@@ -351,17 +357,10 @@ class EstimationService:
         had ever served.)
         """
         registry = session.metrics_registry()
-        cache = session.plan_cache
         with self._sessions_lock:
             if session in self._sessions:
                 self._sessions.remove(session)
-                if cache is not None:
-                    banked = self._retired_plan_events or dict.fromkeys(
-                        _PLAN_EVENTS, 0
-                    )
-                    for key in _PLAN_EVENTS:
-                        banked[key] += getattr(cache, key)
-                    self._retired_plan_events = banked
+                self._bank_if_released(session.plan_cache)
             self._retired_registry.merge(registry)
 
     # ------------------------------------------------------------------
@@ -394,8 +393,8 @@ class EstimationService:
         failure :meth:`submit` would have raised for it
         (:class:`InvalidRequest`, :class:`Overloaded`,
         :class:`ServiceClosed`), so one bad member costs the others
-        nothing.  A member whose shape is in the published plan table
-        is answered here, on the calling thread, and its future is
+        nothing.  A member whose shape is in the current plan cache is
+        answered here, on the calling thread, and its future is
         returned already resolved (``batch_size`` 1, never
         deduplicated, never shed).  The other admissible members enter
         the queue under one lock with one worker wake-up; when the
@@ -425,7 +424,7 @@ class EstimationService:
             ]
         sql = self._sql
         default_timeout = self.config.default_timeout_s
-        table = self._live_table()
+        cache = self._live_cache()
         outcomes: "list[ServedEstimate | Future | ServiceError]" = []
         admissible: list[_Pending] = []
         #: ``outcomes`` index of every admissible member
@@ -439,12 +438,12 @@ class EstimationService:
                 outcomes.append(exc)
                 continue
             now = time.monotonic()
-            if table is not None:
+            if cache is not None:
                 fingerprint, ordered = shape_fingerprint(predicates)
-                plan = table.plans.get(fingerprint)
+                plan = cache.probe(fingerprint)
                 if plan is not None:
                     answer = self._answer_on_arrival(
-                        plan, ordered, predicates, tables, table, now
+                        plan, ordered, predicates, tables, cache, now
                     )
                     outcomes.append(answer)
                     arrived.append(answer.latency_ms)
@@ -485,32 +484,19 @@ class EstimationService:
             )
         return outcomes
 
-    def _live_table(self) -> _PlanTable | None:
-        """The published plans, when a hit may be answered from them now:
-        no fault plan is armed (so firing stays a function of seed and
-        call order) and the table's stamp is current."""
-        table = self._plan_table
-        if (
-            table is None
-            or _fault_plan() is not None
-            or not self._current(
-                table.snapshot_version, table.pool, table.pool_version
-            )
-        ):
+    def _live_cache(self) -> PlanCache | None:
+        """The plan cache a hit may be answered from now: none while a
+        fault plan is armed (so firing stays a function of seed and call
+        order), and only one pinned to the snapshot a worker should be
+        on, so a breaker rollback is honoured (a pool version move is the
+        cache's own probe to catch)."""
+        cache = self._plan_cache
+        if cache is None or _fault_plan() is not None:
             return None
-        return table
-
-    def _current(
-        self, snapshot_version: int, pool: SITPool, pool_version: int
-    ) -> bool:
-        """Whether plans stamped so answer for the service now: their
-        snapshot is the one a worker should be pinned to (so a breaker
-        rollback is honoured) and their pool has not been invalidated
-        since they were compiled."""
         expected = self._expected_version()
-        return (
-            expected is None or expected == snapshot_version
-        ) and pool.version == pool_version
+        if expected is not None and expected != cache.snapshot_version:
+            return None
+        return cache
 
     def _answer_on_arrival(
         self,
@@ -518,7 +504,7 @@ class EstimationService:
         ordered,
         predicates: frozenset,
         tables: frozenset[str],
-        table: _PlanTable,
+        cache: PlanCache,
         submitted_at: float,
     ) -> ServedEstimate:
         """A hit replayed on the submitting thread, through the feedback
@@ -526,14 +512,14 @@ class EstimationService:
         result = plan.replay(ordered)
         emit_feedback(self._feedback_sink, predicates, result)
         result = stamp_staleness(self.staleness_tracker, predicates, result)
-        crosses = table.crosses
+        crosses = cache.crosses
         cross = crosses.get(tables)
         if cross is None:
             cross = crosses[tables] = self.database.cross_product_size(tables)
         return self._served(
             result,
             cross,
-            table.snapshot_version,
+            cache.snapshot_version,
             (time.monotonic() - submitted_at) * 1000.0,
         )
 
@@ -757,44 +743,6 @@ class EstimationService:
             if snapshot.version not in self._bad_versions:
                 self._last_good = snapshot
 
-    def _publish_plans(
-        self, session: EstimationSession, cache: PlanCache, compiled: int
-    ) -> None:
-        """After a batch that compiled, or one whose session the table
-        is not stamped for (it rolled): publish, copy-on-write.  At the
-        table's own stamp the ``compiled`` plans this batch added are
-        merged in — a plan is a pure function of the pinned pool, so
-        every worker's plan for a shape is the same plan and one compile
-        per snapshot serves them all; at another stamp the session's
-        plans replace the table.  A session the catalog has moved past
-        publishes nothing, so a worker about to roll never displaces a
-        current table."""
-        version, pool, pool_version = (
-            session.snapshot_version,
-            cache.pool,
-            cache.pool_version,
-        )
-        table = self._plan_table
-        if (
-            not compiled
-            and table is not None
-            and table.stamped(version, pool, pool_version)
-        ):
-            return  # nothing new to publish
-        if pool is None or not self._current(version, pool, pool_version):
-            return
-        with self._table_lock:
-            table = self._plan_table
-            if table is not None and table.stamped(version, pool, pool_version):
-                plans = {**table.plans, **cache.plans(last=compiled)}
-                if len(plans) > cache.max_plans:  # oldest first
-                    plans = dict(
-                        islice(plans.items(), len(plans) - cache.max_plans, None)
-                    )
-            else:
-                plans = cache.plans()
-            self._plan_table = _PlanTable(version, pool, pool_version, plans)
-
     def _handle_worker_crash(
         self,
         session: EstimationSession,
@@ -894,8 +842,9 @@ class EstimationService:
         now = time.monotonic()
         batch_size = len(batch)
 
-        # dedup identical predicate sets (one answer serves them all),
-        # then hand the distinct sets to the session's batched path: one
+        # dedup identical predicate sets (one DP run serves them all,
+        # each member scaled by its own FROM tables' cross product), then
+        # hand the distinct sets to the session's batched path: one
         # owner-lock hold, each probed by *shape* and replayed from its
         # compiled plan on a hit (repro.core.plancache)
         served = 0
@@ -922,8 +871,6 @@ class EstimationService:
             else:
                 members.append(pending)
         results: "list | None" = None
-        cache = session.plan_cache
-        compiles = cache.compiles if cache is not None else 0
         if order:
             try:
                 results = session.estimate_batch(order)
@@ -941,13 +888,12 @@ class EstimationService:
             live = live_groups[predicates]
             if result.degradation_level:
                 degraded += len(live)
-            cross = self.database.cross_product_size(live[0].tables)
             done = time.monotonic()
             for index, pending in enumerate(live):
                 latency_ms = (done - pending.submitted_at) * 1000.0
                 answer = self._served(
                     result,
-                    cross,
+                    self.database.cross_product_size(pending.tables),
                     snapshot_version,
                     latency_ms,
                     batch_size,
@@ -959,12 +905,10 @@ class EstimationService:
                 latencies.append(latency_ms)
                 answers.append((pending, answer))
 
-        # plans, then counters, then futures: a caller's next request of
-        # a shape this batch compiled is answered on arrival, and a
-        # client that reads stats right after its answer arrives must
-        # see that answer counted
-        if cache is not None:
-            self._publish_plans(session, cache, cache.compiles - compiles)
+        # counters, then futures: a client that reads stats right after
+        # its answer arrives must see that answer counted (a plan this
+        # batch compiled is in the shared cache already, so the caller's
+        # next request of its shape is answered on arrival)
         with self._metrics_lock:
             metrics = self.metrics
             latency_histogram = metrics.histogram("service.latency_ms")
@@ -1052,15 +996,17 @@ class EstimationService:
         with self._sessions_lock:
             sessions = list(self._sessions)
             registry.merge(self._retired_registry)
-            retired = self._retired_plan_events
+            current = self._plan_cache
+            banked = dict(self._banked_plan_events)
             registry.gauge("service.active_sessions").set(
                 float(len(sessions))
             )
+        held = (current, *(session.plan_cache for session in sessions))
+        caches = {id(cache): cache for cache in held if cache is not None}
         for session in sessions:
             registry.merge(session.metrics_registry())
-        caches = [s.plan_cache for s in sessions if s.plan_cache is not None]
-        if caches or retired is not None:
-            self._fold_plan_cache(registry, caches, retired)
+        if caches or any(banked.values()):
+            self._fold_plan_cache(registry, caches.values(), banked)
         breaker = self._breaker.as_dict()
         registry.counter("resilience.breaker_trips").inc(
             breaker.get("breaker_trips", 0.0)
@@ -1079,34 +1025,28 @@ class EstimationService:
                 registry.gauge(f"ingest.{name}").set(float(value))
         return registry
 
+    @staticmethod
     def _fold_plan_cache(
-        self,
         registry: MetricsRegistry,
-        caches: list[PlanCache],
-        retired: dict[str, int] | None,
+        caches: Iterable[PlanCache],
+        banked: dict[str, int],
     ) -> None:
-        """The service's ``plan_cache`` block.  Sessions report theirs
-        as gauges, which a merge overwrites, so the event counts are the
-        live sessions' summed with the retired ones' — lifetime totals
-        that never drop when a worker rolls — and a hit answered on
-        arrival (``service.answered_on_arrival``) is one no session saw.
-        The plans are the published table's, whichever worker compiled
-        each."""
-        totals = dict(retired) if retired is not None else dict.fromkeys(
-            _PLAN_EVENTS, 0
-        )
+        """The service's ``plan_cache`` block.  Sessions report their
+        cache's counts as gauges, which a merge overwrites, so the block
+        is summed over the distinct live caches (the current one and any
+        a session still holds) — ``plans`` and ``bytes`` are theirs —
+        plus, for the event counts, the banked ones: lifetime totals that
+        never drop when a worker rolls.  A hit answered on arrival
+        (``service.answered_on_arrival``) is one no cache counted."""
+        totals = dict(banked, plans=0, bytes=0)
         for cache in caches:
             for key in _PLAN_EVENTS:
                 totals[key] += getattr(cache, key)
+            totals["plans"] += len(cache)
+            totals["bytes"] += cache.bytes
         totals["hits"] += registry.counter("service.answered_on_arrival").value
         lookups = totals["hits"] + totals["misses"]
         totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
-        table = self._plan_table
-        if table is not None:
-            totals["plans"] = len(table.plans)
-            totals["bytes"] = sum(
-                plan.weight_bytes for plan in table.plans.values()
-            )
         for key, value in totals.items():
             registry.gauge(f"plan_cache.{key}").set(value)
 

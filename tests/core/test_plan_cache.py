@@ -174,16 +174,15 @@ class TestEviction:
 
 
 class TestOneProbe:
-    """A hit reads one table, so it hashes its fingerprint once (a miss
-    also counts its shape, and goes on to a cold solve); eviction and the
-    per-shape counters behave as with a plan table and a counter table
-    side by side."""
+    """The cache maps a fingerprint straight to its plan: a probe, hit
+    or miss, hashes the fingerprint once, and a compile at capacity
+    evicts the oldest plan."""
 
     def test_a_hit_hashes_its_fingerprint_once(
         self, two_table_pool, shapes, monkeypatch
     ):
         algorithm = GetSelectivity(two_table_pool, NIndError())
-        cache = PlanCache(two_table_pool)
+        cache = PlanCache(two_table_pool, max_plans=1)
         shape, uncompiled = shapes[3], shapes[4]
         for predicates in (shape, uncompiled):
             cache.plan_for(predicates)
@@ -196,37 +195,20 @@ class TestOneProbe:
             return real(attribute)
 
         monkeypatch.setattr(Attribute, "__hash__", counting)
-        for predicates, hit, probes in ((shape, True, 1), (uncompiled, False, 2)):
+        for predicates, hit in ((shape, True), (uncompiled, False)):
             del calls[:]
             plan, _ = cache.plan_for(predicates)
             assert (plan is not None) is hit
             # a fingerprint hash is one call per attribute of its tokens
             tokens = shape_fingerprint(predicates)[0]
-            assert len(calls) == probes * sum(len(token) - 1 for token in tokens)
-
-    def test_counters_past_the_shape_bound(self, two_table_pool, shapes):
-        """Shapes past ``4 * max_plans`` are not counted per shape, yet a
-        plan compiled for one is still found, and an evicted plan's
-        counters go with it."""
-        algorithm = GetSelectivity(two_table_pool, NIndError())
-        cache = PlanCache(two_table_pool, max_plans=1)
-        for shape in shapes:  # 5 shapes, room to count 4
-            assert cache.plan_for(shape)[0] is None
-        late = shapes[-1]
-        cache.compile(late, algorithm, algorithm(late))
-        assert cache.plan_for(late)[0] is not None
+            assert len(calls) == sum(len(token) - 1 for token in tokens)
+        monkeypatch.undo()
         status = cache.status()
-        assert (status["hits"], status["misses"]) == (1, 5)
-        counted = cache.shape_stats(limit=10)
-        assert len(counted) == 2 * 4
-        assert f"shape.{fingerprint_digest(shape_fingerprint(late)[0])}.hits" not in counted
-        # a counted shape's compile evicts the late plan (max_plans=1)
-        first = shapes[0]
-        cache.compile(first, algorithm, algorithm(first))
-        assert cache.plan_for(first)[0] is not None
-        assert cache.plan_for(late)[0] is None
-        digest = fingerprint_digest(shape_fingerprint(first)[0])
-        assert cache.shape_stats(limit=10)[f"shape.{digest}.hits"] == 1.0
+        assert (status["hits"], status["misses"]) == (1, 3)
+        # the next compile evicts the only plan (max_plans=1)
+        cache.compile(uncompiled, algorithm, algorithm(uncompiled))
+        assert cache.plan_for(uncompiled)[0] is not None
+        assert cache.plan_for(shape)[0] is None
         assert cache.status()["evictions"] == 1
 
 

@@ -364,6 +364,33 @@ def rebuilds(monkeypatch):
     return calls
 
 
+def cold_batch(templates) -> list[frozenset]:
+    """Two constant sets per template, one right behind the other: in a
+    fresh session's batch the second member replays the plan the first
+    one compiled."""
+    rng = random.Random(20261016)
+    batch = []
+    for template in templates[:4]:
+        base = frozenset(template.predicates)
+        batch += [base, *constant_variants(rng, base, 1)]
+    return batch
+
+
+def wired_session(catalog, tracked: bool, advised: bool, **options):
+    """A session with the feedback sink and staleness tracker a served
+    one carries, and the advisor its feedback lands in (or ``None``)."""
+    session = EstimationSession(catalog, NIndError(), **options)
+    if tracked:
+        tracker = StalenessTracker(clock=lambda: 100.0)
+        for table in sorted(catalog.database.tables):
+            tracker.note_write(table, when=97.5)
+        session.staleness_tracker = tracker
+    advisor = SelfTuningAdvisor(catalog) if advised else None
+    if advised:
+        session.feedback_sink = advisor.record_result
+    return session, advisor
+
+
 def hot_requests(templates, per_template: int) -> list[frozenset]:
     rng = random.Random(20261003)
     requests = []
@@ -423,6 +450,32 @@ class TestDeferredProvenance:
         built = len(rebuilds)
         assert second.matches == cold.estimate(requests[1]).matches
         assert len(rebuilds) == built
+
+        # a cold batch is one estimate per member, on every path: with
+        # the cache on a later member replays the plan an earlier member
+        # of the same batch compiled; off, or on another backend, it
+        # solves again
+        batch = cold_batch(templates)
+        for options in ({}, {"plan_cache": False}, {"backend": "bn"}):
+            batched, batch_advisor = wired_session(
+                catalog, tracked, advised, **options
+            )
+            single, single_advisor = wired_session(
+                catalog, tracked, advised, **options
+            )
+            answers = batched.estimate_batch(batch)
+            expected = [single.estimate(request) for request in batch]
+            assert answers == expected
+            for answer, one in zip(answers, expected):
+                assert answer.plan_cache_hit == one.plan_cache_hit
+                assert answer.staleness_s == one.staleness_s
+                assert (answer.staleness_s == 2.5) is tracked
+            assert answers[1].plan_cache_hit is (options == {})
+            if advised:
+                assert batch_advisor.feedback.records() == (
+                    single_advisor.feedback.records()
+                )
+                assert len(batch_advisor.feedback.records()) == len(batch)
 
     def test_deferred_equals_eager(self, snowflake_setup):
         database, templates, pool = snowflake_setup

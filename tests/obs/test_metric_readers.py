@@ -65,7 +65,7 @@ def reader_text() -> str:
 
 def test_the_scan_sees_the_registry():
     names = registered_names()
-    assert len(names) > 100
+    assert len(names) > 90
     assert {
         "service.served",
         "cluster.rejoins",

@@ -1,23 +1,28 @@
-"""Hits answered on arrival: the workers publish their compiled plans per
-snapshot, ``submit_many`` replays a compiled shape on the submitting
-thread, and only misses cross to a worker — unless the published table
-is stale, the breaker has rolled back, or a fault plan is armed."""
+"""Hits answered on arrival: the workers of one snapshot compile into
+one shared plan cache, ``submit_many`` replays a compiled shape from it
+on the submitting thread, and only misses cross to a worker — unless the
+cache's snapshot is not the one a worker should be on (a notify, a
+breaker rollback), its pool moved, or a fault plan is armed."""
 
 from __future__ import annotations
 
 import sys
 import threading
+import time
 from dataclasses import replace
 from itertools import combinations
 
 from repro.advisor import AdvisorConfig
 from repro.catalog import EstimationSession
+from repro.core.errors import NIndError
 from repro.core.plancache import CompiledPlan, PlanCache, shape_fingerprint
 from repro.core.predicates import FilterPredicate
 from repro.engine.expressions import Query
 from repro.obs import StalenessTracker
 from repro.resilience.faults import FaultPlan, FaultRule, armed
 from repro.service import EstimationService, HealingConfig, ServiceConfig
+from repro.stats.builder import SITBuilder
+from repro.stats.pool import SITPool
 
 ONE_WORKER = ServiceConfig(workers=1, queue_depth=64)
 
@@ -33,6 +38,29 @@ def service_stats(service) -> dict:
 
 def arrivals(service) -> float:
     return service_stats(service).get("answered_on_arrival", 0.0)
+
+
+def wait_for(condition, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def parked_compiles(monkeypatch):
+    """Every ``PlanCache.compile`` waits at its entry, after its DP ran,
+    until ``release`` is set; ``caches`` lists the caches compiled into."""
+    parked, release, caches = threading.Event(), threading.Event(), []
+    compile_plan = PlanCache.compile
+
+    def gated(cache, predicates, algorithm, result):
+        caches.append(cache)
+        parked.set()
+        assert release.wait(timeout=30.0)
+        return compile_plan(cache, predicates, algorithm, result)
+
+    monkeypatch.setattr(PlanCache, "compile", gated)
+    return parked, release, caches
 
 
 class TestAnsweredOnArrival:
@@ -203,13 +231,13 @@ class TestAnsweredOnArrival:
             6 * len(queries) - 2 * len(shapes)
         )
 
-    def test_workers_publishing_at_once_lose_no_plan(
+    def test_workers_compiling_at_once_lose_no_plan(
         self, service_catalog, two_table_attrs, two_table_join
     ):
-        """Three workers compile shapes at once and merge them into one
-        table, under a shortened switch interval and more threads than
+        """Three workers compile shapes at once into their one shared
+        cache, under a shortened switch interval and more threads than
         cores: every answer equals the plan-cache-off one, and afterwards
-        every shape is answered on arrival (a lost merge would leave one
+        every shape is answered on arrival (a lost insert would leave one
         to a worker)."""
         filters = {
             name: FilterPredicate(two_table_attrs[name], 10.0, 60.0)
@@ -252,13 +280,19 @@ class TestAnsweredOnArrival:
                     assert not thread.is_alive()
                 before = arrivals(service)
                 last = [service.estimate(query) for query in queries]
-                stats = service_stats(service)
+                snapshot = service.stats_snapshot()
+                stats = dict(snapshot.service)
         finally:
             sys.setswitchinterval(interval)
         assert wrong == []
         assert [answer.selectivity for answer in last] == expected
         assert stats["answered_on_arrival"] - before == float(len(queries))
         assert stats["served"] == float((submitters * rounds + 1) * len(queries))
+        # every answer probed the cache once, on arrival or in a batch
+        # (a deduplicated member rides its group's probe): a lost count
+        # by the workers sharing the cache would show here
+        counted = snapshot.plan_cache["hits"] + snapshot.plan_cache["misses"]
+        assert counted == stats["served"] - stats.get("deduplicated", 0.0)
 
     def test_a_hit_on_arrival_equals_the_queued_one_field_for_field(
         self, service_catalog, factor_sharing_queries
@@ -290,3 +324,123 @@ class TestAnsweredOnArrival:
             replace(fed[0], seq=0)
         ] * 2
         assert fed[0].predicates == second.predicates
+
+
+class TestOneCachePerSnapshot:
+    def test_worker_sessions_at_one_snapshot_hold_one_cache(
+        self, service_catalog, cold_queries, session_gate
+    ):
+        config = ServiceConfig(workers=2, queue_depth=64)
+        with EstimationService(service_catalog, config=config) as service:
+            wait_for(lambda: len(service._sessions) == 2)
+            first, second = service._sessions
+            before = first.plan_cache
+            assert before is not None and second.plan_cache is before
+            service_catalog.notify_table_update("R")
+            new = service_catalog.version
+            # a worker rolls before it serves: park one in its batch, so
+            # that the second miss is the other worker's
+            futures = [service.submit(cold_queries[0])]
+            session_gate.wait_entered()
+            futures.append(service.submit(cold_queries[1]))
+            wait_for(
+                lambda: [s.snapshot_version for s in service._sessions]
+                == [new, new]
+            )
+            first, second = service._sessions
+            session_gate.open()
+            answers = [future.result(timeout=30.0) for future in futures]
+        assert first is not second
+        assert first.plan_cache is second.plan_cache is service._plan_cache
+        assert first.plan_cache is not before
+        assert first.plan_cache.snapshot_version == new
+        assert {answer.snapshot_version for answer in answers} == {new}
+
+    def test_catalog_counts_a_shared_cache_once(
+        self, service_catalog, factor_sharing_queries
+    ):
+        config = ServiceConfig(workers=2, queue_depth=64)
+        with EstimationService(service_catalog, config=config) as service:
+            wait_for(lambda: len(service._sessions) == 2)
+            for query in factor_sharing_queries:
+                service.estimate(query)
+            block = service_catalog.status()["plan_cache"]
+            stats = dict(service.stats_snapshot().plan_cache)
+        assert block["caches"] == 1
+        assert block["compiles"] == stats["compiles"] == stats["plans"] == 1.0
+
+
+class TestInsertGuard:
+    """A compile inserts only while the pool version its DP solved at is
+    still the pool's and the cache's."""
+
+    def test_a_compile_straddling_a_notify_files_nothing(
+        self, service_catalog, join_query, monkeypatch
+    ):
+        parked, release, caches = parked_compiles(monkeypatch)
+        with EstimationService(service_catalog, config=ONE_WORKER) as service:
+            old = service_catalog.version
+            straddling = service.submit(join_query)
+            assert parked.wait(timeout=10.0)
+            service_catalog.notify_table_update("R")
+            release.set()
+            assert straddling.result(timeout=30.0).snapshot_version == old
+            # the cache it compiled into moved to the newer pool version
+            # and holds nothing
+            cache = caches[0]
+            assert cache.pool_version == cache.pool.version
+            assert len(cache) == 0
+            after = service.estimate(join_query)
+        expected = EstimationSession(service_catalog, plan_cache=False).estimate(
+            join_query
+        )
+        assert after.snapshot_version == service_catalog.version
+        assert not after.plan_cache_hit
+        assert (after.selectivity, after.error) == (
+            expected.selectivity,
+            expected.error,
+        )
+
+    def test_a_compile_straddling_a_pool_add_files_nothing(
+        self, two_table_db, two_table_attrs, two_table_join, monkeypatch
+    ):
+        """On a bare-pool service the sessions never roll: a plan of the
+        pool without the new SIT, filed under the version with it, would
+        be the next answer.  (The twin solves the query before the add,
+        as the service's session does: a session's DP keeps the SIT
+        candidates it scored for a predicate set across a version move.)"""
+        builder = SITBuilder(two_table_db)
+        pool = SITPool(
+            [builder.build_base(attribute) for attribute in two_table_attrs.values()]
+        )
+        ra = two_table_attrs["Ra"]
+        (conditioned,) = builder.build_many(frozenset({two_table_join}), [ra])
+        query = Query.of(two_table_join, FilterPredicate(ra, 10.0, 40.0))
+        twin = EstimationSession(
+            pool, NIndError(), database=two_table_db, plan_cache=False
+        )
+        twin.estimate(query)
+        parked, release, caches = parked_compiles(monkeypatch)
+        with EstimationService(
+            pool,
+            database=two_table_db,
+            config=ONE_WORKER,
+            error_function=NIndError(),
+        ) as service:
+            straddling = service.submit(query)
+            assert parked.wait(timeout=10.0)
+            pool.add(conditioned)
+            release.set()
+            straddling.result(timeout=30.0)
+            cache = caches[0]
+            assert cache.pool_version == pool.version
+            assert len(cache) == 0
+            after = service.estimate(query)
+            again = service.estimate(query)
+        expected = twin.estimate(query)
+        assert not after.plan_cache_hit
+        assert (after.selectivity, after.error) == (
+            expected.selectivity,
+            expected.error,
+        )
+        assert again.plan_cache_hit and len(cache) == 1

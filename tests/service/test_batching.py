@@ -15,6 +15,7 @@ from repro.service.protocol import (
     ServiceClosed,
 )
 from repro.service.queue import AdmissionQueue
+from repro.sql import parse_query
 
 #: one worker and a batch bound no burst here reaches: a group admitted
 #: with ``submit_many`` is one batch by construction, not by timing
@@ -127,6 +128,24 @@ class TestDeduplication:
         assert stats.service["batches"] == 1.0
         assert stats.service["deduplicated"] == 3.0
         assert stats.counters["queries"] == 3
+
+    def test_deduplicated_members_scale_by_their_own_from_tables(
+        self, service_catalog
+    ):
+        """One predicate set over ``FROM R`` and over ``FROM R, S``: one
+        DP run, and each member's cardinality is its own cross product's."""
+        where = "WHERE R.a >= 10 AND R.a <= 40"
+        sqls = [f"SELECT * FROM R {where}", f"SELECT * FROM R, S {where}"]
+        schema = service_catalog.database.schema
+        session = EstimationSession(service_catalog)
+        expected = [session.cardinality(parse_query(sql, schema)) for sql in sqls]
+        with EstimationService(service_catalog, config=COALESCING) as service:
+            answers = burst(service, sqls)
+            stats = service.stats_snapshot()
+        assert stats.service["batches"] == 1.0
+        assert [answer.deduplicated for answer in answers] == [False, True]
+        assert [answer.cardinality for answer in answers] == expected
+        assert expected[0] < expected[1]
 
 
 class TestShapeGroupBatching:
