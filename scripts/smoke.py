@@ -502,10 +502,13 @@ def smoke_chaos() -> None:
     )
     plan = FaultPlan(
         [
+            # rates are per evaluation: sit_match is evaluated only on
+            # the SITs a cold answer reads (~16 per run, most answers
+            # replay), so it needs a higher rate than the other points
             FaultRule(
                 point="sit_match",
                 fault="sit_unavailable",
-                probability=0.15,
+                probability=0.5,
                 max_fires=None,
             ),
             FaultRule(

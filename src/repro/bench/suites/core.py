@@ -238,6 +238,11 @@ def bench_fault_overhead(size: int, repeats: int) -> dict:
     selectivities — the zero-fault parity half of the acceptance gate —
     and the disarmed figure is what the <=5% overhead gate tracks
     against the pre-resilience ``n7`` steady baseline.
+
+    The SIT-match point is checked once per attribute match of each
+    factor an answer reads, so the rule is evaluated exactly
+    ``steady_runs × answer_attribute_matches`` times — a count
+    :func:`passed` gates, independent of host speed.
     """
     from repro.resilience.faults import FaultPlan, FaultRule, armed
 
@@ -262,6 +267,11 @@ def bench_fault_overhead(size: int, repeats: int) -> dict:
             under_plan == baseline == disarmed_again
         ),
         "rule_evaluations": plan.rules[0].evaluations,
+        # the timed runs and the one compared above
+        "steady_runs": repeats + 1,
+        "answer_attribute_matches": sum(
+            len(match.attribute_matches) for match in baseline.matches
+        ),
     }
 
 
@@ -417,12 +427,21 @@ def gates(result: dict) -> dict:
 
 def passed(result: dict) -> bool:
     """The gate the runner's exit code carries: every cold speedup at or
-    over ``cold_target`` (the other gates are read off the file)."""
+    over ``cold_target``, and the fault guards' two deterministic
+    checks — the armed plan changed no answer, and its rule was
+    evaluated once per SIT each run's answer reads (the timing gates
+    are read off the file)."""
     found = result["gates"]
-    return all(
-        value >= found["cold_target"]
-        for name, value in found.items()
-        if name.endswith("_cold_speedup")
+    guards = result["resilience"]["n7_fault_guards"]
+    return (
+        all(
+            value >= found["cold_target"]
+            for name, value in found.items()
+            if name.endswith("_cold_speedup")
+        )
+        and guards["zero_fault_bit_identical"] is True
+        and guards["rule_evaluations"]
+        == guards["steady_runs"] * guards["answer_attribute_matches"]
     )
 
 

@@ -17,8 +17,10 @@ Structure follows the paper's pseudo-code:
   ``Sel(P'|Q) * Sel(Q)`` (lines 9-15), matching SITs for the conditional
   factor through the view-matching routine of Section 3.3;
 * the winning factor is *estimated* only once, after the search
-  (lines 16-17) — the paper's split between "decomposition analysis" and
-  "histogram manipulation" time, which Figure 8 reports separately.
+  (lines 16-17), and only on the answer's chain: a memo node keeps what
+  the search compares until an answer reads it — the paper's split
+  between "decomposition analysis" and "histogram manipulation" time,
+  which Figure 8 reports separately.
 
 The optional SIT-driven pruning of Section 3.4 skips atomic decompositions
 whose conditional factor could not possibly use a non-base SIT.
@@ -34,11 +36,14 @@ connected components are a bitwise BFS over a precomputed adjacency table,
 and Section 3.4 pruning is a single ``expr & ~q == 0`` test per candidate
 SIT expression.  Line 12 is priced on masks too
 (:class:`repro.core.matching.FactorScorer`): the DP asks what the best SIT
-assignment for ``Sel(P'|Q)`` costs and keeps ``(error, coverage, picks)``;
-a ``FactorMatch`` — and with it every ``frozenset`` — is materialized only
-for the ``(P', Q)`` that wins a node, at line 16, and at the public API
-boundary, so ``EstimationResult``, ``Decomposition`` and every caller are
-unchanged.
+assignment for ``Sel(P'|Q)`` costs, and a solved node keeps only
+``(error, coverage)`` and its winner's ``(P', picks)`` (or, separable,
+its components).  ``__call__`` then *realizes* the requested mask: a
+``FactorMatch`` — and with it every ``frozenset`` — is materialized and
+estimated only for the factors of the answer's chain, and each realized
+``EstimationResult`` replaces its node in the memo, so
+``EstimationResult``, ``Decomposition``, the plan compiler and every
+caller are unchanged.
 
 :class:`LegacyGetSelectivity` (reachable as
 ``GetSelectivity.create(..., engine="legacy")``) preserves the original
@@ -76,6 +81,7 @@ from repro.core.matching import (
 from repro.core.predicates import PredicateSet, connected_components
 from repro.core.selectivity import Decomposition, Factor
 from repro.core.universe import PredicateUniverse, iter_bits
+from repro.resilience.faults import POINT_SIT_MATCH, active as _fault_plan
 from repro.stats.pool import SITPool
 
 
@@ -225,6 +231,41 @@ _FIELD_DEFAULTS = {
 
 _EMPTY_RESULT = EstimationResult(1.0, 0.0, Decomposition(()), ())
 
+
+class _Node:
+    """A solved memo entry no answer has read yet: the ``(error,
+    coverage)`` every enclosing search compares, and what line 16 needs
+    — the winner's ``p_mask`` and ``picks``, or, for a separable node,
+    its ``components`` (then not ``None``).  :meth:`GetSelectivity._realize`
+    replaces it with its :class:`EstimationResult`."""
+
+    __slots__ = ("error", "coverage", "p_mask", "picks", "components")
+
+    def __init__(self, error, coverage, p_mask, picks, components):
+        self.error = error
+        self.coverage = coverage
+        self.p_mask = p_mask
+        self.picks = picks
+        self.components = components
+
+
+def _separable_product(partials) -> EstimationResult:
+    """Lines 3-7: a separable selectivity as the left fold of its
+    components' results, in component order."""
+    selectivity = 1.0
+    error = 0.0
+    coverage = 0.0
+    decomposition = Decomposition(())
+    matches: tuple[FactorMatch, ...] = ()
+    for partial in partials:
+        selectivity *= partial.selectivity
+        error = merge(error, partial.error)
+        coverage += partial.coverage
+        decomposition = decomposition.merged(partial.decomposition)
+        matches = matches + partial.matches
+    return EstimationResult(selectivity, error, decomposition, matches, coverage)
+
+
 #: memo entries a request may start with.  Past it the memo is emptied
 #: before the next request solves — never during one, and always whole:
 #: the plan compiler walks a result's sub-masks through the memo, so an
@@ -333,7 +374,7 @@ class GetSelectivity:
         #: the ``pool.version`` the memo was filled under — the one
         #: invalidation gate, checked per request
         self._version = pool.version
-        # The winners: per (P', Q) that won a node, its materialised match
+        # The winners: per (P', Q) an answer read, its materialised match
         # and estimate_factor(match), a pure histogram computation.
         # Caching them across reset() means a steady-state optimizer only
         # pays histogram manipulation for factors it has never estimated
@@ -451,9 +492,11 @@ class GetSelectivity:
         trace = self.trace
         if trace is not None:
             with trace.span("dp_enumeration"):
-                result = self._solve(mask)
+                self._solve(mask)
+                result = self._realize(mask)
         else:
-            result = self._solve(mask)
+            self._solve(mask)
+            result = self._realize(mask)
         self.analysis_seconds += time.perf_counter() - started
         return result
 
@@ -471,12 +514,17 @@ class GetSelectivity:
             clear_caches()
 
     def cached_results(self) -> dict[PredicateSet, EstimationResult]:
-        """The memo table: free estimates for every solved sub-query."""
+        """The memo table: free estimates for every solved sub-query
+        (a sub-query no answer has read is realized here)."""
         set_of = self.universe.set_of
-        return {set_of(mask): result for mask, result in self._memo.items()}
+        return {set_of(mask): self._realize(mask) for mask in list(self._memo)}
 
     # ------------------------------------------------------------------
-    def _solve(self, mask: int) -> EstimationResult:
+    def _solve(self, mask: int) -> _Node | EstimationResult:
+        """Lines 1-15 for ``mask``: its memo entry, searched on the first
+        ask — a :class:`_Node`, or the :class:`EstimationResult` that
+        replaced it once an answer read it.  A search reads only the
+        ``error`` and ``coverage`` both carry."""
         if not mask:
             return _EMPTY_RESULT
         cached = self._memo.get(mask)  # lines 1-2
@@ -489,35 +537,28 @@ class GetSelectivity:
             trace.count("memo_misses")
         components = self.universe.components(mask)
         if len(components) > 1:  # lines 3-7
-            result = self._solve_separable(components)
-        else:  # lines 9-17
-            result = self._solve_non_separable(mask)
-        self._memo[mask] = result  # line 18
-        return result
+            node = self._solve_separable(components)
+        else:  # lines 9-15
+            node = self._solve_non_separable(mask)
+        self._memo[mask] = node  # line 18
+        return node
 
-    def _solve_separable(self, components: list) -> EstimationResult:
-        selectivity = 1.0
+    def _solve_separable(self, components: list) -> _Node:
         error = 0.0
         coverage = 0.0
-        decomposition = Decomposition(())
-        matches: tuple[FactorMatch, ...] = ()
         for component in components:
             partial = self._solve(component)
-            selectivity *= partial.selectivity
             error = merge(error, partial.error)
             coverage += partial.coverage
-            decomposition = decomposition.merged(partial.decomposition)
-            matches = matches + partial.matches
-        return EstimationResult(selectivity, error, decomposition, matches, coverage)
+        return _Node(error, coverage, 0, None, components)
 
-    def _solve_non_separable(self, mask: int) -> EstimationResult:
+    def _solve_non_separable(self, mask: int) -> _Node:
         universe = self.universe
         solve = self._solve
         pruning = self.sit_driven_pruning
         best_error = INFINITE_ERROR
         best_coverage = 0.0
         best_picks: tuple | None = None
-        best_tail: EstimationResult | None = None
         best_p_mask = 0
         best_tie: tuple[int, int] | None = None
         explored = 0
@@ -566,32 +607,64 @@ class GetSelectivity:
             best_error = total
             best_coverage = coverage
             best_picks = picks
-            best_tail = tail
             best_p_mask = p_mask
         self.explored_decompositions += explored
-        if best_picks is None or best_tail is None:
+        if best_picks is None:
             # No SITs at all for some attribute: surface it explicitly
             # rather than inventing a number.
             raise NoApplicableStatisticsError(universe.set_of(mask))
-        best_match, factor_selectivity = self.estimate_winner(
-            best_p_mask, mask ^ best_p_mask, best_picks
-        )  # line 16
-        selectivity = factor_selectivity * best_tail.selectivity  # line 17
-        decomposition = best_tail.decomposition.extended(best_match.factor)
-        matches = (best_match, *best_tail.matches)
-        return EstimationResult(
-            selectivity, best_error, decomposition, matches, best_coverage
-        )
+        return _Node(best_error, best_coverage, best_p_mask, best_picks, None)
+
+    def _realize(self, mask: int) -> EstimationResult:
+        """Lines 16-17 on the answer's chain: the node of ``mask`` gets
+        its winner estimated (line 16) and multiplied into its realized
+        tail (line 17) — a separable node folds its realized components
+        — and the result replaces the node in the memo.  Factors are
+        realized head first, the order of ``result.matches``; the folds
+        and their float order are those of a search that estimated
+        every node."""
+        if not mask:
+            return _EMPTY_RESULT
+        node = self._memo[mask]
+        if type(node) is not _Node:
+            return node  # realized by this request or an earlier one
+        if node.components is not None:
+            result = _separable_product(map(self._realize, node.components))
+        else:
+            p_mask = node.p_mask
+            q_mask = mask ^ p_mask
+            match, factor_selectivity = self.estimate_winner(
+                p_mask, q_mask, node.picks
+            )  # line 16
+            tail = self._realize(q_mask)
+            result = EstimationResult(
+                factor_selectivity * tail.selectivity,  # line 17
+                node.error,
+                tail.decomposition.extended(match.factor),
+                (match, *tail.matches),
+                node.coverage,
+            )
+        self._memo[mask] = result
+        return result
 
     def estimate_winner(
         self, p_mask: int, q_mask: int, picks: tuple
     ) -> tuple[FactorMatch, float]:
-        """Line 16 for the ``(P', Q)`` that won a node: its match and
-        ``estimate_factor(match)``, cached per pair.  Only a winner is
-        ever built — the match is all line 16, the plan compiler and
-        ``EstimationResult.matches`` read — and its joins go through the
-        pool's join store, which times the ones it really performs into
-        the trace's ``histogram_join`` stage."""
+        """Line 16 for a ``(P', Q)`` an answer reads: its match and
+        ``estimate_factor(match)``, cached per pair.  The SIT-match
+        injection point is checked here, once per picked SIT in
+        attribute order, on every call — a fault fires on a SIT an
+        answer reads, never on one only priced.  The match is all line
+        16, the plan compiler and ``EstimationResult.matches`` read, and
+        its joins go through the pool's join store, which times the
+        ones it really performs into the trace's ``histogram_join``
+        stage."""
+        fault_plan = _fault_plan()
+        if fault_plan is not None:
+            for pick in picks:
+                fault_plan.check(
+                    POINT_SIT_MATCH, detail=str(pick.attribute), sits=(pick.sit,)
+                )
         key = (p_mask, q_mask)
         winner = self._estimate_cache.get(key)
         if winner is None:
@@ -741,6 +814,9 @@ class LegacyGetSelectivity(GetSelectivity):
             result = self._solve_non_separable(predicates)
         self._memo[predicates] = result  # line 18
         return result
+
+    def _solve_separable(self, components: list) -> EstimationResult:
+        return _separable_product(self._solve(component) for component in components)
 
     def _solve_non_separable(self, predicates: PredicateSet) -> EstimationResult:
         best_key = (INFINITE_ERROR, 0.0)

@@ -217,10 +217,12 @@ class ViewMatcher:
         return tuple(applicable)
 
     def maximal_candidates(
-        self, attribute: Attribute, conditioning: PredicateSet
+        self, attribute: Attribute, conditioning: PredicateSet, check: bool = True
     ) -> tuple[SIT, ...]:
         """All ``SIT(attribute|Q')`` with ``Q' ⊆ conditioning``, ``Q'``
-        maximal (Section 3.3's candidate definition)."""
+        maximal (Section 3.3's candidate definition).  ``check=False`` is
+        for :class:`FactorScorer`, which only prices: the bitmask DP
+        checks the SIT-match point on the SITs an answer reads."""
         key = (attribute, conditioning)
         maximal = self._attribute_cache.get(key)
         if maximal is None:
@@ -249,7 +251,7 @@ class ViewMatcher:
                 trace.count("sit_candidates_considered", len(applicable))
                 trace.count("sit_candidates_matched", len(maximal))
             self._attribute_cache[key] = maximal
-        plan = _fault_plan()
+        plan = _fault_plan() if check else None
         if plan is not None and maximal:
             # SIT-match injection point: a matched statistic "goes
             # missing".  Disarmed cost is the global load + None check.
@@ -597,7 +599,6 @@ class FactorScorer:
             component_of = self._components[q_mask] = (
                 self.universe.components_by_table(q_mask)
             )
-        fault_plan = _fault_plan()
         # Steps 2-3 per attribute.  Attributes share a component when Q
         # links their tables (they are then conditioned on the same
         # component of Q) or they sit on one table; a component is named
@@ -615,10 +616,6 @@ class FactorScorer:
             pick = by_cond.get(cond)
             if pick is None:
                 pick = self._pick(attribute, weight, cond, by_cond, by_member, trace)
-            elif fault_plan is not None and pick.candidates:
-                fault_plan.check(
-                    POINT_SIT_MATCH, detail=str(attribute), sits=pick.candidates
-                )
             if pick.sit is None:
                 if started is not None:
                     trace.add_time("factor_matching", perf_counter() - started)
@@ -715,8 +712,7 @@ class FactorScorer:
         """A new row of ``_picks``: the maximal candidates — from
         ``_maximal`` when some conditioning with the same members asked
         before, else from the matcher — and the error function's pick
-        among them.  The SIT-match injection point is checked either way
-        (the matcher checks it itself).  Traced, every new conditioning
+        among them.  Traced, every new conditioning
         goes to the matcher, whose candidate-funnel counters then count
         what the frozenset path counts."""
         universe = self.universe
@@ -726,14 +722,8 @@ class FactorScorer:
         candidates = by_member.get(key) if trace is None else None
         if candidates is None:
             candidates = by_member[key] = self.matcher.maximal_candidates(
-                attribute, universe.set_of(cond)
+                attribute, universe.set_of(cond), check=False
             )
-        elif candidates:
-            fault_plan = _fault_plan()
-            if fault_plan is not None:
-                fault_plan.check(
-                    POINT_SIT_MATCH, detail=str(attribute), sits=candidates
-                )
         if not candidates:
             pick = AttributePick(attribute, weight, cond, candidates, None)
         else:

@@ -256,14 +256,14 @@ class CompiledPlan:
 # Replay: the multiplication tree, and provenance when it is read
 # ----------------------------------------------------------------------
 def _eval_tree(node: tuple | None, values: list[float]) -> float:
-    """The DP's multiplication tree, same association order as `_solve`."""
+    """The DP's multiplication tree, same association order as `_realize`."""
     if node is None:
         return 1.0
     if node[0] == "c":
-        # _solve_non_separable line 17: factor * tail (tail of the empty
+        # line 17 of a realized node: factor * tail (tail of the empty
         # set is the 1.0 of _EMPTY_RESULT).
         return values[node[1]] * _eval_tree(node[2], values)
-    # _solve_separable: left-fold over components in component order.
+    # _separable_product: left-fold over components in component order.
     selectivity = 1.0
     for child in node[1]:
         selectivity *= _eval_tree(child, values)

@@ -12,7 +12,7 @@ query into consecutive bit indices so the whole hot path runs on plain
 * ``intern`` maps a predicate set to a mask (growing the universe on first
   sight of a predicate; existing masks stay valid forever);
 * ``set_of`` converts a mask back to the canonical ``frozenset`` — only
-  needed at the public API boundary and for the factor that wins a node;
+  needed at the public API boundary and for the factors an answer reads;
 * ``components`` computes table-connected components with a bitwise BFS
   over a precomputed bit-adjacency table (replacing per-call union-find);
 * ``prune_masks`` precomputes, per predicate, the SIT-expression masks

@@ -24,7 +24,8 @@ class IngestConfig:
     #: with a typed :class:`~repro.ingest.pipeline.IngestOverloaded`
     queue_depth: int = 1024
     #: how long one drain cycle lingers to coalesce rapid updates to the
-    #: same table into a single invalidation epoch
+    #: same table into a single invalidation epoch; a ``flush()`` ends
+    #: the linger once every event admitted before it has been taken
     coalesce_window_s: float = 0.02
     #: most events folded into one drain cycle
     max_batch: int = 256

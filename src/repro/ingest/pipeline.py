@@ -127,7 +127,11 @@ class IngestPipeline:
         #: epochs that exhausted their per-cycle retries, merged into the
         #: next drain cycle (never dropped)
         self._retry: dict[str, _Epoch] = {}
-        self._busy = False
+        #: events the apply loop has taken off the queue, and how many of
+        #: them (in admission order) are known applied: every one taken
+        #: before a cycle that ended with no epoch carried
+        self._taken = 0
+        self._applied_through = 0
         self._state_lock = threading.Lock()
         self._idle = threading.Condition(self._state_lock)
         self._closed = False
@@ -184,13 +188,13 @@ class IngestPipeline:
                 )
                 if not batch and self._queue.closed:
                     return
-            with self._state_lock:
-                self._busy = True
+            self._taken += len(batch)
             try:
                 self._apply_cycle(batch)
             finally:
                 with self._state_lock:
-                    self._busy = False
+                    if not self._retry:
+                        self._applied_through = self._taken
                     self._idle.notify_all()
 
     def _apply_cycle(self, batch: Sequence[TableUpdate]) -> None:
@@ -258,21 +262,16 @@ class IngestPipeline:
 
     # -- drain / shutdown --------------------------------------------------
     def flush(self, timeout: float = 10.0) -> bool:
-        """Block until every acked event has been applied (queue empty,
-        no re-queued epochs, apply loop idle, tracker quiesced).  True
-        on success."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._state_lock:
-                settled = (
-                    len(self._queue) == 0
-                    and not self._busy
-                    and not self._retry
-                )
-            if settled and self.tracker.quiesced():
-                return True
-            time.sleep(0.001)
-        return False
+        """Apply now, and block until every event acked before the call
+        has been applied (none left queued or carried in a re-queued
+        epoch).  The apply loop's coalesce window ends as soon as it
+        has taken those events; events submitted meanwhile ride along
+        or wait for the next cycle.  True on success."""
+        target = self._queue.flush_target()
+        with self._idle:
+            return self._idle.wait_for(
+                lambda: self._applied_through >= target, timeout
+            )
 
     def quiesce(self, timeout: float = 10.0) -> bool:
         """Alias of :meth:`flush` — after it returns ``True`` the

@@ -14,7 +14,10 @@ a small condition-variable queue purpose-built for them:
   calls it exactly so: its worker never waits on a timer while it is
   free, and a micro-batch is whatever backed up while the previous one
   was being served.  The optional ``window_s`` linger is for the ingest
-  pipeline, whose coalesce window exists *to* wait.
+  pipeline, whose coalesce window exists *to* wait — until a
+  :meth:`flush_target` cuts it short for the items admitted before it;
+* :meth:`wait_empty` is the graceful-drain barrier: a take that
+  empties the queue wakes it.
 """
 
 from __future__ import annotations
@@ -38,7 +41,15 @@ class AdmissionQueue(Generic[T]):
         self._items: deque[T] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
+        #: notified by a take that empties the queue while a
+        #: :meth:`wait_empty` caller is parked (``_empty_waiters``)
+        self._emptied = threading.Condition(self._lock)
+        self._empty_waiters = 0
         self._closed = False
+        #: items ever admitted; ``_admitted - len(_items)`` were taken
+        self._admitted = 0
+        #: ``_admitted`` when the last flush was asked for
+        self._flush_at = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -75,8 +86,21 @@ class AdmissionQueue(Generic[T]):
             admitted = min(len(items), self.depth - len(self._items))
             if admitted:
                 self._items.extend(islice(items, admitted))
+                self._admitted += admitted
                 self._not_empty.notify()
             return admitted
+
+    def flush_target(self) -> int:
+        """Ask a lingering :meth:`take_batch` to stop waiting once it has
+        taken every item admitted so far; returns that count (items are
+        numbered in admission order, from 1).
+
+        A target, not a flag: a linger whose batch began at or past it
+        — the next burst's — keeps its whole window."""
+        with self._lock:
+            self._flush_at = self._admitted
+            self._not_empty.notify_all()
+            return self._flush_at
 
     def take_batch(
         self,
@@ -89,7 +113,8 @@ class AdmissionQueue(Generic[T]):
         Blocks (in ``poll_s`` slices, so closing wakes us promptly)
         until at least one item is available and takes what is queued,
         up to ``max_batch`` items; with a ``window_s`` it then keeps
-        coalescing arrivals for that long.  Returns ``[]`` only when
+        coalescing arrivals for that long, or until it has taken every
+        item a :meth:`flush_target` asked for.  Returns ``[]`` only when
         the queue is closed *and* drained.
         """
         batch: list[T] = []
@@ -98,27 +123,39 @@ class AdmissionQueue(Generic[T]):
                 if self._closed:
                     return batch
                 self._not_empty.wait(timeout=poll_s)
+            taken_before = self._admitted - len(self._items)
             while self._items and len(batch) < max_batch:
                 batch.append(self._items.popleft())
             if self._items:
                 # a group larger than one batch was admitted with one
                 # wake-up: pass it on to the next free consumer
                 self._not_empty.notify()
+            elif self._empty_waiters:
+                self._emptied.notify_all()
         if window_s <= 0 or len(batch) >= max_batch:
             return batch
-        # linger: coalesce stragglers into the same batch
+        # linger: coalesce stragglers into the same batch, until the
+        # window closes or every item a flush waits for is taken
         deadline = time.monotonic() + window_s
         while len(batch) < max_batch:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
             with self._not_empty:
+                flush_at = self._flush_at
+                if (
+                    flush_at > taken_before
+                    and self._admitted - len(self._items) >= flush_at
+                ):
+                    break
                 if not self._items:
                     if self._closed:
                         break
                     self._not_empty.wait(timeout=remaining)
                 while self._items and len(batch) < max_batch:
                     batch.append(self._items.popleft())
+                if not self._items and self._empty_waiters:
+                    self._emptied.notify_all()
         return batch
 
     # ------------------------------------------------------------------
@@ -127,6 +164,8 @@ class AdmissionQueue(Generic[T]):
         with self._lock:
             items = list(self._items)
             self._items.clear()
+            if self._empty_waiters:
+                self._emptied.notify_all()
             return items
 
     def close(self) -> None:
@@ -136,17 +175,14 @@ class AdmissionQueue(Generic[T]):
             self._not_empty.notify_all()
 
     def wait_empty(self, timeout: float | None = None) -> bool:
-        """Block until the queue is empty (the graceful-drain barrier)."""
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        while True:
-            with self._lock:
-                if not self._items:
-                    return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(0.001)
+        """Block until the queue is empty (the graceful-drain barrier);
+        ``False`` when ``timeout`` passes first."""
+        with self._emptied:
+            self._empty_waiters += 1
+            try:
+                return self._emptied.wait_for(lambda: not self._items, timeout)
+            finally:
+                self._empty_waiters -= 1
 
 
 __all__ = ["AdmissionQueue"]

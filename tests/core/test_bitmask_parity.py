@@ -11,6 +11,13 @@ The corpus below generates 200+ predicate sets (3-9 predicates, mixed
 filter/join, connected and separable, uniform histograms to force ties and
 skewed ones to break them) and sweeps error functions (nInd, Diff) and
 Section 3.4 pruning across it.
+
+Line 16 runs on the answer's chain only: a solved memo node keeps what
+the search compares until an answer (or ``cached_results``) reads it.
+The realization checks below hold that to the same oracle — a cold
+solve estimates exactly the answer's factors, every memo entry realized
+later equals a fresh instance's and the oracle's answer, and a memo
+emptied at ``MEMO_LIMIT`` with unrealized nodes in it loses nothing.
 """
 
 from __future__ import annotations
@@ -19,12 +26,15 @@ import random
 
 import pytest
 
+import repro.core.get_selectivity as get_selectivity
 from repro.core.errors import DiffError, NIndError
 from repro.core.get_selectivity import (
+    EstimationResult,
     GetSelectivity,
     LegacyGetSelectivity,
     NoApplicableStatisticsError,
 )
+from repro.core.plancache import PlanCache
 from repro.core.predicates import (
     Attribute,
     FilterPredicate,
@@ -231,3 +241,95 @@ def test_catalog_snapshot_parity(index, predicates, pool, error_name, pruning):
         snapshot_pool, snap_error, sit_driven_pruning=pruning
     )
     assert_equal_results(bare(predicates), via_snapshot(predicates))
+
+
+# ----------------------------------------------------------------------
+# Line 16 on the answer's chain
+# ----------------------------------------------------------------------
+def unrealized(algorithm) -> list[int]:
+    return [
+        mask
+        for mask, entry in algorithm._memo.items()
+        if not isinstance(entry, EstimationResult)
+    ]
+
+
+@pytest.mark.parametrize(
+    "index,predicates,pool,error_name,pruning",
+    CORPUS[::5],
+    ids=[f"chain{c[0]:03d}-n{len(c[1])}-{c[3]}" for c in CORPUS[::5]],
+)
+def test_a_cold_solve_estimates_only_the_answers_factors(
+    index, predicates, pool, error_name, pruning, monkeypatch
+):
+    fast, oracle = make_pair(pool, error_name, pruning)
+    expected = oracle(predicates)
+    estimated = []
+    real = get_selectivity.estimate_factor
+
+    def counted(match, **kwargs):
+        estimated.append(match.factor)
+        return real(match, **kwargs)
+
+    monkeypatch.setattr(get_selectivity, "estimate_factor", counted)
+    result = fast(predicates)
+    assert_equal_results(result, expected)
+    # once per factor of the answer, head first, and for nothing else
+    assert estimated == list(result.decomposition.factors)
+
+
+@pytest.fixture(scope="module")
+def snowflake_queries(tiny_snowflake):
+    from repro.stats.builder import SITBuilder
+    from repro.stats.pool import build_workload_pool
+    from repro.workload.queries import WorkloadConfig, WorkloadGenerator
+
+    queries = []
+    for joins, filters in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        generator = WorkloadGenerator(
+            tiny_snowflake,
+            WorkloadConfig(join_count=joins, filter_count=filters, seed=41 + joins),
+        )
+        queries += generator.generate(6)
+    pool = build_workload_pool(SITBuilder(tiny_snowflake), queries, max_joins=2)
+    return [query.predicates for query in queries], pool
+
+
+@pytest.mark.parametrize("error_name", ["nInd", "Diff"])
+def test_every_memo_entry_realizes_to_the_fresh_and_oracle_answer(
+    snowflake_queries, error_name
+):
+    queries, pool = snowflake_queries
+    fast, oracle = make_pair(pool, error_name, False)
+    for predicates in queries:
+        assert_equal_results(fast(predicates), oracle(predicates))
+    held = len(unrealized(fast))
+    assert held > 0
+    results = fast.cached_results()
+    assert not unrealized(fast)  # read: realized, and kept
+    assert len(results) > held
+    for subset, result in results.items():
+        fresh, _ = make_pair(pool, error_name, False)
+        assert result == fresh(subset) == oracle(subset)
+
+
+def test_a_memo_limit_clear_with_unrealized_nodes_loses_no_answer(monkeypatch):
+    monkeypatch.setattr(get_selectivity, "MEMO_LIMIT", 24)
+    rng = random.Random(4242)
+    predicates = random_predicates(rng, 7)
+    pool = random_pool(rng, predicates)
+    fast, oracle = make_pair(pool, "Diff", False)
+    ordered = sorted(predicates, key=str)
+    requests = [
+        frozenset(rng.sample(ordered, rng.randint(2, len(ordered))))
+        for _ in range(40)
+    ]
+    cleared_with_unrealized = 0
+    for subset in requests:
+        if len(fast._memo) > get_selectivity.MEMO_LIMIT:
+            cleared_with_unrealized += bool(unrealized(fast))
+        result = fast(subset)
+        assert_equal_results(result, oracle(subset))
+        # the answer's chain is in the memo for the plan compiler to walk
+        assert PlanCache(pool).compile(subset, fast, result) is not None
+    assert cleared_with_unrealized > 0

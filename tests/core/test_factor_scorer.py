@@ -2,14 +2,15 @@
 
 The bitmask DP prices every ``Sel(P'|Q)`` on masks
 (:class:`repro.core.matching.FactorScorer`) and builds a ``FactorMatch``
-only for the pair that wins a node.  The frozenset routines —
+only for a factor of the answer's chain.  The frozenset routines —
 ``candidates_for_factor`` + ``select_match`` + ``factor_error`` — remain
 the definition; this suite holds the scorer to them *pair by pair*, for
 every ``(p_mask, q_mask)`` the DP scores over seeded snowflake and TPC-H
 workloads (traced and untraced, and over a pool whose SIT expressions
 hold filters), and checks what rides on the scoring path: GS-Opt still
-gets real matches, the SIT-match injection point is still visited once
-per attribute per scored pair, tracing keeps its two stages, and
+gets real matches, the SIT-match injection point is visited once per
+attribute match of the answer (never while pricing), tracing keeps its
+two stages, and
 everything keyed by a mask starts over together once the universe has
 outgrown ``UNIVERSE_LIMIT``.
 """
@@ -323,35 +324,51 @@ class TestUnpricedFunctions:
 
 
 class TestFaultInjectionPoint:
-    def test_sit_match_is_checked_once_per_attribute_per_scored_pair(
+    def test_sit_match_is_checked_once_per_attribute_match_of_the_answer(
         self, snowflake_setup
     ):
+        """Pricing checks nothing: the point is evaluated at line 16, once
+        per attribute match of each factor the answer reads, head first
+        — and on the SIT read, not on the candidates priced."""
         workload, pool, _ = snowflake_setup
         algorithm = GetSelectivity.create(pool, NIndError())
-        score = algorithm._score
-        expected = 0
+        checked = []
 
-        def counted(p_mask, q_mask):
-            nonlocal expected
-            # every attribute of P' has a base histogram: none is skipped
-            expected += len(attributes_of(algorithm.universe.set_of(p_mask)))
-            return score(p_mask, q_mask)
+        class Recording(FaultPlan):
+            def check(self, point, detail="", sits=None):
+                if point == POINT_SIT_MATCH:
+                    checked.append((detail, tuple(map(str, sits))))
+                super().check(point, detail=detail, sits=sits)
 
-        algorithm._score = counted
-        plan = FaultPlan(
+        plan = Recording(
             [FaultRule(point=POINT_SIT_MATCH, after=10**9, max_fires=None)], seed=0
         )
         with armed(plan):
-            for predicates in workload[:30]:
-                # later queries find most attributes in the scorer's table
-                # already: a table hit is checked like a table miss
-                algorithm(predicates)
-                assert plan.rules[0].evaluations == expected
-            # after a cold start every pair is scored, and checked, again
+            for cold_start in (False, True):
+                for predicates in workload[:30]:
+                    # a cold start answers from the winners' cache, and
+                    # still checks every SIT it reads
+                    if cold_start:
+                        algorithm.reset()
+                    checked.clear()
+                    result = algorithm(predicates)
+                    read = [
+                        (str(am.attribute), (str(am.sit),))
+                        for match in result.matches
+                        for am in match.attribute_matches
+                    ]
+                    if cold_start:
+                        assert checked == read
+                    else:
+                        # sub-answers realized by an earlier request are
+                        # not read again
+                        assert set(checked) <= set(read)
             algorithm.reset()
-            for predicates in workload[:30]:
-                algorithm(predicates)
-            assert plan.rules[0].evaluations == expected > 0
+            before = plan.rules[0].evaluations
+            result = algorithm(workload[0])
+        assert plan.rules[0].evaluations - before == sum(
+            len(match.attribute_matches) for match in result.matches
+        ) > 0
 
 
 class TestTracingKeepsItsStages:

@@ -34,9 +34,9 @@ from repro.advisor import SelfTuningAdvisor
 from repro.catalog import EstimationSession, StatisticsCatalog
 from repro.core import plancache
 from repro.core.errors import DiffError, NIndError
-from repro.core.get_selectivity import EstimationResult
+from repro.core.get_selectivity import EstimationResult, GetSelectivity
 from repro.core.matching import AttributeMatch, FactorMatch
-from repro.core.plancache import shape_fingerprint
+from repro.core.plancache import PlanCache, shape_fingerprint
 from repro.core.predicates import FilterPredicate
 from repro.core.selectivity import Decomposition, Factor
 from repro.estimators import SITEstimator, make_gs_diff
@@ -183,6 +183,37 @@ class TestReplayParity:
     def test_suite_covers_200_pairs(self):
         """The documented floor: >=200 (shape, constants) pairs overall."""
         assert TEMPLATES * VARIANTS * len(ERROR_FACTORIES) * 2 >= 200
+
+
+@pytest.mark.parametrize("error_name", ["nInd", "Diff"])
+def test_sub_masks_solved_but_never_realized_compile_and_replay(
+    snowflake_setup, error_name
+):
+    """A first request solves its sub-masks and realizes only its own
+    chain; a second request for one of the others realizes it then, and
+    its compiled plan replays the cold answer — for its own constants
+    and for fresh ones."""
+    _, templates, pool = snowflake_setup
+    factory = ERROR_FACTORIES[error_name]
+    rng = random.Random(31)
+    compiled = 0
+    for template in templates:
+        algorithm = GetSelectivity(pool, factory(pool))
+        algorithm(frozenset(template.predicates))
+        for mask in list(algorithm._memo):
+            subset = algorithm.universe.set_of(mask)
+            if isinstance(algorithm._memo[mask], EstimationResult) or all(
+                p.is_join for p in subset
+            ):
+                continue  # read already, or no constants to vary
+            cache = PlanCache(pool)
+            result = algorithm(subset)
+            assert cache.compile(subset, algorithm, result) is not None
+            for variant in [subset, *constant_variants(rng, subset, 2)]:
+                cold = GetSelectivity(pool, factory(pool))
+                assert_bit_identical(cache.estimate(variant), cold(variant))
+            compiled += 1
+    assert compiled >= len(templates)
 
 
 def order_permuted(templates) -> tuple[frozenset, frozenset]:

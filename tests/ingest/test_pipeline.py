@@ -101,6 +101,72 @@ class TestCoalescing:
         assert sorted(set(catalog.calls)) == ["R", "S", "T"]
 
 
+class TestFlush:
+    """A flush ends the coalesce window for the events admitted before
+    it — and only for those."""
+
+    WINDOW = IngestConfig(coalesce_window_s=5.0)
+
+    def test_flush_applies_a_burst_now_as_one_epoch(self):
+        catalog = FakeCatalog()
+        with IngestPipeline(catalog, config=self.WINDOW) as pipeline:
+            for _ in range(64):
+                pipeline.submit("R")
+            started = time.monotonic()
+            assert pipeline.flush(timeout=2.0)
+            assert time.monotonic() - started < 1.0
+            snapshot = pipeline.stats_snapshot().ingest
+        assert catalog.calls_for("R") == 1
+        assert snapshot["epochs_applied"] == 1.0
+        assert snapshot["events_applied"] == 64.0
+
+    def test_a_burst_after_a_flush_still_coalesces(self):
+        catalog = FakeCatalog()
+        with IngestPipeline(catalog, config=self.WINDOW) as pipeline:
+            pipeline.submit("R")
+            assert pipeline.flush(timeout=2.0)
+            pipeline.submit("S")
+            # the apply loop took it and lingers: the last flush's target
+            # is behind it, so no cut
+            assert pipeline._queue.wait_empty(timeout=2.0)
+            for _ in range(9):
+                pipeline.submit("S")
+            assert catalog.calls_for("S") == 0
+            assert pipeline.flush(timeout=2.0)
+            snapshot = pipeline.stats_snapshot().ingest
+        assert catalog.calls == ["R", "S"]
+        assert snapshot["epochs_applied"] == 2.0
+        assert snapshot["events_applied"] == 11.0
+
+    def test_events_submitted_during_a_flush_are_applied_by_the_next(self):
+        catalog = GatedCatalog()
+        catalog.gate.clear()
+        with IngestPipeline(catalog, config=self.WINDOW) as pipeline:
+            pipeline.submit("R")
+            flushed = []
+            flusher = threading.Thread(
+                target=lambda: flushed.append(pipeline.flush(timeout=10.0))
+            )
+            flusher.start()
+            assert catalog.entered.wait(timeout=5.0)  # the apply is held
+            producer = threading.Thread(
+                target=lambda: [pipeline.submit("S") for _ in range(20)]
+            )
+            producer.start()
+            producer.join(timeout=10.0)
+            catalog.gate.set()
+            flusher.join(timeout=10.0)
+            assert flushed == [True]
+            started = time.monotonic()
+            assert pipeline.flush(timeout=2.0)
+            assert time.monotonic() - started < 1.0
+            snapshot = pipeline.stats_snapshot().ingest
+        assert catalog.calls_for("R") == 1
+        assert catalog.calls_for("S") >= 1
+        assert snapshot["events_applied"] == 21.0
+        assert pipeline.tracker.quiesced()
+
+
 class TestBackpressure:
     def test_sheds_typed_overloaded_at_depth(self):
         catalog = GatedCatalog()

@@ -136,6 +136,31 @@ class TestOverheadGate:
         assert report["armed_zero_fault_ms"] > 0.0
         assert isinstance(report["armed_overhead_pct"], float)
 
+    def test_exit_code_gates_the_guards_by_count_and_parity(self):
+        """``passed`` (the CI step's exit code) fails when the armed
+        rule was evaluated other than once per SIT each run's answer
+        reads, or when the armed plan changed an answer."""
+        from repro.bench.suites.core import bench_fault_overhead, passed
+
+        report = bench_fault_overhead(5, 3)
+        assert report["steady_runs"] == 4
+        assert report["rule_evaluations"] == (
+            report["steady_runs"] * report["answer_attribute_matches"]
+        ) > 0
+
+        def result(**guards):
+            return {
+                "gates": {"n5_cold_speedup": 2.0, "cold_target": 1.5},
+                "resilience": {"n7_fault_guards": {**report, **guards}},
+            }
+
+        assert passed(result())
+        assert not passed(result(rule_evaluations=report["rule_evaluations"] + 1))
+        assert not passed(result(zero_fault_bit_identical=False))
+        assert not passed(
+            {**result(), "gates": {"n5_cold_speedup": 1.4, "cold_target": 1.5}}
+        )
+
     def test_gate_keys_present_in_bench_payload(self):
         """The BENCH_core gates must carry the resilience entries (the
         CI job reads these keys; renaming them silently un-gates) — and

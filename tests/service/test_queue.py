@@ -1,5 +1,6 @@
 """AdmissionQueue: shed-on-full, group admission, batch pops (with and
-without the linger), close semantics."""
+without the linger, and a flush target cutting the linger short), the
+drain barrier, close semantics."""
 
 from __future__ import annotations
 
@@ -177,3 +178,54 @@ class TestLifecycle:
         thread.start()
         assert queue.wait_empty(timeout=5.0) is True
         thread.join()
+
+    def test_drain_barrier_is_woken_by_the_take_that_empties(self, monkeypatch):
+        """``wait_empty`` parks on a condition: the worker's take of the
+        last item wakes it, and nothing polls."""
+        import repro.service.queue as queue_module
+
+        def no_polling(_seconds):
+            raise AssertionError("wait_empty polled")
+
+        monkeypatch.setattr(queue_module.time, "sleep", no_polling)
+        queue: AdmissionQueue[int] = AdmissionQueue(4)
+        taken: list[list[int]] = []
+        worker = threading.Thread(
+            target=lambda: taken.append(queue.take_batch(max_batch=4, poll_s=30.0))
+        )
+        worker.start()  # parked: nothing queued yet
+        queue.offer_many([1, 2])
+        assert queue.wait_empty(timeout=30.0) is True
+        worker.join(timeout=30.0)
+        assert taken == [[1, 2]]
+        assert len(queue) == 0
+
+
+class TestFlushTarget:
+    def test_flush_ends_the_linger_once_its_items_are_taken(self):
+        queue: AdmissionQueue[int] = AdmissionQueue(16)
+        queue.offer_many([0, 1, 2])
+        assert queue.flush_target() == 3
+        started = time.monotonic()
+        assert queue.take_batch(max_batch=8, window_s=30.0) == [0, 1, 2]
+        assert time.monotonic() - started < 5.0
+
+    def test_a_flush_target_is_not_sticky(self):
+        """A linger whose batch begins past the target keeps its window:
+        the straggler admitted during it joins the batch."""
+        queue: AdmissionQueue[int] = AdmissionQueue(16)
+        queue.offer(0)
+        queue.flush_target()
+        assert queue.take_batch(max_batch=8, window_s=30.0) == [0]
+        queue.offer(1)
+        result: list[list[int]] = []
+
+        def consumer():
+            result.append(queue.take_batch(max_batch=2, window_s=30.0))
+
+        thread = threading.Thread(target=consumer)
+        thread.start()
+        assert queue.wait_empty(timeout=30.0)  # 1 taken: now lingering
+        queue.offer(2)  # max_batch reached: the linger ends on it
+        thread.join(timeout=30.0)
+        assert result == [[1, 2]]
