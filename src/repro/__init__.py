@@ -30,9 +30,10 @@ The public API is re-exported here; the subpackages are:
   server (``python -m repro serve``) and the one client entrypoint
   :func:`~repro.service.connect`;
 * :mod:`repro.cluster` — the multi-process estimation tier: shard
-  processes over one shared-memory snapshot behind a consistent-hash
-  router that holds a swapping or faulted shard's requests until it
-  serves at the cluster's version (``python -m repro serve --shards N``);
+  processes over one shared-memory snapshot behind a router that sends
+  each query template to one shard and holds a swapping or faulted
+  shard's requests until it serves at the cluster's version
+  (``python -m repro serve --shards N``);
 * :mod:`repro.bench` — the experiment harness regenerating every figure.
 """
 

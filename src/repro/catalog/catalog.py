@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -221,9 +220,6 @@ class StatisticsCatalog:
         self._metadata: dict[SITKey, SITMetadata] = {}
         self._pool = SITPool()
         self._feedback: list[FeedbackStore] = []
-        #: live compiled-plan caches of sessions serving this catalog
-        #: (weakly held; see :meth:`attach_plan_cache`)
-        self._plan_caches: "weakref.WeakSet" = weakref.WeakSet()
         #: lifecycle metrics (refresh/invalidation counters; see
         #: :meth:`metrics_registry`)
         self.metrics = MetricsRegistry()
@@ -373,6 +369,12 @@ class StatisticsCatalog:
         :meth:`snapshot` so callers also get version + metadata)."""
         return self._pool
 
+    def current(self) -> tuple[SITPool, int]:
+        """The published pool and the catalog version, read together:
+        what :meth:`snapshot` would pin, without building one."""
+        with self._lock:
+            return self._pool, self.version
+
     @property
     def table_versions(self) -> Mapping[str, int]:
         with self._lock:
@@ -479,19 +481,6 @@ class StatisticsCatalog:
             self._feedback.append(store)
         return store
 
-    def attach_plan_cache(self, cache) -> None:
-        """Register a session's compiled-plan cache for status reporting.
-
-        Caches are weakly held, and a set: a cache shared by several
-        sessions counts once, and disappears from the aggregate on
-        garbage collection once no session holds it.  Coherence does
-        *not* depend on this registration — each :class:`~repro.core
-        .plancache.PlanCache` revalidates its pinned pool's version on
-        every lookup, so :meth:`notify_table_update` invalidates plans
-        through the existing path whether or not the cache is attached.
-        """
-        self._plan_caches.add(cache)
-
     def attach_staleness(self, tracker) -> None:
         """Join a :class:`repro.obs.StalenessTracker` so ``status()`` and
         the metrics registry surface the ingest pipeline's staleness and
@@ -597,8 +586,6 @@ class StatisticsCatalog:
                 by_method[metadata.build_method] = (
                     by_method.get(metadata.build_method, 0) + 1
                 )
-        plan_cache = self._plan_cache_totals()
-        with self._lock:
             pool = self._pool
             out = {
                 "version": self.version,
@@ -609,7 +596,6 @@ class StatisticsCatalog:
                 "table_versions": dict(self._table_versions),
                 "build_methods": by_method,
                 "feedback_stores": len(self._feedback),
-                "plan_cache": plan_cache,
             }
         if self._staleness is not None:
             out["ingest"] = self._staleness.status()
@@ -622,32 +608,10 @@ class StatisticsCatalog:
         registry.gauge("catalog.version").set(float(self.version))
         registry.gauge("catalog.sit_count").set(float(len(self._pool)))
         registry.gauge("catalog.stale_sits").set(float(len(self.stale_sits())))
-        plan_cache = self._plan_cache_totals()
-        if plan_cache["caches"]:
-            for key, value in plan_cache.items():
-                registry.gauge(f"plan_cache.{key}").set(float(value))
         if self._staleness is not None:
             for name, value in self._staleness.metrics().items():
                 registry.gauge(f"ingest.{name}").set(float(value))
         return registry
-
-    def _plan_cache_totals(self) -> dict:
-        """The live plan caches summed: ``caches`` counts distinct cache
-        objects, so the worker sessions of a service that share one cache
-        count it once."""
-        caches = list(self._plan_caches)
-        totals = {
-            "caches": len(caches),
-            "plans": sum(len(c) for c in caches),
-            "hits": sum(c.hits for c in caches),
-            "misses": sum(c.misses for c in caches),
-            "compiles": sum(c.compiles for c in caches),
-            "evictions": sum(c.evictions for c in caches),
-            "bytes": sum(c.bytes for c in caches),
-        }
-        lookups = totals["hits"] + totals["misses"]
-        totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
-        return totals
 
     def stats_snapshot(self) -> StatsSnapshot:
         """The catalog's lifecycle state as a ``StatsSnapshot`` (the

@@ -162,15 +162,6 @@ class EstimationSession:
         #: :meth:`EstimationResult.with_staleness`, so parity comparisons
         #: are unaffected and a replayed answer's provenance stays unbuilt.
         self.staleness_tracker = None
-        # register the compiled-plan cache with the owning catalog so
-        # `catalog.status()` can aggregate live caches (weakly held — a
-        # cache no live session holds unregisters itself)
-        if (
-            self.plan_cache is not None
-            and self.snapshot is not None
-            and self.snapshot.catalog is not None
-        ):
-            self.snapshot.catalog.attach_plan_cache(self.plan_cache)
 
     # ------------------------------------------------------------------
     @property
@@ -181,7 +172,7 @@ class EstimationSession:
     def plan_cache(self) -> PlanCache | None:
         """The estimator's compiled-plan cache, or ``None``: private
         unless the session was handed one (a service hands one cache to
-        every worker session pinned to its snapshot)."""
+        every worker session over its pool)."""
         return self.estimator.plan_cache
 
     @property

@@ -12,13 +12,12 @@ per-process copy of the statistics:
 * :mod:`repro.cluster.shard` — the child-process entrypoint: a full
   :class:`~repro.service.EstimationService` behind a TCP front-end
   that adds the cluster control ops (``invalidate``, ``crash``);
-* :mod:`repro.cluster.ring` — static consistent hashing of
-  query-template fingerprints onto shards;
 * :mod:`repro.cluster.router` — :class:`EstimationCluster`, the one
-  public entry: spawns the shards, routes by template so per-shard
-  caches stay hot, and keeps every answer at the cluster's version
-  through one per-shard hold — installed while a table update fans out
-  and while a faulted shard is respawned in place and caught up.
+  public entry: spawns the shards, routes by template (a shape digest
+  modulo the shard count) so per-shard caches stay hot, and keeps every
+  answer at the cluster's version through one per-shard hold —
+  installed while a table update fans out and while a faulted shard is
+  respawned in place and caught up.
 
 The router duck-types :class:`~repro.service.EstimationService`, so the
 redesigned client API needs no cluster-specific spelling::
@@ -31,7 +30,6 @@ redesigned client API needs no cluster-specific spelling::
             answer = client.estimate("SELECT * FROM sales, customer WHERE ...")
 """
 
-from repro.cluster.ring import HashRing
 from repro.cluster.router import EstimationCluster
 from repro.cluster.shard import ShardServer, shard_main
 from repro.cluster.shm import (
@@ -45,7 +43,6 @@ from repro.cluster.shm import (
 __all__ = [
     "AttachedSnapshot",
     "EstimationCluster",
-    "HashRing",
     "ShardServer",
     "SnapshotExport",
     "StatsOnlyDatabase",

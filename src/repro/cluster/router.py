@@ -11,10 +11,11 @@ unchanged.  Underneath:
   (:func:`repro.cluster.shard.shard_main`, ``spawn`` start method) all
   attach the router's one shared-memory snapshot export
   (:mod:`repro.cluster.shm`): N processes, one copy of the histograms;
-* **route** — requests are consistent-hashed by their plan-cache shape
-  fingerprint (:func:`repro.core.plancache.shape_fingerprint`), so
-  every query template lands on one shard and that shard's match /
-  estimate / compiled-plan caches stay hot across the keyspace split;
+* **route** — a request goes to the shard its plan-cache shape
+  fingerprint's digest (:func:`repro.core.plancache.fingerprint_digest`)
+  picks, modulo the shard count: membership is static (a faulted shard
+  is respawned in place), so every query template lands on one shard
+  and that shard's match / estimate / compiled-plan caches stay hot;
 * **hold** — a shard that must not serve parks the requests routed to
   it in a bounded per-shard hold, released by one step
   (:meth:`EstimationCluster._release`) once the shard is at the
@@ -65,7 +66,6 @@ from repro.service.protocol import (
 from repro.service.service import coerce_query
 from repro.sql.template import TemplateFrontEnd
 
-from repro.cluster.ring import HashRing
 from repro.cluster.shard import shard_main
 from repro.cluster.shm import export_snapshot
 
@@ -220,7 +220,8 @@ class _Request:
     """One client request travelling router -> shard -> future."""
 
     tables: frozenset[str]
-    digest: str
+    #: the shard its template's digest picks
+    shard: int
     payload: dict
     future: Future
     submitted_at: float
@@ -286,7 +287,6 @@ class EstimationCluster:
         self._closed = threading.Event()
         self.metrics = MetricsRegistry()
         self._metrics_lock = threading.Lock()
-        self._ring = HashRing(range(cluster.shards), points=cluster.ring_points)
         #: what every shard starts from: the exported table versions, and
         #: the catalog version the shards are pinned to (moved by swaps)
         self._exported_tables = dict(self._catalog.table_versions)
@@ -409,7 +409,7 @@ class EstimationCluster:
 
         The request is parsed once here — shards receive the parse-free
         ``predicates`` wire spelling — fingerprinted, and routed to the
-        ring owner of its query template.
+        shard its query template's digest picks.
         """
         if self._closed.is_set():
             raise ServiceClosed(f"{self.name} is shutting down")
@@ -425,7 +425,8 @@ class EstimationCluster:
             payload["timeout_ms"] = timeout * 1000.0
         entry = _Request(
             tables=tables,
-            digest=fingerprint_digest(fingerprint),
+            shard=int(fingerprint_digest(fingerprint), 16)
+            % self.config.cluster.shards,
             payload=payload,
             future=Future(),
             submitted_at=time.monotonic(),
@@ -465,7 +466,7 @@ class EstimationCluster:
 
     # ------------------------------------------------------------------
     def _dispatch(self, entry: _Request) -> None:
-        """Send to the ring owner, or park in the owner's hold.
+        """Send to the template's shard, or park in that shard's hold.
 
         A request routed to a shard that is down with no respawn running
         (the last one failed) installs the hold and starts a respawn.
@@ -479,7 +480,7 @@ class EstimationCluster:
         """
         cap = self.config.cluster.max_held_requests
         with self._route_lock:
-            shard = self._ring.lookup(entry.digest)
+            shard = entry.shard
             link = self._links.get(shard)
             held = self._held.get(shard)
             respawn = (
@@ -843,7 +844,6 @@ class EstimationCluster:
                 "subsystem": "cluster",
                 "name": self.name,
                 "shards": cluster.shards,
-                "ring_points": cluster.ring_points,
                 "shard_workers": cluster.shard_workers,
             },
         )

@@ -45,14 +45,15 @@ filter constants.  This module exploits that invariance:
   EXPLAIN and the compile-time self-check read them, the request path
   (the advisor's feedback sink included) does not.
 
-* :class:`PlanCache` keys plans by (fingerprint, pinned pool version,
-  snapshot version) and rides the catalog's single invalidation path:
-  every lookup revalidates the pool's derived-state ``version`` counter
+* :class:`PlanCache` keys plans by shape fingerprint under one pinned
+  pool object and rides the catalog's single invalidation path: every
+  lookup revalidates the pool's derived-state ``version`` counter
   (bumped by ``notify_table_update`` / membership changes), evicting
-  all plans on mismatch.  A hot snapshot swap retires the cache
-  wholesale: the next sessions pin a fresh one.  One cache may be
-  shared by every session pinned to its snapshot, and read by threads
-  that own none: a probe takes no lock, writes take one.
+  all plans on mismatch.  A plan is a function of the pool alone, so a
+  notify — which bumps the version of the same pool object — keeps the
+  cache; only a snapshot over another pool object needs another one.
+  One cache may be shared by every session over its pool, and read by
+  threads that own none: a probe takes no lock, writes take one.
 
 Compile safety gates (all checked before a plan is cached):
 
@@ -117,8 +118,8 @@ def shape_fingerprint(
 
 
 def fingerprint_digest(fingerprint: tuple) -> str:
-    """A short stable hex digest of a fingerprint (the cluster router's
-    ring key)."""
+    """A short stable hex digest of a fingerprint (modulo the shard
+    count, the cluster router's choice of shard)."""
     return hashlib.blake2b(
         repr(fingerprint).encode("utf-8"), digest_size=4
     ).hexdigest()
@@ -193,7 +194,6 @@ class CompiledPlan:
 
     fingerprint: tuple
     pool_version: int
-    snapshot_version: int
     templates: tuple[_FactorTemplate, ...]
     tree: tuple | None
     error: float
@@ -400,7 +400,6 @@ def compile_plan(
     result: EstimationResult,
     *,
     pool_version: int,
-    snapshot_version: int,
 ) -> CompiledPlan | None:
     """Freeze a level-0 DP result into a :class:`CompiledPlan`.
 
@@ -424,7 +423,6 @@ def compile_plan(
     plan = CompiledPlan(
         fingerprint=fingerprint,
         pool_version=pool_version,
-        snapshot_version=snapshot_version,
         templates=tuple(templates),
         tree=tree,
         error=result.error,
@@ -453,32 +451,26 @@ def compile_plan(
 # The cache
 # ----------------------------------------------------------------------
 class PlanCache:
-    """Shape-keyed compiled plans for one (pool, snapshot) pinning.
+    """Shape-keyed compiled plans for one pinned pool object.
 
     Coherence contract: every lookup and compile revalidates the pinned
     pool's derived-state ``version`` counter — the same counter
     ``StatisticsCatalog.notify_table_update`` bumps through
     ``SITPool.invalidate_derived`` — and drops *all* plans on mismatch
-    (counted under ``evictions``).  A snapshot hot-swap retires the
-    whole cache object.
+    (counted under ``evictions``).  A snapshot over another pool object
+    needs another cache.
 
-    Sharing contract: every session pinned to the cache's snapshot may
-    hold it, and a thread that owns no session may read it.
-    :meth:`probe` takes no lock — one version compare, one dict get —
-    and every write takes one: the clear on a version move, an insert
-    with its eviction, and the counters.  Every plan held was compiled
+    Sharing contract: every session over the cache's pool may hold it,
+    and a thread that owns no session may read it.  :meth:`probe` takes
+    no lock — one version compare, one dict get — and every write takes
+    one: the clear on a version move, an insert with its eviction, and
+    the counters.  Every plan held was compiled
     at :attr:`pool_version`: a compile inserts only while the pool
     version its DP solved at is still the pool's and the cache's.
     """
 
-    def __init__(
-        self,
-        pool: SITPool | None,
-        snapshot_version: int = 0,
-        max_plans: int = 512,
-    ):
+    def __init__(self, pool: SITPool | None, max_plans: int = 512):
         self.pool = pool
-        self.snapshot_version = snapshot_version
         self.max_plans = max_plans
         self._pool_version = pool.version if pool is not None else 0
         #: fingerprint -> plan, in compile order (the eviction order)
@@ -583,13 +575,7 @@ class PlanCache:
         ):
             return None
         solved_at = algorithm._version
-        plan = compile_plan(
-            algorithm,
-            predicates,
-            result,
-            pool_version=solved_at,
-            snapshot_version=self.snapshot_version,
-        )
+        plan = compile_plan(algorithm, predicates, result, pool_version=solved_at)
         if plan is None:
             return None
         with self._lock:
@@ -617,7 +603,6 @@ class PlanCache:
             "evictions": self.evictions,
             "bytes": self.bytes,
             "hit_rate": (self.hits / total) if total else 0.0,
-            "snapshot_version": self.snapshot_version,
             "pool_version": self._pool_version,
         }
 

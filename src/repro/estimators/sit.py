@@ -102,7 +102,7 @@ class SITEstimator(Estimator):
         #: over this pool is shared with whoever else holds it.
         self.plan_cache: PlanCache | None = None
         if plan_cache is True:
-            plan_cache = PlanCache(pool, snapshot_version=self.snapshot_version)
+            plan_cache = PlanCache(pool)
         elif isinstance(plan_cache, PlanCache) and plan_cache.pool is not pool:
             raise ValueError("a shared plan cache must pin this pool")
         # (``isinstance``, not truth: an empty cache has length 0)

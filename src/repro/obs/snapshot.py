@@ -44,8 +44,9 @@ namespaces:
 ``plan_cache``
     compiled-plan cache state (:mod:`repro.core.plancache`): ``plans``,
     ``hits``, ``misses``, ``compiles``, ``evictions``, ``bytes``,
-    ``hit_rate``, and the pinned ``snapshot_version`` /
-    ``pool_version`` — empty for producers that run without the cache;
+    ``hit_rate`` and the pinned ``pool_version``; a service adds
+    ``caches``, its distinct live caches (one per served pool) — empty
+    for producers that run without the cache;
 ``cluster``
     multi-process tier state (:mod:`repro.cluster`): serving
     ``shards``, routing counters (``routed``, per-shard

@@ -35,7 +35,7 @@ import bisect
 import threading
 import time
 from collections import deque
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 __all__ = ["StalenessTracker"]
 
@@ -165,27 +165,37 @@ class StalenessTracker:
             return self._drift_probes
 
     # -- surfacing --------------------------------------------------------
-    def metrics(self) -> dict[str, float]:
-        """The ``ingest`` namespace entries this tracker contributes."""
+    def _survey(self):
+        """One pass over the tables under the lock, which both
+        :meth:`metrics` and :meth:`status` read: per table (sorted) its
+        ``(writes, applied epochs, age of its oldest pending write)``,
+        then the pending-table count, the worst age, the drift probes
+        and the sorted drift window."""
         now = self._clock()
         with self._lock:
-            out: dict[str, float] = {
-                "tables_tracked": float(len(self._tables)),
-                "drift_probes": float(self._drift_probes),
-            }
+            tables: dict[str, tuple[int, int, float]] = {}
             pending = 0
             worst = 0.0
             for table, state in sorted(self._tables.items()):
-                if not state.pending:
-                    age = 0.0
-                else:
+                age = 0.0
+                if state.pending:
                     pending += 1
                     age = max(0.0, now - state.pending[0])
                     worst = max(worst, age)
-                out[f"staleness_s.{table}"] = age
-            out["tables_pending"] = float(pending)
-            out["staleness_s_max"] = worst
-            window = sorted(self._drift)
+                tables[table] = (state.writes, state.applied, age)
+            return tables, pending, worst, self._drift_probes, sorted(self._drift)
+
+    def metrics(self) -> dict[str, float]:
+        """The ``ingest`` namespace entries this tracker contributes."""
+        tables, pending, worst, probes, window = self._survey()
+        out: dict[str, float] = {
+            "tables_tracked": float(len(tables)),
+            "drift_probes": float(probes),
+        }
+        for table, (_, _, age) in tables.items():
+            out[f"staleness_s.{table}"] = age
+        out["tables_pending"] = float(pending)
+        out["staleness_s_max"] = worst
         if window:
             for q, key in ((0.5, "drift_q_error_p50"), (0.95, "drift_q_error_p95")):
                 index = min(len(window) - 1, int(q * len(window)))
@@ -194,30 +204,19 @@ class StalenessTracker:
 
     def status(self) -> dict[str, object]:
         """Compact block for ``catalog status`` / the service status view."""
-        now = self._clock()
-        with self._lock:
-            per_table: dict[str, Mapping[str, object]] = {}
-            pending = 0
-            worst = 0.0
-            for table, state in sorted(self._tables.items()):
-                if not state.pending:
-                    age = 0.0
-                else:
-                    pending += 1
-                    age = max(0.0, now - state.pending[0])
-                    worst = max(worst, age)
-                per_table[table] = {
-                    "writes": state.writes,
-                    "applied_epochs": state.applied,
-                    "staleness_s": round(age, 6),
-                }
-            probes = self._drift_probes
-            window = sorted(self._drift)
+        tables, pending, worst, probes, window = self._survey()
         out: dict[str, object] = {
             "tables_pending": pending,
             "staleness_s_max": round(worst, 6),
             "drift_probes": probes,
-            "tables": per_table,
+            "tables": {
+                table: {
+                    "writes": writes,
+                    "applied_epochs": applied,
+                    "staleness_s": round(age, 6),
+                }
+                for table, (writes, applied, age) in tables.items()
+            },
         }
         if window:
             index = min(len(window) - 1, int(0.95 * len(window)))

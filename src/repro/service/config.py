@@ -10,8 +10,8 @@ composable frozen dataclasses:
   :mod:`repro.resilience` (circuit breaker, requeue and restart
   budgets), nested as ``ServiceConfig.healing``;
 * :class:`ClusterConfig` — the multi-process tier
-  (:mod:`repro.cluster`): shard count, the consistent-hash ring and the
-  hold bound, nested as ``ServiceConfig.cluster`` (``None`` for a
+  (:mod:`repro.cluster`): shard count, workers per shard and the hold
+  bound, nested as ``ServiceConfig.cluster`` (``None`` for a
   single-process service);
 * :class:`repro.advisor.AdvisorConfig` — the self-tuning loop
   (:mod:`repro.advisor`), nested as ``ServiceConfig.advisor`` (``None``
@@ -77,10 +77,9 @@ class ClusterConfig:
     version again.
     """
 
-    #: shard processes on the consistent-hash ring
+    #: shard processes; a query template's shape digest modulo this
+    #: picks the one that serves it
     shards: int = 2
-    #: virtual nodes per shard on the consistent-hash ring
-    ring_points: int = 64
     #: worker threads inside each shard process
     shard_workers: int = 1
     #: per-shard cap on requests parked while the shard swaps or is
@@ -91,8 +90,6 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.ring_points < 1:
-            raise ValueError("ring_points must be >= 1")
         if self.shard_workers < 1:
             raise ValueError("shard_workers must be >= 1")
         if self.max_held_requests < 1:
@@ -151,12 +148,6 @@ class ServiceConfig:
     #: and the bn/sample backends build their models from rows, so
     #: ``cluster`` + a non-SIT backend is rejected at validation
     backend: str = "sit"
-    #: compiled-plan cache (:mod:`repro.core.plancache`) in worker
-    #: sessions: template hits replay in microseconds.  Replay is
-    #: bit-identical, so disabling this only trades latency for nothing —
-    #: the knob exists for measurement and for custom error functions
-    #: that are not plan-stable (those bypass the cache anyway)
-    plan_cache: bool = True
     #: self-healing layer (:mod:`repro.resilience`)
     healing: HealingConfig = field(default_factory=HealingConfig)
     #: multi-process tier (:mod:`repro.cluster`); ``None`` = single

@@ -4,9 +4,10 @@
 :class:`~repro.catalog.EstimationSession` into a request path:
 
 * **hits answered on arrival** — the service keeps one
-  :class:`~repro.core.plancache.PlanCache` per served snapshot: every
-  worker session pinned to that snapshot compiles into it, and while it
-  is the snapshot a worker should be on,
+  :class:`~repro.core.plancache.PlanCache` per served pool object: every
+  worker session over that pool compiles into it (a notify publishes no
+  new pool, so it keeps the cache and its counts), and while its pool is
+  the one a worker should be on,
   :meth:`~EstimationService.submit_many` answers a request whose shape
   is in it on the submitting thread: one fingerprint, one lock-free
   probe, one :meth:`~repro.core.plancache.CompiledPlan.replay`, and the
@@ -51,7 +52,8 @@ answer served on arrival counts in ``submitted``, ``served``,
 ``latency_ms``, ``answered_on_arrival`` and ``plan_cache.hits``;
 ``batches`` and ``batch_size`` count queued work only.  The
 ``plan_cache`` counts run for the service's life: a cache nothing holds
-any more is banked, not dropped.
+any more (a refresh retired it) is banked, not dropped; ``caches``
+counts the live ones.
 """
 
 from __future__ import annotations
@@ -210,7 +212,7 @@ class EstimationService:
         #: sessions roll back to it while the current version is bad
         self._last_good: CatalogSnapshot | None = None
         self._restarts = 0
-        #: the plan cache of the snapshot sessions were last made for:
+        #: the plan cache of the pool sessions were last made over:
         #: replaced under ``_sessions_lock``, read without a lock
         self._plan_cache: PlanCache | None = None
         #: counts of the caches nothing holds any more (``_sessions_lock``)
@@ -279,32 +281,38 @@ class EstimationService:
                 return last_good
         return self._statistics
 
+    def _target(self) -> tuple[SITPool, int]:
+        """:meth:`_target_statistics` as its pool and snapshot version,
+        read without building a snapshot: a catalog's current pool and
+        version are read together, under its lock; a bare pool is at
+        version 0."""
+        target = self._target_statistics()
+        if target is self._catalog:
+            return target.current()
+        pool, snapshot = resolve_statistics(target)
+        return pool, snapshot.version if snapshot is not None else 0
+
     def _make_session(self) -> EstimationSession:
         """A fresh session pinned to the target snapshot.  It holds the
-        current plan cache when that cache pins the same (snapshot
-        version, pool); otherwise a fresh cache, which becomes current.
+        current plan cache when that cache pins the same pool object (a
+        notify keeps it); otherwise a fresh cache, which becomes current.
         While a fault plan is armed nothing is answered on arrival and a
         session compiles into a private cache: every worker solves each
         shape itself, so a chaos run drives every worker's DP through
         the plan's faults."""
         pool, snapshot = resolve_statistics(self._target_statistics())
-        version = snapshot.version if snapshot is not None else 0
         with self._sessions_lock:
             current = cache = self._plan_cache
             if _fault_plan() is not None:
                 cache = True
-            elif (
-                cache is None
-                or cache.pool is not pool
-                or cache.snapshot_version != version
-            ):
-                cache = PlanCache(pool, snapshot_version=version)
+            elif cache is None or cache.pool is not pool:
+                cache = PlanCache(pool)
             session = EstimationSession(
                 snapshot if snapshot is not None else pool,
                 self._error_function,
                 database=self.database,
                 backend=self.config.backend,
-                plan_cache=self.config.plan_cache and cache,
+                plan_cache=cache,
             )
             session.feedback_sink = self._feedback_sink
             session.staleness_tracker = self.staleness_tracker
@@ -316,8 +324,9 @@ class EstimationService:
 
     def _bank_if_released(self, cache: PlanCache | None) -> None:
         """Bank a cache's counts once nothing holds it: no live session,
-        and it is not current (so no session will be handed it again).
-        Called under ``_sessions_lock``."""
+        and it is not current (so no session will be handed it again —
+        only a session over another pool retires a cache).  Called under
+        ``_sessions_lock``."""
         if (
             cache is None
             or cache is self._plan_cache
@@ -424,7 +433,7 @@ class EstimationService:
             ]
         sql = self._sql
         default_timeout = self.config.default_timeout_s
-        cache = self._live_cache()
+        cache, version = self._live_cache()
         outcomes: "list[ServedEstimate | Future | ServiceError]" = []
         admissible: list[_Pending] = []
         #: ``outcomes`` index of every admissible member
@@ -443,7 +452,7 @@ class EstimationService:
                 plan = cache.probe(fingerprint)
                 if plan is not None:
                     answer = self._answer_on_arrival(
-                        plan, ordered, predicates, tables, cache, now
+                        plan, ordered, predicates, tables, cache, version, now
                     )
                     outcomes.append(answer)
                     arrived.append(answer.latency_ms)
@@ -484,19 +493,22 @@ class EstimationService:
             )
         return outcomes
 
-    def _live_cache(self) -> PlanCache | None:
-        """The plan cache a hit may be answered from now: none while a
-        fault plan is armed (so firing stays a function of seed and call
-        order), and only one pinned to the snapshot a worker should be
-        on, so a breaker rollback is honoured (a pool version move is the
-        cache's own probe to catch)."""
+    def _live_cache(self) -> tuple[PlanCache | None, int]:
+        """The plan cache a hit may be answered from now, and the
+        snapshot version such an answer carries.  No cache while a fault
+        plan is armed (so firing stays a function of seed and call
+        order), and only one over the pool a worker should be on, so a
+        breaker rollback to another pool is honoured (a pool version
+        move is the cache's own probe to catch).  The version is read
+        before any probe, so a probe racing a notify answers as of
+        before it."""
         cache = self._plan_cache
         if cache is None or _fault_plan() is not None:
-            return None
-        expected = self._expected_version()
-        if expected is not None and expected != cache.snapshot_version:
-            return None
-        return cache
+            return None, 0
+        pool, version = self._target()
+        if cache.pool is not pool:
+            return None, 0
+        return cache, version
 
     def _answer_on_arrival(
         self,
@@ -505,6 +517,7 @@ class EstimationService:
         predicates: frozenset,
         tables: frozenset[str],
         cache: PlanCache,
+        snapshot_version: int,
         submitted_at: float,
     ) -> ServedEstimate:
         """A hit replayed on the submitting thread, through the feedback
@@ -519,7 +532,7 @@ class EstimationService:
         return self._served(
             result,
             cross,
-            cache.snapshot_version,
+            snapshot_version,
             (time.monotonic() - submitted_at) * 1000.0,
         )
 
@@ -694,18 +707,6 @@ class EstimationService:
         with self._tuning_lock:
             return advisor.tick()
 
-    def _expected_version(self) -> int | None:
-        """The snapshot version a worker *should* be pinned to right now:
-        the catalog's current version, or — while the breaker holds that
-        version bad — the last-known-good version."""
-        if self._catalog is None:
-            return None
-        with self._sessions_lock:
-            version = self._catalog.version
-            if version in self._bad_versions and self._last_good is not None:
-                return self._last_good.version
-            return version
-
     def _roll_snapshot(
         self, session: EstimationSession
     ) -> EstimationSession | None:
@@ -722,8 +723,7 @@ class EstimationService:
         Returns ``None`` when pinning the fresh snapshot keeps faulting
         (the caller treats that as a worker crash).
         """
-        expected = self._expected_version()
-        if expected is None or session.snapshot_version == expected:
+        if self._catalog is None or session.snapshot_version == self._target()[1]:
             return session
         fresh = self._acquire_session()
         if fresh is None:
@@ -1034,12 +1034,14 @@ class EstimationService:
         """The service's ``plan_cache`` block.  Sessions report their
         cache's counts as gauges, which a merge overwrites, so the block
         is summed over the distinct live caches (the current one and any
-        a session still holds) — ``plans`` and ``bytes`` are theirs —
-        plus, for the event counts, the banked ones: lifetime totals that
-        never drop when a worker rolls.  A hit answered on arrival
+        a session still holds) — ``caches`` counts them, one per served
+        pool, and ``plans`` and ``bytes`` are theirs — plus, for the
+        event counts, the banked ones: lifetime totals that never drop
+        when a refresh retires a cache.  A hit answered on arrival
         (``service.answered_on_arrival``) is one no cache counted."""
-        totals = dict(banked, plans=0, bytes=0)
+        totals = dict(banked, caches=0, plans=0, bytes=0)
         for cache in caches:
+            totals["caches"] += 1
             for key in _PLAN_EVENTS:
                 totals[key] += getattr(cache, key)
             totals["plans"] += len(cache)

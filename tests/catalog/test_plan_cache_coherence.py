@@ -12,6 +12,8 @@ cache object — wholesale.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.core.predicates import Attribute, FilterPredicate, JoinPredicate
 from repro.engine.database import Database, Table
 from repro.engine.expressions import Query
 from repro.engine.schema import ForeignKey, Schema, TableSchema
+from repro.service import EstimationService, ServiceConfig
 
 RX = Attribute("R", "x")
 RA = Attribute("R", "a")
@@ -153,29 +156,52 @@ class TestHotSwap:
 
 
 class TestCatalogAggregation:
+    """The catalog keeps no ledger of plan caches: the service that owns
+    them reports them, counting each distinct live cache once."""
+
+    @staticmethod
+    def serve(catalog, workers):
+        config = ServiceConfig(workers=workers, queue_depth=64)
+        return EstimationService(catalog, config=config)
+
     def test_catalog_status_aggregates_session_caches(
         self, catalog, workload
     ):
-        first = EstimationSession(catalog)
-        second = EstimationSession(catalog)
-        for session in (first, second):
-            session.estimate(workload[0])
-            session.estimate(workload[0])
-        block = catalog.status()["plan_cache"]
-        assert block["caches"] >= 2
-        assert block["compiles"] >= 2
-        assert block["hits"] >= 2
-        assert block["plans"] >= 2
+        with self.serve(catalog, workers=2) as service:
+            deadline = time.monotonic() + 10.0
+            while len(service._sessions) < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            for _ in range(2):
+                for query in workload:
+                    service.estimate(query)
+            block = dict(service.stats_snapshot().plan_cache)
+        assert "plan_cache" not in catalog.status()
+        # both worker sessions hold the one cache over the served pool
+        assert block["caches"] == 1.0
+        assert block["compiles"] == block["plans"] == float(len(workload))
+        assert block["hits"] >= len(workload)
         assert 0.0 < block["hit_rate"] <= 1.0
 
     def test_retired_sessions_fall_out_of_the_aggregate(
-        self, catalog, workload
+        self, database, catalog, workload
     ):
-        import gc
-
-        session = EstimationSession(catalog)
-        session.estimate(workload[0])
-        assert catalog.status()["plan_cache"]["caches"] >= 1
-        del session
-        gc.collect()
-        assert catalog.status()["plan_cache"]["caches"] == 0
+        query = workload[1]
+        with self.serve(catalog, workers=1) as service:
+            service.estimate(query)
+            assert service.estimate(query).plan_cache_hit
+            retired = service._plan_cache
+            database.add_table(
+                make_s_table(database.schema, seed=99, s_shift=30.0)
+            )
+            catalog.notify_table_update("S")
+            assert catalog.refresh().rebuilt_count > 0
+            service.estimate(query)  # the worker rolls onto the new pool
+            block = dict(service.stats_snapshot().plan_cache)
+            live = service._plan_cache
+        assert live is not retired
+        # the retired cache is no longer counted live, but its events are
+        assert block["caches"] == 1.0
+        assert block["plans"] == float(len(live)) == 1.0
+        assert block["compiles"] == 2.0
+        assert block["hits"] == 1.0

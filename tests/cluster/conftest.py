@@ -1,5 +1,5 @@
 """Fixtures for the cluster tier: a catalog over the two-table database
-plus predicate-set workloads that split across the template ring."""
+plus predicate-set workloads whose templates split across the shards."""
 
 from __future__ import annotations
 

@@ -7,10 +7,12 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
+from itertools import combinations
 
 import pytest
 
 from repro.cluster import EstimationCluster
+from repro.core.predicates import FilterPredicate
 from repro.service import ClusterConfig, ServiceConfig
 from repro.service.client import TransportError
 from repro.service.protocol import Overloaded
@@ -176,7 +178,7 @@ def fail_held_respawn(cluster, respawner, link, query) -> None:
 
 
 def owned_by(cluster, queries, shard: int):
-    """A query whose template the ring places on ``shard``."""
+    """A query whose template the router places on ``shard``."""
     return next(
         query
         for query in queries
@@ -200,6 +202,41 @@ class TestRouting:
             sb_shards = {a.shard for a in answers[1::2]}
             assert len(ra_shards) == 1
             assert len(sb_shards) == 1
+
+    def test_a_shape_reaches_the_same_shard_across_routers(
+        self, cluster_catalog, cluster_queries
+    ):
+        """The shard is the shape digest modulo the shard count: two
+        routers — two processes, say — place every template alike."""
+        placements = []
+        for _ in range(2):
+            links = [FakeLink(0), FakeLink(1)]
+            with make_cluster(cluster_catalog, links) as cluster:
+                placements.append(
+                    [
+                        cluster.estimate(query, timeout=5.0).shard
+                        for query in cluster_queries
+                    ]
+                )
+        assert placements[0] == placements[1]
+
+    def test_distinct_shapes_reach_every_shard(
+        self, cluster_catalog, two_table_attrs, two_table_join
+    ):
+        filters = [
+            FilterPredicate(two_table_attrs[name], 10.0, 40.0)
+            for name in ("Ra", "Rx", "Sb", "Sy")
+        ]
+        shapes = [
+            frozenset({two_table_join, *chosen})
+            for size in (1, 2, 3, 4)
+            for chosen in combinations(filters, size)
+        ]
+        assert len(shapes) >= 8
+        links = [FakeLink(0), FakeLink(1)]
+        with make_cluster(cluster_catalog, links) as cluster:
+            shards = {cluster.estimate(shape, timeout=5.0).shard for shape in shapes}
+        assert shards == {0, 1}
 
     def test_shards_receive_parse_free_payloads(
         self, cluster_catalog, cluster_queries

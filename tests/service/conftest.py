@@ -68,6 +68,11 @@ class SessionGate:
     def open(self) -> None:
         self._opened.set()
 
+    def rearm(self) -> None:
+        """Hold the next workers to reach their session again."""
+        self.entered.clear()
+        self._opened.clear()
+
 
 @pytest.fixture()
 def session_gate(monkeypatch) -> SessionGate:

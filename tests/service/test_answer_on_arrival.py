@@ -1,8 +1,9 @@
-"""Hits answered on arrival: the workers of one snapshot compile into
-one shared plan cache, ``submit_many`` replays a compiled shape from it
-on the submitting thread, and only misses cross to a worker — unless the
-cache's snapshot is not the one a worker should be on (a notify, a
-breaker rollback), its pool moved, or a fault plan is armed."""
+"""Hits answered on arrival: the workers over one pool compile into one
+shared plan cache, ``submit_many`` replays a compiled shape from it on
+the submitting thread, and only misses cross to a worker — unless the
+cache's pool is not the one a worker should be on (a refresh, a breaker
+rollback to another pool), its pool version moved (a notify), or a fault
+plan is armed."""
 
 from __future__ import annotations
 
@@ -159,15 +160,20 @@ class TestAnsweredOnArrival:
     def test_breaker_rollback_never_serves_the_bad_versions_table(
         self, service_catalog, join_query, factor_sharing_queries, monkeypatch
     ):
-        """The bad version serves — and publishes its plans — before it
-        is tripped; after the rollback no answer is replayed from them."""
+        """The bad version serves — and compiles its plans — before it is
+        tripped; after the rollback every answer carries the good
+        version and equals a cache-off session on the good snapshot.  A
+        notify keeps the pool, so the plans the bad version compiled
+        are plans of the good snapshot's pool, and answer on arrival."""
         config = ServiceConfig(
             workers=1,
             queue_depth=64,
             healing=HealingConfig(breaker_threshold=2, max_worker_restarts=6),
         )
+        good_snapshot = service_catalog.snapshot()
         with EstimationService(service_catalog, config=config) as service:
             good = service.estimate(join_query).snapshot_version
+            assert good == good_snapshot.version
             # the last-known-good snapshot stays the first one
             monkeypatch.setattr(service, "_note_good_snapshot", lambda session: None)
             service_catalog.notify_table_update("R")
@@ -180,11 +186,67 @@ class TestAnsweredOnArrival:
             service._trip_snapshot(bad)
             answers = [service.estimate(query) for query in factor_sharing_queries]
             stats = service.stats_snapshot()
+        twin = EstimationSession(good_snapshot, plan_cache=False)
         assert {answer.snapshot_version for answer in answers} == {good}
+        for query, answer in zip(factor_sharing_queries, answers):
+            expected = twin.estimate(query)
+            assert (answer.selectivity, answer.error) == (
+                expected.selectivity,
+                expected.error,
+            )
+        assert all(answer.plan_cache_hit for answer in answers)
+        assert stats.service["answered_on_arrival"] == float(1 + len(answers))
+        assert stats.resilience["snapshot_rollbacks"] == 1.0
+
+    def test_a_rollback_to_another_pool_replays_nothing_from_its_cache(
+        self, service_catalog, join_query, factor_sharing_queries, monkeypatch
+    ):
+        """A refresh publishes a new pool, and with it a new cache; when
+        the breaker rolls back to the snapshot before it, no plan of the
+        bad pool's cache answers again."""
+        config = ServiceConfig(
+            workers=1,
+            queue_depth=64,
+            healing=HealingConfig(breaker_threshold=2, max_worker_restarts=6),
+        )
+        good_snapshot = service_catalog.snapshot()
+        with EstimationService(service_catalog, config=config) as service:
+            good = service.estimate(join_query).snapshot_version
+            monkeypatch.setattr(service, "_note_good_snapshot", lambda session: None)
+            service_catalog.notify_table_update("R")
+            assert service_catalog.refresh().rebuilt_count > 0
+            assert service_catalog.pool is not good_snapshot.pool
+            bad = service_catalog.version
+            on_bad = [service.estimate(join_query) for _ in range(2)]
+            assert [answer.snapshot_version for answer in on_bad] == [bad, bad]
+            assert on_bad[1].plan_cache_hit
+            bad_cache = service._plan_cache
+            assert bad_cache.pool is service_catalog.pool and len(bad_cache) == 1
+            bad_plans = {id(plan) for plan in bad_cache._plans.values()}
+            replayed: list[int] = []
+            replay = CompiledPlan.replay
+
+            def recording(plan, ordered):
+                replayed.append(id(plan))
+                return replay(plan, ordered)
+
+            monkeypatch.setattr(CompiledPlan, "replay", recording)
+            service._trip_snapshot(bad)
+            answers = [service.estimate(query) for query in factor_sharing_queries]
+            rolled_back = service._plan_cache
+        twin = EstimationSession(good_snapshot, plan_cache=False)
+        assert {answer.snapshot_version for answer in answers} == {good}
+        for query, answer in zip(factor_sharing_queries, answers):
+            expected = twin.estimate(query)
+            assert (answer.selectivity, answer.error) == (
+                expected.selectivity,
+                expected.error,
+            )
+        assert replayed and not bad_plans & set(replayed)
         assert not answers[0].plan_cache_hit  # a worker's, rolled back
         assert all(answer.plan_cache_hit for answer in answers[1:])
-        assert stats.service["answered_on_arrival"] == float(len(answers))
-        assert stats.resilience["snapshot_rollbacks"] == 1.0
+        assert rolled_back is not bad_cache
+        assert rolled_back.pool is good_snapshot.pool
 
     def test_an_armed_fault_plan_sends_every_request_through_the_queue(
         self, service_catalog, factor_sharing_queries
@@ -202,13 +264,15 @@ class TestAnsweredOnArrival:
     def test_two_workers_compile_a_shape_once_per_snapshot(
         self, service_catalog, factor_sharing_queries, cold_queries, monkeypatch
     ):
+        """Once per shape and pool version: the notify keeps the cache,
+        and the version move evicts every plan in it."""
         compiled: list[tuple[int, tuple]] = []
         compile_plan = PlanCache.compile
 
         def counting(self, predicates, algorithm, result):
             plan = compile_plan(self, predicates, algorithm, result)
             if plan is not None:
-                compiled.append((plan.snapshot_version, plan.fingerprint))
+                compiled.append((plan.pool_version, plan.fingerprint))
             return plan
 
         monkeypatch.setattr(PlanCache, "compile", counting)
@@ -327,34 +391,77 @@ class TestAnsweredOnArrival:
 
 
 class TestOneCachePerSnapshot:
+    """One cache per served pool: every snapshot over one pool object —
+    the versions a notify moves through — shares it."""
+
+    @staticmethod
+    def both_workers_serve(service, queries, session_gate, version):
+        """Each of two workers serves one of ``queries`` (misses both),
+        rolling to ``version`` first: one is parked in its batch while
+        the other takes the second.  Returns the answers."""
+        session_gate.rearm()
+        futures = [service.submit(queries[0])]
+        session_gate.wait_entered()
+        futures.append(service.submit(queries[1]))
+        wait_for(
+            lambda: [s.snapshot_version for s in service._sessions]
+            == [version, version]
+        )
+        session_gate.open()
+        return [future.result(timeout=30.0) for future in futures]
+
     def test_worker_sessions_at_one_snapshot_hold_one_cache(
         self, service_catalog, cold_queries, session_gate
     ):
         config = ServiceConfig(workers=2, queue_depth=64)
+        snapshots = {}
+        served = []
         with EstimationService(service_catalog, config=config) as service:
             wait_for(lambda: len(service._sessions) == 2)
             first, second = service._sessions
             before = first.plan_cache
             assert before is not None and second.plan_cache is before
+            # a notify keeps the pool, and with it the cache
             service_catalog.notify_table_update("R")
-            new = service_catalog.version
-            # a worker rolls before it serves: park one in its batch, so
-            # that the second miss is the other worker's
-            futures = [service.submit(cold_queries[0])]
-            session_gate.wait_entered()
-            futures.append(service.submit(cold_queries[1]))
-            wait_for(
-                lambda: [s.snapshot_version for s in service._sessions]
-                == [new, new]
+            notified = service_catalog.snapshot()
+            snapshots[notified.version] = notified
+            answers = self.both_workers_serve(
+                service, cold_queries, session_gate, notified.version
             )
+            served += zip(cold_queries, answers)
             first, second = service._sessions
-            session_gate.open()
-            answers = [future.result(timeout=30.0) for future in futures]
+            assert first is not second
+            assert first.plan_cache is second.plan_cache is before
+            assert {answer.snapshot_version for answer in answers} == {
+                notified.version
+            }
+            # a refresh that rebuilds a SIT publishes a new pool, and the
+            # workers move to a new cache over it
+            service_catalog.notify_table_update("R")
+            assert service_catalog.refresh().rebuilt_count > 0
+            refreshed = service_catalog.snapshot()
+            snapshots[refreshed.version] = refreshed
+            answers = self.both_workers_serve(
+                service, cold_queries, session_gate, refreshed.version
+            )
+            served += zip(cold_queries, answers)
+            first, second = service._sessions
+            after = service._plan_cache
         assert first is not second
-        assert first.plan_cache is second.plan_cache is service._plan_cache
-        assert first.plan_cache is not before
-        assert first.plan_cache.snapshot_version == new
-        assert {answer.snapshot_version for answer in answers} == {new}
+        assert first.plan_cache is second.plan_cache is after
+        assert after is not before and after.pool is refreshed.pool
+        assert {answer.snapshot_version for answer in answers} == {
+            refreshed.version
+        }
+        for query, answer in served:
+            twin = EstimationSession(
+                snapshots[answer.snapshot_version], plan_cache=False
+            )
+            expected = twin.estimate(query)
+            assert (answer.selectivity, answer.error) == (
+                expected.selectivity,
+                expected.error,
+            )
 
     def test_catalog_counts_a_shared_cache_once(
         self, service_catalog, factor_sharing_queries
@@ -364,10 +471,70 @@ class TestOneCachePerSnapshot:
             wait_for(lambda: len(service._sessions) == 2)
             for query in factor_sharing_queries:
                 service.estimate(query)
-            block = service_catalog.status()["plan_cache"]
             stats = dict(service.stats_snapshot().plan_cache)
-        assert block["caches"] == 1
-        assert block["compiles"] == stats["compiles"] == stats["plans"] == 1.0
+        # the service that owns the cache reports it; the catalog keeps
+        # no ledger of caches
+        assert "plan_cache" not in service_catalog.status()
+        assert stats["caches"] == 1.0
+        assert stats["compiles"] == stats["plans"] == 1.0
+
+    def test_counts_never_drop_across_notifies(
+        self, service_catalog, factor_sharing_queries, cold_queries, monkeypatch
+    ):
+        """Five notifies keep the one cache a 1-worker service built: its
+        counts only grow, ``evictions`` counts the plans each notify
+        dropped, and every answer equals a cache-off session on its
+        version.  A refresh that publishes a pool builds the second."""
+        built: list[PlanCache] = []
+        init = PlanCache.__init__
+
+        def counting(cache, *args, **kwargs):
+            built.append(cache)
+            init(cache, *args, **kwargs)
+
+        monkeypatch.setattr(PlanCache, "__init__", counting)
+        queries = factor_sharing_queries + cold_queries
+        shapes = len({shape_fingerprint(query.predicates)[0] for query in queries})
+        keys = ("hits", "misses", "compiles", "evictions")
+        history: list[dict] = []
+        served = []
+        snapshots = {}
+        with EstimationService(service_catalog, config=ONE_WORKER) as service:
+            for step in range(6):
+                if step:
+                    service_catalog.notify_table_update("RS"[step % 2])
+                snapshot = service_catalog.snapshot()
+                snapshots[snapshot.version] = snapshot
+                served += [(query, service.estimate(query)) for query in queries]
+                history.append(dict(service.stats_snapshot().plan_cache))
+            assert len(built) == 1
+            service_catalog.notify_table_update("R")
+            assert service_catalog.refresh().rebuilt_count > 0
+            snapshot = service_catalog.snapshot()
+            snapshots[snapshot.version] = snapshot
+            served += [(query, service.estimate(query)) for query in queries]
+            last = dict(service.stats_snapshot().plan_cache)
+        assert len(built) == 2
+        for key in keys:
+            values = [block[key] for block in history + [last]]
+            assert values == sorted(values), key
+        assert [block["evictions"] for block in history] == [
+            float(shapes * step) for step in range(6)
+        ]
+        assert [block["compiles"] for block in history] == [
+            float(shapes * (step + 1)) for step in range(6)
+        ]
+        assert {block["caches"] for block in history + [last]} == {1.0}
+        assert last["compiles"] == float(shapes * 7)
+        for query, answer in served:
+            twin = EstimationSession(
+                snapshots[answer.snapshot_version], plan_cache=False
+            )
+            expected = twin.estimate(query)
+            assert (answer.selectivity, answer.error) == (
+                expected.selectivity,
+                expected.error,
+            )
 
 
 class TestInsertGuard:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.catalog import EstimationSession
+from repro.core.errors import NIndError
 from repro.service import EstimationService, ServiceConfig
 from repro.service.protocol import (
     DeadlineExceeded,
@@ -21,14 +22,13 @@ from repro.sql import parse_query
 #: with ``submit_many`` is one batch by construction, not by timing
 COALESCING = ServiceConfig(workers=1, queue_depth=64, max_batch=64)
 
-#: same, with the compiled-plan cache off — for tests that assert the
-#: factor-match sharing a plan replay intentionally never exercises
-COALESCING_NO_PLAN_CACHE = ServiceConfig(
-    workers=1,
-    queue_depth=64,
-    max_batch=64,
-    plan_cache=False,
-)
+
+class _Unstable(NIndError):
+    """NInd, declared not plan-stable: a service serving with it keeps no
+    plan cache — for tests that assert the factor-match sharing a plan
+    replay intentionally never exercises."""
+
+    plan_stable = False
 
 
 def burst(service, queries, timeout=None):
@@ -52,14 +52,14 @@ class TestFactorSharing:
         # invocations, each one a pair priced — what sharing saves).
         isolated_match_passes = 0.0
         for query in queries:
-            session = EstimationSession(snapshot, plan_cache=False)
+            session = EstimationSession(snapshot, NIndError(), plan_cache=False)
             session.estimate(query)
             isolated_match_passes += session.stats_snapshot().counters[
                 "matcher_calls"
             ]
 
         with EstimationService(
-            service_catalog, config=COALESCING_NO_PLAN_CACHE
+            service_catalog, config=COALESCING, error_function=_Unstable()
         ) as service:
             answers = burst(service, queries)
             stats = service.stats_snapshot()
@@ -77,12 +77,12 @@ class TestFactorSharing:
         self, service_catalog, factor_sharing_queries
     ):
         alone = EstimationSession(
-            service_catalog.snapshot(), plan_cache=False
+            service_catalog.snapshot(), NIndError(), plan_cache=False
         )
         alone.estimate(factor_sharing_queries[0])
         one = alone.stats_snapshot().counters["matcher_calls"]
         with EstimationService(
-            service_catalog, config=COALESCING_NO_PLAN_CACHE
+            service_catalog, config=COALESCING, error_function=_Unstable()
         ) as service:
             burst(service, factor_sharing_queries)
             stats = service.stats_snapshot()
@@ -173,10 +173,12 @@ class TestShapeGroupBatching:
         self, service_catalog, factor_sharing_queries
     ):
         queries = factor_sharing_queries * 2
-        with EstimationService(service_catalog, config=COALESCING) as service:
+        with EstimationService(
+            service_catalog, config=COALESCING, error_function=NIndError()
+        ) as service:
             cached = burst(service, queries)
         with EstimationService(
-            service_catalog, config=COALESCING_NO_PLAN_CACHE
+            service_catalog, config=COALESCING, error_function=_Unstable()
         ) as service:
             cold = burst(service, queries)
         for hit, miss in zip(cached, cold):

@@ -48,6 +48,16 @@ class TestServiceValidation:
             main(["serve", "--batch-window-ms", "2"])
         assert "--batch-window-ms" in capsys.readouterr().err
 
+    def test_plan_cache_is_no_knob(self):
+        """A plan-stable error function is served through the plan
+        cache and any other is not: there is nothing to switch, and a
+        config file still naming the old switch fails loudly."""
+        with pytest.raises(ValueError, match="unknown ServiceConfig keys"):
+            ServiceConfig.from_dict({"plan_cache": False})
+        with pytest.raises(TypeError, match="plan_cache"):
+            ServiceConfig(plan_cache=False)
+        assert "plan_cache" not in ServiceConfig().to_dict()
+
     def test_nested_layers_are_type_checked(self):
         with pytest.raises(TypeError, match="healing"):
             ServiceConfig(healing={"breaker_threshold": 3})
@@ -75,7 +85,6 @@ class TestClusterValidation:
         ("field", "value"),
         [
             ("shards", 0),
-            ("ring_points", 0),
             ("shard_workers", 0),
         ],
     )
@@ -96,11 +105,17 @@ def test_router_constants_are_no_config_keys(field):
 
 @pytest.mark.parametrize(
     "field",
-    ["replicas", "hedge_delay_s", "breaker_threshold", "breaker_window_s"],
+    [
+        "replicas",
+        "ring_points",
+        "hedge_delay_s",
+        "breaker_threshold",
+        "breaker_window_s",
+    ],
 )
 def test_removed_cluster_keys_are_unknown(field):
-    """Hedging, replicas and the per-shard breaker are gone: a
-    deployment file still naming one fails loudly."""
+    """Hedging, replicas, the per-shard breaker and the consistent-hash
+    ring are gone: a deployment file still naming one fails loudly."""
     with pytest.raises(ValueError, match="unknown ClusterConfig keys"):
         ServiceConfig.from_dict({"cluster": {"shards": 2, field: 1}})
 
@@ -114,9 +129,7 @@ class TestRoundTrip:
         config = ServiceConfig(
             workers=4,
             healing=HealingConfig(breaker_threshold=5, requeue_limit=0),
-            cluster=ClusterConfig(
-                shards=4, ring_points=128, max_held_requests=64
-            ),
+            cluster=ClusterConfig(shards=4, max_held_requests=64),
         )
         # through actual JSON, not just dicts: the serve --config path
         restored = ServiceConfig.from_dict(

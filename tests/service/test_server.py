@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.core.errors import NIndError
 from repro.estimators import SITEstimator
 from repro.service import EstimationService, ServiceConfig, connect
 from repro.service.protocol import (
@@ -24,6 +25,12 @@ from repro.sql import parse_query
 
 SQL = "SELECT * FROM R, S WHERE R.x = S.y AND R.a BETWEEN 10 AND 40"
 OTHER_SHAPE = "SELECT * FROM R, S WHERE R.x = S.y AND S.b BETWEEN 20 AND 70"
+
+
+class _Unstable(NIndError):
+    """NInd, declared not plan-stable: the service keeps no plan cache."""
+
+    plan_stable = False
 
 
 @pytest.fixture()
@@ -301,15 +308,15 @@ class TestGroups:
         count the group down together: under a shortened switch interval
         and more threads than cores, every group is still woken (exactly
         once — a lost count would leave its connection waiting) and
-        answered whole and in order.  With the plan cache off nothing is
-        answered on arrival: every member crosses to a worker."""
+        answered whole and in order.  With an error function that is not
+        plan-stable there is no plan cache, so nothing is answered on
+        arrival: every member crosses to a worker."""
         connections, rounds, size = 4, 15, 8
         service = EstimationService(
             service_catalog,
             # batches of 2 spread every group of 8 over all the workers
-            config=ServiceConfig(
-                workers=3, queue_depth=256, max_batch=2, plan_cache=False
-            ),
+            config=ServiceConfig(workers=3, queue_depth=256, max_batch=2),
+            error_function=_Unstable(),
         )
         answered: dict[int, list[list[dict]]] = {}
 
