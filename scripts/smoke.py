@@ -18,7 +18,9 @@ left behind: no child process, no ``/dev/shm/psm_*`` segment.
                   a query's sub-plans each replaying on their second ask,
                   EXPLAIN of a hit equal to a plan-cache-off EXPLAIN, and hot
                   answers over a loaded catalog building no ``Bucket`` object
-``chaos``         seeded mixed fault plan: 100 typed answers, zero-fault parity
+``chaos``         seeded mixed fault plan over 10 seeds at 1, 2 and 3 workers:
+                  typed answers, equal counts at every worker count, fault-free
+                  answers on arrival and in the cache, zero-fault parity
 ``cluster``       3 shards: routed parity, hot swap, crash / hold / respawn
 ``chaos_ingest``  write storm + faults under TCP load; faulted cluster swap
 ``advisor``       tuned service accepts under budget; impossible bound rejects
@@ -483,28 +485,19 @@ def optimizer_pattern(fixture: SnowflakeFixture) -> None:
 # ----------------------------------------------------------------------
 # chaos
 # ----------------------------------------------------------------------
-def smoke_chaos() -> None:
-    catalog = serving_fixture().catalog
-    sqls = age_ranges(100, spread=23, width=20)
+#: the chaos stream's plan seeds: the historical one and nine more
+CHAOS_SEEDS = tuple(range(2004, 2014))
+#: every seed's stream is served at each of these worker counts
+CHAOS_WORKERS = (1, 2, 3)
 
-    # 100 queries under a seeded mixed plan (three fault kinds at three
-    # injection points): 100 typed answers — a (possibly degraded)
-    # estimate, a typed shed or a typed ServiceError, never a hang or an
-    # untyped crash — and a clean drain with the plan still armed
-    config = ServiceConfig(
-        workers=2,
-        queue_depth=32,
-        healing=HealingConfig(
-            requeue_limit=2,
-            breaker_threshold=1_000,  # crashes are version-independent here
-            max_worker_restarts=200,
-        ),
-    )
-    plan = FaultPlan(
+
+def chaos_plan(seed: int) -> FaultPlan:
+    """Three fault kinds at three injection points."""
+    return FaultPlan(
         [
-            # rates are per evaluation: sit_match is evaluated only on
-            # the SITs a cold answer reads (~16 per run, most answers
-            # replay), so it needs a higher rate than the other points
+            # rates are per draw: sit_match draws once per SIT a cold
+            # answer reads, and most answers replay, so it needs a
+            # higher rate than the other points
             FaultRule(
                 point="sit_match",
                 fault="sit_unavailable",
@@ -524,8 +517,39 @@ def smoke_chaos() -> None:
                 max_fires=None,
             ),
         ],
-        seed=2004,
+        seed=seed,
     )
+
+
+def cold_shapes(schema) -> list[str]:
+    """One statement per foreign-key join and non-key column of its two
+    tables: each its own shape, so each is solved cold once."""
+    return [
+        f"SELECT * FROM {left.table}, {right.table} WHERE {left} = {right} "
+        f"AND {attribute} BETWEEN 1 AND 50"
+        for left, right in schema.join_edges()
+        for table in (left.table, right.table)
+        for attribute in schema.table(table).attributes
+        if not attribute.column.endswith("_id")
+    ]
+
+
+def chaos_run(catalog, sqls: list[str], seed: int, workers: int, expected):
+    """Serve ``sqls`` over TCP under ``chaos_plan(seed)``: every answer
+    typed, every level-0 answer equal to its fault-free twin in
+    ``expected``, a clean drain with the plan still armed.  Returns the
+    counts every worker count must agree on, the service's stats and
+    its plan cache."""
+    config = ServiceConfig(
+        workers=workers,
+        queue_depth=32,
+        healing=HealingConfig(
+            requeue_limit=2,
+            breaker_threshold=1_000,  # crashes are version-independent here
+            max_worker_restarts=200,
+        ),
+    )
+    plan = chaos_plan(seed)
     answered = degraded = shed = failed = 0
     with armed(plan):
         service = EstimationService(catalog, config=config)
@@ -548,25 +572,75 @@ def smoke_chaos() -> None:
                     assert answer.excluded_sits or (
                         answer.degradation_level >= 2
                     ), answer
+                else:
+                    twin = expected[sql]
+                    assert (answer.selectivity, answer.error) == (
+                        twin.selectivity,
+                        twin.error,
+                    ), (sql, answer, twin)
             stats = client.stats()
-
     typed = answered + shed + failed
     assert typed == len(sqls), f"{typed}/{len(sqls)} typed answers"
-    assert plan.total_fires > 0, "the chaos plan never fired"
-    fired_kinds = {key.split(".", 1)[1] for key in plan.stats()}
-    assert len(fired_kinds) >= 2, f"too few fault kinds fired: {fired_kinds}"
-    resilience = stats.get("resilience", {})
-    if degraded:
-        level_keys = [
-            key for key in resilience if key.startswith("degraded_level")
-        ]
-        assert level_keys, f"no degradation levels in snapshot: {resilience}"
-    print(
-        f"chaos: {answered} served ({degraded} degraded), "
-        f"{shed} shed, {failed} typed failures, "
-        f"{resilience.get('worker_crashes', 0):.0f} worker crashes, "
-        f"plan fired {plan.stats()}"
+    counts = (
+        answered,
+        degraded,
+        shed,
+        failed,
+        tuple(plan.stats().items()),
+        tuple(rule.evaluations for rule in plan.rules),
+        stats["service"].get("answered_on_arrival", 0.0),
     )
+    return counts, stats, service._plan_cache
+
+
+def smoke_chaos() -> None:
+    fixture = serving_fixture()
+    catalog, schema = fixture.catalog, fixture.database.schema
+    # the historical 100-query stream is one shape, which a shared plan
+    # cache solves cold until one answer compiles: the cold shapes after
+    # it give every point draws to make
+    sqls = age_ranges(100, spread=23, width=20) + cold_shapes(schema)
+    queries = {sql: parse_query(sql, schema) for sql in sqls}
+    twin = EstimationSession(catalog, plan_cache=False)
+    expected = {sql: twin.estimate(query) for sql, query in queries.items()}
+
+    for seed in CHAOS_SEEDS:
+        runs = {
+            workers: chaos_run(catalog, sqls, seed, workers, expected)
+            for workers in CHAOS_WORKERS
+        }
+        counts = {workers: run[0] for workers, run in runs.items()}
+        assert len(set(counts.values())) == 1, f"seed {seed}: {counts}"
+        answered, degraded, shed, failed, fired, draws, on_arrival = counts[1]
+        assert sum(count for _, count in fired) > 0, "the chaos plan never fired"
+        fired_kinds = {key.split(".", 1)[1] for key, _ in fired}
+        assert len(fired_kinds) >= 2, f"too few fault kinds fired: {fired_kinds}"
+        # armed, hits are answered where they arrive — and equal the
+        # fault-free twin (checked per answer in chaos_run)
+        assert on_arrival >= 1, f"seed {seed}: nothing answered on arrival"
+        for workers, (_, stats, cache) in runs.items():
+            resilience = stats.get("resilience", {})
+            if degraded:
+                level_keys = [
+                    key for key in resilience if key.startswith("degraded_level")
+                ]
+                assert level_keys, f"no degradation levels in snapshot: {resilience}"
+            # disarmed, every plan the armed run filed replays to the
+            # fault-free answer
+            replayed = set()
+            for sql, query in queries.items():
+                fingerprint, ordered = shape_fingerprint(query.predicates)
+                plan = cache.probe(fingerprint)
+                if plan is not None:
+                    replayed.add(fingerprint)
+                    assert plan.replay(ordered) == expected[sql], sql
+            assert len(replayed) == len(cache) > 0, (len(replayed), len(cache))
+        print(
+            f"chaos seed {seed}: {answered} served ({degraded} degraded), "
+            f"{shed} shed, {failed} typed failures, {on_arrival:.0f} on arrival "
+            f"at workers {'/'.join(map(str, CHAOS_WORKERS))}; "
+            f"{draws} draws, plan fired {dict(fired)}"
+        )
 
     # an armed-but-silent plan must not perturb a single bit (the
     # overhead half of that gate is `python -m repro.bench core`)
@@ -575,7 +649,7 @@ def smoke_chaos() -> None:
     with EstimationService(catalog, config=config) as service:
         baseline = [service.estimate(sql, timeout=None) for sql in sample]
         silent = FaultPlan(
-            [FaultRule(point="sit_match", after=10**9, max_fires=None)],
+            [FaultRule(point="sit_match", probability=0.0, max_fires=None)],
             seed=0,
         )
         with armed(silent):

@@ -232,9 +232,9 @@ def bench_fault_overhead(size: int, repeats: int) -> dict:
     ``disarmed_ms`` is the production configuration (no ``FaultPlan``
     armed: each instrumented call site pays one global load and a
     ``None`` check).  ``armed_zero_fault_ms`` runs the same workload
-    with an armed plan whose only rule can never fire (``after`` beyond
-    the workload), so the cost measured is rule evaluation, not fault
-    handling.  Both configurations must produce *bit-identical*
+    with an armed plan whose only rule can never fire (probability 0:
+    counted, never hashed), so the cost measured is rule evaluation, not
+    fault handling.  Both configurations must produce *bit-identical*
     selectivities — the zero-fault parity half of the acceptance gate —
     and the disarmed figure is what the <=5% overhead gate tracks
     against the pre-resilience ``n7`` steady baseline.
@@ -249,7 +249,7 @@ def bench_fault_overhead(size: int, repeats: int) -> dict:
     algorithm, predicates, baseline, steady_run = warm_steady_dp(size)
     disarmed = best_of(steady_run, repeats)
     plan = FaultPlan(
-        [FaultRule(point="sit_match", after=10**9, max_fires=None)],
+        [FaultRule(point="sit_match", probability=0.0, max_fires=None)],
         seed=0,
     )
     with armed(plan):

@@ -81,7 +81,12 @@ from repro.core.matching import (
 from repro.core.predicates import PredicateSet, connected_components
 from repro.core.selectivity import Decomposition, Factor
 from repro.core.universe import PredicateUniverse, iter_bits
-from repro.resilience.faults import POINT_SIT_MATCH, active as _fault_plan
+from repro.resilience.faults import (
+    POINT_HISTOGRAM_JOIN,
+    POINT_SIT_MATCH,
+    active as _fault_plan,
+    request_key,
+)
 from repro.stats.pool import SITPool
 
 
@@ -266,6 +271,18 @@ def _separable_product(partials) -> EstimationResult:
     return EstimationResult(selectivity, error, decomposition, matches, coverage)
 
 
+def _inject_reads(plan, predicates: PredicateSet, result: EstimationResult) -> None:
+    """The SIT-match and histogram-join points of one answer, per factor
+    it reads, head first: each SIT, then the join — keyed by the set
+    asked, so a fault never depends on what a DP's memo already held."""
+    key = request_key(predicates)
+    for match in result.matches:
+        for am in match.attribute_matches:
+            plan.check(POINT_SIT_MATCH, str(am.attribute), (am.sit,), key)
+        sits = [am.sit for am in match.attribute_matches]
+        plan.check(POINT_HISTOGRAM_JOIN, sits=sits, key=key)
+
+
 #: memo entries a request may start with.  Past it the memo is emptied
 #: before the next request solves — never during one, and always whole:
 #: the plan compiler walks a result's sub-masks through the memo, so an
@@ -294,10 +311,10 @@ class GetSelectivity:
     The memoization table lives as long as the instance, so every
     selectivity request for a sub-plan after the first is a table lookup
     — the reuse property Section 4 builds on.  A move of ``pool.version``
-    (``notify_table_update``, membership change) empties it at the next
-    request; the pool's derived histograms and the winners' estimate
-    cache stay, being pure functions of the pool's SITs (a catalog
-    refresh publishes a new pool, served by a new instance).
+    empties it at the next request; the pool's derived histograms, the
+    winners' estimate cache and the SIT candidates stay across a
+    ``notify_table_update``, while ``SITPool.add`` starts the last two
+    over (a catalog refresh publishes a new pool, served anew).
     :meth:`reset` is the explicit cold start.
 
     Engine selection goes through the explicit factory, the one place
@@ -372,8 +389,8 @@ class GetSelectivity:
         #: and never gated — the oracle is built per use)
         self._memo: dict = {}
         #: the ``pool.version`` the memo was filled under — the one
-        #: invalidation gate, checked per request
-        self._version = pool.version
+        #: invalidation gate, checked per request — and the pool's size
+        self._version, self._pool_size = pool.version, len(pool)
         # The winners: per (P', Q) an answer read, its materialised match
         # and estimate_factor(match), a pure histogram computation.
         # Caching them across reset() means a steady-state optimizer only
@@ -478,9 +495,13 @@ class GetSelectivity:
         if version != self._version:
             # the catalog's single invalidation path: nothing solved
             # under an older version is served again (the pool's joins
-            # and the winners read only histograms, and stay)
+            # and the winners read only histograms, and stay — unless a
+            # SIT joined the pool, and with it maybe a better candidate)
             self._memo.clear()
             self._version = version
+            if len(self.pool) != self._pool_size:
+                self._pool_size = len(self.pool)
+                self._forget_masks()
         elif len(self._memo) > MEMO_LIMIT:
             self._memo.clear()
         if len(self.pool.derived_joins) > JOIN_LIMIT:
@@ -498,6 +519,9 @@ class GetSelectivity:
             self._solve(mask)
             result = self._realize(mask)
         self.analysis_seconds += time.perf_counter() - started
+        fault_plan = _fault_plan()
+        if fault_plan is not None:
+            _inject_reads(fault_plan, predicates, result)
         return result
 
     def _forget_masks(self) -> None:
@@ -651,20 +675,11 @@ class GetSelectivity:
         self, p_mask: int, q_mask: int, picks: tuple
     ) -> tuple[FactorMatch, float]:
         """Line 16 for a ``(P', Q)`` an answer reads: its match and
-        ``estimate_factor(match)``, cached per pair.  The SIT-match
-        injection point is checked here, once per picked SIT in
-        attribute order, on every call — a fault fires on a SIT an
-        answer reads, never on one only priced.  The match is all line
-        16, the plan compiler and ``EstimationResult.matches`` read, and
-        its joins go through the pool's join store, which times the
+        ``estimate_factor(match)``, cached per pair.  The match is all
+        line 16, the plan compiler and ``EstimationResult.matches`` read,
+        and its joins go through the pool's join store, which times the
         ones it really performs into the trace's ``histogram_join``
         stage."""
-        fault_plan = _fault_plan()
-        if fault_plan is not None:
-            for pick in picks:
-                fault_plan.check(
-                    POINT_SIT_MATCH, detail=str(pick.attribute), sits=(pick.sit,)
-                )
         key = (p_mask, q_mask)
         winner = self._estimate_cache.get(key)
         if winner is None:
@@ -790,6 +805,9 @@ class LegacyGetSelectivity(GetSelectivity):
         else:
             result = self._solve(predicates)
         self.analysis_seconds += time.perf_counter() - started
+        fault_plan = _fault_plan()
+        if fault_plan is not None:
+            _inject_reads(fault_plan, predicates, result)
         return result
 
     def cached_results(self) -> dict[PredicateSet, EstimationResult]:

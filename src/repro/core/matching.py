@@ -39,11 +39,6 @@ from repro.core.predicates import (
 from repro.core.selectivity import Factor
 from repro.histograms.maxdiff import DEFAULT_MAX_BUCKETS
 from repro.histograms.operations import join_histograms
-from repro.resilience.faults import (
-    POINT_HISTOGRAM_JOIN,
-    POINT_SIT_MATCH,
-    active as _fault_plan,
-)
 from repro.stats.pool import SITPool
 from repro.stats.sit import SIT
 
@@ -217,12 +212,10 @@ class ViewMatcher:
         return tuple(applicable)
 
     def maximal_candidates(
-        self, attribute: Attribute, conditioning: PredicateSet, check: bool = True
+        self, attribute: Attribute, conditioning: PredicateSet
     ) -> tuple[SIT, ...]:
         """All ``SIT(attribute|Q')`` with ``Q' ⊆ conditioning``, ``Q'``
-        maximal (Section 3.3's candidate definition).  ``check=False`` is
-        for :class:`FactorScorer`, which only prices: the bitmask DP
-        checks the SIT-match point on the SITs an answer reads."""
+        maximal (Section 3.3's candidate definition)."""
         key = (attribute, conditioning)
         maximal = self._attribute_cache.get(key)
         if maximal is None:
@@ -251,11 +244,6 @@ class ViewMatcher:
                 trace.count("sit_candidates_considered", len(applicable))
                 trace.count("sit_candidates_matched", len(maximal))
             self._attribute_cache[key] = maximal
-        plan = _fault_plan() if check else None
-        if plan is not None and maximal:
-            # SIT-match injection point: a matched statistic "goes
-            # missing".  Disarmed cost is the global load + None check.
-            plan.check(POINT_SIT_MATCH, detail=str(attribute), sits=maximal)
         return maximal
 
 
@@ -722,7 +710,7 @@ class FactorScorer:
         candidates = by_member.get(key) if trace is None else None
         if candidates is None:
             candidates = by_member[key] = self.matcher.maximal_candidates(
-                attribute, universe.set_of(cond), check=False
+                attribute, universe.set_of(cond)
             )
         if not candidates:
             pick = AttributePick(attribute, weight, cond, candidates, None)
@@ -878,14 +866,6 @@ def estimate_factor(
     maps to.  The factor multiplies all of these — any residual
     independence is exactly what the error functions charge for.
     """
-    plan = _fault_plan()
-    if plan is not None:
-        # histogram load/join injection point: a SIT's histogram payload
-        # turns out to be unusable right as the factor is estimated.
-        plan.check(
-            POINT_HISTOGRAM_JOIN,
-            sits=[am.sit for am in match.attribute_matches],
-        )
     selectivity, histograms = join_factor(match, max_buckets, memo)
     if selectivity == 0.0:
         return 0.0

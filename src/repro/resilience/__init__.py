@@ -4,7 +4,7 @@ Four pieces, each usable alone:
 
 * :mod:`repro.resilience.faults` — typed faults, named injection
   points, and the seeded :class:`FaultPlan` that arms them (the chaos
-  layer is *deterministic*: same seed + call order → same faults);
+  layer is *deterministic*: same seed + request content → same faults);
 * :mod:`repro.resilience.ladder` — the graceful-degradation ladder
   levels and the :class:`ResilienceTelemetry` counters behind the
   ``resilience`` StatsSnapshot namespace;

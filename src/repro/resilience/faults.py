@@ -14,12 +14,14 @@ reproducibly.  This module provides the seeded chaos layer:
   check when no plan is armed, so the zero-fault path stays within the
   serving latency budget;
 * a seeded :class:`FaultPlan` of :class:`FaultRule` entries.  Rules fire
-  by probability (drawn from the plan's private ``random.Random(seed)``)
-  with optional warm-up (``after``), trigger budget (``max_fires``) and a
-  substring ``match`` filter on the injection context, so a plan can
-  target *one* SIT, *one* snapshot version, or everything at once.  Two
-  runs with the same seed and the same call sequence inject the same
-  faults — the chaos suite's determinism property.
+  by probability, with a trigger budget (``max_fires``) and a substring
+  ``match`` filter on the injection context, so a plan can target *one*
+  SIT, *one* snapshot version, or everything at once.  A draw is a hash
+  of the seed, the rule, the point and the *content* in play — the
+  request the point serves (its key), the detail and the SITs — never
+  of call order.  Two runs with the same seed and the same request
+  content inject the same faults, however their requests are scheduled
+  across workers — the chaos suite's determinism property.
 
 Arming is process-global (:func:`arm` / :func:`disarm` / the
 :func:`armed` context manager): injection points live in modules that
@@ -34,7 +36,7 @@ import pathlib
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from random import Random
+from hashlib import blake2b
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # ----------------------------------------------------------------------
@@ -135,22 +137,40 @@ FAULTS_BY_KIND: Mapping[str, type[EstimationFault]] = {
 # ----------------------------------------------------------------------
 # Fault rules and plans
 # ----------------------------------------------------------------------
+def _reject_unknown(data: Mapping, known: tuple[str, ...], what: str) -> None:
+    """A plan document is input from outside the program: a misspelt key
+    must fail loudly, not fall back to a default that fires."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a {what} must be a JSON object")
+    for key in data:
+        if key not in known:
+            raise ValueError(f"unknown {what} key {key!r}; expected one of {known}")
+
+
+def request_key(items: Iterable[object]) -> str:
+    """A request's content as a draw key: its members' sorted text (a
+    string's ``hash`` is salted per process, so it cannot be the key)."""
+    return "\x1e".join(sorted(map(str, items)))
+
+
 @dataclass
 class FaultRule:
     """One armed fault: *where* it can fire, *what* it raises, *how often*.
 
-    ``probability`` is the per-evaluation firing chance; ``after`` skips
-    the first N eligible evaluations (warm-up); ``max_fires`` caps the
-    total number of firings (``None`` = unbounded); ``match`` restricts
-    the rule to injection contexts whose detail string contains it (e.g.
-    a SIT's name or a snapshot version).
+    ``probability`` is the share of draws the rule fires on (``0.0`` arms
+    it silent: evaluated and counted, never drawn); ``match`` restricts
+    the rule to injection contexts whose detail string or SIT names
+    contain it (e.g. a SIT's name or a snapshot version).  ``max_fires``
+    caps the total number of firings (``None`` = unbounded).  It is the
+    one budget whose outcome depends on scheduling: which of two draws
+    that both fire spends the last firing is a race between the threads
+    making them.
     """
 
     point: str
     fault: str = SITUnavailable.kind
     probability: float = 1.0
     max_fires: int | None = 1
-    after: int = 0
     match: str | None = None
     #: mutable firing state (not part of the rule's identity)
     evaluations: int = field(default=0, compare=False)
@@ -171,8 +191,6 @@ class FaultRule:
             raise ValueError("probability must be in [0, 1]")
         if self.max_fires is not None and self.max_fires < 0:
             raise ValueError("max_fires must be >= 0 (or None)")
-        if self.after < 0:
-            raise ValueError("after must be >= 0")
 
     @property
     def exhausted(self) -> bool:
@@ -185,45 +203,45 @@ class FaultRule:
             "probability": self.probability,
             "max_fires": self.max_fires,
         }
-        if self.after:
-            out["after"] = self.after
         if self.match is not None:
             out["match"] = self.match
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultRule":
+        keys = ("point", "fault", "probability", "max_fires", "match")
+        _reject_unknown(data, keys, "fault rule")
+        max_fires = data.get("max_fires", 1)
+        match = data.get("match")
         return cls(
             point=str(data["point"]),
             fault=str(data.get("fault", SITUnavailable.kind)),
             probability=float(data.get("probability", 1.0)),
-            max_fires=(
-                None
-                if data.get("max_fires", 1) is None
-                else int(data.get("max_fires", 1))
-            ),
-            after=int(data.get("after", 0)),
-            match=(
-                None if data.get("match") is None else str(data["match"])
-            ),
+            max_fires=None if max_fires is None else int(max_fires),
+            match=None if match is None else str(match),
         )
 
 
 class FaultPlan:
     """A seeded, thread-safe set of armed :class:`FaultRule` entries.
 
-    Given the same seed and the same sequence of :meth:`check` calls, a
-    plan injects the identical faults — every probabilistic decision is
-    drawn from the plan's private ``random.Random(seed)`` in call order.
+    Given the same seed and the same request content, a plan injects
+    the identical faults, in any call order and split across any number
+    of threads: a rule fires on a hash of ``(seed, rule index, point,
+    key, detail, SIT names)``, and the SIT a fault names is picked by
+    the same hash.  ``key`` is the request a point serves; at a point
+    with none in scope a rule keys on how many times it has met that
+    detail.
     """
 
     def __init__(self, rules: Iterable[FaultRule] = (), seed: int = 0):
         self.rules: list[FaultRule] = list(rules)
         self.seed = int(seed)
-        self._rng = Random(self.seed)
         self._lock = threading.Lock()
         #: (point, kind) -> times fired
         self.fired: dict[tuple[str, str], int] = {}
+        #: (rule index, detail) -> draws made without a key
+        self._keyless: dict[tuple[int, str], int] = {}
 
     # ------------------------------------------------------------------
     def check(
@@ -231,16 +249,18 @@ class FaultPlan:
         point: str,
         detail: str = "",
         sits: "Sequence[object] | None" = None,
+        key: str | None = None,
     ) -> None:
         """Evaluate every armed rule for ``point``; raise on a firing.
 
         ``detail`` is matched against rules' ``match`` substrings;
         ``sits`` (when given) are the statistics in play at the point —
-        the fired fault deterministically picks one (by the plan's RNG
-        over the str-sorted names) and carries it as ``sit_name`` so the
-        degradation ladder knows what to exclude.
+        the fired fault picks one (by the draw's hash over the
+        str-sorted names) and carries it as ``sit_name`` so the
+        degradation ladder knows what to exclude.  ``key`` is the
+        content of the request being served (:func:`request_key`).
         """
-        fault = self.evaluate(point, detail=detail, sits=sits)
+        fault = self.evaluate(point, detail=detail, sits=sits, key=key)
         if fault is not None:
             raise fault
 
@@ -249,61 +269,38 @@ class FaultPlan:
         point: str,
         detail: str = "",
         sits: "Sequence[object] | None" = None,
+        key: str | None = None,
     ) -> EstimationFault | None:
         """Like :meth:`check` but returns the fault instead of raising."""
         with self._lock:
-            names: list[str] | None = None
-            for rule in self.rules:
+            names: list[str] | None = None  # built once a rule reads them
+            for index, rule in enumerate(self.rules):
                 if rule.point != point or rule.exhausted:
                     continue
-                if rule.match is not None:
-                    if names is None:
-                        names = sorted(str(s) for s in (sits or ()))
-                    haystack = detail + "\x00" + "\x00".join(names)
-                    if rule.match not in haystack:
-                        continue
-                rule.evaluations += 1
-                if rule.evaluations <= rule.after:
+                if names is None and (rule.match is not None or rule.probability):
+                    names = sorted(map(str, sits or ()))
+                if rule.match is not None and rule.match not in (
+                    detail + "\x00" + "\x00".join(names)
+                ):
                     continue
-                # always draw, so the decision sequence (and therefore
-                # every later decision) is a pure function of the seed
-                # and the call order
-                draw = self._rng.random()
-                if draw >= rule.probability:
+                rule.evaluations += 1
+                if not rule.probability:
+                    continue
+                drawn = key
+                if drawn is None:  # the nth time this rule met this detail
+                    count = self._keyless.get((index, detail), 0)
+                    self._keyless[index, detail] = count + 1
+                    drawn = f"#{count}"
+                text = f"{self.seed}\x1f{index}\x1f{point}\x1f{drawn}\x1f{detail}"
+                digest = blake2b("\x1f".join((text, *names)).encode(), digest_size=8)
+                draw = int.from_bytes(digest.digest(), "big")
+                if draw >= rule.probability * 2.0**64:
                     continue
                 rule.fires += 1
-                key = (point, rule.fault)
-                self.fired[key] = self.fired.get(key, 0) + 1
-                return self._build_fault(rule, point, detail, sits, names)
+                fired = (point, rule.fault)
+                self.fired[fired] = self.fired.get(fired, 0) + 1
+                return _build_fault(rule, point, detail, names, draw)
         return None
-
-    def _build_fault(
-        self,
-        rule: FaultRule,
-        point: str,
-        detail: str,
-        sits: "Sequence[object] | None",
-        names: list[str] | None,
-    ) -> EstimationFault:
-        fault_cls = FAULTS_BY_KIND[rule.fault]
-        sit_name: str | None = None
-        if sits:
-            if names is None:
-                names = sorted(str(s) for s in sits)
-            if rule.match is not None:
-                matching = [n for n in names if rule.match in n]
-                candidates = matching or names
-            else:
-                candidates = names
-            sit_name = candidates[self._rng.randrange(len(candidates))]
-        message = f"injected {rule.fault} at {point}"
-        if sit_name is not None:
-            message += f" ({sit_name})"
-        elif detail:
-            message += f" ({detail})"
-        return fault_cls(
-            message, sit_name=sit_name, point=point, injected=True
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -322,8 +319,8 @@ class FaultPlan:
     def reset(self) -> None:
         """Rewind the plan to its just-built state (same seed)."""
         with self._lock:
-            self._rng = Random(self.seed)
             self.fired.clear()
+            self._keyless.clear()
             for rule in self.rules:
                 rule.evaluations = 0
                 rule.fires = 0
@@ -337,6 +334,7 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultPlan":
+        _reject_unknown(data, ("seed", "rules"), "fault plan")
         return cls(
             rules=[FaultRule.from_dict(r) for r in data.get("rules", ())],
             seed=int(data.get("seed", 0)),
@@ -344,29 +342,40 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError("a fault plan document must be a JSON object")
-        return cls.from_dict(payload)
-
-    @classmethod
-    def from_file(cls, path: "str | pathlib.Path") -> "FaultPlan":
-        return cls.from_json(pathlib.Path(path).read_text())
+        return cls.from_dict(json.loads(text))
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
         """Inline JSON (starts with ``{``) or a path to a JSON file —
         the CLI's ``--fault-plan`` argument."""
         spec = spec.strip()
-        if spec.startswith("{"):
-            return cls.from_json(spec)
-        return cls.from_file(spec)
-
-    def __len__(self) -> int:
-        return len(self.rules)
+        return cls.from_json(
+            spec if spec.startswith("{") else pathlib.Path(spec).read_text()
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FaultPlan(seed={self.seed}, rules={len(self.rules)})"
+
+
+def _build_fault(
+    rule: FaultRule, point: str, detail: str, names: list[str], draw: int
+) -> EstimationFault:
+    """The fault a firing raises; it names one of the SITs in play (of
+    those the rule's ``match`` selects, when any), picked by ``draw``."""
+    sit_name: str | None = None
+    if names:
+        candidates = names
+        if rule.match is not None:
+            candidates = [n for n in names if rule.match in n] or names
+        sit_name = candidates[draw % len(candidates)]
+    message = f"injected {rule.fault} at {point}"
+    if sit_name is not None:
+        message += f" ({sit_name})"
+    elif detail:
+        message += f" ({detail})"
+    return FAULTS_BY_KIND[rule.fault](
+        message, sit_name=sit_name, point=point, injected=True
+    )
 
 
 # ----------------------------------------------------------------------
@@ -443,4 +452,5 @@ __all__ = [
     "armed",
     "disarm",
     "inject",
+    "request_key",
 ]

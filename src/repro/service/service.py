@@ -84,6 +84,7 @@ from repro.resilience.faults import (
     EstimationFault,
     POINT_WORKER_BATCH,
     active as _fault_plan,
+    request_key,
 )
 from repro.sql.template import TemplateFrontEnd
 from repro.stats.pool import SITPool
@@ -295,17 +296,11 @@ class EstimationService:
     def _make_session(self) -> EstimationSession:
         """A fresh session pinned to the target snapshot.  It holds the
         current plan cache when that cache pins the same pool object (a
-        notify keeps it); otherwise a fresh cache, which becomes current.
-        While a fault plan is armed nothing is answered on arrival and a
-        session compiles into a private cache: every worker solves each
-        shape itself, so a chaos run drives every worker's DP through
-        the plan's faults."""
+        notify keeps it); otherwise a fresh cache, which becomes current."""
         pool, snapshot = resolve_statistics(self._target_statistics())
         with self._sessions_lock:
             current = cache = self._plan_cache
-            if _fault_plan() is not None:
-                cache = True
-            elif cache is None or cache.pool is not pool:
+            if cache is None or cache.pool is not pool:
                 cache = PlanCache(pool)
             session = EstimationSession(
                 snapshot if snapshot is not None else pool,
@@ -495,18 +490,14 @@ class EstimationService:
 
     def _live_cache(self) -> tuple[PlanCache | None, int]:
         """The plan cache a hit may be answered from now, and the
-        snapshot version such an answer carries.  No cache while a fault
-        plan is armed (so firing stays a function of seed and call
-        order), and only one over the pool a worker should be on, so a
-        breaker rollback to another pool is honoured (a pool version
-        move is the cache's own probe to catch).  The version is read
-        before any probe, so a probe racing a notify answers as of
-        before it."""
+        snapshot version such an answer carries: only one over the pool
+        a worker should be on, so a breaker rollback to another pool is
+        honoured (a pool version move is the cache's own probe to
+        catch).  The version is read before any probe, so a probe racing
+        a notify answers as of before it."""
         cache = self._plan_cache
-        if cache is None or _fault_plan() is not None:
-            return None, 0
         pool, version = self._target()
-        if cache.pool is not pool:
+        if cache is None or cache.pool is not pool:
             return None, 0
         return cache, version
 
@@ -832,13 +823,13 @@ class EstimationService:
         session.assert_pinned()
         plan = _fault_plan()
         if plan is not None:
-            # worker-batch injection point: the worker thread dies right
-            # as it starts executing a micro-batch (chaos tests exercise
-            # the requeue + resurrection path through this)
-            plan.check(
-                POINT_WORKER_BATCH,
-                detail=f"version={session.snapshot_version}",
-            )
+            # worker-batch injection point: the worker dies as it starts a
+            # micro-batch, on the first member whose draw (keyed by its
+            # content and requeues) fires — the requeue + resurrection path
+            detail = f"version={session.snapshot_version}"
+            for pending in batch:
+                key = f"{request_key(pending.predicates)}#{pending.requeues}"
+                plan.check(POINT_WORKER_BATCH, detail=detail, key=key)
         now = time.monotonic()
         batch_size = len(batch)
 

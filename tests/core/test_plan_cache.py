@@ -22,6 +22,8 @@ from repro.core.plancache import (
     shape_fingerprint,
 )
 from repro.core.predicates import Attribute, FilterPredicate
+from repro.engine.expressions import Query
+from repro.stats.builder import SITBuilder
 from repro.stats.pool import SITPool
 from repro.stats.sit import SIT
 from repro.workload.fixture import snowflake_fixture
@@ -294,6 +296,41 @@ class TestPersistentMemo:
         held = dict(algorithm._memo)
         algorithm(shapes[2])
         assert all(algorithm._memo[mask] is result for mask, result in held.items())
+
+    def test_a_sit_added_to_the_pool_is_a_candidate_for_a_live_session(
+        self, two_table_db, two_table_attrs, two_table_join
+    ):
+        """A session that solved a query before ``SITPool.add`` answers
+        it afterwards as a fresh session does: the add changes the
+        pool's membership, so the DP's SIT candidates, picks and winners
+        start over (a notify, which only moves the version, keeps them)."""
+        builder = SITBuilder(two_table_db)
+        pool = SITPool(
+            [builder.build_base(attribute) for attribute in two_table_attrs.values()]
+        )
+        ra = two_table_attrs["Ra"]
+        (conditioned,) = builder.build_many(frozenset({two_table_join}), [ra])
+        query = Query.of(two_table_join, FilterPredicate(ra, 10.0, 40.0))
+
+        def session() -> EstimationSession:
+            return EstimationSession(
+                pool, NIndError(), database=two_table_db, plan_cache=False
+            )
+
+        live = session()
+        assert live.estimate(query).error == 1.0
+        algorithm = live.estimator.algorithm
+        scorer = algorithm._scorer
+        pool.invalidate_derived()  # a notify: same SITs, candidates kept
+        assert live.estimate(query).error == 1.0
+        assert algorithm._scorer is scorer
+        pool.add(conditioned)
+        after = live.estimate(query)
+        assert algorithm._scorer is not scorer
+        fresh = session().estimate(query)
+        assert after == fresh
+        assert after.error == 0.0
+        assert str(conditioned) in after.matched_sits
 
     def test_reset_still_empties_the_memo(self, two_table_pool, shapes):
         algorithm = GetSelectivity(two_table_pool, NIndError())

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+import threading
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.resilience.faults import (
     armed,
     disarm,
     inject,
+    request_key,
 )
 
 
@@ -48,10 +51,24 @@ class TestFaultRule:
             fault=WorkerCrash.kind,
             probability=0.25,
             max_fires=None,
-            after=3,
             match="version=2",
         )
         assert FaultRule.from_dict(rule.to_dict()) == rule
+
+    @pytest.mark.parametrize(
+        "document, key",
+        [
+            ({"point": "sit_match", "probabilty": 0.1}, "probabilty"),
+            ({"point": "sit_match", "after": 10}, "after"),
+            ({"point": "sit_match", "max_fire": None}, "max_fire"),
+            ({"point": "worker_batch", "Match": "version=2"}, "Match"),
+        ],
+    )
+    def test_from_dict_rejects_an_unknown_key_by_name(self, document, key):
+        """A misspelt key must not fall back to a default: a rule read
+        without its ``probability`` would fire on every evaluation."""
+        with pytest.raises(ValueError, match=repr(key)):
+            FaultRule.from_dict(document)
 
 
 class TestFiring:
@@ -72,12 +89,12 @@ class TestFiring:
         plan.check(POINT_WORKER_BATCH)
         assert plan.total_fires == 0
 
-    def test_after_skips_warmup_evaluations(self):
-        plan = one_shot(after=2)
-        plan.check(POINT_SIT_MATCH)
-        plan.check(POINT_SIT_MATCH)
-        with pytest.raises(SITUnavailable):
-            plan.check(POINT_SIT_MATCH)
+    def test_a_silent_rule_counts_evaluations_but_never_fires(self):
+        plan = one_shot(probability=0.0, max_fires=None)
+        for index in range(200):
+            plan.check(POINT_SIT_MATCH, detail=f"R.a-{index}", key=str(index))
+        assert plan.rules[0].evaluations == 200
+        assert plan.total_fires == 0 and plan.stats() == {}
 
     def test_match_targets_detail_and_sit_names(self):
         plan = FaultPlan(
@@ -138,6 +155,75 @@ class TestDeterminism:
         plan.reset()
         assert self.drive(plan) == first
 
+    @staticmethod
+    def calls() -> list[dict]:
+        """Two points' worth of calls, each keyed by the request content
+        it serves; several share a request, as one answer's SITs do."""
+        sits = ["SIT(R.a)", "SIT(R.a | J)", "SIT(S.b)"]
+        return [
+            {
+                "point": point,
+                "detail": f"attribute-{index % 3}",
+                "sits": sits[: 1 + index % 3],
+                "key": request_key([f"R.a <= {index // 2}", "R.x = S.y"]),
+            }
+            for index in range(60)
+            for point in (POINT_SIT_MATCH, POINT_WORKER_BATCH)
+        ]
+
+    @staticmethod
+    def content_plan() -> FaultPlan:
+        return FaultPlan(
+            [
+                FaultRule(point=POINT_SIT_MATCH, probability=0.3, max_fires=None),
+                FaultRule(
+                    point=POINT_WORKER_BATCH,
+                    fault=WorkerCrash.kind,
+                    probability=0.2,
+                    max_fires=None,
+                ),
+            ],
+            seed=2004,
+        )
+
+    @staticmethod
+    def faulted(plan: FaultPlan, calls) -> set[tuple]:
+        out = set()
+        for call in calls:
+            fault = plan.evaluate(**call)
+            if fault is not None:
+                out.add((call["key"], call["detail"], fault.sit_name, fault.kind))
+        return out
+
+    def test_shuffled_calls_fault_the_same_requests(self):
+        calls = self.calls()
+        expected = self.faulted(self.content_plan(), calls)
+        assert expected, "the plan never fired"
+        shuffled = list(calls)
+        random.Random(5).shuffle(shuffled)
+        assert self.faulted(self.content_plan(), shuffled) == expected
+
+    def test_calls_split_across_two_threads_fault_the_same_requests(self):
+        calls = self.calls()
+        expected = self.faulted(self.content_plan(), calls)
+        plan = self.content_plan()
+        halves = [set(), set()]
+        threads = [
+            threading.Thread(
+                target=lambda i=i: halves[i].update(
+                    self.faulted(plan, calls[i::2])
+                )
+            )
+            for i in (0, 1)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        assert halves[0] | halves[1] == expected
+        assert plan.total_fires == len(expected)
+
     def test_different_seeds_differ(self):
         plans = [
             FaultPlan(
@@ -179,6 +265,22 @@ class TestPlanDocuments:
         )
         assert plan.seed == 3
         assert plan.rules[0].fault == WorkerCrash.kind
+
+    @pytest.mark.parametrize(
+        "document, key",
+        [
+            ('{"sed": 3, "rules": []}', "sed"),
+            ('{"seed": 3, "rule": [{"point": "sit_match"}]}', "rule"),
+            ('{"rules": [{"point": "sit_match", "after": 5}]}', "after"),
+        ],
+    )
+    def test_parse_rejects_an_unknown_key_by_name(self, document, key):
+        with pytest.raises(ValueError, match=repr(key)):
+            FaultPlan.parse(document)
+
+    def test_parse_rejects_a_rule_that_is_not_an_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            FaultPlan.parse('{"rules": ["sit_match"]}')
 
     def test_parse_file(self, tmp_path):
         path = tmp_path / "plan.json"

@@ -26,7 +26,7 @@ SQL = "SELECT * FROM R, S WHERE R.x = S.y AND R.a BETWEEN 10 AND 40"
 def zero_fault_plan() -> FaultPlan:
     """Armed, evaluated, and incapable of firing within any test run."""
     return FaultPlan(
-        [FaultRule(point=POINT_SIT_MATCH, after=10**9, max_fires=None)],
+        [FaultRule(point=POINT_SIT_MATCH, probability=0.0, max_fires=None)],
         seed=0,
     )
 

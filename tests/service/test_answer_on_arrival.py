@@ -2,8 +2,9 @@
 shared plan cache, ``submit_many`` replays a compiled shape from it on
 the submitting thread, and only misses cross to a worker — unless the
 cache's pool is not the one a worker should be on (a refresh, a breaker
-rollback to another pool), its pool version moved (a notify), or a fault
-plan is armed."""
+rollback to another pool) or its pool version moved (a notify).  An
+armed fault plan changes none of this: its draws are keyed by request
+content, so a chaos run serves through the same path."""
 
 from __future__ import annotations
 
@@ -248,18 +249,26 @@ class TestAnsweredOnArrival:
         assert rolled_back is not bad_cache
         assert rolled_back.pool is good_snapshot.pool
 
-    def test_an_armed_fault_plan_sends_every_request_through_the_queue(
+    def test_an_armed_fault_plan_answers_hits_on_arrival(
         self, service_catalog, factor_sharing_queries
     ):
+        """Armed, the service runs the path it runs disarmed: the shape
+        the first request compiled answers the rest on arrival, and
+        every answer equals the disarmed one."""
         first, *rest = factor_sharing_queries
         with EstimationService(service_catalog, config=ONE_WORKER) as service:
             service.estimate(first)
+            disarmed = [service.estimate(query) for query in rest]
             with armed(FaultPlan([NEVER_FIRES], seed=0)):
                 answers = [service.estimate(query) for query in rest]
             stats = service_stats(service)
-        assert all(answer.plan_cache_hit for answer in answers)  # the session's
-        assert stats["batches"] == float(1 + len(rest))
-        assert stats.get("answered_on_arrival", 0.0) == 0.0
+        assert all(answer.plan_cache_hit for answer in answers)
+        assert stats["batches"] == 1.0
+        assert stats["answered_on_arrival"] == float(2 * len(rest))
+        for answer, expected in zip(answers, disarmed):
+            assert replace(answer, latency_ms=0.0) == replace(
+                expected, latency_ms=0.0
+            )
 
     def test_two_workers_compile_a_shape_once_per_snapshot(
         self, service_catalog, factor_sharing_queries, cold_queries, monkeypatch
@@ -374,9 +383,10 @@ class TestAnsweredOnArrival:
         first, second = factor_sharing_queries[:2]
         with EstimationService(service_catalog, config=config) as service:
             service.attach_staleness(tracker)
-            service.estimate(first)
-            with armed(FaultPlan([NEVER_FIRES], seed=0)):
-                queued = service.estimate(second)
+            # admitted as one group before either is compiled, both reach
+            # the worker, whose session replays the plan ``first`` compiled
+            _, queued = service.submit_many([(first, None), (second, None)])
+            queued = queued.result(timeout=30.0)
             on_arrival = service.estimate(second)
             assert arrivals(service) == 1.0
             fed = service.advisor.feedback.records()[-2:]
@@ -573,9 +583,7 @@ class TestInsertGuard:
     ):
         """On a bare-pool service the sessions never roll: a plan of the
         pool without the new SIT, filed under the version with it, would
-        be the next answer.  (The twin solves the query before the add,
-        as the service's session does: a session's DP keeps the SIT
-        candidates it scored for a predicate set across a version move.)"""
+        be the next answer."""
         builder = SITBuilder(two_table_db)
         pool = SITPool(
             [builder.build_base(attribute) for attribute in two_table_attrs.values()]
@@ -583,10 +591,6 @@ class TestInsertGuard:
         ra = two_table_attrs["Ra"]
         (conditioned,) = builder.build_many(frozenset({two_table_join}), [ra])
         query = Query.of(two_table_join, FilterPredicate(ra, 10.0, 40.0))
-        twin = EstimationSession(
-            pool, NIndError(), database=two_table_db, plan_cache=False
-        )
-        twin.estimate(query)
         parked, release, caches = parked_compiles(monkeypatch)
         with EstimationService(
             pool,
@@ -604,7 +608,9 @@ class TestInsertGuard:
             assert len(cache) == 0
             after = service.estimate(query)
             again = service.estimate(query)
-        expected = twin.estimate(query)
+        expected = EstimationSession(
+            pool, NIndError(), database=two_table_db, plan_cache=False
+        ).estimate(query)
         assert not after.plan_cache_hit
         assert (after.selectivity, after.error) == (
             expected.selectivity,
