@@ -16,7 +16,7 @@ from repro import Executor, Query, make_gs_diff
 from repro.core.groupby import estimate_group_count
 from repro.core.predicates import Attribute, FilterPredicate, JoinPredicate
 from repro.stats.builder import SITBuilder
-from repro.stats.pool import build_workload_pool
+from repro.stats.pool import SITPool, build_workload_pool
 from repro.stats.sampling import SamplingSITBuilder
 from repro.workload.snowflake import SnowflakeConfig, generate_snowflake
 
@@ -37,11 +37,16 @@ def main() -> None:
 
     # --- Group-By estimation ------------------------------------------
     builder = SITBuilder(db)
-    pool = build_workload_pool(builder, [query], max_joins=1)
+    workload = build_workload_pool(builder, [query], max_joins=1)
     # Workload pools only cover attributes the queries mention; grouping
     # needs a statistic on the grouping attribute too.
-    pool.add(builder.build_base(group_attr))
-    pool.add(builder.build(group_attr, frozenset({join})))
+    pool = SITPool(
+        [
+            *workload,
+            builder.build_base(group_attr),
+            builder.build(group_attr, frozenset({join})),
+        ]
+    )
     estimator = make_gs_diff(db, pool)
 
     result = executor.execute(query.predicates)

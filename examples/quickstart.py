@@ -72,10 +72,13 @@ def main() -> None:
 
     # Base statistics for every column...
     builder = SITBuilder(db)
-    pool = SITPool()
-    for table in db.schema.tables.values():
-        for attribute in table.attributes:
-            pool.add(builder.build_base(attribute))
+    pool = SITPool(
+        [
+            builder.build_base(attribute)
+            for table in db.schema.tables.values()
+            for attribute in table.attributes
+        ]
+    )
 
     print(f"query: {query}")
     print(f"true cardinality:          {true_cardinality:>10,}")
@@ -85,11 +88,12 @@ def main() -> None:
 
     # ... plus one statistic on a query expression: the distribution of
     # customer.vip over the join result.
+    # A pool's membership is fixed when it is built: a new SIT means a
+    # new pool.
     sit = builder.build(Attribute("customer", "vip"), frozenset({join}))
-    pool.add(sit)
     print(f"created {sit} with diff={sit.diff:.3f}")
 
-    with_sit = make_gs_diff(db, pool)
+    with_sit = make_gs_diff(db, SITPool([*pool, sit]))
     print(f"getSelectivity with SIT:   {with_sit.cardinality(query):>10,.0f}")
 
 

@@ -60,10 +60,7 @@ def static_selection(conditioned, feedback, budget: float) -> set[str]:
 
 def holdout_q_errors(database, base, conditioned, chosen, holdout, executor):
     """Median/max holdout q-error of ``base + chosen`` conditioned SITs."""
-    pool = SITPool(list(base))
-    for sit in conditioned:
-        if str(sit) in chosen:
-            pool.add(sit)
+    pool = SITPool([*base, *(sit for sit in conditioned if str(sit) in chosen)])
     estimator = SITEstimator(database, pool)
     errors = [
         q_error(

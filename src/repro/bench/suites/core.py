@@ -106,12 +106,13 @@ def build_scenario(size: int, seed: int = 0) -> tuple[frozenset, SITPool]:
         )
     frozen = frozenset(predicates)
     attributes = sorted(attributes_of(frozen))
-    pool = SITPool()
-    for attribute in attributes:
-        pool.add(SIT(attribute, frozenset(), _scenario_histogram(rng)))
+    sits = [
+        SIT(attribute, frozenset(), _scenario_histogram(rng))
+        for attribute in attributes
+    ]
     for _ in range(4):
         expression = frozenset(rng.sample(joins, rng.randint(1, min(2, len(joins)))))
-        pool.add(
+        sits.append(
             SIT(
                 rng.choice(attributes),
                 expression,
@@ -119,7 +120,7 @@ def build_scenario(size: int, seed: int = 0) -> tuple[frozenset, SITPool]:
                 diff=round(rng.random(), 3),
             )
         )
-    return frozen, pool
+    return frozen, SITPool(sits)
 
 
 @contextlib.contextmanager

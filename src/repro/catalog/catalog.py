@@ -9,16 +9,15 @@ companion lifecycle.  :class:`StatisticsCatalog` is that subsystem:
   sampled, ``diff_H``, and the source-table versions the SIT was built
   against);
 * **immutable snapshots** (:class:`CatalogSnapshot`) handed to
-  estimators: every catalog mutation publishes a *new* pool object
-  (copy-on-write), so a refresh never mutates a pool mid-estimation and
-  an in-flight session keeps answering off exactly the statistics it
-  started with;
+  estimators: a pool's membership is fixed when it is built, so every
+  change of membership publishes a *new* pool object (copy-on-write), a
+  refresh never mutates a pool mid-estimation and an in-flight session
+  keeps answering off exactly the statistics it started with;
 * **one invalidation event path**: :meth:`notify_table_update` bumps the
   table version, drops stale execution-feedback truth
-  (:class:`repro.advisor.feedback.FeedbackStore`), invalidates the
-  derived bitmask-universe prune masks (through the published pool's
-  version counter) and bumps the catalog version so version-keyed caches
-  above cannot be reused;
+  (:class:`repro.advisor.feedback.FeedbackStore`), moves the published
+  pool's version counter (which the plan cache over it reads) and bumps
+  the catalog version so version-keyed caches above cannot be reused;
 * an **incremental refresh** (:meth:`refresh`, see
   :mod:`repro.catalog.refresh`) that rebuilds only stale SITs and
   optionally keeps the best of the pool under a space budget, in
@@ -357,8 +356,6 @@ class StatisticsCatalog:
         with self._lock:
             self._pool = SITPool(sits)
             self.version += 1
-            self.metrics.gauge("catalog.version").set(float(self.version))
-            self.metrics.gauge("catalog.sit_count").set(float(len(sits)))
 
     # ------------------------------------------------------------------
     # Read surface
@@ -499,8 +496,9 @@ class StatisticsCatalog:
         2. attached feedback stores drop truth touching the table;
         3. the builder evicts its memoized base histograms / counts for
            the table, so a later refresh reads current data;
-        4. the published pool's derived-state version is bumped so bitmask
-           universes rebuild their Section 3.4 prune masks;
+        4. the published pool's derived-state version is bumped so the
+           plan cache over it drops its plans (membership and histograms
+           are unchanged: a refresh publishes a new pool);
         5. the catalog version is bumped so version-keyed caches and
            sessions observe the change.
         """
@@ -517,10 +515,6 @@ class StatisticsCatalog:
             metrics = self.metrics
             metrics.counter("catalog.invalidations").inc()
             metrics.counter("catalog.feedback_dropped").inc(dropped)
-            metrics.gauge("catalog.version").set(float(self.version))
-            metrics.gauge("catalog.stale_sits").set(
-                float(len(self.stale_sits()))
-            )
             return version
 
     # ------------------------------------------------------------------
@@ -570,9 +564,6 @@ class StatisticsCatalog:
             self._metadata = metadata
             self._publish(sits)
             self.metrics.counter("catalog.refreshes").inc()
-            self.metrics.gauge("catalog.stale_sits").set(
-                float(len(self.stale_sits()))
-            )
 
     # ------------------------------------------------------------------
     # Observability

@@ -7,8 +7,8 @@ estimation requests off it.  The underlying
 as long as the session lives, so requests share work the way Section 4
 describes: a sub-plan of an earlier query is a memo lookup.  (Its
 estimate cache is keyed by the ``(P', Q)`` pairs that won a memo node,
-so it answers only after the memo has been emptied — a version move,
-``MEMO_LIMIT`` or ``reset()``.)  The session
+so it answers only after the memo has been emptied — ``MEMO_LIMIT``
+or ``reset()``.)  The session
 keeps no accounting of its own beyond the request count: its
 :class:`~repro.obs.snapshot.StatsSnapshot` is the estimator's ledger
 (never reset underneath it) plus ``counters.queries`` and the

@@ -310,12 +310,12 @@ class GetSelectivity:
 
     The memoization table lives as long as the instance, so every
     selectivity request for a sub-plan after the first is a table lookup
-    — the reuse property Section 4 builds on.  A move of ``pool.version``
-    empties it at the next request; the pool's derived histograms, the
-    winners' estimate cache and the SIT candidates stay across a
-    ``notify_table_update``, while ``SITPool.add`` starts the last two
-    over (a catalog refresh publishes a new pool, served anew).
-    :meth:`reset` is the explicit cold start.
+    — the reuse property Section 4 builds on.  Every entry is a pure
+    function of the pool, whose membership is fixed when it is built,
+    and of the predicates, so nothing a ``notify_table_update`` does
+    empties it: only ``MEMO_LIMIT`` and ``UNIVERSE_LIMIT`` bound it.  A
+    catalog change of membership publishes a new pool, served by a new
+    DP.  :meth:`reset` is the explicit cold start.
 
     Engine selection goes through the explicit factory, the one place
     the reference implementation can be asked for by name::
@@ -386,11 +386,8 @@ class GetSelectivity:
             error_function, "assumption_price"
         )
         #: memo keyed by predicate mask (legacy subclass: by frozenset,
-        #: and never gated — the oracle is built per use)
+        #: and never bounded — the oracle is built per use)
         self._memo: dict = {}
-        #: the ``pool.version`` the memo was filled under — the one
-        #: invalidation gate, checked per request — and the pool's size
-        self._version, self._pool_size = pool.version, len(pool)
         # The winners: per (P', Q) an answer read, its materialised match
         # and estimate_factor(match), a pure histogram computation.
         # Caching them across reset() means a steady-state optimizer only
@@ -491,18 +488,7 @@ class GetSelectivity:
     def __call__(self, predicates: PredicateSet) -> EstimationResult:
         """Most accurate estimation of ``Sel_R(P)`` with ``R = tables(P)``."""
         predicates = frozenset(predicates)
-        version = self.pool.version
-        if version != self._version:
-            # the catalog's single invalidation path: nothing solved
-            # under an older version is served again (the pool's joins
-            # and the winners read only histograms, and stay — unless a
-            # SIT joined the pool, and with it maybe a better candidate)
-            self._memo.clear()
-            self._version = version
-            if len(self.pool) != self._pool_size:
-                self._pool_size = len(self.pool)
-                self._forget_masks()
-        elif len(self._memo) > MEMO_LIMIT:
+        if len(self._memo) > MEMO_LIMIT:
             self._memo.clear()
         if len(self.pool.derived_joins) > JOIN_LIMIT:
             self.pool.derived_joins.clear()

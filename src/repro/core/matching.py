@@ -787,13 +787,13 @@ class JoinMemo:
     over that pool asks.
 
     The entries live on the pool (``SITPool.derived_joins``), keyed on
-    operand *identity*: a pool's SIT histograms are immutable and pinned
-    for the pool's life (a refresh publishes a new pool with new SIT
+    operand *identity*: a pool's SITs and their histograms are fixed
+    when it is built (a refresh publishes a new pool with new SIT
     objects, never mutates one), a joined histogram is a pure function
     of its operands, and every entry holds its operands, so an id cannot
-    be recycled while an entry naming it lives.  A ``pool.version`` move
-    changes no histogram, so it keeps every entry.  The view owns only
-    what is per DP: its ``hits``, ``misses`` and ``trace``.
+    be recycled while an entry naming it lives.  A notify changes no
+    histogram, so it keeps every entry.  The view owns only what is per
+    DP: its ``hits``, ``misses`` and ``trace``.
     """
 
     def __init__(self, entries: dict) -> None:

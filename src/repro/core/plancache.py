@@ -48,10 +48,11 @@ filter constants.  This module exploits that invariance:
 * :class:`PlanCache` keys plans by shape fingerprint under one pinned
   pool object and rides the catalog's single invalidation path: every
   lookup revalidates the pool's derived-state ``version`` counter
-  (bumped by ``notify_table_update`` / membership changes), evicting
-  all plans on mismatch.  A plan is a function of the pool alone, so a
-  notify — which bumps the version of the same pool object — keeps the
-  cache; only a snapshot over another pool object needs another one.
+  (bumped by ``notify_table_update``), evicting all plans on mismatch —
+  the one reader of that counter.  A plan is a function of the pool
+  alone, whose membership is fixed when it is built, so a notify —
+  which bumps the version of the same pool object — keeps the cache
+  object; only a snapshot over another pool object needs another one.
   One cache may be shared by every session over its pool, and read by
   threads that own none: a probe takes no lock, writes take one.
 
@@ -64,7 +65,7 @@ Compile safety gates (all checked before a plan is cached):
 2. no SIT expression in the pool may contain a filter predicate
    (filters in expressions would make candidate matching and DiffError's
    ``expression_member`` probes constant-dependent); checked once per
-   pool version;
+   pool;
 3. only level-0 (non-degraded) results are compiled, and the
    degradation ladder's re-plans bypass the cache entirely;
 4. the compiled plan is self-verified once against the result it was
@@ -193,7 +194,6 @@ class CompiledPlan:
     """
 
     fingerprint: tuple
-    pool_version: int
     templates: tuple[_FactorTemplate, ...]
     tree: tuple | None
     error: float
@@ -398,8 +398,6 @@ def compile_plan(
     algorithm: GetSelectivity,
     predicates: PredicateSet,
     result: EstimationResult,
-    *,
-    pool_version: int,
 ) -> CompiledPlan | None:
     """Freeze a level-0 DP result into a :class:`CompiledPlan`.
 
@@ -422,7 +420,6 @@ def compile_plan(
         return None
     plan = CompiledPlan(
         fingerprint=fingerprint,
-        pool_version=pool_version,
         templates=tuple(templates),
         tree=tree,
         error=result.error,
@@ -453,10 +450,13 @@ def compile_plan(
 class PlanCache:
     """Shape-keyed compiled plans for one pinned pool object.
 
-    Coherence contract: every lookup and compile revalidates the pinned
-    pool's derived-state ``version`` counter — the same counter
+    Coherence contract: a plan is a pure function of the pool, whose
+    membership is fixed when it is built, and of the shape, so a plan
+    compiled across a ``notify_table_update`` is bit-identical to one
+    compiled after it.  The cache is still the one reader of the pinned
+    pool's ``version`` counter — the counter
     ``StatisticsCatalog.notify_table_update`` bumps through
-    ``SITPool.invalidate_derived`` — and drops *all* plans on mismatch
+    ``SITPool.invalidate_derived`` — and drops *all* plans on a move
     (counted under ``evictions``).  A snapshot over another pool object
     needs another cache.
 
@@ -464,9 +464,7 @@ class PlanCache:
     and a thread that owns no session may read it.  :meth:`probe` takes
     no lock — one version compare, one dict get — and every write takes
     one: the clear on a version move, an insert with its eviction, and
-    the counters.  Every plan held was compiled
-    at :attr:`pool_version`: a compile inserts only while the pool
-    version its DP solved at is still the pool's and the cache's.
+    the counters.
     """
 
     def __init__(self, pool: SITPool | None, max_plans: int = 512):
@@ -496,7 +494,7 @@ class PlanCache:
 
     @property
     def pool_version(self) -> int:
-        """The pool version every plan held was compiled at."""
+        """The pool version the cache last emptied itself at."""
         return self._pool_version
 
     # ------------------------------------------------------------------
@@ -514,7 +512,6 @@ class PlanCache:
                 self._plans.clear()
                 self.crosses.clear()
                 self._pool_version = version
-                self._pool_safe = None
 
     def _safe_pool(self) -> bool:
         """Compile gate 2: every SIT expression must be join-only, or SIT
@@ -563,9 +560,7 @@ class PlanCache:
         algorithm: GetSelectivity,
         result: EstimationResult,
     ) -> CompiledPlan | None:
-        """Compile and cache a fresh level-0 result (all gates applied).
-        A compile that straddles a version move (``notify_table_update``,
-        ``SITPool.add``) files nothing: its DP solved the older pool."""
+        """Compile and cache a fresh level-0 result (all gates applied)."""
         if self._moved():
             self._evict_all()
         if (
@@ -574,13 +569,10 @@ class PlanCache:
             or not self._safe_pool()
         ):
             return None
-        solved_at = algorithm._version
-        plan = compile_plan(algorithm, predicates, result, pool_version=solved_at)
+        plan = compile_plan(algorithm, predicates, result)
         if plan is None:
             return None
         with self._lock:
-            if solved_at != self._pool_version or self._moved():
-                return None
             plans = self._plans
             if len(plans) >= self.max_plans:
                 drop = max(1, self.max_plans // 4)

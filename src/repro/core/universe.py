@@ -84,7 +84,6 @@ class PredicateUniverse:
         "_set_cache",
         "_components_cache",
         "_prune_masks",
-        "_prune_pool_version",
     )
 
     def __init__(self, pool: SITPool | None = None):
@@ -104,7 +103,6 @@ class PredicateUniverse:
         self._set_cache: dict[int, PredicateSet] = {}
         self._components_cache: dict[int, list[int]] = {}
         self._prune_masks: list[tuple[int, ...]] | None = None
-        self._prune_pool_version = -1
 
     # ------------------------------------------------------------------
     @property
@@ -299,14 +297,11 @@ class PredicateUniverse:
         return self._prune_masks[bit]
 
     def _ensure_prune_masks(self) -> None:
-        pool = self.pool
-        pool_version = pool.version if pool is not None else 0
-        if (
-            self._prune_masks is not None
-            and self._prune_pool_version == pool_version
-            and len(self._prune_masks) == len(self._predicates)
+        if self._prune_masks is not None and len(self._prune_masks) == len(
+            self._predicates
         ):
             return
+        pool = self.pool
         masks: list[tuple[int, ...]] = []
         for predicate in self._predicates:
             entry: set[int] = set()
@@ -318,7 +313,6 @@ class PredicateUniverse:
                             entry.add(mask)
             masks.append(tuple(sorted(entry)))
         self._prune_masks = masks
-        self._prune_pool_version = pool_version
 
     def _expression_mask(self, expression: PredicateSet) -> int:
         """Mask of ``expression``, or 0 when not fully interned."""

@@ -260,17 +260,15 @@ class SITEstimator(Estimator):
 
     # -- invalidation ----------------------------------------------------
     def _invalidate_table(self, table: str) -> None:
-        """Drop derived state so a catalog-less estimator re-derives.
+        """Move the bare pool's version so its plan cache re-derives.
 
         With an owning catalog the forwarded ``notify_table_update``
-        already invalidates the published pool's prune masks and bumps
-        the versions every cache above keys on; this hook covers the
-        bare-pool configuration (the version move empties the DP's memo
-        at its next request; the pool's derived joins stay).
+        already bumps the versions every cache above keys on; this hook
+        covers the bare-pool configuration.  The DPs (this one and the
+        ladder's, over pools built from the same SITs) keep their memos:
+        a notify changes no histogram and no membership.
         """
         self.pool.invalidate_derived()
-        self._fallback_cache.clear()
-        self._base_algorithm = None
         fallback = self.fallback_estimator
         if fallback is not None and fallback.snapshot is None:
             fallback.notify_table_update(table)

@@ -32,9 +32,17 @@ from repro.stats.sit import SIT
 
 @dataclass
 class SITPool:
-    """A queryable collection of SITs, indexed by attribute."""
+    """A queryable collection of SITs, indexed by attribute.
 
-    sits: list[SIT] = field(default_factory=list)
+    Membership is fixed when the pool is built: the SITs are given at
+    construction and :attr:`sits` is a tuple.  Every answer over a pool
+    is therefore a pure function of the pool and the predicates, and a
+    change of membership is a new pool (the catalog publishes one per
+    ``add`` / ``remove`` / refresh; :meth:`excluding`,
+    :meth:`restrict_joins` and :meth:`base_only` build one).
+    """
+
+    sits: tuple[SIT, ...] = ()
     _by_attribute: dict[Attribute, list[SIT]] = field(
         init=False, default_factory=dict, repr=False
     )
@@ -42,10 +50,9 @@ class SITPool:
     _expressions_by_attribute: dict[Attribute, list[PredicateSet]] = field(
         init=False, default_factory=dict, repr=False
     )
-    #: monotonically increasing counter, bumped on every :meth:`add`.  The
-    #: bitmask universe (:mod:`repro.core.universe`) keys its attribute ->
-    #: SIT-expression mask index on this so a pool mutation invalidates the
-    #: derived masks without the pool knowing about bit layouts.
+    #: bumped by :meth:`invalidate_derived` only; its one reader is the
+    #: plan cache (:class:`repro.core.plancache.PlanCache`), which drops
+    #: its plans when it moves.
     version: int = field(init=False, default=0, repr=False)
     #: derived histograms by operand identity — ``(id(left), id(right),
     #: max_buckets) -> (result, left, right)`` — filled through every
@@ -57,23 +64,17 @@ class SITPool:
     )
 
     def __post_init__(self) -> None:
-        sits, self.sits = self.sits, []
-        for sit in sits:
-            self.add(sit)
-
-    def add(self, sit: SIT) -> None:
-        """Add a SIT, maintaining the attribute and expression indexes."""
-        self.sits.append(sit)
-        self._by_attribute.setdefault(sit.attribute, []).append(sit)
-        for predicate in sit.expression:
-            self._by_member.setdefault(predicate, []).append(sit)
-        if sit.expression:
-            expressions = self._expressions_by_attribute.setdefault(
-                sit.attribute, []
-            )
-            if sit.expression not in expressions:
-                expressions.append(sit.expression)
-        self.version += 1
+        self.sits = tuple(self.sits)
+        for sit in self.sits:
+            self._by_attribute.setdefault(sit.attribute, []).append(sit)
+            for predicate in sit.expression:
+                self._by_member.setdefault(predicate, []).append(sit)
+            if sit.expression:
+                expressions = self._expressions_by_attribute.setdefault(
+                    sit.attribute, []
+                )
+                if sit.expression not in expressions:
+                    expressions.append(sit.expression)
 
     # -- the unified query API -----------------------------------------
     def find(
@@ -96,7 +97,7 @@ class SITPool:
           contains this predicate (Section 3.5's dependence probes);
         * ``base_only`` — restrict to base-table histograms.
 
-        Results preserve pool insertion order.
+        Results preserve pool order.
         """
         if attribute is not None:
             candidates = self._by_attribute.get(attribute, [])
@@ -138,14 +139,12 @@ class SITPool:
 
     # -- derived-state invalidation ------------------------------------
     def invalidate_derived(self) -> None:
-        """Bump :attr:`version` without changing membership.
+        """Bump :attr:`version`; membership and histograms are unchanged.
 
-        The catalog's table-update event path calls this so every structure
-        *derived* from the pool (the bitmask universe's Section 3.4 prune
-        masks, most importantly) is rebuilt before its next use, even though
-        the set of SITs is unchanged.  Rebuilding from identical contents is
-        deterministic, so in-flight estimations stay consistent.
-        :attr:`derived_joins` is kept: a version move changes no histogram.
+        The catalog's table-update event path calls this, and the plan
+        cache over the pool drops its plans on the move.  Nothing else
+        reads the version: a DP's memo, its prune masks and
+        :attr:`derived_joins` are pure functions of the (fixed) SITs.
         """
         self.version += 1
 
@@ -261,7 +260,7 @@ def build_workload_pool(
     """
     queries = list(queries)
     requests = workload_sit_requests(queries, max_joins)
-    pool = SITPool()
+    sits: list[SIT] = []
     seen: set[tuple[Attribute, PredicateSet]] = set()
     for expression in sorted(requests, key=lambda e: (len(e), sorted(map(str, e)))):
         attributes = sorted(
@@ -270,6 +269,6 @@ def build_workload_pool(
         if not attributes:
             continue
         for sit in builder.build_many(expression, attributes):
-            pool.add(sit)
+            sits.append(sit)
             seen.add((sit.attribute, expression))
-    return pool
+    return SITPool(sits)

@@ -159,20 +159,26 @@ class TestInvalidationEventPath:
         assert catalog.pool.version == pool_version + 1
 
     def test_stale_universe_masks_cannot_be_reused(self, catalog):
-        """Regression: Section 3.4 prune masks are keyed on the pool's
-        derived-state version, so one ``notify_table_update`` forces the
-        bitmask universe to rebuild them instead of serving stale masks."""
-        universe = PredicateUniverse(catalog.pool)
-        universe.intern(frozenset({JOIN_RS, FilterPredicate(RA, 0, 5)}))
+        """Section 3.4 prune masks are a pure function of the pool's
+        membership, fixed when it is built, and of the interned
+        predicates: after a ``notify_table_update`` a universe's masks
+        equal a fresh universe's, before and after it interns more."""
+        predicates = frozenset({JOIN_RS, FilterPredicate(RA, 0, 5)})
+        more = frozenset({FilterPredicate(SB, 0, 5)})
+        pool = catalog.pool
+        universe = PredicateUniverse(pool)
+        universe.intern(predicates)
         universe.prune_masks(0)
-        served_version = universe._prune_pool_version
-        assert served_version == catalog.pool.version
         catalog.notify_table_update("S")
-        assert catalog.pool.version > served_version
-        universe.prune_masks(0)
-        assert universe._prune_pool_version == catalog.pool.version
+        assert catalog.pool is pool
+        fresh = PredicateUniverse(pool)
+        for interned in (predicates, more):
+            universe.intern(interned)
+            fresh.intern(interned)
+            masks = [universe.prune_masks(bit) for bit in range(universe.size)]
+            assert masks == [fresh.prune_masks(bit) for bit in range(fresh.size)]
 
-    def test_lifecycle_metrics_flow(self, catalog):
+    def test_lifecycle_metrics_flow(self, catalog, two_table_db):
         catalog.attach_feedback(FeedbackStore())
         catalog.notify_table_update("S")
         snapshot = catalog.stats_snapshot()
@@ -180,6 +186,26 @@ class TestInvalidationEventPath:
         assert snapshot.catalog["stale_sits"] == 4.0
         assert snapshot.catalog["sit_count"] == float(len(catalog))
         assert snapshot.meta["subsystem"] == "catalog"
+
+        def gauges(catalog) -> tuple:
+            block = catalog.stats_snapshot().catalog
+            return (block["version"], block["sit_count"], block["stale_sits"])
+
+        def status(catalog) -> tuple:
+            block = catalog.status()
+            return tuple(
+                float(block[key]) for key in ("version", "sits", "stale_sits")
+            )
+
+        assert gauges(catalog) == status(catalog)
+        catalog.add(make_sit(RX, {JOIN_RS}, diff=0.1))  # publishes a pool
+        assert gauges(catalog) == status(catalog) == (3.0, 7.0, 4.0)
+        # a refresh needs data: the same SITs over the two-table database
+        built = StatisticsCatalog.from_pool(catalog.pool, database=two_table_db)
+        built.notify_table_update("R")
+        assert gauges(built) == status(built) == (2.0, 7.0, 5.0)
+        built.refresh()
+        assert gauges(built) == status(built) == (3.0, 7.0, 0.0)
 
 
 class TestErrorFunctionIndependence:

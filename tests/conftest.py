@@ -67,15 +67,15 @@ def two_table_join(two_table_attrs) -> JoinPredicate:
 def two_table_pool(two_table_db, two_table_attrs, two_table_join) -> SITPool:
     """Base histograms plus SITs on the join expression."""
     builder = SITBuilder(two_table_db)
-    pool = SITPool()
-    for attribute in two_table_attrs.values():
-        pool.add(builder.build_base(attribute))
-    for sit in builder.build_many(
-        frozenset((two_table_join,)),
-        [two_table_attrs["Ra"], two_table_attrs["Sb"]],
-    ):
-        pool.add(sit)
-    return pool
+    return SITPool(
+        [
+            *(builder.build_base(a) for a in two_table_attrs.values()),
+            *builder.build_many(
+                frozenset((two_table_join,)),
+                [two_table_attrs["Ra"], two_table_attrs["Sb"]],
+            ),
+        ]
+    )
 
 
 @pytest.fixture(scope="session")

@@ -95,9 +95,9 @@ def random_pool(rng: random.Random, predicates: frozenset) -> SITPool:
     def histogram() -> Histogram:
         return shared if uniform_ties else random_histogram(rng)
 
-    pool = SITPool()
-    for attribute in attributes:
-        pool.add(SIT(attribute, frozenset(), histogram(), diff=0.0))
+    sits = [
+        SIT(attribute, frozenset(), histogram(), diff=0.0) for attribute in attributes
+    ]
     joins = sorted((p for p in predicates if p.is_join), key=str)
     for _ in range(rng.randint(0, 6)):
         if not joins:
@@ -105,8 +105,8 @@ def random_pool(rng: random.Random, predicates: frozenset) -> SITPool:
         expression = frozenset(rng.sample(joins, rng.randint(1, min(3, len(joins)))))
         attribute = rng.choice(attributes)
         diff = 0.0 if uniform_ties else round(rng.random(), 3)
-        pool.add(SIT(attribute, expression, histogram(), diff=diff))
-    return pool
+        sits.append(SIT(attribute, expression, histogram(), diff=diff))
+    return SITPool(sits)
 
 
 def build_corpus() -> list[tuple[int, frozenset, SITPool, str, bool]]:

@@ -140,7 +140,7 @@ def with_filter_sits(pool, workload, seed: int) -> SITPool:
     test builds its one)."""
     rng = random.Random(seed)
     base = {sit.attribute: sit for sit in pool if sit.is_base}
-    extended = SITPool(list(pool))
+    sits = list(pool)
     for predicates in workload:
         filters = sorted((p for p in predicates if not p.is_join), key=str)
         joins = sorted((p for p in predicates if p.is_join), key=str)
@@ -152,7 +152,7 @@ def with_filter_sits(pool, workload, seed: int) -> SITPool:
             if joins:
                 expressions.append(frozenset({first, rng.choice(joins)}))
             for expression in expressions:
-                extended.add(
+                sits.append(
                     SIT(
                         attribute,
                         expression,
@@ -160,7 +160,7 @@ def with_filter_sits(pool, workload, seed: int) -> SITPool:
                         diff=round(rng.random(), 3),
                     )
                 )
-    return extended
+    return SITPool(sits)
 
 
 def entries(table: dict) -> int:

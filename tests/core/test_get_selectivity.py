@@ -43,8 +43,8 @@ def make_sit(attribute, expression=frozenset(), diff=0.0):
     return SIT(attribute, frozenset(expression), uniform(), diff=diff)
 
 
-def full_base_pool():
-    return SITPool([make_sit(a) for a in (RA, RX, SY, SB, TZ, TC)])
+def full_base_pool(*extra):
+    return SITPool([*(make_sit(a) for a in (RA, RX, SY, SB, TZ, TC)), *extra])
 
 
 class TestBasics:
@@ -111,8 +111,7 @@ class TestBasics:
 
 class TestSITUsage:
     def test_conditioned_sit_lowers_error(self):
-        pool = full_base_pool()
-        pool.add(make_sit(RA, {JOIN_RS}, diff=0.5))
+        pool = full_base_pool(make_sit(RA, {JOIN_RS}, diff=0.5))
         algorithm = GetSelectivity(pool, NIndError())
         with_sit = algorithm(frozenset({FILTER_A, JOIN_RS}))
         base_algorithm = GetSelectivity(full_base_pool(), NIndError())
@@ -120,9 +119,8 @@ class TestSITUsage:
         assert with_sit.error < without_sit.error
 
     def test_chosen_decomposition_uses_the_sit(self):
-        pool = full_base_pool()
         conditioned = make_sit(RA, {JOIN_RS}, diff=0.5)
-        pool.add(conditioned)
+        pool = full_base_pool(conditioned)
         algorithm = GetSelectivity(pool, NIndError())
         result = algorithm(frozenset({FILTER_A, JOIN_RS}))
         used = {
@@ -176,10 +174,11 @@ class TestTheorem1:
         ids=["2-preds", "3-preds", "4-preds"],
     )
     def test_dp_matches_exhaustive_nind(self, predicates):
-        pool = full_base_pool()
-        pool.add(make_sit(RA, {JOIN_RS}, diff=0.4))
-        pool.add(make_sit(SB, {JOIN_RS}, diff=0.2))
-        pool.add(make_sit(TC, {JOIN_ST}, diff=0.7))
+        pool = full_base_pool(
+            make_sit(RA, {JOIN_RS}, diff=0.4),
+            make_sit(SB, {JOIN_RS}, diff=0.2),
+            make_sit(TC, {JOIN_ST}, diff=0.7),
+        )
         error_function = NIndError()
         algorithm = GetSelectivity(pool, error_function)
         dp_error = algorithm(predicates).error
@@ -195,9 +194,10 @@ class TestTheorem1:
         ids=["2-preds", "4-preds"],
     )
     def test_dp_matches_exhaustive_diff(self, predicates):
-        pool = full_base_pool()
-        pool.add(make_sit(RA, {JOIN_RS}, diff=0.4))
-        pool.add(make_sit(TC, {JOIN_ST}, diff=0.7))
+        pool = full_base_pool(
+            make_sit(RA, {JOIN_RS}, diff=0.4),
+            make_sit(TC, {JOIN_ST}, diff=0.7),
+        )
         error_function = DiffError(pool)
         algorithm = GetSelectivity(pool, error_function)
         dp_error = algorithm(predicates).error
@@ -207,8 +207,7 @@ class TestTheorem1:
 
 class TestSITDrivenPruning:
     def test_pruning_preserves_result_with_sparse_pool(self):
-        pool = full_base_pool()
-        pool.add(make_sit(RA, {JOIN_RS}, diff=0.5))
+        pool = full_base_pool(make_sit(RA, {JOIN_RS}, diff=0.5))
         predicates = frozenset({FILTER_A, JOIN_RS, JOIN_ST})
         plain = GetSelectivity(pool, NIndError())
         pruned = GetSelectivity(pool, NIndError(), sit_driven_pruning=True)

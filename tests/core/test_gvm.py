@@ -28,8 +28,8 @@ def make_sit(attribute, expression=frozenset(), diff=0.0):
     return SIT(attribute, frozenset(expression), uniform(), diff=diff)
 
 
-def base_pool():
-    return SITPool([make_sit(a) for a in (RA, RX, SY, SB, ST, TZ)])
+def base_pool(*extra):
+    return SITPool([*(make_sit(a) for a in (RA, RX, SY, SB, ST, TZ)), *extra])
 
 
 class TestCompatibility:
@@ -61,25 +61,24 @@ class TestCompatibility:
 
 class TestGreedySelection:
     def test_prefers_larger_expression(self):
-        pool = base_pool()
         better = make_sit(RA, {JOIN_RS, JOIN_ST})
         worse = make_sit(RA, {JOIN_RS})
-        pool.add(worse)
-        pool.add(better)
+        pool = base_pool(worse, better)
         gvm = GreedyViewMatching(pool)
         query = Query.of(JOIN_RS, JOIN_ST, FilterPredicate(RA, 0, 10))
         estimate = gvm.estimate(query)
         assert estimate.assignment[RA] == better
 
     def test_conflicting_sits_cannot_both_be_used(self):
-        pool = base_pool()
         sit_a = make_sit(RA, {JOIN_RS})
         j_su = JoinPredicate(SB, Attribute("U", "b"))
         sit_u = make_sit(Attribute("U", "c"), {j_su})
-        pool.add(sit_a)
-        pool.add(sit_u)
-        pool.add(make_sit(Attribute("U", "b")))
-        pool.add(make_sit(Attribute("U", "c")))
+        pool = base_pool(
+            sit_a,
+            sit_u,
+            make_sit(Attribute("U", "b")),
+            make_sit(Attribute("U", "c")),
+        )
         query = Query.of(
             JOIN_RS, j_su, FilterPredicate(RA, 0, 10),
             FilterPredicate(Attribute("U", "c"), 0, 10),
@@ -92,8 +91,7 @@ class TestGreedySelection:
         assert len(used) <= 1
 
     def test_join_operand_never_conditioned_on_its_own_join(self):
-        pool = base_pool()
-        pool.add(make_sit(RX, {JOIN_RS}))  # pathological SIT
+        pool = base_pool(make_sit(RX, {JOIN_RS}))  # pathological SIT
         gvm = GreedyViewMatching(pool)
         query = Query.of(JOIN_RS)
         assignment = gvm.estimate(query).assignment

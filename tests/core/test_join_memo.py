@@ -150,7 +150,6 @@ class TestVersionGate:
         session = EstimationSession(fixture.catalog)
         for query in fixture.queries:
             session.estimate(query)
-        algorithm = session.estimator.algorithm
         store = session.pool.derived_joins
         filled = dict(store)
         assert filled and len(filled) == len(kernel_calls)
@@ -163,7 +162,6 @@ class TestVersionGate:
                 answers.append(answer)
             # a version move changes no histogram: the very same entries,
             # and every recompile joined nothing
-            assert algorithm._version == session.pool.version
             assert store.keys() == filled.keys()
             assert all(store[key] is entry for key, entry in filled.items())
             assert len(kernel_calls) == len(filled)

@@ -38,11 +38,8 @@ def sit(attribute, expression=frozenset(), diff=0.0):
     return SIT(attribute, frozenset(expression), uniform_histogram(), diff=diff)
 
 
-def base_pool(*attributes):
-    pool = SITPool()
-    for attribute in attributes:
-        pool.add(sit(attribute))
-    return pool
+def base_pool(*attributes, extra=()):
+    return SITPool([*(sit(attribute) for attribute in attributes), *extra])
 
 
 class TestCandidateSelection:
@@ -52,14 +49,10 @@ class TestCandidateSelection:
         p1 = JoinPredicate(RX, SY)
         p2 = JoinPredicate(Attribute("R", "x2"), Attribute("S", "y2"))
         p3 = JoinPredicate(ST, TZ)
-        pool = SITPool()
-        pool.add(sit(RA))
         sit_p1 = sit(RA, {p1})
         sit_p2 = sit(RA, {p2})
         sit_p123 = sit(RA, {p1, p2, p3})
-        pool.add(sit_p1)
-        pool.add(sit_p2)
-        pool.add(sit_p123)
+        pool = base_pool(RA, extra=(sit_p1, sit_p2, sit_p123))
         matcher = ViewMatcher(pool)
         candidates = matcher.maximal_candidates(RA, frozenset({p1, p2}))
         assert set(candidates) == {sit_p1, sit_p2}
@@ -76,9 +69,8 @@ class TestCandidateSelection:
         assert matcher.maximal_candidates(SB, frozenset()) == ()
 
     def test_fully_conditioned_sit_preferred_by_maximality(self):
-        pool = base_pool(RA)
         conditioned = sit(RA, {JOIN_RS})
-        pool.add(conditioned)
+        pool = base_pool(RA, extra=(conditioned,))
         matcher = ViewMatcher(pool)
         candidates = matcher.maximal_candidates(RA, frozenset({JOIN_RS}))
         assert candidates == (conditioned,)
@@ -148,8 +140,7 @@ class TestImplicitTerms:
     def test_single_filter_with_conditioning(self):
         """nInd(Sel(p|q1,q2) ~ SIT(p|q1)) = 1 (paper's Section 3.2 example)."""
         q2 = JoinPredicate(Attribute("R", "x2"), Attribute("S", "y2"))
-        pool = base_pool(RA)
-        pool.add(sit(RA, {JOIN_RS}))
+        pool = base_pool(RA, extra=(sit(RA, {JOIN_RS}),))
         match = self.build_match(pool, {FILTER_A}, {JOIN_RS, q2})
         terms = implicit_terms(match)
         assert len(terms) == 1

@@ -37,10 +37,12 @@ def workload():
     join_st = JoinPredicate(b, c)
     filter_r = FilterPredicate(a, 10.0, 40.0)
     predicates = frozenset({join_rs, join_st, filter_r})
-    pool = SITPool()
-    for attribute in (a, b, c):
-        pool.add(SIT(attribute, frozenset(), _histogram()))
-    pool.add(SIT(a, frozenset({join_st}), _histogram(), diff=0.1))
+    pool = SITPool(
+        [
+            *(SIT(attribute, frozenset(), _histogram()) for attribute in (a, b, c)),
+            SIT(a, frozenset({join_st}), _histogram(), diff=0.1),
+        ]
+    )
     return predicates, pool
 
 

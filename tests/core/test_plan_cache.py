@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.catalog import EstimationSession
+from repro.catalog import EstimationSession, StatisticsCatalog
 from repro.core.errors import NIndError
 from repro.estimators import SITEstimator
 from repro.core import get_selectivity
@@ -123,15 +123,17 @@ class TestCompileGates:
         self, two_table_db, two_table_pool, two_table_attrs, shapes
     ):
         ra = two_table_attrs["Ra"]
-        unsafe = SITPool(list(two_table_pool))
         base = next(s for s in two_table_pool if s.is_base and s.attribute == ra)
-        unsafe.add(
-            SIT(
-                ra,
-                frozenset({FilterPredicate(ra, 0.0, 50.0)}),
-                base.histogram,
-                diff=0.1,
-            )
+        unsafe = SITPool(
+            [
+                *two_table_pool,
+                SIT(
+                    ra,
+                    frozenset({FilterPredicate(ra, 0.0, 50.0)}),
+                    base.histogram,
+                    diff=0.1,
+                ),
+            ]
         )
         estimator = SITEstimator(
             two_table_db, unsafe, NIndError(), plan_cache=True
@@ -267,70 +269,65 @@ class TestPersistentMemo:
             assert cache.compile(shape, algorithm, result) is not None
         assert emptied >= 2
 
-    def test_version_move_empties_memo_once_and_keeps_join_memo(
-        self, two_table_pool, shapes
-    ):
-        """The memo rides the same invalidation path as the plan cache:
-        a derived-state version bump (``notify_table_update``) empties
-        it at the next request — once per move.  The pool's derived
-        histograms read only histograms a version move leaves as they
-        are, so every one of them stays, the very same object."""
-        pool = SITPool(list(two_table_pool))  # private: version is mutated
+    def test_a_notify_keeps_the_memo_and_the_join_memo(self, two_table_pool, shapes):
+        """A pool's membership is fixed when it is built, so a notify
+        (``invalidate_derived``) moves nothing a memo entry was solved
+        from: every entry and every derived histogram stays, the very
+        same object, and the answers equal a fresh DP's."""
+        pool = SITPool(list(two_table_pool))  # private: version is moved
         algorithm = GetSelectivity(pool, NIndError())
         algorithm(shapes[1])
         algorithm(shapes[2])
         joins = algorithm._join_memo._entries
         assert joins is pool.derived_joins and joins
-        stale, stale_joins = dict(algorithm._memo), dict(joins)
+        held, held_joins = dict(algorithm._memo), dict(joins)
         misses = algorithm._join_memo.misses
         pool.invalidate_derived()
-        algorithm(shapes[1])
-        # nothing solved under the old version is left: the request
-        # re-solved its own sub-masks
-        assert len(algorithm._memo) == 3 < len(stale)
-        assert all(algorithm._memo[mask] is not stale[mask] for mask in algorithm._memo)
-        # ... and joined nothing: every entry is the one stored before
+        answers = [algorithm(shapes[1]), algorithm(shapes[2])]
+        # nothing was solved again, and nothing joined
+        assert algorithm._memo.keys() == held.keys()
+        assert all(algorithm._memo[mask] is entry for mask, entry in held.items())
         assert algorithm._join_memo.misses == misses
-        assert all(joins[key] is entry for key, entry in stale_joins.items())
-        # same version, next request: nothing is emptied again
-        held = dict(algorithm._memo)
-        algorithm(shapes[2])
-        assert all(algorithm._memo[mask] is result for mask, result in held.items())
+        assert all(joins[key] is entry for key, entry in held_joins.items())
+        fresh = GetSelectivity(pool, NIndError())
+        assert answers == [fresh(shapes[1]), fresh(shapes[2])]
 
-    def test_a_sit_added_to_the_pool_is_a_candidate_for_a_live_session(
+    def test_a_sit_added_to_the_catalog_is_a_candidate_for_a_fresh_session(
         self, two_table_db, two_table_attrs, two_table_join
     ):
-        """A session that solved a query before ``SITPool.add`` answers
-        it afterwards as a fresh session does: the add changes the
-        pool's membership, so the DP's SIT candidates, picks and winners
-        start over (a notify, which only moves the version, keeps them)."""
+        """``catalog.add`` publishes a new pool: a live session keeps the
+        pool it pinned, across a notify too, and answers as a fresh
+        session over that pool does; a fresh session over the new
+        snapshot reads the added SIT."""
         builder = SITBuilder(two_table_db)
-        pool = SITPool(
-            [builder.build_base(attribute) for attribute in two_table_attrs.values()]
+        catalog = StatisticsCatalog.from_pool(
+            SITPool(
+                [builder.build_base(a) for a in two_table_attrs.values()]
+            ),
+            database=two_table_db,
         )
         ra = two_table_attrs["Ra"]
         (conditioned,) = builder.build_many(frozenset({two_table_join}), [ra])
         query = Query.of(two_table_join, FilterPredicate(ra, 10.0, 40.0))
 
-        def session() -> EstimationSession:
-            return EstimationSession(
-                pool, NIndError(), database=two_table_db, plan_cache=False
-            )
+        def session(statistics) -> EstimationSession:
+            return EstimationSession(statistics, NIndError(), plan_cache=False)
 
-        live = session()
+        live = session(catalog)
+        pinned = live.pool
         assert live.estimate(query).error == 1.0
-        algorithm = live.estimator.algorithm
-        scorer = algorithm._scorer
-        pool.invalidate_derived()  # a notify: same SITs, candidates kept
-        assert live.estimate(query).error == 1.0
-        assert algorithm._scorer is scorer
-        pool.add(conditioned)
+        scorer = live.estimator.algorithm._scorer
+        catalog.notify_table_update(ra.table)
+        catalog.add(conditioned)
+        assert catalog.pool is not pinned
         after = live.estimate(query)
-        assert algorithm._scorer is not scorer
-        fresh = session().estimate(query)
-        assert after == fresh
-        assert after.error == 0.0
-        assert str(conditioned) in after.matched_sits
+        assert live.pool is pinned
+        assert live.estimator.algorithm._scorer is scorer
+        assert after == session(live.snapshot).estimate(query)
+        assert after.error == 1.0
+        fresh = session(catalog).estimate(query)
+        assert fresh.error == 0.0
+        assert str(conditioned) in fresh.matched_sits
 
     def test_reset_still_empties_the_memo(self, two_table_pool, shapes):
         algorithm = GetSelectivity(two_table_pool, NIndError())

@@ -227,16 +227,14 @@ def _pool_with_sits(rng, predicates):
 
     histogram = Histogram([Bucket(0.0, 400.0, 1000.0, 100.0)])
     attributes = sorted(attributes_of(predicates))
-    pool = SITPool()
-    for attribute in attributes:
-        pool.add(SIT(attribute, frozenset(), histogram))
+    sits = [SIT(attribute, frozenset(), histogram) for attribute in attributes]
     joins = sorted((p for p in predicates if p.is_join), key=str)
     for _ in range(rng.randint(0, 5)):
         if not joins:
             break
         expression = frozenset(rng.sample(joins, rng.randint(1, min(3, len(joins)))))
-        pool.add(SIT(rng.choice(attributes), expression, histogram))
-    return pool
+        sits.append(SIT(rng.choice(attributes), expression, histogram))
+    return SITPool(sits)
 
 
 def test_mask_pruning_matches_legacy_oracle():
@@ -259,28 +257,3 @@ def test_mask_pruning_matches_legacy_oracle():
                     universe.set_of(p_mask), universe.set_of(q_mask)
                 )
             ), (predicates, universe.set_of(p_mask))
-
-
-def test_prune_masks_invalidate_on_pool_growth():
-    from repro.histograms.base import Bucket, Histogram
-    from repro.stats.sit import SIT
-
-    rng = random.Random(8)
-    predicates = random_predicates(rng, 4)
-    pool = _pool_with_sits(rng, predicates)
-    universe = PredicateUniverse(pool)
-    mask = universe.intern(predicates)
-    joins = [p for p in predicates if p.is_join]
-    filters = [p for p in predicates if not p.is_join]
-    target = filters[0] if filters else joins[0]
-    attribute = next(iter(target.attributes))
-    expression = frozenset(joins[:1])
-    bit = universe.bit(target)
-    before = universe.prune_masks(bit)
-    pool.add(
-        SIT(attribute, expression, Histogram([Bucket(0.0, 1.0, 10.0, 5.0)]))
-    )
-    after = universe.prune_masks(bit)
-    expression_mask = universe.intern(expression)
-    assert expression_mask in after
-    assert set(before) <= set(after)

@@ -64,19 +64,16 @@ def database_and_predicates(draw):
 
 def build_pool(db, predicates, join_budget):
     builder = SITBuilder(db)
-    pool = SITPool()
     attributes = sorted(attributes_of(predicates))
-    for attribute in attributes:
-        pool.add(builder.build_base(attribute))
+    sits = [builder.build_base(attribute) for attribute in attributes]
     joins = frozenset(p for p in predicates if p.is_join)
     for expression in connected_join_subsets(joins, join_budget):
         from repro.core.predicates import tables_of
 
         expression_tables = tables_of(expression)
         matching = [a for a in attributes if a.table in expression_tables]
-        for sit in builder.build_many(expression, matching):
-            pool.add(sit)
-    return pool
+        sits.extend(builder.build_many(expression, matching))
+    return SITPool(sits)
 
 
 class TestEstimationInvariants:

@@ -16,15 +16,12 @@ from itertools import combinations
 
 from repro.advisor import AdvisorConfig
 from repro.catalog import EstimationSession
-from repro.core.errors import NIndError
 from repro.core.plancache import CompiledPlan, PlanCache, shape_fingerprint
 from repro.core.predicates import FilterPredicate
 from repro.engine.expressions import Query
 from repro.obs import StalenessTracker
 from repro.resilience.faults import FaultPlan, FaultRule, armed
 from repro.service import EstimationService, HealingConfig, ServiceConfig
-from repro.stats.builder import SITBuilder
-from repro.stats.pool import SITPool
 
 ONE_WORKER = ServiceConfig(workers=1, queue_depth=64)
 
@@ -281,7 +278,7 @@ class TestAnsweredOnArrival:
         def counting(self, predicates, algorithm, result):
             plan = compile_plan(self, predicates, algorithm, result)
             if plan is not None:
-                compiled.append((plan.pool_version, plan.fingerprint))
+                compiled.append((self.pool_version, plan.fingerprint))
             return plan
 
         monkeypatch.setattr(PlanCache, "compile", counting)
@@ -548,12 +545,16 @@ class TestOneCachePerSnapshot:
 
 
 class TestInsertGuard:
-    """A compile inserts only while the pool version its DP solved at is
-    still the pool's and the cache's."""
+    """A compile files its plan whatever lands while it runs: a plan is
+    a pure function of the pool, whose membership is fixed when it is
+    built, and of the shape."""
 
-    def test_a_compile_straddling_a_notify_files_nothing(
+    def test_a_plan_compiled_across_a_notify_replays_as_the_twin(
         self, service_catalog, join_query, monkeypatch
     ):
+        """A notify moves no SIT, so the plan a straddling compile files
+        is the one a compile after the notify would file: the next
+        request replays it, equal to the plan-cache-off twin."""
         parked, release, caches = parked_compiles(monkeypatch)
         with EstimationService(service_catalog, config=ONE_WORKER) as service:
             old = service_catalog.version
@@ -563,57 +564,19 @@ class TestInsertGuard:
             release.set()
             assert straddling.result(timeout=30.0).snapshot_version == old
             # the cache it compiled into moved to the newer pool version
-            # and holds nothing
+            # first, and holds the plan
             cache = caches[0]
             assert cache.pool_version == cache.pool.version
-            assert len(cache) == 0
+            assert len(cache) == 1
             after = service.estimate(join_query)
         expected = EstimationSession(service_catalog, plan_cache=False).estimate(
             join_query
         )
         assert after.snapshot_version == service_catalog.version
-        assert not after.plan_cache_hit
+        assert after.plan_cache_hit
         assert (after.selectivity, after.error) == (
             expected.selectivity,
             expected.error,
         )
-
-    def test_a_compile_straddling_a_pool_add_files_nothing(
-        self, two_table_db, two_table_attrs, two_table_join, monkeypatch
-    ):
-        """On a bare-pool service the sessions never roll: a plan of the
-        pool without the new SIT, filed under the version with it, would
-        be the next answer."""
-        builder = SITBuilder(two_table_db)
-        pool = SITPool(
-            [builder.build_base(attribute) for attribute in two_table_attrs.values()]
-        )
-        ra = two_table_attrs["Ra"]
-        (conditioned,) = builder.build_many(frozenset({two_table_join}), [ra])
-        query = Query.of(two_table_join, FilterPredicate(ra, 10.0, 40.0))
-        parked, release, caches = parked_compiles(monkeypatch)
-        with EstimationService(
-            pool,
-            database=two_table_db,
-            config=ONE_WORKER,
-            error_function=NIndError(),
-        ) as service:
-            straddling = service.submit(query)
-            assert parked.wait(timeout=10.0)
-            pool.add(conditioned)
-            release.set()
-            straddling.result(timeout=30.0)
-            cache = caches[0]
-            assert cache.pool_version == pool.version
-            assert len(cache) == 0
-            after = service.estimate(query)
-            again = service.estimate(query)
-        expected = EstimationSession(
-            pool, NIndError(), database=two_table_db, plan_cache=False
-        ).estimate(query)
-        assert not after.plan_cache_hit
-        assert (after.selectivity, after.error) == (
-            expected.selectivity,
-            expected.error,
-        )
-        assert again.plan_cache_hit and len(cache) == 1
+        plan, ordered = cache.plan_for(join_query.predicates)
+        assert plan.replay(ordered) == expected

@@ -82,6 +82,33 @@ class TestSITPool:
         assert pool.version == before + 1
         assert list(pool) == [sit]
 
+    def test_membership_is_fixed_when_built(self):
+        sits = [make_sit(RA), make_sit(RA, {JOIN_RS}), make_sit(SB, {JOIN_RS})]
+        pool = SITPool(sits)
+        assert not hasattr(pool, "add")
+        assert isinstance(pool.sits, tuple)
+        assert pool.sits == tuple(sits)
+        sits.append(make_sit(RX))  # the caller's list is not the pool's
+        assert len(pool) == 3
+        indexes = (
+            dict(pool._by_attribute),
+            dict(pool._by_member),
+            dict(pool._expressions_by_attribute),
+        )
+        derived = [
+            pool.excluding([str(sits[1])]),
+            pool.restrict_joins(0),
+            pool.base_only(),
+        ]
+        assert [len(narrowed) for narrowed in derived] == [2, 1, 1]
+        assert all(isinstance(narrowed.sits, tuple) for narrowed in derived)
+        assert pool.sits == tuple(sits[:3])
+        assert indexes == (
+            pool._by_attribute,
+            pool._by_member,
+            pool._expressions_by_attribute,
+        )
+
     def test_contains_and_iter(self):
         sit = make_sit(RA)
         pool = SITPool([sit])

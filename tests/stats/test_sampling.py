@@ -84,14 +84,15 @@ class TestSampledEstimation:
         true = Executor(two_table_db).cardinality(query.predicates)
 
         def error(builder):
-            pool = SITPool()
-            for attribute in two_table_attrs.values():
-                pool.add(builder.build_base(attribute))
-            for sit in builder.build_many(
-                frozenset({two_table_join}),
-                [two_table_attrs["Ra"], two_table_attrs["Sb"]],
-            ):
-                pool.add(sit)
+            pool = SITPool(
+                [
+                    *(builder.build_base(a) for a in two_table_attrs.values()),
+                    *builder.build_many(
+                        frozenset({two_table_join}),
+                        [two_table_attrs["Ra"], two_table_attrs["Sb"]],
+                    ),
+                ]
+            )
             return abs(make_gs_diff(two_table_db, pool).cardinality(query) - true)
 
         exact_error = error(SITBuilder(two_table_db))

@@ -84,10 +84,13 @@ class TestMotivatingQuery:
         db = generate_tpch()
         query = motivating_query(db)
         builder = SITBuilder(db)
-        pool = SITPool()
-        for table in db.schema.tables.values():
-            for attribute in table.attributes:
-                pool.add(builder.build_base(attribute))
+        pool = SITPool(
+            [
+                builder.build_base(attribute)
+                for table in db.schema.tables.values()
+                for attribute in table.attributes
+            ]
+        )
         estimate = make_nosit(db, pool).cardinality(query)
         true = Executor(db).cardinality(query.predicates)
         assert estimate < true / 3
