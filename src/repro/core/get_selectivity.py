@@ -9,13 +9,16 @@ enumeration (Lemma 1).
 Structure follows the paper's pseudo-code:
 
 * one memoization table keyed by the predicate set (lines 1-2), kept
-  for the life of the instance so a later request for a sub-plan is a
-  lookup (Section 4);
+  for the life of the instance so a later request for a sub-plan the
+  DP solved is a lookup (Section 4);
 * separable selectivities are split into their standard decomposition and
   solved independently (lines 3-7, Lemma 2);
-* non-separable ones try every atomic decomposition
+* non-separable ones search the atomic decompositions
   ``Sel(P'|Q) * Sel(Q)`` (lines 9-15), matching SITs for the conditional
-  factor through the view-matching routine of Section 3.3;
+  factor through the view-matching routine of Section 3.3 — for a priced
+  error function as a branch and bound: a factor's unconditioned error
+  bounds every conditioning of it from below, so pairs that cannot win
+  are not scored and their tails not solved;
 * the winning factor is *estimated* only once, after the search
   (lines 16-17), and only on the answer's chain: a memo node keeps what
   the search compares until an answer reads it — the paper's split
@@ -80,7 +83,7 @@ from repro.core.matching import (
 )
 from repro.core.predicates import PredicateSet, connected_components
 from repro.core.selectivity import Decomposition, Factor
-from repro.core.universe import PredicateUniverse, iter_bits
+from repro.core.universe import PredicateUniverse, iter_bits, iter_submasks
 from repro.resilience.faults import (
     POINT_HISTOGRAM_JOIN,
     POINT_SIT_MATCH,
@@ -308,9 +311,11 @@ JOIN_LIMIT = 1024
 class GetSelectivity:
     """A reusable ``getSelectivity`` instance (bitmask fast path).
 
-    The memoization table lives as long as the instance, so every
-    selectivity request for a sub-plan after the first is a table lookup
-    — the reuse property Section 4 builds on.  Every entry is a pure
+    The memoization table lives as long as the instance, so a request
+    for a sub-plan an earlier search solved is a table lookup — the
+    reuse property Section 4 builds on (the branch and bound leaves a
+    tail whose factor cannot win unsolved, and a later request for it
+    solves it, with the exhaustive search's answer).  Every entry is a pure
     function of the pool, whose membership is fixed when it is built,
     and of the predicates, so nothing a ``notify_table_update`` does
     empties it: only ``MEMO_LIMIT`` and ``UNIVERSE_LIMIT`` bound it.  A
@@ -385,6 +390,9 @@ class GetSelectivity:
         self._priced = not error_function.requires_combinations and hasattr(
             error_function, "assumption_price"
         )
+        #: per P' mask, the branch and bound's lower bound on the error
+        #: of every conditioning of P' (see :meth:`_bound`)
+        self._bounds: dict[int, float] = {}
         #: memo keyed by predicate mask (legacy subclass: by frozenset,
         #: and never bounded — the oracle is built per use)
         self._memo: dict = {}
@@ -405,9 +413,13 @@ class GetSelectivity:
         self.analysis_seconds = 0.0
         self.estimation_seconds = 0.0
         #: observability counters since construction or the last
-        #: :meth:`reset` (see :meth:`stats_snapshot`)
+        #: :meth:`reset` (see :meth:`stats_snapshot`).  An explored
+        #: decomposition is a pair whose factor was scored, a bound score
+        #: a scoring of ``Sel(P'|{})`` (:meth:`_bound`): the bitmask
+        #: engine's two add up to ``matcher.calls``
         self.pruned_decompositions = 0
         self.explored_decompositions = 0
+        self.bound_scores = 0
         #: opt-in tracing; ``None`` == disabled (one branch per call site)
         self.trace: Trace | None = None
 
@@ -426,15 +438,18 @@ class GetSelectivity:
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """The explicit cold start: empty the memo and zero the call
-        counter and timing accumulators (the winners' cache, the scorer's
-        tables and the universe are pool-pure and survive) — what the
-        per-query figures of :mod:`repro.bench.harness` measure from."""
+        counter and timing accumulators (the winners' cache, the bounds,
+        the scorer's tables and the universe are pool-pure and survive) —
+        what the per-query figures of :mod:`repro.bench.harness` measure
+        from.  A re-solve scores no bound again, so it makes at most the
+        matcher calls of the cold solve."""
         self._memo.clear()
         self.matcher.reset_counter()
         self.analysis_seconds = 0.0
         self.estimation_seconds = 0.0
         self.pruned_decompositions = 0
         self.explored_decompositions = 0
+        self.bound_scores = 0
         if self.trace is not None:
             self.trace.clear()
 
@@ -455,6 +470,7 @@ class GetSelectivity:
         counter("counters.explored_decompositions").inc(
             self.explored_decompositions
         )
+        counter("counters.bound_scores").inc(self.bound_scores)
         gauge("counters.universe_size").set(self.universe.size)
         gauge("caches.memo_entries").set(len(self._memo))
         gauge("caches.estimate_cache_entries").set(len(self._estimate_cache))
@@ -475,7 +491,7 @@ class GetSelectivity:
         :class:`repro.obs.snapshot.StatsSnapshot`).
 
         Cache sizes are current; matcher calls, explored and pruned
-        decomposition counts and the two Figure 8 timing
+        decomposition counts, bound scores and the two Figure 8 timing
         accumulators run since construction or the last :meth:`reset`;
         the join memo's hits/misses are this instance's lookups over its
         life, and its entry count is the pool's, shared by every DP.
@@ -518,6 +534,7 @@ class GetSelectivity:
         self._scorer = FactorScorer(self.universe, self.matcher, self.error_function)
         self._memo.clear()
         self._estimate_cache.clear()
+        self._bounds.clear()
         self.matcher.clear_caches()
         clear_caches = getattr(self.error_function, "clear_caches", None)
         if clear_caches is not None:
@@ -565,6 +582,8 @@ class GetSelectivity:
     def _solve_non_separable(self, mask: int) -> _Node:
         universe = self.universe
         solve = self._solve
+        memo = self._memo
+        trace = self.trace
         pruning = self.sit_driven_pruning
         best_error = INFINITE_ERROR
         best_coverage = 0.0
@@ -575,25 +594,57 @@ class GetSelectivity:
         # Line 10: every non-empty P' ⊆ P via submask enumeration
         # (sub = (sub - 1) & mask); P' = P (Q empty) is included — it is
         # the decomposition a traditional optimizer implicitly uses.
-        sub = mask
-        while sub:
-            p_mask = sub
-            sub = (sub - 1) & mask
+        subs = list(iter_submasks(mask))
+        # Branch and bound for a priced function: P' in the order of its
+        # unconditioned error, a lower bound on the error of every
+        # conditioning of it (_bound).  The winner is still the least
+        # (error, -coverage, tie_break), whatever the visiting order.
+        # Where some attribute has no base histogram the search stays
+        # tail-first and exhaustive, so a missing statistic raises
+        # exactly where it always did.
+        bounded = self._priced and self._scorer.based(mask)
+        if bounded:
+            bound = self._bound
+            floors = {p_mask: bound(p_mask) for p_mask in subs}
+            subs.sort(key=floors.__getitem__)
+        for p_mask in subs:
+            if bounded:
+                floor = floors[p_mask]
+                if floor > best_error:
+                    break  # no later P' can win
             q_mask = mask ^ p_mask
             if pruning and q_mask and not self._worth_exploring_masks(
                 p_mask, q_mask
             ):
                 self.pruned_decompositions += 1
                 continue
-            explored += 1
-            tail = solve(q_mask)  # line 11
-            if tail.error > best_error:
-                continue  # monotonicity: this decomposition cannot win
-            factor_error, match_coverage, picks = self._best_factor_match(
-                p_mask, q_mask
-            )  # line 12
-            if picks is None:
-                continue
+            if bounded:
+                if q_mask:
+                    tail = memo.get(q_mask)  # solved only if the factor may win
+                    if tail is not None and trace is not None:
+                        trace.count("memo_hits")
+                else:
+                    tail = _EMPTY_RESULT
+                if tail is not None and merge(floor, tail.error) > best_error:
+                    continue
+                explored += 1
+                factor_error, match_coverage, picks = self._best_factor_match(
+                    p_mask, q_mask
+                )  # line 12
+                if picks is None or factor_error > best_error:
+                    continue
+                if tail is None:
+                    tail = solve(q_mask)  # line 11, for a factor that may win
+            else:
+                tail = solve(q_mask)  # line 11
+                if tail.error > best_error:
+                    continue  # monotonicity: this decomposition cannot win
+                explored += 1
+                factor_error, match_coverage, picks = self._best_factor_match(
+                    p_mask, q_mask
+                )  # line 12
+                if picks is None:
+                    continue
             total = merge(factor_error, tail.error)
             if total > best_error:
                 continue
@@ -601,7 +652,8 @@ class GetSelectivity:
             if total == best_error and coverage == best_coverage:
                 # Exact tie on (error, -coverage): break it with the
                 # canonical (size, str-lex) order the legacy enumeration
-                # used implicitly — lines 13-15's determinism contract.
+                # used implicitly — lines 13-15's determinism contract,
+                # whatever order the pairs are visited in.
                 if best_picks is None:
                     continue  # ties against the (inf, 0) sentinel lose
                 if best_tie is None:
@@ -624,6 +676,37 @@ class GetSelectivity:
             # rather than inventing a number.
             raise NoApplicableStatisticsError(universe.set_of(mask))
         return _Node(best_error, best_coverage, best_p_mask, best_picks, None)
+
+    def _bound(self, p_mask: int) -> float:
+        """A lower bound on the error of ``Sel(P'|Q)`` for every ``Q``,
+        kept for the universe's life: for a connected ``P'`` the error
+        of ``Sel(P'|{})`` (``0.0`` when some attribute of ``P'`` has no
+        base histogram), scored once — one view-matching invocation,
+        counted in ``bound_scores``; for a separable one the largest of
+        its components' bounds, with no scoring.
+
+        Why it bounds: conditioning on ``Q`` only adds to what each term
+        of the implicit expansion assumes — ``Q``'s bits, and the ``P'``
+        bits of the components ``Q`` merges — while a pick only ever
+        covers bits of ``Q``.  Every price is at least ``0.0`` (the
+        scorer checks), and a float sum of non-negative terms never
+        shrinks as terms are inserted, so the unconditioned sum, whose
+        terms come in the same order within every conditioned one, is
+        never larger.  A component of ``P'`` shares no table, so no
+        covered bit, with the rest of ``P'``: its unconditioned terms
+        come in order within ``P'``'s too."""
+        floor = self._bounds.get(p_mask)
+        if floor is None:
+            components = self.universe.components(p_mask)
+            if len(components) > 1:
+                floor = max(map(self._bound, components))
+            else:
+                self.bound_scores += 1
+                self.matcher.count_invocation()
+                error, _, picks = self._scorer.score(p_mask, 0, self.trace)
+                floor = 0.0 if picks is None else error
+            self._bounds[p_mask] = floor
+        return floor
 
     def _realize(self, mask: int) -> EstimationResult:
         """Lines 16-17 on the answer's chain: the node of ``mask`` gets

@@ -549,7 +549,10 @@ class FactorScorer:
       and per term bit and assumed mask: those prices in ``str`` order of
       the assumed bits (``_rows``) — a term adds its row value by value
       into the running total, ``priced_factor_error``'s flat sum, with no
-      predicate, ``str()`` or sort per pair.
+      predicate, ``str()`` or sort per pair;
+    * the bits whose predicate has an attribute no base histogram covers
+      (``_unbased``, learned with ``_members``): where there are none,
+      every ``P'`` has an unconditioned match (:meth:`based`).
 
     Holds the universe, the matcher and the error function — never the
     DP that owns it (a retired DP must go without the cycle collector).
@@ -569,6 +572,9 @@ class FactorScorer:
         self._member_bits = 0
         self._prices: dict[tuple[int, int], float] = {}
         self._rows: dict[int, dict[int, tuple[float, ...]]] = {}
+        #: universe mask of the predicates with an attribute no base
+        #: histogram covers, over the first ``_member_bits`` bits
+        self._unbased = 0
 
     # ------------------------------------------------------------------
     def score(
@@ -653,6 +659,13 @@ class FactorScorer:
             trace.add_time("error_scoring", perf_counter() - started)
         return total, float(coverage), tuple(picks)
 
+    def based(self, mask: int) -> bool:
+        """True when every attribute of ``mask``'s predicates has a base
+        histogram — then every ``P' ⊆ mask`` has an unconditioned match."""
+        if self._member_bits < self.universe.size:
+            self._learn_members()
+        return not mask & self._unbased
+
     def _plan(self, p_mask: int) -> tuple:
         """What ``P'`` alone decides: its attributes with their weights
         (step 1, in attribute order, each with its table and its rows of
@@ -727,29 +740,45 @@ class FactorScorer:
         return pick
 
     def _learn_members(self) -> None:
-        """Extend ``_members`` over the bits interned since the last call."""
+        """Extend ``_members`` and ``_unbased`` over the bits interned
+        since the last call."""
         universe = self.universe
-        find = self.matcher.pool.find
-        members = self._members
+        pool = self.matcher.pool
+        members, unbased = self._members, self._unbased
         for bit in range(self._member_bits, universe.size):
-            if find(expression_member=universe.predicate(bit)):
+            if pool.find(expression_member=universe.predicate(bit)):
                 members |= 1 << bit
-        self._members = members
+            if any(pool.find_base(a) is None for a in universe.attributes(bit)):
+                unbased |= 1 << bit
+        self._members, self._unbased = members, unbased
         self._member_bits = universe.size
 
     def _row(self, term: int, assumed: int, rows: dict) -> tuple[float, ...]:
         """The prices ``term`` pays for assuming ``assumed``, in ``str``
         order of the assumed bits (stored in ``rows``, the term's row of
-        ``_rows``)."""
+        ``_rows``).  A price below ``0.0`` (or NaN) raises ``ValueError``
+        naming the pair: the DP's lower bound holds only for prices that
+        never make a sum smaller."""
         universe = self.universe
         prices = self._prices
         values = []
         for other in universe.sorted_bits(assumed):
             value = prices.get((term, other))
             if value is None:
-                value = prices[term, other] = self.error_function.assumption_price(
-                    universe.predicate(term), universe.predicate(other)
+                predicate, assumed_predicate = (
+                    universe.predicate(term),
+                    universe.predicate(other),
                 )
+                value = self.error_function.assumption_price(
+                    predicate, assumed_predicate
+                )
+                if not value >= 0.0:
+                    raise ValueError(
+                        f"{self.error_function.name} prices assuming "
+                        f"{predicate} independent of {assumed_predicate} "
+                        f"at {value!r}; an assumption price must be >= 0"
+                    )
+                prices[term, other] = value
             values.append(value)
         row = rows[assumed] = tuple(values)
         return row

@@ -71,7 +71,8 @@ class TestCrossQueryCaching:
     def test_second_query_is_a_memo_lookup(self, catalog, query):
         """The memo outlives the request: asking again is a lookup, not
         one more matcher call — and after an explicit cold start every
-        pair is matched again while the winners' estimates are reused."""
+        explored pair is matched again while the bounds and the winners'
+        estimates are reused."""
         session = EstimationSession(catalog, plan_cache=False)
         first = session.estimate(query)
         cold = session.stats_snapshot()
@@ -82,7 +83,11 @@ class TestCrossQueryCaching:
         session.estimator.reset()
         assert session.estimate(query) == first
         after = session.stats_snapshot()
-        assert after.counters["matcher_calls"] == cold.counters["matcher_calls"]
+        assert cold.counters["bound_scores"] > 0
+        assert after.counters["bound_scores"] == 0
+        assert after.counters["matcher_calls"] == (
+            cold.counters["matcher_calls"] - cold.counters["bound_scores"]
+        )
         assert (
             after.caches["estimate_cache_entries"]
             == cold.caches["estimate_cache_entries"]
@@ -101,13 +106,18 @@ class TestCrossQueryCaching:
         )
         session = EstimationSession(catalog, plan_cache=False)
         session.selectivity(small)
+        first = session.stats_snapshot().counters["matcher_calls"]
         session.selectivity(large)
-        shared = session.stats_snapshot().counters["matcher_calls"]
+        shared = session.stats_snapshot().counters
         alone = EstimationSession(catalog, plan_cache=False)
         alone.selectivity(large)
-        # every sub-plan of the small query was a memo lookup for the
-        # large one: together they cost what the large one costs alone
-        assert shared == alone.stats_snapshot().counters["matcher_calls"]
+        # what the small query solved and bounded is a lookup for the
+        # large one: after it, the large one costs no more than alone
+        large_after_small = shared["matcher_calls"] - first
+        assert 0 < large_after_small <= alone.stats_snapshot().counters["matcher_calls"]
+        assert shared["matcher_calls"] == (
+            shared["explored_decompositions"] + shared["bound_scores"]
+        )
 
 
 class TestSnapshotPinning:

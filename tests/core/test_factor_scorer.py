@@ -225,15 +225,21 @@ class TestPairByPair:
         results = [algorithm(predicates) for predicates in workload[:40]]
         assert len(built) == len(set(built)) == len(algorithm._estimate_cache)
         scored = algorithm.matcher.calls
+        bounds = algorithm.bound_scores
+        assert scored == algorithm.explored_decompositions + bounds
+        assert bounds == sum(map(algorithm.universe.is_connected, algorithm._bounds))
         assert len(built) < scored / 4
         # what was built is what the results carry
         winners = {match for match, _ in algorithm._estimate_cache.values()}
         assert all(match in winners for r in results for match in r.matches)
-        # steady regime: the memo is gone, so every pair is scored again,
-        # and the winners are not rebuilt
+        # steady regime: the memo is gone, so every pair the search
+        # explores is scored again, no bound is, and the winners are not
+        # rebuilt
         algorithm.reset()
         assert [algorithm(predicates) for predicates in workload[:40]] == results
-        assert algorithm.matcher.calls == scored
+        assert algorithm.bound_scores == 0
+        assert algorithm.matcher.calls == algorithm.explored_decompositions
+        assert algorithm.matcher.calls == scored - bounds
         assert len(built) == len(algorithm._estimate_cache)
         assert not algorithm.matcher._factor_cache  # nothing went the frozenset way
 
@@ -378,23 +384,27 @@ class TestTracingKeepsItsStages:
         trace = traced.enable_tracing()
         reference_trace = oracle.enable_tracing()
         assert traced(predicates) == plain(predicates) == oracle(predicates)
-        assert traced.matcher.calls == plain.matcher.calls == oracle.matcher.calls
-        # both stages, once per scored pair (every attribute has a SIT)
+        assert traced.matcher.calls == plain.matcher.calls
+        # both stages, once per scored pair and once per bound (every
+        # attribute has a SIT) — fewer than the exhaustive oracle scores
         assert (
             trace.calls["factor_matching"]
             == trace.calls["error_scoring"]
             == traced.matcher.calls
-            == reference_trace.calls["factor_matching"]
+            == traced.explored_decompositions + traced.bound_scores
+            < reference_trace.calls["factor_matching"]
         )
         assert trace.timings["factor_matching"] > 0.0
         assert trace.timings["error_scoring"] > 0.0
+        # the bounded search asks the matcher and the memo for no more
+        # than the exhaustive one
         for counter in (
             "sit_candidates_considered",
             "sit_candidates_matched",
-            "memo_hits",
             "memo_misses",
         ):
-            assert trace.counters[counter] == reference_trace.counters[counter] > 0
+            assert 0 < trace.counters[counter] <= reference_trace.counters[counter]
+        assert trace.counters["memo_hits"] > 0
         # the steady regime scores every pair again and answers line 16
         # from the winners: no histogram is joined
         traced.reset()
@@ -441,6 +451,7 @@ class TestOneLifetimeForEverythingKeyedByMask:
                 assert entries(scorer._maximal) == entries(fresh_scorer._maximal)
                 assert len(scorer._prices) == len(fresh_scorer._prices)
                 assert entries(scorer._rows) == entries(fresh_scorer._rows)
+                assert len(algorithm._bounds) == len(fresh._bounds)
                 # and what is keyed by the predicates behind them
                 assert len(algorithm.matcher._attribute_cache) == len(
                     fresh.matcher._attribute_cache

@@ -66,35 +66,50 @@ class TestMatcherCounting:
 
     def test_exactly_once_whether_cached_or_not(self, workload):
         """Warm caches must not change Figure 6 counts: the bitmask DP
-        scores every pair it asks for, the legacy oracle answers a
-        re-solve from its factor-match cache, and both count the same."""
+        scores every pair it explores, the legacy oracle answers a
+        re-solve from its factor-match cache, and both count a re-solve
+        as if it were cold — less the bounds, which the DP keeps."""
         predicates, pool = workload
         algorithm = GetSelectivity(pool, NIndError())
         oracle = GetSelectivity.create(pool, NIndError(), engine="legacy")
         algorithm(predicates)
         oracle(predicates)
         cold_calls = algorithm.matcher.calls
-        assert cold_calls == oracle.matcher.calls > 0
+        bounds = algorithm.bound_scores
+        assert cold_calls == algorithm.explored_decompositions + bounds
+        oracle_calls = oracle.matcher.calls
+        assert oracle_calls > 0
         # Memoized full query: zero further logical invocations.
         algorithm(predicates)
         assert algorithm.matcher.calls == cold_calls
         # Per-query reset: the oracle's cache holds every pair, the DP
-        # holds none, and the logical count is the cold run's for both.
+        # holds none, and each counts its cold run's explored pairs.
         cached = dict(oracle._match_cache)
-        for dp in (algorithm, oracle):
+        for dp, calls in ((algorithm, cold_calls - bounds), (oracle, oracle_calls)):
             dp.reset()
             dp(predicates)
-            assert dp.matcher.calls == cold_calls
+            assert dp.matcher.calls == calls
+        assert algorithm.bound_scores == 0
         assert oracle._match_cache == cached
         assert not hasattr(algorithm, "_match_cache")
 
-    def test_legacy_and_bitmask_count_identically(self, workload):
+    def test_bitmask_counts_explored_pairs_and_bounds(self, workload):
+        """The exhaustive oracle scores every pair; the bounded DP scores
+        a subset of them plus one bound per ``P'``, each counted once."""
         predicates, pool = workload
         fast = GetSelectivity(pool, NIndError())
         oracle = GetSelectivity.create(pool, NIndError(), engine="legacy")
         fast(predicates)
         oracle(predicates)
-        assert fast.matcher.calls == oracle.matcher.calls
+        assert fast.matcher.calls == (
+            fast.explored_decompositions + fast.bound_scores
+        )
+        # one scoring per connected P' (a separable one takes the largest
+        # of its components' bounds)
+        connected = sum(map(fast.universe.is_connected, fast._bounds))
+        assert fast.bound_scores == connected <= 2 ** len(predicates) - 1
+        assert fast.explored_decompositions <= oracle.explored_decompositions
+        assert oracle.matcher.calls <= oracle.explored_decompositions
 
     def test_memo_coupled_counts_once_per_logical_factor(self, workload):
         """The memo-coupled pass prices through ``price_factor``: one
@@ -120,6 +135,7 @@ class TestStats:
         "matcher_calls": "counters.matcher_calls",
         "explored_decompositions": "counters.explored_decompositions",
         "pruned_decompositions": "counters.pruned_decompositions",
+        "bound_scores": "counters.bound_scores",
         "universe_size": "counters.universe_size",
         "analysis_seconds": "timings.analysis_seconds",
         "estimation_seconds": "timings.estimation_seconds",
@@ -136,9 +152,11 @@ class TestStats:
         assert set(stats) == set(self.KEY_PATHS)
         assert stats["memo_entries"] >= 1
         assert stats["estimate_cache_entries"] >= 1
-        # one counted invocation per explored pair the monotonicity cut
-        # did not skip
-        assert 0 < stats["matcher_calls"] <= stats["explored_decompositions"]
+        # one counted invocation per explored (scored) pair and per bound
+        assert stats["explored_decompositions"] > 0
+        assert stats["matcher_calls"] == (
+            stats["explored_decompositions"] + stats["bound_scores"]
+        )
         caches = algorithm.stats_snapshot().caches
         assert not any(key.startswith("match_cache") for key in caches)
         assert stats["universe_size"] == len(predicates)
@@ -155,6 +173,7 @@ class TestStats:
         assert stats["memo_entries"] == 0
         assert stats["matcher_calls"] == 0
         assert stats["explored_decompositions"] == 0
+        assert stats["bound_scores"] == 0
         assert stats["analysis_seconds"] == 0.0
         assert stats["estimation_seconds"] == 0.0
         # Pool-pure structures survive reset (Section 4 reuse).

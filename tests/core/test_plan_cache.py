@@ -248,7 +248,7 @@ class TestPersistentMemo:
         """Past the bound the memo is emptied before the next request
         solves — whole, so no entry outlives the sub-entries the plan
         compiler would walk from it — and never during a request."""
-        monkeypatch.setattr(get_selectivity, "MEMO_LIMIT", 32)
+        monkeypatch.setattr(get_selectivity, "MEMO_LIMIT", 16)
         ra = two_table_attrs["Ra"]
         algorithm = GetSelectivity(two_table_pool, NIndError())
         cache = PlanCache(two_table_pool, max_plans=1)
@@ -259,11 +259,13 @@ class TestPersistentMemo:
             )
             before = len(algorithm._memo)
             result = algorithm(shape)
-            # 3 masks per request: the bound plus one request at most
-            assert len(algorithm._memo) <= 32 + 3
+            # at most 3 masks per request: the bound plus one request
+            assert len(algorithm._memo) <= 16 + 3
             if len(algorithm._memo) < before:
                 emptied += 1
-                assert len(algorithm._memo) == 3  # this request's, only
+                # this request's, only
+                set_of = algorithm.universe.set_of
+                assert all(set_of(mask) <= shape for mask in algorithm._memo)
             # whatever the memo holds compiles: its sub-masks are there
             cache._plans.clear()
             assert cache.compile(shape, algorithm, result) is not None
