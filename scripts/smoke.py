@@ -21,12 +21,8 @@ left behind: no child process, no ``/dev/shm/psm_*`` segment.
 ``chaos``         seeded mixed fault plan over 10 seeds at 1, 2 and 3 workers:
                   typed answers, equal counts at every worker count, fault-free
                   answers on arrival and in the cache, zero-fault parity
-``cluster``       3 shards: routed parity, hot swap, crash / hold / respawn
-``chaos_ingest``  write storm + faults under TCP load; faulted cluster swap
+``chaos_ingest``  write storm + apply and refresh faults under TCP load
 ``advisor``       tuned service accepts under budget; impossible bound rejects
-
-The ``__main__`` guard is load-bearing: shard processes start via the
-``spawn`` method, which re-imports this file.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from repro.advisor.safety import NO_SOLUTION_FOUND
 from repro.advisor.search import q_error
 from repro.catalog import EstimationSession, StatisticsCatalog
 from repro.catalog.catalog import RefreshConflict
-from repro.cluster import EstimationCluster
 from repro.core.plancache import shape_fingerprint
 from repro.engine.executor import Executor
 from repro.estimators import BACKENDS
@@ -63,7 +58,6 @@ from repro.ingest import (
 from repro.obs import StalenessTracker
 from repro.resilience.faults import FaultPlan, FaultRule, armed
 from repro.service import (
-    ClusterConfig,
     EstimationService,
     HealingConfig,
     Overloaded,
@@ -118,9 +112,9 @@ def serving_fixture(holdout: int = 0) -> SnowflakeFixture:
 
 @contextlib.contextmanager
 def served(service, **connect_kwargs):
-    """Serve ``service`` (a service or a cluster) over TCP on an
-    ephemeral port and yield a connected client; leaving the block
-    drains, and the drain must be clean."""
+    """Serve ``service`` over TCP on an ephemeral port and yield a
+    connected client; leaving the block drains, and the drain must be
+    clean."""
     with start_in_thread(service, port=0) as handle:
         with connect(handle.address, **connect_kwargs) as client:
             yield client
@@ -665,85 +659,11 @@ def smoke_chaos() -> None:
 
 
 # ----------------------------------------------------------------------
-# cluster
-# ----------------------------------------------------------------------
-def smoke_cluster() -> None:
-    """3 shards over one shared-memory snapshot behind the stock TCP
-    front-end: routed parity, one hot swap, one forced crash (hold,
-    respawn in place, catch up), clean close."""
-    fixture = snowflake_fixture(SCALE, SEED, 4)
-    catalog = fixture.catalog
-    workload = [fixture.queries[index % 4] for index in range(100)]
-    reference = EstimationSession(catalog, database=catalog.database)
-    expected = [reference.estimate(query) for query in workload]
-    print(f"catalog: {len(catalog)} SITs, workload: {len(workload)} queries")
-
-    cluster = EstimationCluster(
-        catalog,
-        config=ServiceConfig(
-            cluster=ClusterConfig(shards=3, shard_workers=1)
-        ),
-    )
-    with served(cluster) as client:
-        # -- routed parity: bit-identical to one session ----------------
-        answers = client.estimate_batch(workload, timeout=120.0)
-        shards_seen = set()
-        for answer, want in zip(answers, expected):
-            assert answer.selectivity == want.selectivity, (answer, want)
-            assert answer.error == want.error
-            shards_seen.add(answer.shard)
-        assert len(shards_seen) >= 2, (
-            f"workload never spread across shards: {shards_seen}"
-        )
-        print(
-            f"parity: {len(answers)} bit-identical answers "
-            f"across shards {sorted(shards_seen)}"
-        )
-
-        # -- hot swap mid-stream: new version on every shard ------------
-        before = catalog.version
-        cluster.notify_table_update("customer")
-        after = catalog.version
-        assert after == before + 1
-        swapped = client.estimate_batch(workload[:30], timeout=120.0)
-        for answer, want in zip(swapped, expected):
-            assert answer.selectivity == want.selectivity
-            assert answer.snapshot_version == after, answer
-        print(f"hot swap: version {before} -> {after}, coherent")
-
-        # -- crash, hold, respawn, catch up: zero client-visible errors -
-        crashed = min(shards_seen)
-        cluster.inject_crash(crashed)
-        # estimate_batch raises on the first failed answer
-        revived = client.estimate_batch(workload, timeout=120.0)
-        for answer, want in zip(revived, expected):
-            assert answer.selectivity == want.selectivity, (answer, want)
-            assert answer.error == want.error
-            assert answer.snapshot_version == after, answer
-        assert crashed in {answer.shard for answer in revived}
-
-        def counter(name: str) -> float:
-            return cluster.stats_snapshot().cluster.get(name, 0.0)
-
-        assert counter("shard_faults") >= 1.0, "the crash was never seen"
-        assert wait_until(lambda: counter("rejoins") >= 1.0), (
-            "crashed shard never came back"
-        )
-        print(
-            f"chaos: shard {crashed} crashed, "
-            f"faults={counter('shard_faults'):.0f}, "
-            f"rejoins={counter('rejoins'):.0f}, {len(revived)} answers "
-            "bit-identical at the post-swap version"
-        )
-
-
-# ----------------------------------------------------------------------
 # chaos_ingest
 # ----------------------------------------------------------------------
 def smoke_chaos_ingest() -> None:
     fixture = serving_fixture(holdout=2)
     ingest_storm(fixture)
-    swap_under_write(fixture)
 
 
 def ingest_storm(fixture: SnowflakeFixture) -> None:
@@ -890,56 +810,6 @@ def ingest_storm(fixture: SnowflakeFixture) -> None:
     )
 
 
-def swap_under_write(fixture: SnowflakeFixture) -> None:
-    """A faulted cluster hot swap holds, respawns and catches up the
-    member — never a version-straddling answer, never a wedge, zero
-    client errors, and the member back at the new version."""
-    catalog = fixture.catalog
-    workload = fixture.queries + fixture.holdout
-    plan = FaultPlan(
-        [
-            FaultRule(
-                point="swap_under_write",
-                probability=1.0,
-                max_fires=1,
-                match="member=0",
-            )
-        ],
-        seed=7,
-    )
-    config = ServiceConfig(cluster=ClusterConfig(shards=2))
-    with EstimationCluster(catalog, config=config) as cluster:
-        for query in workload:
-            cluster.estimate(query, timeout=30.0)
-        with armed(plan):
-            for table in ("sales", "customer", "product"):
-                cluster.notify_table_update(table)
-        version = catalog.version
-        answers = [
-            cluster.estimate(query, timeout=30.0)
-            for query in workload * 5
-        ]
-        assert {answer.snapshot_version for answer in answers} == {
-            version
-        }, "a version-straddling answer escaped the faulted swap"
-        stats = cluster.stats_snapshot().cluster
-        assert plan.total_fires == 1, plan.stats()
-        assert stats["swap_faults"] == 1.0, stats
-        assert wait_until(
-            lambda: cluster.stats_snapshot().cluster.get("rejoins", 0.0)
-            >= 1.0
-        ), "the faulted member never came back"
-        member = cluster.shard_stats()[0]["catalog"]
-        assert member["snapshot_version"] == version, member
-        clean = cluster.close()
-    assert clean, "cluster drain after the faulted swap was not clean"
-    print(
-        f"swap under write: {len(answers)} answers at v{version}, "
-        f"member 0 respawned at v{member['snapshot_version']:.0f}, "
-        "clean close"
-    )
-
-
 # ----------------------------------------------------------------------
 # advisor
 # ----------------------------------------------------------------------
@@ -1066,7 +936,6 @@ SMOKES = {
     "estimators": smoke_estimators,
     "plan_cache": smoke_plan_cache,
     "chaos": smoke_chaos,
-    "cluster": smoke_cluster,
     "chaos_ingest": smoke_chaos_ingest,
     "advisor": smoke_advisor,
 }
@@ -1086,8 +955,8 @@ def main(argv: list[str]) -> int:
         elapsed = time.monotonic() - started
         assert elapsed < WALL_CLOCK_BUDGET_S, f"possible hang: {elapsed:.0f}s"
         print(f"{name} smoke: OK in {elapsed:.1f}s")
-    # a shard revival still in flight when its cluster closed terminates
-    # itself once spawned; give it that long, no longer
+    # nothing the smokes serve starts a process; allow a straggler that
+    # long, no longer
     assert wait_until(lambda: not multiprocessing.active_children(), 30.0), (
         f"child processes left behind: {multiprocessing.active_children()}"
     )

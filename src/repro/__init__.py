@@ -29,11 +29,6 @@ The public API is re-exported here; the subpackages are:
   :class:`~repro.service.EstimationService`, the asyncio JSON-lines
   server (``python -m repro serve``) and the one client entrypoint
   :func:`~repro.service.connect`;
-* :mod:`repro.cluster` — the multi-process estimation tier: shard
-  processes over one shared-memory snapshot behind a router that sends
-  each query template to one shard and holds a swapping or faulted
-  shard's requests until it serves at the cluster's version
-  (``python -m repro serve --shards N``);
 * :mod:`repro.bench` — the experiment harness regenerating every figure.
 """
 
@@ -67,7 +62,6 @@ from repro.estimators import (
 )
 from repro.obs import ExplainResult, MetricsRegistry, StatsSnapshot, Trace
 from repro.service import (
-    ClusterConfig,
     EstimationService,
     HealingConfig,
     Overloaded,
@@ -84,7 +78,6 @@ __all__ = [
     "BACKENDS",
     "BayesianNetworkEstimator",
     "CatalogSnapshot",
-    "ClusterConfig",
     "Database",
     "DiffError",
     "EstimationService",

@@ -25,12 +25,9 @@ Commands
 ``serve``
     Start the concurrent estimation server (``repro.service``): a
     worker pool with micro-batching, admission control and hot snapshot
-    swap behind an asyncio JSON-lines TCP front-end.  ``--shards N``
-    (or a ``--config`` file with a ``cluster`` block) serves through
-    the multi-process tier (``repro.cluster``) instead: N shard
-    processes over one shared-memory snapshot behind the consistent-
-    hash router.  Talk to it with ``repro.service.connect("host:port")``
-    or one JSON object per line on a raw socket.
+    swap behind an asyncio JSON-lines TCP front-end.  Talk to it with
+    ``repro.service.connect("host:port")`` or one JSON object per line
+    on a raw socket.
 ``advisor <tune|status|history>``
     Run the safety-gated self-tuning loop (``repro.advisor``) offline on
     the synthetic snowflake database: build a workload catalog, drive
@@ -277,12 +274,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
     from repro.resilience import FaultPlan, arm, disarm
-    from repro.service import (
-        ClusterConfig,
-        EstimationService,
-        ServiceConfig,
-        run_server,
-    )
+    from repro.service import EstimationService, ServiceConfig, run_server
     from repro.workload.fixture import snowflake_fixture
 
     fault_plan = None
@@ -312,7 +304,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     catalog.add_missing_base_histograms()
     if args.config is not None:
         # one JSON file describes the whole deployment (nested healing
-        # and cluster blocks included); address flags still win so one
+        # and advisor blocks included); address flags still win so one
         # file serves many ports
         with open(args.config, encoding="utf-8") as handle:
             config = ServiceConfig.from_dict(json.load(handle))
@@ -326,46 +318,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
         )
     if args.backend != "sit":
-        if args.shards:
-            raise SystemExit(
-                "--shards supports only --backend sit (shards serve from "
-                "a row-free stats snapshot; the bn/sample backends build "
-                "from rows) — drop --shards and scale with --workers"
-            )
         config = dataclasses.replace(config, backend=args.backend)
-    if args.shards:
-        config = dataclasses.replace(
-            config,
-            cluster=ClusterConfig(shards=args.shards),
-        )
     # arm the chaos plan before the workers spin up so every injection
     # point on the serving path (snapshot pin, SIT match, histogram
     # join, worker batch) is live for the server's whole life
     if fault_plan is not None:
         arm(fault_plan)
     try:
-        if config.cluster is not None:
-            from repro.cluster import EstimationCluster
-
-            print(
-                f"spawning {config.cluster.shards} shard(s) over one "
-                "shared-memory snapshot ...",
-                file=sys.stderr,
-            )
-            service = EstimationCluster(catalog, config=config)
-        else:
-            service = EstimationService(catalog, config=config)
+        service = EstimationService(catalog, config=config)
 
         def ready(address: tuple[str, int]) -> None:
             host, port = address
-            tier = (
-                f"{config.cluster.shards} shards"
-                if config.cluster is not None
-                else f"{config.workers} workers"
-            )
             print(
                 f"serving {len(catalog)} SITs on {host}:{port} "
-                f"({tier}, queue {config.queue_depth}, "
+                f"({config.workers} workers, queue {config.queue_depth}, "
                 f"max batch {config.max_batch}) — Ctrl-C to drain",
                 file=sys.stderr,
                 flush=True,
@@ -545,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
         default="sit",
         help=(
             "estimator backend worker sessions answer with (default: "
-            "sit; the only backend --shards supports)"
+            "sit)"
         ),
     )
     serve.add_argument(
@@ -556,16 +522,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help=(
             "deployment config file (nested ServiceConfig JSON, "
-            "healing/cluster blocks included); overrides the tuning flags"
-        ),
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help=(
-            "serve through the multi-process cluster tier with this many "
-            "shard processes (0 = single-process service)"
+            "healing/advisor blocks included); overrides the tuning flags"
         ),
     )
     serve.add_argument(

@@ -36,9 +36,7 @@ SUITES: dict[str, str] = {
         "legacy-vs-bitmask DP (n5/n7/n9), histogram kernels vs reference, "
         "tracing and fault-guard overhead, catalog refresh"
     ),
-    "service": (
-        "open-loop overload shedding; cluster at 1 shard vs 4 shards"
-    ),
+    "service": "open-loop overload shedding and conservation",
     "estimators": "sit / bn / sample shoot-out: accuracy, latency, space",
     "advisor": "self-tuned vs static diff_H configuration under a budget",
     "ingest": "invalidation throughput and conservation of the pipeline",

@@ -18,7 +18,7 @@ A suite whose gate decides the runner's exit code also defines
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Callable
 
 
 def time_once(function: Callable[[], object]) -> float:
@@ -31,11 +31,3 @@ def best_of(function: Callable[[], object], repeats: int) -> float:
     """Minimum wall-clock seconds over ``repeats`` runs (noise floor)."""
     return min(time_once(function) for _ in range(repeats))
 
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank ``q``-quantile (a measured value, never interpolated);
-    0.0 for no values."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]

@@ -119,8 +119,7 @@ def shape_fingerprint(
 
 
 def fingerprint_digest(fingerprint: tuple) -> str:
-    """A short stable hex digest of a fingerprint (modulo the shard
-    count, the cluster router's choice of shard)."""
+    """A short stable hex digest of a fingerprint."""
     return hashlib.blake2b(
         repr(fingerprint).encode("utf-8"), digest_size=4
     ).hexdigest()

@@ -15,9 +15,7 @@ contract and three peer implementations:
 
 :func:`create_estimator` is the selector every layer above dispatches
 through — ``connect(backend=...)``, ``ServiceConfig.backend`` and the
-CLI all route here.  (The cluster tier is SIT-only: its shards serve
-from a row-free stats snapshot, and the peer backends build from rows;
-``ServiceConfig`` rejects the combination at validation.)
+CLI all route here.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The paper's SIT/DP path (:mod:`repro.estimators.sit`) is one of several
 credible ways to answer a ``GetSelectivity`` request.  This module
 defines the abstract contract every backend implements so the catalog
-session, the estimation service, the cluster router, the optimizer
-coupling and the CLI can dispatch through one interface:
+session, the estimation service, the optimizer coupling and the CLI
+can dispatch through one interface:
 
 * :meth:`Estimator.estimate` / :meth:`Estimator.estimate_predicates` —
   answer a query (or bare predicate set) with an
@@ -17,12 +17,11 @@ coupling and the CLI can dispatch through one interface:
 * :meth:`Estimator.notify_table_update` — the single invalidation entry
   point.  When the estimator serves from a
   :class:`~repro.catalog.StatisticsCatalog` the call is forwarded to the
-  catalog's own ``notify_table_update`` (the one event path hot swap and
-  cluster coherence already ride on); backends version-gate their
-  derived models against the catalog's per-table versions, so an
-  invalidation issued *anywhere* (directly on the catalog, through the
-  service, or fanned out by the cluster router) is observed lazily on
-  the next estimate.
+  catalog's own ``notify_table_update`` (the one event path hot swap
+  already rides on); backends version-gate their derived models
+  against the catalog's per-table versions, so an invalidation issued
+  *anywhere* (directly on the catalog or through the service) is
+  observed lazily on the next estimate.
 
 Sessions and services read a backend's counters through its
 :meth:`Estimator.stats_snapshot` only.
@@ -142,8 +141,7 @@ class Estimator(abc.ABC):
         Drops this backend's derived state for the table, then forwards
         to the owning catalog when one is pinned — keeping the catalog's
         ``notify_table_update`` the single invalidation event path that
-        feedback, refresh, plan caches and the cluster router already
-        share.
+        feedback, refresh and plan caches already share.
         """
         self._local_table_versions[table] = (
             self._local_table_versions.get(table, 0) + 1
@@ -161,8 +159,8 @@ class Estimator(abc.ABC):
         """The version gate for derived per-table models.
 
         Catalog-backed estimators read the *live* catalog version (so an
-        invalidation issued through the service or cluster is observed
-        lazily); bare estimators use the local counters bumped by
+        invalidation issued through the service is observed lazily);
+        bare estimators use the local counters bumped by
         :meth:`notify_table_update`.
         """
         catalog = self.snapshot.catalog if self.snapshot is not None else None

@@ -111,9 +111,9 @@ class Histogram:
     ) -> "Histogram":
         """Build a histogram directly over bucket arrays — zero copy.
 
-        The arrays are adopted as-is (read-only shared-memory views
-        included; :mod:`repro.cluster.shm` is the consumer), so N
-        processes can serve from one snapshot's bucket memory.
+        The arrays are adopted as-is (read-only views included), so a
+        decoded catalog file or a histogram kernel's output is wrapped
+        without a copy or a :class:`Bucket`.
         """
         histogram = object.__new__(cls)
         histogram._adopt(lows, highs, frequencies, distincts, null_count)

@@ -21,8 +21,8 @@ continuous concurrent writes survivable:
 Observability rides the ``ingest`` StatsSnapshot namespace
 (:mod:`repro.obs.snapshot`) and the staleness tracker in
 :mod:`repro.obs.staleness`; chaos coverage rides the
-``ingest_apply`` / ``refresh_during_storm`` / ``swap_under_write``
-injection points in :mod:`repro.resilience`.
+``ingest_apply`` / ``refresh_during_storm`` injection points in
+:mod:`repro.resilience`.
 """
 
 from repro.ingest.config import IngestConfig

@@ -4,7 +4,7 @@
 :mod:`repro.service.config`: a frozen dataclass that validates in
 ``__post_init__`` and round-trips through ``from_dict`` / ``to_dict``
 with unknown keys rejected, so an ingestion deployment fits in the same
-JSON document as the service and cluster layers.
+JSON document as the service layers.
 """
 
 from __future__ import annotations

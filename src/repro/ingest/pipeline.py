@@ -7,12 +7,11 @@ histograms, compiled plans, BN models and sample reservoirs.  The
 survivable while the stack serves:
 
 * **One invalidation path.**  Every accepted event ultimately drives the
-  target's single ``notify_table_update`` — the same path hot swap,
-  plan-cache coherence and cluster fan-out already ride on.  The target
-  duck-types: a :class:`repro.catalog.StatisticsCatalog`, an
-  :class:`repro.service.EstimationService`'s catalog, any
-  :class:`repro.estimators.Estimator`, or an
-  :class:`repro.cluster.EstimationCluster` router all work.
+  target's single ``notify_table_update`` — the same path hot swap
+  and plan-cache coherence already ride on.  The target duck-types: a
+  :class:`repro.catalog.StatisticsCatalog`, an
+  :class:`repro.service.EstimationService`'s catalog or any
+  :class:`repro.estimators.Estimator` works.
 * **Coalescing.**  N rapid updates to one table collapse into one
   *invalidation epoch* (one ``notify_table_update`` call) per drain
   cycle.  Invalidation cost is per-*epoch*, not per-*event*, so a storm
@@ -340,7 +339,7 @@ class EstimateDriftProbe:
     """Measured drift on a sampled sub-stream: served estimate vs. truth.
 
     ``estimate`` answers with the *served* cardinality (a pinned
-    session, a service client, a cluster ``connect()`` handle — anything
+    session, a service client, a ``connect()`` handle — anything
     still serving the possibly-stale snapshot); ``truth`` answers with
     fresh ground truth (an :class:`repro.engine.Executor` over live
     data, or a freshly-redrawn guaranteed-sample estimate whose

@@ -47,13 +47,6 @@ namespaces:
     ``hit_rate`` and the pinned ``pool_version``; a service adds
     ``caches``, its distinct live caches (one per served pool) — empty
     for producers that run without the cache;
-``cluster``
-    multi-process tier state (:mod:`repro.cluster`): serving
-    ``shards``, routing counters (``routed``, per-shard
-    ``shard.<id>.routed``), the per-shard holds (``holds``,
-    ``holding``, ``held_requests``, ``holds_shed``, ``swaps``) and
-    fault recovery (``shard_faults``, ``swap_faults``, ``rejoins``,
-    ``revive_failures``) — empty below the cluster router;
 ``advisor``
     self-tuning loop state (:mod:`repro.advisor`): ``ticks``,
     ``proposals``, ``accepts``, per-constraint rejects
@@ -99,7 +92,6 @@ NAMESPACES = (
     "service",
     "resilience",
     "plan_cache",
-    "cluster",
     "advisor",
     "ingest",
 )
@@ -120,7 +112,6 @@ class StatsSnapshot:
     service: Mapping[str, object] = field(default_factory=dict)
     resilience: Mapping[str, float] = field(default_factory=dict)
     plan_cache: Mapping[str, float] = field(default_factory=dict)
-    cluster: Mapping[str, float] = field(default_factory=dict)
     advisor: Mapping[str, float] = field(default_factory=dict)
     ingest: Mapping[str, float] = field(default_factory=dict)
     meta: Mapping[str, object] = field(default_factory=dict)
@@ -155,7 +146,6 @@ class StatsSnapshot:
             service=nested.get("service", {}),
             resilience=nested.get("resilience", {}),
             plan_cache=nested.get("plan_cache", {}),
-            cluster=nested.get("cluster", {}),
             advisor=nested.get("advisor", {}),
             ingest=nested.get("ingest", {}),
             meta=meta or {},
@@ -192,7 +182,6 @@ class StatsSnapshot:
             "service": dict(self.service),
             "resilience": dict(self.resilience),
             "plan_cache": dict(self.plan_cache),
-            "cluster": dict(self.cluster),
             "advisor": dict(self.advisor),
             "ingest": dict(self.ingest),
             "meta": dict(self.meta),

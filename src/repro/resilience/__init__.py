@@ -29,7 +29,6 @@ from repro.resilience.faults import (
     POINT_REFRESH_DURING_STORM,
     POINT_SIT_MATCH,
     POINT_SNAPSHOT_PIN,
-    POINT_SWAP_UNDER_WRITE,
     POINT_WORKER_BATCH,
     SITUnavailable,
     StorageTorn,
@@ -84,7 +83,6 @@ __all__ = [
     "POINT_REFRESH_DURING_STORM",
     "POINT_SIT_MATCH",
     "POINT_SNAPSHOT_PIN",
-    "POINT_SWAP_UNDER_WRITE",
     "POINT_WORKER_BATCH",
     "ResilienceTelemetry",
     "RetryPolicy",

@@ -58,8 +58,6 @@ POINT_CATALOG_LOAD = "catalog_load"
 POINT_INGEST_APPLY = "ingest_apply"
 #: incremental refresh racing a concurrent invalidation storm
 POINT_REFRESH_DURING_STORM = "refresh_during_storm"
-#: cluster hot-swap fan-out while writes are arriving
-POINT_SWAP_UNDER_WRITE = "swap_under_write"
 
 #: every injection point threaded through the stack
 INJECTION_POINTS = (
@@ -71,7 +69,6 @@ INJECTION_POINTS = (
     POINT_CATALOG_LOAD,
     POINT_INGEST_APPLY,
     POINT_REFRESH_DURING_STORM,
-    POINT_SWAP_UNDER_WRITE,
 )
 
 
@@ -442,7 +439,6 @@ __all__ = [
     "POINT_REFRESH_DURING_STORM",
     "POINT_SIT_MATCH",
     "POINT_SNAPSHOT_PIN",
-    "POINT_SWAP_UNDER_WRITE",
     "POINT_WORKER_BATCH",
     "SITUnavailable",
     "StorageTorn",

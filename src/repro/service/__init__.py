@@ -4,8 +4,7 @@ Layering (queue → batch → worker → snapshot swap; DESIGN.md §9):
 
 * :mod:`repro.service.config` — layered tunables:
   :class:`ServiceConfig` with a nested :class:`HealingConfig`
-  (resilience knobs) and optional :class:`ClusterConfig`
-  (shards, ring, hold bound), ``from_dict``/``to_dict`` round-trip for
+  (resilience knobs), ``from_dict``/``to_dict`` round-trip for
   ``python -m repro serve --config file.json``;
 * :mod:`repro.service.protocol` — typed requests/responses
   (:class:`ServedEstimate`, :class:`Overloaded`, ...) and the JSON-lines
@@ -19,8 +18,8 @@ Layering (queue → batch → worker → snapshot swap; DESIGN.md §9):
 * :mod:`repro.service.server` — the asyncio JSON-lines TCP front-end
   (``python -m repro serve``);
 * :mod:`repro.service.client` — :func:`connect`, the one client
-  construction path: hand it a service, statistics, ``"host:port"``,
-  or the cluster router and get an :class:`EstimationClient` back.
+  construction path: hand it a service, statistics or ``"host:port"``
+  and get an :class:`EstimationClient` back.
 
 Quickstart::
 
@@ -37,7 +36,7 @@ from repro.service.client import (
     TransportError,
     connect,
 )
-from repro.service.config import ClusterConfig, HealingConfig, ServiceConfig
+from repro.service.config import HealingConfig, ServiceConfig
 from repro.service.protocol import (
     DeadlineExceeded,
     InvalidRequest,
@@ -57,7 +56,6 @@ from repro.service.service import EstimationService
 
 __all__ = [
     "AdmissionQueue",
-    "ClusterConfig",
     "DeadlineExceeded",
     "EstimationClient",
     "EstimationServer",

@@ -1,8 +1,8 @@
 """Clients of the estimation service — one construction path.
 
 :func:`connect` is the single entrypoint: hand it *whatever you have* —
-an :class:`~repro.service.service.EstimationService` (or the cluster
-router, which duck-types one), a catalog/snapshot/pool to serve from, a
+an :class:`~repro.service.service.EstimationService`, a
+catalog/snapshot/pool to serve from, a
 ``"host:port"`` string, an ``(host, port)`` tuple, or a running
 :class:`~repro.service.server.ServerHandle` — and it returns an
 :class:`EstimationClient`::
@@ -170,9 +170,8 @@ class InProcessClient(EstimationClient):
 
     ``service`` is anything with the
     :class:`~repro.service.service.EstimationService` call surface
-    (``submit`` / ``estimate`` / ``stats_snapshot`` / ``close``); the
-    cluster router (:mod:`repro.cluster`) qualifies, which is how
-    ``connect(router)`` works.  ``owns_service=True`` makes
+    (``submit`` / ``estimate`` / ``stats_snapshot`` / ``close``).
+    ``owns_service=True`` makes
     :meth:`close` shut the service down too.
     """
 
@@ -468,7 +467,7 @@ def connect(target, **kwargs) -> EstimationClient:
     ========================================  ==============================
     ``target``                                client
     ========================================  ==============================
-    ``EstimationService`` / cluster router    :class:`InProcessClient`
+    ``EstimationService``                     :class:`InProcessClient`
     catalog / snapshot / pool                 :class:`InProcessClient` owning
                                               a private service (pass
                                               ``database=`` / ``config=``)
@@ -499,8 +498,8 @@ def connect(target, **kwargs) -> EstimationClient:
         host, port = target
         return SocketClient(str(host), int(port), **kwargs)
     if hasattr(target, "submit") and hasattr(target, "stats_snapshot"):
-        # a live service object (EstimationService or the cluster
-        # router, which duck-types one)
+        # a live service object (an EstimationService, or anything
+        # with its call surface)
         return InProcessClient(target, **kwargs)
     if hasattr(target, "address") and hasattr(target, "service"):
         # a ServerHandle: dial its bound socket

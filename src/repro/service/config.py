@@ -9,17 +9,13 @@ composable frozen dataclasses:
 * :class:`HealingConfig` — the self-healing knobs from
   :mod:`repro.resilience` (circuit breaker, requeue and restart
   budgets), nested as ``ServiceConfig.healing``;
-* :class:`ClusterConfig` — the multi-process tier
-  (:mod:`repro.cluster`): shard count, workers per shard and the hold
-  bound, nested as ``ServiceConfig.cluster`` (``None`` for a
-  single-process service);
 * :class:`repro.advisor.AdvisorConfig` — the self-tuning loop
   (:mod:`repro.advisor`), nested as ``ServiceConfig.advisor`` (``None``
   disables tuning).
 
 Every layer validates in ``__post_init__`` and round-trips through
 ``from_dict`` / ``to_dict`` so a whole deployment fits in one JSON file
-(``python -m repro serve --config cluster.json``).
+(``python -m repro serve --config service.json``).
 """
 
 from __future__ import annotations
@@ -66,43 +62,6 @@ class HealingConfig:
         return cls(**_known_fields(cls, data))
 
 
-@dataclass(frozen=True)
-class ClusterConfig:
-    """The multi-process estimation tier (:mod:`repro.cluster`).
-
-    ``shards`` worker processes each host a full
-    :class:`~repro.service.EstimationService` over the shared-memory
-    catalog snapshot.  A shard that swaps or faults holds its requests
-    (at most ``max_held_requests``) until it serves at the cluster's
-    version again.
-    """
-
-    #: shard processes; a query template's shape digest modulo this
-    #: picks the one that serves it
-    shards: int = 2
-    #: worker threads inside each shard process
-    shard_workers: int = 1
-    #: per-shard cap on requests parked while the shard swaps or is
-    #: respawned; the excess is shed with a typed ``Overloaded`` instead
-    #: of accumulating without bound during a write storm
-    max_held_requests: int = 256
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.shard_workers < 1:
-            raise ValueError("shard_workers must be >= 1")
-        if self.max_held_requests < 1:
-            raise ValueError("max_held_requests must be >= 1")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ClusterConfig":
-        return cls(**_known_fields(cls, data))
-
-
 def _known_fields(cls, data: Mapping[str, Any]) -> dict:
     names = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - names)
@@ -119,8 +78,7 @@ class ServiceConfig:
     on the request path (a free worker serves what is queued at once), a
     queue deep enough to ride out bursts, and explicit load shedding
     rather than unbounded buffering.
-    Self-healing knobs live in :attr:`healing`; the multi-process tier
-    (when enabled) in :attr:`cluster`.
+    Self-healing knobs live in :attr:`healing`.
     """
 
     #: worker threads; each owns a snapshot-pinned
@@ -143,16 +101,10 @@ class ServiceConfig:
     port: int = 8642
     #: estimation backend worker sessions are built with
     #: (:data:`repro.estimators.BACKENDS`: ``"sit"``, ``"bn"``,
-    #: ``"sample"``).  The cluster tier is SIT-only: shards attach a
-    #: stats-only shared-memory snapshot (histogram arrays, no rows)
-    #: and the bn/sample backends build their models from rows, so
-    #: ``cluster`` + a non-SIT backend is rejected at validation
+    #: ``"sample"``)
     backend: str = "sit"
     #: self-healing layer (:mod:`repro.resilience`)
     healing: HealingConfig = field(default_factory=HealingConfig)
-    #: multi-process tier (:mod:`repro.cluster`); ``None`` = single
-    #: process
-    cluster: ClusterConfig | None = None
     #: self-tuning loop (:mod:`repro.advisor`): when set, the service
     #: collects per-query feedback and runs safety-gated configuration
     #: ticks between batches; ``None`` disables tuning
@@ -181,22 +133,10 @@ class ServiceConfig:
             )
         if not isinstance(self.healing, HealingConfig):
             raise TypeError("healing must be a HealingConfig")
-        if self.cluster is not None and not isinstance(
-            self.cluster, ClusterConfig
-        ):
-            raise TypeError("cluster must be a ClusterConfig or None")
         if self.advisor is not None and not isinstance(
             self.advisor, AdvisorConfig
         ):
             raise TypeError("advisor must be an AdvisorConfig or None")
-        if self.cluster is not None and self.backend != "sit":
-            raise ValueError(
-                f"the cluster tier supports only backend='sit': shards "
-                f"attach a stats-only shared-memory snapshot (histogram "
-                f"arrays, no rows) and the {self.backend!r} backend "
-                f"builds its models from rows — serve it single-process "
-                f"(workers=N) instead"
-            )
 
     @property
     def batch_window_s(self) -> float:
@@ -215,7 +155,7 @@ class ServiceConfig:
             value = getattr(self, f.name)
             if f.name == "healing":
                 out[f.name] = value.to_dict()
-            elif f.name in ("cluster", "advisor"):
+            elif f.name == "advisor":
                 out[f.name] = None if value is None else value.to_dict()
             else:
                 out[f.name] = value
@@ -228,20 +168,15 @@ class ServiceConfig:
         healing = data.pop("healing", None)
         if isinstance(healing, Mapping):
             healing = HealingConfig.from_dict(healing)
-        cluster = data.pop("cluster", None)
-        if isinstance(cluster, Mapping):
-            cluster = ClusterConfig.from_dict(cluster)
         advisor = data.pop("advisor", None)
         if isinstance(advisor, Mapping):
             advisor = AdvisorConfig.from_dict(advisor)
         kwargs = _known_fields(cls, data)
         if healing is not None:
             kwargs["healing"] = healing
-        if cluster is not None:
-            kwargs["cluster"] = cluster
         if advisor is not None:
             kwargs["advisor"] = advisor
         return cls(**kwargs)
 
 
-__all__ = ["ClusterConfig", "HealingConfig", "ServiceConfig"]
+__all__ = ["HealingConfig", "ServiceConfig"]

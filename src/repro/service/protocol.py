@@ -17,9 +17,10 @@ boolean, not NaN), or the request is answered ``invalid``.
 
 ``predicates`` is the pre-parsed alternative to ``sql``: a list of
 predicate objects in the same JSON spelling the catalog files use
-(:mod:`repro.stats.io`; infinities as ``"inf"``/``"-inf"``).  The
-cluster router forwards requests this way so shards skip SQL parsing;
-:func:`encode_predicates` / :func:`decode_predicates` are the codec.
+(:mod:`repro.stats.io`; infinities as ``"inf"``/``"-inf"``), for a
+client that already holds bound predicates and would rather the server
+skip SQL parsing; :func:`encode_predicates` / :func:`decode_predicates`
+are the codec.
 
 Responses::
 
@@ -50,11 +51,6 @@ histograms under independence, ``3`` = magic constants.  A degraded
 answer is still ``status: ok`` — the ladder's contract is that a
 labelled estimate beats a failure.
 
-Cluster deployments (:mod:`repro.cluster`) add one optional response
-field: ``shard``, the integer shard id that produced the answer.  It is
-absent outside a cluster, so single-process responses are
-byte-identical to earlier releases.
-
 Backend provenance (two more optional fields): ``backend`` names the
 estimator implementation that produced the answer (``"sit"``, ``"bn"``,
 ``"sample"``, or ``"magic"`` for a level-3 constant answer; see
@@ -70,10 +66,9 @@ Bounded-staleness provenance (one more optional field):
 the base tables the query touched — the gap between the answer's
 serving snapshot and the newest acked-but-unapplied table update in
 the streaming-ingestion pipeline (:mod:`repro.ingest`; see DESIGN.md
-§15).  ``0.0`` means every acked write was applied before this answer;
+§14).  ``0.0`` means every acked write was applied before this answer;
 the field is emitted only when a :class:`repro.obs.StalenessTracker`
-is attached (``service.attach_staleness`` /
-``cluster.attach_staleness``), so deployments without streaming
+is attached (``service.attach_staleness``), so deployments without streaming
 ingestion stay byte-identical to earlier releases.
 
 ``plan_cache_hit`` (boolean, always present in ok responses) reports
@@ -210,9 +205,6 @@ class ServedEstimate:
     #: (:mod:`repro.core.plancache`) instead of a fresh DP run; the
     #: replay is bit-identical, so this is purely diagnostic
     plan_cache_hit: bool = False
-    #: cluster only: id of the shard that produced this answer
-    #: (``None`` outside :mod:`repro.cluster`)
-    shard: int | None = None
     #: estimator backend that produced this answer (``"sit"``, ``"bn"``,
     #: ``"sample"``; ``"magic"`` marks a level-3 constant answer)
     backend: str = "sit"
@@ -246,8 +238,6 @@ class ServedEstimate:
         }
         if self.excluded_sits:
             payload["excluded_sits"] = list(self.excluded_sits)
-        if self.shard is not None:
-            payload["shard"] = self.shard
         if self.backend != "sit":
             payload["backend"] = self.backend
         if self.error_bound is not None:
@@ -271,7 +261,6 @@ class ServedEstimate:
             degradation_level=int(payload.get("degradation_level", 0)),
             excluded_sits=tuple(payload.get("excluded_sits", ())),
             plan_cache_hit=bool(payload.get("plan_cache_hit", False)),
-            shard=(None if payload.get("shard") is None else int(payload["shard"])),
             backend=str(payload.get("backend", "sit")),
             error_bound=(
                 None
@@ -332,12 +321,9 @@ def encode_line(payload: Mapping) -> bytes:
 _INF = math.inf
 
 
-def encode_served(
-    answer: ServedEstimate, request_id: object = None, shard: int | None = None
-) -> bytes:
+def encode_served(answer: ServedEstimate, request_id: object = None) -> bytes:
     """The server's ok line for ``answer``: ``encode_line`` of
-    ``answer.to_wire(request_id)`` with, when ``shard`` is given, the
-    answering shard's id set on it — byte for byte.
+    ``answer.to_wire(request_id)``, byte for byte.
 
     Written directly rather than through ``json.dumps``, whose encoder
     calls back into Python for every float: on a hot answer that was
@@ -345,7 +331,7 @@ def encode_served(
     default deployment serves — finite ``float`` numbers, ``int``
     counters, ``bool`` flags, no optional field — under a ``str``,
     ``int`` or no id; any other answer (a non-finite float, a backend,
-    bound, staleness, shard or excluded SIT to report, an id of another
+    bound, staleness or excluded SIT to report, an id of another
     type) is handed to ``encode_line`` instead, so the bytes are json's
     whatever the answer holds (``tests/service/test_wire_bytes.py``)."""
     selectivity = answer.selectivity
@@ -360,8 +346,6 @@ def encode_served(
         tail = f',"id":{request_id}'
     else:
         tail = None
-    if shard is not None and tail is not None:
-        tail = f'{tail},"shard":{shard}' if type(shard) is int else None
     if (
         tail is None
         or not (
@@ -382,13 +366,9 @@ def encode_served(
         or answer.backend != "sit"
         or answer.error_bound is not None
         or answer.staleness_s is not None
-        or answer.shard is not None
         or answer.excluded_sits
     ):
-        payload = answer.to_wire(request_id)
-        if shard is not None:
-            payload["shard"] = shard
-        return encode_line(payload)
+        return encode_line(answer.to_wire(request_id))
     return (
         f'{{"ok":true,"status":"ok","selectivity":{selectivity!r},'
         f'"cardinality":{cardinality!r},"error":{error!r},'

@@ -130,9 +130,6 @@ class EstimationServer:
         self.service = service
         self.host = host if host is not None else service.config.host
         self.port = port if port is not None else service.config.port
-        #: cluster deployments set this so every ok response carries the
-        #: answering shard's id (:mod:`repro.cluster`); None = no field
-        self.shard: int | None = None
         self._server: asyncio.AbstractServer | None = None
 
     # ------------------------------------------------------------------
@@ -219,7 +216,7 @@ class EstimationServer:
     async def _serve_group(self, lines: Sequence[bytes]) -> bytes:
         """One group of request lines to its response lines, in request
         order.  Estimates are admitted together and awaited once;
-        everything else — ``ping``, ``stats``, subclass ops, a line that
+        everything else — ``ping``, ``stats``, a line that
         does not decode — is answered in place."""
         responses: "list[bytes | None]" = []
         estimates: list[tuple[int, object]] = []  # (response slot, id)
@@ -238,7 +235,7 @@ class EstimationServer:
                     response = None  # filled in once it is served
                 else:
                     response = encode_line(
-                        await self._answer_in_place(op, payload, request_id)
+                        self._answer_in_place(op, request_id)
                     )
             except Exception as exc:
                 response = encode_line(_failure(exc, request_id))
@@ -262,9 +259,7 @@ class EstimationServer:
                 responses[slot] = self._estimate_line(request_id, outcome)
         return b"".join(responses)
 
-    async def _answer_in_place(
-        self, op: str, payload: dict, request_id: object
-    ) -> dict:
+    def _answer_in_place(self, op: str, request_id: object) -> dict:
         if op == "ping":
             return {"id": request_id, "ok": True, "status": "ok", "pong": True}
         if op == "stats":
@@ -274,10 +269,7 @@ class EstimationServer:
                 "status": "ok",
                 "stats": self.service.stats_snapshot().to_dict(),
             }
-        extra = await self._dispatch_extra(op, payload, request_id)
-        if extra is None:
-            raise InvalidRequest(f"unknown op {op!r}")
-        return extra
+        raise InvalidRequest(f"unknown op {op!r}")
 
     def _estimate_line(
         self,
@@ -290,15 +282,15 @@ class EstimationServer:
                 if not isinstance(outcome, Future):
                     raise outcome
                 outcome = outcome.result(timeout=0)
-            return encode_served(outcome, request_id, self.shard)
+            return encode_served(outcome, request_id)
         except Exception as exc:
             return encode_line(_failure(exc, request_id))
 
     @staticmethod
     def _decode_query(payload: dict):
         """The request's query in whichever spelling it carried: a
-        ``sql`` string, or the parse-free ``predicates`` list the
-        cluster router sends (:mod:`repro.service.protocol`)."""
+        ``sql`` string, or the parse-free ``predicates`` list
+        (:mod:`repro.service.protocol`)."""
         if "predicates" in payload:
             return decode_predicates(payload["predicates"])
         sql = payload.get("sql")
@@ -307,14 +299,6 @@ class EstimationServer:
                 "estimate requires a non-empty 'sql' or a 'predicates' list"
             )
         return sql
-
-    async def _dispatch_extra(
-        self, op: str, payload: dict, request_id: object
-    ) -> dict | None:
-        """Subclass hook for ops beyond ping/stats/estimate (the cluster
-        shard server adds invalidate/swap control ops).  Return ``None``
-        to reject the op as unknown."""
-        return None
 
 
 # ----------------------------------------------------------------------

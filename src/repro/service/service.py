@@ -105,10 +105,9 @@ def coerce_query(
 ) -> tuple[frozenset, frozenset[str]]:
     """Any in-process request spelling — SQL text, a bound
     :class:`Query`, a bare predicate set — as ``(predicates, tables)``;
-    :class:`InvalidRequest` for anything else.  Shared by the service
-    and the cluster router, which both admit all three and each own the
-    ``sql`` front end their statements are parsed by.  SQL text builds
-    no :class:`Query`: the front end hands over the pair."""
+    :class:`InvalidRequest` for anything else.  ``sql`` is the service's
+    own front end.  SQL text builds no :class:`Query`: the front end
+    hands over the pair."""
     if isinstance(query, str):
         try:
             predicates, tables = sql.parse_predicates(query)
@@ -1059,4 +1058,4 @@ class EstimationService:
         )
 
 
-__all__ = ["EstimationService", "coerce_query"]
+__all__ = ["EstimationService"]

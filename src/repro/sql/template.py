@@ -13,8 +13,8 @@ the literals.  :func:`~repro.sql.binder.parse_query` is the miss path
 and the oracle (``tests/sql/test_template_parity.py``): whatever the
 split does not recognise goes to it and gets its answer or its error.
 
-Whoever serves owns one front end (``EstimationService``,
-``ClusterRouter``); it is safe to share between submitting threads.
+Whoever serves owns one front end (``EstimationService``); it is safe
+to share between submitting threads.
 """
 
 from __future__ import annotations

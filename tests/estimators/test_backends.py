@@ -75,6 +75,9 @@ class TestParity:
                 assert 0.0 < result.error_bound <= 1.0
             else:
                 assert result.error_bound is None
+        if name != "sit":  # the peer backends count the answers they give
+            counters = estimator.stats_snapshot().counters
+            assert counters["estimates"] == len(parity_queries)
 
     def test_sample_estimates_within_their_guarantee(
         self, two_table_db, two_table_pool, parity_queries, parity_truth
@@ -273,18 +276,15 @@ class TestServiceRouting:
         config = ServiceConfig(backend="bn")
         assert ServiceConfig.from_dict(config.to_dict()).backend == "bn"
 
-    @pytest.mark.parametrize("backend", ["bn", "sample"])
-    def test_cluster_tier_is_sit_only(self, backend):
-        # shards attach a row-free stats snapshot; the peer backends
-        # build their models from rows, so the combination must be
-        # rejected at validation, not fail on every shard answer
-        from repro.service import ClusterConfig, ServiceConfig
+    def test_serve_has_no_shards_option(self, capsys):
+        # every backend is served by the one single-process service;
+        # the multi-process tier and its --shards flag are gone
+        from repro.__main__ import main
 
-        with pytest.raises(ValueError, match="stats-only"):
-            ServiceConfig(backend=backend, cluster=ClusterConfig(shards=2))
-        assert ServiceConfig(
-            backend="sit", cluster=ClusterConfig(shards=2)
-        ).cluster is not None
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--backend", "bn", "--shards", "2"])
+        assert exit_info.value.code == 2  # argparse's usage error
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
 
 class TestLadderFallback:

@@ -110,7 +110,7 @@ class TestHistogram:
 
 class TestAnswersFromArrays:
     """Shape questions answer from the columns and build no ``Bucket``
-    (cluster shared memory, join / compact output); a histogram has no
+    (a loaded catalog file, join / compact output); a histogram has no
     ``__dict__`` to keep one in."""
 
     def lazy_and_eager(self) -> tuple[Histogram, Histogram]:
@@ -137,6 +137,55 @@ class TestAnswersFromArrays:
         with pytest.raises(ValueError):
             _ = empty.high
         assert not hasattr(empty, "__dict__") and not bucket_births
+
+
+class TestFromArrays:
+    """Four columns in, a histogram out: the path a loaded catalog file
+    and the histogram kernels build through."""
+
+    def test_matches_bucket_construction(self, two_table_pool):
+        for sit in two_table_pool:
+            original = sit.histogram
+            rebuilt = Histogram.from_arrays(
+                *original.bucket_arrays(), null_count=original.null_count
+            )
+            assert rebuilt.total == original.total
+            assert rebuilt.frequency == original.frequency
+            assert rebuilt.buckets == original.buckets
+
+    def test_validates_shapes_and_order(self):
+        with pytest.raises(ValueError, match="identical shapes"):
+            Histogram.from_arrays(
+                np.zeros(2), np.ones(2), np.ones(2), np.ones(3)
+            )
+        with pytest.raises(ValueError, match="ordered"):
+            Histogram.from_arrays(
+                np.array([0.0, 1.0]),
+                np.array([5.0, 2.0]),
+                np.ones(2),
+                np.ones(2),
+            )
+
+    def test_unknown_attribute_still_raises(self):
+        histogram = Histogram.from_arrays(
+            np.array([0.0]), np.array([1.0]), np.array([2.0]), np.array([1.0])
+        )
+        with pytest.raises(AttributeError):
+            histogram.not_a_real_attribute
+
+    def test_estimates_match_eagerly_built(self):
+        lows = np.array([0.0, 10.0, 20.0])
+        highs = np.array([10.0, 20.0, 30.0])
+        freqs = np.array([5.0, 7.0, 3.0])
+        dists = np.array([5.0, 7.0, 3.0])
+        lazy = Histogram.from_arrays(lows, highs, freqs, dists)
+        eager = Histogram(
+            [Bucket(*row) for row in zip(lows, highs, freqs, dists)]
+        )
+        for low, high in ((0.0, 30.0), (5.0, 12.0), (25.0, 99.0)):
+            assert lazy.estimate_range_selectivity(
+                low, high
+            ) == eager.estimate_range_selectivity(low, high)
 
 
 def same_histogram(got: Histogram, expected: Histogram) -> bool:

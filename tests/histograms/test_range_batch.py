@@ -199,8 +199,8 @@ def bucket_equality(histogram: Histogram, value: float) -> float:
 
 
 def read_only_views(built: Histogram) -> Histogram:
-    """The histogram over read-only views into one buffer, as a cluster
-    shard attaches a shared-memory snapshot."""
+    """The histogram over read-only views into one buffer: adopted
+    columns need not be writeable."""
     buffer = np.concatenate(built.bucket_arrays())
     buffer.setflags(write=False)
     views = np.split(buffer, 4)

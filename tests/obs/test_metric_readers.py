@@ -7,15 +7,14 @@ for any that nothing reads, so a new counter arrives together with its
 reader or not at all.
 
 *Registered*: a string literal ``"<namespace>.<key>"`` passed to
-``counter(...)`` / ``gauge(...)`` / ``histogram(...)`` (or the cluster
-router's ``_count(...)``).  Families registered through an f-string
-(``f"plan_cache.{key}"``) forward another structure's keys and are read
-through that structure's own tests.
+``counter(...)`` / ``gauge(...)`` / ``histogram(...)``.  Families
+registered through an f-string (``f"plan_cache.{key}"``) forward another
+structure's keys and are read through that structure's own tests.
 
 *Read*: the dotted name, or its key as a quoted string
-(``snapshot.cluster["rejoins"]``), appears in ``tests/``, ``scripts/``,
-``bench/``, ``benchmarks/``, ``examples/``, the CLI (``repro/__main__.py``)
-or the bench runner (``repro/bench/``).
+(``snapshot.ingest["events_applied"]``), appears in ``tests/``,
+``scripts/``, ``bench/``, ``benchmarks/``, ``examples/``, the CLI
+(``repro/__main__.py``) or the bench runner (``repro/bench/``).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.obs.snapshot import NAMESPACES
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 REGISTRATION = re.compile(
-    r"(?:\bcounter|\bgauge|\bhistogram|\b_count)\(\s*"
+    r"(?:\bcounter|\bgauge|\bhistogram)\(\s*"
     r"\"((?:%s)\.[a-z_0-9]+)\"" % "|".join(NAMESPACES)
 )
 
@@ -65,10 +64,9 @@ def reader_text() -> str:
 
 def test_the_scan_sees_the_registry():
     names = registered_names()
-    assert len(names) > 90
+    assert len(names) > 80
     assert {
         "service.served",
-        "cluster.rejoins",
         "catalog.version",
         "ingest.events_applied",
     } <= names

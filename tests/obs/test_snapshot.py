@@ -29,7 +29,6 @@ class TestStatsSnapshot:
             "service",
             "resilience",
             "plan_cache",
-            "cluster",
             "advisor",
             "ingest",
         )
@@ -108,7 +107,6 @@ class TestStatsSnapshot:
             "service",
             "resilience",
             "plan_cache",
-            "cluster",
             "advisor",
             "ingest",
             "meta",

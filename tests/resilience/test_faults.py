@@ -37,6 +37,12 @@ class TestFaultRule:
         with pytest.raises(ValueError, match="injection point"):
             FaultRule(point="reactor_core")
 
+    def test_rejects_the_removed_cluster_point(self):
+        """Only the multi-process router injected ``swap_under_write``;
+        with the router gone a plan naming it fails loudly."""
+        with pytest.raises(ValueError, match="unknown injection point"):
+            FaultRule(point="swap_under_write")
+
     def test_rejects_unknown_fault(self):
         with pytest.raises(ValueError, match="fault kind"):
             FaultRule(point=POINT_SIT_MATCH, fault="gremlin")
@@ -299,7 +305,6 @@ class TestPlanDocuments:
             "catalog_load",
             "ingest_apply",
             "refresh_during_storm",
-            "swap_under_write",
         }
 
 

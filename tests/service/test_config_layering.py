@@ -5,10 +5,12 @@ trips."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from repro.service import ClusterConfig, HealingConfig, ServiceConfig
+from repro.advisor import AdvisorConfig
+from repro.service import HealingConfig, ServiceConfig
 
 
 class TestServiceValidation:
@@ -61,8 +63,8 @@ class TestServiceValidation:
     def test_nested_layers_are_type_checked(self):
         with pytest.raises(TypeError, match="healing"):
             ServiceConfig(healing={"breaker_threshold": 3})
-        with pytest.raises(TypeError, match="cluster"):
-            ServiceConfig(cluster={"shards": 2})
+        with pytest.raises(TypeError, match="advisor"):
+            ServiceConfig(advisor={"max_q_error": 10.0})
 
 
 class TestHealingValidation:
@@ -80,32 +82,12 @@ class TestHealingValidation:
             HealingConfig(**{field: value})
 
 
-class TestClusterValidation:
-    @pytest.mark.parametrize(
-        ("field", "value"),
-        [
-            ("shards", 0),
-            ("shard_workers", 0),
-        ],
-    )
-    def test_rejects_bad_knob(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            ClusterConfig(**{field: value})
-
-
-@pytest.mark.parametrize(
-    "field", ["hedge_factor", "min_hedge_delay_s", "startup_timeout_s"]
-)
-def test_router_constants_are_no_config_keys(field):
-    """Nobody set these: they are constants in ``cluster/router.py``, and
-    a config file still naming one is rejected, not ignored."""
-    with pytest.raises(ValueError, match=field):
-        ClusterConfig.from_dict({field: 1.0})
-
-
 @pytest.mark.parametrize(
     "field",
     [
+        "shards",
+        "shard_workers",
+        "max_held_requests",
         "replicas",
         "ring_points",
         "hedge_delay_s",
@@ -114,10 +96,32 @@ def test_router_constants_are_no_config_keys(field):
     ],
 )
 def test_removed_cluster_keys_are_unknown(field):
-    """Hedging, replicas, the per-shard breaker and the consistent-hash
-    ring are gone: a deployment file still naming one fails loudly."""
-    with pytest.raises(ValueError, match="unknown ClusterConfig keys"):
-        ServiceConfig.from_dict({"cluster": {"shards": 2, field: 1}})
+    """The multi-process tier is gone, and its whole block with it: a
+    deployment file that still has a ``cluster`` block, whatever it
+    holds, fails loudly instead of being served single-process."""
+    with pytest.raises(
+        ValueError, match=re.escape("unknown ServiceConfig keys: ['cluster']")
+    ):
+        ServiceConfig.from_dict({"cluster": {field: 1}})
+
+
+@pytest.mark.parametrize(
+    "field", ["hedge_factor", "min_hedge_delay_s", "startup_timeout_s"]
+)
+def test_router_constants_are_no_config_keys(field):
+    """Nobody set these: they were constants of the deleted cluster
+    router, and a config file still naming one is rejected, not
+    ignored."""
+    with pytest.raises(ValueError, match=field):
+        ServiceConfig.from_dict({field: 1.0})
+
+
+def test_cluster_is_no_knob():
+    with pytest.raises(TypeError, match="cluster"):
+        ServiceConfig(cluster=None)
+    assert "cluster" not in ServiceConfig().to_dict()
+    with pytest.raises(ValueError, match="cluster"):
+        ServiceConfig.from_dict({"cluster": None})
 
 
 class TestRoundTrip:
@@ -125,43 +129,38 @@ class TestRoundTrip:
         config = ServiceConfig()
         assert ServiceConfig.from_dict(config.to_dict()) == config
 
-    def test_full_cluster_deployment_fits_in_one_json_file(self):
+    def test_full_deployment_fits_in_one_json_file(self):
         config = ServiceConfig(
             workers=4,
             healing=HealingConfig(breaker_threshold=5, requeue_limit=0),
-            cluster=ClusterConfig(shards=4, max_held_requests=64),
+            advisor=AdvisorConfig(max_q_error=50.0),
         )
         # through actual JSON, not just dicts: the serve --config path
         restored = ServiceConfig.from_dict(
             json.loads(json.dumps(config.to_dict()))
         )
         assert restored == config
-        assert restored.cluster.max_held_requests == 64
+        assert restored.advisor.max_q_error == 50.0
         assert restored.healing.breaker_threshold == 5
-
-    def test_null_cluster_round_trips_to_none(self):
-        data = ServiceConfig().to_dict()
-        assert data["cluster"] is None
-        assert ServiceConfig.from_dict(data).cluster is None
 
     def test_unknown_keys_are_rejected_per_layer(self):
         with pytest.raises(ValueError, match="unknown ServiceConfig"):
             ServiceConfig.from_dict({"wrokers": 2})
         with pytest.raises(ValueError, match="unknown HealingConfig"):
             ServiceConfig.from_dict({"healing": {"threshold": 3}})
-        with pytest.raises(ValueError, match="unknown ClusterConfig"):
-            ServiceConfig.from_dict({"cluster": {"shard": 2}})
+        with pytest.raises(ValueError, match="unknown AdvisorConfig"):
+            ServiceConfig.from_dict({"advisor": {"max_qerror": 3}})
 
     def test_nested_validation_fires_through_from_dict(self):
-        with pytest.raises(ValueError, match="shards"):
-            ServiceConfig.from_dict({"cluster": {"shards": 0}})
+        with pytest.raises(ValueError, match="breaker_threshold"):
+            ServiceConfig.from_dict({"healing": {"breaker_threshold": 0}})
 
 
 class TestLegacyShims:
     def test_modern_spelling_is_warning_free(self, recwarn):
         config = ServiceConfig(
             healing=HealingConfig(breaker_threshold=5),
-            cluster=ClusterConfig(shards=2),
+            advisor=AdvisorConfig(),
         )
         ServiceConfig.from_dict(config.to_dict())
         assert not [

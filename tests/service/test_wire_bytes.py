@@ -3,8 +3,7 @@
 The server writes an answer's line directly
 (:func:`~repro.service.protocol.encode_served`) instead of through
 ``json.dumps``; the bytes must be exactly ``encode_line`` of
-``answer.to_wire(id)`` — with the serving shard's id set on it, as a
-shard server does — for any answer and any id.  What the direct writer
+``answer.to_wire(id)`` for any answer and any id.  What the direct writer
 does not cover (non-finite floats, excluded SITs, ids that are neither
 strings nor integers, …) falls back to ``encode_line`` itself.
 """
@@ -57,27 +56,20 @@ answers = st.builds(
     degradation_level=st.integers(0, 3),
     excluded_sits=st.sampled_from([(), ()]) | st.lists(TEXT, max_size=2).map(tuple),
     plan_cache_hit=st.booleans(),
-    shard=st.none() | st.none() | st.integers(0, 7),
     backend=st.sampled_from(["sit", "sit", "bn", "sample", "magic"]) | TEXT,
     error_bound=st.none() | FLOATS,
     staleness_s=st.none() | FLOATS,
 )
-SHARDS = st.none() | st.integers(0, 64)
 
 
-def expected_line(answer: ServedEstimate, request_id, shard) -> bytes:
-    """What the server wrote before: the wire dict, then the shard id."""
-    response = answer.to_wire(request_id)
-    if shard is not None:
-        response["shard"] = shard
-    return encode_line(response)
+def expected_line(answer: ServedEstimate, request_id) -> bytes:
+    """What the server wrote before: the wire dict."""
+    return encode_line(answer.to_wire(request_id))
 
 
-def server(shard) -> EstimationServer:
+def server() -> EstimationServer:
     """A server around no service: only its line writing is exercised."""
-    front = EstimationServer(None, host="127.0.0.1", port=0)
-    front.shard = shard
-    return front
+    return EstimationServer(None, host="127.0.0.1", port=0)
 
 
 HOT = ServedEstimate(
@@ -87,16 +79,16 @@ HOT = ServedEstimate(
 
 class TestDirectLines:
     @settings(max_examples=1500, deadline=None)
-    @given(answers, IDS, SHARDS)
-    @example(HOT, "17", None)
-    @example(HOT, 'he said "hi"', 2)
-    @example(HOT, "naïve ✓", None)
-    @example(HOT, 7, 0)
-    @example(HOT, None, None)
-    @example(dataclasses.replace(HOT, selectivity=-0.0, error=5e-324), "x", None)
-    @example(dataclasses.replace(HOT, cardinality=1e300, latency_ms=2.0), "x", 1)
-    @example(dataclasses.replace(HOT, selectivity=math.inf), "x", None)
-    @example(dataclasses.replace(HOT, error=math.nan), "x", None)
+    @given(answers, IDS)
+    @example(HOT, "17")
+    @example(HOT, 'he said "hi"')
+    @example(HOT, "naïve ✓")
+    @example(HOT, 7)
+    @example(HOT, None)
+    @example(dataclasses.replace(HOT, selectivity=-0.0, error=5e-324), "x")
+    @example(dataclasses.replace(HOT, cardinality=1e300, latency_ms=2.0), "x")
+    @example(dataclasses.replace(HOT, selectivity=math.inf), "x")
+    @example(dataclasses.replace(HOT, error=math.nan), "x")
     @example(
         dataclasses.replace(
             HOT,
@@ -104,18 +96,16 @@ class TestDirectLines:
             error_bound=0.25,
             staleness_s=0.0,
             excluded_sits=("sit_a",),
-            shard=1,
         ),
         "x",
-        None,
     )
-    @example(dataclasses.replace(HOT, backend="bn", staleness_s=1.5), "x", 3)
-    def test_bytes_are_encode_line_of_to_wire(self, answer, request_id, shard):
-        expected = expected_line(answer, request_id, shard)
-        assert encode_served(answer, request_id, shard) == expected
+    @example(dataclasses.replace(HOT, backend="bn", staleness_s=1.5), "x")
+    def test_bytes_are_encode_line_of_to_wire(self, answer, request_id):
+        expected = expected_line(answer, request_id)
+        assert encode_served(answer, request_id) == expected
         # the server's own response line, from the answer as a value and
-        # from a resolved future (the in-process and cluster spelling)
-        front = server(shard)
+        # from a resolved future (the on-arrival and queued spellings)
+        front = server()
         assert front._estimate_line(request_id, answer) == expected
         future = Future()
         future.set_result(answer)
@@ -128,22 +118,21 @@ class TestDirectLines:
         def refuse(*_args, **_kwargs):
             raise AssertionError("json.dumps was called")
 
-        expected = expected_line(HOT, "17", 2)
+        expected = expected_line(HOT, "17")
         monkeypatch.setattr(protocol.json, "dumps", refuse)
-        assert encode_served(HOT, "17", 2) == expected
-        assert encode_served(HOT, 9, 2) == (
+        assert encode_served(HOT, "17") == expected
+        assert encode_served(HOT, 9) == (
             b'{"ok":true,"status":"ok","selectivity":0.0123456789,'
             b'"cardinality":12345.678901,"error":0.5,"snapshot_version":3,'
             b'"latency_ms":0.0423,"batch_size":1,"deduplicated":false,'
-            b'"degradation_level":0,"plan_cache_hit":true,"id":9,"shard":2}\n'
+            b'"degradation_level":0,"plan_cache_hit":true,"id":9}\n'
         )
 
 
-class TestShardServerOverTcp:
-    def test_a_group_of_hits_from_a_shard_server(self, service_catalog):
-        """A shard server (``shard`` set) answers a pipelined group of
-        hits: every line is the bytes the dict spelling wrote, with the
-        shard id last."""
+class TestServerOverTcp:
+    def test_a_pipelined_group_of_hits(self, service_catalog):
+        """The server answers a pipelined group of hits: every line is
+        the bytes the dict spelling wrote."""
         service = EstimationService(
             service_catalog, config=ServiceConfig(workers=1)
         )
@@ -151,7 +140,6 @@ class TestShardServerOverTcp:
         with start_in_thread(service, port=0) as handle, (
             socket.create_connection(handle.address, timeout=30.0)
         ) as sock:
-            handle._server.shard = 3
             reader = sock.makefile("rb")
             sock.sendall(encode_line({"id": "warm", "sql": SQL.format(1, 50)}))
             assert decode_line(reader.readline())["plan_cache_hit"] is False
@@ -170,6 +158,5 @@ class TestShardServerOverTcp:
             response = json.loads(line)
             assert response.get("id") == request_id
             assert response["plan_cache_hit"] is True
-            assert list(response)[-1] == "shard" and response["shard"] == 3
-            answer = dataclasses.replace(ServedEstimate.from_wire(response), shard=None)
-            assert line == expected_line(answer, request_id, 3)
+            answer = ServedEstimate.from_wire(response)
+            assert line == expected_line(answer, request_id)

@@ -345,3 +345,12 @@ class TestBucketColumns:
         loaded = decode_sit(encode_sit(sample_sit())).histogram
         for column in loaded.bucket_arrays():
             assert column.dtype == np.float64 and column.flags.c_contiguous
+
+
+def test_expression_codec_roundtrip(two_table_attrs):
+    """The round trip of one predicate is exact, infinities included, so
+    a decoded SIT expression looks up the same pool entries."""
+    from repro.stats.io import decode_predicate, encode_predicate
+
+    predicate = FilterPredicate(two_table_attrs["Ra"], 1.5, float("inf"))
+    assert decode_predicate(encode_predicate(predicate)) == predicate
