@@ -787,7 +787,7 @@ class GetSelectivity:
         scoring: within a solve the memo asks for each pair once, and a
         later request replays a plan or finds its sub-plans in the memo
         before a pair is scored again, so a cache of scored pairs would
-        only hold entries (DESIGN.md §6 measured its hit rate at 0)."""
+        only hold entries (DESIGN.md §5)."""
         self.matcher.count_invocation()
         return self._score(p_mask, q_mask)
 

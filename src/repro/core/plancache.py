@@ -75,7 +75,6 @@ Compile safety gates (all checked before a plan is cached):
 
 from __future__ import annotations
 
-import hashlib
 import math
 import threading
 from dataclasses import dataclass
@@ -116,13 +115,6 @@ def shape_fingerprint(
     """
     ordered = tuple(sorted(predicates, key=by_str))
     return tuple(map(_token, ordered)), ordered
-
-
-def fingerprint_digest(fingerprint: tuple) -> str:
-    """A short stable hex digest of a fingerprint."""
-    return hashlib.blake2b(
-        repr(fingerprint).encode("utf-8"), digest_size=4
-    ).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -602,6 +594,5 @@ __all__ = [
     "CompiledPlan",
     "PlanCache",
     "compile_plan",
-    "fingerprint_digest",
     "shape_fingerprint",
 ]

@@ -137,25 +137,6 @@ class ResilienceTelemetry:
             self._replans += 1
 
     # ------------------------------------------------------------------
-    @property
-    def degraded_queries(self) -> int:
-        """Queries answered below level 0."""
-        with self._lock:
-            return sum(
-                count
-                for level, count in self._levels.items()
-                if level > LEVEL_NORMAL
-            )
-
-    def level_count(self, level: int) -> int:
-        with self._lock:
-            return self._levels.get(level, 0)
-
-    def fault_count(self, kind: str) -> int:
-        with self._lock:
-            return self._faults.get(kind, 0)
-
-    # ------------------------------------------------------------------
     def merge(self, other: "ResilienceTelemetry") -> None:
         with other._lock:
             levels = dict(other._levels)

@@ -1,6 +1,6 @@
 """``repro.service`` — the concurrent estimation-serving subsystem.
 
-Layering (queue → batch → worker → snapshot swap; DESIGN.md §9):
+Layering (queue → batch → worker → snapshot swap; DESIGN.md §11):
 
 * :mod:`repro.service.config` — layered tunables:
   :class:`ServiceConfig` with a nested :class:`HealingConfig`

@@ -141,7 +141,7 @@ class ServiceConfig:
     @property
     def batch_window_s(self) -> float:
         """Seconds a lone request waits on a timer: ``0.0``, and not a
-        knob — batches form from the backlog (DESIGN.md §9).  Read-only,
+        knob — batches form from the backlog (DESIGN.md §11).  Read-only,
         for callers that subtract timer idle time from a measurement."""
         return 0.0
 

@@ -45,7 +45,7 @@ correlate on ``id``.
 
 ``degradation_level`` reports how the estimate was produced when
 statistics fault mid-request (see :mod:`repro.resilience.ladder` and
-DESIGN.md §10): ``0`` = the normal path, ``1`` = re-planned without the
+DESIGN.md §12): ``0`` = the normal path, ``1`` = re-planned without the
 failed SITs (their names ride along in ``excluded_sits``), ``2`` = base
 histograms under independence, ``3`` = magic constants.  A degraded
 answer is still ``status: ok`` — the ladder's contract is that a

@@ -141,7 +141,7 @@ class _Pending:
     #: filled by the worker for telemetry assertions in tests
     batch_size: int = field(default=1, compare=False)
     #: times this request was re-queued after a worker crash (bounded by
-    #: ``ServiceConfig.requeue_limit``)
+    #: ``ServiceConfig.healing.requeue_limit``)
     requeues: int = field(default=0, compare=False)
 
     def expired(self, now: float) -> bool:
@@ -186,7 +186,7 @@ class EstimationService:
         self.name = name
         self.database = self._resolve_database(statistics, database)
         #: SQL requests are parsed where they are submitted (the server's
-        #: loop thread, or any caller's), a shape once: DESIGN §9
+        #: loop thread, or any caller's), a shape once: DESIGN.md §11
         self._sql = TemplateFrontEnd(self.database.schema)
         self._queue: AdmissionQueue[_Pending] = AdmissionQueue(
             self.config.queue_depth
@@ -419,7 +419,7 @@ class EstimationService:
         """:meth:`submit_many` without the wrapping: a member answered
         on arrival comes back as its :class:`ServedEstimate` itself, not
         as a resolved future.  The TCP server's loop thread admits here
-        and writes such a member's line at once (DESIGN §9)."""
+        and writes such a member's line at once (DESIGN.md §11)."""
         if self._closed.is_set() or self._draining.is_set():
             return [
                 ServiceClosed(f"{self.name} is shutting down")
@@ -596,7 +596,7 @@ class EstimationService:
         config = self.config
         while True:
             # whatever backed up while the last batch was being served
-            # (a lone request is a batch of one): no timer, see DESIGN §9
+            # (a lone request is a batch of one): no timer, see DESIGN.md §11
             batch = self._queue.take_batch(config.max_batch)
             if not batch:
                 if self._queue.closed:
@@ -742,7 +742,7 @@ class EstimationService:
         """A worker died mid-batch: salvage its work and its telemetry.
 
         Unanswered requests are re-queued (bounded by
-        ``ServiceConfig.requeue_limit``) so another worker can serve
+        ``ServiceConfig.healing.requeue_limit``) so another worker can serve
         them; past the bound — or once the queue is closed — they are
         failed with a typed :class:`ServiceError`.  The fault counts
         against the per-snapshot circuit breaker; on trip the snapshot

@@ -16,11 +16,7 @@ from repro.core.errors import NIndError
 from repro.estimators import SITEstimator
 from repro.core import get_selectivity
 from repro.core.get_selectivity import GetSelectivity
-from repro.core.plancache import (
-    PlanCache,
-    fingerprint_digest,
-    shape_fingerprint,
-)
+from repro.core.plancache import PlanCache, shape_fingerprint
 from repro.core.predicates import Attribute, FilterPredicate
 from repro.engine.expressions import Query
 from repro.stats.builder import SITBuilder
@@ -71,14 +67,6 @@ class TestShapeFingerprint:
     def test_join_and_filter_tokens_differ(self, shapes):
         fingerprints = {shape_fingerprint(s)[0] for s in shapes}
         assert len(fingerprints) == len(shapes)
-
-    def test_digest_is_stable_and_short(self, shapes):
-        for shape in shapes:
-            fingerprint = shape_fingerprint(shape)[0]
-            digest = fingerprint_digest(fingerprint)
-            assert digest == fingerprint_digest(fingerprint)
-            assert len(digest) == 8
-            int(digest, 16)  # hex
 
 
 class TestCompileGates:
