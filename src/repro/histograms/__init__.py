@@ -1,7 +1,7 @@
 """Unidimensional histograms (MaxDiff, equi-depth, equi-width) and the
 histogram algebra (range estimation, equi-join, variation distance)."""
 
-from repro.histograms.base import Bucket, Histogram, values_and_frequencies
+from repro.histograms.base import Bucket, Histogram, ValueCounts, values_and_frequencies
 from repro.histograms.equidepth import build_equidepth
 from repro.histograms.equiwidth import build_equiwidth
 from repro.histograms.maxdiff import DEFAULT_MAX_BUCKETS, build_maxdiff
@@ -19,6 +19,7 @@ __all__ = [
     "DEFAULT_MAX_BUCKETS",
     "Histogram",
     "HistogramJoinResult",
+    "ValueCounts",
     "GridHistogram2D",
     "build_equidepth",
     "build_equiwidth",

@@ -14,8 +14,9 @@ A histogram *is* its four bucket columns: float64 arrays, for the
 vectorized algebra of :mod:`repro.histograms.operations`, and the same
 columns as plain float lists (``_rows``), built the first time a scalar
 estimator walks them.  :class:`Bucket` is the definition of the
-per-bucket arithmetic and what builders hand :class:`Histogram`; no
-histogram keeps one, and only the reference kernels read ``.buckets``.
+per-bucket arithmetic; the builders emit columns from a
+:class:`ValueCounts`, no histogram keeps a ``Bucket``, and only the
+reference kernels read ``.buckets``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +94,6 @@ class Histogram:
     )
 
     def __init__(self, buckets: list[Bucket], null_count: float = 0.0):
-        # each Bucket checked its own bounds and mass when it was built;
-        # the order check is the one ``from_arrays`` makes
         columns = np.array(
             [(b.low, b.high, b.frequency, b.distinct) for b in buckets],
             dtype=np.float64,
@@ -122,6 +122,8 @@ class Histogram:
     def _adopt(self, lows, highs, frequencies, distincts, null_count) -> None:
         """Check and take the four columns: the one construction path.
 
+        It refuses what a :class:`Bucket` refuses — ``low > high``, a
+        negative frequency or distinct count — and buckets out of order.
         ``_frequency`` is summed element-by-element in bucket order, a
         left fold over the column's floats, so a histogram over the same
         columns — built, loaded or attached — estimates bit-identically.
@@ -132,7 +134,11 @@ class Histogram:
         distincts = np.asarray(distincts, dtype=np.float64)
         if not (lows.shape == highs.shape == frequencies.shape == distincts.shape):
             raise ValueError("bucket arrays must have identical shapes")
-        if lows.size and bool(np.any(lows[1:] < highs[:-1])):
+        if (lows > highs).any():
+            raise ValueError("bucket with low > high")
+        if (frequencies < 0).any() or (distincts < 0).any():
+            raise ValueError("bucket frequency/distinct must be non-negative")
+        if (lows[1:] < highs[:-1]).any():
             raise ValueError("buckets must be ordered and non-overlapping")
         self.null_count = float(null_count)
         self._lows = lows
@@ -318,12 +324,46 @@ def _overlap_fold(
     return total
 
 
-def values_and_frequencies(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Distinct non-NULL values, their frequencies, and the NULL count."""
+class ValueCounts(NamedTuple):
+    """A column's value count: its sorted distinct non-NULL values, how
+    often each occurs (int64), and how many NULLs it holds."""
+
+    distinct: np.ndarray
+    counts: np.ndarray
+    nulls: int
+
+
+def values_and_frequencies(values: np.ndarray | ValueCounts) -> ValueCounts:
+    """Distinct non-NULL values, their frequencies, and the NULL count.
+
+    A :class:`ValueCounts` is returned as it is, so a caller that counted
+    a column once can hand the count to every builder and to
+    :func:`repro.stats.diff.exact_diff` in place of the values.
+    """
+    if isinstance(values, ValueCounts):
+        return values
     values = np.asarray(values, dtype=np.float64)
-    nulls = int(np.isnan(values).sum())
-    clean = values[~np.isnan(values)]
-    if clean.size == 0:
-        return np.empty(0), np.empty(0, dtype=np.int64), nulls
-    distinct, counts = np.unique(clean, return_counts=True)
-    return distinct, counts, nulls
+    missing = np.isnan(values)
+    distinct, counts = np.unique(values[~missing], return_counts=True)
+    return ValueCounts(distinct, counts, int(missing.sum()))
+
+
+def point_histogram(counted: ValueCounts) -> Histogram:
+    """One bucket per distinct value: the exact histogram a builder
+    returns when the values fit its bucket budget (none when empty)."""
+    return grouped_histogram(counted, np.arange(counted.distinct.size))
+
+
+def grouped_histogram(counted: ValueCounts, starts: np.ndarray) -> Histogram:
+    """Buckets over runs of the sorted distinct values, run ``i`` from
+    ``starts[i]`` up to the next start: a run spans its first to its last
+    value and holds its values' total count and their number."""
+    distinct, counts, nulls = counted
+    stops = np.append(starts, distinct.size)[1:]
+    return Histogram.from_arrays(
+        distinct[starts],
+        distinct[stops - 1],
+        np.add.reduceat(counts, starts).astype(np.float64),
+        (stops - starts).astype(np.float64),
+        null_count=nulls,
+    )

@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.histograms.base import Bucket, Histogram, values_and_frequencies
+from repro.histograms.base import (
+    Histogram,
+    grouped_histogram,
+    point_histogram,
+    values_and_frequencies,
+)
 from repro.histograms.maxdiff import DEFAULT_MAX_BUCKETS
 
 
@@ -17,20 +22,15 @@ def build_equidepth(values: np.ndarray, max_buckets: int = DEFAULT_MAX_BUCKETS) 
     """Build an equi-depth histogram of ``values`` (NaN treated as NULL)."""
     if max_buckets < 1:
         raise ValueError("max_buckets must be >= 1")
-    distinct, counts, nulls = values_and_frequencies(values)
-    if distinct.size == 0:
-        return Histogram([], null_count=nulls)
+    counted = values_and_frequencies(values)
+    distinct, counts, _ = counted
     if distinct.size <= max_buckets:
-        buckets = [
-            Bucket(float(v), float(v), float(c), 1.0)
-            for v, c in zip(distinct, counts)
-        ]
-        return Histogram(buckets, null_count=nulls)
+        return point_histogram(counted)
 
     total = counts.sum()
     target = total / max_buckets
     cumulative = np.cumsum(counts)
-    buckets = []
+    starts = []
     start = 0
     consumed = 0.0
     for bucket_index in range(max_buckets):
@@ -43,16 +43,7 @@ def build_equidepth(values: np.ndarray, max_buckets: int = DEFAULT_MAX_BUCKETS) 
             stop = int(np.searchsorted(cumulative, goal, side="left")) + 1
             stop = max(stop, start + 1)
             stop = min(stop, distinct.size)
-        group_values = distinct[start:stop]
-        group_counts = counts[start:stop]
-        buckets.append(
-            Bucket(
-                float(group_values[0]),
-                float(group_values[-1]),
-                float(group_counts.sum()),
-                float(group_values.size),
-            )
-        )
+        starts.append(start)
         consumed = float(cumulative[stop - 1])
         start = stop
-    return Histogram(buckets, null_count=nulls)
+    return grouped_histogram(counted, np.array(starts, dtype=np.intp))

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.histograms.base import Bucket, Histogram, values_and_frequencies
+from repro.histograms.base import (
+    Histogram,
+    grouped_histogram,
+    point_histogram,
+    values_and_frequencies,
+)
 from repro.histograms.maxdiff import DEFAULT_MAX_BUCKETS
 
 
@@ -12,35 +17,18 @@ def build_equiwidth(values: np.ndarray, max_buckets: int = DEFAULT_MAX_BUCKETS) 
     """Build an equi-width histogram of ``values`` (NaN treated as NULL)."""
     if max_buckets < 1:
         raise ValueError("max_buckets must be >= 1")
-    distinct, counts, nulls = values_and_frequencies(values)
-    if distinct.size == 0:
-        return Histogram([], null_count=nulls)
+    counted = values_and_frequencies(values)
+    distinct = counted.distinct
     if distinct.size <= max_buckets:
-        buckets = [
-            Bucket(float(v), float(v), float(c), 1.0)
-            for v, c in zip(distinct, counts)
-        ]
-        return Histogram(buckets, null_count=nulls)
+        return point_histogram(counted)
 
     low, high = float(distinct[0]), float(distinct[-1])
     edges = np.linspace(low, high, max_buckets + 1)
     # Assign each distinct value to a bucket; the last edge is inclusive.
+    # The assignment never decreases along the sorted values, so each
+    # non-empty bucket is one run of them.
     assignment = np.clip(
         np.searchsorted(edges, distinct, side="right") - 1, 0, max_buckets - 1
     )
-    buckets = []
-    for b in range(max_buckets):
-        mask = assignment == b
-        if not mask.any():
-            continue
-        group_values = distinct[mask]
-        group_counts = counts[mask]
-        buckets.append(
-            Bucket(
-                float(group_values[0]),
-                float(group_values[-1]),
-                float(group_counts.sum()),
-                float(group_values.size),
-            )
-        )
-    return Histogram(buckets, null_count=nulls)
+    starts = np.flatnonzero(np.diff(assignment, prepend=-1))
+    return grouped_histogram(counted, starts)

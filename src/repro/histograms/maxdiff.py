@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.histograms.base import Bucket, Histogram, values_and_frequencies
+from repro.histograms.base import (
+    Histogram,
+    grouped_histogram,
+    point_histogram,
+    values_and_frequencies,
+)
 
 DEFAULT_MAX_BUCKETS = 200
 
@@ -21,42 +26,21 @@ def build_maxdiff(values: np.ndarray, max_buckets: int = DEFAULT_MAX_BUCKETS) ->
     """Build a MaxDiff(V,A) histogram of ``values`` (NaN treated as NULL)."""
     if max_buckets < 1:
         raise ValueError("max_buckets must be >= 1")
-    distinct, counts, nulls = values_and_frequencies(values)
-    if distinct.size == 0:
-        return Histogram([], null_count=nulls)
+    counted = values_and_frequencies(values)
+    distinct, counts, _ = counted
     if distinct.size <= max_buckets:
-        buckets = [
-            Bucket(float(v), float(v), float(c), 1.0)
-            for v, c in zip(distinct, counts)
-        ]
-        return Histogram(buckets, null_count=nulls)
+        return point_histogram(counted)
 
     spreads = np.empty_like(distinct)
     spreads[:-1] = np.diff(distinct)
-    spreads[-1] = spreads[:-1].mean() if distinct.size > 1 else 1.0
+    spreads[-1] = spreads[:-1].mean()
     areas = counts * spreads
     # Boundary *after* position i when |area[i+1] - area[i]| is among the
     # (max_buckets - 1) largest differences.
     differences = np.abs(np.diff(areas))
     boundary_count = min(max_buckets - 1, differences.size)
-    if boundary_count == 0:
-        cut_positions: list[int] = []
-    else:
+    starts = np.zeros(boundary_count + 1, dtype=np.intp)
+    if boundary_count:
         cut_after = np.argpartition(differences, -boundary_count)[-boundary_count:]
-        cut_positions = sorted(int(i) + 1 for i in cut_after)
-
-    buckets: list[Bucket] = []
-    start = 0
-    for stop in [*cut_positions, distinct.size]:
-        group_values = distinct[start:stop]
-        group_counts = counts[start:stop]
-        buckets.append(
-            Bucket(
-                float(group_values[0]),
-                float(group_values[-1]),
-                float(group_counts.sum()),
-                float(group_values.size),
-            )
-        )
-        start = stop
-    return Histogram(buckets, null_count=nulls)
+        starts[1:] = np.sort(cut_after) + 1
+    return grouped_histogram(counted, starts)

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from repro.histograms.base import Bucket, Histogram, values_and_frequencies
+from repro.histograms.base import Histogram, point_histogram, values_and_frequencies
 
 #: grid resolution cap (cells); must be a power of two
 MAX_GRID_CELLS = 1024
@@ -88,15 +88,10 @@ def build_wavelet(values: np.ndarray, max_coefficients: int = 200) -> Histogram:
     """Build a Haar-synopsis histogram of ``values`` (NaN treated as NULL)."""
     if max_coefficients < 1:
         raise ValueError("max_coefficients must be >= 1")
-    distinct, counts, nulls = values_and_frequencies(values)
-    if distinct.size == 0:
-        return Histogram([], null_count=nulls)
+    counted = values_and_frequencies(values)
+    distinct, counts, nulls = counted
     if distinct.size <= max_coefficients:
-        buckets = [
-            Bucket(float(v), float(v), float(c), 1.0)
-            for v, c in zip(distinct, counts)
-        ]
-        return Histogram(buckets, null_count=nulls)
+        return point_histogram(counted)
 
     cells = MAX_GRID_CELLS
     while cells > 2 * max_coefficients and cells > 2:
@@ -117,22 +112,18 @@ def build_wavelet(values: np.ndarray, max_coefficients: int = 200) -> Histogram:
     if mass > 0:
         approximate *= total / mass
 
-    total_distinct = float(distinct.size)
-    buckets: list[Bucket] = []
-    for index in range(cells):
-        frequency = float(approximate[index])
-        if frequency <= 0.0:
-            continue
-        share = frequency / total
-        estimated_distinct = max(1.0, min(total_distinct * share, frequency))
-        if distinct_per_cell[index] > 0:
-            estimated_distinct = float(distinct_per_cell[index])
-        buckets.append(
-            Bucket(
-                float(edges[index]),
-                float(edges[index + 1]),
-                frequency,
-                estimated_distinct,
-            )
-        )
-    return Histogram(buckets, null_count=nulls)
+    # one bucket per cell with mass: its distinct values where it has
+    # any, else its share of them, at least one and at most its mass
+    cell = np.flatnonzero(approximate > 0.0)
+    frequency = approximate[cell]
+    estimated = np.maximum(
+        1.0, np.minimum(float(distinct.size) * (frequency / total), frequency)
+    )
+    seen = distinct_per_cell[cell]
+    return Histogram.from_arrays(
+        edges[cell],
+        edges[cell + 1],
+        frequency,
+        np.where(seen > 0, seen.astype(np.float64), estimated),
+        null_count=nulls,
+    )

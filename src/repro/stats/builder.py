@@ -4,7 +4,9 @@ SIT construction executes the generating query expression and builds a
 histogram of the requested attribute over the result.  A SIT *pool*
 typically contains many SITs sharing the same expression (one per
 attribute), so :class:`SITBuilder` groups requests by expression and
-executes each expression exactly once.
+executes each expression exactly once.  Each column's values are counted
+once: the histogram and ``diff_H`` share the count, and a base column's
+count is memoized beside the base SITs.
 """
 
 from __future__ import annotations
@@ -17,12 +19,15 @@ import numpy as np
 from repro.core.predicates import Attribute, PredicateSet, tables_of
 from repro.engine.database import Database
 from repro.engine.executor import Executor
-from repro.histograms.base import Histogram
+from repro.histograms.base import Histogram, ValueCounts, values_and_frequencies
 from repro.histograms.maxdiff import DEFAULT_MAX_BUCKETS, build_maxdiff
 from repro.stats.diff import approximate_diff, exact_diff
 from repro.stats.sit import SIT
 
-HistogramBuilder = Callable[[np.ndarray, int], Histogram]
+#: ``(values, max_buckets) -> Histogram``; the values arrive as their
+#: :class:`~repro.histograms.base.ValueCounts`, which
+#: :func:`~repro.histograms.base.values_and_frequencies` passes through
+HistogramBuilder = Callable[[np.ndarray | ValueCounts, int], Histogram]
 
 
 @dataclass
@@ -49,6 +54,9 @@ class SITBuilder:
     exact_diffs: bool = True
     _executor: Executor = field(init=False)
     _base_cache: dict[Attribute, SIT] = field(init=False, default_factory=dict)
+    _base_counts: dict[Attribute, ValueCounts | np.ndarray] = field(
+        init=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         self._executor = Executor(self.database)
@@ -59,8 +67,7 @@ class SITBuilder:
         cached = self._base_cache.get(attribute)
         if cached is not None:
             return cached
-        values = self.database.column(attribute)
-        histogram = self._summarize(values)
+        histogram = self._summarize(self._base_values(attribute))
         sit = SIT(attribute, frozenset(), histogram, diff=0.0)
         self._base_cache[attribute] = sit
         return sit
@@ -68,13 +75,16 @@ class SITBuilder:
     def invalidate_table(self, table: str) -> int:
         """Evict cached state built from ``table`` (its data changed).
 
-        Drops the memoized base SITs on the table's attributes and the
-        executor's component-count memos touching it, so the next build
-        reads current data.  Returns the number of evicted base SITs.
+        Drops the memoized base SITs and base value counts on the
+        table's attributes and the executor's component-count memos
+        touching it, so the next build reads current data.  Returns the
+        number of evicted base SITs.
         """
         stale = [a for a in self._base_cache if a.table == table]
         for attribute in stale:
             del self._base_cache[attribute]
+        for attribute in [a for a in self._base_counts if a.table == table]:
+            del self._base_counts[attribute]
         counts = self._executor._count_cache
         for component in [c for c in counts if table in tables_of(c)]:
             del counts[component]
@@ -97,18 +107,32 @@ class SITBuilder:
         sits = []
         for attribute in attributes:
             if attribute.table in expression_tables:
-                values = result.column(attribute)
+                values = self._count(result.column(attribute))
             else:
                 # Unreferenced table: its distribution over the cross
                 # product equals the base distribution.
-                values = self.database.column(attribute)
+                values = self._base_values(attribute)
             histogram = self._summarize(values)
             diff = self._compute_diff(attribute, values, histogram)
             sits.append(SIT(attribute, expression, histogram, diff=diff))
         return sits
 
     # ------------------------------------------------------------------
-    def _summarize(self, values: np.ndarray) -> Histogram:
+    def _count(self, values: np.ndarray) -> ValueCounts | np.ndarray:
+        """A column as :meth:`_summarize` and :meth:`_compute_diff` take
+        it: its value count, made once and shared by both."""
+        return values_and_frequencies(values)
+
+    def _base_values(self, attribute: Attribute) -> ValueCounts | np.ndarray:
+        """:meth:`_count` of the attribute's base column, memoized until
+        :meth:`invalidate_table` evicts it."""
+        values = self._base_counts.get(attribute)
+        if values is None:
+            values = self._count(self.database.column(attribute))
+            self._base_counts[attribute] = values
+        return values
+
+    def _summarize(self, values: ValueCounts | np.ndarray) -> Histogram:
         """Turn the expression-result values into the SIT's statistic.
 
         Subclasses may summarize differently (e.g. from a sample); the
@@ -118,10 +142,12 @@ class SITBuilder:
         return self.histogram_builder(values, self.max_buckets)
 
     def _compute_diff(
-        self, attribute: Attribute, values: np.ndarray, histogram: Histogram
+        self,
+        attribute: Attribute,
+        values: ValueCounts | np.ndarray,
+        histogram: Histogram,
     ) -> float:
         if self.exact_diffs:
-            base_values = self.database.column(attribute)
-            return exact_diff(base_values, values)
+            return exact_diff(self._base_values(attribute), values)
         base = self.build_base(attribute)
         return approximate_diff(base.histogram, histogram)

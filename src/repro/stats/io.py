@@ -178,19 +178,13 @@ def _bucket_columns(buckets: Any) -> np.ndarray:
 
 def _decode_histogram(data: dict) -> Histogram:
     """A histogram over the payload's bucket columns, with no ``Bucket``
-    object built: the checks ``Bucket`` and ``Histogram`` make run on
-    whole columns."""
+    object built: ``Histogram.from_arrays`` checks whole columns, and its
+    refusal is the payload's."""
     try:
         lows, highs, frequencies, distincts = _bucket_columns(data["buckets"])
         null_count = float(data.get("null_count", 0.0))
     except (KeyError, TypeError, ValueError, OverflowError) as error:
         raise PoolFormatError(f"bad histogram payload: {error}") from error
-    if np.any(lows > highs):
-        raise PoolFormatError("bad histogram payload: bucket with low > high")
-    if np.any(frequencies < 0) or np.any(distincts < 0):
-        raise PoolFormatError(
-            "bad histogram payload: bucket frequency/distinct must be non-negative"
-        )
     try:
         return Histogram.from_arrays(
             lows, highs, frequencies, distincts, null_count=null_count

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.histograms.base import Bucket, Histogram, values_and_frequencies
+from repro.histograms.base import Histogram, ValueCounts, values_and_frequencies
 from repro.stats.builder import SITBuilder
 
 
-def chao1_distinct(values: np.ndarray) -> float:
+def chao1_distinct(values: np.ndarray | ValueCounts) -> float:
     """Chao1 lower-bound estimate of the population's distinct count.
 
     ``D ≈ d + f1² / (2 f2)`` where ``f1``/``f2`` are the numbers of
@@ -78,8 +78,13 @@ class SamplingSITBuilder(SITBuilder):
         chosen = self._rng.choice(size, size=target, replace=False)
         return values[chosen], size / target
 
+    def _count(self, values: np.ndarray) -> np.ndarray:
+        # each use draws its own sample from the rows, so the rows are
+        # what the hooks receive
+        return np.asarray(values, dtype=np.float64)
+
     def _summarize(self, values: np.ndarray) -> Histogram:
-        sample, scale = self._sample(np.asarray(values, dtype=np.float64))
+        sample, scale = self._sample(values)
         if scale == 1.0:
             return self.histogram_builder(sample, self.max_buckets)
         return self._continuous_histogram(sample, scale)
@@ -94,15 +99,15 @@ class SamplingSITBuilder(SITBuilder):
         scale by the sampling rate and distinct counts by the Chao1
         population estimate.
         """
-        distinct, counts, nulls = values_and_frequencies(sample)
+        counted = values_and_frequencies(sample)
+        distinct, counts, nulls = counted
         if distinct.size == 0:
-            return Histogram([], null_count=nulls * scale)
-        population_distinct = chao1_distinct(sample)
-        ratio = max(1.0, population_distinct / distinct.size)
-        bucket_count = min(self.max_buckets, max(1, distinct.size))
+            return Histogram.from_arrays(*np.empty((4, 0)), null_count=nulls * scale)
+        ratio = max(1.0, chao1_distinct(counted) / distinct.size)
+        bucket_count = min(self.max_buckets, distinct.size)
         cumulative = np.cumsum(counts)
         total = float(cumulative[-1])
-        buckets: list[Bucket] = []
+        starts = []
         start = 0
         for index in range(bucket_count):
             if start >= distinct.size:
@@ -112,21 +117,23 @@ class SamplingSITBuilder(SITBuilder):
             stop = min(max(stop, start + 1), distinct.size)
             if index == bucket_count - 1:
                 stop = distinct.size
-            group_values = distinct[start:stop]
-            group_mass = float(counts[start:stop].sum()) * scale
-            low = float(group_values[0])
-            # Extend to the next group's first value so the sampled domain
-            # is covered without gaps (unseen values land in a bucket).
-            high = (
-                float(distinct[stop]) if stop < distinct.size else float(group_values[-1])
-            )
-            group_distinct = min(group_mass, group_values.size * ratio)
-            buckets.append(Bucket(low, high, group_mass, max(group_distinct, 1.0)))
+            starts.append(start)
             start = stop
-        return Histogram(buckets, null_count=nulls * scale)
+        starts = np.array(starts, dtype=np.intp)
+        stops = np.append(starts, distinct.size)[1:]
+        mass = np.add.reduceat(counts, starts).astype(np.float64) * scale
+        # Extend each bucket to the next one's first value so the sampled
+        # domain is covered without gaps (unseen values land in a bucket).
+        return Histogram.from_arrays(
+            distinct[starts],
+            distinct[np.minimum(stops, distinct.size - 1)],
+            mass,
+            np.maximum(np.minimum(mass, (stops - starts) * ratio), 1.0),
+            null_count=nulls * scale,
+        )
 
     def _compute_diff(self, attribute, values, histogram) -> float:
         # Estimate diff from the sample too: the estimator is consistent
         # and avoids touching the full result twice.
-        sample, _ = self._sample(np.asarray(values, dtype=np.float64))
+        sample, _ = self._sample(values)
         return super()._compute_diff(attribute, sample, histogram)

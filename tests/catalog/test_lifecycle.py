@@ -105,10 +105,9 @@ class TestResidentState:
     def test_a_saved_and_loaded_catalog_keeps_no_bucket(
         self, database, workload, tmp_path
     ):
-        """A histogram is its four columns: the builders hand it
-        ``Bucket`` objects, and none is alive once the build, a save and
-        a load are done — while the loaded catalog answers every query
-        bit-identically."""
+        """A histogram is its four columns: no ``Bucket`` is alive once
+        the build, a save and a load are done — while the loaded catalog
+        answers every query bit-identically."""
         before = live_buckets()
         catalog = StatisticsCatalog.build(database, workload, max_joins=1)
         path = tmp_path / "catalog.json"
@@ -123,6 +122,19 @@ class TestResidentState:
             assert got.error == expected.error
             assert got.decomposition == expected.decomposition
         assert live_buckets() - before == 0
+
+
+    def test_build_and_refresh_construct_no_bucket(
+        self, database, workload, bucket_births
+    ):
+        """The builders emit columns: a build, and a refresh after a
+        table update, construct no ``Bucket`` at all."""
+        catalog = StatisticsCatalog.build(database, workload, max_joins=1)
+        catalog.add_missing_base_histograms()
+        database.add_table(make_s_table(database.schema, seed=5, s_shift=20.0))
+        catalog.notify_table_update("S")
+        assert catalog.refresh().rebuilt
+        assert bucket_births == []
 
 
 class TestIncrementalRefresh:

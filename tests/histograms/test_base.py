@@ -166,6 +166,29 @@ class TestFromArrays:
                 np.ones(2),
             )
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((5.0, 4.0, 1.0, 1.0), "bucket with low > high"),
+            ((0.0, 1.0, -1.0, 1.0), "bucket frequency/distinct must be non-negative"),
+            ((0.0, 1.0, 1.0, -1.0), "bucket frequency/distinct must be non-negative"),
+        ],
+    )
+    def test_refuses_what_a_bucket_refuses(self, row, message):
+        """The checks ``Bucket`` makes run on whole columns: a column
+        built histogram refuses the bucket a ``Bucket`` refuses."""
+        good = (10.0, 12.0, 3.0, 2.0)
+        columns = [np.array(column) for column in zip(good, row)]
+        with pytest.raises(ValueError):
+            Bucket(*row)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Histogram.from_arrays(*columns)
+
+    def test_nan_passes_as_it_passes_a_bucket(self):
+        row = (np.nan, np.nan, np.nan, np.nan)
+        Bucket(*row)
+        assert Histogram.from_arrays(*(np.array([v]) for v in row)).bucket_count == 1
+
     def test_unknown_attribute_still_raises(self):
         histogram = Histogram.from_arrays(
             np.array([0.0]), np.array([1.0]), np.array([2.0]), np.array([1.0])

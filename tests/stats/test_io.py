@@ -292,6 +292,26 @@ class TestBucketColumns:
         with pytest.raises((ValueError, TypeError, OverflowError)):
             bucket_decode(record["histogram"])  # refused before, too
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("low above high", "bucket with low > high"),
+            ("negative frequency", "bucket frequency/distinct must be non-negative"),
+            ("negative distinct", "bucket frequency/distinct must be non-negative"),
+        ],
+    )
+    def test_the_bucket_checks_keep_their_messages(self, case, message):
+        """``Histogram.from_arrays`` makes the checks; the loader's
+        refusal is its message behind the payload prefix."""
+        record = payload_with_buckets(MALFORMED_BUCKETS[case])
+        with pytest.raises(PoolFormatError) as refused:
+            decode_sit(record)
+        assert str(refused.value) == f"bad histogram payload: {message}"
+        columns = np.array(MALFORMED_BUCKETS[case], dtype=np.float64).T
+        with pytest.raises(ValueError) as built:
+            Histogram.from_arrays(*columns)
+        assert str(built.value) == message
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_BUCKETS))
     def test_malformed_buckets_are_quarantined(self, case):
         good = encode_sit(sample_sit())
