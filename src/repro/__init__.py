@@ -63,7 +63,6 @@ from repro.estimators import (
 from repro.obs import ExplainResult, MetricsRegistry, StatsSnapshot, Trace
 from repro.service import (
     EstimationService,
-    HealingConfig,
     Overloaded,
     ServedEstimate,
     ServiceConfig,
@@ -88,7 +87,6 @@ __all__ = [
     "FilterPredicate",
     "GreedyViewMatching",
     "GuaranteedSampleEstimator",
-    "HealingConfig",
     "JoinPredicate",
     "MetricsRegistry",
     "NIndError",

@@ -303,8 +303,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # the build workload's
     catalog.add_missing_base_histograms()
     if args.config is not None:
-        # one JSON file describes the whole deployment (nested healing
-        # and advisor blocks included); address flags still win so one
+        # one JSON file describes the whole deployment (the nested
+        # advisor block included); address flags still win so one
         # file serves many ports
         with open(args.config, encoding="utf-8") as handle:
             config = ServiceConfig.from_dict(json.load(handle))
@@ -522,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help=(
             "deployment config file (nested ServiceConfig JSON, "
-            "healing/advisor blocks included); overrides the tuning flags"
+            "advisor block included); overrides the tuning flags"
         ),
     )
     serve.add_argument(

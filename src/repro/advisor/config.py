@@ -3,8 +3,8 @@
 :class:`AdvisorConfig` follows the layered-config pattern of
 :mod:`repro.service.config`: a frozen dataclass that validates in
 ``__post_init__`` and round-trips through ``from_dict`` / ``to_dict``,
-so a deployment file can carry an ``advisor`` block next to
-``healing``.
+so a deployment file can carry an ``advisor`` block next to the
+service's own keys.
 
 The three *safety constraints* (the gate's hard bounds, verified on the
 held-out safety split before any configuration change is applied):

@@ -436,8 +436,9 @@ class StatisticsCatalog:
 
         A workload-built catalog only covers the attributes its build
         queries touched; ad-hoc SQL needs a base histogram on *every*
-        attribute or unrelated filters raise
-        :class:`~repro.core.get_selectivity.NoApplicableStatisticsError`.
+        attribute or unrelated filters degrade to level 3 (a strict
+        estimator raises
+        :class:`~repro.core.get_selectivity.NoApplicableStatisticsError`).
         Returns how many were added (each :meth:`add` publishes a new
         version).
         """

@@ -53,10 +53,6 @@ from repro.engine.expressions import Query
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import StatsSnapshot
 from repro.estimators import Estimator, create_estimator, resolve_statistics
-from repro.resilience.faults import (
-    POINT_SNAPSHOT_PIN,
-    active as _fault_plan,
-)
 from repro.stats.pool import SITPool
 
 from repro.catalog.catalog import CatalogSnapshot, StatisticsCatalog
@@ -106,12 +102,6 @@ class EstimationSession:
         plan_cache: "bool | PlanCache" = True,
     ):
         pool, snapshot = resolve_statistics(statistics)
-        plan = _fault_plan()
-        if plan is not None:
-            # snapshot-pin injection point: the snapshot's backing state
-            # is unavailable right as a session/worker tries to pin it
-            version = snapshot.version if snapshot is not None else 0
-            plan.check(POINT_SNAPSHOT_PIN, detail=f"version={version}")
         self.snapshot = snapshot
         if database is None and snapshot is not None:
             database = snapshot.database

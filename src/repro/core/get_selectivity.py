@@ -994,6 +994,10 @@ class LegacyGetSelectivity(GetSelectivity):
 class NoApplicableStatisticsError(RuntimeError):
     """Raised when no SIT (not even a base histogram) covers an attribute."""
 
+    #: the ``resilience.faults_<kind>`` counter a ladder walk it starts
+    #: is counted under
+    kind = "no_statistics"
+
     def __init__(self, predicates: PredicateSet):
         names = ", ".join(sorted(str(p) for p in predicates))
         super().__init__(

@@ -132,7 +132,8 @@ class SITEstimator(Estimator):
         return self._run_uncached(predicates)
 
     def _run_uncached(self, predicates: PredicateSet) -> EstimationResult:
-        """Level 0, or walk the ladder when a statistic faults.
+        """Level 0, or walk the ladder when a statistic faults or no
+        statistic covers an attribute.
 
         The happy path returns the DP's result object untouched (the
         ``try`` frame is the entire overhead), which is what makes the
@@ -142,7 +143,7 @@ class SITEstimator(Estimator):
         """
         try:
             result = self.algorithm(predicates)
-        except EstimationFault as fault:
+        except (EstimationFault, NoApplicableStatisticsError) as fault:
             if self.strict:
                 raise
             return self._degrade(frozenset(predicates), fault)
@@ -152,17 +153,20 @@ class SITEstimator(Estimator):
         return result
 
     def _degrade(
-        self, predicates: frozenset, first_fault: EstimationFault
+        self,
+        predicates: frozenset,
+        first_fault: "EstimationFault | NoApplicableStatisticsError",
     ) -> EstimationResult:
         """Levels 1-3: re-plan without the failed SITs, then base
         statistics under independence, then the fallback estimator
-        (magic constants when none is configured)."""
+        (magic constants when none is configured).  An uncovered
+        attribute has no SIT to exclude, so it starts at level 2."""
         telemetry = self.resilience
         telemetry.record_fault(first_fault)
         excluded: set[str] = set()
-        fault: EstimationFault = first_fault
+        fault = first_fault
         # -- level 1: re-plan excluding the failed SITs ------------------
-        while True:
+        while isinstance(fault, EstimationFault):
             name = fault.sit_name
             if name is None or name in excluded:
                 # a fault without a SIT identity (or one exclusion did not

@@ -36,9 +36,8 @@ namespaces:
 ``resilience``
     degradation and fault-handling state (:mod:`repro.resilience`):
     ``degraded_level1..3`` outcome counters, ``faults_<kind>`` per typed
-    fault kind, ``replans``, plus service-side self-healing counters
-    (``worker_restarts``, ``breaker_trips``, ``requeues``,
-    ``snapshot_rollbacks``) and injected-fault counters
+    fault kind (``faults_no_statistics`` counts attributes no statistic
+    covered), ``replans``, plus, from a service, injected-fault counters
     (``injected_<point>.<kind>``) when a fault plan is armed — empty
     when nothing ever degraded;
 ``plan_cache``

@@ -1,6 +1,6 @@
-"""``repro.resilience`` — fault injection, degradation, self-healing.
+"""``repro.resilience`` — fault injection, degradation, client retry.
 
-Four pieces, each usable alone:
+Three pieces, each usable alone:
 
 * :mod:`repro.resilience.faults` — typed faults, named injection
   points, and the seeded :class:`FaultPlan` that arms them (the chaos
@@ -9,12 +9,12 @@ Four pieces, each usable alone:
   levels and the :class:`ResilienceTelemetry` counters behind the
   ``resilience`` StatsSnapshot namespace;
 * :mod:`repro.resilience.retry` — client-side exponential backoff with
-  full jitter under a bounded per-call retry budget;
-* :mod:`repro.resilience.breaker` — the per-snapshot circuit breaker
-  the service uses to roll back to a last-known-good snapshot.
+  full jitter under a bounded per-call retry budget.
+
+The service adds no healing of its own: a failure the ladder cannot
+absorb fails its batch with a typed error, and the worker serves on.
 """
 
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import (
     EstimationFault,
     FAULTS_BY_KIND,
@@ -28,11 +28,8 @@ from repro.resilience.faults import (
     POINT_INGEST_APPLY,
     POINT_REFRESH_DURING_STORM,
     POINT_SIT_MATCH,
-    POINT_SNAPSHOT_PIN,
-    POINT_WORKER_BATCH,
     SITUnavailable,
     StorageTorn,
-    WorkerCrash,
     active,
     arm,
     armed,
@@ -60,7 +57,6 @@ from repro.resilience.retry import (
 )
 
 __all__ = [
-    "CircuitBreaker",
     "EstimationFault",
     "FAULTS_BY_KIND",
     "FaultPlan",
@@ -82,14 +78,11 @@ __all__ = [
     "POINT_INGEST_APPLY",
     "POINT_REFRESH_DURING_STORM",
     "POINT_SIT_MATCH",
-    "POINT_SNAPSHOT_PIN",
-    "POINT_WORKER_BATCH",
     "ResilienceTelemetry",
     "RetryPolicy",
     "RetryTelemetry",
     "SITUnavailable",
     "StorageTorn",
-    "WorkerCrash",
     "active",
     "arm",
     "armed",

@@ -1,16 +1,16 @@
 """Deterministic fault injection for the estimation stack.
 
 A production estimator does not get to choose when a SIT goes missing
-mid-refresh, a pool file tears on disk or a worker dies under load — but
-a *test* of the estimator must be able to choose exactly that, and
+mid-refresh, a histogram cannot be read or a pool file tears on disk —
+but a *test* of the estimator must be able to choose exactly that, and
 reproducibly.  This module provides the seeded chaos layer:
 
 * **typed faults** (:class:`SITUnavailable`, :class:`HistogramCorrupt`,
-  :class:`WorkerCrash`, :class:`StorageTorn`) — the vocabulary every
-  degradation/self-healing path in the stack speaks;
+  :class:`StorageTorn`) — the vocabulary every degradation path in the
+  stack speaks;
 * **named injection points** threaded through the hot path (SIT match,
-  histogram load/join, snapshot pin, worker batch execution, catalog
-  save/load).  Each point costs one module-global load plus a ``None``
+  histogram load/join, catalog save/load, the ingest pipeline's apply
+  and a refresh racing it).  Each point costs one module-global load plus a ``None``
   check when no plan is armed, so the zero-fault path stays within the
   serving latency budget;
 * a seeded :class:`FaultPlan` of :class:`FaultRule` entries.  Rules fire
@@ -46,10 +46,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 POINT_SIT_MATCH = "sit_match"
 #: histogram load/join inside ``estimate_factor``: a histogram is corrupt
 POINT_HISTOGRAM_JOIN = "histogram_join"
-#: pinning a catalog snapshot when a session/worker starts
-POINT_SNAPSHOT_PIN = "snapshot_pin"
-#: worker batch execution in :class:`repro.service.EstimationService`
-POINT_WORKER_BATCH = "worker_batch"
 #: catalog persistence (:func:`repro.stats.io.save_document`)
 POINT_CATALOG_SAVE = "catalog_save"
 #: catalog restore (:func:`repro.stats.io.load_document`)
@@ -63,8 +59,6 @@ POINT_REFRESH_DURING_STORM = "refresh_during_storm"
 INJECTION_POINTS = (
     POINT_SIT_MATCH,
     POINT_HISTOGRAM_JOIN,
-    POINT_SNAPSHOT_PIN,
-    POINT_WORKER_BATCH,
     POINT_CATALOG_SAVE,
     POINT_CATALOG_LOAD,
     POINT_INGEST_APPLY,
@@ -79,7 +73,7 @@ class EstimationFault(Exception):
     """Base of every typed fault the resilience layer handles.
 
     ``sit_name`` identifies the statistic the fault took down (``None``
-    for faults without a SIT identity, e.g. a worker crash); ``injected``
+    for faults without a SIT identity, e.g. a torn file); ``injected``
     is ``True`` when a :class:`FaultPlan` raised it, ``False`` for real
     faults wrapped into the same vocabulary.
     """
@@ -112,12 +106,6 @@ class HistogramCorrupt(EstimationFault):
     kind = "histogram_corrupt"
 
 
-class WorkerCrash(EstimationFault):
-    """An estimation worker died mid-batch."""
-
-    kind = "worker_crash"
-
-
 class StorageTorn(EstimationFault):
     """Catalog storage failed mid-operation (torn write, short read)."""
 
@@ -127,7 +115,7 @@ class StorageTorn(EstimationFault):
 #: fault kind -> class, for plan documents (``{"fault": "sit_unavailable"}``)
 FAULTS_BY_KIND: Mapping[str, type[EstimationFault]] = {
     cls.kind: cls
-    for cls in (SITUnavailable, HistogramCorrupt, WorkerCrash, StorageTorn)
+    for cls in (SITUnavailable, HistogramCorrupt, StorageTorn)
 }
 
 
@@ -438,11 +426,8 @@ __all__ = [
     "POINT_INGEST_APPLY",
     "POINT_REFRESH_DURING_STORM",
     "POINT_SIT_MATCH",
-    "POINT_SNAPSHOT_PIN",
-    "POINT_WORKER_BATCH",
     "SITUnavailable",
     "StorageTorn",
-    "WorkerCrash",
     "active",
     "arm",
     "armed",

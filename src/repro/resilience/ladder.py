@@ -1,8 +1,9 @@
 """The graceful-degradation ladder: always answer, with the best
 statistics still standing.
 
-When a matched SIT or its histogram fails mid-estimation the estimator
-does not fail the query; it walks down the ladder:
+When a matched SIT or its histogram fails mid-estimation, or no
+statistic covers one of the query's attributes, the estimator does not
+fail the query; it walks down the ladder:
 
 * **level 0** — the normal ``getSelectivity`` path, all statistics
   available (zero overhead: the happy path returns the DP's result
@@ -13,7 +14,8 @@ does not fail the query; it walks down the ladder:
 * **level 2** — *base statistics + independence*: the traditional
   optimizer estimate over base-table histograms only (the paper's
   ``noSit`` variant), reached when re-planning keeps faulting or leaves
-  an attribute uncovered;
+  an attribute uncovered, and first when level 0 finds an attribute no
+  statistic covers (there is no SIT to exclude, so level 1 is skipped);
 * **level 3** — *fallback estimator*: a peer backend (typically the
   guaranteed-sampling estimator of :mod:`repro.estimators.sampling`,
   wired in by :func:`repro.estimators.create_estimator`) answers from

@@ -3,9 +3,9 @@
 Layering (queue → batch → worker → snapshot swap; DESIGN.md §11):
 
 * :mod:`repro.service.config` — layered tunables:
-  :class:`ServiceConfig` with a nested :class:`HealingConfig`
-  (resilience knobs), ``from_dict``/``to_dict`` round-trip for
-  ``python -m repro serve --config file.json``;
+  :class:`ServiceConfig` with an optional nested
+  :class:`~repro.advisor.AdvisorConfig`, ``from_dict``/``to_dict``
+  round-trip for ``python -m repro serve --config file.json``;
 * :mod:`repro.service.protocol` — typed requests/responses
   (:class:`ServedEstimate`, :class:`Overloaded`, ...) and the JSON-lines
   wire codec shared by both transports;
@@ -36,7 +36,7 @@ from repro.service.client import (
     TransportError,
     connect,
 )
-from repro.service.config import HealingConfig, ServiceConfig
+from repro.service.config import ServiceConfig
 from repro.service.protocol import (
     DeadlineExceeded,
     InvalidRequest,
@@ -60,7 +60,6 @@ __all__ = [
     "EstimationClient",
     "EstimationServer",
     "EstimationService",
-    "HealingConfig",
     "InProcessClient",
     "InvalidRequest",
     "Overloaded",

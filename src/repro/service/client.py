@@ -29,7 +29,7 @@ lock, one worker wake-up); over TCP the requests are pipelined on one
 connection, which the server reads and admits as one group too, and
 correlated by id.  Answers come back in input order either way.
 
-Self-healing (:mod:`repro.resilience`):
+Client-side resilience (:mod:`repro.resilience`):
 
 * every client takes a ``retry`` :class:`~repro.resilience.RetryPolicy`;
   shed requests (:class:`~repro.service.protocol.Overloaded`) and

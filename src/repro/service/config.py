@@ -1,14 +1,10 @@
 """Tunables of the estimation-serving subsystem, layered by concern.
 
-The kwarg sprawl of the original flat ``ServiceConfig`` is split into
-composable frozen dataclasses:
+Two frozen dataclasses, one per concern:
 
 * :class:`ServiceConfig` — the request path of one
   :class:`~repro.service.EstimationService` (workers, queue, batching,
   deadlines, bind address);
-* :class:`HealingConfig` — the self-healing knobs from
-  :mod:`repro.resilience` (circuit breaker, requeue and restart
-  budgets), nested as ``ServiceConfig.healing``;
 * :class:`repro.advisor.AdvisorConfig` — the self-tuning loop
   (:mod:`repro.advisor`), nested as ``ServiceConfig.advisor`` (``None``
   disables tuning).
@@ -20,46 +16,10 @@ Every layer validates in ``__post_init__`` and round-trips through
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 from repro.advisor.config import AdvisorConfig
-
-
-@dataclass(frozen=True)
-class HealingConfig:
-    """Self-healing knobs of one service (:mod:`repro.resilience`)."""
-
-    #: worker faults on one snapshot version inside ``breaker_window_s``
-    #: before the circuit breaker trips and the service rolls back to
-    #: the last-known-good snapshot
-    breaker_threshold: int = 3
-    #: sliding fault window of the circuit breaker (seconds)
-    breaker_window_s: float = 30.0
-    #: how many times a request orphaned by a worker crash is re-queued
-    #: before it is failed with a typed error
-    requeue_limit: int = 2
-    #: crashed-worker resurrections before the service stops respawning
-    #: (bounds a crash loop; remaining work is flushed on close)
-    max_worker_restarts: int = 8
-
-    def __post_init__(self) -> None:
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if self.breaker_window_s <= 0:
-            raise ValueError("breaker_window_s must be > 0")
-        if self.requeue_limit < 0:
-            raise ValueError("requeue_limit must be >= 0")
-        if self.max_worker_restarts < 0:
-            raise ValueError("max_worker_restarts must be >= 0")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HealingConfig":
-        return cls(**_known_fields(cls, data))
 
 
 def _known_fields(cls, data: Mapping[str, Any]) -> dict:
@@ -78,7 +38,6 @@ class ServiceConfig:
     on the request path (a free worker serves what is queued at once), a
     queue deep enough to ride out bursts, and explicit load shedding
     rather than unbounded buffering.
-    Self-healing knobs live in :attr:`healing`.
     """
 
     #: worker threads; each owns a snapshot-pinned
@@ -103,8 +62,6 @@ class ServiceConfig:
     #: (:data:`repro.estimators.BACKENDS`: ``"sit"``, ``"bn"``,
     #: ``"sample"``)
     backend: str = "sit"
-    #: self-healing layer (:mod:`repro.resilience`)
-    healing: HealingConfig = field(default_factory=HealingConfig)
     #: self-tuning loop (:mod:`repro.advisor`): when set, the service
     #: collects per-query feedback and runs safety-gated configuration
     #: ticks between batches; ``None`` disables tuning
@@ -131,8 +88,6 @@ class ServiceConfig:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if not isinstance(self.healing, HealingConfig):
-            raise TypeError("healing must be a HealingConfig")
         if self.advisor is not None and not isinstance(
             self.advisor, AdvisorConfig
         ):
@@ -153,9 +108,7 @@ class ServiceConfig:
         out: dict[str, Any] = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "healing":
-                out[f.name] = value.to_dict()
-            elif f.name == "advisor":
+            if f.name == "advisor":
                 out[f.name] = None if value is None else value.to_dict()
             else:
                 out[f.name] = value
@@ -165,18 +118,13 @@ class ServiceConfig:
     def from_dict(cls, data: Mapping[str, Any]) -> "ServiceConfig":
         """Build a config from its nested-dict form."""
         data = dict(data)
-        healing = data.pop("healing", None)
-        if isinstance(healing, Mapping):
-            healing = HealingConfig.from_dict(healing)
         advisor = data.pop("advisor", None)
         if isinstance(advisor, Mapping):
             advisor = AdvisorConfig.from_dict(advisor)
         kwargs = _known_fields(cls, data)
-        if healing is not None:
-            kwargs["healing"] = healing
         if advisor is not None:
             kwargs["advisor"] = advisor
         return cls(**kwargs)
 
 
-__all__ = ["HealingConfig", "ServiceConfig"]
+__all__ = ["ServiceConfig"]

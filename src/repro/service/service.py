@@ -79,13 +79,7 @@ from repro.engine.expressions import Query
 from repro.estimators import resolve_statistics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import StatsSnapshot
-from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.faults import (
-    EstimationFault,
-    POINT_WORKER_BATCH,
-    active as _fault_plan,
-    request_key,
-)
+from repro.resilience.faults import active as _fault_plan
 from repro.sql.template import TemplateFrontEnd
 from repro.stats.pool import SITPool
 
@@ -140,9 +134,6 @@ class _Pending:
     deadline: float | None = None
     #: filled by the worker for telemetry assertions in tests
     batch_size: int = field(default=1, compare=False)
-    #: times this request was re-queued after a worker crash (bounded by
-    #: ``ServiceConfig.healing.requeue_limit``)
-    requeues: int = field(default=0, compare=False)
 
     def expired(self, now: float) -> bool:
         return self.deadline is not None and now > self.deadline
@@ -201,17 +192,6 @@ class EstimationService:
         #: :meth:`_retire_session`
         self._retired_registry = MetricsRegistry()
         self._sessions_lock = threading.Lock()
-        # -- self-healing state (repro.resilience) ----------------------
-        self._breaker = CircuitBreaker(
-            threshold=self.config.healing.breaker_threshold,
-            window_s=self.config.healing.breaker_window_s,
-        )
-        #: snapshot versions the breaker has tripped on
-        self._bad_versions: set[int] = set()
-        #: the last snapshot that served a batch without a worker fault;
-        #: sessions roll back to it while the current version is bad
-        self._last_good: CatalogSnapshot | None = None
-        self._restarts = 0
         #: the plan cache of the pool sessions were last made over:
         #: replaced under ``_sessions_lock``, read without a lock
         self._plan_cache: PlanCache | None = None
@@ -244,7 +224,6 @@ class EstimationService:
         self._feedback_sink = (
             self.advisor.record_result if self.advisor is not None else None
         )
-        self._workers_lock = threading.Lock()
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -269,34 +248,21 @@ class EstimationService:
             )
         return resolved
 
-    def _target_statistics(self):
-        """What a fresh session should pin: the catalog's current
-        snapshot, or the last-known-good one while the breaker holds the
-        current version bad (the rollback half of the circuit breaker)."""
-        if self._catalog is not None:
-            with self._sessions_lock:
-                bad = self._catalog.version in self._bad_versions
-                last_good = self._last_good
-            if bad and last_good is not None:
-                return last_good
-        return self._statistics
-
     def _target(self) -> tuple[SITPool, int]:
-        """:meth:`_target_statistics` as its pool and snapshot version,
-        read without building a snapshot: a catalog's current pool and
+        """The pool and snapshot version a fresh session would pin, read
+        without building a snapshot: a catalog's current pool and
         version are read together, under its lock; a bare pool is at
         version 0."""
-        target = self._target_statistics()
-        if target is self._catalog:
-            return target.current()
-        pool, snapshot = resolve_statistics(target)
+        if self._catalog is not None:
+            return self._catalog.current()
+        pool, snapshot = resolve_statistics(self._statistics)
         return pool, snapshot.version if snapshot is not None else 0
 
     def _make_session(self) -> EstimationSession:
         """A fresh session pinned to the target snapshot.  It holds the
         current plan cache when that cache pins the same pool object (a
         notify keeps it); otherwise a fresh cache, which becomes current."""
-        pool, snapshot = resolve_statistics(self._target_statistics())
+        pool, snapshot = resolve_statistics(self._statistics)
         with self._sessions_lock:
             current = cache = self._plan_cache
             if cache is None or cache.pool is not pool:
@@ -330,24 +296,6 @@ class EstimationService:
         banked = self._banked_plan_events
         for key in _PLAN_EVENTS:
             banked[key] += getattr(cache, key)
-
-    def _acquire_session(self) -> EstimationSession | None:
-        """:meth:`_make_session` with snapshot-pin fault fallback.
-
-        A pin fault (injected or real) is retried against the
-        last-known-good snapshot; after three faulted attempts the
-        worker gives up (``None``) and lets the restart budget decide.
-        """
-        for attempt in range(3):
-            try:
-                return self._make_session()
-            except EstimationFault as fault:
-                self._record_fault(fault)
-        return None
-
-    def _record_fault(self, fault: EstimationFault) -> None:
-        with self._metrics_lock:
-            self.metrics.counter(f"resilience.faults_{fault.kind}").inc()
 
     def _retire_session(self, session: EstimationSession) -> None:
         """Drop a session from rotation *and from memory*.
@@ -490,8 +438,8 @@ class EstimationService:
     def _live_cache(self) -> tuple[PlanCache | None, int]:
         """The plan cache a hit may be answered from now, and the
         snapshot version such an answer carries: only one over the pool
-        a worker should be on, so a breaker rollback to another pool is
-        honoured (a pool version move is the cache's own probe to
+        a worker should be on, so a refresh that published another pool
+        is honoured (a pool version move is the cache's own probe to
         catch).  The version is read before any probe, so a probe racing
         a notify answers as of before it."""
         cache = self._plan_cache
@@ -588,11 +536,12 @@ class EstimationService:
     # Worker pool
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
-        session = self._acquire_session()
-        if session is None:
-            # could not pin any snapshot; let the restart budget decide
-            self._respawn_worker()
-            return
+        session: EstimationSession | None = None
+        try:
+            # a worker pins its session before its first batch arrives
+            session = self._make_session()
+        except Exception:
+            pass  # the roll before the first batch pins again
         config = self.config
         while True:
             # whatever backed up while the last batch was being served
@@ -600,34 +549,23 @@ class EstimationService:
             batch = self._queue.take_batch(config.max_batch)
             if not batch:
                 if self._queue.closed:
-                    self._retire_session(session)
+                    if session is not None:
+                        self._retire_session(session)
                     return
                 continue
-            rolled = self._roll_snapshot(session)
-            if rolled is None:
-                # snapshot-pin faults exhausted while rolling: treat the
-                # batch as orphaned and crash-restart this worker
-                self._handle_worker_crash(session, batch, None)
-                self._respawn_worker()
-                return
-            session = rolled
             try:
+                session = self._roll_snapshot(session)
                 self._serve_batch(session, batch)
-            except EstimationFault as fault:
-                # a worker-level fault (injected or real): requeue the
-                # orphaned requests, record against the breaker, retire
-                # the session, and resurrect the worker
-                self._handle_worker_crash(session, batch, fault)
-                self._respawn_worker()
-                return
-            except BaseException as exc:  # pragma: no cover - safety net
+            except BaseException as exc:
+                # the one safety net: whatever escaped the ladder, the
+                # roll or the batch fails this batch, typed, and the
+                # worker serves on (a failed roll is retried next batch)
                 for pending in batch:
                     if not pending.future.done():
                         pending.future.set_exception(
                             ServiceError(f"worker failure: {exc}")
                         )
             else:
-                self._note_good_snapshot(session)
                 self._maybe_tune()
 
     def _maybe_tune(self) -> None:
@@ -698,137 +636,31 @@ class EstimationService:
             return advisor.tick()
 
     def _roll_snapshot(
-        self, session: EstimationSession
-    ) -> EstimationSession | None:
-        """Between batches: adopt the target snapshot (catalog's latest,
-        or the rollback target while the breaker is open).
+        self, session: EstimationSession | None
+    ) -> EstimationSession:
+        """Between batches: adopt the catalog's latest snapshot.
 
         In-flight work is untouched — the old session (and its pinned
         pool) stays fully usable; it is simply retired from rotation.
-        Comparing against the *expected target* version (not bare
-        ``is_current``) keeps a rolled-back worker from thrashing: while
-        the current catalog version is bad, a session pinned to the
-        last-known-good snapshot is already where it should be.
-
-        Returns ``None`` when pinning the fresh snapshot keeps faulting
-        (the caller treats that as a worker crash).
+        A worker without a session (its pin failed) pins one here; when
+        pinning raises, the old session stays in rotation.
         """
-        if self._catalog is None or session.snapshot_version == self._target()[1]:
+        if session is not None and (
+            self._catalog is None
+            or session.snapshot_version == self._catalog.version
+        ):
             return session
-        fresh = self._acquire_session()
-        if fresh is None:
-            return None
-        self._retire_session(session)
-        with self._metrics_lock:
-            self.metrics.counter("service.snapshot_swaps").inc()
+        fresh = self._make_session()
+        if session is not None:
+            self._retire_session(session)
+            with self._metrics_lock:
+                self.metrics.counter("service.snapshot_swaps").inc()
         return fresh
-
-    def _note_good_snapshot(self, session: EstimationSession) -> None:
-        """A batch served without a worker fault: remember the snapshot
-        as the breaker's rollback target."""
-        snapshot = session.snapshot
-        if snapshot is None:
-            return
-        with self._sessions_lock:
-            if snapshot.version not in self._bad_versions:
-                self._last_good = snapshot
-
-    def _handle_worker_crash(
-        self,
-        session: EstimationSession,
-        batch: list[_Pending],
-        fault: EstimationFault | None,
-    ) -> None:
-        """A worker died mid-batch: salvage its work and its telemetry.
-
-        Unanswered requests are re-queued (bounded by
-        ``ServiceConfig.healing.requeue_limit``) so another worker can serve
-        them; past the bound — or once the queue is closed — they are
-        failed with a typed :class:`ServiceError`.  The fault counts
-        against the per-snapshot circuit breaker; on trip the snapshot
-        version is marked bad and fresh sessions roll back to the
-        last-known-good snapshot.
-        """
-        version = session.snapshot_version
-        if fault is not None:
-            self._record_fault(fault)
-        with self._metrics_lock:
-            self.metrics.counter("resilience.worker_crashes").inc()
-        self._retire_session(session)
-        requeued = 0
-        for pending in batch:
-            if pending.future.done():
-                continue
-            pending.requeues += 1
-            if pending.requeues <= self.config.healing.requeue_limit:
-                try:
-                    if self._queue.offer(pending):
-                        requeued += 1
-                        continue
-                except RuntimeError:
-                    pass  # queue closed underneath us; fall through
-            pending.future.set_exception(
-                ServiceError(
-                    "worker crashed while serving this request"
-                    + (f": {fault}" if fault is not None else "")
-                )
-            )
-        if requeued:
-            with self._metrics_lock:
-                self.metrics.counter("resilience.requeues").inc(requeued)
-        if self._breaker.record_fault(version):
-            self._trip_snapshot(version)
-
-    def _trip_snapshot(self, version: int) -> None:
-        """The breaker tripped on ``version``: mark it bad so fresh
-        sessions pin the last-known-good snapshot instead."""
-        with self._sessions_lock:
-            self._bad_versions.add(version)
-            rollback = (
-                self._last_good is not None
-                and self._last_good.version != version
-            )
-        if rollback:
-            with self._metrics_lock:
-                self.metrics.counter("resilience.snapshot_rollbacks").inc()
-
-    def _respawn_worker(self) -> None:
-        """Resurrect a crashed worker, bounded by ``max_worker_restarts``.
-
-        No respawn happens once the service is closing — the remaining
-        queue is flushed by :meth:`close` — or once the restart budget is
-        spent (which bounds a crash loop against a poisoned snapshot).
-        """
-        if self._closed.is_set() or self._queue.closed:
-            return
-        with self._workers_lock:
-            if self._restarts >= self.config.healing.max_worker_restarts:
-                return
-            self._restarts += 1
-            index = len(self._workers)
-            worker = threading.Thread(
-                target=self._worker_loop,
-                name=f"{self.name}-worker-r{index}",
-                daemon=True,
-            )
-            self._workers.append(worker)
-        with self._metrics_lock:
-            self.metrics.counter("resilience.worker_restarts").inc()
-        worker.start()
 
     def _serve_batch(
         self, session: EstimationSession, batch: list[_Pending]
     ) -> None:
         session.assert_pinned()
-        plan = _fault_plan()
-        if plan is not None:
-            # worker-batch injection point: the worker dies as it starts a
-            # micro-batch, on the first member whose draw (keyed by its
-            # content and requeues) fires — the requeue + resurrection path
-            detail = f"version={session.snapshot_version}"
-            for pending in batch:
-                key = f"{request_key(pending.predicates)}#{pending.requeues}"
-                plan.check(POINT_WORKER_BATCH, detail=detail, key=key)
         now = time.monotonic()
         batch_size = len(batch)
 
@@ -864,10 +696,6 @@ class EstimationService:
         if order:
             try:
                 results = session.estimate_batch(order)
-            except EstimationFault:
-                # only possible on a strict session; surfaces as a
-                # worker crash so the requeue/breaker path engages
-                raise
             except Exception as exc:
                 for members in live_groups.values():
                     for pending in members:
@@ -950,9 +778,7 @@ class EstimationService:
                     pending.future.set_exception(
                         ServiceClosed("service closed before serving")
                     )
-        with self._workers_lock:
-            workers = list(self._workers)
-        for worker in workers:
+        for worker in self._workers:
             worker.join(timeout=timeout)
             clean = clean and not worker.is_alive()
         tuning = self._tuning_thread
@@ -977,8 +803,7 @@ class EstimationService:
         with self._metrics_lock:
             registry.merge(self.metrics)
         registry.gauge("service.queue_depth").set(float(len(self._queue)))
-        with self._workers_lock:
-            alive = sum(1 for worker in self._workers if worker.is_alive())
+        alive = sum(1 for worker in self._workers if worker.is_alive())
         registry.gauge("service.workers").set(float(alive))
         registry.gauge("service.closed").set(1.0 if self.closed else 0.0)
         registry.counter("service.sql_template_hits").inc(self._sql.hits)
@@ -997,13 +822,6 @@ class EstimationService:
             registry.merge(session.metrics_registry())
         if caches or any(banked.values()):
             self._fold_plan_cache(registry, caches.values(), banked)
-        breaker = self._breaker.as_dict()
-        registry.counter("resilience.breaker_trips").inc(
-            breaker.get("breaker_trips", 0.0)
-        )
-        registry.gauge("resilience.breaker_open").set(
-            breaker.get("breaker_open", 0.0)
-        )
         plan = _fault_plan()
         if plan is not None:
             for key, count in plan.stats().items():

@@ -12,8 +12,9 @@ silently resurrects an old shim fails loudly.  Pinned here:
   :class:`repro.estimators.SITEstimator`);
 * the pre-``connect()`` client names (``Client``, ``TCPClient``);
 * the flat healing spelling of ``ServiceConfig`` (kwargs, attributes,
-  ``from_dict`` keys) and the ``repro.obs.deprecated`` warning helper
-  that no shim is left to call.
+  ``from_dict`` keys) — and since the self-healing tier went, the nested
+  ``healing`` block too — and the ``repro.obs.deprecated`` warning
+  helper that no shim is left to call.
 """
 
 from __future__ import annotations
@@ -202,8 +203,9 @@ class TestClientShimsRemoved:
 
 
 class TestFlatHealingConfigRemoved:
-    """The flat healing knobs had their release of grace; they live in
-    ``ServiceConfig.healing`` only."""
+    """The flat healing knobs had their release of grace and moved into
+    a nested ``healing`` block, which went with the self-healing tier:
+    neither spelling is accepted."""
 
     FLAT = (
         "breaker_threshold",
@@ -220,22 +222,23 @@ class TestFlatHealingConfigRemoved:
                 ServiceConfig(**{name: 1})
 
     def test_flat_attributes_are_gone(self):
-        from repro.service import HealingConfig, ServiceConfig
+        import repro
+        import repro.service
+        from repro.service import ServiceConfig
 
-        config = ServiceConfig(healing=HealingConfig(breaker_threshold=9))
-        for name in self.FLAT:
+        config = ServiceConfig()
+        for name in (*self.FLAT, "healing"):
             assert not hasattr(config, name)
-        assert config.healing.breaker_threshold == 9
+        assert not hasattr(repro.service, "HealingConfig")
+        assert not hasattr(repro, "HealingConfig")
 
     def test_flat_dict_keys_are_unknown(self):
         from repro.service import ServiceConfig
 
         with pytest.raises(ValueError, match="unknown ServiceConfig"):
             ServiceConfig.from_dict({"breaker_threshold": 4})
-        nested = ServiceConfig.from_dict(
-            {"healing": {"breaker_threshold": 4}}
-        )
-        assert nested.healing.breaker_threshold == 4
+        with pytest.raises(ValueError, match=r"\['healing'\]"):
+            ServiceConfig.from_dict({"healing": {"breaker_threshold": 4}})
 
     def test_no_init_monkey_patch_left(self):
         import repro.service.config as config

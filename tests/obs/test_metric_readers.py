@@ -62,14 +62,35 @@ def reader_text() -> str:
     return "\n".join(chunks)
 
 
+#: the request path's instruments, each registered by a string literal
+SERVICE_NAMES = {
+    "service.active_sessions",
+    "service.answered_on_arrival",
+    "service.batch_size",
+    "service.batched_requests",
+    "service.batches",
+    "service.closed",
+    "service.deduplicated",
+    "service.degraded",
+    "service.latency_ms",
+    "service.queue_depth",
+    "service.served",
+    "service.shed_deadline",
+    "service.shed_overload",
+    "service.snapshot_swaps",
+    "service.sql_template_hits",
+    "service.sql_template_misses",
+    "service.submitted",
+    "service.workers",
+}
+
+
 def test_the_scan_sees_the_registry():
+    """The scan finds a fixed set of names, not a count: deleting an
+    instrument with its readers is a change this test should allow."""
     names = registered_names()
-    assert len(names) > 80
-    assert {
-        "service.served",
-        "catalog.version",
-        "ingest.events_applied",
-    } <= names
+    assert SERVICE_NAMES <= names
+    assert {"catalog.version", "ingest.events_applied"} <= names
 
 
 def test_every_registered_metric_has_a_reader():

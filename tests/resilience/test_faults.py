@@ -16,9 +16,7 @@ from repro.resilience.faults import (
     INJECTION_POINTS,
     POINT_HISTOGRAM_JOIN,
     POINT_SIT_MATCH,
-    POINT_WORKER_BATCH,
     SITUnavailable,
-    WorkerCrash,
     active,
     arm,
     armed,
@@ -43,6 +41,16 @@ class TestFaultRule:
         with pytest.raises(ValueError, match="unknown injection point"):
             FaultRule(point="swap_under_write")
 
+    @pytest.mark.parametrize("point", ["worker_batch", "snapshot_pin"])
+    def test_rejects_the_removed_service_points(self, point):
+        """Only the fault plan ever raised at a worker batch or a
+        snapshot pin; with the service's healing tier gone a plan naming
+        either point, or the worker-crash fault, fails loudly."""
+        with pytest.raises(ValueError, match="unknown injection point"):
+            FaultRule(point=point)
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultRule(point=POINT_SIT_MATCH, fault="worker_crash")
+
     def test_rejects_unknown_fault(self):
         with pytest.raises(ValueError, match="fault kind"):
             FaultRule(point=POINT_SIT_MATCH, fault="gremlin")
@@ -53,11 +61,11 @@ class TestFaultRule:
 
     def test_round_trips_through_dict(self):
         rule = FaultRule(
-            point=POINT_WORKER_BATCH,
-            fault=WorkerCrash.kind,
+            point=POINT_HISTOGRAM_JOIN,
+            fault=HistogramCorrupt.kind,
             probability=0.25,
             max_fires=None,
-            match="version=2",
+            match="SIT(R.a | ",
         )
         assert FaultRule.from_dict(rule.to_dict()) == rule
 
@@ -67,7 +75,7 @@ class TestFaultRule:
             ({"point": "sit_match", "probabilty": 0.1}, "probabilty"),
             ({"point": "sit_match", "after": 10}, "after"),
             ({"point": "sit_match", "max_fire": None}, "max_fire"),
-            ({"point": "worker_batch", "Match": "version=2"}, "Match"),
+            ({"point": "histogram_join", "Match": "SIT(R.a"}, "Match"),
         ],
     )
     def test_from_dict_rejects_an_unknown_key_by_name(self, document, key):
@@ -92,7 +100,7 @@ class TestFiring:
     def test_other_points_unaffected(self):
         plan = one_shot()
         plan.check(POINT_HISTOGRAM_JOIN)
-        plan.check(POINT_WORKER_BATCH)
+        plan.check("catalog_load")
         assert plan.total_fires == 0
 
     def test_a_silent_rule_counts_evaluations_but_never_fires(self):
@@ -174,7 +182,7 @@ class TestDeterminism:
                 "key": request_key([f"R.a <= {index // 2}", "R.x = S.y"]),
             }
             for index in range(60)
-            for point in (POINT_SIT_MATCH, POINT_WORKER_BATCH)
+            for point in (POINT_SIT_MATCH, POINT_HISTOGRAM_JOIN)
         ]
 
     @staticmethod
@@ -183,8 +191,8 @@ class TestDeterminism:
             [
                 FaultRule(point=POINT_SIT_MATCH, probability=0.3, max_fires=None),
                 FaultRule(
-                    point=POINT_WORKER_BATCH,
-                    fault=WorkerCrash.kind,
+                    point=POINT_HISTOGRAM_JOIN,
+                    fault=HistogramCorrupt.kind,
                     probability=0.2,
                     max_fires=None,
                 ),
@@ -253,8 +261,8 @@ class TestPlanDocuments:
             [
                 FaultRule(point=POINT_SIT_MATCH, probability=0.5),
                 FaultRule(
-                    point=POINT_WORKER_BATCH,
-                    fault=WorkerCrash.kind,
+                    point=POINT_HISTOGRAM_JOIN,
+                    fault=HistogramCorrupt.kind,
                     max_fires=None,
                 ),
             ],
@@ -266,11 +274,11 @@ class TestPlanDocuments:
 
     def test_parse_inline_json(self):
         plan = FaultPlan.parse(
-            '{"seed": 3, "rules": [{"point": "worker_batch", '
-            '"fault": "worker_crash"}]}'
+            '{"seed": 3, "rules": [{"point": "histogram_join", '
+            '"fault": "histogram_corrupt"}]}'
         )
         assert plan.seed == 3
-        assert plan.rules[0].fault == WorkerCrash.kind
+        assert plan.rules[0].fault == HistogramCorrupt.kind
 
     @pytest.mark.parametrize(
         "document, key",
@@ -299,8 +307,6 @@ class TestPlanDocuments:
         assert set(INJECTION_POINTS) == {
             "sit_match",
             "histogram_join",
-            "snapshot_pin",
-            "worker_batch",
             "catalog_save",
             "catalog_load",
             "ingest_apply",

@@ -1,8 +1,8 @@
 """Hits answered on arrival: the workers over one pool compile into one
 shared plan cache, ``submit_many`` replays a compiled shape from it on
 the submitting thread, and only misses cross to a worker — unless the
-cache's pool is not the one a worker should be on (a refresh, a breaker
-rollback to another pool) or its pool version moved (a notify).  An
+cache's pool is not the one a worker should be on (a refresh published
+another pool) or its pool version moved (a notify).  An
 armed fault plan changes none of this: its draws are keyed by request
 content, so a chaos run serves through the same path."""
 
@@ -21,13 +21,16 @@ from repro.core.predicates import FilterPredicate
 from repro.engine.expressions import Query
 from repro.obs import StalenessTracker
 from repro.resilience.faults import FaultPlan, FaultRule, armed
-from repro.service import EstimationService, HealingConfig, ServiceConfig
+from repro.service import EstimationService, ServiceConfig
 
 ONE_WORKER = ServiceConfig(workers=1, queue_depth=64)
 
 #: armed, and never fires: only its being armed is under test
 NEVER_FIRES = FaultRule(
-    point="worker_batch", fault="worker_crash", probability=0.0, max_fires=None
+    point="histogram_join",
+    fault="histogram_corrupt",
+    probability=0.0,
+    max_fires=None,
 )
 
 
@@ -133,6 +136,48 @@ class TestAnsweredOnArrival:
         assert stats["answered_on_arrival"] == float(2 * count - 1)
         assert stats["batches"] == 2.0
 
+    def test_refresh_replays_no_old_cache_plan(
+        self, service_catalog, join_query, factor_sharing_queries, monkeypatch
+    ):
+        """A refresh publishes a new pool, and with it a new cache; until
+        a worker rolls onto it, the old pool's cache — compiled into after
+        the notify, so its plans are current for *its* pool — answers
+        nothing on arrival."""
+        with EstimationService(service_catalog, config=ONE_WORKER) as service:
+            service.estimate(join_query)
+            service_catalog.notify_table_update("R")
+            on_old = [service.estimate(join_query) for _ in range(2)]
+            assert on_old[1].plan_cache_hit
+            old_cache = service._plan_cache
+            old_plans = {id(plan) for plan in old_cache._plans.values()}
+            assert service_catalog.refresh().rebuilt_count > 0
+            assert service_catalog.pool is not old_cache.pool
+            replayed: list[int] = []
+            replay = CompiledPlan.replay
+
+            def recording(plan, ordered):
+                replayed.append(id(plan))
+                return replay(plan, ordered)
+
+            monkeypatch.setattr(CompiledPlan, "replay", recording)
+            answers = [service.estimate(query) for query in factor_sharing_queries]
+            new_cache = service._plan_cache
+        twin = EstimationSession(service_catalog.snapshot(), plan_cache=False)
+        assert {answer.snapshot_version for answer in answers} == {
+            service_catalog.version
+        }
+        for query, answer in zip(factor_sharing_queries, answers):
+            expected = twin.estimate(query)
+            assert (answer.selectivity, answer.error) == (
+                expected.selectivity,
+                expected.error,
+            )
+        assert replayed and not old_plans & set(replayed)
+        assert not answers[0].plan_cache_hit  # a worker's, on the new pool
+        assert all(answer.plan_cache_hit for answer in answers[1:])
+        assert new_cache is not old_cache
+        assert new_cache.pool is service_catalog.pool
+
     def test_plan_cache_counts_run_across_a_notify(
         self, service_catalog, factor_sharing_queries
     ):
@@ -154,97 +199,6 @@ class TestAnsweredOnArrival:
         assert (after["hits"], after["misses"]) == (2 * (count - 1), 2)
         assert after["compiles"] == 2.0
         assert after["hit_rate"] == (count - 1) / count
-
-    def test_breaker_rollback_never_serves_the_bad_versions_table(
-        self, service_catalog, join_query, factor_sharing_queries, monkeypatch
-    ):
-        """The bad version serves — and compiles its plans — before it is
-        tripped; after the rollback every answer carries the good
-        version and equals a cache-off session on the good snapshot.  A
-        notify keeps the pool, so the plans the bad version compiled
-        are plans of the good snapshot's pool, and answer on arrival."""
-        config = ServiceConfig(
-            workers=1,
-            queue_depth=64,
-            healing=HealingConfig(breaker_threshold=2, max_worker_restarts=6),
-        )
-        good_snapshot = service_catalog.snapshot()
-        with EstimationService(service_catalog, config=config) as service:
-            good = service.estimate(join_query).snapshot_version
-            assert good == good_snapshot.version
-            # the last-known-good snapshot stays the first one
-            monkeypatch.setattr(service, "_note_good_snapshot", lambda session: None)
-            service_catalog.notify_table_update("R")
-            bad = service_catalog.version
-            assert service.estimate(join_query).snapshot_version == bad
-            on_bad = service.estimate(join_query)
-            assert on_bad.plan_cache_hit and on_bad.snapshot_version == bad
-            assert arrivals(service) == 1.0
-            # what the breaker does when faults on ``bad`` reach its threshold
-            service._trip_snapshot(bad)
-            answers = [service.estimate(query) for query in factor_sharing_queries]
-            stats = service.stats_snapshot()
-        twin = EstimationSession(good_snapshot, plan_cache=False)
-        assert {answer.snapshot_version for answer in answers} == {good}
-        for query, answer in zip(factor_sharing_queries, answers):
-            expected = twin.estimate(query)
-            assert (answer.selectivity, answer.error) == (
-                expected.selectivity,
-                expected.error,
-            )
-        assert all(answer.plan_cache_hit for answer in answers)
-        assert stats.service["answered_on_arrival"] == float(1 + len(answers))
-        assert stats.resilience["snapshot_rollbacks"] == 1.0
-
-    def test_a_rollback_to_another_pool_replays_nothing_from_its_cache(
-        self, service_catalog, join_query, factor_sharing_queries, monkeypatch
-    ):
-        """A refresh publishes a new pool, and with it a new cache; when
-        the breaker rolls back to the snapshot before it, no plan of the
-        bad pool's cache answers again."""
-        config = ServiceConfig(
-            workers=1,
-            queue_depth=64,
-            healing=HealingConfig(breaker_threshold=2, max_worker_restarts=6),
-        )
-        good_snapshot = service_catalog.snapshot()
-        with EstimationService(service_catalog, config=config) as service:
-            good = service.estimate(join_query).snapshot_version
-            monkeypatch.setattr(service, "_note_good_snapshot", lambda session: None)
-            service_catalog.notify_table_update("R")
-            assert service_catalog.refresh().rebuilt_count > 0
-            assert service_catalog.pool is not good_snapshot.pool
-            bad = service_catalog.version
-            on_bad = [service.estimate(join_query) for _ in range(2)]
-            assert [answer.snapshot_version for answer in on_bad] == [bad, bad]
-            assert on_bad[1].plan_cache_hit
-            bad_cache = service._plan_cache
-            assert bad_cache.pool is service_catalog.pool and len(bad_cache) == 1
-            bad_plans = {id(plan) for plan in bad_cache._plans.values()}
-            replayed: list[int] = []
-            replay = CompiledPlan.replay
-
-            def recording(plan, ordered):
-                replayed.append(id(plan))
-                return replay(plan, ordered)
-
-            monkeypatch.setattr(CompiledPlan, "replay", recording)
-            service._trip_snapshot(bad)
-            answers = [service.estimate(query) for query in factor_sharing_queries]
-            rolled_back = service._plan_cache
-        twin = EstimationSession(good_snapshot, plan_cache=False)
-        assert {answer.snapshot_version for answer in answers} == {good}
-        for query, answer in zip(factor_sharing_queries, answers):
-            expected = twin.estimate(query)
-            assert (answer.selectivity, answer.error) == (
-                expected.selectivity,
-                expected.error,
-            )
-        assert replayed and not bad_plans & set(replayed)
-        assert not answers[0].plan_cache_hit  # a worker's, rolled back
-        assert all(answer.plan_cache_hit for answer in answers[1:])
-        assert rolled_back is not bad_cache
-        assert rolled_back.pool is good_snapshot.pool
 
     def test_an_armed_fault_plan_answers_hits_on_arrival(
         self, service_catalog, factor_sharing_queries

@@ -10,7 +10,7 @@ import re
 import pytest
 
 from repro.advisor import AdvisorConfig
-from repro.service import HealingConfig, ServiceConfig
+from repro.service import ServiceConfig
 
 
 class TestServiceValidation:
@@ -61,25 +61,8 @@ class TestServiceValidation:
         assert "plan_cache" not in ServiceConfig().to_dict()
 
     def test_nested_layers_are_type_checked(self):
-        with pytest.raises(TypeError, match="healing"):
-            ServiceConfig(healing={"breaker_threshold": 3})
         with pytest.raises(TypeError, match="advisor"):
             ServiceConfig(advisor={"max_q_error": 10.0})
-
-
-class TestHealingValidation:
-    @pytest.mark.parametrize(
-        ("field", "value"),
-        [
-            ("breaker_threshold", 0),
-            ("breaker_window_s", 0.0),
-            ("requeue_limit", -1),
-            ("max_worker_restarts", -1),
-        ],
-    )
-    def test_rejects_bad_knob(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            HealingConfig(**{field: value})
 
 
 @pytest.mark.parametrize(
@@ -116,6 +99,31 @@ def test_router_constants_are_no_config_keys(field):
         ServiceConfig.from_dict({field: 1.0})
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        "breaker_threshold",
+        "breaker_window_s",
+        "requeue_limit",
+        "max_worker_restarts",
+    ],
+)
+def test_removed_healing_keys_are_unknown(field):
+    """The service's self-healing tier is gone, and its block with it:
+    a deployment file that still has a ``healing`` block is rejected by
+    name, not served without one."""
+    with pytest.raises(
+        ValueError, match=re.escape("unknown ServiceConfig keys: ['healing']")
+    ):
+        ServiceConfig.from_dict({"healing": {field: 1}})
+
+
+def test_healing_is_no_knob():
+    with pytest.raises(TypeError, match="healing"):
+        ServiceConfig(healing=None)
+    assert "healing" not in ServiceConfig().to_dict()
+
+
 def test_cluster_is_no_knob():
     with pytest.raises(TypeError, match="cluster"):
         ServiceConfig(cluster=None)
@@ -132,7 +140,6 @@ class TestRoundTrip:
     def test_full_deployment_fits_in_one_json_file(self):
         config = ServiceConfig(
             workers=4,
-            healing=HealingConfig(breaker_threshold=5, requeue_limit=0),
             advisor=AdvisorConfig(max_q_error=50.0),
         )
         # through actual JSON, not just dicts: the serve --config path
@@ -141,27 +148,21 @@ class TestRoundTrip:
         )
         assert restored == config
         assert restored.advisor.max_q_error == 50.0
-        assert restored.healing.breaker_threshold == 5
 
     def test_unknown_keys_are_rejected_per_layer(self):
         with pytest.raises(ValueError, match="unknown ServiceConfig"):
             ServiceConfig.from_dict({"wrokers": 2})
-        with pytest.raises(ValueError, match="unknown HealingConfig"):
-            ServiceConfig.from_dict({"healing": {"threshold": 3}})
         with pytest.raises(ValueError, match="unknown AdvisorConfig"):
             ServiceConfig.from_dict({"advisor": {"max_qerror": 3}})
 
     def test_nested_validation_fires_through_from_dict(self):
-        with pytest.raises(ValueError, match="breaker_threshold"):
-            ServiceConfig.from_dict({"healing": {"breaker_threshold": 0}})
+        with pytest.raises(ValueError, match="max_moves"):
+            ServiceConfig.from_dict({"advisor": {"max_moves": 0}})
 
 
 class TestLegacyShims:
     def test_modern_spelling_is_warning_free(self, recwarn):
-        config = ServiceConfig(
-            healing=HealingConfig(breaker_threshold=5),
-            advisor=AdvisorConfig(),
-        )
+        config = ServiceConfig(advisor=AdvisorConfig())
         ServiceConfig.from_dict(config.to_dict())
         assert not [
             w
