@@ -485,26 +485,11 @@ CHAOS_WORKERS = (1, 2, 3)
 
 
 def chaos_plan(seed: int) -> FaultPlan:
-    """Two fault kinds at two injection points."""
+    """Corrupt histograms at the join point: the rate is per draw, one
+    per factor a cold answer reads, and most answers replay, so it is
+    one that degrades answers on every seed."""
     return FaultPlan(
-        [
-            # rates are per draw: sit_match draws once per SIT a cold
-            # answer reads, histogram_join once per factor, and most
-            # answers replay, so both need rates that make every seed
-            # fire both kinds
-            FaultRule(
-                point="sit_match",
-                fault="sit_unavailable",
-                probability=0.5,
-                max_fires=None,
-            ),
-            FaultRule(
-                point="histogram_join",
-                fault="histogram_corrupt",
-                probability=0.1,
-                max_fires=None,
-            ),
-        ],
+        [FaultRule(point="histogram_join", probability=0.2, max_fires=None)],
         seed=seed,
     )
 
@@ -593,8 +578,7 @@ def smoke_chaos() -> None:
         assert len(set(counts.values())) == 1, f"seed {seed}: {counts}"
         answered, degraded, shed, failed, fired, draws, on_arrival = counts[1]
         assert sum(count for _, count in fired) > 0, "the chaos plan never fired"
-        fired_kinds = {key.split(".", 1)[1] for key, _ in fired}
-        assert len(fired_kinds) >= 2, f"too few fault kinds fired: {fired_kinds}"
+        assert degraded >= 1, f"seed {seed}: no answer degraded"
         # armed, hits are answered where they arrive — and equal the
         # fault-free twin (checked per answer in chaos_run)
         assert on_arrival >= 1, f"seed {seed}: nothing answered on arrival"
@@ -629,7 +613,7 @@ def smoke_chaos() -> None:
     with EstimationService(catalog, config=config) as service:
         baseline = [service.estimate(sql, timeout=None) for sql in sample]
         silent = FaultPlan(
-            [FaultRule(point="sit_match", probability=0.0, max_fires=None)],
+            [FaultRule(point="histogram_join", probability=0.0, max_fires=None)],
             seed=0,
         )
         with armed(silent):
@@ -755,10 +739,7 @@ def ingest_storm(fixture: SnowflakeFixture) -> None:
 
     # the seeded plan really exercised the storm points
     fired = plan.stats()
-    assert any(key.startswith("ingest_apply.") for key in fired), fired
-    assert any(
-        key.startswith("refresh_during_storm.") for key in fired
-    ), fired
+    assert "ingest_apply" in fired and "refresh_during_storm" in fired, fired
 
     # staleness provenance: on answers and over the stats wire
     stamped = [a for a in answers if a.staleness_s is not None]

@@ -319,9 +319,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.backend != "sit":
         config = dataclasses.replace(config, backend=args.backend)
-    # arm the chaos plan before the workers spin up so every injection
-    # point on the serving path (snapshot pin, SIT match, histogram
-    # join, worker batch) is live for the server's whole life
+    # arm the chaos plan before the workers spin up so the injection
+    # point on the serving path (histogram join) is live for the
+    # server's whole life
     if fault_plan is not None:
         arm(fault_plan)
     try:

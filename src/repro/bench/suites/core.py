@@ -249,17 +249,17 @@ def bench_fault_overhead(size: int, repeats: int) -> dict:
     and the disarmed figure is what the <=5% overhead gate tracks
     against the pre-resilience ``n7`` steady baseline.
 
-    The SIT-match point is checked once per attribute match of each
-    factor an answer reads, so the rule is evaluated exactly
-    ``steady_runs × answer_attribute_matches`` times — a count
-    :func:`passed` gates, independent of host speed.
+    The histogram-join point is checked once per factor an answer
+    reads, so the rule is evaluated exactly ``steady_runs ×
+    answer_factors`` times — a count :func:`passed` gates, independent
+    of host speed.
     """
     from repro.resilience.faults import FaultPlan, FaultRule, armed
 
     algorithm, predicates, baseline, steady_run = warm_steady_dp(size)
     disarmed = best_of(steady_run, repeats)
     plan = FaultPlan(
-        [FaultRule(point="sit_match", probability=0.0, max_fires=None)],
+        [FaultRule(point="histogram_join", probability=0.0, max_fires=None)],
         seed=0,
     )
     with armed(plan):
@@ -279,9 +279,7 @@ def bench_fault_overhead(size: int, repeats: int) -> dict:
         "rule_evaluations": plan.rules[0].evaluations,
         # the timed runs and the one compared above
         "steady_runs": repeats + 1,
-        "answer_attribute_matches": sum(
-            len(match.attribute_matches) for match in baseline.matches
-        ),
+        "answer_factors": len(baseline.matches),
     }
 
 
@@ -439,7 +437,7 @@ def passed(result: dict) -> bool:
     """The gate the runner's exit code carries: every cold speedup at or
     over ``cold_target``, and the fault guards' two deterministic
     checks — the armed plan changed no answer, and its rule was
-    evaluated once per SIT each run's answer reads (the timing gates
+    evaluated once per factor each run's answer reads (the timing gates
     are read off the file)."""
     found = result["gates"]
     guards = result["resilience"]["n7_fault_guards"]
@@ -451,7 +449,7 @@ def passed(result: dict) -> bool:
         )
         and guards["zero_fault_bit_identical"] is True
         and guards["rule_evaluations"]
-        == guards["steady_runs"] * guards["answer_attribute_matches"]
+        == guards["steady_runs"] * guards["answer_factors"]
     )
 
 

@@ -86,7 +86,6 @@ from repro.core.selectivity import Decomposition, Factor
 from repro.core.universe import PredicateUniverse, iter_bits, iter_submasks
 from repro.resilience.faults import (
     POINT_HISTOGRAM_JOIN,
-    POINT_SIT_MATCH,
     active as _fault_plan,
     request_key,
 )
@@ -275,13 +274,11 @@ def _separable_product(partials) -> EstimationResult:
 
 
 def _inject_reads(plan, predicates: PredicateSet, result: EstimationResult) -> None:
-    """The SIT-match and histogram-join points of one answer, per factor
-    it reads, head first: each SIT, then the join — keyed by the set
-    asked, so a fault never depends on what a DP's memo already held."""
+    """The histogram-join point of one answer, once per factor it reads,
+    head first, over that factor's SITs — keyed by the set asked, so a
+    fault never depends on what a DP's memo already held."""
     key = request_key(predicates)
     for match in result.matches:
-        for am in match.attribute_matches:
-            plan.check(POINT_SIT_MATCH, str(am.attribute), (am.sit,), key)
         sits = [am.sit for am in match.attribute_matches]
         plan.check(POINT_HISTOGRAM_JOIN, sits=sits, key=key)
 

@@ -39,10 +39,14 @@ class Bucket:
     distinct: float
 
     def __post_init__(self) -> None:
+        if math.isnan(self.low) or math.isnan(self.high):
+            raise ValueError("bucket bound is NaN")
         if self.low > self.high:
             raise ValueError(f"bucket with low {self.low} > high {self.high}")
         if self.frequency < 0 or self.distinct < 0:
             raise ValueError("bucket frequency/distinct must be non-negative")
+        if not (math.isfinite(self.frequency) and math.isfinite(self.distinct)):
+            raise ValueError("bucket frequency/distinct must be finite")
 
     @property
     def width(self) -> float:
@@ -123,7 +127,8 @@ class Histogram:
         """Check and take the four columns: the one construction path.
 
         It refuses what a :class:`Bucket` refuses — ``low > high``, a
-        negative frequency or distinct count — and buckets out of order.
+        NaN bound, a negative or non-finite frequency or distinct count —
+        buckets out of order and a non-finite ``null_count``.
         ``_frequency`` is summed element-by-element in bucket order, a
         left fold over the column's floats, so a histogram over the same
         columns — built, loaded or attached — estimates bit-identically.
@@ -134,18 +139,27 @@ class Histogram:
         distincts = np.asarray(distincts, dtype=np.float64)
         if not (lows.shape == highs.shape == frequencies.shape == distincts.shape):
             raise ValueError("bucket arrays must have identical shapes")
-        if (lows > highs).any():
+        if not (lows <= highs).all():  # false for a NaN bound, too
+            if np.isnan(lows).any() or np.isnan(highs).any():
+                raise ValueError("bucket bound is NaN")
             raise ValueError("bucket with low > high")
         if (frequencies < 0).any() or (distincts < 0).any():
             raise ValueError("bucket frequency/distinct must be non-negative")
+        frequency = float(sum(frequencies.tolist()))
+        # the sum is NaN or inf when a frequency is
+        if not (math.isfinite(frequency) and np.isfinite(distincts).all()):
+            raise ValueError("bucket frequency/distinct must be finite")
         if (lows[1:] < highs[:-1]).any():
             raise ValueError("buckets must be ordered and non-overlapping")
-        self.null_count = float(null_count)
+        null_count = float(null_count)
+        if not math.isfinite(null_count):
+            raise ValueError("null_count must be finite")
+        self.null_count = null_count
         self._lows = lows
         self._highs = highs
         self._freqs = frequencies
         self._dists = distincts
-        self._frequency = float(sum(frequencies.tolist()))
+        self._frequency = frequency
         self.total = self._frequency + self.null_count
 
     def __getattr__(self, name: str):

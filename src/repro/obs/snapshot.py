@@ -36,10 +36,11 @@ namespaces:
 ``resilience``
     degradation and fault-handling state (:mod:`repro.resilience`):
     ``degraded_level1..3`` outcome counters, ``faults_<kind>`` per typed
-    fault kind (``faults_no_statistics`` counts attributes no statistic
-    covered), ``replans``, plus, from a service, injected-fault counters
-    (``injected_<point>.<kind>``) when a fault plan is armed — empty
-    when nothing ever degraded;
+    fault kind (``faults_histogram_corrupt`` counts corrupt histograms,
+    ``faults_no_statistics`` attributes no statistic covered),
+    ``replans``, plus, from a service, injected-fault counters
+    (``injected_<point>``) when a fault plan is armed — empty when
+    nothing ever degraded;
 ``plan_cache``
     compiled-plan cache state (:mod:`repro.core.plancache`): ``plans``,
     ``hits``, ``misses``, ``compiles``, ``evictions``, ``bytes``,

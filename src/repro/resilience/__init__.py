@@ -2,9 +2,10 @@
 
 Three pieces, each usable alone:
 
-* :mod:`repro.resilience.faults` — typed faults, named injection
-  points, and the seeded :class:`FaultPlan` that arms them (the chaos
-  layer is *deterministic*: same seed + request content → same faults);
+* :mod:`repro.resilience.faults` — the one injected fault
+  (:class:`HistogramCorrupt`), three named injection points, and the
+  seeded :class:`FaultPlan` that arms them (the chaos layer is
+  *deterministic*: same seed + request content → same faults);
 * :mod:`repro.resilience.ladder` — the graceful-degradation ladder
   levels and the :class:`ResilienceTelemetry` counters behind the
   ``resilience`` StatsSnapshot namespace;
@@ -17,19 +18,13 @@ absorb fails its batch with a typed error, and the worker serves on.
 
 from repro.resilience.faults import (
     EstimationFault,
-    FAULTS_BY_KIND,
     FaultPlan,
     FaultRule,
     HistogramCorrupt,
     INJECTION_POINTS,
-    POINT_CATALOG_LOAD,
-    POINT_CATALOG_SAVE,
     POINT_HISTOGRAM_JOIN,
     POINT_INGEST_APPLY,
     POINT_REFRESH_DURING_STORM,
-    POINT_SIT_MATCH,
-    SITUnavailable,
-    StorageTorn,
     active,
     arm,
     armed,
@@ -58,7 +53,6 @@ from repro.resilience.retry import (
 
 __all__ = [
     "EstimationFault",
-    "FAULTS_BY_KIND",
     "FaultPlan",
     "FaultRule",
     "HistogramCorrupt",
@@ -72,17 +66,12 @@ __all__ = [
     "MAGIC_FILTER_SELECTIVITY",
     "MAGIC_JOIN_SELECTIVITY",
     "NO_RETRIES",
-    "POINT_CATALOG_LOAD",
-    "POINT_CATALOG_SAVE",
     "POINT_HISTOGRAM_JOIN",
     "POINT_INGEST_APPLY",
     "POINT_REFRESH_DURING_STORM",
-    "POINT_SIT_MATCH",
     "ResilienceTelemetry",
     "RetryPolicy",
     "RetryTelemetry",
-    "SITUnavailable",
-    "StorageTorn",
     "active",
     "arm",
     "armed",

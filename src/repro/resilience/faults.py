@@ -1,18 +1,18 @@
 """Deterministic fault injection for the estimation stack.
 
-A production estimator does not get to choose when a SIT goes missing
-mid-refresh, a histogram cannot be read or a pool file tears on disk —
-but a *test* of the estimator must be able to choose exactly that, and
-reproducibly.  This module provides the seeded chaos layer:
+A production estimator does not get to choose when a histogram it
+reads turns out unusable — but a *test* of the estimator must be able
+to choose exactly that, and reproducibly.  This module provides the
+seeded chaos layer:
 
-* **typed faults** (:class:`SITUnavailable`, :class:`HistogramCorrupt`,
-  :class:`StorageTorn`) — the vocabulary every degradation path in the
-  stack speaks;
-* **named injection points** threaded through the hot path (SIT match,
-  histogram load/join, catalog save/load, the ingest pipeline's apply
-  and a refresh racing it).  Each point costs one module-global load plus a ``None``
-  check when no plan is armed, so the zero-fault path stays within the
-  serving latency budget;
+* **one typed fault**, :class:`HistogramCorrupt`, naming a SIT in play:
+  what a real defect at an injection point raises.  A torn or flipped
+  catalog file is not injected: the loader's :class:`PoolFormatError`
+  and quarantine handle the real file (:mod:`repro.stats.io`);
+* **three named injection points** (an answer's histogram joins, the
+  ingest pipeline's apply and a refresh racing it).  Each point costs
+  one module-global load plus a ``None`` check when no plan is armed,
+  so the zero-fault path stays within the serving latency budget;
 * a seeded :class:`FaultPlan` of :class:`FaultRule` entries.  Rules fire
   by probability, with a trigger budget (``max_fires``) and a substring
   ``match`` filter on the injection context, so a plan can target *one*
@@ -42,14 +42,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 # ----------------------------------------------------------------------
 # Injection points (the names a FaultRule's ``point`` may use)
 # ----------------------------------------------------------------------
-#: candidate-SIT matching (``ViewMatcher``): a matched SIT "goes missing"
-POINT_SIT_MATCH = "sit_match"
-#: histogram load/join inside ``estimate_factor``: a histogram is corrupt
+#: the histograms one factor of an answer reads: one of them is corrupt
 POINT_HISTOGRAM_JOIN = "histogram_join"
-#: catalog persistence (:func:`repro.stats.io.save_document`)
-POINT_CATALOG_SAVE = "catalog_save"
-#: catalog restore (:func:`repro.stats.io.load_document`)
-POINT_CATALOG_LOAD = "catalog_load"
 #: applying one coalesced invalidation epoch in the ingest pipeline
 POINT_INGEST_APPLY = "ingest_apply"
 #: incremental refresh racing a concurrent invalidation storm
@@ -57,10 +51,7 @@ POINT_REFRESH_DURING_STORM = "refresh_during_storm"
 
 #: every injection point threaded through the stack
 INJECTION_POINTS = (
-    POINT_SIT_MATCH,
     POINT_HISTOGRAM_JOIN,
-    POINT_CATALOG_SAVE,
-    POINT_CATALOG_LOAD,
     POINT_INGEST_APPLY,
     POINT_REFRESH_DURING_STORM,
 )
@@ -73,9 +64,9 @@ class EstimationFault(Exception):
     """Base of every typed fault the resilience layer handles.
 
     ``sit_name`` identifies the statistic the fault took down (``None``
-    for faults without a SIT identity, e.g. a torn file); ``injected``
-    is ``True`` when a :class:`FaultPlan` raised it, ``False`` for real
-    faults wrapped into the same vocabulary.
+    at a point with no SIT in play); ``injected`` is ``True`` when a
+    :class:`FaultPlan` raised it, ``False`` for real faults wrapped into
+    the same vocabulary.
     """
 
     kind = "fault"
@@ -94,29 +85,10 @@ class EstimationFault(Exception):
         self.injected = injected
 
 
-class SITUnavailable(EstimationFault):
-    """A matched SIT is unavailable (dropped mid-refresh, evicted, ...)."""
-
-    kind = "sit_unavailable"
-
-
 class HistogramCorrupt(EstimationFault):
-    """A SIT's histogram payload cannot be used (torn read, bad bytes)."""
+    """A SIT's histogram cannot be used (bad bucket data)."""
 
     kind = "histogram_corrupt"
-
-
-class StorageTorn(EstimationFault):
-    """Catalog storage failed mid-operation (torn write, short read)."""
-
-    kind = "storage_torn"
-
-
-#: fault kind -> class, for plan documents (``{"fault": "sit_unavailable"}``)
-FAULTS_BY_KIND: Mapping[str, type[EstimationFault]] = {
-    cls.kind: cls
-    for cls in (SITUnavailable, HistogramCorrupt, StorageTorn)
-}
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +112,8 @@ def request_key(items: Iterable[object]) -> str:
 
 @dataclass
 class FaultRule:
-    """One armed fault: *where* it can fire, *what* it raises, *how often*.
+    """One armed fault: *where* it can fire and *how often*.  Every
+    firing raises :class:`HistogramCorrupt`.
 
     ``probability`` is the share of draws the rule fires on (``0.0`` arms
     it silent: evaluated and counted, never drawn); ``match`` restricts
@@ -153,7 +126,6 @@ class FaultRule:
     """
 
     point: str
-    fault: str = SITUnavailable.kind
     probability: float = 1.0
     max_fires: int | None = 1
     match: str | None = None
@@ -167,11 +139,6 @@ class FaultRule:
                 f"unknown injection point {self.point!r}; "
                 f"expected one of {INJECTION_POINTS}"
             )
-        if self.fault not in FAULTS_BY_KIND:
-            raise ValueError(
-                f"unknown fault kind {self.fault!r}; "
-                f"expected one of {tuple(FAULTS_BY_KIND)}"
-            )
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("probability must be in [0, 1]")
         if self.max_fires is not None and self.max_fires < 0:
@@ -181,26 +148,14 @@ class FaultRule:
     def exhausted(self) -> bool:
         return self.max_fires is not None and self.fires >= self.max_fires
 
-    def to_dict(self) -> dict:
-        out: dict = {
-            "point": self.point,
-            "fault": self.fault,
-            "probability": self.probability,
-            "max_fires": self.max_fires,
-        }
-        if self.match is not None:
-            out["match"] = self.match
-        return out
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultRule":
-        keys = ("point", "fault", "probability", "max_fires", "match")
+        keys = ("point", "probability", "max_fires", "match")
         _reject_unknown(data, keys, "fault rule")
         max_fires = data.get("max_fires", 1)
         match = data.get("match")
         return cls(
             point=str(data["point"]),
-            fault=str(data.get("fault", SITUnavailable.kind)),
             probability=float(data.get("probability", 1.0)),
             max_fires=None if max_fires is None else int(max_fires),
             match=None if match is None else str(match),
@@ -223,8 +178,8 @@ class FaultPlan:
         self.rules: list[FaultRule] = list(rules)
         self.seed = int(seed)
         self._lock = threading.Lock()
-        #: (point, kind) -> times fired
-        self.fired: dict[tuple[str, str], int] = {}
+        #: point -> times fired
+        self.fired: dict[str, int] = {}
         #: (rule index, detail) -> draws made without a key
         self._keyless: dict[tuple[int, str], int] = {}
 
@@ -282,8 +237,7 @@ class FaultPlan:
                 if draw >= rule.probability * 2.0**64:
                     continue
                 rule.fires += 1
-                fired = (point, rule.fault)
-                self.fired[fired] = self.fired.get(fired, 0) + 1
+                self.fired[point] = self.fired.get(point, 0) + 1
                 return _build_fault(rule, point, detail, names, draw)
         return None
 
@@ -294,29 +248,11 @@ class FaultPlan:
             return sum(self.fired.values())
 
     def stats(self) -> dict[str, int]:
-        """``{"point.kind": fires}`` counters for observability."""
+        """``{point: fires}`` counters for observability."""
         with self._lock:
-            return {
-                f"{point}.{kind}": count
-                for (point, kind), count in sorted(self.fired.items())
-            }
-
-    def reset(self) -> None:
-        """Rewind the plan to its just-built state (same seed)."""
-        with self._lock:
-            self.fired.clear()
-            self._keyless.clear()
-            for rule in self.rules:
-                rule.evaluations = 0
-                rule.fires = 0
+            return dict(sorted(self.fired.items()))
 
     # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "rules": [rule.to_dict() for rule in self.rules],
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultPlan":
         _reject_unknown(data, ("seed", "rules"), "fault plan")
@@ -344,7 +280,7 @@ class FaultPlan:
 
 def _build_fault(
     rule: FaultRule, point: str, detail: str, names: list[str], draw: int
-) -> EstimationFault:
+) -> HistogramCorrupt:
     """The fault a firing raises; it names one of the SITs in play (of
     those the rule's ``match`` selects, when any), picked by ``draw``."""
     sit_name: str | None = None
@@ -353,14 +289,12 @@ def _build_fault(
         if rule.match is not None:
             candidates = [n for n in names if rule.match in n] or names
         sit_name = candidates[draw % len(candidates)]
-    message = f"injected {rule.fault} at {point}"
+    message = f"injected {HistogramCorrupt.kind} at {point}"
     if sit_name is not None:
         message += f" ({sit_name})"
     elif detail:
         message += f" ({detail})"
-    return FAULTS_BY_KIND[rule.fault](
-        message, sit_name=sit_name, point=point, injected=True
-    )
+    return HistogramCorrupt(message, sit_name=sit_name, point=point, injected=True)
 
 
 # ----------------------------------------------------------------------
@@ -415,19 +349,13 @@ def inject(
 
 __all__ = [
     "EstimationFault",
-    "FAULTS_BY_KIND",
     "FaultPlan",
     "FaultRule",
     "HistogramCorrupt",
     "INJECTION_POINTS",
-    "POINT_CATALOG_LOAD",
-    "POINT_CATALOG_SAVE",
     "POINT_HISTOGRAM_JOIN",
     "POINT_INGEST_APPLY",
     "POINT_REFRESH_DURING_STORM",
-    "POINT_SIT_MATCH",
-    "SITUnavailable",
-    "StorageTorn",
     "active",
     "arm",
     "armed",

@@ -29,7 +29,7 @@ per-SIT ``meta``; it still loads through the explicit
 Predicates serialize as ``{"kind": "filter"|"join", ...}``.  Infinities
 round-trip through the strings ``"-inf"``/``"inf"`` (JSON has no inf).
 
-Crash safety (:mod:`repro.resilience`):
+Crash safety:
 
 * **atomic saves** — :func:`save_document` / :func:`save_pool` write
   through :func:`atomic_write_text`: tempfile in the target directory,
@@ -61,12 +61,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.resilience.faults import (
-    POINT_CATALOG_LOAD,
-    POINT_CATALOG_SAVE,
-    active as _fault_plan,
-)
-
 from repro.core.predicates import (
     Attribute,
     FilterPredicate,
@@ -95,11 +89,17 @@ def _encode_float(value: float) -> Any:
 
 
 def _decode_float(value: Any) -> float:
+    """A bound as :func:`_encode_float` wrote it.  NaN is refused: every
+    comparison with it is false, so ``low > high`` would let it through
+    and it would answer as a range."""
     if value == "inf":
         return math.inf
     if value == "-inf":
         return -math.inf
-    return float(value)
+    decoded = float(value)
+    if math.isnan(decoded):
+        raise PoolFormatError(f"a bound is not a number: {value!r}")
+    return decoded
 
 
 def _encode_predicate(predicate: Predicate) -> dict:
@@ -572,11 +572,6 @@ def atomic_write_text(path: str | pathlib.Path, text: str) -> None:
 
 def save_document(document: CatalogDocument, path: str | pathlib.Path) -> None:
     """Write a catalog document to ``path`` as v2 JSON (atomically)."""
-    plan = _fault_plan()
-    if plan is not None:
-        # catalog-save injection point: the storage layer tears/fails
-        # right as the document is persisted
-        plan.check(POINT_CATALOG_SAVE, detail=str(path))
     atomic_write_text(path, dumps_document(document))
 
 
@@ -586,9 +581,6 @@ def load_document(
     """Read a catalog document written by :func:`save_document` (or a
     v1 pool file, which migrates).  ``quarantine=True`` salvages torn
     or corrupt files instead of raising (see :func:`loads_document`)."""
-    plan = _fault_plan()
-    if plan is not None:
-        plan.check(POINT_CATALOG_LOAD, detail=str(path))
     return loads_document(pathlib.Path(path).read_text(), quarantine=quarantine)
 
 

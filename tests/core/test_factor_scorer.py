@@ -8,9 +8,9 @@ the definition; this suite holds the scorer to them *pair by pair*, for
 every ``(p_mask, q_mask)`` the DP scores over seeded snowflake and TPC-H
 workloads (traced and untraced, and over a pool whose SIT expressions
 hold filters), and checks what rides on the scoring path: GS-Opt still
-gets real matches, the SIT-match injection point is visited once per
-attribute match of the answer (never while pricing), tracing keeps its
-two stages, and
+gets real matches, the histogram-join injection point is visited once
+per factor of the answer (never while pricing), tracing keeps its two
+stages, and
 everything keyed by a mask starts over together once the universe has
 outgrown ``UNIVERSE_LIMIT``.
 """
@@ -34,7 +34,7 @@ from repro.core.matching import FactorScorer, ViewMatcher, select_match
 from repro.core.predicates import Attribute, FilterPredicate, attributes_of
 from repro.core.selectivity import Factor
 from repro.engine.executor import Executor
-from repro.resilience.faults import POINT_SIT_MATCH, FaultPlan, FaultRule, armed
+from repro.resilience.faults import POINT_HISTOGRAM_JOIN, FaultPlan, FaultRule, armed
 from repro.stats.pool import SITPool
 from repro.stats.sit import SIT
 from repro.workload.queries import WorkloadConfig, WorkloadGenerator
@@ -330,48 +330,46 @@ class TestUnpricedFunctions:
 
 
 class TestFaultInjectionPoint:
-    def test_sit_match_is_checked_once_per_attribute_match_of_the_answer(
+    def test_histogram_join_checked_once_per_factor(
         self, snowflake_setup
     ):
         """Pricing checks nothing: the point is evaluated once per answer,
-        per attribute match of each factor it reads, head first — on the
-        SIT read, not on the candidates priced, and whatever the memo
-        already held."""
+        per factor it reads, head first, over the SITs that factor reads —
+        not on the candidates priced, and whatever the memo already
+        held."""
         workload, pool, _ = snowflake_setup
         algorithm = GetSelectivity.create(pool, NIndError())
         checked = []
 
         class Recording(FaultPlan):
             def check(self, point, detail="", sits=None, key=None):
-                if point == POINT_SIT_MATCH:
-                    checked.append((detail, tuple(map(str, sits))))
+                if point == POINT_HISTOGRAM_JOIN:
+                    checked.append(tuple(map(str, sits)))
                 super().check(point, detail=detail, sits=sits, key=key)
 
         plan = Recording(
-            [FaultRule(point=POINT_SIT_MATCH, probability=0.0, max_fires=None)], seed=0
+            [FaultRule(point=POINT_HISTOGRAM_JOIN, probability=0.0, max_fires=None)],
+            seed=0,
         )
         with armed(plan):
             for cold_start in (False, True):
                 for predicates in workload[:30]:
                     # a cold start answers from the winners' cache, a warm
                     # one realizes sub-answers from the memo: both check
-                    # every SIT the answer reads
+                    # every factor the answer reads
                     if cold_start:
                         algorithm.reset()
                     checked.clear()
                     result = algorithm(predicates)
                     read = [
-                        (str(am.attribute), (str(am.sit),))
+                        tuple(str(am.sit) for am in match.attribute_matches)
                         for match in result.matches
-                        for am in match.attribute_matches
                     ]
                     assert checked == read
             algorithm.reset()
             before = plan.rules[0].evaluations
             result = algorithm(workload[0])
-        assert plan.rules[0].evaluations - before == sum(
-            len(match.attribute_matches) for match in result.matches
-        ) > 0
+        assert plan.rules[0].evaluations - before == len(result.matches) > 0
 
 
 class TestTracingKeepsItsStages:

@@ -42,7 +42,7 @@ from repro.core.selectivity import Decomposition, Factor
 from repro.estimators import SITEstimator, make_gs_diff
 from repro.obs import StalenessTracker
 from repro.resilience.faults import (
-    POINT_SIT_MATCH,
+    POINT_HISTOGRAM_JOIN,
     EstimationFault,
     FaultPlan,
     FaultRule,
@@ -270,9 +270,9 @@ def test_order_permuting_fingerprints_are_the_str_formatted_ones(snowflake_setup
 
 # ----------------------------------------------------------------------
 def storm() -> FaultPlan:
-    """Every SIT match faults, forever — forces the degradation ladder."""
+    """Every histogram join faults, forever — forces the degradation ladder."""
     return FaultPlan(
-        [FaultRule(point=POINT_SIT_MATCH, probability=1.0, max_fires=None)],
+        [FaultRule(point=POINT_HISTOGRAM_JOIN, probability=1.0, max_fires=None)],
         seed=0,
     )
 

@@ -301,7 +301,6 @@ class TestLadderFallback:
                     point=POINT_HISTOGRAM_JOIN,
                     probability=1.0,
                     max_fires=None,
-                    fault="histogram_corrupt",
                 )
             ],
             seed=0,

@@ -184,10 +184,46 @@ class TestFromArrays:
         with pytest.raises(ValueError, match=f"^{message}$"):
             Histogram.from_arrays(*columns)
 
-    def test_nan_passes_as_it_passes_a_bucket(self):
-        row = (np.nan, np.nan, np.nan, np.nan)
-        Bucket(*row)
-        assert Histogram.from_arrays(*(np.array([v]) for v in row)).bucket_count == 1
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((np.nan, 1.0, 1.0, 1.0), "bucket bound is NaN"),
+            ((0.0, np.nan, 1.0, 1.0), "bucket bound is NaN"),
+            ((0.0, 1.0, np.nan, 1.0), "bucket frequency/distinct must be finite"),
+            ((0.0, 1.0, 1.0, np.nan), "bucket frequency/distinct must be finite"),
+            ((0.0, 1.0, np.inf, 1.0), "bucket frequency/distinct must be finite"),
+            ((0.0, 1.0, 1.0, np.inf), "bucket frequency/distinct must be finite"),
+        ],
+        ids=[
+            "nan-low",
+            "nan-high",
+            "nan-frequency",
+            "nan-distinct",
+            "inf-frequency",
+            "inf-distinct",
+        ],
+    )
+    def test_nan_and_inf_are_refused_like_a_bucket(self, row, message):
+        """Every comparison with NaN is false, so the order checks alone
+        let it through; a bucket and a column built histogram both
+        refuse it, and an infinite frequency or distinct count."""
+        good = (10.0, 12.0, 3.0, 2.0)
+        columns = [np.array(column) for column in zip(good, row)]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Bucket(*row)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Histogram.from_arrays(*columns)
+
+    @pytest.mark.parametrize("null_count", [np.nan, np.inf])
+    def test_a_non_finite_null_count_is_refused(self, null_count):
+        with pytest.raises(ValueError, match="^null_count must be finite$"):
+            Histogram.from_arrays(
+                np.array([0.0]),
+                np.array([1.0]),
+                np.array([2.0]),
+                np.array([1.0]),
+                null_count=null_count,
+            )
 
     def test_unknown_attribute_still_raises(self):
         histogram = Histogram.from_arrays(

@@ -2,21 +2,19 @@
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 
 import pytest
 
 from repro.resilience.faults import (
-    FAULTS_BY_KIND,
     FaultPlan,
     FaultRule,
     HistogramCorrupt,
     INJECTION_POINTS,
     POINT_HISTOGRAM_JOIN,
-    POINT_SIT_MATCH,
-    SITUnavailable,
+    POINT_INGEST_APPLY,
+    POINT_REFRESH_DURING_STORM,
     active,
     arm,
     armed,
@@ -26,7 +24,7 @@ from repro.resilience.faults import (
 )
 
 
-def one_shot(point=POINT_SIT_MATCH, **kwargs) -> FaultPlan:
+def one_shot(point=POINT_HISTOGRAM_JOIN, **kwargs) -> FaultPlan:
     return FaultPlan([FaultRule(point=point, **kwargs)], seed=7)
 
 
@@ -45,37 +43,38 @@ class TestFaultRule:
     def test_rejects_the_removed_service_points(self, point):
         """Only the fault plan ever raised at a worker batch or a
         snapshot pin; with the service's healing tier gone a plan naming
-        either point, or the worker-crash fault, fails loudly."""
+        either point fails loudly."""
         with pytest.raises(ValueError, match="unknown injection point"):
             FaultRule(point=point)
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultRule(point=POINT_SIT_MATCH, fault="worker_crash")
+
+    @pytest.mark.parametrize("point", ["sit_match", "catalog_save", "catalog_load"])
+    def test_rejects_the_points_no_real_defect_reaches(self, point):
+        """A pinned pool's SITs cannot go missing, and a torn catalog
+        file is the real file's, cut: a plan naming any of these points
+        fails loudly."""
+        with pytest.raises(ValueError, match="unknown injection point"):
+            FaultRule(point=point)
 
     def test_rejects_unknown_fault(self):
-        with pytest.raises(ValueError, match="fault kind"):
-            FaultRule(point=POINT_SIT_MATCH, fault="gremlin")
+        """A rule names no fault kind: every firing raises
+        ``HistogramCorrupt``, and a document's ``fault`` key is refused."""
+        with pytest.raises(TypeError):
+            FaultRule(point=POINT_HISTOGRAM_JOIN, fault="gremlin")
+        with pytest.raises(ValueError, match="'fault'"):
+            FaultRule.from_dict({"point": "histogram_join", "fault": "gremlin"})
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
-            FaultRule(point=POINT_SIT_MATCH, probability=1.5)
-
-    def test_round_trips_through_dict(self):
-        rule = FaultRule(
-            point=POINT_HISTOGRAM_JOIN,
-            fault=HistogramCorrupt.kind,
-            probability=0.25,
-            max_fires=None,
-            match="SIT(R.a | ",
-        )
-        assert FaultRule.from_dict(rule.to_dict()) == rule
+            FaultRule(point=POINT_HISTOGRAM_JOIN, probability=1.5)
 
     @pytest.mark.parametrize(
         "document, key",
         [
-            ({"point": "sit_match", "probabilty": 0.1}, "probabilty"),
-            ({"point": "sit_match", "after": 10}, "after"),
-            ({"point": "sit_match", "max_fire": None}, "max_fire"),
+            ({"point": "histogram_join", "probabilty": 0.1}, "probabilty"),
+            ({"point": "histogram_join", "after": 10}, "after"),
+            ({"point": "histogram_join", "max_fire": None}, "max_fire"),
             ({"point": "histogram_join", "Match": "SIT(R.a"}, "Match"),
+            ({"point": "histogram_join", "fault": "histogram_corrupt"}, "fault"),
         ],
     )
     def test_from_dict_rejects_an_unknown_key_by_name(self, document, key):
@@ -88,47 +87,55 @@ class TestFaultRule:
 class TestFiring:
     def test_certain_rule_fires_once(self):
         plan = one_shot()
-        with pytest.raises(SITUnavailable) as excinfo:
-            plan.check(POINT_SIT_MATCH, detail="R.a")
+        with pytest.raises(HistogramCorrupt) as excinfo:
+            plan.check(POINT_HISTOGRAM_JOIN, detail="R.a")
         assert excinfo.value.injected is True
-        assert excinfo.value.point == POINT_SIT_MATCH
+        assert excinfo.value.point == POINT_HISTOGRAM_JOIN
         # max_fires=1 (the default): the second check is a no-op
-        plan.check(POINT_SIT_MATCH, detail="R.a")
+        plan.check(POINT_HISTOGRAM_JOIN, detail="R.a")
         assert plan.total_fires == 1
-        assert plan.stats() == {"sit_match.sit_unavailable": 1}
+        assert plan.stats() == {"histogram_join": 1}
 
     def test_other_points_unaffected(self):
         plan = one_shot()
-        plan.check(POINT_HISTOGRAM_JOIN)
-        plan.check("catalog_load")
+        plan.check(POINT_INGEST_APPLY)
+        plan.check(POINT_REFRESH_DURING_STORM)
         assert plan.total_fires == 0
 
     def test_a_silent_rule_counts_evaluations_but_never_fires(self):
         plan = one_shot(probability=0.0, max_fires=None)
         for index in range(200):
-            plan.check(POINT_SIT_MATCH, detail=f"R.a-{index}", key=str(index))
+            plan.check(POINT_HISTOGRAM_JOIN, detail=f"R.a-{index}", key=str(index))
         assert plan.rules[0].evaluations == 200
         assert plan.total_fires == 0 and plan.stats() == {}
 
     def test_match_targets_detail_and_sit_names(self):
         plan = FaultPlan(
-            [FaultRule(point=POINT_SIT_MATCH, match="SIT(R.a")], seed=0
+            [FaultRule(point=POINT_HISTOGRAM_JOIN, match="SIT(R.a")], seed=0
         )
-        plan.check(POINT_SIT_MATCH, detail="S.b", sits=["SIT(S.b)"])
+        plan.check(POINT_HISTOGRAM_JOIN, detail="S.b", sits=["SIT(S.b)"])
         assert plan.total_fires == 0
-        with pytest.raises(SITUnavailable) as excinfo:
+        with pytest.raises(HistogramCorrupt) as excinfo:
             plan.check(
-                POINT_SIT_MATCH,
+                POINT_HISTOGRAM_JOIN,
                 detail="R.a",
                 sits=["SIT(R.a | J)", "SIT(S.b)"],
             )
         # the fault names a SIT the match selected, not an arbitrary one
         assert excinfo.value.sit_name == "SIT(R.a | J)"
 
-    def test_fault_kind_is_configurable(self):
-        plan = one_shot(fault=HistogramCorrupt.kind)
-        with pytest.raises(HistogramCorrupt):
-            plan.check(POINT_SIT_MATCH)
+    def test_every_point_raises_histogram_corrupt(self):
+        """One fault kind: what a real defect at a point raises."""
+        assert set(INJECTION_POINTS) == {
+            "histogram_join",
+            "ingest_apply",
+            "refresh_during_storm",
+        }
+        for point in INJECTION_POINTS:
+            plan = one_shot(point)
+            with pytest.raises(HistogramCorrupt):
+                plan.check(point, sits=["SIT(R.a)"])
+            assert plan.stats() == {point: 1}
 
 
 class TestDeterminism:
@@ -136,7 +143,7 @@ class TestDeterminism:
         outcomes: list[str | None] = []
         for index in range(50):
             fault = plan.evaluate(
-                POINT_SIT_MATCH,
+                POINT_HISTOGRAM_JOIN,
                 detail=f"call-{index}",
                 sits=["SIT(R.a)", "SIT(R.a | J)", "SIT(S.b)"],
             )
@@ -147,7 +154,7 @@ class TestDeterminism:
         make = lambda: FaultPlan(
             [
                 FaultRule(
-                    point=POINT_SIT_MATCH, probability=0.3, max_fires=None
+                    point=POINT_HISTOGRAM_JOIN, probability=0.3, max_fires=None
                 )
             ],
             seed=1234,
@@ -155,19 +162,6 @@ class TestDeterminism:
         first, second = self.drive(make()), self.drive(make())
         assert first == second
         assert any(name is not None for name in first)
-
-    def test_reset_rewinds_to_identical_sequence(self):
-        plan = FaultPlan(
-            [
-                FaultRule(
-                    point=POINT_SIT_MATCH, probability=0.3, max_fires=None
-                )
-            ],
-            seed=99,
-        )
-        first = self.drive(plan)
-        plan.reset()
-        assert self.drive(plan) == first
 
     @staticmethod
     def calls() -> list[dict]:
@@ -182,17 +176,16 @@ class TestDeterminism:
                 "key": request_key([f"R.a <= {index // 2}", "R.x = S.y"]),
             }
             for index in range(60)
-            for point in (POINT_SIT_MATCH, POINT_HISTOGRAM_JOIN)
+            for point in (POINT_HISTOGRAM_JOIN, POINT_REFRESH_DURING_STORM)
         ]
 
     @staticmethod
     def content_plan() -> FaultPlan:
         return FaultPlan(
             [
-                FaultRule(point=POINT_SIT_MATCH, probability=0.3, max_fires=None),
+                FaultRule(point=POINT_HISTOGRAM_JOIN, probability=0.3, max_fires=None),
                 FaultRule(
-                    point=POINT_HISTOGRAM_JOIN,
-                    fault=HistogramCorrupt.kind,
+                    point=POINT_REFRESH_DURING_STORM,
                     probability=0.2,
                     max_fires=None,
                 ),
@@ -206,7 +199,7 @@ class TestDeterminism:
         for call in calls:
             fault = plan.evaluate(**call)
             if fault is not None:
-                out.add((call["key"], call["detail"], fault.sit_name, fault.kind))
+                out.add((call["key"], call["point"], call["detail"], fault.sit_name))
         return out
 
     def test_shuffled_calls_fault_the_same_requests(self):
@@ -243,7 +236,7 @@ class TestDeterminism:
             FaultPlan(
                 [
                     FaultRule(
-                        point=POINT_SIT_MATCH,
+                        point=POINT_HISTOGRAM_JOIN,
                         probability=0.5,
                         max_fires=None,
                     )
@@ -256,29 +249,20 @@ class TestDeterminism:
 
 
 class TestPlanDocuments:
-    def test_json_round_trip(self):
-        plan = FaultPlan(
-            [
-                FaultRule(point=POINT_SIT_MATCH, probability=0.5),
-                FaultRule(
-                    point=POINT_HISTOGRAM_JOIN,
-                    fault=HistogramCorrupt.kind,
-                    max_fires=None,
-                ),
-            ],
-            seed=42,
-        )
-        restored = FaultPlan.from_json(json.dumps(plan.to_dict()))
-        assert restored.seed == 42
-        assert restored.rules == plan.rules
-
     def test_parse_inline_json(self):
         plan = FaultPlan.parse(
             '{"seed": 3, "rules": [{"point": "histogram_join", '
-            '"fault": "histogram_corrupt"}]}'
+            '"probability": 0.25, "max_fires": null, "match": "SIT(R.a"}]}'
         )
         assert plan.seed == 3
-        assert plan.rules[0].fault == HistogramCorrupt.kind
+        assert plan.rules == [
+            FaultRule(
+                point=POINT_HISTOGRAM_JOIN,
+                probability=0.25,
+                max_fires=None,
+                match="SIT(R.a",
+            )
+        ]
 
     @pytest.mark.parametrize(
         "document, key",
@@ -294,37 +278,25 @@ class TestPlanDocuments:
 
     def test_parse_rejects_a_rule_that_is_not_an_object(self):
         with pytest.raises(ValueError, match="JSON object"):
-            FaultPlan.parse('{"rules": ["sit_match"]}')
+            FaultPlan.parse('{"rules": ["histogram_join"]}')
 
     def test_parse_file(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text('{"seed": 5, "rules": []}')
         assert FaultPlan.parse(str(path)).seed == 5
 
-    def test_every_kind_has_a_class(self):
-        for kind, cls in FAULTS_BY_KIND.items():
-            assert cls.kind == kind
-        assert set(INJECTION_POINTS) == {
-            "sit_match",
-            "histogram_join",
-            "catalog_save",
-            "catalog_load",
-            "ingest_apply",
-            "refresh_during_storm",
-        }
-
 
 class TestArming:
     def test_disarmed_by_default(self):
         assert active() is None
-        inject(POINT_SIT_MATCH)  # no-op
+        inject(POINT_HISTOGRAM_JOIN)  # no-op
 
     def test_arm_disarm(self):
         plan = one_shot()
         arm(plan)
         assert active() is plan
-        with pytest.raises(SITUnavailable):
-            inject(POINT_SIT_MATCH)
+        with pytest.raises(HistogramCorrupt):
+            inject(POINT_HISTOGRAM_JOIN)
         disarm()
         assert active() is None
 

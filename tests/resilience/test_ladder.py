@@ -9,9 +9,8 @@ from repro.estimators import SITEstimator
 from repro.resilience.faults import (
     FaultPlan,
     FaultRule,
+    HistogramCorrupt,
     POINT_HISTOGRAM_JOIN,
-    POINT_SIT_MATCH,
-    SITUnavailable,
     armed,
 )
 from repro.resilience.ladder import (
@@ -29,10 +28,10 @@ def estimator_for(db, pool, **kwargs) -> SITEstimator:
     return SITEstimator(db, pool, **kwargs)
 
 
-def storm(point=POINT_SIT_MATCH, **kwargs) -> FaultPlan:
-    """Every eligible evaluation at ``point`` faults, forever."""
+def storm() -> FaultPlan:
+    """Every histogram join an answer reads faults, forever."""
     return FaultPlan(
-        [FaultRule(point=point, probability=1.0, max_fires=None, **kwargs)],
+        [FaultRule(point=POINT_HISTOGRAM_JOIN, probability=1.0, max_fires=None)],
         seed=0,
     )
 
@@ -53,7 +52,7 @@ class TestLevelOneReplan:
     def plan(self) -> FaultPlan:
         # take down exactly the conditioned SIT on R.a, once
         return FaultPlan(
-            [FaultRule(point=POINT_SIT_MATCH, match="SIT(R.a | ")], seed=0
+            [FaultRule(point=POINT_HISTOGRAM_JOIN, match="SIT(R.a | ")], seed=0
         )
 
     def test_replan_excludes_the_failed_sit(
@@ -88,7 +87,7 @@ class TestLevelOneReplan:
             estimator.estimate(join_filter_query)
         counts = estimator.resilience.as_dict()
         assert counts["degraded_level1"] == 1.0
-        assert counts["faults_sit_unavailable"] == 1.0
+        assert counts["faults_histogram_corrupt"] == 1.0
         assert counts["replans"] == 1.0
 
     def test_resilience_namespace_in_stats_snapshot(
@@ -102,22 +101,12 @@ class TestLevelOneReplan:
 
 
 class TestLowerRungs:
-    def test_sit_match_storm_lands_on_a_lower_rung(
-        self, two_table_db, two_table_pool, join_filter_query
-    ):
-        """When every SIT match faults, the estimate still comes back."""
-        estimator = estimator_for(two_table_db, two_table_pool)
-        with armed(storm()):
-            result = estimator.estimate(join_filter_query)
-        assert result.degradation_level >= LEVEL_REPLAN
-        assert 0.0 <= result.selectivity <= 1.0
-
     def test_histogram_storm_reaches_magic(
         self, two_table_db, two_table_pool, join_filter_query
     ):
         """Histogram joins failing everywhere leaves only the constants."""
         estimator = estimator_for(two_table_db, two_table_pool)
-        with armed(storm(POINT_HISTOGRAM_JOIN, fault="histogram_corrupt")):
+        with armed(storm()):
             result = estimator.estimate(join_filter_query)
         assert result.degradation_level == LEVEL_MAGIC
         assert result.selectivity == magic_selectivity(
@@ -143,7 +132,7 @@ class TestStrictMode:
             two_table_db, two_table_pool, strict=True
         )
         with armed(storm()):
-            with pytest.raises(SITUnavailable):
+            with pytest.raises(HistogramCorrupt):
                 estimator.estimate(join_filter_query)
 
 
@@ -160,13 +149,13 @@ class TestMonotonicity:
         plans = [
             FaultPlan([], seed=0),
             FaultPlan(
-                [FaultRule(point=POINT_SIT_MATCH, match="SIT(R.a | ")],
+                [FaultRule(point=POINT_HISTOGRAM_JOIN, match="SIT(R.a | ")],
                 seed=0,
             ),
             FaultPlan(
                 [
                     FaultRule(
-                        point=POINT_SIT_MATCH,
+                        point=POINT_HISTOGRAM_JOIN,
                         match=" | ",  # every conditioned SIT
                         max_fires=None,
                     )
@@ -194,7 +183,7 @@ class TestExplainReportsDegradation:
     ):
         estimator = estimator_for(two_table_db, two_table_pool)
         plan = FaultPlan(
-            [FaultRule(point=POINT_SIT_MATCH, match="SIT(R.a | ")], seed=0
+            [FaultRule(point=POINT_HISTOGRAM_JOIN, match="SIT(R.a | ")], seed=0
         )
         with armed(plan):
             explain = estimator.explain(join_filter_query)

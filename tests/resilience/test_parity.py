@@ -15,7 +15,7 @@ from repro.estimators import SITEstimator
 from repro.resilience.faults import (
     FaultPlan,
     FaultRule,
-    POINT_SIT_MATCH,
+    POINT_HISTOGRAM_JOIN,
     armed,
 )
 from repro.service import EstimationService, ServiceConfig
@@ -26,7 +26,7 @@ SQL = "SELECT * FROM R, S WHERE R.x = S.y AND R.a BETWEEN 10 AND 40"
 def zero_fault_plan() -> FaultPlan:
     """Armed, evaluated, and incapable of firing within any test run."""
     return FaultPlan(
-        [FaultRule(point=POINT_SIT_MATCH, probability=0.0, max_fires=None)],
+        [FaultRule(point=POINT_HISTOGRAM_JOIN, probability=0.0, max_fires=None)],
         seed=0,
     )
 
@@ -76,7 +76,7 @@ class TestDeterminism:
         return FaultPlan(
             [
                 FaultRule(
-                    point=POINT_SIT_MATCH,
+                    point=POINT_HISTOGRAM_JOIN,
                     probability=0.5,
                     max_fires=None,
                 )
@@ -145,7 +145,7 @@ class TestOverheadGate:
         report = bench_fault_overhead(5, 3)
         assert report["steady_runs"] == 4
         assert report["rule_evaluations"] == (
-            report["steady_runs"] * report["answer_attribute_matches"]
+            report["steady_runs"] * report["answer_factors"]
         ) > 0
 
         def result(**guards):

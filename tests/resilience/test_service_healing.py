@@ -73,12 +73,7 @@ class TestFaultPathLeaks:
         config = ServiceConfig(workers=2)
         plan = FaultPlan(
             [
-                FaultRule(
-                    point="histogram_join",
-                    fault="histogram_corrupt",
-                    probability=1.0,
-                    max_fires=2,
-                )
+                FaultRule(point="histogram_join", probability=1.0, max_fires=2)
             ],
             seed=0,
         )
@@ -99,7 +94,7 @@ class TestDegradationOverTheService:
         plan = FaultPlan(
             [
                 FaultRule(
-                    point="sit_match",
+                    point="histogram_join",
                     match="SIT(R.a | ",
                     max_fires=None,
                     probability=1.0,

@@ -1,5 +1,5 @@
 """Crash-safe catalog storage: atomic writes, per-SIT checksums, and
-torn-write quarantine (the regression tests from the issue)."""
+torn-write quarantine, tested by cutting and flipping the real file."""
 
 from __future__ import annotations
 
@@ -9,20 +9,14 @@ import os
 import pytest
 
 from repro.catalog import StatisticsCatalog
-from repro.resilience.faults import (
-    FaultPlan,
-    FaultRule,
-    POINT_CATALOG_LOAD,
-    POINT_CATALOG_SAVE,
-    StorageTorn,
-    armed,
-)
 from repro.stats.io import (
+    CatalogDocument,
     PoolFormatError,
     atomic_write_text,
     load_document,
     load_pool,
     loads_document,
+    save_document,
     save_pool,
 )
 
@@ -47,20 +41,20 @@ class TestAtomicWrite:
         atomic_write_text(path, "content")
         assert os.listdir(tmp_path) == ["file.json"]
 
-    def test_failure_leaves_previous_file_intact(self, tmp_path):
-        """An injected save fault must not touch the existing file —
-        the atomicity half of crash safety."""
+    def test_failure_leaves_previous_file_intact(self, tmp_path, monkeypatch):
+        """A save whose rename fails must not touch the existing file,
+        and leaves no temp file behind — the atomicity half of crash
+        safety."""
         path = tmp_path / "pool.json"
         atomic_write_text(path, "previous generation")
-        plan = FaultPlan(
-            [FaultRule(point=POINT_CATALOG_SAVE, fault="storage_torn")],
-            seed=0,
-        )
-        from repro.stats.io import CatalogDocument, save_document
 
-        with armed(plan):
-            with pytest.raises(StorageTorn):
-                save_document(CatalogDocument(), path)
+        def failing_replace(source, target):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_document(CatalogDocument(), path)
+        monkeypatch.undo()
         assert path.read_text() == "previous generation"
         assert os.listdir(tmp_path) == ["pool.json"]
 
@@ -153,16 +147,3 @@ class TestTornWrites:
         document = loads_document("", quarantine=True)
         assert document.sits == []
         assert document.quarantined
-
-
-class TestLoadInjection:
-    def test_injected_load_fault_is_typed(self, pool_path):
-        plan = FaultPlan(
-            [FaultRule(point=POINT_CATALOG_LOAD, fault="storage_torn")],
-            seed=0,
-        )
-        with armed(plan):
-            with pytest.raises(StorageTorn):
-                load_document(pool_path)
-        # disarmed again: the same load succeeds
-        assert load_document(pool_path).sits

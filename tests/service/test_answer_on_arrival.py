@@ -26,12 +26,7 @@ from repro.service import EstimationService, ServiceConfig
 ONE_WORKER = ServiceConfig(workers=1, queue_depth=64)
 
 #: armed, and never fires: only its being armed is under test
-NEVER_FIRES = FaultRule(
-    point="histogram_join",
-    fault="histogram_corrupt",
-    probability=0.0,
-    max_fires=None,
-)
+NEVER_FIRES = FaultRule(point="histogram_join", probability=0.0, max_fires=None)
 
 
 def service_stats(service) -> dict:

@@ -19,6 +19,7 @@ from repro.service.protocol import (
     ServiceClosed,
     ServiceError,
     decode_line,
+    decode_predicates,
     encode_line,
     error_from_status,
     failure_to_wire,
@@ -57,6 +58,25 @@ class TestCodec:
 
     def test_decode_accepts_str(self):
         assert decode_line('{"op": "ping"}') == {"op": "ping"}
+
+
+class TestPredicatePayloads:
+    FILTER = {"kind": "filter", "table": "R", "column": "a", "low": 10.0, "high": 40.0}
+
+    @pytest.mark.parametrize(
+        "bound, value",
+        [
+            ("low", float("nan")),
+            ("high", float("nan")),
+            ("low", "nan"),
+            ("high", "NaN"),
+        ],
+    )
+    def test_a_nan_bound_is_invalid(self, bound, value):
+        """``low > high`` is false for NaN, so only the bound's own
+        decode can refuse it; the request is invalid, not a range."""
+        with pytest.raises(InvalidRequest, match="not a number"):
+            decode_predicates([{**self.FILTER, bound: value}])
 
 
 class TestServedEstimate:

@@ -138,6 +138,20 @@ class TestWireFailures:
             assert response["status"] == "invalid"
             assert named in response["detail"] and "timeout_ms" in response["detail"]
 
+    def test_a_nan_filter_bound_answers_invalid(self, server):
+        """A parse-free request whose bound is NaN is refused, not
+        answered as a range; the connection serves on."""
+        host, port = server.address
+        nan_bound = {"kind": "filter", "table": "R", "column": "a", "low": "nan", "high": 40.0}
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(encode_line({"id": "1", "predicates": [nan_bound]}))
+            response = decode_line(reader.readline())
+            assert response["status"] == "invalid"
+            assert "not a number" in response["detail"]
+            sock.sendall(encode_line({"id": "2", "op": "ping"}))
+            assert decode_line(reader.readline())["pong"] is True
+
     def test_garbage_line_answers_invalid(self, server):
         host, port = server.address
         with socket.create_connection((host, port), timeout=10.0) as sock:

@@ -262,6 +262,13 @@ MALFORMED_BUCKETS = {
     "a nested list": [[0, 4, 10, [2]]],
     "not a list": 7,
     "an integer no float holds": [[0, 4, 10**400, 2]],
+    "NaN low": [[float("nan"), 4, 10, 2]],
+    "NaN high": [[0, float("nan"), 10, 2]],
+    "NaN frequency": [[0, 4, float("nan"), 2]],
+    "NaN distinct": [[0, 4, 10, float("nan")]],
+    "the string nan": [[0, 4, "nan", 2]],
+    "infinite frequency": [[0, 4, "inf", 2]],
+    "infinite distinct": [[0, 4, 10, float("inf")]],
 }
 
 #: payloads every loader must accept, with the same floats
