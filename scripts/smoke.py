@@ -12,16 +12,17 @@ failure, not a timeout someone else notices) and audits that nothing is
 left behind: no child process, no ``/dev/shm/psm_*`` segment.
 
 ``service``       50 queries over TCP; one raw pipelined group of mixed
-                  members; a burst against a depth-1 queue sheds
+                  members; a hot stream and every cold shape equal to the
+                  plan-cache-off answers at 1, 2 and 3 workers; a burst
+                  against a depth-1 queue sheds
 ``estimators``    every backend (sit / bn / sample) over TCP, with provenance
 ``plan_cache``    templated workload: hit rate, replay determinism, coherence,
                   a query's sub-plans each replaying on their second ask,
                   EXPLAIN of a hit equal to a plan-cache-off EXPLAIN, and hot
                   answers over a loaded catalog building no ``Bucket`` object
-``chaos``         seeded mixed fault plan over 10 seeds at 1, 2 and 3 workers:
-                  typed answers, equal counts at every worker count, fault-free
-                  answers on arrival and in the cache, zero-fault parity
-``chaos_ingest``  write storm + apply and refresh faults under TCP load
+``ingest``        write storm + racing catalog refreshes under TCP load: no
+                  client-visible error, staleness, quiesce, bit-identical
+                  answers once settled
 ``advisor``       tuned service accepts under budget; impossible bound rejects
 """
 
@@ -56,12 +57,10 @@ from repro.ingest import (
     IngestPipeline,
 )
 from repro.obs import StalenessTracker
-from repro.resilience.faults import FaultPlan, FaultRule, armed
 from repro.service import (
     EstimationService,
     Overloaded,
     ServiceConfig,
-    ServiceError,
     connect,
 )
 from repro.service.protocol import (
@@ -172,6 +171,40 @@ def raw_group(service: EstimationService, address) -> None:
     print(f"tcp: raw group of {len(group)} answered in order, hit line == to_wire")
 
 
+def cold_shapes(schema) -> list[str]:
+    """One statement per foreign-key join and non-key column of its two
+    tables: each its own shape, so each is solved cold once."""
+    return [
+        f"SELECT * FROM {left.table}, {right.table} WHERE {left} = {right} "
+        f"AND {attribute} BETWEEN 1 AND 50"
+        for left, right in schema.join_edges()
+        for table in (left.table, right.table)
+        for attribute in schema.table(table).attributes
+        if not attribute.column.endswith("_id")
+    ]
+
+
+def worker_counts(catalog, schema) -> None:
+    """A hot stream and every cold shape over TCP at 1, 2 and 3 workers:
+    each answer is at level 0 and equals the plan-cache-off session's,
+    whichever worker (or the arrival path) computed it."""
+    sqls = age_ranges(100, spread=23, width=20) + cold_shapes(schema)
+    twin = EstimationSession(catalog, plan_cache=False)
+    expected = {sql: twin.estimate(parse_query(sql, schema)) for sql in sqls}
+    for workers in (1, 2, 3):
+        config = ServiceConfig(workers=workers, queue_depth=32)
+        with served(EstimationService(catalog, config=config)) as client:
+            for sql in sqls:
+                answer = client.estimate(sql)
+                want = expected[sql]
+                assert answer.degradation_level == 0, (workers, sql, answer)
+                assert (answer.selectivity, answer.error) == (
+                    want.selectivity,
+                    want.error,
+                ), (workers, sql, answer, want)
+    print(f"workers 1/2/3: {len(sqls)} answers each, equal to the twin's")
+
+
 def smoke_service() -> None:
     fixture = serving_fixture()
     catalog = fixture.catalog
@@ -204,6 +237,7 @@ def smoke_service() -> None:
         f"tcp: {len(sqls)} queries ok, versions={sorted(versions)}, "
         f"sql templates {hits:g} hits / {misses:g} misses"
     )
+    worker_counts(catalog, schema)
 
     # a burst against a depth-1 queue must shed with typed Overloaded —
     # and everything admitted must still be answered
@@ -476,170 +510,14 @@ def optimizer_pattern(fixture: SnowflakeFixture) -> None:
 
 
 # ----------------------------------------------------------------------
-# chaos
+# ingest
 # ----------------------------------------------------------------------
-#: the chaos stream's plan seeds: the historical one and nine more
-CHAOS_SEEDS = tuple(range(2004, 2014))
-#: every seed's stream is served at each of these worker counts
-CHAOS_WORKERS = (1, 2, 3)
-
-
-def chaos_plan(seed: int) -> FaultPlan:
-    """Corrupt histograms at the join point: the rate is per draw, one
-    per factor a cold answer reads, and most answers replay, so it is
-    one that degrades answers on every seed."""
-    return FaultPlan(
-        [FaultRule(point="histogram_join", probability=0.2, max_fires=None)],
-        seed=seed,
-    )
-
-
-def cold_shapes(schema) -> list[str]:
-    """One statement per foreign-key join and non-key column of its two
-    tables: each its own shape, so each is solved cold once."""
-    return [
-        f"SELECT * FROM {left.table}, {right.table} WHERE {left} = {right} "
-        f"AND {attribute} BETWEEN 1 AND 50"
-        for left, right in schema.join_edges()
-        for table in (left.table, right.table)
-        for attribute in schema.table(table).attributes
-        if not attribute.column.endswith("_id")
-    ]
-
-
-def chaos_run(catalog, sqls: list[str], seed: int, workers: int, expected):
-    """Serve ``sqls`` over TCP under ``chaos_plan(seed)``: every answer
-    typed, every level-0 answer equal to its fault-free twin in
-    ``expected``, a clean drain with the plan still armed.  Returns the
-    counts every worker count must agree on, the service's stats and
-    its plan cache."""
-    config = ServiceConfig(workers=workers, queue_depth=32)
-    plan = chaos_plan(seed)
-    answered = degraded = shed = failed = 0
-    with armed(plan):
-        service = EstimationService(catalog, config=config)
-        with served(service, timeout_s=60.0) as client:
-            for sql in sqls:
-                try:
-                    answer = client.estimate(sql)
-                except Overloaded:
-                    shed += 1
-                    continue
-                except ServiceError as exc:
-                    assert str(exc), "untyped empty failure"
-                    failed += 1
-                    continue
-                assert isinstance(answer, ServedEstimate), answer
-                assert 0.0 <= answer.selectivity <= 1.0, answer
-                answered += 1
-                if answer.degradation_level:
-                    degraded += 1
-                    assert answer.excluded_sits or (
-                        answer.degradation_level >= 2
-                    ), answer
-                else:
-                    twin = expected[sql]
-                    assert (answer.selectivity, answer.error) == (
-                        twin.selectivity,
-                        twin.error,
-                    ), (sql, answer, twin)
-            stats = client.stats()
-    typed = answered + shed + failed
-    assert typed == len(sqls), f"{typed}/{len(sqls)} typed answers"
-    counts = (
-        answered,
-        degraded,
-        shed,
-        failed,
-        tuple(plan.stats().items()),
-        tuple(rule.evaluations for rule in plan.rules),
-        stats["service"].get("answered_on_arrival", 0.0),
-    )
-    return counts, stats, service._plan_cache
-
-
-def smoke_chaos() -> None:
-    fixture = serving_fixture()
-    catalog, schema = fixture.catalog, fixture.database.schema
-    # the historical 100-query stream is one shape, which a shared plan
-    # cache solves cold until one answer compiles: the cold shapes after
-    # it give every point draws to make
-    sqls = age_ranges(100, spread=23, width=20) + cold_shapes(schema)
-    queries = {sql: parse_query(sql, schema) for sql in sqls}
-    twin = EstimationSession(catalog, plan_cache=False)
-    expected = {sql: twin.estimate(query) for sql, query in queries.items()}
-
-    for seed in CHAOS_SEEDS:
-        runs = {
-            workers: chaos_run(catalog, sqls, seed, workers, expected)
-            for workers in CHAOS_WORKERS
-        }
-        counts = {workers: run[0] for workers, run in runs.items()}
-        assert len(set(counts.values())) == 1, f"seed {seed}: {counts}"
-        answered, degraded, shed, failed, fired, draws, on_arrival = counts[1]
-        assert sum(count for _, count in fired) > 0, "the chaos plan never fired"
-        assert degraded >= 1, f"seed {seed}: no answer degraded"
-        # armed, hits are answered where they arrive — and equal the
-        # fault-free twin (checked per answer in chaos_run)
-        assert on_arrival >= 1, f"seed {seed}: nothing answered on arrival"
-        for workers, (_, stats, cache) in runs.items():
-            resilience = stats.get("resilience", {})
-            if degraded:
-                level_keys = [
-                    key for key in resilience if key.startswith("degraded_level")
-                ]
-                assert level_keys, f"no degradation levels in snapshot: {resilience}"
-            # disarmed, every plan the armed run filed replays to the
-            # fault-free answer
-            replayed = set()
-            for sql, query in queries.items():
-                fingerprint, ordered = shape_fingerprint(query.predicates)
-                plan = cache.probe(fingerprint)
-                if plan is not None:
-                    replayed.add(fingerprint)
-                    assert plan.replay(ordered) == expected[sql], sql
-            assert len(replayed) == len(cache) > 0, (len(replayed), len(cache))
-        print(
-            f"chaos seed {seed}: {answered} served ({degraded} degraded), "
-            f"{shed} shed, {failed} typed failures, {on_arrival:.0f} on arrival "
-            f"at workers {'/'.join(map(str, CHAOS_WORKERS))}; "
-            f"{draws} draws, plan fired {dict(fired)}"
-        )
-
-    # an armed-but-silent plan must not perturb a single bit (the
-    # overhead half of that gate is `python -m repro.bench core`)
-    config = ServiceConfig(workers=1, queue_depth=64)
-    sample = sqls[:10]
-    with EstimationService(catalog, config=config) as service:
-        baseline = [service.estimate(sql, timeout=None) for sql in sample]
-        silent = FaultPlan(
-            [FaultRule(point="histogram_join", probability=0.0, max_fires=None)],
-            seed=0,
-        )
-        with armed(silent):
-            under_plan = [
-                service.estimate(sql, timeout=None) for sql in sample
-            ]
-        assert silent.total_fires == 0
-    for before, after in zip(baseline, under_plan):
-        assert after.selectivity == before.selectivity, (before, after)
-        assert after.cardinality == before.cardinality, (before, after)
-        assert after.degradation_level == 0, after
-    print(f"zero-fault parity: {len(sample)} queries bit-identical")
-
-
-# ----------------------------------------------------------------------
-# chaos_ingest
-# ----------------------------------------------------------------------
-def smoke_chaos_ingest() -> None:
+def smoke_ingest() -> None:
+    """A table-update storm through the ingest pipeline, catalog
+    refreshes racing it, and 100 TCP queries: zero client-visible
+    errors, staleness reported, clean quiesce, bit-identical once
+    settled."""
     fixture = serving_fixture(holdout=2)
-    ingest_storm(fixture)
-
-
-def ingest_storm(fixture: SnowflakeFixture) -> None:
-    """A table-update storm through the ingest pipeline, seeded faults at
-    the storm points, and 100 TCP queries: zero client-visible errors,
-    staleness reported, clean quiesce, bit-identical once settled."""
     catalog = fixture.catalog
     storm_events = 400
     config = ServiceConfig(workers=2, queue_depth=64)
@@ -657,48 +535,36 @@ def ingest_storm(fixture: SnowflakeFixture) -> None:
         queries=[frozenset(query.predicates) for query in fixture.queries],
     )
     tables = sorted(catalog.database.tables)
-    # deterministic faults at the storm points: three apply faults
-    # (retried, then requeued — never dropped) and two mid-rebuild
-    # refresh faults (refresh aborts with nothing published)
-    plan = FaultPlan(
-        [
-            FaultRule(point="ingest_apply", probability=1.0, max_fires=3),
-            FaultRule(
-                point="refresh_during_storm", probability=1.0, max_fires=2
-            ),
-        ],
-        seed=2004,
-    )
-    shed = refresh_aborts = 0
+    shed = refreshes = conflicts = 0
     errors: list[BaseException] = []
-    with armed(plan):
-        service = EstimationService(catalog, config=config)
-        service.attach_staleness(tracker)
-        pipeline = IngestPipeline(
-            catalog,
-            config=IngestConfig(queue_depth=256, drift_every=3),
-            tracker=tracker,
-            drift_probe=drift_probe,
-        )
-        storm_done = threading.Event()
+    service = EstimationService(catalog, config=config)
+    service.attach_staleness(tracker)
+    pipeline = IngestPipeline(
+        catalog,
+        config=IngestConfig(queue_depth=256, drift_every=3),
+        tracker=tracker,
+        drift_probe=drift_probe,
+    )
+    storm_done = threading.Event()
 
-        def storm() -> None:
-            nonlocal shed
-            try:
-                for index in range(storm_events):
-                    try:
-                        pipeline.submit(tables[index % len(tables)])
-                    except IngestOverloaded:
-                        shed += 1  # typed backpressure, not an error
-                    if index % 25 == 0:
-                        time.sleep(0.001)
-            except BaseException as exc:  # pragma: no cover
-                errors.append(exc)
-            finally:
-                storm_done.set()
+    def storm() -> None:
+        nonlocal shed
+        try:
+            for index in range(storm_events):
+                try:
+                    pipeline.submit(tables[index % len(tables)])
+                except IngestOverloaded:
+                    shed += 1  # typed backpressure, not an error
+                if index % 25 == 0:
+                    time.sleep(0.001)
+        except BaseException as exc:  # pragma: no cover
+            errors.append(exc)
+        finally:
+            storm_done.set()
 
-        def refresher() -> None:
-            nonlocal refresh_aborts
+    def refresher() -> None:
+        nonlocal refreshes, conflicts
+        try:
             for _ in range(6):
                 # wait first, so the last round always refreshes tables
                 # the storm has already bumped (a fast host can finish
@@ -706,40 +572,40 @@ def ingest_storm(fixture: SnowflakeFixture) -> None:
                 done = storm_done.wait(timeout=0.02)
                 try:
                     catalog.refresh()
-                except (RefreshConflict, Exception):
-                    # injected mid-rebuild fault or membership race:
-                    # rolled back, nothing published — count and retry
-                    refresh_aborts += 1
+                    refreshes += 1
+                except RefreshConflict:
+                    # a membership race: rolled back, nothing published
+                    # — count and go on
+                    conflicts += 1
                 if done:
                     break
+        except BaseException as exc:  # pragma: no cover
+            errors.append(exc)
 
-        workers = [
-            threading.Thread(target=storm, name="storm"),
-            threading.Thread(target=refresher, name="refresher"),
-        ]
+    workers = [
+        threading.Thread(target=storm, name="storm"),
+        threading.Thread(target=refresher, name="refresher"),
+    ]
+    for worker in workers:
+        worker.start()
+
+    answers: list[ServedEstimate] = []
+    with served(service, timeout_s=60.0) as client:
+        for sql in sqls:
+            answer = client.estimate(sql)  # zero-error bar:
+            assert isinstance(answer, ServedEstimate), answer
+            assert 0.0 <= answer.selectivity <= 1.0, answer
+            answers.append(answer)
         for worker in workers:
-            worker.start()
-
-        answers: list[ServedEstimate] = []
-        with served(service, timeout_s=60.0) as client:
-            for sql in sqls:
-                answer = client.estimate(sql)  # zero-error bar:
-                assert isinstance(answer, ServedEstimate), answer
-                assert 0.0 <= answer.selectivity <= 1.0, answer
-                answers.append(answer)
-            for worker in workers:
-                worker.join(timeout=60.0)
-                assert not worker.is_alive(), worker.name
-            assert pipeline.quiesce(timeout=60.0), "pipeline never drained"
-            stats = client.stats()
-        pipeline.close()
+            worker.join(timeout=60.0)
+            assert not worker.is_alive(), worker.name
+        assert pipeline.quiesce(timeout=60.0), "pipeline never drained"
+        stats = client.stats()
+    pipeline.close()
 
     assert not errors, errors
+    assert refreshes >= 1, "no refresh went through during the storm"
     assert tracker.quiesced(), "acked writes left unapplied"
-
-    # the seeded plan really exercised the storm points
-    fired = plan.stats()
-    assert "ingest_apply" in fired and "refresh_during_storm" in fired, fired
 
     # staleness provenance: on answers and over the stats wire
     stamped = [a for a in answers if a.staleness_s is not None]
@@ -751,7 +617,6 @@ def ingest_storm(fixture: SnowflakeFixture) -> None:
     assert snapshot["epochs_applied"] < snapshot["events_applied"], (
         "storm did not coalesce"
     )
-    assert snapshot["apply_faults"] == 3.0, snapshot
     assert snapshot.get("drift_probes", 0.0) >= 1.0, snapshot
 
     # quiesced + one quiet refresh -> nothing stale, bit-identical
@@ -767,13 +632,12 @@ def ingest_storm(fixture: SnowflakeFixture) -> None:
 
     print(
         f"ingest storm: {len(answers)} served, {shed} shed, "
-        f"{refresh_aborts} refresh aborts, "
+        f"{refreshes} refreshes ({conflicts} conflicts), "
         f"{snapshot['events_applied']:.0f} events in "
         f"{snapshot['epochs_applied']:.0f} epochs "
         f"(ratio {snapshot['coalesce_ratio']:.1f}), "
         f"{len(stamped)} stamped answers, "
-        f"{snapshot['drift_probes']:.0f} drift probes, "
-        f"plan fired {fired}"
+        f"{snapshot['drift_probes']:.0f} drift probes"
     )
 
 
@@ -902,8 +766,7 @@ SMOKES = {
     "service": smoke_service,
     "estimators": smoke_estimators,
     "plan_cache": smoke_plan_cache,
-    "chaos": smoke_chaos,
-    "chaos_ingest": smoke_chaos_ingest,
+    "ingest": smoke_ingest,
     "advisor": smoke_advisor,
 }
 

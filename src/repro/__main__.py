@@ -273,18 +273,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import dataclasses
     import json
 
-    from repro.resilience import FaultPlan, arm, disarm
     from repro.service import EstimationService, ServiceConfig, run_server
     from repro.workload.fixture import snowflake_fixture
-
-    fault_plan = None
-    if getattr(args, "fault_plan", None):
-        fault_plan = FaultPlan.parse(args.fault_plan)
-        print(
-            f"chaos harness armed: {len(fault_plan.rules)} fault rule(s), "
-            f"seed {fault_plan.seed}",
-            file=sys.stderr,
-        )
 
     if args.path is None:
         print(
@@ -319,32 +309,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.backend != "sit":
         config = dataclasses.replace(config, backend=args.backend)
-    # arm the chaos plan before the workers spin up so the injection
-    # point on the serving path (histogram join) is live for the
-    # server's whole life
-    if fault_plan is not None:
-        arm(fault_plan)
-    try:
-        service = EstimationService(catalog, config=config)
+    service = EstimationService(catalog, config=config)
 
-        def ready(address: tuple[str, int]) -> None:
-            host, port = address
-            print(
-                f"serving {len(catalog)} SITs on {host}:{port} "
-                f"({config.workers} workers, queue {config.queue_depth}, "
-                f"max batch {config.max_batch}) — Ctrl-C to drain",
-                file=sys.stderr,
-                flush=True,
-            )
+    def ready(address: tuple[str, int]) -> None:
+        host, port = address
+        print(
+            f"serving {len(catalog)} SITs on {host}:{port} "
+            f"({config.workers} workers, queue {config.queue_depth}, "
+            f"max batch {config.max_batch}) — Ctrl-C to drain",
+            file=sys.stderr,
+            flush=True,
+        )
 
-        run_server(service, ready=ready)
-    finally:
-        if fault_plan is not None:
-            disarm()
-            print(
-                f"chaos harness fired: {fault_plan.stats() or 'no faults'}",
-                file=sys.stderr,
-            )
+    run_server(service, ready=ready)
     return 0
 
 
@@ -523,16 +500,6 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "deployment config file (nested ServiceConfig JSON, "
             "advisor block included); overrides the tuning flags"
-        ),
-    )
-    serve.add_argument(
-        "--fault-plan",
-        default=None,
-        dest="fault_plan",
-        help=(
-            "chaos harness: inline JSON or a path to a fault-plan file "
-            "(see repro.resilience.FaultPlan); armed for the server's "
-            "whole life"
         ),
     )
     serve.add_argument("--scale", type=float, default=0.15)

@@ -34,7 +34,7 @@ DEFAULT_OUTPUT = pathlib.Path(__file__).resolve().parents[3] / "BENCH_core.json"
 SUITES: dict[str, str] = {
     "core": (
         "legacy-vs-bitmask DP (n5/n7/n9), histogram kernels vs reference, "
-        "tracing and fault-guard overhead, catalog refresh"
+        "tracing overhead, catalog refresh"
     ),
     "service": "open-loop overload shedding and conservation",
     "estimators": "sit / bn / sample shoot-out: accuracy, latency, space",

@@ -3,9 +3,8 @@
 Measures the bitmask ``GetSelectivity`` rewrite against the preserved
 ``LegacyGetSelectivity`` baseline (the seed's frozenset DP on the seed's
 loop kernels, timed on this machine), the vectorized histogram algebra
-against the pure-Python reference kernels, the cost of the tracing and
-fault-injection guards on the steady DP, and incremental catalog
-refresh against a cold build.  Run with::
+against the pure-Python reference kernels, the cost of tracing on the
+steady DP, and incremental catalog refresh against a cold build.  Run with::
 
     PYTHONPATH=src python -m repro.bench core [output.json]
 
@@ -236,53 +235,6 @@ def bench_tracing_overhead(size: int, repeats: int) -> dict:
     }
 
 
-def bench_fault_overhead(size: int, repeats: int) -> dict:
-    """Steady-state cost of the fault-injection guards on the bitmask DP.
-
-    ``disarmed_ms`` is the production configuration (no ``FaultPlan``
-    armed: each instrumented call site pays one global load and a
-    ``None`` check).  ``armed_zero_fault_ms`` runs the same workload
-    with an armed plan whose only rule can never fire (probability 0:
-    counted, never hashed), so the cost measured is rule evaluation, not
-    fault handling.  Both configurations must produce *bit-identical*
-    selectivities — the zero-fault parity half of the acceptance gate —
-    and the disarmed figure is what the <=5% overhead gate tracks
-    against the pre-resilience ``n7`` steady baseline.
-
-    The histogram-join point is checked once per factor an answer
-    reads, so the rule is evaluated exactly ``steady_runs ×
-    answer_factors`` times — a count :func:`passed` gates, independent
-    of host speed.
-    """
-    from repro.resilience.faults import FaultPlan, FaultRule, armed
-
-    algorithm, predicates, baseline, steady_run = warm_steady_dp(size)
-    disarmed = best_of(steady_run, repeats)
-    plan = FaultPlan(
-        [FaultRule(point="histogram_join", probability=0.0, max_fires=None)],
-        seed=0,
-    )
-    with armed(plan):
-        armed_zero = best_of(steady_run, repeats)
-        algorithm.reset()
-        under_plan = algorithm(predicates)
-    algorithm.reset()
-    disarmed_again = algorithm(predicates)
-    return {
-        "predicates": size,
-        "disarmed_ms": disarmed * 1000.0,
-        "armed_zero_fault_ms": armed_zero * 1000.0,
-        "armed_overhead_pct": (armed_zero / disarmed - 1.0) * 100.0,
-        "zero_fault_bit_identical": (
-            under_plan == baseline == disarmed_again
-        ),
-        "rule_evaluations": plan.rules[0].evaluations,
-        # the timed runs and the one compared above
-        "steady_runs": repeats + 1,
-        "answer_factors": len(baseline.matches),
-    }
-
-
 def bench_catalog_refresh(repeats: int) -> dict:
     """Incremental catalog refresh against a cold build.
 
@@ -377,9 +329,6 @@ def run(recorded: dict | None = None, repeats: int = 9) -> dict:
         "observability": {
             "n7_tracing": bench_tracing_overhead(7, repeats),
         },
-        "resilience": {
-            "n7_fault_guards": bench_fault_overhead(7, repeats),
-        },
         "catalog": bench_catalog_refresh(repeats),
     }
     result["gates"] = gates(result)
@@ -414,16 +363,6 @@ def gates(result: dict) -> dict:
         "n7_tracing_enabled_overhead_pct": result["observability"][
             "n7_tracing"
         ]["enabled_overhead_pct"],
-        # Resilience acceptance: the disarmed guards must stay within 5%
-        # of the pre-resilience n7 steady baseline (the disarmed figure
-        # *is* the n7 steady run; the armed-zero-fault overhead and the
-        # bit-identity flag are recorded alongside).
-        "n7_fault_guards_armed_overhead_pct": result["resilience"][
-            "n7_fault_guards"
-        ]["armed_overhead_pct"],
-        "n7_fault_guards_zero_fault_bit_identical": result["resilience"][
-            "n7_fault_guards"
-        ]["zero_fault_bit_identical"],
         # Lifecycle acceptance: an incremental refresh after one table
         # update must be strictly cheaper than rebuilding the catalog
         # (only the stale SITs are re-executed).
@@ -435,21 +374,12 @@ def gates(result: dict) -> dict:
 
 def passed(result: dict) -> bool:
     """The gate the runner's exit code carries: every cold speedup at or
-    over ``cold_target``, and the fault guards' two deterministic
-    checks — the armed plan changed no answer, and its rule was
-    evaluated once per factor each run's answer reads (the timing gates
-    are read off the file)."""
+    over ``cold_target`` (the timing gates are read off the file)."""
     found = result["gates"]
-    guards = result["resilience"]["n7_fault_guards"]
-    return (
-        all(
-            value >= found["cold_target"]
-            for name, value in found.items()
-            if name.endswith("_cold_speedup")
-        )
-        and guards["zero_fault_bit_identical"] is True
-        and guards["rule_evaluations"]
-        == guards["steady_runs"] * guards["answer_factors"]
+    return all(
+        value >= found["cold_target"]
+        for name, value in found.items()
+        if name.endswith("_cold_speedup")
     )
 
 
@@ -475,14 +405,6 @@ def render(result: dict) -> str:
         f"disabled {tracing['disabled_ms']:.3f} ms, "
         f"enabled {tracing['enabled_ms']:.3f} ms "
         f"({tracing['enabled_overhead_pct']:+.1f}%)"
-    )
-    guards = result["resilience"]["n7_fault_guards"]
-    lines.append(
-        "fault-injection guards (bitmask n7 steady): "
-        f"disarmed {guards['disarmed_ms']:.3f} ms, "
-        f"armed zero-fault {guards['armed_zero_fault_ms']:.3f} ms "
-        f"({guards['armed_overhead_pct']:+.1f}%), "
-        f"bit-identical={guards['zero_fault_bit_identical']}"
     )
     catalog = result["catalog"]
     lines.append(

@@ -90,7 +90,7 @@ class RefreshConflict(RuntimeError):
 class SITMetadata:
     """Provenance of one registered SIT."""
 
-    #: ``time.time()`` at build completion (0.0 == unknown/migrated)
+    #: ``time.time()`` at build completion (0.0 == unknown)
     built_at: float = 0.0
     #: wall-clock seconds the build took
     build_seconds: float = 0.0
@@ -301,7 +301,7 @@ class StatisticsCatalog:
         *,
         quarantine: bool = True,
     ) -> "StatisticsCatalog":
-        """Load a catalog from a v2 file (v1 pool files migrate).
+        """Load a catalog from a v2 file.
 
         ``quarantine=True`` (the default) makes the load *crash-safe*:
         torn or corrupt SIT records — a truncated save, a flipped bit

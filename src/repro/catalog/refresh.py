@@ -25,12 +25,10 @@ versions, so an invalidation that lands mid-rebuild leaves them stale
 for the next round instead of being silently absorbed (no lost
 invalidations).  A concurrent ``add``/``remove`` is detected at publish
 and raises :class:`~repro.catalog.catalog.RefreshConflict` with the
-catalog left untouched by the refresh.  The seeded
-``refresh_during_storm`` injection point
-(:data:`repro.resilience.POINT_REFRESH_DURING_STORM`) fires inside the
-rebuild loop, before anything is published — an injected fault aborts
-the whole round with the catalog exactly as it was (counted under
-``catalog.refresh_aborts``).
+catalog left untouched by the refresh.  A rebuild that raises (say, a
+source table gone from the database) aborts the whole round before
+anything is published, with the catalog exactly as it was (counted
+under ``catalog.refresh_aborts``).
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from typing import Iterable
 
 from repro.core.predicates import PredicateSet
 from repro.engine.expressions import Query
-from repro.resilience.faults import POINT_REFRESH_DURING_STORM, inject
 from repro.stats.builder import SITBuilder
 from repro.stats.pool import rank_sits
 from repro.stats.sit import SIT
@@ -178,12 +175,6 @@ def execute_refresh(
             for expression in sorted(
                 by_expression, key=lambda e: (len(e), sorted(map(str, e)))
             ):
-                inject(
-                    POINT_REFRESH_DURING_STORM,
-                    detail=f"expression={expression} "
-                    f"version={entry.version}",
-                    sits=by_expression[expression],
-                )
                 attributes = sorted(
                     sit.attribute for sit in by_expression[expression]
                 )

@@ -84,11 +84,6 @@ from repro.core.matching import (
 from repro.core.predicates import PredicateSet, connected_components
 from repro.core.selectivity import Decomposition, Factor
 from repro.core.universe import PredicateUniverse, iter_bits, iter_submasks
-from repro.resilience.faults import (
-    POINT_HISTOGRAM_JOIN,
-    active as _fault_plan,
-    request_key,
-)
 from repro.stats.pool import SITPool
 
 
@@ -143,8 +138,6 @@ class EstimationResult:
     #: (0 = normal path; see :mod:`repro.resilience.ladder`).  Defaulted
     #: so the happy path returns the DP's result object untouched.
     degradation_level: int = 0
-    #: SIT names excluded by level-1 re-planning (empty on level 0)
-    excluded_sits: tuple[str, ...] = ()
     #: True when this result was produced by replaying a compiled plan
     #: (:mod:`repro.core.plancache`) instead of running the DP.  Excluded
     #: from equality: a replay is *defined* to be bit-identical to the
@@ -271,16 +264,6 @@ def _separable_product(partials) -> EstimationResult:
         decomposition = decomposition.merged(partial.decomposition)
         matches = matches + partial.matches
     return EstimationResult(selectivity, error, decomposition, matches, coverage)
-
-
-def _inject_reads(plan, predicates: PredicateSet, result: EstimationResult) -> None:
-    """The histogram-join point of one answer, once per factor it reads,
-    head first, over that factor's SITs — keyed by the set asked, so a
-    fault never depends on what a DP's memo already held."""
-    key = request_key(predicates)
-    for match in result.matches:
-        sits = [am.sit for am in match.attribute_matches]
-        plan.check(POINT_HISTOGRAM_JOIN, sits=sits, key=key)
 
 
 #: memo entries a request may start with.  Past it the memo is emptied
@@ -518,9 +501,6 @@ class GetSelectivity:
             self._solve(mask)
             result = self._realize(mask)
         self.analysis_seconds += time.perf_counter() - started
-        fault_plan = _fault_plan()
-        if fault_plan is not None:
-            _inject_reads(fault_plan, predicates, result)
         return result
 
     def _forget_masks(self) -> None:
@@ -871,9 +851,6 @@ class LegacyGetSelectivity(GetSelectivity):
         else:
             result = self._solve(predicates)
         self.analysis_seconds += time.perf_counter() - started
-        fault_plan = _fault_plan()
-        if fault_plan is not None:
-            _inject_reads(fault_plan, predicates, result)
         return result
 
     def cached_results(self) -> dict[PredicateSet, EstimationResult]:

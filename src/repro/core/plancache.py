@@ -66,8 +66,8 @@ Compile safety gates (all checked before a plan is cached):
    (filters in expressions would make candidate matching and DiffError's
    ``expression_member`` probes constant-dependent); checked once per
    pool;
-3. only level-0 (non-degraded) results are compiled, and the
-   degradation ladder's re-plans bypass the cache entirely;
+3. only level-0 (non-degraded) results are compiled: the degradation
+   ladder's answers bypass the cache entirely;
 4. the compiled plan is self-verified once against the result it was
    compiled from (selectivity, matches, decomposition) — a structural
    mismatch silently refuses to cache rather than risking drift.

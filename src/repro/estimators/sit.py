@@ -18,9 +18,11 @@ Factory helpers build the estimator variants the paper evaluates:
 ``noSit`` (base statistics only, the traditional optimizer), ``GS-nInd``,
 ``GS-Diff`` and ``GS-Opt``.
 
-Degradation ladder: levels 0-2 are unchanged from
-:mod:`repro.resilience.ladder`.  Level 3 now prefers a real *fallback
-estimator* (pass ``fallback_estimator=``, typically a
+Degradation ladder (:mod:`repro.resilience.ladder`): when level 0 finds
+no decomposition it can score, the answer drops to level 2, base
+histograms under independence, or to level 3 when those leave an
+attribute uncovered too.  Level 3 prefers a real *fallback estimator*
+(pass ``fallback_estimator=``, typically a
 :class:`~repro.estimators.sampling.GuaranteedSampleEstimator`;
 :func:`repro.estimators.create_estimator` wires one automatically) over
 the classical 1/3-1/10 magic constants, which remain the terminal rung
@@ -45,11 +47,9 @@ from repro.engine.expressions import Query
 from repro.estimators.base import Estimator, resolve_statistics
 from repro.obs.snapshot import StatsSnapshot
 from repro.obs.trace import Trace
-from repro.resilience.faults import EstimationFault
 from repro.resilience.ladder import (
     LEVEL_BASE_INDEPENDENCE,
     LEVEL_FALLBACK,
-    LEVEL_REPLAN,
     magic_result,
 )
 
@@ -82,17 +82,12 @@ class SITEstimator(Estimator):
         if name is None:
             self.name = f"GS-{self.error_function.name}"
         #: fail-fast semantics: ``strict=True`` propagates
-        #: :class:`~repro.resilience.faults.EstimationFault` to the caller
-        #: instead of walking the degradation ladder
+        #: :class:`~repro.core.get_selectivity.NoApplicableStatisticsError`
+        #: to the caller instead of walking the degradation ladder
         self.strict = strict
         #: the level-3 peer estimator (usually the guaranteed-sampling
         #: backend); ``None`` keeps the classical magic constants
         self.fallback_estimator = fallback_estimator
-        self._sit_driven_pruning = sit_driven_pruning
-        #: level-1 re-plan DPs, keyed by the frozenset of excluded SIT
-        #: names (rebuilt pools are deterministic, so caching is safe and
-        #: keeps repeated faults on the same SIT cheap)
-        self._fallback_cache: dict[frozenset, GetSelectivity] = {}
         self._base_algorithm: GetSelectivity | None = None
         #: compiled-plan cache (:mod:`repro.core.plancache`), or ``None``.
         #: Opt-in, and only used when it is provably safe: the error
@@ -132,8 +127,8 @@ class SITEstimator(Estimator):
         return self._run_uncached(predicates)
 
     def _run_uncached(self, predicates: PredicateSet) -> EstimationResult:
-        """Level 0, or walk the ladder when a statistic faults or no
-        statistic covers an attribute.
+        """Level 0, or walk the ladder when no statistic covers an
+        attribute.
 
         The happy path returns the DP's result object untouched (the
         ``try`` frame is the entire overhead), which is what makes the
@@ -143,7 +138,7 @@ class SITEstimator(Estimator):
         """
         try:
             result = self.algorithm(predicates)
-        except (EstimationFault, NoApplicableStatisticsError) as fault:
+        except NoApplicableStatisticsError as fault:
             if self.strict:
                 raise
             return self._degrade(frozenset(predicates), fault)
@@ -153,57 +148,20 @@ class SITEstimator(Estimator):
         return result
 
     def _degrade(
-        self,
-        predicates: frozenset,
-        first_fault: "EstimationFault | NoApplicableStatisticsError",
+        self, predicates: frozenset, fault: NoApplicableStatisticsError
     ) -> EstimationResult:
-        """Levels 1-3: re-plan without the failed SITs, then base
-        statistics under independence, then the fallback estimator
-        (magic constants when none is configured).  An uncovered
-        attribute has no SIT to exclude, so it starts at level 2."""
+        """Levels 2-3: base statistics under independence, then the
+        fallback estimator (magic constants when none is configured)."""
         telemetry = self.resilience
-        telemetry.record_fault(first_fault)
-        excluded: set[str] = set()
-        fault = first_fault
-        # -- level 1: re-plan excluding the failed SITs ------------------
-        while isinstance(fault, EstimationFault):
-            name = fault.sit_name
-            if name is None or name in excluded:
-                # a fault without a SIT identity (or one exclusion did not
-                # cure) cannot be re-planned around — fall through
-                break
-            excluded.add(name)
-            try:
-                algorithm = self._fallback_algorithm(frozenset(excluded))
-                telemetry.record_replan()
-                result = algorithm(predicates)
-            except EstimationFault as exc:
-                telemetry.record_fault(exc)
-                fault = exc
-                continue
-            except NoApplicableStatisticsError:
-                break  # an attribute is uncovered: drop to level 2
-            telemetry.record_level(LEVEL_REPLAN)
-            return replace(
-                result,
-                degradation_level=LEVEL_REPLAN,
-                excluded_sits=tuple(sorted(excluded)),
-            )
+        telemetry.record_fault(fault)
         # -- level 2: base statistics + independence (noSit) -------------
-        names = tuple(sorted(excluded))
         try:
             result = self._base_only_algorithm()(predicates)
-        except EstimationFault as exc:
-            telemetry.record_fault(exc)
         except NoApplicableStatisticsError:
             pass
         else:
             telemetry.record_level(LEVEL_BASE_INDEPENDENCE)
-            return replace(
-                result,
-                degradation_level=LEVEL_BASE_INDEPENDENCE,
-                excluded_sits=names,
-            )
+            return replace(result, degradation_level=LEVEL_BASE_INDEPENDENCE)
         # -- level 3: the fallback estimator, else magic constants --------
         fallback = self.fallback_estimator
         if fallback is not None:
@@ -213,32 +171,10 @@ class SITEstimator(Estimator):
                 telemetry.record_fault(exc)
             else:
                 telemetry.record_level(LEVEL_FALLBACK)
-                return replace(
-                    result,
-                    degradation_level=LEVEL_FALLBACK,
-                    excluded_sits=names,
-                )
-        result = magic_result(predicates, names)
+                return replace(result, degradation_level=LEVEL_FALLBACK)
+        result = magic_result(predicates)
         telemetry.record_level(result.degradation_level)
         return result
-
-    def _fallback_algorithm(self, excluded: frozenset) -> GetSelectivity:
-        """The level-1 DP over the pool minus ``excluded`` SIT names."""
-        algorithm = self._fallback_cache.get(excluded)
-        if algorithm is None:
-            pool = self.pool.excluding(excluded)
-            error_function = self.error_function
-            if isinstance(error_function, DiffError):
-                # DiffError ranks candidates against the pool it was built
-                # over; rebuild it so the failed SITs don't influence ranks
-                error_function = DiffError(pool)
-            algorithm = GetSelectivity.create(
-                pool,
-                error_function,
-                sit_driven_pruning=self._sit_driven_pruning,
-            )
-            self._fallback_cache[excluded] = algorithm
-        return algorithm
 
     def _base_only_algorithm(self) -> GetSelectivity:
         """The level-2 DP: base histograms + independence (``noSit``)."""

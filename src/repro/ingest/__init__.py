@@ -10,19 +10,16 @@ continuous concurrent writes survivable:
   ``notify_table_update`` invalidation path.  Admission is
   reject-don't-block (typed :class:`IngestOverloaded`, the serving
   layer's shed-on-full contract); N rapid updates to one table collapse
-  into one invalidation epoch; faulted applies retry and re-queue but
-  never drop an acked write.
+  into one invalidation epoch, applied with one ``notify_table_update``.
 * :class:`IngestConfig` — the layered-config knobs (queue depth,
-  coalescing window, retry and drift-probe budgets).
+  coalescing window, batch size and drift-probe budget).
 * :class:`EstimateDriftProbe` — served estimate vs. fresh truth on a
   sampled sub-stream, feeding the :class:`repro.obs.StalenessTracker`'s
   measured ``estimate_drift``.
 
 Observability rides the ``ingest`` StatsSnapshot namespace
 (:mod:`repro.obs.snapshot`) and the staleness tracker in
-:mod:`repro.obs.staleness`; chaos coverage rides the
-``ingest_apply`` / ``refresh_during_storm`` injection points in
-:mod:`repro.resilience`.
+:mod:`repro.obs.staleness`.
 """
 
 from repro.ingest.config import IngestConfig

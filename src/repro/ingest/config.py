@@ -29,10 +29,6 @@ class IngestConfig:
     coalesce_window_s: float = 0.02
     #: most events folded into one drain cycle
     max_batch: int = 256
-    #: attempts to apply one coalesced epoch per drain cycle before the
-    #: epoch is re-queued into the next cycle (it is never dropped —
-    #: bounded retries keep the apply loop from spinning on a hot fault)
-    apply_retries: int = 3
     #: measure estimate drift on every Nth applied epoch (0 disables the
     #: probe sub-stream)
     drift_every: int = 0
@@ -44,8 +40,6 @@ class IngestConfig:
             raise ValueError("coalesce_window_s must be >= 0")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.apply_retries < 1:
-            raise ValueError("apply_retries must be >= 1")
         if self.drift_every < 0:
             raise ValueError("drift_every must be >= 0 (0 disables)")
 

@@ -22,11 +22,13 @@ survivable while the stack serves:
   it sheds with :class:`IngestOverloaded` — the same shed-on-full
   contract (and ``overloaded`` wire status) the serving layer's
   admission queue speaks, so producers handle one vocabulary.
-* **No lost invalidations.**  A fault injected at the ``ingest_apply``
-  point (:data:`repro.resilience.POINT_INGEST_APPLY`) is retried up to
-  ``IngestConfig.apply_retries`` times per cycle and the epoch is then
-  *re-queued* into the next cycle, never dropped: acked writes are
-  eventually applied or the pipeline reports them as pending staleness.
+* **No lost invalidations.**  Each epoch's ``notify_table_update`` runs
+  once, and an event counts as applied only after the cycle that took
+  it has returned: :meth:`flush` waits on exactly that, and until then
+  the tracker reports the write as pending staleness.  No target's
+  ``notify_table_update`` raises; if one did, the apply thread would
+  stop with the event still pending, and :meth:`flush` would time out
+  rather than claim it.
 * **Staleness + drift accounting.**  Every admission/apply is mirrored
   into a :class:`repro.obs.StalenessTracker`; an optional
   :class:`EstimateDriftProbe` measures served-estimate drift against
@@ -44,7 +46,6 @@ from repro.ingest.config import IngestConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import StatsSnapshot
 from repro.obs.staleness import StalenessTracker
-from repro.resilience.faults import POINT_INGEST_APPLY, active
 from repro.service.protocol import Overloaded
 from repro.service.queue import AdmissionQueue
 
@@ -123,13 +124,7 @@ class IngestPipeline:
             self.config.queue_depth
         )
         self._metrics = MetricsRegistry()
-        #: epochs that exhausted their per-cycle retries, merged into the
-        #: next drain cycle (never dropped)
-        self._retry: dict[str, _Epoch] = {}
-        #: events the apply loop has taken off the queue, and how many of
-        #: them (in admission order) are known applied: every one taken
-        #: before a cycle that ended with no epoch carried
-        self._taken = 0
+        #: events (in admission order) the apply loop has applied
         self._applied_through = 0
         self._state_lock = threading.Lock()
         self._idle = threading.Condition(self._state_lock)
@@ -176,33 +171,16 @@ class IngestPipeline:
     def _run(self) -> None:
         cfg = self.config
         while True:
-            if self._retry:
-                # a carried epoch must not wait for fresh traffic: back
-                # off briefly, fold in whatever arrived meanwhile, retry
-                time.sleep(max(cfg.coalesce_window_s, 0.001))
-                batch = self._queue.drain()
-            else:
-                batch = self._queue.take_batch(
-                    cfg.max_batch, cfg.coalesce_window_s
-                )
-                if not batch and self._queue.closed:
-                    return
-            self._taken += len(batch)
-            try:
-                self._apply_cycle(batch)
-            finally:
-                with self._state_lock:
-                    if not self._retry:
-                        self._applied_through = self._taken
-                    self._idle.notify_all()
+            batch = self._queue.take_batch(cfg.max_batch, cfg.coalesce_window_s)
+            if not batch and self._queue.closed:
+                return
+            self._apply_cycle(batch)
+            with self._state_lock:
+                self._applied_through += len(batch)
+                self._idle.notify_all()
 
     def _apply_cycle(self, batch: Sequence[TableUpdate]) -> None:
         epochs: dict[str, _Epoch] = {}
-        for table, carried in self._retry.items():
-            epochs.setdefault(table, _Epoch()).fold(
-                carried.events, carried.newest
-            )
-        self._retry.clear()
         for event in batch:
             epochs.setdefault(event.table, _Epoch()).fold(
                 1, event.admitted_s
@@ -214,33 +192,12 @@ class IngestPipeline:
 
     def _apply_epoch(self, table: str, epoch: _Epoch) -> None:
         metrics = self._metrics
-        for attempt in range(self.config.apply_retries):
-            try:
-                plan = active()
-                if plan is not None:
-                    plan.check(
-                        POINT_INGEST_APPLY,
-                        detail=f"table={table} attempt={attempt}",
-                    )
-                self.target.notify_table_update(table)
-            except Exception:
-                metrics.counter("ingest.apply_faults").inc()
-                if attempt + 1 < self.config.apply_retries:
-                    metrics.counter("ingest.apply_retries").inc()
-                continue
-            self.tracker.note_applied(table, through=epoch.newest)
-            metrics.counter("ingest.epochs_applied").inc()
-            metrics.counter("ingest.events_applied").inc(epoch.events)
-            if epoch.events > 1:
-                metrics.counter("ingest.coalesced_events").inc(
-                    epoch.events - 1
-                )
-            return
-        # retries exhausted this cycle: carry the epoch forward
-        self._retry.setdefault(table, _Epoch()).fold(
-            epoch.events, epoch.newest
-        )
-        metrics.counter("ingest.epoch_requeues").inc()
+        self.target.notify_table_update(table)
+        self.tracker.note_applied(table, through=epoch.newest)
+        metrics.counter("ingest.epochs_applied").inc()
+        metrics.counter("ingest.events_applied").inc(epoch.events)
+        if epoch.events > 1:
+            metrics.counter("ingest.coalesced_events").inc(epoch.events - 1)
 
     def _maybe_probe(self) -> None:
         every = self.config.drift_every
@@ -262,10 +219,10 @@ class IngestPipeline:
     # -- drain / shutdown --------------------------------------------------
     def flush(self, timeout: float = 10.0) -> bool:
         """Apply now, and block until every event acked before the call
-        has been applied (none left queued or carried in a re-queued
-        epoch).  The apply loop's coalesce window ends as soon as it
-        has taken those events; events submitted meanwhile ride along
-        or wait for the next cycle.  True on success."""
+        has been applied (none left queued or mid-cycle).  The apply
+        loop's coalesce window ends as soon as it has taken those events;
+        events submitted meanwhile ride along or wait for the next cycle.
+        True on success."""
         target = self._queue.flush_target()
         with self._idle:
             return self._idle.wait_for(

@@ -117,8 +117,6 @@ class ExplainResult:
     #: graceful-degradation ladder level that produced the estimate
     #: (0 = normal; see :mod:`repro.resilience.ladder`)
     degradation_level: int = 0
-    #: SIT names excluded by level-1 re-planning
-    excluded_sits: tuple[str, ...] = ()
     #: True when the underlying estimate was replayed from a compiled
     #: template plan (:mod:`repro.core.plancache`); replay is
     #: bit-identical, so the explanation itself is unaffected
@@ -143,7 +141,6 @@ class ExplainResult:
             "error": self.error,
             "cardinality": self.cardinality,
             "degradation_level": self.degradation_level,
-            "excluded_sits": list(self.excluded_sits),
             "plan_cache_hit": self.plan_cache_hit,
             "factors": [f.to_dict() for f in self.factors],
         }
@@ -178,10 +175,9 @@ class ExplainResult:
             from repro.resilience.ladder import LEVEL_NAMES
 
             name = LEVEL_NAMES.get(self.degradation_level, "?")
-            line = f"degraded:    level {self.degradation_level} ({name})"
-            if self.excluded_sits:
-                line += f", excluded: {', '.join(self.excluded_sits)}"
-            lines.append(line)
+            lines.append(
+                f"degraded:    level {self.degradation_level} ({name})"
+            )
         if self.backend != "sit":
             line = f"backend:     {self.backend}"
             if self.error_bound is not None:
@@ -289,7 +285,6 @@ def build_explain(estimator: "Estimator", query: "Query") -> ExplainResult:
         * estimator.database.cross_product_size(query.tables),
         factors=factors,
         degradation_level=result.degradation_level,
-        excluded_sits=result.excluded_sits,
         plan_cache_hit=result.plan_cache_hit,
         backend=result.backend,
         error_bound=result.error_bound,

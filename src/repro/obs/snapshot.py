@@ -34,13 +34,11 @@ namespaces:
     histogram with p50/p95/p99 — empty for producers below the serving
     layer;
 ``resilience``
-    degradation and fault-handling state (:mod:`repro.resilience`):
-    ``degraded_level1..3`` outcome counters, ``faults_<kind>`` per typed
-    fault kind (``faults_histogram_corrupt`` counts corrupt histograms,
-    ``faults_no_statistics`` attributes no statistic covered),
-    ``replans``, plus, from a service, injected-fault counters
-    (``injected_<point>``) when a fault plan is armed — empty when
-    nothing ever degraded;
+    degradation state (:mod:`repro.resilience`): ``degraded_level2`` /
+    ``degraded_level3`` outcome counters and ``faults_<kind>`` per
+    handled failure (``faults_no_statistics`` counts attributes no
+    statistic covered, ``faults_error`` a level-3 fallback estimator
+    that raised) — empty when nothing ever degraded;
 ``plan_cache``
     compiled-plan cache state (:mod:`repro.core.plancache`): ``plans``,
     ``hits``, ``misses``, ``compiles``, ``evictions``, ``bytes``,
@@ -61,8 +59,7 @@ namespaces:
     streaming-ingestion state (:mod:`repro.ingest` +
     :class:`repro.obs.staleness.StalenessTracker`): admission counters
     (``events``, ``shed``, ``dropped``), coalescing
-    (``epochs_applied``, ``coalesced_events``, ``coalesce_ratio``),
-    apply-fault retries (``apply_faults``, ``apply_retries``), the
+    (``epochs_applied``, ``coalesced_events``, ``coalesce_ratio``), the
     staleness gauges (``staleness_s_max``, per-table
     ``staleness_s.<table>``, ``tables_pending``) and measured drift on
     the probe sub-stream (``drift_probes``, ``drift_q_error_p50``,

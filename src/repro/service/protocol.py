@@ -43,13 +43,13 @@ once its slowest member is resolved — each line under its own ``id`` and
 Groups of one connection may overlap and complete out of order; clients
 correlate on ``id``.
 
-``degradation_level`` reports how the estimate was produced when
-statistics fault mid-request (see :mod:`repro.resilience.ladder` and
-DESIGN.md §12): ``0`` = the normal path, ``1`` = re-planned without the
-failed SITs (their names ride along in ``excluded_sits``), ``2`` = base
-histograms under independence, ``3`` = magic constants.  A degraded
-answer is still ``status: ok`` — the ladder's contract is that a
-labelled estimate beats a failure.
+``degradation_level`` reports how the estimate was produced when level
+0 could not score a decomposition, as when no statistic covers one of
+the query's attributes (see :mod:`repro.resilience.ladder` and
+DESIGN.md §12): ``0`` = the normal path, ``2`` = base histograms under
+independence, ``3`` = the fallback estimator or magic constants; ``1``
+is never sent.  A degraded answer is still ``status: ok`` — the
+ladder's contract is that a labelled estimate beats a failure.
 
 Backend provenance (two more optional fields): ``backend`` names the
 estimator implementation that produced the answer (``"sit"``, ``"bn"``,
@@ -195,12 +195,10 @@ class ServedEstimate:
     #: run within the same micro-batch
     deduplicated: bool = False
     #: graceful-degradation ladder level that produced this estimate
-    #: (0 = normal path, 1 = re-plan without the failed SITs, 2 = base
-    #: statistics + independence, 3 = magic constants; see
+    #: (0 = normal path, 2 = base statistics + independence, 3 = the
+    #: fallback estimator or magic constants; see
     #: :mod:`repro.resilience.ladder`)
     degradation_level: int = 0
-    #: SIT names excluded by level-1 re-planning (empty on level 0)
-    excluded_sits: tuple[str, ...] = ()
     #: True when this answer was replayed from a compiled plan
     #: (:mod:`repro.core.plancache`) instead of a fresh DP run; the
     #: replay is bit-identical, so this is purely diagnostic
@@ -236,8 +234,6 @@ class ServedEstimate:
             "degradation_level": self.degradation_level,
             "plan_cache_hit": self.plan_cache_hit,
         }
-        if self.excluded_sits:
-            payload["excluded_sits"] = list(self.excluded_sits)
         if self.backend != "sit":
             payload["backend"] = self.backend
         if self.error_bound is not None:
@@ -259,7 +255,6 @@ class ServedEstimate:
             batch_size=int(payload.get("batch_size", 1)),
             deduplicated=bool(payload.get("deduplicated", False)),
             degradation_level=int(payload.get("degradation_level", 0)),
-            excluded_sits=tuple(payload.get("excluded_sits", ())),
             plan_cache_hit=bool(payload.get("plan_cache_hit", False)),
             backend=str(payload.get("backend", "sit")),
             error_bound=(
@@ -331,9 +326,9 @@ def encode_served(answer: ServedEstimate, request_id: object = None) -> bytes:
     default deployment serves — finite ``float`` numbers, ``int``
     counters, ``bool`` flags, no optional field — under a ``str``,
     ``int`` or no id; any other answer (a non-finite float, a backend,
-    bound, staleness or excluded SIT to report, an id of another
-    type) is handed to ``encode_line`` instead, so the bytes are json's
-    whatever the answer holds (``tests/service/test_wire_bytes.py``)."""
+    bound or staleness to report, an id of another type) is handed to
+    ``encode_line`` instead, so the bytes are json's whatever the
+    answer holds (``tests/service/test_wire_bytes.py``)."""
     selectivity = answer.selectivity
     cardinality = answer.cardinality
     error = answer.error
@@ -366,7 +361,6 @@ def encode_served(answer: ServedEstimate, request_id: object = None) -> bytes:
         or answer.backend != "sit"
         or answer.error_bound is not None
         or answer.staleness_s is not None
-        or answer.excluded_sits
     ):
         return encode_line(answer.to_wire(request_id))
     return (

@@ -79,7 +79,6 @@ from repro.engine.expressions import Query
 from repro.estimators import resolve_statistics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import StatsSnapshot
-from repro.resilience.faults import active as _fault_plan
 from repro.sql.template import TemplateFrontEnd
 from repro.stats.pool import SITPool
 
@@ -505,7 +504,6 @@ class EstimationService:
             batch_size=batch_size,
             deduplicated=deduplicated,
             degradation_level=result.degradation_level,
-            excluded_sits=result.excluded_sits,
             plan_cache_hit=result.plan_cache_hit,
             backend=result.backend,
             error_bound=result.error_bound,
@@ -822,10 +820,6 @@ class EstimationService:
             registry.merge(session.metrics_registry())
         if caches or any(banked.values()):
             self._fold_plan_cache(registry, caches.values(), banked)
-        plan = _fault_plan()
-        if plan is not None:
-            for key, count in plan.stats().items():
-                registry.counter(f"resilience.injected_{key}").inc(count)
         if self.advisor is not None:
             registry.merge(self.advisor.metrics_registry())
         if self.staleness_tracker is not None:

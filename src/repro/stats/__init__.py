@@ -12,7 +12,6 @@ from repro.stats.io import (
     atomic_write_text,
     load_document,
     load_pool,
-    migrate_v1_to_v2,
     save_document,
     save_pool,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "exact_diff",
     "load_document",
     "load_pool",
-    "migrate_v1_to_v2",
     "rank_sits",
     "save_document",
     "save_pool",

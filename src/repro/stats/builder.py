@@ -79,15 +79,23 @@ class SITBuilder:
         table's attributes and the executor's component-count memos
         touching it, so the next build reads current data.  Returns the
         number of evicted base SITs.
+
+        A refresh may build on another thread meanwhile, so each memo is
+        scanned through a copy of its keys (``list(dict)`` copies them
+        without yielding the GIL): scanning the live dict would raise
+        ``dictionary changed size during iteration`` when a build
+        inserts into it.
         """
-        stale = [a for a in self._base_cache if a.table == table]
+        stale = [a for a in list(self._base_cache) if a.table == table]
         for attribute in stale:
-            del self._base_cache[attribute]
-        for attribute in [a for a in self._base_counts if a.table == table]:
-            del self._base_counts[attribute]
+            self._base_cache.pop(attribute, None)
+        for attribute in list(self._base_counts):
+            if attribute.table == table:
+                self._base_counts.pop(attribute, None)
         counts = self._executor._count_cache
-        for component in [c for c in counts if table in tables_of(c)]:
-            del counts[component]
+        for component in list(counts):
+            if table in tables_of(component):
+                counts.pop(component, None)
         return len(stale)
 
     def build(self, attribute: Attribute, expression: PredicateSet) -> SIT:

@@ -20,11 +20,9 @@ Version 2 layout (the current writer)::
                         "source_versions": {"orders": 1, ...}}},
               ...]}
 
-Version 1 (the pre-catalog format) carried no ``catalog`` block and no
-per-SIT ``meta``; it still loads through the explicit
-:func:`migrate_v1_to_v2` step, which synthesizes conservative metadata
-(``build_method="full"``, ``built_at=0.0``, empty source versions — i.e.
-"provenance unknown, treat as potentially stale").
+Version 1 (the pre-catalog format, with no ``catalog`` block, no
+per-SIT ``meta`` and no checksums) is refused with
+:class:`PoolFormatError`.
 
 Predicates serialize as ``{"kind": "filter"|"join", ...}``.  Infinities
 round-trip through the strings ``"-inf"``/``"inf"`` (JSON has no inf).
@@ -38,8 +36,8 @@ Crash safety:
 * **per-SIT checksums** — the v2 writer stamps every SIT record with a
   CRC-32 over its canonical JSON; :func:`decode_sit` verifies it, so a
   flipped bit inside a histogram surfaces as a typed
-  :class:`PoolFormatError` instead of a silently wrong estimate.
-  Records without a checksum (older v2 files, v1 migrations) still load;
+  :class:`PoolFormatError` instead of a silently wrong estimate.  A
+  record without a checksum is refused the same way;
 * **load-time quarantine** — ``loads_document(text, quarantine=True)``
   salvages what it can from a torn or corrupt file: complete SIT
   records load, truncated/corrupt ones are skipped and reported in
@@ -73,7 +71,7 @@ from repro.stats.sit import SIT
 
 FORMAT_VERSION = 2
 #: every version :func:`loads_pool` / :func:`loads_document` accepts
-SUPPORTED_VERSIONS = (1, 2)
+SUPPORTED_VERSIONS = (2,)
 
 
 class PoolFormatError(ValueError):
@@ -196,7 +194,7 @@ def _decode_histogram(data: dict) -> Histogram:
 # ----------------------------------------------------------------------
 # Per-SIT build metadata (the catalog's provenance record)
 # ----------------------------------------------------------------------
-#: synthesized for v1 payloads and for SITs added without provenance
+#: filled in for records with no ``meta`` and SITs added without provenance
 DEFAULT_SIT_META = {
     "built_at": 0.0,
     "build_seconds": 0.0,
@@ -210,9 +208,8 @@ def _sit_checksum(payload: dict) -> int:
 
     Covers the estimate-affecting core (attribute, diff, expression,
     histogram); the advisory ``meta`` block and the ``checksum`` field
-    itself are excluded, so v1→v2 migration (which synthesizes ``meta``)
-    does not invalidate existing stamps and meta defects surface as
-    *meta* errors rather than masquerading as corruption.
+    itself are excluded, so meta defects surface as *meta* errors rather
+    than masquerading as corruption.
     """
     body = json.dumps(
         {
@@ -260,25 +257,23 @@ def encode_sit(sit: SIT, meta: dict | None = None) -> dict:
 def decode_sit(data: dict) -> SIT:
     """Decode one SIT; raises :class:`PoolFormatError` on bad payloads.
 
-    Records carrying a ``checksum`` are verified against it first —
-    a mismatch means on-disk corruption and fails the record before any
-    partially-decoded histogram can leak into a pool.  Records without
-    one (older v2 files, v1 migrations) skip the check.
+    The record's ``checksum`` is verified first — a mismatch means
+    on-disk corruption and fails the record before any partially-decoded
+    histogram can leak into a pool.  A record without one is refused.
     """
     recorded = data.get("checksum")
-    if recorded is not None:
-        try:
-            expected = int(recorded)
-        except (TypeError, ValueError) as error:
-            raise PoolFormatError(
-                f"bad SIT checksum field: {recorded!r}"
-            ) from error
-        actual = _sit_checksum(data)
-        if actual != expected:
-            raise PoolFormatError(
-                f"SIT checksum mismatch (stored {expected}, computed "
-                f"{actual}): record is corrupt"
-            )
+    if recorded is None:
+        raise PoolFormatError("SIT record has no checksum")
+    try:
+        expected = int(recorded)
+    except (TypeError, ValueError) as error:
+        raise PoolFormatError(f"bad SIT checksum field: {recorded!r}") from error
+    actual = _sit_checksum(data)
+    if actual != expected:
+        raise PoolFormatError(
+            f"SIT checksum mismatch (stored {expected}, computed "
+            f"{actual}): record is corrupt"
+        )
     try:
         attribute = Attribute(
             data["attribute"]["table"], data["attribute"]["column"]
@@ -317,35 +312,8 @@ def decode_sit_meta(data: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Versioning and migration
+# Versioning
 # ----------------------------------------------------------------------
-def migrate_v1_to_v2(payload: dict) -> dict:
-    """The explicit v1 → v2 migration.
-
-    A v1 file predates the statistics catalog, so the migration
-    synthesizes what v2 requires: an empty ``catalog`` block
-    (``catalog_version`` 0, no table versions) and per-SIT default
-    metadata marking the provenance as unknown (``built_at`` 0, full-scan
-    build, no recorded source-table versions — a subsequent
-    ``StatisticsCatalog.refresh`` will treat such SITs as up for rebuild
-    only once a table update is actually observed).
-    """
-    if payload.get("version") != 1:
-        raise PoolFormatError(
-            f"migrate_v1_to_v2 expects a version-1 payload, got "
-            f"{payload.get('version')!r}"
-        )
-    migrated = {
-        "version": 2,
-        "catalog": {"catalog_version": 0, "table_versions": {}},
-        "sits": [
-            {**entry, "meta": dict(DEFAULT_SIT_META)}
-            for entry in payload.get("sits", [])
-        ],
-    }
-    return migrated
-
-
 def _checked_payload(text: str) -> dict:
     try:
         payload = json.loads(text)
@@ -360,8 +328,6 @@ def _checked_payload(text: str) -> dict:
             f"unsupported format version {version!r}; "
             f"supported versions: {supported}"
         )
-    if version == 1:
-        payload = migrate_v1_to_v2(payload)
     return payload
 
 
@@ -370,7 +336,7 @@ def _checked_payload(text: str) -> dict:
 # ----------------------------------------------------------------------
 @dataclass
 class CatalogDocument:
-    """The decoded contents of a v2 file (or a migrated v1 file).
+    """The decoded contents of a v2 file.
 
     Plain data only — :class:`repro.catalog.StatisticsCatalog` turns a
     document into a live catalog and back, keeping this module free of a
@@ -464,13 +430,11 @@ def _salvage_payload(text: str) -> tuple[dict, list[dict]]:
             if isinstance(entry, dict):
                 entries.append(entry)
     payload = {"version": version, "catalog": catalog_block, "sits": entries}
-    if version == 1:
-        payload = migrate_v1_to_v2(payload)
     return payload, notes
 
 
 def loads_document(text: str, *, quarantine: bool = False) -> CatalogDocument:
-    """Deserialize a catalog document (v1 files migrate transparently).
+    """Deserialize a v2 catalog document.
 
     Strict by default: the first defect raises :class:`PoolFormatError`.
     With ``quarantine=True`` the loader degrades instead of failing —
@@ -578,8 +542,8 @@ def save_document(document: CatalogDocument, path: str | pathlib.Path) -> None:
 def load_document(
     path: str | pathlib.Path, *, quarantine: bool = False
 ) -> CatalogDocument:
-    """Read a catalog document written by :func:`save_document` (or a
-    v1 pool file, which migrates).  ``quarantine=True`` salvages torn
+    """Read a catalog document written by :func:`save_document`.
+    ``quarantine=True`` salvages torn
     or corrupt files instead of raising (see :func:`loads_document`)."""
     return loads_document(pathlib.Path(path).read_text(), quarantine=quarantine)
 
@@ -593,7 +557,7 @@ def dumps_pool(pool: SITPool) -> str:
 
 
 def loads_pool(text: str) -> SITPool:
-    """Deserialize a pool from a JSON string (v1 or v2)."""
+    """Deserialize a pool from a v2 JSON string."""
     return loads_document(text).pool()
 
 

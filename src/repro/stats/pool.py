@@ -38,8 +38,8 @@ class SITPool:
     construction and :attr:`sits` is a tuple.  Every answer over a pool
     is therefore a pure function of the pool and the predicates, and a
     change of membership is a new pool (the catalog publishes one per
-    ``add`` / ``remove`` / refresh; :meth:`excluding`,
-    :meth:`restrict_joins` and :meth:`base_only` build one).
+    ``add`` / ``remove`` / refresh; :meth:`restrict_joins` and
+    :meth:`base_only` build one).
     """
 
     sits: tuple[SIT, ...] = ()
@@ -151,18 +151,6 @@ class SITPool:
     def base_only(self) -> "SITPool":
         """The ``J_0`` restriction of this pool (base histograms only)."""
         return SITPool([sit for sit in self.sits if sit.is_base])
-
-    def excluding(self, names: Iterable[str]) -> "SITPool":
-        """A pool without the SITs whose ``str`` is in ``names``.
-
-        This is the level-1 re-plan input of the graceful-degradation
-        ladder (:mod:`repro.resilience`): the failed statistics are cut
-        out and the DP re-runs over everything still standing.  Any SIT
-        — conditioned or base — can be excluded; a base histogram that
-        is corrupt is just as unusable as a missing SIT.
-        """
-        excluded = set(names)
-        return SITPool([sit for sit in self.sits if str(sit) not in excluded])
 
     def restrict_joins(self, max_joins: int) -> "SITPool":
         """The ``J_i`` restriction: SITs with at most ``max_joins`` joins."""

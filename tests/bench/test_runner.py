@@ -63,3 +63,23 @@ def test_unknown_suite_is_refused_before_anything_runs(tmp_path, capsys):
     assert main(["ingest", "nope", str(output)]) == 2
     assert not output.exists()
     assert "unknown suite 'nope'" in capsys.readouterr().err
+
+
+def test_committed_core_gates_are_the_suites_own():
+    """The committed gate file holds exactly the gates the ``core`` suite
+    derives from its own recorded blocks (CI reads these keys; a renamed
+    one silently un-gates)."""
+    import pathlib
+
+    from repro.bench.suites.core import gates
+
+    gate_file = pathlib.Path(__file__).parents[2] / "BENCH_core.json"
+    recorded = json.loads(gate_file.read_text())
+    assert gates(recorded) == recorded["gates"]
+
+
+def test_core_exit_code_gates_the_cold_speedups():
+    from repro.bench.suites.core import passed
+
+    assert passed({"gates": {"n5_cold_speedup": 2.0, "cold_target": 1.5}})
+    assert not passed({"gates": {"n5_cold_speedup": 1.4, "cold_target": 1.5}})

@@ -261,33 +261,23 @@ class TestServingIsolation:
 
 class TestRefreshRollback:
     def test_fault_mid_rebuild_publishes_nothing(self, catalog):
-        from repro.resilience.faults import (
-            EstimationFault,
-            FaultPlan,
-            FaultRule,
-            armed,
-        )
-
+        """The builder really fails: table ``S`` is gone from the
+        database under the catalog, so rebuilding a stale SIT over it
+        raises, and nothing is published."""
         catalog.notify_table_update("S")
         version = catalog.version
         stale = len(catalog.stale_sits())
-        plan = FaultPlan(
-            [
-                FaultRule(
-                    point="refresh_during_storm",
-                    probability=1.0,
-                    max_fires=1,
-                )
-            ],
-            seed=1,
-        )
-        with armed(plan), pytest.raises(EstimationFault):
+        assert stale > 0
+        table = catalog.database.tables.pop("S")
+        with pytest.raises(KeyError, match="table 'S' has no data"):
             catalog.refresh()
         assert catalog.version == version
         assert len(catalog.stale_sits()) == stale
         assert catalog.stats_snapshot().catalog["refresh_aborts"] == 1.0
+        catalog.database.tables["S"] = table
         catalog.refresh()  # the next round goes through
         assert catalog.stale_sits() == []
+        assert catalog.version > version
 
     def test_membership_change_mid_refresh_is_a_conflict(
         self, catalog, monkeypatch

@@ -34,7 +34,6 @@ from repro.core.matching import FactorScorer, ViewMatcher, select_match
 from repro.core.predicates import Attribute, FilterPredicate, attributes_of
 from repro.core.selectivity import Factor
 from repro.engine.executor import Executor
-from repro.resilience.faults import POINT_HISTOGRAM_JOIN, FaultPlan, FaultRule, armed
 from repro.stats.pool import SITPool
 from repro.stats.sit import SIT
 from repro.workload.queries import WorkloadConfig, WorkloadGenerator
@@ -327,49 +326,6 @@ class TestUnpricedFunctions:
         for predicates in workload[:10]:
             assert algorithm(predicates) == expected(predicates)
         assert error_function.priced_matches == algorithm.matcher.calls > 0
-
-
-class TestFaultInjectionPoint:
-    def test_histogram_join_checked_once_per_factor(
-        self, snowflake_setup
-    ):
-        """Pricing checks nothing: the point is evaluated once per answer,
-        per factor it reads, head first, over the SITs that factor reads —
-        not on the candidates priced, and whatever the memo already
-        held."""
-        workload, pool, _ = snowflake_setup
-        algorithm = GetSelectivity.create(pool, NIndError())
-        checked = []
-
-        class Recording(FaultPlan):
-            def check(self, point, detail="", sits=None, key=None):
-                if point == POINT_HISTOGRAM_JOIN:
-                    checked.append(tuple(map(str, sits)))
-                super().check(point, detail=detail, sits=sits, key=key)
-
-        plan = Recording(
-            [FaultRule(point=POINT_HISTOGRAM_JOIN, probability=0.0, max_fires=None)],
-            seed=0,
-        )
-        with armed(plan):
-            for cold_start in (False, True):
-                for predicates in workload[:30]:
-                    # a cold start answers from the winners' cache, a warm
-                    # one realizes sub-answers from the memo: both check
-                    # every factor the answer reads
-                    if cold_start:
-                        algorithm.reset()
-                    checked.clear()
-                    result = algorithm(predicates)
-                    read = [
-                        tuple(str(am.sit) for am in match.attribute_matches)
-                        for match in result.matches
-                    ]
-                    assert checked == read
-            algorithm.reset()
-            before = plan.rules[0].evaluations
-            result = algorithm(workload[0])
-        assert plan.rules[0].evaluations - before == len(result.matches) > 0
 
 
 class TestTracingKeepsItsStages:

@@ -34,23 +34,21 @@ from repro.advisor import SelfTuningAdvisor
 from repro.catalog import EstimationSession, StatisticsCatalog
 from repro.core import plancache
 from repro.core.errors import DiffError, NIndError
-from repro.core.get_selectivity import EstimationResult, GetSelectivity
+from repro.core.get_selectivity import (
+    EstimationResult,
+    GetSelectivity,
+    NoApplicableStatisticsError,
+)
 from repro.core.matching import AttributeMatch, FactorMatch
 from repro.core.plancache import PlanCache, shape_fingerprint
 from repro.core.predicates import FilterPredicate
 from repro.core.selectivity import Decomposition, Factor
+from repro.engine.expressions import Query
 from repro.estimators import SITEstimator, make_gs_diff
 from repro.obs import StalenessTracker
-from repro.resilience.faults import (
-    POINT_HISTOGRAM_JOIN,
-    EstimationFault,
-    FaultPlan,
-    FaultRule,
-    armed,
-)
 from repro.sql import parse_query
 from repro.stats.builder import SITBuilder
-from repro.stats.pool import build_workload_pool
+from repro.stats.pool import SITPool, build_workload_pool
 from repro.workload.queries import WorkloadConfig, WorkloadGenerator
 from tests.core.test_predicate_keys import legacy_fingerprint
 from tests.obs.test_explain import GOLDEN_DIR, GOLDEN_SQL, _approx_equal
@@ -269,62 +267,54 @@ def test_order_permuting_fingerprints_are_the_str_formatted_ones(snowflake_setup
 
 
 # ----------------------------------------------------------------------
-def storm() -> FaultPlan:
-    """Every histogram join faults, forever — forces the degradation ladder."""
-    return FaultPlan(
-        [FaultRule(point=POINT_HISTOGRAM_JOIN, probability=1.0, max_fires=None)],
-        seed=0,
-    )
+@pytest.fixture()
+def uncovered_pool(two_table_pool, two_table_attrs) -> SITPool:
+    """The two-table pool without any statistic on ``S.b``: a filter on it
+    walks the degradation ladder."""
+    sb = two_table_attrs["Sb"]
+    return SITPool([sit for sit in two_table_pool if sit.attribute != sb])
 
 
 class TestLadderBypass:
-    def test_degraded_results_are_never_compiled(self, snowflake_setup):
-        database, templates, pool = snowflake_setup
+    def test_degraded_results_are_never_compiled(
+        self, two_table_db, uncovered_pool, two_table_attrs, two_table_join
+    ):
         warm = SITEstimator(
-            database, pool, NIndError(), plan_cache=True
+            two_table_db, uncovered_pool, NIndError(), plan_cache=True
         )
-        query = templates[0]
-        with armed(storm()):
-            degraded = warm.estimate(query)
+        uncovered = Query.of(
+            two_table_join, FilterPredicate(two_table_attrs["Sb"], 20.0, 70.0)
+        )
+        degraded = warm.estimate(uncovered)
         assert degraded.degradation_level > 0
         assert not degraded.plan_cache_hit
         assert len(warm.plan_cache) == 0
         assert warm.plan_cache.status()["compiles"] == 0
 
-        # the next clean run compiles (a miss, not a poisoned hit) and
-        # matches a cache-less estimator exactly
-        clean = warm.estimate(query)
+        # a covered query on the same estimator compiles (a miss, not a
+        # poisoned hit) and matches a cache-less estimator exactly
+        covered = Query.of(
+            two_table_join, FilterPredicate(two_table_attrs["Ra"], 10.0, 40.0)
+        )
+        clean = warm.estimate(covered)
         assert clean.degradation_level == 0
         assert not clean.plan_cache_hit
-        cold = SITEstimator(database, pool, NIndError())
-        assert_bit_identical(clean, cold.estimate(query))
+        assert warm.plan_cache.status()["compiles"] == 1
+        cold = SITEstimator(two_table_db, uncovered_pool, NIndError())
+        assert_bit_identical(clean, cold.estimate(covered))
+        assert warm.estimate(uncovered).degradation_level > 0
 
-    def test_compiled_hit_rides_out_a_fault_storm(self, snowflake_setup):
-        """A template hit replays frozen statistics and never reaches the
-        matcher, so an armed fault storm cannot degrade it — the replay
-        stays level 0 and bit-identical."""
-        database, templates, pool = snowflake_setup
-        warm = SITEstimator(
-            database, pool, NIndError(), plan_cache=True
-        )
-        query = templates[0]
-        before = warm.estimate(query)
-        assert before.degradation_level == 0
-        with armed(storm()):
-            replayed = warm.estimate(query)
-        assert replayed.plan_cache_hit
-        assert replayed.degradation_level == 0
-        assert replayed.selectivity == before.selectivity
-        assert replayed.matches == before.matches
-
-    def test_strict_raises_through_the_cache_path(self, snowflake_setup):
-        database, templates, pool = snowflake_setup
+    def test_strict_raises_through_the_cache_path(
+        self, two_table_db, uncovered_pool, two_table_attrs, two_table_join
+    ):
         strict = SITEstimator(
-            database, pool, NIndError(), plan_cache=True, strict=True
+            two_table_db, uncovered_pool, NIndError(), plan_cache=True, strict=True
         )
-        with armed(storm()):
-            with pytest.raises(EstimationFault):
-                strict.estimate(templates[0])
+        uncovered = Query.of(
+            two_table_join, FilterPredicate(two_table_attrs["Sb"], 20.0, 70.0)
+        )
+        with pytest.raises(NoApplicableStatisticsError):
+            strict.estimate(uncovered)
         assert strict.plan_cache.status()["compiles"] == 0
         assert len(strict.plan_cache) == 0
 

@@ -17,6 +17,7 @@ from repro.estimators import (
     SITEstimator,
     create_estimator,
 )
+from repro.stats.pool import SITPool
 
 #: documented error envelopes on the shared parity workload:
 #: * ``sit``  — exact DP over the conditioned pool (matches the paper)
@@ -288,39 +289,31 @@ class TestServiceRouting:
 
 
 class TestLadderFallback:
-    def histogram_storm(self):
-        from repro.resilience.faults import (
-            POINT_HISTOGRAM_JOIN,
-            FaultPlan,
-            FaultRule,
-        )
-
-        return FaultPlan(
-            [
-                FaultRule(
-                    point=POINT_HISTOGRAM_JOIN,
-                    probability=1.0,
-                    max_fires=None,
-                )
-            ],
-            seed=0,
-        )
+    def without_ra(self, pool, two_table_attrs) -> SITPool:
+        """The pool without any statistic on ``R.a``: a filter on it
+        finds no SIT at level 0 and no base histogram at level 2."""
+        ra = two_table_attrs["Ra"]
+        return SITPool([sit for sit in pool if sit.attribute != ra])
 
     def test_level3_degrades_to_the_sampling_backend(
-        self, two_table_db, two_table_pool, parity_queries, parity_truth
+        self,
+        two_table_db,
+        two_table_pool,
+        two_table_attrs,
+        parity_queries,
+        parity_truth,
     ):
         """With the factory-wired fallback, the ladder's last rung is a
         guaranteed sample, not the 1/3-1/10 magic constants."""
-        from repro.resilience.faults import armed
         from repro.resilience.ladder import LEVEL_FALLBACK, magic_selectivity
 
-        estimator = backend_for("sit", two_table_db, two_table_pool)
+        pool = self.without_ra(two_table_pool, two_table_attrs)
+        estimator = backend_for("sit", two_table_db, pool)
         assert isinstance(
             estimator.fallback_estimator, GuaranteedSampleEstimator
         )
         predicates = parity_queries[3]
-        with armed(self.histogram_storm()):
-            result = estimator.estimate_predicates(predicates)
+        result = estimator.estimate_predicates(predicates)
         assert result.degradation_level == LEVEL_FALLBACK
         assert result.backend == "sample"
         assert result.error_bound is not None
@@ -328,18 +321,17 @@ class TestLadderFallback:
         assert result.selectivity != magic_selectivity(predicates)
 
     def test_bare_estimator_still_lands_on_magic_constants(
-        self, two_table_db, two_table_pool, parity_queries
+        self, two_table_db, two_table_pool, two_table_attrs, parity_queries
     ):
         """Without a wired fallback the pre-existing behaviour is
         untouched: level 3 answers with the magic constants."""
-        from repro.resilience.faults import armed
         from repro.resilience.ladder import LEVEL_MAGIC, magic_selectivity
 
-        estimator = SITEstimator(two_table_db, two_table_pool)
+        pool = self.without_ra(two_table_pool, two_table_attrs)
+        estimator = SITEstimator(two_table_db, pool)
         assert estimator.fallback_estimator is None
         predicates = parity_queries[3]
-        with armed(self.histogram_storm()):
-            result = estimator.estimate_predicates(predicates)
+        result = estimator.estimate_predicates(predicates)
         assert result.degradation_level == LEVEL_MAGIC
         assert result.backend == "magic"
         assert result.selectivity == magic_selectivity(predicates)

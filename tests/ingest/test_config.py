@@ -18,7 +18,6 @@ class TestIngestConfig:
             queue_depth=16,
             coalesce_window_s=0.5,
             max_batch=4,
-            apply_retries=2,
             drift_every=3,
         )
         assert IngestConfig.from_dict(config.to_dict()) == config
@@ -27,13 +26,18 @@ class TestIngestConfig:
         with pytest.raises(ValueError, match="unknown IngestConfig keys"):
             IngestConfig.from_dict({"queue_depth": 8, "typo": 1})
 
+    def test_the_removed_apply_retries_is_rejected_by_name(self):
+        """An epoch is applied once, so there is no retry budget left to
+        configure."""
+        with pytest.raises(ValueError, match=r"\['apply_retries'\]"):
+            IngestConfig.from_dict({"apply_retries": 3})
+
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"queue_depth": 0},
             {"coalesce_window_s": -0.1},
             {"max_batch": 0},
-            {"apply_retries": 0},
             {"drift_every": -1},
         ],
     )

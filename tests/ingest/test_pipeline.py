@@ -1,6 +1,6 @@
 """IngestPipeline semantics over a fake invalidation target: coalescing,
-bounded admission with typed backpressure, fault-injected apply with
-epoch requeue (never dropped), drift probing, drain and shutdown."""
+bounded admission with typed backpressure, drift probing, drain and
+shutdown."""
 
 from __future__ import annotations
 
@@ -16,12 +16,6 @@ from repro.ingest import (
     IngestPipeline,
 )
 from repro.obs import StalenessTracker
-from repro.resilience.faults import (
-    POINT_INGEST_APPLY,
-    FaultPlan,
-    FaultRule,
-    armed,
-)
 from repro.service.protocol import Overloaded
 
 
@@ -217,46 +211,6 @@ class TestBackpressure:
         finally:
             catalog.gate.set()
             pipeline.close()
-
-
-class TestFaultedApply:
-    def test_transient_fault_retries_within_the_cycle(self):
-        catalog = FakeCatalog()
-        plan = FaultPlan([FaultRule(point=POINT_INGEST_APPLY)], seed=7)
-        with armed(plan):
-            with IngestPipeline(catalog, config=IngestConfig()) as pipeline:
-                pipeline.submit("R")
-                assert pipeline.flush(timeout=10.0)
-        assert catalog.calls_for("R") == 1
-        snapshot = pipeline.stats_snapshot().ingest
-        assert snapshot["apply_faults"] == 1.0
-        assert snapshot["apply_retries"] == 1.0
-        assert "epoch_requeues" not in snapshot
-
-    def test_exhausted_retries_requeue_the_epoch_never_drop(self):
-        """A cycle's retries can all fault — the epoch then carries into
-        the next cycle and still lands: no lost invalidations."""
-        catalog = FakeCatalog()
-        config = IngestConfig(apply_retries=3)
-        plan = FaultPlan(
-            [
-                FaultRule(
-                    point=POINT_INGEST_APPLY, match="table=R", max_fires=3
-                )
-            ],
-            seed=7,
-        )
-        with armed(plan):
-            with IngestPipeline(catalog, config=config) as pipeline:
-                pipeline.submit("R")
-                pipeline.submit("S")
-                assert pipeline.flush(timeout=10.0)
-        assert catalog.calls_for("R") == 1
-        assert catalog.calls_for("S") == 1
-        snapshot = pipeline.stats_snapshot().ingest
-        assert snapshot["apply_faults"] == 3.0
-        assert snapshot["epoch_requeues"] == 1.0
-        assert pipeline.tracker.quiesced()
 
 
 class TestDriftProbe:

@@ -1,4 +1,4 @@
-"""Fixtures for the resilience suite: always disarm the global plan."""
+"""Fixtures for the resilience suite."""
 
 from __future__ import annotations
 
@@ -7,16 +7,7 @@ import pytest
 from repro.catalog import StatisticsCatalog
 from repro.core.predicates import FilterPredicate
 from repro.engine.expressions import Query
-from repro.resilience.faults import disarm
 from repro.stats.builder import SITBuilder
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_fault_plan():
-    """A test that arms the global plan must never leak it."""
-    disarm()
-    yield
-    disarm()
 
 
 @pytest.fixture()

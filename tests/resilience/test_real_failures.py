@@ -3,8 +3,8 @@ worker's one safety net rather than escaping as a hung or failed batch.
 
 * An attribute no statistic covers: level 0 raises
   ``NoApplicableStatisticsError``, and the estimator walks the ladder
-  from level 2 (there is no SIT to exclude), answering at level 3 when
-  the base statistics do not cover it either.  ``strict=True`` still
+  from level 2, answering at level 3 when the base statistics do not
+  cover it either — in process and over TCP.  ``strict=True`` still
   raises.
 * An exception while a worker pins a fresh session: the batch fails
   typed, the worker keeps serving, and the next batch pins again.
@@ -27,8 +27,9 @@ from repro.resilience.ladder import (
     MAGIC_FILTER_SELECTIVITY,
     MAGIC_JOIN_SELECTIVITY,
 )
-from repro.service import EstimationService, ServiceConfig, ServiceError
+from repro.service import EstimationService, ServiceConfig, ServiceError, connect
 from repro.service.protocol import ServedEstimate
+from repro.service.server import start_in_thread
 from repro.stats.pool import SITPool
 
 SQL = "SELECT * FROM R, S WHERE R.x = S.y AND R.a BETWEEN 10 AND 40"
@@ -65,14 +66,13 @@ class TestUncoveredAttribute:
         estimator = SITEstimator(two_table_db, uncovered_pool)
         result = estimator.estimate(uncovered_query)
         assert result.degradation_level == LEVEL_MAGIC
-        assert result.excluded_sits == ()
         assert result.selectivity == (
             MAGIC_FILTER_SELECTIVITY * MAGIC_JOIN_SELECTIVITY
         )
         resilience = estimator.stats_snapshot().namespace("resilience")
         assert resilience["faults_no_statistics"] == 1.0
         assert resilience["degraded_level3"] == 1.0
-        assert "replans" not in resilience  # level 1 was skipped
+        assert "degraded_level2" not in resilience
 
     def test_estimator_answers_from_the_fallback_estimator(
         self, two_table_db, uncovered_pool, uncovered_query
@@ -119,6 +119,27 @@ class TestUncoveredAttribute:
         assert 0.0 <= answer.selectivity <= 1.0
         assert stats.namespace("resilience")["faults_no_statistics"] == 1.0
         assert stats.namespace("service")["degraded"] == 1.0
+
+    def test_tcp_answers_at_level_three(self, two_table_db, uncovered_pool):
+        """Over the wire the answer keeps its level, a covered query on
+        the same connection stays at level 0, and the stats carry the
+        fault count."""
+        service = EstimationService(
+            uncovered_pool,
+            database=two_table_db,
+            config=ServiceConfig(workers=1),
+        )
+        with start_in_thread(service, port=0) as handle:
+            with connect(handle.address, timeout_s=30.0) as client:
+                answer = client.estimate(UNCOVERED_SQL)
+                covered = client.estimate(SQL)
+                stats = client.stats()
+            assert handle.close() is True
+        assert answer.degradation_level == LEVEL_MAGIC
+        assert 0.0 <= answer.selectivity <= 1.0
+        assert covered.degradation_level == LEVEL_NORMAL
+        assert stats["resilience"]["faults_no_statistics"] == 1.0
+        assert stats["resilience"]["degraded_level3"] == 1.0
 
     def test_a_mixed_batch_answers_both_members(
         self, two_table_db, uncovered_pool, join_filter_query

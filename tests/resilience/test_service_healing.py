@@ -1,6 +1,6 @@
-"""The service under faults: the hot swap releases what it retires, a
-shed storm and a faulted drain leave nothing behind, and degraded
-answers keep their level over the protocol."""
+"""The service under real failures: the hot swap releases what it
+retires, a shed storm and a drain with degraded members leave nothing
+behind, and degraded answers keep their level over the protocol."""
 
 from __future__ import annotations
 
@@ -8,11 +8,28 @@ import gc
 import time
 import weakref
 
-from repro.resilience.faults import FaultPlan, FaultRule, armed
+import pytest
+
+from repro.catalog import StatisticsCatalog
 from repro.service import EstimationService, ServiceConfig, ServiceError
 from repro.service.protocol import ServedEstimate
+from repro.stats.pool import SITPool
 
 SQL = "SELECT * FROM R, S WHERE R.x = S.y AND R.a BETWEEN 10 AND 40"
+#: a filter on ``S.b``, which the ``uncovered`` catalog has no statistic for
+UNCOVERED_SQL = "SELECT * FROM R, S WHERE R.x = S.y AND S.b BETWEEN 20 AND 70"
+#: a column the schema does not have: refused before it reaches a worker
+UNKNOWN_SQL = "SELECT * FROM R, S WHERE R.x = S.y AND S.zz BETWEEN 20 AND 70"
+
+
+@pytest.fixture()
+def uncovered(two_table_db, two_table_pool, two_table_attrs) -> StatisticsCatalog:
+    """A catalog whose pool has no statistic on ``S.b``."""
+    sb = two_table_attrs["Sb"]
+    return StatisticsCatalog.from_pool(
+        SITPool([sit for sit in two_table_pool if sit.attribute != sb]),
+        database=two_table_db,
+    )
 
 
 def wait_until(predicate, timeout=5.0, interval=0.01) -> bool:
@@ -69,53 +86,38 @@ class TestFaultPathLeaks:
         finally:
             service.close()
 
-    def test_close_drain_flushes_everything_after_faults(self, catalog):
+    def test_close_drain_flushes_everything_after_faults(self, uncovered):
+        """Covered and uncovered members queued together, and one with an
+        unknown column refused typed at admission: the drain resolves
+        every queued future, answered or degraded, and retires every
+        session."""
         config = ServiceConfig(workers=2)
-        plan = FaultPlan(
-            [
-                FaultRule(point="histogram_join", probability=1.0, max_fires=2)
-            ],
-            seed=0,
-        )
-        with armed(plan):
-            service = EstimationService(catalog, config=config)
-            futures = [service.submit(SQL) for _ in range(10)]
-            assert service.close(drain=True) is True
-            for future in futures:
-                assert future.done()
-                exc = future.exception()
-                assert exc is None or isinstance(exc, ServiceError)
-            # all sessions retired on shutdown — nothing pinned
-            assert service._sessions == []
+        service = EstimationService(uncovered, config=config)
+        futures = [service.submit(sql) for sql in (SQL, UNCOVERED_SQL) * 4]
+        with pytest.raises(ServiceError):
+            service.submit(UNKNOWN_SQL)
+        assert service.close(drain=True) is True
+        for future in futures:
+            assert future.done()
+            assert future.exception() is None
+        levels = sorted({f.result().degradation_level for f in futures})
+        assert levels == [0, 3]
+        # all sessions retired on shutdown — nothing pinned
+        assert service._sessions == []
 
 
 class TestDegradationOverTheService:
-    def test_degraded_estimates_flow_through_the_protocol(self, catalog):
-        plan = FaultPlan(
-            [
-                FaultRule(
-                    point="histogram_join",
-                    match="SIT(R.a | ",
-                    max_fires=None,
-                    probability=1.0,
-                )
-            ],
-            seed=0,
-        )
+    def test_degraded_estimates_flow_through_the_protocol(self, uncovered):
         config = ServiceConfig(workers=1)
-        with armed(plan):
-            with EstimationService(catalog, config=config) as service:
-                answer = service.estimate(SQL, timeout=None)
-                snapshot = service.stats_snapshot()
-        assert answer.degradation_level >= 1
+        with EstimationService(uncovered, config=config) as service:
+            answer = service.estimate(UNCOVERED_SQL, timeout=None)
+            snapshot = service.stats_snapshot()
+        assert answer.degradation_level == 3
         assert answer.degraded
-        assert any(
-            name.startswith("SIT(R.a | ") for name in answer.excluded_sits
-        )
         # and the round trip through the wire codec keeps the fields
         wire = answer.to_wire(request_id="1")
         assert wire["degradation_level"] == answer.degradation_level
+        assert "excluded_sits" not in wire
         restored = ServedEstimate.from_wire(wire)
-        assert restored.degradation_level == answer.degradation_level
-        assert restored.excluded_sits == answer.excluded_sits
+        assert restored == answer
         assert snapshot.namespace("service")["degraded"] >= 1.0

@@ -84,13 +84,17 @@ class TestChecksums:
         assert "checksum" in document.quarantined[0]["reason"]
         assert document.quarantined[0]["index"] == 0
 
-    def test_records_without_checksum_still_load(self, pool_path):
-        """Backward compatibility: older v2 files have no checksums."""
+    def test_records_without_checksum_are_quarantined(self, pool_path):
+        """A record with no checksum cannot be verified, so a crash-safe
+        load skips it like a corrupt one."""
         payload = json.loads(pool_path.read_text())
-        for entry in payload["sits"]:
-            del entry["checksum"]
+        del payload["sits"][0]["checksum"]
         pool_path.write_text(json.dumps(payload))
-        assert len(load_pool(pool_path)) == len(payload["sits"])
+        document = load_document(pool_path, quarantine=True)
+        assert len(document.sits) == len(payload["sits"]) - 1
+        assert document.quarantined == [
+            {"index": 0, "reason": "SIT record has no checksum"}
+        ]
 
 
 class TestTornWrites:

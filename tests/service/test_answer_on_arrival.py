@@ -2,9 +2,7 @@
 shared plan cache, ``submit_many`` replays a compiled shape from it on
 the submitting thread, and only misses cross to a worker — unless the
 cache's pool is not the one a worker should be on (a refresh published
-another pool) or its pool version moved (a notify).  An
-armed fault plan changes none of this: its draws are keyed by request
-content, so a chaos run serves through the same path."""
+another pool) or its pool version moved (a notify)."""
 
 from __future__ import annotations
 
@@ -20,13 +18,9 @@ from repro.core.plancache import CompiledPlan, PlanCache, shape_fingerprint
 from repro.core.predicates import FilterPredicate
 from repro.engine.expressions import Query
 from repro.obs import StalenessTracker
-from repro.resilience.faults import FaultPlan, FaultRule, armed
 from repro.service import EstimationService, ServiceConfig
 
 ONE_WORKER = ServiceConfig(workers=1, queue_depth=64)
-
-#: armed, and never fires: only its being armed is under test
-NEVER_FIRES = FaultRule(point="histogram_join", probability=0.0, max_fires=None)
 
 
 def service_stats(service) -> dict:
@@ -194,27 +188,6 @@ class TestAnsweredOnArrival:
         assert (after["hits"], after["misses"]) == (2 * (count - 1), 2)
         assert after["compiles"] == 2.0
         assert after["hit_rate"] == (count - 1) / count
-
-    def test_an_armed_fault_plan_answers_hits_on_arrival(
-        self, service_catalog, factor_sharing_queries
-    ):
-        """Armed, the service runs the path it runs disarmed: the shape
-        the first request compiled answers the rest on arrival, and
-        every answer equals the disarmed one."""
-        first, *rest = factor_sharing_queries
-        with EstimationService(service_catalog, config=ONE_WORKER) as service:
-            service.estimate(first)
-            disarmed = [service.estimate(query) for query in rest]
-            with armed(FaultPlan([NEVER_FIRES], seed=0)):
-                answers = [service.estimate(query) for query in rest]
-            stats = service_stats(service)
-        assert all(answer.plan_cache_hit for answer in answers)
-        assert stats["batches"] == 1.0
-        assert stats["answered_on_arrival"] == float(2 * len(rest))
-        for answer, expected in zip(answers, disarmed):
-            assert replace(answer, latency_ms=0.0) == replace(
-                expected, latency_ms=0.0
-            )
 
     def test_two_workers_compile_a_shape_once_per_snapshot(
         self, service_catalog, factor_sharing_queries, cold_queries, monkeypatch

@@ -53,8 +53,7 @@ answers = st.builds(
     latency_ms=NUMBERS,
     batch_size=st.integers(1, 512),
     deduplicated=st.booleans(),
-    degradation_level=st.integers(0, 3),
-    excluded_sits=st.sampled_from([(), ()]) | st.lists(TEXT, max_size=2).map(tuple),
+    degradation_level=st.sampled_from([0, 2, 3]),
     plan_cache_hit=st.booleans(),
     backend=st.sampled_from(["sit", "sit", "bn", "sample", "magic"]) | TEXT,
     error_bound=st.none() | FLOATS,
@@ -95,7 +94,6 @@ class TestDirectLines:
             backend="sample",
             error_bound=0.25,
             staleness_s=0.0,
-            excluded_sits=("sit_a",),
         ),
         "x",
     )

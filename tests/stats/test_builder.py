@@ -1,5 +1,8 @@
 """Tests for SIT construction from a database."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,57 @@ class TestBuildBase(object):
         assert builder.build_base(two_table_attrs["Ra"]) is not ra
         # other tables' caches survive
         assert builder.build_base(two_table_attrs["Sb"]) is sb
+
+    def test_invalidate_table_races_builds_on_another_thread(
+        self, two_table_db, two_table_attrs, two_table_join
+    ):
+        """A refresh builds on one thread while a writer's
+        ``invalidate_table`` evicts on another: the eviction scans the
+        memos the build inserts into, and nothing raises.  (Scanning the
+        live dicts ends in ``dictionary changed size during
+        iteration``.)"""
+        builder = SITBuilder(two_table_db)
+        expression = frozenset({two_table_join})
+        attributes = [two_table_attrs["Ra"], two_table_attrs["Sb"]]
+        errors: list[Exception] = []
+        start = threading.Barrier(2)
+        built = threading.Event()
+
+        def build() -> None:
+            try:
+                start.wait(timeout=30.0)
+                for _ in range(300):
+                    builder.build_many(expression, attributes)
+                    for attribute in two_table_attrs.values():
+                        builder.build_base(attribute)
+            except Exception as error:  # reported by the assert below
+                errors.append(error)
+            finally:
+                built.set()
+
+        def invalidate() -> None:
+            try:
+                start.wait(timeout=30.0)
+                while not built.is_set():
+                    builder.invalidate_table("S")
+            except Exception as error:  # reported by the assert below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=body, daemon=True)
+            for body in (build, invalidate)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestBuildOnExpression:

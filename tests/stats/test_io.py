@@ -1,4 +1,4 @@
-"""Tests for SIT pool / catalog-document serialization (v2 + v1 migration)."""
+"""Tests for SIT pool / catalog-document serialization (v2)."""
 
 import json
 import math
@@ -23,8 +23,8 @@ from repro.stats.io import (
     load_pool,
     loads_document,
     loads_pool,
-    migrate_v1_to_v2,
     save_pool,
+    _sit_checksum,
 )
 from repro.stats.pool import SITPool
 from repro.stats.sit import SIT
@@ -144,32 +144,22 @@ class TestV2Format:
             dumps_document(document)
 
 
-class TestV1Migration:
-    def v1_payload(self):
-        return {
-            "version": 1,
-            "sits": [encode_sit(sample_sit())],
-        }
+class TestRetiredFormats:
+    def test_a_v1_document_is_refused(self):
+        """Version 1 (no catalog block, no checksums) no longer loads."""
+        payload = {"version": 1, "sits": [encode_sit(sample_sit())]}
+        with pytest.raises(PoolFormatError, match="unsupported format version 1"):
+            loads_pool(json.dumps(payload))
 
-    def test_v1_loads_through_migration(self):
-        restored = loads_pool(json.dumps(self.v1_payload()))
-        assert len(restored) == 1
-        assert restored.sits[0].diff == 0.37
-
-    def test_migration_synthesizes_conservative_metadata(self):
-        migrated = migrate_v1_to_v2(self.v1_payload())
-        assert migrated["version"] == 2
-        assert migrated["catalog"] == {
-            "catalog_version": 0,
-            "table_versions": {},
-        }
-        assert migrated["sits"][0]["meta"] == DEFAULT_SIT_META
-        document = loads_document(json.dumps(migrated))
-        assert document.sit_meta[0] == DEFAULT_SIT_META
-
-    def test_migration_rejects_non_v1(self):
-        with pytest.raises(PoolFormatError, match="version-1"):
-            migrate_v1_to_v2({"version": 2, "sits": []})
+    def test_a_record_without_checksum_is_refused(self):
+        record = encode_sit(sample_sit())
+        del record["checksum"]
+        with pytest.raises(PoolFormatError, match="no checksum"):
+            decode_sit(record)
+        payload = json.loads(dumps_pool(SITPool([sample_sit()])))
+        del payload["sits"][0]["checksum"]
+        with pytest.raises(PoolFormatError, match="no checksum"):
+            loads_pool(json.dumps(payload))
 
 
 class TestFormatErrors:
@@ -282,11 +272,11 @@ WELL_FORMED_BUCKETS = {
 
 
 def payload_with_buckets(buckets) -> dict:
-    """A SIT record whose histogram holds ``buckets`` (no checksum, so
-    the histogram decode is what judges it)."""
+    """A SIT record whose histogram holds ``buckets`` (checksum re-stamped,
+    so the histogram decode is what judges it)."""
     record = encode_sit(sample_sit())
-    del record["checksum"]
     record["histogram"] = {"null_count": 2.0, "buckets": buckets}
+    record["checksum"] = _sit_checksum(record)
     return record
 
 

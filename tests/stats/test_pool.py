@@ -95,12 +95,8 @@ class TestSITPool:
             dict(pool._by_member),
             dict(pool._expressions_by_attribute),
         )
-        derived = [
-            pool.excluding([str(sits[1])]),
-            pool.restrict_joins(0),
-            pool.base_only(),
-        ]
-        assert [len(narrowed) for narrowed in derived] == [2, 1, 1]
+        derived = [pool.restrict_joins(0), pool.base_only()]
+        assert [len(narrowed) for narrowed in derived] == [1, 1]
         assert all(isinstance(narrowed.sits, tuple) for narrowed in derived)
         assert pool.sits == tuple(sits[:3])
         assert indexes == (
