@@ -77,8 +77,9 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from repro.core.get_selectivity import EstimationResult, GetSelectivity
@@ -90,6 +91,7 @@ from repro.core.matching import (
     join_factor,
 )
 from repro.core.predicates import Attribute, Predicate, PredicateSet, by_str
+from repro.core.predicates import filter_text
 from repro.core.selectivity import Decomposition, Factor
 from repro.histograms.base import Histogram
 from repro.stats.pool import SITPool
@@ -115,6 +117,25 @@ def shape_fingerprint(
     """
     ordered = tuple(sorted(predicates, key=by_str))
     return tuple(map(_token, ordered)), ordered
+
+
+#: a predicate as :func:`bounds_fingerprint` sees it: text, token, a filter's bounds
+BoundsRow = namedtuple("BoundsRow", "text token low high")
+_row = tuple.__new__
+_row_token = itemgetter(1)
+
+
+def bounds_fingerprint(ranges: dict, joins: Iterable) -> tuple[tuple, list[BoundsRow]]:
+    """:func:`shape_fingerprint` of ``joins`` and a filter per ``ranges``
+    item, ``ordered`` as :class:`BoundsRow` s, sorted by the filters' own
+    texts: this statement's constants decide them, and they are distinct."""
+    rows = [_row(BoundsRow, (join._str, join._token, None, None)) for join in joins]
+    for attribute, (low, high) in ranges.items():
+        pieces = attribute.__dict__.get("_pieces") or attribute._filter_pieces()
+        text = filter_text(pieces[3], low, high)
+        rows.append(_row(BoundsRow, (text, pieces[2], low, high)))
+    rows.sort()
+    return tuple(map(_row_token, rows)), rows
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +215,11 @@ class CompiledPlan:
 
     # ------------------------------------------------------------------
     def replay(self, ordered: Sequence[Predicate]) -> EstimationResult:
-        """Re-estimate with new constants; bit-identical to the cold DP.
+        """Re-estimate with new constants; bit-identical to the cold DP."""
+        return EstimationResult.replayed(self, ordered, self.selectivity(ordered))
+
+    def selectivity(self, ordered: "Sequence[Predicate | BoundsRow]") -> float:
+        """The number: the one float loop of every replay, of either sequence.
 
         Per factor this is ``estimate_factor`` with the joins
         pre-multiplied — same float ops, same order, same early exits to
@@ -224,9 +249,7 @@ class CompiledPlan:
                     selectivity = 0.0
                     break
             values.append(selectivity)
-        return EstimationResult.replayed(
-            self, ordered, _eval_tree(self.tree, values)
-        )
+        return _eval_tree(self.tree, values)
 
     # ------------------------------------------------------------------
     def provenance(
@@ -538,11 +561,12 @@ class PlanCache:
         return plan, ordered
 
     def estimate(self, predicates: PredicateSet) -> EstimationResult | None:
-        """Template-hit fast path: replay, or ``None`` on a shape miss."""
+        """Template-hit fast path: ``replay``, one call shallower, or
+        ``None`` on a shape miss."""
         plan, ordered = self.plan_for(predicates)
         if plan is None:
             return None
-        return plan.replay(ordered)
+        return EstimationResult.replayed(plan, ordered, plan.selectivity(ordered))
 
     # ------------------------------------------------------------------
     def compile(
@@ -593,6 +617,7 @@ class PlanCache:
 __all__ = [
     "CompiledPlan",
     "PlanCache",
+    "bounds_fingerprint",
     "compile_plan",
     "shape_fingerprint",
 ]

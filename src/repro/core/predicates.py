@@ -67,6 +67,13 @@ class Attribute:
         return pieces
 
 
+def filter_text(name: str, low: float, high: float) -> str:
+    """The ``str`` of a filter on ``name``, which canonical sorts order by."""
+    if low == high:
+        return "%s=%g" % (name, low)
+    return "%g<=%s<=%g" % (low, name, high)
+
+
 @dataclass(frozen=True, order=True, init=False)
 class FilterPredicate:
     """Range restriction ``low <= attribute <= high`` (closed interval).
@@ -94,10 +101,7 @@ class FilterPredicate:
             tables, attributes, token, name = attribute._filter_pieces()
         # The canonical sort key and the plan cache's shape token are read
         # on every request; built here, a hot answer never formats a float.
-        if low == high:
-            text = f"{name}={low:g}"
-        else:
-            text = f"{low:g}<={name}<={high:g}"
+        text = filter_text(name, low, high)
         self.__dict__.update(
             attribute=attribute,
             low=low,

@@ -25,10 +25,10 @@ survivable while the stack serves:
 * **No lost invalidations.**  Each epoch's ``notify_table_update`` runs
   once, and an event counts as applied only after the cycle that took
   it has returned: :meth:`flush` waits on exactly that, and until then
-  the tracker reports the write as pending staleness.  No target's
-  ``notify_table_update`` raises; if one did, the apply thread would
-  stop with the event still pending, and :meth:`flush` would time out
-  rather than claim it.
+  the tracker reports the write as pending staleness.  A target whose
+  ``notify_table_update`` raises stops the apply thread, its cycle still
+  pending: :meth:`submit` then raises rather than ack a write nothing
+  will apply, and :meth:`flush` returns ``False`` at once.
 * **Staleness + drift accounting.**  Every admission/apply is mirrored
   into a :class:`repro.obs.StalenessTracker`; an optional
   :class:`EstimateDriftProbe` measures served-estimate drift against
@@ -129,6 +129,7 @@ class IngestPipeline:
         self._state_lock = threading.Lock()
         self._idle = threading.Condition(self._state_lock)
         self._closed = False
+        self._failure: Exception | None = None  # what stopped the apply thread
         self._thread = threading.Thread(
             target=self._run, name="ingest-apply", daemon=True
         )
@@ -140,6 +141,8 @@ class IngestPipeline:
         admission time.  Raises :class:`IngestOverloaded` at depth."""
         if self._closed:
             raise RuntimeError("ingest pipeline is closed")
+        if self._failure is not None:
+            raise RuntimeError("ingest pipeline stopped") from self._failure
         name = str(table)
         # ack the write in the tracker BEFORE it becomes visible to the
         # apply loop, so note_applied can never race ahead of note_write
@@ -174,7 +177,13 @@ class IngestPipeline:
             batch = self._queue.take_batch(cfg.max_batch, cfg.coalesce_window_s)
             if not batch and self._queue.closed:
                 return
-            self._apply_cycle(batch)
+            try:
+                self._apply_cycle(batch)
+            except Exception as exc:
+                with self._state_lock:
+                    self._failure = exc
+                    self._idle.notify_all()
+                return
             with self._state_lock:
                 self._applied_through += len(batch)
                 self._idle.notify_all()
@@ -222,12 +231,13 @@ class IngestPipeline:
         has been applied (none left queued or mid-cycle).  The apply
         loop's coalesce window ends as soon as it has taken those events;
         events submitted meanwhile ride along or wait for the next cycle.
-        True on success."""
+        True on success; ``False`` once an apply has raised."""
         target = self._queue.flush_target()
         with self._idle:
-            return self._idle.wait_for(
-                lambda: self._applied_through >= target, timeout
+            self._idle.wait_for(
+                lambda: self._applied_through >= target or self._failure, timeout
             )
+            return self._applied_through >= target
 
     def quiesce(self, timeout: float = 10.0) -> bool:
         """Alias of :meth:`flush` — after it returns ``True`` the

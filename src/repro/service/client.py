@@ -70,7 +70,7 @@ from repro.service.protocol import (
     ServedEstimate,
     ServiceError,
     decode_line,
-    encode_line,
+    encode_request,
     result_from_wire,
 )
 from repro.service.service import EstimationService
@@ -367,9 +367,7 @@ class SocketClient(EstimationClient):
                     last = exc
                     continue
             try:
-                blob = b"".join(
-                    encode_line(payload) for payload in outstanding.values()
-                )
+                blob = b"".join(map(encode_request, outstanding.values()))
                 self._sock.sendall(blob)
                 while outstanding:
                     line = self._file.readline()

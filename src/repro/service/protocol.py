@@ -92,6 +92,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping
@@ -173,7 +174,7 @@ def error_from_status(status: str, detail: str) -> ServiceError:
 # ----------------------------------------------------------------------
 # Responses
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ServedEstimate:
     """A successful estimation answer.
 
@@ -215,6 +216,21 @@ class ServedEstimate:
     #: tracking is wired — the field is omitted from the wire then, so
     #: payloads without streaming ingestion stay byte-identical)
     staleness_s: float | None = None
+
+    def __init__(
+        self, selectivity, cardinality, error, snapshot_version, latency_ms,
+        batch_size=1, deduplicated=False, degradation_level=0,
+        plan_cache_hit=False, backend="sit", error_bound=None, staleness_s=None,
+    ) -> None:
+        # Written out, as FilterPredicate's is: one ``__dict__`` update per
+        # answer, not twelve ``object.__setattr__``, on each side of the wire
+        self.__dict__.update(
+            selectivity=selectivity, cardinality=cardinality, error=error,
+            snapshot_version=snapshot_version, latency_ms=latency_ms,
+            batch_size=batch_size, deduplicated=deduplicated,
+            degradation_level=degradation_level, plan_cache_hit=plan_cache_hit,
+            backend=backend, error_bound=error_bound, staleness_s=staleness_s,
+        )
 
     @property
     def degraded(self) -> bool:
@@ -375,6 +391,31 @@ def encode_served(answer: ServedEstimate, request_id: object = None) -> bytes:
     ).encode()
 
 
+def encode_request(payload: Mapping) -> bytes:
+    """``encode_line(payload)``, byte for byte; the hot request, an SQL
+    estimate with a ``str`` id and nothing else, written directly."""
+    sql, request_id = payload.get("sql"), payload.get("id")
+    if type(sql) is type(request_id) is str and payload.get("op") == "estimate":
+        if list(payload) == ["op", "sql", "id"]:
+            line = '{"op":"estimate","sql":%s,"id":%s}\n'
+            return (line % (_quote(sql), _quote(request_id))).encode()
+    return encode_line(payload)
+
+
+#: the hot request as :func:`encode_request` writes it, with no escape
+_HOT_REQUEST = re.compile(
+    rb'\{"op":"estimate","sql":"([^"\\\x00-\x1f]*)","id":"([^"\\\x00-\x1f]*)"\}'
+)
+
+
+def decode_request(line: bytes) -> dict:
+    """``decode_line(line)``; the hot request, read without json."""
+    if hot := _HOT_REQUEST.fullmatch(line):
+        sql, request_id = (text.decode("utf-8", "replace") for text in hot.groups())
+        return {"op": "estimate", "sql": sql, "id": request_id}
+    return decode_line(line)
+
+
 def decode_line(line: bytes | str) -> dict:
     """Parse one wire line; raises :class:`InvalidRequest` on garbage."""
     if isinstance(line, bytes):
@@ -416,8 +457,10 @@ __all__ = [
     "ServiceError",
     "decode_line",
     "decode_predicates",
+    "decode_request",
     "encode_line",
     "encode_predicates",
+    "encode_request",
     "encode_served",
     "error_from_status",
     "failure_to_wire",

@@ -4,8 +4,9 @@ One TCP connection, one JSON object per line (see
 :mod:`repro.service.protocol`).  The event loop never solves — it
 decodes and admits into the thread-pooled service; a request whose
 shape is in the serving snapshot's plan cache is replayed during
-admission, on the loop thread, and every other one is parked on until a
-worker answers it, so
+admission, on the loop thread (SQL straight from its literals, with no
+predicate built), and every other one is parked on until a worker
+answers it, so
 slow DP work on one connection does not stall another's admission (and
 a shed request is answered in microseconds).
 
@@ -47,7 +48,7 @@ from repro.service.protocol import (
     decode_predicates,
     encode_line,
     encode_served,
-    decode_line,
+    decode_request,
     failure_to_wire,
 )
 from repro.service.service import EstimationService
@@ -224,7 +225,7 @@ class EstimationServer:
         for line in lines:
             request_id: object = None
             try:
-                payload = decode_line(line)
+                payload = decode_request(line)
                 request_id = payload.get("id")
                 op = payload.get("op", "estimate")
                 if op == "estimate":

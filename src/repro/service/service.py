@@ -9,11 +9,11 @@
   new pool, so it keeps the cache and its counts), and while its pool is
   the one a worker should be on,
   :meth:`~EstimationService.submit_many` answers a request whose shape
-  is in it on the submitting thread: one fingerprint, one lock-free
-  probe, one :meth:`~repro.core.plancache.CompiledPlan.replay`, and the
-  answer as a value (:meth:`~EstimationService.admit`, which the TCP
-  server uses) or an already resolved future.  Only misses cross to a
-  worker;
+  is in it on the submitting thread: one fingerprint (of SQL, from its
+  literals: :meth:`~repro.sql.template.TemplateFrontEnd.ranges`), one
+  lock-free probe, one replay, and the answer as a value
+  (:meth:`~EstimationService.admit`, which the TCP server uses) or an
+  already resolved future.  Only misses cross to a worker;
 * a **bounded admission queue** (:class:`~repro.service.queue.AdmissionQueue`)
   in front of a **worker-thread pool**; every worker owns one
   snapshot-pinned session, so the session single-owner contract holds by
@@ -58,6 +58,7 @@ counts the live ones.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from concurrent.futures import Future
@@ -65,14 +66,11 @@ from dataclasses import dataclass, field, replace as _replace
 from typing import Iterable
 
 from repro.catalog.catalog import CatalogSnapshot, StatisticsCatalog
-from repro.catalog.session import (
-    EstimationSession,
-    emit_feedback,
-    stamp_staleness,
-)
+from repro.catalog.session import EstimationSession, emit_feedback
 from repro.core.errors import ErrorFunction
 from repro.core.get_selectivity import EstimationResult
-from repro.core.plancache import CompiledPlan, PlanCache, shape_fingerprint
+from repro.core.plancache import CompiledPlan, PlanCache, bounds_fingerprint
+from repro.core.plancache import shape_fingerprint
 from repro.core.predicates import PredicateSet, tables_of
 from repro.engine.database import Database
 from repro.engine.expressions import Query
@@ -375,6 +373,8 @@ class EstimationService:
         sql = self._sql
         default_timeout = self.config.default_timeout_s
         cache, version = self._live_cache()
+        # SQL goes from its literals to the plan unless a sink needs the set
+        scan_sql = cache is not None and self._feedback_sink is None
         outcomes: "list[ServedEstimate | Future | ServiceError]" = []
         admissible: list[_Pending] = []
         #: ``outcomes`` index of every admissible member
@@ -382,22 +382,30 @@ class EstimationService:
         #: latencies of the members answered on arrival
         arrived: list[float] = []
         for query, timeout in requests:
-            try:
-                predicates, tables = coerce_query(query, sql)
-            except InvalidRequest as exc:
-                outcomes.append(exc)
-                continue
-            now = time.monotonic()
-            if cache is not None:
-                fingerprint, ordered = shape_fingerprint(predicates)
-                plan = cache.probe(fingerprint)
-                if plan is not None:
-                    answer = self._answer_on_arrival(
-                        plan, ordered, predicates, tables, cache, version, now
-                    )
-                    outcomes.append(answer)
-                    arrived.append(answer.latency_ms)
+            hit = sql.ranges(query) if scan_sql and type(query) is str else None
+            if hit is not None:
+                template, bound = hit
+                predicates, tables = None, template.tables
+                fingerprint, ordered = bounds_fingerprint(bound.ranges, template.joins)
+            else:
+                try:
+                    predicates, tables = coerce_query(query, sql)
+                except InvalidRequest as exc:
+                    outcomes.append(exc)
                     continue
+                if cache is not None:
+                    fingerprint, ordered = shape_fingerprint(predicates)
+            now = time.monotonic()
+            plan = cache.probe(fingerprint) if cache is not None else None
+            if plan is not None:
+                answer = self._answer_on_arrival(
+                    plan, ordered, predicates, tables, hit, cache, version, now
+                )
+                outcomes.append(answer)
+                arrived.append(answer.latency_ms)
+                continue
+            if predicates is None:  # a shape no worker has compiled
+                predicates = bound.predicates(template.joins)
             if timeout is None:
                 timeout = default_timeout
             pending = _Pending(
@@ -448,29 +456,31 @@ class EstimationService:
         return cache, version
 
     def _answer_on_arrival(
-        self,
-        plan: CompiledPlan,
-        ordered,
-        predicates: frozenset,
-        tables: frozenset[str],
-        cache: PlanCache,
-        snapshot_version: int,
-        submitted_at: float,
+        self, plan: CompiledPlan, ordered, predicates: frozenset | None,
+        tables: frozenset[str], hit: tuple | None, cache: PlanCache,
+        snapshot_version: int, submitted_at: float,
     ) -> ServedEstimate:
-        """A hit replayed on the submitting thread, through the feedback
-        sink and staleness stamp a session gives its own replay."""
-        result = plan.replay(ordered)
-        emit_feedback(self._feedback_sink, predicates, result)
-        result = stamp_staleness(self.staleness_tracker, predicates, result)
+        """A hit replayed on the submitting thread, with the feedback and
+        staleness stamp a session gives its own replay; an SQL ``hit``
+        (``ordered`` its ``bounds_fingerprint`` rows) has no sink."""
+        selectivity = plan.selectivity(ordered)
+        if self._feedback_sink is not None:
+            result = EstimationResult.replayed(plan, ordered, selectivity)
+            emit_feedback(self._feedback_sink, predicates, result)
+        staleness_s = None
+        if self.staleness_tracker is not None:  # as stamp_staleness
+            with contextlib.suppress(Exception):
+                staleness_s = self.staleness_tracker.staleness_for(
+                    hit[0].predicate_tables if hit else tables_of(predicates)
+                )
         crosses = cache.crosses
         cross = crosses.get(tables)
         if cross is None:
             cross = crosses[tables] = self.database.cross_product_size(tables)
-        return self._served(
-            result,
-            cross,
-            snapshot_version,
-            (time.monotonic() - submitted_at) * 1000.0,
+        latency_ms = (time.monotonic() - submitted_at) * 1000.0
+        return ServedEstimate(
+            selectivity, selectivity * cross, plan.error, snapshot_version,
+            latency_ms, plan_cache_hit=True, staleness_s=staleness_s,
         )
 
     def _count_arrivals(self, latencies: list[float]) -> None:
@@ -484,31 +494,6 @@ class EstimationService:
             for latency_ms in latencies:
                 histogram.observe(latency_ms)
         self._maybe_tune()
-
-    @staticmethod
-    def _served(
-        result: EstimationResult,
-        cross: float,
-        snapshot_version: int,
-        latency_ms: float,
-        batch_size: int = 1,
-        deduplicated: bool = False,
-    ) -> ServedEstimate:
-        """The answer to one request, whichever thread computed it."""
-        return ServedEstimate(
-            selectivity=result.selectivity,
-            cardinality=result.selectivity * cross,
-            error=result.error,
-            snapshot_version=snapshot_version,
-            latency_ms=latency_ms,
-            batch_size=batch_size,
-            deduplicated=deduplicated,
-            degradation_level=result.degradation_level,
-            plan_cache_hit=result.plan_cache_hit,
-            backend=result.backend,
-            error_bound=result.error_bound,
-            staleness_s=result.staleness_s,
-        )
 
     def estimate(
         self,
@@ -707,14 +692,12 @@ class EstimationService:
             done = time.monotonic()
             for index, pending in enumerate(live):
                 latency_ms = (done - pending.submitted_at) * 1000.0
-                answer = self._served(
-                    result,
-                    self.database.cross_product_size(pending.tables),
-                    snapshot_version,
-                    latency_ms,
-                    batch_size,
-                    deduplicated=index > 0,
-                )
+                cross = self.database.cross_product_size(pending.tables)
+                answer = ServedEstimate(
+                    result.selectivity, result.selectivity * cross, result.error,
+                    snapshot_version, latency_ms, batch_size, index > 0,
+                    result.degradation_level, result.plan_cache_hit,
+                    result.backend, result.error_bound, result.staleness_s)
                 if index > 0:
                     deduplicated += 1
                 served += 1

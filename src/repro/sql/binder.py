@@ -148,21 +148,21 @@ class _Assembly:
 class BoundTemplate:
     """Everything :func:`bind` resolved that does not depend on a literal:
     per filter predicate, in source order, its attribute and operator
-    (``slots``), the join set and the FROM tables.  :meth:`predicates` is
+    (``slots``), the join set and the FROM tables.  :meth:`assemble` is
     the rest of :func:`bind` for another statement of the same shape."""
 
     slots: tuple[tuple[Attribute, str], ...]
     joins: frozenset[JoinPredicate]
     #: the FROM tables, which cover every predicate's: with
-    #: :meth:`predicates`, the statement's ``Query`` unbuilt
+    #: :meth:`assemble`, the statement's ``Query`` unbuilt
     tables: frozenset[str]
     #: literals a statement of this shape carries (two per BETWEEN)
     literals: int
+    #: ``tables_of`` the predicate set, which a staleness stamp reads
+    predicate_tables: frozenset[str]
 
-    def predicates(self, literals: Sequence[float]) -> frozenset:
-        """The predicate set of this shape with ``literals`` (source
-        order, ``len == self.literals``); raises what :func:`bind` raises
-        for them."""
+    def assemble(self, literals: Sequence[float]) -> _Assembly:
+        """The rest of :func:`bind` for ``literals``, predicates unbuilt."""
         assembly = _Assembly()
         at = 0
         for attribute, operator in self.slots:
@@ -172,7 +172,7 @@ class BoundTemplate:
             else:
                 assembly.add(attribute, *_range_of(operator, literals[at]))
                 at += 1
-        return assembly.predicates(self.joins)
+        return assembly
 
 
 def bind(statement: SelectStatement, schema: Schema) -> BoundQuery:
@@ -212,6 +212,7 @@ def bind(statement: SelectStatement, schema: Schema) -> BoundQuery:
         frozenset(joins),
         frozenset(scope.tables.values()),
         sum(2 if operator == BETWEEN else 1 for _, operator in slots),
+        frozenset(a.table for a, _ in slots).union(*(j.tables for j in joins)),
     )
     projection: tuple[Attribute, ...] | None = None
     if statement.projection is not None:

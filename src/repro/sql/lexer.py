@@ -9,9 +9,10 @@ offending position for readable messages.
 One compiled scanner does the work.  ``tests/sql/test_lexer_parity.py``
 holds the character-at-a-time loop it replaced and checks the two agree
 token for token and error for error.  A served statement of a shape seen
-before never gets here: :mod:`repro.sql.template` splits it with a regex
-built from the token patterns below and binds it from a cached template,
-so on the server's event-loop thread the lexer runs once per shape.
+before never gets here: :mod:`repro.sql.template` scans it for the
+number pattern below, or splits it with a regex built from all four token
+patterns, and binds it from a cached template, so on the server's
+event-loop thread the lexer runs once per shape.
 """
 
 from __future__ import annotations

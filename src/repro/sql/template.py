@@ -9,9 +9,11 @@ whitespace included, verbatim — and its **number literals** in source
 order.  The skeleton keys a bounded table of
 :class:`~repro.sql.binder.BoundTemplate` s; a hit runs only the
 value-dependent half of :func:`~repro.sql.binder.bind` over ``float`` of
-the literals.  :func:`~repro.sql.binder.parse_query` is the miss path
-and the oracle (``tests/sql/test_template_parity.py``): whatever the
-split does not recognise goes to it and gets its answer or its error.
+the literals; a served hit scans for the numbers set off by spaces and
+builds no predicate (:meth:`~TemplateFrontEnd.ranges`).
+:func:`~repro.sql.binder.parse_query` is the miss path and the oracle
+(``tests/sql/test_template_parity.py``): whatever the split or the scan
+does not recognise goes to it and gets its answer or its error.
 
 Whoever serves owns one front end (``EstimationService``); it is safe
 to share between submitting threads.
@@ -24,7 +26,7 @@ import threading
 
 from repro.engine.expressions import Query
 from repro.engine.schema import Schema
-from repro.sql.binder import BoundTemplate, bind
+from repro.sql.binder import BindingError, BoundTemplate, bind
 from repro.sql.lexer import IDENTIFIER_RE, NUMBER_RE, OPERATOR_RE, PUNCTUATION_RE
 from repro.sql.parser import parse_select
 
@@ -46,6 +48,10 @@ SKELETON_BYTES_LIMIT = 1 << 20
 _split = re.compile(
     rf"{NUMBER_RE}|(?:\s+|{IDENTIFIER_RE}|{OPERATOR_RE}|{PUNCTUATION_RE})+"
 ).findall
+
+#: a hit's cheaper split: at each number after a space and before a space,
+#: ``)`` or the end (the space goes with it), skeleton pieces and literals
+_scan = re.compile(rf" ({NUMBER_RE})(?=[ )]|\Z)", re.ASCII).split
 
 
 def _skeleton_and_literals(sql: str) -> tuple[tuple[str, ...] | None, list[float]]:
@@ -81,8 +87,10 @@ class TemplateFrontEnd:
         self.hits = 0
         self.misses = 0
         self._templates: dict[tuple[str, ...], BoundTemplate] = {}
+        #: the same templates by scanned skeleton, no more nor longer keys
+        self._scanned: dict[tuple[str, ...], BoundTemplate] = {}
         self._skeleton_bytes = 0
-        #: guards the table, its byte count and the two counters
+        #: guards the tables, the byte count and the two counters
         self._lock = threading.Lock()
 
     def parse(self, sql: str) -> Query:
@@ -105,13 +113,33 @@ class TemplateFrontEnd:
                 template = None
                 self.misses += 1
         if template is not None:
-            return template.predicates(literals), template.tables
+            predicates = template.assemble(literals).predicates(template.joins)
+            return predicates, template.tables
         bound = bind(parse_select(sql), self.schema)
         if skeleton is not None and bound.template.literals == len(literals):
-            self._store(skeleton, bound.template)
+            self._store(skeleton, bound.template, sql, literals)
         return bound.query.predicates, bound.query.tables
 
-    def _store(self, skeleton: tuple[str, ...], template: BoundTemplate) -> None:
+    def ranges(self, sql: str) -> tuple | None:
+        """A hit's ``(template, assembly)`` by scanned skeleton, counted, or
+        ``None``, counting nothing, for :meth:`parse_predicates` to judge: an
+        unknown skeleton or bad literal, an empty range, no predicate."""
+        pieces = _scan(sql)
+        with self._lock:
+            template = self._scanned.get(tuple(pieces[::2]))
+        if template is None:
+            return None
+        try:
+            assembly = template.assemble(list(map(float, pieces[1::2])))
+        except (ValueError, BindingError):
+            return None
+        if assembly.unsatisfiable or not (assembly.ranges or template.joins):
+            return None
+        with self._lock:
+            self.hits += 1
+        return template, assembly
+
+    def _store(self, skeleton, template: BoundTemplate, sql: str, literals) -> None:
         size = sum(map(len, skeleton))
         if size > SKELETON_BYTES_LIMIT:
             return
@@ -123,9 +151,15 @@ class TemplateFrontEnd:
                 or self._skeleton_bytes + size > SKELETON_BYTES_LIMIT
             ):
                 self._templates.clear()
+                self._scanned.clear()
                 self._skeleton_bytes = 0
             self._templates[skeleton] = template
             self._skeleton_bytes += size
+            pieces = _scan(sql)
+            # every number the scan finds the split finds, text for text:
+            # as many, and equal, are the split's literals
+            if list(map(float, pieces[1::2])) == literals:
+                self._scanned[tuple(pieces[::2])] = template
 
     def __len__(self) -> int:
         return len(self._templates)

@@ -288,6 +288,36 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             pipeline.submit("R")
 
+    def test_an_apply_that_raises_stops_acking_at_once(self):
+        """A target that raises once kills the apply thread: the write it
+        took stays pending, ``flush`` says so without waiting out its
+        timeout, and later writes are refused rather than acked."""
+
+        class RaisesOnce(FakeCatalog):
+            raised = False
+
+            def notify_table_update(self, table: str) -> int:
+                if not self.raised:
+                    self.raised = True
+                    raise OSError("the catalog's disk went away")
+                return super().notify_table_update(table)
+
+        catalog = RaisesOnce()
+        pipeline = IngestPipeline(catalog)
+        pipeline.submit("R")
+        started = time.monotonic()
+        assert pipeline.flush(timeout=30.0) is False
+        assert time.monotonic() - started < 10.0  # woken, not timed out
+        assert pipeline.flush(timeout=30.0) is False
+        with pytest.raises(RuntimeError, match="stopped") as raised:
+            pipeline.submit("S")
+        assert isinstance(raised.value.__cause__, OSError)
+        snapshot = pipeline.metrics_registry().snapshot()["ingest"]
+        assert (snapshot["events"], snapshot["events_applied"]) == (1.0, 0.0)
+        assert pipeline.tracker.status()["tables_pending"] == 1  # R, never applied
+        assert catalog.calls == []
+        pipeline.close()
+
     def test_rejects_targets_without_the_invalidation_path(self):
         with pytest.raises(TypeError, match="notify_table_update"):
             IngestPipeline(object())

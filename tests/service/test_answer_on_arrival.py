@@ -73,14 +73,15 @@ class TestAnsweredOnArrival:
                 return serve_batch(self, session, batch)
 
             replayed_on: list[int] = []
-            replay = CompiledPlan.replay
+            # every replay's number, of a predicate set or of SQL literals
+            selectivity = CompiledPlan.selectivity
 
             def recording(plan, ordered):
                 replayed_on.append(threading.get_ident())
-                return replay(plan, ordered)
+                return selectivity(plan, ordered)
 
             monkeypatch.setattr(EstimationService, "_serve_batch", parked)
-            monkeypatch.setattr(CompiledPlan, "replay", recording)
+            monkeypatch.setattr(CompiledPlan, "selectivity", recording)
             try:
                 miss = service.submit(cold_queries[1])  # another shape
                 assert held.wait(timeout=10.0), "the worker never took the miss"
@@ -142,13 +143,13 @@ class TestAnsweredOnArrival:
             assert service_catalog.refresh().rebuilt_count > 0
             assert service_catalog.pool is not old_cache.pool
             replayed: list[int] = []
-            replay = CompiledPlan.replay
+            selectivity = CompiledPlan.selectivity
 
             def recording(plan, ordered):
                 replayed.append(id(plan))
-                return replay(plan, ordered)
+                return selectivity(plan, ordered)
 
-            monkeypatch.setattr(CompiledPlan, "replay", recording)
+            monkeypatch.setattr(CompiledPlan, "selectivity", recording)
             answers = [service.estimate(query) for query in factor_sharing_queries]
             new_cache = service._plan_cache
         twin = EstimationSession(service_catalog.snapshot(), plan_cache=False)

@@ -140,6 +140,7 @@ class TestConcurrentSubmitters:
             front = service._sql
             front._lock = _OwnedLock()
             front._templates = _GuardedTable(front._lock)
+            front._scanned = _GuardedTable(front._lock)
             sys.setswitchinterval(1e-5)
             try:
                 threads = [

@@ -23,8 +23,11 @@ from repro.service import EstimationService, ServiceConfig
 from repro.service.protocol import (
     ServedEstimate,
     decode_line,
+    decode_request,
     encode_line,
+    encode_request,
     encode_served,
+    result_from_wire,
 )
 from repro.service.server import EstimationServer, start_in_thread
 
@@ -125,6 +128,89 @@ class TestDirectLines:
             b'"latency_ms":0.0423,"batch_size":1,"deduplicated":false,'
             b'"degradation_level":0,"plan_cache_hit":true,"id":9}\n'
         )
+
+
+SQL_TEXT = st.text(max_size=40) | st.sampled_from(
+    ['SELECT "q"', "a\\b", "é ✓ 日本", "\x00\n\t\u2028", "", SQL.format(1, 2)]
+)
+requests = st.one_of(
+    st.fixed_dictionaries({"op": st.just("estimate"), "sql": SQL_TEXT, "id": TEXT}),
+    st.fixed_dictionaries({"op": st.just("estimate"), "sql": SQL_TEXT, "id": IDS}),
+    st.fixed_dictionaries(
+        {"op": st.just("estimate"), "sql": SQL_TEXT | st.integers() | st.none(), "id": TEXT}
+    ),
+    st.fixed_dictionaries(
+        {"op": st.just("estimate"), "sql": SQL_TEXT, "timeout_ms": FLOATS, "id": TEXT}
+    ),
+    st.fixed_dictionaries({"sql": SQL_TEXT, "op": st.just("estimate"), "id": TEXT}),
+    st.fixed_dictionaries({"op": st.sampled_from(["ping", "stats", "x"]), "sql": SQL_TEXT, "id": TEXT}),
+    st.fixed_dictionaries({"sql": SQL_TEXT, "id": TEXT}),
+    st.fixed_dictionaries({"op": st.just("estimate"), "predicates": st.just([]), "id": TEXT}),
+)
+
+
+def fields_and_types(answer: ServedEstimate) -> list:
+    """Every field as its type and ``repr``: ``-0.0`` is not ``0.0``, NaN
+    is NaN, and an int where a float belongs is caught."""
+    return [
+        (type(value), repr(value))
+        for value in (getattr(answer, f.name) for f in dataclasses.fields(answer))
+    ]
+
+
+class TestClientCodec:
+    """The client writes an SQL estimate's line directly, and reads an
+    answer back through ``ServedEstimate``'s written-out constructor:
+    both must be exactly what the general codec gives."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(requests)
+    @example({"op": "estimate", "sql": 'SELECT "q" FROM é', "id": 'naïve "7"'})
+    @example({"op": "estimate", "sql": SQL.format(18, 40), "id": "17"})
+    def test_request_bytes_are_encode_line(self, payload):
+        assert encode_request(payload) == encode_line(payload)
+
+    @settings(max_examples=1500, deadline=None)
+    @given(requests, st.binary(max_size=12), st.integers(0, 80))
+    @example({"op": "estimate", "sql": "\x7f \u2028", "id": "1"}, b"", 0)
+    @example({"op": "estimate", "sql": "é", "id": "1"}, b"\xff\xfe", 25)
+    @example({"op": "estimate", "sql": "a", "id": "1"}, b"\x01", 25)
+    def test_the_server_reads_a_request_as_json_does(self, payload, junk, at):
+        """``decode_request`` is ``decode_line``: on the client's lines,
+        and on those lines with bytes spliced in anywhere."""
+        line = encode_request(payload).rstrip(b"\n")
+        for candidate in (line, line[:at] + junk + line[at:]):
+            try:
+                expected = decode_line(candidate)
+            except Exception as exc:  # the oracle's refusal
+                expected = (type(exc), str(exc))
+            try:
+                got = decode_request(candidate)
+            except Exception as exc:
+                got = (type(exc), str(exc))
+            assert got == expected and list(got) == list(expected)
+
+    @settings(max_examples=1500, deadline=None)
+    @given(answers, IDS)
+    @example(HOT, "17")
+    @example(dataclasses.replace(HOT, selectivity=-0.0, error=5e-324), 'he said "hi"')
+    @example(dataclasses.replace(HOT, cardinality=-0.0, latency_ms=5e-324), "naïve ✓")
+    @example(dataclasses.replace(HOT, snapshot_version=2**70), "x")
+    @example(dataclasses.replace(HOT, error=math.nan), "x")
+    def test_an_answer_round_trips_field_for_field(self, answer, request_id):
+        """What the client reads is the server's answer, each number of
+        its field's type (an integral float field comes back a float)."""
+        sent = dataclasses.replace(
+            answer,
+            **{
+                name: float(getattr(answer, name))
+                for name in ("selectivity", "cardinality", "error", "latency_ms")
+            },
+            error_bound=None if answer.error_bound is None else float(answer.error_bound),
+            staleness_s=None if answer.staleness_s is None else float(answer.staleness_s),
+        )
+        received = result_from_wire(decode_line(encode_served(answer, request_id)))
+        assert fields_and_types(received) == fields_and_types(sent)
 
 
 class TestServerOverTcp:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.plancache import bounds_fingerprint, shape_fingerprint
 from repro.sql import parser as parser_module
 from repro.sql import template as template_module
 from repro.sql.binder import BindingError, parse_query
@@ -58,6 +59,33 @@ def assert_same_outcome(schema, shared: TemplateFrontEnd, sql: str) -> None:
         assert (fresh.hits, fresh.misses) == (2, 1)
     else:  # an error is never cached, non-ASCII never split
         assert (fresh.hits, fresh.misses, len(fresh)) == (0, 3, 0)
+    for front in (fresh, shared):
+        assert_same_literal_path(front, sql, expected)
+
+
+def assert_same_literal_path(front: TemplateFrontEnd, sql: str, expected) -> None:
+    """The scan path a served hit takes, against the oracle: when it
+    answers (and counts a hit), its ranges bind to the oracle's predicate
+    set, and ``bounds_fingerprint`` orders them as ``shape_fingerprint``
+    orders the set — same tokens, same texts, same bounds.  When it does
+    not, it counts nothing, and ``parse_predicates`` decides."""
+    hits, misses = front.hits, front.misses
+    hit = front.ranges(sql)
+    if hit is None:
+        assert (front.hits, front.misses) == (hits, misses)
+        return
+    assert not isinstance(expected, tuple), f"the scan answered {sql!r}, which fails"
+    assert (front.hits, front.misses) == (hits + 1, misses)
+    template, bound = hit
+    assert bound.predicates(template.joins) == expected.predicates
+    assert template.tables == expected.tables
+    fingerprint, rows = bounds_fingerprint(bound.ranges, template.joins)
+    expected_fingerprint, ordered = shape_fingerprint(expected.predicates)
+    assert fingerprint == expected_fingerprint
+    assert [row.text for row in rows] == [str(p) for p in ordered]
+    for row, predicate in zip(rows, ordered):
+        if not predicate.is_join:
+            assert (row.low, row.high) == (predicate.low, predicate.high)
 
 
 # ----------------------------------------------------------------------
@@ -296,3 +324,88 @@ class TestWhatAHitCosts:
         satisfiable = front.parse(template.format(2, 9, 7))
         assert len(satisfiable.predicates) == 1
         assert len(front.parse(template.format(9, 2, 50)).predicates) == 2
+
+
+class TestLiteralPath:
+    """:meth:`TemplateFrontEnd.ranges`, the scan a served hit takes: it
+    answers only where ``parse_predicates`` would answer the same, and
+    leaves everything else to it."""
+
+    JOINED = "SELECT * FROM R, S WHERE R.x = S.y AND a BETWEEN {} AND {} AND b > {}"
+
+    def stored(self, schema, sql: str) -> TemplateFrontEnd:
+        front = TemplateFrontEnd(schema)
+        front.parse(sql)
+        return front
+
+    @pytest.mark.parametrize(
+        "fill",
+        [(1, 9, 50), (70, 80, 5), (5, 9, 50), (50, 60, 5), (-5, +7, 2.5e-1), (1e1, 2e1, 0)],
+    )
+    def test_constants_decide_the_filter_order(self, schema, fill):
+        """``5<=R.a<=9`` sorts after ``50<S.b``: a hit's order is its own."""
+        front = self.stored(schema, self.JOINED.format(1, 9, 50))
+        sql = self.JOINED.format(*fill)
+        expected = parse_query(sql, schema)
+        assert front.ranges(sql) is not None
+        assert_same_literal_path(front, sql, expected)
+
+    def test_the_order_follows_the_constants_across_statements(self, schema):
+        front = self.stored(schema, self.JOINED.format(1, 9, 50))
+        orders = set()
+        for fill in [(5, 9, 50), (50, 60, 5), (5, 9, 50)]:
+            template, bound = front.ranges(self.JOINED.format(*fill))
+            _, rows = bounds_fingerprint(bound.ranges, template.joins)
+            orders.add(tuple(row.token for row in rows))
+        assert len(orders) == 2
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT * FROM R WHERE a >= 2 AND a <= 9 AND 7 > a",  # a merge
+            "SELECT * FROM R WHERE a >= 2 AND a <= 9 AND 7 > a AND x = 3",
+            "SELECT * FROM R WHERE a > 1e999",  # an infinite bound
+            "SELECT * FROM R WHERE a > -1e999 AND x < 5",
+            "SELECT * FROM R WHERE a BETWEEN 3 AND 3",  # a point
+        ],
+    )
+    def test_the_scan_answers_as_the_oracle(self, schema, sql):
+        front = self.stored(schema, sql.replace("1e999", "5"))
+        assert front.ranges(sql) is not None
+        assert_same_literal_path(front, sql, parse_query(sql, schema))
+
+    @pytest.mark.parametrize(
+        "stored, sql",
+        [
+            # an unsatisfiable merge: the set keeps both filters on a
+            ("SELECT * FROM R WHERE a >= 2 AND a <= 9", "SELECT * FROM R WHERE a >= 9 AND a <= 2"),
+            # a reversed BETWEEN: the oracle's error, from the oracle
+            ("SELECT * FROM R WHERE a BETWEEN 1 AND 9", "SELECT * FROM R WHERE a BETWEEN 9 AND 1"),
+            # compact spellings: the scan sees no literal where the split does
+            ("SELECT * FROM R WHERE a>=5", "SELECT * FROM R WHERE a>=6"),
+            ("SELECT * FROM R WHERE (a >=5)", "SELECT * FROM R WHERE (a >=6)"),
+            # a literal float rejects, and one the lexer folds
+            ("SELECT * FROM R WHERE a > 5", "SELECT * FROM R WHERE a > 1e+"),
+            ("SELECT * FROM R WHERE a > 5", "SELECT * FROM R WHERE a > ١٢"),
+            ("SELECT * FROM R WHERE a > 5", "SELECT * FROM R WHERE a > 5 AND x < ½"),
+            # no predicate at all
+            ("SELECT * FROM R", "SELECT * FROM R"),
+        ],
+    )
+    def test_the_rest_is_left_to_parse_predicates(self, schema, stored, sql):
+        front = TemplateFrontEnd(schema)
+        outcome(front.parse, stored)
+        assert front.ranges(sql) is None
+        assert (front.hits, front.misses) == (0, 1)
+        assert_same_outcome(schema, front, sql)
+
+    def test_a_spaced_skeleton_is_trusted_only_as_the_split_confirmed_it(self, schema):
+        """Where the scan finds every literal the split finds, the scanned
+        skeleton is stored; a split that finds one the scan does not
+        (``x=3``) stores none, and the statement stays the split's."""
+        front = self.stored(schema, "SELECT * FROM R WHERE a >= 5 AND x = 3")
+        assert front.ranges("SELECT * FROM R WHERE a >= 6 AND x = 4") is not None
+        front = self.stored(schema, "SELECT * FROM R WHERE a >= 5 AND x=3")
+        assert front._scanned == {}
+        assert front.ranges("SELECT * FROM R WHERE a >= 6 AND x=3") is None
+        assert front.parse("SELECT * FROM R WHERE a >= 6 AND x=3") and front.hits == 1
