@@ -37,8 +37,10 @@ filter constants.  This module exploits that invariance:
   microseconds instead of the full ``O(3^n)`` enumeration — and is
   *bit-identical* to the cold DP because every floating-point operation
   of ``estimate_factor`` and the DP's multiplication tree is replayed
-  in the exact same order, in one loop over the factors whose range
-  lookups walk each histogram's float rows.  A replay computes the
+  in the exact same order.  The plan precomputes that once, as flat
+  steps one loop runs: a subtree with no filter lookup is folded to its
+  float, a conditional chain multiplies innermost-first, and each
+  filter slot holds its histogram's bound range lookup.  A replay computes the
   *number*: the result it returns has
   every scalar field set, and builds ``decomposition`` and ``matches``
   (:meth:`CompiledPlan.provenance`) the first time either is read —
@@ -75,10 +77,9 @@ Compile safety gates (all checked before a plan is cached):
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
@@ -200,8 +201,9 @@ class CompiledPlan:
     component order across separable splits); ``tree`` is the nested
     multiplication tree over template indices —
     ``("c", index, tail_or_None)`` for a conditional node,
-    ``("s", (child, ...))`` for a separable split — evaluated in the
-    exact association order of the cold DP.  ``error`` and ``coverage``
+    ``("s", (child, ...))`` for a separable split — and ``program`` is
+    that tree as the steps a replay runs, in the exact association order
+    of the cold DP.  ``error`` and ``coverage``
     are constant-free and stored verbatim.
     """
 
@@ -212,6 +214,13 @@ class CompiledPlan:
     coverage: float
     weight_bytes: int
     matched_sits: tuple[str, ...]
+    #: the replay as flat steps (:func:`_emit`), built with the plan
+    program: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        steps: list[tuple] = []
+        _emit(self.tree, self.templates, steps)
+        object.__setattr__(self, "program", tuple(steps))
 
     # ------------------------------------------------------------------
     def replay(self, ordered: Sequence[Predicate]) -> EstimationResult:
@@ -219,37 +228,8 @@ class CompiledPlan:
         return EstimationResult.replayed(self, ordered, self.selectivity(ordered))
 
     def selectivity(self, ordered: "Sequence[Predicate | BoundsRow]") -> float:
-        """The number: the one float loop of every replay, of either sequence.
-
-        Per factor this is ``estimate_factor`` with the joins
-        pre-multiplied — same float ops, same order, same early exits to
-        ``0.0``, new filter constants — then the DP's multiplication tree.
-        """
-        inf = math.inf
-        values = []
-        for template in self.templates:
-            if template.zero:
-                values.append(0.0)
-                continue
-            selectivity = template.join_selectivity
-            for slot in template.filter_slots:
-                low = -inf
-                high = inf
-                for position in slot.positions:
-                    predicate = ordered[position]
-                    if predicate.low > low:
-                        low = predicate.low
-                    if predicate.high < high:
-                        high = predicate.high
-                if low > high:
-                    selectivity = 0.0
-                    break
-                selectivity *= slot.histogram.estimate_range_selectivity(low, high)
-                if selectivity == 0.0:
-                    selectivity = 0.0
-                    break
-            values.append(selectivity)
-        return _eval_tree(self.tree, values)
+        """The number: the one loop of every replay, of either sequence."""
+        return _run(self.program, ordered)
 
     # ------------------------------------------------------------------
     def provenance(
@@ -267,21 +247,90 @@ class CompiledPlan:
 
 
 # ----------------------------------------------------------------------
-# Replay: the multiplication tree, and provenance when it is read
+# Replay: the flat program, and provenance when it is read
 # ----------------------------------------------------------------------
-def _eval_tree(node: tuple | None, values: list[float]) -> float:
-    """The DP's multiplication tree, same association order as `_realize`."""
+#: the step kinds of a program, each step ``(kind, number, slots)``
+_FACTOR, _CONST, _PUSH, _FOLD = range(4)
+_PUSH_STEP = (_PUSH, 1.0, ())
+_FOLD_STEP = (_FOLD, 1.0, ())
+
+
+def _run(program: tuple, ordered: "Sequence[Predicate | BoundsRow]") -> float:
+    """Run a plan's steps over ``ordered``.  ``acc`` is the product being
+    built, 1.0 at the start of every subtree:
+
+    * ``_FACTOR`` — ``estimate_factor`` with the joins pre-multiplied
+      (``number``; same float ops, same order, same early exits to 0.0),
+      then ``acc = value * acc``: a conditional node's factor times its
+      tail, the tail's steps having run first;
+    * ``_CONST`` — ``acc = number``, a subtree folded when the plan was built;
+    * ``_PUSH`` / ``_FOLD`` — around each component of a separable split,
+      whose left fold is ``acc = stack.pop() * acc``.
+
+    Each slot is ``(lookup, first, rest)``: its histogram's bound
+    ``estimate_range_selectivity`` and the positions of the filters whose
+    ranges it intersects (the first one's bounds start the max / min, as
+    they would from ``-inf`` / ``inf``).
+    """
+    acc = 1.0
+    stack = []
+    for kind, number, slots in program:
+        if kind == _FACTOR:
+            for lookup, first, rest in slots:
+                predicate = ordered[first]
+                low = predicate.low
+                high = predicate.high
+                for position in rest:
+                    predicate = ordered[position]
+                    if predicate.low > low:
+                        low = predicate.low
+                    if predicate.high < high:
+                        high = predicate.high
+                if low > high:
+                    number = 0.0
+                    break
+                number *= lookup(low, high)
+                if number == 0.0:
+                    number = 0.0
+                    break
+            acc = number * acc
+        elif kind == _CONST:
+            acc = number
+        elif kind == _PUSH:
+            stack.append(acc)
+            acc = 1.0
+        else:
+            acc = stack.pop() * acc
+    return acc
+
+
+def _emit(node: tuple | None, templates: Sequence[_FactorTemplate], steps: list) -> None:
+    """Append the steps that leave ``node``'s product in ``acc``.
+
+    The DP's tree (`_realize`): ``("c", index, tail)`` is the factor
+    times its tail (the empty tail is 1.0), ``("s", children)`` a left
+    fold from 1.0 over the components.  A subtree with no filter lookup —
+    its factors join-only or zero — is run once here and kept as its float.
+    """
     if node is None:
-        return 1.0
+        return
+    start = len(steps)
     if node[0] == "c":
-        # line 17 of a realized node: factor * tail (tail of the empty
-        # set is the 1.0 of _EMPTY_RESULT).
-        return values[node[1]] * _eval_tree(node[2], values)
-    # _separable_product: left-fold over components in component order.
-    selectivity = 1.0
-    for child in node[1]:
-        selectivity *= _eval_tree(child, values)
-    return selectivity
+        _emit(node[2], templates, steps)
+        template = templates[node[1]]
+        slots = tuple(
+            (slot.histogram.estimate_range_selectivity, slot.positions[0], slot.positions[1:])
+            for slot in template.filter_slots
+        )
+        steps.append((_FACTOR, 0.0 if template.zero else template.join_selectivity, slots))
+    else:
+        for child in node[1]:
+            steps.append(_PUSH_STEP)
+            _emit(child, templates, steps)
+            steps.append(_FOLD_STEP)
+    subtree = steps[start:]
+    if not any(slots for _, _, slots in subtree):
+        steps[start:] = [(_CONST, _run(tuple(subtree), ()), ())]
 
 
 def _rebuild_match(

@@ -21,47 +21,89 @@ tables), and therefore the separability test of Definition 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
 from typing import Iterable, Union
 
 
-@dataclass(frozen=True, order=True)
-class Attribute:
-    """A fully qualified column reference ``table.column``."""
+def _ordering(compare):
+    """An order comparison of :class:`Attribute`: the pairs' own (C)
+    comparison between attributes; against a plain tuple, which the tuple
+    base would order by its items, a ``TypeError`` as ever."""
+
+    def method(self, other):
+        if other.__class__ is Attribute:
+            return compare(self, other)
+        if isinstance(other, tuple):
+            raise TypeError(f"an Attribute orders only among Attributes, not {other!r}")
+        return NotImplemented
+
+    return method
+
+
+class Attribute(tuple):
+    """A fully qualified column reference ``table.column``.
+
+    The pair ``(table, column)`` *is* the object, so hashing an attribute —
+    and a shape token or predicate hash that holds one — is the tuple's C
+    hash, ``hash((table, column))`` as before, with no Python call: a
+    served hit's dict probes hash several.  Equality and order stay the
+    former frozen dataclass's: attributes compare as their pairs, and an
+    attribute neither equals nor orders against a plain tuple.
+    """
 
     table: str
     column: str
 
-    def __post_init__(self) -> None:
-        # Attributes key every per-attribute dict in the matching layer;
-        # caching the hash removes a measurable share of the cold-path
-        # profile (the generated dataclass __hash__ re-hashes the field
-        # tuple on every call).
-        object.__setattr__(self, "_hash", hash((self.table, self.column)))
+    def __new__(cls, table: str, column: str) -> "Attribute":
+        self = tuple.__new__(cls, (table, column))
+        # the fields are read as often as ever: plain instance attributes
+        self.__dict__.update(table=table, column=column)
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = tuple.__hash__  # the C slot itself, not a Python method
+    __lt__ = _ordering(tuple.__lt__)
+    __le__ = _ordering(tuple.__le__)
+    __gt__ = _ordering(tuple.__gt__)
+    __ge__ = _ordering(tuple.__ge__)
+
+    def __eq__(self, other):
+        if other.__class__ is Attribute:
+            return self[0] == other[0] and self[1] == other[1]
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is Attribute:
+            return self[0] != other[0] or self[1] != other[1]
+        return True if isinstance(other, tuple) else NotImplemented
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Attribute(table={self[0]!r}, column={self[1]!r})"
 
     def __str__(self) -> str:
-        return f"{self.table}.{self.column}"
+        return f"{self[0]}.{self[1]}"
 
     def __reduce__(self):
-        # copies and pickles are rebuilt from the two fields: the cached
-        # hash is this process's, and the filter pieces hold the
-        # attribute itself (a set of it, which cannot be rebuilt before
-        # the attribute can hash)
-        return Attribute, (self.table, self.column)
+        # copies and pickles are rebuilt from the two fields: the filter
+        # pieces hold the attribute itself
+        return Attribute, (self[0], self[1])
 
     def _filter_pieces(self) -> tuple:
         """What every filter on this attribute shares — its table set,
         attribute set, shape token and text — built on the first filter
         and kept, so a filter's construction only formats its bounds."""
+        table, column = self
         pieces = (
-            frozenset((self.table,)),
+            frozenset((table,)),
             frozenset((self,)),
             ("F", self),
-            f"{self.table}.{self.column}",
+            f"{table}.{column}",
         )
         object.__setattr__(self, "_pieces", pieces)
         return pieces

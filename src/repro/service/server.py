@@ -6,21 +6,20 @@ decodes and admits into the thread-pooled service; a request whose
 shape is in the serving snapshot's plan cache is replayed during
 admission, on the loop thread (SQL straight from its literals, with no
 predicate built), and every other one is parked on until a worker
-answers it, so
-slow DP work on one connection does not stall another's admission (and
-a shed request is answered in microseconds).
+answers it, so slow DP work on one connection does not stall another's
+admission (and a shed request is answered in microseconds).
 
-The wire is handled a *group* at a time: whatever complete lines one
-socket read delivers — a client's pipelined burst — are decoded
-together, admitted with one ``admit`` (``submit_many``'s admission),
-awaited with one wake-up (the last member to resolve wakes the loop)
-and answered with one write, response lines in request order.  A burst
-therefore costs one task, one cross-thread wake-up and one ``write`` +
-``drain`` — not one of each per request — and reaches the worker as one
-unit.  A member answered on arrival comes back as its answer, not a
-future, and its line is written directly
-(:func:`~repro.service.protocol.encode_served`); a group whose members
-were all answered on arrival is written without suspending at all.
+Each connection is an :class:`asyncio.Protocol` served a *group* at a
+time: the complete lines one socket read delivers — a client's
+pipelined burst — are decoded, admitted with one ``admit``
+(``submit_many``'s admission) and encoded inside that read's
+``data_received`` callback, response lines in request order.  A group
+answered on arrival is written there and then: one loop callback, no
+task, no wake-up, no ``drain``.  A group with queued members is counted
+down by the worker threads, and its last resolution writes it through
+one ``call_soon_threadsafe``.  Groups on one connection overlap, so
+clients correlate on ``id``.  Past the transport's high-water mark a
+connection stops reading until its replies drain.
 
 Three ways to run it:
 
@@ -54,9 +53,8 @@ from repro.service.protocol import (
 from repro.service.service import EstimationService
 
 
-#: bytes asked of the socket per read, and the longest request line
-#: accepted: a peer that sends more than this without a newline is cut
-#: off (``StreamReader.readline``'s own default bound)
+#: the longest request line accepted: a peer that sends more than this
+#: without a newline is cut off once its earlier groups are answered
 _MAX_LINE_BYTES = 2**16
 
 
@@ -87,38 +85,6 @@ def _timeout_s(payload: dict) -> float | None:
     )
 
 
-async def _all_done(futures: "Sequence[Future]") -> None:
-    """Park until every future is resolved.  The worker threads count
-    the group down and only the last resolution crosses into the loop
-    (one ``call_soon_threadsafe``), however many members there are.
-    Pass only unresolved futures: one already resolved would still
-    cost a wake-up through the loop's self-pipe."""
-    if not futures:
-        return
-    loop = asyncio.get_running_loop()
-    waiter = loop.create_future()
-    lock = threading.Lock()
-    remaining = len(futures)
-
-    def wake() -> None:
-        if not waiter.done():  # the group's task may have been cancelled
-            waiter.set_result(None)
-
-    def one_done(_future: Future) -> None:
-        nonlocal remaining
-        with lock:
-            remaining -= 1
-            last = remaining == 0
-        if last:
-            # RuntimeError: the loop closed under a late answer
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(wake)
-
-    for future in futures:
-        future.add_done_callback(one_done)
-    await waiter
-
-
 class EstimationServer:
     """Serve one :class:`EstimationService` over newline-delimited JSON."""
 
@@ -132,6 +98,8 @@ class EstimationServer:
         self.host = host if host is not None else service.config.host
         self.port = port if port is not None else service.config.port
         self._server: asyncio.AbstractServer | None = None
+        #: the connections open now, closed with the server
+        self.connections: set[_Connection] = set()
 
     # ------------------------------------------------------------------
     @property
@@ -143,8 +111,8 @@ class EstimationServer:
         return host, port
 
     async def start(self) -> "EstimationServer":
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         return self
 
@@ -154,111 +122,20 @@ class EstimationServer:
             await self._server.serve_forever()
 
     async def aclose(self) -> None:
+        """Stop listening and close every open connection."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+            for connection in list(self.connections):
+                connection.transport.close()
+            await asyncio.sleep(0)  # their ``connection_lost`` callbacks
 
     async def __aenter__(self) -> "EstimationServer":
         return await self.start()
 
     async def __aexit__(self, *exc_info) -> None:
         await self.aclose()
-
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Pipelined, a group at a time: the complete lines of one
-        socket read become one task (a partial last line is carried to
-        the next read), and the loop goes straight back to reading, so
-        groups on one connection overlap and are answered as each
-        completes (clients correlate on ``id``)."""
-        write_lock = asyncio.Lock()
-        inflight: set[asyncio.Task] = set()
-
-        async def respond(lines: list[bytes]) -> None:
-            blob = await self._serve_group(lines)
-            async with write_lock:
-                writer.write(blob)
-                await writer.drain()
-
-        def spawn(lines: list[bytes]) -> None:
-            task = asyncio.create_task(respond(lines))
-            inflight.add(task)
-            task.add_done_callback(inflight.discard)
-
-        tail = b""
-        try:
-            while len(tail) <= _MAX_LINE_BYTES:
-                data = await reader.read(_MAX_LINE_BYTES)
-                if not data:
-                    if tail:
-                        # a last line the peer did not terminate
-                        spawn([tail])
-                    break
-                *lines, tail = (tail + data).split(b"\n")
-                if lines:
-                    spawn(lines)
-            if inflight:
-                await asyncio.gather(*list(inflight), return_exceptions=True)
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        finally:
-            for task in list(inflight):  # pragma: no cover - abrupt close
-                task.cancel()
-            with contextlib.suppress(Exception):
-                writer.close()
-            # deliberately no ``await writer.wait_closed()``: the
-            # transport finishes closing on the loop, while awaiting it
-            # would park this handler task past server shutdown (and a
-            # cancelled handler trips asyncio.streams' done-callback)
-
-    async def _serve_group(self, lines: Sequence[bytes]) -> bytes:
-        """One group of request lines to its response lines, in request
-        order.  Estimates are admitted together and awaited once;
-        everything else — ``ping``, ``stats``, a line that
-        does not decode — is answered in place."""
-        responses: "list[bytes | None]" = []
-        estimates: list[tuple[int, object]] = []  # (response slot, id)
-        requests: list[tuple[object, float | None]] = []
-        for line in lines:
-            request_id: object = None
-            try:
-                payload = decode_request(line)
-                request_id = payload.get("id")
-                op = payload.get("op", "estimate")
-                if op == "estimate":
-                    requests.append(
-                        (self._decode_query(payload), _timeout_s(payload))
-                    )
-                    estimates.append((len(responses), request_id))
-                    response = None  # filled in once it is served
-                else:
-                    response = encode_line(
-                        self._answer_in_place(op, request_id)
-                    )
-            except Exception as exc:
-                response = encode_line(_failure(exc, request_id))
-            responses.append(response)
-        if requests:
-            try:
-                outcomes = self.service.admit(requests)
-            except Exception as exc:  # a bug must not lose the group
-                outcomes = [exc] * len(requests)
-            # a hit comes back as its answer, not a future; a group
-            # answered on arrival has nothing to wait for, and awaiting
-            # nothing does not suspend the task
-            await _all_done(
-                [
-                    outcome
-                    for outcome in outcomes
-                    if isinstance(outcome, Future) and not outcome.done()
-                ]
-            )
-            for (slot, request_id), outcome in zip(estimates, outcomes):
-                responses[slot] = self._estimate_line(request_id, outcome)
-        return b"".join(responses)
 
     def _answer_in_place(self, op: str, request_id: object) -> dict:
         if op == "ping":
@@ -272,8 +149,8 @@ class EstimationServer:
             }
         raise InvalidRequest(f"unknown op {op!r}")
 
+    @staticmethod
     def _estimate_line(
-        self,
         request_id: object,
         outcome: "ServedEstimate | Future | Exception",
     ) -> bytes:
@@ -300,6 +177,137 @@ class EstimationServer:
                 "estimate requires a non-empty 'sql' or a 'predicates' list"
             )
         return sql
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection, served a group of lines per socket read."""
+
+    def __init__(self, server: EstimationServer):
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        self.tail = b""  # a partial last line, carried to the next read
+        self.open_groups = 0  # admitted and not yet written
+        #: EOF came, or a line passed the bound: close once nothing is open
+        self.finished = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.server.connections.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.server.connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self.finished:
+            return
+        *lines, self.tail = (self.tail + data).split(b"\n")
+        if lines:
+            self._serve_group(lines)
+        if len(self.tail) > _MAX_LINE_BYTES:
+            self.tail = b""
+            self._finish()
+
+    def eof_received(self) -> bool:
+        if not self.finished:
+            tail, self.tail = self.tail, b""
+            if tail:  # a last line the peer did not terminate
+                self._serve_group([tail])
+            self._finish()
+        return True  # the write half stays open for the groups still open
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        if not self.finished:
+            self.transport.resume_reading()
+
+    # ------------------------------------------------------------------
+    def _finish(self) -> None:
+        """Read no more; close once the open groups are written."""
+        self.finished = True
+        self.transport.pause_reading()
+        if not self.open_groups:
+            self.transport.close()
+
+    def _write(self, blob: bytes) -> None:
+        if not self.transport.is_closing():  # a peer that reset, or shutdown
+            self.transport.write(blob)
+
+    def _serve_group(self, lines: Sequence[bytes]) -> None:
+        """One group of request lines to its response lines, in request
+        order.  Estimates are admitted together; everything else —
+        ``ping``, ``stats``, a line that does not decode — is answered in
+        place.  A group with nothing queued is written at once."""
+        server = self.server
+        responses: "list[bytes | None]" = []
+        estimates: list[tuple[int, object]] = []  # (response slot, id)
+        requests: list[tuple[object, float | None]] = []
+        for line in lines:
+            request_id: object = None
+            try:
+                payload = decode_request(line)
+                request_id = payload.get("id")
+                op = payload.get("op", "estimate")
+                if op == "estimate":
+                    requests.append(
+                        (server._decode_query(payload), _timeout_s(payload))
+                    )
+                    estimates.append((len(responses), request_id))
+                    response = None  # filled in once it is served
+                else:
+                    response = encode_line(
+                        server._answer_in_place(op, request_id)
+                    )
+            except Exception as exc:
+                response = encode_line(_failure(exc, request_id))
+            responses.append(response)
+        try:
+            outcomes = server.service.admit(requests) if requests else []
+        except Exception as exc:  # a bug must not lose the group
+            outcomes = [exc] * len(requests)
+        # a hit comes back as its answer, not a future
+        pending = [o for o in outcomes if isinstance(o, Future) and not o.done()]
+        if pending:
+            self._park(pending, (responses, estimates, outcomes))
+        else:
+            self._write(_fill(responses, estimates, outcomes))
+
+    def _park(self, pending: "list[Future]", group: tuple) -> None:
+        """Count the group down on the worker threads: only the last
+        resolution crosses into the loop (one ``call_soon_threadsafe``),
+        however many members are queued."""
+        self.open_groups += 1
+        loop = asyncio.get_running_loop()
+        lock = threading.Lock()
+        remaining = len(pending)
+
+        def one_done(_future: Future) -> None:
+            nonlocal remaining
+            with lock:
+                remaining -= 1
+                last = remaining == 0
+            if last:
+                # RuntimeError: the loop closed under a late answer
+                with contextlib.suppress(RuntimeError):
+                    loop.call_soon_threadsafe(self._answered, group)
+
+        for future in pending:
+            future.add_done_callback(one_done)
+
+    def _answered(self, group: tuple) -> None:
+        """On the loop: a parked group is resolved; write it."""
+        self.open_groups -= 1
+        self._write(_fill(*group))
+        if self.finished:
+            self._finish()
+
+
+def _fill(responses: list, estimates: list, outcomes: list) -> bytes:
+    """The group's response lines, its estimates' lines filled in."""
+    for (slot, request_id), outcome in zip(estimates, outcomes):
+        responses[slot] = EstimationServer._estimate_line(request_id, outcome)
+    return b"".join(responses)
 
 
 # ----------------------------------------------------------------------
@@ -363,19 +371,6 @@ class ServerHandle:
             self._loop.run_until_complete(_serve())
         finally:
             self._loop.run_until_complete(self._server.aclose())
-            # connection handlers may still be parked on a half-closed
-            # socket; cancel them so the loop closes without complaint
-            pending = [
-                task
-                for task in asyncio.all_tasks(self._loop)
-                if not task.done()
-            ]
-            for task in pending:
-                task.cancel()
-            if pending:
-                self._loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
             self._loop.close()
 
     # ------------------------------------------------------------------

@@ -183,6 +183,9 @@ class EstimationService:
         self._draining = threading.Event()
         self.metrics = MetricsRegistry()
         self._metrics_lock = threading.Lock()
+        #: the instruments an answer on arrival counts in, looked up once,
+        #: by the first such answer (the registry makes them then, as ever)
+        self._arrival_instruments: tuple | None = None
         self._sessions: list[EstimationSession] = []
         #: telemetry of retired sessions, folded in at retirement so the
         #: session objects (and their pinned pools) can be released — see
@@ -486,11 +489,19 @@ class EstimationService:
     def _count_arrivals(self, latencies: list[float]) -> None:
         count = len(latencies)
         with self._metrics_lock:
-            metrics = self.metrics
-            metrics.counter("service.submitted").inc(count)
-            metrics.counter("service.served").inc(count)
-            metrics.counter("service.answered_on_arrival").inc(count)
-            histogram = metrics.histogram("service.latency_ms")
+            instruments = self._arrival_instruments
+            if instruments is None:
+                metrics = self.metrics
+                instruments = self._arrival_instruments = (
+                    metrics.counter("service.submitted"),
+                    metrics.counter("service.served"),
+                    metrics.counter("service.answered_on_arrival"),
+                    metrics.histogram("service.latency_ms"),
+                )
+            submitted, served, answered_on_arrival, histogram = instruments
+            submitted.inc(count)
+            served.inc(count)
+            answered_on_arrival.inc(count)
             for latency_ms in latencies:
                 histogram.observe(latency_ms)
         self._maybe_tune()

@@ -1,8 +1,15 @@
 """Unit tests for the predicate algebra."""
 
+import copy
+import dataclasses
 import math
+import operator
+import pickle
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.predicates import (
     Attribute,
@@ -34,6 +41,75 @@ class TestAttribute:
     def test_equality_and_hash(self):
         assert Attribute("R", "a") == RA
         assert hash(Attribute("R", "a")) == hash(RA)
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class DataclassAttribute:
+    """The attribute as it was, a frozen ordered dataclass: the reference
+    for how attributes compare."""
+
+    table: str
+    column: str
+
+
+NAMES = st.sampled_from(["", "R", "S", "a", "b", "R.a", "é"])
+COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+
+
+class TestAttributeIsThePair:
+    """An attribute is a ``(table, column)`` tuple underneath, so it hashes
+    in C; everything else a caller sees is the dataclass it was."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(NAMES, NAMES, NAMES, NAMES)
+    def test_compares_and_hashes_as_the_dataclass(self, t1, c1, t2, c2):
+        a, b = Attribute(t1, c1), Attribute(t2, c2)
+        ref_a, ref_b = DataclassAttribute(t1, c1), DataclassAttribute(t2, c2)
+        for compare in COMPARISONS:
+            assert compare(a, b) is compare(ref_a, ref_b)
+        assert hash(a) == hash((t1, c1))
+        assert (a.table, a.column) == (t1, c1)
+        assert repr(a) == repr(ref_a).replace("DataclassAttribute", "Attribute")
+        assert str(a) == f"{t1}.{c1}"
+        for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert type(twin) is Attribute and twin == a and hash(twin) == hash(a)
+
+    def test_never_equals_or_orders_against_a_plain_tuple(self):
+        pair = ("R", "a")
+        assert RA != pair and pair != RA
+        assert not (RA == pair or pair == RA)
+        assert len({RA, pair}) == 2
+        for compare in COMPARISONS[2:]:
+            with pytest.raises(TypeError):
+                compare(RA, pair)
+            with pytest.raises(TypeError):
+                compare(pair, RA)
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            RA.table = "S"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            RA.other = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del RA.column
+
+    def test_hashing_runs_no_python(self):
+        """Nor does hashing the tokens and predicates that hold one."""
+        frames: list[str] = []
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code.co_name == "__hash__":
+                frames.append(frame.f_code.co_qualname)
+
+        join = JoinPredicate(RX, SY)
+        keys = [RA, ("F", RA), join._token, (join._token, ("F", SB))]
+        sys.setprofile(profile)
+        try:
+            hashes = [hash(key) for key in keys]
+        finally:
+            sys.setprofile(None)
+        assert frames == []
+        assert hashes[0] == hash(("R", "a"))
 
 
 class TestFilterPredicate:

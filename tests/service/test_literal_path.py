@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -254,6 +255,27 @@ class TestWhatTheLiteralPathBuilds:
         assert all(type(answer) is ServedEstimate and answer.plan_cache_hit for answer in answers)
         assert filter_births[0] == 0
         assert built == {"results": 0, "fingerprints": 0}
+
+    def test_a_hit_calls_no_python_hash(self, two_table_service):
+        """Every dict probe of a hit hashes attributes — the range merge's
+        and the plan cache's shape tokens — and none enters Python:
+        ``Attribute`` hashes as its ``(table, column)`` tuple."""
+        service = two_table_service
+        statements = [self.SQL.format(lo, lo + 8, 60 - lo) for lo in range(40)]
+        admit_all(service, statements)  # every filter order compiled
+        hashes: list[str] = []
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code.co_name == "__hash__":
+                hashes.append(frame.f_code.co_qualname)
+
+        sys.setprofile(profile)
+        try:
+            answers = service.admit([(sql, None) for sql in statements])
+        finally:
+            sys.setprofile(None)
+        assert all(type(answer) is ServedEstimate and answer.plan_cache_hit for answer in answers)
+        assert hashes == []
 
     def test_a_feedback_sink_still_receives_the_predicate_set(
         self, two_table_service, filter_births

@@ -3,6 +3,7 @@ wire, pipelining, group handling of the wire, stats."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import sys
@@ -20,7 +21,7 @@ from repro.service.protocol import (
     decode_line,
     encode_line,
 )
-from repro.service.server import start_in_thread
+from repro.service.server import _MAX_LINE_BYTES, _Connection, start_in_thread
 from repro.sql import parse_query
 
 SQL = "SELECT * FROM R, S WHERE R.x = S.y AND R.a BETWEEN 10 AND 40"
@@ -374,6 +375,137 @@ class TestGroups:
                     f"{index}.{turn}.{member}" for member in range(size)
                 ]
                 assert all(response["ok"] for response in responses)
+
+
+def watch(monkeypatch, method: str) -> tuple[threading.Event, list]:
+    """Wrap ``_Connection.<method>``: the event is set after every call,
+    and the list collects the connections it was called on."""
+    called = threading.Event()
+    connections: list = []
+    real = getattr(_Connection, method)
+
+    def watched(self, *args):
+        result = real(self, *args)
+        connections.append(self)
+        called.set()
+        return result
+
+    monkeypatch.setattr(_Connection, method, watched)
+    return called, connections
+
+
+class TestTheConnection:
+    """What the connection protocol owns: the line bound, EOF,
+    backpressure, and a hit's single callback."""
+
+    def test_an_over_long_line_is_cut_off_after_the_earlier_groups(
+        self, server, session_gate, monkeypatch
+    ):
+        finished, connections = watch(monkeypatch, "_finish")
+        with socket.create_connection(server.address, timeout=30.0) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(encode_line({"id": "held", "sql": SQL}))
+            session_gate.wait_entered()  # that group waits on the worker
+            sock.sendall(encode_line({"id": "ping", "op": "ping"}))
+            assert decode_line(reader.readline())["id"] == "ping"
+            sock.sendall(b"x" * (_MAX_LINE_BYTES + 1))
+            assert finished.wait(30.0)
+            # reading stopped, and the connection stays open for "held"
+            (connection,) = connections
+            assert not connection.transport.is_closing()
+            session_gate.open()
+            held = decode_line(reader.readline())
+            assert (held["id"], held["ok"]) == ("held", True)
+            assert reader.readline() == b""  # then the cut
+
+    def test_at_eof_a_group_waiting_on_a_worker_is_answered_before_the_close(
+        self, server, session_gate, monkeypatch
+    ):
+        half_closed, _ = watch(monkeypatch, "eof_received")
+        with socket.create_connection(server.address, timeout=30.0) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(
+                encode_line({"id": "ping", "op": "ping"})
+                + encode_line({"id": "held", "sql": SQL}).rstrip(b"\n")
+            )
+            sock.shutdown(socket.SHUT_WR)
+            assert half_closed.wait(30.0)
+            session_gate.wait_entered()  # the tail was served at EOF
+            assert decode_line(reader.readline())["id"] == "ping"
+            session_gate.open()
+            responses = [decode_line(line) for line in reader.readlines()]
+        assert [(r["id"], r["ok"]) for r in responses] == [("held", True)]
+
+    def test_a_peer_that_does_not_read_pauses_reading(self, server, monkeypatch):
+        """A peer that pipelines hits and reads nothing: once the transport
+        buffers past its high-water mark the connection stops reading, so
+        the replies buffered stay within one read's worth past the mark."""
+        paused, connections = watch(monkeypatch, "pause_writing")
+        buffered: list[int] = []
+        real_write, real_made = _Connection._write, _Connection.connection_made
+
+        def write(self, blob):
+            real_write(self, blob)
+            buffered.append(self.transport.get_write_buffer_size())
+
+        def made(self, transport):
+            # small kernel buffers: the transport's own fills sooner
+            sock = transport.get_extra_info("socket")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            real_made(self, transport)
+
+        monkeypatch.setattr(_Connection, "_write", write)
+        monkeypatch.setattr(_Connection, "connection_made", made)
+        n = 16000
+        lines = [encode_line({"id": index, "sql": SQL}) for index in range(n)]
+        with connect(server.address) as client:
+            client.estimate(SQL)  # compiled: every member below is a hit
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(60.0)
+            sock.connect(server.address)
+            sender = threading.Thread(target=sock.sendall, args=(b"".join(lines),))
+            sender.start()
+            assert paused.wait(60.0)
+            connection = connections[0]
+            assert not connection.transport.is_reading()
+            reader = sock.makefile("rb")
+            replies = [reader.readline() for _ in range(n)]
+            sender.join(60.0)
+            assert not sender.is_alive()
+        assert [decode_line(reply)["id"] for reply in replies] == list(range(n))
+        high = connection.transport.get_write_buffer_limits()[1]
+        # the most one socket read can bring in, and so answer at once
+        per_read = asyncio.selector_events._SelectorSocketTransport.max_size
+        one_read = (per_read // min(map(len, lines)) + 1) * max(map(len, replies))
+        assert max(buffered) <= high + one_read
+        assert sum(map(len, replies)) > 2 * (high + one_read)  # far beyond
+
+    def test_a_group_answered_on_arrival_schedules_nothing_on_the_loop(self, server):
+        """Its one ``data_received`` callback decodes, admits, encodes and
+        writes it: no task, no ``call_soon``, no cross-thread wake-up."""
+        loop = server._loop
+        scheduled: list[str] = []
+        with socket.create_connection(server.address, timeout=30.0) as sock:
+            reader = sock.makefile("rb")
+            TestGroups.exchange(sock, reader, [{"id": "warm", "sql": SQL}])
+            for name in ("create_task", "call_soon", "call_soon_threadsafe"):
+                real = getattr(loop, name)
+
+                def counting(*args, _real=real, _name=name, **kwargs):
+                    scheduled.append(_name)
+                    return _real(*args, **kwargs)
+
+                setattr(loop, name, counting)
+            try:
+                responses = TestGroups.exchange(
+                    sock, reader, [{"id": str(i), "sql": SQL} for i in range(8)]
+                )
+            finally:
+                for name in ("create_task", "call_soon", "call_soon_threadsafe"):
+                    delattr(loop, name)
+        assert all(response["plan_cache_hit"] for response in responses)
+        assert scheduled == []
 
 
 class TestBackgroundHandle:
