@@ -78,9 +78,8 @@ Compile safety gates (all checked before a plan is cached):
 from __future__ import annotations
 
 import threading
-from collections import namedtuple
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from repro.core.get_selectivity import EstimationResult, GetSelectivity
@@ -92,7 +91,7 @@ from repro.core.matching import (
     join_factor,
 )
 from repro.core.predicates import Attribute, Predicate, PredicateSet, by_str
-from repro.core.predicates import filter_text
+from repro.core.predicates import BoundsRow, bounds_fingerprint
 from repro.core.selectivity import Decomposition, Factor
 from repro.histograms.base import Histogram
 from repro.stats.pool import SITPool
@@ -118,25 +117,6 @@ def shape_fingerprint(
     """
     ordered = tuple(sorted(predicates, key=by_str))
     return tuple(map(_token, ordered)), ordered
-
-
-#: a predicate as :func:`bounds_fingerprint` sees it: text, token, a filter's bounds
-BoundsRow = namedtuple("BoundsRow", "text token low high")
-_row = tuple.__new__
-_row_token = itemgetter(1)
-
-
-def bounds_fingerprint(ranges: dict, joins: Iterable) -> tuple[tuple, list[BoundsRow]]:
-    """:func:`shape_fingerprint` of ``joins`` and a filter per ``ranges``
-    item, ``ordered`` as :class:`BoundsRow` s, sorted by the filters' own
-    texts: this statement's constants decide them, and they are distinct."""
-    rows = [_row(BoundsRow, (join._str, join._token, None, None)) for join in joins]
-    for attribute, (low, high) in ranges.items():
-        pieces = attribute.__dict__.get("_pieces") or attribute._filter_pieces()
-        text = filter_text(pieces[3], low, high)
-        rows.append(_row(BoundsRow, (text, pieces[2], low, high)))
-    rows.sort()
-    return tuple(map(_row_token, rows)), rows
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,9 @@ tables), and therefore the separability test of Definition 2.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import FrozenInstanceError, dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Union
 
 
@@ -240,6 +241,28 @@ PredicateSet = frozenset
 #: the text each predicate built at construction instead of calling
 #: ``__str__`` once per predicate.
 by_str = attrgetter("_str")
+
+#: a predicate as :func:`bounds_fingerprint` sees it: text, token, a
+#: filter's bounds (``None`` for a join).  A row a scanned SQL hit's route
+#: fills (``repro.sql.template``) has no text: its order was checked, not
+#: sorted.
+BoundsRow = namedtuple("BoundsRow", "text token low high")
+_row = tuple.__new__
+_row_token = itemgetter(1)
+
+
+def bounds_fingerprint(ranges: dict, joins: Iterable) -> tuple[tuple, list[BoundsRow]]:
+    """``repro.core.plancache.shape_fingerprint`` of ``joins`` and a filter
+    per ``ranges`` item (attribute to ``(low, high)``), ``ordered`` as
+    :class:`BoundsRow` s, sorted by the filters' own texts: this
+    statement's constants decide them, and they are distinct."""
+    rows = [_row(BoundsRow, (join._str, join._token, None, None)) for join in joins]
+    for attribute, (low, high) in ranges.items():
+        pieces = attribute.__dict__.get("_pieces") or attribute._filter_pieces()
+        text = filter_text(pieces[3], low, high)
+        rows.append(_row(BoundsRow, (text, pieces[2], low, high)))
+    rows.sort()
+    return tuple(map(_row_token, rows)), rows
 
 
 def predicate_set(predicates: Iterable[Predicate]) -> PredicateSet:

@@ -9,7 +9,10 @@ semantics without Prometheus:
 * a :class:`HistogramMetric` summarises observations
   (count/sum/min/max plus p50/p95/p99 quantiles from a bounded
   reservoir, :meth:`HistogramMetric.observe` /
-  :meth:`HistogramMetric.quantile`).
+  :meth:`HistogramMetric.quantile`).  Once the reservoir is full it
+  skips ahead (Li's Algorithm L): one random draw per *kept* sample, not
+  per observation, so a latency histogram on a serving thread costs a
+  compare per answer.
 
 Instrument names are dotted — the segment before the first ``.`` is the
 *namespace* (``timings`` / ``counters`` / ``caches`` are the conventional
@@ -41,8 +44,8 @@ LabelKey = tuple[tuple[str, str], ...]
 
 #: how many raw observations a :class:`HistogramMetric` retains for
 #: quantile estimation.  Below this count quantiles are *exact*; beyond
-#: it the histogram keeps a uniform reservoir sample (Vitter's algorithm
-#: R) so memory stays bounded under serving traffic.
+#: it the histogram keeps a uniform reservoir sample (Li's Algorithm L)
+#: so memory stays bounded under serving traffic.
 RESERVOIR_SIZE = 512
 
 #: the quantiles rendered in :meth:`HistogramMetric.value_view`
@@ -125,9 +128,15 @@ class HistogramMetric(_Instrument):
     are exact; after that they are an unbiased sample estimate.  The
     reservoir's RNG is seeded per instrument so snapshots are
     deterministic for a fixed observation sequence.
+
+    A full reservoir samples by Algorithm L: ``_w`` is the largest of the
+    kept samples' uniform keys, so the next observation is kept with
+    probability ``_w``, and ``_next`` is the ``count`` at which the next
+    one is kept — the skip is drawn once, geometric in ``_w``, and every
+    observation before it costs one compare.
     """
 
-    __slots__ = ("count", "sum", "min", "max", "_reservoir", "_rng")
+    __slots__ = ("count", "sum", "min", "max", "_reservoir", "_rng", "_w", "_next")
     kind = "histogram"
 
     def __init__(self, name: str, labels: LabelKey):
@@ -141,22 +150,38 @@ class HistogramMetric(_Instrument):
         # reservoirs sample identically run to run
         seed = zlib.crc32((name + _render_labels(labels)).encode("utf-8"))
         self._rng = random.Random(seed)
+        self._w = 1.0
+        self._next = 0
 
     def observe(self, value: float) -> None:
-        self.count += 1
+        count = self.count = self.count + 1
         self.sum += value
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
-        # Vitter's algorithm R: keep each of the first `count`
-        # observations with probability RESERVOIR_SIZE / count.
-        if len(self._reservoir) < RESERVOIR_SIZE:
+        if count == self._next:
+            self._reservoir[self._rng.randrange(RESERVOIR_SIZE)] = value
+            self._w *= math.exp(math.log(1.0 - self._rng.random()) / RESERVOIR_SIZE)
+            self._skip()
+        elif count <= RESERVOIR_SIZE:
             self._reservoir.append(value)
-        else:
-            slot = self._rng.randrange(self.count)
-            if slot < RESERVOIR_SIZE:
-                self._reservoir[slot] = value
+            if count == RESERVOIR_SIZE:
+                self._restart()
+
+    def _skip(self) -> None:
+        """Draw ``_next``: the observations passed over before the next
+        kept one are geometric with success probability ``_w``."""
+        w = self._w
+        skipped = math.log(1.0 - self._rng.random()) / math.log1p(-w) if w < 1.0 else 0.0
+        self._next = self.count + int(skipped) + 1
+
+    def _restart(self) -> None:
+        """Algorithm L's state for a full reservoir that is a uniform
+        sample of ``count`` observations: the largest of the kept keys is
+        the ``RESERVOIR_SIZE``-th smallest of ``count`` uniforms."""
+        self._w = self._rng.betavariate(RESERVOIR_SIZE, self.count - RESERVOIR_SIZE + 1)
+        self._skip()
 
     @property
     def mean(self) -> float:
@@ -184,18 +209,32 @@ class HistogramMetric(_Instrument):
         return {f"p{round(q * 100):d}": self.quantile(q) for q in qs}
 
     def _absorb(self, other: "HistogramMetric") -> None:
-        """Fold another histogram in (used by registry merging)."""
-        self.count += other.count
+        """Fold another histogram in (used by registry merging).
+
+        Two reservoirs that fit in one are both exact and are joined.
+        Otherwise the merged reservoir is a sample of both streams: how
+        many of its slots come from ``other`` is drawn as if from
+        ``self.count + other.count`` observations of which
+        ``other.count`` are the other's (hypergeometric), and the slots
+        are filled without replacement from each side's reservoir."""
+        mine, theirs = self._reservoir, other._reservoir
+        own, total = self.count, self.count + other.count
+        self.count = total
         self.sum += other.sum
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
-        for value in other._reservoir:
-            if len(self._reservoir) < RESERVOIR_SIZE:
-                self._reservoir.append(value)
-            else:
-                slot = self._rng.randrange(len(self._reservoir) * 2)
-                if slot < RESERVOIR_SIZE:
-                    self._reservoir[slot] = value
+        if len(mine) + len(theirs) <= RESERVOIR_SIZE:
+            mine.extend(theirs)
+        else:
+            rng = self._rng
+            kept = 0
+            for drawn in range(RESERVOIR_SIZE):
+                if rng.random() * (total - drawn) < own - kept:
+                    kept += 1
+            kept = min(max(kept, RESERVOIR_SIZE - len(theirs)), len(mine))
+            self._reservoir = rng.sample(mine, kept) + rng.sample(theirs, RESERVOIR_SIZE - kept)
+        if len(self._reservoir) == RESERVOIR_SIZE:
+            self._restart()
 
     def value_view(self) -> dict[str, float]:
         if not self.count:

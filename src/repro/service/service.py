@@ -9,9 +9,9 @@
   new pool, so it keeps the cache and its counts), and while its pool is
   the one a worker should be on,
   :meth:`~EstimationService.submit_many` answers a request whose shape
-  is in it on the submitting thread: one fingerprint (of SQL, from its
-  literals: :meth:`~repro.sql.template.TemplateFrontEnd.ranges`), one
-  lock-free probe, one replay, and the answer as a value
+  is in it on the submitting thread: one fingerprint (of SQL, its
+  scanned skeleton's route: :meth:`~repro.sql.template.TemplateFrontEnd.scan`),
+  one lock-free probe, one replay, and the answer as a value
   (:meth:`~EstimationService.admit`, which the TCP server uses) or an
   already resolved future.  Only misses cross to a worker;
 * a **bounded admission queue** (:class:`~repro.service.queue.AdmissionQueue`)
@@ -69,15 +69,14 @@ from repro.catalog.catalog import CatalogSnapshot, StatisticsCatalog
 from repro.catalog.session import EstimationSession, emit_feedback
 from repro.core.errors import ErrorFunction
 from repro.core.get_selectivity import EstimationResult
-from repro.core.plancache import CompiledPlan, PlanCache, bounds_fingerprint
-from repro.core.plancache import shape_fingerprint
+from repro.core.plancache import CompiledPlan, PlanCache, shape_fingerprint
 from repro.core.predicates import PredicateSet, tables_of
 from repro.engine.database import Database
 from repro.engine.expressions import Query
 from repro.estimators import resolve_statistics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import StatsSnapshot
-from repro.sql.template import TemplateFrontEnd
+from repro.sql.template import TemplateFrontEnd, scanned_predicates
 from repro.stats.pool import SITPool
 
 from repro.service.config import ServiceConfig
@@ -384,12 +383,13 @@ class EstimationService:
         slots: list[int] = []
         #: latencies of the members answered on arrival
         arrived: list[float] = []
+        scanned = 0
         for query, timeout in requests:
-            hit = sql.ranges(query) if scan_sql and type(query) is str else None
+            hit = sql.scan(query) if scan_sql and type(query) is str else None
             if hit is not None:
-                template, bound = hit
+                scanned += 1
+                template, fingerprint, ordered = hit
                 predicates, tables = None, template.tables
-                fingerprint, ordered = bounds_fingerprint(bound.ranges, template.joins)
             else:
                 try:
                     predicates, tables = coerce_query(query, sql)
@@ -408,7 +408,7 @@ class EstimationService:
                 arrived.append(answer.latency_ms)
                 continue
             if predicates is None:  # a shape no worker has compiled
-                predicates = bound.predicates(template.joins)
+                predicates = scanned_predicates(template, ordered)
             if timeout is None:
                 timeout = default_timeout
             pending = _Pending(
@@ -421,6 +421,8 @@ class EstimationService:
             slots.append(len(outcomes))
             admissible.append(pending)
             outcomes.append(pending.future)
+        if scanned:
+            sql.count_hits(scanned)
         if arrived:
             self._count_arrivals(arrived)
         if not admissible:
@@ -465,7 +467,7 @@ class EstimationService:
     ) -> ServedEstimate:
         """A hit replayed on the submitting thread, with the feedback and
         staleness stamp a session gives its own replay; an SQL ``hit``
-        (``ordered`` its ``bounds_fingerprint`` rows) has no sink."""
+        (``ordered`` its scanned rows) has no sink."""
         selectivity = plan.selectivity(ordered)
         if self._feedback_sink is not None:
             result = EstimationResult.replayed(plan, ordered, selectivity)

@@ -46,10 +46,21 @@ class BoundQuery:
 
 
 class _Scope:
-    """Binding-name -> table-name resolution for one FROM clause."""
+    """Binding-name -> table-name resolution for one FROM clause.
 
-    def __init__(self, statement: SelectStatement, schema: Schema):
+    ``attributes``, when given, is a caller's table of resolved
+    attributes: each column resolves to the one object stored there, so
+    the predicates and shape tokens of every statement bound through it
+    share their attributes, and a plan-cache key compares by identity."""
+
+    def __init__(
+        self,
+        statement: SelectStatement,
+        schema: Schema,
+        attributes: dict[Attribute, Attribute] | None = None,
+    ):
         self.schema = schema
+        self._attributes = attributes
         self.tables: dict[str, str] = {}
         for ref in statement.tables:
             if ref.name not in schema.tables:
@@ -66,6 +77,12 @@ class _Scope:
             )
 
     def resolve(self, column: ColumnRef) -> Attribute:
+        attribute = self._resolve(column)
+        if self._attributes is None:
+            return attribute
+        return self._attributes.setdefault(attribute, attribute)
+
+    def _resolve(self, column: ColumnRef) -> Attribute:
         if column.table is not None:
             table = self.tables.get(column.table)
             if table is None:
@@ -175,12 +192,17 @@ class BoundTemplate:
         return assembly
 
 
-def bind(statement: SelectStatement, schema: Schema) -> BoundQuery:
-    """Resolve ``statement`` against ``schema``.
+def bind(
+    statement: SelectStatement,
+    schema: Schema,
+    attributes: dict[Attribute, Attribute] | None = None,
+) -> BoundQuery:
+    """Resolve ``statement`` against ``schema`` (through ``attributes``,
+    a table of resolved attributes, when given: see :class:`_Scope`).
 
     Names resolve and ranges assemble a predicate at a time, so of two
     faults the one earlier in the WHERE clause is the one reported."""
-    scope = _Scope(statement, schema)
+    scope = _Scope(statement, schema, attributes)
     assembly = _Assembly()
     slots: list[tuple[Attribute, str]] = []
     joins: set[JoinPredicate] = set()

@@ -9,8 +9,16 @@ whitespace included, verbatim — and its **number literals** in source
 order.  The skeleton keys a bounded table of
 :class:`~repro.sql.binder.BoundTemplate` s; a hit runs only the
 value-dependent half of :func:`~repro.sql.binder.bind` over ``float`` of
-the literals; a served hit scans for the numbers set off by spaces and
-builds no predicate (:meth:`~TemplateFrontEnd.ranges`).
+the literals.
+
+A served hit scans for the numbers set off by spaces
+(:meth:`~TemplateFrontEnd.scan`) and builds no predicate.  Its scanned
+skeleton keeps a **route**: what the skeleton's first full bind derived
+— per literal the row it fills and how, the plan-cache fingerprint, the
+join rows — so a hit fills its filter rows' bounds and checks that the
+constants left the rows in the route's order (DESIGN.md §5), formatting
+no filter text and sorting nothing.  A statement the check refuses is
+ordered as ever, by :func:`~repro.core.predicates.bounds_fingerprint`.
 :func:`~repro.sql.binder.parse_query` is the miss path and the oracle
 (``tests/sql/test_template_parity.py``): whatever the split or the scan
 does not recognise goes to it and gets its answer or its error.
@@ -21,12 +29,14 @@ to share between submitting threads.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 
+from repro.core.predicates import Attribute, BoundsRow, FilterPredicate, bounds_fingerprint
 from repro.engine.expressions import Query
 from repro.engine.schema import Schema
-from repro.sql.binder import BindingError, BoundTemplate, bind
+from repro.sql.binder import BETWEEN, BindingError, BoundTemplate, _range_of, bind
 from repro.sql.lexer import IDENTIFIER_RE, NUMBER_RE, OPERATOR_RE, PUNCTUATION_RE
 from repro.sql.parser import parse_select
 
@@ -75,22 +85,148 @@ def _skeleton_and_literals(sql: str) -> tuple[tuple[str, ...] | None, list[float
         return None, []
 
 
+_row = tuple.__new__
+_INF = math.inf
+
+
+class _Route:
+    """A scanned skeleton's rows in the order its first full bind sorted
+    them, and how its literals fill them.
+
+    ``program`` has one step per filter slot of the template, in source
+    order: the row it fills, its operator, its first literal, and whether
+    an earlier slot filled that row already (a same-attribute merge, done
+    as :class:`~repro.sql.binder._Assembly` does it).  ``rows`` holds the
+    join rows in place and ``None`` where a filter row goes.  The range
+    rows (``low < high``) come first, as they sort (their texts start with
+    a number); ``ranges`` lists them with the key that orders them when
+    there are two or more, ``equalities`` the point rows after them."""
+
+    __slots__ = ("fingerprint", "rows", "program", "ranges", "equalities")
+
+    def __init__(self, template: BoundTemplate, fingerprint: tuple, rows: list) -> None:
+        self.fingerprint = fingerprint
+        self.rows = [row if row.low is None else None for row in rows]
+        position_of = {row.token: index for index, row in enumerate(rows)}
+        program = []
+        filled = set()
+        at = 0
+        for attribute, operator in template.slots:
+            position = position_of["F", attribute]
+            program.append((position, operator, at, position in filled))
+            filled.add(position)
+            at += 2 if operator == BETWEEN else 1
+        self.program = tuple(program)
+        ranges = [
+            (index, row.token, "<=%s<" % (row.token[1],))
+            for index, row in enumerate(rows)
+            if row.low is not None and row.low < row.high
+        ]
+        if len(ranges) < 2:  # one range row has nothing to order against
+            ranges = [(index, token, None) for index, token, _ in ranges]
+        self.ranges = tuple(ranges)
+        self.equalities = tuple(
+            (index, row.token)
+            for index, row in enumerate(rows)
+            if row.low is not None and row.low == row.high
+        )
+
+    def fill(self, literals: list[float]) -> list | None:
+        """``bounds_fingerprint``'s rows for ``literals``, in the route's
+        order, or ``None`` where that order might not be theirs: a range
+        row that is a point or empty here, a point row that is a range, an
+        infinite point (``name=inf`` sorts after a join on that name), or
+        range keys out of order."""
+        lows = [0.0] * len(self.rows)
+        highs = lows[:]
+        for position, operator, at, merge in self.program:
+            if operator == BETWEEN:
+                low = literals[at]
+                high = literals[at + 1]
+            else:
+                low, high = _range_of(operator, literals[at])
+            if merge:
+                low = max(lows[position], low)
+                high = min(highs[position], high)
+            lows[position] = low
+            highs[position] = high
+        rows = self.rows[:]
+        previous = ""
+        for position, token, suffix in self.ranges:
+            low = lows[position]
+            high = highs[position]
+            if not low < high:
+                return None
+            if suffix is not None:
+                key = "%g%s" % (low, suffix)
+                if key <= previous:
+                    return None
+                previous = key
+            rows[position] = _row(BoundsRow, (None, token, low, high))
+        for position, token in self.equalities:
+            low = lows[position]
+            high = highs[position]
+            if low != high or low == _INF:
+                return None
+            rows[position] = _row(BoundsRow, (None, token, low, high))
+        return rows
+
+
+def _route(template: BoundTemplate, literals: list[float]) -> _Route | None:
+    """The route of a skeleton whose first statement bound ``template``
+    with ``literals``, or ``None`` where there is no row set to order (an
+    empty or unsatisfiable range, no predicate) or the route does not
+    give its own statement ``bounds_fingerprint``'s rows.  The order
+    argument takes every table and column name for an identifier: a name
+    reaches a template only as an identifier token the schema knows."""
+    try:
+        assembly = template.assemble(literals)
+    except BindingError:
+        return None
+    if assembly.unsatisfiable or not (assembly.ranges or template.joins):
+        return None
+    fingerprint, rows = bounds_fingerprint(assembly.ranges, template.joins)
+    route = _Route(template, fingerprint, rows)
+    filled = route.fill(literals)
+    if filled is None or [row[1:] for row in filled] != [row[1:] for row in rows]:
+        return None
+    return route
+
+
+def scanned_predicates(template: BoundTemplate, rows: list) -> frozenset:
+    """The predicate set of a :meth:`TemplateFrontEnd.scan` hit's rows:
+    ``parse_predicates``' set for the same statement."""
+    predicates = set(template.joins)
+    predicates.update(
+        FilterPredicate(row.token[1], row.low, row.high) for row in rows if row.low is not None
+    )
+    return frozenset(predicates)
+
+
 class TemplateFrontEnd:
     """``parse_query`` for one schema, remembering shapes.
 
     ``hits`` and ``misses`` count every statement once: bound from a
     template, or handed to the full parse (cold, unrecognised or
-    malformed alike)."""
+    malformed alike); a serving caller counts its scanned hits itself
+    (:meth:`count_hits`).  ``fallbacks`` counts the scanned hits that no
+    route took, ordered by ``bounds_fingerprint`` instead."""
 
     def __init__(self, schema: Schema):
         self.schema = schema
         self.hits = 0
         self.misses = 0
+        self.fallbacks = 0
         self._templates: dict[tuple[str, ...], BoundTemplate] = {}
-        #: the same templates by scanned skeleton, no more nor longer keys
-        self._scanned: dict[tuple[str, ...], BoundTemplate] = {}
+        #: ``(template, route or None)`` by scanned skeleton, for no more
+        #: templates nor longer keys; read without the lock
+        self._scanned: dict[tuple[str, ...], tuple[BoundTemplate, _Route | None]] = {}
         self._skeleton_bytes = 0
-        #: guards the tables, the byte count and the two counters
+        #: one ``Attribute`` object per column for every bind: routes and
+        #: compiled plans then hold identical shape tokens, so a probe's
+        #: key compares by identity (bounded by the schema's columns)
+        self._attributes: dict[Attribute, Attribute] = {}
+        #: guards every write to the tables, the byte count and the counters
         self._lock = threading.Lock()
 
     def parse(self, sql: str) -> Query:
@@ -115,34 +251,55 @@ class TemplateFrontEnd:
         if template is not None:
             predicates = template.assemble(literals).predicates(template.joins)
             return predicates, template.tables
-        bound = bind(parse_select(sql), self.schema)
+        bound = bind(parse_select(sql), self.schema, self._attributes)
         if skeleton is not None and bound.template.literals == len(literals):
             self._store(skeleton, bound.template, sql, literals)
         return bound.query.predicates, bound.query.tables
 
-    def ranges(self, sql: str) -> tuple | None:
-        """A hit's ``(template, assembly)`` by scanned skeleton, counted, or
-        ``None``, counting nothing, for :meth:`parse_predicates` to judge: an
-        unknown skeleton or bad literal, an empty range, no predicate."""
+    def scan(self, sql: str) -> tuple | None:
+        """A served hit by scanned skeleton: ``(template, fingerprint,
+        rows)``, the rows in the plan's position order, each filter's
+        ``low`` and ``high`` set — or ``None`` for :meth:`parse_predicates`
+        to judge: an unknown skeleton or bad literal, an empty range, no
+        predicate.  Counts no hit (:meth:`count_hits`); a hit that no
+        route takes counts one fallback."""
         pieces = _scan(sql)
-        with self._lock:
-            template = self._scanned.get(tuple(pieces[::2]))
-        if template is None:
+        entry = self._scanned.get(tuple(pieces[::2]))
+        if entry is None:
             return None
+        template, route = entry
         try:
-            assembly = template.assemble(list(map(float, pieces[1::2])))
-        except (ValueError, BindingError):
+            literals = list(map(float, pieces[1::2]))
+        except ValueError:
+            return None
+        if route is not None:
+            rows = route.fill(literals)
+            if rows is not None:
+                return template, route.fingerprint, rows
+        try:
+            assembly = template.assemble(literals)
+        except BindingError:
             return None
         if assembly.unsatisfiable or not (assembly.ranges or template.joins):
             return None
         with self._lock:
-            self.hits += 1
-        return template, assembly
+            self.fallbacks += 1
+        return (template, *bounds_fingerprint(assembly.ranges, template.joins))
+
+    def count_hits(self, count: int) -> None:
+        """Count ``count`` scanned hits, one lock take for a group."""
+        with self._lock:
+            self.hits += count
 
     def _store(self, skeleton, template: BoundTemplate, sql: str, literals) -> None:
         size = sum(map(len, skeleton))
         if size > SKELETON_BYTES_LIMIT:
             return
+        pieces = _scan(sql)
+        # every number the scan finds the split finds, text for text: as
+        # many, and equal, are the split's literals
+        scanned = list(map(float, pieces[1::2])) == literals
+        route = _route(template, literals) if scanned else None
         with self._lock:
             if skeleton in self._templates:  # another submitter got here first
                 return
@@ -155,11 +312,8 @@ class TemplateFrontEnd:
                 self._skeleton_bytes = 0
             self._templates[skeleton] = template
             self._skeleton_bytes += size
-            pieces = _scan(sql)
-            # every number the scan finds the split finds, text for text:
-            # as many, and equal, are the split's literals
-            if list(map(float, pieces[1::2])) == literals:
-                self._scanned[tuple(pieces[::2])] = template
+            if scanned:
+                self._scanned[tuple(pieces[::2])] = template, route
 
     def __len__(self) -> int:
         return len(self._templates)

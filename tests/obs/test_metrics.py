@@ -115,6 +115,56 @@ class TestHistogramQuantiles:
         assert merged.quantile(1.0) == 10.0
         assert merged.quantile(0.5) == pytest.approx(5.5)
 
+    def test_a_full_reservoir_skips_ahead_and_stays_representative(self):
+        """Algorithm L over 100 reservoirs' worth of a rising stream: p50
+        and p95 sit within four of the reservoir's own standard errors of
+        the stream's, for several seeds, and the RNG is drawn from for
+        kept samples only: a seventh as many draws as observations."""
+        from repro.obs.metrics import RESERVOIR_SIZE
+
+        total = 100 * RESERVOIR_SIZE
+        for name in ("service.latency_ms", "metrics.a", "metrics.b", "metrics.c"):
+            histogram = MetricsRegistry().histogram(name)
+            draws = [0]
+            rng = histogram._rng
+            for method in ("random", "randrange"):
+                def counting(*args, _call=getattr(rng, method)):
+                    draws[0] += 1
+                    return _call(*args)
+
+                setattr(rng, method, counting)
+            for value in range(total):
+                histogram.observe(float(value))
+            assert len(histogram._reservoir) == RESERVOIR_SIZE
+            for q in (0.5, 0.95):
+                error = (q * (1.0 - q) / RESERVOIR_SIZE) ** 0.5
+                assert abs(histogram.quantile(q) / total - q) < 4.0 * error, (name, q)
+            # about RESERVOIR_SIZE * ln(100) = 2,358 kept samples, three
+            # draws each; one draw per observation would be 50,688
+            assert draws[0] < total // 5
+
+    def test_merge_weights_each_side_by_its_count(self):
+        """100 ones into 100,000 zeros (and the other way round): the
+        ones are 0.1 % of the stream, so the merged reservoir holds about
+        half a slot of them, not a share of their own reservoir's size."""
+        from repro.obs.metrics import RESERVOIR_SIZE
+
+        for ones_into_zeros in (True, False):
+            zeros, ones = MetricsRegistry(), MetricsRegistry()
+            for _ in range(100_000):
+                zeros.histogram("service.latency_ms").observe(0.0)
+            for _ in range(100):
+                ones.histogram("service.latency_ms").observe(1.0)
+            into, other = (zeros, ones) if ones_into_zeros else (ones, zeros)
+            into.merge(other)
+            merged = into.histogram("service.latency_ms")
+            assert merged.count == 100_100
+            assert len(merged._reservoir) == RESERVOIR_SIZE
+            assert sum(merged._reservoir) / RESERVOIR_SIZE < 0.02
+            for value in range(1000):  # and it goes on sampling
+                merged.observe(2.0)
+            assert len(merged._reservoir) == RESERVOIR_SIZE
+
 
 class TestRegistry:
     def test_get_or_create_is_idempotent(self):

@@ -61,17 +61,21 @@ class _OwnedLock:
 
 class _GuardedTable(dict):
     """A template table that refuses to be read for a lookup, or changed,
-    by a thread that does not hold the front end's lock."""
+    by a thread that does not hold the front end's lock.  The scanned
+    table is read without it (``reads=False``): only its writes are held
+    to the lock."""
 
-    def __init__(self, lock: _OwnedLock):
+    def __init__(self, lock: _OwnedLock, reads: bool = True):
         super().__init__()
         self._lock = lock
+        self._reads = reads
 
     def _held(self) -> None:
         assert self._lock.owner == threading.get_ident(), "table touched unguarded"
 
     def get(self, key, default=None):
-        self._held()
+        if self._reads:
+            self._held()
         return super().get(key, default)
 
     def __setitem__(self, key, value) -> None:
@@ -92,7 +96,8 @@ class TestConcurrentSubmitters:
         """More distinct skeletons than the table holds, from eight
         threads at once: every answer is ``parse_query``'s, nothing is
         raised, the table's accounts add up — and every touch of the
-        table happens under its lock (drop the guard and this fails)."""
+        tables happens under their lock (drop the guard and this fails),
+        but a served hit's read of the scanned table."""
         schema = two_table_db.schema
         assert self.THREADS * self.GROUPS * self.GROUP // 2 > TEMPLATE_LIMIT
         oracle = EstimationSession(service_catalog.snapshot())
@@ -140,7 +145,7 @@ class TestConcurrentSubmitters:
             front = service._sql
             front._lock = _OwnedLock()
             front._templates = _GuardedTable(front._lock)
-            front._scanned = _GuardedTable(front._lock)
+            front._scanned = _GuardedTable(front._lock, reads=False)
             sys.setswitchinterval(1e-5)
             try:
                 threads = [

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.plancache import bounds_fingerprint, shape_fingerprint
+from repro.core.plancache import shape_fingerprint
 from repro.sql import parser as parser_module
 from repro.sql import template as template_module
 from repro.sql.binder import BindingError, parse_query
 from repro.sql.lexer import SQLSyntaxError
-from repro.sql.template import TemplateFrontEnd
+from repro.sql.template import TemplateFrontEnd, scanned_predicates
 
 from tests.sql.test_lexer_parity import FRAGMENTS, sources
 
@@ -64,28 +64,43 @@ def assert_same_outcome(schema, shared: TemplateFrontEnd, sql: str) -> None:
 
 
 def assert_same_literal_path(front: TemplateFrontEnd, sql: str, expected) -> None:
-    """The scan path a served hit takes, against the oracle: when it
-    answers (and counts a hit), its ranges bind to the oracle's predicate
-    set, and ``bounds_fingerprint`` orders them as ``shape_fingerprint``
-    orders the set — same tokens, same texts, same bounds.  When it does
-    not, it counts nothing, and ``parse_predicates`` decides."""
-    hits, misses = front.hits, front.misses
-    hit = front.ranges(sql)
+    """The scan a served hit takes, against the oracle: when it answers,
+    its rows bind to the oracle's predicate set, in the order
+    ``shape_fingerprint`` gives the set — same tokens, same bounds to the
+    bit, and a sorted row's text the predicate's.  It counts no hit.  When
+    it does not answer, ``parse_predicates`` decides.  The skeleton's
+    route is driven on the statement too: whatever rows it fills are the
+    oracle's, and where it fills none the scan sorted them."""
+    hits, misses, fallbacks = front.hits, front.misses, front.fallbacks
+    hit = front.scan(sql)
+    assert (front.hits, front.misses) == (hits, misses)
+    pieces = template_module._scan(sql)
+    template, route = front._scanned.get(tuple(pieces[::2]), (None, None))
+    routed = None
+    if route is not None:
+        try:
+            literals = list(map(float, pieces[1::2]))
+        except ValueError:
+            literals = None
+        routed = None if literals is None else route.fill(literals)
     if hit is None:
-        assert (front.hits, front.misses) == (hits, misses)
+        assert routed is None, f"the route filled {sql!r}, which the scan refused"
+        assert front.fallbacks == fallbacks
         return
     assert not isinstance(expected, tuple), f"the scan answered {sql!r}, which fails"
-    assert (front.hits, front.misses) == (hits + 1, misses)
-    template, bound = hit
-    assert bound.predicates(template.joins) == expected.predicates
+    assert front.fallbacks == fallbacks + (routed is None)
+    if routed is not None:
+        assert hit == (template, route.fingerprint, routed)
+    template, fingerprint, rows = hit
+    assert scanned_predicates(template, rows) == expected.predicates
     assert template.tables == expected.tables
-    fingerprint, rows = bounds_fingerprint(bound.ranges, template.joins)
     expected_fingerprint, ordered = shape_fingerprint(expected.predicates)
     assert fingerprint == expected_fingerprint
-    assert [row.text for row in rows] == [str(p) for p in ordered]
+    assert [row.token for row in rows] == [p._token for p in ordered]
     for row, predicate in zip(rows, ordered):
+        assert row.text in (None, str(predicate))
         if not predicate.is_join:
-            assert (row.low, row.high) == (predicate.low, predicate.high)
+            assert (row.low.hex(), row.high.hex()) == (predicate.low.hex(), predicate.high.hex())
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +342,7 @@ class TestWhatAHitCosts:
 
 
 class TestLiteralPath:
-    """:meth:`TemplateFrontEnd.ranges`, the scan a served hit takes: it
+    """:meth:`TemplateFrontEnd.scan`, what a served hit takes: it
     answers only where ``parse_predicates`` would answer the same, and
     leaves everything else to it."""
 
@@ -347,17 +362,21 @@ class TestLiteralPath:
         front = self.stored(schema, self.JOINED.format(1, 9, 50))
         sql = self.JOINED.format(*fill)
         expected = parse_query(sql, schema)
-        assert front.ranges(sql) is not None
+        assert front.scan(sql) is not None
         assert_same_literal_path(front, sql, expected)
 
     def test_the_order_follows_the_constants_across_statements(self, schema):
+        """The route keeps its first statement's order (``1<=R.a`` before
+        ``50<=S.b``); ``5<=R.a`` sorts after ``50<=S.b``, so its statement
+        is sorted instead, and counted as a fallback."""
         front = self.stored(schema, self.JOINED.format(1, 9, 50))
         orders = set()
-        for fill in [(5, 9, 50), (50, 60, 5), (5, 9, 50)]:
-            template, bound = front.ranges(self.JOINED.format(*fill))
-            _, rows = bounds_fingerprint(bound.ranges, template.joins)
-            orders.add(tuple(row.token for row in rows))
+        for fill in [(5, 9, 50), (50, 60, 5), (5, 9, 50), (1, 9, 50)]:
+            _, fingerprint, rows = front.scan(self.JOINED.format(*fill))
+            assert fingerprint == tuple(row.token for row in rows)
+            orders.add(fingerprint)
         assert len(orders) == 2
+        assert front.fallbacks == 2
 
     @pytest.mark.parametrize(
         "sql",
@@ -367,11 +386,13 @@ class TestLiteralPath:
             "SELECT * FROM R WHERE a > 1e999",  # an infinite bound
             "SELECT * FROM R WHERE a > -1e999 AND x < 5",
             "SELECT * FROM R WHERE a BETWEEN 3 AND 3",  # a point
+            # R.x=5 sorts before R.x=S.y, R.x=inf after it: sorted, not routed
+            "SELECT * FROM R, S WHERE R.x = S.y AND x = 1e999",
         ],
     )
     def test_the_scan_answers_as_the_oracle(self, schema, sql):
         front = self.stored(schema, sql.replace("1e999", "5"))
-        assert front.ranges(sql) is not None
+        assert front.scan(sql) is not None
         assert_same_literal_path(front, sql, parse_query(sql, schema))
 
     @pytest.mark.parametrize(
@@ -395,7 +416,7 @@ class TestLiteralPath:
     def test_the_rest_is_left_to_parse_predicates(self, schema, stored, sql):
         front = TemplateFrontEnd(schema)
         outcome(front.parse, stored)
-        assert front.ranges(sql) is None
+        assert front.scan(sql) is None
         assert (front.hits, front.misses) == (0, 1)
         assert_same_outcome(schema, front, sql)
 
@@ -404,8 +425,8 @@ class TestLiteralPath:
         skeleton is stored; a split that finds one the scan does not
         (``x=3``) stores none, and the statement stays the split's."""
         front = self.stored(schema, "SELECT * FROM R WHERE a >= 5 AND x = 3")
-        assert front.ranges("SELECT * FROM R WHERE a >= 6 AND x = 4") is not None
+        assert front.scan("SELECT * FROM R WHERE a >= 6 AND x = 4") is not None
         front = self.stored(schema, "SELECT * FROM R WHERE a >= 5 AND x=3")
         assert front._scanned == {}
-        assert front.ranges("SELECT * FROM R WHERE a >= 6 AND x=3") is None
+        assert front.scan("SELECT * FROM R WHERE a >= 6 AND x=3") is None
         assert front.parse("SELECT * FROM R WHERE a >= 6 AND x=3") and front.hits == 1
