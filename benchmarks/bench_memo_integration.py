@@ -23,11 +23,12 @@ Timings are the best of ``ROUNDS`` per query, summed over the queries.
 """
 
 import time
+from statistics import median
 
-from repro.advisor.search import median, q_error
 from repro.bench.reporting import render_table
 from repro.core.errors import DiffError
 from repro.core.get_selectivity import GetSelectivity
+from repro.obs.metrics import q_error
 from repro.optimizer.explorer import explore, subplan_predicate_sets
 from repro.optimizer.integration import MemoCoupledEstimator
 from repro.stats.pool import SITPool

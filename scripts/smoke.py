@@ -23,7 +23,6 @@ left behind: no child process, no ``/dev/shm/psm_*`` segment.
 ``ingest``        write storm + racing catalog refreshes under TCP load: no
                   client-visible error, staleness, quiesce, bit-identical
                   answers once settled
-``advisor``       tuned service accepts under budget; impossible bound rejects
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ import tempfile
 import threading
 import time
 
-from repro.advisor import AdvisorConfig, SelfTuningAdvisor
-from repro.advisor.loop import ACCEPTED
-from repro.advisor.safety import NO_SOLUTION_FOUND
-from repro.advisor.search import q_error
 from repro.catalog import EstimationSession, StatisticsCatalog
 from repro.catalog.catalog import RefreshConflict
 from repro.core.plancache import shape_fingerprint
@@ -642,132 +637,11 @@ def smoke_ingest() -> None:
 
 
 # ----------------------------------------------------------------------
-# advisor
-# ----------------------------------------------------------------------
-def smoke_advisor() -> None:
-    """A skewed workload through a service with the advisor enabled,
-    under a space budget covering only the smaller half of the candidate
-    conditioned SITs."""
-    database, feedback, catalog, holdout = snowflake_fixture(
-        0.1, 42, 20, max_joins=2, holdout=10
-    )
-    catalog.add_missing_base_histograms()
-    conditioned = sum(1 for sit in catalog.pool if not sit.is_base)
-    print(f"catalog: {len(catalog)} SITs ({conditioned} conditioned)")
-    tuned_service(database, catalog, feedback, holdout)
-    no_solution(catalog, feedback)
-
-
-def tuned_service(database, catalog, feedback, holdout) -> None:
-    max_q_error, refresh_budget_s = 1000.0, 60.0
-    spaces = sorted(
-        sit.space_bytes for sit in catalog.pool if not sit.is_base
-    )
-    budget = sum(spaces[: len(spaces) // 2])
-    assert budget < sum(spaces), "budget must exclude part of the pool"
-    config = ServiceConfig(
-        workers=2,
-        queue_depth=256,
-        advisor=AdvisorConfig(
-            max_q_error=max_q_error,
-            space_budget_bytes=budget,
-            refresh_budget_s=refresh_budget_s,
-            min_feedback=8,
-            min_interval_s=3600.0,  # the explicit tune() below drives it
-        ),
-    )
-    service = EstimationService(catalog, config=config)
-    advisor = service.advisor
-    assert advisor is not None, "advisor was not constructed"
-
-    # feedback flows from served estimates into the advisor
-    for query in feedback:
-        answer = service.estimate(query)
-        assert 0.0 <= answer.selectivity <= 1.0, answer
-    appended = advisor.feedback.counters()["feedback_appended"]
-    assert appended >= len(feedback), (
-        f"feedback did not flow: {appended} < {len(feedback)}"
-    )
-
-    # at least one proposal is accepted and applied through the
-    # catalog's refresh path, within all three safety constraints
-    report = service.tune()
-    assert report is not None, "tune() found no advisor"
-    assert report.status == ACCEPTED, f"tuning not accepted: {report.reason}"
-    accepts = advisor.metrics.counter("advisor.accepts").value
-    assert accepts >= 1, "no accepted proposal recorded"
-    counters = advisor.feedback.counters()
-    assert counters["truth_entries"] == counters["truth_misses"] >= 1, (
-        f"truth was not resolved once per predicate set: {counters}"
-    )
-    decision = report.decision
-    assert decision.worst_q_error <= max_q_error, decision
-    assert decision.space_bytes <= budget, decision
-    assert decision.refresh_seconds <= refresh_budget_s, decision
-
-    # the installed configuration: space and refresh budgets must hold on
-    # the catalog itself, not just on the gate's bookkeeping
-    installed = [sit for sit in catalog.pool if not sit.is_base]
-    assert {str(sit) for sit in installed} == set(report.chosen)
-    assert sum(sit.space_bytes for sit in installed) <= budget
-
-    # serving keeps working on the tuned catalog, and the q-error bound
-    # generalizes to a fresh holdout workload the tuning never saw
-    executor = Executor(database)
-    session = EstimationSession(catalog)
-    worst = 0.0
-    for query in holdout:
-        estimated = session.estimate(query).selectivity
-        truth = executor.selectivity(query.predicates)
-        worst = max(worst, q_error(estimated, truth))
-    assert worst <= max_q_error, (
-        f"holdout q-error {worst:.1f} breaks the {max_q_error} bound"
-    )
-
-    clean = service.close()
-    assert clean, "drain/shutdown was not clean"
-    print(
-        f"tuned service: {len(report.chosen)} SITs accepted "
-        f"(safety worst q-err {decision.worst_q_error:.2f}, "
-        f"holdout worst q-err {worst:.2f}), clean drain"
-    )
-
-
-def no_solution(catalog, feedback) -> None:
-    """``max_q_error=0`` is unsatisfiable (q-error >= 1): every tick
-    must report no-solution-found and change nothing."""
-    fingerprint = (
-        catalog.version,
-        tuple(sorted(str(sit) for sit in catalog.pool)),
-    )
-    advisor = SelfTuningAdvisor(
-        catalog,
-        config=AdvisorConfig(
-            max_q_error=0.0, min_feedback=8, min_interval_s=0.0
-        ),
-    )
-    session = EstimationSession(catalog)
-    session.feedback_sink = advisor.record_result
-    for query in feedback:
-        session.estimate(query)
-    report = advisor.tick()
-    assert report.status == NO_SOLUTION_FOUND, report.status
-    assert not report.applied
-    after = (
-        catalog.version,
-        tuple(sorted(str(sit) for sit in catalog.pool)),
-    )
-    assert after == fingerprint, "no-solution-found mutated the catalog"
-    print("no solution: impossible constraint rejected, catalog intact")
-
-
-# ----------------------------------------------------------------------
 SMOKES = {
     "service": smoke_service,
     "estimators": smoke_estimators,
     "plan_cache": smoke_plan_cache,
     "ingest": smoke_ingest,
-    "advisor": smoke_advisor,
 }
 
 

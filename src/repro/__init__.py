@@ -16,7 +16,7 @@ The public API is re-exported here; the subpackages are:
   selected by name through :func:`~repro.estimators.create_estimator`;
 * :mod:`repro.catalog` — the SIT lifecycle behind one versioned,
   snapshot-isolated :class:`~repro.catalog.StatisticsCatalog`
-  (build → serve → feedback → invalidate → refresh) plus
+  (build → serve → invalidate → refresh) plus
   :class:`~repro.catalog.EstimationSession` for cross-query cache reuse;
 * :mod:`repro.optimizer` — a Cascades-style memo and the Section 4
   integration;

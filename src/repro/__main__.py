@@ -28,14 +28,6 @@ Commands
     swap behind an asyncio JSON-lines TCP front-end.  Talk to it with
     ``repro.service.connect("host:port")`` or one JSON object per line
     on a raw socket.
-``advisor <tune|status|history>``
-    Run the safety-gated self-tuning loop (``repro.advisor``) offline on
-    the synthetic snowflake database: build a workload catalog, drive
-    the workload through an estimation session to collect feedback, run
-    tuning tick(s), and print the tuning report / advisor status /
-    tick history as JSON.  ``--budget-fraction`` imposes a space budget
-    as a fraction of the full conditioned-SIT footprint; an impossible
-    budget demonstrates the ``no-solution-found`` path.
 ``info``
     Version and package inventory.
 """
@@ -57,7 +49,6 @@ SUBCOMMANDS: dict[str, str] = {
     "figures": "quick Figure 7 sweep",
     "catalog": "statistics lifecycle: build/save/load/advise/refresh/status",
     "serve": "run the concurrent estimation server (JSON lines over TCP)",
-    "advisor": "self-tuning loop: feedback-driven, safety-gated SIT tuning",
 }
 
 
@@ -293,9 +284,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # the build workload's
     catalog.add_missing_base_histograms()
     if args.config is not None:
-        # one JSON file describes the whole deployment (the nested
-        # advisor block included); address flags still win so one
-        # file serves many ports
+        # one JSON file describes the whole deployment (the
+        # ServiceConfig fields); address flags still win so one file
+        # serves many ports
         with open(args.config, encoding="utf-8") as handle:
             config = ServiceConfig.from_dict(json.load(handle))
         config = dataclasses.replace(config, host=args.host, port=args.port)
@@ -322,55 +313,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
 
     run_server(service, ready=ready)
-    return 0
-
-
-def _cmd_advisor(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.advisor import AdvisorConfig, SelfTuningAdvisor
-    from repro.catalog.session import EstimationSession
-    from repro.workload.fixture import snowflake_fixture
-
-    print(
-        f"building J{args.max_joins} catalog over {args.queries} queries "
-        f"(scale={args.scale}) ...",
-        file=sys.stderr,
-    )
-    _, queries, catalog, _ = snowflake_fixture(
-        args.scale, args.seed, args.queries, max_joins=args.max_joins
-    )
-    budget = None
-    if args.budget_fraction is not None:
-        total = sum(sit.space_bytes for sit in catalog if not sit.is_base)
-        budget = args.budget_fraction * total
-        print(
-            f"space budget: {budget:,.0f} of {total:,.0f} conditioned "
-            f"bytes ({args.budget_fraction:.0%})",
-            file=sys.stderr,
-        )
-    advisor = SelfTuningAdvisor(
-        catalog,
-        config=AdvisorConfig(
-            max_q_error=args.max_q_error,
-            space_budget_bytes=budget,
-            min_feedback=min(args.queries, 8),
-            max_moves=args.max_moves,
-            min_interval_s=0.0,
-        ),
-    )
-    session = EstimationSession(catalog)
-    session.feedback_sink = advisor.record_result
-    for query in queries:
-        session.estimate(query)
-    reports = [advisor.tick() for _ in range(args.ticks)]
-    if args.action == "status":
-        payload = advisor.status()
-    elif args.action == "history":
-        payload = [report.to_dict() for report in reports]
-    else:  # tune
-        payload = reports[-1].to_dict()
-    print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
@@ -498,62 +440,14 @@ def main(argv: list[str] | None = None) -> int:
         "--config",
         default=None,
         help=(
-            "deployment config file (nested ServiceConfig JSON, "
-            "advisor block included); overrides the tuning flags"
+            "deployment config file (the ServiceConfig fields as one "
+            "JSON object); overrides the tuning flags"
         ),
     )
     serve.add_argument("--scale", type=float, default=0.15)
     serve.add_argument("--seed", type=int, default=42)
     serve.add_argument("--queries", type=int, default=3)
     serve.add_argument("--max-joins", type=int, default=1, dest="max_joins")
-
-    advisor = sub.add_parser("advisor", help=SUBCOMMANDS["advisor"])
-    advisor.add_argument(
-        "action",
-        choices=("tune", "status", "history"),
-        help=(
-            "tune: run tick(s) and print the last tuning report; "
-            "status: print the advisor status block; "
-            "history: print every tick report of this run"
-        ),
-    )
-    advisor.add_argument("--scale", type=float, default=0.08)
-    advisor.add_argument("--seed", type=int, default=42)
-    advisor.add_argument(
-        "--queries",
-        type=int,
-        default=12,
-        help="workload queries driven as feedback before ticking",
-    )
-    advisor.add_argument("--max-joins", type=int, default=2, dest="max_joins")
-    advisor.add_argument(
-        "--budget-fraction",
-        type=float,
-        default=0.25,
-        dest="budget_fraction",
-        help=(
-            "space budget as a fraction of the full conditioned-SIT "
-            "footprint (0 forces no-solution-found; negative values are "
-            "rejected by the config)"
-        ),
-    )
-    advisor.add_argument(
-        "--max-q-error",
-        type=float,
-        default=1000.0,
-        dest="max_q_error",
-        help="safety bound on the worst-case held-out q-error",
-    )
-    advisor.add_argument(
-        "--max-moves",
-        type=int,
-        default=20,
-        dest="max_moves",
-        help="greedy-search move budget per tick",
-    )
-    advisor.add_argument(
-        "--ticks", type=int, default=1, help="tuning ticks to run"
-    )
 
     args = parser.parse_args(argv)
     if args.command == "info":
@@ -574,8 +468,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_catalog(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "advisor":
-        return _cmd_advisor(args)
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return 2  # pragma: no cover
 

@@ -7,7 +7,7 @@ at the repository root, unless the last argument is a path (it has a
 Blocks of suites not named in this run stay exactly as recorded; there
 is one ``meta``, with one entry per suite saying where and when its
 blocks were last measured.  The exit code is 1 when a suite that gates
-(``core``'s cold speedups, ``advisor``, ``ingest``) fails its gate.
+(``core``'s cold speedups, ``ingest``) fails its gate.
 
 What the repository benchmark (``BENCHMARK.json``, ``python -m bench``)
 reports — request latency and throughput in-process, over TCP and under
@@ -38,7 +38,6 @@ SUITES: dict[str, str] = {
     ),
     "service": "open-loop overload shedding and conservation",
     "estimators": "sit / bn / sample shoot-out: accuracy, latency, space",
-    "advisor": "self-tuned vs static diff_H configuration under a budget",
     "ingest": "invalidation throughput and conservation of the pipeline",
 }
 

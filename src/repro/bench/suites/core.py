@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import random
+import statistics
 import time
 from typing import Iterator
 
@@ -45,7 +46,6 @@ import numpy as np
 
 import repro.core.matching as _matching
 
-from repro.advisor.search import median
 from repro.bench.suites import best_of, time_once
 from repro.core.errors import NIndError
 from repro.core.get_selectivity import GetSelectivity
@@ -156,7 +156,7 @@ def bench_get_selectivity(size: int, repeats: int) -> dict:
         is_legacy = name == "legacy"
         context = seed_kernels() if is_legacy else contextlib.nullcontext()
         with context:
-            cold = median(
+            cold = statistics.median(
                 [
                     time_once(lambda: fresh(name)(predicates))
                     for _ in range(max(3, repeats // 2))

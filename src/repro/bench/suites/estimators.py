@@ -33,11 +33,13 @@ must not regress the gate by more than ``SIT_REGRESSION_PCT_MAX``.
 
 from __future__ import annotations
 
-from repro.advisor.search import median, q_error
+import statistics
+
 from repro.bench.suites import best_of
 from repro.bench.suites.core import warm_steady_dp
 from repro.engine.executor import Executor
 from repro.estimators import BACKENDS, create_estimator
+from repro.obs.metrics import q_error
 from repro.workload.fixture import snowflake_fixture
 from repro.workload.tpch import TPCHConfig, generate_tpch, motivating_query
 
@@ -82,7 +84,7 @@ def bench_backend(name, database, pool, queries, truths, repeats: int) -> dict:
         for result, truth in zip(results, truths)
     ]
     out = {
-        "median_q_error": median(errors),
+        "median_q_error": statistics.median(errors),
         "max_q_error": max(errors),
         "latency_per_query_ms": per_pass * 1000.0 / len(queries),
         "space_bytes": float(estimator.space_bytes()),

@@ -1,6 +1,5 @@
 """The statistics catalog: one versioned, snapshot-isolated subsystem
-unifying the SIT lifecycle — build → serve → feedback → invalidate →
-refresh.
+unifying the SIT lifecycle — build → serve → invalidate → refresh.
 
 Layering:
 

@@ -1,4 +1,4 @@
-"""The versioned SIT catalog: build → serve → feedback → invalidate → refresh.
+"""The versioned SIT catalog: build → serve → invalidate → refresh.
 
 The paper treats SITs as build-once statistics and studies how to best
 *use* a pool (Section 3); a production estimator must also own the
@@ -14,10 +14,9 @@ companion lifecycle.  :class:`StatisticsCatalog` is that subsystem:
   refresh never mutates a pool mid-estimation and an in-flight session
   keeps answering off exactly the statistics it started with;
 * **one invalidation event path**: :meth:`notify_table_update` bumps the
-  table version, drops stale execution-feedback truth
-  (:class:`repro.advisor.feedback.FeedbackStore`), moves the published
-  pool's version counter (which the plan cache over it reads) and bumps
-  the catalog version so version-keyed caches above cannot be reused;
+  table version, moves the published pool's version counter (which the
+  plan cache over it reads) and bumps the catalog version so
+  version-keyed caches above cannot be reused;
 * an **incremental refresh** (:meth:`refresh`, see
   :mod:`repro.catalog.refresh`) that rebuilds only stale SITs and
   optionally keeps the best of the pool under a space budget, in
@@ -58,7 +57,6 @@ from repro.stats.pool import SITPool, build_workload_pool
 from repro.stats.sit import SIT
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
-    from repro.advisor.feedback import FeedbackStore
     from repro.catalog.refresh import RefreshPolicy, RefreshReport
 
 #: the identity of a SIT inside the catalog (``SIT`` itself hashes on its
@@ -218,7 +216,6 @@ class StatisticsCatalog:
         self._table_versions: dict[str, int] = {}
         self._metadata: dict[SITKey, SITMetadata] = {}
         self._pool = SITPool()
-        self._feedback: list[FeedbackStore] = []
         #: lifecycle metrics (refresh/invalidation counters; see
         #: :meth:`metrics_registry`)
         self.metrics = MetricsRegistry()
@@ -466,19 +463,8 @@ class StatisticsCatalog:
             return True
 
     # ------------------------------------------------------------------
-    # Feedback + invalidation: the one event path
+    # Invalidation: the one event path
     # ------------------------------------------------------------------
-    def attach_feedback(self, store: FeedbackStore) -> FeedbackStore:
-        """Join a feedback store to the invalidation event path.
-
-        Once attached, every :meth:`notify_table_update` drops the
-        store's truth touching the updated table — execution feedback is
-        exact only for the data it was observed on.
-        """
-        if store not in self._feedback:
-            self._feedback.append(store)
-        return store
-
     def attach_staleness(self, tracker) -> None:
         """Join a :class:`repro.obs.StalenessTracker` so ``status()`` and
         the metrics registry surface the ingest pipeline's staleness and
@@ -494,28 +480,22 @@ class StatisticsCatalog:
         One call flows through the whole invalidation path:
 
         1. the table version is bumped (making dependent SITs *stale*);
-        2. attached feedback stores drop truth touching the table;
-        3. the builder evicts its memoized base histograms / counts for
+        2. the builder evicts its memoized base histograms / counts for
            the table, so a later refresh reads current data;
-        4. the published pool's derived-state version is bumped so the
+        3. the published pool's derived-state version is bumped so the
            plan cache over it drops its plans (membership and histograms
            are unchanged: a refresh publishes a new pool);
-        5. the catalog version is bumped so version-keyed caches and
+        4. the catalog version is bumped so version-keyed caches and
            sessions observe the change.
         """
         with self._lock:
             version = self._table_versions.get(table, 0) + 1
             self._table_versions[table] = version
-            dropped = 0
-            for store in self._feedback:
-                dropped += store.invalidate_table(table)
             if self.builder is not None:
                 self.builder.invalidate_table(table)
             self._pool.invalidate_derived()
             self.version += 1
-            metrics = self.metrics
-            metrics.counter("catalog.invalidations").inc()
-            metrics.counter("catalog.feedback_dropped").inc(dropped)
+            self.metrics.counter("catalog.invalidations").inc()
             return version
 
     # ------------------------------------------------------------------
@@ -587,7 +567,6 @@ class StatisticsCatalog:
                 "stale_sits": len(stale),
                 "table_versions": dict(self._table_versions),
                 "build_methods": by_method,
-                "feedback_stores": len(self._feedback),
             }
         if self._staleness is not None:
             out["ingest"] = self._staleness.status()

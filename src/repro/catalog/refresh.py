@@ -65,24 +65,14 @@ class RefreshPolicy:
         conditioned SITs whose rebuilt ``diff_H`` fell below this provide
         no benefit over the base histogram (Section 3.5 / Example 4) and
         are dropped.
-    ``keep_keys``
-        an explicit allow-list of *conditioned* :data:`SITKey` to retain
-        (base histograms are always kept); everything conditioned outside
-        it is dropped.  This is the apply path of the self-tuning loop
-        (:mod:`repro.advisor`), which decides membership by measured
-        q-error rather than the score heuristic.  ``None`` (the default)
-        disables the filter.
     """
 
     max_sits: int | None = None
     min_diff: float = 0.0
-    keep_keys: frozenset | None = None
 
     def __post_init__(self) -> None:
         if self.max_sits is not None and self.max_sits < 0:
             raise ValueError("max_sits must be non-negative")
-        if self.keep_keys is not None:
-            object.__setattr__(self, "keep_keys", frozenset(self.keep_keys))
 
 
 @dataclass
@@ -201,18 +191,8 @@ def execute_refresh(
     # ------------------------------------------------------------------
     # Space budget / benefit filter (static SIT selection)
     # ------------------------------------------------------------------
-    if (
-        policy.max_sits is not None
-        or policy.min_diff > 0.0
-        or policy.keep_keys is not None
-    ):
-        keep = policy.keep_keys
-        eligible = [
-            sit
-            for sit in sits
-            if sit.diff >= policy.min_diff
-            and (keep is None or sit_key(sit) in keep)
-        ]
+    if policy.max_sits is not None or policy.min_diff > 0.0:
+        eligible = [sit for sit in sits if sit.diff >= policy.min_diff]
         ranked = rank_sits(eligible, (query.joins for query in queries or ()))
         survivors = {sit_key(sit) for sit, _, _ in ranked[: policy.max_sits]}
         filtered: list[SIT] = []

@@ -61,10 +61,9 @@ from repro.catalog.catalog import CatalogSnapshot, StatisticsCatalog
 def stamp_staleness(tracker, predicates, result):
     """``result`` with ``staleness_s`` provenance when a tracker is wired.
 
-    One of the two steps every served answer takes after it is computed
-    (the other is :func:`emit_feedback`); a session runs both on its
-    worker, and the service runs the same two on an answer it replays
-    where the request arrived."""
+    The one step every served answer takes after it is computed: a
+    session runs it on its worker, and the service runs the same step on
+    an answer it replays where the request arrived."""
     if tracker is None or result is None:
         return result
     try:
@@ -72,17 +71,6 @@ def stamp_staleness(tracker, predicates, result):
     except Exception:
         return result
     return result.with_staleness(staleness)
-
-
-def emit_feedback(sink, predicates, result) -> None:
-    """Hand an answer to the advisor's feedback sink; sink errors are
-    swallowed, since feedback is advisory and must never fail serving."""
-    if sink is None or result is None:
-        return
-    try:
-        sink(predicates, result)
-    except Exception:
-        pass
 
 
 class EstimationSession:
@@ -139,11 +127,6 @@ class EstimationSession:
         # single-owner guard: estimation is hand-off safe across threads
         # but never concurrency-safe (see the module docstring)
         self._owner_lock = threading.Lock()
-        #: optional ``(predicates, result) -> None`` hook invoked after
-        #: every answered query — the self-tuning advisor's observation
-        #: point (:mod:`repro.advisor`).  Sink errors are swallowed:
-        #: feedback is advisory and must never fail serving.
-        self.feedback_sink = None
         #: optional :class:`repro.obs.StalenessTracker` — when set, every
         #: answer is stamped with the worst-case serving-snapshot
         #: staleness over the tables it touched (``staleness_s``
@@ -227,10 +210,12 @@ class EstimationSession:
             lock.release()
 
     def _answer(self, predicates: frozenset) -> EstimationResult:
-        """One answered request: the estimate, its feedback, its stamp."""
-        result = self.estimator.estimate_predicates(predicates)
-        emit_feedback(self.feedback_sink, predicates, result)
-        return stamp_staleness(self.staleness_tracker, predicates, result)
+        """One answered request: the estimate and its staleness stamp."""
+        return stamp_staleness(
+            self.staleness_tracker,
+            predicates,
+            self.estimator.estimate_predicates(predicates),
+        )
 
     def estimate_predicates(self, predicates: PredicateSet) -> EstimationResult:
         """A sub-query of the current query (not counted as a request)."""
@@ -323,4 +308,4 @@ class EstimationSession:
         return StatsSnapshot.from_registry(self.metrics_registry(), meta=meta)
 
 
-__all__ = ["EstimationSession", "emit_feedback", "stamp_staleness"]
+__all__ = ["EstimationSession", "stamp_staleness"]

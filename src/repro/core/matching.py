@@ -82,7 +82,7 @@ class FactorMatch:
 
 def conditioned_sit_names(sits: Iterable[SIT]) -> tuple[str, ...]:
     """Sorted, de-duplicated names of the non-base SITs among ``sits``
-    (what the advisor's feedback records per served answer)."""
+    (an answer's ``matched_sits``: the conditioned statistics it read)."""
     return tuple(sorted({str(sit) for sit in sits if not sit.is_base}))
 
 

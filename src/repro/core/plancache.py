@@ -45,7 +45,7 @@ filter constants.  This module exploits that invariance:
   every scalar field set, and builds ``decomposition`` and ``matches``
   (:meth:`CompiledPlan.provenance`) the first time either is read —
   EXPLAIN and the compile-time self-check read them, the request path
-  (the advisor's feedback sink included) does not.
+  does not.
 
 * :class:`PlanCache` keys plans by shape fingerprint under one pinned
   pool object and rides the catalog's single invalidation path: every

@@ -141,7 +141,7 @@ class Estimator(abc.ABC):
         Drops this backend's derived state for the table, then forwards
         to the owning catalog when one is pinned — keeping the catalog's
         ``notify_table_update`` the single invalidation event path that
-        feedback, refresh and plan caches already share.
+        refresh and plan caches already share.
         """
         self._local_table_versions[table] = (
             self._local_table_versions.get(table, 0) + 1

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.ingest.config import IngestConfig
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, q_error
 from repro.obs.snapshot import StatsSnapshot
 from repro.obs.staleness import StalenessTracker
 from repro.service.protocol import Overloaded
@@ -217,13 +217,13 @@ class IngestPipeline:
         if applied < (probed + 1) * every:
             return
         try:
-            q_error = self.drift_probe()
+            drift = self.drift_probe()
         except Exception:
             self._metrics.counter("ingest.drift_probe_errors").inc()
             return
         self._metrics.counter("ingest.drift_probes").inc()
-        if q_error is not None:
-            self.tracker.record_drift(q_error)
+        if drift is not None:
+            self.tracker.record_drift(drift)
 
     # -- drain / shutdown --------------------------------------------------
     def flush(self, timeout: float = 10.0) -> bool:
@@ -333,9 +333,4 @@ class EstimateDriftProbe:
         with self._lock:
             query = self._queries[self._next % len(self._queries)]
             self._next += 1
-        served = float(self._estimate(query))
-        fresh = float(self._truth(query))
-        eps = 1e-9
-        high = max(served, fresh) + eps
-        low = min(served, fresh) + eps
-        return high / low
+        return q_error(float(self._estimate(query)), float(self._truth(query)))

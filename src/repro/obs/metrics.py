@@ -330,3 +330,12 @@ class MetricsRegistry:
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+
+
+def q_error(estimated: float, true: float) -> float:
+    """``max(est, true) / min(est, true)`` with both sides raised by
+    ``1e-9``, so an empty result stays finite: the one q-error the
+    bench suites and the ingest drift probe report."""
+    high = max(estimated, true) + 1e-9
+    low = min(estimated, true) + 1e-9
+    return high / low

@@ -45,16 +45,6 @@ namespaces:
     ``hit_rate`` and the pinned ``pool_version``; a service adds
     ``caches``, its distinct live caches (one per served pool) — empty
     for producers that run without the cache;
-``advisor``
-    self-tuning loop state (:mod:`repro.advisor`): ``ticks``,
-    ``proposals``, ``accepts``, per-constraint rejects
-    (``rejects_q_error`` / ``rejects_space`` / ``rejects_refresh_cost``),
-    ``no_solution`` outcomes, ``skipped_ticks`` (safety evaluation
-    unavailable) and the feedback store's counters (``feedback_records``,
-    ``feedback_dropped``, ``truth_entries``, ``truth_hits``, ...); the
-    last accepted proposal's safety margins
-    are on its tuning report's ``decision`` — empty when no advisor
-    runs;
 ``ingest``
     streaming-ingestion state (:mod:`repro.ingest` +
     :class:`repro.obs.staleness.StalenessTracker`): admission counters
@@ -89,7 +79,6 @@ NAMESPACES = (
     "service",
     "resilience",
     "plan_cache",
-    "advisor",
     "ingest",
 )
 
@@ -109,7 +98,6 @@ class StatsSnapshot:
     service: Mapping[str, object] = field(default_factory=dict)
     resilience: Mapping[str, float] = field(default_factory=dict)
     plan_cache: Mapping[str, float] = field(default_factory=dict)
-    advisor: Mapping[str, float] = field(default_factory=dict)
     ingest: Mapping[str, float] = field(default_factory=dict)
     meta: Mapping[str, object] = field(default_factory=dict)
 
@@ -143,7 +131,6 @@ class StatsSnapshot:
             service=nested.get("service", {}),
             resilience=nested.get("resilience", {}),
             plan_cache=nested.get("plan_cache", {}),
-            advisor=nested.get("advisor", {}),
             ingest=nested.get("ingest", {}),
             meta=meta or {},
         )
@@ -179,7 +166,6 @@ class StatsSnapshot:
             "service": dict(self.service),
             "resilience": dict(self.resilience),
             "plan_cache": dict(self.plan_cache),
-            "advisor": dict(self.advisor),
             "ingest": dict(self.ingest),
             "meta": dict(self.meta),
         }

@@ -2,10 +2,9 @@
 
 Layering (queue → batch → worker → snapshot swap; DESIGN.md §11):
 
-* :mod:`repro.service.config` — layered tunables:
-  :class:`ServiceConfig` with an optional nested
-  :class:`~repro.advisor.AdvisorConfig`, ``from_dict``/``to_dict``
-  round-trip for ``python -m repro serve --config file.json``;
+* :mod:`repro.service.config` — the tunables:
+  :class:`ServiceConfig`, ``from_dict``/``to_dict`` round-trip for
+  ``python -m repro serve --config file.json``;
 * :mod:`repro.service.protocol` — typed requests/responses
   (:class:`ServedEstimate`, :class:`Overloaded`, ...) and the JSON-lines
   wire codec shared by both transports;

@@ -1,33 +1,18 @@
-"""Tunables of the estimation-serving subsystem, layered by concern.
+"""Tunables of the estimation-serving subsystem.
 
-Two frozen dataclasses, one per concern:
-
-* :class:`ServiceConfig` — the request path of one
-  :class:`~repro.service.EstimationService` (workers, queue, batching,
-  deadlines, bind address);
-* :class:`repro.advisor.AdvisorConfig` — the self-tuning loop
-  (:mod:`repro.advisor`), nested as ``ServiceConfig.advisor`` (``None``
-  disables tuning).
-
-Every layer validates in ``__post_init__`` and round-trips through
-``from_dict`` / ``to_dict`` so a whole deployment fits in one JSON file
-(``python -m repro serve --config service.json``).
+One frozen dataclass, :class:`ServiceConfig`: the request path of one
+:class:`~repro.service.EstimationService` (workers, queue, batching,
+deadlines, bind address, backend).  It validates in ``__post_init__``
+and round-trips through ``from_dict`` / ``to_dict``, a flat mapping of
+its fields, so a whole deployment fits in one JSON file
+(``python -m repro serve --config service.json``); a key that is not a
+field is refused by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from typing import Any, Mapping
-
-from repro.advisor.config import AdvisorConfig
-
-
-def _known_fields(cls, data: Mapping[str, Any]) -> dict:
-    names = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - names)
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
-    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -62,10 +47,6 @@ class ServiceConfig:
     #: (:data:`repro.estimators.BACKENDS`: ``"sit"``, ``"bn"``,
     #: ``"sample"``)
     backend: str = "sit"
-    #: self-tuning loop (:mod:`repro.advisor`): when set, the service
-    #: collects per-query feedback and runs safety-gated configuration
-    #: ticks between batches; ``None`` disables tuning
-    advisor: AdvisorConfig | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -88,10 +69,6 @@ class ServiceConfig:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if self.advisor is not None and not isinstance(
-            self.advisor, AdvisorConfig
-        ):
-            raise TypeError("advisor must be an AdvisorConfig or None")
 
     @property
     def batch_window_s(self) -> float:
@@ -104,27 +81,17 @@ class ServiceConfig:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-ready nested form; ``from_dict`` round-trips it."""
-        out: dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "advisor":
-                out[f.name] = None if value is None else value.to_dict()
-            else:
-                out[f.name] = value
-        return out
+        """JSON-ready flat form; ``from_dict`` round-trips it."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ServiceConfig":
-        """Build a config from its nested-dict form."""
-        data = dict(data)
-        advisor = data.pop("advisor", None)
-        if isinstance(advisor, Mapping):
-            advisor = AdvisorConfig.from_dict(advisor)
-        kwargs = _known_fields(cls, data)
-        if advisor is not None:
-            kwargs["advisor"] = advisor
-        return cls(**kwargs)
+        """Build a config from its flat-dict form; a key that is not a
+        field raises ``ValueError`` naming it."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
+        return cls(**data)
 
 
 __all__ = ["ServiceConfig"]

@@ -66,9 +66,8 @@ from dataclasses import dataclass, field, replace as _replace
 from typing import Iterable
 
 from repro.catalog.catalog import CatalogSnapshot, StatisticsCatalog
-from repro.catalog.session import EstimationSession, emit_feedback
+from repro.catalog.session import EstimationSession
 from repro.core.errors import ErrorFunction
-from repro.core.get_selectivity import EstimationResult
 from repro.core.plancache import CompiledPlan, PlanCache, shape_fingerprint
 from repro.core.predicates import PredicateSet, tables_of
 from repro.engine.database import Database
@@ -196,33 +195,10 @@ class EstimationService:
         self._plan_cache: PlanCache | None = None
         #: counts of the caches nothing holds any more (``_sessions_lock``)
         self._banked_plan_events = dict.fromkeys(_PLAN_EVENTS, 0)
-        # -- self-tuning loop (repro.advisor) ---------------------------
-        #: constructed only when configured *and* serving from a catalog
-        #: with a database (the loop needs the refresh path and an
-        #: executor for truth); otherwise tuning is silently absent
-        self.advisor = None
-        self._tuning_thread: threading.Thread | None = None
-        self._tuning_lock = threading.Lock()
         #: optional :class:`repro.obs.StalenessTracker` joined by the
         #: ingest pipeline (see :meth:`attach_staleness`); when present,
         #: worker sessions stamp answers with ``staleness_s`` provenance
         self.staleness_tracker = None
-        if (
-            self.config.advisor is not None
-            and self._catalog is not None
-            and self._catalog.database is not None
-        ):
-            from repro.advisor import SelfTuningAdvisor
-
-            self.advisor = SelfTuningAdvisor(
-                self._catalog,
-                config=self.config.advisor,
-                name=f"{name}-advisor",
-            )
-        #: every answer's feedback goes here, from a session or on arrival
-        self._feedback_sink = (
-            self.advisor.record_result if self.advisor is not None else None
-        )
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -273,7 +249,6 @@ class EstimationService:
                 backend=self.config.backend,
                 plan_cache=cache,
             )
-            session.feedback_sink = self._feedback_sink
             session.staleness_tracker = self.staleness_tracker
             self._sessions.append(session)
             if session.plan_cache is cache and cache is not current:
@@ -375,8 +350,8 @@ class EstimationService:
         sql = self._sql
         default_timeout = self.config.default_timeout_s
         cache, version = self._live_cache()
-        # SQL goes from its literals to the plan unless a sink needs the set
-        scan_sql = cache is not None and self._feedback_sink is None
+        # SQL goes from its literals to the plan whenever a cache is live
+        scan_sql = cache is not None
         outcomes: "list[ServedEstimate | Future | ServiceError]" = []
         admissible: list[_Pending] = []
         #: ``outcomes`` index of every admissible member
@@ -465,13 +440,10 @@ class EstimationService:
         tables: frozenset[str], hit: tuple | None, cache: PlanCache,
         snapshot_version: int, submitted_at: float,
     ) -> ServedEstimate:
-        """A hit replayed on the submitting thread, with the feedback and
-        staleness stamp a session gives its own replay; an SQL ``hit``
-        (``ordered`` its scanned rows) has no sink."""
+        """A hit replayed on the submitting thread, with the staleness
+        stamp a session gives its own replay; an SQL ``hit`` (``ordered``
+        its scanned rows) carries no ``predicates``."""
         selectivity = plan.selectivity(ordered)
-        if self._feedback_sink is not None:
-            result = EstimationResult.replayed(plan, ordered, selectivity)
-            emit_feedback(self._feedback_sink, predicates, result)
         staleness_s = None
         if self.staleness_tracker is not None:  # as stamp_staleness
             with contextlib.suppress(Exception):
@@ -506,7 +478,6 @@ class EstimationService:
             answered_on_arrival.inc(count)
             for latency_ms in latencies:
                 histogram.observe(latency_ms)
-        self._maybe_tune()
 
     def estimate(
         self,
@@ -561,46 +532,6 @@ class EstimationService:
                         pending.future.set_exception(
                             ServiceError(f"worker failure: {exc}")
                         )
-            else:
-                self._maybe_tune()
-
-    def _maybe_tune(self) -> None:
-        """Between batches: kick one background tuning tick if due.
-
-        Never blocks serving: the tick runs on its own daemon thread, at
-        most one at a time (non-blocking lock), rate-limited by
-        ``AdvisorConfig.min_interval_s``, and an unexpected tick failure
-        is counted — not raised — so a broken advisor degrades to a
-        no-op.
-        """
-        advisor = self.advisor
-        if (
-            advisor is None
-            or self._draining.is_set()
-            or self._closed.is_set()
-            or not advisor.ready()
-        ):
-            return
-        if not self._tuning_lock.acquire(blocking=False):
-            return
-
-        def run() -> None:
-            try:
-                advisor.tick()
-            except Exception:  # pragma: no cover - tick() already guards
-                with self._metrics_lock:
-                    self.metrics.counter("advisor.failed_ticks").inc()
-            finally:
-                self._tuning_lock.release()
-
-        thread = threading.Thread(
-            target=run, name=f"{self.name}-advisor", daemon=True
-        )
-        # start, then publish: ``close`` joins what it finds here, and a
-        # published-but-unstarted thread is neither alive nor joinable
-        # (a tick that ends first is published finished, which is fine)
-        thread.start()
-        self._tuning_thread = thread
 
     def attach_staleness(self, tracker) -> None:
         """Join a :class:`repro.obs.StalenessTracker` (fed by the ingest
@@ -617,19 +548,6 @@ class EstimationService:
             self._catalog, "attach_staleness"
         ):
             self._catalog.attach_staleness(tracker)
-
-    def tune(self):
-        """Run one tuning tick synchronously (smoke tests, operators).
-
-        Returns the :class:`~repro.advisor.loop.TuningReport`, or
-        ``None`` when no advisor is configured.  Serialized against the
-        background tick through the same lock.
-        """
-        advisor = self.advisor
-        if advisor is None:
-            return None
-        with self._tuning_lock:
-            return advisor.tick()
 
     def _roll_snapshot(
         self, session: EstimationSession | None
@@ -775,9 +693,6 @@ class EstimationService:
         for worker in self._workers:
             worker.join(timeout=timeout)
             clean = clean and not worker.is_alive()
-        tuning = self._tuning_thread
-        if tuning is not None and tuning.is_alive():
-            tuning.join(timeout=timeout)
         self._closed.set()
         return clean
 
@@ -816,8 +731,6 @@ class EstimationService:
             registry.merge(session.metrics_registry())
         if caches or any(banked.values()):
             self._fold_plan_cache(registry, caches.values(), banked)
-        if self.advisor is not None:
-            registry.merge(self.advisor.metrics_registry())
         if self.staleness_tracker is not None:
             for name, value in self.staleness_tracker.metrics().items():
                 registry.gauge(f"ingest.{name}").set(float(value))

@@ -1,8 +1,7 @@
 """Statistics on query expressions (SITs): definitions, construction from a
 database, ``diff_H`` computation, workload-driven pool generation and the
 one ``diff_H`` ranking (:func:`rank_sits`) every SIT selection uses.  The
-SIT lifecycle (budgeted selection, refresh) is :mod:`repro.catalog`;
-execution feedback is :mod:`repro.advisor.feedback`."""
+SIT lifecycle (budgeted selection, refresh) is :mod:`repro.catalog`."""
 
 from repro.stats.builder import SITBuilder
 from repro.stats.diff import approximate_diff, exact_diff

@@ -1,9 +1,9 @@
 """The snowflake fixture: database -> random SPJ workload -> J_n catalog.
 
 Every entry point that needs "a database, some queries and a catalog
-built over them" — the ``catalog`` / ``serve`` / ``advisor`` CLI
-commands, the ``python -m repro.bench`` suites and ``scripts/smoke.py``
-— builds it here, so the three-step sequence exists once.
+built over them" — the ``catalog`` / ``serve`` CLI commands, the
+``python -m repro.bench`` suites and ``scripts/smoke.py`` — builds it
+here, so the three-step sequence exists once.
 """
 
 from __future__ import annotations

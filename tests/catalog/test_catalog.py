@@ -1,9 +1,10 @@
 """StatisticsCatalog: registry, metadata, snapshots and the one
 invalidation event path."""
 
+import dataclasses
+
 import pytest
 
-from repro.advisor.feedback import FeedbackStore
 from repro.catalog import (
     BUILD_FULL,
     BUILD_SAMPLED,
@@ -124,6 +125,30 @@ class TestSnapshotIsolation:
         for sit in snapshot:
             assert snapshot.metadata_for(sit) == catalog.metadata_for(sit)
 
+    def test_snapshot_is_sized_and_iterated_as_its_pool(self, catalog):
+        snapshot = catalog.snapshot()
+        assert len(snapshot) == len(catalog.pool) == 6
+        assert list(snapshot) == list(snapshot.pool)
+
+    def test_a_pinned_snapshot_sees_staleness_against_the_live_catalog(
+        self, catalog
+    ):
+        snapshot = catalog.snapshot()
+        assert snapshot.stale_sits() == []
+        catalog.notify_table_update("R")
+        # the snapshot keeps its pool, but reads the catalog's versions
+        assert not snapshot.is_current
+        assert {str(s) for s in snapshot.stale_sits()} == {
+            str(s) for s in catalog.stale_sits()
+        } == {"SIT(R.a)", "SIT(R.x)", "SIT(R.a | R.x=S.y)", "SIT(S.b | R.x=S.y)"}
+
+    def test_an_unowned_snapshot_has_nothing_stale(self, catalog):
+        snapshot = catalog.snapshot()
+        catalog.notify_table_update("S")
+        detached = dataclasses.replace(snapshot, catalog=None)
+        assert detached.stale_sits() == []
+        assert not detached.is_current
+
 
 class TestInvalidationEventPath:
     def test_table_update_marks_dependents_stale(self, catalog):
@@ -138,16 +163,6 @@ class TestInvalidationEventPath:
             "SIT(R.a | R.x=S.y)",
             "SIT(S.b | R.x=S.y)",
         }
-
-    def test_feedback_dropped_on_table_update(self, catalog):
-        store = catalog.attach_feedback(FeedbackStore())
-        store.record_truth(frozenset({FilterPredicate(SB, 0, 5)}), 12)
-        store.record_truth(frozenset({FilterPredicate(RA, 0, 5)}), 7)
-        catalog.notify_table_update("S")
-        # only the R truth survives
-        assert store.counters()["truth_entries"] == 1.0
-        assert store.lookup_truth(frozenset({FilterPredicate(SB, 0, 5)})) is None
-        assert catalog.stats_snapshot().catalog["feedback_dropped"] == 1.0
 
     def test_table_update_bumps_catalog_and_pool_versions(self, catalog):
         catalog_version = catalog.version
@@ -179,7 +194,6 @@ class TestInvalidationEventPath:
             assert masks == [fresh.prune_masks(bit) for bit in range(fresh.size)]
 
     def test_lifecycle_metrics_flow(self, catalog, two_table_db):
-        catalog.attach_feedback(FeedbackStore())
         catalog.notify_table_update("S")
         snapshot = catalog.stats_snapshot()
         assert snapshot.catalog["invalidations"] == 1.0

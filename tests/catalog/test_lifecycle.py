@@ -310,8 +310,10 @@ class TestRefreshReport:
 
     def test_refresh_metrics(self, database, catalog):
         catalog.notify_table_update("S")
-        catalog.refresh()
+        report = catalog.refresh()
         snapshot = catalog.stats_snapshot()
         assert snapshot.catalog["refreshes"] == 1.0
         assert snapshot.catalog["sits_rebuilt"] > 0.0
         assert snapshot.catalog["stale_sits"] == 0.0
+        # the last refresh's rebuild time, as its report gives it
+        assert snapshot.catalog["refresh_seconds"] == report.build_seconds

@@ -30,7 +30,6 @@ import threading
 
 import pytest
 
-from repro.advisor import SelfTuningAdvisor
 from repro.catalog import EstimationSession, StatisticsCatalog
 from repro.core import plancache
 from repro.core.errors import DiffError, NIndError
@@ -357,8 +356,8 @@ def eager_result(plan, ordered, selectivity) -> EstimationResult:
 
 
 def parent_matched_sits(result) -> tuple[str, ...]:
-    """The advisor sink's walk over ``result.matches``, as it was written
-    before the plan carried the names."""
+    """The walk over ``result.matches`` that ``matched_sits`` was before
+    the plan carried the names."""
     return tuple(
         sorted(
             {
@@ -397,19 +396,15 @@ def cold_batch(templates) -> list[frozenset]:
     return batch
 
 
-def wired_session(catalog, tracked: bool, advised: bool, **options):
-    """A session with the feedback sink and staleness tracker a served
-    one carries, and the advisor its feedback lands in (or ``None``)."""
+def wired_session(catalog, tracked: bool, **options):
+    """A session with the staleness tracker a served one carries."""
     session = EstimationSession(catalog, NIndError(), **options)
     if tracked:
         tracker = StalenessTracker(clock=lambda: 100.0)
         for table in sorted(catalog.database.tables):
             tracker.note_write(table, when=97.5)
         session.staleness_tracker = tracker
-    advisor = SelfTuningAdvisor(catalog) if advised else None
-    if advised:
-        session.feedback_sink = advisor.record_result
-    return session, advisor
+    return session
 
 
 def hot_requests(templates, per_template: int) -> list[frozenset]:
@@ -422,20 +417,16 @@ def hot_requests(templates, per_template: int) -> list[frozenset]:
 
 
 class TestDeferredProvenance:
-    @pytest.mark.parametrize("tracked", [False, True], ids=["", "tracker"])
-    @pytest.mark.parametrize("advised", [False, True], ids=["", "advisor"])
-    def test_hot_answers_build_nothing(
-        self, snowflake_setup, rebuilds, tracked, advised
-    ):
+    @pytest.mark.parametrize(
+        "tracked", [False, True], ids=["untracked", "tracker"]
+    )
+    def test_hot_answers_build_nothing(self, snowflake_setup, rebuilds, tracked):
         database, templates, pool = snowflake_setup
         catalog = StatisticsCatalog.from_pool(pool, database=database)
         session = EstimationSession(catalog, NIndError())
         cold = EstimationSession(catalog, NIndError(), plan_cache=False)
         if tracked:
             session.staleness_tracker = StalenessTracker()
-        advisor = SelfTuningAdvisor(catalog) if advised else None
-        if advised:
-            session.feedback_sink = advisor.record_result
         requests = hot_requests(templates, 10)
         for request in requests:  # every shape compiles
             session.estimate(request)
@@ -447,18 +438,15 @@ class TestDeferredProvenance:
             answers += session.estimate_batch(requests)
         assert len(answers) == 1000
         assert all(answer.plan_cache_hit for answer in answers)
-        assert rebuilds == []
         if tracked:
             assert all(answer.staleness_s == 0.0 for answer in answers)
-        if advised:
-            # what the sink recorded without reading a match is what
-            # walking the cold answer's matches gives, in order
-            records = advisor.feedback.records()[-len(requests):]
-            for request, record in zip(requests, records):
-                assert record.predicates == request
-                assert record.matched_sits == parent_matched_sits(
-                    cold.estimate(request)
-                )
+        # a replay's matched SITs, read without building a match, are
+        # what walking the cold answer's matches gives, in order
+        for request, answer in zip(requests, answers[-len(requests):]):
+            assert answer.matched_sits == parent_matched_sits(
+                cold.estimate(request)
+            )
+        assert rebuilds == []
 
         # one build on the first read of either field, none after
         first, second = answers[0], answers[1]
@@ -478,12 +466,8 @@ class TestDeferredProvenance:
         # solves again
         batch = cold_batch(templates)
         for options in ({}, {"plan_cache": False}, {"backend": "bn"}):
-            batched, batch_advisor = wired_session(
-                catalog, tracked, advised, **options
-            )
-            single, single_advisor = wired_session(
-                catalog, tracked, advised, **options
-            )
+            batched = wired_session(catalog, tracked, **options)
+            single = wired_session(catalog, tracked, **options)
             answers = batched.estimate_batch(batch)
             expected = [single.estimate(request) for request in batch]
             assert answers == expected
@@ -492,11 +476,6 @@ class TestDeferredProvenance:
                 assert answer.staleness_s == one.staleness_s
                 assert (answer.staleness_s == 2.5) is tracked
             assert answers[1].plan_cache_hit is (options == {})
-            if advised:
-                assert batch_advisor.feedback.records() == (
-                    single_advisor.feedback.records()
-                )
-                assert len(batch_advisor.feedback.records()) == len(batch)
 
     def test_deferred_equals_eager(self, snowflake_setup):
         database, templates, pool = snowflake_setup

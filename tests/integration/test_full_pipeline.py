@@ -1,13 +1,12 @@
 """One end-to-end journey through every layer of the library.
 
 SQL text -> canonical query -> SIT pool (budgeted catalog refresh) -> DP
-estimation -> optimizer exploration -> costed plan -> physical execution
--> feedback.  If this test passes, every public seam composes.
+estimation -> optimizer exploration -> costed plan -> physical
+execution.  If this test passes, every public seam composes.
 """
 
 import pytest
 
-from repro.advisor.feedback import FeedbackEstimator
 from repro.catalog import RefreshPolicy, StatisticsCatalog
 from repro.core.errors import DiffError
 from repro.estimators import make_gs_diff
@@ -76,12 +75,4 @@ class TestFullPipeline:
         full = make_gs_diff(database, pool)
         assert coupled.cardinality(query) == pytest.approx(
             full.cardinality(query), rel=0.5
-        )
-
-    def test_feedback_makes_the_estimate_exact(self, pipeline):
-        database, query, pool, executor = pipeline
-        feedback = FeedbackEstimator(make_gs_diff(database, pool))
-        feedback.observe(executor, query)
-        assert feedback.cardinality(query) == executor.cardinality(
-            query.predicates
         )

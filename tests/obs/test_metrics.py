@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, HistogramMetric, MetricsRegistry
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    HistogramMetric,
+    MetricsRegistry,
+    q_error,
+)
 
 
 class TestInstruments:
@@ -225,3 +231,15 @@ class TestRegistry:
         registry.counter("counters.a", table="R").inc()
         payload = json.loads(registry.to_json())
         assert payload == {"counters": {"a{table=R}": 1.0}}
+
+
+class TestQError:
+    def test_identity_is_one(self):
+        assert q_error(100.0, 100.0) == pytest.approx(1.0)
+
+    def test_symmetric(self):
+        assert q_error(10.0, 40.0) == q_error(40.0, 10.0)
+
+    def test_zero_guarded(self):
+        assert q_error(0.0, 0.0) == pytest.approx(1.0)
+        assert q_error(0.0, 10.0) > 1e9

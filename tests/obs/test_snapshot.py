@@ -29,7 +29,6 @@ class TestStatsSnapshot:
             "service",
             "resilience",
             "plan_cache",
-            "advisor",
             "ingest",
         )
 
@@ -107,7 +106,6 @@ class TestStatsSnapshot:
             "service",
             "resilience",
             "plan_cache",
-            "advisor",
             "ingest",
             "meta",
         }

@@ -12,7 +12,6 @@ import time
 from dataclasses import replace
 from itertools import combinations
 
-from repro.advisor import AdvisorConfig
 from repro.catalog import EstimationSession
 from repro.core.plancache import CompiledPlan, PlanCache, shape_fingerprint
 from repro.core.predicates import FilterPredicate
@@ -290,16 +289,10 @@ class TestAnsweredOnArrival:
     def test_a_hit_on_arrival_equals_the_queued_one_field_for_field(
         self, service_catalog, factor_sharing_queries
     ):
-        """Same staleness stamp, same advisor feedback: only the latency
-        and the batch differ."""
+        """Same staleness stamp: only the latency and the batch differ."""
         tracker = StalenessTracker(clock=lambda: 100.0)
         tracker.note_write("R", when=97.5)
-        config = ServiceConfig(
-            workers=1,
-            queue_depth=64,
-            # never ready to tick: the catalog must not move under the test
-            advisor=AdvisorConfig(min_feedback=10_000),
-        )
+        config = ServiceConfig(workers=1, queue_depth=64)
         first, second = factor_sharing_queries[:2]
         with EstimationService(service_catalog, config=config) as service:
             service.attach_staleness(tracker)
@@ -309,15 +302,10 @@ class TestAnsweredOnArrival:
             queued = queued.result(timeout=30.0)
             on_arrival = service.estimate(second)
             assert arrivals(service) == 1.0
-            fed = service.advisor.feedback.records()[-2:]
         assert queued.plan_cache_hit and queued.staleness_s == 2.5
         assert replace(queued, latency_ms=0.0, batch_size=1) == replace(
             on_arrival, latency_ms=0.0, batch_size=1
         )
-        assert [replace(record, seq=0) for record in fed] == [
-            replace(fed[0], seq=0)
-        ] * 2
-        assert fed[0].predicates == second.predicates
 
 
 class TestOneCachePerSnapshot:

@@ -1,6 +1,6 @@
-"""Layered configuration: per-layer validation (the bugfix — the old
-flat config silently accepted nonsense knobs), from_dict/to_dict round
-trips."""
+"""Service configuration: validation (the bugfix — the old config
+silently accepted nonsense knobs), keys of deleted tiers refused by
+name, from_dict/to_dict round trips of every field."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import re
 
 import pytest
 
-from repro.advisor import AdvisorConfig
 from repro.service import ServiceConfig
 
 
@@ -60,9 +59,25 @@ class TestServiceValidation:
             ServiceConfig(plan_cache=False)
         assert "plan_cache" not in ServiceConfig().to_dict()
 
-    def test_nested_layers_are_type_checked(self):
+    def test_advisor_is_no_knob(self):
         with pytest.raises(TypeError, match="advisor"):
-            ServiceConfig(advisor={"max_q_error": 10.0})
+            ServiceConfig(advisor=None)
+        assert "advisor" not in ServiceConfig().to_dict()
+
+
+@pytest.mark.parametrize(
+    "block", [None, {}, {"max_q_error": 10.0, "min_feedback": 8}],
+    ids=["null", "empty", "tuned"],
+)
+def test_removed_advisor_block_is_unknown(block):
+    """The self-tuning advisor is gone: a deployment file that still has
+    an ``advisor`` block — or the ``"advisor": null`` an older
+    ``to_dict`` wrote — is refused by name, neither dropped nor
+    accepted."""
+    with pytest.raises(
+        ValueError, match=re.escape("unknown ServiceConfig keys: ['advisor']")
+    ):
+        ServiceConfig.from_dict({"workers": 2, "advisor": block})
 
 
 @pytest.mark.parametrize(
@@ -138,31 +153,40 @@ class TestRoundTrip:
         assert ServiceConfig.from_dict(config.to_dict()) == config
 
     def test_full_deployment_fits_in_one_json_file(self):
+        """Every field, each off its default, survives the serve
+        --config path: through actual JSON, not just dicts."""
         config = ServiceConfig(
             workers=4,
-            advisor=AdvisorConfig(max_q_error=50.0),
+            queue_depth=64,
+            max_batch=8,
+            default_timeout_s=1.5,
+            drain_timeout_s=2.0,
+            host="0.0.0.0",
+            port=0,
+            backend="bn",
         )
-        # through actual JSON, not just dicts: the serve --config path
-        restored = ServiceConfig.from_dict(
-            json.loads(json.dumps(config.to_dict()))
-        )
+        payload = config.to_dict()
+        defaults = ServiceConfig().to_dict()
+        assert sorted(payload) == sorted(defaults)
+        assert all(payload[key] != defaults[key] for key in payload)
+        restored = ServiceConfig.from_dict(json.loads(json.dumps(payload)))
         assert restored == config
-        assert restored.advisor.max_q_error == 50.0
+        assert restored.to_dict() == payload
 
-    def test_unknown_keys_are_rejected_per_layer(self):
-        with pytest.raises(ValueError, match="unknown ServiceConfig"):
+    def test_unknown_keys_are_rejected(self):
+        with pytest.raises(
+            ValueError, match=re.escape("unknown ServiceConfig keys: ['wrokers']")
+        ):
             ServiceConfig.from_dict({"wrokers": 2})
-        with pytest.raises(ValueError, match="unknown AdvisorConfig"):
-            ServiceConfig.from_dict({"advisor": {"max_qerror": 3}})
 
-    def test_nested_validation_fires_through_from_dict(self):
-        with pytest.raises(ValueError, match="max_moves"):
-            ServiceConfig.from_dict({"advisor": {"max_moves": 0}})
+    def test_validation_fires_through_from_dict(self):
+        with pytest.raises(ValueError, match="max_batch"):
+            ServiceConfig.from_dict({"max_batch": 0})
 
 
 class TestLegacyShims:
     def test_modern_spelling_is_warning_free(self, recwarn):
-        config = ServiceConfig(advisor=AdvisorConfig())
+        config = ServiceConfig(workers=3)
         ServiceConfig.from_dict(config.to_dict())
         assert not [
             w

@@ -506,26 +506,6 @@ class TestWhatTheLiteralPathBuilds:
         assert len(service._plan_cache) == 1
         assert calls == []
 
-    def test_a_feedback_sink_still_receives_the_predicate_set(
-        self, two_table_service, filter_births
-    ):
-        service = two_table_service
-        schema = service.database.schema
-        statements = [self.SQL.format(lo, lo + 8, 60 - lo) for lo in range(0, 40, 4)]
-        admit_all(service, statements)
-        literal = admit_all(service, statements)
-        received: list = []
-        service._feedback_sink = lambda predicates, result: received.append(
-            (predicates, result)
-        )
-        fed = admit_all(service, statements)
-        assert filter_births[0] > 0  # the sink needs the set, so it is built
-        assert [p for p, _ in received] == [
-            parse_query(sql, schema).predicates for sql in statements
-        ]
-        assert [r.selectivity for _, r in received] == [a.selectivity for a in fed]
-        assert list(map(without_latency, fed)) == list(map(without_latency, literal))
-
     def test_a_staleness_tracker_stamps_the_tables_the_predicates_name(
         self, two_table_service, filter_births, predicate_path
     ):

@@ -11,8 +11,6 @@ import dataclasses
 import pytest
 
 from repro.__main__ import main
-from repro.advisor.feedback import FeedbackStore
-from repro.advisor.search import ConfigurationSearch, MeasuredRecord
 from repro.catalog import RefreshPolicy, StatisticsCatalog
 from repro.estimators import make_gs_diff
 from repro.core.predicates import Attribute, FilterPredicate
@@ -208,10 +206,9 @@ class TestSamePicksAsTheDeletedAdvisor:
 
 
 class TestOneOrder:
-    """The refresh filter, the search's ``ranked_candidates`` and
-    ``catalog advise`` rank with one function: given the same SITs and
-    workload — two candidates tying on score — all three give one
-    order (ties by name, not by pool position)."""
+    """The refresh filter and ``catalog advise`` rank with one function:
+    given the same SITs and workload — two candidates tying on score —
+    both give one order (ties by name, not by pool position)."""
 
     ARGS = ["--scale", "0.05", "--seed", "11", "--queries", "3"]
 
@@ -238,7 +235,7 @@ class TestOneOrder:
         assert expected[:2] == [str(top_sit), str(lifted)]
         return database, queries, pool, expected
 
-    def test_refresh_search_and_cli_agree(self, tied, tmp_path, capsys):
+    def test_refresh_and_cli_agree(self, tied, tmp_path, capsys):
         database, queries, pool, expected = tied
 
         def kept(budget: int) -> set[str]:
@@ -251,18 +248,6 @@ class TestOneOrder:
             for budget in range(1, len(expected) + 1)
         ]
         assert by_refresh == expected
-
-        store = FeedbackStore()
-        search = ConfigurationSearch(
-            database=database,
-            base_sits=[sit for sit in pool if sit.is_base],
-            candidates=[sit for sit in pool if not sit.is_base],
-            records=[
-                MeasuredRecord(store.observe(query.predicates, 0.0), 0)
-                for query in queries
-            ],
-        )
-        assert [str(sit) for sit in search.ranked_candidates()] == expected
 
         path = tmp_path / "catalog.json"
         StatisticsCatalog.from_pool(pool, database).save(path)

@@ -98,6 +98,12 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["estimate"])
 
+    def test_advisor_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["advisor"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'advisor'" in capsys.readouterr().err
+
 
 class TestSubcommandRegistry:
     def test_subcommand_set_is_pinned(self):
@@ -109,7 +115,6 @@ class TestSubcommandRegistry:
             "figures",
             "catalog",
             "serve",
-            "advisor",
         }
         for description in SUBCOMMANDS.values():
             assert description  # every entry carries a help line
