@@ -277,10 +277,6 @@ class EstimationSession:
         counter = registry.counter
         counter("counters.queries").inc(self.queries)
         gauge("catalog.snapshot_version").set(float(self.snapshot_version))
-        if self.snapshot is not None and self.snapshot.catalog is not None:
-            gauge("catalog.catalog_version").set(
-                float(self.snapshot.catalog.version)
-            )
         gauge("catalog.current").set(1.0 if self.is_current else 0.0)
         gauge("catalog.sit_count").set(
             float(len(self.pool)) if self.pool is not None else 0.0

@@ -76,7 +76,6 @@ from repro.core.matching import (
     FactorScorer,
     JoinMemo,
     ViewMatcher,
-    conditioned_sit_names,
     enumerate_matches,
     estimate_factor,
     select_match,
@@ -135,7 +134,7 @@ class EstimationResult:
     matches: tuple[FactorMatch, ...] = _Provenance()
     coverage: float = 0.0
     #: graceful-degradation ladder level that produced this estimate
-    #: (0 = normal path; see :mod:`repro.resilience.ladder`).  Defaulted
+    #: (0 = normal path; see :mod:`repro.resilience`).  Defaulted
     #: so the happy path returns the DP's result object untouched.
     degradation_level: int = 0
     #: True when this result was produced by replaying a compiled plan
@@ -195,18 +194,6 @@ class EstimationResult:
         stamped = object.__new__(type(self))
         stamped.__dict__.update(self.__dict__, staleness_s=staleness_s)
         return stamped
-
-    @property
-    def matched_sits(self) -> tuple[str, ...]:
-        """Sorted names of the conditioned (non-base) SITs the
-        decomposition reads — a constant of the compiled plan, so a
-        replayed result answers without building its matches."""
-        source = self.__dict__.get("_replayed_from")
-        if source is not None:
-            return source[0].matched_sits
-        return conditioned_sit_names(
-            am.sit for match in self.matches for am in match.attribute_matches
-        )
 
     @property
     def factor_count(self) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.predicates import (
     Attribute,
@@ -78,12 +78,6 @@ class FactorMatch:
             if match.attribute == attribute:
                 return match.sit
         raise KeyError(f"no match for attribute {attribute}")
-
-
-def conditioned_sit_names(sits: Iterable[SIT]) -> tuple[str, ...]:
-    """Sorted, de-duplicated names of the non-base SITs among ``sits``
-    (an answer's ``matched_sits``: the conditioned statistics it read)."""
-    return tuple(sorted({str(sit) for sit in sits if not sit.is_base}))
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,6 @@ from repro.core.matching import (
     AttributeMatch,
     FactorMatch,
     JoinMemo,
-    conditioned_sit_names,
     join_factor,
 )
 from repro.core.predicates import Attribute, Predicate, PredicateSet, by_str
@@ -193,7 +192,6 @@ class CompiledPlan:
     error: float
     coverage: float
     weight_bytes: int
-    matched_sits: tuple[str, ...]
     #: the replay as flat steps (:func:`_emit`), built with the plan
     program: tuple = field(init=False, repr=False, compare=False)
 
@@ -468,9 +466,6 @@ def compile_plan(
         error=result.error,
         coverage=result.coverage,
         weight_bytes=_plan_weight(tuple(templates)),
-        matched_sits=conditioned_sit_names(
-            at.sit for template in templates for at in template.attribute_templates
-        ),
     )
     # One-time self-verification against the compiling instance: the
     # replay must reproduce the cold result exactly (selectivity to the

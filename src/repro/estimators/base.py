@@ -33,7 +33,7 @@ import abc
 from typing import TYPE_CHECKING
 
 from repro.obs.snapshot import StatsSnapshot
-from repro.resilience.ladder import ResilienceTelemetry
+from repro.resilience import ResilienceTelemetry
 from repro.stats.pool import SITPool
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

@@ -18,11 +18,9 @@ Factory helpers build the estimator variants the paper evaluates:
 ``noSit`` (base statistics only, the traditional optimizer), ``GS-nInd``,
 ``GS-Diff`` and ``GS-Opt``.
 
-Degradation ladder (:mod:`repro.resilience.ladder`): when level 0 finds
-no decomposition it can score, the answer drops to level 2, base
-histograms under independence, or to level 3 when those leave an
-attribute uncovered too.  Level 3 prefers a real *fallback estimator*
-(pass ``fallback_estimator=``, typically a
+Degradation ladder (:mod:`repro.resilience`): when level 0 finds no
+decomposition it can score, the answer drops to level 3, which prefers a
+real *fallback estimator* (pass ``fallback_estimator=``, typically a
 :class:`~repro.estimators.sampling.GuaranteedSampleEstimator`;
 :func:`repro.estimators.create_estimator` wires one automatically) over
 the classical 1/3-1/10 magic constants, which remain the terminal rung
@@ -47,11 +45,7 @@ from repro.engine.expressions import Query
 from repro.estimators.base import Estimator, resolve_statistics
 from repro.obs.snapshot import StatsSnapshot
 from repro.obs.trace import Trace
-from repro.resilience.ladder import (
-    LEVEL_BASE_INDEPENDENCE,
-    LEVEL_FALLBACK,
-    magic_result,
-)
+from repro.resilience import LEVEL_MAGIC, magic_result
 
 
 class SITEstimator(Estimator):
@@ -88,7 +82,6 @@ class SITEstimator(Estimator):
         #: the level-3 peer estimator (usually the guaranteed-sampling
         #: backend); ``None`` keeps the classical magic constants
         self.fallback_estimator = fallback_estimator
-        self._base_algorithm: GetSelectivity | None = None
         #: compiled-plan cache (:mod:`repro.core.plancache`), or ``None``.
         #: Opt-in, and only used when it is provably safe: the error
         #: function declares ``plan_stable`` (the compiler itself refuses
@@ -150,19 +143,9 @@ class SITEstimator(Estimator):
     def _degrade(
         self, predicates: frozenset, fault: NoApplicableStatisticsError
     ) -> EstimationResult:
-        """Levels 2-3: base statistics under independence, then the
-        fallback estimator (magic constants when none is configured)."""
+        """Level 3: the fallback estimator, else the magic constants."""
         telemetry = self.resilience
         telemetry.record_fault(fault)
-        # -- level 2: base statistics + independence (noSit) -------------
-        try:
-            result = self._base_only_algorithm()(predicates)
-        except NoApplicableStatisticsError:
-            pass
-        else:
-            telemetry.record_level(LEVEL_BASE_INDEPENDENCE)
-            return replace(result, degradation_level=LEVEL_BASE_INDEPENDENCE)
-        # -- level 3: the fallback estimator, else magic constants --------
         fallback = self.fallback_estimator
         if fallback is not None:
             try:
@@ -170,21 +153,11 @@ class SITEstimator(Estimator):
             except Exception as exc:  # the ladder must always answer
                 telemetry.record_fault(exc)
             else:
-                telemetry.record_level(LEVEL_FALLBACK)
-                return replace(result, degradation_level=LEVEL_FALLBACK)
+                telemetry.record_level(LEVEL_MAGIC)
+                return replace(result, degradation_level=LEVEL_MAGIC)
         result = magic_result(predicates)
         telemetry.record_level(result.degradation_level)
         return result
-
-    def _base_only_algorithm(self) -> GetSelectivity:
-        """The level-2 DP: base histograms + independence (``noSit``)."""
-        algorithm = self._base_algorithm
-        if algorithm is None:
-            algorithm = GetSelectivity.create(
-                self.pool.base_only(), NIndError()
-            )
-            self._base_algorithm = algorithm
-        return algorithm
 
     def subquery_selectivity(self, query: Query, predicates: PredicateSet) -> float:
         """Selectivity of one sub-query; free after :meth:`estimate` thanks
@@ -204,9 +177,8 @@ class SITEstimator(Estimator):
 
         With an owning catalog the forwarded ``notify_table_update``
         already bumps the versions every cache above keys on; this hook
-        covers the bare-pool configuration.  The DPs (this one and the
-        ladder's, over pools built from the same SITs) keep their memos:
-        a notify changes no histogram and no membership.
+        covers the bare-pool configuration.  The DP keeps its memo: a
+        notify changes no histogram and no membership.
         """
         self.pool.invalidate_derived()
         fallback = self.fallback_estimator

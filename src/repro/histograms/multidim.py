@@ -31,10 +31,6 @@ class GridHistogram2D:
     total: float
 
     @property
-    def cell_count(self) -> int:
-        return int(self.frequencies.size)
-
-    @property
     def frequency(self) -> float:
         return float(self.frequencies.sum())
 

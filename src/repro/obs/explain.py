@@ -115,7 +115,7 @@ class ExplainResult:
     cardinality: float
     factors: tuple[FactorExplanation, ...]
     #: graceful-degradation ladder level that produced the estimate
-    #: (0 = normal; see :mod:`repro.resilience.ladder`)
+    #: (0 = normal; see :mod:`repro.resilience`)
     degradation_level: int = 0
     #: True when the underlying estimate was replayed from a compiled
     #: template plan (:mod:`repro.core.plancache`); replay is
@@ -172,7 +172,7 @@ class ExplainResult:
             f"error({self.error_function}): {_fmt(self.error)}",
         ]
         if self.degradation_level:
-            from repro.resilience.ladder import LEVEL_NAMES
+            from repro.resilience import LEVEL_NAMES
 
             name = LEVEL_NAMES.get(self.degradation_level, "?")
             lines.append(

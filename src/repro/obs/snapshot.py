@@ -20,9 +20,9 @@ namespaces:
     pool, while ``join_memo_hits`` / ``join_memo_misses`` count only
     this DP's own lookups);
 ``catalog``
-    statistics-lifecycle state (``snapshot_version``,
-    ``catalog_version``, ``current``, ``sit_count``, ``stale_sits``,
-    ``invalidations``, ``sits_rebuilt``, ...)
+    statistics-lifecycle state (``snapshot_version``, ``current``,
+    ``sit_count``, ``stale_sits``, ``invalidations``, ``sits_rebuilt``,
+    ...)
     — populated when the producer serves from a
     :class:`repro.catalog.StatisticsCatalog` / snapshot / session,
     empty otherwise;
@@ -34,11 +34,11 @@ namespaces:
     histogram with p50/p95/p99 — empty for producers below the serving
     layer;
 ``resilience``
-    degradation state (:mod:`repro.resilience`): ``degraded_level2`` /
-    ``degraded_level3`` outcome counters and ``faults_<kind>`` per
-    handled failure (``faults_no_statistics`` counts attributes no
-    statistic covered, ``faults_error`` a level-3 fallback estimator
-    that raised) — empty when nothing ever degraded;
+    degradation state (:mod:`repro.resilience`): the ``degraded_level3``
+    outcome counter and ``faults_<kind>`` per handled failure
+    (``faults_no_statistics`` counts attributes no statistic covered,
+    ``faults_error`` a level-3 fallback estimator that raised) — empty
+    when nothing ever degraded;
 ``plan_cache``
     compiled-plan cache state (:mod:`repro.core.plancache`): ``plans``,
     ``hits``, ``misses``, ``compiles``, ``evictions``, ``bytes``,

@@ -79,10 +79,6 @@ class Group:
         self.entries.append(entry)
         return True
 
-    @property
-    def is_leaf(self) -> bool:
-        return all(entry.operator is Operator.GET for entry in self.entries)
-
 
 class Memo:
     """The memoization table: group key -> group."""

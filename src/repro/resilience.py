@@ -8,24 +8,17 @@ walks down the ladder:
 
 * **level 0** — the normal ``getSelectivity`` path (zero overhead: the
   happy path returns the DP's result object untouched);
-* **level 2** — *base statistics + independence*: the traditional
-  optimizer estimate over base-table histograms only (the paper's
-  ``noSit`` variant), reached when level 0 raises
-  :class:`~repro.core.get_selectivity.NoApplicableStatisticsError` and
-  the base histograms cover every attribute (so only the unscorable
-  error function reaches it);
 * **level 3** — *fallback estimator*: a peer backend (typically the
   guaranteed-sampling estimator of :mod:`repro.estimators.sampling`,
   wired in by :func:`repro.estimators.create_estimator`) answers from
   statistics independent of the histograms, carrying its ``backend``
-  tag and ``error_bound`` through the result.  Reached when the base
-  histograms leave the attribute uncovered too.  When no fallback
+  tag and ``error_bound`` through the result.  When no fallback
   estimator is configured — or it fails — the rung terminates in the
   System-R style *magic constants*: crude but typed, deterministic, and
   never an exception.
 
-There is no level 1: the numbers 0, 2 and 3 keep their meaning on the
-wire, and 1 is never produced.
+The numbers 0 and 3 keep their meaning on the wire; 1 and 2 are never
+produced.
 
 ``strict=True`` restores fail-fast semantics (level 0's
 :class:`~repro.core.get_selectivity.NoApplicableStatisticsError`
@@ -42,20 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 # Degradation levels
 LEVEL_NORMAL = 0
-LEVEL_BASE_INDEPENDENCE = 2
 LEVEL_MAGIC = 3
-#: level 3 now covers any last-resort backend, not just magic constants
-LEVEL_FALLBACK = LEVEL_MAGIC
-LEVELS = (
-    LEVEL_NORMAL,
-    LEVEL_BASE_INDEPENDENCE,
-    LEVEL_MAGIC,
-)
 
 #: level -> human name (protocol + EXPLAIN rendering)
 LEVEL_NAMES = {
     LEVEL_NORMAL: "normal",
-    LEVEL_BASE_INDEPENDENCE: "base_independence",
     LEVEL_MAGIC: "magic",
 }
 
@@ -104,7 +88,7 @@ class ResilienceTelemetry:
     """Thread-safe counters for the ``resilience`` snapshot namespace.
 
     Counts degradation outcomes per level and handled faults per typed
-    kind; mergeable so sessions/services can fold worker telemetry up.
+    kind.
     """
 
     def __init__(self) -> None:
@@ -122,17 +106,6 @@ class ResilienceTelemetry:
         with self._lock:
             self._faults[kind] = self._faults.get(kind, 0) + 1
 
-    # ------------------------------------------------------------------
-    def merge(self, other: "ResilienceTelemetry") -> None:
-        with other._lock:
-            levels = dict(other._levels)
-            faults = dict(other._faults)
-        with self._lock:
-            for level, count in levels.items():
-                self._levels[level] = self._levels.get(level, 0) + count
-            for kind, count in faults.items():
-                self._faults[kind] = self._faults.get(kind, 0) + count
-
     def as_dict(self) -> dict[str, float]:
         """The ``resilience`` namespace entries this telemetry owns."""
         with self._lock:
@@ -143,15 +116,8 @@ class ResilienceTelemetry:
                 out[f"faults_{kind}"] = float(count)
             return out
 
-    def __bool__(self) -> bool:
-        with self._lock:
-            return bool(self._levels or self._faults)
-
 
 __all__ = [
-    "LEVELS",
-    "LEVEL_BASE_INDEPENDENCE",
-    "LEVEL_FALLBACK",
     "LEVEL_MAGIC",
     "LEVEL_NAMES",
     "LEVEL_NORMAL",

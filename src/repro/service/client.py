@@ -29,20 +29,15 @@ lock, one worker wake-up); over TCP the requests are pipelined on one
 connection, which the server reads and admits as one group too, and
 correlated by id.  Answers come back in input order either way.
 
-Client-side resilience (:mod:`repro.resilience`):
-
-* every client takes a ``retry`` :class:`~repro.resilience.RetryPolicy`;
-  shed requests (:class:`~repro.service.protocol.Overloaded`) and
-  transport failures are retried with exponential backoff and *full
-  jitter*, bounded by the policy's per-call budget.  The default is
-  :data:`~repro.resilience.NO_RETRIES` — retrying is opt-in because an
-  estimate is idempotent but a caller's surrounding loop may not be;
-* :class:`SocketClient` reconnects transparently: a dead socket (server
-  restart, connection reset, half-close mid-stream) is torn down and
-  re-dialled up to ``reconnect_attempts`` times per request before the
-  typed :class:`TransportError` surfaces.  The wire failure vocabulary
-  is unchanged — ``TransportError`` is a *client-side* condition and
-  never appears as a wire status.
+A typed failure (a shed :class:`~repro.service.protocol.Overloaded`, a
+:class:`~repro.service.protocol.DeadlineExceeded`, ...) is raised once:
+no client re-submits a request.  The one client-side recovery is
+:class:`SocketClient`'s transparent reconnect: a dead socket (server
+restart, connection reset, half-close mid-stream) is torn down and
+re-dialled up to :data:`RECONNECT_ATTEMPTS` times per request, with
+full-jitter backoff, before the typed :class:`TransportError` surfaces.
+The wire failure vocabulary is unchanged — ``TransportError`` is a
+*client-side* condition and never appears as a wire status.
 
 The pre-redesign names (``Client``, ``TCPClient``) went through their
 one release of :class:`DeprecationWarning` grace and are now removed;
@@ -58,15 +53,8 @@ import threading
 import time
 
 from repro.engine.database import Database
-from repro.resilience.retry import (
-    NO_RETRIES,
-    RetryPolicy,
-    RetryTelemetry,
-    call_with_retries,
-)
 from repro.service.config import ServiceConfig
 from repro.service.protocol import (
-    Overloaded,
     ServedEstimate,
     ServiceError,
     decode_line,
@@ -74,6 +62,14 @@ from repro.service.protocol import (
     result_from_wire,
 )
 from repro.service.service import EstimationService
+
+#: re-dials a :class:`SocketClient` makes per request before it raises
+#: :class:`TransportError`
+RECONNECT_ATTEMPTS = 3
+#: full-jitter backoff before re-dial ``n`` (0-based): a uniform draw
+#: from ``[0, min(RECONNECT_MAX_BACKOFF_S, RECONNECT_BASE_BACKOFF_S * 2**n)]``
+RECONNECT_BASE_BACKOFF_S = 0.02
+RECONNECT_MAX_BACKOFF_S = 0.5
 
 
 class TransportError(ServiceError):
@@ -89,15 +85,6 @@ class TransportError(ServiceError):
     status = "transport"
 
 
-def _default_retryable(exc: BaseException) -> bool:
-    """What the clients retry by default: shed and transport failures.
-
-    Deadline, invalid and closed responses are terminal — retrying them
-    either cannot succeed or would violate the caller's deadline.
-    """
-    return isinstance(exc, (Overloaded, TransportError))
-
-
 # ----------------------------------------------------------------------
 # The client surface
 # ----------------------------------------------------------------------
@@ -106,23 +93,9 @@ class EstimationClient:
 
     Subclasses provide :meth:`estimate`, :meth:`estimate_batch`,
     :meth:`stats` and :meth:`close`; this base supplies the
-    ``selectivity`` / ``cardinality`` conveniences, context management,
-    and the shared retry plumbing (``retry`` policy, jitter ``rng``,
-    injectable ``sleep``, per-client :class:`RetryTelemetry`).
+    ``selectivity`` / ``cardinality`` conveniences and context
+    management.
     """
-
-    def __init__(
-        self,
-        *,
-        retry: RetryPolicy | None = None,
-        rng: random.Random | None = None,
-        sleep=time.sleep,
-    ):
-        self._retry = retry if retry is not None else NO_RETRIES
-        self._rng = rng if rng is not None else random.Random()
-        self._sleep = sleep
-        #: per-client retry accounting (attempts / retries / exhaustions)
-        self.retry_telemetry = RetryTelemetry()
 
     # -- required surface ----------------------------------------------
     def estimate(self, query, timeout: float | None = None) -> ServedEstimate:
@@ -148,16 +121,6 @@ class EstimationClient:
     def cardinality(self, query, timeout: float | None = None) -> float:
         return self.estimate(query, timeout=timeout).cardinality
 
-    def _with_retries(self, call):
-        return call_with_retries(
-            call,
-            self._retry,
-            retryable=_default_retryable,
-            rng=self._rng,
-            sleep=self._sleep,
-            telemetry=self.retry_telemetry,
-        )
-
     def __enter__(self) -> "EstimationClient":
         return self
 
@@ -175,16 +138,7 @@ class InProcessClient(EstimationClient):
     :meth:`close` shut the service down too.
     """
 
-    def __init__(
-        self,
-        service: EstimationService,
-        owns_service: bool = False,
-        *,
-        retry: RetryPolicy | None = None,
-        rng: random.Random | None = None,
-        sleep=time.sleep,
-    ):
-        super().__init__(retry=retry, rng=rng, sleep=sleep)
+    def __init__(self, service: EstimationService, owns_service: bool = False):
         self.service = service
         self._owns_service = owns_service
 
@@ -196,48 +150,39 @@ class InProcessClient(EstimationClient):
         *,
         database: Database | None = None,
         config: ServiceConfig | None = None,
-        retry: RetryPolicy | None = None,
         **service_kwargs,
     ) -> "InProcessClient":
         """Spin up a private service around ``statistics`` and own it."""
         service = EstimationService(
             statistics, database=database, config=config, **service_kwargs
         )
-        return cls(service, owns_service=True, retry=retry)
+        return cls(service, owns_service=True)
 
     # ------------------------------------------------------------------
     def submit(self, query, timeout: float | None = None):
-        """Non-blocking: returns the request's future (no retry — the
-        caller owns the future's failure handling)."""
+        """Non-blocking: returns the request's future (the caller owns
+        the future's failure handling)."""
         return self.service.submit(query, timeout=timeout)
 
     def estimate(self, query, timeout: float | None = None) -> ServedEstimate:
-        return self._with_retries(
-            lambda: self.service.estimate(query, timeout=timeout)
-        )
+        return self.service.estimate(query, timeout=timeout)
 
     def estimate_batch(
         self, queries, timeout: float | None = None
     ) -> list[ServedEstimate]:
-        queries = list(queries)
         wait = None
         if timeout is not None:
             wait = timeout + self.service.config.drain_timeout_s
         # one group admission, so the burst reaches the worker as one
-        # unit; a shed member falls back to the per-item retry path (and
-        # re-raises right away under NO_RETRIES)
+        # unit; a shed member raises its typed error
         outcomes = self.service.submit_many(
             [(query, timeout) for query in queries]
         )
-        retrying = self._retry.max_attempts > 1
         answers: list[ServedEstimate] = []
-        for query, outcome in zip(queries, outcomes):
-            if retrying and isinstance(outcome, Overloaded):
-                answers.append(self.estimate(query, timeout=timeout))
-            elif isinstance(outcome, ServiceError):
+        for outcome in outcomes:
+            if isinstance(outcome, ServiceError):
                 raise outcome
-            else:
-                answers.append(outcome.result(timeout=wait))
+            answers.append(outcome.result(timeout=wait))
         return answers
 
     def stats(self) -> dict:
@@ -259,41 +204,17 @@ class SocketClient(EstimationClient):
 
     Transparent reconnect: when a round trip dies mid-stream (reset,
     half-close, server restart) the client tears the socket down and
-    re-dials — with full-jitter backoff — up to ``reconnect_attempts``
-    times before raising :class:`TransportError`.  Requests are re-sent
-    on the fresh connection; estimation is idempotent so a re-send after
-    a torn response is safe.  ``retry`` additionally re-submits shed
-    (:class:`Overloaded`) answers, mirroring :class:`InProcessClient`.
+    re-dials — with full-jitter backoff — up to
+    :data:`RECONNECT_ATTEMPTS` times before raising
+    :class:`TransportError`.  Requests are re-sent on the fresh
+    connection; estimation is idempotent so a re-send after a torn
+    response is safe.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout_s: float = 30.0,
-        *,
-        reconnect_attempts: int = 3,
-        reconnect_backoff: RetryPolicy | None = None,
-        retry: RetryPolicy | None = None,
-        rng: random.Random | None = None,
-        sleep=time.sleep,
-    ):
-        if reconnect_attempts < 0:
-            raise ValueError("reconnect_attempts must be >= 0")
-        super().__init__(retry=retry, rng=rng, sleep=sleep)
+    def __init__(self, host: str, port: int, timeout_s: float = 30.0):
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
-        self._reconnect_attempts = reconnect_attempts
-        self._reconnect_backoff = (
-            reconnect_backoff
-            if reconnect_backoff is not None
-            else RetryPolicy(
-                max_attempts=max(1, reconnect_attempts),
-                base_backoff_s=0.02,
-                max_backoff_s=0.5,
-            )
-        )
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._closed = False
@@ -335,13 +256,14 @@ class SocketClient(EstimationClient):
         except OSError:  # pragma: no cover - best effort
             pass
 
-    def _reconnect_locked(self, attempt: int, cause: Exception) -> None:
+    def _reconnect_locked(self, attempt: int) -> None:
         """One bounded reconnect step (backoff happens *before* dialling
         so a flapping server is not hammered)."""
         self._teardown_locked()
-        pause = self._reconnect_backoff.backoff(attempt, self._rng)
-        if pause > 0.0:
-            self._sleep(pause)
+        cap = min(
+            RECONNECT_MAX_BACKOFF_S, RECONNECT_BASE_BACKOFF_S * 2.0**attempt
+        )
+        time.sleep(random.uniform(0.0, cap))
         self._connect_locked()
         self.reconnects += 1
 
@@ -352,17 +274,21 @@ class SocketClient(EstimationClient):
         Runs under ``self._lock``.  On a torn stream the *unanswered*
         payloads are re-sent on a fresh connection (bounded by the
         reconnect budget); answered ids are kept, so a mid-batch tear
-        costs only the tail.
+        costs only the tail.  The budget counts dials, so a request
+        that starts on a socket an earlier request left torn dials
+        :data:`RECONNECT_ATTEMPTS` times, no more.
         """
         answers: dict[str, dict] = {}
         outstanding = {payload["id"]: payload for payload in payloads}
         last: Exception | None = None
-        for attempt in range(self._reconnect_attempts + 1):
+        dials = 0
+        while True:
             if self._sock is None:
+                if dials == RECONNECT_ATTEMPTS:
+                    break
+                dials += 1
                 try:
-                    self._reconnect_locked(
-                        max(0, attempt - 1), last or OSError("not connected")
-                    )
+                    self._reconnect_locked(dials - 1)
                 except TransportError as exc:
                     last = exc
                     continue
@@ -391,7 +317,7 @@ class SocketClient(EstimationClient):
                 self._teardown_locked()
         raise TransportError(
             f"connection to {self.host}:{self.port} lost and not "
-            f"restored after {self._reconnect_attempts} "
+            f"restored after {RECONNECT_ATTEMPTS} "
             f"reconnect attempt(s): {last}"
         ) from last
 
@@ -433,9 +359,8 @@ class SocketClient(EstimationClient):
     def estimate(self, query, timeout: float | None = None) -> ServedEstimate:
         """Estimate one query (SQL string, ``Query``, or predicate set);
         raises the typed failure on non-ok."""
-        payload = self._request_payload(query, timeout)
-        return self._with_retries(
-            lambda: result_from_wire(self._roundtrip(payload))
+        return result_from_wire(
+            self._roundtrip(self._request_payload(query, timeout))
         )
 
     def estimate_batch(
@@ -444,10 +369,10 @@ class SocketClient(EstimationClient):
         payloads = [self._request_payload(q, timeout) for q in queries]
         if not payloads:
             return []
-        responses = self._with_retries(
-            lambda: self._roundtrip_many(payloads)
-        )
-        return [result_from_wire(response) for response in responses]
+        return [
+            result_from_wire(response)
+            for response in self._roundtrip_many(payloads)
+        ]
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -476,7 +401,7 @@ def connect(target, **kwargs) -> EstimationClient:
     ========================================  ==============================
 
     Keyword arguments pass through to the chosen client's constructor
-    (``retry=``, ``timeout_s=``, ``config=``, ...).
+    (``timeout_s=``, ``config=``, ...).
     """
     if isinstance(target, EstimationClient):
         if kwargs:

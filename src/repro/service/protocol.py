@@ -45,10 +45,9 @@ correlate on ``id``.
 
 ``degradation_level`` reports how the estimate was produced when level
 0 could not score a decomposition, as when no statistic covers one of
-the query's attributes (see :mod:`repro.resilience.ladder` and
-DESIGN.md §12): ``0`` = the normal path, ``2`` = base histograms under
-independence, ``3`` = the fallback estimator or magic constants; ``1``
-is never sent.  A degraded answer is still ``status: ok`` — the
+the query's attributes (see :mod:`repro.resilience` and DESIGN.md
+§12): ``0`` = the normal path, ``3`` = the fallback estimator or magic
+constants; ``1`` and ``2`` are never sent.  A degraded answer is still ``status: ok`` — the
 ladder's contract is that a labelled estimate beats a failure.
 
 Backend provenance (two more optional fields): ``backend`` names the
@@ -196,9 +195,8 @@ class ServedEstimate:
     #: run within the same micro-batch
     deduplicated: bool = False
     #: graceful-degradation ladder level that produced this estimate
-    #: (0 = normal path, 2 = base statistics + independence, 3 = the
-    #: fallback estimator or magic constants; see
-    #: :mod:`repro.resilience.ladder`)
+    #: (0 = normal path, 3 = the fallback estimator or magic
+    #: constants; see :mod:`repro.resilience`)
     degradation_level: int = 0
     #: True when this answer was replayed from a compiled plan
     #: (:mod:`repro.core.plancache`) instead of a fresh DP run; the

@@ -714,7 +714,6 @@ class EstimationService:
         registry.gauge("service.queue_depth").set(float(len(self._queue)))
         alive = sum(1 for worker in self._workers if worker.is_alive())
         registry.gauge("service.workers").set(float(alive))
-        registry.gauge("service.closed").set(1.0 if self.closed else 0.0)
         registry.counter("service.sql_template_hits").inc(self._sql.hits)
         registry.counter("service.sql_template_misses").inc(self._sql.misses)
         with self._sessions_lock:

@@ -65,9 +65,9 @@ def check_kept_plans(session, workload) -> None:
         algorithm = estimator.algorithm
         fresh = compile_plan(algorithm, predicates, algorithm(predicates))
         assert fresh is not None
-        assert (kept.tree, kept.matched_sits, kept.error, kept.coverage) == (
+        assert (kept.tree, kept.templates, kept.error, kept.coverage) == (
             fresh.tree,
-            fresh.matched_sits,
+            fresh.templates,
             fresh.error,
             fresh.coverage,
         )

@@ -317,7 +317,9 @@ class TestPersistentMemo:
         assert after.error == 1.0
         fresh = session(catalog).estimate(query)
         assert fresh.error == 0.0
-        assert str(conditioned) in fresh.matched_sits
+        assert conditioned in {
+            am.sit for match in fresh.matches for am in match.attribute_matches
+        }
 
     def test_reset_still_empties_the_memo(self, two_table_pool, shapes):
         algorithm = GetSelectivity(two_table_pool, NIndError())

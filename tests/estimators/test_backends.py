@@ -291,7 +291,7 @@ class TestServiceRouting:
 class TestLadderFallback:
     def without_ra(self, pool, two_table_attrs) -> SITPool:
         """The pool without any statistic on ``R.a``: a filter on it
-        finds no SIT at level 0 and no base histogram at level 2."""
+        finds no SIT and no base histogram at level 0."""
         ra = two_table_attrs["Ra"]
         return SITPool([sit for sit in pool if sit.attribute != ra])
 
@@ -305,7 +305,7 @@ class TestLadderFallback:
     ):
         """With the factory-wired fallback, the ladder's last rung is a
         guaranteed sample, not the 1/3-1/10 magic constants."""
-        from repro.resilience.ladder import LEVEL_FALLBACK, magic_selectivity
+        from repro.resilience import LEVEL_MAGIC, magic_selectivity
 
         pool = self.without_ra(two_table_pool, two_table_attrs)
         estimator = backend_for("sit", two_table_db, pool)
@@ -314,7 +314,7 @@ class TestLadderFallback:
         )
         predicates = parity_queries[3]
         result = estimator.estimate_predicates(predicates)
-        assert result.degradation_level == LEVEL_FALLBACK
+        assert result.degradation_level == LEVEL_MAGIC
         assert result.backend == "sample"
         assert result.error_bound is not None
         assert abs(result.selectivity - parity_truth[3]) <= result.error_bound
@@ -325,7 +325,7 @@ class TestLadderFallback:
     ):
         """Without a wired fallback the pre-existing behaviour is
         untouched: level 3 answers with the magic constants."""
-        from repro.resilience.ladder import LEVEL_MAGIC, magic_selectivity
+        from repro.resilience import LEVEL_MAGIC, magic_selectivity
 
         pool = self.without_ra(two_table_pool, two_table_attrs)
         estimator = SITEstimator(two_table_db, pool)

@@ -27,7 +27,7 @@ from repro.engine.database import Database, Table
 from repro.engine.executor import Executor
 from repro.engine.schema import ForeignKey, Schema, TableSchema
 from repro.estimators import make_gs_diff, make_gs_nind, make_gs_opt
-from repro.resilience.ladder import LEVEL_NORMAL
+from repro.resilience import LEVEL_NORMAL
 from repro.stats.builder import SITBuilder
 from repro.stats.pool import SITPool, connected_join_subsets
 

@@ -110,7 +110,7 @@ def split(rng: random.Random, templates: list, depth: int) -> tuple:
 def random_plan(rng: random.Random) -> CompiledPlan:
     templates: list[_FactorTemplate] = []
     tree = chain(rng, templates, 0) if rng.random() < 0.7 else split(rng, templates, 1)
-    return CompiledPlan((), tuple(templates), tree, 0.0, 1.0, 0, ())
+    return CompiledPlan((), tuple(templates), tree, 0.0, 1.0, 0)
 
 
 def random_ordered(rng: random.Random) -> list[FilterPredicate]:
@@ -147,7 +147,7 @@ class TestTheProgramIsTheTree:
             lookup = random_template(rng)
         joins = [_FactorTemplate((), (), value, False, (), ()) for value in (0.3, 0.7)]
         tree = ("c", 0, ("c", 1, ("c", 2, None)))
-        plan = CompiledPlan((), (lookup, *joins), tree, 0.0, 1.0, 0, ())
+        plan = CompiledPlan((), (lookup, *joins), tree, 0.0, 1.0, 0)
         assert [(kind, number) for kind, number, _ in plan.program] == [
             (_CONST, 0.3 * (0.7 * 1.0)),
             (_FACTOR, lookup.join_selectivity),

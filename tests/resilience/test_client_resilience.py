@@ -1,24 +1,24 @@
 """Client-side resilience: SocketClient transparent reconnect (the
-kill-the-server-mid-stream regression), bounded reconnect budgets, and
-opt-in full-jitter retry of shed requests on both clients."""
+kill-the-server-mid-stream regression) under its bounded reconnect
+budget, and typed failures that are raised once, never re-submitted."""
 
 from __future__ import annotations
 
-import random
+import importlib
 import socket
+import types
 
 import pytest
 
-from repro.resilience.retry import RetryPolicy
 from repro.service import (
     EstimationService,
     InProcessClient,
     Overloaded,
     ServiceConfig,
-    SocketClient,
     TransportError,
     connect,
 )
+from repro.service import client as client_module
 from repro.service.protocol import ServedEstimate
 from repro.service.server import start_in_thread
 
@@ -40,21 +40,14 @@ class TestTransparentReconnect:
     def test_server_killed_mid_stream_client_reconnects(
         self, catalog, config
     ):
-        """The issue's scenario: kill the server between two requests;
+        """The regression scenario: kill the server between two requests;
         the client re-dials the restarted server and the estimate
         succeeds — no exception reaches the caller."""
         first_handle = start_in_thread(
             EstimationService(catalog, config=config), port=0
         )
         host, port = first_handle.address
-        client = connect(
-            (host, port),
-            reconnect_attempts=5,
-            reconnect_backoff=RetryPolicy(
-                max_attempts=5, base_backoff_s=0.01, max_backoff_s=0.05
-            ),
-            rng=random.Random(0),
-        )
+        client = connect((host, port))
         try:
             before = client.estimate(SQL)
             assert isinstance(before, ServedEstimate)
@@ -81,9 +74,7 @@ class TestTransparentReconnect:
             EstimationService(catalog, config=config), port=0
         )
         host, port = handle.address
-        client = connect(
-            (host, port), reconnect_attempts=2, sleep=lambda _: None
-        )
+        client = connect((host, port))
         try:
             client.estimate(SQL)
             handle.close()
@@ -108,10 +99,6 @@ class TestTransparentReconnect:
                 client.ping()
         finally:
             handle.close()
-
-    def test_reconnect_attempts_validation(self):
-        with pytest.raises(ValueError):
-            SocketClient("127.0.0.1", 1, reconnect_attempts=-1)
 
     def test_transport_error_never_on_the_wire(self):
         """The wire failure vocabulary is pinned; ``transport`` is a
@@ -146,42 +133,13 @@ class SheddingService:
         return True
 
 
-class TestClientRetry:
-    def test_shed_requests_retry_with_jitter(self):
-        sleeps: list[float] = []
-        service = SheddingService(sheds=2)
-        client = InProcessClient(
-            service,
-            retry=RetryPolicy(max_attempts=4, base_backoff_s=0.05),
-            rng=random.Random(0),
-            sleep=sleeps.append,
-        )
-        answer = client.estimate(SQL)
-        assert answer.selectivity == 0.5
-        assert service.calls == 3
-        assert len(sleeps) == 2
-        assert all(0.0 <= pause <= 0.1 for pause in sleeps)
-        assert client.retry_telemetry.retries == 2
-
+class TestTypedFailuresRaiseOnce:
     def test_no_retries_is_the_default(self):
         service = SheddingService(sheds=1)
         client = InProcessClient(service)
         with pytest.raises(Overloaded):
             client.estimate(SQL)
         assert service.calls == 1
-
-    def test_retry_budget_exhaustion_surfaces_overloaded(self):
-        service = SheddingService(sheds=10)
-        client = InProcessClient(
-            service,
-            retry=RetryPolicy(max_attempts=3),
-            rng=random.Random(0),
-            sleep=lambda _: None,
-        )
-        with pytest.raises(Overloaded):
-            client.estimate(SQL)
-        assert service.calls == 3
-        assert client.retry_telemetry.gave_up == 1
 
     def test_deadline_failures_are_not_retried(self):
         from repro.service.protocol import DeadlineExceeded
@@ -192,9 +150,193 @@ class TestClientRetry:
                 raise DeadlineExceeded("too slow")
 
         service = DeadlineService(sheds=0)
-        client = InProcessClient(
-            service, retry=RetryPolicy(max_attempts=5), sleep=lambda _: None
-        )
+        client = InProcessClient(service)
         with pytest.raises(DeadlineExceeded):
             client.estimate(SQL)
         assert service.calls == 1
+
+
+class SheddingMemberService(SheddingService):
+    """Stub service whose group admission sheds its second member."""
+
+    config = ServiceConfig(workers=1)
+
+    def __init__(self):
+        super().__init__(sheds=0)
+        self.admitted: list[int] = []
+
+    def submit_many(self, members):
+        from concurrent.futures import Future
+
+        self.admitted.append(len(members))
+        outcomes = []
+        for index, (query, timeout) in enumerate(members):
+            if index == 1:
+                outcomes.append(Overloaded("queue full"))
+                continue
+            future = Future()
+            future.set_result(self.estimate(query, timeout))
+            outcomes.append(future)
+        return outcomes
+
+
+class TestBatchFailuresRaiseOnce:
+    def test_a_shed_batch_member_raises_and_is_not_resubmitted(self):
+        service = SheddingMemberService()
+        client = InProcessClient(service)
+        with pytest.raises(Overloaded):
+            client.estimate_batch([SQL, SQL, SQL])
+        assert service.admitted == [3]
+
+
+def count_dials(monkeypatch) -> list[tuple]:
+    """Record every ``socket.create_connection`` the client makes."""
+    real = socket.create_connection
+    dials: list[tuple] = []
+
+    def counting(address, *args, **kwargs):
+        dials.append(address)
+        return real(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting)
+    return dials
+
+
+class TestReconnectBudget:
+    def test_reconnect_constants_bound_the_backoff(self):
+        assert isinstance(client_module.RECONNECT_ATTEMPTS, int)
+        assert client_module.RECONNECT_ATTEMPTS >= 1
+        assert (
+            0.0
+            < client_module.RECONNECT_BASE_BACKOFF_S
+            <= client_module.RECONNECT_MAX_BACKOFF_S
+        )
+
+    def test_a_torn_connection_dials_exactly_the_budget(
+        self, catalog, config, monkeypatch
+    ):
+        handle = start_in_thread(
+            EstimationService(catalog, config=config), port=0
+        )
+        client = connect(handle.address)
+        try:
+            client.estimate(SQL)
+            handle.close()
+            dials = count_dials(monkeypatch)
+            with pytest.raises(TransportError) as raised:
+                client.estimate(SQL)
+            assert len(dials) == client_module.RECONNECT_ATTEMPTS
+            assert (
+                f"after {client_module.RECONNECT_ATTEMPTS} reconnect"
+                in str(raised.value)
+            )
+        finally:
+            client.close()
+
+    def test_a_request_after_a_failed_one_dials_exactly_the_budget(
+        self, catalog, config, monkeypatch
+    ):
+        """The second request starts with no socket at all; it dials the
+        same budget as the first, not one more."""
+        handle = start_in_thread(
+            EstimationService(catalog, config=config), port=0
+        )
+        client = connect(handle.address)
+        try:
+            client.estimate(SQL)
+            handle.close()
+            with pytest.raises(TransportError):
+                client.estimate(SQL)
+            dials = count_dials(monkeypatch)
+            with pytest.raises(TransportError, match="reconnect attempt"):
+                client.estimate(SQL)
+            assert len(dials) == client_module.RECONNECT_ATTEMPTS
+            assert client.reconnects == 0
+        finally:
+            client.close()
+
+    def test_backoff_is_full_jitter_under_the_cap(
+        self, catalog, config, monkeypatch
+    ):
+        """Re-dial ``n`` sleeps a uniform draw from ``[0, cap_n]`` with
+        ``cap_n = min(max, base * 2**n)``, before it dials."""
+        handle = start_in_thread(
+            EstimationService(catalog, config=config), port=0
+        )
+        client = connect(handle.address)
+        draws: list[tuple[float, float]] = []
+        sleeps: list[float] = []
+
+        def uniform(low, high):
+            draws.append((low, high))
+            return high / 2.0
+
+        monkeypatch.setattr(
+            client_module, "random", types.SimpleNamespace(uniform=uniform)
+        )
+        monkeypatch.setattr(
+            client_module, "time", types.SimpleNamespace(sleep=sleeps.append)
+        )
+        try:
+            client.estimate(SQL)
+            handle.close()
+            with pytest.raises(TransportError):
+                client.estimate(SQL)
+        finally:
+            client.close()
+        base = client_module.RECONNECT_BASE_BACKOFF_S
+        cap = client_module.RECONNECT_MAX_BACKOFF_S
+        expected = [
+            (0.0, min(cap, base * 2.0**n))
+            for n in range(client_module.RECONNECT_ATTEMPTS)
+        ]
+        assert draws == expected
+        assert sleeps == [high / 2.0 for _, high in expected]
+
+    def test_a_restarted_server_costs_one_reconnect(
+        self, catalog, config
+    ):
+        first_handle = start_in_thread(
+            EstimationService(catalog, config=config), port=0
+        )
+        host, port = first_handle.address
+        client = connect((host, port))
+        try:
+            client.estimate(SQL)
+            first_handle.close()
+            second_handle = start_in_thread(
+                EstimationService(catalog, config=config), port=port
+            )
+            try:
+                answers = client.estimate_batch([SQL, SQL, SQL])
+                assert client.ping()
+            finally:
+                second_handle.close()
+            assert len(answers) == 3
+            assert client.reconnects == 1
+        finally:
+            client.close()
+
+
+class TestRemovedRetryKnobs:
+    @pytest.mark.parametrize(
+        "keyword",
+        ["retry", "rng", "sleep", "reconnect_attempts", "reconnect_backoff"],
+    )
+    def test_socket_client_takes_no_retry_keyword(self, keyword):
+        """The reconnect budget is a module constant; the constructor
+        refuses the removed knobs before it dials anything."""
+        with pytest.raises(TypeError, match=keyword):
+            client_module.SocketClient("127.0.0.1", free_port(), **{keyword: 1})
+
+    @pytest.mark.parametrize("keyword", ["retry", "rng", "sleep"])
+    def test_in_process_client_takes_no_retry_keyword(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            InProcessClient(SheddingService(sheds=0), **{keyword: 1})
+
+    def test_the_retry_module_is_gone(self):
+        import repro.resilience
+
+        assert not hasattr(repro.resilience, "__path__")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.resilience.retry")

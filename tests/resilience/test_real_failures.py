@@ -2,10 +2,8 @@
 worker's one safety net rather than escaping as a hung or failed batch.
 
 * An attribute no statistic covers: level 0 raises
-  ``NoApplicableStatisticsError``, and the estimator walks the ladder
-  from level 2, answering at level 3 when the base statistics do not
-  cover it either — in process and over TCP.  ``strict=True`` still
-  raises.
+  ``NoApplicableStatisticsError``, and the estimator answers at level 3
+  — in process and over TCP.  ``strict=True`` still raises.
 * An exception while a worker pins a fresh session: the batch fails
   typed, the worker keeps serving, and the next batch pins again.
 """
@@ -21,7 +19,7 @@ from repro.core.get_selectivity import NoApplicableStatisticsError
 from repro.core.predicates import FilterPredicate
 from repro.engine.expressions import Query
 from repro.estimators import GuaranteedSampleEstimator, SITEstimator
-from repro.resilience.ladder import (
+from repro.resilience import (
     LEVEL_MAGIC,
     LEVEL_NORMAL,
     MAGIC_FILTER_SELECTIVITY,
