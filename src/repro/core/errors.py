@@ -59,6 +59,11 @@ class ErrorFunction(Protocol):
     #: function whose factor error is :func:`priced_factor_error` of it.
     #: The bitmask DP prices such a function on masks; one without it (or
     #: with ``requires_combinations``) is handed materialised matches.
+    #: Optional beside it: ``rank_price(attribute, assumed) -> float``,
+    #: for a function whose :meth:`rank_candidate` is the least
+    #: ``(sum of rank_price over the assumed predicates in str order,
+    #: str(sit))``; the DP then ranks candidates on masks too, and one
+    #: without it is handed :class:`AttributeCandidates`.
     #: Optional too: ``clear_caches()``, called when the DP starts its
     #: universe over, for a function that caches per predicate.
 
@@ -121,6 +126,11 @@ class NIndError:
         """Every independence assumption counts once."""
         return 1.0
 
+    def rank_price(self, attribute, assumed) -> float:
+        """Every assumption a candidate leaves counts once: summed, the
+        count :meth:`rank_candidate` ranks by."""
+        return 1.0
+
     def factor_error(self, match: FactorMatch) -> float:
         # Each implicit term corresponds to one predicate of the factor's P
         # (so |P_i| is accounted for), and ``assumed`` is its Q_i - Q'_i.
@@ -164,16 +174,16 @@ class DiffError:
         self._pool = pool
         self._unknown_cost = unknown_cost
         self._dependence_cache: dict[tuple, float] = {}
-        #: pure function of (attribute, predicate) for a fixed pool —
-        #: cached like ``assumption_price`` (the cold-start profile shows
-        #: candidate ranking re-probing the same pairs hundreds of times)
-        self._attribute_cache: dict[tuple, float] = {}
+        #: per ``(attribute, predicate)``: the largest ``diff`` of a SIT on
+        #: the attribute whose expression holds the predicate, folded in
+        #: pool order on the first probe — the pool's membership is fixed,
+        #: so a probe is one lookup, not a scan of the attribute's SITs
+        self._member_diffs: dict[tuple, float] | None = None
 
     def clear_caches(self) -> None:
         """Forget the dependence probes (pure functions of the pool; their
         keys hold predicates with their constants)."""
         self._dependence_cache.clear()
-        self._attribute_cache.clear()
 
     # -- candidate selection -------------------------------------------
     def rank_candidate(self, entry: AttributeCandidates) -> SIT:
@@ -184,7 +194,7 @@ class DiffError:
             # built through different operations may even iterate
             # differently), so an unsorted sum is not reproducible.
             total = sum(
-                self._attribute_dependence(entry.attribute, q)
+                self.rank_price(entry.attribute, q)
                 for q in sorted(assumed, key=by_str)
             )
             return (total, str(sit))
@@ -203,26 +213,35 @@ class DiffError:
         cached = self._dependence_cache.get(key)
         if cached is not None:
             return cached
+        diffs = self._diffs()
         best: float | None = None
         for first, second in ((predicate, other), (other, predicate)):
             for attribute in first.attributes:
-                for sit in self._pool.find(attribute, expression_member=second):
-                    best = sit.diff if best is None else max(best, sit.diff)
+                diff = diffs.get((attribute, second))
+                if diff is not None:
+                    best = diff if best is None else max(best, diff)
         value = self._unknown_cost if best is None else best
         self._dependence_cache[key] = value
         return value
 
-    def _attribute_dependence(self, attribute, other) -> float:
-        key = (attribute, other)
-        cached = self._attribute_cache.get(key)
-        if cached is not None:
-            return cached
-        best: float | None = None
-        for sit in self._pool.find(attribute, expression_member=other):
-            best = sit.diff if best is None else max(best, sit.diff)
-        value = self._unknown_cost if best is None else best
-        self._attribute_cache[key] = value
-        return value
+    def rank_price(self, attribute, other) -> float:
+        """Known strength of the dependence between ``attribute`` and a
+        predicate — what a candidate that leaves the predicate assumed is
+        ranked by."""
+        diff = self._diffs().get((attribute, other))
+        return self._unknown_cost if diff is None else diff
+
+    def _diffs(self) -> dict[tuple, float]:
+        diffs = self._member_diffs
+        if diffs is None:
+            diffs = {}
+            for sit in self._pool:
+                for member in sit.expression:
+                    key = (sit.attribute, member)
+                    best = diffs.get(key)
+                    diffs[key] = sit.diff if best is None else max(best, sit.diff)
+            self._member_diffs = diffs
+        return diffs
 
 
 class OptError:

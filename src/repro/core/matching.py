@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterator
 
@@ -511,6 +512,27 @@ class AttributePick:
         self.size = 0 if sit is None else len(sit.expression)
 
 
+class _AttributeTables:
+    """:class:`FactorScorer`'s rows for one attribute, fetched once: its
+    ``(table, column)`` order key, its row of ``_maximal``, its rows of
+    ``_picks`` by weight, its row of ``_ranks`` and its rank price per
+    bit (``prices``)."""
+
+    __slots__ = ("attribute", "key", "by_member", "by_weight", "ranks", "prices")
+
+    def __init__(self, attribute, by_member, ranks):
+        self.attribute = attribute
+        # ``Attribute``'s own order, without its generated comparisons
+        self.key = (attribute.table, attribute.column)
+        self.by_member = by_member
+        self.by_weight: dict[float, dict[int, AttributePick]] = {}
+        self.ranks = ranks
+        self.prices: dict[int, float] = {}
+
+
+_order_key = attrgetter("key")
+
+
 class FactorScorer:
     """Section 3.3 on masks, for the bitmask DP: what the best SIT
     assignment for ``Sel(P'|Q)`` costs, without building it.
@@ -527,7 +549,10 @@ class FactorScorer:
     exactly as long as it does:
 
     * per ``P'``: its weighted attributes and its predicates in expansion
-      order (``_plans``);
+      order (``_plans``), built from per-bit entries (``_terms``: a
+      bit's attributes, its weight share and its row of ``_rows``) and
+      per-attribute ones (``_attributes``: its rows of the pick,
+      candidate and rank tables);
     * per ``Q``: the component each table is conditioned on
       (``_components``);
     * per ``(attribute, weight)`` and conditioning: the pick
@@ -539,6 +564,14 @@ class FactorScorer:
       it lies within ``C & members``, so conditionings that differ only
       in predicates no SIT mentions (filters, for a join-only pool)
       share one matcher call;
+    * per candidate expression: its mask (``_expressions``; it lies
+      within the conditioning, so interning it never grows the
+      universe), and per attribute and assumed mask, for a function with
+      a ``rank_price``: the sum of its prices in ``str`` order of the
+      assumed bits (``_ranks``) — a candidate's rank key is that sum and
+      then ``str(sit)``, ``rank_candidate``'s key float for float, with
+      no ``AttributeCandidates``, frozenset difference or sort per
+      candidate;
     * per ``(term bit, other bit)``: ``assumption_price`` (``_prices``),
       and per term bit and assumed mask: those prices in ``str`` order of
       the assumed bits (``_rows``) — a term adds its row value by value
@@ -556,10 +589,17 @@ class FactorScorer:
         self.universe = universe
         self.matcher = matcher
         self.error_function = error_function
+        #: the function's per-(attribute, assumed predicate) ranking price;
+        #: ``None`` hands ``rank_candidate`` its ``AttributeCandidates``
+        self._rank_price = getattr(error_function, "rank_price", None)
         self._plans: dict[int, tuple] = {}
+        self._terms: dict[int, tuple] = {}
+        self._attributes: dict[Attribute, _AttributeTables] = {}
         self._components: dict[int, dict[str, int]] = {}
         self._picks: dict[tuple[Attribute, float], dict[int, AttributePick]] = {}
         self._maximal: dict[Attribute, dict[int, tuple[SIT, ...]]] = {}
+        self._expressions: dict[PredicateSet, int] = {}
+        self._ranks: dict[Attribute, dict[int, float]] = {}
         #: universe mask of the predicates some SIT expression holds, over
         #: the first ``_member_bits`` bits
         self._members = 0
@@ -599,11 +639,11 @@ class FactorScorer:
         context = []
         covered = []
         coverage = 0
-        for attribute, weight, table, by_cond, by_member in plan[0]:
+        for weight, table, by_cond, tables in plan[0]:
             cond = component_of.get(table, 0)
             pick = by_cond.get(cond)
             if pick is None:
-                pick = self._pick(attribute, weight, cond, by_cond, by_member, trace)
+                pick = self._pick(tables, weight, cond, by_cond, trace)
             if pick.sit is None:
                 if started is not None:
                     trace.add_time("factor_matching", perf_counter() - started)
@@ -662,48 +702,69 @@ class FactorScorer:
 
     def _plan(self, p_mask: int) -> tuple:
         """What ``P'`` alone decides: its attributes with their weights
-        (step 1, in attribute order, each with its table and its rows of
-        the pick and candidate tables) and its joins, then its filters,
-        in ``str`` order — each with its bit, its mask, its row of price
-        rows and the positions of its attributes in the first list."""
-        universe = self.universe
-        ordered = [
-            (bit, universe.attributes(bit)) for bit in universe.sorted_bits(p_mask)
-        ]
-        weights: dict[Attribute, float] = {}
-        for _, attributes in ordered:
-            share = 0.5 if len(attributes) == 2 else 1.0  # a join's two operands
-            for attribute in attributes:
-                weights[attribute] = weights.get(attribute, 0.0) + share
-        # ``Attribute``'s own order, without its generated comparisons
-        by_attribute = sorted(weights, key=lambda a: (a.table, a.column))
-        position = {attribute: i for i, attribute in enumerate(by_attribute)}
-        picks, maximal = self._picks, self._maximal
+        (step 1, in attribute order, each with its table, its row of the
+        pick table and its :class:`_AttributeTables`) and its joins, then
+        its filters, in ``str`` order — each with its bit, its mask, its
+        row of price rows and the positions of its attributes in the
+        first list."""
+        terms = self._terms
+        ordered = []
+        weights: dict[_AttributeTables, float] = {}
+        weight_of = weights.get
+        for bit in self.universe.sorted_bits(p_mask):
+            term = terms.get(bit)
+            if term is None:
+                term = self._term(bit)
+            ordered.append(term)
+            share = term[4]
+            for tables in term[3]:
+                weights[tables] = weight_of(tables, 0.0) + share
+        position: dict[_AttributeTables, int] = {}
         attribute_rows = []
-        for attribute in by_attribute:
-            weight = weights[attribute]
-            by_cond = picks.get((attribute, weight))
+        for tables in sorted(weights, key=_order_key):
+            position[tables] = len(attribute_rows)
+            weight = weights[tables]
+            by_cond = tables.by_weight.get(weight)
             if by_cond is None:
-                by_cond = picks[attribute, weight] = {}
-            by_member = maximal.get(attribute)
-            if by_member is None:
-                by_member = maximal[attribute] = {}
-            attribute_rows.append(
-                (attribute, weight, attribute.table, by_cond, by_member)
-            )
-        rows = self._rows
+                by_cond = tables.by_weight[weight] = self._picks[
+                    tables.attribute, weight
+                ] = {}
+            attribute_rows.append((weight, tables.attribute.table, by_cond, tables))
         joins, filters = [], []
-        for bit, attributes in ordered:
-            term_rows = rows.get(bit)
-            if term_rows is None:
-                term_rows = rows[bit] = {}
-            entry = (bit, 1 << bit, term_rows, *map(position.get, attributes))
-            (joins if len(attributes) == 2 else filters).append(entry)
+        for bit, mask, term_rows, attribute_tables, _ in ordered:
+            if len(attribute_tables) == 2:
+                left, right = attribute_tables
+                joins.append((bit, mask, term_rows, position[left], position[right]))
+            else:
+                filters.append((bit, mask, term_rows, position[attribute_tables[0]]))
         return tuple(attribute_rows), tuple(joins), tuple(filters)
 
-    def _pick(
-        self, attribute, weight, cond, by_cond, by_member, trace
-    ) -> AttributePick:
+    def _term(self, bit: int) -> tuple:
+        """A new entry of ``_terms``: ``bit``, its mask, its row of
+        ``_rows``, its attributes' tables and their weight share (half
+        each for a join's two operands)."""
+        attributes = self.universe.attributes(bit)
+        rows = self._rows[bit] = {}
+        term = self._terms[bit] = (
+            bit,
+            1 << bit,
+            rows,
+            tuple(map(self._tables_of, attributes)),
+            0.5 if len(attributes) == 2 else 1.0,
+        )
+        return term
+
+    def _tables_of(self, attribute: Attribute) -> _AttributeTables:
+        tables = self._attributes.get(attribute)
+        if tables is None:
+            maximal = self._maximal[attribute] = {}
+            ranks = self._ranks[attribute] = {}
+            tables = self._attributes[attribute] = _AttributeTables(
+                attribute, maximal, ranks
+            )
+        return tables
+
+    def _pick(self, tables, weight, cond, by_cond, trace) -> AttributePick:
         """A new row of ``_picks``: the maximal candidates — from
         ``_maximal`` when some conditioning with the same members asked
         before, else from the matcher — and the error function's pick
@@ -713,6 +774,8 @@ class FactorScorer:
         universe = self.universe
         if self._member_bits < universe.size:
             self._learn_members()
+        attribute = tables.attribute
+        by_member = tables.by_member
         key = cond & self._members
         candidates = by_member.get(key) if trace is None else None
         if candidates is None:
@@ -722,16 +785,57 @@ class FactorScorer:
         if not candidates:
             pick = AttributePick(attribute, weight, cond, candidates, None)
         else:
-            sit = self.error_function.rank_candidate(
-                AttributeCandidates(
-                    attribute, weight, universe.set_of(cond), candidates
+            if self._rank_price is not None:
+                sit, expr_mask = self._rank(tables, cond, candidates)
+            else:
+                sit = self.error_function.rank_candidate(
+                    AttributeCandidates(
+                        attribute, weight, universe.set_of(cond), candidates
+                    )
                 )
-            )
-            # a candidate's expression lies within the conditioning: interned
-            expr_mask = universe.intern(sit.expression)
+                # a candidate's expression lies within the conditioning:
+                # interned
+                expr_mask = universe.intern(sit.expression)
             pick = AttributePick(attribute, weight, cond, candidates, sit, expr_mask)
         by_cond[cond] = pick
         return pick
+
+    def _rank(self, tables, cond: int, candidates) -> tuple[SIT, int]:
+        """``rank_candidate`` on masks: the candidate with the least
+        ``(sum of rank prices of what it assumes, str(sit))``, first
+        among equals, and its expression mask."""
+        expressions = self._expressions
+        ranks = tables.ranks
+        best = None
+        for sit in candidates:
+            expression = sit.expression
+            expr_mask = expressions.get(expression)
+            if expr_mask is None:
+                expr_mask = expressions[expression] = self.universe.intern(expression)
+            assumed = cond & ~expr_mask
+            price = ranks.get(assumed)
+            if price is None:
+                price = ranks[assumed] = self._rank_sum(tables, assumed)
+            if best is None or price < best_price or (
+                price == best_price and str(sit) < str(best)
+            ):
+                best, best_price, best_mask = sit, price, expr_mask
+        return best, best_mask
+
+    def _rank_sum(self, tables, assumed: int) -> float:
+        """``sum()`` of the rank prices of ``assumed`` in ``str`` order
+        of its bits — the sum ``rank_candidate`` takes — each price asked
+        of the function once per bit (``tables.prices``)."""
+        prices = tables.prices
+        values = []
+        for other in self.universe.sorted_bits(assumed):
+            value = prices.get(other)
+            if value is None:
+                value = prices[other] = self._rank_price(
+                    tables.attribute, self.universe.predicate(other)
+                )
+            values.append(value)
+        return sum(values)
 
     def _learn_members(self) -> None:
         """Extend ``_members`` and ``_unbased`` over the bits interned

@@ -185,7 +185,7 @@ class PredicateUniverse:
         self._adjacency = [
             self._adjacency_of(predicate) for predicate in predicates
         ]
-        order = sorted(range(n), key=lambda i: str(predicates[i]))
+        order = sorted(range(n), key=list(map(by_str, predicates)).__getitem__)
         str_rank = [0] * n
         for rank, bit in enumerate(order):
             str_rank[bit] = rank

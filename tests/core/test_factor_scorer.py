@@ -30,7 +30,13 @@ from repro.core.get_selectivity import (
     GetSelectivity,
     NoApplicableStatisticsError,
 )
-from repro.core.matching import FactorScorer, ViewMatcher, select_match
+import repro.core.matching as matching
+from repro.core.matching import (
+    AttributeCandidates,
+    FactorScorer,
+    ViewMatcher,
+    select_match,
+)
 from repro.core.predicates import Attribute, FilterPredicate, attributes_of
 from repro.core.selectivity import Factor
 from repro.engine.executor import Executor
@@ -276,6 +282,87 @@ class TestFilterBearingSITExpressions:
             for am in match.attribute_matches
             for p in am.sit.expression
         )
+
+
+class TestRankOnMasks:
+    """A function with a ``rank_price`` is ranked on masks
+    (``FactorScorer._rank``); ``rank_candidate`` over
+    ``AttributeCandidates`` stays the definition it is held to."""
+
+    @staticmethod
+    def check_every_pick(pool, workload, error_name) -> int:
+        error_function = ERROR_FACTORIES[error_name](pool)
+        algorithm = GetSelectivity.create(pool, error_function)
+        for predicates in workload:
+            algorithm(predicates)
+        scorer = algorithm._scorer
+        set_of = scorer.universe.set_of
+        reference = ViewMatcher(pool)
+        ranked = 0
+        for (attribute, weight), by_cond in scorer._picks.items():
+            for cond, pick in by_cond.items():
+                conditioning = set_of(cond)
+                candidates = reference.maximal_candidates(attribute, conditioning)
+                assert pick.candidates == candidates
+                if not candidates:
+                    assert pick.sit is None
+                    continue
+                expected = error_function.rank_candidate(
+                    AttributeCandidates(attribute, weight, conditioning, candidates)
+                )
+                assert pick.sit is expected
+                assert pick.expr_mask == scorer.universe.intern(expected.expression)
+                ranked += 1
+        return ranked
+
+    @pytest.mark.parametrize("error_name", sorted(ERROR_FACTORIES))
+    @pytest.mark.parametrize("setup_name", ["snowflake_setup", "tpch_setup"])
+    def test_every_pick_is_the_reference_ranking(self, request, setup_name, error_name):
+        workload, pool, _ = request.getfixturevalue(setup_name)
+        assert self.check_every_pick(pool, workload, error_name) > 500
+
+    @pytest.mark.parametrize("error_name", sorted(ERROR_FACTORIES))
+    def test_every_pick_is_the_reference_ranking_over_filter_sits(
+        self, snowflake_setup, error_name
+    ):
+        workload, pool, _ = snowflake_setup
+        requests = workload[:60]
+        filtered = with_filter_sits(pool, requests[::2], seed=31)
+        assert self.check_every_pick(filtered, requests, error_name) > 500
+
+    def test_a_cold_diff_solve_builds_no_attribute_candidates(
+        self, snowflake_setup, monkeypatch
+    ):
+        workload, pool, _ = snowflake_setup
+        predicates = next(p for p in workload if len(p) == 5)
+        ranked, built = [], []
+        rank_candidate = DiffError.rank_candidate
+
+        def counted_rank(self, entry):
+            ranked.append(entry)
+            return rank_candidate(self, entry)
+
+        class CountedCandidates(AttributeCandidates):
+            def __init__(self, *fields):
+                super().__init__(*fields)
+                built.append(self)
+
+        monkeypatch.setattr(DiffError, "rank_candidate", counted_rank)
+        monkeypatch.setattr(matching, "AttributeCandidates", CountedCandidates)
+        oracle = GetSelectivity.create(pool, DiffError(pool), engine="legacy")
+        expected = oracle(predicates)
+        assert ranked and built  # the frozenset route ranks through both
+        ranked.clear()
+        built.clear()
+        algorithm = GetSelectivity.create(pool, DiffError(pool))
+        assert algorithm(predicates) == expected
+        # the search is the one ranking through AttributeCandidates made
+        assert (
+            algorithm.matcher.calls,
+            algorithm.bound_scores,
+            algorithm.explored_decompositions,
+        ) == (112, 24, 88)
+        assert ranked == built == []
 
 
 class TestUnpricedFunctions:
