@@ -104,7 +104,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     database = generate_snowflake(SnowflakeConfig(scale=args.scale, seed=args.seed))
     query = parse_query(args.sql, database.schema)
     pool = build_workload_pool(
-        SITBuilder(database), [query], max_joins=min(query.join_count, args.max_joins)
+        SITBuilder(database), [query], max_joins=min(query.join_count, 2)
     )
     true = Executor(database).cardinality(query.predicates)
     print(f"canonical form: {query}")
@@ -131,7 +131,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     database = generate_snowflake(SnowflakeConfig(scale=args.scale, seed=args.seed))
     query = parse_query(args.sql, database.schema)
     pool = build_workload_pool(
-        SITBuilder(database), [query], max_joins=min(query.join_count, args.max_joins)
+        SITBuilder(database), [query], max_joins=min(query.join_count, 2)
     )
     if args.backend == "sit":
         error_function = (
@@ -145,10 +145,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         # their models straight from the pool's base SITs
         estimator = create_estimator(args.backend, database, pool)
     result = estimator.explain(query)
-    if args.json:
-        print(result.to_json())
-    else:
-        print(result.render_text(include_stats=args.stats))
+    print(result.to_json() if args.json else result.render_text())
     return 0
 
 
@@ -198,16 +195,12 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     path = args.path if action != "save" else None
     if path is None:
         print(
-            f"building J{args.max_joins} catalog over {args.queries} queries "
+            f"building J1 catalog over {args.queries} queries "
             f"(scale={args.scale}) ...",
             file=sys.stderr,
         )
     database, queries, catalog, _ = snowflake_fixture(
-        args.scale,
-        args.seed,
-        args.queries,
-        max_joins=args.max_joins,
-        path=path,
+        args.scale, args.seed, args.queries, path=path
     )
 
     if action in ("build", "load"):
@@ -219,7 +212,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         return 0
     if action == "status":
         if args.storm:
-            from repro.ingest import IngestConfig, IngestPipeline
+            from repro.ingest import IngestPipeline
             from repro.obs import StalenessTracker
 
             tracker = StalenessTracker()
@@ -230,9 +223,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
                 f"{len(tables)} tables ...",
                 file=sys.stderr,
             )
-            with IngestPipeline(
-                catalog, config=IngestConfig(), tracker=tracker
-            ) as pipeline:
+            with IngestPipeline(catalog, tracker=tracker) as pipeline:
                 for index in range(args.storm):
                     pipeline.submit(tables[index % len(tables)])
                 pipeline.flush()
@@ -261,45 +252,24 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import dataclasses
-    import json
-
     from repro.service import EstimationService, ServiceConfig, run_server
     from repro.workload.fixture import snowflake_fixture
 
     if args.path is None:
         print(
-            f"building J{args.max_joins} catalog over {args.queries} queries "
+            f"building J1 catalog over {args.queries} queries "
             f"(scale={args.scale}) ...",
             file=sys.stderr,
         )
     catalog = snowflake_fixture(
-        args.scale,
-        args.seed,
-        args.queries,
-        max_joins=args.max_joins,
-        path=args.path,
+        args.scale, args.seed, args.queries, path=args.path
     ).catalog
     # ad-hoc SQL needs base histograms for *every* attribute, not just
     # the build workload's
     catalog.add_missing_base_histograms()
-    if args.config is not None:
-        # one JSON file describes the whole deployment (the
-        # ServiceConfig fields); address flags still win so one file
-        # serves many ports
-        with open(args.config, encoding="utf-8") as handle:
-            config = ServiceConfig.from_dict(json.load(handle))
-        config = dataclasses.replace(config, host=args.host, port=args.port)
-    else:
-        config = ServiceConfig(
-            workers=args.workers,
-            queue_depth=args.queue_depth,
-            max_batch=args.max_batch,
-            host=args.host,
-            port=args.port,
-        )
-    if args.backend != "sit":
-        config = dataclasses.replace(config, backend=args.backend)
+    config = ServiceConfig(
+        workers=args.workers, port=args.port, backend=args.backend
+    )
     service = EstimationService(catalog, config=config)
 
     def ready(address: tuple[str, int]) -> None:
@@ -312,12 +282,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    run_server(service, ready=ready)
+    run_server(service, host=args.host, ready=ready)
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI dispatcher; returns a process exit code."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser: one subparser per :data:`SUBCOMMANDS` entry."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Conditional selectivity for statistics on query expressions",
@@ -331,7 +301,6 @@ def main(argv: list[str] | None = None) -> int:
     estimate.add_argument("--sql", required=True, help="conjunctive SPJ SELECT")
     estimate.add_argument("--scale", type=float, default=0.25)
     estimate.add_argument("--seed", type=int, default=42)
-    estimate.add_argument("--max-joins", type=int, default=2, dest="max_joins")
 
     explain = sub.add_parser("explain", help=SUBCOMMANDS["explain"])
     explain.add_argument(
@@ -355,12 +324,8 @@ def main(argv: list[str] | None = None) -> int:
     explain.add_argument(
         "--json", action="store_true", help="emit the machine-readable structure"
     )
-    explain.add_argument(
-        "--stats", action="store_true", help="append the StatsSnapshot to the tree"
-    )
     explain.add_argument("--scale", type=float, default=0.25)
     explain.add_argument("--seed", type=int, default=42)
-    explain.add_argument("--max-joins", type=int, default=2, dest="max_joins")
 
     figures = sub.add_parser("figures", help=SUBCOMMANDS["figures"])
     figures.add_argument("--scale", type=float, default=0.15)
@@ -376,7 +341,6 @@ def main(argv: list[str] | None = None) -> int:
     catalog.add_argument("--scale", type=float, default=0.15)
     catalog.add_argument("--seed", type=int, default=42)
     catalog.add_argument("--queries", type=int, default=3)
-    catalog.add_argument("--max-joins", type=int, default=1, dest="max_joins")
     catalog.add_argument(
         "--budget",
         type=int,
@@ -403,26 +367,12 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     serve = sub.add_parser("serve", help=SUBCOMMANDS["serve"])
-    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
         "--port", type=int, default=8642, help="0 picks an ephemeral port"
     )
     serve.add_argument(
         "--workers", type=int, default=2, help="estimation worker threads"
-    )
-    serve.add_argument(
-        "--queue-depth",
-        type=int,
-        default=256,
-        dest="queue_depth",
-        help="admission-queue bound; beyond it requests are shed",
-    )
-    serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=32,
-        dest="max_batch",
-        help="most queued requests a free worker takes as one micro-batch",
     )
     serve.add_argument(
         "--backend",
@@ -436,19 +386,15 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument(
         "--path", default=None, help="serve a saved catalog file (v2 JSON)"
     )
-    serve.add_argument(
-        "--config",
-        default=None,
-        help=(
-            "deployment config file (the ServiceConfig fields as one "
-            "JSON object); overrides the tuning flags"
-        ),
-    )
     serve.add_argument("--scale", type=float, default=0.15)
     serve.add_argument("--seed", type=int, default=42)
     serve.add_argument("--queries", type=int, default=3)
-    serve.add_argument("--max-joins", type=int, default=1, dest="max_joins")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI dispatcher; returns a process exit code."""
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "info":
         return _cmd_info(args)

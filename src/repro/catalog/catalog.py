@@ -63,6 +63,18 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard
 #: histogram contents too; the registry keys on *what* the SIT describes)
 SITKey = tuple[Attribute, PredicateSet]
 
+#: the catalog's lifecycle counters, registered when it is built
+_LIFECYCLE_COUNTERS = (
+    "catalog.invalidations",
+    "catalog.quarantined_sits",
+    "catalog.refresh_aborts",
+    "catalog.refresh_conflicts",
+    "catalog.refreshes",
+    "catalog.sits_built",
+    "catalog.sits_dropped",
+    "catalog.sits_rebuilt",
+)
+
 #: recognised build methods
 BUILD_FULL = "full"
 BUILD_SAMPLED = "sampled"
@@ -217,8 +229,12 @@ class StatisticsCatalog:
         self._metadata: dict[SITKey, SITMetadata] = {}
         self._pool = SITPool()
         #: lifecycle metrics (refresh/invalidation counters; see
-        #: :meth:`metrics_registry`)
+        #: :meth:`metrics_registry`).  Every instrument exists from here
+        #: on, so the registry never grows while a snapshot merges it
         self.metrics = MetricsRegistry()
+        for name in _LIFECYCLE_COUNTERS:
+            self.metrics.counter(name)
+        self.metrics.gauge("catalog.refresh_seconds")
         #: records skipped by a quarantining :meth:`load` (see
         #: :mod:`repro.stats.io`); empty for healthy files
         self.quarantined: list[dict] = []
@@ -466,10 +482,10 @@ class StatisticsCatalog:
     # Invalidation: the one event path
     # ------------------------------------------------------------------
     def attach_staleness(self, tracker) -> None:
-        """Join a :class:`repro.obs.StalenessTracker` so ``status()`` and
-        the metrics registry surface the ingest pipeline's staleness and
-        drift view alongside the lifecycle counters.  The tracker is fed
-        by :class:`repro.ingest.IngestPipeline`, not by the catalog —
+        """Join a :class:`repro.obs.StalenessTracker` so ``status()``
+        prints the ingest pipeline's staleness block beside the
+        lifecycle fields.  The tracker is fed by
+        :class:`repro.ingest.IngestPipeline`, not by the catalog —
         attaching is pure observability plumbing."""
         self._staleness = tracker
 
@@ -573,15 +589,12 @@ class StatisticsCatalog:
         return out
 
     def metrics_registry(self) -> MetricsRegistry:
-        """Lifecycle metrics under the ``catalog.*`` namespace."""
+        """Lifecycle metrics under the ``catalog.*`` namespace: the
+        counters, and the published pool's size and stale count."""
         registry = MetricsRegistry()
         registry.merge(self.metrics)
-        registry.gauge("catalog.version").set(float(self.version))
         registry.gauge("catalog.sit_count").set(float(len(self._pool)))
         registry.gauge("catalog.stale_sits").set(float(len(self.stale_sits())))
-        if self._staleness is not None:
-            for name, value in self._staleness.metrics().items():
-                registry.gauge(f"ingest.{name}").set(float(value))
         return registry
 
     def stats_snapshot(self) -> StatsSnapshot:

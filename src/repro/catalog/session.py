@@ -268,19 +268,15 @@ class EstimationSession:
 
     # ------------------------------------------------------------------
     def metrics_registry(self) -> MetricsRegistry:
-        """The estimator's own ledger, plus ``counters.queries`` and the
-        ``catalog`` identity block."""
+        """The estimator's own ledger, plus ``counters.queries`` and
+        whether the pinned snapshot is current (``catalog.current``)."""
         ledger = self.estimator.stats_snapshot()
         registry = MetricsRegistry()
         ledger.accumulate_into(registry)
         gauge = registry.gauge
         counter = registry.counter
         counter("counters.queries").inc(self.queries)
-        gauge("catalog.snapshot_version").set(float(self.snapshot_version))
         gauge("catalog.current").set(1.0 if self.is_current else 0.0)
-        gauge("catalog.sit_count").set(
-            float(len(self.pool)) if self.pool is not None else 0.0
-        )
         # kept, reading 0.0, for the repository benchmark (see
         # ``match_cache_hit_rate``)
         gauge("catalog.match_cache_hit_rate").set(self.match_cache_hit_rate)
@@ -291,8 +287,8 @@ class EstimationSession:
         return registry
 
     def stats_snapshot(self) -> StatsSnapshot:
-        """The session's ``StatsSnapshot``: the estimator's ledger, with
-        snapshot/catalog versions in the ``catalog`` namespace."""
+        """The session's ``StatsSnapshot``: the estimator's ledger; the
+        pinned snapshot version is in ``meta``."""
         meta: Mapping[str, object] = {
             "session": self.name,
             "engine": self.estimator.engine,

@@ -634,7 +634,6 @@ class PlanCache:
             "evictions": self.evictions,
             "bytes": self.bytes,
             "hit_rate": (self.hits / total) if total else 0.0,
-            "pool_version": self._pool_version,
         }
 
 

@@ -233,10 +233,8 @@ class SITEstimator(Estimator):
                 "backend": self.backend,
             }
         )
-        catalog = dict(snapshot.catalog)
         if self.snapshot is not None:
             meta["snapshot_version"] = self.snapshot_version
-            catalog["snapshot_version"] = float(self.snapshot_version)
         resilience = dict(snapshot.resilience)
         resilience.update(self.resilience.as_dict())
         plan_cache = dict(snapshot.plan_cache)
@@ -247,7 +245,7 @@ class SITEstimator(Estimator):
             timings=snapshot.timings,
             counters=snapshot.counters,
             caches=snapshot.caches,
-            catalog=catalog,
+            catalog=snapshot.catalog,
             service=snapshot.service,
             resilience=resilience,
             plan_cache=plan_cache,

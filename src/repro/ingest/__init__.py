@@ -12,10 +12,7 @@ continuous concurrent writes survivable:
   layer's shed-on-full contract); N rapid updates to one table collapse
   into one invalidation epoch, applied with one ``notify_table_update``.
 * :class:`IngestConfig` — the layered-config knobs (queue depth,
-  coalescing window, batch size and drift-probe budget).
-* :class:`EstimateDriftProbe` — served estimate vs. fresh truth on a
-  sampled sub-stream, feeding the :class:`repro.obs.StalenessTracker`'s
-  measured ``estimate_drift``.
+  coalescing window and batch size).
 
 Observability rides the ``ingest`` StatsSnapshot namespace
 (:mod:`repro.obs.snapshot`) and the staleness tracker in
@@ -23,15 +20,9 @@ Observability rides the ``ingest`` StatsSnapshot namespace
 """
 
 from repro.ingest.config import IngestConfig
-from repro.ingest.pipeline import (
-    EstimateDriftProbe,
-    IngestOverloaded,
-    IngestPipeline,
-    TableUpdate,
-)
+from repro.ingest.pipeline import IngestOverloaded, IngestPipeline, TableUpdate
 
 __all__ = [
-    "EstimateDriftProbe",
     "IngestConfig",
     "IngestOverloaded",
     "IngestPipeline",

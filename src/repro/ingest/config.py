@@ -29,9 +29,6 @@ class IngestConfig:
     coalesce_window_s: float = 0.02
     #: most events folded into one drain cycle
     max_batch: int = 256
-    #: measure estimate drift on every Nth applied epoch (0 disables the
-    #: probe sub-stream)
-    drift_every: int = 0
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
@@ -40,8 +37,6 @@ class IngestConfig:
             raise ValueError("coalesce_window_s must be >= 0")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.drift_every < 0:
-            raise ValueError("drift_every must be >= 0 (0 disables)")
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:

@@ -29,10 +29,9 @@ survivable while the stack serves:
   ``notify_table_update`` raises stops the apply thread, its cycle still
   pending: :meth:`submit` then raises rather than ack a write nothing
   will apply, and :meth:`flush` returns ``False`` at once.
-* **Staleness + drift accounting.**  Every admission/apply is mirrored
-  into a :class:`repro.obs.StalenessTracker`; an optional
-  :class:`EstimateDriftProbe` measures served-estimate drift against
-  fresh truth on a sampled sub-stream of applied epochs.
+* **Staleness accounting.**  Every admission/apply is mirrored into a
+  :class:`repro.obs.StalenessTracker`, whose gauges this pipeline's
+  :meth:`IngestPipeline.metrics_registry` alone exports.
 """
 
 from __future__ import annotations
@@ -43,14 +42,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.ingest.config import IngestConfig
-from repro.obs.metrics import MetricsRegistry, q_error
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import StatsSnapshot
 from repro.obs.staleness import StalenessTracker
 from repro.service.protocol import Overloaded
 from repro.service.queue import AdmissionQueue
 
 __all__ = [
-    "EstimateDriftProbe",
     "IngestOverloaded",
     "IngestPipeline",
     "TableUpdate",
@@ -108,7 +106,6 @@ class IngestPipeline:
         *,
         config: IngestConfig | None = None,
         tracker: StalenessTracker | None = None,
-        drift_probe: "Callable[[], float | None] | None" = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         if not hasattr(target, "notify_table_update"):
@@ -118,12 +115,16 @@ class IngestPipeline:
         self.target = target
         self.config = config or IngestConfig()
         self.tracker = tracker or StalenessTracker(clock=clock)
-        self.drift_probe = drift_probe
-        self._clock = clock
         self._queue: AdmissionQueue[TableUpdate] = AdmissionQueue(
             self.config.queue_depth
         )
+        # every counter exists from here on, so the registry never grows
+        # while a snapshot merges it
         self._metrics = MetricsRegistry()
+        self._events = self._metrics.counter("ingest.events")
+        self._shed = self._metrics.counter("ingest.shed")
+        self._epochs_applied = self._metrics.counter("ingest.epochs_applied")
+        self._events_applied = self._metrics.counter("ingest.events_applied")
         #: events (in admission order) the apply loop has applied
         self._applied_through = 0
         self._state_lock = threading.Lock()
@@ -153,12 +154,12 @@ class IngestPipeline:
         )
         if not self._queue.offer(event):
             self.tracker.retract_write(name, when)
-            self._metrics.counter("ingest.shed").inc()
+            self._shed.inc()
             raise IngestOverloaded(
                 f"ingest queue full (depth {self.config.queue_depth}); "
                 f"shed update for table {table!r}"
             )
-        self._metrics.counter("ingest.events").inc()
+        self._events.inc()
         return event
 
     def submit_many(self, tables: Iterable[str]) -> int:
@@ -196,34 +197,12 @@ class IngestPipeline:
             )
         for table in sorted(epochs):
             self._apply_epoch(table, epochs[table])
-        if epochs:
-            self._maybe_probe()
 
     def _apply_epoch(self, table: str, epoch: _Epoch) -> None:
-        metrics = self._metrics
         self.target.notify_table_update(table)
         self.tracker.note_applied(table, through=epoch.newest)
-        metrics.counter("ingest.epochs_applied").inc()
-        metrics.counter("ingest.events_applied").inc(epoch.events)
-        if epoch.events > 1:
-            metrics.counter("ingest.coalesced_events").inc(epoch.events - 1)
-
-    def _maybe_probe(self) -> None:
-        every = self.config.drift_every
-        if self.drift_probe is None or every <= 0:
-            return
-        applied = self._metrics.counter("ingest.epochs_applied").value
-        probed = self._metrics.counter("ingest.drift_probes").value
-        if applied < (probed + 1) * every:
-            return
-        try:
-            drift = self.drift_probe()
-        except Exception:
-            self._metrics.counter("ingest.drift_probe_errors").inc()
-            return
-        self._metrics.counter("ingest.drift_probes").inc()
-        if drift is not None:
-            self.tracker.record_drift(drift)
+        self._epochs_applied.inc()
+        self._events_applied.inc(epoch.events)
 
     # -- drain / shutdown --------------------------------------------------
     def flush(self, timeout: float = 10.0) -> bool:
@@ -251,9 +230,7 @@ class IngestPipeline:
             return
         self._closed = True
         if not drain:
-            dropped = self._queue.drain()
-            if dropped:
-                self._metrics.counter("ingest.dropped").inc(len(dropped))
+            self._queue.drain()
         self._queue.close()
         self._thread.join(timeout=timeout)
 
@@ -272,21 +249,17 @@ class IngestPipeline:
         return len(self._queue)
 
     def metrics_registry(self) -> MetricsRegistry:
-        """Counters plus the tracker's gauges, as one registry."""
+        """Counters plus the tracker's gauges, as one registry: the one
+        producer of the ``ingest`` namespace."""
         merged = MetricsRegistry()
         merged.merge(self._metrics)
-        events = merged.counter("ingest.events_applied").value
-        epochs = merged.counter("ingest.epochs_applied").value
+        epochs = self._epochs_applied.value
         if epochs:
-            merged.gauge("ingest.coalesce_ratio").set(events / epochs)
-        merged.gauge("ingest.queue_depth").set(float(len(self._queue)))
+            merged.gauge("ingest.coalesce_ratio").set(
+                self._events_applied.value / epochs
+            )
         for name, value in self.tracker.metrics().items():
-            try:
-                merged.gauge(f"ingest.{name}").set(float(value))
-            except TypeError:
-                # the pipeline already counts this (e.g. drift_probes);
-                # the counter is authoritative in the merged view
-                continue
+            merged.gauge(f"ingest.{name}").set(value)
         return merged
 
     def stats_snapshot(self) -> StatsSnapshot:
@@ -296,41 +269,5 @@ class IngestPipeline:
 
     def status(self) -> dict[str, object]:
         """Compact operational view (mirrors ``catalog status``)."""
-        snap = self.stats_snapshot().ingest
-        out = {k: v for k, v in snap.items() if not k.startswith("staleness_s.")}
-        out["staleness"] = self.tracker.status()
-        return out
+        return dict(self.stats_snapshot().ingest, staleness=self.tracker.status())
 
-
-class EstimateDriftProbe:
-    """Measured drift on a sampled sub-stream: served estimate vs. truth.
-
-    ``estimate`` answers with the *served* cardinality (a pinned
-    session, a service client, a ``connect()`` handle — anything
-    still serving the possibly-stale snapshot); ``truth`` answers with
-    fresh ground truth (an :class:`repro.engine.Executor` over live
-    data, or a freshly-redrawn guaranteed-sample estimate whose
-    distribution-free bound makes it a principled yardstick).  Each
-    :meth:`__call__` probes the next query round-robin and returns the
-    q-error between the two answers.
-    """
-
-    def __init__(
-        self,
-        estimate: Callable[[object], float],
-        truth: Callable[[object], float],
-        queries: Sequence[object],
-    ):
-        if not queries:
-            raise ValueError("drift probe needs at least one query")
-        self._estimate = estimate
-        self._truth = truth
-        self._queries = list(queries)
-        self._next = 0
-        self._lock = threading.Lock()
-
-    def __call__(self) -> float:
-        with self._lock:
-            query = self._queries[self._next % len(self._queries)]
-            self._next += 1
-        return q_error(float(self._estimate(query)), float(self._truth(query)))

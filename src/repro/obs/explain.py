@@ -160,7 +160,7 @@ class ExplainResult:
         )
 
     # ------------------------------------------------------------------
-    def render_text(self, include_stats: bool = False) -> str:
+    def render_text(self) -> str:
         """Human-readable tree, deterministic for golden-file testing."""
         lines = [
             f"EXPLAIN ESTIMATE  {self.estimator}  "
@@ -213,14 +213,6 @@ class ExplainResult:
                         f"{stem}      assumed independent of: "
                         f"{', '.join(attribute.assumed)}"
                     )
-        if include_stats:
-            from repro.obs.snapshot import NAMESPACES
-
-            lines.append("stats:")
-            for namespace in NAMESPACES:
-                entries = self.stats.namespace(namespace)
-                for name in sorted(entries):
-                    lines.append(f"  {namespace}.{name} = {entries[name]}")
         return "\n".join(lines)
 
     def __str__(self) -> str:

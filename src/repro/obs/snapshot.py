@@ -20,19 +20,18 @@ namespaces:
     pool, while ``join_memo_hits`` / ``join_memo_misses`` count only
     this DP's own lookups);
 ``catalog``
-    statistics-lifecycle state (``snapshot_version``, ``current``,
-    ``sit_count``, ``stale_sits``, ``invalidations``, ``sits_rebuilt``,
-    ...)
-    — populated when the producer serves from a
-    :class:`repro.catalog.StatisticsCatalog` / snapshot / session,
-    empty otherwise;
+    statistics-lifecycle state: a catalog's ``sit_count``,
+    ``stale_sits`` and lifecycle counters (``invalidations``,
+    ``refreshes``, ``sits_rebuilt``, ...), a session's ``current`` —
+    empty below the catalog layer;
 ``service``
     request-path state of the estimation-serving subsystem
-    (:mod:`repro.service`): ``queue_depth``, ``workers``, ``served``,
-    ``shed_overload`` / ``shed_deadline``, ``batches``,
-    ``batched_requests``, ``snapshot_swaps`` and the ``latency_ms``
-    histogram with p50/p95/p99 — empty for producers below the serving
-    layer;
+    (:mod:`repro.service`): ``queue_depth``, ``workers``, ``submitted``,
+    ``served``, ``answered_on_arrival``, ``shed_overload`` /
+    ``shed_deadline``, ``batches``, ``batched_requests``,
+    ``deduplicated``, ``degraded``, ``snapshot_swaps`` and the
+    ``latency_ms`` / ``batch_size`` histograms with p50/p95/p99 — empty
+    for producers below the serving layer;
 ``resilience``
     degradation state (:mod:`repro.resilience`): the ``degraded_level3``
     outcome counter and ``faults_<kind>`` per handled failure
@@ -41,24 +40,26 @@ namespaces:
     when nothing ever degraded;
 ``plan_cache``
     compiled-plan cache state (:mod:`repro.core.plancache`): ``plans``,
-    ``hits``, ``misses``, ``compiles``, ``evictions``, ``bytes``,
-    ``hit_rate`` and the pinned ``pool_version``; a service adds
-    ``caches``, its distinct live caches (one per served pool) — empty
-    for producers that run without the cache;
+    ``hits``, ``misses``, ``compiles``, ``evictions``, ``bytes`` and
+    ``hit_rate`` — empty for producers that run without the cache;
 ``ingest``
-    streaming-ingestion state (:mod:`repro.ingest` +
-    :class:`repro.obs.staleness.StalenessTracker`): admission counters
-    (``events``, ``shed``, ``dropped``), coalescing
-    (``epochs_applied``, ``coalesced_events``, ``coalesce_ratio``), the
-    staleness gauges (``staleness_s_max``, per-table
-    ``staleness_s.<table>``, ``tables_pending``) and measured drift on
-    the probe sub-stream (``drift_probes``, ``drift_q_error_p50``,
-    ``drift_q_error_p95``) — empty when nothing streams writes.
+    streaming-ingestion state, produced by
+    :class:`repro.ingest.IngestPipeline` alone: admission counters
+    (``events``, ``shed``), coalescing (``epochs_applied``,
+    ``events_applied``, ``coalesce_ratio``) and its
+    :class:`repro.obs.staleness.StalenessTracker`'s gauges
+    (``staleness_s_max``, ``tables_pending``).
+
+Every name a producer registers has a reader (a test, a bench metric, a
+script or CI step); ``tests/obs/test_metric_readers.py`` collects the
+names at run time and fails on any without one.
 
 ``meta`` carries identification (engine, estimator name, error function,
-session name) and is excluded from numeric views.  Snapshots are plain
+session name) and is not a namespace.  Snapshots are plain
 data: build one from a :class:`repro.obs.metrics.MetricsRegistry` with
-:meth:`from_registry`, serialise with :meth:`to_dict` / :meth:`to_json`.
+:meth:`from_registry`, read a namespace as an attribute
+(``snapshot.ingest["events"]``), serialise with :meth:`to_dict` /
+:meth:`to_json`.
 """
 
 from __future__ import annotations
@@ -110,28 +111,11 @@ class StatsSnapshot:
     def from_registry(
         cls, registry: MetricsRegistry, meta: Mapping[str, object] | None = None
     ) -> "StatsSnapshot":
-        """Group a registry's instruments into the documented namespaces.
-
-        Instruments outside the conventional namespaces are folded into
-        ``counters`` under their full dotted name, so nothing is lost.
-        """
+        """Group a registry's instruments into the documented namespaces
+        (every producer names its instruments inside one of them)."""
         nested = registry.snapshot()
-        extra: dict[str, object] = {}
-        for namespace, entries in nested.items():
-            if namespace not in NAMESPACES:
-                for name, value in entries.items():
-                    extra[f"{namespace}.{name}"] = value
-        counters = dict(nested.get("counters", {}))
-        counters.update(extra)
         return cls(
-            timings=nested.get("timings", {}),
-            counters=counters,
-            caches=nested.get("caches", {}),
-            catalog=nested.get("catalog", {}),
-            service=nested.get("service", {}),
-            resilience=nested.get("resilience", {}),
-            plan_cache=nested.get("plan_cache", {}),
-            ingest=nested.get("ingest", {}),
+            **{namespace: nested.get(namespace, {}) for namespace in NAMESPACES},
             meta=meta or {},
         )
 
@@ -158,17 +142,7 @@ class StatsSnapshot:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:
         """Nested plain-dict form (JSON-ready)."""
-        return {
-            "timings": dict(self.timings),
-            "counters": dict(self.counters),
-            "caches": dict(self.caches),
-            "catalog": dict(self.catalog),
-            "service": dict(self.service),
-            "resilience": dict(self.resilience),
-            "plan_cache": dict(self.plan_cache),
-            "ingest": dict(self.ingest),
-            "meta": dict(self.meta),
-        }
+        return {name: dict(getattr(self, name)) for name in (*NAMESPACES, "meta")}
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -177,27 +151,3 @@ class StatsSnapshot:
         if name not in NAMESPACES:
             raise KeyError(f"unknown namespace {name!r}; expected {NAMESPACES}")
         return getattr(self, name)
-
-    # ------------------------------------------------------------------
-    def flat(self, keys: Mapping[str, str] | None = None) -> dict[str, float]:
-        """A flattened numeric view (a generic utility, not a schema).
-
-        With ``keys`` (a ``{flat_key: "namespace.entry"}`` mapping) the
-        result contains exactly those keys.  Without ``keys`` every
-        numeric entry is flattened as ``namespace`` is dropped (colliding
-        names keep the namespaced form).
-        """
-        if keys is not None:
-            out: dict[str, float] = {}
-            for flat_key, path in keys.items():
-                namespace, _, entry = path.partition(".")
-                out[flat_key] = getattr(self, namespace)[entry]
-            return out
-        out = {}
-        for namespace in NAMESPACES:
-            for entry, value in getattr(self, namespace).items():
-                if entry in out:
-                    entry = f"{namespace}.{entry}"
-                if isinstance(value, (int, float)):
-                    out[entry] = float(value)
-        return out

@@ -2,11 +2,9 @@
 
 One frozen dataclass, :class:`ServiceConfig`: the request path of one
 :class:`~repro.service.EstimationService` (workers, queue, batching,
-deadlines, bind address, backend).  It validates in ``__post_init__``
-and round-trips through ``from_dict`` / ``to_dict``, a flat mapping of
-its fields, so a whole deployment fits in one JSON file
-(``python -m repro serve --config service.json``); a key that is not a
-field is refused by name.
+deadlines, port, backend).  It validates in ``__post_init__`` and
+round-trips through ``from_dict`` / ``to_dict``, a flat mapping of its
+fields; a key that is not a field is refused by name.
 """
 
 from __future__ import annotations
@@ -39,8 +37,6 @@ class ServiceConfig:
     #: seconds :meth:`EstimationService.close` waits for a graceful
     #: drain before abandoning the remaining queue
     drain_timeout_s: float = 30.0
-    #: server bind address for the JSON-lines front-end
-    host: str = "127.0.0.1"
     #: server port (0 = ephemeral, the bound port is reported)
     port: int = 8642
     #: estimation backend worker sessions are built with
@@ -59,8 +55,6 @@ class ServiceConfig:
             raise ValueError("default_timeout_s must be > 0 (or None)")
         if self.drain_timeout_s < 0:
             raise ValueError("drain_timeout_s must be >= 0")
-        if not self.host:
-            raise ValueError("host must be non-empty")
         if not 0 <= self.port <= 65535:
             raise ValueError("port must be in [0, 65535]")
         from repro.estimators import BACKENDS

@@ -91,11 +91,11 @@ class EstimationServer:
     def __init__(
         self,
         service: EstimationService,
-        host: str | None = None,
+        host: str = "127.0.0.1",
         port: int | None = None,
     ):
         self.service = service
-        self.host = host if host is not None else service.config.host
+        self.host = host
         self.port = port if port is not None else service.config.port
         self._server: asyncio.AbstractServer | None = None
         #: the connections open now, closed with the server
@@ -315,7 +315,7 @@ def _fill(responses: list, estimates: list, outcomes: list) -> bytes:
 # ----------------------------------------------------------------------
 def run_server(
     service: EstimationService,
-    host: str | None = None,
+    host: str = "127.0.0.1",
     port: int | None = None,
     ready: "Callable[[tuple[str, int]], None] | None" = None,
 ) -> None:
@@ -394,14 +394,12 @@ class ServerHandle:
 
 def start_in_thread(
     service: EstimationService,
-    host: str | None = None,
+    host: str = "127.0.0.1",
     port: int | None = None,
 ) -> ServerHandle:
     """Run the JSON-lines server on a daemon thread; returns its handle."""
     return ServerHandle(
-        service,
-        host if host is not None else service.config.host,
-        port if port is not None else service.config.port,
+        service, host, port if port is not None else service.config.port
     )
 
 

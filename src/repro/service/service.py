@@ -358,11 +358,9 @@ class EstimationService:
         slots: list[int] = []
         #: latencies of the members answered on arrival
         arrived: list[float] = []
-        scanned = 0
         for query, timeout in requests:
             hit = sql.scan(query) if scan_sql and type(query) is str else None
             if hit is not None:
-                scanned += 1
                 template, fingerprint, ordered = hit
                 predicates, tables = None, template.tables
             else:
@@ -396,8 +394,6 @@ class EstimationService:
             slots.append(len(outcomes))
             admissible.append(pending)
             outcomes.append(pending.future)
-        if scanned:
-            sql.count_hits(scanned)
         if arrived:
             self._count_arrivals(arrived)
         if not admissible:
@@ -714,25 +710,17 @@ class EstimationService:
         registry.gauge("service.queue_depth").set(float(len(self._queue)))
         alive = sum(1 for worker in self._workers if worker.is_alive())
         registry.gauge("service.workers").set(float(alive))
-        registry.counter("service.sql_template_hits").inc(self._sql.hits)
-        registry.counter("service.sql_template_misses").inc(self._sql.misses)
         with self._sessions_lock:
             sessions = list(self._sessions)
             registry.merge(self._retired_registry)
             current = self._plan_cache
             banked = dict(self._banked_plan_events)
-            registry.gauge("service.active_sessions").set(
-                float(len(sessions))
-            )
         held = (current, *(session.plan_cache for session in sessions))
         caches = {id(cache): cache for cache in held if cache is not None}
         for session in sessions:
             registry.merge(session.metrics_registry())
         if caches or any(banked.values()):
             self._fold_plan_cache(registry, caches.values(), banked)
-        if self.staleness_tracker is not None:
-            for name, value in self.staleness_tracker.metrics().items():
-                registry.gauge(f"ingest.{name}").set(float(value))
         return registry
 
     @staticmethod
@@ -744,14 +732,13 @@ class EstimationService:
         """The service's ``plan_cache`` block.  Sessions report their
         cache's counts as gauges, which a merge overwrites, so the block
         is summed over the distinct live caches (the current one and any
-        a session still holds) — ``caches`` counts them, one per served
-        pool, and ``plans`` and ``bytes`` are theirs — plus, for the
-        event counts, the banked ones: lifetime totals that never drop
+        a session still holds) — ``plans`` and ``bytes`` are theirs —
+        plus, for the event counts, the banked ones: lifetime totals that
+        never drop
         when a refresh retires a cache.  A hit answered on arrival
         (``service.answered_on_arrival``) is one no cache counted."""
-        totals = dict(banked, caches=0, plans=0, bytes=0)
+        totals = dict(banked, plans=0, bytes=0)
         for cache in caches:
-            totals["caches"] += 1
             for key in _PLAN_EVENTS:
                 totals[key] += getattr(cache, key)
             totals["plans"] += len(cache)

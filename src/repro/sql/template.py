@@ -206,11 +206,11 @@ def scanned_predicates(template: BoundTemplate, rows: list) -> frozenset:
 class TemplateFrontEnd:
     """``parse_query`` for one schema, remembering shapes.
 
-    ``hits`` and ``misses`` count every statement once: bound from a
-    template, or handed to the full parse (cold, unrecognised or
-    malformed alike); a serving caller counts its scanned hits itself
-    (:meth:`count_hits`).  ``fallbacks`` counts the scanned hits that no
-    route took, ordered by ``bounds_fingerprint`` instead."""
+    ``hits`` and ``misses`` count every statement :meth:`parse_predicates`
+    sees once: bound from a template, or handed to the full parse (cold,
+    unrecognised or malformed alike); a :meth:`scan` hit counts in
+    neither.  ``fallbacks`` counts the scanned hits that no route took,
+    ordered by ``bounds_fingerprint`` instead."""
 
     def __init__(self, schema: Schema):
         self.schema = schema
@@ -261,8 +261,8 @@ class TemplateFrontEnd:
         rows)``, the rows in the plan's position order, each filter's
         ``low`` and ``high`` set — or ``None`` for :meth:`parse_predicates`
         to judge: an unknown skeleton or bad literal, an empty range, no
-        predicate.  Counts no hit (:meth:`count_hits`); a hit that no
-        route takes counts one fallback."""
+        predicate.  Counts no hit; a hit that no route takes counts one
+        fallback."""
         pieces = _scan(sql)
         entry = self._scanned.get(tuple(pieces[::2]))
         if entry is None:
@@ -285,11 +285,6 @@ class TemplateFrontEnd:
         with self._lock:
             self.fallbacks += 1
         return (template, *bounds_fingerprint(assembly.ranges, template.joins))
-
-    def count_hits(self, count: int) -> None:
-        """Count ``count`` scanned hits, one lock take for a group."""
-        with self._lock:
-            self.hits += count
 
     def _store(self, skeleton, template: BoundTemplate, sql: str, literals) -> None:
         size = sum(map(len, skeleton))

@@ -148,6 +148,10 @@ class TestBenchConfig:
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.5")
         monkeypatch.setenv("REPRO_QUERIES", "7")
+        monkeypatch.setenv("REPRO_SUBQUERIES", "9")
+        monkeypatch.setenv("REPRO_SEED", "3")
         config = BenchConfig.from_env()
         assert config.scale == 0.5
         assert config.queries_per_workload == 7
+        assert config.subqueries_per_query == 9
+        assert config.seed == 3

@@ -202,8 +202,12 @@ class TestInvalidationEventPath:
         assert snapshot.meta["subsystem"] == "catalog"
 
         def gauges(catalog) -> tuple:
-            block = catalog.stats_snapshot().catalog
-            return (block["version"], block["sit_count"], block["stale_sits"])
+            snapshot = catalog.stats_snapshot()
+            return (
+                snapshot.meta["version"],
+                snapshot.catalog["sit_count"],
+                snapshot.catalog["stale_sits"],
+            )
 
         def status(catalog) -> tuple:
             block = catalog.status()

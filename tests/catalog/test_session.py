@@ -151,6 +151,14 @@ class TestObservability:
         assert snapshot.catalog["match_cache_hit_rate"] == 0.0
         assert snapshot.catalog["current"] == 1.0
 
+    def test_sit_count_is_the_catalogs_alone(self, catalog, query):
+        """One name, one meaning: ``catalog.sit_count`` is the published
+        pool's size; a session's pinned pool is not reported under it."""
+        session = EstimationSession(catalog, plan_cache=False)
+        session.selectivity(query)
+        assert "sit_count" not in session.stats_snapshot().catalog
+        assert catalog.stats_snapshot().catalog["sit_count"] == float(len(catalog))
+
     def test_ledger_is_the_estimators_and_monotone(
         self, catalog, query, two_table_join, two_table_attrs
     ):

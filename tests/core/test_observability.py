@@ -129,65 +129,68 @@ class TestMatcherCounting:
 
 
 class TestStats:
-    KEY_PATHS = {
-        "memo_entries": "caches.memo_entries",
-        "estimate_cache_entries": "caches.estimate_cache_entries",
-        "matcher_calls": "counters.matcher_calls",
-        "explored_decompositions": "counters.explored_decompositions",
-        "pruned_decompositions": "counters.pruned_decompositions",
-        "bound_scores": "counters.bound_scores",
-        "universe_size": "counters.universe_size",
-        "analysis_seconds": "timings.analysis_seconds",
-        "estimation_seconds": "timings.estimation_seconds",
+    #: the DP ledger's names, by namespace
+    LEDGER = {
+        "caches": {"memo_entries", "estimate_cache_entries"},
+        "counters": {
+            "matcher_calls",
+            "explored_decompositions",
+            "pruned_decompositions",
+            "bound_scores",
+            "universe_size",
+        },
+        "timings": {"analysis_seconds", "estimation_seconds"},
     }
 
-    def _flat(self, algorithm):
-        return algorithm.stats_snapshot().flat(self.KEY_PATHS)
+    def _ledger(self, algorithm):
+        snapshot = algorithm.stats_snapshot()
+        for namespace, names in self.LEDGER.items():
+            assert names <= set(snapshot.namespace(namespace))
+        return snapshot
 
     def test_snapshot_after_a_query(self, workload):
         predicates, pool = workload
         algorithm = GetSelectivity(pool, NIndError(), sit_driven_pruning=True)
         algorithm(predicates)
-        stats = self._flat(algorithm)
-        assert set(stats) == set(self.KEY_PATHS)
-        assert stats["memo_entries"] >= 1
-        assert stats["estimate_cache_entries"] >= 1
+        snapshot = self._ledger(algorithm)
+        counters, caches, timings = snapshot.counters, snapshot.caches, snapshot.timings
+        assert caches["memo_entries"] >= 1
+        assert caches["estimate_cache_entries"] >= 1
         # one counted invocation per explored (scored) pair and per bound
-        assert stats["explored_decompositions"] > 0
-        assert stats["matcher_calls"] == (
-            stats["explored_decompositions"] + stats["bound_scores"]
+        assert counters["explored_decompositions"] > 0
+        assert counters["matcher_calls"] == (
+            counters["explored_decompositions"] + counters["bound_scores"]
         )
-        caches = algorithm.stats_snapshot().caches
         assert not any(key.startswith("match_cache") for key in caches)
-        assert stats["universe_size"] == len(predicates)
-        assert stats["analysis_seconds"] > 0.0
-        assert stats["analysis_seconds"] >= stats["estimation_seconds"] >= 0.0
+        assert counters["universe_size"] == len(predicates)
+        assert timings["analysis_seconds"] > 0.0
+        assert timings["analysis_seconds"] >= timings["estimation_seconds"] >= 0.0
 
     def test_reset_clears_per_query_but_keeps_pool_pure_state(self, workload):
         predicates, pool = workload
         algorithm = GetSelectivity(pool, NIndError())
         algorithm(predicates)
-        warm_cache = self._flat(algorithm)["estimate_cache_entries"]
+        warm_cache = self._ledger(algorithm).caches["estimate_cache_entries"]
         algorithm.reset()
-        stats = self._flat(algorithm)
-        assert stats["memo_entries"] == 0
-        assert stats["matcher_calls"] == 0
-        assert stats["explored_decompositions"] == 0
-        assert stats["bound_scores"] == 0
-        assert stats["analysis_seconds"] == 0.0
-        assert stats["estimation_seconds"] == 0.0
+        snapshot = self._ledger(algorithm)
+        counters, caches, timings = snapshot.counters, snapshot.caches, snapshot.timings
+        assert caches["memo_entries"] == 0
+        assert counters["matcher_calls"] == 0
+        assert counters["explored_decompositions"] == 0
+        assert counters["bound_scores"] == 0
+        assert timings["analysis_seconds"] == 0.0
+        assert timings["estimation_seconds"] == 0.0
         # Pool-pure structures survive reset (Section 4 reuse).
-        assert stats["estimate_cache_entries"] == warm_cache >= 1
-        assert stats["universe_size"] == len(predicates)
+        assert caches["estimate_cache_entries"] == warm_cache >= 1
+        assert counters["universe_size"] == len(predicates)
 
     def test_legacy_reports_zero_universe(self, workload):
         predicates, pool = workload
         oracle = GetSelectivity.create(pool, NIndError(), engine="legacy")
         oracle(predicates)
-        stats = self._flat(oracle)
-        assert set(stats) == set(self.KEY_PATHS)
-        assert stats["universe_size"] == 0
-        assert stats["memo_entries"] >= 1
+        snapshot = self._ledger(oracle)
+        assert snapshot.counters["universe_size"] == 0
+        assert snapshot.caches["memo_entries"] >= 1
 
     def test_pruning_counter_counts_skips(self, workload):
         predicates, pool = workload
@@ -195,5 +198,5 @@ class TestStats:
         pruned(predicates)
         unpruned = GetSelectivity(pool, NIndError())
         unpruned(predicates)
-        assert self._flat(pruned)["pruned_decompositions"] > 0
-        assert self._flat(unpruned)["pruned_decompositions"] == 0
+        assert self._ledger(pruned).counters["pruned_decompositions"] > 0
+        assert self._ledger(unpruned).counters["pruned_decompositions"] == 0

@@ -11,14 +11,12 @@ class TestIngestConfig:
     def test_defaults_are_valid(self):
         config = IngestConfig()
         assert config.queue_depth == 1024
-        assert config.drift_every == 0
 
     def test_round_trip(self):
         config = IngestConfig(
             queue_depth=16,
             coalesce_window_s=0.5,
             max_batch=4,
-            drift_every=3,
         )
         assert IngestConfig.from_dict(config.to_dict()) == config
 
@@ -38,7 +36,6 @@ class TestIngestConfig:
             {"queue_depth": 0},
             {"coalesce_window_s": -0.1},
             {"max_batch": 0},
-            {"drift_every": -1},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -1,6 +1,5 @@
 """IngestPipeline semantics over a fake invalidation target: coalescing,
-bounded admission with typed backpressure, drift probing, drain and
-shutdown."""
+bounded admission with typed backpressure, drain and shutdown."""
 
 from __future__ import annotations
 
@@ -9,12 +8,7 @@ import time
 
 import pytest
 
-from repro.ingest import (
-    EstimateDriftProbe,
-    IngestConfig,
-    IngestOverloaded,
-    IngestPipeline,
-)
+from repro.ingest import IngestConfig, IngestOverloaded, IngestPipeline
 from repro.obs import StalenessTracker
 from repro.service.protocol import Overloaded
 
@@ -54,15 +48,6 @@ class GatedCatalog(FakeCatalog):
         return super().notify_table_update(table)
 
 
-def wait_until(predicate, timeout_s: float = 5.0) -> bool:
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.002)
-    return predicate()
-
-
 class TestCoalescing:
     def test_storm_collapses_into_few_epochs(self):
         """Writes that arrive while one apply is in flight coalesce into
@@ -79,12 +64,11 @@ class TestCoalescing:
             # 31 events, at most the in-flight call plus one coalesced
             # follow-up epoch (a straggler batch split adds one more)
             assert catalog.calls_for("R") <= 3
-            snapshot = pipeline.stats_snapshot().ingest
-            assert snapshot["events"] == 31.0
-            assert snapshot["events_applied"] == 31.0
-            assert snapshot["epochs_applied"] == catalog.calls_for("R")
-            assert snapshot["coalesced_events"] >= 28.0
-            assert snapshot["coalesce_ratio"] > 10.0
+            ingest = pipeline.stats_snapshot().ingest
+            assert ingest["events"] == 31.0
+            assert ingest["events_applied"] == 31.0
+            assert ingest["epochs_applied"] == catalog.calls_for("R")
+            assert ingest["coalesce_ratio"] > 10.0
 
     def test_distinct_tables_each_get_their_epoch(self):
         catalog = FakeCatalog()
@@ -93,6 +77,26 @@ class TestCoalescing:
                 pipeline.submit(table)
             assert pipeline.flush(timeout=10.0)
         assert sorted(set(catalog.calls)) == ["R", "S", "T"]
+
+    def test_max_batch_bounds_what_one_cycle_folds(self):
+        """A held apply lets a burst queue up: by default the next cycle
+        folds it into one epoch, at ``max_batch=1`` every event is an
+        epoch of its own."""
+        epochs = {}
+        for max_batch in (256, 1):
+            catalog = GatedCatalog()
+            catalog.gate.clear()
+            config = IngestConfig(max_batch=max_batch)
+            with IngestPipeline(catalog, config=config) as pipeline:
+                pipeline.submit("R")
+                assert catalog.entered.wait(timeout=5.0)
+                for _ in range(6):
+                    pipeline.submit("R")
+                catalog.gate.set()
+                assert pipeline.flush(timeout=10.0)
+                epochs[max_batch] = pipeline.stats_snapshot().ingest["epochs_applied"]
+        assert epochs[256] <= 3.0
+        assert epochs[1] == 7.0
 
 
 class TestFlush:
@@ -213,60 +217,8 @@ class TestBackpressure:
             pipeline.close()
 
 
-class TestDriftProbe:
-    def test_probe_samples_applied_epochs(self):
-        catalog = FakeCatalog()
-        readings = iter([4.0, 2.0, 8.0, 1.5, 3.0, 2.5, 1.0, 5.0])
-        pipeline = IngestPipeline(
-            catalog,
-            config=IngestConfig(drift_every=1),
-            drift_probe=lambda: next(readings),
-        )
-        with pipeline:
-            for table in ("R", "S", "T"):
-                pipeline.submit(table)
-            assert pipeline.flush(timeout=10.0)
-            assert wait_until(lambda: pipeline.tracker.drift_probes >= 1)
-        assert pipeline.tracker.drift_quantile(0.5) >= 1.0
-        snapshot = pipeline.stats_snapshot().ingest
-        assert snapshot["drift_probes"] >= 1.0
-        assert snapshot["drift_q_error_p95"] >= snapshot["drift_q_error_p50"]
-
-    def test_probe_failure_is_counted_not_fatal(self):
-        catalog = FakeCatalog()
-
-        def broken() -> float:
-            raise RuntimeError("engine down")
-
-        pipeline = IngestPipeline(
-            catalog, config=IngestConfig(drift_every=1), drift_probe=broken
-        )
-        with pipeline:
-            pipeline.submit("R")
-            assert pipeline.flush(timeout=10.0)
-        assert catalog.calls_for("R") == 1
-        snapshot = pipeline.metrics_registry().snapshot()["ingest"]
-        assert snapshot["drift_probe_errors"] >= 1.0
-
-    def test_estimate_drift_probe_round_robins_q_error(self):
-        served = {"q1": 100.0, "q2": 50.0}
-        truth = {"q1": 25.0, "q2": 50.0}
-        probe = EstimateDriftProbe(
-            estimate=served.__getitem__,
-            truth=truth.__getitem__,
-            queries=["q1", "q2"],
-        )
-        assert probe() == pytest.approx(4.0)
-        assert probe() == pytest.approx(1.0)
-        assert probe() == pytest.approx(4.0)
-
-    def test_probe_requires_queries(self):
-        with pytest.raises(ValueError, match="at least one query"):
-            EstimateDriftProbe(float, float, [])
-
-
 class TestLifecycle:
-    def test_close_without_drain_drops_and_counts(self):
+    def test_close_without_drain_drops_the_backlog(self):
         catalog = GatedCatalog()
         catalog.gate.clear()
         pipeline = IngestPipeline(catalog, config=IngestConfig(queue_depth=8))
@@ -278,8 +230,8 @@ class TestLifecycle:
         threading.Timer(0.05, catalog.gate.set).start()
         pipeline.close(drain=False)
         assert pipeline.closed
-        snapshot = pipeline.metrics_registry().snapshot()["ingest"]
-        assert snapshot["dropped"] == 5.0
+        assert pipeline.stats_snapshot().ingest["events"] == 6.0
+        assert pipeline.stats_snapshot().ingest["events_applied"] == 1.0
         assert catalog.calls_for("S") == 0
 
     def test_submit_after_close_raises(self):
@@ -351,3 +303,26 @@ class TestLifecycle:
         # coalesced: far fewer version bumps than events
         assert catalog.version - before < 10
         assert "ingest" in catalog.status()
+
+    def test_the_pipeline_alone_exports_the_ingest_namespace(
+        self, two_table_db, two_table_pool
+    ):
+        """The catalog and a service joined to the same tracker print it
+        (``catalog status``) and stamp answers with it, but only the
+        pipeline's registry carries its gauges."""
+        from repro.catalog import StatisticsCatalog
+        from repro.service import EstimationService, ServiceConfig
+
+        catalog = StatisticsCatalog.from_pool(two_table_pool, database=two_table_db)
+        tracker = StalenessTracker()
+        with EstimationService(catalog, config=ServiceConfig(workers=1)) as service:
+            service.attach_staleness(tracker)
+            with IngestPipeline(catalog, tracker=tracker) as pipeline:
+                pipeline.submit("R")
+                assert pipeline.flush(timeout=10.0)
+                ingest = pipeline.stats_snapshot().ingest
+            assert not service.stats_snapshot().ingest
+        assert not catalog.stats_snapshot().ingest
+        assert catalog.status()["ingest"]["tables"]["R"]["writes"] == 1
+        assert (ingest["staleness_s_max"], ingest["tables_pending"]) == (0.0, 0.0)
+        assert ingest["events_applied"] == 1.0

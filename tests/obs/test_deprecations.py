@@ -106,12 +106,6 @@ class TestFlatStatsRemoved:
         snapshot = estimator.stats_snapshot()
         assert snapshot.meta["estimator"] == "MemoCoupled"
 
-    def test_flat_remains_as_generic_utility(self, two_table_pool, predicates):
-        algorithm = GetSelectivity.create(two_table_pool, NIndError())
-        algorithm(predicates)
-        flat = algorithm.stats_snapshot().flat()
-        assert flat["matcher_calls"] >= 1.0
-
 
 class TestPoolQueryShimsRemoved:
     def test_quartet_is_gone(self, two_table_pool):

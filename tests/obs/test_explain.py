@@ -189,10 +189,3 @@ class TestExplainStructure:
         result = make_gs_diff(database, pool).explain(query)
         assert str(result) == result.render_text()
         assert isinstance(result, ExplainResult)
-
-    def test_render_text_with_stats_appends_namespaces(self, golden_setup):
-        database, pool, query = golden_setup
-        result = make_gs_diff(database, pool).explain(query)
-        rendered = result.render_text(include_stats=True)
-        assert "stats:" in rendered
-        assert "caches.memo_entries" in rendered

@@ -44,12 +44,6 @@ class TestStatsSnapshot:
         }
         assert snapshot.meta["engine"] == "bitmask"
 
-    def test_unknown_namespace_folds_into_counters(self):
-        registry = _sample_registry()
-        registry.counter("custom.thing").inc(2)
-        snapshot = StatsSnapshot.from_registry(registry)
-        assert snapshot.counters["custom.thing"] == 2.0
-
     def test_immutable(self):
         snapshot = StatsSnapshot(timings={"analysis_seconds": 1.0})
         with pytest.raises(TypeError):
@@ -60,36 +54,6 @@ class TestStatsSnapshot:
         assert snapshot.namespace("counters") == {"matcher_calls": 1.0}
         with pytest.raises(KeyError):
             snapshot.namespace("meta")
-
-    def test_flat_with_explicit_keys_is_exact(self):
-        snapshot = StatsSnapshot.from_registry(_sample_registry())
-        flat = snapshot.flat(
-            {
-                "matcher_calls": "counters.matcher_calls",
-                "memo_entries": "caches.memo_entries",
-                "analysis_seconds": "timings.analysis_seconds",
-            }
-        )
-        assert flat == {
-            "matcher_calls": 7.0,
-            "memo_entries": 12.0,
-            "analysis_seconds": 0.25,
-        }
-
-    def test_flat_without_keys_flattens_everything_numeric(self):
-        snapshot = StatsSnapshot.from_registry(_sample_registry())
-        flat = snapshot.flat()
-        assert flat["matcher_calls"] == 7.0
-        assert flat["memo_entries"] == 12.0
-        assert flat["analysis_seconds"] == 0.25
-
-    def test_flat_collision_keeps_namespaced_form(self):
-        snapshot = StatsSnapshot(
-            timings={"x": 1.0}, counters={"x": 2.0}
-        )
-        flat = snapshot.flat()
-        assert flat["x"] == 1.0
-        assert flat["counters.x"] == 2.0
 
     def test_to_dict_and_json(self):
         snapshot = StatsSnapshot(

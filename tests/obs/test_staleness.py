@@ -68,47 +68,16 @@ class TestPendingWrites:
         assert tracker.staleness_for(["T"]) == 0.0
 
 
-class TestDrift:
-    def test_quantiles_over_the_rolling_window(self, clocked):
-        _, tracker = clocked
-        assert tracker.drift_quantile(0.95) == 1.0  # unprobed
-        for value in (1.0, 2.0, 4.0, 8.0):
-            tracker.record_drift(value)
-        assert tracker.drift_probes == 4
-        assert tracker.drift_quantile(0.5) == pytest.approx(4.0)
-        assert tracker.drift_quantile(0.95) == pytest.approx(8.0)
-
-    def test_drift_is_clamped_to_q_error_domain(self, clocked):
-        _, tracker = clocked
-        tracker.record_drift(0.25)  # a ratio below 1 is still "no worse"
-        assert tracker.drift_quantile(0.5) == 1.0
-
-    def test_window_is_bounded(self):
-        tracker = StalenessTracker(drift_window=4)
-        for value in (100.0, 1.0, 1.0, 1.0, 1.0):
-            tracker.record_drift(value)
-        assert tracker.drift_quantile(0.95) == 1.0  # the spike rolled out
-        assert tracker.drift_probes == 5
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError, match="drift_window"):
-            StalenessTracker(drift_window=0)
-
-
 class TestSurfacing:
     def test_metrics_shape(self, clocked):
         now, tracker = clocked
         tracker.note_write("R", when=95.0)
         tracker.note_write("S", when=100.0)
         tracker.note_applied("S", through=100.0)
-        tracker.record_drift(3.0)
-        metrics = tracker.metrics()
-        assert metrics["tables_tracked"] == 2.0
-        assert metrics["tables_pending"] == 1.0
-        assert metrics["staleness_s.R"] == pytest.approx(5.0)
-        assert metrics["staleness_s.S"] == 0.0
-        assert metrics["staleness_s_max"] == pytest.approx(5.0)
-        assert metrics["drift_q_error_p95"] == pytest.approx(3.0)
+        assert tracker.metrics() == {
+            "tables_pending": 1.0,
+            "staleness_s_max": pytest.approx(5.0),
+        }
 
     def test_status_is_json_ready(self, clocked):
         import json

@@ -182,7 +182,7 @@ class TestAnsweredOnArrival:
             for query in factor_sharing_queries:
                 service.estimate(query)
             after = dict(service.stats_snapshot().plan_cache)
-            swaps = service_stats(service)["snapshot_swaps"]
+            swaps = service.stats_snapshot().service["snapshot_swaps"]
         assert swaps == 1.0
         assert (before["hits"], before["misses"]) == (count - 1, 1)
         assert (after["hits"], after["misses"]) == (2 * (count - 1), 2)
@@ -390,10 +390,11 @@ class TestOneCachePerSnapshot:
             for query in factor_sharing_queries:
                 service.estimate(query)
             stats = dict(service.stats_snapshot().plan_cache)
+            (cache,) = {session.plan_cache for session in service._sessions}
         # the service that owns the cache reports it; the catalog keeps
         # no ledger of caches
         assert "plan_cache" not in service_catalog.status()
-        assert stats["caches"] == 1.0
+        assert cache is service._plan_cache
         assert stats["compiles"] == stats["plans"] == 1.0
 
     def test_counts_never_drop_across_notifies(
@@ -442,7 +443,6 @@ class TestOneCachePerSnapshot:
         assert [block["compiles"] for block in history] == [
             float(shapes * (step + 1)) for step in range(6)
         ]
-        assert {block["caches"] for block in history + [last]} == {1.0}
         assert last["compiles"] == float(shapes * 7)
         for query, answer in served:
             twin = EstimationSession(

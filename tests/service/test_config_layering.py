@@ -21,7 +21,6 @@ class TestServiceValidation:
             ("max_batch", 0),
             ("default_timeout_s", 0.0),
             ("drain_timeout_s", -1.0),
-            ("host", ""),
             ("port", -1),
             ("port", 70000),
         ],
@@ -153,15 +152,14 @@ class TestRoundTrip:
         assert ServiceConfig.from_dict(config.to_dict()) == config
 
     def test_full_deployment_fits_in_one_json_file(self):
-        """Every field, each off its default, survives the serve
-        --config path: through actual JSON, not just dicts."""
+        """Every field, each off its default, survives a JSON round
+        trip: through actual JSON, not just dicts."""
         config = ServiceConfig(
             workers=4,
             queue_depth=64,
             max_batch=8,
             default_timeout_s=1.5,
             drain_timeout_s=2.0,
-            host="0.0.0.0",
             port=0,
             backend="bn",
         )

@@ -186,8 +186,9 @@ class TestTheWorkloadStream:
     ):
         """Routed, sorted by ``bounds_fingerprint``, and through the
         predicates: the same answers.  A routed hit formats no filter
-        text and takes the front end's lock once per group; only the few
-        statements whose constants reorder their rows are sorted."""
+        text and takes no front-end lock; only the few statements whose
+        constants reorder their rows are sorted, and count a fallback
+        under the lock."""
         database, queries, catalog, _ = snowflake
         statements = stream(queries, 64, seed=3)
         assert len(statements) == 25 * 64
@@ -195,18 +196,21 @@ class TestTheWorkloadStream:
             admit_all(service, statements)  # every ordering compiled
             front = service._sql
             assert all(route is not None for _, route in front._scanned.values())
-            hits, fallbacks = front.hits, front.fallbacks
+            fallbacks = front.fallbacks
+            arrived = service.stats_snapshot().service["answered_on_arrival"]
             filter_births[0] = 0
             key_calls.update(bounds_fingerprint=0, filter_text=0)
             front._lock = lock = _CountingLock()
             literal = admit_all(service, statements)
             sorted_hits = front.fallbacks - fallbacks
             assert filter_births[0] == 0, "a hit built a FilterPredicate"
-            assert front.hits - hits == len(statements)
+            assert (
+                service.stats_snapshot().service["answered_on_arrival"] - arrived
+                == len(statements)
+            )
             assert 0 < sorted_hits <= len(statements) // 100
             assert key_calls["bounds_fingerprint"] == sorted_hits
-            groups = -(-len(statements) // GROUP)
-            assert lock.taken == groups + sorted_hits
+            assert lock.taken == sorted_hits
             plans = len(service._plan_cache)
             assert plans <= 31
             sorted_path()
@@ -396,7 +400,7 @@ class TestWhatTheLiteralPathBuilds:
         assert filter_births[0] == 0
         assert built == {"results": 0, "fingerprints": 0}
 
-    def test_a_routed_hit_formats_no_text_and_takes_the_lock_once_per_group(
+    def test_a_routed_hit_formats_no_text_and_takes_no_lock(
         self, two_table_service, key_calls
     ):
         service = two_table_service
@@ -411,7 +415,7 @@ class TestWhatTheLiteralPathBuilds:
         assert all(type(answer) is ServedEstimate and answer.plan_cache_hit for answer in answers)
         assert key_calls == {"bounds_fingerprint": 0, "filter_text": 0}
         assert front.fallbacks == fallbacks
-        assert lock.taken == len(statements) // GROUP
+        assert lock.taken == 0
 
     def test_a_store_that_starts_the_tables_over_under_a_reading_thread(
         self, two_table_service, monkeypatch

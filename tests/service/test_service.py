@@ -93,8 +93,7 @@ class TestParity:
                 if served.snapshot_version == catalog.version:
                     break
                 assert time.monotonic() < deadline, "never rolled snapshots"
-            stats = service.stats_snapshot().service
-            assert stats["snapshot_swaps"] >= 1.0
+            assert service.stats_snapshot().service["snapshot_swaps"] >= 1.0
 
         seen_versions = {served.snapshot_version for served in answers}
         assert len(seen_versions) >= 2  # old and new snapshots both served
@@ -245,6 +244,42 @@ class TestLifecycle:
         session_gate.open()
         stalled.result(timeout=30.0)  # in-flight work still completes
 
+    def test_drain_timeout_bounds_a_graceful_close(
+        self, service_catalog, join_query, session_gate
+    ):
+        """A graceful close waits ``drain_timeout_s`` for the backlog: at
+        0 it gives up at once and fails what is still queued, typed."""
+        config = ServiceConfig(
+            workers=1, queue_depth=8, max_batch=1, drain_timeout_s=0.0
+        )
+        service = EstimationService(service_catalog, config=config)
+        stalled = service.submit(join_query)
+        session_gate.wait_entered()
+        backlogged = service.submit(join_query)
+        assert service.close() is False
+        with pytest.raises(ServiceClosed):
+            backlogged.result(timeout=5.0)
+        session_gate.open()
+        stalled.result(timeout=30.0)
+
+    def test_default_timeout_is_the_deadline_of_a_request_naming_none(
+        self, service_catalog, join_query, session_gate
+    ):
+        config = ServiceConfig(
+            workers=1, queue_depth=8, max_batch=1, default_timeout_s=1e-9
+        )
+        with EstimationService(service_catalog, config=config) as service:
+            stalled = service.submit(join_query, timeout=60.0)
+            session_gate.wait_entered()
+            defaulted = service.submit(join_query)
+            explicit = service.submit(join_query, timeout=60.0)
+            session_gate.open()
+            assert stalled.result(timeout=30.0).selectivity > 0.0
+            with pytest.raises(DeadlineExceeded):
+                defaulted.result(timeout=30.0)
+            assert explicit.result(timeout=30.0).selectivity > 0.0
+            assert service.stats_snapshot().service["shed_deadline"] == 1.0
+
 
 class TestObservability:
     def test_service_namespace_in_stats_snapshot(
@@ -267,7 +302,6 @@ class TestObservability:
         assert stats["batched_requests"] == 1.0
         assert stats["queue_depth"] == 0.0
         assert stats["workers"] == 1.0
-        assert stats["active_sessions"] == 1.0
         latency = stats["latency_ms"]
         assert latency["count"] == float(count)
         assert set(latency) >= {"p50", "p95", "p99"}

@@ -21,26 +21,26 @@ SHAPES = (
 
 
 class TestCounters:
-    def test_hits_plus_misses_is_the_sql_requests_admitted(
+    def test_each_shape_is_parsed_once_and_every_request_submitted(
         self, service_catalog, join_query
     ):
         statements = [
             shape.format(low, low + 30) for low in range(0, 40, 4) for shape in SHAPES
         ]
         with EstimationService(service_catalog, config=FAST) as service:
-            before = service.stats_snapshot().service
             outcomes = service.submit_many(
                 [(sql, None) for sql in statements]
                 + [(join_query, None), (join_query.predicates, None)]
             )
             for outcome in outcomes:
                 outcome.result(timeout=30.0)
-            stats = service.stats_snapshot().service
-        assert before["sql_template_hits"] == before["sql_template_misses"] == 0.0
-        assert stats["submitted"] == len(statements) + 2.0
-        # a Query and a predicate set were never SQL: they count in neither
-        assert stats["sql_template_hits"] + stats["sql_template_misses"] == len(statements)
-        assert stats["sql_template_misses"] == float(len(SHAPES))
+            submitted = service.stats_snapshot().service["submitted"]
+            front = service._sql
+        assert submitted == len(statements) + 2.0
+        # the first statement of a shape is parsed in full, the rest are
+        # scanned from its template; a Query and a predicate set were
+        # never SQL
+        assert (front.hits, front.misses) == (0, len(SHAPES))
 
 
 class _OwnedLock:
@@ -143,6 +143,16 @@ class TestConcurrentSubmitters:
         interval = sys.getswitchinterval()
         with EstimationService(service_catalog, config=FAST) as service:
             front = service._sql
+            scanned: list[tuple] = []
+            scan = front.scan
+
+            def counted_scan(sql: str):
+                hit = scan(sql)
+                if hit is not None:
+                    scanned.append(hit)
+                return hit
+
+            front.scan = counted_scan
             front._lock = _OwnedLock()
             front._templates = _GuardedTable(front._lock)
             front._scanned = _GuardedTable(front._lock, reads=False)
@@ -162,7 +172,8 @@ class TestConcurrentSubmitters:
             assert not failures, failures[0]
             total = self.THREADS * self.GROUPS * self.GROUP
             assert sum(compared) == total
-            assert front.hits + front.misses == total
+            # a scanned hit never reaches the parse, which counts the rest
+            assert front.hits + front.misses + len(scanned) == total
             assert front.misses >= total // 2  # the fresh aliases, at least
             assert 0 < len(front) <= TEMPLATE_LIMIT
             assert front.skeleton_bytes == sum(

@@ -1,8 +1,19 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import SUBCOMMANDS, main
+
+JOIN_SQL = (
+    "SELECT * FROM sales, customer "
+    "WHERE sales.customer_id = customer.customer_id"
+)
+
+
+class _Built(Exception):
+    """Raised by a patched generator once it has seen its config."""
 
 
 class TestCLI:
@@ -103,6 +114,73 @@ class TestCLI:
             main(["advisor"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'advisor'" in capsys.readouterr().err
+
+
+class TestOptionsReachTheirTarget:
+    """Every flag set off its default changes what the command builds."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--sql", JOIN_SQL, "--scale", "0.05", "--seed", "7"],
+            ["explain", JOIN_SQL, "--scale", "0.05", "--seed", "7"],
+            ["figures", "--scale", "0.05", "--seed", "7"],
+        ],
+        ids=["estimate", "explain", "figures"],
+    )
+    def test_scale_and_seed_reach_the_database(self, argv, monkeypatch):
+        seen = []
+
+        def generate(config):
+            seen.append(config)
+            raise _Built
+
+        monkeypatch.setattr("repro.workload.snowflake.generate_snowflake", generate)
+        with pytest.raises(_Built):
+            main(argv)
+        assert (seen[0].scale, seen[0].seed) == (0.05, 7)
+
+    def test_explain_backend_answers(self, capsys):
+        assert main(["explain", JOIN_SQL, "--scale", "0.05", "--backend", "sample", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["backend"] == "sample"
+        assert payload["error_bound"] is not None
+
+    def test_catalog_load_serves_the_saved_file(self, tmp_path, capsys):
+        path = str(tmp_path / "catalog.json")
+        args = ["--path", path, "--scale", "0.05", "--seed", "11"]
+        assert main(["catalog", "save", *args, "--queries", "2"]) == 0
+        saved = int(capsys.readouterr().out.split()[1])
+        # a load builds nothing, whatever --queries says
+        assert main(["catalog", "load", *args, "--queries", "5"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["sits"] == saved
+        assert "building" not in captured.err
+
+    def test_serve_flags_build_the_service(self, monkeypatch):
+        import repro.workload.fixture as fixture
+
+        built, served = [], []
+        real = fixture.snowflake_fixture
+
+        def snowflake(*args, **kwargs):
+            built.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        def run_server(service, host, ready=None):
+            served.append((service, host))
+            service.close()
+
+        monkeypatch.setattr(fixture, "snowflake_fixture", snowflake)
+        monkeypatch.setattr("repro.service.run_server", run_server)
+        argv = ["--scale", "0.05", "--seed", "11", "--queries", "2"]
+        flags = ["--workers", "1", "--host", "localhost", "--port", "0", "--backend", "bn"]
+        assert main(["serve", *argv, *flags]) == 0
+        assert built == [((0.05, 11, 2), {"path": None})]
+        ((service, host),) = served
+        assert host == "localhost"
+        assert (service.config.workers, service.config.port) == (1, 0)
+        assert service.config.backend == "bn"
 
 
 class TestSubcommandRegistry:
