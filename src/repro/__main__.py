@@ -267,9 +267,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # ad-hoc SQL needs base histograms for *every* attribute, not just
     # the build workload's
     catalog.add_missing_base_histograms()
-    config = ServiceConfig(
-        workers=args.workers, port=args.port, backend=args.backend
-    )
+    config = ServiceConfig(workers=args.workers, backend=args.backend)
     service = EstimationService(catalog, config=config)
 
     def ready(address: tuple[str, int]) -> None:
@@ -282,7 +280,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    run_server(service, host=args.host, ready=ready)
+    run_server(service, host=args.host, port=args.port, ready=ready)
     return 0
 
 

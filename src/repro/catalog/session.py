@@ -73,6 +73,14 @@ def stamp_staleness(tracker, predicates, result):
     return result.with_staleness(staleness)
 
 
+def _concurrent_use() -> RuntimeError:
+    return RuntimeError(
+        "EstimationSession is single-owner: it may be handed "
+        "between threads but not driven concurrently; give each "
+        "worker its own session (see repro.service)"
+    )
+
+
 class EstimationSession:
     """Many queries, one snapshot, one memo and shared caches."""
 
@@ -178,44 +186,34 @@ class EstimationSession:
                 "was replaced after pinning"
             )
 
-    def _clear_trace(self) -> None:
-        """A request's trace starts empty: stage times are read, and
-        summed, per request."""
-        trace = self.estimator.trace
-        if trace is not None:
-            trace.clear()
-
     def _acquire_owner(self):
         if not self._owner_lock.acquire(blocking=False):
-            raise RuntimeError(
-                "EstimationSession is single-owner: it may be handed "
-                "between threads but not driven concurrently; give each "
-                "worker its own session (see repro.service)"
-            )
+            raise _concurrent_use()
         return self._owner_lock
 
     # ------------------------------------------------------------------
     def estimate(self, query: Query | PredicateSet) -> EstimationResult:
-        """Answer one workload query (its trace, when on, starts empty)."""
-        lock = self._acquire_owner()
+        """Answer one workload query (its trace, when on, starts empty:
+        stage times are read, and summed, per request)."""
+        lock = self._owner_lock  # _acquire_owner, one frame shallower
+        if not lock.acquire(blocking=False):
+            raise _concurrent_use()
         try:
-            self._clear_trace()
             self.queries += 1
-            return self._answer(
-                query.predicates
-                if isinstance(query, Query)
-                else frozenset(query)
+            predicates = (
+                query.predicates if isinstance(query, Query) else frozenset(query)
             )
+            estimator = self.estimator
+            trace = estimator.trace
+            if trace is not None:
+                trace.clear()
+            result = estimator.estimate_predicates(predicates)
+            tracker = self.staleness_tracker
+            if tracker is None:
+                return result
+            return stamp_staleness(tracker, predicates, result)
         finally:
             lock.release()
-
-    def _answer(self, predicates: frozenset) -> EstimationResult:
-        """One answered request: the estimate and its staleness stamp."""
-        return stamp_staleness(
-            self.staleness_tracker,
-            predicates,
-            self.estimator.estimate_predicates(predicates),
-        )
 
     def estimate_predicates(self, predicates: PredicateSet) -> EstimationResult:
         """A sub-query of the current query (not counted as a request)."""
@@ -228,15 +226,22 @@ class EstimationSession:
     def estimate_batch(self, predicate_sets) -> list[EstimationResult]:
         """Answer a group of queries under one owner-lock hold: exactly
         like N :meth:`estimate` calls, so a template hit is one
-        :meth:`~repro.core.plancache.CompiledPlan.replay` and a miss
+        :meth:`~repro.core.plancache.PlanCache.estimate` and a miss
         compiles, after which later same-shape members of the batch hit.
         Results are positional."""
         lock = self._acquire_owner()
         try:
-            self._clear_trace()
             sets = [frozenset(ps) for ps in predicate_sets]
             self.queries += len(sets)
-            return [self._answer(ps) for ps in sets]
+            estimator = self.estimator
+            trace = estimator.trace
+            if trace is not None:
+                trace.clear()
+            answer = estimator.estimate_predicates
+            tracker = self.staleness_tracker
+            if tracker is None:
+                return [answer(ps) for ps in sets]
+            return [stamp_staleness(tracker, ps, answer(ps)) for ps in sets]
         finally:
             lock.release()
 

@@ -40,8 +40,9 @@ filter constants.  This module exploits that invariance:
   in the exact same order.  The plan precomputes that once, as flat
   steps one loop runs: a subtree with no filter lookup is folded to its
   float, a conditional chain multiplies innermost-first, and each
-  filter slot holds its histogram's bound range lookup.  A replay computes the
-  *number*: the result it returns has
+  filter slot holds its histogram's rows, frequency and total for the one
+  range kernel (:func:`repro.histograms.base.range_selectivity`).  A
+  replay computes the *number*: the result it returns has
   every scalar field set, and builds ``decomposition`` and ``matches``
   (:meth:`CompiledPlan.provenance`) the first time either is read —
   EXPLAIN and the compile-time self-check read them, the request path
@@ -92,7 +93,7 @@ from repro.core.matching import (
 from repro.core.predicates import Attribute, Predicate, PredicateSet, by_str
 from repro.core.predicates import BoundsRow, bounds_fingerprint
 from repro.core.selectivity import Decomposition, Factor
-from repro.histograms.base import Histogram
+from repro.histograms.base import Histogram, range_selectivity
 from repro.stats.pool import SITPool
 
 
@@ -245,16 +246,17 @@ def _run(program: tuple, ordered: "Sequence[Predicate | BoundsRow]") -> float:
     * ``_PUSH`` / ``_FOLD`` — around each component of a separable split,
       whose left fold is ``acc = stack.pop() * acc``.
 
-    Each slot is ``(lookup, first, rest)``: its histogram's bound
-    ``estimate_range_selectivity`` and the positions of the filters whose
-    ranges it intersects (the first one's bounds start the max / min, as
-    they would from ``-inf`` / ``inf``).
+    Each slot is ``(rows, frequency, total, first, rest)``: its
+    histogram's operands of :func:`range_selectivity`, taken when the
+    plan was built, and the positions of the filters whose ranges it
+    intersects (the first one's bounds start the max / min, as they
+    would from ``-inf`` / ``inf``).
     """
     acc = 1.0
     stack = []
     for kind, number, slots in program:
         if kind == _FACTOR:
-            for lookup, first, rest in slots:
+            for rows, frequency, total, first, rest in slots:
                 predicate = ordered[first]
                 low = predicate.low
                 high = predicate.high
@@ -267,7 +269,7 @@ def _run(program: tuple, ordered: "Sequence[Predicate | BoundsRow]") -> float:
                 if low > high:
                     number = 0.0
                     break
-                number *= lookup(low, high)
+                number *= range_selectivity(rows, frequency, total, low, high)
                 if number == 0.0:
                     number = 0.0
                     break
@@ -297,7 +299,13 @@ def _emit(node: tuple | None, templates: Sequence[_FactorTemplate], steps: list)
         _emit(node[2], templates, steps)
         template = templates[node[1]]
         slots = tuple(
-            (slot.histogram.estimate_range_selectivity, slot.positions[0], slot.positions[1:])
+            (
+                slot.histogram._rows,
+                slot.histogram.frequency,
+                slot.histogram.total,
+                slot.positions[0],
+                slot.positions[1:],
+            )
             for slot in template.filter_slots
         )
         steps.append((_FACTOR, 0.0 if template.zero else template.join_selectivity, slots))
@@ -585,12 +593,21 @@ class PlanCache:
         return plan, ordered
 
     def estimate(self, predicates: PredicateSet) -> EstimationResult | None:
-        """Template-hit fast path: ``replay``, one call shallower, or
-        ``None`` on a shape miss."""
-        plan, ordered = self.plan_for(predicates)
-        if plan is None:
-            return None
-        return EstimationResult.replayed(plan, ordered, plan.selectivity(ordered))
+        """The template-hit path in one frame, or ``None`` on a shape
+        miss: :func:`shape_fingerprint`, :meth:`probe` and the count of
+        :meth:`plan_for`, then the replay of :meth:`CompiledPlan.replay`,
+        each written out here."""
+        ordered = tuple(sorted(predicates, key=by_str))
+        pool = self.pool
+        if pool is not None and pool.version != self._pool_version:
+            self._evict_all()
+        plan = self._plans.get(tuple(map(_token, ordered)))
+        with self._lock:
+            if plan is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+        return EstimationResult.replayed(plan, ordered, _run(plan.program, ordered))
 
     # ------------------------------------------------------------------
     def compile(

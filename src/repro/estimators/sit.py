@@ -102,16 +102,13 @@ class SITEstimator(Estimator):
     # ------------------------------------------------------------------
     def estimate(self, query: Query) -> EstimationResult:
         """Full ``getSelectivity`` result (selectivity, error, decomposition)."""
-        return self._run(query.predicates)
+        return self.estimate_predicates(query.predicates)
 
     def estimate_predicates(self, predicates: PredicateSet) -> EstimationResult:
         """``getSelectivity`` over a bare predicate set, ladder-protected
-        like :meth:`estimate` (the sessions' entry point)."""
-        return self._run(frozenset(predicates))
-
-    # -- the graceful-degradation ladder (repro.resilience) -------------
-    def _run(self, predicates: PredicateSet) -> EstimationResult:
-        """Compiled-plan replay on a template hit, else the full path."""
+        (the sessions' entry point): the compiled-plan replay on a
+        template hit, else the full path."""
+        predicates = frozenset(predicates)
         cache = self.plan_cache
         if cache is not None:
             result = cache.estimate(predicates)
@@ -119,6 +116,7 @@ class SITEstimator(Estimator):
                 return result
         return self._run_uncached(predicates)
 
+    # -- the graceful-degradation ladder (repro.resilience) -------------
     def _run_uncached(self, predicates: PredicateSet) -> EstimationResult:
         """Level 0, or walk the ladder when no statistic covers an
         attribute.
@@ -162,7 +160,7 @@ class SITEstimator(Estimator):
     def subquery_selectivity(self, query: Query, predicates: PredicateSet) -> float:
         """Selectivity of one sub-query; free after :meth:`estimate` thanks
         to the DP's memo table."""
-        return self._run(frozenset(predicates)).selectivity
+        return self.estimate_predicates(predicates).selectivity
 
     def subquery_cardinality(self, query: Query, predicates: PredicateSet) -> float:
         predicates = frozenset(predicates)

@@ -228,29 +228,17 @@ class Histogram:
     # ------------------------------------------------------------------
     def estimate_range_count(self, low: float, high: float) -> float:
         """Estimated number of tuples with value in the closed [low, high]."""
-        if low > high or self._frequency == 0.0:
-            return 0.0
-        # A bucket ending below ``low`` overlaps nothing and would add
-        # exactly ``+ 0.0`` to a non-negative count, so the fold starts at
-        # the first bucket with ``high >= low`` and is bit-identical to
-        # the walk over every bucket.
         rows = self._rows
-        return _overlap_fold(rows, rows[2], bisect_left(rows[1], low), low, high)
+        return range_fold(rows, rows[2], self._frequency, low, high)
 
     def estimate_range_selectivity(self, low: float, high: float) -> float:
         """Estimated ``Sel(low <= a <= high)`` as a fraction of ``total``."""
-        total = self.total
-        if total == 0.0:
-            return 0.0
-        selectivity = self.estimate_range_count(low, high) / total
-        return selectivity if selectivity < 1.0 else 1.0  # min(1.0, ·)
+        return range_selectivity(self._rows, self._frequency, self.total, low, high)
 
     def estimate_range_distinct(self, low: float, high: float) -> float:
         """Estimated number of distinct values in the closed [low, high]."""
-        if low > high or self._frequency == 0.0:
-            return 0.0
         rows = self._rows
-        return _overlap_fold(rows, rows[3], 0, low, high)
+        return range_fold(rows, rows[3], self._frequency, low, high)
 
     def estimate_equality_count(self, value: float) -> float:
         """Estimated number of tuples equal to ``value``."""
@@ -285,28 +273,58 @@ class Histogram:
 _INF = math.inf
 
 
-def _overlap_fold(
+def range_selectivity(
     rows: tuple[list, list, list, list],
-    weights: list,
-    start: int,
+    frequency: float,
+    total: float,
     low: float,
     high: float,
 ) -> float:
-    """The sum of each bucket's weight times the fraction of it inside
-    ``[low, high]``, over the buckets from ``start`` on, stopping at the
-    first bucket that begins above ``high``.
+    """``Sel(low <= a <= high)`` over a histogram's rows (``Histogram._rows``),
+    its non-NULL ``frequency`` and its ``total``: the one range kernel.
+
+    :meth:`Histogram.estimate_range_selectivity` is this over its own
+    fields; the cold path (:func:`repro.core.matching.estimate_factor`)
+    and a compiled plan's replay call it directly, the replay over
+    operands it captured when the plan was built (a histogram never
+    changes once built).  The clamp ``s if s < 1.0 else 1.0`` is
+    ``min(1.0, s)`` except that it maps NaN to ``1.0``.
+    """
+    if total == 0.0:
+        return 0.0
+    selectivity = range_fold(rows, rows[2], frequency, low, high) / total
+    return selectivity if selectivity < 1.0 else 1.0
+
+
+def range_fold(
+    rows: tuple[list, list, list, list],
+    weights: list,
+    frequency: float,
+    low: float,
+    high: float,
+) -> float:
+    """The sum of each bucket's weight (a column of ``rows``) times the
+    fraction of it inside ``[low, high]``; ``0.0`` for an empty range or
+    a histogram of zero ``frequency``.
 
     The overlap arithmetic is :meth:`Bucket.overlap_fraction` written
     inline — the same float operations in the same order, ``max`` / ``min``
     spelled as the comparisons they make — so the sum is bit-identical
-    to the fold over ``Bucket`` objects.  A bucket wholly inside the
-    range adds its weight directly: its fraction is ``(hi - lo) / width
-    == width / width``, exactly ``1.0``, as long as the width is finite
-    (an infinite width makes it ``inf / inf``, NaN, as it always has).
+    to the fold over ``Bucket`` objects.  A bucket ending below ``low``
+    adds exactly ``+ 0.0`` to the non-negative sum, so the fold enters
+    by ``bisect`` at the first bucket with ``high >= low``, and it stops
+    at the first bucket that begins above ``high``.  A bucket wholly
+    inside the range adds its weight directly: its fraction is ``(hi -
+    lo) / width == width / width``, exactly ``1.0``, as long as the width
+    is finite (an infinite width makes it ``inf / inf``, NaN, as it
+    always has — which is why a zero-frequency histogram answers ``0.0``
+    before the walk).
     """
+    if low > high or frequency == 0.0:
+        return 0.0
     lows, highs, _, distincts = rows
     total = 0.0
-    for i in range(start, len(lows)):
+    for i in range(bisect_left(highs, low), len(lows)):
         bucket_low = lows[i]
         if bucket_low > high:
             break

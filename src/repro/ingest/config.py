@@ -1,17 +1,13 @@
 """Tunables of the streaming-ingestion pipeline.
 
-:class:`IngestConfig` follows the layered-config contract of
-:mod:`repro.service.config`: a frozen dataclass that validates in
-``__post_init__`` and round-trips through ``from_dict`` / ``to_dict``
-with unknown keys rejected, so an ingestion deployment fits in the same
-JSON document as the service layers.
+:class:`IngestConfig` is built like :class:`repro.service.ServiceConfig`:
+a frozen dataclass that validates in ``__post_init__``, where a keyword
+that is not a field is a ``TypeError`` naming it.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from dataclasses import dataclass
 
 __all__ = ["IngestConfig"]
 
@@ -37,18 +33,3 @@ class IngestConfig:
             raise ValueError("coalesce_window_s must be >= 0")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "IngestConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown IngestConfig keys: {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(**dict(data))

@@ -245,9 +245,6 @@ class IngestPipeline:
     def closed(self) -> bool:
         return self._closed
 
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     def metrics_registry(self) -> MetricsRegistry:
         """Counters plus the tracker's gauges, as one registry: the one
         producer of the ``ingest`` namespace."""
@@ -266,8 +263,4 @@ class IngestPipeline:
         return StatsSnapshot.from_registry(
             self.metrics_registry(), meta={"producer": "ingest_pipeline"}
         )
-
-    def status(self) -> dict[str, object]:
-        """Compact operational view (mirrors ``catalog status``)."""
-        return dict(self.stats_snapshot().ingest, staleness=self.tracker.status())
 

@@ -2,9 +2,9 @@
 
 Layering (queue → batch → worker → snapshot swap; DESIGN.md §11):
 
-* :mod:`repro.service.config` — the tunables:
-  :class:`ServiceConfig`, ``from_dict``/``to_dict`` round-trip for
-  ``python -m repro serve --config file.json``;
+* :mod:`repro.service.config` — the tunables: :class:`ServiceConfig`
+  (where the server listens is an argument of :func:`run_server` and
+  :func:`start_in_thread`, not a field);
 * :mod:`repro.service.protocol` — typed requests/responses
   (:class:`ServedEstimate`, :class:`Overloaded`, ...) and the JSON-lines
   wire codec shared by both transports;

@@ -2,15 +2,16 @@
 
 One frozen dataclass, :class:`ServiceConfig`: the request path of one
 :class:`~repro.service.EstimationService` (workers, queue, batching,
-deadlines, port, backend).  It validates in ``__post_init__`` and
-round-trips through ``from_dict`` / ``to_dict``, a flat mapping of its
-fields; a key that is not a field is refused by name.
+deadlines, backend).  It validates in ``__post_init__``; a keyword that
+is not a field is a ``TypeError`` naming it.  Where the server listens
+is no field: ``host`` and ``port`` are arguments of
+:func:`~repro.service.run_server` and
+:func:`~repro.service.start_in_thread`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,6 @@ class ServiceConfig:
     #: seconds :meth:`EstimationService.close` waits for a graceful
     #: drain before abandoning the remaining queue
     drain_timeout_s: float = 30.0
-    #: server port (0 = ephemeral, the bound port is reported)
-    port: int = 8642
     #: estimation backend worker sessions are built with
     #: (:data:`repro.estimators.BACKENDS`: ``"sit"``, ``"bn"``,
     #: ``"sample"``)
@@ -55,8 +54,6 @@ class ServiceConfig:
             raise ValueError("default_timeout_s must be > 0 (or None)")
         if self.drain_timeout_s < 0:
             raise ValueError("drain_timeout_s must be >= 0")
-        if not 0 <= self.port <= 65535:
-            raise ValueError("port must be in [0, 65535]")
         from repro.estimators import BACKENDS
 
         if self.backend not in BACKENDS:
@@ -70,22 +67,6 @@ class ServiceConfig:
         knob — batches form from the backlog (DESIGN.md §11).  Read-only,
         for callers that subtract timer idle time from a measurement."""
         return 0.0
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-ready flat form; ``from_dict`` round-trips it."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServiceConfig":
-        """Build a config from its flat-dict form; a key that is not a
-        field raises ``ValueError`` naming it."""
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
-        return cls(**data)
 
 
 __all__ = ["ServiceConfig"]

@@ -92,11 +92,12 @@ class EstimationServer:
         self,
         service: EstimationService,
         host: str = "127.0.0.1",
-        port: int | None = None,
+        port: int = 8642,
     ):
         self.service = service
         self.host = host
-        self.port = port if port is not None else service.config.port
+        #: 0 picks an ephemeral port (:attr:`address` reports it)
+        self.port = port
         self._server: asyncio.AbstractServer | None = None
         #: the connections open now, closed with the server
         self.connections: set[_Connection] = set()
@@ -316,7 +317,7 @@ def _fill(responses: list, estimates: list, outcomes: list) -> bytes:
 def run_server(
     service: EstimationService,
     host: str = "127.0.0.1",
-    port: int | None = None,
+    port: int = 8642,
     ready: "Callable[[tuple[str, int]], None] | None" = None,
 ) -> None:
     """Blocking runner: start the server and serve until cancelled.
@@ -395,12 +396,10 @@ class ServerHandle:
 def start_in_thread(
     service: EstimationService,
     host: str = "127.0.0.1",
-    port: int | None = None,
+    port: int = 8642,
 ) -> ServerHandle:
     """Run the JSON-lines server on a daemon thread; returns its handle."""
-    return ServerHandle(
-        service, host, port if port is not None else service.config.port
-    )
+    return ServerHandle(service, host, port)
 
 
 __all__ = [

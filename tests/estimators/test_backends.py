@@ -271,12 +271,6 @@ class TestServiceRouting:
         with pytest.raises(ValueError, match="backend"):
             ServiceConfig(backend="oracle")
 
-    def test_config_round_trips_backend(self):
-        from repro.service import ServiceConfig
-
-        config = ServiceConfig(backend="bn")
-        assert ServiceConfig.from_dict(config.to_dict()).backend == "bn"
-
     def test_serve_has_no_shards_option(self, capsys):
         # every backend is served by the one single-process service;
         # the multi-process tier and its --shards flag are gone

@@ -274,17 +274,19 @@ class TestLifecycle:
         with pytest.raises(TypeError, match="notify_table_update"):
             IngestPipeline(object())
 
-    def test_status_is_compact_and_json_ready(self):
+    def test_ingest_block_and_tracker_status_are_json_ready(self):
         import json
 
         catalog = FakeCatalog()
         with IngestPipeline(catalog) as pipeline:
             pipeline.submit("R")
             assert pipeline.flush(timeout=10.0)
-            status = pipeline.status()
-        json.dumps(status)
-        assert status["staleness"]["tables"]["R"]["writes"] == 1
-        assert not any(key.startswith("staleness_s.") for key in status)
+            ingest = dict(pipeline.stats_snapshot().ingest)
+            staleness = pipeline.tracker.status()
+        json.dumps([ingest, staleness])
+        assert ingest["events_applied"] == 1
+        assert staleness["tables"]["R"]["writes"] == 1
+        assert not any(key.startswith("staleness_s.") for key in ingest)
 
     def test_real_catalog_version_advances(self, two_table_db, two_table_pool):
         from repro.catalog import StatisticsCatalog

@@ -11,10 +11,10 @@ silently resurrects an old shim fails loudly.  Pinned here:
 * the ``repro.core.estimator`` module (``CardinalityEstimator`` →
   :class:`repro.estimators.SITEstimator`);
 * the pre-``connect()`` client names (``Client``, ``TCPClient``);
-* the flat healing spelling of ``ServiceConfig`` (kwargs, attributes,
-  ``from_dict`` keys) — and since the self-healing tier went, the nested
-  ``healing`` block too — and the ``repro.obs.deprecated`` warning
-  helper that no shim is left to call.
+* the flat healing spelling of ``ServiceConfig`` (kwargs, attributes)
+  — and since the self-healing tier went, the nested ``healing`` block
+  too — and the ``repro.obs.deprecated`` warning helper that no shim is
+  left to call.
 """
 
 from __future__ import annotations
@@ -225,14 +225,6 @@ class TestFlatHealingConfigRemoved:
             assert not hasattr(config, name)
         assert not hasattr(repro.service, "HealingConfig")
         assert not hasattr(repro, "HealingConfig")
-
-    def test_flat_dict_keys_are_unknown(self):
-        from repro.service import ServiceConfig
-
-        with pytest.raises(ValueError, match="unknown ServiceConfig"):
-            ServiceConfig.from_dict({"breaker_threshold": 4})
-        with pytest.raises(ValueError, match=r"\['healing'\]"):
-            ServiceConfig.from_dict({"healing": {"breaker_threshold": 4}})
 
     def test_no_init_monkey_patch_left(self):
         import repro.service.config as config

@@ -167,8 +167,8 @@ class TestOptionsReachTheirTarget:
             built.append((args, kwargs))
             return real(*args, **kwargs)
 
-        def run_server(service, host, ready=None):
-            served.append((service, host))
+        def run_server(service, host, port, ready=None):
+            served.append((service, host, port))
             service.close()
 
         monkeypatch.setattr(fixture, "snowflake_fixture", snowflake)
@@ -177,9 +177,9 @@ class TestOptionsReachTheirTarget:
         flags = ["--workers", "1", "--host", "localhost", "--port", "0", "--backend", "bn"]
         assert main(["serve", *argv, *flags]) == 0
         assert built == [((0.05, 11, 2), {"path": None})]
-        ((service, host),) = served
-        assert host == "localhost"
-        assert (service.config.workers, service.config.port) == (1, 0)
+        ((service, host, port),) = served
+        assert (host, port) == ("localhost", 0)
+        assert service.config.workers == 1
         assert service.config.backend == "bn"
 
 
