@@ -12,6 +12,17 @@ class TestIngestConfig:
         config = IngestConfig()
         assert config.queue_depth == 1024
 
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(TypeError, match="'typo'"):
+            IngestConfig(queue_depth=8, typo=1)
+
+    def test_the_removed_apply_retries_is_rejected_by_name(self):
+        """An epoch is applied once, so there is no retry budget left to
+        configure."""
+        with pytest.raises(TypeError, match="'apply_retries'"):
+            IngestConfig(apply_retries=3)
+        assert not hasattr(IngestConfig(), "apply_retries")
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -52,6 +52,72 @@ class TestServiceValidation:
             ServiceConfig(advisor=None)
 
 
+@pytest.mark.parametrize(
+    "block", [None, {}, {"max_q_error": 10.0, "min_feedback": 8}],
+    ids=["null", "empty", "tuned"],
+)
+def test_removed_advisor_block_is_unknown(block):
+    """The self-tuning advisor is gone: a caller that still passes an
+    ``advisor`` block, whatever it holds, is refused by name, and the
+    config it would have built has no such attribute."""
+    with pytest.raises(TypeError, match="'advisor'"):
+        ServiceConfig(workers=2, advisor=block)
+    assert not hasattr(ServiceConfig(workers=2), "advisor")
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "shards",
+        "shard_workers",
+        "max_held_requests",
+        "replicas",
+        "ring_points",
+        "hedge_delay_s",
+        "breaker_threshold",
+        "breaker_window_s",
+    ],
+)
+def test_removed_cluster_keys_are_unknown(field):
+    """The multi-process tier is gone, and its whole block with it: a
+    ``cluster`` block, whatever it holds, and each of its knobs spelled
+    flat fail loudly instead of being served single-process."""
+    with pytest.raises(TypeError, match="'cluster'"):
+        ServiceConfig(cluster={field: 1})
+    with pytest.raises(TypeError, match=f"'{field}'"):
+        ServiceConfig(**{field: 1})
+    assert not hasattr(ServiceConfig(), field)
+
+
+@pytest.mark.parametrize(
+    "field", ["hedge_factor", "min_hedge_delay_s", "startup_timeout_s"]
+)
+def test_router_constants_are_no_config_keys(field):
+    """Nobody set these: they were constants of the deleted cluster
+    router, and a caller still naming one is rejected, not ignored."""
+    with pytest.raises(TypeError, match=f"'{field}'"):
+        ServiceConfig(**{field: 1.0})
+    assert not hasattr(ServiceConfig(), field)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "breaker_threshold",
+        "breaker_window_s",
+        "requeue_limit",
+        "max_worker_restarts",
+    ],
+)
+def test_removed_healing_keys_are_unknown(field):
+    """The service's self-healing tier is gone, and its block with it:
+    a ``healing`` block that still names one of its knobs is rejected
+    by name, not served without one."""
+    with pytest.raises(TypeError, match="'healing'"):
+        ServiceConfig(healing={field: 1})
+    assert not hasattr(ServiceConfig(), field)
+
+
 def test_healing_is_no_knob():
     with pytest.raises(TypeError, match="healing"):
         ServiceConfig(healing=None)

@@ -21,7 +21,12 @@ from repro.service.protocol import (
     decode_line,
     encode_line,
 )
-from repro.service.server import _MAX_LINE_BYTES, _Connection, start_in_thread
+from repro.service.server import (
+    _MAX_LINE_BYTES,
+    _Connection,
+    run_server,
+    start_in_thread,
+)
 from repro.sql import parse_query
 
 SQL = "SELECT * FROM R, S WHERE R.x = S.y AND R.a BETWEEN 10 AND 40"
@@ -506,6 +511,24 @@ class TestTheConnection:
                     delattr(loop, name)
         assert all(response["plan_cache_hit"] for response in responses)
         assert scheduled == []
+
+
+class TestBind:
+    @pytest.mark.parametrize("port", [-1, 70000])
+    def test_an_out_of_range_port_fails_at_bind_and_closes_the_service(
+        self, service_catalog, port
+    ):
+        """The port is no config field, so nothing checks it before the
+        bind: the bind refuses it loudly, never reports ready, and the
+        service it would have served is closed."""
+        service = EstimationService(
+            service_catalog, config=ServiceConfig(workers=1)
+        )
+        ready = []
+        with pytest.raises(OverflowError, match="port"):
+            run_server(service, port=port, ready=ready.append)
+        assert ready == []
+        assert service.closed
 
 
 class TestBackgroundHandle:
