@@ -367,7 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help=SUBCOMMANDS["serve"])
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
-        "--port", type=int, default=8642, help="0 picks an ephemeral port"
+        "--port",
+        type=int,
+        default=repro.service.server.DEFAULT_PORT,
+        help="0 picks an ephemeral port",
     )
     serve.add_argument(
         "--workers", type=int, default=2, help="estimation worker threads"

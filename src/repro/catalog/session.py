@@ -73,14 +73,6 @@ def stamp_staleness(tracker, predicates, result):
     return result.with_staleness(staleness)
 
 
-def _concurrent_use() -> RuntimeError:
-    return RuntimeError(
-        "EstimationSession is single-owner: it may be handed "
-        "between threads but not driven concurrently; give each "
-        "worker its own session (see repro.service)"
-    )
-
-
 class EstimationSession:
     """Many queries, one snapshot, one memo and shared caches."""
 
@@ -188,16 +180,18 @@ class EstimationSession:
 
     def _acquire_owner(self):
         if not self._owner_lock.acquire(blocking=False):
-            raise _concurrent_use()
+            raise RuntimeError(
+                "EstimationSession is single-owner: it may be handed "
+                "between threads but not driven concurrently; give each "
+                "worker its own session (see repro.service)"
+            )
         return self._owner_lock
 
     # ------------------------------------------------------------------
     def estimate(self, query: Query | PredicateSet) -> EstimationResult:
         """Answer one workload query (its trace, when on, starts empty:
         stage times are read, and summed, per request)."""
-        lock = self._owner_lock  # _acquire_owner, one frame shallower
-        if not lock.acquire(blocking=False):
-            raise _concurrent_use()
+        lock = self._acquire_owner()
         try:
             self.queries += 1
             predicates = (
@@ -207,11 +201,11 @@ class EstimationSession:
             trace = estimator.trace
             if trace is not None:
                 trace.clear()
-            result = estimator.estimate_predicates(predicates)
-            tracker = self.staleness_tracker
-            if tracker is None:
-                return result
-            return stamp_staleness(tracker, predicates, result)
+            return stamp_staleness(
+                self.staleness_tracker,
+                predicates,
+                estimator.estimate_predicates(predicates),
+            )
         finally:
             lock.release()
 
@@ -239,8 +233,6 @@ class EstimationSession:
                 trace.clear()
             answer = estimator.estimate_predicates
             tracker = self.staleness_tracker
-            if tracker is None:
-                return [answer(ps) for ps in sets]
             return [stamp_staleness(tracker, ps, answer(ps)) for ps in sets]
         finally:
             lock.release()

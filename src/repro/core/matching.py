@@ -38,7 +38,6 @@ from repro.core.predicates import (
     by_str,
 )
 from repro.core.selectivity import Factor
-from repro.histograms.base import range_selectivity
 from repro.histograms.maxdiff import DEFAULT_MAX_BUCKETS
 from repro.histograms.operations import join_histograms
 from repro.stats.pool import SITPool
@@ -1011,10 +1010,7 @@ def estimate_factor(
         low, high = ranges[attribute]
         if low > high:
             return 0.0
-        histogram = histograms[attribute]
-        selectivity *= range_selectivity(
-            histogram._rows, histogram.frequency, histogram.total, low, high
-        )
+        selectivity *= histograms[attribute].estimate_range_selectivity(low, high)
         if selectivity == 0.0:
             return 0.0
     return selectivity

@@ -247,8 +247,8 @@ def _run(program: tuple, ordered: "Sequence[Predicate | BoundsRow]") -> float:
       whose left fold is ``acc = stack.pop() * acc``.
 
     Each slot is ``(rows, frequency, total, first, rest)``: its
-    histogram's operands of :func:`range_selectivity`, taken when the
-    plan was built, and the positions of the filters whose ranges it
+    histogram's :attr:`~repro.histograms.base.Histogram.range_operands`,
+    taken when the plan was built, and the positions of the filters whose ranges it
     intersects (the first one's bounds start the max / min, as they
     would from ``-inf`` / ``inf``).
     """
@@ -299,13 +299,7 @@ def _emit(node: tuple | None, templates: Sequence[_FactorTemplate], steps: list)
         _emit(node[2], templates, steps)
         template = templates[node[1]]
         slots = tuple(
-            (
-                slot.histogram._rows,
-                slot.histogram.frequency,
-                slot.histogram.total,
-                slot.positions[0],
-                slot.positions[1:],
-            )
+            (*slot.histogram.range_operands, slot.positions[0], slot.positions[1:])
             for slot in template.filter_slots
         )
         steps.append((_FACTOR, 0.0 if template.zero else template.join_selectivity, slots))
@@ -593,20 +587,12 @@ class PlanCache:
         return plan, ordered
 
     def estimate(self, predicates: PredicateSet) -> EstimationResult | None:
-        """The template-hit path in one frame, or ``None`` on a shape
-        miss: :func:`shape_fingerprint`, :meth:`probe` and the count of
-        :meth:`plan_for`, then the replay of :meth:`CompiledPlan.replay`,
-        each written out here."""
-        ordered = tuple(sorted(predicates, key=by_str))
-        pool = self.pool
-        if pool is not None and pool.version != self._pool_version:
-            self._evict_all()
-        plan = self._plans.get(tuple(map(_token, ordered)))
-        with self._lock:
-            if plan is None:
-                self.misses += 1
-                return None
-            self.hits += 1
+        """Template-hit fast path: :meth:`plan_for`, then the replay of
+        :meth:`CompiledPlan.replay` one call shallower, or ``None`` on a
+        shape miss."""
+        plan, ordered = self.plan_for(predicates)
+        if plan is None:
+            return None
         return EstimationResult.replayed(plan, ordered, _run(plan.program, ordered))
 
     # ------------------------------------------------------------------

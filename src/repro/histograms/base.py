@@ -225,6 +225,13 @@ class Histogram:
     def is_empty(self) -> bool:
         return self._frequency == 0.0  # no buckets sum to 0.0 too
 
+    @property
+    def range_operands(self) -> tuple[tuple[list, list, list, list], float, float]:
+        """``(rows, frequency, total)``: the operands
+        :func:`range_selectivity` takes, for a caller that keeps them
+        (a compiled plan's filter slot) instead of this histogram."""
+        return self._rows, self._frequency, self.total
+
     # ------------------------------------------------------------------
     def estimate_range_count(self, low: float, high: float) -> float:
         """Estimated number of tuples with value in the closed [low, high]."""
@@ -280,14 +287,13 @@ def range_selectivity(
     low: float,
     high: float,
 ) -> float:
-    """``Sel(low <= a <= high)`` over a histogram's rows (``Histogram._rows``),
-    its non-NULL ``frequency`` and its ``total``: the one range kernel.
+    """``Sel(low <= a <= high)`` over a histogram's
+    :attr:`~Histogram.range_operands`: its rows, its non-NULL
+    ``frequency`` and its ``total``.  The one range kernel.
 
     :meth:`Histogram.estimate_range_selectivity` is this over its own
-    fields; the cold path (:func:`repro.core.matching.estimate_factor`)
-    and a compiled plan's replay call it directly, the replay over
-    operands it captured when the plan was built (a histogram never
-    changes once built).  The clamp ``s if s < 1.0 else 1.0`` is
+    fields; a compiled plan's replay calls it directly, over operands it
+    took when the plan was built (a histogram never changes once built).  The clamp ``s if s < 1.0 else 1.0`` is
     ``min(1.0, s)`` except that it maps NaN to ``1.0``.
     """
     if total == 0.0:

@@ -85,6 +85,11 @@ def _timeout_s(payload: dict) -> float | None:
     )
 
 
+#: where :func:`run_server`, :func:`start_in_thread` and ``serve`` listen
+#: unless told otherwise (0 picks an ephemeral port)
+DEFAULT_PORT = 8642
+
+
 class EstimationServer:
     """Serve one :class:`EstimationService` over newline-delimited JSON."""
 
@@ -92,7 +97,7 @@ class EstimationServer:
         self,
         service: EstimationService,
         host: str = "127.0.0.1",
-        port: int = 8642,
+        port: int = DEFAULT_PORT,
     ):
         self.service = service
         self.host = host
@@ -317,7 +322,7 @@ def _fill(responses: list, estimates: list, outcomes: list) -> bytes:
 def run_server(
     service: EstimationService,
     host: str = "127.0.0.1",
-    port: int = 8642,
+    port: int = DEFAULT_PORT,
     ready: "Callable[[tuple[str, int]], None] | None" = None,
 ) -> None:
     """Blocking runner: start the server and serve until cancelled.
@@ -349,6 +354,8 @@ class ServerHandle:
         self._loop = asyncio.new_event_loop()
         self._server = EstimationServer(service, host, port)
         self._started = threading.Event()
+        #: what the bind raised on the server thread, if it failed
+        self._failure: Exception | None = None
         self._stop = asyncio.Event()
         self._thread = threading.Thread(
             target=self._run, name="repro-serve", daemon=True
@@ -356,13 +363,24 @@ class ServerHandle:
         self._thread.start()
         if not self._started.wait(timeout=30.0):  # pragma: no cover
             raise RuntimeError("server failed to start within 30s")
+        if self._failure is not None:
+            # as run_server does: the bind's own error, and the service
+            # it would have served closed
+            self._thread.join(timeout=30.0)
+            service.close()
+            raise self._failure
 
     def _run(self) -> None:
         asyncio.set_event_loop(self._loop)
 
         async def _serve() -> None:
-            await self._server.start()
-            self._started.set()
+            try:
+                await self._server.start()
+            except Exception as exc:  # a bad or busy port
+                self._failure = exc
+                return
+            finally:
+                self._started.set()
             # an event, not loop.stop(): a stop requested while start-up
             # is still unwinding would be swallowed by that run and the
             # next run_forever() would never return
@@ -396,13 +414,14 @@ class ServerHandle:
 def start_in_thread(
     service: EstimationService,
     host: str = "127.0.0.1",
-    port: int = 8642,
+    port: int = DEFAULT_PORT,
 ) -> ServerHandle:
     """Run the JSON-lines server on a daemon thread; returns its handle."""
     return ServerHandle(service, host, port)
 
 
 __all__ = [
+    "DEFAULT_PORT",
     "EstimationServer",
     "ServerHandle",
     "run_server",

@@ -224,7 +224,7 @@ def bucket_walk(histogram: Histogram, low: float, high: float) -> float:
 
 
 def kernel(histogram: Histogram, low: float, high: float) -> float:
-    return range_selectivity(histogram._rows, histogram.frequency, histogram.total, low, high)
+    return range_selectivity(*histogram.range_operands, low, high)
 
 
 class TestTheKernelIsTheMethod:

@@ -530,6 +530,22 @@ class TestBind:
         assert ready == []
         assert service.closed
 
+    @pytest.mark.parametrize("port", [-1, 70000])
+    def test_a_background_bind_failure_is_raised_at_once(
+        self, service_catalog, port
+    ):
+        """start_in_thread raises the bind's own error as soon as the
+        server thread sees it — not a start-up timeout half a minute
+        later — and closes the service, as run_server does."""
+        service = EstimationService(
+            service_catalog, config=ServiceConfig(workers=1)
+        )
+        started = time.monotonic()
+        with pytest.raises(OverflowError, match="port"):
+            start_in_thread(service, port=port)
+        assert time.monotonic() - started < 5.0
+        assert service.closed
+
 
 class TestBackgroundHandle:
     def test_close_right_after_start_up_returns_promptly(
