@@ -62,7 +62,7 @@ order, the bitmask path from :meth:`PredicateUniverse.tie_break`.
 from __future__ import annotations
 
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
@@ -173,8 +173,9 @@ class EstimationResult:
         ``ordered`` the first time either is read.
         """
         result = object.__new__(cls)
+        # a field left at its default is not stored: a dataclass default
+        # is also a class attribute, which a read finds
         state = result.__dict__
-        state.update(_FIELD_DEFAULTS)
         state["selectivity"] = selectivity
         state["error"] = plan.error
         state["coverage"] = plan.coverage
@@ -210,11 +211,6 @@ def _match_coverage(match: FactorMatch) -> float:
         sum(len(am.sit.expression) for am in match.attribute_matches)
     )
 
-
-#: what :meth:`EstimationResult.replayed` starts from
-_FIELD_DEFAULTS = {
-    f.name: f.default for f in fields(EstimationResult) if f.default is not MISSING
-}
 
 _EMPTY_RESULT = EstimationResult(1.0, 0.0, Decomposition(()), ())
 

@@ -184,7 +184,9 @@ class CompiledPlan:
     ``("s", (child, ...))`` for a separable split — and ``program`` is
     that tree as the steps a replay runs, in the exact association order
     of the cold DP.  ``error`` and ``coverage``
-    are constant-free and stored verbatim.
+    are constant-free and stored verbatim, and ``tables`` — the tables
+    the shape's predicates touch, which a hit's staleness stamp covers —
+    is read off the fingerprint, whose tokens name their attributes.
     """
 
     fingerprint: tuple
@@ -195,11 +197,15 @@ class CompiledPlan:
     weight_bytes: int
     #: the replay as flat steps (:func:`_emit`), built with the plan
     program: tuple = field(init=False, repr=False, compare=False)
+    #: ``tables_of`` every predicate of the shape, built with the plan
+    tables: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         steps: list[tuple] = []
         _emit(self.tree, self.templates, steps)
         object.__setattr__(self, "program", tuple(steps))
+        tables = {a.table for token in self.fingerprint for a in token[1:]}
+        object.__setattr__(self, "tables", frozenset(tables))
 
     # ------------------------------------------------------------------
     def replay(self, ordered: Sequence[Predicate]) -> EstimationResult:

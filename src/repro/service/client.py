@@ -24,10 +24,11 @@ same :class:`~repro.service.protocol.ServedEstimate`, so callers are
 transport-agnostic by construction.
 
 ``estimate_batch`` submits every query *before* waiting on any answer:
-in-process the burst is admitted as one group (``submit_many``: one
-lock, one worker wake-up); over TCP the requests are pipelined on one
-connection, which the server reads and admits as one group too, and
-correlated by id.  Answers come back in input order either way.
+in-process the burst is admitted as one group (``admit``: one lock, one
+worker wake-up, and a hit comes back as its answer, not a future); over
+TCP the requests are pipelined on one connection, which the server reads
+and admits as one group too, and correlated by id.  Answers come back in
+input order either way.
 
 A typed failure (a shed :class:`~repro.service.protocol.Overloaded`, a
 :class:`~repro.service.protocol.DeadlineExceeded`, ...) is raised once:
@@ -61,7 +62,7 @@ from repro.service.protocol import (
     encode_request,
     result_from_wire,
 )
-from repro.service.service import EstimationService
+from repro.service.service import EstimationService, settle
 
 #: re-dials a :class:`SocketClient` makes per request before it raises
 #: :class:`TransportError`
@@ -133,7 +134,8 @@ class InProcessClient(EstimationClient):
 
     ``service`` is anything with the
     :class:`~repro.service.service.EstimationService` call surface
-    (``submit`` / ``estimate`` / ``stats_snapshot`` / ``close``).
+    (``submit`` / ``admit`` / ``estimate`` / ``stats_snapshot`` /
+    ``close``).
     ``owns_service=True`` makes
     :meth:`close` shut the service down too.
     """
@@ -174,16 +176,10 @@ class InProcessClient(EstimationClient):
         if timeout is not None:
             wait = timeout + self.service.config.drain_timeout_s
         # one group admission, so the burst reaches the worker as one
-        # unit; a shed member raises its typed error
-        outcomes = self.service.submit_many(
-            [(query, timeout) for query in queries]
-        )
-        answers: list[ServedEstimate] = []
-        for outcome in outcomes:
-            if isinstance(outcome, ServiceError):
-                raise outcome
-            answers.append(outcome.result(timeout=wait))
-        return answers
+        # unit; a hit comes back as its answer, and a shed member raises
+        # its typed error in member order
+        outcomes = self.service.admit([(query, timeout) for query in queries])
+        return [settle(outcome, wait) for outcome in outcomes]
 
     def stats(self) -> dict:
         return self.service.stats_snapshot().to_dict()

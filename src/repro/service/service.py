@@ -12,8 +12,12 @@
   is in it on the submitting thread: one fingerprint (of SQL, its
   scanned skeleton's route: :meth:`~repro.sql.template.TemplateFrontEnd.scan`),
   one lock-free probe, one replay, and the answer as a value
-  (:meth:`~EstimationService.admit`, which the TCP server uses) or an
-  already resolved future.  Only misses cross to a worker;
+  (:meth:`~EstimationService.admit`, which the TCP server,
+  :meth:`~EstimationService.estimate` and the in-process client use) or
+  an already resolved future (:meth:`~EstimationService.submit_many`).
+  A hit's staleness stamp covers its plan's tables
+  (:attr:`~repro.core.plancache.CompiledPlan.tables`), so a predicate set
+  is walked for its tables only on a miss.  Only misses cross to a worker;
 * a **bounded admission queue** (:class:`~repro.service.queue.AdmissionQueue`)
   in front of a **worker-thread pool**; every worker owns one
   snapshot-pinned session, so the session single-owner contract holds by
@@ -58,7 +62,6 @@ counts the live ones.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 from concurrent.futures import Future
@@ -69,7 +72,12 @@ from repro.catalog.catalog import CatalogSnapshot, StatisticsCatalog
 from repro.catalog.session import EstimationSession
 from repro.core.errors import ErrorFunction
 from repro.core.plancache import CompiledPlan, PlanCache, shape_fingerprint
-from repro.core.predicates import PredicateSet, tables_of
+from repro.core.predicates import (
+    FilterPredicate,
+    JoinPredicate,
+    PredicateSet,
+    tables_of,
+)
 from repro.engine.database import Database
 from repro.engine.expressions import Query
 from repro.estimators import resolve_statistics
@@ -91,12 +99,15 @@ from repro.service.protocol import (
 
 def coerce_query(
     query: "Query | PredicateSet | str", sql: TemplateFrontEnd
-) -> tuple[frozenset, frozenset[str]]:
+) -> tuple[frozenset, frozenset[str] | None]:
     """Any in-process request spelling — SQL text, a bound
     :class:`Query`, a bare predicate set — as ``(predicates, tables)``;
     :class:`InvalidRequest` for anything else.  ``sql`` is the service's
     own front end.  SQL text builds no :class:`Query`: the front end
-    hands over the pair."""
+    hands over the pair.  ``tables`` are the FROM tables of SQL or a
+    :class:`Query`, and ``None`` for a bare set, whose tables are its
+    predicates': a hit reads them off its plan, a miss walks the set
+    (:func:`walked`)."""
     if isinstance(query, str):
         try:
             predicates, tables = sql.parse_predicates(query)
@@ -108,14 +119,47 @@ def coerce_query(
     else:
         try:
             predicates = frozenset(query)
-            tables = tables_of(predicates)
         except TypeError as exc:
             raise InvalidRequest(
                 f"unsupported query type {type(query).__name__}"
             ) from exc
+        tables = None
     if not predicates:
         raise InvalidRequest("query has no predicates")
-    return predicates, frozenset(tables)
+    return predicates, tables
+
+
+def walked(walk, predicates: frozenset):
+    """``walk(predicates)`` — :func:`shape_fingerprint` or
+    :func:`tables_of` — with a set that is not all predicates refused as
+    :class:`InvalidRequest`, whichever walk meets it first."""
+    try:
+        return walk(predicates)
+    except (AttributeError, TypeError) as exc:
+        kinds = sorted(
+            {
+                type(p).__name__
+                for p in predicates
+                if not isinstance(p, (FilterPredicate, JoinPredicate))
+            }
+        )
+        raise InvalidRequest(
+            f"not a predicate: {', '.join(kinds)}" if kinds else str(exc)
+        ) from exc
+
+
+def settle(
+    outcome: "ServedEstimate | Future[ServedEstimate] | ServiceError",
+    wait: float | None,
+) -> ServedEstimate:
+    """One :meth:`EstimationService.admit` outcome as its answer: a hit
+    is one already, a typed refusal raises, and only a queued member is
+    waited on, through its future (``wait`` seconds at most)."""
+    if type(outcome) is ServedEstimate:
+        return outcome
+    if isinstance(outcome, ServiceError):
+        raise outcome
+    return outcome.result(timeout=wait)
 
 
 @dataclass(eq=False)
@@ -341,7 +385,10 @@ class EstimationService:
         """:meth:`submit_many` without the wrapping: a member answered
         on arrival comes back as its :class:`ServedEstimate` itself, not
         as a resolved future.  The TCP server's loop thread admits here
-        and writes such a member's line at once (DESIGN.md §11)."""
+        and writes such a member's line at once, and :meth:`estimate` and
+        the in-process client take such a member as it is (DESIGN.md
+        §11).  A bare predicate set is probed before it is walked for
+        its tables: a hit's are its plan's."""
         if self._closed.is_set() or self._draining.is_set():
             return [
                 ServiceClosed(f"{self.name} is shutting down")
@@ -366,22 +413,29 @@ class EstimationService:
             else:
                 try:
                     predicates, tables = coerce_query(query, sql)
+                    if cache is not None:
+                        fingerprint, ordered = walked(shape_fingerprint, predicates)
                 except InvalidRequest as exc:
                     outcomes.append(exc)
                     continue
-                if cache is not None:
-                    fingerprint, ordered = shape_fingerprint(predicates)
             now = time.monotonic()
             plan = cache.probe(fingerprint) if cache is not None else None
             if plan is not None:
                 answer = self._answer_on_arrival(
-                    plan, ordered, predicates, tables, hit, cache, version, now
+                    plan, ordered, plan.tables if tables is None else tables,
+                    cache, version, now,
                 )
                 outcomes.append(answer)
                 arrived.append(answer.latency_ms)
                 continue
             if predicates is None:  # a shape no worker has compiled
                 predicates = scanned_predicates(template, ordered)
+            elif tables is None:  # a bare set's, walked on a miss only
+                try:
+                    tables = walked(tables_of, predicates)
+                except InvalidRequest as exc:
+                    outcomes.append(exc)
+                    continue
             if timeout is None:
                 timeout = default_timeout
             pending = _Pending(
@@ -432,20 +486,22 @@ class EstimationService:
         return cache, version
 
     def _answer_on_arrival(
-        self, plan: CompiledPlan, ordered, predicates: frozenset | None,
-        tables: frozenset[str], hit: tuple | None, cache: PlanCache,
-        snapshot_version: int, submitted_at: float,
+        self, plan: CompiledPlan, ordered, tables: frozenset[str],
+        cache: PlanCache, snapshot_version: int, submitted_at: float,
     ) -> ServedEstimate:
-        """A hit replayed on the submitting thread, with the staleness
-        stamp a session gives its own replay; an SQL ``hit`` (``ordered``
-        its scanned rows) carries no ``predicates``."""
+        """A hit replayed on the submitting thread (``ordered`` its
+        predicates, or an SQL hit's scanned rows), with the staleness
+        stamp a session gives its own replay: over the plan's tables,
+        the ones ``stamp_staleness`` reads off the predicates.  The
+        cardinality is over the request's ``tables``."""
         selectivity = plan.selectivity(ordered)
         staleness_s = None
-        if self.staleness_tracker is not None:  # as stamp_staleness
-            with contextlib.suppress(Exception):
-                staleness_s = self.staleness_tracker.staleness_for(
-                    hit[0].predicate_tables if hit else tables_of(predicates)
-                )
+        tracker = self.staleness_tracker
+        if tracker is not None:  # as stamp_staleness
+            try:
+                staleness_s = tracker.staleness_for(plan.tables)
+            except Exception:
+                pass
         crosses = cache.crosses
         cross = crosses.get(tables)
         if cross is None:
@@ -480,14 +536,15 @@ class EstimationService:
         query: "Query | PredicateSet | str",
         timeout: float | None = None,
     ) -> ServedEstimate:
-        """Blocking convenience: submit and wait for the answer."""
-        future = self.submit(query, timeout=timeout)
+        """Blocking convenience: admit and wait for the answer.  A hit
+        comes back from :meth:`admit` as its answer, with no future."""
+        (outcome,) = self.admit(((query, timeout),))
         wait = None
         if timeout is not None:
             # request deadline plus service slack; the worker-side
             # deadline is what actually governs shedding
             wait = timeout + self.config.drain_timeout_s
-        return future.result(timeout=wait)
+        return settle(outcome, wait)
 
     def selectivity(self, query, timeout: float | None = None) -> float:
         return self.estimate(query, timeout=timeout).selectivity

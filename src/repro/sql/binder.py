@@ -175,8 +175,6 @@ class BoundTemplate:
     tables: frozenset[str]
     #: literals a statement of this shape carries (two per BETWEEN)
     literals: int
-    #: ``tables_of`` the predicate set, which a staleness stamp reads
-    predicate_tables: frozenset[str]
 
     def assemble(self, literals: Sequence[float]) -> _Assembly:
         """The rest of :func:`bind` for ``literals``, predicates unbuilt."""
@@ -234,7 +232,6 @@ def bind(
         frozenset(joins),
         frozenset(scope.tables.values()),
         sum(2 if operator == BETWEEN else 1 for _, operator in slots),
-        frozenset(a.table for a, _ in slots).union(*(j.tables for j in joins)),
     )
     projection: tuple[Attribute, ...] | None = None
     if statement.projection is not None:

@@ -165,7 +165,7 @@ class SheddingMemberService(SheddingService):
         super().__init__(sheds=0)
         self.admitted: list[int] = []
 
-    def submit_many(self, members):
+    def admit(self, members):
         from concurrent.futures import Future
 
         self.admitted.append(len(members))
